@@ -163,9 +163,6 @@ impl InferenceEngine for Fp32RefBackend {
     }
 
     fn infer(&self, worker: &mut FpWorker, image: &Tensor) -> Prediction {
-        if worker.scratch.input_shape() != image.shape() {
-            worker.scratch = self.lowered.make_scratch_for(image.shape());
-        }
         Prediction::from_f32(self.lowered.execute_f32_into(image, &mut worker.scratch).to_tensor())
     }
 }
@@ -274,5 +271,45 @@ impl Backend for QuantRefBackend {
 
     fn throughput(&self, n_frames: usize, _seed: u64) -> ThroughputReport {
         measured_throughput(self, self.input_shape, self.threads, n_frames, self.memory_footprint())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::SeedableRng;
+    use seneca_nn::unet::{UNet, UNetConfig};
+    use seneca_quant::{fuse, quantize_post_training, PtqConfig};
+
+    /// One odd-sized frame must not take the batch down: the INT8 backend
+    /// re-plans its arena like its FP32 twin, and goes back afterwards.
+    #[test]
+    fn int8_backend_serves_a_frame_of_another_geometry() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(21);
+        let cfg =
+            UNetConfig { depth: 2, base_filters: 4, in_channels: 1, num_classes: 6, dropout: 0.0 };
+        let fg = fuse(&Graph::from_unet(&UNet::new(cfg, &mut rng), "t"));
+        let frame = |side: usize, rng: &mut rand::rngs::StdRng| {
+            let mut t = Tensor::he_normal(Shape4::new(1, 1, side, side), rng);
+            t.data_mut().iter_mut().for_each(|v| *v = v.clamp(-1.0, 1.0));
+            t
+        };
+        let (big, small, big2) = (frame(32, &mut rng), frame(16, &mut rng), frame(32, &mut rng));
+        let (qg, _) =
+            quantize_post_training(&fg, std::slice::from_ref(&big), &PtqConfig::default());
+
+        let at32 = QuantRefBackend::new(qg.clone(), big.shape());
+        let at16 = QuantRefBackend::new(qg, small.shape());
+        // One worker, three frames: 32 -> 16 -> 32 through the same scratch.
+        let got = at32.infer_batch(&[big.clone(), small.clone(), big2.clone()]);
+        let want = [
+            at32.infer_batch(std::slice::from_ref(&big)).remove(0),
+            at16.infer_batch(std::slice::from_ref(&small)).remove(0),
+            at32.infer_batch(std::slice::from_ref(&big2)).remove(0),
+        ];
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(g.as_i8().unwrap(), w.as_i8().unwrap());
+            assert_eq!(g.labels, w.labels);
+        }
     }
 }

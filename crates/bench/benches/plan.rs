@@ -1,7 +1,6 @@
-//! Criterion benchmarks of the IR-lowered executors against the naive
-//! allocate-per-node paths: same graph, same frame, the differences are the
-//! liveness-planned scratch arena (zero steady-state allocation) and the
-//! pack-once weight panels (per-frame GEMMs pack activations only).
+//! Criterion benchmarks of the IR-lowered executors: the liveness-planned
+//! scratch arena (zero steady-state allocation) and the pack-once weight
+//! panels (per-frame GEMMs pack activations only), per dtype.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
@@ -20,9 +19,8 @@ fn setup(depth: usize, base_filters: usize) -> (Graph, Tensor) {
     (graph, img)
 }
 
-fn bench_fp32_naive_vs_lowered(c: &mut Criterion) {
+fn bench_fp32_lowered(c: &mut Criterion) {
     let (graph, img) = setup(3, 8);
-    c.bench_function("fp32/naive/d3f8@64", |b| b.iter(|| graph.execute(&img)));
     let lowered = lower(graph.to_ir(), img.shape(), &LowerOptions::reference());
     let mut scratch = lowered.make_scratch_f32();
     c.bench_function("fp32/lowered/d3f8@64", |b| {
@@ -30,25 +28,17 @@ fn bench_fp32_naive_vs_lowered(c: &mut Criterion) {
     });
 }
 
-fn bench_int8_naive_vs_lowered(c: &mut Criterion) {
+fn bench_int8_lowered(c: &mut Criterion) {
     let (graph, img) = setup(3, 8);
     let fg = fuse(&graph);
     let (qg, _) = quantize_post_training(&fg, std::slice::from_ref(&img), &PtqConfig::default());
     let q = qg.quantize_input(&img);
-    c.bench_function("int8/naive/d3f8@64", |b| b.iter(|| qg.execute(&q)));
     let lowered = lower(qg.to_ir(), img.shape(), &LowerOptions::reference());
     let mut scratch = lowered.make_scratch_i8();
     c.bench_function("int8/lowered/d3f8@64", |b| {
         b.iter(|| lowered.execute_i8_into(&q, &mut scratch).to_qtensor())
     });
-    // The pack-share baseline arm: same lowering minus pack-slot caching,
-    // so every GEMM re-packs its weight panels per call.
-    let unpacked = lower(qg.to_ir(), img.shape(), &LowerOptions::reference_unpacked());
-    let mut scratch_u = unpacked.make_scratch_i8();
-    c.bench_function("int8/lowered-unpacked/d3f8@64", |b| {
-        b.iter(|| unpacked.execute_i8_into(&q, &mut scratch_u).to_qtensor())
-    });
 }
 
-criterion_group!(benches, bench_fp32_naive_vs_lowered, bench_int8_naive_vs_lowered);
+criterion_group!(benches, bench_fp32_lowered, bench_int8_lowered);
 criterion_main!(benches);

@@ -34,8 +34,8 @@ use seneca_tensor::gemm::{
     igemm, igemm4_fused_packed, igemm_fused, igemm_fused_packed, igemm_reference, sgemm,
     sgemm_fused, sgemm_reference, GemmEpilogue, PackedA, PackedA4,
 };
-use seneca_tensor::igemm::{igemm_conv, sgemm_conv};
-use seneca_tensor::im2col::{im2col, im2col_i8, ConvGeom};
+use seneca_tensor::igemm::{igemm_conv_packed, sgemm_conv};
+use seneca_tensor::im2col::{im2col, im2col_t, ConvGeom};
 use seneca_tensor::Shape4;
 use serde_json::{json, Value};
 use std::time::Instant;
@@ -218,17 +218,20 @@ fn check_implicit_conv(largest: ConvShape, min_time: f64, min_iters: u32) {
         (0..geom.c_in * geom.h * geom.w).map(|_| rng.gen_range(-128i32..128) as i8).collect();
     let bias: Vec<i32> = (0..m as i32).map(|i| i * 91 - 777).collect();
     let mut y_imp = vec![0i8; m * n];
-    igemm_conv(m, &wt, &geom, &x, &bias, 6, true, &mut y_imp);
+    // Both arms pack the weight panels per call (`igemm_fused` does so
+    // internally), so the race isolates the activation side: implicit gather
+    // vs materialize-then-pack.
+    let implicit =
+        |y: &mut [i8]| igemm_conv_packed(&PackedA::pack(m, k, &wt), &geom, &x, &bias, 6, true, y);
+    implicit(&mut y_imp);
     let mut col = vec![0i8; k * n];
     let mut y_mat = vec![0i8; m * n];
-    im2col_i8(&geom, &x, &mut col);
+    im2col_t(&geom, &x, &mut col);
     igemm_fused(m, k, n, &wt, &col, &bias, 6, true, &mut y_mat);
     assert_eq!(y_imp, y_mat, "implicit i8 conv != materialized im2col route (seed 4242)");
-    let t_imp = time_per_call(min_time, min_iters, || {
-        igemm_conv(m, &wt, &geom, &x, &bias, 6, true, &mut y_imp)
-    });
+    let t_imp = time_per_call(min_time, min_iters, || implicit(&mut y_imp));
     let t_mat = time_per_call(min_time, min_iters, || {
-        im2col_i8(&geom, &x, &mut col);
+        im2col_t(&geom, &x, &mut col);
         igemm_fused(m, k, n, &wt, &col, &bias, 6, true, &mut y_mat);
     });
     println!(
@@ -313,11 +316,11 @@ fn conv_level_row(s: &ConvShape, min_time: f64, min_iters: u32) -> (f64, f64, f6
     let mut col = vec![0i8; k * n];
     let i_imp = gmac
         / time_per_call(min_time, min_iters, || {
-            igemm_conv(m, &wt, &geom, &x, &bias, 6, true, &mut y)
+            igemm_conv_packed(&PackedA::pack(m, k, &wt), &geom, &x, &bias, 6, true, &mut y)
         });
     let i_mat = gmac
         / time_per_call(min_time, min_iters, || {
-            im2col_i8(&geom, &x, &mut col);
+            im2col_t(&geom, &x, &mut col);
             igemm_fused(m, k, n, &wt, &col, &bias, 6, true, &mut y);
         });
     (f_imp, f_mat, i_imp, i_mat)

@@ -8,7 +8,8 @@
 
 use crate::ctx::ExperimentCtx;
 use crate::fmt::{emit, Table};
-use seneca::eval::evaluate_accuracy;
+use seneca::backend::QuantRefBackend;
+use seneca::eval::evaluate_backend;
 use seneca_dpu::arch::DpuArch;
 use seneca_dpu::perf::{frame_cost, frame_cost_pruned};
 use seneca_nn::graph::Graph;
@@ -46,12 +47,12 @@ pub fn run_quant(ctx: &mut ExperimentCtx) {
 
     let mut t = Table::new(vec!["Method", "Global DSC [%]", "Logit MSE vs FP32", "Notes"]);
     let data = &ctx.data;
+    let shape = dep.gpu_runner.input_shape;
     let eval_dsc = |qg: &seneca_quant::QuantizedGraph| -> f64 {
-        let predict = |img: &seneca_tensor::Tensor| qg.predict(img);
-        evaluate_accuracy(&predict, data).global().mean
+        evaluate_backend(&QuantRefBackend::new(qg.clone(), shape), data).global().mean
     };
     let sample = &calib[..calib.len().min(4)];
-    let mse = |qg: &seneca_quant::QuantizedGraph, fg: &seneca_quant::FusedGraph| {
+    let mse = |qg: &seneca_quant::QuantizedGraph, fg: &seneca_ir::Module| {
         seneca_quant::ptq::quantization_mse(fg, qg, sample)
     };
 
@@ -118,8 +119,7 @@ pub fn run_prune(ctx: &mut ExperimentCtx) {
             frame_cost_pruned(&xm, &arch, live_ratio)
         };
         let fps = 2.0 / (cost.serial_ns as f64 * 1e-9);
-        let predict = |img: &seneca_tensor::Tensor| qg.predict(img);
-        let dsc = evaluate_accuracy(&predict, &ctx.data).global().mean;
+        let dsc = evaluate_backend(&QuantRefBackend::new(qg, acc_input), &ctx.data).global().mean;
         t.row(vec![
             format!("{:.1}%", ratio * 100.0),
             format!("{:.1}%", report.weight_sparsity * 100.0),

@@ -8,6 +8,7 @@
 
 use crate::ctx::ExperimentCtx;
 use crate::fmt::{emit, Table};
+use seneca::backend::Backend;
 use seneca_data::volume::Organ;
 use seneca_metrics::boundary::hausdorff;
 use seneca_nn::unet::ModelSize;
@@ -28,7 +29,7 @@ pub fn run(ctx: &mut ExperimentCtx) {
     let mut assd = hd.clone();
     for patient in &ctx.data.test_by_patient {
         for (image, labels) in patient.images.iter().zip(&patient.labels) {
-            let int8 = dep.qgraph.predict(image);
+            let int8 = Backend::predict(&dep.dpu_runner, image);
             let fp32 = dep.gpu_runner.predict(image);
             for (k, organ) in Organ::TARGETS.iter().enumerate() {
                 for (which, pred) in [&int8, &fp32].into_iter().enumerate() {

@@ -3,6 +3,7 @@
 
 use crate::ctx::ExperimentCtx;
 use crate::fmt::emit;
+use seneca::backend::Backend;
 use seneca::render::{hstack, render_ct, render_overlay, write_ppm};
 use seneca_nn::unet::ModelSize;
 
@@ -34,7 +35,7 @@ pub fn run(ctx: &mut ExperimentCtx) {
     for (row, (pi, si, organs)) in candidates.iter().enumerate() {
         let patient = &ctx.data.test_by_patient[*pi];
         let (image, labels) = (&patient.images[*si], &patient.labels[*si]);
-        let int8 = dep.qgraph.predict(image);
+        let int8 = Backend::predict(&dep.dpu_runner, image);
         let fp32 = dep.gpu_runner.predict(image);
         let panels = vec![
             render_ct(image),

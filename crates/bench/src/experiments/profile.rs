@@ -98,18 +98,13 @@ fn modeled_op_ns(xm: &XModel) -> BTreeMap<&'static str, u64> {
     by_op
 }
 
-/// Per-frame GEMM pack-vs-kernel time split of one INT8 lowering: runs
+/// Per-frame GEMM pack-vs-kernel time split of the INT8 lowering: runs
 /// `frames` frames through a reused scratch arena with only the `gemm`
 /// domain spans in the window. Compiled only with the `trace-gemm` feature,
 /// which makes the GEMM engine price its pack and kernel sections.
 #[cfg(feature = "trace-gemm")]
-fn gemm_pack_split(
-    qg: &seneca_quant::QuantizedGraph,
-    shape: Shape4,
-    frames: usize,
-    opts: &seneca_ir::LowerOptions,
-) -> (u64, u64) {
-    let lowered = seneca_ir::lower(qg.to_ir(), shape, opts);
+fn gemm_pack_split(qg: &seneca_quant::QuantizedGraph, shape: Shape4, frames: usize) -> (u64, u64) {
+    let lowered = seneca_ir::lower(qg.to_ir(), shape, &seneca_ir::LowerOptions::reference());
     let mut scratch = lowered.make_scratch_i8();
     let q = qg.quantize_input(&frame(shape));
     let _ = lowered.execute_i8_into(&q, &mut scratch); // warm-up outside the window
@@ -378,56 +373,37 @@ pub fn run(ctx: &mut ExperimentCtx) {
         }));
     }
 
-    // GEMM pack-vs-kernel split on the 16M INT8 model: pack-slot caching
-    // (weight panels packed once at lowering) must cut the per-frame pack
-    // share against the per-call baseline. This is the CI gate for the
-    // pack-once optimisation; it needs the `trace-gemm` feature.
+    // GEMM pack-vs-kernel split on the 16M INT8 model: weight panels are
+    // packed once at lowering, so this is the activation-side pack share. A
+    // recorded figure, not a gate (the per-call-pack baseline it used to be
+    // compared against no longer exists; BENCH_profile_before.json and the
+    // benchmark ledger's `tensor.pack_a_ms.big` carry that history). Needs
+    // the `trace-gemm` feature.
     #[cfg(feature = "trace-gemm")]
     let gemm_pack_share = {
         let dep = ctx.deployment(ModelSize::M16);
         let shape = dep.gpu_runner.input_shape;
-        eprintln!("[profile] M16: tracing GEMM pack share, pack-once vs per-call ...");
-        let packed =
-            gemm_pack_split(&dep.qgraph, shape, frames, &seneca_ir::LowerOptions::reference());
-        let percall = gemm_pack_split(
-            &dep.qgraph,
-            shape,
-            frames,
-            &seneca_ir::LowerOptions::reference_unpacked(),
-        );
-        let share = |(p, k): (u64, u64)| p as f64 / (p + k).max(1) as f64;
-        assert!(
-            share(packed) < share(percall),
-            "pack-slot caching must cut the 16M per-frame pack share: \
-             pack-once {:.1}% vs per-call {:.1}%",
-            100.0 * share(packed),
-            100.0 * share(percall)
-        );
+        eprintln!("[profile] M16: tracing GEMM pack share ...");
+        let (pack, kernel) = gemm_pack_split(&dep.qgraph, shape, frames);
+        let share = pack as f64 / (pack + kernel).max(1) as f64;
         let mut t = Table::new(vec!["Lowering", "Pack ms", "Kernel ms", "Pack share %"]);
-        for (label, (p, k)) in
-            [("pack-once (reference)", packed), ("per-call (reference_unpacked)", percall)]
-        {
-            t.row(vec![
-                label.to_string(),
-                format!("{:.2}", p as f64 / 1e6),
-                format!("{:.2}", k as f64 / 1e6),
-                format!("{:.1}", 100.0 * share((p, k))),
-            ]);
-        }
+        t.row(vec![
+            "pack-once (reference)".to_string(),
+            format!("{:.2}", pack as f64 / 1e6),
+            format!("{:.2}", kernel as f64 / 1e6),
+            format!("{:.1}", 100.0 * share),
+        ]);
         body.push_str(&format!(
-            "### M16 INT8: per-frame GEMM pack share, pack-once vs per-call ({frames} frames)\n\n\
-             {}\nWeights are immutable at inference, so the reference lowering packs their \
-             GEMM panels once at model load; each frame then only packs activation panels. \
-             The gate asserts the pack share drops against the per-call baseline.\n\n",
+            "### M16 INT8: per-frame GEMM pack share ({frames} frames)\n\n\
+             {}\nWeights are immutable at inference, so lowering packs their GEMM panels once \
+             at model load; each frame then only packs activation panels. Recorded, not \
+             gated.\n\n",
             t.markdown()
         ));
         json!({
             "model": "M16",
             "frames": frames,
-            "pack_once": { "pack_ns": packed.0, "kernel_ns": packed.1,
-                           "pack_share": share(packed) },
-            "per_call": { "pack_ns": percall.0, "kernel_ns": percall.1,
-                          "pack_share": share(percall) }
+            "pack_once": { "pack_ns": pack, "kernel_ns": kernel, "pack_share": share }
         })
     };
     #[cfg(not(feature = "trace-gemm"))]

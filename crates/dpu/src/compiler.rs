@@ -24,7 +24,8 @@ use seneca_tensor::Shape4;
 /// Compiles a quantized graph for the given input geometry and architecture.
 pub fn compile(qg: &QuantizedGraph, input_shape: Shape4, arch: DpuArch) -> XModel {
     assert_eq!(input_shape.n, 1, "xmodels are compiled for batch 1");
-    let shapes = qg.shapes(input_shape);
+    let module = qg.to_ir();
+    let shapes = module.shapes(input_shape);
     let mut instrs = Vec::new();
     let mut stats = CompileStats::default();
 
@@ -120,7 +121,7 @@ pub fn compile(qg: &QuantizedGraph, input_shape: Shape4, arch: DpuArch) -> XMode
     // DDR feature-map arena accounting: the same liveness plan the host
     // executors use, over channel-padded element counts (1 byte each) via
     // the IR's single ICP-padding hook.
-    let plan = qg.to_ir().plan_padded(input_shape, |c| arch.pad_channels(c));
+    let plan = module.plan_padded(input_shape, |c| arch.pad_channels(c));
     stats.peak_arena_bytes = plan.peak_arena_bytes(1);
     stats.total_activation_bytes = plan.total_activation_bytes(1);
 
@@ -191,17 +192,8 @@ mod tests {
         let report = calibrate(&fg, &calib, &PtqConfig::default());
 
         let uniform = quantize_from_calibration(&fg, &report, &vec![Bitwidth::W8; fg.nodes.len()]);
-        // Flip every conv-family layer to W4.
-        let wbits: Vec<Bitwidth> = fg
-            .nodes
-            .iter()
-            .map(|n| match n.op {
-                seneca_quant::FusedOp::Conv { .. } | seneca_quant::FusedOp::TConv { .. } => {
-                    Bitwidth::W4
-                }
-                _ => Bitwidth::W8,
-            })
-            .collect();
+        // Flip every conv-family layer to W4 (entries on other nodes are ignored).
+        let wbits = vec![Bitwidth::W4; fg.nodes.len()];
         let mixed = quantize_from_calibration(&fg, &report, &wbits);
 
         let shape = Shape4::new(1, 1, 16, 16);
@@ -247,5 +239,60 @@ mod tests {
     fn batch_must_be_one() {
         let qg = quantized(1, 4, 5, 8);
         let _ = compile(&qg, Shape4::new(2, 1, 8, 8), DpuArch::b4096_zcu104());
+    }
+
+    /// `execute_node_i8` is only correct when nodes run in increasing id
+    /// order with none skipped, and the functional path trusts the stream to
+    /// be that: the compute instructions of every Table II model (and of a
+    /// mixed-W4 plan) name exactly nodes `1..n` in order, each with the
+    /// instruction kind that implements its node's op.
+    #[test]
+    fn compute_instructions_walk_every_node_once_in_order() {
+        use crate::executor::compute_node;
+        use seneca_quant::{calibrate, quantize_from_calibration, Bitwidth};
+        let shape = Shape4::new(1, 1, 32, 32);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let calib = vec![Tensor::he_normal(shape, &mut rng)];
+        let mut graphs = Vec::new();
+        for size in ModelSize::ALL {
+            let fg = fuse(&Graph::from_unet(&UNet::from_size(size, &mut rng), size.label()));
+            let report = calibrate(&fg, &calib, &PtqConfig::default());
+            graphs.push(quantize_from_calibration(
+                &fg,
+                &report,
+                &vec![Bitwidth::W8; fg.nodes.len()],
+            ));
+            if size == ModelSize::M1 {
+                let wbits: Vec<Bitwidth> = (0..fg.nodes.len())
+                    .map(|i| if i % 2 == 0 { Bitwidth::W4 } else { Bitwidth::W8 })
+                    .collect();
+                graphs.push(quantize_from_calibration(&fg, &report, &wbits));
+            }
+        }
+        for qg in &graphs {
+            let xm = compile(qg, shape, DpuArch::b4096_zcu104());
+            let walked: Vec<usize> =
+                xm.instrs.iter().filter_map(|i| compute_node(i, &xm.qgraph)).collect();
+            assert_eq!(walked, (1..qg.nodes.len()).collect::<Vec<_>>(), "{}", qg.name);
+        }
+    }
+
+    /// Golden PTQ output: FNV-1a of the JSON-serialised quantized graph of a
+    /// seeded 1M model. Any change to how calibration evaluates the FP32
+    /// module, observes ranges or quantises weights that moves one fix
+    /// position or one weight byte moves this hash.
+    #[test]
+    fn ptq_of_a_seeded_1m_model_is_byte_identical_to_the_recorded_graph() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5E4ECA);
+        let net = UNet::from_size(ModelSize::M1, &mut rng);
+        let fg = fuse(&Graph::from_unet(&net, "1M"));
+        let calib: Vec<Tensor> =
+            (0..4).map(|_| Tensor::he_normal(Shape4::new(1, 1, 32, 32), &mut rng)).collect();
+        let (qg, _) = quantize_post_training(&fg, &calib, &PtqConfig::default());
+        let json = serde_json::to_string(&qg).expect("qgraph serialises");
+        let hash = json.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!(hash, 0x8b92_712b_ba1e_15df, "PTQ output moved ({} bytes)", json.len());
     }
 }

@@ -1,8 +1,8 @@
 //! Functional and timing execution of an xmodel on one DPU core.
 //!
-//! Functional mode actually runs the INT8 maths (dispatching each CONV /
-//! POOL / ELEW instruction to the shared quantized kernels), producing the
-//! same bits as [`seneca_quant::QuantizedGraph::execute`]. Timing-only mode
+//! Functional mode actually runs the INT8 maths: each CONV / POOL / ELEW
+//! instruction steps its node of the xmodel's lowered `seneca-ir` program,
+//! so the DPU path and the host INT8 backend run the same code. Timing-only mode
 //! skips the maths and just evaluates the cost model — used by the
 //! throughput sweeps where 2000-frame batches would make functional
 //! execution needlessly slow.
@@ -11,8 +11,30 @@ use crate::isa::DpuInstr;
 use crate::perf::{frame_cost, FrameCost};
 use crate::xmodel::XModel;
 use seneca_ir::QScratch;
-use seneca_quant::QOp;
+use seneca_quant::{QOp, QuantizedGraph};
 use seneca_tensor::{QTensor, QTensorView};
+
+/// The graph node a CONV / POOL / ELEW instruction computes (`None` for
+/// LOAD / SAVE / END). Panics when the instruction kind is not the one that
+/// implements the node's op — a miscompiled stream.
+pub(crate) fn compute_node(instr: &DpuInstr, qg: &QuantizedGraph) -> Option<usize> {
+    let node = match instr {
+        DpuInstr::Load { .. } | DpuInstr::Save { .. } | DpuInstr::End => return None,
+        DpuInstr::Conv { node, .. } | DpuInstr::Pool { node, .. } | DpuInstr::Elew { node, .. } => {
+            *node
+        }
+    };
+    let op = &qg.nodes[node].op;
+    let kind_matches = match instr {
+        DpuInstr::Conv { transpose, .. } => {
+            matches!((op, transpose), (QOp::Conv(_), false) | (QOp::TConv(_), true))
+        }
+        DpuInstr::Pool { .. } => matches!(op, QOp::MaxPool2x2),
+        _ => matches!(op, QOp::Concat { .. }),
+    };
+    assert!(kind_matches, "`{}` maps to {:?}", instr.disassemble(), op.mnemonic());
+    Some(node)
+}
 
 /// Execution mode of a core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,36 +116,8 @@ impl DpuCore {
         lowered.load_input_i8(input, scratch);
 
         for instr in &xm.instrs {
-            match instr {
-                DpuInstr::Load { .. } | DpuInstr::Save { .. } | DpuInstr::End => {}
-                DpuInstr::Conv { node, .. } => {
-                    let qnode = &xm.qgraph.nodes[*node];
-                    assert!(
-                        matches!(qnode.op, QOp::Conv(_) | QOp::TConv(_)),
-                        "CONV instr maps to {:?}",
-                        qnode.op.mnemonic()
-                    );
-                    lowered.execute_node_i8(*node, scratch);
-                }
-                DpuInstr::Pool { node, .. } => {
-                    let qnode = &xm.qgraph.nodes[*node];
-                    assert!(
-                        matches!(qnode.op, QOp::MaxPool2x2),
-                        "POOL instr maps to {:?}",
-                        qnode.op.mnemonic()
-                    );
-                    lowered.execute_node_i8(*node, scratch);
-                }
-                DpuInstr::Elew { node, .. } => {
-                    let qnode = &xm.qgraph.nodes[*node];
-                    assert!(
-                        matches!(qnode.op, QOp::Concat { .. }),
-                        "ELEW instr maps to {:?}",
-                        qnode.op.mnemonic()
-                    );
-                    lowered.execute_node_i8(*node, scratch);
-                }
-            }
+            let Some(node) = compute_node(instr, &xm.qgraph) else { continue };
+            lowered.execute_node_i8(node, scratch);
         }
         scratch.node_output(xm.qgraph.output)
     }
@@ -155,16 +149,18 @@ mod tests {
         (xm, img)
     }
 
+    /// What the quantized graph computes, per the naive oracle.
+    fn oracle(xm: &XModel, input: &QTensor) -> QTensor {
+        seneca_ir::oracle::run_i8(&xm.qgraph.to_ir(), input).swap_remove(xm.qgraph.output)
+    }
+
     #[test]
     fn functional_matches_quantized_graph_bit_exactly() {
         let (xm, img) = setup(1);
         let core = DpuCore::new(ExecMode::Functional);
         let input = xm.quantize_input(&img);
         let res = core.run(&xm, &input);
-        let out_core = res.output.unwrap();
-        let out_ref = xm.qgraph.execute(&input);
-        assert_eq!(out_core.data(), out_ref.data(), "DPU core must bit-match the qgraph");
-        assert_eq!(out_core.fix_pos(), out_ref.fix_pos());
+        assert_eq!(res.output.unwrap(), oracle(&xm, &input), "DPU core must bit-match the qgraph");
     }
 
     #[test]
@@ -180,8 +176,7 @@ mod tests {
             }
             let input = xm.quantize_input(&frame);
             let pooled = core.run_with_scratch(&xm, &input, &mut scratch).output.unwrap();
-            let fresh = xm.qgraph.execute(&input);
-            assert_eq!(pooled.data(), fresh.data(), "stale scratch state leaked into a frame");
+            assert_eq!(pooled, oracle(&xm, &input), "stale scratch state leaked into a frame");
         }
         let _ = img;
     }
@@ -208,7 +203,7 @@ mod tests {
     #[should_panic(expected = "input geometry")]
     fn wrong_geometry_rejected() {
         let (xm, _) = setup(4);
-        let bad = QTensor::zeros(Shape4::new(1, 1, 8, 8), xm.qgraph.input_fp);
+        let bad = QTensor::from_vec(Shape4::new(1, 1, 8, 8), vec![0; 64], xm.qgraph.input_fp);
         let _ = DpuCore::new(ExecMode::Functional).run(&xm, &bad);
     }
 }

@@ -246,6 +246,12 @@ mod tests {
         (DpuRunner::new(Arc::new(xm), config), images)
     }
 
+    /// What the quantized graph computes for `img`, per the naive oracle.
+    fn oracle(xm: &XModel, img: &Tensor) -> QTensor {
+        seneca_ir::oracle::run_i8(&xm.qgraph.to_ir(), &xm.quantize_input(img))
+            .swap_remove(xm.qgraph.output)
+    }
+
     #[test]
     fn throughput_improves_with_threads_then_saturates() {
         let mut fps = vec![];
@@ -283,8 +289,7 @@ mod tests {
         let outs = r.run_functional(&images);
         assert_eq!(outs.len(), images.len());
         for (img, out) in images.iter().zip(&outs) {
-            let reference = r.xmodel.qgraph.execute(&r.xmodel.quantize_input(img));
-            assert_eq!(out.data(), reference.data(), "thread pool must not change results");
+            assert_eq!(*out, oracle(&r.xmodel, img), "thread pool must not change results");
         }
     }
 
@@ -317,8 +322,7 @@ mod tests {
         assert!(b.name().starts_with("dpu/"));
         let preds = b.infer_batch(&images[..2]);
         assert_eq!(preds.len(), 2);
-        let direct = r.xmodel.qgraph.execute(&r.xmodel.quantize_input(&images[0]));
-        assert_eq!(preds[0].as_i8().unwrap().data(), direct.data());
+        assert_eq!(*preds[0].as_i8().unwrap(), oracle(&r.xmodel, &images[0]));
         let rep = b.throughput(50, 3);
         assert!(rep.fps > 0.0 && rep.util > 0.0 && rep.threads == 2);
     }

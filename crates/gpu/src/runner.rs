@@ -18,7 +18,7 @@ pub struct GpuRunner {
     /// Input geometry.
     pub input_shape: Shape4,
     /// IR lowering of `graph` at `input_shape` (packed weight panels +
-    /// liveness plan) for the functional batch path.
+    /// liveness plan): the functional path.
     lowered: Arc<Lowered>,
 }
 
@@ -63,7 +63,7 @@ impl GpuRunner {
 
     /// FP32 functional inference: class probabilities for one image.
     pub fn infer(&self, image: &Tensor) -> Tensor {
-        self.graph.execute(image)
+        self.lowered.execute_f32(image)
     }
 
     /// Per-pixel argmax labels.
@@ -81,15 +81,11 @@ impl Backend for GpuRunner {
         // The baseline submits frames on one synchronous stream (like the
         // paper's TF session), so the batch path is a plain sequential loop —
         // with one liveness-planned scratch arena reused across the batch.
-        let mut scratch: Option<seneca_ir::FpScratch> = None;
+        let mut scratch = self.lowered.make_scratch_f32();
         images
             .iter()
             .map(|img| {
-                let s = match &mut scratch {
-                    Some(s) if s.input_shape() == img.shape() => s,
-                    slot => slot.insert(self.lowered.make_scratch_for(img.shape())),
-                };
-                Prediction::from_f32(self.lowered.execute_f32_into(img, s).to_tensor())
+                Prediction::from_f32(self.lowered.execute_f32_into(img, &mut scratch).to_tensor())
             })
             .collect()
     }

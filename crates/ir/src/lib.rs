@@ -18,11 +18,12 @@
 pub mod exec;
 pub mod lower;
 pub mod module;
+pub mod oracle;
 pub mod passes;
 pub mod plan;
 pub mod shape;
 
-pub use exec::{execute_f32, FpScratch, QScratch};
+pub use exec::{execute_f32, FpScratch, QScratch, Scratch};
 pub use lower::{lower, LowerOptions, Lowered, PackedKernel};
 pub use module::{
     ConcatQ, ConvAttrs, ConvKernel, DType, IrNode, IrOp, Module, PackFormat, PackSlot,

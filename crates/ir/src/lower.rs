@@ -1,7 +1,7 @@
 //! Lowering: IR module → executable program.
 //!
-//! [`lower`] runs the pass pipeline selected by [`LowerOptions`]
-//! (BN fold → ReLU fusion → identity strip → pack-slot assignment), then
+//! [`lower`] runs the rewrite passes selected by [`LowerOptions`] (BN fold →
+//! ReLU fusion → identity strip), assigns every weight a pack slot, then
 //! materialises everything the executors need per model — shapes, fix
 //! positions, the liveness [`ExecPlan`] and the **pre-packed weight
 //! panels**. Weights are immutable at inference, so their GEMM A-operand
@@ -9,7 +9,7 @@
 //! activation (B) panels, which is where the per-frame pack share of the
 //! 16M model drops measurably.
 
-use crate::exec::{FpScratch, QScratch};
+use crate::exec::{FpScratch, QScratch, Scratch};
 use crate::module::{ConvKernel, IrOp, Module, PackFormat};
 use crate::passes::{assign_pack_slots, fold_batchnorm, fuse_relu, strip_identities, PassStats};
 use crate::plan::ExecPlan;
@@ -18,7 +18,8 @@ use seneca_tensor::quantized::Bitwidth;
 use seneca_tensor::tconv::repack_tconv_weights;
 use seneca_tensor::Shape4;
 
-/// Which rewrite passes a lowering runs.
+/// Which rewrite passes a lowering runs. Weight panels are always packed
+/// once here: weights are immutable at inference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LowerOptions {
     /// Fold inference BatchNorm into the preceding conv's weights.
@@ -28,31 +29,21 @@ pub struct LowerOptions {
     /// Strip softmax too (DPU-bound / quantizer-bound lowerings; dropout is
     /// always stripped — it is the identity at inference).
     pub strip_softmax: bool,
-    /// Pre-pack weight GEMM panels at lowering time (pack-once caching).
-    pub pack_weights: bool,
 }
 
 impl LowerOptions {
-    /// Bit-exact lowering of the graph as given: no semantic rewrites, only
-    /// pack-slot caching. The FP32/INT8 host executors use this — packed
-    /// GEMM panels hold the same bytes as the per-call pack, so outputs are
-    /// bit-identical to the legacy node-walk executors.
+    /// Lowering of the graph as given: no semantic rewrites. The FP32/INT8
+    /// host executors, the DPU runtime and the quantizer's calibration all
+    /// use this.
     pub fn reference() -> Self {
-        Self { fold_bn: false, fuse_relu: false, strip_softmax: false, pack_weights: true }
-    }
-
-    /// [`LowerOptions::reference`] without pack-slot caching: weights pack
-    /// per GEMM call, as the legacy executors did. Kept as the baseline arm
-    /// of the pack-share profile comparison.
-    pub fn reference_unpacked() -> Self {
-        Self { pack_weights: false, ..Self::reference() }
+        Self { fold_bn: false, fuse_relu: false, strip_softmax: false }
     }
 
     /// The quantizer/compiler frontend pipeline: BN fold + ReLU fusion +
     /// identity strip (softmax included), mirroring what Vitis AI does
     /// before calibration.
     pub fn frontend() -> Self {
-        Self { fold_bn: true, fuse_relu: true, strip_softmax: true, pack_weights: true }
+        Self { fold_bn: true, fuse_relu: true, strip_softmax: true }
     }
 }
 
@@ -142,19 +133,15 @@ pub fn lower(mut module: Module, input: Shape4, opts: &LowerOptions) -> Lowered 
         stats.relu_fused = fuse_relu(&mut module);
     }
     stats.identities_removed = strip_identities(&mut module, opts.strip_softmax);
-    if opts.pack_weights {
-        stats.pack_slots = assign_pack_slots(&mut module);
-        stats.pack_slots_i4 = module
-            .nodes
-            .iter()
-            .filter(|n| match &n.op {
-                IrOp::Conv(a) | IrOp::TConv(a) => {
-                    a.pack.is_some_and(|p| p.format == PackFormat::I4)
-                }
-                _ => false,
-            })
-            .count();
-    }
+    stats.pack_slots = assign_pack_slots(&mut module);
+    stats.pack_slots_i4 = module
+        .nodes
+        .iter()
+        .filter(|n| match &n.op {
+            IrOp::Conv(a) | IrOp::TConv(a) => a.pack.is_some_and(|p| p.format == PackFormat::I4),
+            _ => false,
+        })
+        .count();
     let shapes = module.shapes(input);
     let fps = module.fix_positions();
     let plan = module.plan(input);
@@ -283,26 +270,34 @@ impl Lowered {
 
     /// Allocates the per-worker FP32 arena at the lowered input geometry.
     pub fn make_scratch_f32(&self) -> FpScratch {
-        self.make_scratch_for(self.input)
+        self.make_scratch(self.input)
     }
 
     /// Allocates an FP32 arena for a different input geometry (replans; the
     /// packed weights are shape-independent and stay shared).
     pub fn make_scratch_for(&self, input: Shape4) -> FpScratch {
-        let shapes = self.module.shapes(input);
-        let plan = self.module.plan(input);
-        FpScratch::new(plan, shapes)
+        self.make_scratch(input)
     }
 
     /// Allocates the per-worker INT8 arena at the lowered input geometry.
     pub fn make_scratch_i8(&self) -> QScratch {
-        self.make_scratch_i8_for(self.input)
+        self.make_scratch(self.input)
     }
 
     /// Allocates an INT8 arena for a different input geometry.
     pub fn make_scratch_i8_for(&self, input: Shape4) -> QScratch {
-        let shapes = self.module.shapes(input);
-        let plan = self.module.plan(input);
-        QScratch::new(plan, shapes, self.fps.clone())
+        self.make_scratch(input)
+    }
+
+    fn make_scratch<T: Copy + Default>(&self, input: Shape4) -> Scratch<T> {
+        Scratch::new(self.module.plan(input), self.module.shapes(input), self.fps.clone())
+    }
+
+    /// Re-plans `scratch` when it was built for another geometry than
+    /// `input`: one odd-sized frame costs its worker a re-plan, not a panic.
+    pub(crate) fn fit<T: Copy + Default>(&self, scratch: &mut Scratch<T>, input: Shape4) {
+        if scratch.input_shape() != input {
+            *scratch = self.make_scratch(input);
+        }
     }
 }

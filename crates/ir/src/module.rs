@@ -20,6 +20,7 @@ use seneca_tensor::norm::BnState;
 use seneca_tensor::quantized::{Bitwidth, QTensor};
 use seneca_tensor::{Shape4, Tensor};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Element dtype of a module's activations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -36,8 +37,11 @@ pub enum ConvKernel {
     /// FP32 weights and bias.
     F32 {
         /// Weights: `[C_out, C_in, 3, 3]` for conv, `[C_in, C_out, 2, 2]`
-        /// for transpose conv.
-        w: Tensor,
+        /// for transpose conv. Shared, not owned: the rewrite passes and
+        /// [`crate::lower`] work on copies of a module (the quantizer lowers
+        /// the fused module while its caller still holds it), and a copy
+        /// must not cost another set of FP32 weights.
+        w: Arc<Tensor>,
         /// Bias (may be empty).
         b: Vec<f32>,
     },
@@ -315,49 +319,29 @@ impl Module {
 
     /// Peak per-frame GEMM work-buffer bytes under the implicit-GEMM route:
     /// for each conv/tconv node, the thread-local B panels the activation
-    /// tiles gather into, plus — for nodes without a pack slot — the
-    /// per-call A panels (and for unpacked tconvs the repacked weights and
-    /// replicated bias). The buffers are reused node to node, so the plan's
-    /// figure is the max, not the sum. Mirrors what the kernels actually
-    /// allocate via [`seneca_tensor::gemm::packed_a_len`] /
-    /// [`seneca_tensor::gemm::packed_b_len`].
+    /// tiles gather into (the weight panels are packed once at lowering and
+    /// are not per-frame work). The buffers are reused node to node, so the
+    /// plan's figure is the max, not the sum. Mirrors what the kernels
+    /// actually allocate via [`seneca_tensor::gemm::packed_b_len`].
     fn gemm_work_bytes(&self, shapes: &[Shape4]) -> u64 {
-        use seneca_tensor::gemm::{packed_a_len, packed_b_len};
+        use seneca_tensor::gemm::packed_b_len;
         let es = match self.dtype {
             DType::F32 => 4,
             DType::I8 => 1,
         };
         let mut peak = 0u64;
         for node in &self.nodes {
-            let (attrs, transpose) = match &node.op {
-                IrOp::Conv(a) => (a, false),
-                IrOp::TConv(a) => (a, true),
+            // Rows of B per input channel: the implicit im2col pack gathers
+            // [C_in*9, H*W]; a tconv's input plane already is [C_in, H*W].
+            let k_per_c = match &node.op {
+                IrOp::Conv(_) => 9,
+                IrOp::TConv(_) => 1,
                 _ => continue,
             };
-            let s = shapes[node.inputs[0]];
-            let c_out = attrs.kernel.c_out(transpose);
             // Per image, not per batch: the per-image loop reuses the same
             // thread-local panels.
-            let bytes = if transpose {
-                // The input plane is the column matrix: B is [C_in, H*W].
-                let mut b = (packed_b_len(s.c, s.hw()) * es) as u64;
-                if attrs.pack.is_none() {
-                    // Repacked weights + per-row bias + per-call A panels.
-                    b += (4 * c_out * s.c * es) as u64;
-                    b += (4 * c_out * 4) as u64;
-                    b += (packed_a_len(4 * c_out, s.c) * es) as u64;
-                }
-                b
-            } else {
-                // Implicit im2col pack: B is [C_in*9, H*W] gathered in tiles.
-                let k = s.c * 9;
-                let mut b = (packed_b_len(k, s.hw()) * es) as u64;
-                if attrs.pack.is_none() {
-                    b += (packed_a_len(c_out, k) * es) as u64;
-                }
-                b
-            };
-            peak = peak.max(bytes);
+            let s = shapes[node.inputs[0]];
+            peak = peak.max((packed_b_len(s.c * k_per_c, s.hw()) * es) as u64);
         }
         peak
     }

@@ -3,7 +3,9 @@
 //! Each pass is a whole-module rebuild with an id remap — nodes that fold
 //! into their producer simply alias the producer's new id, so downstream
 //! edges rewire for free and the node vocabulary never grows transient
-//! "fused" variants. The canonical frontend pipeline is
+//! "fused" variants. Nodes *move* into the rebuilt module (a pass never
+//! copies a weight tensor; a folded conv's old weights are freed as soon as
+//! the new ones replace them). The canonical frontend pipeline is
 //! BN fold → ReLU fusion → identity strip → pack-slot assignment, with
 //! liveness planning ([`crate::plan::ExecPlan`]) as the final pass at
 //! lowering time.
@@ -55,13 +57,13 @@ fn rebuilt_shell(m: &Module) -> Module {
 ///
 /// A BN whose producing conv feeds other consumers too is left standalone
 /// (folding would change the value those consumers see); a BN after
-/// anything that is not a convolution panics, as the legacy fuser did.
+/// anything that is not a convolution panics.
 pub fn fold_batchnorm(m: &mut Module) -> usize {
     let consumers = consumer_counts(m);
     let mut new = rebuilt_shell(m);
     let mut remap = vec![0usize; m.nodes.len()];
     let mut folded = 0;
-    for (i, node) in m.nodes.iter().enumerate().skip(1) {
+    for (i, node) in std::mem::take(&mut m.nodes).into_iter().enumerate().skip(1) {
         if let IrOp::BatchNorm { bn } = &node.op {
             let j = node.inputs[0];
             match &mut new.nodes[remap[j]].op {
@@ -70,7 +72,7 @@ pub fn fold_batchnorm(m: &mut Module) -> usize {
                         panic!("BatchNorm after a quantized conv unsupported")
                     };
                     let (w2, b2) = fold_bn_into_conv(w, b, bn);
-                    a.kernel = ConvKernel::F32 { w: w2, b: b2 };
+                    a.kernel = ConvKernel::F32 { w: w2.into(), b: b2 };
                     remap[i] = remap[j];
                     folded += 1;
                     continue;
@@ -83,7 +85,7 @@ pub fn fold_batchnorm(m: &mut Module) -> usize {
             }
         }
         let ins: Vec<usize> = node.inputs.iter().map(|&j| remap[j]).collect();
-        remap[i] = new.push(node.op.clone(), ins);
+        remap[i] = new.push(node.op, ins);
     }
     new.output = remap[m.output];
     *m = new;
@@ -99,7 +101,7 @@ pub fn fuse_relu(m: &mut Module) -> usize {
     let mut new = rebuilt_shell(m);
     let mut remap = vec![0usize; m.nodes.len()];
     let mut fused = 0;
-    for (i, node) in m.nodes.iter().enumerate().skip(1) {
+    for (i, node) in std::mem::take(&mut m.nodes).into_iter().enumerate().skip(1) {
         if matches!(node.op, IrOp::Relu) {
             let j = node.inputs[0];
             if consumers[j] == 1 {
@@ -114,7 +116,7 @@ pub fn fuse_relu(m: &mut Module) -> usize {
             }
         }
         let ins: Vec<usize> = node.inputs.iter().map(|&j| remap[j]).collect();
-        remap[i] = new.push(node.op.clone(), ins);
+        remap[i] = new.push(node.op, ins);
     }
     new.output = remap[m.output];
     *m = new;
@@ -128,7 +130,7 @@ pub fn strip_identities(m: &mut Module, strip_softmax: bool) -> usize {
     let mut new = rebuilt_shell(m);
     let mut remap = vec![0usize; m.nodes.len()];
     let mut removed = 0;
-    for (i, node) in m.nodes.iter().enumerate().skip(1) {
+    for (i, node) in std::mem::take(&mut m.nodes).into_iter().enumerate().skip(1) {
         let identity = matches!(node.op, IrOp::Dropout { .. })
             || (strip_softmax && matches!(node.op, IrOp::Softmax));
         if identity {
@@ -137,7 +139,7 @@ pub fn strip_identities(m: &mut Module, strip_softmax: bool) -> usize {
             continue;
         }
         let ins: Vec<usize> = node.inputs.iter().map(|&j| remap[j]).collect();
-        remap[i] = new.push(node.op.clone(), ins);
+        remap[i] = new.push(node.op, ins);
     }
     new.output = remap[m.output];
     *m = new;
@@ -182,7 +184,7 @@ mod tests {
         let ws = Shape4::new(c_out, c_in, 3, 3);
         let w = Tensor::from_vec(ws, (0..ws.len()).map(|_| rng.gen_range(-1.0f32..1.0)).collect());
         let b: Vec<f32> = (0..c_out).map(|_| rng.gen_range(-0.5f32..0.5)).collect();
-        ConvAttrs { kernel: ConvKernel::F32 { w, b }, relu: false, pack: None }
+        ConvAttrs { kernel: ConvKernel::F32 { w: w.into(), b }, relu: false, pack: None }
     }
 
     fn random_bn(c: usize, rng: &mut StdRng) -> BnState {

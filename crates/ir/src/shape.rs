@@ -1,11 +1,10 @@
 //! The one shape-inference pass.
 //!
-//! Previously the FP32 graph, the quantized graph and the fused graph each
-//! carried their own shape walk; they now all delegate here — either from a
-//! full [`Module`] via [`infer_shapes`], or from a borrowed list of
-//! lightweight [`ShapeOp`] descriptors via [`infer_shapes_ops`] (so the
-//! legacy graph types can reuse the pass without cloning their weight
-//! tensors). Panic messages keep the historical per-dtype wording
+//! Every graph type delegates here — a full [`Module`] via
+//! [`infer_shapes`], the export graph (`seneca_nn::Graph`, whose `shapes`
+//! and `macs` are queried per throughput run) from a borrowed list of
+//! lightweight [`ShapeOp`] descriptors via [`infer_shapes_ops`], so it need
+//! not convert its weight tensors. Panic messages keep the per-dtype wording
 //! (`conv C_in mismatch` vs `qconv C_in mismatch`) so corrupted-graph
 //! diagnostics — and the tests that pin them — are unchanged.
 

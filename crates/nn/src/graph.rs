@@ -5,19 +5,18 @@
 //! by the quantizer (`seneca-quant`) and the DPU compiler (`seneca-dpu`) —
 //! mirroring how a TensorFlow graph flows into the Vitis AI quantizer and
 //! VAI_C. It deliberately keeps BatchNorm and Dropout as *separate nodes* so
-//! those tools can demonstrate folding/removal, and it ships with a naive
-//! FP32 executor kept as the bit-exactness anchor for everything downstream.
+//! those tools can demonstrate folding/removal.
 //!
-//! All optimised execution lowers through `seneca-ir`: [`Graph::to_ir`]
-//! converts into the typed IR [`seneca_ir::Module`], whose pass pipeline and
-//! planned executor replace the per-graph node walk this module used to
-//! carry. Shape inference delegates to the same IR pass.
+//! The graph itself cannot be run: all execution lowers through `seneca-ir`.
+//! [`Graph::to_ir`] converts into the typed IR [`seneca_ir::Module`], whose
+//! pass pipeline and planned executor run it. Shape inference delegates to
+//! the same IR pass.
 
 use crate::unet::UNet;
 use seneca_ir::shape::{infer_shapes_ops, ShapeOp};
 use seneca_ir::{ConvAttrs, ConvKernel, DType, IrOp, Module};
-use seneca_tensor::prelude::*;
-use seneca_tensor::Tensor;
+use seneca_tensor::norm::BnState;
+use seneca_tensor::{Shape4, Tensor};
 use serde::{Deserialize, Serialize};
 
 /// Graph operation.
@@ -185,7 +184,7 @@ impl Graph {
             let op = match &node.op {
                 Op::Input => unreachable!("input is always node 0"),
                 Op::Conv { w, b, relu } => IrOp::Conv(ConvAttrs {
-                    kernel: ConvKernel::F32 { w: w.clone(), b: b.clone() },
+                    kernel: ConvKernel::F32 { w: w.clone().into(), b: b.clone() },
                     relu: *relu,
                     pack: None,
                 }),
@@ -193,7 +192,7 @@ impl Graph {
                 Op::Relu => IrOp::Relu,
                 Op::MaxPool2x2 => IrOp::MaxPool2x2,
                 Op::TConv { w, b } => IrOp::TConv(ConvAttrs {
-                    kernel: ConvKernel::F32 { w: w.clone(), b: b.clone() },
+                    kernel: ConvKernel::F32 { w: w.clone().into(), b: b.clone() },
                     relu: false,
                     pack: None,
                 }),
@@ -220,42 +219,6 @@ impl Graph {
                 _ => 0,
             })
             .collect()
-    }
-
-    /// Executes the graph in FP32 (reference / GPU-baseline semantics).
-    /// Dropout is identity; BN uses running statistics.
-    pub fn execute(&self, input: &Tensor) -> Tensor {
-        let mut vals: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
-        vals[0] = Some(input.clone());
-        for (i, node) in self.nodes.iter().enumerate().skip(1) {
-            let out = match &node.op {
-                Op::Input => unreachable!("multiple inputs unsupported"),
-                Op::Conv { w, b, relu: fused } => {
-                    let x = vals[node.inputs[0]].as_ref().expect("topo order");
-                    let y = conv2d(x, w, b, Conv2dParams::SAME_3X3);
-                    if *fused {
-                        relu(&y)
-                    } else {
-                        y
-                    }
-                }
-                Op::BatchNorm { bn } => {
-                    let x = vals[node.inputs[0]].as_ref().unwrap();
-                    seneca_tensor::norm::batchnorm_inference(x, bn)
-                }
-                Op::Relu => relu(vals[node.inputs[0]].as_ref().unwrap()),
-                Op::MaxPool2x2 => maxpool2x2(vals[node.inputs[0]].as_ref().unwrap()).y,
-                Op::TConv { w, b } => tconv2x2(vals[node.inputs[0]].as_ref().unwrap(), w, b),
-                Op::Concat => Tensor::concat_channels(
-                    vals[node.inputs[0]].as_ref().unwrap(),
-                    vals[node.inputs[1]].as_ref().unwrap(),
-                ),
-                Op::Dropout { .. } => vals[node.inputs[0]].as_ref().unwrap().clone(),
-                Op::Softmax => softmax_channels(vals[node.inputs[0]].as_ref().unwrap()),
-            };
-            vals[i] = Some(out);
-        }
-        vals[self.output].take().expect("output computed")
     }
 
     /// Number of nodes per mnemonic (compiler statistics helper).
@@ -288,7 +251,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
         let x = Tensor::he_normal(Shape4::new(1, 1, 16, 16), &mut rng);
         let y_net = net.infer(&x);
-        let y_graph = g.execute(&x);
+        let y_graph = seneca_ir::execute_f32(&g.to_ir(), &x);
         assert_eq!(y_net.shape(), y_graph.shape());
         for (a, b) in y_net.data().iter().zip(y_graph.data()) {
             assert!((a - b).abs() < 1e-5, "{a} vs {b}");
@@ -343,21 +306,18 @@ mod tests {
     }
 
     #[test]
-    fn ir_lowered_execution_matches_execute_bit_exactly() {
+    fn ir_lowered_execution_matches_the_oracle_across_frames() {
         let net = tiny_net(12);
         let g = Graph::from_unet(&net, "tiny");
         let shape = Shape4::new(1, 1, 16, 16);
         let lowered = seneca_ir::lower(g.to_ir(), shape, &seneca_ir::LowerOptions::reference());
         let mut scratch = lowered.make_scratch_f32();
         let mut rng = rand::rngs::StdRng::seed_from_u64(13);
-        // Several frames through the same arena: results must stay bit-equal
-        // to the naive executor (no stale-slot contamination).
-        for frame in 0..3 {
+        // Several frames through the same arena: every node must keep matching
+        // the oracle (no stale-slot contamination).
+        for _frame in 0..3 {
             let x = Tensor::he_normal(shape, &mut rng);
-            let naive = g.execute(&x);
-            let planned = lowered.execute_f32_into(&x, &mut scratch);
-            assert_eq!(planned.shape(), naive.shape());
-            assert_eq!(planned.data(), naive.data(), "frame {frame} diverged");
+            seneca_ir::oracle::check_f32(&lowered, &mut scratch, &x);
         }
     }
 
@@ -425,6 +385,6 @@ mod tests {
         let g2: Graph = serde_json::from_str(&json).unwrap();
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
         let x = Tensor::he_normal(Shape4::new(1, 1, 8, 8), &mut rng);
-        assert_eq!(g.execute(&x), g2.execute(&x));
+        assert_eq!(seneca_ir::execute_f32(&g.to_ir(), &x), seneca_ir::execute_f32(&g2.to_ir(), &x));
     }
 }

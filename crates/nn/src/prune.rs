@@ -131,10 +131,10 @@ mod tests {
         let mut g = tiny_graph(2);
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let x = Tensor::he_normal(Shape4::new(1, 1, 8, 8), &mut rng);
-        let before = g.execute(&x);
+        let before = seneca_ir::execute_f32(&g.to_ir(), &x);
         let report = prune_channels(&mut g, 0.0);
         assert_eq!(report.channels_pruned, 0);
-        assert_eq!(g.execute(&x), before);
+        assert_eq!(seneca_ir::execute_f32(&g.to_ir(), &x), before);
     }
 
     #[test]
@@ -173,7 +173,7 @@ mod tests {
         prune_channels(&mut g, 0.25);
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         let x = Tensor::he_normal(Shape4::new(1, 1, 8, 8), &mut rng);
-        let y = g.execute(&x);
+        let y = seneca_ir::execute_f32(&g.to_ir(), &x);
         assert_eq!(y.shape(), Shape4::new(1, 6, 8, 8));
         assert!(y.data().iter().all(|v| v.is_finite()));
     }

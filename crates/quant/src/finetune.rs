@@ -14,8 +14,9 @@
 //! Consistent with the paper's finding, FFQ rarely beats plain PTQ on this
 //! workload — the ablation bench (`reproduce ablation-quant`) shows that.
 
-use crate::fuse::FusedGraph;
 use crate::qgraph::{QOp, QuantizedGraph};
+use crate::run::{FpRunner, QRunner};
+use seneca_ir::Module;
 use seneca_tensor::quantized::QTensor;
 use seneca_tensor::Tensor;
 use serde::{Deserialize, Serialize};
@@ -36,7 +37,7 @@ pub struct FinetuneReport {
 /// Runs fast finetuning in place. `calib` are FP32 preprocessed images.
 pub fn fast_finetune(
     qg: &mut QuantizedGraph,
-    fg: &FusedGraph,
+    fg: &Module,
     calib: &[Tensor],
     max_images: usize,
 ) -> FinetuneReport {
@@ -45,7 +46,16 @@ pub fn fast_finetune(
     let mse_before = crate::ptq::quantization_mse(fg, qg, imgs);
 
     // FP32 reference activations per node, per image.
-    let refs: Vec<Vec<Tensor>> = imgs.iter().map(|img| fg.execute_all(img)).collect();
+    let refs: Vec<Vec<Tensor>> = {
+        let mut runner = FpRunner::new(fg, imgs[0].shape());
+        imgs.iter()
+            .map(|img| {
+                let mut outs = Vec::with_capacity(fg.nodes.len());
+                runner.for_each_node(img, |_, out| outs.push(out.to_tensor()));
+                outs
+            })
+            .collect()
+    };
 
     let mut scales_changed = 0usize;
     let mut biases_corrected = 0usize;
@@ -129,13 +139,14 @@ fn get_conv_mut(qg: &mut QuantizedGraph, i: usize) -> &mut crate::qgraph::QConvP
     }
 }
 
-/// MSE of node `i`'s dequantised output against the FP32 reference.
+/// MSE of node `i`'s dequantised output against the FP32 reference. Lowers
+/// the candidate graph and runs only the nodes up to `i`.
 fn node_mse(qg: &QuantizedGraph, refs: &[Vec<Tensor>], imgs: &[Tensor], i: usize) -> f64 {
+    let mut runner = QRunner::new(qg, imgs[0].shape());
     let mut acc = 0.0f64;
     let mut n = 0usize;
     for (img, r) in imgs.iter().zip(refs) {
-        let vals = qg.execute_all(&qg.quantize_input(img));
-        let y = vals[i].dequantize();
+        let y = runner.node_output(img, i).dequantize();
         for (a, b) in y.data().iter().zip(r[i].data()) {
             acc += ((a - b) as f64).powi(2);
             n += 1;
@@ -151,11 +162,11 @@ fn channel_mean_error(
     imgs: &[Tensor],
     i: usize,
 ) -> (Vec<f32>, usize) {
+    let mut runner = QRunner::new(qg, imgs[0].shape());
     let mut sums: Vec<f64> = Vec::new();
     let mut count = 0usize;
     for (img, r) in imgs.iter().zip(refs) {
-        let vals = qg.execute_all(&qg.quantize_input(img));
-        let y = vals[i].dequantize();
+        let y = runner.node_output(img, i).dequantize();
         let s = y.shape();
         if sums.is_empty() {
             sums = vec![0.0; s.c];
@@ -183,7 +194,7 @@ mod tests {
     use seneca_nn::unet::{UNet, UNetConfig};
     use seneca_tensor::Shape4;
 
-    fn setup(seed: u64) -> (FusedGraph, QuantizedGraph, Vec<Tensor>) {
+    fn setup(seed: u64) -> (Module, QuantizedGraph, Vec<Tensor>) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let cfg =
             UNetConfig { depth: 1, base_filters: 4, in_channels: 1, num_classes: 4, dropout: 0.0 };

@@ -10,177 +10,52 @@
 //! The rewrites themselves live in `seneca-ir`'s pass pipeline
 //! ([`seneca_ir::fold_batchnorm`], [`seneca_ir::fuse_relu`],
 //! [`seneca_ir::strip_identities`]); [`fuse`] runs them on the export
-//! graph's IR form and projects the result into the quantizer's
-//! [`FusedGraph`] hand-off type.
+//! graph's IR form. The rewritten [`Module`] is the quantizer's input: its
+//! node ids are the "fused node ids" of [`crate::ptq::PtqReport`],
+//! [`crate::mixed::BitwidthPlan`] and the [`crate::QuantizedGraph`] built
+//! from it.
 
-use seneca_ir::shape::{infer_shapes_ops, ShapeOp};
-use seneca_ir::{ConvKernel, DType, IrOp};
+use seneca_ir::{DType, IrOp, Module};
 use seneca_nn::graph::Graph;
-use seneca_tensor::Tensor;
-use serde::{Deserialize, Serialize};
-
-/// Fused operation set (what the DPU actually executes).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub enum FusedOp {
-    /// Graph input.
-    Input,
-    /// 3x3 conv with folded BN and optional fused ReLU.
-    Conv {
-        /// Weights `[C_out, C_in, 3, 3]`.
-        w: Tensor,
-        /// Bias.
-        b: Vec<f32>,
-        /// Fused ReLU.
-        relu: bool,
-    },
-    /// 2x2 stride-2 transpose conv.
-    TConv {
-        /// Weights `[C_in, C_out, 2, 2]`.
-        w: Tensor,
-        /// Bias.
-        b: Vec<f32>,
-    },
-    /// 2x2 stride-2 max pool.
-    MaxPool2x2,
-    /// Channel concat of two inputs.
-    Concat,
-}
-
-impl FusedOp {
-    /// Mnemonic for listings.
-    pub fn mnemonic(&self) -> &'static str {
-        match self {
-            FusedOp::Input => "input",
-            FusedOp::Conv { relu: true, .. } => "conv+relu",
-            FusedOp::Conv { relu: false, .. } => "conv",
-            FusedOp::TConv { .. } => "tconv",
-            FusedOp::MaxPool2x2 => "maxpool",
-            FusedOp::Concat => "concat",
-        }
-    }
-}
-
-/// Fused node.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct FusedNode {
-    /// Operation.
-    pub op: FusedOp,
-    /// Input node ids.
-    pub inputs: Vec<usize>,
-}
-
-/// The fused graph (same topology conventions as [`Graph`]).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct FusedGraph {
-    /// Nodes in topological order; node 0 is the input.
-    pub nodes: Vec<FusedNode>,
-    /// Output node id.
-    pub output: usize,
-    /// Model name carried over.
-    pub name: String,
-}
-
-impl FusedGraph {
-    /// Output shapes per node (delegates to the IR shape-inference pass).
-    pub fn shapes(&self, input: seneca_tensor::Shape4) -> Vec<seneca_tensor::Shape4> {
-        let ops: Vec<(ShapeOp, &[usize])> = self
-            .nodes
-            .iter()
-            .map(|node| {
-                let op = match &node.op {
-                    FusedOp::Input => ShapeOp::Input,
-                    FusedOp::Conv { w, .. } => {
-                        ShapeOp::Conv { c_in: w.shape().c, c_out: w.shape().n }
-                    }
-                    FusedOp::TConv { w, .. } => {
-                        ShapeOp::TConv { c_in: w.shape().n, c_out: w.shape().c }
-                    }
-                    FusedOp::MaxPool2x2 => ShapeOp::MaxPool2x2,
-                    FusedOp::Concat => ShapeOp::Concat,
-                };
-                (op, node.inputs.as_slice())
-            })
-            .collect();
-        infer_shapes_ops(&ops, DType::F32, input)
-    }
-
-    /// FP32 reference execution of the fused graph (used for calibration and
-    /// for quantisation-error measurements). Returns all node outputs.
-    pub fn execute_all(&self, input: &Tensor) -> Vec<Tensor> {
-        use seneca_tensor::prelude::*;
-        let mut vals: Vec<Tensor> = Vec::with_capacity(self.nodes.len());
-        for node in &self.nodes {
-            let out = match &node.op {
-                FusedOp::Input => input.clone(),
-                FusedOp::Conv { w, b, relu: r } => {
-                    let y = conv2d(&vals[node.inputs[0]], w, b, Conv2dParams::SAME_3X3);
-                    if *r {
-                        relu(&y)
-                    } else {
-                        y
-                    }
-                }
-                FusedOp::TConv { w, b } => tconv2x2(&vals[node.inputs[0]], w, b),
-                FusedOp::MaxPool2x2 => maxpool2x2(&vals[node.inputs[0]]).y,
-                FusedOp::Concat => {
-                    Tensor::concat_channels(&vals[node.inputs[0]], &vals[node.inputs[1]])
-                }
-            };
-            vals.push(out);
-        }
-        vals
-    }
-
-    /// FP32 execution returning only the output (pre-softmax logits).
-    pub fn execute(&self, input: &Tensor) -> Tensor {
-        self.execute_all(input).swap_remove(self.output)
-    }
-}
 
 /// Fuses a training-time graph into the DPU-executable form by running the
-/// shared IR rewrite passes and projecting the result.
-pub fn fuse(graph: &Graph) -> FusedGraph {
+/// shared IR rewrite passes.
+pub fn fuse(graph: &Graph) -> Module {
     let mut m = graph.to_ir();
     seneca_ir::fold_batchnorm(&mut m);
     seneca_ir::fuse_relu(&mut m);
     seneca_ir::strip_identities(&mut m, /* strip_softmax = */ true);
+    m
+}
 
-    let nodes = m
-        .nodes
-        .iter()
-        .map(|node| {
-            let op = match &node.op {
-                IrOp::Input => FusedOp::Input,
-                IrOp::Conv(a) => match &a.kernel {
-                    ConvKernel::F32 { w, b } => {
-                        FusedOp::Conv { w: w.clone(), b: b.clone(), relu: a.relu }
-                    }
-                    ConvKernel::I8 { .. } => unreachable!("export graphs are FP32"),
-                },
-                IrOp::TConv(a) => match &a.kernel {
-                    ConvKernel::F32 { w, b } => FusedOp::TConv { w: w.clone(), b: b.clone() },
-                    ConvKernel::I8 { .. } => unreachable!("export graphs are FP32"),
-                },
-                IrOp::MaxPool2x2 => FusedOp::MaxPool2x2,
-                IrOp::Concat { .. } => FusedOp::Concat,
-                other => panic!(
-                    "{} survived fusion (unsupported placement in export graph)",
-                    other.mnemonic(DType::F32)
-                ),
-            };
-            FusedNode { op, inputs: node.inputs.clone() }
-        })
-        .collect();
-    FusedGraph { nodes, output: m.output, name: m.name }
+/// The quantizer only understands what the DPU executes: input, conv,
+/// tconv, max pool, concat. Anything else in a module handed to it was left
+/// behind by [`fuse`] (a BN after a non-exclusive conv, a ReLU on a shared
+/// edge) or never went through it: panic rather than mis-quantise.
+pub(crate) fn assert_fused(fg: &Module) {
+    assert_eq!(fg.dtype, DType::F32, "the quantizer takes the fused FP32 module");
+    for node in &fg.nodes {
+        match &node.op {
+            IrOp::Input
+            | IrOp::Conv(_)
+            | IrOp::TConv(_)
+            | IrOp::MaxPool2x2
+            | IrOp::Concat { .. } => {}
+            other => panic!(
+                "{} survived fusion (unsupported placement in export graph)",
+                other.mnemonic(DType::F32)
+            ),
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::SeedableRng;
+    use seneca_ir::oracle;
     use seneca_nn::unet::{UNet, UNetConfig};
-    use seneca_tensor::activation::softmax_channels;
-    use seneca_tensor::Shape4;
+    use seneca_tensor::{Shape4, Tensor};
 
     fn tiny_graph(seed: u64) -> Graph {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -191,22 +66,14 @@ mod tests {
 
     #[test]
     fn fused_graph_has_no_bn_dropout_softmax() {
-        let g = tiny_graph(1);
-        let f = fuse(&g);
-        for node in &f.nodes {
-            assert!(
-                !matches!(node.op, FusedOp::Input) || node.inputs.is_empty(),
-                "input with inputs"
-            );
-        }
-        let mnems: Vec<&str> = f.nodes.iter().map(|n| n.op.mnemonic()).collect();
-        assert!(!mnems.iter().any(|m| m.contains("batchnorm") || m.contains("dropout")));
+        let f = fuse(&tiny_graph(1));
+        assert_fused(&f);
         // All non-head convs have fused relu.
         let convs: Vec<bool> = f
             .nodes
             .iter()
             .filter_map(|n| match &n.op {
-                FusedOp::Conv { relu, .. } => Some(*relu),
+                IrOp::Conv(a) => Some(a.relu),
                 _ => None,
             })
             .collect();
@@ -215,17 +82,26 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "relu survived fusion")]
+    fn a_relu_left_on_a_shared_edge_is_rejected() {
+        let mut m = fuse(&tiny_graph(6));
+        m.push(IrOp::Relu, vec![m.output]);
+        assert_fused(&m);
+    }
+
+    #[test]
     fn fusion_preserves_inference_up_to_softmax() {
         let g = tiny_graph(2);
         let f = fuse(&g);
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let x = Tensor::he_normal(Shape4::new(1, 1, 16, 16), &mut rng);
-        let probs_ref = g.execute(&x);
-        let logits = f.execute(&x);
-        let probs = softmax_channels(&logits);
-        for (a, b) in probs_ref.data().iter().zip(probs.data()) {
-            assert!((a - b).abs() < 1e-4, "{a} vs {b}");
-        }
+        // Reference: the oracle on the *unfused* export graph, whose last
+        // node is the softmax over the node `fuse` keeps as its output.
+        let reference = oracle::run_f32(&g.to_ir(), &x);
+        let logits_ref = &reference[g.nodes[g.output].inputs[0]];
+        let logits = seneca_ir::execute_f32(&f, &x);
+        assert_eq!(logits.shape(), logits_ref.shape());
+        oracle::assert_close_f32(logits.data(), logits_ref.data(), "fused logits");
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! 1. [`fuse`] — graph clean-up that mirrors the quantizer/VAI_C front end:
 //!    BatchNorm folded into the preceding conv, dropout removed, ReLU fused
 //!    into conv, softmax stripped (argmax runs on the CPU, paper §III-E);
+//!    the result is a [`seneca_ir::Module`], which every later step takes;
 //! 2. [`observer`] — activation-range observers run over the calibration set
 //!    (min-max, averaged-max, percentile);
 //! 3. [`ptq`] — post-training quantization: per-tensor symmetric weights,
@@ -20,9 +21,11 @@
 //! 6. [`qat`] — quantization-aware training hooks (weight fake-quant at
 //!    either bitwidth).
 //!
-//! The functional executor in [`qgraph`] is bit-exact with the DPU simulator
-//! in `seneca-dpu` — both reduce to the same `i8 x i8 -> i32 -> shift`
-//! arithmetic from `seneca-tensor`.
+//! Nothing here evaluates a graph itself: calibration, fast-finetune, the
+//! sensitivity sweep and the search all step the one `seneca-ir` executor
+//! (the fused FP32 module for references, [`QuantizedGraph::to_ir`] lowered
+//! for candidates) — the same program the host backends and the DPU
+//! runtime run, checked against `seneca_ir::oracle`.
 
 pub mod finetune;
 pub mod fuse;
@@ -31,8 +34,9 @@ pub mod observer;
 pub mod ptq;
 pub mod qat;
 pub mod qgraph;
+mod run;
 
-pub use fuse::{fuse, FusedGraph, FusedNode, FusedOp};
+pub use fuse::fuse;
 pub use mixed::{
     quantize_post_training_mixed, search_mixed_plan, sensitivity_sweep, BitwidthPlan,
     MixedSearchResult, SensitivityEntry,

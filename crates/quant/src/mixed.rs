@@ -20,14 +20,17 @@
 //! depend on the weight bitwidth, so [`crate::ptq::calibrate`] runs once
 //! and each candidate plan only re-quantizes weights.
 
-use crate::fuse::{FusedGraph, FusedOp};
-use crate::ptq::{calibrate, quantize_from_calibration, PtqConfig, PtqReport};
+use crate::ptq::{
+    agreement_vs, calibrate, label_agreement, quantize_from_calibration, PtqConfig, PtqReport,
+};
 use crate::qgraph::QuantizedGraph;
+use crate::run::{FpRunner, QRunner};
+use seneca_ir::{IrOp, Module};
 use seneca_tensor::quantized::Bitwidth;
 use seneca_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
-/// Per-node weight bitwidth assignment for a fused graph.
+/// Per-node weight bitwidth assignment for a fused module.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BitwidthPlan {
     /// One entry per fused node; entries on non-conv nodes are ignored.
@@ -48,20 +51,20 @@ impl BitwidthPlan {
 
 /// Node ids of the bitwidth-assignable layers (conv/tconv), in topological
 /// order.
-pub fn quantizable_nodes(fg: &FusedGraph) -> Vec<usize> {
+pub fn quantizable_nodes(fg: &Module) -> Vec<usize> {
     fg.nodes
         .iter()
         .enumerate()
-        .filter(|(_, n)| matches!(n.op, FusedOp::Conv { .. } | FusedOp::TConv { .. }))
+        .filter(|(_, n)| matches!(n.op, IrOp::Conv(_) | IrOp::TConv(_)))
         .map(|(i, _)| i)
         .collect()
 }
 
-/// Quantises a fused graph with an explicit per-node bitwidth plan
+/// Quantises a fused module with an explicit per-node bitwidth plan
 /// (calibrate + build in one call; the mixed analogue of
 /// [`crate::ptq::quantize_post_training`]).
 pub fn quantize_post_training_mixed(
-    fg: &FusedGraph,
+    fg: &Module,
     calib: &[Tensor],
     cfg: &PtqConfig,
     plan: &BitwidthPlan,
@@ -71,28 +74,13 @@ pub fn quantize_post_training_mixed(
     (qg, report)
 }
 
-/// Per-pixel argmax labels of the FP32 reference for each image — the
-/// ground truth the sweep and the search score against. (On deployment
-/// hardware there are no labels next to the calibration slices; the FP32
-/// model's own predictions are the available reference, exactly like
-/// `argmax_agreement`.)
-fn fp32_labels(fg: &FusedGraph, images: &[Tensor]) -> Vec<Vec<u8>> {
-    images.iter().map(|img| seneca_tensor::activation::argmax_channels(&fg.execute(img))).collect()
-}
-
-/// Fraction of pixels where the quantized argmax matches the reference
-/// labels.
-fn agreement_vs(qg: &QuantizedGraph, images: &[Tensor], labels: &[Vec<u8>]) -> f64 {
-    let mut agree = 0u64;
-    let mut total = 0u64;
-    for (img, lab) in images.iter().zip(labels) {
-        let pred = qg.predict(img);
-        for (a, b) in pred.iter().zip(lab) {
-            agree += (a == b) as u64;
-            total += 1;
-        }
+/// Listing mnemonic of a fused conv/tconv node.
+fn fused_mnemonic(op: &IrOp) -> &'static str {
+    match op {
+        IrOp::Conv(a) if a.relu => "conv+relu",
+        IrOp::Conv(_) => "conv",
+        _ => "tconv",
     }
-    agree as f64 / total.max(1) as f64
 }
 
 /// Per-class Dice of the quantized predictions against the reference
@@ -143,13 +131,15 @@ pub struct SensitivityEntry {
 /// measures the per-layer damage on `eval` images. Entries come back in
 /// node order; `num_classes` sizes the Dice tally.
 pub fn sensitivity_sweep(
-    fg: &FusedGraph,
+    fg: &Module,
     report: &PtqReport,
     eval: &[Tensor],
     num_classes: usize,
 ) -> Vec<SensitivityEntry> {
     assert!(!eval.is_empty(), "sensitivity sweep needs evaluation images");
-    let labels = fp32_labels(fg, eval);
+    // The FP32 model's own predictions are the reference: on deployment
+    // hardware there are no labels next to the calibration slices.
+    let labels = FpRunner::labels(fg, eval);
     let base = quantize_from_calibration(fg, report, &vec![Bitwidth::W8; fg.nodes.len()]);
     let base_bytes = base.weight_bytes();
 
@@ -159,19 +149,18 @@ pub fn sensitivity_sweep(
             let mut wbits = vec![Bitwidth::W8; fg.nodes.len()];
             wbits[node] = Bitwidth::W4;
             let qg = quantize_from_calibration(fg, report, &wbits);
-            let agreement = agreement_vs(&qg, eval, &labels);
+            let preds = QRunner::labels(&qg, eval);
             let mut dice_sum = vec![0.0f64; num_classes];
-            for (img, lab) in eval.iter().zip(&labels) {
-                let pred = qg.predict(img);
-                for (c, d) in dice_per_class(&pred, lab, num_classes).iter().enumerate() {
+            for (pred, lab) in preds.iter().zip(&labels) {
+                for (c, d) in dice_per_class(pred, lab, num_classes).iter().enumerate() {
                     dice_sum[c] += d;
                 }
             }
             let dice: Vec<f64> = dice_sum.iter().map(|s| s / eval.len() as f64).collect();
             SensitivityEntry {
                 node,
-                mnemonic: fg.nodes[node].op.mnemonic().to_string(),
-                agreement,
+                mnemonic: fused_mnemonic(&fg.nodes[node].op).to_string(),
+                agreement: label_agreement(&preds, &labels),
                 mean_dice: dice.iter().sum::<f64>() / num_classes.max(1) as f64,
                 min_dice: dice.iter().copied().fold(f64::INFINITY, f64::min),
                 bytes_saved: base_bytes - qg.weight_bytes(),
@@ -221,14 +210,14 @@ pub struct MixedSearchResult {
 /// frame cycles — and must be monotone under weight shrinking for the
 /// greedy order to make sense (weight bytes or cycles both qualify).
 pub fn search_mixed_plan(
-    fg: &FusedGraph,
+    fg: &Module,
     report: &PtqReport,
     eval: &[Tensor],
     agreement_floor: f64,
     cost: &dyn Fn(&QuantizedGraph) -> f64,
 ) -> MixedSearchResult {
     assert!(!eval.is_empty(), "mixed search needs evaluation images");
-    let labels = fp32_labels(fg, eval);
+    let labels = FpRunner::labels(fg, eval);
     let n = fg.nodes.len();
 
     let base = quantize_from_calibration(fg, report, &vec![Bitwidth::W8; n]);
@@ -289,7 +278,7 @@ mod tests {
     use seneca_nn::unet::{UNet, UNetConfig};
     use seneca_tensor::Shape4;
 
-    fn setup(seed: u64) -> (FusedGraph, Vec<Tensor>) {
+    fn setup(seed: u64) -> (Module, Vec<Tensor>) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let cfg =
             UNetConfig { depth: 2, base_filters: 4, in_channels: 1, num_classes: 6, dropout: 0.1 };
@@ -370,14 +359,14 @@ mod tests {
         plan.wbits[node] = Bitwidth::W4;
         let (qg, report) = quantize_post_training_mixed(&fg, &calib, &PtqConfig::default(), &plan);
         let manual = quantize_from_calibration(&fg, &report, &plan.wbits);
-        let y_a = qg.execute(&qg.quantize_input(&calib[0]));
-        let y_b = manual.execute(&manual.quantize_input(&calib[0]));
-        assert_eq!(y_a.data(), y_b.data());
+        let logits =
+            |g: &QuantizedGraph| QRunner::new(g, calib[0].shape()).logits(&calib[0]).to_qtensor();
+        assert_eq!(logits(&qg), logits(&manual));
         assert!(qg.name.ends_with("-w4a8"));
         assert!(qg.weight_bytes() < manual_bytes_uniform(&fg, &report));
     }
 
-    fn manual_bytes_uniform(fg: &FusedGraph, report: &PtqReport) -> u64 {
+    fn manual_bytes_uniform(fg: &Module, report: &PtqReport) -> u64 {
         quantize_from_calibration(fg, report, &vec![Bitwidth::W8; fg.nodes.len()]).weight_bytes()
     }
 }

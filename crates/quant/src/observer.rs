@@ -5,7 +5,6 @@
 //! the end, proposes an INT8 fix position.
 
 use seneca_tensor::quantized::choose_fix_pos;
-use seneca_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
 /// Range-estimation strategy.
@@ -41,15 +40,15 @@ impl RangeObserver {
         }
     }
 
-    /// Records one activation tensor (one calibration image's output at this
-    /// node).
-    pub fn observe(&mut self, t: &Tensor) {
-        let m = t.abs_max();
+    /// Records one activation tensor's elements (one calibration image's
+    /// output at this node).
+    pub fn observe(&mut self, t: &[f32]) {
+        let m = t.iter().fold(0.0f32, |m, v| m.max(v.abs()));
         self.global_max = self.global_max.max(m);
         self.per_image_max.push(m);
         if matches!(self.kind, ObserverKind::Percentile(_)) {
             // Strided subsample keeps memory bounded on big calibration sets.
-            for v in t.data().iter().step_by(self.sample_stride) {
+            for v in t.iter().step_by(self.sample_stride) {
                 self.samples.push(v.abs());
             }
         }
@@ -92,18 +91,11 @@ impl RangeObserver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seneca_tensor::Shape4;
-
-    fn t(vals: Vec<f32>) -> Tensor {
-        let n = vals.len();
-        Tensor::from_vec(Shape4::new(1, 1, 1, n), vals)
-    }
-
     #[test]
     fn minmax_tracks_global_extreme() {
         let mut o = RangeObserver::new(ObserverKind::MinMax);
-        o.observe(&t(vec![0.5, -0.2]));
-        o.observe(&t(vec![-3.0, 1.0]));
+        o.observe(&[0.5, -0.2]);
+        o.observe(&[-3.0, 1.0]);
         assert_eq!(o.range(), 3.0);
         assert_eq!(o.count(), 2);
     }
@@ -112,17 +104,17 @@ mod tests {
     fn averaged_max_smooths_outliers() {
         let mut o = RangeObserver::new(ObserverKind::AveragedMax);
         for _ in 0..9 {
-            o.observe(&t(vec![1.0]));
+            o.observe(&[1.0]);
         }
-        o.observe(&t(vec![11.0]));
+        o.observe(&[11.0]);
         assert!((o.range() - 2.0).abs() < 1e-5); // (9*1 + 11)/10
                                                  // MinMax would say 11: averaged-max yields a larger fix position
                                                  // (finer quantum) than min-max here.
         let mut mm = RangeObserver::new(ObserverKind::MinMax);
         for _ in 0..9 {
-            mm.observe(&t(vec![1.0]));
+            mm.observe(&[1.0]);
         }
-        mm.observe(&t(vec![11.0]));
+        mm.observe(&[11.0]);
         assert!(o.fix_pos() > mm.fix_pos());
     }
 
@@ -132,7 +124,7 @@ mod tests {
         // 1000 samples: 999 small, one huge. With stride the huge one may be
         // skipped; feed as separate observations of size 1 to defeat stride.
         for i in 0..1000 {
-            o.observe(&t(vec![if i == 500 { 100.0 } else { 1.0 }]));
+            o.observe(&[if i == 500 { 100.0 } else { 1.0 }]);
         }
         let r = o.range();
         assert!(r < 100.0, "99th percentile must clip the outlier, got {r}");

@@ -1,13 +1,16 @@
 //! Post-training quantization (the method SENECA ships with, §III-D).
 //!
 //! PTQ needs only a small unlabeled calibration set (the paper uses 500
-//! slices): activations are observed through the FP32 fused graph, each node
-//! gets a power-of-two fix position, weights are quantised per-tensor, and
-//! biases are pre-scaled to the accumulator fix position.
+//! slices): activations are observed through the fused FP32 module (the
+//! output of [`crate::fuse`]), each node gets a power-of-two fix position,
+//! weights are quantised per-tensor, and biases are pre-scaled to the
+//! accumulator fix position.
 
-use crate::fuse::{FusedGraph, FusedOp};
+use crate::fuse::assert_fused;
 use crate::observer::{ObserverKind, RangeObserver};
 use crate::qgraph::{QConvParams, QNode, QOp, QuantizedGraph};
+use crate::run::{FpRunner, QRunner};
+use seneca_ir::{ConvAttrs, ConvKernel, IrOp, Module};
 use seneca_tensor::quantized::{choose_fix_pos_bits, Bitwidth, QTensor};
 use seneca_tensor::Tensor;
 use serde::{Deserialize, Serialize};
@@ -42,12 +45,12 @@ pub struct PtqReport {
     pub images_used: usize,
 }
 
-/// Quantises a fused FP32 graph using `calib` images at the config's uniform
+/// Quantises a fused FP32 module using `calib` images at the config's uniform
 /// weight bitwidth.
 ///
 /// Returns the quantized graph plus a calibration report.
 pub fn quantize_post_training(
-    fg: &FusedGraph,
+    fg: &Module,
     calib: &[Tensor],
     cfg: &PtqConfig,
 ) -> (QuantizedGraph, PtqReport) {
@@ -58,21 +61,22 @@ pub fn quantize_post_training(
 }
 
 /// Runs the calibration phases of PTQ only: observes activation ranges
-/// through the FP32 fused graph and assigns the structurally-constrained fix
+/// through the fused FP32 module and assigns the structurally-constrained fix
 /// positions. Activation scales do not depend on the weight bitwidth, so a
 /// mixed-precision sweep calibrates once and rebuilds graphs per plan via
 /// [`quantize_from_calibration`].
-pub fn calibrate(fg: &FusedGraph, calib: &[Tensor], cfg: &PtqConfig) -> PtqReport {
+pub fn calibrate(fg: &Module, calib: &[Tensor], cfg: &PtqConfig) -> PtqReport {
     assert!(!calib.is_empty(), "PTQ needs a non-empty calibration set");
     let used = calib.len().min(cfg.max_images.max(1));
 
-    // 1. Observe activation ranges through the FP32 fused graph.
+    // 1. Observe each node's output right after it ran. The lowered program
+    // (a full set of packed FP32 weight panels) lives only for this block.
     let mut observers: Vec<RangeObserver> =
         (0..fg.nodes.len()).map(|_| RangeObserver::new(cfg.observer)).collect();
-    for img in &calib[..used] {
-        let vals = fg.execute_all(img);
-        for (obs, val) in observers.iter_mut().zip(&vals) {
-            obs.observe(val);
+    {
+        let mut runner = FpRunner::new(fg, calib[0].shape());
+        for img in &calib[..used] {
+            runner.for_each_node(img, |id, out| observers[id].observe(out.data()));
         }
     }
 
@@ -80,8 +84,8 @@ pub fn calibrate(fg: &FusedGraph, calib: &[Tensor], cfg: &PtqConfig) -> PtqRepor
     let mut fp: Vec<i32> = observers.iter().map(|o| o.fix_pos()).collect();
     for (i, node) in fg.nodes.iter().enumerate() {
         match &node.op {
-            FusedOp::MaxPool2x2 => fp[i] = fp[node.inputs[0]], // pool can't rescale
-            FusedOp::Concat => {
+            IrOp::MaxPool2x2 => fp[i] = fp[node.inputs[0]], // pool can't rescale
+            IrOp::Concat { .. } => {
                 fp[i] = fp[node.inputs[0]].min(fp[node.inputs[1]]).min(fp[i]);
             }
             _ => {}
@@ -101,37 +105,40 @@ pub fn calibrate(fg: &FusedGraph, calib: &[Tensor], cfg: &PtqConfig) -> PtqRepor
 /// weights get their own per-tensor fix position chosen for the assigned
 /// bitwidth's grid.
 pub fn quantize_from_calibration(
-    fg: &FusedGraph,
+    fg: &Module,
     report: &PtqReport,
     wbits: &[Bitwidth],
 ) -> QuantizedGraph {
+    assert_fused(fg);
     assert_eq!(wbits.len(), fg.nodes.len(), "one bitwidth per fused node");
     let fp = &report.fix_pos;
     assert_eq!(fp.len(), fg.nodes.len(), "calibration report is for another graph");
 
+    let mut mixed = false;
     let mut nodes = Vec::with_capacity(fg.nodes.len());
     for (i, node) in fg.nodes.iter().enumerate() {
         let op = match &node.op {
-            FusedOp::Input => QOp::Input,
-            FusedOp::Conv { w, b, relu } => {
-                QOp::Conv(make_qconv(w, b, *relu, fp[node.inputs[0]], fp[i], wbits[i]))
+            IrOp::Input => QOp::Input,
+            IrOp::Conv(a) | IrOp::TConv(a) => {
+                mixed |= wbits[i] == Bitwidth::W4;
+                let p = make_qconv(a, fp[node.inputs[0]], fp[i], wbits[i]);
+                if matches!(node.op, IrOp::Conv(_)) {
+                    QOp::Conv(p)
+                } else {
+                    QOp::TConv(p)
+                }
             }
-            FusedOp::TConv { w, b } => {
-                QOp::TConv(make_qconv(w, b, false, fp[node.inputs[0]], fp[i], wbits[i]))
-            }
-            FusedOp::MaxPool2x2 => QOp::MaxPool2x2,
-            FusedOp::Concat => QOp::Concat {
+            IrOp::MaxPool2x2 => QOp::MaxPool2x2,
+            IrOp::Concat { .. } => QOp::Concat {
                 shift_a: fp[node.inputs[0]] - fp[i],
                 shift_b: fp[node.inputs[1]] - fp[i],
                 out_fp: fp[i],
             },
+            _ => unreachable!("ruled out by assert_fused"),
         };
         nodes.push(QNode { op, inputs: node.inputs.clone() });
     }
 
-    let mixed = fg.nodes.iter().enumerate().any(|(i, n)| {
-        matches!(n.op, FusedOp::Conv { .. } | FusedOp::TConv { .. }) && wbits[i] == Bitwidth::W4
-    });
     QuantizedGraph {
         nodes,
         output: fg.output,
@@ -141,20 +148,16 @@ pub fn quantize_from_calibration(
     }
 }
 
-fn make_qconv(
-    w: &Tensor,
-    b: &[f32],
-    relu: bool,
-    in_fp: i32,
-    out_fp: i32,
-    wbits: Bitwidth,
-) -> QConvParams {
+fn make_qconv(a: &ConvAttrs, in_fp: i32, out_fp: i32, wbits: Bitwidth) -> QConvParams {
+    let ConvKernel::F32 { w, b } = &a.kernel else {
+        panic!("the quantizer takes the fused FP32 module")
+    };
     let w_fp = choose_fix_pos_bits(w.abs_max(), wbits);
     let acc_scale = ((in_fp + w_fp) as f32).exp2();
     QConvParams {
         w: QTensor::quantize_bits(w, w_fp, wbits),
         bias: b.iter().map(|&v| (v * acc_scale).round() as i32).collect(),
-        relu,
+        relu: a.relu,
         in_fp,
         out_fp,
         wbits,
@@ -163,13 +166,15 @@ fn make_qconv(
 
 /// Mean squared error between the dequantised INT8 logits and the FP32
 /// logits over a set of images — the headline quantisation-quality metric.
-pub fn quantization_mse(fg: &FusedGraph, qg: &QuantizedGraph, images: &[Tensor]) -> f64 {
+pub fn quantization_mse(fg: &Module, qg: &QuantizedGraph, images: &[Tensor]) -> f64 {
+    let Some(first) = images.first() else { return 0.0 };
+    let mut fp32 = FpRunner::new(fg, first.shape());
+    let mut int8 = QRunner::new(qg, first.shape());
     let mut acc = 0.0f64;
     let mut count = 0usize;
     for img in images {
-        let y_ref = fg.execute(img);
-        let y_q = qg.execute_dequant(img);
-        for (a, b) in y_ref.data().iter().zip(y_q.data()) {
+        let y_q = int8.logits(img).dequantize();
+        for (a, b) in fp32.logits(img).data().iter().zip(y_q.data()) {
             acc += ((a - b) as f64).powi(2);
             count += 1;
         }
@@ -177,19 +182,25 @@ pub fn quantization_mse(fg: &FusedGraph, qg: &QuantizedGraph, images: &[Tensor])
     acc / count.max(1) as f64
 }
 
+/// Fraction of pixels where `labels` (one map per image) agree with the
+/// quantized graph's argmax.
+pub(crate) fn agreement_vs(qg: &QuantizedGraph, images: &[Tensor], labels: &[Vec<u8>]) -> f64 {
+    label_agreement(&QRunner::labels(qg, images), labels)
+}
+
+/// Fraction of equal entries of two sets of label maps.
+pub(crate) fn label_agreement(a: &[Vec<u8>], b: &[Vec<u8>]) -> f64 {
+    let pairs = a.iter().flatten().zip(b.iter().flatten());
+    let total = a.iter().map(Vec::len).sum::<usize>();
+    pairs.filter(|(x, y)| x == y).count() as f64 / total.max(1) as f64
+}
+
 /// Fraction of pixels where the INT8 argmax agrees with the FP32 argmax.
-pub fn argmax_agreement(fg: &FusedGraph, qg: &QuantizedGraph, images: &[Tensor]) -> f64 {
-    let mut agree = 0u64;
-    let mut total = 0u64;
-    for img in images {
-        let ref_labels = seneca_tensor::activation::argmax_channels(&fg.execute(img));
-        let q_labels = qg.predict(img);
-        for (a, b) in ref_labels.iter().zip(&q_labels) {
-            agree += (a == b) as u64;
-            total += 1;
-        }
+pub fn argmax_agreement(fg: &Module, qg: &QuantizedGraph, images: &[Tensor]) -> f64 {
+    if images.is_empty() {
+        return 0.0;
     }
-    agree as f64 / total.max(1) as f64
+    agreement_vs(qg, images, &FpRunner::labels(fg, images))
 }
 
 #[cfg(test)]
@@ -201,7 +212,12 @@ mod tests {
     use seneca_nn::unet::{UNet, UNetConfig};
     use seneca_tensor::Shape4;
 
-    fn setup(seed: u64) -> (FusedGraph, Vec<Tensor>) {
+    /// INT8 logits of one image through the lowered executor.
+    fn run_i8(qg: &QuantizedGraph, img: &Tensor) -> QTensor {
+        QRunner::new(qg, img.shape()).logits(img).to_qtensor()
+    }
+
+    fn setup(seed: u64) -> (Module, Vec<Tensor>) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let cfg =
             UNetConfig { depth: 2, base_filters: 4, in_channels: 1, num_classes: 6, dropout: 0.1 };
@@ -304,14 +320,9 @@ mod tests {
         *w.at_mut(0, 0, 1, 1) = 0.5;
         *w.at_mut(1, 0, 1, 1) = -0.25;
         let b = vec![205.0 / 2048.0, 0.0];
-        let fg = FusedGraph {
-            nodes: vec![
-                crate::fuse::FusedNode { op: FusedOp::Input, inputs: vec![] },
-                crate::fuse::FusedNode { op: FusedOp::Conv { w, b, relu: false }, inputs: vec![0] },
-            ],
-            output: 1,
-            name: "hand".into(),
-        };
+        let mut fg = Module::new("hand", seneca_ir::DType::F32);
+        let kernel = ConvKernel::F32 { w: w.into(), b };
+        fg.push(IrOp::Conv(ConvAttrs { kernel, relu: false, pack: None }), vec![0]);
         let img = Tensor::from_vec(Shape4::new(1, 1, 1, 2), vec![0.5, -0.75]);
 
         let report = calibrate(&fg, std::slice::from_ref(&img), &PtqConfig::default());
@@ -325,12 +336,14 @@ mod tests {
         assert_eq!(p.w.data()[4], 4, "centre tap of ch0");
         assert_eq!(p.w.data()[13], -2, "centre tap of ch1");
         assert_eq!(p.bias, vec![103, 0]);
-        assert_eq!(p.shift(), 2);
+        assert_eq!(p.in_fp + p.w.fix_pos() - p.out_fp, 2, "requantisation shift");
         // 2 weight nibbles round up to 9 bytes for 18 elems, plus 2 i32 bias.
         assert_eq!(p.weight_bytes(), 9 + 8);
 
-        let y = qg.execute(&qg.quantize_input(&img));
-        assert_eq!(y.data(), &[90, -70, -32, 48]);
+        // Executor and oracle both land on the hand-computed bytes.
+        assert_eq!(run_i8(&qg, &img).data(), &[90, -70, -32, 48]);
+        let oracle = seneca_ir::oracle::run_i8(&qg.to_ir(), &qg.quantize_input(&img));
+        assert_eq!(oracle[1].data(), &[90, -70, -32, 48]);
 
         let mse = quantization_mse(&fg, &qg, std::slice::from_ref(&img));
         let e = 3.0f64 / 2048.0;
@@ -346,17 +359,15 @@ mod tests {
         let qg_planned =
             quantize_from_calibration(&fg, &report, &vec![Bitwidth::W8; fg.nodes.len()]);
         assert_eq!(qg_direct.name, qg_planned.name);
-        let y_a = qg_direct.execute(&qg_direct.quantize_input(&calib[0]));
-        let y_b = qg_planned.execute(&qg_planned.quantize_input(&calib[0]));
-        assert_eq!(y_a.data(), y_b.data());
+        assert_eq!(run_i8(&qg_direct, &calib[0]), run_i8(&qg_planned, &calib[0]));
     }
 
     #[test]
     fn predict_labels_match_shapes() {
         let (fg, calib) = setup(6);
         let (qg, _) = quantize_post_training(&fg, &calib, &PtqConfig::default());
-        let labels = qg.predict(&calib[0]);
-        assert_eq!(labels.len(), 16 * 16);
-        assert!(labels.iter().all(|&l| l < 6));
+        let labels = QRunner::labels(&qg, &calib[..1]);
+        assert_eq!(labels[0].len(), 16 * 16);
+        assert!(labels[0].iter().all(|&l| l < 6));
     }
 }

@@ -1,18 +1,17 @@
-//! The quantized graph and its bit-exact INT8 functional executor.
+//! The quantized graph: the serialised hand-off between the quantizer, the
+//! host INT8 backend and the DPU compiler (it is the xmodel's functional
+//! payload). It holds numbers, not code — to run it, lower
+//! [`QuantizedGraph::to_ir`] through `seneca-ir`.
 //!
-//! All arithmetic follows the DPU model: INT8 operands, INT32 accumulators,
-//! power-of-two rescaling by arithmetic shift (round half away from zero,
-//! saturating). The bias is pre-scaled to the accumulator's fix position
-//! `fp_in + fp_w`, and each op's output is requantised to its calibrated
-//! activation fix position.
+//! The arithmetic its fields describe follows the DPU model: INT8 operands,
+//! INT32 accumulators, power-of-two rescaling by arithmetic shift (round half
+//! away from zero, saturating). The bias is pre-scaled to the accumulator's
+//! fix position `fp_in + fp_w`, and each op's output is requantised to its
+//! calibrated activation fix position.
 
-use seneca_ir::shape::{infer_shapes_ops, ShapeOp};
 use seneca_ir::{ConcatQ, ConvAttrs, ConvKernel, DType, IrOp, Module};
-use seneca_tensor::igemm::igemm_conv;
-use seneca_tensor::im2col::ConvGeom;
-use seneca_tensor::quantized::{concat_requant_i8, maxpool2x2_i8, Bitwidth, QTensor};
-use seneca_tensor::tconv::qtconv2x2_i8_into;
-use seneca_tensor::{Shape4, Tensor};
+use seneca_tensor::quantized::{Bitwidth, QTensor};
+use seneca_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
 /// Parameters of a quantized (t)conv.
@@ -35,11 +34,6 @@ pub struct QConvParams {
 }
 
 impl QConvParams {
-    /// The requantisation shift (`fp_in + fp_w - fp_out`).
-    pub fn shift(&self) -> i32 {
-        self.in_fp + self.w.fix_pos() - self.out_fp
-    }
-
     /// Deployed parameter bytes of this node: nibble-packed weights for W4,
     /// one byte per weight for W8, plus the INT32 bias words.
     pub fn weight_bytes(&self) -> u64 {
@@ -120,28 +114,6 @@ impl QuantizedGraph {
         QTensor::quantize(x, self.input_fp)
     }
 
-    /// Output shapes per node (delegates to the IR shape-inference pass —
-    /// one walk for every graph type). Panics on structurally corrupt graphs
-    /// (mismatched conv `C_in`, unequal concat geometries) rather than
-    /// mis-executing — mirroring `Graph::shapes` on the FP32 side.
-    pub fn shapes(&self, input: Shape4) -> Vec<Shape4> {
-        let ops: Vec<(ShapeOp, &[usize])> = self
-            .nodes
-            .iter()
-            .map(|node| {
-                let op = match &node.op {
-                    QOp::Input => ShapeOp::Input,
-                    QOp::Conv(p) => ShapeOp::Conv { c_in: p.w.shape().c, c_out: p.w.shape().n },
-                    QOp::TConv(p) => ShapeOp::TConv { c_in: p.w.shape().n, c_out: p.w.shape().c },
-                    QOp::MaxPool2x2 => ShapeOp::MaxPool2x2,
-                    QOp::Concat { .. } => ShapeOp::Concat,
-                };
-                (op, node.inputs.as_slice())
-            })
-            .collect();
-        infer_shapes_ops(&ops, DType::I8, input)
-    }
-
     /// Converts the quantized graph into the typed IR. Node ids are
     /// preserved one-to-one; the INT8 host executor and the DPU compiler
     /// both lower from the returned [`Module`].
@@ -189,48 +161,6 @@ impl QuantizedGraph {
         m
     }
 
-    /// Executes the graph on an INT8 input, returning the INT8 logits.
-    pub fn execute(&self, input: &QTensor) -> QTensor {
-        let mut vals = self.execute_all(input);
-        vals.swap_remove(self.output)
-    }
-
-    /// Executes the graph and returns every node's INT8 output (used by the
-    /// fast-finetuning pass to compare against FP32 references).
-    pub fn execute_all(&self, input: &QTensor) -> Vec<QTensor> {
-        assert_eq!(input.fix_pos(), self.input_fp, "input fix position");
-        let mut vals: Vec<QTensor> = Vec::with_capacity(self.nodes.len());
-        for node in &self.nodes {
-            let out = match &node.op {
-                QOp::Input => input.clone(),
-                QOp::Conv(p) => qconv3x3(&vals[node.inputs[0]], p),
-                QOp::TConv(p) => qtconv2x2(&vals[node.inputs[0]], p),
-                QOp::MaxPool2x2 => qmaxpool(&vals[node.inputs[0]]),
-                QOp::Concat { shift_a, shift_b, out_fp } => qconcat(
-                    &vals[node.inputs[0]],
-                    &vals[node.inputs[1]],
-                    *shift_a,
-                    *shift_b,
-                    *out_fp,
-                ),
-            };
-            vals.push(out);
-        }
-        vals
-    }
-
-    /// Convenience: FP32 image in, per-pixel argmax labels out (like VART +
-    /// host argmax).
-    pub fn predict(&self, x: &Tensor) -> Vec<u8> {
-        let q = self.execute(&self.quantize_input(x));
-        seneca_tensor::activation::argmax_channels_i8(q.shape(), q.data())
-    }
-
-    /// Dequantised FP32 view of the logits (for error analysis).
-    pub fn execute_dequant(&self, x: &Tensor) -> Tensor {
-        self.execute(&self.quantize_input(x)).dequantize()
-    }
-
     /// Total deployed parameter bytes across the graph (nibble-packed W4
     /// weights count half a byte per element). This is the "total weight
     /// bytes" number the mixed-precision search minimises alongside cycles.
@@ -243,168 +173,13 @@ impl QuantizedGraph {
             })
             .sum()
     }
-
-    /// Output fix position per node (propagated through fix-transparent ops).
-    pub fn fix_positions(&self) -> Vec<i32> {
-        let mut fps: Vec<i32> = Vec::with_capacity(self.nodes.len());
-        for node in &self.nodes {
-            let fp = match &node.op {
-                QOp::Input => self.input_fp,
-                QOp::Conv(p) | QOp::TConv(p) => p.out_fp,
-                QOp::MaxPool2x2 => fps[node.inputs[0]],
-                QOp::Concat { out_fp, .. } => *out_fp,
-            };
-            fps.push(fp);
-        }
-        fps
-    }
-}
-
-/// Quantized 3x3 same conv (allocating convenience wrapper; only the output
-/// is allocated — the implicit-GEMM path has no column buffer).
-pub fn qconv3x3(x: &QTensor, p: &QConvParams) -> QTensor {
-    let xs = x.shape();
-    let geom = ConvGeom { c_in: xs.c, h: xs.h, w: xs.w, k: 3, pad: 1, stride: 1 };
-    let mut out =
-        QTensor::zeros(Shape4::new(xs.n, p.w.shape().n, geom.h_out(), geom.w_out()), p.out_fp);
-    qconv3x3_into(x, p, &mut out);
-    out
-}
-
-/// Quantized 3x3 same conv into a pre-allocated output, which must have the
-/// conv's output geometry and fix position.
-pub fn qconv3x3_into(x: &QTensor, p: &QConvParams, out: &mut QTensor) {
-    assert_eq!(x.fix_pos(), p.in_fp, "qconv input fix position");
-    assert_eq!(out.fix_pos(), p.out_fp, "qconv output fix position");
-    let xs = x.shape();
-    let geom = ConvGeom { c_in: xs.c, h: xs.h, w: xs.w, k: 3, pad: 1, stride: 1 };
-    let out_shape = Shape4::new(xs.n, p.w.shape().n, geom.h_out(), geom.w_out());
-    assert_eq!(out.shape(), out_shape, "qconv output geometry");
-    qconv3x3_core(xs, x.data(), p, out.data_mut());
-}
-
-/// Quantized 3x3 same conv on raw arena slices — the planned executor's
-/// entry point. The activation panels pack directly from the feature map
-/// (implicit GEMM — no materialized column matrix), and the bias add,
-/// requantisation, and ReLU clamp all run in the GEMM's fused epilogue, so
-/// there is no INT32 accumulator buffer and no second pass over the output.
-/// Returns the output shape.
-pub fn qconv3x3_core(xs: Shape4, x: &[i8], p: &QConvParams, out: &mut [i8]) -> Shape4 {
-    let ws = p.w.shape();
-    assert_eq!(x.len(), xs.len(), "qconv input buffer/shape mismatch");
-    assert_eq!(ws.c, xs.c, "qconv C_in");
-    let geom = ConvGeom { c_in: xs.c, h: xs.h, w: xs.w, k: 3, pad: 1, stride: 1 };
-    let out_shape = Shape4::new(xs.n, ws.n, geom.h_out(), geom.w_out());
-    assert_eq!(out.len(), out_shape.len(), "qconv output buffer size");
-    let shift = p.shift();
-
-    for n in 0..xs.n {
-        let x_n = &x[n * xs.chw()..(n + 1) * xs.chw()];
-        let y_n = &mut out[n * out_shape.chw()..(n + 1) * out_shape.chw()];
-        igemm_conv(ws.n, p.w.data(), &geom, x_n, &p.bias, shift, p.relu, y_n);
-    }
-    out_shape
-}
-
-/// Quantized 2x2 stride-2 transpose conv (allocating convenience wrapper;
-/// the direct-loop kernel needs no work buffers, so the returned output is
-/// the only allocation).
-pub fn qtconv2x2(x: &QTensor, p: &QConvParams) -> QTensor {
-    let xs = x.shape();
-    let mut out = QTensor::zeros(Shape4::new(xs.n, p.w.shape().c, xs.h * 2, xs.w * 2), p.out_fp);
-    qtconv2x2_into(x, p, &mut out);
-    out
-}
-
-/// Quantized 2x2 stride-2 transpose conv into a pre-allocated output.
-pub fn qtconv2x2_into(x: &QTensor, p: &QConvParams, out: &mut QTensor) {
-    assert_eq!(x.fix_pos(), p.in_fp, "qtconv input fix position");
-    assert_eq!(out.fix_pos(), p.out_fp, "qtconv output fix position");
-    let xs = x.shape();
-    let out_shape = Shape4::new(xs.n, p.w.shape().c, xs.h * 2, xs.w * 2);
-    assert_eq!(out.shape(), out_shape, "qtconv output geometry");
-    qtconv2x2_core(xs, x.data(), p, out.data_mut());
-}
-
-/// Quantized transpose conv on raw arena slices — the planned executor's
-/// entry point. Every output element is written by the scatter-fused GEMM
-/// store, so stale slot contents are harmless.
-///
-/// With kernel size = stride there is no output overlap, so the op is four
-/// independent 1x1 convolutions: one `[4*C_out, C_in] x [C_in, H*W]` GEMM
-/// per image (the input plane is already the column matrix) with the bias,
-/// requantise-clamp, and stride-2 scatter all fused into the tile store —
-/// no pre-scatter buffer. Bit-identical to the former direct loops because
-/// i32 addition is associative — the bias joining the sum at the end
-/// instead of seeding the accumulator cannot change the value. Returns the
-/// output shape.
-pub fn qtconv2x2_core(xs: Shape4, x: &[i8], p: &QConvParams, out: &mut [i8]) -> Shape4 {
-    let ws = p.w.shape(); // [C_in, C_out, 2, 2]
-    assert_eq!(ws.n, xs.c, "qtconv C_in");
-    qtconv2x2_i8_into(xs, x, p.w.data(), ws.c, &p.bias, p.shift(), p.relu, out)
-}
-
-/// INT8 max pool (fix position preserved; allocating convenience wrapper).
-pub fn qmaxpool(x: &QTensor) -> QTensor {
-    let mut out = QTensor::zeros(x.shape().pooled2x2(), x.fix_pos());
-    qmaxpool_into(x, &mut out);
-    out
-}
-
-/// INT8 max pool into a pre-allocated output.
-pub fn qmaxpool_into(x: &QTensor, out: &mut QTensor) {
-    assert_eq!(out.shape(), x.shape().pooled2x2(), "qmaxpool output geometry");
-    assert_eq!(out.fix_pos(), x.fix_pos(), "qmaxpool fix position");
-    qmaxpool_core(x.shape(), x.data(), out.data_mut());
-}
-
-/// INT8 max pool on raw arena slices (delegates to the shared tensor-crate
-/// kernel the IR executor also uses). Returns the output shape.
-pub fn qmaxpool_core(xs: Shape4, x: &[i8], out: &mut [i8]) -> Shape4 {
-    maxpool2x2_i8(xs, x, out)
-}
-
-/// INT8 concat with alignment shifts (allocating convenience wrapper).
-pub fn qconcat(a: &QTensor, b: &QTensor, shift_a: i32, shift_b: i32, out_fp: i32) -> QTensor {
-    let (sa, sb) = (a.shape(), b.shape());
-    let mut out = QTensor::zeros(Shape4::new(sa.n, sa.c + sb.c, sa.h, sa.w), out_fp);
-    qconcat_into(a, b, shift_a, shift_b, out_fp, &mut out);
-    out
-}
-
-/// INT8 concat with alignment shifts into a pre-allocated output.
-pub fn qconcat_into(
-    a: &QTensor,
-    b: &QTensor,
-    shift_a: i32,
-    shift_b: i32,
-    out_fp: i32,
-    out: &mut QTensor,
-) {
-    let (sa, sb) = (a.shape(), b.shape());
-    assert_eq!(out.shape(), Shape4::new(sa.n, sa.c + sb.c, sa.h, sa.w), "qconcat output geometry");
-    assert_eq!(out.fix_pos(), out_fp, "qconcat fix position");
-    qconcat_core(sa, a.data(), sb, b.data(), shift_a, shift_b, out.data_mut());
-}
-
-/// INT8 concat on raw arena slices (delegates to the shared tensor-crate
-/// kernel the IR executor also uses). Returns the output shape.
-pub fn qconcat_core(
-    sa: Shape4,
-    a: &[i8],
-    sb: Shape4,
-    b: &[i8],
-    shift_a: i32,
-    shift_b: i32,
-    out: &mut [i8],
-) -> Shape4 {
-    concat_requant_i8(sa, a, sb, b, shift_a, shift_b, out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use seneca_tensor::quantized::choose_fix_pos;
+    use seneca_tensor::Shape4;
 
     fn qp(w: Tensor, bias_f: &[f32], relu: bool, in_fp: i32, out_fp: i32) -> QConvParams {
         let w_fp = choose_fix_pos(w.abs_max());
@@ -415,69 +190,7 @@ mod tests {
     }
 
     #[test]
-    fn qconv_matches_fp32_within_quantum() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let xs = Shape4::new(1, 3, 8, 8);
-        let x = Tensor::from_vec(xs, (0..xs.len()).map(|_| rng.gen_range(-1.0f32..1.0)).collect());
-        let w = Tensor::he_normal(Shape4::new(4, 3, 3, 3), &mut rng);
-        let b = vec![0.05, -0.02, 0.0, 0.11];
-
-        let y_ref =
-            seneca_tensor::conv::conv2d(&x, &w, &b, seneca_tensor::conv::Conv2dParams::SAME_3X3);
-        let in_fp = choose_fix_pos(1.0);
-        let out_fp = choose_fix_pos(y_ref.abs_max());
-        let p = qp(w, &b, false, in_fp, out_fp);
-        let xq = QTensor::quantize(&x, in_fp);
-        let yq = qconv3x3(&xq, &p);
-        let y = yq.dequantize();
-        let quantum = (-out_fp as f32).exp2();
-        let mut max_err = 0.0f32;
-        for (a, bb) in y.data().iter().zip(y_ref.data()) {
-            max_err = max_err.max((a - bb).abs());
-        }
-        assert!(max_err < 12.0 * quantum, "max err {max_err} vs quantum {quantum}");
-    }
-
-    #[test]
-    fn qconv_relu_clamps_negatives() {
-        let x = QTensor::from_vec(Shape4::new(1, 1, 2, 2), vec![-50, -50, -50, -50], 6);
-        let mut w = Tensor::zeros(Shape4::new(1, 1, 3, 3));
-        *w.at_mut(0, 0, 1, 1) = 1.0;
-        let p = qp(w, &[0.0], true, 6, 6);
-        let y = qconv3x3(&x, &p);
-        assert!(y.data().iter().all(|&v| v == 0));
-    }
-
-    #[test]
-    fn qtconv_matches_fp32_within_quantum() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-        let xs = Shape4::new(1, 2, 4, 4);
-        let x = Tensor::from_vec(xs, (0..xs.len()).map(|_| rng.gen_range(-1.0f32..1.0)).collect());
-        let w = Tensor::he_normal(Shape4::new(2, 3, 2, 2), &mut rng);
-        let b = vec![0.01, -0.03, 0.02];
-        let y_ref = seneca_tensor::tconv::tconv2x2(&x, &w, &b);
-        let in_fp = choose_fix_pos(1.0);
-        let out_fp = choose_fix_pos(y_ref.abs_max());
-        let p = qp(w, &b, false, in_fp, out_fp);
-        let y = qtconv2x2(&QTensor::quantize(&x, in_fp), &p).dequantize();
-        let quantum = (-out_fp as f32).exp2();
-        for (a, bb) in y.data().iter().zip(y_ref.data()) {
-            assert!((a - bb).abs() < 10.0 * quantum, "{a} vs {bb}");
-        }
-    }
-
-    #[test]
-    fn qmaxpool_preserves_fix_pos_and_picks_max() {
-        let x = QTensor::from_vec(Shape4::new(1, 1, 2, 2), vec![1, 9, -4, 5], 3);
-        let y = qmaxpool(&x);
-        assert_eq!(y.fix_pos(), 3);
-        assert_eq!(y.data(), &[9]);
-    }
-
-    #[test]
-    fn ir_lowered_execution_matches_execute_bit_exactly_across_frames() {
+    fn to_ir_lowers_and_matches_the_oracle_across_frames() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
         let in_fp = choose_fix_pos(1.0);
@@ -513,11 +226,8 @@ mod tests {
                 shape,
                 (0..shape.len()).map(|_| rng.gen_range(-1.0f32..1.0)).collect(),
             );
-            let xq = g.quantize_input(&x);
-            let y_alloc = g.execute(&xq);
-            let y_pooled = lowered.execute_i8_into(&xq, &mut scratch);
-            assert_eq!(y_pooled.data(), y_alloc.data(), "scratch reuse must not change bits");
-            assert_eq!(y_pooled.fix_pos(), y_alloc.fix_pos());
+            seneca_ir::oracle::check_i8(&lowered, &mut scratch, &g.quantize_input(&x));
+            assert_eq!(lowered.node_output_i8(g.output, &scratch).fix_pos(), g.output_fp);
         }
     }
 
@@ -539,7 +249,7 @@ mod tests {
             output_fp: 5,
             name: "corrupt".into(),
         };
-        let _ = g.shapes(Shape4::new(1, 2, 8, 8));
+        let _ = g.to_ir().shapes(Shape4::new(1, 2, 8, 8));
     }
 
     #[test]
@@ -562,7 +272,7 @@ mod tests {
             output_fp: 5,
             name: "corrupt".into(),
         };
-        let _ = g.shapes(Shape4::new(1, 2, 8, 8));
+        let _ = g.to_ir().shapes(Shape4::new(1, 2, 8, 8));
     }
 
     #[test]
@@ -590,17 +300,5 @@ mod tests {
         // A 3-conv chain ping-pongs: peak-live well below the per-node sum.
         assert!(plan.n_slots() < plan.n_nodes());
         assert!(plan.peak_arena_elems() < plan.total_activation_elems());
-    }
-
-    #[test]
-    fn qconcat_aligns_scales() {
-        // a at fp 4 (scale 1/16), b at fp 2 (scale 1/4): out at fp 2 requires
-        // a >> 2.
-        let a = QTensor::from_vec(Shape4::new(1, 1, 1, 2), vec![16, 33], 4);
-        let b = QTensor::from_vec(Shape4::new(1, 1, 1, 2), vec![4, -8], 2);
-        let y = qconcat(&a, &b, 2, 0, 2);
-        assert_eq!(y.fix_pos(), 2);
-        // 16/16 = 1.0 -> at fp2: 4 ; 33>>2 rounds to 8 (8.25).
-        assert_eq!(y.data(), &[4, 8, 4, -8]);
     }
 }

@@ -1,43 +1,15 @@
 //! HDR-style fixed-bucket latency histogram.
 //!
-//! Values are recorded in microseconds into a fixed array of buckets: the
-//! first [`SUB`] buckets are exact (one per microsecond), and every octave
-//! above that is split into [`SUB`] geometric sub-buckets, giving a bounded
-//! relative error of `1/SUB` (12.5%) across the full `u64` range. Recording
-//! is lock-free (one atomic increment), so replicas and the scheduler can
-//! share one histogram without contention on the serving hot path.
+//! Values are recorded in microseconds into the bucket scheme of
+//! [`seneca_trace::hdr`] (exact below 8 µs, then 12.5% bounded relative
+//! error across the full `u64` range). Recording is lock-free (one atomic
+//! increment), so replicas and the scheduler can share one histogram without
+//! contention on the serving hot path.
 
+use seneca_trace::hdr::{bucket_of, bucket_upper, BUCKETS};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-
-/// Sub-buckets per octave (and the width of the exact linear prefix).
-const SUB: u64 = 8;
-/// Total buckets: linear prefix + `SUB` per octave for msb 3..=63.
-const BUCKETS: usize = (SUB + (64 - SUB.trailing_zeros() as u64) * SUB) as usize;
-
-/// Bucket index for a value in microseconds.
-fn bucket_of(us: u64) -> usize {
-    if us < SUB {
-        return us as usize;
-    }
-    let msb = 63 - us.leading_zeros() as u64; // >= 3 because us >= SUB
-    let mantissa = us >> (msb - 3); // in [SUB, 2*SUB)
-    (SUB + (msb - 3) * SUB + (mantissa - SUB)) as usize
-}
-
-/// Inclusive upper edge (µs) of a bucket — what quantiles report.
-fn bucket_upper(idx: usize) -> u64 {
-    let idx = idx as u64;
-    if idx < SUB {
-        return idx;
-    }
-    let octave = (idx - SUB) / SUB;
-    let mantissa = SUB + (idx - SUB) % SUB;
-    // The topmost buckets' edges exceed u64; compute wide and saturate.
-    let edge = (u128::from(mantissa) + 1) << octave;
-    u64::try_from(edge - 1).unwrap_or(u64::MAX)
-}
 
 /// A concurrent fixed-bucket latency histogram (µs resolution).
 pub struct LatencyHistogram {
@@ -135,28 +107,6 @@ pub struct LatencySummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn buckets_are_monotonic_and_bounded() {
-        let mut prev = 0usize;
-        for us in [0u64, 1, 7, 8, 9, 15, 16, 100, 1_000, 1_000_000, u64::MAX / 2, u64::MAX] {
-            let b = bucket_of(us);
-            assert!(b < BUCKETS, "bucket {b} out of range for {us}");
-            assert!(b >= prev, "buckets must be monotone in the value");
-            prev = b;
-            // The bucket's upper edge never undershoots the value by more
-            // than the 12.5% precision bound.
-            let upper = bucket_upper(b);
-            assert!(upper >= us || b == BUCKETS - 1, "{us} -> [{b}] upper {upper}");
-        }
-    }
-
-    #[test]
-    fn exact_below_linear_prefix() {
-        for us in 0..8u64 {
-            assert_eq!(bucket_upper(bucket_of(us)), us);
-        }
-    }
 
     #[test]
     fn percentiles_of_uniform_ramp() {

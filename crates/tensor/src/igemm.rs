@@ -194,50 +194,10 @@ pub fn sgemm_conv_packed(
     });
 }
 
-/// Implicit-GEMM INT8 convolution of one `[C, H, W]` image with the fused
-/// requantise-clamp epilogue. Bit-identical to `im2col_i8` + `igemm_fused`.
-#[allow(clippy::too_many_arguments)]
-pub fn igemm_conv(
-    m: usize,
-    w: &[i8],
-    geom: &ConvGeom,
-    x: &[i8],
-    bias: &[i32],
-    shift: i32,
-    relu: bool,
-    out: &mut [i8],
-) {
-    let (k, n) = (geom.col_rows(), geom.col_cols());
-    assert_eq!(w.len(), m * k, "A size");
-    assert_eq!(out.len(), m * n, "C size");
-    if m == 0 || n == 0 {
-        return;
-    }
-    PACK_I8.with(|cell| {
-        let (pa, pb) = &mut *cell.borrow_mut();
-        let (la, lb) = (packed_a_len(m, k), packed_b_len(k, n));
-        if pa.len() < la {
-            pa.resize(la, 0);
-        }
-        if pb.len() < lb {
-            pb.resize(lb, 0);
-        }
-        {
-            #[cfg(feature = "trace-gemm")]
-            let _sp = seneca_trace::span_bytes("gemm", "pack", (la + lb) as u64);
-            pack_a(m, k, |i, kk| w[i * k + kk], &mut pa[..la]);
-            pack_b_im2col(geom, x, &mut pb[..lb]);
-        }
-        #[cfg(feature = "trace-gemm")]
-        let _sp = seneca_trace::span_bytes("gemm", "kernel", (m * n) as u64);
-        let (pas, pbs) = (&pa[..la], &pb[..lb]);
-        out.par_chunks_mut(MC * n).enumerate().for_each(|(blk, out_blk)| {
-            i8_block_requant(k, n, blk * MC, pas, pbs, out_blk, bias, shift, relu);
-        });
-    });
-}
-
-/// [`igemm_conv`] with a pre-packed INT8 weight operand.
+/// Implicit-GEMM INT8 convolution of one `[C, H, W]` image against a
+/// pre-packed weight operand (INT8 weights are immutable, so they are always
+/// packed once), with the fused requantise-clamp epilogue. Bit-identical to
+/// `im2col_t::<i8>` + `igemm_fused`.
 pub fn igemm_conv_packed(
     pa: &PackedA<i8>,
     geom: &ConvGeom,
@@ -561,54 +521,9 @@ fn i4_block_scatter2x2(
     }
 }
 
-/// Scatter-fused INT8 transpose conv of one `[C_in, H, W]` image with the
-/// fused requantise-clamp epilogue; the co-major `[4*C_out, C_in]` repacked
-/// weights `wk` are packed per call. `out` is `[C_out, 2H, 2W]`.
-#[allow(clippy::too_many_arguments)]
-pub fn igemm_tconv2x2(
-    c_out: usize,
-    c_in: usize,
-    wk: &[i8],
-    x: &[i8],
-    h: usize,
-    w: usize,
-    bias4: &[i32],
-    shift: i32,
-    relu: bool,
-    out: &mut [i8],
-) {
-    let (m, k, n) = (4 * c_out, c_in, h * w);
-    assert_eq!(wk.len(), m * k, "repacked weight size");
-    assert_eq!(x.len(), k * n, "input plane size");
-    assert_eq!(out.len(), m * n, "output plane size");
-    if m == 0 || n == 0 {
-        return;
-    }
-    PACK_I8.with(|cell| {
-        let (pa, pb) = &mut *cell.borrow_mut();
-        let (la, lb) = (packed_a_len(m, k), packed_b_len(k, n));
-        if pa.len() < la {
-            pa.resize(la, 0);
-        }
-        if pb.len() < lb {
-            pb.resize(lb, 0);
-        }
-        {
-            #[cfg(feature = "trace-gemm")]
-            let _sp = seneca_trace::span_bytes("gemm", "pack", (la + lb) as u64);
-            pack_a(m, k, |i, kk| wk[i * k + kk], &mut pa[..la]);
-            pack_b(k, n, |kk, j| x[kk * n + j], &mut pb[..lb]);
-        }
-        #[cfg(feature = "trace-gemm")]
-        let _sp = seneca_trace::span_bytes("gemm", "kernel", (m * n) as u64);
-        let (pas, pbs) = (&pa[..la], &pb[..lb]);
-        out.par_chunks_mut(MC * n).enumerate().for_each(|(blk, out_blk)| {
-            i8_block_scatter2x2(k, n, w, blk * MC, pas, pbs, out_blk, bias4, shift, relu);
-        });
-    });
-}
-
-/// [`igemm_tconv2x2`] with pre-packed (co-major) INT8 weights.
+/// Scatter-fused INT8 transpose conv of one `[C_in, H, W]` image against
+/// pre-packed co-major `[4*C_out, C_in]` weights, with the fused
+/// requantise-clamp epilogue. `out` is `[C_out, 2H, 2W]`.
 #[allow(clippy::too_many_arguments)]
 pub fn igemm_tconv2x2_packed(
     pa: &PackedA<i8>,
@@ -692,7 +607,7 @@ pub fn igemm4_tconv2x2_packed(
 mod tests {
     use super::*;
     use crate::gemm::{igemm_fused, sgemm_fused};
-    use crate::im2col::{im2col, im2col_i8};
+    use crate::im2col::{im2col, im2col_t};
     use rand::{Rng, SeedableRng};
 
     fn rand_vec(len: usize, seed: u64) -> Vec<f32> {
@@ -739,11 +654,11 @@ mod tests {
         let bias: Vec<i32> = (0..m as i32).map(|i| i * 17 - 30).collect();
         let (k_dim, n) = (geom.col_rows(), geom.col_cols());
         let mut col = vec![0i8; k_dim * n];
-        im2col_i8(&geom, &x, &mut col);
+        im2col_t(&geom, &x, &mut col);
         let mut expect = vec![0i8; m * n];
         igemm_fused(m, k_dim, n, &w, &col, &bias, 4, true, &mut expect);
         let mut got = vec![0i8; m * n];
-        igemm_conv(m, &w, &geom, &x, &bias, 4, true, &mut got);
+        igemm_conv_packed(&PackedA::pack(m, k_dim, &w), &geom, &x, &bias, 4, true, &mut got);
         assert_eq!(got, expect);
     }
 

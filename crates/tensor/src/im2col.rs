@@ -49,7 +49,7 @@ impl ConvGeom {
 /// Lowers one `[C, H, W]` input plane into the column matrix `col`
 /// (`[C*K*K, H_out*W_out]`, row-major), generic over the element type —
 /// padding writes `T::ZERO`. `col` must be pre-sized; it is fully
-/// overwritten. [`im2col`] (f32) and [`im2col_i8`] are thin wrappers.
+/// overwritten. [`im2col`] is the `f32` wrapper training backward uses.
 pub fn im2col_t<T: Zero>(geom: &ConvGeom, input: &[T], col: &mut [T]) {
     let (h_out, w_out) = (geom.h_out(), geom.w_out());
     let cols = h_out * w_out;
@@ -86,11 +86,6 @@ pub fn im2col_t<T: Zero>(geom: &ConvGeom, input: &[T], col: &mut [T]) {
 
 /// `f32` [`im2col_t`] (zero padding maps to `0.0`).
 pub fn im2col(geom: &ConvGeom, input: &[f32], col: &mut [f32]) {
-    im2col_t(geom, input, col);
-}
-
-/// INT8 [`im2col_t`] (zero padding maps to `0`).
-pub fn im2col_i8(geom: &ConvGeom, input: &[i8], col: &mut [i8]) {
     im2col_t(geom, input, col);
 }
 
@@ -168,7 +163,7 @@ mod tests {
         let mut col_f = vec![0.0; g.col_rows() * g.col_cols()];
         let mut col_i = vec![0i8; g.col_rows() * g.col_cols()];
         im2col(&g, &input_f, &mut col_f);
-        im2col_i8(&g, &input_i, &mut col_i);
+        im2col_t(&g, &input_i, &mut col_i);
         for (f, i) in col_f.iter().zip(&col_i) {
             assert_eq!(*f as i8, *i);
         }

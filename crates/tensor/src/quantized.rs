@@ -66,11 +66,6 @@ impl QTensor {
         Self { shape, data, fix_pos }
     }
 
-    /// A zeroed quantised tensor.
-    pub fn zeros(shape: Shape4, fix_pos: i32) -> Self {
-        Self { shape, data: vec![0; shape.len()], fix_pos }
-    }
-
     /// Shape accessor.
     pub fn shape(&self) -> Shape4 {
         self.shape

@@ -9,7 +9,7 @@
 //! GEMM tile store (see [`crate::igemm`]), so no pre-scatter buffer is ever
 //! materialized.
 
-use crate::igemm::{igemm_tconv2x2, sgemm_tconv2x2};
+use crate::igemm::sgemm_tconv2x2;
 use crate::shape::Shape4;
 use crate::tensor::Tensor;
 use rayon::prelude::*;
@@ -20,10 +20,6 @@ thread_local! {
     /// repacked weights and the kidx-replicated bias — reused across calls
     /// so steady-state execution stays allocation-free.
     static TCONV_WORK: RefCell<(Vec<f32>, Vec<f32>)> =
-        const { RefCell::new((Vec::new(), Vec::new())) };
-    /// Per-thread scratch for [`qtconv2x2_i8_into`] (the unpacked INT8
-    /// route): repacked weights and accumulator-scale bias.
-    static QTCONV_I8_WORK: RefCell<(Vec<i8>, Vec<i32>)> =
         const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
@@ -137,64 +133,6 @@ pub fn tconv2x2_into(xs: Shape4, x: &[f32], w: &Tensor, b: &[f32], out: &mut [f3
             let out_n = &mut out[n * out_shape.chw()..(n + 1) * out_shape.chw()];
             // The `[C_in, H*W]` input plane is already the column matrix.
             sgemm_tconv2x2(c_out, xs.c, &wk[..wk_len], x_n, h, wd, bias4, out_n);
-        }
-    });
-    out_shape
-}
-
-/// Quantized (INT8) transpose convolution of a whole batch into a
-/// caller-owned output slice, repacking the `[C_in, C_out, 2, 2]` weights
-/// per call (thread-local scratch). `bias` is at accumulator scale, length
-/// `C_out` (or empty). The GEMM, requantise-clamp epilogue, and stride-2
-/// scatter are all one fused pass. Returns the output shape.
-///
-/// Shared by `seneca-quant`'s eager graph executor and the IR executor's
-/// unpacked arm; the packed arms in `seneca-ir` call the
-/// [`crate::igemm::igemm_tconv2x2_packed`] family directly.
-#[allow(clippy::too_many_arguments)]
-pub fn qtconv2x2_i8_into(
-    xs: Shape4,
-    x: &[i8],
-    w: &[i8],
-    c_out: usize,
-    bias: &[i32],
-    shift: i32,
-    relu: bool,
-    out: &mut [i8],
-) -> Shape4 {
-    assert_eq!(x.len(), xs.len(), "input buffer/shape mismatch");
-    assert_eq!(w.len(), xs.c * c_out * 4, "weight size");
-    let out_shape = Shape4::new(xs.n, c_out, xs.h * 2, xs.w * 2);
-    assert_eq!(out.len(), out_shape.len(), "output buffer size");
-
-    QTCONV_I8_WORK.with(|cell| {
-        let (wk, bias4) = &mut *cell.borrow_mut();
-        let wk_len = 4 * c_out * xs.c;
-        if wk.len() < wk_len {
-            wk.resize(wk_len, 0);
-        }
-        repack_tconv_weights(xs.c, c_out, w, wk);
-        if bias4.len() < 4 * c_out {
-            bias4.resize(4 * c_out, 0);
-        }
-        for (i, v) in bias4[..4 * c_out].iter_mut().enumerate() {
-            *v = bias.get(i / 4).copied().unwrap_or(0);
-        }
-        for n in 0..xs.n {
-            let x_n = &x[n * xs.chw()..(n + 1) * xs.chw()];
-            let out_n = &mut out[n * out_shape.chw()..(n + 1) * out_shape.chw()];
-            igemm_tconv2x2(
-                c_out,
-                xs.c,
-                &wk[..wk_len],
-                x_n,
-                xs.h,
-                xs.w,
-                &bias4[..4 * c_out],
-                shift,
-                relu,
-                out_n,
-            );
         }
     });
     out_shape

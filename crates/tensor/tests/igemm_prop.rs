@@ -13,12 +13,14 @@
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
-use seneca_tensor::gemm::{igemm4_fused_packed, igemm_fused, sgemm_fused, GemmEpilogue, PackedA4};
-use seneca_tensor::igemm::{
-    igemm4_conv_packed, igemm4_tconv2x2_packed, igemm_conv, igemm_tconv2x2, sgemm_conv,
-    sgemm_tconv2x2,
+use seneca_tensor::gemm::{
+    igemm4_fused_packed, igemm_fused, sgemm_fused, GemmEpilogue, PackedA, PackedA4,
 };
-use seneca_tensor::im2col::{im2col, im2col_i8, ConvGeom};
+use seneca_tensor::igemm::{
+    igemm4_conv_packed, igemm4_tconv2x2_packed, igemm_conv_packed, igemm_tconv2x2_packed,
+    sgemm_conv, sgemm_tconv2x2,
+};
+use seneca_tensor::im2col::{im2col, im2col_t, ConvGeom};
 use seneca_tensor::tconv::{repack_tconv_weights, scatter_tconv2x2};
 
 fn rand_f32(len: usize, seed: u64) -> Vec<f32> {
@@ -114,9 +116,9 @@ proptest! {
         let x = rand_i8(c_in * h * w, seed + 1);
         let bias: Vec<i32> = (0..m as i32).map(|i| i * 91 - 777).collect();
         let mut y = vec![0i8; m * n];
-        igemm_conv(m, &wt, &geom, &x, &bias, shift, relu, &mut y);
+        igemm_conv_packed(&PackedA::pack(m, kdim, &wt), &geom, &x, &bias, shift, relu, &mut y);
         let mut col = vec![0i8; kdim * n];
-        im2col_i8(&geom, &x, &mut col);
+        im2col_t(&geom, &x, &mut col);
         let mut y_ref = vec![0i8; m * n];
         igemm_fused(m, kdim, n, &wt, &col, &bias, shift, relu, &mut y_ref);
         prop_assert_eq!(y, y_ref, "c{}x{}x{} k{} p{} s{}", c_in, h, w, k, pad, stride);
@@ -144,7 +146,7 @@ proptest! {
         let mut y = vec![0i8; m * n];
         igemm4_conv_packed(&pa, &geom, &x, &bias, shift, relu, &mut y);
         let mut col = vec![0i8; kdim * n];
-        im2col_i8(&geom, &x, &mut col);
+        im2col_t(&geom, &x, &mut col);
         let mut y_ref = vec![0i8; m * n];
         igemm4_fused_packed(&pa, n, &col, &bias, shift, relu, &mut y_ref);
         prop_assert_eq!(y, y_ref, "c{}x{}x{} k{} p{} s{}", c_in, h, w, k, pad, stride);
@@ -199,7 +201,8 @@ proptest! {
         let x = rand_i8(c_in * n, seed + 1);
         let bias4: Vec<i32> = (0..m as i32).map(|i| (i / 4) * 37 - 111).collect();
         let mut y = vec![0i8; c_out * 4 * n];
-        igemm_tconv2x2(c_out, c_in, &wk, &x, h, w, &bias4, shift, relu, &mut y);
+        let pa = PackedA::pack(m, c_in, &wk);
+        igemm_tconv2x2_packed(&pa, &x, h, w, &bias4, shift, relu, &mut y);
         let mut ytmp = vec![0i8; m * n];
         igemm_fused(m, c_in, n, &wk, &x, &bias4, shift, relu, &mut ytmp);
         let mut y_ref = vec![0i8; c_out * 4 * n];

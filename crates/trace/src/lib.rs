@@ -27,6 +27,7 @@
 //! on first use, so durations are robust to wall-clock adjustments and spans
 //! started on different threads are comparable.
 
+pub mod hdr;
 mod report;
 
 pub use report::{TraceReport, TraceRow};

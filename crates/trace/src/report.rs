@@ -1,39 +1,11 @@
 //! Aggregated trace output: per-key statistics tables and their JSON form.
 //!
-//! Durations are folded into an HDR-style fixed-bucket histogram at
-//! nanosecond resolution — the same bucket scheme as the serving layer's
-//! `LatencyHistogram` (linear prefix of [`SUB`] exact buckets, then `SUB`
-//! geometric sub-buckets per octave, 12.5% bounded relative error) — so p95
-//! comes out of the aggregate without keeping raw samples around.
+//! Durations are folded into the [`crate::hdr`] fixed-bucket histogram at
+//! nanosecond resolution (12.5% bounded relative error), so p95 comes out of
+//! the aggregate without keeping raw samples around.
 
+use crate::hdr::{bucket_of, bucket_upper, BUCKETS};
 use serde::{Deserialize, Serialize};
-
-/// Sub-buckets per octave (and the width of the exact linear prefix).
-const SUB: u64 = 8;
-/// Total buckets: linear prefix + `SUB` per octave for msb 3..=63.
-const BUCKETS: usize = (SUB + (64 - SUB.trailing_zeros() as u64) * SUB) as usize;
-
-/// Bucket index for a value in nanoseconds.
-fn bucket_of(ns: u64) -> usize {
-    if ns < SUB {
-        return ns as usize;
-    }
-    let msb = 63 - ns.leading_zeros() as u64; // >= 3 because ns >= SUB
-    let mantissa = ns >> (msb - 3); // in [SUB, 2*SUB)
-    (SUB + (msb - 3) * SUB + (mantissa - SUB)) as usize
-}
-
-/// Inclusive upper edge (ns) of a bucket — what quantiles report.
-fn bucket_upper(idx: usize) -> u64 {
-    let idx = idx as u64;
-    if idx < SUB {
-        return idx;
-    }
-    let octave = (idx - SUB) / SUB;
-    let mantissa = SUB + (idx - SUB) % SUB;
-    let edge = (u128::from(mantissa) + 1) << octave;
-    u64::try_from(edge - 1).unwrap_or(u64::MAX)
-}
 
 /// Running aggregate for one `(domain, name)` key. Not thread-safe on its
 /// own: the collector updates it under the aggregate lock, off the hot path.
@@ -154,21 +126,6 @@ impl TraceReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn buckets_are_monotonic_and_cover_u64() {
-        let mut prev = 0usize;
-        for ns in [0u64, 1, 7, 8, 9, 100, 1_000, 1_000_000, 1_000_000_000, u64::MAX] {
-            let b = bucket_of(ns);
-            assert!(b < BUCKETS);
-            assert!(b >= prev);
-            prev = b;
-            assert!(bucket_upper(b) >= ns || b == BUCKETS - 1);
-        }
-        for ns in 0..8u64 {
-            assert_eq!(bucket_upper(bucket_of(ns)), ns);
-        }
-    }
 
     #[test]
     fn percentile_tracks_ramp_within_bucket_error() {

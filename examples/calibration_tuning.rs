@@ -11,7 +11,8 @@
 //! cargo run --release --example calibration_tuning
 //! ```
 
-use seneca::eval::evaluate_accuracy;
+use seneca::backend::QuantRefBackend;
+use seneca::eval::evaluate_backend;
 use seneca::workflow::slice_to_sample;
 use seneca::{SenecaConfig, Workflow};
 use seneca_data::calibration::{manual_calibration, random_calibration, PAPER_MANUAL_TARGET};
@@ -38,6 +39,7 @@ fn main() {
         .map(|s| preprocess(s, factor))
         .collect();
     let n = wf.config.calibration_images;
+    let input = seneca_tensor::Shape4::new(1, 1, wf.config.input_size, wf.config.input_size);
 
     // Three strategies: random, the paper's manual leveling, and an
     // over-leveled uniform target (the failure mode §III-D warns about).
@@ -55,7 +57,7 @@ fn main() {
     for (name, cal) in strategies {
         let images: Vec<_> = cal.slices.iter().map(|s| slice_to_sample(s).image).collect();
         let (qg, _) = quantize_post_training(&fg, &images, &PtqConfig::default());
-        let acc = evaluate_accuracy(&|img| qg.predict(img), &data);
+        let acc = evaluate_backend(&QuantRefBackend::new(qg, input), &data);
         let organ = |o: Organ| {
             let m = acc.organ(o);
             if m.n == 0 {

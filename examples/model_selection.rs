@@ -10,7 +10,7 @@
 //! cargo run --release --example model_selection
 //! ```
 
-use seneca::eval::evaluate_accuracy;
+use seneca::eval::evaluate_backend;
 use seneca::{SenecaConfig, Workflow};
 use seneca_dpu::arch::DpuArch;
 use seneca_dpu::runtime::{DpuRunner, RuntimeConfig};
@@ -52,7 +52,7 @@ fn main() {
         }
 
         // Step 2 (§IV-C): fold in the INT8 accuracy.
-        let acc = evaluate_accuracy(&|img| dep.qgraph.predict(img), &data);
+        let acc = evaluate_backend(&dep.dpu_runner, &data);
         let dsc = acc.global().mean;
         let score = dsc / 100.0 * best_ee;
         println!(

@@ -10,7 +10,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use seneca::eval::evaluate_accuracy;
+use seneca::eval::{evaluate_accuracy, evaluate_backend};
 use seneca::{SenecaConfig, Workflow};
 use seneca_nn::ModelSize;
 
@@ -60,7 +60,7 @@ fn main() {
     );
 
     // 5. Accuracy: INT8 vs FP32 global Dice on the held-out patients.
-    let int8 = evaluate_accuracy(&|img| dep.qgraph.predict(img), &data);
+    let int8 = evaluate_backend(&dep.dpu_runner, &data);
     let fp32 = evaluate_accuracy(&|img| dep.gpu_runner.predict(img), &data);
     println!("global DSC: INT8 {} | FP32 {}", int8.global().display(2), fp32.global().display(2));
 }

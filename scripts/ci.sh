@@ -10,10 +10,15 @@ cargo fmt --check
 echo "== cargo clippy --all-targets -- -D warnings =="
 cargo clippy --all-targets -- -D warnings
 
-echo "== cargo test -q =="
-# The whole suite is expected green — including the eval-driver oracle test
-# that the pre-PR-5 seed shipped broken. No known-failure carve-outs.
-cargo test -q
+echo "== cargo test --workspace -q =="
+# The whole suite is expected green — every crate's unit tests and
+# crates/*/tests/*_prop.rs, not just the root package's integration tests
+# that a bare `cargo test -q` runs. No known-failure carve-outs.
+cargo test --workspace -q
+
+echo "== benchmark package (a crate API change that breaks benchmark/ fails here) =="
+cargo test --offline -q --manifest-path benchmark/Cargo.toml
+bash benchmark/run.sh --quick
 
 echo "== serve smoke (seneca-serve demo) =="
 cargo run --release -q -p seneca-serve --example serve_demo -- smoke
@@ -27,7 +32,7 @@ cargo run --release -q -p seneca-bench --example kernel_stats -- smoke
 echo "== fleet smoke (2x batch overload: fleet up, interactive p99 in SLO, no cross-tenant misses) =="
 cargo run --release -q -p seneca-bench --bin reproduce -- fleet --scale fast
 
-echo "== trace smoke (profile: op spans fit the wall; 16M pack share drops) =="
+echo "== trace smoke (profile: op spans fit the wall; measured-vs-modeled op-share band at 256 px; 16M pack share recorded) =="
 cargo run --release -q -p seneca-bench --features trace-gemm --bin reproduce -- profile --scale fast
 
 echo "== mixed smoke (16M W4/W8 plan cuts cycles and weight bytes above the agreement floor) =="

@@ -405,6 +405,18 @@ impl<T: Serialize + ?Sized> Serialize for Box<T> {
     }
 }
 
+impl<T: Serialize + ?Sized> Serialize for std::sync::Arc<T> {
+    fn to_value(&self) -> Value {
+        (**self).to_value()
+    }
+}
+
+impl<T: Deserialize> Deserialize for std::sync::Arc<T> {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        T::from_value(v).map(std::sync::Arc::new)
+    }
+}
+
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()

@@ -1,7 +1,7 @@
 //! End-to-end integration: the full Figure-1 pipeline at fast scale,
 //! spanning every crate in the workspace.
 
-use seneca::eval::evaluate_accuracy;
+use seneca::eval::{evaluate_accuracy, evaluate_backend};
 use seneca::{SenecaConfig, Workflow};
 use seneca_nn::ModelSize;
 
@@ -36,7 +36,7 @@ fn full_pipeline_trains_quantises_compiles_and_evaluates() {
     );
 
     // INT8 deployment tracks the FP32 model (paper: quantisation is ~free).
-    let int8 = evaluate_accuracy(&|img| dep.qgraph.predict(img), &data);
+    let int8 = evaluate_backend(&dep.dpu_runner, &data);
     let delta = (int8.global().mean - trained.global().mean).abs();
     assert!(delta < 12.0, "INT8 vs FP32 global DSC gap {delta:.2} too large");
 
@@ -52,10 +52,13 @@ fn functional_dpu_runner_is_bit_exact_and_order_preserving() {
 
     let images: Vec<_> =
         data.test_by_patient.iter().flat_map(|p| p.images.iter().cloned()).take(6).collect();
-    // Multi-threaded VART path == single-shot quantized-graph execution.
+    // Multi-threaded VART path == the naive oracle's evaluation of the
+    // quantized graph, frame by frame, in order.
     let outs = dep.dpu_runner.run_functional(&images);
+    let module = dep.qgraph.to_ir();
     for (img, out) in images.iter().zip(&outs) {
-        let reference = dep.qgraph.execute(&dep.qgraph.quantize_input(img));
-        assert_eq!(out.data(), reference.data());
+        let reference = seneca_ir::oracle::run_i8(&module, &dep.qgraph.quantize_input(img))
+            .swap_remove(module.output);
+        assert_eq!(*out, reference);
     }
 }

@@ -1,17 +1,18 @@
-//! Property tests for the IR-lowered executors: for random U-Net
-//! configurations, the single `seneca-ir` lowering must execute FP32 and
-//! INT8 programs bit-identically to the naive allocate-per-node reference
-//! paths, across repeated frames through the same scratch arena (stale slot
-//! contents must never leak into a frame).
+//! Property tests for the IR executor: for random U-Net configurations,
+//! bitwidth plans and input shapes, every node output of the lowered FP32 and
+//! INT8 programs must equal the naive oracle's (`seneca_ir::oracle`: INT8 bit
+//! for bit, FP32 within `F32_TOLERANCE`), across repeated frames through the
+//! same scratch arena (stale slot contents must never leak into a frame).
 
 use proptest::prelude::*;
 use rand::SeedableRng;
-use seneca_ir::{lower, LowerOptions};
+use seneca_ir::oracle::{self, assert_close_f32};
+use seneca_ir::{lower, LowerOptions, Lowered};
 use seneca_nn::graph::Graph;
 use seneca_nn::unet::{UNet, UNetConfig};
 use seneca_quant::{
     calibrate, fuse, mixed::quantizable_nodes, quantize_from_calibration, quantize_post_training,
-    Bitwidth, PtqConfig,
+    Bitwidth, PtqConfig, QuantizedGraph,
 };
 use seneca_tensor::{Shape4, Tensor};
 
@@ -30,12 +31,31 @@ fn random_frame(shape: Shape4, seed: u64) -> Tensor {
     img
 }
 
+/// Checks every node of `lowered` against the oracle over two frames through
+/// one reused arena.
+fn assert_f32_matches_oracle(lowered: &Lowered, shape: Shape4, seed: u64) {
+    let mut scratch = lowered.make_scratch_f32();
+    for frame in 0..2u64 {
+        oracle::check_f32(lowered, &mut scratch, &random_frame(shape, seed.wrapping_add(frame)));
+    }
+}
+
+/// The INT8 twin of [`assert_f32_matches_oracle`]: bit for bit.
+fn assert_i8_matches_oracle(qg: &QuantizedGraph, shape: Shape4, seed: u64) {
+    let lowered = lower(qg.to_ir(), shape, &LowerOptions::reference());
+    let mut scratch = lowered.make_scratch_i8();
+    for frame in 0..2u64 {
+        let q = qg.quantize_input(&random_frame(shape, seed.wrapping_add(frame)));
+        oracle::check_i8(&lowered, &mut scratch, &q);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// FP32: the IR-lowered executor (pack-once panels + liveness-planned
-    /// arena) == naive executor, bit for bit, over several frames through
-    /// one reused scratch arena.
+    /// arena) == oracle on every node (BN, ReLU, dropout and softmax still
+    /// explicit), over several frames through one reused scratch arena.
     #[test]
     fn lowered_fp32_matches_naive(
         depth in 1usize..=3,
@@ -48,18 +68,11 @@ proptest! {
         let side = (1 << depth) * scale.max(1);
         let shape = Shape4::new(1, 1, side, side);
         let lowered = lower(graph.to_ir(), shape, &LowerOptions::reference());
-        let mut scratch = lowered.make_scratch_f32();
-        for frame in 0..2u64 {
-            let img = random_frame(shape, seed.wrapping_mul(31).wrapping_add(frame));
-            let naive = graph.execute(&img);
-            let planned = lowered.execute_f32_into(&img, &mut scratch);
-            prop_assert_eq!(planned.shape(), naive.shape());
-            prop_assert_eq!(planned.data(), naive.data());
-        }
+        assert_f32_matches_oracle(&lowered, shape, seed.wrapping_mul(31));
     }
 
-    /// INT8: the IR-lowered executor runs the exact same integer arithmetic
-    /// as the naive one — outputs and fix positions are identical.
+    /// INT8: the IR-lowered executor runs the exact integer arithmetic of
+    /// the oracle — outputs and fix positions are identical on every node.
     #[test]
     fn lowered_int8_matches_naive(
         depth in 1usize..=3,
@@ -72,22 +85,12 @@ proptest! {
         let shape = Shape4::new(1, 1, side, side);
         let calib = vec![random_frame(shape, seed ^ 0xABCD)];
         let (qg, _) = quantize_post_training(&fg, &calib, &PtqConfig::default());
-        let lowered = lower(qg.to_ir(), shape, &LowerOptions::reference());
-        let mut scratch = lowered.make_scratch_i8();
-        for frame in 0..2u64 {
-            let q = qg.quantize_input(&random_frame(shape, seed.wrapping_mul(17).wrapping_add(frame)));
-            let naive = qg.execute(&q);
-            let planned = lowered.execute_i8_into(&q, &mut scratch);
-            prop_assert_eq!(planned.fix_pos(), naive.fix_pos());
-            prop_assert_eq!(planned.shape(), naive.shape());
-            prop_assert_eq!(planned.data(), naive.data());
-        }
+        assert_i8_matches_oracle(&qg, shape, seed.wrapping_mul(17));
     }
 
     /// Mixed W4/W8: for a random per-layer bitwidth assignment, the
-    /// IR-lowered executor (nibble-packed panels where assigned) runs the
-    /// exact same integer arithmetic as the naive per-node dispatch —
-    /// outputs and fix positions are bit-identical.
+    /// IR-lowered executor (nibble-packed panels where assigned) matches the
+    /// oracle, which sees a W4 layer as plain `i8` weights in `[-8, 7]`.
     #[test]
     fn lowered_mixed_w4_matches_naive(
         depth in 1usize..=3,
@@ -109,15 +112,7 @@ proptest! {
             }
         }
         let qg = quantize_from_calibration(&fg, &report, &wbits);
-        let lowered = lower(qg.to_ir(), shape, &LowerOptions::reference());
-        let mut scratch = lowered.make_scratch_i8();
-        for frame in 0..2u64 {
-            let q = qg.quantize_input(&random_frame(shape, seed.wrapping_mul(23).wrapping_add(frame)));
-            let naive = qg.execute(&q);
-            let planned = lowered.execute_i8_into(&q, &mut scratch);
-            prop_assert_eq!(planned.fix_pos(), naive.fix_pos());
-            prop_assert_eq!(planned.data(), naive.data());
-        }
+        assert_i8_matches_oracle(&qg, shape, seed.wrapping_mul(23));
     }
 
     /// The plan never maps two simultaneously-live values to one slot, and
@@ -138,9 +133,9 @@ proptest! {
     }
 
     /// The frontend pipeline (BN fold + ReLU fuse + identity strip) is a
-    /// semantic rewrite, not a bit-exact one — folded weights round-trip
-    /// through f32 multiplies — so it must match the naive FP32 executor
-    /// within tolerance, never exactly asserted bitwise.
+    /// semantic rewrite — folded weights round-trip through f32 multiplies —
+    /// so the rewritten program matches the oracle on its own nodes, and its
+    /// output matches the oracle's evaluation of the *unrewritten* module.
     #[test]
     fn frontend_fp32_matches_naive_within_tolerance(
         depth in 1usize..=2,
@@ -148,19 +143,17 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let net = random_net(depth, base_filters, seed);
-        let graph = Graph::from_unet(&net, "prop");
+        let module = Graph::from_unet(&net, "prop").to_ir();
         let side = 1 << (depth + 1);
         let shape = Shape4::new(1, 1, side, side);
         // strip_softmax stays false so both programs end in softmax.
-        let opts = LowerOptions { fold_bn: true, fuse_relu: true, strip_softmax: false, pack_weights: true };
-        let lowered = lower(graph.to_ir(), shape, &opts);
-        let mut scratch = lowered.make_scratch_f32();
+        let opts = LowerOptions { strip_softmax: false, ..LowerOptions::frontend() };
+        let lowered = lower(module.clone(), shape, &opts);
+        assert_f32_matches_oracle(&lowered, shape, seed.wrapping_mul(13));
         let img = random_frame(shape, seed.wrapping_mul(13));
-        let naive = graph.execute(&img);
-        let fused = lowered.execute_f32_into(&img, &mut scratch);
+        let naive = oracle::run_f32(&module, &img).swap_remove(module.output);
+        let fused = lowered.execute_f32(&img);
         prop_assert_eq!(fused.shape(), naive.shape());
-        for (a, b) in fused.data().iter().zip(naive.data()) {
-            prop_assert!((a - b).abs() <= 1e-4, "fused {a} vs naive {b}");
-        }
+        assert_close_f32(fused.data(), naive.data(), "rewritten vs original output");
     }
 }

@@ -9,10 +9,10 @@ use seneca_dpu::arch::DpuArch;
 use seneca_dpu::executor::{DpuCore, ExecMode};
 use seneca_dpu::runtime::{DpuRunner, RuntimeConfig};
 use seneca_gpu::{GpuModel, GpuRunner};
+use seneca_ir::oracle::{self, assert_close_f32};
 use seneca_nn::graph::Graph;
 use seneca_nn::unet::{UNet, UNetConfig};
 use seneca_quant::{fuse, quantize_post_training, PtqConfig};
-use seneca_tensor::activation::softmax_channels;
 use seneca_tensor::{Shape4, Tensor};
 use std::sync::Arc;
 
@@ -44,31 +44,32 @@ fn every_handoff_preserves_predictions() {
     let fg = fuse(&graph);
     let calib = calib_images(8, 16, 2);
     let (qg, report) = quantize_post_training(&fg, &calib, &PtqConfig::default());
-    let xm = seneca_dpu::compile(&qg, Shape4::new(1, 1, 16, 16), DpuArch::b4096_zcu104());
+    let shape = Shape4::new(1, 1, 16, 16);
+    let xm = seneca_dpu::compile(&qg, shape, DpuArch::b4096_zcu104());
+    let int8 = QuantRefBackend::new(qg.clone(), shape);
 
     for img in &calib[..4] {
-        // Hand-off 1: UNet == Graph (probabilities).
+        // Hand-off 1: UNet == Graph (probabilities; the oracle runs the
+        // export graph with BN, ReLU, dropout and softmax still explicit).
         let p_unet = net.infer(img);
-        let p_graph = graph.execute(img);
-        for (a, b) in p_unet.data().iter().zip(p_graph.data()) {
-            assert!((a - b).abs() < 1e-5);
-        }
-        // Hand-off 2: Graph == FusedGraph up to softmax.
-        let p_fused = softmax_channels(&fg.execute(img));
-        for (a, b) in p_graph.data().iter().zip(p_fused.data()) {
-            assert!((a - b).abs() < 1e-4);
-        }
+        let graph_vals = oracle::run_f32(&graph.to_ir(), img);
+        let p_graph = &graph_vals[graph.output];
+        assert_close_f32(p_unet.data(), p_graph.data(), "UNet vs export graph");
+        // Hand-off 2: Graph == fused module up to softmax.
+        let logits_graph = &graph_vals[graph.nodes[graph.output].inputs[0]];
+        let logits_fused = oracle::run_f32(&fg, img).swap_remove(fg.output);
+        assert_close_f32(logits_fused.data(), logits_graph.data(), "export graph vs fused");
         // Hand-off 3: QuantizedGraph argmax mostly agrees with FP32.
-        let fp32_labels = seneca_tensor::activation::argmax_channels(&p_fused);
-        let int8_labels = qg.predict(img);
+        let fp32_labels = seneca_tensor::activation::argmax_channels(&logits_fused);
+        let int8_labels = int8.predict(img);
         let agree = fp32_labels.iter().zip(&int8_labels).filter(|(a, b)| a == b).count();
         assert!(agree as f64 / fp32_labels.len() as f64 > 0.8, "agreement {agree}/256");
         // Hand-off 4: xmodel functional execution == QuantizedGraph, bit exact.
         let core = DpuCore::new(ExecMode::Functional);
         let input = xm.quantize_input(img);
         let out_core = core.run(&xm, &input).output.unwrap();
-        let out_qg = qg.execute(&input);
-        assert_eq!(out_core.data(), out_qg.data());
+        let out_qg = oracle::run_i8(&qg.to_ir(), &input).swap_remove(qg.output);
+        assert_eq!(out_core, out_qg);
     }
 
     // The PTQ report covers every fused node and used all images.
