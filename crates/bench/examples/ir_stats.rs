@@ -4,16 +4,16 @@
 //! strip all inference identities, give every conv/tconv weight a pack
 //! slot — the planned arena must beat the naive sum-of-all-activations
 //! pool on both the FP32 and INT8 lowerings — and the implicit-GEMM
-//! route's reported peak (slots + pack panels) must beat the materialized
+//! route's reported peak (slots + strip buffers) must beat the materialized
 //! route's footprint (slots + im2col column / pre-scatter buffer + the
-//! same panels).
+//! same strip buffers).
 
 use rand::SeedableRng;
 use seneca_ir::{lower, IrOp, LowerOptions, Module};
 use seneca_nn::graph::Graph;
 use seneca_nn::unet::{ModelSize, UNet};
 use seneca_quant::{fuse, quantize_post_training, PtqConfig};
-use seneca_tensor::gemm::packed_b_len;
+use seneca_tensor::gemm::{strip_scratch_len, NR};
 use seneca_tensor::{Shape4, Tensor};
 
 fn mib(bytes: u64) -> f64 {
@@ -23,21 +23,21 @@ fn mib(bytes: u64) -> f64 {
 /// Peak per-frame auxiliary bytes of the *materialized* lowering route the
 /// implicit-GEMM rewrite removed: the `[C*9, H*W]` im2col column matrix
 /// (conv) or the `[4*C_out, H*W]` pre-scatter buffer (tconv), which
-/// coexisted with the GEMM pack panels per node; max over nodes, per image
-/// (the executors reuse one buffer across the per-image loop).
+/// coexisted with the GEMM driver's strip buffers per node; max over nodes,
+/// per image (the executors reuse one buffer across the per-image loop).
 fn materialized_aux_bytes(m: &Module, input: Shape4, bytes_per_elem: usize) -> u64 {
     let shapes = m.shapes(input);
     let mut peak = 0u64;
-    for node in &m.nodes {
+    for (node, out) in m.nodes.iter().zip(&shapes) {
         let s = shapes[node.inputs.first().copied().unwrap_or(0)];
         let elems = match &node.op {
             IrOp::Conv(_) => {
                 let k = s.c * 9;
-                k * s.hw() + packed_b_len(k, s.hw())
+                k * s.hw() + strip_scratch_len(out.c, k, s.hw(), NR, bytes_per_elem)
             }
-            IrOp::TConv(a) => {
-                let c_out = a.kernel.c_out(true);
-                4 * c_out * s.hw() + packed_b_len(s.c, s.hw())
+            IrOp::TConv(_) => {
+                let m4 = 4 * out.c;
+                m4 * s.hw() + strip_scratch_len(m4, s.c, s.hw(), s.w, bytes_per_elem)
             }
             _ => continue,
         };
@@ -105,7 +105,7 @@ fn main() {
         );
         let qplan = q_ref.plan();
         // Slot arena vs naive pool: an activations-only comparison, so it
-        // uses the slot bytes, not the full footprint with GEMM panels.
+        // uses the slot bytes, not the full footprint with GEMM strips.
         let (fp_slots, fp_total) =
             ((plan.peak_arena_elems() * 4) as u64, plan.total_activation_bytes(4));
         let (q_slots, q_total) = (qplan.peak_arena_elems() as u64, qplan.total_activation_bytes(1));
@@ -115,9 +115,9 @@ fn main() {
             size.label()
         );
 
-        // Full reported footprint (slots + implicit-GEMM pack panels) vs the
+        // Full reported footprint (slots + the GEMM strip buffers) vs the
         // materialized route, which carried the im2col column / pre-scatter
-        // buffer alongside the same slots and panels. The peak must drop.
+        // buffer alongside the same slots and strips. The peak must drop.
         let (fp_peak, q_peak) = (plan.peak_arena_bytes(4), qplan.peak_arena_bytes(1));
         let fp_mat = fp_slots + materialized_aux_bytes(fp_ref.module(), input, 4);
         let q_mat = q_slots + materialized_aux_bytes(q_ref.module(), input, 1);

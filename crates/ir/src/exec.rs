@@ -7,9 +7,10 @@
 //! arena holds the peak-live footprint instead of one buffer per node.
 //! FP32 and INT8 share the walk; only the kernel dispatch differs. Conv and
 //! transpose-conv nodes run their GEMM against the panels packed once at
-//! lowering time — per frame only the activation
-//! (B-panel) side is packed, directly from the NCHW feature map (implicit
-//! GEMM). The arena therefore holds *only* the plan slots: there is no
+//! lowering time — per frame only the activation (B) side is packed, a strip
+//! of columns at a time, directly from the NCHW feature map (implicit GEMM;
+//! the strip buffers are the GEMM driver's, [`ExecPlan::work_bytes`] counts
+//! them). The arena therefore holds *only* the plan slots: there is no
 //! im2col column buffer and no pre-scatter tconv buffer — the conv packs
 //! compute the im2col index math inside the tile gather and the tconv
 //! stores scatter from the GEMM tile.
@@ -378,7 +379,7 @@ fn same3x3(xs: Shape4) -> ConvGeom {
 
 /// Runs a one-image conv/tconv GEMM kernel over a batch: image `n` of `x`
 /// (laid out as `xs`) produces image `n` of `out`. The kernels pack the
-/// activation (B) panels straight from the feature map (implicit GEMM) and
+/// activation (B) strips straight from the feature map (implicit GEMM) and
 /// run against weight panels packed at lowering time; each asserts its own
 /// panel and output extents.
 fn per_image<T>(xs: Shape4, x: &[T], out: &mut [T], mut kernel: impl FnMut(&[T], &mut [T])) {

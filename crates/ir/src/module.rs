@@ -317,33 +317,33 @@ impl Module {
         plan
     }
 
-    /// Peak per-frame GEMM work-buffer bytes under the implicit-GEMM route:
-    /// for each conv/tconv node, the thread-local B panels the activation
-    /// tiles gather into (the weight panels are packed once at lowering and
-    /// are not per-frame work). The buffers are reused node to node, so the
-    /// plan's figure is the max, not the sum. Mirrors what the kernels
-    /// actually allocate via [`seneca_tensor::gemm::packed_b_len`].
+    /// Peak per-frame GEMM work-buffer bytes: for each conv/tconv node, the
+    /// strip buffers the driver's parallel parts pack activations into
+    /// (`parts x strip`, a few hundred KB — there is no whole packed `B`; the
+    /// weight panels are packed once at lowering and are not per-frame work).
+    /// The buffers are reused node to node, so the plan's figure is the max,
+    /// not the sum. Mirrors what the kernels actually allocate via
+    /// [`seneca_tensor::gemm::strip_scratch_len`].
     fn gemm_work_bytes(&self, shapes: &[Shape4]) -> u64 {
-        use seneca_tensor::gemm::packed_b_len;
+        use seneca_tensor::gemm::{strip_scratch_len, NR};
         let es = match self.dtype {
             DType::F32 => 4,
             DType::I8 => 1,
         };
-        let mut peak = 0u64;
-        for node in &self.nodes {
-            // Rows of B per input channel: the implicit im2col pack gathers
-            // [C_in*9, H*W]; a tconv's input plane already is [C_in, H*W].
-            let k_per_c = match &node.op {
-                IrOp::Conv(_) => 9,
-                IrOp::TConv(_) => 1,
+        let mut peak = 0;
+        for (node, out) in self.nodes.iter().zip(shapes) {
+            // Per image, not per batch: the per-image loop reuses the buffers.
+            let s = shapes[*node.inputs.first().unwrap_or(&0)];
+            // The implicit im2col GEMM is [C_out x C_in*9 x H*W]; a tconv's is
+            // [4*C_out x C_in x H*W], its column parts cut on input rows.
+            let len = match &node.op {
+                IrOp::Conv(_) => strip_scratch_len(out.c, s.c * 9, s.hw(), NR, es),
+                IrOp::TConv(_) => strip_scratch_len(4 * out.c, s.c, s.hw(), s.w, es),
                 _ => continue,
             };
-            // Per image, not per batch: the per-image loop reuses the same
-            // thread-local panels.
-            let s = shapes[node.inputs[0]];
-            peak = peak.max((packed_b_len(s.c * k_per_c, s.hw()) * es) as u64);
+            peak = peak.max(len * es);
         }
-        peak
+        peak as u64
     }
 
     /// Number of nodes per mnemonic (listing/statistics helper).

@@ -35,9 +35,9 @@ pub struct ExecPlan {
     slot_elems: Vec<usize>,
     /// The graph's output node.
     output: usize,
-    /// Peak per-frame GEMM work-buffer bytes: the thread-local pack panels
-    /// the implicit-GEMM route gathers activations into, max over nodes
-    /// (the panels are reused node to node). Set by the module lowering;
+    /// Peak per-frame GEMM work-buffer bytes: the strip buffers the GEMM
+    /// driver's parallel parts gather activations into, max over nodes
+    /// (the buffers are reused node to node). Set by the module lowering;
     /// zero for plans built directly via [`ExecPlan::build`].
     #[serde(default)]
     work_bytes: u64,
@@ -190,10 +190,9 @@ impl ExecPlan {
 
     /// The full per-worker steady-state footprint in bytes: the slot arena
     /// ([`ExecPlan::peak_arena_elems`] scaled by `bytes_per_elem`) plus the
-    /// per-frame GEMM work panels ([`ExecPlan::work_bytes`]). With the
-    /// implicit-GEMM route the pack panels are the *only* auxiliary
-    /// storage — there is no materialized im2col column matrix and no
-    /// pre-scatter tconv buffer.
+    /// per-frame GEMM strip buffers ([`ExecPlan::work_bytes`]), the *only*
+    /// auxiliary storage — there is no materialized im2col column matrix, no
+    /// whole packed activation matrix and no pre-scatter tconv buffer.
     pub fn peak_arena_bytes(&self, bytes_per_elem: usize) -> u64 {
         (self.peak_arena_elems() * bytes_per_elem) as u64 + self.work_bytes
     }

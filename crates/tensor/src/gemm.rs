@@ -1,63 +1,133 @@
-//! Packed, register-tiled matrix multiplication kernels with fused epilogues.
+//! Packed, register-tiled matrix multiplication: one strip-mined
+//! pack+compute driver, three micro-kernels, fused epilogues.
 //!
-//! Two flavours are provided:
+//! Every GEMM of the crate — the matrix entry points here ([`sgemm`] …
+//! [`igemm_fused`]) and the implicit-GEMM convolutions of [`crate::igemm`],
+//! in `f32`, `i8` and nibble-packed INT4 — computes `C = A * B` with
+//! `A: [m x k]`, `B: [k x n]` through the same driver:
 //!
-//! * [`sgemm`] / [`sgemm_fused`] — `f32` GEMM used by the training path and
-//!   the FP32 (GPU baseline) executor;
-//! * [`igemm`] / [`igemm_fused`] — `i8 x i8 -> i32` GEMM used by the
-//!   functional DPU executor, with an optional fused requantise-clamp
-//!   epilogue producing `i8` directly.
+//! ```text
+//!            B (never materialised whole)           per part, per strip:
+//!        ┌──────┬──────┬──────┬─ ─ ─┬──────┐          1. pack `nc` columns of B into
+//!      k │strip0│strip1│strip2│     │      │             NR-wide k-major panels
+//!        └──────┴──────┴──────┴─ ─ ─┴──────┘             ([jp][kk][NR], L2-resident)
+//!        ├── part 0 ───┤├──── part 1 ──────┤          2. run EVERY MR-row tile of A
+//!   A    ┌──────┬──────┬──────┬─ ─ ─┬──────┐             against it, storing each
+//! ┌───┐  │      │      │      │     │      │             MR x NR tile through the
+//! │m×k│ m│      │  C   │      │     │      │             fused epilogue
+//! └───┘  └──────┴──────┴──────┴─ ─ ─┴──────┘
+//! ```
 //!
-//! All kernels compute `C = A * B` with `A: [m x k]`, `B: [k x n]`,
-//! `C: [m x n]`, row-major (the `_at`/`_bt` variants read a transposed
-//! operand). The implementation is a BLIS-style blocked engine:
+//! 1. **Strips.** The output columns are cut into strips of `nc` columns,
+//!    `nc` chosen so one packed strip (`k * nc` elements) fits
+//!    [`STRIP_BYTES`]. A strip is packed into a small per-part buffer and
+//!    consumed at once by all row tiles, so the packed activations never make
+//!    a round trip through DRAM (the whole-`B` buffer this replaces was
+//!    37.7 MB for one 16M-model layer at 256², 151 MB in FP32). Edge panels
+//!    are zero padded to the tile width: the micro-kernels see no remainder,
+//!    padded lanes hold exact zeros and are clipped at store time.
+//! 2. **Parts.** One fork-join per GEMM. With at least as many strips as
+//!    threads the parts split the *columns* — so layers with few output rows
+//!    (`c_out <= 32`, every full-resolution layer of the 1M model) use every
+//!    core; otherwise they split the row tiles and each packs the one strip
+//!    itself. GEMMs under [`FORK_MIN_MACS`] run inline on the caller. The
+//!    per-part strip buffers are slices of the *calling* thread's scratch
+//!    (worker threads are short-lived, their thread-locals would be
+//!    re-allocated per call); parts never touch that scratch themselves.
+//! 3. **Micro-kernels.** An `MR x NR` accumulator tile walks one `A` row
+//!    panel (`[ip][kk][MR]`, packed once per weight tensor — [`PackedA`],
+//!    [`PackedA4`]) and one `B` panel over the whole `k` extent; constant
+//!    trip counts let LLVM keep the tile in vector registers.
+//! 4. **Fused epilogues.** Bias, ReLU, the DPU requantise-clamp and the
+//!    transpose-conv scatter are applied to the finished tile as it is
+//!    stored; there is no pass over `C` after the GEMM.
 //!
-//! 1. **Packing.** `B` is packed once per call into `NR`-wide column panels
-//!    stored k-major (`[jp][kk][NR]`), and `A` into `MR`-tall row panels
-//!    (`[ip][kk][MR]`), both in thread-local scratch reused across calls.
-//!    Edge panels are zero-padded to the full tile width, so the micro-kernel
-//!    never sees a remainder and stays branch-free; padded lanes contribute
-//!    exact zeros and are clipped at store time.
-//! 2. **Micro-kernel.** An `MR x NR` register-accumulator tile walks the two
-//!    panels contiguously over the whole `k` extent. The inner loops have
-//!    constant trip counts, so LLVM unrolls the tile and autovectorizes the
-//!    `NR` dimension (FMA-shaped f32; i8→i32 widening multiply-accumulate).
-//! 3. **Fused epilogue.** Bias add, ReLU, and the DPU requantise-clamp are
-//!    applied to the register accumulators as the tile is stored, removing
-//!    the extra full passes over `C` that `conv2d`/`qconv3x3` used to make.
+//! Each output element is accumulated in ascending-`k` order over the full
+//! extent whatever the strip or part split, so `f32` results do not depend on
+//! the thread count or the cache budget, and the integer paths are bit-exact
+//! under any regrouping.
 //!
-//! Parallelism is over disjoint `MC`-row blocks of `C` via rayon — no locks,
-//! no `unsafe`. Each output element is accumulated in ascending-`k` order
-//! regardless of the thread count or block split, so results are
-//! deterministic and thread-count invariant; `igemm` is bit-exact under any
-//! regrouping because integer addition is associative.
+//! # The INT8 micro-kernel: unsigned weights, column-sum correction
 //!
-//! Note there is deliberately **no** `a[i][k] == 0` sparse-skip branch in the
-//! inner loops (the previous implementation had one): a data-dependent branch
-//! inside the innermost loop defeats autovectorization for *every* input and
-//! makes latency input-dependent, while the skip only pays off when an entire
-//! SIMD lane-group of multiplies would be saved — essentially never for dense
-//! activations. Dense branch-free MACs are strictly faster here.
+//! Widening both operands to `i32` and multiplying makes LLVM emit
+//! `vpmulld` (2 µops per 16 MACs — the kernel is multiplier-bound at ≈ 8
+//! MAC/cycle). `tile_i8` instead reads the weight as *unsigned*,
+//! `a' = (a as u8) ^ 0x80 = a + 128` — a value in `[0, 255]` whose upper 24
+//! bits are provably zero — and uses
+//!
+//! ```text
+//!   Σ_k a·b  =  Σ_k (a + 128)·b  −  128 · Σ_k b
+//! ```
+//!
+//! keeping `Σ_k b` per tile column next to the accumulators and subtracting
+//! `128 · colsum[j]` once, when the tile is finished. With one factor known
+//! to fit an unsigned 16-bit lane LLVM lowers the same 8x32 loop nest to 16
+//! `vpdpwssd` per k-step (`vpmaddwd + vpaddd` without VNNI), about twice the
+//! MAC rate. The offset sits on the *weight* side so the packed activations —
+//! and the zero fill of im2col padding — are untouched; zero-padded `A` rows
+//! yield `128·colsum − 128·colsum = 0` and are clipped anyway. No
+//! intermediate overflows: `|Σ (a+128)·b| <= k·255·128 < 2^31` for
+//! `k <= 65 536` ([`PackElem::MAX_K`], asserted where panels are packed; the
+//! largest Table II `k` is 9216). The INT4 kernel is the same with
+//! `(nibble ^ 8)` and `8 · colsum`.
+//!
+//! Three codegen hazards, each re-tested with rustc 1.95 on AVX-512:
+//!
+//! * *Inlining the MAC loop into the driver closure* still makes LLVM
+//!   vectorise over `k`, assembling operands byte by byte (`vpinsrb`) with
+//!   the accumulators in stack slots — so `tile_i8` / `tile_i4` are
+//!   isolated `#[inline(never)]` functions.
+//! * *Factoring the store out* used to trigger the same failure (hence five
+//!   monolithic `i8_block_*` bodies, one per store). With the offset form it
+//!   no longer does: a tile function that hands the corrected accumulators
+//!   back through `&mut [[i32; NR]; MR]` keeps all 16 `vpdpwssd`, and the
+//!   stores are ordinary closures shared with `f32`. The *signed* form of
+//!   that same function still falls into the `vpinsrb` trap (8–10 GMAC/s).
+//!   Two details of the tile function matter: the weight is widened per row
+//!   *inside* the row loop (widening a k-step into an `[i32; MR]` array
+//!   first makes LLVM vectorise across rows with gathers, 2 GMAC/s), and
+//!   the correction loop runs over the tile's *dynamic* row count (a
+//!   constant `MR` trip count is unrolled and transposed into 32 gathers and
+//!   32 scatters per tile, which halves small-`k` layers).
+//! * *What makes LLVM pick `vpdpwssd`:* the `^ 0x80` must be in the kernel,
+//!   on a `u8`, immediately before the widening — pre-offsetting the panel
+//!   bytes or widening first loses the "upper bits are zero" fact and brings
+//!   `vpmulld` back. An exact-in-`f32` FMA kernel (x0.7–1.3) and a
+//!   k-pair-interleaved `i16` layout (`vpmaddwd` only at 128 bits) were tried
+//!   and are slower. `scripts/check_kernel_asm.sh` fails CI if the tile
+//!   functions regress to `vpmulld`.
+//!
+//! There is deliberately **no** `a[i][k] == 0` sparse-skip branch in the
+//! inner loops: a data-dependent branch defeats autovectorization for every
+//! input and only pays off when a whole SIMD lane-group of multiplies would
+//! be saved — essentially never for dense activations.
 
 use crate::quantized::requantize_i32;
 use crate::zero::Zero;
 use rayon::prelude::*;
 use std::cell::RefCell;
+use std::ops::Range;
+use std::thread::LocalKey;
 
 /// Rows of the register-accumulator micro-tile.
 pub const MR: usize = 8;
 
 /// Columns of the register-accumulator micro-tile. With AVX-512 this is two
 /// vector registers per tile row (16 accumulator registers total for the
-/// 8x32 tile), which measures fastest on both the f32 and the widening-i8
-/// kernels; with AVX2 it is four.
+/// 8x32 tile), which measures fastest on both the f32 and the INT8 kernels;
+/// with AVX2 it is four.
 pub const NR: usize = 32;
 
-/// Rows of `C` handled per parallel task (a multiple of `MR`); small enough
-/// to give rayon tasks to balance, large enough to amortise task dispatch.
-pub(crate) const MC: usize = 32;
+/// Cache budget of one packed `B` strip (see [`strip_cols`]). Sized for the
+/// L2 of the smallest cores this runs on; every row tile re-reads the strip
+/// from there.
+pub const STRIP_BYTES: usize = 256 << 10;
 
-const _: () = assert!(MC.is_multiple_of(MR), "MC must be a multiple of MR");
+/// GEMMs below this many multiply-accumulates run inline on the calling
+/// thread: a spawn-and-join measures 60–100 µs on the reference VM, which is
+/// what half of such a GEMM takes (break-even sits near 8M MACs for `i8`,
+/// a little lower for `f32`).
+pub const FORK_MIN_MACS: usize = 1 << 23;
 
 /// Fused epilogue applied to the register accumulators at store time.
 ///
@@ -74,26 +144,51 @@ pub enum GemmEpilogue<'a> {
     BiasRelu(&'a [f32]),
 }
 
-/// One micro-tile's position within the output matrix.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Tile {
-    /// Global row of the tile's first row (bias index base).
-    pub(crate) row: usize,
-    /// Row offset of the tile within the current row-block slice.
-    pub(crate) ip0: usize,
-    /// First column.
-    pub(crate) j0: usize,
-    /// Valid rows (`<= MR`; the rest is zero padding).
-    pub(crate) rows: usize,
-    /// Valid columns (`<= NR`).
-    pub(crate) cols: usize,
-}
+/// This thread's reusable pack buffers for one element type: the `A` panels
+/// of the entry points that pack weights per call, and the parts' `B` strips.
+type PackScratch<T> = RefCell<[Vec<T>; 2]>;
+const A_PANELS: usize = 0;
+const STRIPS: usize = 1;
 
 thread_local! {
-    /// Reusable packing scratch (A panels, B panels) for the f32 kernels.
-    pub(crate) static PACK_F32: RefCell<(Vec<f32>, Vec<f32>)> = const { RefCell::new((Vec::new(), Vec::new())) };
-    /// Reusable packing scratch for the INT8 kernels.
-    pub(crate) static PACK_I8: RefCell<(Vec<i8>, Vec<i8>)> = const { RefCell::new((Vec::new(), Vec::new())) };
+    static PACK_F32: PackScratch<f32> = const { RefCell::new([Vec::new(), Vec::new()]) };
+    static PACK_I8: PackScratch<i8> = const { RefCell::new([Vec::new(), Vec::new()]) };
+}
+
+/// Element type of a packed GEMM operand (`f32`, `i8`).
+pub trait PackElem: Zero + Send + Sync + 'static {
+    /// Largest shared (`k`) extent the micro-kernel of this type accumulates
+    /// without overflow (see the module docs for the INT8 bound).
+    const MAX_K: usize;
+
+    #[doc(hidden)]
+    fn scratch() -> &'static LocalKey<PackScratch<Self>>;
+}
+
+impl PackElem for f32 {
+    const MAX_K: usize = usize::MAX;
+
+    fn scratch() -> &'static LocalKey<PackScratch<f32>> {
+        &PACK_F32
+    }
+}
+
+impl PackElem for i8 {
+    const MAX_K: usize = 1 << 16;
+
+    fn scratch() -> &'static LocalKey<PackScratch<i8>> {
+        &PACK_I8
+    }
+}
+
+/// Takes buffer `slot` out of the calling thread's pack scratch (so no
+/// `RefCell` borrow is held while the GEMM runs); [`put_buf`] returns it.
+fn take_buf<T: PackElem>(slot: usize) -> Vec<T> {
+    T::scratch().with(|s| std::mem::take(&mut s.borrow_mut()[slot]))
+}
+
+fn put_buf<T: PackElem>(slot: usize, buf: Vec<T>) {
+    T::scratch().with(|s| s.borrow_mut()[slot] = buf);
 }
 
 /// A pre-packed `A` operand: the `MR`-tall k-major row panels the micro-kernel
@@ -102,9 +197,9 @@ thread_local! {
 /// Inference weights are immutable, so re-packing them on every frame (as
 /// [`sgemm_fused`] / [`igemm_fused`] must, since they only see flat slices) is
 /// pure per-frame overhead. The pack-slot pass in `seneca-ir` builds one
-/// `PackedA` per weight tensor at lowering time and routes frames through
-/// [`sgemm_fused_packed`] / [`igemm_fused_packed`], whose per-call pack work
-/// covers only the activation (`B`) panels.
+/// `PackedA` per weight tensor at lowering time and routes frames through the
+/// `*_packed` entry points, whose per-call pack work covers only the
+/// activation (`B`) strips.
 ///
 /// The panel bytes are identical to what the unpacked entry points produce
 /// internally, so packed and unpacked calls are bit-identical.
@@ -115,15 +210,38 @@ pub struct PackedA<T> {
     pub(crate) panels: Vec<T>,
 }
 
-impl<T: Zero> PackedA<T> {
-    /// Packs a row-major `m x k` matrix.
+impl<T: PackElem> PackedA<T> {
+    /// Packs a row-major `m x k` matrix. Panics if `k` exceeds
+    /// [`PackElem::MAX_K`].
     pub fn pack(m: usize, k: usize, a: &[T]) -> Self {
         assert_eq!(a.len(), m * k, "A size");
-        let mut panels = vec![T::ZERO; packed_a_len(m, k)];
-        pack_a(m, k, |i, kk| a[i * k + kk], &mut panels);
+        Self::pack_with(m, k, |i, kk| a[i * k + kk], Vec::new())
+    }
+
+    /// Packs `A` (via `get(i, kk)`) into `panels`, reusing its allocation.
+    fn pack_with(m: usize, k: usize, get: impl Fn(usize, usize) -> T, mut panels: Vec<T>) -> Self {
+        assert!(k <= T::MAX_K, "k = {k} exceeds the accumulator-safe extent {}", T::MAX_K);
+        panels.resize(packed_a_len(m, k), T::ZERO);
+        pack_a(m, k, get, &mut panels);
         Self { m, k, panels }
     }
 
+    /// Runs `f` on `A` packed into the calling thread's scratch (the entry
+    /// points that see flat weight slices pack them per call).
+    pub(crate) fn with_scratch<R>(
+        m: usize,
+        k: usize,
+        get: impl Fn(usize, usize) -> T,
+        f: impl FnOnce(&Self) -> R,
+    ) -> R {
+        let pa = Self::pack_with(m, k, get, take_buf(A_PANELS));
+        let r = f(&pa);
+        put_buf(A_PANELS, pa.panels);
+        r
+    }
+}
+
+impl<T> PackedA<T> {
     /// Rows of the packed matrix.
     pub fn m(&self) -> usize {
         self.m
@@ -148,9 +266,8 @@ impl<T: Zero> PackedA<T> {
 /// Packing runs along the `MR` dimension: each k-step of a panel holds `MR`
 /// weights in `MR / 2` bytes, with the even row in the low nibble and the odd
 /// row in the high nibble (`byte j = (a[2j+1] << 4) | (a[2j] & 0xF)`). The
-/// micro-kernel sign-extends both nibbles back to `i32` in registers, so
-/// [`igemm4_fused_packed`] is bit-identical to unpacking to `i8` and calling
-/// [`igemm_fused`].
+/// micro-kernel widens both nibbles in registers, so [`igemm4_fused_packed`]
+/// is bit-identical to unpacking to `i8` and calling [`igemm_fused`].
 #[derive(Debug, Clone)]
 pub struct PackedA4 {
     m: usize,
@@ -163,14 +280,12 @@ impl PackedA4 {
     /// (panics otherwise — INT4 packing of wider data would corrupt weights
     /// silently).
     pub fn pack(m: usize, k: usize, a: &[i8]) -> Self {
-        assert_eq!(a.len(), m * k, "A size");
         assert!(
             a.iter().all(|&v| (-8..=7).contains(&(v as i32))),
             "INT4 pack requires all values in [-8, 7]"
         );
-        let mut wide = vec![0i8; packed_a_len(m, k)];
-        pack_a(m, k, |i, kk| a[i * k + kk], &mut wide);
-        Self { m, k, panels: pack_nibble_pairs(&wide) }
+        let wide = PackedA::pack(m, k, a);
+        Self { m, k, panels: pack_nibble_pairs(&wide.panels) }
     }
 
     /// Rows of the packed matrix.
@@ -215,22 +330,21 @@ pub fn unpack_nibble_pairs(src: &[u8], dst: &mut [i8]) {
     }
 }
 
-/// Elements of `A`-panel scratch an `m x k` operand packs into (the `MR`-tall
-/// row panels, tail panel zero padded). Public so memory accounting (the IR
-/// plan's work-buffer bytes) can mirror what the kernels actually allocate.
+/// Elements of `A`-panel storage an `m x k` operand packs into (the `MR`-tall
+/// row panels, tail panel zero padded).
 pub fn packed_a_len(m: usize, k: usize) -> usize {
     m.div_ceil(MR) * MR * k
 }
 
-/// Elements of `B`-panel scratch a `k x n` operand packs into (the `NR`-wide
-/// column panels, tail panel zero padded).
+/// Elements of `B`-panel storage `n` columns of a `k`-row operand pack into
+/// (the `NR`-wide column panels, tail panel zero padded).
 pub fn packed_b_len(k: usize, n: usize) -> usize {
     n.div_ceil(NR) * NR * k
 }
 
 /// Packs `A` (via `get(i, kk)`) into `MR`-tall row panels, k-major, zero
 /// padding the tail panel's missing rows.
-pub(crate) fn pack_a<T: Zero>(m: usize, k: usize, get: impl Fn(usize, usize) -> T, buf: &mut [T]) {
+fn pack_a<T: Zero>(m: usize, k: usize, get: impl Fn(usize, usize) -> T, buf: &mut [T]) {
     for ip in 0..m.div_ceil(MR) {
         let i0 = ip * MR;
         let rows = MR.min(m - i0);
@@ -243,203 +357,80 @@ pub(crate) fn pack_a<T: Zero>(m: usize, k: usize, get: impl Fn(usize, usize) -> 
     }
 }
 
-/// Packs `B` (via `get(kk, j)`) into `NR`-wide column panels, k-major, zero
-/// padding the tail panel's missing columns.
-pub(crate) fn pack_b<T: Zero>(k: usize, n: usize, get: impl Fn(usize, usize) -> T, buf: &mut [T]) {
-    for jp in 0..n.div_ceil(NR) {
-        let j0 = jp * NR;
-        let cols = NR.min(n - j0);
-        let panel = &mut buf[jp * NR * k..(jp + 1) * NR * k];
+/// Packs columns `cols` of `B` (via `get(kk, j)`) into `NR`-wide column
+/// panels, k-major, zero padding the tail panel's missing columns.
+pub(crate) fn pack_b<T: Zero>(
+    k: usize,
+    cols: Range<usize>,
+    get: impl Fn(usize, usize) -> T,
+    buf: &mut [T],
+) {
+    for (jp, panel) in
+        buf[..packed_b_len(k, cols.len())].chunks_exact_mut(NR * k.max(1)).enumerate()
+    {
+        let j0 = cols.start + jp * NR;
+        let valid = NR.min(cols.end - j0);
         for (kk, dst) in panel.chunks_exact_mut(NR).enumerate() {
             for (jj, d) in dst.iter_mut().enumerate() {
-                *d = if jj < cols { get(kk, j0 + jj) } else { T::ZERO };
+                *d = if jj < valid { get(kk, j0 + jj) } else { T::ZERO };
             }
         }
     }
 }
 
-/// Walks the packed panels and hands each `MR x NR` tile's accumulators to
-/// `store`. Parallel over `MC`-row blocks of `C`; tiles never overlap, so
-/// every task writes a disjoint slice.
-///
-/// The f32 driver hands tiles to a `store` closure; the INT8 drivers below
-/// are standalone monolithic functions instead. The difference is deliberate:
-/// LLVM's vectorization of the widening-i8 micro-kernel is extremely
-/// sensitive to its surrounding code — inlined into the rayon worker closure
-/// (with or without a `store` closure in the loop) it picks a
-/// vectorize-over-k strategy that assembles operands byte-by-byte
-/// (`vpinsrb`) and keeps every accumulator row in a stack slot, roughly
-/// halving INT8 throughput. Compiled as an isolated `#[inline(never)]`
-/// function with direct stores, the same source autovectorizes the intended
-/// way (broadcast row scalar x widened B vector, accumulators in registers).
-pub(crate) fn block_driver_f32<T: Send>(
-    k: usize,
-    n: usize,
-    pa: &[f32],
-    pb: &[f32],
-    c: &mut [T],
-    store: impl Fn(&[[f32; NR]; MR], &mut [T], Tile) + Sync,
-) {
-    let n_jp = n.div_ceil(NR);
-    c.par_chunks_mut(MC * n).enumerate().for_each(|(blk, c_blk)| {
-        let row0 = blk * MC;
-        let rows_blk = c_blk.len() / n;
-        let mut ip0 = 0;
-        while ip0 < rows_blk {
-            let tile_rows = MR.min(rows_blk - ip0);
-            let apanel = &pa[(row0 + ip0) / MR * (MR * k)..][..MR * k];
-            for jp in 0..n_jp {
-                let j0 = jp * NR;
-                let bpanel = &pb[jp * (NR * k)..][..NR * k];
-                let acc = microkernel_f32(apanel, bpanel);
-                let tile = Tile { row: row0 + ip0, ip0, j0, rows: tile_rows, cols: NR.min(n - j0) };
-                store(&acc, c_blk, tile);
-            }
-            ip0 += MR;
-        }
-    });
+/// The `A` side of a GEMM as the driver sees it: packed row panels plus the
+/// micro-kernel that multiplies one of them with a packed `B` panel.
+pub(crate) trait Panels: Sync {
+    /// Element type of the packed `B` panels.
+    type B: PackElem;
+    /// Accumulator type.
+    type Acc: Copy + Default;
+
+    /// `(m, k)`.
+    fn dims(&self) -> (usize, usize);
+
+    /// Overwrites the first `rows` rows of `acc` (at least) with row panel
+    /// `ip` times `bp`, summed over all `k`.
+    fn tile(&self, ip: usize, bp: &[Self::B], rows: usize, acc: &mut [[Self::Acc; NR]; MR]);
 }
 
-/// One `MC`-row block of the INT8 GEMM with the given store statement,
-/// expanded as an isolated `#[inline(never)]` function (see
-/// [`block_driver_f32`] for why). `$store` receives `acc` (the finished
-/// tile), `ii` (tile row), `row` (global `C` row) and `dst` (the clipped
-/// output row slice) in scope.
-macro_rules! i8_block_fn {
-    ($name:ident, $t:ty, ($($extra:ident: $ty:ty),*), $store:expr) => {
-        #[allow(clippy::too_many_arguments)]
-        #[inline(never)]
-        pub(crate) fn $name(
-            k: usize,
-            n: usize,
-            row0: usize,
-            pa: &[i8],
-            pb: &[i8],
-            c_blk: &mut [$t],
-            $($extra: $ty,)*
-        ) {
-            let rows_blk = c_blk.len() / n;
-            let n_jp = n.div_ceil(NR);
-            let mut ip0 = 0;
-            while ip0 < rows_blk {
-                let tile_rows = MR.min(rows_blk - ip0);
-                let apanel = &pa[(row0 + ip0) / MR * (MR * k)..][..MR * k];
-                for jp in 0..n_jp {
-                    let j0 = jp * NR;
-                    let cols = NR.min(n - j0);
-                    let bpanel = &pb[jp * (NR * k)..][..NR * k];
-                    let mut acc = [[0i32; NR]; MR];
-                    for (a, b) in apanel.chunks_exact(MR).zip(bpanel.chunks_exact(NR)) {
-                        let mut bw = [0i32; NR];
-                        for (w, &v) in bw.iter_mut().zip(b) {
-                            *w = v as i32;
-                        }
-                        for (i, acc_i) in acc.iter_mut().enumerate() {
-                            let ai = a[i] as i32;
-                            for (acc_ij, &bv) in acc_i.iter_mut().zip(&bw) {
-                                *acc_ij += ai * bv;
-                            }
-                        }
-                    }
-                    for ii in 0..tile_rows {
-                        let row = row0 + ip0 + ii;
-                        let dst = &mut c_blk[(ip0 + ii) * n + j0..][..cols];
-                        #[allow(clippy::redundant_closure_call)]
-                        ($store)(&acc, ii, row, dst);
-                    }
-                }
-                ip0 += MR;
-            }
-        }
-    };
-}
+impl Panels for PackedA<f32> {
+    type B = f32;
+    type Acc = f32;
 
-i8_block_fn!(i8_block_raw, i32, (), |acc: &[[i32; NR]; MR],
-                                     ii: usize,
-                                     _row: usize,
-                                     dst: &mut [i32]| {
-    dst.copy_from_slice(&acc[ii][..dst.len()]);
-});
-
-i8_block_fn!(
-    i8_block_requant,
-    i8,
-    (bias: &[i32], shift: i32, relu: bool),
-    |acc: &[[i32; NR]; MR], ii: usize, row: usize, dst: &mut [i8]| {
-        let bi = bias.get(row).copied().unwrap_or(0);
-        for (d, &v) in dst.iter_mut().zip(&acc[ii]) {
-            let mut q = requantize_i32(v + bi, shift);
-            if relu && q < 0 {
-                q = 0;
-            }
-            *d = q;
-        }
+    fn dims(&self) -> (usize, usize) {
+        (self.m, self.k)
     }
-);
 
-/// One `MC`-row block of the INT4-weight GEMM with the fused requant store.
-/// Mirrors [`i8_block_requant`] exactly — same tile walk, same ascending-`k`
-/// accumulation order (so results are bit-identical to unpack-then-i8) — but
-/// reads the `A` panels nibble-packed: each k-step of a panel is `MR / 2`
-/// bytes, sign-extended into an `[i32; MR]` register array before the MAC
-/// loop. Standalone `#[inline(never)]` for the same autovectorization reason
-/// as the i8 blocks (see [`block_driver_f32`]).
-#[allow(clippy::too_many_arguments)]
-#[inline(never)]
-pub(crate) fn i4_block_requant(
-    k: usize,
-    n: usize,
-    row0: usize,
-    pa: &[u8],
-    pb: &[i8],
-    c_blk: &mut [i8],
-    bias: &[i32],
-    shift: i32,
-    relu: bool,
-) {
-    const MR2: usize = MR / 2;
-    let rows_blk = c_blk.len() / n;
-    let n_jp = n.div_ceil(NR);
-    let mut ip0 = 0;
-    while ip0 < rows_blk {
-        let tile_rows = MR.min(rows_blk - ip0);
-        let apanel = &pa[(row0 + ip0) / MR * (MR2 * k)..][..MR2 * k];
-        for jp in 0..n_jp {
-            let j0 = jp * NR;
-            let cols = NR.min(n - j0);
-            let bpanel = &pb[jp * (NR * k)..][..NR * k];
-            let mut acc = [[0i32; NR]; MR];
-            for (a, b) in apanel.chunks_exact(MR2).zip(bpanel.chunks_exact(NR)) {
-                let mut bw = [0i32; NR];
-                for (w, &v) in bw.iter_mut().zip(b) {
-                    *w = v as i32;
-                }
-                let mut aw = [0i32; MR];
-                for (j, &byte) in a.iter().enumerate() {
-                    aw[2 * j] = (((byte as i8) << 4) >> 4) as i32;
-                    aw[2 * j + 1] = ((byte as i8) >> 4) as i32;
-                }
-                for (i, acc_i) in acc.iter_mut().enumerate() {
-                    let ai = aw[i];
-                    for (acc_ij, &bv) in acc_i.iter_mut().zip(&bw) {
-                        *acc_ij += ai * bv;
-                    }
-                }
-            }
-            for ii in 0..tile_rows {
-                let row = row0 + ip0 + ii;
-                let dst = &mut c_blk[(ip0 + ii) * n + j0..][..cols];
-                let bi = bias.get(row).copied().unwrap_or(0);
-                for (d, &v) in dst.iter_mut().zip(&acc[ii]) {
-                    let mut q = requantize_i32(v + bi, shift);
-                    if relu && q < 0 {
-                        q = 0;
-                    }
-                    *d = q;
-                }
-            }
-        }
-        ip0 += MR;
+    #[inline(always)]
+    fn tile(&self, ip: usize, bp: &[f32], _rows: usize, acc: &mut [[f32; NR]; MR]) {
+        *acc = tile_f32(&self.panels[ip * MR * self.k..][..MR * self.k], bp);
+    }
+}
+
+impl Panels for PackedA<i8> {
+    type B = i8;
+    type Acc = i32;
+
+    fn dims(&self) -> (usize, usize) {
+        (self.m, self.k)
+    }
+
+    fn tile(&self, ip: usize, bp: &[i8], rows: usize, acc: &mut [[i32; NR]; MR]) {
+        tile_i8(&self.panels[ip * MR * self.k..][..MR * self.k], bp, rows, acc);
+    }
+}
+
+impl Panels for PackedA4 {
+    type B = i8;
+    type Acc = i32;
+
+    fn dims(&self) -> (usize, usize) {
+        (self.m, self.k)
+    }
+
+    fn tile(&self, ip: usize, bp: &[i8], rows: usize, acc: &mut [[i32; NR]; MR]) {
+        tile_i4(&self.panels[ip * (MR / 2) * self.k..][..MR / 2 * self.k], bp, rows, acc);
     }
 }
 
@@ -447,7 +438,7 @@ pub(crate) fn i4_block_requant(
 /// extent of one A row panel and one B column panel. Branch-free with
 /// constant trip counts so LLVM keeps the tile in vector registers.
 #[inline(always)]
-fn microkernel_f32(ap: &[f32], bp: &[f32]) -> [[f32; NR]; MR] {
+fn tile_f32(ap: &[f32], bp: &[f32]) -> [[f32; NR]; MR] {
     let mut acc = [[0.0f32; NR]; MR];
     for (a, b) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
         let a: &[f32; MR] = a.try_into().expect("panel chunk");
@@ -462,78 +453,322 @@ fn microkernel_f32(ap: &[f32], bp: &[f32]) -> [[f32; NR]; MR] {
     acc
 }
 
-/// Shared f32 entry: packs both operands and runs the tiled driver with the
-/// requested epilogue. `ga(i, kk)` / `gb(kk, j)` adapt the operand layouts
-/// (row-major or transposed) without separate kernel copies.
-fn gemm_f32(
-    m: usize,
-    k: usize,
-    n: usize,
-    ga: impl Fn(usize, usize) -> f32,
-    gb: impl Fn(usize, usize) -> f32,
-    c: &mut [f32],
-    epi: GemmEpilogue<'_>,
-) {
-    assert_eq!(c.len(), m * n, "C size");
-    if m == 0 || n == 0 {
-        return;
-    }
-    PACK_F32.with(|cell| {
-        let (pa, pb) = &mut *cell.borrow_mut();
-        let (la, lb) = (packed_a_len(m, k), packed_b_len(k, n));
-        if pa.len() < la {
-            pa.resize(la, 0.0);
-        }
-        if pb.len() < lb {
-            pb.resize(lb, 0.0);
-        }
-        {
-            #[cfg(feature = "trace-gemm")]
-            let _sp = seneca_trace::span_bytes("gemm", "pack", ((la + lb) * 4) as u64);
-            pack_a(m, k, ga, &mut pa[..la]);
-            pack_b(k, n, gb, &mut pb[..lb]);
-        }
-        #[cfg(feature = "trace-gemm")]
-        let _sp = seneca_trace::span_bytes("gemm", "kernel", (m * n * 4) as u64);
-        run_f32_blocks(k, n, &pa[..la], &pb[..lb], c, epi);
-    });
-}
-
-/// Runs the tiled f32 driver over already-packed panels, applying `epi` at
-/// store time. Shared by the pack-per-call and pre-packed-A entry points.
-pub(crate) fn run_f32_blocks(
-    k: usize,
-    n: usize,
-    pa: &[f32],
-    pb: &[f32],
-    c: &mut [f32],
-    epi: GemmEpilogue<'_>,
-) {
-    let store = |acc: &[[f32; NR]; MR], c_blk: &mut [f32], t: Tile| {
-        for ii in 0..t.rows {
-            let dst = &mut c_blk[(t.ip0 + ii) * n + t.j0..][..t.cols];
-            match epi {
-                GemmEpilogue::None => {
-                    for (d, &v) in dst.iter_mut().zip(&acc[ii]) {
-                        *d = v;
+/// An integer micro-kernel in the offset form of the module docs: `$widen`
+/// reads row `i` of one k-step of the `A` panel (`$step` bytes) as the
+/// non-negative weight `a + $offset`; the column sums of `B` take the offset
+/// back out when the first `rows` rows of the finished tile are written to
+/// `out` (rows beyond are padding and left alone — and the dynamic trip count
+/// keeps LLVM from transposing that loop into gathers). Isolated
+/// `#[inline(never)]` functions — see the codegen hazards in the module docs.
+macro_rules! int_tile_fn {
+    ($(#[$doc:meta])* $name:ident, $a:ty, $step:expr, $offset:expr, $widen:expr) => {
+        $(#[$doc])*
+        #[inline(never)]
+        fn $name(ap: &[$a], bp: &[i8], rows: usize, out: &mut [[i32; NR]; MR]) {
+            let mut acc = [[0i32; NR]; MR];
+            let mut colsum = [0i32; NR];
+            for (a, b) in ap.chunks_exact($step).zip(bp.chunks_exact(NR)) {
+                let mut bw = [0i32; NR];
+                for (w, &v) in bw.iter_mut().zip(b) {
+                    *w = v as i32;
+                }
+                for (s, &bv) in colsum.iter_mut().zip(&bw) {
+                    *s += bv;
+                }
+                for (i, acc_i) in acc.iter_mut().enumerate() {
+                    let ai = ($widen)(a, i);
+                    for (acc_ij, &bv) in acc_i.iter_mut().zip(&bw) {
+                        *acc_ij += ai * bv;
                     }
                 }
-                GemmEpilogue::Bias(b) => {
-                    let bias = b.get(t.row + ii).copied().unwrap_or(0.0);
-                    for (d, &v) in dst.iter_mut().zip(&acc[ii]) {
-                        *d = v + bias;
-                    }
-                }
-                GemmEpilogue::BiasRelu(b) => {
-                    let bias = b.get(t.row + ii).copied().unwrap_or(0.0);
-                    for (d, &v) in dst.iter_mut().zip(&acc[ii]) {
-                        *d = (v + bias).max(0.0);
-                    }
+            }
+            for (out_i, acc_i) in out.iter_mut().zip(&acc).take(rows) {
+                for ((o, &v), &s) in out_i.iter_mut().zip(acc_i).zip(&colsum) {
+                    *o = v - $offset * s;
                 }
             }
         }
     };
-    block_driver_f32(k, n, pa, pb, c, store);
+}
+
+int_tile_fn!(
+    /// The INT8 micro-kernel: weights read as `(a as u8) ^ 0x80 = a + 128`.
+    tile_i8,
+    i8,
+    MR,
+    128,
+    |a: &[i8], i: usize| ((a[i] as u8) ^ 0x80) as i32
+);
+
+int_tile_fn!(
+    /// The INT4 micro-kernel: each k-step is `MR / 2` bytes, even row in the
+    /// low nibble; weights read as `nibble ^ 8 = a + 8`.
+    tile_i4,
+    u8,
+    MR / 2,
+    8,
+    |a: &[u8], i: usize| (((a[i / 2] >> (4 * (i % 2))) & 0xF) ^ 8) as i32
+);
+
+/// Columns per strip for a `k`-row packed operand of `elem_bytes`-wide
+/// elements: the largest multiple of `NR` within [`STRIP_BYTES`], at least
+/// one panel.
+pub fn strip_cols(k: usize, elem_bytes: usize) -> usize {
+    (STRIP_BYTES / (k.max(1) * elem_bytes) / NR).max(1) * NR
+}
+
+/// How one GEMM is cut into strips and parallel parts — shared by the driver
+/// and by the memory accounting ([`strip_scratch_len`]), so the two cannot
+/// drift.
+struct Split {
+    /// Columns per strip (a multiple of `NR`).
+    nc: usize,
+    row_parts: usize,
+    col_parts: usize,
+    /// Rows per row part (a multiple of `MR`).
+    rows_per: usize,
+    /// Columns per column part (a multiple of the caller's quantum).
+    cols_per: usize,
+}
+
+impl Split {
+    /// `quantum` is the granularity of column-part boundaries: `NR` for a
+    /// row-major `C`, one input row for the tconv scatter.
+    fn new(m: usize, k: usize, n: usize, quantum: usize, elem_bytes: usize) -> Self {
+        let nc = strip_cols(k, elem_bytes);
+        let (tiles, quanta) = (m.div_ceil(MR), n.div_ceil(quantum));
+        let threads = if m * k * n < FORK_MIN_MACS { 1 } else { rayon::current_num_threads() };
+        // Columns when every thread gets at least one strip of its own, the
+        // row tiles (each part packing the strips itself) with what is left.
+        let col_parts = threads.min(n.div_ceil(nc)).min(quanta).max(1);
+        let row_parts = (threads / col_parts).min(tiles).max(1);
+        Self {
+            nc,
+            row_parts,
+            col_parts,
+            rows_per: tiles.div_ceil(row_parts) * MR,
+            cols_per: quanta.div_ceil(col_parts) * quantum,
+        }
+    }
+
+    /// Elements of one part's strip buffer.
+    fn strip_len(&self, k: usize, n: usize) -> usize {
+        packed_b_len(k, self.nc.min(self.cols_per).min(n))
+    }
+}
+
+/// Elements of per-call `B` scratch the driver allocates for an `m x k x n`
+/// GEMM whose packed operand has `elem_bytes`-wide elements: one strip buffer
+/// per parallel part. This is the *only* per-frame GEMM work memory (the
+/// weight panels are packed once). `quantum` as in the entry point: `NR` for
+/// a convolution, the input width for a 2x2 transpose convolution.
+pub fn strip_scratch_len(m: usize, k: usize, n: usize, quantum: usize, elem_bytes: usize) -> usize {
+    let s = Split::new(m, k, n, quantum, elem_bytes);
+    s.row_parts * s.col_parts * s.strip_len(k, n)
+}
+
+/// One micro-tile's position, handed to the store with the owning part's
+/// output pieces.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Tile {
+    /// Global row of the tile's first row (bias index base).
+    pub(crate) row: usize,
+    /// Global column of the tile's first column.
+    pub(crate) col: usize,
+    /// Valid rows (`<= MR`; the rest is zero padding).
+    pub(crate) rows: usize,
+    /// Valid columns (`<= NR`).
+    pub(crate) cols: usize,
+    /// First row and first column of the part the tile belongs to.
+    pub(crate) row0: usize,
+    pub(crate) col0: usize,
+}
+
+/// One parallel part: a block of row tiles times a range of columns, with its
+/// strip buffer and its piece of every output chunk its rows touch.
+struct Part<'a, B, C> {
+    rows: Range<usize>,
+    cols: Range<usize>,
+    strip: &'a mut [B],
+    chunks: Vec<&'a mut [C]>,
+}
+
+/// The strip-mined driver behind every GEMM of the crate (see the module
+/// docs). `c` is `m / rpc` contiguous chunks of `rpc * n` elements — the rows
+/// of a row-major `C` (`rpc = 1`) or the `[2H, 2W]` output planes of a 2x2
+/// transpose conv (`rpc = 4` GEMM rows scatter into one plane) — and a column
+/// range `j0..j1` on a `quantum` boundary owns elements `rpc*j0..rpc*j1` of
+/// each. `pack(cols, buf)` packs a strip of `B`; `store(acc, tile, chunks)`
+/// writes one finished tile into the part's chunk pieces.
+pub(crate) fn run<A: Panels, C: Send>(
+    a: &A,
+    n: usize,
+    rpc: usize,
+    quantum: usize,
+    c: &mut [C],
+    pack: impl Fn(Range<usize>, &mut [A::B]) + Sync,
+    store: impl Fn(&[[A::Acc; NR]; MR], Tile, &mut [&mut [C]]) + Sync,
+) {
+    let (m, k) = a.dims();
+    assert_eq!(c.len(), m * n, "C size");
+    assert!(m.is_multiple_of(rpc) && MR.is_multiple_of(rpc), "row tiles cover whole chunks");
+    if m == 0 || n == 0 {
+        return;
+    }
+    let split = Split::new(m, k, n, quantum, size_of::<A::B>());
+    let (n_parts, strip_len) = (split.row_parts * split.col_parts, split.strip_len(k, n));
+    let mut strips = take_buf::<A::B>(STRIPS);
+    if strips.len() < n_parts * strip_len {
+        strips.resize(n_parts * strip_len, A::B::ZERO);
+    }
+    let mut rest = &mut strips[..];
+    let mut parts: Vec<Part<'_, A::B, C>> = (0..n_parts)
+        .map(|p| {
+            let (rp, cp) = (p / split.col_parts, p % split.col_parts);
+            let strip;
+            (strip, rest) = std::mem::take(&mut rest).split_at_mut(strip_len);
+            Part {
+                rows: (rp * split.rows_per).min(m)..((rp + 1) * split.rows_per).min(m),
+                cols: (cp * split.cols_per).min(n)..((cp + 1) * split.cols_per).min(n),
+                strip,
+                chunks: Vec::with_capacity(split.rows_per / rpc),
+            }
+        })
+        .collect();
+    for (ci, mut chunk) in c.chunks_mut(rpc * n).enumerate() {
+        let rp = ci * rpc / split.rows_per;
+        for part in &mut parts[rp * split.col_parts..(rp + 1) * split.col_parts] {
+            let piece;
+            (piece, chunk) = std::mem::take(&mut chunk).split_at_mut(rpc * part.cols.len());
+            part.chunks.push(piece);
+        }
+    }
+    parts.retain(|p| !p.rows.is_empty() && !p.cols.is_empty());
+
+    #[cfg(feature = "trace-gemm")]
+    let spent = [std::sync::atomic::AtomicU64::new(0), std::sync::atomic::AtomicU64::new(0)];
+    parts.into_par_iter().for_each(|mut part| {
+        let mut acc = [[A::Acc::default(); NR]; MR];
+        for s0 in part.cols.clone().step_by(split.nc) {
+            let strip_cols = s0..(s0 + split.nc).min(part.cols.end);
+            #[cfg(feature = "trace-gemm")]
+            let t0 = seneca_trace::now_ns();
+            pack(strip_cols.clone(), part.strip);
+            #[cfg(feature = "trace-gemm")]
+            let t1 = seneca_trace::now_ns();
+            for row in part.rows.clone().step_by(MR) {
+                let rows = MR.min(part.rows.end - row);
+                for col in strip_cols.clone().step_by(NR) {
+                    let cols = NR.min(strip_cols.end - col);
+                    let bp = &part.strip[(col - strip_cols.start) * k..][..NR * k];
+                    a.tile(row / MR, bp, rows, &mut acc);
+                    let tile =
+                        Tile { row, col, rows, cols, row0: part.rows.start, col0: part.cols.start };
+                    store(&acc, tile, &mut part.chunks);
+                }
+            }
+            #[cfg(feature = "trace-gemm")]
+            {
+                use std::sync::atomic::Ordering::Relaxed;
+                spent[0].fetch_add(t1 - t0, Relaxed);
+                spent[1].fetch_add(seneca_trace::now_ns() - t1, Relaxed);
+            }
+        }
+    });
+    // One record of each per GEMM call, carrying the parts' summed time: a
+    // 256x256 conv has hundreds of strips and the trace ring 4096 slots.
+    #[cfg(feature = "trace-gemm")]
+    {
+        use std::sync::atomic::Ordering::Relaxed;
+        let packed = (packed_b_len(k, n) * size_of::<A::B>()) as u64;
+        seneca_trace::record_ns("gemm", "pack", spent[0].load(Relaxed), packed);
+        seneca_trace::record_ns("gemm", "kernel", spent[1].load(Relaxed), size_of_val(c) as u64);
+    }
+    put_buf(STRIPS, strips);
+}
+
+/// Stores a tile into a row-major `C` (chunk = row): element `(i, j)` becomes
+/// `f(acc[i][j], row_arg(i))`, `row_arg` being evaluated once per row (the
+/// bias lookup).
+#[inline(always)]
+pub(crate) fn store_rows<S: Copy, C, R: Copy>(
+    acc: &[[S; NR]; MR],
+    t: Tile,
+    chunks: &mut [&mut [C]],
+    row_arg: impl Fn(usize) -> R,
+    f: impl Fn(S, R) -> C,
+) {
+    for (ii, acc_i) in acc.iter().enumerate().take(t.rows) {
+        let arg = row_arg(t.row + ii);
+        let dst = &mut chunks[t.row - t.row0 + ii][t.col - t.col0..][..t.cols];
+        for (d, &v) in dst.iter_mut().zip(acc_i) {
+            *d = f(v, arg);
+        }
+    }
+}
+
+/// The DPU requantise-clamp of one accumulator: `clamp(round((v + bias) >>
+/// shift))`, optionally ReLU-clamped.
+#[inline(always)]
+pub(crate) fn requant(v: i32, bias: i32, shift: i32, relu: bool) -> i8 {
+    let q = requantize_i32(v + bias, shift);
+    if relu && q < 0 {
+        0
+    } else {
+        q
+    }
+}
+
+/// Row `i` of a per-row bias; a short or empty slice contributes zero.
+#[inline(always)]
+pub(crate) fn bias_at<T: Zero>(bias: &[T], i: usize) -> T {
+    bias.get(i).copied().unwrap_or(T::ZERO)
+}
+
+/// Runs the f32 driver into a row-major `C` with `epi` fused into the store.
+pub(crate) fn run_f32(
+    pa: &PackedA<f32>,
+    n: usize,
+    c: &mut [f32],
+    epi: GemmEpilogue<'_>,
+    pack: impl Fn(Range<usize>, &mut [f32]) + Sync,
+) {
+    run(pa, n, 1, NR, c, pack, |acc, t, chunks| match epi {
+        GemmEpilogue::None => store_rows(acc, t, chunks, |_| (), |v, ()| v),
+        GemmEpilogue::Bias(b) => store_rows(acc, t, chunks, |i| bias_at(b, i), |v, b| v + b),
+        GemmEpilogue::BiasRelu(b) => {
+            store_rows(acc, t, chunks, |i| bias_at(b, i), |v, b| (v + b).max(0.0))
+        }
+    });
+}
+
+/// Runs an INT8/INT4 driver into a row-major `i8` `C` with the requantise
+/// epilogue fused into the store.
+pub(crate) fn run_requant<A: Panels<B = i8, Acc = i32>>(
+    pa: &A,
+    n: usize,
+    out: &mut [i8],
+    (bias, shift, relu): (&[i32], i32, bool),
+    pack: impl Fn(Range<usize>, &mut [i8]) + Sync,
+) {
+    run(pa, n, 1, NR, out, pack, |acc, t, chunks| {
+        store_rows(acc, t, chunks, |i| bias_at(bias, i), |v, b| requant(v, b, shift, relu))
+    });
+}
+
+/// Shared f32 entry for flat operands: packs `A` into the thread's scratch
+/// and strip-mines `B`. `ga(i, kk)` / `gb(kk, j)` adapt the operand layouts
+/// (row-major or transposed) without separate kernel copies.
+fn gemm_f32(
+    (m, k, n): (usize, usize, usize),
+    ga: impl Fn(usize, usize) -> f32,
+    gb: impl Fn(usize, usize) -> f32 + Sync,
+    c: &mut [f32],
+    epi: GemmEpilogue<'_>,
+) {
+    PackedA::with_scratch(m, k, ga, |pa| {
+        run_f32(pa, n, c, epi, |cols, buf| pack_b(k, cols, &gb, buf))
+    });
 }
 
 /// `f32` GEMM: `c = a * b` (`a: m x k`, `b: k x n`, row-major).
@@ -556,7 +791,7 @@ pub fn sgemm_fused(
 ) {
     assert_eq!(a.len(), m * k, "A size");
     assert_eq!(b.len(), k * n, "B size");
-    gemm_f32(m, k, n, |i, kk| a[i * k + kk], |kk, j| b[kk * n + j], c, epi);
+    gemm_f32((m, k, n), |i, kk| a[i * k + kk], |kk, j| b[kk * n + j], c, epi);
 }
 
 /// `f32` GEMM with `A` transposed: `c = a^T * b` where `a: k x m` row-major.
@@ -566,7 +801,7 @@ pub fn sgemm_fused(
 pub fn sgemm_at(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     assert_eq!(a.len(), k * m, "A size (transposed)");
     assert_eq!(b.len(), k * n, "B size");
-    gemm_f32(m, k, n, |i, kk| a[kk * m + i], |kk, j| b[kk * n + j], c, GemmEpilogue::None);
+    gemm_f32((m, k, n), |i, kk| a[kk * m + i], |kk, j| b[kk * n + j], c, GemmEpilogue::None);
 }
 
 /// `f32` GEMM with `B` transposed: `c = a * b^T` where `b: n x k` row-major.
@@ -575,12 +810,12 @@ pub fn sgemm_at(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32
 pub fn sgemm_bt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     assert_eq!(a.len(), m * k, "A size");
     assert_eq!(b.len(), n * k, "B size (transposed)");
-    gemm_f32(m, k, n, |i, kk| a[i * k + kk], |kk, j| b[j * k + kk], c, GemmEpilogue::None);
+    gemm_f32((m, k, n), |i, kk| a[i * k + kk], |kk, j| b[j * k + kk], c, GemmEpilogue::None);
 }
 
-/// [`sgemm_fused`] with a pre-packed `A` operand: only `B` is packed per
-/// call, so the per-call pack traffic drops to the activation panels.
-/// Bit-identical to the unpacked call — the `A` panel bytes are the same.
+/// [`sgemm_fused`] with a pre-packed `A` operand: only the `B` strips are
+/// packed per call. Bit-identical to the unpacked call — the `A` panel bytes
+/// are the same.
 pub fn sgemm_fused_packed(
     pa: &PackedA<f32>,
     n: usize,
@@ -588,27 +823,8 @@ pub fn sgemm_fused_packed(
     c: &mut [f32],
     epi: GemmEpilogue<'_>,
 ) {
-    let (m, k) = (pa.m, pa.k);
-    assert_eq!(b.len(), k * n, "B size");
-    assert_eq!(c.len(), m * n, "C size");
-    if m == 0 || n == 0 {
-        return;
-    }
-    PACK_F32.with(|cell| {
-        let (_, pb) = &mut *cell.borrow_mut();
-        let lb = packed_b_len(k, n);
-        if pb.len() < lb {
-            pb.resize(lb, 0.0);
-        }
-        {
-            #[cfg(feature = "trace-gemm")]
-            let _sp = seneca_trace::span_bytes("gemm", "pack", (lb * 4) as u64);
-            pack_b(k, n, |kk, j| b[kk * n + j], &mut pb[..lb]);
-        }
-        #[cfg(feature = "trace-gemm")]
-        let _sp = seneca_trace::span_bytes("gemm", "kernel", (m * n * 4) as u64);
-        run_f32_blocks(k, n, &pa.panels, &pb[..lb], c, epi);
-    });
+    assert_eq!(b.len(), pa.k * n, "B size");
+    run_f32(pa, n, c, epi, |cols, buf| pack_b(pa.k, cols, |kk, j| b[kk * n + j], buf));
 }
 
 /// [`igemm_fused`] with a pre-packed `A` operand (see
@@ -622,37 +838,13 @@ pub fn igemm_fused_packed(
     relu: bool,
     out: &mut [i8],
 ) {
-    let (m, k) = (pa.m, pa.k);
-    assert_eq!(b.len(), k * n, "B size");
-    assert_eq!(out.len(), m * n, "C size");
-    if m == 0 || n == 0 {
-        return;
-    }
-    PACK_I8.with(|cell| {
-        let (_, pb) = &mut *cell.borrow_mut();
-        let lb = packed_b_len(k, n);
-        if pb.len() < lb {
-            pb.resize(lb, 0);
-        }
-        {
-            #[cfg(feature = "trace-gemm")]
-            let _sp = seneca_trace::span_bytes("gemm", "pack", lb as u64);
-            pack_b(k, n, |kk, j| b[kk * n + j], &mut pb[..lb]);
-        }
-        #[cfg(feature = "trace-gemm")]
-        let _sp = seneca_trace::span_bytes("gemm", "kernel", (m * n) as u64);
-        let pbs = &pb[..lb];
-        out.par_chunks_mut(MC * n).enumerate().for_each(|(blk, out_blk)| {
-            i8_block_requant(k, n, blk * MC, &pa.panels, pbs, out_blk, bias, shift, relu);
-        });
-    });
+    requant_packed(pa, n, b, (bias, shift, relu), out);
 }
 
 /// [`igemm_fused_packed`] for a nibble-packed INT4 `A` operand: the weight
 /// panels stream at half the bytes, the activation (`B`) packing and the
 /// fused bias/requant/ReLU epilogue are identical. Bit-identical to
-/// `pa.unpack()` + [`igemm_fused_packed`] — the micro-kernel widens both
-/// nibbles to `i32` and accumulates in the same ascending-`k` order.
+/// `pa.unpack()` + [`igemm_fused_packed`].
 pub fn igemm4_fused_packed(
     pa: &PackedA4,
     n: usize,
@@ -662,68 +854,19 @@ pub fn igemm4_fused_packed(
     relu: bool,
     out: &mut [i8],
 ) {
-    let (m, k) = (pa.m, pa.k);
-    assert_eq!(b.len(), k * n, "B size");
-    assert_eq!(out.len(), m * n, "C size");
-    if m == 0 || n == 0 {
-        return;
-    }
-    PACK_I8.with(|cell| {
-        let (_, pb) = &mut *cell.borrow_mut();
-        let lb = packed_b_len(k, n);
-        if pb.len() < lb {
-            pb.resize(lb, 0);
-        }
-        {
-            #[cfg(feature = "trace-gemm")]
-            let _sp = seneca_trace::span_bytes("gemm", "pack", lb as u64);
-            pack_b(k, n, |kk, j| b[kk * n + j], &mut pb[..lb]);
-        }
-        #[cfg(feature = "trace-gemm")]
-        let _sp = seneca_trace::span_bytes("gemm", "kernel", (m * n) as u64);
-        let pbs = &pb[..lb];
-        out.par_chunks_mut(MC * n).enumerate().for_each(|(blk, out_blk)| {
-            i4_block_requant(k, n, blk * MC, &pa.panels, pbs, out_blk, bias, shift, relu);
-        });
-    });
+    requant_packed(pa, n, b, (bias, shift, relu), out);
 }
 
-/// Shared INT8 entry: packs both i8 operands into the thread-local scratch
-/// and hands the panels to `run` (which fans out over `MC`-row blocks).
-fn with_packed_i8<T>(
-    m: usize,
-    k: usize,
+fn requant_packed<A: Panels<B = i8, Acc = i32>>(
+    pa: &A,
     n: usize,
-    a: &[i8],
     b: &[i8],
-    c: &mut [T],
-    run: impl FnOnce(&[i8], &[i8], &mut [T]),
+    epi: (&[i32], i32, bool),
+    out: &mut [i8],
 ) {
-    assert_eq!(a.len(), m * k, "A size");
+    let k = pa.dims().1;
     assert_eq!(b.len(), k * n, "B size");
-    assert_eq!(c.len(), m * n, "C size");
-    if m == 0 || n == 0 {
-        return;
-    }
-    PACK_I8.with(|cell| {
-        let (pa, pb) = &mut *cell.borrow_mut();
-        let (la, lb) = (packed_a_len(m, k), packed_b_len(k, n));
-        if pa.len() < la {
-            pa.resize(la, 0);
-        }
-        if pb.len() < lb {
-            pb.resize(lb, 0);
-        }
-        {
-            #[cfg(feature = "trace-gemm")]
-            let _sp = seneca_trace::span_bytes("gemm", "pack", (la + lb) as u64);
-            pack_a(m, k, |i, kk| a[i * k + kk], &mut pa[..la]);
-            pack_b(k, n, |kk, j| b[kk * n + j], &mut pb[..lb]);
-        }
-        #[cfg(feature = "trace-gemm")]
-        let _sp = seneca_trace::span_bytes("gemm", "kernel", (m * n) as u64);
-        run(&pa[..la], &pb[..lb], c);
-    });
+    run_requant(pa, n, out, epi, |cols, buf| pack_b(k, cols, |kk, j| b[kk * n + j], buf));
 }
 
 /// INT8 GEMM with `i32` accumulation: `c = a * b`.
@@ -733,11 +876,20 @@ fn with_packed_i8<T>(
 /// to the naive triple loop for any tiling, because i32 addition is
 /// associative and the zero padding contributes exact zeros.
 pub fn igemm(m: usize, k: usize, n: usize, a: &[i8], b: &[i8], c: &mut [i32]) {
-    with_packed_i8(m, k, n, a, b, c, |pa, pb, c| {
-        c.par_chunks_mut(MC * n).enumerate().for_each(|(blk, c_blk)| {
-            i8_block_raw(k, n, blk * MC, pa, pb, c_blk);
-        });
-    });
+    assert_eq!(a.len(), m * k, "A size");
+    assert_eq!(b.len(), k * n, "B size");
+    PackedA::with_scratch(
+        m,
+        k,
+        |i, kk| a[i * k + kk],
+        |pa| {
+            let pack =
+                |cols: Range<usize>, buf: &mut [i8]| pack_b(k, cols, |kk, j| b[kk * n + j], buf);
+            run(pa, n, 1, NR, c, pack, |acc, t, chunks| {
+                store_rows(acc, t, chunks, |_| (), |v, ()| v)
+            });
+        },
+    );
 }
 
 /// [`igemm`] with the DPU requantise-clamp epilogue fused into the store:
@@ -760,11 +912,13 @@ pub fn igemm_fused(
     relu: bool,
     out: &mut [i8],
 ) {
-    with_packed_i8(m, k, n, a, b, out, |pa, pb, out| {
-        out.par_chunks_mut(MC * n).enumerate().for_each(|(blk, out_blk)| {
-            i8_block_requant(k, n, blk * MC, pa, pb, out_blk, bias, shift, relu);
-        });
-    });
+    assert_eq!(a.len(), m * k, "A size");
+    PackedA::with_scratch(
+        m,
+        k,
+        |i, kk| a[i * k + kk],
+        |pa| igemm_fused_packed(pa, n, b, bias, shift, relu, out),
+    );
 }
 
 /// Reference (naive, sequential) f32 GEMM used by tests and benchmarks.

@@ -10,7 +10,8 @@ use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use seneca_tensor::gemm::{
     igemm, igemm4_fused_packed, igemm_fused, igemm_reference, pack_nibble_pairs, sgemm, sgemm_at,
-    sgemm_bt, sgemm_reference, unpack_nibble_pairs, PackedA4, MR, NR,
+    sgemm_bt, sgemm_reference, strip_cols, unpack_nibble_pairs, PackElem, PackedA, PackedA4,
+    FORK_MIN_MACS, MR, NR,
 };
 use seneca_tensor::quantized::requantize_i32;
 
@@ -204,4 +205,81 @@ proptest! {
         igemm_fused(m, k, n, &a, &b, &bias, shift, relu, &mut c8);
         prop_assert_eq!(c4, c8, "{}x{}x{} shift {} relu {}", m, k, n, shift, relu);
     }
+}
+
+/// Smallest row count that puts an `? x k x n` GEMM over the fork threshold.
+fn rows_to_fork(k: usize, n: usize) -> usize {
+    FORK_MIN_MACS.div_ceil(k * n)
+}
+
+/// The seams of the strip-mined driver on plain matrices, against the naive
+/// triple loops (which share no code with it): one column short of a strip,
+/// exactly one strip, one column into the second, many strips under a single
+/// row tile, and `k = 1`. Every case is big enough to fork where the machine
+/// has the threads; `f32` is compared for equality too — the driver sums each
+/// element in ascending `k` like the reference does, whatever the split.
+#[test]
+fn driver_seams_match_the_naive_reference() {
+    let nc = strip_cols(576, 1);
+    let mut cases: Vec<(usize, usize, usize)> =
+        [nc - 1, nc, nc + 1].iter().map(|&n| (rows_to_fork(576, n) + 1, 576, n)).collect();
+    cases.push((3, 576, rows_to_fork(576, 3) + 5)); // m < MR, a dozen strips
+    cases.push((MR + 1, 1, FORK_MIN_MACS / MR + 7)); // k = 1
+    let n = 3 * strip_cols(27, 4) + 17;
+    cases.push((rows_to_fork(27, n) | 1, 27, n)); // odd k, odd m
+    for (m, k, n) in cases {
+        assert!(m * k * n >= FORK_MIN_MACS, "{m}x{k}x{n} would run inline");
+        let (a, b) = (rand_i8(m * k, 1), rand_i8(k * n, 2));
+        let (mut c, mut c_ref) = (vec![0i32; m * n], vec![0i32; m * n]);
+        igemm(m, k, n, &a, &b, &mut c);
+        igemm_reference(m, k, n, &a, &b, &mut c_ref);
+        assert_eq!(c, c_ref, "igemm {m}x{k}x{n}");
+
+        let (a, b) = (rand_f32(m * k, 3), rand_f32(k * n, 4));
+        let (mut c, mut c_ref) = (vec![0.0f32; m * n], vec![0.0f32; m * n]);
+        sgemm(m, k, n, &a, &b, &mut c);
+        sgemm_reference(m, k, n, &a, &b, &mut c_ref);
+        assert!(c.iter().zip(&c_ref).all(|(x, y)| x.to_bits() == y.to_bits()), "sgemm {m}x{k}x{n}");
+    }
+}
+
+/// All-extreme operands at the largest Table II `k`: the unsigned-weight
+/// kernel's intermediate `Σ (a+128)·b` peaks here (`255·128·k`), and its
+/// column-sum correction must land back on the exact signed sum. INT4 rides
+/// along with its own extremes.
+#[test]
+fn extreme_operands_are_bit_exact_at_k_9216() {
+    let (m, k, n) = (MR + 1, 9216, NR + 8);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(77);
+    let mut pick = |len: usize, lo: i8, hi: i8| -> Vec<i8> {
+        (0..len).map(|_| if rng.gen_range(0..2) == 0 { lo } else { hi }).collect()
+    };
+    let fills: [(Vec<i8>, Vec<i8>); 4] = [
+        (vec![-128; m * k], vec![-128; k * n]),
+        (vec![127; m * k], vec![-128; k * n]),
+        (vec![-128; m * k], vec![127; k * n]),
+        (pick(m * k, -128, 127), pick(k * n, -128, 127)),
+    ];
+    for (a, b) in &fills {
+        let (mut c, mut c_ref) = (vec![0i32; m * n], vec![0i32; m * n]);
+        igemm(m, k, n, a, b, &mut c);
+        igemm_reference(m, k, n, a, b, &mut c_ref);
+        assert_eq!(c, c_ref, "a[0] = {}, b[0] = {}", a[0], b[0]);
+    }
+    let (a4, b) = (pick(m * k, -8, 7), pick(k * n, -128, 127));
+    let mut acc = vec![0i32; m * n];
+    igemm_reference(m, k, n, &a4, &b, &mut acc);
+    let want: Vec<i8> = acc.iter().map(|&v| requantize_i32(v, 16)).collect();
+    let mut got = vec![0i8; m * n];
+    igemm4_fused_packed(&PackedA4::pack(m, k, &a4), n, &b, &[], 16, false, &mut got);
+    assert_eq!(got, want, "INT4 extremes");
+}
+
+/// Beyond `k = 65 536` the offset accumulator could overflow `i32`; packing
+/// such an INT8 operand is refused outright.
+#[test]
+#[should_panic(expected = "accumulator-safe extent")]
+fn int8_panels_refuse_k_beyond_the_overflow_bound() {
+    let k = <i8 as PackElem>::MAX_K + 1;
+    PackedA::pack(1, k, &vec![0i8; k]);
 }

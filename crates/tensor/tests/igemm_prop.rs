@@ -14,13 +14,15 @@
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use seneca_tensor::gemm::{
-    igemm4_fused_packed, igemm_fused, sgemm_fused, GemmEpilogue, PackedA, PackedA4,
+    igemm4_fused_packed, igemm_fused, igemm_reference, sgemm_fused, sgemm_reference, strip_cols,
+    GemmEpilogue, PackedA, PackedA4, FORK_MIN_MACS,
 };
 use seneca_tensor::igemm::{
     igemm4_conv_packed, igemm4_tconv2x2_packed, igemm_conv_packed, igemm_tconv2x2_packed,
     sgemm_conv, sgemm_tconv2x2,
 };
 use seneca_tensor::im2col::{im2col, im2col_t, ConvGeom};
+use seneca_tensor::quantized::requantize_i32;
 use seneca_tensor::tconv::{repack_tconv_weights, scatter_tconv2x2};
 
 fn rand_f32(len: usize, seed: u64) -> Vec<f32> {
@@ -233,5 +235,154 @@ proptest! {
         let mut y_ref = vec![0i8; c_out * 4 * n];
         scatter_tconv2x2(c_out, h, w, &ytmp, &mut y_ref);
         prop_assert_eq!(y, y_ref, "cin{} cout{} {}x{} shift {}", c_in, c_out, h, w, shift);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The seams of the strip-mined driver, at sizes where it really cuts strips
+// and forks (the property tests above stay under one strip and run inline),
+// against references that share no code with it: `im2col_t` + the naive
+// triple loops for conv, the transpose-conv definition for tconv.
+// ---------------------------------------------------------------------------
+
+/// Naive conv in all three operand types from one `[-8, 7]` weight draw:
+/// returns `(f32 out, i8 out)`; W4 must equal the `i8` result.
+fn conv_reference(
+    m: usize,
+    geom: &ConvGeom,
+    wt: &[i8],
+    x: &[i8],
+    bias: &[i32],
+    shift: i32,
+) -> (Vec<f32>, Vec<i8>) {
+    let (k, n) = (geom.col_rows(), geom.col_cols());
+    let mut col = vec![0i8; k * n];
+    im2col_t(geom, x, &mut col);
+    let mut acc = vec![0i32; m * n];
+    igemm_reference(m, k, n, wt, &col, &mut acc);
+    let q = acc.iter().enumerate().map(|(i, &v)| requantize_i32(v + bias[i / n], shift).max(0));
+    let (wf, colf): (Vec<f32>, Vec<f32>) =
+        (wt.iter().map(|&v| v as f32 / 8.0).collect(), col.iter().map(|&v| v as f32).collect());
+    let mut yf = vec![0.0f32; m * n];
+    sgemm_reference(m, k, n, &wf, &colf, &mut yf);
+    for (i, v) in yf.iter_mut().enumerate() {
+        *v = (*v + bias[i / n] as f32).max(0.0);
+    }
+    (yf, q.collect())
+}
+
+#[test]
+fn conv_driver_seams_match_the_naive_reference() {
+    let fork_rows = |k: usize, n: usize| FORK_MIN_MACS.div_ceil(k * n);
+    // (c_in, kernel, h, w, m): `w` is never a multiple of NR, so strips and
+    // parts start mid-row.
+    let (nc8, nc32) = (strip_cols(576, 1), strip_cols(576, 4));
+    let mut cases = vec![
+        (1, 1, 5, 7, 3),                                         // k = 1, n < NR, m < MR
+        (3, 3, 5, 9, 33),                                        // odd k, n % NR != 0, m % 32 != 0
+        (64, 3, 11, 449, 3),                                     // m < MR under a dozen strips
+        (3, 3, 70, 150, FORK_MIN_MACS.div_ceil(27 * 10500) | 1), // small odd k, wide strips
+    ];
+    for nc in [nc8, nc32] {
+        // One column short of a strip, exactly one strip, one column over.
+        cases.extend([nc - 1, nc, nc + 1].map(|n| (64, 3, 1, n, fork_rows(576, n) + 1)));
+    }
+    for (c_in, kk, h, w, m) in cases {
+        let geom = ConvGeom { c_in, h, w, k: kk, pad: kk / 2, stride: 1 };
+        let (k, n) = (geom.col_rows(), geom.col_cols());
+        let what = format!("{c_in}x{h}x{w} k{kk} m{m}");
+        let (wt, x) = (rand_i4(m * k, 5), rand_i8(c_in * n, 6));
+        let bias: Vec<i32> = (0..m as i32).map(|i| i * 91 - 777).collect();
+        let shift = 3 + k.ilog2() as i32;
+        let (want_f32, want_i8) = conv_reference(m, &geom, &wt, &x, &bias, shift);
+
+        let mut y = vec![0i8; m * n];
+        igemm_conv_packed(&PackedA::pack(m, k, &wt), &geom, &x, &bias, shift, true, &mut y);
+        assert_eq!(y, want_i8, "W8 {what}");
+        y.fill(0);
+        igemm4_conv_packed(&PackedA4::pack(m, k, &wt), &geom, &x, &bias, shift, true, &mut y);
+        assert_eq!(y, want_i8, "W4 {what}");
+
+        let wf: Vec<f32> = wt.iter().map(|&v| v as f32 / 8.0).collect();
+        let xf: Vec<f32> = x.iter().map(|&v| v as f32).collect();
+        let bf: Vec<f32> = bias.iter().map(|&v| v as f32).collect();
+        let mut yf = vec![0.0f32; m * n];
+        sgemm_conv(m, &wf, &geom, &xf, &mut yf, GemmEpilogue::BiasRelu(&bf));
+        // Same ascending-k sum per element as the naive loop: equal bits.
+        assert!(yf.iter().zip(&want_f32).all(|(a, b)| a.to_bits() == b.to_bits()), "f32 {what}");
+    }
+}
+
+/// 2x2 stride-2 transpose conv by its definition, from `[C_in, C_out, 2, 2]`
+/// weights: `out[co][2iy+ky][2ix+kx] = f(Σ_ci x[ci][iy][ix] · w[ci][co][ky][kx], co)`.
+fn tconv_reference<T: Copy, A: Default, O: Default + Clone>(
+    (c_in, c_out, h, w): (usize, usize, usize, usize),
+    wt: &[T],
+    x: &[T],
+    mac: impl Fn(A, T, T) -> A,
+    finish: impl Fn(A, usize) -> O,
+) -> Vec<O> {
+    let mut out = vec![O::default(); c_out * 4 * h * w];
+    for co in 0..c_out {
+        for (iy, ix, kidx) in
+            (0..h).flat_map(|iy| (0..w).flat_map(move |ix| (0..4).map(move |q| (iy, ix, q))))
+        {
+            let acc = (0..c_in).fold(A::default(), |a, ci| {
+                mac(a, x[(ci * h + iy) * w + ix], wt[(ci * c_out + co) * 4 + kidx])
+            });
+            let (oy, ox) = (2 * iy + kidx / 2, 2 * ix + kidx % 2);
+            out[(co * 2 * h + oy) * 2 * w + ox] = finish(acc, co);
+        }
+    }
+    out
+}
+
+#[test]
+fn tconv_driver_seams_match_the_definition() {
+    // Non-square, non-power-of-two widths: a column part must cover whole
+    // input rows whatever `w` is. (c_in, c_out, h, w): the first splits
+    // columns in both dtypes (several strips), the second is one INT8 strip
+    // and splits row tiles (m = 36 leaves a half tile), the third is tiny.
+    for dims in [(64, 9, 70, 61), (256, 9, 31, 33), (3, 1, 3, 5)] {
+        let (c_in, c_out, h, w) = dims;
+        let (m, n) = (4 * c_out, h * w);
+        let wt = rand_i4(c_in * c_out * 4, 7);
+        let mut wk = vec![0i8; m * c_in];
+        repack_tconv_weights(c_in, c_out, &wt, &mut wk);
+        let x = rand_i8(c_in * n, 8);
+        let bias: Vec<i32> = (0..c_out as i32).map(|i| i * 37 - 111).collect();
+        let bias4: Vec<i32> = (0..m).map(|i| bias[i / 4]).collect();
+        let shift = 2 + c_in.ilog2() as i32;
+        let want = tconv_reference(
+            dims,
+            &wt,
+            &x,
+            |a: i32, x, w| a + x as i32 * w as i32,
+            |a, co| requantize_i32(a + bias[co], shift),
+        );
+        let mut y = vec![0i8; 4 * c_out * n];
+        igemm_tconv2x2_packed(&PackedA::pack(m, c_in, &wk), &x, h, w, &bias4, shift, false, &mut y);
+        assert_eq!(y, want, "W8 {dims:?}");
+        y.fill(0);
+        igemm4_tconv2x2_packed(
+            &PackedA4::pack(m, c_in, &wk),
+            &x,
+            h,
+            w,
+            &bias4,
+            shift,
+            false,
+            &mut y,
+        );
+        assert_eq!(y, want, "W4 {dims:?}");
+
+        let to_f32 = |v: &[i8]| v.iter().map(|&v| v as f32 / 4.0).collect::<Vec<f32>>();
+        let (wtf, wkf, xf) = (to_f32(&wt), to_f32(&wk), to_f32(&x));
+        let bf4: Vec<f32> = bias4.iter().map(|&v| v as f32).collect();
+        let want =
+            tconv_reference(dims, &wtf, &xf, |a: f32, x, w| a + w * x, |a, co| a + bf4[4 * co]);
+        let mut yf = vec![0.0f32; 4 * c_out * n];
+        sgemm_tconv2x2(c_out, c_in, &wkf, &xf, h, w, &bf4, &mut yf);
+        assert!(yf.iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits()), "f32 {dims:?}");
     }
 }

@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
 # Regenerates BENCH_kernels.json at the repo root: packed GEMM engine vs the
-# pre-PR kernels on the highest-MAC conv GEMM shape of each Table II model.
+# pre-PR kernels on two conv GEMM shapes of each Table II model — its
+# highest-MAC one and its highest-MAC full-resolution (256x256) one — raw
+# GEMM and conv-level (implicit vs materialized), with the INT8 / FP32
+# MAC-rate ratio per shape.
 #
 # Two passes:
 #   1. The pre-PR baseline kernels are benchmarked from a build with

@@ -20,11 +20,11 @@ cp "$src" BENCH_profile.json
 echo "BENCH_profile.json updated (scale: $scale)"
 
 # Conv-level before/after: when a BENCH_profile_before.json snapshot exists
-# (captured on the materialized-im2col route), print the paper-geometry
-# per-frame deltas so a kernel change's end-to-end effect is visible in CI
-# logs, not just raw-GEMM throughput.
+# (the parent commit's BENCH_profile.json, kept by the PR that moves the
+# kernels), print the paper-geometry per-frame deltas so a kernel change's
+# end-to-end effect is visible in CI logs, not just raw-GEMM throughput.
 if [ -f BENCH_profile_before.json ] && command -v jq >/dev/null; then
-  echo "paper-geometry ms/frame, before (materialized) -> after (implicit):"
+  echo "paper-geometry ms/frame, before (BENCH_profile_before.json) -> after:"
   jq -r --slurpfile before BENCH_profile_before.json '
     .paper_geometry[] as $a
     | ($before[0].paper_geometry[] | select(.model == $a.model)) as $b

@@ -16,8 +16,13 @@ echo "== cargo test --workspace -q =="
 # that a bare `cargo test -q` runs. No known-failure carve-outs.
 cargo test --workspace -q
 
+echo "== single-part path (RAYON_NUM_THREADS=1: the GEMM driver never forks) =="
+RAYON_NUM_THREADS=1 cargo test -q -p seneca-tensor -p seneca-ir
+
 echo "== benchmark package (a crate API change that breaks benchmark/ fails here) =="
-cargo test --offline -q --manifest-path benchmark/Cargo.toml
+# --release, as benchmark/README.md runs them: two of its tests time the
+# machine-speed calibration kernel, which a debug build slows past their budget.
+cargo test --offline -q --release --manifest-path benchmark/Cargo.toml
 bash benchmark/run.sh --quick
 
 echo "== serve smoke (seneca-serve demo) =="
@@ -26,8 +31,11 @@ cargo run --release -q -p seneca-serve --example serve_demo -- smoke
 echo "== ir smoke (pass pipeline clean; peak arena < total activations; implicit-GEMM peak < materialized route) =="
 cargo run --release -q -p seneca-bench --example ir_stats
 
-echo "== kernel smoke (packed GEMM beats reference; igemm bit-exact; implicit conv bit-exact and not slower than materialized) =="
+echo "== kernel smoke (packed GEMM beats reference; igemm bit-exact; implicit conv bit-exact; on 16M 64->32 @256: implicit >= materialized, i8 >= 1.25x f32 MAC rate) =="
 cargo run --release -q -p seneca-bench --example kernel_stats -- smoke
+
+echo "== kernel asm (INT8/INT4 tile functions: vpdpwssd/vpmaddwd, no vpmulld) =="
+bash scripts/check_kernel_asm.sh
 
 echo "== fleet smoke (2x batch overload: fleet up, interactive p99 in SLO, no cross-tenant misses) =="
 cargo run --release -q -p seneca-bench --bin reproduce -- fleet --scale fast

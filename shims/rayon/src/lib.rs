@@ -1,8 +1,9 @@
 //! Offline drop-in replacement for the subset of `rayon` this workspace
 //! uses. Parallelism is real: indexed parallel iterators are recursively
-//! `split_at` into contiguous parts, one per available core, and driven on
-//! `std::thread::scope` workers. Inputs too small to split run inline on
-//! the calling thread, so tiny kernels pay no spawn cost.
+//! `split_at` into contiguous parts, one per available core; all but the
+//! last are driven on `std::thread::scope` workers, the last on the calling
+//! thread. Inputs too small to split run inline on the calling thread, so
+//! tiny kernels pay no spawn cost.
 
 use std::sync::OnceLock;
 
@@ -119,11 +120,18 @@ where
     if len < 2 || threads < 2 {
         return vec![body(iter)];
     }
-    let parts = split_even(iter, len.min(threads));
+    let mut parts = split_even(iter, len.min(threads));
+    // The caller is a core too: it runs the last part itself (N-1 spawns)
+    // instead of parking in `join` while N workers share its core.
+    let last = parts.pop().expect("split_even yields at least one part");
     std::thread::scope(|scope| {
         let handles: Vec<_> =
             parts.into_iter().map(|part| scope.spawn(move || body(part))).collect();
-        handles.into_iter().map(|h| h.join().expect("rayon shim worker panicked")).collect()
+        let last = body(last);
+        let mut out: Vec<R> =
+            handles.into_iter().map(|h| h.join().expect("rayon shim worker panicked")).collect();
+        out.push(last);
+        out
     })
 }
 
@@ -501,6 +509,27 @@ mod tests {
             count.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(count.load(Ordering::Relaxed), 999);
+    }
+
+    /// Two parts, one spawn: the caller runs a part itself.
+    #[test]
+    fn caller_thread_runs_exactly_one_of_two_parts() {
+        let caller = std::thread::current().id();
+        let ids = super::map_parts(super::ParRange { start: 0, end: 2 }, &|_| {
+            std::thread::current().id()
+        });
+        if super::current_num_threads() < 2 {
+            return assert_eq!(ids, [caller], "single-threaded: one inline part");
+        }
+        assert_eq!(ids.len(), 2);
+        assert_eq!(ids.iter().filter(|&&id| id == caller).count(), 1, "{ids:?} vs {caller:?}");
+        assert_eq!(ids[1], caller, "part order: the caller takes the last part");
+    }
+
+    #[test]
+    #[should_panic]
+    fn a_panicking_part_panics_the_caller() {
+        (0..2).into_par_iter().for_each(|i| assert_ne!(i, 0, "part 0 fails"));
     }
 
     #[test]
