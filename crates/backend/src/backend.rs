@@ -110,13 +110,16 @@ fn measured_throughput<E: InferenceEngine>(
     }
 }
 
-/// Host FP32 reference backend: executes the inference [`Graph`] (BN and
-/// softmax still explicit) on the CPU. This is the bit-for-bit twin of the
-/// GPU baseline's functional path.
+/// Host FP32 reference backend: executes the inference [`Graph`] on the CPU
+/// in its own arithmetic — each conv's BatchNorm and ReLU ride in its GEMM
+/// store (an exact rewrite, not a fold), softmax stays explicit. This is the
+/// bit-for-bit twin of the GPU baseline's functional path. Clones share the
+/// graph and the lowered program; its weights are held once (the lowering
+/// shares the graph's weight tensors) next to their packed panels.
 #[derive(Clone)]
 pub struct Fp32RefBackend {
     /// FP32 inference graph.
-    pub graph: Graph,
+    pub graph: Arc<Graph>,
     /// Input geometry.
     pub input_shape: Shape4,
     /// Host worker threads for batch inference.
@@ -130,7 +133,7 @@ impl Fp32RefBackend {
     /// Creates a single-threaded reference backend.
     pub fn new(graph: Graph, input_shape: Shape4) -> Self {
         let lowered = Arc::new(lower(graph.to_ir(), input_shape, &LowerOptions::reference()));
-        Self { graph, input_shape, threads: 1, lowered }
+        Self { graph: Arc::new(graph), input_shape, threads: 1, lowered }
     }
 
     /// Sets the host thread count.
@@ -280,6 +283,30 @@ mod tests {
     use rand::SeedableRng;
     use seneca_nn::unet::{UNet, UNetConfig};
     use seneca_quant::{fuse, quantize_post_training, PtqConfig};
+
+    /// FP32 results do not depend on the thread count, bit for bit: two
+    /// session workers against one, at a size where the GEMM driver forks
+    /// (each element is one ascending-`k` FMA chain whatever the split). The
+    /// benchmark's FP32 output check (1e-4 against a single-thread
+    /// reference) stands on this.
+    #[test]
+    fn fp32_backend_is_thread_count_invariant_bit_for_bit() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(22);
+        let cfg =
+            UNetConfig { depth: 2, base_filters: 8, in_channels: 1, num_classes: 6, dropout: 0.0 };
+        let graph = Graph::from_unet(&UNet::new(cfg, &mut rng), "t");
+        let shape = Shape4::new(1, 1, 64, 48);
+        let frames: Vec<Tensor> = (0..3).map(|_| Tensor::he_normal(shape, &mut rng)).collect();
+        let single = Fp32RefBackend::new(graph, shape);
+        let pooled = single.clone().with_threads(2);
+        assert!(Arc::ptr_eq(&single.graph, &pooled.graph), "clones share the graph");
+        let bits = |p: &Prediction| -> Vec<u32> {
+            p.as_f32().unwrap().data().iter().map(|v| v.to_bits()).collect()
+        };
+        for (s, p) in single.infer_batch(&frames).iter().zip(&pooled.infer_batch(&frames)) {
+            assert_eq!(bits(s), bits(p));
+        }
+    }
 
     /// One odd-sized frame must not take the batch down: the INT8 backend
     /// re-plans its arena like its FP32 twin, and goes back afterwards.

@@ -2,7 +2,8 @@
 //! Table II model sizes at 256x256. Used as a CI gate: on every model the
 //! frontend pipeline must fold all BN nodes, fuse all standalone ReLUs,
 //! strip all inference identities, give every conv/tconv weight a pack
-//! slot — the planned arena must beat the naive sum-of-all-activations
+//! slot; the reference lowering must carry every BN and ReLU in a conv
+//! store — the planned arena must beat the naive sum-of-all-activations
 //! pool on both the FP32 and INT8 lowerings — and the implicit-GEMM
 //! route's reported peak (slots + strip buffers) must beat the materialized
 //! route's footprint (slots + im2col column / pre-scatter buffer + the
@@ -94,6 +95,15 @@ fn main() {
         // executors actually run): the liveness plan must beat the naive
         // per-node activation pool.
         let fp_ref = lower(g.to_ir(), input, &LowerOptions::reference());
+        // The reference lowering runs the exact fusions: every BN and ReLU
+        // rides in its conv's GEMM store, none is left as a pass.
+        let ref_stats = fp_ref.stats();
+        assert_eq!(
+            (ref_stats.bn_fused, ref_stats.relu_fused),
+            (count("batchnorm"), count("relu")),
+            "{}: BN or ReLU left as a pass in the FP32 reference lowering",
+            size.label()
+        );
         let plan = fp_ref.plan();
         let (qg, _) = quantize_post_training(&fuse(&g), &calib, &PtqConfig::default());
         let q_ref = lower(qg.to_ir(), input, &LowerOptions::reference());

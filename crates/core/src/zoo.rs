@@ -18,11 +18,19 @@ pub fn artifacts_dir() -> PathBuf {
     PathBuf::from("target/seneca-artifacts")
 }
 
-/// A stable fingerprint of everything that affects trained weights.
+/// Version of everything *code* that shapes trained weights without showing
+/// up in the configuration: the label and preprocessing pipeline, and the
+/// arithmetic of training itself. Bump it with such a change, and every
+/// cached model is retrained instead of silently reused. 2: FP32 GEMMs (all
+/// of training) accumulate with fused multiply-add.
+const PIPELINE_VERSION: u32 = 2;
+
+/// A stable fingerprint of everything that affects trained weights: the
+/// configuration, salted with the pipeline version (the leading `v<N>`).
 pub fn config_fingerprint(cfg: &SenecaConfig) -> String {
     let c = &cfg.cohort;
     format!(
-        "p{}s{}z{}i{}ts{}e{}b{}lr{}sd{:x}{}",
+        "v{PIPELINE_VERSION}p{}s{}z{}i{}ts{}e{}b{}lr{}sd{:x}{}",
         c.n_patients,
         c.slice_size,
         c.slices_per_unit_z as u32,
@@ -90,6 +98,7 @@ mod tests {
         b.train.epochs += 1;
         assert_ne!(config_fingerprint(&a), config_fingerprint(&b));
         assert_eq!(config_fingerprint(&a), config_fingerprint(&SenecaConfig::fast()));
+        assert!(config_fingerprint(&a).starts_with(&format!("v{PIPELINE_VERSION}p")));
     }
 
     #[test]

@@ -44,9 +44,10 @@ pub use tenant::{TenantId, TenantSpec};
 #[cfg(test)]
 mod tests {
     use super::*;
+    use seneca_backend::{Backend, Prediction, ThroughputReport};
     use seneca_serve::{Priority, ServeError, SyntheticBackend};
     use seneca_tensor::{Shape4, Tensor};
-    use std::sync::Arc;
+    use std::sync::{mpsc, Arc, Mutex};
     use std::time::Duration;
 
     fn frame() -> Tensor {
@@ -192,11 +193,37 @@ mod tests {
         fleet.shutdown();
     }
 
+    /// A backend that reports each batch as started and then holds it until
+    /// the test releases it: the test, not the scheduler, decides how long
+    /// the model stays busy.
+    struct Gated {
+        started: Mutex<mpsc::Sender<()>>,
+        release: Mutex<mpsc::Receiver<()>>,
+    }
+
+    impl Backend for Gated {
+        fn name(&self) -> String {
+            "gated".into()
+        }
+
+        fn infer_batch(&self, images: &[Tensor]) -> Vec<Prediction> {
+            self.started.lock().expect("gate lock").send(()).expect("test listens");
+            self.release.lock().expect("gate lock").recv().expect("test releases");
+            SyntheticBackend::new(Duration::ZERO).infer_batch(images)
+        }
+
+        fn throughput(&self, n_frames: usize, seed: u64) -> ThroughputReport {
+            SyntheticBackend::new(Duration::ZERO).throughput(n_frames, seed)
+        }
+    }
+
     #[test]
     fn overload_downgrade_stays_at_or_above_the_floor() {
-        // The fine model has one queue slot and a glacial backend; the
-        // downgrade-tolerant tenant falls back to the cheap model, the
+        // The fine model has one queue slot and a backend held at a gate;
+        // the downgrade-tolerant tenant falls back to the cheap model, the
         // pinned tenant is rejected instead.
+        let (started_tx, started) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
         let mut b = FleetBuilder::new(FleetConfig {
             shards: 1,
             serve: seneca_serve::ServeConfig {
@@ -214,39 +241,30 @@ mod tests {
             1000.0,
             Arc::new(SyntheticBackend::new(Duration::from_micros(200))),
         ));
-        b.model(ModelSpec::from_fps(
-            "fine",
-            93.8,
-            10.0,
-            Arc::new(SyntheticBackend::new(Duration::from_millis(40))),
-        ));
+        let gated = Gated { started: Mutex::new(started_tx), release: Mutex::new(release_rx) };
+        b.model(ModelSpec::from_fps("fine", 93.8, 10.0, Arc::new(gated)));
         let flex = b.tenant(TenantSpec::batch("flex", 93.8).with_floor(93.0));
         let pinned = b.tenant(TenantSpec::batch("pinned", 93.8));
         let fleet = b.start();
         let h = fleet.handle();
 
-        // Saturate the fine model: one executing + one queued.
-        let mut held = Vec::new();
-        let mut downgraded = None;
-        for i in 0..8u64 {
-            match h.submit(flex, i, frame()) {
-                Ok(t) if t.downgraded => {
-                    assert_eq!(t.model, 0, "downgrade lands on the cheap model");
-                    downgraded = Some(t);
-                    break;
-                }
-                Ok(t) => held.push(t),
-                Err(e) => panic!("flex tenant must downgrade, not fail: {e}"),
-            }
-        }
-        let downgraded = downgraded.expect("fine-model overload must downgrade");
+        // Saturate the fine model: one executing (held at the gate) + one
+        // queued; the next flex request has to go elsewhere.
+        let executing = h.submit(flex, 0, frame()).expect("admitted");
+        started.recv().expect("the fine model runs the first request");
+        let queued = h.submit(flex, 1, frame()).expect("admitted to the free queue slot");
+        assert!(!executing.downgraded && !queued.downgraded);
+        let downgraded = h.submit(flex, 2, frame()).expect("flex tenant must downgrade, not fail");
+        assert!(downgraded.downgraded, "fine-model overload must downgrade");
+        assert_eq!(downgraded.model, 0, "downgrade lands on the cheap model");
         // The pinned tenant sees the same overload and is refused.
         assert_eq!(
             h.submit(pinned, 99, frame()).unwrap_err(),
             FleetError::Overloaded(ServeError::QueueFull)
         );
         downgraded.wait().result.expect("served on the cheap model");
-        for t in held {
+        for t in [executing, queued] {
+            release.send(()).expect("the fine model waits at the gate");
             t.wait().result.expect("served on the fine model");
         }
         let stats = fleet.shutdown();

@@ -8,11 +8,13 @@ use seneca_nn::graph::Graph;
 use seneca_tensor::{Shape4, Tensor};
 use std::sync::Arc;
 
-/// The GPU runner: owns the FP32 graph and the device model.
+/// The GPU runner: owns the FP32 graph and the device model. Clones share
+/// the graph and the lowered program.
 #[derive(Clone)]
 pub struct GpuRunner {
-    /// FP32 inference graph (BN and softmax still explicit, like TF).
-    pub graph: Graph,
+    /// FP32 inference graph (BN and softmax still explicit, like TF; the
+    /// functional path carries each BN in its conv's store, exactly).
+    pub graph: Arc<Graph>,
     /// Device model.
     pub device: GpuModel,
     /// Input geometry.
@@ -26,7 +28,7 @@ impl GpuRunner {
     /// Creates a runner.
     pub fn new(graph: Graph, device: GpuModel, input_shape: Shape4) -> Self {
         let lowered = Arc::new(lower(graph.to_ir(), input_shape, &LowerOptions::reference()));
-        Self { graph, device, input_shape, lowered }
+        Self { graph: Arc::new(graph), device, input_shape, lowered }
     }
 
     /// One throughput run: modelled frame latency with seeded measurement

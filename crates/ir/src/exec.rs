@@ -194,15 +194,18 @@ impl Lowered {
                     let ConvKernel::F32 { b, .. } = &a.kernel else {
                         panic!("INT8 kernel in an FP32 module")
                     };
-                    let PackedKernel::ConvF32(pa) = self.pack_of(a) else {
+                    let PackedKernel::ConvF32 { pa, bn } = self.pack_of(a) else {
                         panic!("pack slot holds the wrong kernel kind")
                     };
-                    let epi = match (b.is_empty(), a.relu) {
-                        (true, false) => GemmEpilogue::None,
-                        (false, false) => GemmEpilogue::Bias(b),
+                    let epi = match (b.is_empty(), bn.is_empty(), a.relu) {
+                        (true, true, false) => GemmEpilogue::None,
+                        (false, true, false) => GemmEpilogue::Bias(b),
                         // BiasRelu with an empty slice is a plain ReLU
                         // (missing bias reads 0).
-                        (_, true) => GemmEpilogue::BiasRelu(b),
+                        (_, true, true) => GemmEpilogue::BiasRelu(b),
+                        // A carried BatchNorm: what the bias store, the BN
+                        // pass and the ReLU pass computed, bit for bit.
+                        (_, false, relu) => GemmEpilogue::BiasBn { bias: b, bn, relu },
                     };
                     let geom = same3x3(xs);
                     per_image(xs, x, out, |x_n, y_n| sgemm_conv_packed(pa, &geom, x_n, y_n, epi));
@@ -443,34 +446,46 @@ mod tests {
     fn f32_conv(c_in: usize, c_out: usize, relu: bool, rng: &mut StdRng) -> IrOp {
         let w = rand_tensor(Shape4::new(c_out, c_in, 3, 3), rng);
         let b: Vec<f32> = (0..c_out).map(|_| rng.gen_range(-0.2f32..0.2)).collect();
-        IrOp::Conv(ConvAttrs { kernel: ConvKernel::F32 { w: w.into(), b }, relu, pack: None })
+        IrOp::Conv(ConvAttrs {
+            kernel: ConvKernel::F32 { w: w.into(), b, bn: None },
+            relu,
+            pack: None,
+        })
     }
 
-    /// A small FP32 module covering every op: conv(+relu attr), bn,
-    /// standalone relu, pool, tconv, concat, dropout, softmax.
-    fn f32_module(rng: &mut StdRng) -> Module {
-        let mut m = Module::new("exec-f32", DType::F32);
-        let c1 = m.push(f32_conv(2, 4, true, rng), vec![0]);
-        let mut bn = BnState::new(4);
-        for i in 0..4 {
+    fn rand_bn(c: usize, rng: &mut StdRng) -> IrOp {
+        let mut bn = BnState::new(c);
+        for i in 0..c {
             bn.gamma[i] = rng.gen_range(0.5f32..1.5);
             bn.beta[i] = rng.gen_range(-0.3f32..0.3);
             bn.running_mean[i] = rng.gen_range(-0.3f32..0.3);
             bn.running_var[i] = rng.gen_range(0.3f32..1.5);
         }
-        let b1 = m.push(IrOp::BatchNorm { bn }, vec![c1]);
+        IrOp::BatchNorm { bn }
+    }
+
+    /// A small FP32 module covering every op: conv(+relu attr), standalone
+    /// bn and relu (after a conv whose ReLU is already fused, so they stay
+    /// passes), conv → bn → relu (carried into the conv's store), pool,
+    /// tconv, concat, dropout, softmax.
+    fn f32_module(rng: &mut StdRng) -> Module {
+        let mut m = Module::new("exec-f32", DType::F32);
+        let c1 = m.push(f32_conv(2, 4, true, rng), vec![0]);
+        let b1 = m.push(rand_bn(4, rng), vec![c1]);
         let r1 = m.push(IrOp::Relu, vec![b1]);
         let p1 = m.push(IrOp::MaxPool2x2, vec![r1]);
-        let c2 = m.push(f32_conv(4, 6, true, rng), vec![p1]);
+        let c2 = m.push(f32_conv(4, 6, false, rng), vec![p1]);
+        let b2 = m.push(rand_bn(6, rng), vec![c2]);
+        let r2 = m.push(IrOp::Relu, vec![b2]);
         let wt = rand_tensor(Shape4::new(6, 4, 2, 2), rng);
         let bt: Vec<f32> = (0..4).map(|_| rng.gen_range(-0.2f32..0.2)).collect();
         let t = m.push(
             IrOp::TConv(ConvAttrs {
-                kernel: ConvKernel::F32 { w: wt.into(), b: bt },
+                kernel: ConvKernel::F32 { w: wt.into(), b: bt, bn: None },
                 relu: false,
                 pack: None,
             }),
-            vec![c2],
+            vec![r2],
         );
         let cat = m.push(IrOp::Concat { requant: None }, vec![r1, t]);
         let d = m.push(IrOp::Dropout { rate: 0.5 }, vec![cat]);
@@ -487,7 +502,10 @@ mod tests {
         let s = Shape4::new(2, 2, 8, 8);
         let frames: Vec<Tensor> = (0..3).map(|_| rand_tensor(s, &mut rng)).collect();
         let lowered = assert_f32_matches_oracle(&m, &frames);
-        assert_eq!(lowered.stats().pack_slots, 3);
+        let stats = lowered.stats();
+        assert_eq!((stats.pack_slots, stats.bn_fused, stats.relu_fused), (3, 1, 1));
+        let left = |op: &str| lowered.module().op_histogram().get(op).copied();
+        assert_eq!((left("batchnorm"), left("relu")), (Some(1), Some(1)));
     }
 
     /// A quantised conv/tconv kernel from FP32 weights and bias: weights on
@@ -588,7 +606,7 @@ mod tests {
         let w = Tensor::he_normal(Shape4::new(4, 3, 3, 3), &mut rng);
         let b = vec![0.05, -0.02, 0.0, 0.11];
         let mut fm = Module::new("fp32", DType::F32);
-        let kernel = ConvKernel::F32 { w: w.clone().into(), b: b.clone() };
+        let kernel = ConvKernel::F32 { w: w.clone().into(), b: b.clone(), bn: None };
         fm.push(IrOp::Conv(ConvAttrs { kernel, relu: false, pack: None }), vec![0]);
         let y_ref = execute_f32(&fm, &x);
 
@@ -630,7 +648,7 @@ mod tests {
         let w = Tensor::he_normal(Shape4::new(2, 3, 2, 2), &mut rng);
         let b = vec![0.01, -0.03, 0.02];
         let mut fm = Module::new("fp32", DType::F32);
-        let kernel = ConvKernel::F32 { w: w.clone().into(), b: b.clone() };
+        let kernel = ConvKernel::F32 { w: w.clone().into(), b: b.clone(), bn: None };
         fm.push(IrOp::TConv(ConvAttrs { kernel, relu: false, pack: None }), vec![0]);
         let y_ref = execute_f32(&fm, &x);
 

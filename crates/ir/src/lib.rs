@@ -2,8 +2,9 @@
 //!
 //! The typed graph IR at the centre of the SENECA reproduction: one node
 //! vocabulary ([`Module`]) with explicit dtype and quantisation attributes,
-//! a rewrite-pass pipeline ([`passes`]: BN fold → ReLU fusion → identity
-//! strip → pack-slot assignment), and a single lowering path ([`lower`])
+//! a rewrite-pass pipeline ([`passes`]: BN fold or exact BN carry → ReLU
+//! fusion → identity strip → pack-slot assignment), and a single lowering
+//! path ([`lower`])
 //! that ends in liveness planning ([`ExecPlan`]).
 //!
 //! The FP32 executor, the bit-exact INT8 executor and the DPU compiler all

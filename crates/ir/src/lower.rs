@@ -1,7 +1,7 @@
 //! Lowering: IR module → executable program.
 //!
 //! [`lower`] runs the rewrite passes selected by [`LowerOptions`] (BN fold →
-//! ReLU fusion → identity strip), assigns every weight a pack slot, then
+//! BN carry → ReLU fusion → identity strip), assigns every weight a pack slot, then
 //! materialises everything the executors need per model — shapes, fix
 //! positions, the liveness [`ExecPlan`] and the **pre-packed weight
 //! panels**. Weights are immutable at inference, so their GEMM A-operand
@@ -11,7 +11,9 @@
 
 use crate::exec::{FpScratch, QScratch, Scratch};
 use crate::module::{ConvKernel, IrOp, Module, PackFormat};
-use crate::passes::{assign_pack_slots, fold_batchnorm, fuse_relu, strip_identities, PassStats};
+use crate::passes::{
+    assign_pack_slots, fold_batchnorm, fuse_batchnorm, fuse_relu, strip_identities, PassStats,
+};
 use crate::plan::ExecPlan;
 use seneca_tensor::gemm::{PackedA, PackedA4};
 use seneca_tensor::quantized::Bitwidth;
@@ -22,9 +24,14 @@ use seneca_tensor::Shape4;
 /// once here: weights are immutable at inference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LowerOptions {
-    /// Fold inference BatchNorm into the preceding conv's weights.
+    /// Fold inference BatchNorm into the preceding conv's weights (a
+    /// semantic rewrite: the folded weights round differently).
     pub fold_bn: bool,
-    /// Fuse exclusive standalone ReLUs into the conv/tconv epilogue.
+    /// The exact epilogue fusions: carry every exclusive BatchNorm that
+    /// `fold_bn` did not fold into its conv's GEMM store
+    /// ([`crate::passes::fuse_batchnorm`]), then fuse exclusive standalone
+    /// ReLUs into the conv/tconv store. Bit for bit what the separate passes
+    /// compute; off only for the tests that prove it.
     pub fuse_relu: bool,
     /// Strip softmax too (DPU-bound / quantizer-bound lowerings; dropout is
     /// always stripped — it is the identity at inference).
@@ -32,11 +39,13 @@ pub struct LowerOptions {
 }
 
 impl LowerOptions {
-    /// Lowering of the graph as given: no semantic rewrites. The FP32/INT8
-    /// host executors, the DPU runtime and the quantizer's calibration all
-    /// use this.
+    /// Lowering of the graph's own arithmetic: only the exact epilogue
+    /// fusions, no semantic rewrites. The FP32/INT8 host executors, the GPU
+    /// baseline's functional path, the DPU runtime and the quantizer's
+    /// calibration all use this (the quantizer's modules are already fused,
+    /// so for it the lowering keeps every node id).
     pub fn reference() -> Self {
-        Self { fold_bn: false, fuse_relu: false, strip_softmax: false }
+        Self { fold_bn: false, fuse_relu: true, strip_softmax: false }
     }
 
     /// The quantizer/compiler frontend pipeline: BN fold + ReLU fusion +
@@ -51,8 +60,15 @@ impl LowerOptions {
 /// node's pack slot.
 #[derive(Debug, Clone)]
 pub enum PackedKernel {
-    /// FP32 conv: `[C_out, C_in*K*K]` panels.
-    ConvF32(PackedA<f32>),
+    /// FP32 conv: `[C_out, C_in*K*K]` panels plus, for a conv carrying a
+    /// BatchNorm, its per-channel `(scale, shift)` (empty otherwise).
+    ConvF32 {
+        /// Packed weights.
+        pa: PackedA<f32>,
+        /// The carried BN's [`seneca_tensor::norm::BnState::affine`] per
+        /// output channel, or empty.
+        bn: Vec<(f32, f32)>,
+    },
     /// INT8 conv: `[C_out, C_in*K*K]` panels.
     ConvI8(PackedA<i8>),
     /// FP32 transpose conv: co-major `[4*C_out, C_in]` panels (row
@@ -89,7 +105,7 @@ impl PackedKernel {
     /// Bytes held by the packed panels (memory accounting).
     pub fn bytes(&self) -> u64 {
         match self {
-            PackedKernel::ConvF32(pa) => (pa.panel_len() * 4) as u64,
+            PackedKernel::ConvF32 { pa, bn } => (pa.panel_len() * 4 + bn.len() * 8) as u64,
             PackedKernel::ConvI8(pa) => pa.panel_len() as u64,
             PackedKernel::TConvF32 { pa, bias4 } => ((pa.panel_len() + bias4.len()) * 4) as u64,
             PackedKernel::TConvI8 { pa, bias4 } => (pa.panel_len() + bias4.len() * 4) as u64,
@@ -101,7 +117,7 @@ impl PackedKernel {
     /// The panel format this kernel was materialized in.
     pub fn format(&self) -> PackFormat {
         match self {
-            PackedKernel::ConvF32(_) | PackedKernel::TConvF32 { .. } => PackFormat::F32,
+            PackedKernel::ConvF32 { .. } | PackedKernel::TConvF32 { .. } => PackFormat::F32,
             PackedKernel::ConvI8(_) | PackedKernel::TConvI8 { .. } => PackFormat::I8,
             PackedKernel::ConvI4(_) | PackedKernel::TConvI4 { .. } => PackFormat::I4,
         }
@@ -130,6 +146,7 @@ pub fn lower(mut module: Module, input: Shape4, opts: &LowerOptions) -> Lowered 
         stats.bn_folded = fold_batchnorm(&mut module);
     }
     if opts.fuse_relu {
+        stats.bn_fused = fuse_batchnorm(&mut module);
         stats.relu_fused = fuse_relu(&mut module);
     }
     stats.identities_removed = strip_identities(&mut module, opts.strip_softmax);
@@ -163,7 +180,8 @@ fn build_packs(m: &Module) -> Vec<PackedKernel> {
             let c_in = attrs.kernel.c_in(true);
             let c_out = attrs.kernel.c_out(true);
             match &attrs.kernel {
-                ConvKernel::F32 { w, b } => {
+                ConvKernel::F32 { w, b, bn } => {
+                    assert!(bn.is_none(), "BatchNorm carried by an FP32 tconv is unsupported");
                     let mut wk = vec![0.0f32; 4 * c_out * c_in];
                     repack_tconv_weights(c_in, c_out, w.data(), &mut wk);
                     // Row `co*4 + kidx` of the co-major repack belongs to
@@ -194,9 +212,18 @@ fn build_packs(m: &Module) -> Vec<PackedKernel> {
             }
         } else {
             match &attrs.kernel {
-                ConvKernel::F32 { w, .. } => {
+                ConvKernel::F32 { w, bn, .. } => {
                     let ws = w.shape();
-                    PackedKernel::ConvF32(PackedA::pack(ws.n, ws.c * ws.h * ws.w, w.data()))
+                    PackedKernel::ConvF32 {
+                        pa: PackedA::pack(ws.n, ws.c * ws.h * ws.w, w.data()),
+                        bn: bn
+                            .iter()
+                            .flat_map(|bn| {
+                                assert_eq!(bn.channels(), ws.n, "BN channel count");
+                                (0..ws.n).map(|c| bn.affine(c))
+                            })
+                            .collect(),
+                    }
                 }
                 ConvKernel::I8 { w, wbits, .. } => {
                     let ws = w.shape();

@@ -34,7 +34,7 @@ pub enum DType {
 /// The weights of a (transpose) convolution, dtype-resolved.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum ConvKernel {
-    /// FP32 weights and bias.
+    /// FP32 weights and bias, and the inference BatchNorm the store applies.
     F32 {
         /// Weights: `[C_out, C_in, 3, 3]` for conv, `[C_in, C_out, 2, 2]`
         /// for transpose conv. Shared, not owned: the rewrite passes and
@@ -44,6 +44,12 @@ pub enum ConvKernel {
         w: Arc<Tensor>,
         /// Bias (may be empty).
         b: Vec<f32>,
+        /// An exclusive BatchNorm after this conv, carried into its GEMM
+        /// store by [`crate::passes::fuse_batchnorm`] — applied to
+        /// `conv + b`, before a fused ReLU, with the BN pass's own
+        /// arithmetic (an exact rewrite, unlike
+        /// [`crate::passes::fold_batchnorm`]). Conv only.
+        bn: Option<BnState>,
     },
     /// Integer weights, bias at accumulator scale, calibrated fix positions.
     /// The weight *bitwidth* is a per-node attribute: `W4` kernels store
@@ -140,7 +146,7 @@ pub struct PackSlot {
 pub struct ConvAttrs {
     /// The kernel (weights + bias + quantisation, dtype-resolved).
     pub kernel: ConvKernel,
-    /// ReLU fused into the GEMM epilogue.
+    /// ReLU fused into the GEMM epilogue (after a carried BatchNorm).
     pub relu: bool,
     /// Pack slot assigned by [`crate::passes::assign_pack_slots`]: index and
     /// format of this node's pre-packed weight panels in the lowered
@@ -169,7 +175,8 @@ pub enum IrOp {
     /// 2x2 stride-2 transpose convolution.
     TConv(ConvAttrs),
     /// Batch normalisation (inference form; FP32 modules only, folded away
-    /// by [`crate::passes::fold_batchnorm`]).
+    /// by [`crate::passes::fold_batchnorm`] or carried into the producing
+    /// conv's store by [`crate::passes::fuse_batchnorm`]).
     BatchNorm {
         /// Running statistics and affine parameters.
         bn: BnState,

@@ -4,13 +4,15 @@
 //! plan, one allocation per node, every node output returned — so it shares
 //! no kernel with [`crate::exec`] and can vouch for it. INT8 outputs must
 //! match the executor bit for bit; FP32 outputs within [`F32_TOLERANCE`]
-//! (the executor's GEMM sums in another order). Nothing outside tests may
+//! (the executor's GEMM fuses each multiply-add and skips no padding tap,
+//! and its BN is the folded `scale * x + shift`). Nothing outside tests may
 //! run a graph through this module; it is public only because the
 //! equivalence tests of several crates share it.
 
 use crate::exec::{FpScratch, QScratch};
 use crate::lower::Lowered;
 use crate::module::{ConvKernel, DType, IrOp, Module};
+use seneca_tensor::norm::BnState;
 use seneca_tensor::quantized::requantize_i32;
 use seneca_tensor::{QTensor, Shape4, Tensor};
 
@@ -143,15 +145,23 @@ pub fn run_f32(m: &Module, input: &Tensor) -> Vec<Tensor> {
             (t.shape(), t.data())
         };
         let mac = |a: f32, x: f32, w: f32| a + x * w;
+        // Inference BatchNorm of channel `c`, by its definition.
+        let batchnorm = |bn: &BnState, c: usize, v: f32| {
+            (v - bn.running_mean[c]) / (bn.running_var[c] + bn.eps).sqrt() * bn.gamma[c]
+                + bn.beta[c]
+        };
         let (shape, data) = match &node.op {
             IrOp::Input => (input.shape(), input.data().to_vec()),
             IrOp::Conv(a) | IrOp::TConv(a) => {
-                let ConvKernel::F32 { w, b } = &a.kernel else {
+                let ConvKernel::F32 { w, b, bn } = &a.kernel else {
                     panic!("INT8 kernel in an FP32 module")
                 };
+                // conv + bias, then the carried BN, then the fused ReLU.
                 let floor = if a.relu { 0.0 } else { f32::NEG_INFINITY };
-                let finish =
-                    |co: usize, acc: f32| (acc + b.get(co).copied().unwrap_or(0.0)).max(floor);
+                let finish = |co: usize, acc: f32| {
+                    let x = acc + b.get(co).copied().unwrap_or(0.0);
+                    bn.as_ref().map_or(x, |bn| batchnorm(bn, co, x)).max(floor)
+                };
                 if matches!(node.op, IrOp::Conv(_)) {
                     conv3x3(arg(0), w.data(), w.shape().n, mac, finish)
                 } else {
@@ -160,11 +170,7 @@ pub fn run_f32(m: &Module, input: &Tensor) -> Vec<Tensor> {
             }
             IrOp::BatchNorm { bn } => {
                 let (xs, x) = arg(0);
-                let y = x.iter().enumerate().map(|(i, &v)| {
-                    let c = i / xs.hw() % xs.c;
-                    (v - bn.running_mean[c]) / (bn.running_var[c] + bn.eps).sqrt() * bn.gamma[c]
-                        + bn.beta[c]
-                });
+                let y = x.iter().enumerate().map(|(i, &v)| batchnorm(bn, i / xs.hw() % xs.c, v));
                 (xs, y.collect())
             }
             IrOp::Relu => {

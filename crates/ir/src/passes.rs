@@ -8,10 +8,12 @@
 //! the new ones replace them). The canonical frontend pipeline is
 //! BN fold → ReLU fusion → identity strip → pack-slot assignment, with
 //! liveness planning ([`crate::plan::ExecPlan`]) as the final pass at
-//! lowering time.
+//! lowering time. The reference pipeline replaces the fold by the exact
+//! BN carry ([`fuse_batchnorm`]): the FP32 graph keeps its own arithmetic
+//! and loses its BN and ReLU passes.
 
-use crate::module::{ConvKernel, IrOp, Module, PackFormat, PackSlot};
-use seneca_tensor::norm::fold_bn_into_conv;
+use crate::module::{ConvAttrs, ConvKernel, IrNode, IrOp, Module, PackFormat, PackSlot};
+use seneca_tensor::norm::{fold_bn_into_conv, BnState};
 use seneca_tensor::quantized::Bitwidth;
 use serde::{Deserialize, Serialize};
 
@@ -20,6 +22,8 @@ use serde::{Deserialize, Serialize};
 pub struct PassStats {
     /// BatchNorm nodes folded into their producing conv.
     pub bn_folded: usize,
+    /// BatchNorm nodes carried (unfolded) into their producing conv's store.
+    pub bn_fused: usize,
     /// Standalone ReLU nodes fused into a conv/tconv epilogue.
     pub relu_fused: usize,
     /// Inference-identity nodes (dropout, optionally softmax) removed.
@@ -68,11 +72,11 @@ pub fn fold_batchnorm(m: &mut Module) -> usize {
             let j = node.inputs[0];
             match &mut new.nodes[remap[j]].op {
                 IrOp::Conv(a) if consumers[j] == 1 => {
-                    let ConvKernel::F32 { w, b } = &a.kernel else {
-                        panic!("BatchNorm after a quantized conv unsupported")
+                    let ConvKernel::F32 { w, b, bn: None } = &a.kernel else {
+                        panic!("BatchNorm after a quantized or BN-carrying conv unsupported")
                     };
                     let (w2, b2) = fold_bn_into_conv(w, b, bn);
-                    a.kernel = ConvKernel::F32 { w: w2.into(), b: b2 };
+                    a.kernel = ConvKernel::F32 { w: w2.into(), b: b2, bn: None };
                     remap[i] = remap[j];
                     folded += 1;
                     continue;
@@ -90,6 +94,55 @@ pub fn fold_batchnorm(m: &mut Module) -> usize {
     new.output = remap[m.output];
     *m = new;
     folded
+}
+
+/// The BN slot of a conv that can carry one more BatchNorm in its store: an
+/// FP32 conv with no BN yet and no fused ReLU (which would have to run
+/// first).
+fn bn_slot(op: &mut IrOp) -> Option<&mut Option<BnState>> {
+    match op {
+        IrOp::Conv(ConvAttrs {
+            kernel: ConvKernel::F32 { bn: slot @ None, .. },
+            relu: false,
+            ..
+        }) => Some(slot),
+        _ => None,
+    }
+}
+
+/// Carries each BatchNorm whose producer is an exclusive FP32 conv into that
+/// conv's GEMM store ([`ConvKernel::F32`]'s `bn`). Unlike [`fold_batchnorm`]
+/// no weight is rewritten: the store applies the BN with the BN pass's own
+/// arithmetic, so the rewrite is exact, bit for bit. Any other BN (after a
+/// shared conv, a conv with a fused ReLU, a non-conv) stays standalone.
+/// Returns the number of BN nodes carried.
+pub fn fuse_batchnorm(m: &mut Module) -> usize {
+    let consumers = consumer_counts(m);
+    let mut new = rebuilt_shell(m);
+    let mut remap = vec![0usize; m.nodes.len()];
+    let mut fused = 0;
+    for (i, IrNode { op, inputs }) in std::mem::take(&mut m.nodes).into_iter().enumerate().skip(1) {
+        let op = match op {
+            IrOp::BatchNorm { bn } if consumers[inputs[0]] == 1 => {
+                let j = remap[inputs[0]];
+                match bn_slot(&mut new.nodes[j].op) {
+                    Some(slot) => {
+                        *slot = Some(bn);
+                        remap[i] = j;
+                        fused += 1;
+                        continue;
+                    }
+                    None => IrOp::BatchNorm { bn },
+                }
+            }
+            op => op,
+        };
+        let ins: Vec<usize> = inputs.iter().map(|&j| remap[j]).collect();
+        remap[i] = new.push(op, ins);
+    }
+    new.output = remap[m.output];
+    *m = new;
+    fused
 }
 
 /// Fuses standalone ReLU nodes into the conv/tconv GEMM epilogue. A ReLU is
@@ -174,7 +227,8 @@ pub fn assign_pack_slots(m: &mut Module) -> usize {
 mod tests {
     use super::*;
     use crate::exec::execute_f32;
-    use crate::module::{ConvAttrs, DType};
+    use crate::lower::{lower, LowerOptions};
+    use crate::module::DType;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use seneca_tensor::norm::BnState;
@@ -184,7 +238,7 @@ mod tests {
         let ws = Shape4::new(c_out, c_in, 3, 3);
         let w = Tensor::from_vec(ws, (0..ws.len()).map(|_| rng.gen_range(-1.0f32..1.0)).collect());
         let b: Vec<f32> = (0..c_out).map(|_| rng.gen_range(-0.5f32..0.5)).collect();
-        ConvAttrs { kernel: ConvKernel::F32 { w: w.into(), b }, relu: false, pack: None }
+        ConvAttrs { kernel: ConvKernel::F32 { w: w.into(), b, bn: None }, relu: false, pack: None }
     }
 
     fn random_bn(c: usize, rng: &mut StdRng) -> BnState {
@@ -244,6 +298,56 @@ mod tests {
         m.output = cat;
         assert_eq!(fold_batchnorm(&mut m), 0);
         assert!(m.nodes.iter().any(|n| matches!(n.op, IrOp::BatchNorm { .. })));
+    }
+
+    /// conv → BN → ReLU becomes one conv whose store carries both, and runs
+    /// bit for bit what the three passes ran; the weights are untouched.
+    #[test]
+    fn bn_carry_is_exact_and_keeps_the_weights() {
+        let mut rng = StdRng::seed_from_u64(18);
+        let mut m = Module::new("bn-carry", DType::F32);
+        let c = m.push(IrOp::Conv(conv_attrs(2, 3, &mut rng)), vec![0]);
+        let bn = m.push(IrOp::BatchNorm { bn: random_bn(3, &mut rng) }, vec![c]);
+        m.output = m.push(IrOp::Relu, vec![bn]);
+
+        let mut fused = m.clone();
+        assert_eq!(fuse_batchnorm(&mut fused), 1);
+        assert_eq!(fuse_relu(&mut fused), 1);
+        assert_eq!(fused.nodes.len(), 2, "BN and ReLU ride in the conv");
+        let (IrOp::Conv(a), IrOp::Conv(a0)) = (&fused.nodes[1].op, &m.nodes[1].op) else {
+            panic!("conv expected")
+        };
+        let (ConvKernel::F32 { w, bn: Some(_), .. }, ConvKernel::F32 { w: w0, .. }) =
+            (&a.kernel, &a0.kernel)
+        else {
+            panic!("BN not carried")
+        };
+        assert!(a.relu && std::sync::Arc::ptr_eq(w, w0));
+
+        let s = Shape4::new(2, 2, 6, 5);
+        let x = Tensor::from_vec(s, (0..s.len()).map(|_| rng.gen_range(-1.0f32..1.0)).collect());
+        let unfused = LowerOptions { fuse_relu: false, ..LowerOptions::reference() };
+        let want = lower(m, s, &unfused).execute_f32(&x);
+        let got = execute_f32(&fused, &x);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
+    }
+
+    /// A BN the store cannot carry stays a pass: on a shared conv, or after
+    /// a conv whose ReLU is already fused (the ReLU would run first).
+    #[test]
+    fn bn_carry_needs_an_exclusive_linear_conv() {
+        let mut rng = StdRng::seed_from_u64(19);
+        let mut m = Module::new("bn-no-carry", DType::F32);
+        let c = m.push(IrOp::Conv(conv_attrs(2, 2, &mut rng)), vec![0]);
+        let bn = m.push(IrOp::BatchNorm { bn: random_bn(2, &mut rng) }, vec![c]);
+        let mut relu_conv = conv_attrs(4, 2, &mut rng);
+        relu_conv.relu = true;
+        let cat = m.push(IrOp::Concat { requant: None }, vec![c, bn]);
+        let c2 = m.push(IrOp::Conv(relu_conv), vec![cat]);
+        m.output = m.push(IrOp::BatchNorm { bn: random_bn(2, &mut rng) }, vec![c2]);
+        assert_eq!(fuse_batchnorm(&mut m), 0);
+        assert_eq!(m.nodes.iter().filter(|n| matches!(n.op, IrOp::BatchNorm { .. })).count(), 2);
     }
 
     /// An exclusive conv → relu edge fuses into the epilogue.

@@ -62,7 +62,7 @@ fn fp32_layers_match_the_oracle_across_strips_and_parts() {
     for i in 0..3 {
         let w = rand_tensor(weight_shape(i), &mut rng);
         let b = (0..CHANNELS[i + 1]).map(|_| rng.gen_range(-0.2f32..0.2)).collect();
-        m.output = m.push(op(i, ConvKernel::F32 { w: w.into(), b }), vec![i]);
+        m.output = m.push(op(i, ConvKernel::F32 { w: w.into(), b, bn: None }), vec![i]);
     }
     let lowered = lower(m, INPUT, &LowerOptions::reference());
     let mut scratch = lowered.make_scratch_f32();

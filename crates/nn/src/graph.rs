@@ -18,6 +18,7 @@ use seneca_ir::{ConvAttrs, ConvKernel, DType, IrOp, Module};
 use seneca_tensor::norm::BnState;
 use seneca_tensor::{Shape4, Tensor};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Graph operation.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -26,8 +27,9 @@ pub enum Op {
     Input,
     /// 3x3 stride-1 pad-1 convolution with optional fused ReLU.
     Conv {
-        /// Weights `[C_out, C_in, 3, 3]`.
-        w: Tensor,
+        /// Weights `[C_out, C_in, 3, 3]` (shared with the IR modules lowered
+        /// from this graph, see [`Graph::to_ir`]).
+        w: Arc<Tensor>,
         /// Bias (may be empty).
         b: Vec<f32>,
         /// Fused ReLU flag (set by the compiler's fusion pass, not the exporter).
@@ -44,8 +46,8 @@ pub enum Op {
     MaxPool2x2,
     /// 2x2 stride-2 transpose convolution.
     TConv {
-        /// Weights `[C_in, C_out, 2, 2]`.
-        w: Tensor,
+        /// Weights `[C_in, C_out, 2, 2]` (shared like [`Op::Conv`]'s).
+        w: Arc<Tensor>,
         /// Bias.
         b: Vec<f32>,
     },
@@ -120,8 +122,10 @@ impl Graph {
         let mut skips = Vec::new();
         let push_block =
             |g: &mut Graph, cur: usize, blk: &crate::layer::ConvBlock, with_relu: bool| -> usize {
-                let mut id =
-                    g.push(Op::Conv { w: blk.w.clone(), b: blk.b.clone(), relu: false }, vec![cur]);
+                let mut id = g.push(
+                    Op::Conv { w: blk.w.clone().into(), b: blk.b.clone(), relu: false },
+                    vec![cur],
+                );
                 if let Some(bn) = &blk.bn {
                     id = g.push(Op::BatchNorm { bn: bn.clone() }, vec![id]);
                 }
@@ -141,7 +145,7 @@ impl Graph {
         cur = push_block(&mut g, cur, &net.bneck2, true);
         for (di, d) in net.decoders.iter().enumerate() {
             let skip = skips[net.config.depth - 1 - di];
-            let up = g.push(Op::TConv { w: d.up.w.clone(), b: d.up.b.clone() }, vec![cur]);
+            let up = g.push(Op::TConv { w: d.up.w.clone().into(), b: d.up.b.clone() }, vec![cur]);
             cur = g.push(Op::Concat, vec![skip, up]);
             cur = push_block(&mut g, cur, &d.conv1, true);
             cur = push_block(&mut g, cur, &d.conv2, true);
@@ -177,14 +181,15 @@ impl Graph {
 
     /// Converts the export graph into the typed IR. Node ids are preserved
     /// one-to-one; every downstream executor (FP32 host, GPU baseline) and
-    /// the quantizer frontend lower from the returned [`Module`].
+    /// the quantizer frontend lower from the returned [`Module`]. The module
+    /// shares this graph's weight tensors (no copy).
     pub fn to_ir(&self) -> Module {
         let mut m = Module::new(self.name.clone(), DType::F32);
         for node in self.nodes.iter().skip(1) {
             let op = match &node.op {
                 Op::Input => unreachable!("input is always node 0"),
                 Op::Conv { w, b, relu } => IrOp::Conv(ConvAttrs {
-                    kernel: ConvKernel::F32 { w: w.clone().into(), b: b.clone() },
+                    kernel: ConvKernel::F32 { w: Arc::clone(w), b: b.clone(), bn: None },
                     relu: *relu,
                     pack: None,
                 }),
@@ -192,7 +197,7 @@ impl Graph {
                 Op::Relu => IrOp::Relu,
                 Op::MaxPool2x2 => IrOp::MaxPool2x2,
                 Op::TConv { w, b } => IrOp::TConv(ConvAttrs {
-                    kernel: ConvKernel::F32 { w: w.clone().into(), b: b.clone() },
+                    kernel: ConvKernel::F32 { w: Arc::clone(w), b: b.clone(), bn: None },
                     relu: false,
                     pack: None,
                 }),

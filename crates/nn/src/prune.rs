@@ -9,6 +9,7 @@
 //! skip the zero work, which is how sparsity translates into FPS on the DPU.
 
 use crate::graph::{Graph, Op};
+use std::sync::Arc;
 
 /// Per-graph pruning summary.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,7 +58,9 @@ pub fn prune_channels(graph: &mut Graph, ratio: f64) -> PruneReport {
             norms.sort_by(|a, b| a.1.total_cmp(&b.1));
             let k = (s.n as f64 * ratio).floor() as usize;
             for &(co, _) in norms.iter().take(k) {
-                w.data_mut()[co * per_out..(co + 1) * per_out].fill(0.0);
+                // Copy-on-write: a weight still shared with a lowered module
+                // or another graph clone is left as it was.
+                Arc::make_mut(w).data_mut()[co * per_out..(co + 1) * per_out].fill(0.0);
                 if !b.is_empty() {
                     b[co] = 0.0;
                 }

@@ -149,7 +149,7 @@ pub fn quantize_from_calibration(
 }
 
 fn make_qconv(a: &ConvAttrs, in_fp: i32, out_fp: i32, wbits: Bitwidth) -> QConvParams {
-    let ConvKernel::F32 { w, b } = &a.kernel else {
+    let ConvKernel::F32 { w, b, bn: None } = &a.kernel else {
         panic!("the quantizer takes the fused FP32 module")
     };
     let w_fp = choose_fix_pos_bits(w.abs_max(), wbits);
@@ -321,7 +321,7 @@ mod tests {
         *w.at_mut(1, 0, 1, 1) = -0.25;
         let b = vec![205.0 / 2048.0, 0.0];
         let mut fg = Module::new("hand", seneca_ir::DType::F32);
-        let kernel = ConvKernel::F32 { w: w.into(), b };
+        let kernel = ConvKernel::F32 { w: w.into(), b, bn: None };
         fg.push(IrOp::Conv(ConvAttrs { kernel, relu: false, pack: None }), vec![0]);
         let img = Tensor::from_vec(Shape4::new(1, 1, 1, 2), vec![0.5, -0.75]);
 

@@ -18,7 +18,8 @@
 //! * dynamic **micro-batching**: an idle replica collects up to
 //!   [`ServeConfig::max_batch`] frames, waiting at most
 //!   [`ServeConfig::max_delay`] after the first — the VART-style
-//!   asynchronous job window over the ZCU104's two DPU cores;
+//!   asynchronous job window over the ZCU104's two DPU cores — and not at
+//!   all while another replica is idle (that one takes the next request);
 //! * a **replica pool** ([`ServeConfig::replicas`] worker threads) running
 //!   [`Backend::infer_batch_timed`], with per-request queue/execute/total
 //!   timings rolled into lock-free [`LatencyHistogram`]s (p50/p95/p99);

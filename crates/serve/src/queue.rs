@@ -6,9 +6,11 @@
 //! instead of an unbounded backlog. Replicas pull *micro-batches*: after
 //! the first request is available, a replica keeps collecting until it has
 //! `max_batch` frames or `max_delay` has elapsed — the classic dynamic
-//! batching window. Requests whose deadline has already expired are shed at
-//! dispatch (and, under [`AdmissionPolicy::ShedExpired`], at admission)
-//! rather than executed.
+//! batching window — unless another replica sits idle in the queue: that
+//! one would take the next request at once, so waiting for it could only
+//! add latency, and the collector dispatches what it holds. Requests whose
+//! deadline has already expired are shed at dispatch (and, under
+//! [`AdmissionPolicy::ShedExpired`], at admission) rather than executed.
 
 use crate::metrics::ServeMetrics;
 use crate::request::{ServeError, ServeRequest};
@@ -32,6 +34,9 @@ struct Inner {
     interactive: VecDeque<ServeRequest>,
     batch: VecDeque<ServeRequest>,
     closed: bool,
+    /// Callers of `pop_batch` (a server's replicas) blocked waiting for a
+    /// first request.
+    idle: usize,
 }
 
 impl Inner {
@@ -72,7 +77,11 @@ impl Inner {
 /// The bounded intake queue.
 pub(crate) struct IntakeQueue {
     inner: Mutex<Inner>,
+    /// Idle replicas wait here for a first request.
     not_empty: Condvar,
+    /// Replicas holding a partial batch wait here: for more work, for
+    /// another replica to go idle, or for the close.
+    window: Condvar,
     not_full: Condvar,
     capacity: usize,
     policy: AdmissionPolicy,
@@ -86,8 +95,10 @@ impl IntakeQueue {
                 interactive: VecDeque::new(),
                 batch: VecDeque::new(),
                 closed: false,
+                idle: 0,
             }),
             not_empty: Condvar::new(),
+            window: Condvar::new(),
             not_full: Condvar::new(),
             capacity,
             policy,
@@ -129,13 +140,18 @@ impl IntakeQueue {
             crate::request::Priority::Batch => g.batch.push_back(req),
         }
         self.not_empty.notify_one();
+        self.window.notify_all();
         Ok(())
     }
 
     /// Collects the next micro-batch: blocks for the first request, then
     /// keeps collecting until `max_batch` frames are in hand or `max_delay`
-    /// has elapsed. Expired requests are shed, not returned. `None` means
-    /// the queue is closed and fully drained — the replica should exit.
+    /// has elapsed — or until another caller is idle, waiting for a first
+    /// request of its own: then the batch is what is in hand, and whatever
+    /// is still queued is left to that caller. (A lone caller, as in the
+    /// queue-level tests and a one-replica server, always gets the whole
+    /// window.) Expired requests are shed, not returned. `None` means the
+    /// queue is closed and fully drained — the replica should exit.
     pub fn pop_batch(
         &self,
         max_batch: usize,
@@ -148,12 +164,16 @@ impl IntakeQueue {
                 if g.closed {
                     return None;
                 }
+                g.idle += 1;
+                // A replica holding a partial batch stops waiting for it.
+                self.window.notify_all();
                 g = self.not_empty.wait(g).expect("intake queue lock");
+                g.idle -= 1;
             }
             let mut out = Vec::with_capacity(max_batch);
             let window_end = Instant::now() + max_delay;
             loop {
-                while out.len() < max_batch {
+                while out.len() < max_batch && (out.is_empty() || g.idle == 0) {
                     match g.pop() {
                         Some(r) if r.expired(Instant::now()) => {
                             metrics.note_shed(r.priority);
@@ -164,11 +184,11 @@ impl IntakeQueue {
                     }
                 }
                 let now = Instant::now();
-                if out.len() >= max_batch || now >= window_end || g.closed {
+                if out.len() >= max_batch || now >= window_end || g.closed || g.idle > 0 {
                     break;
                 }
                 let (g2, _) =
-                    self.not_empty.wait_timeout(g, window_end - now).expect("intake queue lock");
+                    self.window.wait_timeout(g, window_end - now).expect("intake queue lock");
                 g = g2;
             }
             self.not_full.notify_all();
@@ -184,6 +204,7 @@ impl IntakeQueue {
         let mut g = self.inner.lock().expect("intake queue lock");
         g.closed = true;
         self.not_empty.notify_all();
+        self.window.notify_all();
         self.not_full.notify_all();
     }
 }

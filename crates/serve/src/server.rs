@@ -27,7 +27,8 @@ pub struct ServeConfig {
     /// Largest micro-batch dispatched to one replica.
     pub max_batch: usize,
     /// How long a replica waits for the batch to fill after the first
-    /// request arrives (the dynamic batching window).
+    /// request arrives (the dynamic batching window). Cut short while
+    /// another replica is idle: it would serve a new request at once.
     pub max_delay: Duration,
     /// Intake queue capacity (bounds memory and queueing delay).
     pub queue_capacity: usize,
@@ -376,6 +377,38 @@ mod tests {
         for t in tickets {
             assert!(t.wait().result.is_ok());
         }
+    }
+
+    /// With a second replica idle the first one dispatches at once instead
+    /// of holding its request for the (long) window.
+    #[test]
+    fn an_idle_replica_cuts_the_batch_window_short() {
+        let max_delay = Duration::from_millis(500);
+        let server =
+            Server::start(Arc::new(Double), ServeConfig { max_delay, ..Default::default() });
+        let resp = server.handle().submit(frame(1.0), Priority::Interactive, None).unwrap().wait();
+        assert!(resp.result.is_ok());
+        assert!(resp.timing.total < max_delay / 4, "held for {:?}", resp.timing.total);
+        server.shutdown();
+    }
+
+    /// A lone replica has no idle peer: the window is honoured and a late
+    /// arrival joins the batch.
+    #[test]
+    fn one_replica_honours_the_batch_window() {
+        let max_delay = Duration::from_millis(300);
+        let server = Server::start(
+            Arc::new(Double),
+            ServeConfig { replicas: 1, max_delay, ..Default::default() },
+        );
+        let h = server.handle();
+        let first = h.submit(frame(1.0), Priority::Interactive, None).unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+        let second = h.submit(frame(2.0), Priority::Interactive, None).unwrap();
+        assert!(first.wait().timing.total >= max_delay);
+        assert!(second.wait().result.is_ok());
+        let stats = server.shutdown();
+        assert_eq!((stats.batches, stats.served), (1, 2));
     }
 
     #[test]

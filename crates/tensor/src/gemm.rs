@@ -38,14 +38,30 @@
 //!    panel (`[ip][kk][MR]`, packed once per weight tensor — [`PackedA`],
 //!    [`PackedA4`]) and one `B` panel over the whole `k` extent; constant
 //!    trip counts let LLVM keep the tile in vector registers.
-//! 4. **Fused epilogues.** Bias, ReLU, the DPU requantise-clamp and the
-//!    transpose-conv scatter are applied to the finished tile as it is
-//!    stored; there is no pass over `C` after the GEMM.
+//! 4. **Fused epilogues.** Bias, ReLU, an inference BatchNorm, the DPU
+//!    requantise-clamp and the transpose-conv scatter are applied to the
+//!    finished tile as it is stored; there is no pass over `C` after the
+//!    GEMM.
 //!
 //! Each output element is accumulated in ascending-`k` order over the full
 //! extent whatever the strip or part split, so `f32` results do not depend on
 //! the thread count or the cache budget, and the integer paths are bit-exact
 //! under any regrouping.
+//!
+//! # The f32 micro-kernel: one fused multiply-add per MAC
+//!
+//! The `f32` contract is *ascending-`k` FMA*: `acc = a.mul_add(b, acc)` from
+//! `acc = 0.0`, one rounding per step ([`sgemm_reference`] is that loop).
+//! Rust never contracts `acc += a * b` into an FMA, and that form, inlined
+//! into the driver, compiled to 16 `vmulps` + 16 `vaddps` plus a dozen
+//! `vpermt2pd` / `vinsertf32x4` / `vblendmps` shuffles per k-step — about a
+//! third of the machine's FP32 rate. Isolating it `#[inline(never)]` alone
+//! compiles to the same shuffle-laden loop. With `mul_add` the isolated
+//! `tile_f32` is 2 `vmovups`, 8 `vbroadcastss` and 16 `vfmadd231ps` per
+//! k-step, nothing else (`scripts/check_kernel_asm.sh` holds it there).
+//! There is one arithmetic, no `cfg` fork: `mul_add` is exactly rounded on
+//! every target (the ZCU104's A53 cores have FMA too), so results do not
+//! depend on the CPU either.
 //!
 //! # The INT8 micro-kernel: unsigned weights, column-sum correction
 //!
@@ -142,6 +158,22 @@ pub enum GemmEpilogue<'a> {
     Bias(&'a [f32]),
     /// `c[i][j] = max(acc[i][j] + bias[i], 0.0)`.
     BiasRelu(&'a [f32]),
+    /// An inference BatchNorm (and optionally a ReLU) carried in the store:
+    /// `x = acc[i][j] + bias[i]`, `y = scale[i] * x + shift[i]` (two
+    /// roundings, as `batchnorm_inference_into` computes it), then
+    /// `y.max(0.0)` when `relu` — per element exactly what the bias store,
+    /// the BN pass and the ReLU pass compute one after another. `bn[i]` is
+    /// row `i`'s `(scale, shift)` ([`crate::norm::BnState::affine`]). A
+    /// missing bias entry adds `-0.0`, the exact identity, so an empty bias
+    /// matches the unfused `None` store bit for bit.
+    BiasBn {
+        /// Per-row conv bias (may be empty).
+        bias: &'a [f32],
+        /// Per-row `(scale, shift)`.
+        bn: &'a [(f32, f32)],
+        /// Clamp at zero after the affine.
+        relu: bool,
+    },
 }
 
 /// This thread's reusable pack buffers for one element type: the `A` panels
@@ -402,9 +434,8 @@ impl Panels for PackedA<f32> {
         (self.m, self.k)
     }
 
-    #[inline(always)]
     fn tile(&self, ip: usize, bp: &[f32], _rows: usize, acc: &mut [[f32; NR]; MR]) {
-        *acc = tile_f32(&self.panels[ip * MR * self.k..][..MR * self.k], bp);
+        tile_f32(&self.panels[ip * MR * self.k..][..MR * self.k], bp, acc);
     }
 }
 
@@ -435,10 +466,13 @@ impl Panels for PackedA4 {
 }
 
 /// The f32 micro-kernel: an `MR x NR` accumulator tile over the full `k`
-/// extent of one A row panel and one B column panel. Branch-free with
-/// constant trip counts so LLVM keeps the tile in vector registers.
-#[inline(always)]
-fn tile_f32(ap: &[f32], bp: &[f32]) -> [[f32; NR]; MR] {
+/// extent of one A row panel and one B column panel, one fused
+/// multiply-add per element and k-step (`acc = a.mul_add(b, acc)`, one
+/// rounding), written to `out`. Branch-free with constant trip counts so
+/// LLVM keeps the tile in vector registers; isolated `#[inline(never)]`
+/// like the integer tiles (see the module docs for what it compiles to).
+#[inline(never)]
+fn tile_f32(ap: &[f32], bp: &[f32], out: &mut [[f32; NR]; MR]) {
     let mut acc = [[0.0f32; NR]; MR];
     for (a, b) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
         let a: &[f32; MR] = a.try_into().expect("panel chunk");
@@ -446,11 +480,11 @@ fn tile_f32(ap: &[f32], bp: &[f32]) -> [[f32; NR]; MR] {
         for (i, acc_i) in acc.iter_mut().enumerate() {
             let aik = a[i];
             for (acc_ij, &bv) in acc_i.iter_mut().zip(b) {
-                *acc_ij += aik * bv;
+                *acc_ij = aik.mul_add(bv, *acc_ij);
             }
         }
     }
-    acc
+    *out = acc;
 }
 
 /// An integer micro-kernel in the offset form of the module docs: `$widen`
@@ -739,6 +773,15 @@ pub(crate) fn run_f32(
         GemmEpilogue::BiasRelu(b) => {
             store_rows(acc, t, chunks, |i| bias_at(b, i), |v, b| (v + b).max(0.0))
         }
+        GemmEpilogue::BiasBn { bias, bn, relu } => {
+            let row = |i| (bias.get(i).copied().unwrap_or(-0.0), bn[i]);
+            let affine = |v: f32, (b, (scale, shift)): (f32, (f32, f32))| scale * (v + b) + shift;
+            if relu {
+                store_rows(acc, t, chunks, row, |v, r| affine(v, r).max(0.0))
+            } else {
+                store_rows(acc, t, chunks, row, affine)
+            }
+        }
     });
 }
 
@@ -921,13 +964,15 @@ pub fn igemm_fused(
     );
 }
 
-/// Reference (naive, sequential) f32 GEMM used by tests and benchmarks.
+/// Reference (naive, sequential) f32 GEMM used by tests and benchmarks: the
+/// FMA contract of the packed kernel (`acc = a.mul_add(b, acc)` in ascending
+/// `k` from `0.0`), so [`sgemm`] matches it bit for bit.
 pub fn sgemm_reference(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     for i in 0..m {
         for j in 0..n {
-            let mut acc = 0.0;
+            let mut acc = 0.0f32;
             for kk in 0..k {
-                acc += a[i * k + kk] * b[kk * n + j];
+                acc = a[i * k + kk].mul_add(b[kk * n + j], acc);
             }
             c[i * n + j] = acc;
         }
@@ -981,7 +1026,59 @@ mod tests {
             let mut c_ref = vec![0.0; m * n];
             sgemm(m, k, n, &a, &b, &mut c);
             sgemm_reference(m, k, n, &a, &b, &mut c_ref);
-            assert_close(&c, &c_ref, 1e-4);
+            assert_eq!(c, c_ref, "{m}x{k}x{n}");
+        }
+    }
+
+    /// A case where one fused multiply-add and multiply-then-add round
+    /// differently: `(1 + 2^-12)^2 = 1 + 2^-11 + 2^-24` rounds (tie to even)
+    /// to `1 + 2^-11` as a product, so `-1 + p` loses the `2^-24` that the
+    /// FMA keeps. `sgemm` must give the FMA value.
+    #[test]
+    fn fma_rounding_is_the_contract() {
+        let e = 1.0 + (-12f32).exp2();
+        let (a, b) = ([-1.0f32, e], [1.0f32, e]);
+        let fma = e.mul_add(e, -1.0);
+        let two_roundings = -1.0 + e * e;
+        assert_eq!(fma, (-11f32).exp2() + (-24f32).exp2());
+        assert_ne!(fma.to_bits(), two_roundings.to_bits());
+        let mut c = [0.0f32];
+        sgemm(1, 2, 1, &a, &b, &mut c);
+        assert_eq!(c[0].to_bits(), fma.to_bits());
+        sgemm_reference(1, 2, 1, &a, &b, &mut c);
+        assert_eq!(c[0].to_bits(), fma.to_bits());
+    }
+
+    #[test]
+    fn bn_epilogue_matches_the_three_passes_bit_for_bit() {
+        let (m, k, n) = (13, 37, 22);
+        let a = rand_vec(m * k, 12);
+        let b = rand_vec(k * n, 13);
+        let bias = rand_vec(m, 14);
+        let bn: Vec<(f32, f32)> =
+            rand_vec(m, 15).iter().zip(rand_vec(m, 16)).map(|(&s, t)| (s * 1.7, t)).collect();
+        for bias in [&bias[..], &[]] {
+            let mut plain = vec![0.0; m * n];
+            let epi = if bias.is_empty() { GemmEpilogue::None } else { GemmEpilogue::Bias(bias) };
+            sgemm_fused(m, k, n, &a, &b, &mut plain, epi);
+            for relu in [false, true] {
+                let mut fused = vec![0.0; m * n];
+                sgemm_fused(
+                    m,
+                    k,
+                    n,
+                    &a,
+                    &b,
+                    &mut fused,
+                    GemmEpilogue::BiasBn { bias, bn: &bn, relu },
+                );
+                for (idx, (&x, &got)) in plain.iter().zip(&fused).enumerate() {
+                    let (scale, shift) = bn[idx / n];
+                    let y = scale * x + shift;
+                    let want = if relu { y.max(0.0) } else { y };
+                    assert_eq!(got.to_bits(), want.to_bits(), "idx {idx} relu {relu}");
+                }
+            }
         }
     }
 

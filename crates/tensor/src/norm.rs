@@ -42,6 +42,16 @@ impl BnState {
     pub fn channels(&self) -> usize {
         self.gamma.len()
     }
+
+    /// Channel `c`'s inference affine `(scale, shift)`: the layer computes
+    /// `scale * x + shift` (two roundings). The one derivation shared by
+    /// [`batchnorm_inference_into`] and the GEMM store that carries a BN
+    /// (`GemmEpilogue::BiasBn`), so the two agree bit for bit.
+    pub fn affine(&self, c: usize) -> (f32, f32) {
+        let inv = 1.0 / (self.running_var[c] + self.eps).sqrt();
+        let scale = self.gamma[c] * inv;
+        (scale, self.beta[c] - self.running_mean[c] * scale)
+    }
 }
 
 /// Cache returned by the training-mode forward pass, needed for backward.
@@ -124,9 +134,7 @@ pub fn batchnorm_inference_into(s: crate::shape::Shape4, x: &[f32], bn: &BnState
     assert_eq!(x.len(), s.len(), "input buffer/shape mismatch");
     assert_eq!(out.len(), s.len(), "output buffer size");
     for c in 0..s.c {
-        let inv = 1.0 / (bn.running_var[c] + bn.eps).sqrt();
-        let scale = bn.gamma[c] * inv;
-        let shift = bn.beta[c] - bn.running_mean[c] * scale;
+        let (scale, shift) = bn.affine(c);
         for n in 0..s.n {
             let base = s.idx(n, c, 0, 0);
             for i in 0..s.hw() {

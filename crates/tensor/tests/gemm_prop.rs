@@ -4,7 +4,7 @@
 //! entirely in the zero-padded packing and the clipped store. These tests
 //! hammer exactly that seam: random `(m, k, n)` drawn to be deliberately NOT
 //! multiples of the tile sizes (odd sizes, primes, 1xKx1 slivers), checked
-//! against the naive reference kernels.
+//! against the naive reference kernels — bit for bit in both dtypes.
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -35,13 +35,13 @@ fn rand_i4(len: usize, seed: u64) -> Vec<i8> {
 /// exercises partial tiles in both dimensions.
 const PRIMES: [usize; 8] = [1, 3, 7, 13, 17, 23, 31, 53];
 
-fn close(a: &[f32], b: &[f32]) -> Result<(), (usize, f32, f32)> {
-    for (i, (x, y)) in a.iter().zip(b).enumerate() {
-        if (x - y).abs() > 1e-4 * (1.0 + x.abs().max(y.abs())) {
-            return Err((i, *x, *y));
-        }
+/// Bit equality: the packed kernel and [`sgemm_reference`] both run one
+/// ascending-`k` FMA chain per element.
+fn same_bits(a: &[f32], b: &[f32]) -> Result<(), (usize, f32, f32)> {
+    match a.iter().zip(b).position(|(x, y)| x.to_bits() != y.to_bits()) {
+        Some(i) => Err((i, a[i], b[i])),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 proptest! {
@@ -62,7 +62,7 @@ proptest! {
         let mut c_ref = vec![0.0; m * n];
         sgemm(m, k, n, &a, &b, &mut c);
         sgemm_reference(m, k, n, &a, &b, &mut c_ref);
-        if let Err((i, x, y)) = close(&c, &c_ref) {
+        if let Err((i, x, y)) = same_bits(&c, &c_ref) {
             prop_assert!(false, "{m}x{k}x{n} idx {i}: {x} vs {y}");
         }
     }
@@ -76,7 +76,7 @@ proptest! {
         let mut c_ref = vec![0.0; 1];
         sgemm(1, k, 1, &a, &b, &mut c);
         sgemm_reference(1, k, 1, &a, &b, &mut c_ref);
-        prop_assert!((c[0] - c_ref[0]).abs() < 1e-4 * (1.0 + c_ref[0].abs()), "{} vs {}", c[0], c_ref[0]);
+        prop_assert_eq!(c[0].to_bits(), c_ref[0].to_bits(), "{} vs {}", c[0], c_ref[0]);
     }
 
     /// Transposed-A variant over off-tile sizes.
@@ -97,7 +97,7 @@ proptest! {
         let mut c_ref = vec![0.0; m * n];
         sgemm_at(m, k, n, &a_t, &b, &mut c);
         sgemm_reference(m, k, n, &a, &b, &mut c_ref);
-        if let Err((i, x, y)) = close(&c, &c_ref) {
+        if let Err((i, x, y)) = same_bits(&c, &c_ref) {
             prop_assert!(false, "{m}x{k}x{n} idx {i}: {x} vs {y}");
         }
     }
@@ -120,7 +120,7 @@ proptest! {
         let mut c_ref = vec![0.0; m * n];
         sgemm_bt(m, k, n, &a, &b_t, &mut c);
         sgemm_reference(m, k, n, &a, &b, &mut c_ref);
-        if let Err((i, x, y)) = close(&c, &c_ref) {
+        if let Err((i, x, y)) = same_bits(&c, &c_ref) {
             prop_assert!(false, "{m}x{k}x{n} idx {i}: {x} vs {y}");
         }
     }
@@ -216,8 +216,9 @@ fn rows_to_fork(k: usize, n: usize) -> usize {
 /// triple loops (which share no code with it): one column short of a strip,
 /// exactly one strip, one column into the second, many strips under a single
 /// row tile, and `k = 1`. Every case is big enough to fork where the machine
-/// has the threads; `f32` is compared for equality too — the driver sums each
-/// element in ascending `k` like the reference does, whatever the split.
+/// has the threads; `f32` is compared for equality too — the driver runs one
+/// ascending-`k` FMA chain per element like the reference does, whatever the
+/// split.
 #[test]
 fn driver_seams_match_the_naive_reference() {
     let nc = strip_cols(576, 1);

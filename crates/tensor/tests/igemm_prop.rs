@@ -308,7 +308,7 @@ fn conv_driver_seams_match_the_naive_reference() {
         let bf: Vec<f32> = bias.iter().map(|&v| v as f32).collect();
         let mut yf = vec![0.0f32; m * n];
         sgemm_conv(m, &wf, &geom, &xf, &mut yf, GemmEpilogue::BiasRelu(&bf));
-        // Same ascending-k sum per element as the naive loop: equal bits.
+        // Same ascending-k FMA chain per element as the naive loop: equal bits.
         assert!(yf.iter().zip(&want_f32).all(|(a, b)| a.to_bits() == b.to_bits()), "f32 {what}");
     }
 }
@@ -379,8 +379,13 @@ fn tconv_driver_seams_match_the_definition() {
         let to_f32 = |v: &[i8]| v.iter().map(|&v| v as f32 / 4.0).collect::<Vec<f32>>();
         let (wtf, wkf, xf) = (to_f32(&wt), to_f32(&wk), to_f32(&x));
         let bf4: Vec<f32> = bias4.iter().map(|&v| v as f32).collect();
-        let want =
-            tconv_reference(dims, &wtf, &xf, |a: f32, x, w| a + w * x, |a, co| a + bf4[4 * co]);
+        let want = tconv_reference(
+            dims,
+            &wtf,
+            &xf,
+            |a: f32, x, w| w.mul_add(x, a),
+            |a, co| a + bf4[4 * co],
+        );
         let mut yf = vec![0.0f32; 4 * c_out * n];
         sgemm_tconv2x2(c_out, c_in, &wkf, &xf, h, w, &bf4, &mut yf);
         assert!(yf.iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits()), "f32 {dims:?}");

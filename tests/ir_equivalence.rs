@@ -8,8 +8,8 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use seneca_ir::oracle::{self, assert_close_f32};
 use seneca_ir::{lower, LowerOptions, Lowered};
-use seneca_nn::graph::Graph;
-use seneca_nn::unet::{UNet, UNetConfig};
+use seneca_nn::graph::{Graph, Op};
+use seneca_nn::unet::{ModelSize, UNet, UNetConfig};
 use seneca_quant::{
     calibrate, fuse, mixed::quantizable_nodes, quantize_from_calibration, quantize_post_training,
     Bitwidth, PtqConfig, QuantizedGraph,
@@ -20,6 +20,28 @@ fn random_net(depth: usize, base_filters: usize, seed: u64) -> UNet {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let cfg = UNetConfig { depth, base_filters, in_channels: 1, num_classes: 6, dropout: 0.0 };
     UNet::new(cfg, &mut rng)
+}
+
+/// The export graph of a random net, its BatchNorms given random running
+/// statistics and affine parameters (a fresh net's are the identity).
+fn random_graph(depth: usize, base_filters: usize, seed: u64) -> Graph {
+    randomize_bn(Graph::from_unet(&random_net(depth, base_filters, seed), "prop"), seed)
+}
+
+fn randomize_bn(mut g: Graph, seed: u64) -> Graph {
+    use rand::Rng;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xB4);
+    for node in &mut g.nodes {
+        if let Op::BatchNorm { bn } = &mut node.op {
+            for c in 0..bn.channels() {
+                bn.gamma[c] = rng.gen_range(0.5f32..1.5);
+                bn.beta[c] = rng.gen_range(-0.3f32..0.3);
+                bn.running_mean[c] = rng.gen_range(-0.3f32..0.3);
+                bn.running_var[c] = rng.gen_range(0.3f32..1.5);
+            }
+        }
+    }
+    g
 }
 
 fn random_frame(shape: Shape4, seed: u64) -> Tensor {
@@ -50,12 +72,28 @@ fn assert_i8_matches_oracle(qg: &QuantizedGraph, shape: Shape4, seed: u64) {
     }
 }
 
+/// Every Table II model, lowered the way `Fp32RefBackend` runs it (FMA
+/// GEMMs, BN and ReLU carried in the conv stores), stays within
+/// `F32_TOLERANCE` of the oracle on every node. 32x32: the smallest input
+/// the depth-5 models take.
+#[test]
+fn every_table_ii_model_fp32_matches_the_oracle() {
+    let shape = Shape4::new(1, 1, 32, 32);
+    for (seed, size) in ModelSize::ALL.into_iter().enumerate() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed as u64);
+        let graph = randomize_bn(Graph::from_unet(&UNet::from_size(size, &mut rng), "t2"), 7);
+        let lowered = lower(graph.to_ir(), shape, &LowerOptions::reference());
+        let x = random_frame(shape, seed as u64);
+        oracle::check_f32(&lowered, &mut lowered.make_scratch_f32(), &x);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// FP32: the IR-lowered executor (pack-once panels + liveness-planned
-    /// arena) == oracle on every node (BN, ReLU, dropout and softmax still
-    /// explicit), over several frames through one reused scratch arena.
+    /// arena, BN and ReLU carried in the conv stores) == oracle on every
+    /// node, over several frames through one reused scratch arena.
     #[test]
     fn lowered_fp32_matches_naive(
         depth in 1usize..=3,
@@ -63,12 +101,36 @@ proptest! {
         scale in 1usize..3,
         seed in 0u64..1000,
     ) {
-        let net = random_net(depth, base_filters, seed);
-        let graph = Graph::from_unet(&net, "prop");
+        let graph = random_graph(depth, base_filters, seed);
         let side = (1 << depth) * scale.max(1);
         let shape = Shape4::new(1, 1, side, side);
         let lowered = lower(graph.to_ir(), shape, &LowerOptions::reference());
         assert_f32_matches_oracle(&lowered, shape, seed.wrapping_mul(31));
+    }
+
+    /// The exact epilogue fusions: the reference lowering carries every
+    /// conv's BatchNorm and ReLU in its GEMM store, which is bit for bit the
+    /// unfused conv → BN → ReLU walk on the same kernel, and within
+    /// tolerance of the oracle on every node. Batch of two, non-square.
+    #[test]
+    fn fused_fp32_equals_unfused_bit_for_bit(
+        depth in 1usize..=3,
+        base_filters in 2usize..6,
+        wider in 1usize..3,
+        seed in 0u64..1000,
+    ) {
+        let module = random_graph(depth, base_filters, seed).to_ir();
+        let n_bn = module.op_histogram()["batchnorm"];
+        let shape = Shape4::new(2, 1, 2 << depth, (2 + wider) << depth);
+        let fused = lower(module.clone(), shape, &LowerOptions::reference());
+        let unfused =
+            lower(module, shape, &LowerOptions { fuse_relu: false, ..LowerOptions::reference() });
+        prop_assert_eq!((fused.stats().bn_fused, fused.stats().relu_fused), (n_bn, n_bn));
+        prop_assert_eq!(fused.module().nodes.len() + 2 * n_bn, unfused.module().nodes.len());
+        let x = random_frame(shape, seed.wrapping_mul(7));
+        let bits = |t: Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        prop_assert_eq!(bits(fused.execute_f32(&x)), bits(unfused.execute_f32(&x)));
+        assert_f32_matches_oracle(&fused, shape, seed.wrapping_mul(7));
     }
 
     /// INT8: the IR-lowered executor runs the exact integer arithmetic of
