@@ -94,9 +94,9 @@ impl ExperimentCtx {
             return Arc::clone(d);
         }
         eprintln!("[ctx] building deployment for {size} ...");
-        let net = zoo::get_or_train(&self.wf, size, &self.data);
-        let qg = self.wf.quantize(&net, size, &self.data);
-        let dep = Arc::new(self.wf.compile_and_deploy(net, qg, size));
+        let graph = zoo::get_or_train(&self.wf, size, &self.data);
+        let qg = self.wf.quantize(&graph, &self.data);
+        let dep = Arc::new(self.wf.compile_and_deploy(graph, qg));
         self.deployments.insert(size, Arc::clone(&dep));
         dep
     }

@@ -12,7 +12,6 @@ use seneca::backend::QuantRefBackend;
 use seneca::eval::evaluate_backend;
 use seneca_dpu::arch::DpuArch;
 use seneca_dpu::perf::{frame_cost, frame_cost_pruned};
-use seneca_nn::graph::Graph;
 use seneca_nn::loss::FocalTverskyLoss;
 use seneca_nn::optim::Adam;
 use seneca_nn::prune::{effective_macs, prune_channels};
@@ -36,13 +35,15 @@ pub fn run_quant(ctx: &mut ExperimentCtx) {
     let ffq_report = fast_finetune(&mut qg_ffq, &fg, &calib[..max_images.min(8)], 8);
     eprintln!("[ablation-quant] QAT ...");
     // QAT: short fine-tune of the trained model with weight projection.
-    let mut qat_net = dep.unet.clone();
+    let mut qat_graph = dep.graph.clone();
+    qat_graph.name = "1M-qat".into();
     let loss = FocalTverskyLoss::paper_defaults(ctx.data.class_weights.clone());
     let mut opt = Adam::new(2e-4);
     let mut qat_cfg = ctx.wf.config.train.clone();
     qat_cfg.epochs = (qat_cfg.epochs / 2).max(1);
-    let _ = seneca_quant::qat::train_qat(&mut qat_net, &ctx.data.train, &loss, &mut opt, &qat_cfg);
-    let qat_fg = fuse(&Graph::from_unet(&qat_net, "1M-qat"));
+    let _ =
+        seneca_quant::qat::train_qat(&mut qat_graph, &ctx.data.train, &loss, &mut opt, &qat_cfg);
+    let qat_fg = fuse(&qat_graph);
     let (qg_qat, _) = quantize_post_training(&qat_fg, &calib, &PtqConfig::default());
 
     let mut t = Table::new(vec!["Method", "Global DSC [%]", "Logit MSE vs FP32", "Notes"]);

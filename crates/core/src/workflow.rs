@@ -14,9 +14,9 @@ use seneca_dpu::arch::DpuArch;
 use seneca_dpu::runtime::{DpuRunner, RuntimeConfig};
 use seneca_gpu::{GpuModel, GpuRunner};
 use seneca_nn::graph::Graph;
-use seneca_nn::loss::FocalTverskyLoss;
-use seneca_nn::optim::{Adam, Optimizer};
-use seneca_nn::train::{train, Sample};
+use seneca_nn::loss::{cross_entropy_loss, FocalTverskyLoss};
+use seneca_nn::optim::Adam;
+use seneca_nn::train::{stack_samples, step, train, Sample};
 use seneca_nn::unet::{ModelSize, UNet};
 use seneca_quant::{fuse, quantize_post_training, PtqConfig, QuantizedGraph};
 use seneca_tensor::{Shape4, Tensor};
@@ -52,9 +52,7 @@ pub struct PreparedData {
 
 /// Stage-E output: everything deployed, both targets.
 pub struct Deployment {
-    /// The trained FP32 network.
-    pub unet: UNet,
-    /// FP32 inference graph (the GPU baseline executes this).
+    /// The trained FP32 graph (the GPU baseline executes this).
     pub graph: Graph,
     /// Quantized graph (stage D output).
     pub qgraph: QuantizedGraph,
@@ -204,34 +202,30 @@ impl Workflow {
     /// * **compute-normalised epochs**: `config.train.epochs` is the budget
     ///   for the 1M model; larger models get proportionally fewer epochs so
     ///   every configuration trains for roughly equal wall-clock.
-    pub fn train_model(&self, size: ModelSize, data: &PreparedData) -> UNet {
+    ///
+    /// Returns the trained graph, named by the size label.
+    pub fn train_model(&self, size: ModelSize, data: &PreparedData) -> Graph {
         let mut rng = rand::rngs::StdRng::seed_from_u64(self.config.seed);
-        let mut net = UNet::from_size(size, &mut rng);
+        let net = UNet::from_size(size, &mut rng);
         let mut opt = Adam::new(self.config.learning_rate);
 
-        // Compute-normalised epoch budget.
+        // Compute-normalised epoch budget. The 1M reference is built from the
+        // training RNG, so its draws are part of the stream every cached
+        // model was trained with.
         let s = self.config.input_size;
         let macs_this = net.macs_per_frame(s, s) as f64;
         let macs_1m = UNet::from_size(ModelSize::M1, &mut rng).macs_per_frame(s, s) as f64;
         let epochs =
             ((self.config.train.epochs as f64 * macs_1m / macs_this).round() as usize).max(1);
+        let mut graph = Graph::from_unet(&net, size.label());
 
         // Cross-entropy warm-up epoch.
         use rand::seq::SliceRandom;
         let mut order: Vec<usize> = (0..data.train.len()).collect();
         order.shuffle(&mut rng);
         for chunk in order.chunks(self.config.train.batch_size) {
-            let images: Vec<Tensor> = chunk.iter().map(|&i| data.train[i].image.clone()).collect();
-            let batch = Tensor::stack_batch(&images);
-            let mut labels = Vec::new();
-            for &i in chunk {
-                labels.extend_from_slice(&data.train[i].labels);
-            }
-            let (probs, cache) = net.forward(&batch, &mut rng);
-            let (_, dprobs) = seneca_nn::loss::cross_entropy_loss(&probs, &labels);
-            net.zero_grad();
-            net.backward(&cache, &dprobs);
-            opt.step(&mut net);
+            let (batch, labels) = stack_samples(chunk.iter().map(|&i| &data.train[i]));
+            step(&mut graph, &batch, &labels, cross_entropy_loss, &mut opt, &mut rng);
         }
         if self.config.train.verbose {
             eprintln!("[train {}] CE warm-up done; {} FTL epochs follow", size.label(), epochs);
@@ -240,14 +234,13 @@ impl Workflow {
         // Focal Tversky epochs.
         let loss = FocalTverskyLoss::paper_defaults(data.class_weights.clone());
         let cfg = seneca_nn::train::TrainConfig { epochs, ..self.config.train.clone() };
-        let _history = train(&mut net, &data.train, &loss, &mut opt, &cfg);
-        net
+        train(&mut graph, &data.train, &loss, &mut opt, &cfg);
+        graph
     }
 
     /// Stage D: PTQ with the calibration set.
-    pub fn quantize(&self, net: &UNet, size: ModelSize, data: &PreparedData) -> QuantizedGraph {
-        let graph = Graph::from_unet(net, size.label());
-        let fg = fuse(&graph);
+    pub fn quantize(&self, graph: &Graph, data: &PreparedData) -> QuantizedGraph {
+        let fg = fuse(graph);
         let (qg, _report) = quantize_post_training(
             &fg,
             &data.calibration,
@@ -257,24 +250,18 @@ impl Workflow {
     }
 
     /// Stage E: compile for the B4096 and wrap in runners (both targets).
-    pub fn compile_and_deploy(&self, net: UNet, qg: QuantizedGraph, size: ModelSize) -> Deployment {
+    pub fn compile_and_deploy(&self, graph: Graph, qg: QuantizedGraph) -> Deployment {
         let input_shape = Shape4::new(1, 1, self.config.input_size, self.config.input_size);
         let xm = seneca_dpu::compile(&qg, input_shape, DpuArch::b4096_zcu104());
         let dpu_runner = DpuRunner::new(Arc::new(xm), RuntimeConfig::default());
-        let graph = Graph::from_unet(&net, size.label());
         let gpu_runner = GpuRunner::new(graph.clone(), GpuModel::rtx2060_mobile(), input_shape);
-        Deployment { unet: net, graph, qgraph: qg, dpu_runner, gpu_runner }
+        Deployment { graph, qgraph: qg, dpu_runner, gpu_runner }
     }
 
     /// Stage E, trait form: the deployment's inference paths as prepared
     /// [`Backend`] trait objects.
-    pub fn deploy_backends(
-        &self,
-        net: UNet,
-        qg: QuantizedGraph,
-        size: ModelSize,
-    ) -> Vec<Box<dyn Backend>> {
-        let mut backends = self.compile_and_deploy(net, qg, size).backends();
+    pub fn deploy_backends(&self, graph: Graph, qg: QuantizedGraph) -> Vec<Box<dyn Backend>> {
+        let mut backends = self.compile_and_deploy(graph, qg).backends();
         for b in &mut backends {
             b.prepare();
         }
@@ -283,9 +270,9 @@ impl Workflow {
 
     /// Full pipeline for one model size (train → quantize → compile).
     pub fn deploy(&self, size: ModelSize, data: &PreparedData) -> Deployment {
-        let net = self.train_model(size, data);
-        let qg = self.quantize(&net, size, data);
-        self.compile_and_deploy(net, qg, size)
+        let graph = self.train_model(size, data);
+        let qg = self.quantize(&graph, data);
+        self.compile_and_deploy(graph, qg)
     }
 }
 

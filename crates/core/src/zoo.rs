@@ -1,13 +1,14 @@
 //! Trained-model cache ("model zoo").
 //!
 //! Training five U-Nets on CPU is the slow part of reproducing the paper;
-//! the zoo caches trained weights on disk (JSON via serde) keyed by model
+//! the zoo caches the trained graphs on disk (JSON via serde) keyed by model
 //! size and the configuration fingerprint, so benches and the `reproduce`
 //! harness can share one training run.
 
 use crate::config::SenecaConfig;
 use crate::workflow::{PreparedData, Workflow};
-use seneca_nn::unet::{ModelSize, UNet};
+use seneca_nn::graph::Graph;
+use seneca_nn::unet::ModelSize;
 use std::path::{Path, PathBuf};
 
 /// Where artifacts live: `$SENECA_ARTIFACTS` or `target/seneca-artifacts`.
@@ -22,8 +23,9 @@ pub fn artifacts_dir() -> PathBuf {
 /// up in the configuration: the label and preprocessing pipeline, and the
 /// arithmetic of training itself. Bump it with such a change, and every
 /// cached model is retrained instead of silently reused. 2: FP32 GEMMs (all
-/// of training) accumulate with fused multiply-add.
-const PIPELINE_VERSION: u32 = 2;
+/// of training) accumulate with fused multiply-add. 3: the cache holds the
+/// trained `Graph` (same weights, new file format).
+const PIPELINE_VERSION: u32 = 3;
 
 /// A stable fingerprint of everything that affects trained weights: the
 /// configuration, salted with the pipeline version (the leading `v<N>`).
@@ -52,18 +54,20 @@ pub fn model_path(cfg: &SenecaConfig, size: ModelSize) -> PathBuf {
     artifacts_dir().join(format!("unet-{}-{}.json", size.label(), config_fingerprint(cfg)))
 }
 
-/// Loads a cached model if present.
-pub fn load_model(path: &Path) -> Option<UNet> {
+/// Loads a cached model of `size` if present; a file holding a model of
+/// another size reads as absent.
+pub fn load_model(path: &Path, size: ModelSize) -> Option<Graph> {
     let bytes = std::fs::read(path).ok()?;
-    serde_json::from_slice(&bytes).ok()
+    let graph: Graph = serde_json::from_slice(&bytes).ok()?;
+    (graph.name == size.label()).then_some(graph)
 }
 
 /// Saves a trained model (best effort; failures only warn).
-pub fn save_model(path: &Path, net: &UNet) {
+pub fn save_model(path: &Path, graph: &Graph) {
     if let Some(parent) = path.parent() {
         let _ = std::fs::create_dir_all(parent);
     }
-    match serde_json::to_vec(net) {
+    match serde_json::to_vec(graph) {
         Ok(bytes) => {
             if let Err(e) = std::fs::write(path, bytes) {
                 eprintln!("zoo: could not cache model at {}: {e}", path.display());
@@ -74,16 +78,14 @@ pub fn save_model(path: &Path, net: &UNet) {
 }
 
 /// Returns the trained model for `size`, training (and caching) on a miss.
-pub fn get_or_train(wf: &Workflow, size: ModelSize, data: &PreparedData) -> UNet {
+pub fn get_or_train(wf: &Workflow, size: ModelSize, data: &PreparedData) -> Graph {
     let path = model_path(&wf.config, size);
-    if let Some(net) = load_model(&path) {
-        if net.config == size.config() {
-            return net;
-        }
+    if let Some(graph) = load_model(&path, size) {
+        return graph;
     }
-    let net = wf.train_model(size, data);
-    save_model(&path, &net);
-    net
+    let graph = wf.train_model(size, data);
+    save_model(&path, &graph);
+    graph
 }
 
 #[cfg(test)]
@@ -102,22 +104,24 @@ mod tests {
     }
 
     #[test]
-    fn save_load_roundtrip() {
+    fn save_load_roundtrip_rejects_another_size() {
         use rand::SeedableRng;
         let dir = std::env::temp_dir().join(format!("seneca-zoo-test-{}", std::process::id()));
         let path = dir.join("m.json");
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let net = UNet::from_size(ModelSize::M1, &mut rng);
-        save_model(&path, &net);
-        let loaded = load_model(&path).expect("model loads");
-        assert_eq!(loaded.param_count(), net.param_count());
-        assert_eq!(loaded.config, net.config);
+        let net = seneca_nn::UNet::from_size(ModelSize::M1, &mut rng);
+        let graph = Graph::from_unet(&net, ModelSize::M1.label());
+        save_model(&path, &graph);
+        let loaded = load_model(&path, ModelSize::M1).expect("model loads");
+        let json = |g: &Graph| serde_json::to_string(g).unwrap();
+        assert_eq!(json(&loaded), json(&graph));
+        assert!(load_model(&path, ModelSize::M2).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn missing_file_is_none() {
-        assert!(load_model(Path::new("/nonexistent/seneca/model.json")).is_none());
+        assert!(load_model(Path::new("/nonexistent/seneca/model.json"), ModelSize::M1).is_none());
     }
 
     #[test]
@@ -132,7 +136,7 @@ mod tests {
         let t1 = std::time::Instant::now();
         let b = get_or_train(&wf, ModelSize::M1, &data);
         let second = t1.elapsed();
-        assert_eq!(a.param_count(), b.param_count());
+        assert_eq!(serde_json::to_string(&a).unwrap(), serde_json::to_string(&b).unwrap());
         assert!(second < first, "cache hit must be faster: {second:?} vs {first:?}");
         std::env::remove_var("SENECA_ARTIFACTS");
         let _ = std::fs::remove_dir_all(&dir);

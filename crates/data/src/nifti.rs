@@ -93,52 +93,70 @@ pub struct NiftiInfo {
     pub datatype: i16,
 }
 
+fn invalid(msg: String) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
+}
+
+/// The `N` bytes of `b` at `at`, for the `from_le_bytes` constructors.
+fn le<const N: usize>(b: &[u8], at: usize) -> [u8; N] {
+    std::array::from_fn(|i| b[at + i])
+}
+
 /// Reads a `.nii` file produced by [`write_nifti`] (or any little-endian
 /// single-file NIfTI-1 with float32/uint8 voxels). Returns the geometry and
 /// the voxel payload as `f32` (uint8 voxels are widened).
+///
+/// A header that does not fit its file — a negative dimension, an
+/// unsupported datatype, or a voxel payload larger than the bytes after the
+/// header — is `InvalidData`, found before anything is allocated for the
+/// payload.
 pub fn read_nifti(path: &Path) -> std::io::Result<(NiftiInfo, Vec<f32>)> {
     let mut f = std::fs::File::open(path)?;
-    let mut hdr = vec![0u8; 352];
+    let mut hdr = [0u8; 352];
     f.read_exact(&mut hdr)?;
-    let sizeof_hdr = i32::from_le_bytes(hdr[0..4].try_into().unwrap());
+    let sizeof_hdr = i32::from_le_bytes(le(&hdr, 0));
     if sizeof_hdr != HDR_SIZE {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("not a little-endian NIfTI-1 header (sizeof_hdr {sizeof_hdr})"),
-        ));
+        return Err(invalid(format!(
+            "not a little-endian NIfTI-1 header (sizeof_hdr {sizeof_hdr})"
+        )));
     }
     if &hdr[344..347] != b"n+1" {
-        return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, "bad NIfTI magic"));
+        return Err(invalid("bad NIfTI magic".into()));
     }
-    let dim = |i: usize| i16::from_le_bytes(hdr[40 + 2 * i..42 + 2 * i].try_into().unwrap());
-    let info = NiftiInfo {
-        width: dim(1).max(1) as usize,
-        height: dim(2).max(1) as usize,
-        depth: dim(3).max(1) as usize,
-        datatype: i16::from_le_bytes(hdr[70..72].try_into().unwrap()),
+    let dim = |i: usize| {
+        let d = i16::from_le_bytes(le(&hdr, 40 + 2 * i));
+        usize::try_from(d).map(|d| d.max(1)).map_err(|_| invalid(format!("negative dim[{i}] {d}")))
     };
-    let n = info.width * info.height * info.depth;
-    let mut data = Vec::with_capacity(n);
-    match info.datatype {
-        DT_FLOAT32 => {
-            let mut buf = vec![0u8; n * 4];
-            f.read_exact(&mut buf)?;
-            for chunk in buf.chunks_exact(4) {
-                data.push(f32::from_le_bytes(chunk.try_into().unwrap()));
-            }
-        }
-        DT_UINT8 => {
-            let mut buf = vec![0u8; n];
-            f.read_exact(&mut buf)?;
-            data.extend(buf.iter().map(|&b| b as f32));
-        }
-        other => {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("unsupported NIfTI datatype {other}"),
+    let info = NiftiInfo {
+        width: dim(1)?,
+        height: dim(2)?,
+        depth: dim(3)?,
+        datatype: i16::from_le_bytes(le(&hdr, 70)),
+    };
+    let voxel_bytes = match info.datatype {
+        DT_FLOAT32 => 4,
+        DT_UINT8 => 1,
+        other => return Err(invalid(format!("unsupported NIfTI datatype {other}"))),
+    };
+    let left = f.metadata()?.len().saturating_sub(hdr.len() as u64);
+    let payload = info
+        .width
+        .checked_mul(info.height)
+        .and_then(|n| n.checked_mul(info.depth))
+        .and_then(|n| n.checked_mul(voxel_bytes))
+        .filter(|&n| n as u64 <= left)
+        .ok_or_else(|| {
+            invalid(format!(
+                "{}x{}x{} voxels of {voxel_bytes} B do not fit the {left} B after the header",
+                info.width, info.height, info.depth
             ))
-        }
-    }
+        })?;
+    let mut buf = vec![0u8; payload];
+    f.read_exact(&mut buf)?;
+    let data = match info.datatype {
+        DT_FLOAT32 => buf.chunks_exact(4).map(|c| f32::from_le_bytes(le(c, 0))).collect(),
+        _ => buf.iter().map(|&b| b as f32).collect(),
+    };
     Ok((info, data))
 }
 
@@ -208,5 +226,55 @@ mod tests {
         std::fs::write(&path, vec![0u8; 400]).unwrap();
         assert!(read_nifti(&path).is_err());
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Writes the labels file of a small volume with `edit` applied to its
+    /// bytes, reads it back and returns the error.
+    fn read_edited(name: &str, edit: impl FnOnce(&mut Vec<u8>)) -> std::io::Error {
+        let path = tmpdir().join(name);
+        write_nifti(&path, &small_volume(), NiftiChannel::Labels).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        edit(&mut bytes);
+        std::fs::write(&path, bytes).unwrap();
+        let err = read_nifti(&path).expect_err("hostile header must not read");
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        err
+    }
+
+    fn set_i16(bytes: &mut [u8], at: usize, v: i16) {
+        bytes[at..at + 2].copy_from_slice(&v.to_le_bytes());
+    }
+
+    #[test]
+    fn absurd_dims_are_an_error_not_an_allocation() {
+        // A bare 352-byte header claiming 32767³ float voxels (~140 TB).
+        read_edited("absurd.nii", |b| {
+            b.truncate(352);
+            for i in 1..=3 {
+                set_i16(b, 40 + 2 * i, i16::MAX);
+            }
+            set_i16(b, 70, DT_FLOAT32);
+        });
+    }
+
+    #[test]
+    fn negative_dim_is_an_error() {
+        let err = read_edited("negative.nii", |b| set_i16(b, 42, -32));
+        assert!(err.to_string().contains("negative"), "{err}");
+    }
+
+    #[test]
+    fn truncated_payload_is_an_error() {
+        read_edited("truncated.nii", |b| {
+            let keep = b.len() - 1;
+            b.truncate(keep);
+        });
+    }
+
+    #[test]
+    fn unsupported_datatype_is_an_error() {
+        let err = read_edited("datatype.nii", |b| set_i16(b, 70, 64));
+        assert!(err.to_string().contains("unsupported"), "{err}");
     }
 }

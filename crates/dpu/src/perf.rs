@@ -7,8 +7,10 @@
 //!   models with few channels (f=6 vs f=8) often cost the *same* cycles
 //!   while the GPU sees proportional FLOPs. This is why the 1M model out-runs
 //!   the 2M model on the DPU but not on the GPU (Table IV);
-//! * **double-buffered DMA** — per layer, compute overlaps with the DMA of
-//!   its operands: `layer time = max(compute, mem) + fixed overhead`;
+//! * **double-buffered DMA** — the load/compute/save engines overlap across
+//!   the whole frame, not layer by layer: [`frame_cost`] charges
+//!   `frame time = max(Σ compute, Σ DMA) + Σ fixed overheads`, so a
+//!   memory-bound layer hides behind compute-bound ones;
 //! * **channel padding + misalignment** — feature maps are stored in
 //!   ICP-channel groups; non-multiple-of-16 channel counts pay a
 //!   read-modify-write bandwidth penalty, which hits the f=6 (2M) model at

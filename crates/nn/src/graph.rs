@@ -1,18 +1,19 @@
-//! The trained-model export graph.
+//! The model graph: what is trained, and what is handed off.
 //!
-//! After training, a [`crate::unet::UNet`] is exported to this small
-//! single-input / single-output DAG. The IR is the hand-off format consumed
-//! by the quantizer (`seneca-quant`) and the DPU compiler (`seneca-dpu`) —
-//! mirroring how a TensorFlow graph flows into the Vitis AI quantizer and
-//! VAI_C. It deliberately keeps BatchNorm and Dropout as *separate nodes* so
-//! those tools can demonstrate folding/removal.
+//! A freshly built [`crate::unet::UNet`] is exported to this small
+//! single-input / single-output DAG, trained in place by the reverse walk of
+//! [`crate::backprop`], and then handed to the quantizer (`seneca-quant`) and
+//! the DPU compiler (`seneca-dpu`) — mirroring how one TensorFlow graph is
+//! trained and then flows into the Vitis AI quantizer and VAI_C. It
+//! deliberately keeps BatchNorm and Dropout as *separate nodes*: training
+//! needs them explicit, and the tools demonstrate folding/removal.
 //!
-//! The graph itself cannot be run: all execution lowers through `seneca-ir`.
+//! Inference never runs the graph itself: it lowers through `seneca-ir`.
 //! [`Graph::to_ir`] converts into the typed IR [`seneca_ir::Module`], whose
 //! pass pipeline and planned executor run it. Shape inference delegates to
 //! the same IR pass.
 
-use crate::unet::UNet;
+use crate::unet::{ConvBlock, UNet};
 use seneca_ir::shape::{infer_shapes_ops, ShapeOp};
 use seneca_ir::{ConvAttrs, ConvKernel, DType, IrOp, Module};
 use seneca_tensor::norm::BnState;
@@ -35,7 +36,8 @@ pub enum Op {
         /// Fused ReLU flag (set by the compiler's fusion pass, not the exporter).
         relu: bool,
     },
-    /// Batch normalisation (inference form, running statistics).
+    /// Batch normalisation: batch statistics in training (which update the
+    /// running ones), running statistics at inference.
     BatchNorm {
         /// BN parameters.
         bn: BnState,
@@ -115,45 +117,56 @@ impl Graph {
         self.output
     }
 
-    /// Exports a trained U-Net into graph form (BN and dropout kept explicit).
+    /// Exports a U-Net into graph form (BN and dropout kept explicit). Node
+    /// order is the U-Net's forward order, so training draws the dropout
+    /// masks stack by stack, shallow encoder first.
     pub fn from_unet(net: &UNet, name: impl Into<String>) -> Self {
         let mut g = Graph::new(name);
         let mut cur = 0usize;
         let mut skips = Vec::new();
-        let push_block =
-            |g: &mut Graph, cur: usize, blk: &crate::layer::ConvBlock, with_relu: bool| -> usize {
-                let mut id = g.push(
-                    Op::Conv { w: blk.w.clone().into(), b: blk.b.clone(), relu: false },
-                    vec![cur],
-                );
-                if let Some(bn) = &blk.bn {
-                    id = g.push(Op::BatchNorm { bn: bn.clone() }, vec![id]);
-                }
-                if with_relu && blk.relu {
-                    id = g.push(Op::Relu, vec![id]);
-                }
-                id
-            };
+        let rate = net.config.dropout;
+        let push_block = |g: &mut Graph, cur: usize, blk: &ConvBlock| -> usize {
+            let mut id = g.push(
+                Op::Conv { w: blk.w.clone().into(), b: blk.b.clone(), relu: false },
+                vec![cur],
+            );
+            if let Some(bn) = &blk.bn {
+                id = g.push(Op::BatchNorm { bn: bn.clone() }, vec![id]);
+                id = g.push(Op::Relu, vec![id]);
+            }
+            id
+        };
         for e in &net.encoders {
-            cur = push_block(&mut g, cur, &e.conv1, true);
-            cur = push_block(&mut g, cur, &e.conv2, true);
+            cur = push_block(&mut g, cur, &e.conv1);
+            cur = push_block(&mut g, cur, &e.conv2);
             skips.push(cur);
             cur = g.push(Op::MaxPool2x2, vec![cur]);
-            cur = g.push(Op::Dropout { rate: e.dropout.rate }, vec![cur]);
+            cur = g.push(Op::Dropout { rate }, vec![cur]);
         }
-        cur = push_block(&mut g, cur, &net.bneck1, true);
-        cur = push_block(&mut g, cur, &net.bneck2, true);
+        cur = push_block(&mut g, cur, &net.bneck1);
+        cur = push_block(&mut g, cur, &net.bneck2);
         for (di, d) in net.decoders.iter().enumerate() {
             let skip = skips[net.config.depth - 1 - di];
             let up = g.push(Op::TConv { w: d.up.w.clone().into(), b: d.up.b.clone() }, vec![cur]);
             cur = g.push(Op::Concat, vec![skip, up]);
-            cur = push_block(&mut g, cur, &d.conv1, true);
-            cur = push_block(&mut g, cur, &d.conv2, true);
-            cur = g.push(Op::Dropout { rate: d.dropout.rate }, vec![cur]);
+            cur = push_block(&mut g, cur, &d.conv1);
+            cur = push_block(&mut g, cur, &d.conv2);
+            cur = g.push(Op::Dropout { rate }, vec![cur]);
         }
-        cur = push_block(&mut g, cur, &net.head, false);
+        cur = push_block(&mut g, cur, &net.head);
         g.push(Op::Softmax, vec![cur]);
         g
+    }
+
+    /// The trainable tensors of node `id`: `[W, b]` of a conv or tconv,
+    /// `[γ, β]` of a BatchNorm, `None` for every other op. A weight still
+    /// shared with a lowered module or a graph clone is copied first.
+    pub fn params_mut(&mut self, id: usize) -> Option<[&mut [f32]; 2]> {
+        match &mut self.nodes[id].op {
+            Op::Conv { w, b, .. } | Op::TConv { w, b } => Some([Arc::make_mut(w).data_mut(), b]),
+            Op::BatchNorm { bn } => Some([&mut bn.gamma, &mut bn.beta]),
+            _ => None,
+        }
     }
 
     /// Infers every node's output shape for a given input shape (delegates
@@ -247,20 +260,6 @@ mod tests {
         let cfg =
             UNetConfig { depth: 2, base_filters: 4, in_channels: 1, num_classes: 6, dropout: 0.1 };
         UNet::new(cfg, &mut rng)
-    }
-
-    #[test]
-    fn export_matches_unet_inference() {
-        let net = tiny_net(5);
-        let g = Graph::from_unet(&net, "tiny");
-        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-        let x = Tensor::he_normal(Shape4::new(1, 1, 16, 16), &mut rng);
-        let y_net = net.infer(&x);
-        let y_graph = seneca_ir::execute_f32(&g.to_ir(), &x);
-        assert_eq!(y_net.shape(), y_graph.shape());
-        for (a, b) in y_net.data().iter().zip(y_graph.data()) {
-            assert!((a - b).abs() < 1e-5, "{a} vs {b}");
-        }
     }
 
     #[test]

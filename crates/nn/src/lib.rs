@@ -2,25 +2,27 @@
 //!
 //! Neural-network building blocks for the SENECA reproduction:
 //!
-//! * [`layer`] — trainable layers (conv+BN+ReLU blocks, transpose-conv,
-//!   dropout) with explicit forward caches and backward passes;
-//! * [`unet`] — the SENECA 2-D U-Net family (Table II configurations) with a
-//!   parameter-count calculator reproducing the paper's 1M…16M totals;
+//! * [`unet`] — the SENECA 2-D U-Net family (Table II configurations): the
+//!   randomly initialised network, its parameter count (reproducing the
+//!   paper's 1M…16M totals) and MACs per frame;
+//! * [`graph`] — the model graph a U-Net is exported to: the one thing that
+//!   is trained, quantized, compiled and served. Inference converts it to
+//!   `seneca-ir` via [`Graph::to_ir`] and lowers through the shared pass
+//!   pipeline and liveness planner;
+//! * [`backprop`] — training over the graph: a forward pass that keeps every
+//!   node's output and one reverse walk with a backward step per op;
 //! * [`loss`] — the weighted Focal Tversky loss of Eq. (1)–(2), plus Dice and
 //!   cross-entropy for ablations;
 //! * [`optim`] — SGD-with-momentum and Adam;
-//! * [`train`] — a mini-batch training loop with seeded shuffling;
-//! * [`graph`] — the trained-model export graph (the hand-off format to the
-//!   quantizer and the DPU compiler) with a naive FP32 reference executor;
-//!   optimised execution converts to `seneca-ir` via [`Graph::to_ir`] and
-//!   lowers through the shared pass pipeline and liveness planner;
+//! * [`train`] — the one training step and a mini-batch loop with seeded
+//!   shuffling;
 //! * [`prune`] — magnitude-based channel pruning (the paper's future-work
 //!   ablation);
 //! * [`augment`] — flip/translate/intensity-jitter training augmentation.
 
 pub mod augment;
+pub mod backprop;
 pub mod graph;
-pub mod layer;
 pub mod loss;
 pub mod optim;
 pub mod prune;

@@ -3,7 +3,8 @@
 //!
 //! All losses operate on softmax *probabilities* `[N, C, H, W]` and flat
 //! ground-truth labels (`u8`, length `N*H*W`), and return `(value, dprobs)`
-//! so they can feed [`crate::unet::UNet::backward`] directly.
+//! so they can feed the reverse walk ([`crate::graph::Graph::backward`])
+//! directly.
 
 use seneca_tensor::{Shape4, Tensor};
 use serde::{Deserialize, Serialize};

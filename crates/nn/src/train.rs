@@ -1,9 +1,13 @@
 //! Mini-batch training loop (stage C of the SENECA workflow).
+//!
+//! Every loop — [`train`], QAT (`seneca_quant::qat::train_qat`) and the
+//! workflow's cross-entropy warm-up — runs batches through one [`step`]:
+//! training forward over the graph, loss, reverse walk, optimizer update.
 
 use crate::augment::{AugmentConfig, Augmenter};
+use crate::graph::Graph;
 use crate::loss::FocalTverskyLoss;
 use crate::optim::Optimizer;
-use crate::unet::UNet;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use seneca_tensor::Tensor;
@@ -16,6 +20,17 @@ pub struct Sample {
     pub image: Tensor,
     /// Per-pixel class labels.
     pub labels: Vec<u8>,
+}
+
+/// Stacks samples into one `NxCxHxW` batch and its flat label map.
+pub fn stack_samples<'a>(samples: impl IntoIterator<Item = &'a Sample>) -> (Tensor, Vec<u8>) {
+    let mut images = Vec::new();
+    let mut labels = Vec::new();
+    for s in samples {
+        images.push(s.image.clone());
+        labels.extend_from_slice(&s.labels);
+    }
+    (Tensor::stack_batch(&images), labels)
 }
 
 /// Training hyper-parameters.
@@ -61,9 +76,27 @@ pub struct EpochStats {
     pub lr: f32,
 }
 
-/// Trains `net` in place; returns the loss history.
+/// One optimisation step on one batch: training forward (dropout masks
+/// drawn from `rng`), `loss(probs, labels) -> (value, dL/dprobs)`, the
+/// reverse walk, `opt.step`. Returns the loss value.
+pub fn step<R: Rng>(
+    graph: &mut Graph,
+    batch: &Tensor,
+    labels: &[u8],
+    loss: impl Fn(&Tensor, &[u8]) -> (f32, Tensor),
+    opt: &mut dyn Optimizer,
+    rng: &mut R,
+) -> f32 {
+    let tape = graph.forward_train(batch, rng);
+    let (value, dprobs) = loss(tape.output(), labels);
+    let grads = graph.backward(&tape, &dprobs);
+    opt.step(graph, &grads);
+    value
+}
+
+/// Trains `graph` in place; returns the loss history.
 pub fn train(
-    net: &mut UNet,
+    graph: &mut Graph,
     samples: &[Sample],
     loss: &FocalTverskyLoss,
     opt: &mut dyn Optimizer,
@@ -74,33 +107,21 @@ pub fn train(
     let mut order: Vec<usize> = (0..samples.len()).collect();
     let mut history = Vec::with_capacity(cfg.epochs);
     let mut augmenter = cfg.augment.map(Augmenter::new);
+    let ftl = |probs: &Tensor, labels: &[u8]| loss.forward_backward(probs, labels);
 
     for epoch in 0..cfg.epochs {
         order.shuffle(&mut rng);
         let mut loss_sum = 0.0f64;
         let mut batches = 0usize;
         for chunk in order.chunks(cfg.batch_size) {
-            let mut images: Vec<Tensor> = Vec::with_capacity(chunk.len());
-            let mut labels = Vec::with_capacity(chunk.len() * samples[chunk[0]].labels.len());
-            for &i in chunk {
-                if let Some(aug) = augmenter.as_mut() {
-                    let mut s = samples[i].clone();
-                    aug.apply(&mut s, &mut rng);
-                    labels.extend_from_slice(&s.labels);
-                    images.push(s.image);
-                } else {
-                    labels.extend_from_slice(&samples[i].labels);
-                    images.push(samples[i].image.clone());
+            let mut picked: Vec<Sample> = chunk.iter().map(|&i| samples[i].clone()).collect();
+            if let Some(aug) = augmenter.as_mut() {
+                for s in &mut picked {
+                    aug.apply(s, &mut rng);
                 }
             }
-            let batch = Tensor::stack_batch(&images);
-
-            let (probs, cache) = net.forward(&batch, &mut rng);
-            let (lval, dprobs) = loss.forward_backward(&probs, &labels);
-            net.zero_grad();
-            net.backward(&cache, &dprobs);
-            opt.step(net);
-            loss_sum += lval as f64;
+            let (batch, labels) = stack_samples(&picked);
+            loss_sum += step(graph, &batch, &labels, ftl, opt, &mut rng) as f64;
             batches += 1;
         }
         let stats = EpochStats { epoch, mean_loss: loss_sum / batches.max(1) as f64, lr: opt.lr() };
@@ -161,7 +182,7 @@ mod tests {
         let samples = toy_quadrant_dataset(8, 16, 4, &mut rng);
         let cfg =
             UNetConfig { depth: 2, base_filters: 4, in_channels: 1, num_classes: 4, dropout: 0.05 };
-        let mut net = UNet::new(cfg, &mut rng);
+        let mut net = Graph::from_unet(&UNet::new(cfg, &mut rng), "t");
         let loss = FocalTverskyLoss::paper_defaults(vec![1.0; 4]);
         let mut opt = Adam::new(2e-3);
         let history = train(
@@ -184,7 +205,8 @@ mod tests {
 
         // Pixel accuracy on a fresh sample should beat chance by a wide margin.
         let test = toy_quadrant_dataset(1, 16, 4, &mut rng);
-        let pred = net.predict(&test[0].image);
+        let probs = seneca_ir::execute_f32(&net.to_ir(), &test[0].image);
+        let pred = seneca_tensor::activation::argmax_channels(&probs);
         let correct =
             pred.iter().zip(&test[0].labels).filter(|(a, b)| a == b).count() as f64 / 256.0;
         assert!(correct > 0.6, "accuracy {correct}");
@@ -196,7 +218,7 @@ mod tests {
         let samples = toy_quadrant_dataset(2, 8, 4, &mut rng);
         let cfg =
             UNetConfig { depth: 1, base_filters: 2, in_channels: 1, num_classes: 4, dropout: 0.0 };
-        let mut net = UNet::new(cfg, &mut rng);
+        let mut net = Graph::from_unet(&UNet::new(cfg, &mut rng), "t");
         let loss = FocalTverskyLoss::paper_defaults(vec![1.0; 4]);
         let mut opt = Adam::new(1e-3);
         let history = train(
@@ -218,7 +240,7 @@ mod tests {
         let samples = toy_quadrant_dataset(8, 16, 4, &mut rng);
         let cfg =
             UNetConfig { depth: 2, base_filters: 4, in_channels: 1, num_classes: 4, dropout: 0.05 };
-        let mut net = UNet::new(cfg, &mut rng);
+        let mut net = Graph::from_unet(&UNet::new(cfg, &mut rng), "t");
         let loss = FocalTverskyLoss::paper_defaults(vec![1.0; 4]);
         let mut opt = Adam::new(2e-3);
         // Quadrant labels are position-coded, so geometric augmentation is
@@ -255,7 +277,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(23);
         let cfg =
             UNetConfig { depth: 1, base_filters: 2, in_channels: 1, num_classes: 4, dropout: 0.0 };
-        let mut net = UNet::new(cfg, &mut rng);
+        let mut net = Graph::from_unet(&UNet::new(cfg, &mut rng), "t");
         let loss = FocalTverskyLoss::paper_defaults(vec![1.0; 4]);
         let mut opt = Adam::new(1e-3);
         let _ = train(&mut net, &[], &loss, &mut opt, &TrainConfig::default());

@@ -10,12 +10,14 @@
 //!
 //! With `layers = 2*depth + 1`, the five Table II configurations land within
 //! 1% of the paper's parameter totals (asserted by a unit test below).
+//!
+//! [`UNet`] only builds and sizes the network: [`crate::Graph::from_unet`]
+//! exports it, and everything after that — training included — runs on the
+//! graph.
 
-use crate::layer::{ConvBlock, ConvBlockCache, Dropout, ParamVisitor, TConvLayer};
 use rand::Rng;
-use seneca_tensor::activation::{softmax_channels, softmax_channels_backward};
-use seneca_tensor::pool::{maxpool2x2, maxpool2x2_backward, PoolOut};
-use seneca_tensor::prelude::*;
+use seneca_tensor::norm::BnState;
+use seneca_tensor::{Shape4, Tensor};
 use serde::{Deserialize, Serialize};
 
 /// Structural hyper-parameters of a SENECA U-Net.
@@ -100,19 +102,67 @@ impl std::fmt::Display for ModelSize {
     }
 }
 
-/// One encoder stack: two conv blocks, then max-pool + dropout.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// A convolution block's parameters: `conv 3x3 → BatchNorm → ReLU`, or a
+/// plain conv when `bn` is `None` (the output head). ReLU follows exactly
+/// when BatchNorm does.
+#[derive(Debug, Clone)]
+pub struct ConvBlock {
+    /// Convolution weights `[C_out, C_in, 3, 3]`.
+    pub w: Tensor,
+    /// Convolution bias.
+    pub b: Vec<f32>,
+    /// Batch normalisation (and with it the ReLU).
+    pub bn: Option<BnState>,
+}
+
+impl ConvBlock {
+    /// He-initialised block, with BN + ReLU when `bn_relu`.
+    pub fn new<R: Rng>(c_in: usize, c_out: usize, bn_relu: bool, rng: &mut R) -> Self {
+        Self {
+            w: Tensor::he_normal(Shape4::new(c_out, c_in, 3, 3), rng),
+            b: vec![0.0; c_out],
+            bn: bn_relu.then(|| BnState::new(c_out)),
+        }
+    }
+
+    /// Trainable + tracked parameter count, TF-style (BN counts 4/channel).
+    pub fn param_count(&self) -> usize {
+        self.w.shape().len() + self.b.len() + self.bn.as_ref().map_or(0, |bn| 4 * bn.channels())
+    }
+}
+
+/// A 2x2/stride-2 transpose-convolution up-sampling layer's parameters.
+#[derive(Debug, Clone)]
+pub struct TConvLayer {
+    /// Weights `[C_in, C_out, 2, 2]`.
+    pub w: Tensor,
+    /// Bias, length `C_out`.
+    pub b: Vec<f32>,
+}
+
+impl TConvLayer {
+    /// He-initialised transpose conv.
+    pub fn new<R: Rng>(c_in: usize, c_out: usize, rng: &mut R) -> Self {
+        Self { w: Tensor::he_normal(Shape4::new(c_in, c_out, 2, 2), rng), b: vec![0.0; c_out] }
+    }
+
+    /// Parameter count.
+    pub fn param_count(&self) -> usize {
+        self.w.shape().len() + self.b.len()
+    }
+}
+
+/// One encoder stack: two conv blocks (then max-pool + dropout).
+#[derive(Debug, Clone)]
 pub struct EncoderStack {
     /// First conv (`c_in → c`).
     pub conv1: ConvBlock,
     /// Second conv (`c → 2c`, the "doubling" conv).
     pub conv2: ConvBlock,
-    /// End-of-stack dropout.
-    pub dropout: Dropout,
 }
 
-/// One decoder stack: up-sample, concat skip, two conv blocks, dropout.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// One decoder stack: up-sample, concat skip, two conv blocks (then dropout).
+#[derive(Debug, Clone)]
 pub struct DecoderStack {
     /// 2x2 transpose conv (`cur → skip_channels`).
     pub up: TConvLayer,
@@ -120,12 +170,10 @@ pub struct DecoderStack {
     pub conv1: ConvBlock,
     /// Second conv (`s → s/2`, the "halving" conv).
     pub conv2: ConvBlock,
-    /// End-of-stack dropout.
-    pub dropout: Dropout,
 }
 
 /// The SENECA U-Net.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct UNet {
     /// Construction config.
     pub config: UNetConfig,
@@ -141,21 +189,6 @@ pub struct UNet {
     pub head: ConvBlock,
 }
 
-/// One encoder stack's forward-pass cache: the two conv blocks, the pool
-/// output, the dropout mask, and the pre-pool shape.
-type EncoderCache = (ConvBlockCache, ConvBlockCache, PoolOut, Option<Vec<bool>>, Shape4);
-
-/// Everything the backward pass needs from one forward pass.
-pub struct UNetCache {
-    enc: Vec<EncoderCache>,
-    skips: Vec<Tensor>,
-    bn1: ConvBlockCache,
-    bn2: ConvBlockCache,
-    dec: Vec<(Tensor, ConvBlockCache, ConvBlockCache, Option<Vec<bool>>)>,
-    head: ConvBlockCache,
-    probs: Tensor,
-}
-
 impl UNet {
     /// Builds a randomly initialised U-Net.
     pub fn new<R: Rng>(config: UNetConfig, rng: &mut R) -> Self {
@@ -165,31 +198,26 @@ impl UNet {
         let mut c = f;
         let mut skip_chans = Vec::new();
         for _ in 0..config.depth {
-            let conv1 = ConvBlock::new(c_in, c, true, true, rng);
-            let conv2 = ConvBlock::new(c, 2 * c, true, true, rng);
-            encoders.push(EncoderStack { conv1, conv2, dropout: Dropout { rate: config.dropout } });
+            let conv1 = ConvBlock::new(c_in, c, true, rng);
+            let conv2 = ConvBlock::new(c, 2 * c, true, rng);
+            encoders.push(EncoderStack { conv1, conv2 });
             skip_chans.push(2 * c);
             c_in = 2 * c;
             c *= 2;
         }
-        let bneck1 = ConvBlock::new(c_in, c_in, true, true, rng);
-        let bneck2 = ConvBlock::new(c_in, c_in, true, true, rng);
+        let bneck1 = ConvBlock::new(c_in, c_in, true, rng);
+        let bneck2 = ConvBlock::new(c_in, c_in, true, rng);
         let mut decoders = Vec::with_capacity(config.depth);
         let mut cur = c_in;
         for i in (0..config.depth).rev() {
             let s = skip_chans[i];
             let up = TConvLayer::new(cur, s, rng);
-            let conv1 = ConvBlock::new(2 * s, s, true, true, rng);
-            let conv2 = ConvBlock::new(s, s / 2, true, true, rng);
-            decoders.push(DecoderStack {
-                up,
-                conv1,
-                conv2,
-                dropout: Dropout { rate: config.dropout },
-            });
+            let conv1 = ConvBlock::new(2 * s, s, true, rng);
+            let conv2 = ConvBlock::new(s, s / 2, true, rng);
+            decoders.push(DecoderStack { up, conv1, conv2 });
             cur = s / 2;
         }
-        let head = ConvBlock::new(cur, config.num_classes, false, false, rng);
+        let head = ConvBlock::new(cur, config.num_classes, false, rng);
         Self { config, encoders, bneck1, bneck2, decoders, head }
     }
 
@@ -209,141 +237,6 @@ impl UNet {
             total += d.up.param_count() + d.conv1.param_count() + d.conv2.param_count();
         }
         total + self.head.param_count()
-    }
-
-    /// Training forward pass: returns per-pixel class probabilities
-    /// `[N, num_classes, H, W]` and the cache for [`UNet::backward`].
-    ///
-    /// `H` and `W` must be divisible by `2^depth`.
-    pub fn forward<R: Rng>(&mut self, x: &Tensor, rng: &mut R) -> (Tensor, UNetCache) {
-        let s = x.shape();
-        let div = 1 << self.config.depth;
-        assert!(
-            s.h.is_multiple_of(div) && s.w.is_multiple_of(div),
-            "input {s} not divisible by 2^depth = {div}"
-        );
-        let mut cur = x.clone();
-        let mut enc = Vec::new();
-        let mut skips = Vec::new();
-        for stack in &mut self.encoders {
-            let (a, c1) = stack.conv1.forward(&cur, true);
-            let (b, c2) = stack.conv2.forward(&a, true);
-            let pre_pool_shape = b.shape();
-            let pool = maxpool2x2(&b);
-            let (dropped, mask) = stack.dropout.forward(&pool.y, true, rng);
-            skips.push(b);
-            enc.push((c1, c2, pool, mask, pre_pool_shape));
-            cur = dropped;
-        }
-        let (b1, bn1) = self.bneck1.forward(&cur, true);
-        let (b2, bn2) = self.bneck2.forward(&b1, true);
-        cur = b2;
-        let mut dec = Vec::new();
-        for (di, stack) in self.decoders.iter_mut().enumerate() {
-            let skip = &skips[self.config.depth - 1 - di];
-            let (up, up_cache) = stack.up.forward(&cur);
-            let cat = Tensor::concat_channels(skip, &up);
-            let (a, c1) = stack.conv1.forward(&cat, true);
-            let (b, c2) = stack.conv2.forward(&a, true);
-            let (dropped, mask) = stack.dropout.forward(&b, true, rng);
-            dec.push((up_cache, c1, c2, mask));
-            cur = dropped;
-        }
-        let (logits, head_cache) = self.head.forward(&cur, true);
-        let probs = softmax_channels(&logits);
-        (probs.clone(), UNetCache { enc, skips, bn1, bn2, dec, head: head_cache, probs })
-    }
-
-    /// Backward pass from a gradient w.r.t. the softmax *probabilities*.
-    /// Accumulates parameter gradients; returns nothing (input grads unused).
-    pub fn backward(&mut self, cache: &UNetCache, dprobs: &Tensor) {
-        let dlogits = softmax_channels_backward(&cache.probs, dprobs);
-        let mut dcur = self.head.backward(&cache.head, &dlogits);
-
-        let depth = self.config.depth;
-        let mut dskips: Vec<Option<Tensor>> = vec![None; depth];
-        for (di, stack) in self.decoders.iter_mut().enumerate().rev() {
-            let (up_cache, c1, c2, mask) = &cache.dec[di];
-            let d_drop = stack.dropout.backward(mask, &dcur);
-            let d_b = stack.conv2.backward(c2, &d_drop);
-            let d_cat = stack.conv1.backward(c1, &d_b);
-            let skip_idx = depth - 1 - di;
-            let skip_c = cache.skips[skip_idx].shape().c;
-            let (d_skip, d_up) = d_cat.split_channels(skip_c);
-            dskips[skip_idx] = Some(d_skip);
-            dcur = stack.up.backward(up_cache, &d_up);
-        }
-
-        let d_b1 = self.bneck2.backward(&cache.bn2, &dcur);
-        dcur = self.bneck1.backward(&cache.bn1, &d_b1);
-
-        for (ei, stack) in self.encoders.iter_mut().enumerate().rev() {
-            let (c1, c2, pool, mask, pre_pool_shape) = &cache.enc[ei];
-            let d_pool_out = stack.dropout.backward(mask, &dcur);
-            let mut d_b = maxpool2x2_backward(*pre_pool_shape, pool, &d_pool_out);
-            if let Some(ds) = &dskips[ei] {
-                d_b.axpy(1.0, ds);
-            }
-            let d_a = stack.conv2.backward(c2, &d_b);
-            dcur = stack.conv1.backward(c1, &d_a);
-        }
-    }
-
-    /// Inference forward (running BN statistics, dropout off).
-    pub fn infer(&self, x: &Tensor) -> Tensor {
-        let mut cur = x.clone();
-        let mut skips = Vec::new();
-        for stack in &self.encoders {
-            let a = stack.conv1.infer(&cur);
-            let b = stack.conv2.infer(&a);
-            cur = maxpool2x2(&b).y;
-            skips.push(b);
-        }
-        cur = self.bneck2.infer(&self.bneck1.infer(&cur));
-        for (di, stack) in self.decoders.iter().enumerate() {
-            let skip = &skips[self.config.depth - 1 - di];
-            let up = stack.up.infer(&cur);
-            let cat = Tensor::concat_channels(skip, &up);
-            cur = stack.conv2.infer(&stack.conv1.infer(&cat));
-        }
-        softmax_channels(&self.head.infer(&cur))
-    }
-
-    /// Predicted per-pixel labels for a batch.
-    pub fn predict(&self, x: &Tensor) -> Vec<u8> {
-        seneca_tensor::activation::argmax_channels(&self.infer(x))
-    }
-
-    /// Clears all accumulated gradients.
-    pub fn zero_grad(&mut self) {
-        for e in &mut self.encoders {
-            e.conv1.zero_grad();
-            e.conv2.zero_grad();
-        }
-        self.bneck1.zero_grad();
-        self.bneck2.zero_grad();
-        for d in &mut self.decoders {
-            d.up.zero_grad();
-            d.conv1.zero_grad();
-            d.conv2.zero_grad();
-        }
-        self.head.zero_grad();
-    }
-
-    /// Visits all parameters (used by optimizers).
-    pub fn visit_params(&mut self, f: ParamVisitor<'_>) {
-        for e in &mut self.encoders {
-            e.conv1.visit_params(f);
-            e.conv2.visit_params(f);
-        }
-        self.bneck1.visit_params(f);
-        self.bneck2.visit_params(f);
-        for d in &mut self.decoders {
-            d.up.visit_params(f);
-            d.conv1.visit_params(f);
-            d.conv2.visit_params(f);
-        }
-        self.head.visit_params(f);
     }
 
     /// Multiply-accumulate operations for one forward pass at `h`x`w` input,
@@ -402,69 +295,11 @@ mod tests {
     }
 
     #[test]
-    fn forward_output_shape_and_probabilities() {
+    fn block_param_counts() {
         let mut r = rng();
-        let cfg =
-            UNetConfig { depth: 2, base_filters: 4, in_channels: 1, num_classes: 6, dropout: 0.1 };
-        let mut net = UNet::new(cfg, &mut r);
-        let x = Tensor::he_normal(Shape4::new(2, 1, 16, 16), &mut r);
-        let (probs, _) = net.forward(&x, &mut r);
-        assert_eq!(probs.shape(), Shape4::new(2, 6, 16, 16));
-        for h in 0..16 {
-            let sum: f32 = (0..6).map(|c| probs.at(0, c, h, 0)).sum();
-            assert!((sum - 1.0).abs() < 1e-4);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "not divisible")]
-    fn forward_rejects_indivisible_input() {
-        let mut r = rng();
-        let cfg =
-            UNetConfig { depth: 3, base_filters: 4, in_channels: 1, num_classes: 6, dropout: 0.0 };
-        let mut net = UNet::new(cfg, &mut r);
-        let x = Tensor::zeros(Shape4::new(1, 1, 12, 12));
-        let _ = net.forward(&x, &mut r);
-    }
-
-    #[test]
-    fn infer_matches_forward_shapes_without_dropout() {
-        let mut r = rng();
-        let cfg =
-            UNetConfig { depth: 2, base_filters: 4, in_channels: 1, num_classes: 6, dropout: 0.0 };
-        let net = UNet::new(cfg, &mut r);
-        let x = Tensor::he_normal(Shape4::new(1, 1, 8, 8), &mut r);
-        let probs = net.infer(&x);
-        assert_eq!(probs.shape(), Shape4::new(1, 6, 8, 8));
-        let labels = net.predict(&x);
-        assert_eq!(labels.len(), 64);
-        assert!(labels.iter().all(|&l| l < 6));
-    }
-
-    #[test]
-    fn backward_populates_all_param_grads() {
-        let mut r = rng();
-        let cfg =
-            UNetConfig { depth: 2, base_filters: 4, in_channels: 1, num_classes: 6, dropout: 0.1 };
-        let mut net = UNet::new(cfg, &mut r);
-        let x = Tensor::he_normal(Shape4::new(1, 1, 8, 8), &mut r);
-        let (probs, cache) = net.forward(&x, &mut r);
-        net.zero_grad();
-        net.backward(&cache, &probs);
-        let mut n_params = 0;
-        let mut nonzero = 0;
-        net.visit_params(&mut |_, grad, _| {
-            n_params += 1;
-            if grad.iter().any(|g| *g != 0.0) {
-                nonzero += 1;
-            }
-        });
-        // Every parameter tensor received a gradient buffer...
-        // encoders: 2 stacks * (conv1: w,b,gamma,beta + conv2: same) = 16
-        // bottleneck: 8, decoders: 2 * (up: 2 + conv1: 4 + conv2: 4) = 20, head: 2
-        assert_eq!(n_params, 16 + 8 + 20 + 2);
-        // ...and the overwhelming majority are non-zero.
-        assert!(nonzero >= n_params - 2, "{nonzero}/{n_params}");
+        assert_eq!(ConvBlock::new(3, 8, true, &mut r).param_count(), 8 * 3 * 9 + 8 + 32);
+        assert_eq!(ConvBlock::new(3, 8, false, &mut r).param_count(), 8 * 3 * 9 + 8);
+        assert_eq!(TConvLayer::new(4, 2, &mut r).param_count(), 4 * 2 * 4 + 2);
     }
 
     #[test]
@@ -477,17 +312,5 @@ mod tests {
         assert!((ratio - 4.0).abs() < 0.1, "ratio {ratio}");
         // 1M model at 256² is in the GMAC range (sanity check).
         assert!(m256 > 1_000_000_000 && m256 < 20_000_000_000, "{m256}");
-    }
-
-    #[test]
-    fn serde_roundtrip_preserves_weights() {
-        let mut r = rng();
-        let cfg =
-            UNetConfig { depth: 1, base_filters: 2, in_channels: 1, num_classes: 3, dropout: 0.0 };
-        let net = UNet::new(cfg, &mut r);
-        let json = serde_json::to_string(&net).unwrap();
-        let net2: UNet = serde_json::from_str(&json).unwrap();
-        let x = Tensor::he_normal(Shape4::new(1, 1, 4, 4), &mut r);
-        assert_eq!(net.infer(&x), net2.infer(&x));
     }
 }

@@ -10,91 +10,62 @@
 //! As the paper found, QAT buys nothing over PTQ here while costing full
 //! training time; `reproduce ablation-quant` quantifies that.
 
+use seneca_nn::backprop::Grads;
+use seneca_nn::graph::{Graph, Op};
 use seneca_nn::loss::FocalTverskyLoss;
 use seneca_nn::optim::Optimizer;
-use seneca_nn::train::{Sample, TrainConfig};
-use seneca_nn::unet::UNet;
+use seneca_nn::train::{train, EpochStats, Sample, TrainConfig};
 use seneca_tensor::quantized::{choose_fix_pos_bits, Bitwidth, QTensor};
-use seneca_tensor::Tensor;
+use std::sync::Arc;
 
-/// Projects all conv / tconv weights of the network onto the INT8 grid.
-/// Thin wrapper over [`project_weights`] kept for the existing QAT loop.
-pub fn project_weights_int8(net: &mut UNet) {
-    project_weights(net, Bitwidth::W8);
-}
-
-/// Projects all conv / tconv weights of the network onto the integer grid
-/// of the given bitwidth (quantize–dequantize with per-tensor fix
-/// positions). Biases and BN parameters stay FP32, matching DPU deployment
-/// where biases live in INT32. With [`Bitwidth::W4`] this is the QAT hook
-/// for mixed-precision deployments: train against the 4-bit grid the
+/// Projects every conv / tconv weight of the graph onto the integer grid of
+/// the given bitwidth (quantize–dequantize with per-tensor fix positions).
+/// Biases and BN parameters stay FP32, matching DPU deployment where biases
+/// live in INT32. With [`Bitwidth::W4`] this is the QAT hook for
+/// mixed-precision deployments: train against the 4-bit grid the
 /// nibble-packed panels will hold.
-pub fn project_weights(net: &mut UNet, bits: Bitwidth) {
-    let project = |w: &mut Tensor| {
-        let fp = choose_fix_pos_bits(w.abs_max(), bits);
-        *w = QTensor::quantize_bits(w, fp, bits).dequantize();
-    };
-    for e in &mut net.encoders {
-        project(&mut e.conv1.w);
-        project(&mut e.conv2.w);
+pub fn project_weights(graph: &mut Graph, bits: Bitwidth) {
+    for node in &mut graph.nodes {
+        if let Op::Conv { w, .. } | Op::TConv { w, .. } = &mut node.op {
+            let w = Arc::make_mut(w);
+            let fp = choose_fix_pos_bits(w.abs_max(), bits);
+            *w = QTensor::quantize_bits(w, fp, bits).dequantize();
+        }
     }
-    project(&mut net.bneck1.w);
-    project(&mut net.bneck2.w);
-    for d in &mut net.decoders {
-        project(&mut d.up.w);
-        project(&mut d.conv1.w);
-        project(&mut d.conv2.w);
-    }
-    project(&mut net.head.w);
 }
 
-/// Quantization-aware training: standard training loop with an INT8 weight
-/// projection after every optimizer step.
+/// An optimizer whose every step ends by projecting the weights back onto
+/// the INT8 grid.
+struct ProjectedInt8<'a>(&'a mut dyn Optimizer);
+
+impl Optimizer for ProjectedInt8<'_> {
+    fn step(&mut self, graph: &mut Graph, grads: &Grads) {
+        self.0.step(graph, grads);
+        project_weights(graph, Bitwidth::W8);
+    }
+
+    fn lr(&self) -> f32 {
+        self.0.lr()
+    }
+
+    fn set_lr(&mut self, lr: f32) {
+        self.0.set_lr(lr);
+    }
+}
+
+/// Quantization-aware training: [`train`] on weights projected onto the INT8
+/// grid before the first step and after every optimizer step, so every
+/// forward runs on projected weights and the graph ends on the grid, ready
+/// for export.
 pub fn train_qat(
-    net: &mut UNet,
+    graph: &mut Graph,
     samples: &[Sample],
     loss: &FocalTverskyLoss,
     opt: &mut dyn Optimizer,
     cfg: &TrainConfig,
-) -> Vec<seneca_nn::train::EpochStats> {
-    use rand::seq::SliceRandom;
-    use rand::SeedableRng;
-    assert!(!samples.is_empty(), "empty training set");
-    let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed);
-    let mut order: Vec<usize> = (0..samples.len()).collect();
-    let mut history = Vec::with_capacity(cfg.epochs);
-
-    for epoch in 0..cfg.epochs {
-        order.shuffle(&mut rng);
-        let mut loss_sum = 0.0f64;
-        let mut batches = 0usize;
-        for chunk in order.chunks(cfg.batch_size) {
-            let images: Vec<Tensor> = chunk.iter().map(|&i| samples[i].image.clone()).collect();
-            let batch = Tensor::stack_batch(&images);
-            let mut labels = Vec::new();
-            for &i in chunk {
-                labels.extend_from_slice(&samples[i].labels);
-            }
-            // Forward runs on projected (quantized) weights.
-            project_weights_int8(net);
-            let (probs, cache) = net.forward(&batch, &mut rng);
-            let (lval, dprobs) = loss.forward_backward(&probs, &labels);
-            net.zero_grad();
-            net.backward(&cache, &dprobs);
-            opt.step(net);
-            loss_sum += lval as f64;
-            batches += 1;
-        }
-        history.push(seneca_nn::train::EpochStats {
-            epoch,
-            mean_loss: loss_sum / batches.max(1) as f64,
-            lr: opt.lr(),
-        });
-        opt.set_lr(opt.lr() * cfg.lr_decay);
-    }
-    // Leave the network on the INT8 grid, ready for export.
-    project_weights_int8(net);
-    history
+) -> Vec<EpochStats> {
+    project_weights(graph, Bitwidth::W8);
+    train(graph, samples, loss, &mut ProjectedInt8(opt), cfg)
 }
 
 #[cfg(test)]
@@ -103,80 +74,75 @@ mod tests {
     use rand::SeedableRng;
     use seneca_nn::optim::Adam;
     use seneca_nn::train::toy_quadrant_dataset;
-    use seneca_nn::unet::UNetConfig;
-    use seneca_tensor::quantized::choose_fix_pos;
+    use seneca_nn::unet::{UNet, UNetConfig};
+    use seneca_tensor::Tensor;
 
-    #[test]
-    fn projection_is_idempotent() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+    fn tiny_graph(seed: u64, depth: usize) -> (Graph, rand::rngs::StdRng) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let cfg =
-            UNetConfig { depth: 1, base_filters: 4, in_channels: 1, num_classes: 4, dropout: 0.0 };
-        let mut net = UNet::new(cfg, &mut rng);
-        project_weights_int8(&mut net);
-        let w1 = net.encoders[0].conv1.w.clone();
-        project_weights_int8(&mut net);
-        assert_eq!(net.encoders[0].conv1.w, w1);
+            UNetConfig { depth, base_filters: 4, in_channels: 1, num_classes: 4, dropout: 0.0 };
+        (Graph::from_unet(&UNet::new(cfg, &mut rng), "t"), rng)
+    }
+
+    fn first_conv(g: &Graph) -> Tensor {
+        g.nodes
+            .iter()
+            .find_map(|n| match &n.op {
+                Op::Conv { w, .. } => Some(Tensor::clone(w)),
+                _ => None,
+            })
+            .unwrap()
+    }
+
+    /// Every weight sits on the grid of `bits` and inside its integer range;
+    /// a second projection changes nothing.
+    fn assert_on_grid(bits: Bitwidth) {
+        let (mut g, _) = tiny_graph(7, 1);
+        project_weights(&mut g, bits);
+        let w = first_conv(&g);
+        let scale = (choose_fix_pos_bits(w.abs_max(), bits) as f32).exp2();
+        let (lo, hi) = match bits {
+            Bitwidth::W8 => (-128.0, 127.0),
+            Bitwidth::W4 => (-8.0, 7.0),
+        };
+        for &v in w.data() {
+            let q = v * scale;
+            assert!((q - q.round()).abs() < 1e-3, "weight {v} off grid");
+            assert!((lo..=hi).contains(&q.round()), "weight {v} outside the {bits:?} range");
+        }
+        project_weights(&mut g, bits);
+        assert_eq!(first_conv(&g), w);
     }
 
     #[test]
-    fn projected_weights_live_on_int8_grid() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-        let cfg =
-            UNetConfig { depth: 1, base_filters: 4, in_channels: 1, num_classes: 4, dropout: 0.0 };
-        let mut net = UNet::new(cfg, &mut rng);
-        project_weights_int8(&mut net);
-        let w = &net.encoders[0].conv1.w;
-        let fp = choose_fix_pos(w.abs_max());
-        let scale = (fp as f32).exp2();
-        for &v in w.data() {
-            let g = v * scale;
-            assert!((g - g.round()).abs() < 1e-3, "weight {v} off grid");
-        }
+    fn w8_projection_lands_on_the_int8_grid_and_is_idempotent() {
+        assert_on_grid(Bitwidth::W8);
     }
 
     #[test]
     fn w4_projection_lands_on_nibble_grid_and_is_idempotent() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        let cfg =
-            UNetConfig { depth: 1, base_filters: 4, in_channels: 1, num_classes: 4, dropout: 0.0 };
-        let mut net = UNet::new(cfg, &mut rng);
-        project_weights(&mut net, Bitwidth::W4);
-        let w = net.encoders[0].conv1.w.clone();
-        let fp = choose_fix_pos_bits(w.abs_max(), Bitwidth::W4);
-        let scale = (fp as f32).exp2();
-        for &v in w.data() {
-            let g = v * scale;
-            assert!((g - g.round()).abs() < 1e-3, "weight {v} off grid");
-            assert!((-8.0..=7.0).contains(&g.round()), "weight {v} outside the nibble range");
-        }
-        project_weights(&mut net, Bitwidth::W4);
-        assert_eq!(net.encoders[0].conv1.w, w);
+        assert_on_grid(Bitwidth::W4);
     }
 
     #[test]
-    fn qat_training_reduces_loss() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+    fn qat_training_reduces_loss_and_ends_on_the_grid() {
+        let (mut g, mut rng) = tiny_graph(3, 2);
         let samples = toy_quadrant_dataset(6, 16, 4, &mut rng);
-        let cfg =
-            UNetConfig { depth: 2, base_filters: 4, in_channels: 1, num_classes: 4, dropout: 0.0 };
-        let mut net = UNet::new(cfg, &mut rng);
         let loss = FocalTverskyLoss::paper_defaults(vec![1.0; 4]);
         let mut opt = Adam::new(2e-3);
-        let history = train_qat(
-            &mut net,
-            &samples,
-            &loss,
-            &mut opt,
-            &TrainConfig {
-                epochs: 10,
-                batch_size: 3,
-                seed: 5,
-                lr_decay: 0.95,
-                ..Default::default()
-            },
-        );
+        let cfg = TrainConfig {
+            epochs: 10,
+            batch_size: 3,
+            seed: 5,
+            lr_decay: 0.95,
+            ..Default::default()
+        };
+        let history = train_qat(&mut g, &samples, &loss, &mut opt, &cfg);
         let first = history.first().unwrap().mean_loss;
         let last = history.last().unwrap().mean_loss;
         assert!(last < first, "QAT loss {first} -> {last}");
+        let w = first_conv(&g);
+        project_weights(&mut g, Bitwidth::W8);
+        assert_eq!(first_conv(&g), w);
     }
 }

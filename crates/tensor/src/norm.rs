@@ -64,17 +64,11 @@ pub struct BnCache {
 }
 
 /// Training-mode forward: normalises with *batch* statistics, updates the
-/// running statistics in `bn`, and returns `(y, cache)`.
-pub fn batchnorm_forward(
-    x: &Tensor,
-    bn: &mut BnState,
-    training: bool,
-) -> (Tensor, Option<BnCache>) {
+/// running statistics in `bn`, and returns `(y, cache)`. Inference uses the
+/// running statistics instead ([`batchnorm_inference_into`]).
+pub fn batchnorm_forward(x: &Tensor, bn: &mut BnState) -> (Tensor, BnCache) {
     let s = x.shape();
     assert_eq!(s.c, bn.channels());
-    if !training {
-        return (batchnorm_inference(x, bn), None);
-    }
     let count = (s.n * s.hw()) as f32;
     let mut mean = vec![0.0f32; s.c];
     let mut var = vec![0.0f32; s.c];
@@ -115,20 +109,11 @@ pub fn batchnorm_forward(
         bn.running_mean[c] = bn.momentum * bn.running_mean[c] + (1.0 - bn.momentum) * mean[c];
         bn.running_var[c] = bn.momentum * bn.running_var[c] + (1.0 - bn.momentum) * var[c];
     }
-    (y, Some(BnCache { xhat, inv_std }))
+    (y, BnCache { xhat, inv_std })
 }
 
-/// Inference-mode forward using the running statistics.
-pub fn batchnorm_inference(x: &Tensor, bn: &BnState) -> Tensor {
-    let s = x.shape();
-    let mut y = Tensor::zeros(s);
-    batchnorm_inference_into(s, x.data(), bn, y.data_mut());
-    y
-}
-
-/// Inference-mode BatchNorm into a caller-owned output slice
-/// ([`batchnorm_inference`] bit for bit: same per-channel `scale`/`shift`
-/// folding, same accumulation order).
+/// Inference-mode BatchNorm (running statistics) into a caller-owned output
+/// slice: `scale * x + shift` per channel, from [`BnState::affine`].
 pub fn batchnorm_inference_into(s: crate::shape::Shape4, x: &[f32], bn: &BnState, out: &mut [f32]) {
     assert_eq!(s.c, bn.channels(), "BN channel count");
     assert_eq!(x.len(), s.len(), "input buffer/shape mismatch");
@@ -229,12 +214,17 @@ mod tests {
         Tensor::from_vec(shape, (0..shape.len()).map(|_| rng.gen_range(-2.0..2.0)).collect())
     }
 
+    fn inference(x: &Tensor, bn: &BnState) -> Tensor {
+        let mut y = Tensor::zeros(x.shape());
+        batchnorm_inference_into(x.shape(), x.data(), bn, y.data_mut());
+        y
+    }
+
     #[test]
     fn training_forward_normalises_batch() {
         let x = rand_tensor(Shape4::new(4, 3, 5, 5), 1);
         let mut bn = BnState::new(3);
-        let (y, cache) = batchnorm_forward(&x, &mut bn, true);
-        let cache = cache.unwrap();
+        let (y, cache) = batchnorm_forward(&x, &mut bn);
         // Per-channel mean ~0, var ~1 after normalisation with identity gamma.
         let s = y.shape();
         for c in 0..3 {
@@ -255,7 +245,7 @@ mod tests {
         let x = Tensor::full(Shape4::new(2, 1, 4, 4), 10.0);
         let mut bn = BnState::new(1);
         bn.momentum = 0.5;
-        let _ = batchnorm_forward(&x, &mut bn, true);
+        let _ = batchnorm_forward(&x, &mut bn);
         assert!((bn.running_mean[0] - 5.0).abs() < 1e-5); // 0.5*0 + 0.5*10
     }
 
@@ -267,7 +257,7 @@ mod tests {
         bn.gamma[0] = 3.0;
         bn.beta[0] = 1.0;
         let x = Tensor::full(Shape4::new(1, 1, 1, 2), 4.0);
-        let y = batchnorm_inference(&x, &bn);
+        let y = inference(&x, &bn);
         // (4-2)/2 * 3 + 1 = 4 (eps negligible)
         for v in y.data() {
             assert!((v - 4.0).abs() < 1e-3);
@@ -281,12 +271,12 @@ mod tests {
         let bn0 = BnState::new(2);
         let loss = |x: &Tensor| -> f32 {
             let mut bn = bn0.clone();
-            let (y, _) = batchnorm_forward(x, &mut bn, true);
+            let (y, _) = batchnorm_forward(x, &mut bn);
             y.data().iter().zip(g.data()).map(|(a, b)| a * b).sum()
         };
         let mut bn = bn0.clone();
-        let (_, cache) = batchnorm_forward(&x, &mut bn, true);
-        let grads = batchnorm_backward(&bn0, &cache.unwrap(), &g);
+        let (_, cache) = batchnorm_forward(&x, &mut bn);
+        let grads = batchnorm_backward(&bn0, &cache, &g);
         let eps = 1e-2;
         for &i in &[0usize, 9, 17, 31] {
             let mut xp = x.clone();
@@ -311,7 +301,7 @@ mod tests {
         bn.gamma = vec![1.2, 0.8, -1.0];
         bn.beta = vec![0.0, 0.1, -0.1];
 
-        let y1 = batchnorm_inference(&conv2d(&x, &w, &b, p), &bn);
+        let y1 = inference(&conv2d(&x, &w, &b, p), &bn);
         let (w2, b2) = fold_bn_into_conv(&w, &b, &bn);
         let y2 = conv2d(&x, &w2, &b2, p);
         for (a, bv) in y1.data().iter().zip(y2.data()) {

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use seneca_tensor::conv::{conv2d, Conv2dParams};
-use seneca_tensor::norm::{batchnorm_inference, fold_bn_into_conv, BnState};
+use seneca_tensor::norm::{batchnorm_inference_into, fold_bn_into_conv, BnState};
 use seneca_tensor::tconv::{tconv2x2, tconv2x2_backward};
 use seneca_tensor::{Shape4, Tensor};
 
@@ -72,7 +72,9 @@ proptest! {
             bn.gamma[i] = gamma;
             bn.beta[i] = 0.25 - i as f32 * 0.1;
         }
-        let reference = batchnorm_inference(&conv2d(&x, &w, &bias, p), &bn);
+        let conv = conv2d(&x, &w, &bias, p);
+        let mut reference = Tensor::zeros(conv.shape());
+        batchnorm_inference_into(conv.shape(), conv.data(), &bn, reference.data_mut());
         let (w2, b2) = fold_bn_into_conv(&w, &bias, &bn);
         let folded = conv2d(&x, &w2, &b2, p);
         for (a, b) in reference.data().iter().zip(folded.data()) {

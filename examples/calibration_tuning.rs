@@ -19,7 +19,6 @@ use seneca_data::calibration::{manual_calibration, random_calibration, PAPER_MAN
 use seneca_data::dataset::SplitKind;
 use seneca_data::preprocess::preprocess;
 use seneca_data::volume::Organ;
-use seneca_nn::graph::Graph;
 use seneca_nn::ModelSize;
 use seneca_quant::{fuse, quantize_post_training, PtqConfig};
 
@@ -27,8 +26,7 @@ fn main() {
     let wf = Workflow::new(SenecaConfig::fast());
     let data = wf.prepare_data();
     println!("training the 1M model once ...");
-    let net = wf.train_model(ModelSize::M1, &data);
-    let fg = fuse(&Graph::from_unet(&net, "1M"));
+    let fg = fuse(&wf.train_model(ModelSize::M1, &data));
 
     // Build the slice pool the samplers draw from.
     let ds = wf.cohort();

@@ -10,11 +10,13 @@
 //! cargo run --release --example model_selection
 //! ```
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use seneca::eval::evaluate_backend;
 use seneca::{SenecaConfig, Workflow};
 use seneca_dpu::arch::DpuArch;
 use seneca_dpu::runtime::{DpuRunner, RuntimeConfig};
-use seneca_nn::ModelSize;
+use seneca_nn::{ModelSize, UNet};
 use seneca_tensor::Shape4;
 use std::sync::Arc;
 
@@ -58,7 +60,7 @@ fn main() {
         println!(
             "{:>5} {:>8.3}M | {:>9} {:>7.1} {:>7.2} | {:>9.2} {:>9.2}",
             size.label(),
-            dep.unet.param_count() as f64 / 1e6,
+            UNet::from_size(size, &mut StdRng::seed_from_u64(0)).param_count() as f64 / 1e6,
             format!("{best_thr}-thr"),
             best_fps,
             best_ee,

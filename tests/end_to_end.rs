@@ -1,15 +1,22 @@
 //! End-to-end integration: the full Figure-1 pipeline at fast scale,
 //! spanning every crate in the workspace.
 
+mod common;
+
 use seneca::eval::{evaluate_accuracy, evaluate_backend};
 use seneca::{SenecaConfig, Workflow};
 use seneca_nn::ModelSize;
+use seneca_tensor::activation::argmax_channels;
 
 #[test]
 fn full_pipeline_trains_quantises_compiles_and_evaluates() {
     let wf = Workflow::new(SenecaConfig::fast());
     let data = wf.prepare_data();
     let dep = wf.deploy(ModelSize::M1, &data);
+
+    // Cross-entropy warm-up + Focal Tversky epochs, bit for bit the weights
+    // and BN state the U-Net's former hand-built walker trained.
+    assert_eq!(common::training_hash(&dep.graph, &[]), 0x1408_fc6e_36cf_0db0);
 
     // The xmodel is a real artifact: serialises, disassembles, carries the
     // input scale of §III-E.
@@ -27,7 +34,11 @@ fn full_pipeline_trains_quantises_compiles_and_evaluates() {
     let trained = evaluate_accuracy(&|img| dep.gpu_runner.predict(img), &data);
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(999);
     let random_net = seneca_nn::UNet::from_size(ModelSize::M1, &mut rng);
-    let random = evaluate_accuracy(&|img| random_net.predict(img), &data);
+    let random_module = seneca_nn::Graph::from_unet(&random_net, "random").to_ir();
+    let random = evaluate_accuracy(
+        &|img| argmax_channels(&seneca_ir::execute_f32(&random_module, img)),
+        &data,
+    );
     assert!(
         trained.global().mean > random.global().mean + 5.0,
         "trained {:.2}% vs random {:.2}%",

@@ -4,54 +4,20 @@
 //! for bit, FP32 within `F32_TOLERANCE`), across repeated frames through the
 //! same scratch arena (stale slot contents must never leak into a frame).
 
+mod common;
+
+use common::{random_frame, random_graph, random_net, randomize_bn};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use seneca_ir::oracle::{self, assert_close_f32};
 use seneca_ir::{lower, LowerOptions, Lowered};
-use seneca_nn::graph::{Graph, Op};
-use seneca_nn::unet::{ModelSize, UNet, UNetConfig};
+use seneca_nn::graph::Graph;
+use seneca_nn::unet::{ModelSize, UNet};
 use seneca_quant::{
     calibrate, fuse, mixed::quantizable_nodes, quantize_from_calibration, quantize_post_training,
     Bitwidth, PtqConfig, QuantizedGraph,
 };
 use seneca_tensor::{Shape4, Tensor};
-
-fn random_net(depth: usize, base_filters: usize, seed: u64) -> UNet {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let cfg = UNetConfig { depth, base_filters, in_channels: 1, num_classes: 6, dropout: 0.0 };
-    UNet::new(cfg, &mut rng)
-}
-
-/// The export graph of a random net, its BatchNorms given random running
-/// statistics and affine parameters (a fresh net's are the identity).
-fn random_graph(depth: usize, base_filters: usize, seed: u64) -> Graph {
-    randomize_bn(Graph::from_unet(&random_net(depth, base_filters, seed), "prop"), seed)
-}
-
-fn randomize_bn(mut g: Graph, seed: u64) -> Graph {
-    use rand::Rng;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xB4);
-    for node in &mut g.nodes {
-        if let Op::BatchNorm { bn } = &mut node.op {
-            for c in 0..bn.channels() {
-                bn.gamma[c] = rng.gen_range(0.5f32..1.5);
-                bn.beta[c] = rng.gen_range(-0.3f32..0.3);
-                bn.running_mean[c] = rng.gen_range(-0.3f32..0.3);
-                bn.running_var[c] = rng.gen_range(0.3f32..1.5);
-            }
-        }
-    }
-    g
-}
-
-fn random_frame(shape: Shape4, seed: u64) -> Tensor {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut img = Tensor::he_normal(shape, &mut rng);
-    for v in img.data_mut() {
-        *v = v.clamp(-1.0, 1.0);
-    }
-    img
-}
 
 /// Checks every node of `lowered` against the oracle over two frames through
 /// one reused arena.

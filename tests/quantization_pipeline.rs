@@ -49,12 +49,12 @@ fn every_handoff_preserves_predictions() {
     let int8 = QuantRefBackend::new(qg.clone(), shape);
 
     for img in &calib[..4] {
-        // Hand-off 1: UNet == Graph (probabilities; the oracle runs the
-        // export graph with BN, ReLU, dropout and softmax still explicit).
-        let p_unet = net.infer(img);
+        // Hand-off 1: the executor == the oracle on the export graph
+        // (probabilities; BN, ReLU, dropout and softmax still explicit).
+        let p_exec = seneca_ir::execute_f32(&graph.to_ir(), img);
         let graph_vals = oracle::run_f32(&graph.to_ir(), img);
         let p_graph = &graph_vals[graph.output];
-        assert_close_f32(p_unet.data(), p_graph.data(), "UNet vs export graph");
+        assert_close_f32(p_exec.data(), p_graph.data(), "executor vs export graph");
         // Hand-off 2: Graph == fused module up to softmax.
         let logits_graph = &graph_vals[graph.nodes[graph.output].inputs[0]];
         let logits_fused = oracle::run_f32(&fg, img).swap_remove(fg.output);

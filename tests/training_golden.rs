@@ -1,0 +1,68 @@
+//! Training is pinned bit for bit. Each hash covers every trained weight,
+//! bias, BN γ/β and running statistic, and the loss history; the values were
+//! recorded from the U-Net's former hand-built forward/backward walker, and
+//! the reverse walk over the graph reproduces them exactly (same kernels,
+//! same order, same RNG draws).
+
+mod common;
+
+use common::training_hash;
+use rand::SeedableRng;
+use seneca_nn::augment::AugmentConfig;
+use seneca_nn::graph::Graph;
+use seneca_nn::loss::FocalTverskyLoss;
+use seneca_nn::optim::{Adam, Sgd};
+use seneca_nn::train::{toy_quadrant_dataset, train, Sample, TrainConfig};
+use seneca_nn::unet::{UNet, UNetConfig};
+
+/// Eight 16x16 quadrant samples and a depth-2 U-Net graph over 4 classes.
+fn setup(seed: u64, dropout: f32) -> (Vec<Sample>, Graph) {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let samples = toy_quadrant_dataset(8, 16, 4, &mut rng);
+    let cfg = UNetConfig { depth: 2, base_filters: 4, in_channels: 1, num_classes: 4, dropout };
+    (samples, Graph::from_unet(&UNet::new(cfg, &mut rng), "golden"))
+}
+
+/// BatchNorm and dropout on, Adam, a ragged last batch (8 = 3 + 3 + 2).
+#[test]
+fn adam_training_with_dropout_is_bit_identical() {
+    let (samples, mut g) = setup(21, 0.1);
+    let loss = FocalTverskyLoss::paper_defaults(vec![1.0, 2.0, 0.5, 1.5]);
+    let mut opt = Adam::new(2e-3);
+    let cfg =
+        TrainConfig { epochs: 4, batch_size: 3, seed: 3, lr_decay: 0.9, ..Default::default() };
+    let history = train(&mut g, &samples, &loss, &mut opt, &cfg);
+    assert_eq!(training_hash(&g, &history), 0x07af_1fa4_5cc9_2c25);
+}
+
+/// Augmentation on (its draws interleave with the dropout masks), SGD with
+/// momentum and weight decay.
+#[test]
+fn augmented_sgd_training_is_bit_identical() {
+    let (samples, mut g) = setup(22, 0.1);
+    let loss = FocalTverskyLoss::paper_defaults(vec![1.0; 4]);
+    let mut opt = Sgd::new(0.02);
+    opt.weight_decay = 1e-4;
+    let cfg = TrainConfig {
+        epochs: 3,
+        batch_size: 4,
+        seed: 4,
+        lr_decay: 0.9,
+        augment: Some(AugmentConfig::default()),
+        ..Default::default()
+    };
+    let history = train(&mut g, &samples, &loss, &mut opt, &cfg);
+    assert_eq!(training_hash(&g, &history), 0xa3b2_0dd3_51fc_5d9d);
+}
+
+/// QAT: the INT8 projection around every step.
+#[test]
+fn qat_training_is_bit_identical() {
+    let (samples, mut g) = setup(23, 0.05);
+    let loss = FocalTverskyLoss::paper_defaults(vec![1.0; 4]);
+    let mut opt = Adam::new(2e-3);
+    let cfg =
+        TrainConfig { epochs: 3, batch_size: 3, seed: 5, lr_decay: 0.95, ..Default::default() };
+    let history = seneca_quant::qat::train_qat(&mut g, &samples, &loss, &mut opt, &cfg);
+    assert_eq!(training_hash(&g, &history), 0xbd24_195d_74d2_b640);
+}
