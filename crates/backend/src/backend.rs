@@ -309,7 +309,10 @@ mod tests {
     }
 
     /// One odd-sized frame must not take the batch down: the INT8 backend
-    /// re-plans its arena like its FP32 twin, and goes back afterwards.
+    /// re-plans its arena like its FP32 twin, and goes back afterwards. The
+    /// kernels stay the ones chosen at 32x32, so the 16x16 frame runs the
+    /// Winograd convs on maps below the rule's tile count, and still gets the
+    /// bits of the program lowered for it.
     #[test]
     fn int8_backend_serves_a_frame_of_another_geometry() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(21);
@@ -327,6 +330,8 @@ mod tests {
 
         let at32 = QuantRefBackend::new(qg.clone(), big.shape());
         let at16 = QuantRefBackend::new(qg, small.shape());
+        let winograd = |b: &QuantRefBackend| b.lowered.stats().winograd;
+        assert!(winograd(&at32) > winograd(&at16), "the 16x16 frame crosses a Winograd layer");
         // One worker, three frames: 32 -> 16 -> 32 through the same scratch.
         let got = at32.infer_batch(&[big.clone(), small.clone(), big2.clone()]);
         let want = [

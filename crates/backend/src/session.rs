@@ -151,13 +151,18 @@ impl<'e, E: InferenceEngine> InferenceSession<'e, E> {
         let mut panic: Option<(usize, Box<dyn std::any::Any + Send>)> = None;
 
         std::thread::scope(|scope| {
-            for _ in 0..threads {
+            // Each worker's state (its scratch arena) is built here, on the
+            // calling thread, so it lives in the caller's heap, which the
+            // next batch reuses. A worker thread allocates from a malloc
+            // arena of its own that stays resident after the thread exits,
+            // and a batch whose threads start before the last batch's have
+            // released theirs takes a fresh one.
+            for mut worker in (0..threads).map(|_| self.engine.new_worker()) {
                 let job_rx = std::sync::Arc::clone(&job_rx);
                 let res_tx = res_tx.clone();
                 let engine = self.engine;
                 let work = &work;
                 scope.spawn(move || {
-                    let mut worker = engine.new_worker();
                     loop {
                         // Hold the lock only for the dequeue, not the inference.
                         let wait = seneca_trace::span("session", "dequeue_wait");
@@ -301,6 +306,25 @@ mod tests {
         .expect_err("must propagate");
         let msg = session_panic.downcast_ref::<String>().cloned().unwrap();
         assert!(msg.contains("panicked on frame"), "{msg}");
+    }
+
+    /// Worker state is built on the calling thread, so its buffers live in
+    /// the caller's heap, not in the malloc arenas of the worker threads.
+    #[test]
+    fn workers_are_built_on_the_calling_thread() {
+        struct Where(std::thread::ThreadId);
+        impl InferenceEngine for Where {
+            type Worker = ();
+            fn new_worker(&self) {
+                assert_eq!(std::thread::current().id(), self.0, "worker built off the caller");
+            }
+            fn infer(&self, _w: &mut (), image: &Tensor) -> Prediction {
+                assert_ne!(std::thread::current().id(), self.0, "frame ran on the caller");
+                Echo.infer(&mut 0, image)
+            }
+        }
+        let engine = Where(std::thread::current().id());
+        assert_eq!(InferenceSession::new(&engine, SessionConfig::new(3)).run(&images(7)).len(), 7);
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //!
 //! * `smoke` — CI gate: igemm bit-exactness against the naive kernel on a
 //!   fixed seed, and packed-beats-reference on the largest shape, both
-//!   dtypes. Fast; no JSON.
+//!   dtypes; the Winograd conv bit-exact and faster than the direct one on
+//!   the 16M `64 -> 32` conv at 256x256. Fast; no JSON.
+//! * `winograd` — the Winograd-vs-direct race on every 1M / 16M conv shape
+//!   at 256x256, with the input transform's share. No JSON.
 //! * `baseline <out.txt>` — measure ONLY the pre-PR kernels and write their
 //!   throughputs to a text file. `scripts/bench_kernels.sh` runs this mode
 //!   with `RUSTFLAGS=""` so the pre-PR kernels are compiled exactly as the
@@ -31,11 +34,12 @@ use rayon::prelude::*;
 use seneca_nn::graph::{Graph, Op};
 use seneca_nn::unet::{ModelSize, UNet};
 use seneca_tensor::gemm::{
-    igemm, igemm4_fused_packed, igemm_fused, igemm_fused_packed, igemm_reference, sgemm,
-    sgemm_fused, sgemm_reference, GemmEpilogue, PackedA, PackedA4,
+    igemm, igemm4_fused_packed, igemm_fused, igemm_fused_packed, igemm_reference, packed_b_len,
+    sgemm, sgemm_fused, sgemm_reference, strip_cols, GemmEpilogue, PackedA, PackedA4,
 };
 use seneca_tensor::igemm::{igemm_conv_packed, sgemm_conv, sgemm_conv_packed};
 use seneca_tensor::im2col::{im2col, im2col_t, ConvGeom};
+use seneca_tensor::winograd::{igemm_conv_winograd, pack_b_winograd, PackedWinograd};
 use seneca_tensor::Shape4;
 use serde_json::{json, Value};
 use std::time::Instant;
@@ -381,6 +385,94 @@ fn race_w4(largest: ConvShape, min_time: f64, min_iters: u32) -> (f64, f64) {
     (gmac / t8, gmac / t4)
 }
 
+/// The 3x3 convs of the 1M and 16M models at 256x256, distinct shapes in
+/// node order.
+fn winograd_race_shapes() -> Vec<ConvShape> {
+    let input = Shape4::new(1, 1, 256, 256);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+    let mut out: Vec<ConvShape> = Vec::new();
+    for size in [ModelSize::M1, ModelSize::M16] {
+        let g = Graph::from_unet(&UNet::from_size(size, &mut rng), size.label());
+        let shapes = g.shapes(input);
+        for node in &g.nodes {
+            if let Op::Conv { w, .. } = &node.op {
+                let s = shapes[node.inputs[0]];
+                let (m, c_in) = (w.shape().n, w.shape().c);
+                let cand = ConvShape {
+                    model: size.label(),
+                    m,
+                    k: c_in * 9,
+                    n: s.hw(),
+                    c_in,
+                    h: s.h,
+                    w: s.w,
+                };
+                if !out.iter().any(|o| (o.m, o.c_in, o.h) == (m, c_in, s.h)) {
+                    out.push(cand);
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Winograd F(2x2, 3x3) against the direct implicit conv on one shape, both
+/// weight sets packed once: asserts bit-exactness, then returns an
+/// interleaved race in direct-conv GMAC/s, `(direct, winograd)`, and the
+/// share of the Winograd call its input transform takes (the strip pack,
+/// timed alone on one thread, over the call's thread-seconds).
+fn winograd_vs_direct(s: ConvShape, min_time: f64) -> (f64, f64, f64) {
+    let geom = s.geom();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(s.macs());
+    let wt: Vec<i8> = (0..s.m * s.k).map(|_| rng.gen_range(-128i32..128) as i8).collect();
+    let x: Vec<i8> = (0..s.c_in * s.n).map(|_| rng.gen_range(-128i32..128) as i8).collect();
+    let bias: Vec<i32> = (0..s.m as i32).map(|i| i * 91 - 777).collect();
+    let (pa, pw) = (PackedA::pack(s.m, s.k, &wt), PackedWinograd::pack(s.m, s.c_in, &wt));
+    let (mut yd, mut yw) = (vec![0i8; s.m * s.n], vec![0i8; s.m * s.n]);
+    let shift = 8 + s.k.ilog2() as i32;
+    let mut strips = Vec::new();
+    let (td, tw) = race(
+        min_time,
+        || igemm_conv_packed(&pa, &geom, &x, &bias, shift, true, &mut yd),
+        || igemm_conv_winograd(&pw, &geom, &x, &bias, shift, true, &mut yw, &mut strips),
+    );
+    assert_eq!(yd, yw, "Winograd != direct on {} {}->{} @{}", s.model, s.c_in, s.m, s.h);
+    let tiles = s.h.div_ceil(2) * s.w.div_ceil(2);
+    let nc = strip_cols(16 * s.c_in, 2);
+    let mut strip = vec![0i16; packed_b_len(16 * s.c_in, nc)];
+    let t_pack = time_per_call(min_time, 1, || {
+        for j0 in (0..tiles).step_by(nc) {
+            pack_b_winograd(&geom, &x, j0..(j0 + nc).min(tiles), &mut strip);
+        }
+    });
+    let gmac = s.macs() as f64 / 1e9;
+    (gmac / td, gmac / tw, t_pack / (tw * rayon::current_num_threads() as f64))
+}
+
+/// [`winograd_vs_direct`] on every 1M / 16M conv shape at 256x256: the race
+/// the lowering rule's constants (`seneca_ir::WINOGRAD_MIN_C_IN`,
+/// `WINOGRAD_MIN_TILES`) come from.
+fn race_winograd(min_time: f64) {
+    println!(
+        "{:>4} {:>5} {:>5} {:>4} | {:>8} {:>8} {:>6} | {:>6}",
+        "cfg", "c_in", "c_out", "hw", "direct", "wino", "x", "pack%"
+    );
+    for s in winograd_race_shapes() {
+        let (direct, wino, pack) = winograd_vs_direct(s, min_time);
+        println!(
+            "{:>4} {:>5} {:>5} {:>4} | {:>8.2} {:>8.2} {:>5.2}x | {:>5.1}%",
+            s.model,
+            s.c_in,
+            s.m,
+            s.h,
+            direct,
+            wino,
+            wino / direct,
+            100.0 * pack
+        );
+    }
+}
+
 /// Pre-PR throughputs loaded from the `baseline` mode's output file, keyed
 /// by `(m, k, n)`.
 fn load_baseline(path: &str) -> Vec<(usize, usize, usize, f64, f64)> {
@@ -461,6 +553,18 @@ fn main() {
             check_igemm_bit_exact(largest);
             check_implicit_conv(largest, None);
             check_implicit_conv(full_res_16m, Some(0.5));
+            let (direct, wino, pack) = winograd_vs_direct(full_res_16m, 0.5);
+            println!(
+                "Winograd conv {} {}->{} @{}: bit-exact, {wino:.2} vs direct {direct:.2} GMAC/s \
+                 ({:.2}x), input transform {:.0} %",
+                full_res_16m.model,
+                full_res_16m.c_in,
+                full_res_16m.m,
+                full_res_16m.h,
+                wino / direct,
+                100.0 * pack
+            );
+            assert!(wino > direct, "Winograd conv no faster than the direct conv");
             let (af, bf, mut cf) = make_f32(largest);
             let gflop = 2.0 * largest.macs() as f64 / 1e9;
             let (m, k, n) = (largest.m, largest.k, largest.n);
@@ -491,6 +595,10 @@ fn main() {
                 "packed igemm ({packed_i:.2}) must beat reference ({ref_i:.2}) GMAC/s"
             );
             println!("kernel_stats smoke OK");
+            return;
+        }
+        "winograd" => {
+            race_winograd(0.3);
             return;
         }
         "full" => {}

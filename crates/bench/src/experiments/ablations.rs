@@ -132,7 +132,8 @@ pub fn run_prune(ctx: &mut ExperimentCtx) {
 
     let body = format!(
         "{}\nPaper §V lists pruning as future work to \"additionally improve throughput and \
-         energy efficiency\"; moderate ratios buy FPS at modest DSC cost.\n",
+         energy efficiency\"; on the modeled B4096 the gain stops at the frame's DMA time, so \
+         compute pruned below it buys nothing.\n",
         t.markdown()
     );
     emit(&ctx.out_dir(), "ablation-pruning", &body);

@@ -128,12 +128,14 @@ pub fn frame_cost(xm: &XModel, arch: &DpuArch) -> FrameCost {
 
 /// Frame cost with pruning credit: zeroed output channels (see
 /// `seneca_nn::prune`) skip their channel-group work. `live_ratio` in
-/// `[0, 1]` scales conv compute cycles.
+/// `[0, 1]` scales conv compute cycles; memory and overheads do not shrink
+/// (maps keep their padded layout). The frame is [`frame_cost`]'s own rule,
+/// `max(compute', DMA) + overheads`: compute saved off the critical path of a
+/// memory-bound frame buys no time.
 pub fn frame_cost_pruned(xm: &XModel, arch: &DpuArch, live_ratio: f64) -> FrameCost {
     let base = frame_cost(xm, arch);
     let compute = (base.compute_ns as f64 * live_ratio.clamp(0.0, 1.0)) as u64;
-    // Memory and overheads do not shrink (maps keep their padded layout).
-    let serial = base.serial_ns - (base.compute_ns - compute).min(base.serial_ns / 2);
+    let serial = compute.max(base.mem_ns) + base.overhead_ns;
     FrameCost { compute_ns: compute, serial_ns: serial, ..base }
 }
 
@@ -144,6 +146,51 @@ mod tests {
 
     fn arch() -> DpuArch {
         DpuArch::b4096_zcu104()
+    }
+
+    /// A small U-Net compiled at 64x64.
+    fn xmodel() -> XModel {
+        use rand::SeedableRng;
+        use seneca_nn::graph::Graph;
+        use seneca_nn::unet::{UNet, UNetConfig};
+        use seneca_quant::{fuse, quantize_post_training, PtqConfig};
+        use seneca_tensor::{Shape4, Tensor};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(4);
+        let cfg =
+            UNetConfig { depth: 2, base_filters: 8, in_channels: 1, num_classes: 6, dropout: 0.0 };
+        let fg = fuse(&Graph::from_unet(&UNet::new(cfg, &mut rng), "p"));
+        let calib = vec![Tensor::he_normal(Shape4::new(1, 1, 32, 32), &mut rng)];
+        let (qg, _) = quantize_post_training(&fg, &calib, &PtqConfig::default());
+        crate::compiler::compile(&qg, Shape4::new(1, 1, 64, 64), arch())
+    }
+
+    /// A memory-bound frame (DDR slowed 100x) gains nothing from pruning:
+    /// the DMA stream, not the array, sets its time.
+    #[test]
+    fn pruning_credits_nothing_on_a_memory_bound_frame() {
+        let xm = xmodel();
+        let slow = DpuArch { ddr_gbps: arch().ddr_gbps / 100.0, ..arch() };
+        let base = frame_cost(&xm, &slow);
+        assert!(base.mem_ns > base.compute_ns, "{base:?} is not memory-bound");
+        let pruned = frame_cost_pruned(&xm, &slow, 0.5);
+        assert!(pruned.compute_ns < base.compute_ns);
+        assert_eq!(pruned.serial_ns, base.serial_ns);
+    }
+
+    /// A compute-bound frame (DDR 100x faster) gets the compute it saves, down
+    /// to the DMA floor: `max(compute', DMA) + overheads`, as `frame_cost`.
+    #[test]
+    fn pruning_credits_compute_on_a_compute_bound_frame() {
+        let xm = xmodel();
+        let fast = DpuArch { ddr_gbps: arch().ddr_gbps * 100.0, ..arch() };
+        let base = frame_cost(&xm, &fast);
+        assert!(base.compute_ns > 2 * base.mem_ns, "{base:?} is not compute-bound");
+        let half = frame_cost_pruned(&xm, &fast, 0.5);
+        assert_eq!(half.serial_ns, half.compute_ns + base.overhead_ns);
+        assert_eq!(half.compute_ns, base.compute_ns / 2);
+        let none = frame_cost_pruned(&xm, &fast, 0.0);
+        assert_eq!(none.serial_ns, base.mem_ns + base.overhead_ns);
+        assert_eq!(frame_cost_pruned(&xm, &fast, 1.0), base);
     }
 
     #[test]

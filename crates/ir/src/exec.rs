@@ -9,11 +9,13 @@
 //! transpose-conv nodes run their GEMM against the panels packed once at
 //! lowering time — per frame only the activation (B) side is packed, a strip
 //! of columns at a time, directly from the NCHW feature map (implicit GEMM;
-//! the strip buffers are the GEMM driver's, [`ExecPlan::work_bytes`] counts
-//! them). The arena therefore holds *only* the plan slots: there is no
-//! im2col column buffer and no pre-scatter tconv buffer — the conv packs
-//! compute the im2col index math inside the tile gather and the tconv
-//! stores scatter from the GEMM tile.
+//! [`ExecPlan::work_bytes`] counts the strip buffers: the GEMM driver's
+//! thread-local ones, and the Winograd convs' `i16` strips, which the arena
+//! owns, sized once for the plan). The arena therefore holds the plan slots
+//! and that strip buffer only: there is no im2col column buffer and no
+//! pre-scatter tconv buffer — the conv packs compute the im2col index math
+//! (or the Winograd input transform) inside the tile gather and the
+//! tconv/Winograd stores scatter from the GEMM tile.
 //!
 //! Both dtypes also step node by node ([`Lowered::execute_node_f32`] /
 //! [`Lowered::execute_node_i8`]): the DPU runtime drives the INT8 step from
@@ -36,6 +38,7 @@ use seneca_tensor::norm::batchnorm_inference_into;
 use seneca_tensor::pool::maxpool2x2_into;
 use seneca_tensor::quantized::{concat_requant_i8, maxpool2x2_i8};
 use seneca_tensor::tensor::concat_channels_into;
+use seneca_tensor::winograd::igemm_conv_winograd;
 use seneca_tensor::{QTensor, QTensorView, Shape4, Tensor, TensorView};
 
 /// Per-worker execution arena: one buffer per plan slot, reused across
@@ -48,6 +51,10 @@ pub struct Scratch<T> {
     /// Per-node output fix positions (all zero in an FP32 arena).
     fps: Vec<i32>,
     slots: Vec<Vec<T>>,
+    /// The Winograd convs' strip buffer (empty without them), sized from
+    /// the plan and allocated with the slots rather than kept per thread:
+    /// a thread-local of its size would live as long as the thread.
+    winograd: Vec<i16>,
 }
 
 /// The FP32 arena.
@@ -58,7 +65,8 @@ pub type QScratch = Scratch<i8>;
 impl<T: Copy + Default> Scratch<T> {
     pub(crate) fn new(plan: ExecPlan, shapes: Vec<Shape4>, fps: Vec<i32>) -> Self {
         let slots = plan.slot_sizes().iter().map(|&e| vec![T::default(); e]).collect();
-        Self { plan, shapes, fps, slots }
+        let winograd = vec![0; plan.winograd_strips()];
+        Self { plan, shapes, fps, slots, winograd }
     }
 
     /// The execution plan this arena was built from.
@@ -71,9 +79,10 @@ impl<T: Copy + Default> Scratch<T> {
         self.shapes[0]
     }
 
-    /// Total elements actually allocated by this arena. With implicit-GEMM
-    /// convolution this is exactly the plan's slot footprint — there is no
-    /// auxiliary column/repack/pre-scatter storage to hide.
+    /// Total slot elements actually allocated by this arena. With
+    /// implicit-GEMM convolution this is exactly the plan's slot footprint —
+    /// there is no auxiliary column/repack/pre-scatter storage to hide (the
+    /// Winograd strips are GEMM work memory, [`ExecPlan::work_bytes`]).
     pub fn arena_elems(&self) -> usize {
         self.slots.iter().map(Vec::len).sum()
     }
@@ -302,7 +311,7 @@ impl Lowered {
             node.op.mnemonic(m.dtype),
             scratch.plan.elems_of(id) as u64,
         );
-        let Scratch { plan, shapes, fps, slots } = scratch;
+        let Scratch { plan, shapes, fps, slots, winograd } = scratch;
         let si = plan.slot_of(id);
         // Take the output buffer out of the arena so input slots stay
         // borrowable; the plan guarantees no live input shares `si`.
@@ -333,6 +342,10 @@ impl Lowered {
                         // bit-exact vs the i8 path on the `[-8, 7]` weights.
                         PackedKernel::ConvI4(pa) => per_image(xs, x, out, |x_n, y_n| {
                             igemm4_conv_packed(pa, &geom, x_n, bias, shift, relu, y_n)
+                        }),
+                        // Winograd F(2x2, 3x3): bit for bit the direct conv.
+                        PackedKernel::ConvWinograd(pw) => per_image(xs, x, out, |x_n, y_n| {
+                            igemm_conv_winograd(pw, &geom, x_n, bias, shift, relu, y_n, winograd)
                         }),
                         _ => panic!("pack slot holds the wrong kernel kind"),
                     }

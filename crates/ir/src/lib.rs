@@ -29,7 +29,10 @@ pub use lower::{lower, LowerOptions, Lowered, PackedKernel};
 pub use module::{
     ConcatQ, ConvAttrs, ConvKernel, DType, IrNode, IrOp, Module, PackFormat, PackSlot,
 };
-pub use passes::{assign_pack_slots, fold_batchnorm, fuse_relu, strip_identities, PassStats};
+pub use passes::{
+    assign_pack_slots, fold_batchnorm, fuse_relu, select_winograd, strip_identities, PassStats,
+    WINOGRAD_MIN_C_IN, WINOGRAD_MIN_TILES,
+};
 pub use plan::ExecPlan;
 pub use seneca_tensor::quantized::Bitwidth;
 pub use shape::{infer_shapes, infer_shapes_ops, ShapeOp};

@@ -1,10 +1,11 @@
 //! Lowering: IR module → executable program.
 //!
 //! [`lower`] runs the rewrite passes selected by [`LowerOptions`] (BN fold →
-//! BN carry → ReLU fusion → identity strip), assigns every weight a pack slot, then
-//! materialises everything the executors need per model — shapes, fix
-//! positions, the liveness [`ExecPlan`] and the **pre-packed weight
-//! panels**. Weights are immutable at inference, so their GEMM A-operand
+//! BN carry → ReLU fusion → identity strip), assigns every weight a pack slot,
+//! picks from the lowered shapes which INT8 convs run as Winograd F(2x2, 3x3)
+//! ([`select_winograd`]), then materialises everything the executors need per
+//! model — shapes, fix positions, the liveness [`ExecPlan`] and the
+//! **pre-packed weight panels**. Weights are immutable at inference, so their GEMM A-operand
 //! panels are packed exactly once here; each frame then only packs the
 //! activation (B) panels, which is where the per-frame pack share of the
 //! 16M model drops measurably.
@@ -12,12 +13,14 @@
 use crate::exec::{FpScratch, QScratch, Scratch};
 use crate::module::{ConvKernel, IrOp, Module, PackFormat};
 use crate::passes::{
-    assign_pack_slots, fold_batchnorm, fuse_batchnorm, fuse_relu, strip_identities, PassStats,
+    assign_pack_slots, fold_batchnorm, fuse_batchnorm, fuse_relu, select_winograd,
+    strip_identities, PassStats,
 };
 use crate::plan::ExecPlan;
 use seneca_tensor::gemm::{PackedA, PackedA4};
 use seneca_tensor::quantized::Bitwidth;
 use seneca_tensor::tconv::repack_tconv_weights;
+use seneca_tensor::winograd::PackedWinograd;
 use seneca_tensor::Shape4;
 
 /// Which rewrite passes a lowering runs. Weight panels are always packed
@@ -71,6 +74,9 @@ pub enum PackedKernel {
     },
     /// INT8 conv: `[C_out, C_in*K*K]` panels.
     ConvI8(PackedA<i8>),
+    /// INT8 (W8 or W4) conv lowered to Winograd F(2x2, 3x3): the
+    /// transformed `[16][C_out, C_in]` `u16` panels.
+    ConvWinograd(PackedWinograd),
     /// FP32 transpose conv: co-major `[4*C_out, C_in]` panels (row
     /// `co*4 + kidx`) plus the per-row-replicated bias (empty when the conv
     /// has no bias).
@@ -107,6 +113,7 @@ impl PackedKernel {
         match self {
             PackedKernel::ConvF32 { pa, bn } => (pa.panel_len() * 4 + bn.len() * 8) as u64,
             PackedKernel::ConvI8(pa) => pa.panel_len() as u64,
+            PackedKernel::ConvWinograd(pw) => (pw.panel_len() * 2) as u64,
             PackedKernel::TConvF32 { pa, bias4 } => ((pa.panel_len() + bias4.len()) * 4) as u64,
             PackedKernel::TConvI8 { pa, bias4 } => (pa.panel_len() + bias4.len() * 4) as u64,
             PackedKernel::ConvI4(pa) => pa.panel_len() as u64,
@@ -120,6 +127,7 @@ impl PackedKernel {
             PackedKernel::ConvF32 { .. } | PackedKernel::TConvF32 { .. } => PackFormat::F32,
             PackedKernel::ConvI8(_) | PackedKernel::TConvI8 { .. } => PackFormat::I8,
             PackedKernel::ConvI4(_) | PackedKernel::TConvI4 { .. } => PackFormat::I4,
+            PackedKernel::ConvWinograd(_) => PackFormat::Winograd,
         }
     }
 }
@@ -151,6 +159,8 @@ pub fn lower(mut module: Module, input: Shape4, opts: &LowerOptions) -> Lowered 
     }
     stats.identities_removed = strip_identities(&mut module, opts.strip_softmax);
     stats.pack_slots = assign_pack_slots(&mut module);
+    let shapes = module.shapes(input);
+    stats.winograd = select_winograd(&mut module, &shapes);
     stats.pack_slots_i4 = module
         .nodes
         .iter()
@@ -159,7 +169,6 @@ pub fn lower(mut module: Module, input: Shape4, opts: &LowerOptions) -> Lowered 
             _ => false,
         })
         .count();
-    let shapes = module.shapes(input);
     let fps = module.fix_positions();
     let plan = module.plan(input);
     let packs = build_packs(&module);
@@ -227,11 +236,14 @@ fn build_packs(m: &Module) -> Vec<PackedKernel> {
                 }
                 ConvKernel::I8 { w, wbits, .. } => {
                     let ws = w.shape();
-                    match wbits {
-                        Bitwidth::W8 => {
+                    match (ps.format, wbits) {
+                        (PackFormat::Winograd, _) => {
+                            PackedKernel::ConvWinograd(PackedWinograd::pack(ws.n, ws.c, w.data()))
+                        }
+                        (_, Bitwidth::W8) => {
                             PackedKernel::ConvI8(PackedA::pack(ws.n, ws.c * ws.h * ws.w, w.data()))
                         }
-                        Bitwidth::W4 => {
+                        (_, Bitwidth::W4) => {
                             PackedKernel::ConvI4(PackedA4::pack(ws.n, ws.c * ws.h * ws.w, w.data()))
                         }
                     }

@@ -129,6 +129,10 @@ pub enum PackFormat {
     /// Nibble-packed INT4 panels ([`seneca_tensor::gemm::PackedA4`]), two
     /// weights per byte — half the panel bytes of `I8`.
     I4,
+    /// Winograd-transformed panels of an INT8 (W8 or W4) 3x3 conv
+    /// ([`seneca_tensor::winograd::PackedWinograd`]), chosen per node by
+    /// [`crate::passes::select_winograd`] from the lowered shapes.
+    Winograd,
 }
 
 /// A pack-slot assignment: where this node's pre-packed weight panels live
@@ -320,37 +324,48 @@ impl Module {
         let elems: Vec<usize> = shapes.iter().map(|s| s.n * s.hw() * pad_c(s.c)).collect();
         let inputs: Vec<&[usize]> = self.nodes.iter().map(|n| n.inputs.as_slice()).collect();
         let mut plan = ExecPlan::build(&inputs, &elems, self.output);
-        plan.set_work_bytes(self.gemm_work_bytes(&shapes));
+        let (direct, winograd) = self.gemm_work(&shapes);
+        plan.set_work(direct, winograd);
         plan
     }
 
-    /// Peak per-frame GEMM work-buffer bytes: for each conv/tconv node, the
-    /// strip buffers the driver's parallel parts pack activations into
-    /// (`parts x strip`, a few hundred KB — there is no whole packed `B`; the
-    /// weight panels are packed once at lowering and are not per-frame work).
-    /// The buffers are reused node to node, so the plan's figure is the max,
-    /// not the sum. Mirrors what the kernels actually allocate via
-    /// [`seneca_tensor::gemm::strip_scratch_len`].
-    fn gemm_work_bytes(&self, shapes: &[Shape4]) -> u64 {
+    /// Peak per-frame GEMM work memory: for each conv/tconv node, the strip
+    /// buffers the driver's parallel parts pack activations into (`parts x
+    /// strip`, a few hundred KB — there is no whole packed `B`; the weight
+    /// panels are packed once at lowering and are not per-frame work). Two
+    /// buffers, each reused node to node, so each figure is a max over nodes,
+    /// not a sum: the direct convs' and tconvs' (bytes; the GEMM driver's
+    /// thread-local scratch) and the Winograd convs' (`i16` elements; the
+    /// executor arena's, see [`crate::exec::Scratch`]). Mirrors what the
+    /// kernels actually allocate via [`seneca_tensor::gemm::strip_scratch_len`].
+    fn gemm_work(&self, shapes: &[Shape4]) -> (u64, usize) {
         use seneca_tensor::gemm::{strip_scratch_len, NR};
+        use seneca_tensor::winograd::winograd_strip_scratch_len;
         let es = match self.dtype {
             DType::F32 => 4,
             DType::I8 => 1,
         };
-        let mut peak = 0;
+        let (mut direct, mut winograd) = (0, 0);
         for (node, out) in self.nodes.iter().zip(shapes) {
             // Per image, not per batch: the per-image loop reuses the buffers.
             let s = shapes[*node.inputs.first().unwrap_or(&0)];
             // The implicit im2col GEMM is [C_out x C_in*9 x H*W]; a tconv's is
-            // [4*C_out x C_in x H*W], its column parts cut on input rows.
-            let len = match &node.op {
-                IrOp::Conv(_) => strip_scratch_len(out.c, s.c * 9, s.hw(), NR, es),
-                IrOp::TConv(_) => strip_scratch_len(4 * out.c, s.c, s.hw(), s.w, es),
-                _ => continue,
-            };
-            peak = peak.max(len * es);
+            // [4*C_out x C_in x H*W], its column parts cut on input rows; a
+            // Winograd conv's packs 16 * C_in rows per 2x2 tile.
+            match &node.op {
+                IrOp::Conv(a) if a.pack.is_some_and(|p| p.format == PackFormat::Winograd) => {
+                    winograd = winograd.max(winograd_strip_scratch_len(out.c, s.c, s.h, s.w));
+                }
+                IrOp::Conv(_) => {
+                    direct = direct.max(es * strip_scratch_len(out.c, s.c * 9, s.hw(), NR, es));
+                }
+                IrOp::TConv(_) => {
+                    direct = direct.max(es * strip_scratch_len(4 * out.c, s.c, s.hw(), s.w, es));
+                }
+                _ => {}
+            }
         }
-        peak as u64
+        (direct as u64, winograd)
     }
 
     /// Number of nodes per mnemonic (listing/statistics helper).

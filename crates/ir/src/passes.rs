@@ -13,8 +13,11 @@
 //! and loses its BN and ReLU passes.
 
 use crate::module::{ConvAttrs, ConvKernel, IrNode, IrOp, Module, PackFormat, PackSlot};
+use seneca_tensor::gemm::NR;
 use seneca_tensor::norm::{fold_bn_into_conv, BnState};
 use seneca_tensor::quantized::Bitwidth;
+use seneca_tensor::winograd::{winograd_tiles, WINO_MAX_C_IN};
+use seneca_tensor::Shape4;
 use serde::{Deserialize, Serialize};
 
 /// What the pass pipeline did to a module, for listings and smoke gates.
@@ -32,7 +35,19 @@ pub struct PassStats {
     pub pack_slots: usize,
     /// Of those, slots materialized as nibble-packed INT4 panels.
     pub pack_slots_i4: usize,
+    /// Of those, INT8 convs lowered to Winograd F(2x2, 3x3).
+    pub winograd: usize,
 }
+
+/// Fewest input channels of a Winograd conv. The per-shape race of the 1M
+/// and 16M convs at 256x256 (`kernel_stats winograd`) has `C_in = 1` at
+/// 0.95-1.0x the direct conv and `C_in = 8` at 1.45-1.6x, with every wider
+/// shape at 1.4x or more.
+pub const WINOGRAD_MIN_C_IN: usize = 8;
+
+/// Fewest 2x2 output tiles of a Winograd conv (two `NR` panels). In the same
+/// race an 8x8 map (16 tiles) runs at 0.95x, a 16x16 map (64) at 1.4-2.0x.
+pub const WINOGRAD_MIN_TILES: usize = 2 * NR;
 
 /// Consumers per node id; the module output counts as one extra consumer so
 /// a value feeding the output is never treated as exclusively owned.
@@ -221,6 +236,31 @@ pub fn assign_pack_slots(m: &mut Module) -> usize {
         }
     }
     next
+}
+
+/// Lowers to Winograd F(2x2, 3x3) ([`seneca_tensor::winograd`]) every INT8
+/// conv (W8 or W4: W4 weights are `i8` in `[-8, 7]`) with at least
+/// [`WINOGRAD_MIN_C_IN`] input channels and [`WINOGRAD_MIN_TILES`] output
+/// tiles at the lowered geometry `shapes`, within the Winograd tile's
+/// accumulator-safe `C_in`: its pack slot's format becomes
+/// [`PackFormat::Winograd`]. Both routes are exact, so a frame of another
+/// geometry may run the same kernels. Runs after [`assign_pack_slots`];
+/// returns the number of convs lowered.
+pub fn select_winograd(m: &mut Module, shapes: &[Shape4]) -> usize {
+    let mut picked = 0;
+    for (node, out) in m.nodes.iter_mut().zip(shapes) {
+        let IrOp::Conv(a @ ConvAttrs { kernel: ConvKernel::I8 { .. }, .. }) = &mut node.op else {
+            continue;
+        };
+        let slot = a.pack.as_mut().expect("Winograd selection before pack-slot assignment");
+        let c_in = a.kernel.c_in(false);
+        let (th, tw) = winograd_tiles(out.h, out.w);
+        if (WINOGRAD_MIN_C_IN..=WINO_MAX_C_IN).contains(&c_in) && th * tw >= WINOGRAD_MIN_TILES {
+            slot.format = PackFormat::Winograd;
+            picked += 1;
+        }
+    }
+    picked
 }
 
 #[cfg(test)]

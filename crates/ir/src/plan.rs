@@ -37,10 +37,15 @@ pub struct ExecPlan {
     output: usize,
     /// Peak per-frame GEMM work-buffer bytes: the strip buffers the GEMM
     /// driver's parallel parts gather activations into, max over nodes
-    /// (the buffers are reused node to node). Set by the module lowering;
+    /// (the buffers are reused node to node) — the direct convs' and
+    /// tconvs', plus the Winograd convs' below. Set by the module lowering;
     /// zero for plans built directly via [`ExecPlan::build`].
     #[serde(default)]
     work_bytes: u64,
+    /// Of those, the Winograd convs' `i16` strip elements, which the worker
+    /// arena allocates ([`crate::exec::Scratch`]).
+    #[serde(default)]
+    winograd_strips: usize,
 }
 
 impl ExecPlan {
@@ -130,20 +135,35 @@ impl ExecPlan {
             }
         }
 
-        let plan =
-            Self { slot, last_use, elems: elems.to_vec(), slot_elems, output, work_bytes: 0 };
+        let plan = Self {
+            slot,
+            last_use,
+            elems: elems.to_vec(),
+            slot_elems,
+            output,
+            work_bytes: 0,
+            winograd_strips: 0,
+        };
         plan.assert_valid();
         plan
     }
 
-    /// Records the peak per-frame GEMM work-buffer bytes (see `work_bytes`).
-    pub fn set_work_bytes(&mut self, bytes: u64) {
-        self.work_bytes = bytes;
+    /// Records the peak per-frame GEMM work memory: `direct_bytes` of the
+    /// direct convs' and tconvs' strips, `winograd_strips` `i16` elements of
+    /// the Winograd convs'.
+    pub fn set_work(&mut self, direct_bytes: u64, winograd_strips: usize) {
+        self.work_bytes = direct_bytes + (winograd_strips * size_of::<i16>()) as u64;
+        self.winograd_strips = winograd_strips;
     }
 
     /// Peak per-frame GEMM work-buffer bytes recorded by the lowering.
     pub fn work_bytes(&self) -> u64 {
         self.work_bytes
+    }
+
+    /// The Winograd convs' `i16` strip elements (in [`ExecPlan::work_bytes`]).
+    pub fn winograd_strips(&self) -> usize {
+        self.winograd_strips
     }
 
     /// Number of planned nodes.

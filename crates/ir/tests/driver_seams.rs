@@ -1,7 +1,9 @@
 //! The executor against the naive oracle at a geometry where the GEMM driver
 //! under it really cuts strips and forks: batch of two, non-square,
-//! non-power-of-two width (a transpose-conv column part must cover whole input
-//! rows whatever `w` is), W8 and two W4 masks, both dtypes. The unit tests in
+//! non-power-of-two width (a transpose-conv or Winograd column part must cover
+//! whole input or tile rows whatever `w` is), W8 and two W4 masks, both
+//! dtypes. The INT8 program runs every conv kind: a direct conv (`C_in` below
+//! the Winograd rule), a Winograd conv and a transpose conv. The unit tests in
 //! `exec.rs` cover every op on 8x8 frames, which the driver runs inline under
 //! one strip; this file covers what they cannot reach.
 
@@ -11,14 +13,15 @@ use seneca_ir::oracle;
 use seneca_ir::{
     lower, Bitwidth, ConvAttrs, ConvKernel, DType, IrOp, LowerOptions, Module, PackedKernel,
 };
+use seneca_ir::{PackFormat, WINOGRAD_MIN_C_IN};
 use seneca_tensor::gemm::{FORK_MIN_MACS, STRIP_BYTES};
 use seneca_tensor::quantized::choose_fix_pos_bits;
 use seneca_tensor::{QTensor, Shape4, Tensor};
 
 /// Input geometry: 38 x 150 = 5700 columns per image.
-const INPUT: Shape4 = Shape4 { n: 2, c: 8, h: 38, w: 150 };
-/// conv 8 -> 24, conv 24 -> 64, tconv 64 -> 8.
-const CHANNELS: [usize; 4] = [8, 24, 64, 8];
+const INPUT: Shape4 = Shape4 { n: 2, c: 6, h: 38, w: 150 };
+/// conv 6 -> 32 (direct), conv 32 -> 64 (Winograd in INT8), tconv 64 -> 8.
+const CHANNELS: [usize; 4] = [6, 32, 64, 8];
 
 fn rand_tensor(shape: Shape4, rng: &mut StdRng) -> Tensor {
     Tensor::from_vec(shape, (0..shape.len()).map(|_| rng.gen_range(-1.0f32..1.0)).collect())
@@ -43,16 +46,24 @@ fn weight_shape(i: usize) -> Shape4 {
 }
 
 /// The sizes above are chosen so that every layer forks and cuts at least two
-/// strips in INT8 (hence more in FP32); if the driver's constants move, this
-/// says so instead of silently testing the inline path.
+/// strips in INT8 (hence more in FP32) — the Winograd layer as 16 `i16` rows
+/// per input channel and 2x2 tile — and that the rule lowers exactly the
+/// middle conv to Winograd; if the driver's constants or the rule move, this
+/// says so instead of silently testing another path.
 #[test]
 fn the_geometry_reaches_the_seams() {
-    let n = INPUT.h * INPUT.w;
-    for (i, k_per_c) in [9, 9, 1].into_iter().enumerate() {
-        let (k, m) = (CHANNELS[i] * k_per_c, CHANNELS[i + 1] * if i < 2 { 1 } else { 4 });
-        assert!(m * k * n >= FORK_MIN_MACS, "layer {i} would run inline");
-        assert!(k * n > STRIP_BYTES, "layer {i} is a single INT8 strip");
+    let (n, tiles) = (INPUT.h * INPUT.w, INPUT.h.div_ceil(2) * INPUT.w.div_ceil(2));
+    // (k, bytes per packed element, m, columns) of each layer's GEMM.
+    let gemms = [
+        (CHANNELS[0] * 9, 1, CHANNELS[1], n),
+        (CHANNELS[1] * 16, 2, CHANNELS[2], tiles),
+        (CHANNELS[2], 1, 4 * CHANNELS[3], n),
+    ];
+    for (i, (k, es, m, cols)) in gemms.into_iter().enumerate() {
+        assert!(m * k * cols >= FORK_MIN_MACS, "layer {i} would run inline");
+        assert!(k * es * cols > STRIP_BYTES, "layer {i} is a single INT8 strip");
     }
+    assert!(CHANNELS[0] < WINOGRAD_MIN_C_IN && CHANNELS[1] >= WINOGRAD_MIN_C_IN);
 }
 
 #[test]
@@ -76,7 +87,7 @@ fn int8_layers_match_the_oracle_across_strips_and_parts_w8_and_w4() {
         let mut rng = StdRng::seed_from_u64(42 + case as u64);
         let mut m = Module::new("seams-i8", DType::I8);
         // Fix positions that keep the requantised activations spread over the
-        // i8 range layer after layer (sums of 72 / 216 / 64 products).
+        // i8 range layer after layer (sums of 54 / 288 / 64 products).
         let fps = [6, 4, 3, 3];
         m.input_fp = fps[0];
         for (i, &wbits) in mask.iter().enumerate() {
@@ -97,12 +108,16 @@ fn int8_layers_match_the_oracle_across_strips_and_parts_w8_and_w4() {
         }
         m.output_fp = fps[3];
         let lowered = lower(m, INPUT, &LowerOptions::reference());
-        let nibble_slots = lowered
-            .packs()
-            .iter()
-            .filter(|p| matches!(p, PackedKernel::ConvI4(_) | PackedKernel::TConvI4 { .. }))
-            .count();
-        assert_eq!(nibble_slots, mask.iter().filter(|&&b| b == W4).count(), "mask {case}");
+        let formats: Vec<PackFormat> = lowered.packs().iter().map(PackedKernel::format).collect();
+        // The middle conv runs Winograd whatever its bitwidth; the others keep
+        // nibble panels where W4.
+        let nibble = |b: Bitwidth| if b == W4 { PackFormat::I4 } else { PackFormat::I8 };
+        assert_eq!(
+            formats,
+            [nibble(mask[0]), PackFormat::Winograd, nibble(mask[2])],
+            "mask {case}"
+        );
+        assert_eq!(lowered.stats().winograd, 1);
         let mut scratch = lowered.make_scratch_i8();
         let x = QTensor::quantize(&rand_tensor(INPUT, &mut rng), fps[0]);
         oracle::check_i8(&lowered, &mut scratch, &x);

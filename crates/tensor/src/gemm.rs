@@ -1,10 +1,12 @@
 //! Packed, register-tiled matrix multiplication: one strip-mined
-//! pack+compute driver, three micro-kernels, fused epilogues.
+//! pack+compute driver, four micro-kernels (`f32`, `i8`, nibble-packed INT4
+//! and the `i16` Winograd tile), fused epilogues.
 //!
 //! Every GEMM of the crate — the matrix entry points here ([`sgemm`] …
-//! [`igemm_fused`]) and the implicit-GEMM convolutions of [`crate::igemm`],
-//! in `f32`, `i8` and nibble-packed INT4 — computes `C = A * B` with
-//! `A: [m x k]`, `B: [k x n]` through the same driver:
+//! [`igemm_fused`]), the implicit-GEMM convolutions of [`crate::igemm`], in
+//! `f32`, `i8` and nibble-packed INT4, and the Winograd convolution of
+//! [`crate::winograd`] (sixteen position products per tile) — computes
+//! `C = A * B` with `A: [m x k]`, `B: [k x n]` through the same driver:
 //!
 //! ```text
 //!            B (never materialised whole)           per part, per strip:
@@ -33,7 +35,9 @@
 //!    itself. GEMMs under [`FORK_MIN_MACS`] run inline on the caller. The
 //!    per-part strip buffers are slices of the *calling* thread's scratch
 //!    (worker threads are short-lived, their thread-locals would be
-//!    re-allocated per call); parts never touch that scratch themselves.
+//!    re-allocated per call); parts never touch that scratch themselves. The
+//!    Winograd conv hands the driver a caller-owned buffer instead
+//!    ([`run_with`]; see [`crate::winograd`]).
 //! 3. **Micro-kernels.** An `MR x NR` accumulator tile walks one `A` row
 //!    panel (`[ip][kk][MR]`, packed once per weight tensor — [`PackedA`],
 //!    [`PackedA4`]) and one `B` panel over the whole `k` extent; constant
@@ -87,12 +91,22 @@
 //! largest Table II `k` is 9216). The INT4 kernel is the same with
 //! `(nibble ^ 8)` and `8 · colsum`.
 //!
+//! The Winograd kernel `tile_i16` is the same again on `i16` operands: the
+//! activations `V` (`|V| <= 512`) are native `i16`, the transformed weights
+//! `U` (`|U| <= 1152`) are stored as `U + 2048` in a `u16` and read as
+//! `(a & 0x0FFF)`. The mask changes no value; it proves the upper 20 bits
+//! zero, which a bare `u16` (bit 15 open) does not, and that proof is what
+//! makes LLVM pick `vpdpwssd`. The offset is a power of two so that the
+//! correction `2048 · colsum` is a shift (an offset of 1152 brings two
+//! `vpmulld` into the correction). Bound: `k · 3200 · 512 < 2^31`, `k <=
+//! 1310` ([`crate::winograd::WINO_MAX_C_IN`]).
+//!
 //! Three codegen hazards, each re-tested with rustc 1.95 on AVX-512:
 //!
 //! * *Inlining the MAC loop into the driver closure* still makes LLVM
 //!   vectorise over `k`, assembling operands byte by byte (`vpinsrb`) with
-//!   the accumulators in stack slots — so `tile_i8` / `tile_i4` are
-//!   isolated `#[inline(never)]` functions.
+//!   the accumulators in stack slots — so `tile_i8` / `tile_i4` /
+//!   `tile_i16` are isolated `#[inline(never)]` functions.
 //! * *Factoring the store out* used to trigger the same failure (hence five
 //!   monolithic `i8_block_*` bodies, one per store). With the offset form it
 //!   no longer does: a tile function that hands the corrected accumulators
@@ -119,6 +133,7 @@
 //! be saved — essentially never for dense activations.
 
 use crate::quantized::requantize_i32;
+use crate::winograd::WINO_U_OFFSET;
 use crate::zero::Zero;
 use rayon::prelude::*;
 use std::cell::RefCell;
@@ -410,58 +425,63 @@ pub(crate) fn pack_b<T: Zero>(
     }
 }
 
+/// One `MR x NR` accumulator tile.
+pub(crate) type Acc<S> = [[S; NR]; MR];
+
 /// The `A` side of a GEMM as the driver sees it: packed row panels plus the
 /// micro-kernel that multiplies one of them with a packed `B` panel.
 pub(crate) trait Panels: Sync {
     /// Element type of the packed `B` panels.
-    type B: PackElem;
-    /// Accumulator type.
-    type Acc: Copy + Default;
+    type B: Zero + Send + Sync;
+    /// What one [`Panels::tile`] call fills and the store reads: one
+    /// [`Acc`] tile, or one per Winograd position.
+    type Out: Default;
 
-    /// `(m, k)`.
+    /// `(m, depth)`: rows, and `B` rows per column — the GEMM's `k`, or
+    /// `16 * C_in` for the sixteen Winograd position products.
     fn dims(&self) -> (usize, usize);
 
-    /// Overwrites the first `rows` rows of `acc` (at least) with row panel
-    /// `ip` times `bp`, summed over all `k`.
-    fn tile(&self, ip: usize, bp: &[Self::B], rows: usize, acc: &mut [[Self::Acc; NR]; MR]);
+    /// Overwrites the first `rows` rows of `out` (at least) with row panel
+    /// `ip` times the `B` panel `bp` (`depth * NR` elements).
+    fn tile(&self, ip: usize, bp: &[Self::B], rows: usize, out: &mut Self::Out);
 }
 
 impl Panels for PackedA<f32> {
     type B = f32;
-    type Acc = f32;
+    type Out = Acc<f32>;
 
     fn dims(&self) -> (usize, usize) {
         (self.m, self.k)
     }
 
-    fn tile(&self, ip: usize, bp: &[f32], _rows: usize, acc: &mut [[f32; NR]; MR]) {
-        tile_f32(&self.panels[ip * MR * self.k..][..MR * self.k], bp, acc);
+    fn tile(&self, ip: usize, bp: &[f32], _rows: usize, out: &mut Acc<f32>) {
+        tile_f32(&self.panels[ip * MR * self.k..][..MR * self.k], bp, out);
     }
 }
 
 impl Panels for PackedA<i8> {
     type B = i8;
-    type Acc = i32;
+    type Out = Acc<i32>;
 
     fn dims(&self) -> (usize, usize) {
         (self.m, self.k)
     }
 
-    fn tile(&self, ip: usize, bp: &[i8], rows: usize, acc: &mut [[i32; NR]; MR]) {
-        tile_i8(&self.panels[ip * MR * self.k..][..MR * self.k], bp, rows, acc);
+    fn tile(&self, ip: usize, bp: &[i8], rows: usize, out: &mut Acc<i32>) {
+        tile_i8(&self.panels[ip * MR * self.k..][..MR * self.k], bp, rows, out);
     }
 }
 
 impl Panels for PackedA4 {
     type B = i8;
-    type Acc = i32;
+    type Out = Acc<i32>;
 
     fn dims(&self) -> (usize, usize) {
         (self.m, self.k)
     }
 
-    fn tile(&self, ip: usize, bp: &[i8], rows: usize, acc: &mut [[i32; NR]; MR]) {
-        tile_i4(&self.panels[ip * (MR / 2) * self.k..][..MR / 2 * self.k], bp, rows, acc);
+    fn tile(&self, ip: usize, bp: &[i8], rows: usize, out: &mut Acc<i32>) {
+        tile_i4(&self.panels[ip * (MR / 2) * self.k..][..MR / 2 * self.k], bp, rows, out);
     }
 }
 
@@ -488,17 +508,18 @@ fn tile_f32(ap: &[f32], bp: &[f32], out: &mut [[f32; NR]; MR]) {
 }
 
 /// An integer micro-kernel in the offset form of the module docs: `$widen`
-/// reads row `i` of one k-step of the `A` panel (`$step` bytes) as the
-/// non-negative weight `a + $offset`; the column sums of `B` take the offset
-/// back out when the first `rows` rows of the finished tile are written to
-/// `out` (rows beyond are padding and left alone — and the dynamic trip count
-/// keeps LLVM from transposing that loop into gathers). Isolated
-/// `#[inline(never)]` functions — see the codegen hazards in the module docs.
+/// reads row `i` of one k-step of the `A` panel (`$step` elements) as the
+/// non-negative weight `a + $offset`; the column sums of `B` (`$b`
+/// activations) take the offset back out when the first `rows` rows of the
+/// finished tile are written to `out` (rows beyond are padding and left
+/// alone — and the dynamic trip count keeps LLVM from transposing that loop
+/// into gathers). Isolated `#[inline(never)]` functions — see the codegen
+/// hazards in the module docs.
 macro_rules! int_tile_fn {
-    ($(#[$doc:meta])* $name:ident, $a:ty, $step:expr, $offset:expr, $widen:expr) => {
+    ($(#[$doc:meta])* $name:ident, $a:ty, $b:ty, $step:expr, $offset:expr, $widen:expr) => {
         $(#[$doc])*
         #[inline(never)]
-        fn $name(ap: &[$a], bp: &[i8], rows: usize, out: &mut [[i32; NR]; MR]) {
+        pub(crate) fn $name(ap: &[$a], bp: &[$b], rows: usize, out: &mut Acc<i32>) {
             let mut acc = [[0i32; NR]; MR];
             let mut colsum = [0i32; NR];
             for (a, b) in ap.chunks_exact($step).zip(bp.chunks_exact(NR)) {
@@ -529,6 +550,7 @@ int_tile_fn!(
     /// The INT8 micro-kernel: weights read as `(a as u8) ^ 0x80 = a + 128`.
     tile_i8,
     i8,
+    i8,
     MR,
     128,
     |a: &[i8], i: usize| ((a[i] as u8) ^ 0x80) as i32
@@ -539,9 +561,25 @@ int_tile_fn!(
     /// low nibble; weights read as `nibble ^ 8 = a + 8`.
     tile_i4,
     u8,
+    i8,
     MR / 2,
     8,
     |a: &[u8], i: usize| (((a[i / 2] >> (4 * (i % 2))) & 0xF) ^ 8) as i32
+);
+
+int_tile_fn!(
+    /// The Winograd micro-kernel: one position product of `i16` activations
+    /// against weights stored pre-offset, `U + 2048` as `u16` in `[896,
+    /// 3200]`. The `& 0x0FFF` is an identity on those values, and it is what
+    /// proves the upper 20 bits zero to LLVM (a bare `u16` leaves bit 15
+    /// open), so the loop compiles to `vpdpwssd` like [`tile_i8`]. The offset
+    /// is a power of two so that the correction is a shift, not a `vpmulld`.
+    tile_i16,
+    u16,
+    i16,
+    MR,
+    WINO_U_OFFSET,
+    |a: &[u16], i: usize| (a[i] & 0x0FFF) as i32
 );
 
 /// Columns per strip for a `k`-row packed operand of `elem_bytes`-wide
@@ -618,6 +656,31 @@ pub(crate) struct Tile {
     pub(crate) col0: usize,
 }
 
+/// How the driver cuts `C`: `m / rows` contiguous chunks of `len` elements,
+/// GEMM rows `rows * i ..` storing into chunk `i`; a column part starting on a
+/// `quantum` boundary owns `quantum_elems` elements of every chunk per
+/// quantum of columns, the last part clipped at `len`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct OutLayout {
+    pub(crate) rows: usize,
+    pub(crate) len: usize,
+    pub(crate) quantum: usize,
+    pub(crate) quantum_elems: usize,
+}
+
+impl OutLayout {
+    /// A row-major `[m, n]` `C`: chunk = row, column `j` = element `j`.
+    pub(crate) fn rows(n: usize) -> Self {
+        Self { rows: 1, len: n, quantum: NR, quantum_elems: NR }
+    }
+
+    /// The elements of each chunk that columns `cols` own.
+    fn span(&self, cols: &Range<usize>) -> Range<usize> {
+        let at = |j: usize| (j.div_ceil(self.quantum) * self.quantum_elems).min(self.len);
+        at(cols.start)..at(cols.end)
+    }
+}
+
 /// One parallel part: a block of row tiles times a range of columns, with its
 /// strip buffer and its piece of every output chunk its rows touch.
 struct Part<'a, B, C> {
@@ -628,30 +691,49 @@ struct Part<'a, B, C> {
 }
 
 /// The strip-mined driver behind every GEMM of the crate (see the module
-/// docs). `c` is `m / rpc` contiguous chunks of `rpc * n` elements — the rows
-/// of a row-major `C` (`rpc = 1`) or the `[2H, 2W]` output planes of a 2x2
-/// transpose conv (`rpc = 4` GEMM rows scatter into one plane) — and a column
-/// range `j0..j1` on a `quantum` boundary owns elements `rpc*j0..rpc*j1` of
-/// each. `pack(cols, buf)` packs a strip of `B`; `store(acc, tile, chunks)`
-/// writes one finished tile into the part's chunk pieces.
+/// docs), with the strip buffers in the calling thread's pack scratch: see
+/// [`run_with`].
 pub(crate) fn run<A: Panels, C: Send>(
     a: &A,
     n: usize,
-    rpc: usize,
-    quantum: usize,
+    layout: OutLayout,
     c: &mut [C],
     pack: impl Fn(Range<usize>, &mut [A::B]) + Sync,
-    store: impl Fn(&[[A::Acc; NR]; MR], Tile, &mut [&mut [C]]) + Sync,
+    store: impl Fn(&A::Out, Tile, &mut [&mut [C]]) + Sync,
+) where
+    A::B: PackElem,
+{
+    let mut strips = take_buf::<A::B>(STRIPS);
+    run_with(a, n, layout, c, &mut strips, pack, store);
+    put_buf(STRIPS, strips);
+}
+
+/// The driver itself. `c` is laid out as `layout` says — the rows of a
+/// row-major `C`, the `[2H, 2W]` output planes of a 2x2 transpose conv (4
+/// GEMM rows scatter into one plane, a quantum of one input row owns 2 output
+/// rows), or the `[H, W]` planes of a Winograd conv (a quantum of one tile
+/// row owns 2 output rows). The parts' strip buffers are slices of `strips`,
+/// grown to [`strip_scratch_len`] when shorter. `pack(cols, buf)` packs a
+/// strip of `B`; `store(out, tile, chunks)` writes one finished tile into the
+/// part's chunk pieces.
+pub(crate) fn run_with<A: Panels, C: Send>(
+    a: &A,
+    n: usize,
+    layout: OutLayout,
+    c: &mut [C],
+    strips: &mut Vec<A::B>,
+    pack: impl Fn(Range<usize>, &mut [A::B]) + Sync,
+    store: impl Fn(&A::Out, Tile, &mut [&mut [C]]) + Sync,
 ) {
     let (m, k) = a.dims();
-    assert_eq!(c.len(), m * n, "C size");
+    let rpc = layout.rows;
     assert!(m.is_multiple_of(rpc) && MR.is_multiple_of(rpc), "row tiles cover whole chunks");
+    assert_eq!(c.len(), m / rpc * layout.len, "C size");
     if m == 0 || n == 0 {
         return;
     }
-    let split = Split::new(m, k, n, quantum, size_of::<A::B>());
+    let split = Split::new(m, k, n, layout.quantum, size_of::<A::B>());
     let (n_parts, strip_len) = (split.row_parts * split.col_parts, split.strip_len(k, n));
-    let mut strips = take_buf::<A::B>(STRIPS);
     if strips.len() < n_parts * strip_len {
         strips.resize(n_parts * strip_len, A::B::ZERO);
     }
@@ -669,11 +751,11 @@ pub(crate) fn run<A: Panels, C: Send>(
             }
         })
         .collect();
-    for (ci, mut chunk) in c.chunks_mut(rpc * n).enumerate() {
+    for (ci, mut chunk) in c.chunks_mut(layout.len).enumerate() {
         let rp = ci * rpc / split.rows_per;
         for part in &mut parts[rp * split.col_parts..(rp + 1) * split.col_parts] {
             let piece;
-            (piece, chunk) = std::mem::take(&mut chunk).split_at_mut(rpc * part.cols.len());
+            (piece, chunk) = std::mem::take(&mut chunk).split_at_mut(layout.span(&part.cols).len());
             part.chunks.push(piece);
         }
     }
@@ -682,7 +764,7 @@ pub(crate) fn run<A: Panels, C: Send>(
     #[cfg(feature = "trace-gemm")]
     let spent = [std::sync::atomic::AtomicU64::new(0), std::sync::atomic::AtomicU64::new(0)];
     parts.into_par_iter().for_each(|mut part| {
-        let mut acc = [[A::Acc::default(); NR]; MR];
+        let mut acc = A::Out::default();
         for s0 in part.cols.clone().step_by(split.nc) {
             let strip_cols = s0..(s0 + split.nc).min(part.cols.end);
             #[cfg(feature = "trace-gemm")]
@@ -718,7 +800,6 @@ pub(crate) fn run<A: Panels, C: Send>(
         seneca_trace::record_ns("gemm", "pack", spent[0].load(Relaxed), packed);
         seneca_trace::record_ns("gemm", "kernel", spent[1].load(Relaxed), size_of_val(c) as u64);
     }
-    put_buf(STRIPS, strips);
 }
 
 /// Stores a tile into a row-major `C` (chunk = row): element `(i, j)` becomes
@@ -767,7 +848,7 @@ pub(crate) fn run_f32(
     epi: GemmEpilogue<'_>,
     pack: impl Fn(Range<usize>, &mut [f32]) + Sync,
 ) {
-    run(pa, n, 1, NR, c, pack, |acc, t, chunks| match epi {
+    run(pa, n, OutLayout::rows(n), c, pack, |acc, t, chunks| match epi {
         GemmEpilogue::None => store_rows(acc, t, chunks, |_| (), |v, ()| v),
         GemmEpilogue::Bias(b) => store_rows(acc, t, chunks, |i| bias_at(b, i), |v, b| v + b),
         GemmEpilogue::BiasRelu(b) => {
@@ -787,14 +868,14 @@ pub(crate) fn run_f32(
 
 /// Runs an INT8/INT4 driver into a row-major `i8` `C` with the requantise
 /// epilogue fused into the store.
-pub(crate) fn run_requant<A: Panels<B = i8, Acc = i32>>(
+pub(crate) fn run_requant<A: Panels<B = i8, Out = Acc<i32>>>(
     pa: &A,
     n: usize,
     out: &mut [i8],
     (bias, shift, relu): (&[i32], i32, bool),
     pack: impl Fn(Range<usize>, &mut [i8]) + Sync,
 ) {
-    run(pa, n, 1, NR, out, pack, |acc, t, chunks| {
+    run(pa, n, OutLayout::rows(n), out, pack, |acc, t, chunks| {
         store_rows(acc, t, chunks, |i| bias_at(bias, i), |v, b| requant(v, b, shift, relu))
     });
 }
@@ -900,7 +981,7 @@ pub fn igemm4_fused_packed(
     requant_packed(pa, n, b, (bias, shift, relu), out);
 }
 
-fn requant_packed<A: Panels<B = i8, Acc = i32>>(
+fn requant_packed<A: Panels<B = i8, Out = Acc<i32>>>(
     pa: &A,
     n: usize,
     b: &[i8],
@@ -928,7 +1009,7 @@ pub fn igemm(m: usize, k: usize, n: usize, a: &[i8], b: &[i8], c: &mut [i32]) {
         |pa| {
             let pack =
                 |cols: Range<usize>, buf: &mut [i8]| pack_b(k, cols, |kk, j| b[kk * n + j], buf);
-            run(pa, n, 1, NR, c, pack, |acc, t, chunks| {
+            run(pa, n, OutLayout::rows(n), c, pack, |acc, t, chunks| {
                 store_rows(acc, t, chunks, |_| (), |v, ()| v)
             });
         },

@@ -32,8 +32,8 @@
 //! redundant pass to remove there.
 
 use crate::gemm::{
-    bias_at, packed_b_len, requant, run, run_f32, run_requant, GemmEpilogue, PackedA, PackedA4,
-    Panels, Tile, NR,
+    bias_at, packed_b_len, requant, run, run_f32, run_requant, Acc, GemmEpilogue, OutLayout,
+    PackElem, PackedA, PackedA4, Panels, Tile, NR,
 };
 use crate::im2col::ConvGeom;
 use crate::zero::Zero;
@@ -181,7 +181,7 @@ pub fn igemm4_conv_packed(
     conv_requant(pa, geom, x, (bias, shift, relu), out);
 }
 
-fn conv_requant<A: Panels<B = i8, Acc = i32>>(
+fn conv_requant<A: Panels<B = i8, Out = Acc<i32>>>(
     pa: &A,
     geom: &ConvGeom,
     x: &[i8],
@@ -197,22 +197,21 @@ fn conv_requant<A: Panels<B = i8, Acc = i32>>(
 /// `iy*w + ix` lands at `(2iy+ky, 2ix+kx)` of output plane `co` as
 /// `f(acc, bias4[row])`. `out` is `[C_out, 2H, 2W]`; the driver hands each
 /// part the band of every plane its (whole) input rows scatter into.
-fn run_tconv2x2<A: Panels, C: Send>(
+fn run_tconv2x2<A: Panels<Out = Acc<S>, B: PackElem>, S: Copy + Zero + Sync, C: Send>(
     pa: &A,
     x: &[A::B],
     (h, w): (usize, usize),
-    bias4: &[A::Acc],
+    bias4: &[S],
     out: &mut [C],
-    f: impl Fn(A::Acc, A::Acc) -> C + Sync,
-) where
-    A::Acc: Zero + Sync,
-{
+    f: impl Fn(S, S) -> C + Sync,
+) {
     let k = pa.dims().1;
     // The input plane is the im2col matrix of a 1x1 convolution over it: the
     // strip pack is the same row-segment copy as the 3x3 gather's.
     let plane = ConvGeom { c_in: k, h, w, k: 1, pad: 0, stride: 1 };
     let pack = |cols: Range<usize>, buf: &mut [A::B]| pack_b_im2col(&plane, x, cols, buf);
-    run(pa, h * w, 4, w, out, pack, |acc, t: Tile, chunks| {
+    let layout = OutLayout { rows: 4, len: 4 * h * w, quantum: w, quantum_elems: 4 * w };
+    run(pa, h * w, layout, out, pack, |acc, t: Tile, chunks| {
         // GEMM rows come in `(kx = 0, kx = 1)` pairs that interleave into one
         // output row; a tile's columns are walked in runs that share an input
         // row, each run one contiguous piece of that output row.

@@ -26,6 +26,7 @@ pub mod quantized;
 pub mod shape;
 pub mod tconv;
 pub mod tensor;
+pub mod winograd;
 pub mod zero;
 
 pub use quantized::{Bitwidth, QTensor, QTensorView};

@@ -22,6 +22,10 @@ impl Zero for i8 {
     const ZERO: Self = 0;
 }
 
+impl Zero for i16 {
+    const ZERO: Self = 0;
+}
+
 impl Zero for i32 {
     const ZERO: Self = 0;
 }

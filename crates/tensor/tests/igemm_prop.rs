@@ -10,6 +10,10 @@
 //! primes around the tile sizes with stride 1 and 2 and padding on/off so
 //! every draw exercises the padding halo, the output-row segment walk and
 //! the NR-wide panel tails.
+//!
+//! The Winograd F(2x2, 3x3) conv must reproduce the direct conv bit for bit:
+//! on odd and prime maps (partial edge tiles, 1xN and 3x3 maps), at the
+//! driver's seams, and at its accumulator bound.
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -24,6 +28,7 @@ use seneca_tensor::igemm::{
 use seneca_tensor::im2col::{im2col, im2col_t, ConvGeom};
 use seneca_tensor::quantized::requantize_i32;
 use seneca_tensor::tconv::{repack_tconv_weights, scatter_tconv2x2};
+use seneca_tensor::winograd::{igemm_conv_winograd, PackedWinograd, WINO_MAX_C_IN};
 
 fn rand_f32(len: usize, seed: u64) -> Vec<f32> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -212,6 +217,30 @@ proptest! {
         prop_assert_eq!(y, y_ref, "cin{} cout{} {}x{} shift {}", c_in, c_out, h, w, shift);
     }
 
+    /// Winograd conv == direct implicit conv, bit for bit: prime and odd maps
+    /// (partial edge tiles; 1xN, Nx1 and 3x3 maps), `C_out` below `MR` and
+    /// odd, `C_in` from 1 to past 16, ReLU on and off, positive and negative
+    /// shifts, W8 and W4-range weights.
+    #[test]
+    fn conv_winograd_matches_direct(
+        hi in 0usize..6, wi in 0usize..6, ci in 0usize..4, mi in 0usize..5,
+        shift in -2i32..16, relu_bit in 0u32..2, w4_bit in 0u32..2, seed in 0u64..1000
+    ) {
+        let (h, w) = (DIMS[hi], DIMS[wi]);
+        let (c_in, m) = ([1, 3, 16, 17][ci], [1, 3, 7, 8, 13][mi]);
+        let relu = relu_bit == 1;
+        let geom = ConvGeom { c_in, h, w, k: 3, pad: 1, stride: 1 };
+        let wt = if w4_bit == 1 { rand_i4(m * c_in * 9, seed) } else { rand_i8(m * c_in * 9, seed) };
+        let x = rand_i8(c_in * h * w, seed + 1);
+        let bias: Vec<i32> = (0..m as i32).map(|i| i * 91 - 777).collect();
+        let mut y = vec![0i8; m * h * w];
+        let pw = PackedWinograd::pack(m, c_in, &wt);
+        igemm_conv_winograd(&pw, &geom, &x, &bias, shift, relu, &mut y, &mut Vec::new());
+        let mut y_ref = vec![0i8; m * h * w];
+        igemm_conv_packed(&PackedA::pack(m, c_in * 9, &wt), &geom, &x, &bias, shift, relu, &mut y_ref);
+        prop_assert_eq!(y, y_ref, "c{}->{} {}x{} shift {}", c_in, m, h, w, shift);
+    }
+
     /// W4A8 tconv: the nibble scatter-fused store == nibble GEMM + explicit
     /// scatter.
     #[test]
@@ -303,6 +332,13 @@ fn conv_driver_seams_match_the_naive_reference() {
         igemm4_conv_packed(&PackedA4::pack(m, k, &wt), &geom, &x, &bias, shift, true, &mut y);
         assert_eq!(y, want_i8, "W4 {what}");
 
+        if kk == 3 {
+            y.fill(0);
+            let pw = PackedWinograd::pack(m, c_in, &wt);
+            igemm_conv_winograd(&pw, &geom, &x, &bias, shift, true, &mut y, &mut Vec::new());
+            assert_eq!(y, want_i8, "Winograd {what}");
+        }
+
         let wf: Vec<f32> = wt.iter().map(|&v| v as f32 / 8.0).collect();
         let xf: Vec<f32> = x.iter().map(|&v| v as f32).collect();
         let bf: Vec<f32> = bias.iter().map(|&v| v as f32).collect();
@@ -311,6 +347,40 @@ fn conv_driver_seams_match_the_naive_reference() {
         // Same ascending-k FMA chain per element as the naive loop: equal bits.
         assert!(yf.iter().zip(&want_f32).all(|(a, b)| a.to_bits() == b.to_bits()), "f32 {what}");
     }
+}
+
+/// The Winograd tile's accumulator bound: at the largest `C_in` it admits,
+/// extreme operands stay exact — in a debug build, where an `i32` overflow
+/// panics. All `-128` is the extreme of both operands; `+127` weights against
+/// `-128` inputs drive the position-(1, 1) accumulator to `C_in * (2048 +
+/// 1143) * -512`, within 0.4 % of `i32::MIN`.
+#[test]
+fn winograd_is_exact_at_the_accumulator_bound() {
+    let c_in = WINO_MAX_C_IN;
+    assert_eq!(c_in, 1310);
+    let (m, h, w) = (3, 4, 5);
+    let geom = ConvGeom { c_in, h, w, k: 3, pad: 1, stride: 1 };
+    let bias = [5, -7, 0];
+    for (wv, xv) in [(-128i8, -128i8), (127, -128), (-128, 127)] {
+        let (wt, x) = (vec![wv; m * c_in * 9], vec![xv; c_in * h * w]);
+        for shift in [22, 28] {
+            let mut want = vec![0i8; m * h * w];
+            let pa = PackedA::pack(m, c_in * 9, &wt);
+            igemm_conv_packed(&pa, &geom, &x, &bias, shift, false, &mut want);
+            let mut got = vec![0i8; m * h * w];
+            let pw = PackedWinograd::pack(m, c_in, &wt);
+            igemm_conv_winograd(&pw, &geom, &x, &bias, shift, false, &mut got, &mut Vec::new());
+            assert_eq!(got, want, "w {wv} x {xv} shift {shift}");
+            assert!(got.iter().any(|&v| v != 0 && v.abs() < 127), "outputs dead or saturated");
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "exceeds the Winograd accumulator-safe extent")]
+fn winograd_rejects_c_in_past_the_bound() {
+    let c_in = WINO_MAX_C_IN + 1;
+    PackedWinograd::pack(1, c_in, &vec![0; c_in * 9]);
 }
 
 /// 2x2 stride-2 transpose conv by its definition, from `[C_in, C_out, 2, 2]`

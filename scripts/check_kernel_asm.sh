@@ -2,9 +2,10 @@
 # Catches the vectoriser silently regressing on the GEMM micro-kernels
 # (crates/tensor/src/gemm.rs, module docs): disassembles the release
 # kernel_stats example and fails if
-#   * an INT8/INT4 tile function multiplies with vpmulld/pmulld (the widening
-#     i32 form, half the MAC rate) or contains neither vpdpwssd nor vpmaddwd
-#     (the pair-wise multiply-accumulate the offset form is written to get);
+#   * an integer tile function (INT8, INT4, and the i16 Winograd tile)
+#     multiplies with vpmulld/pmulld (the widening i32 form, half the MAC
+#     rate) or contains neither vpdpwssd nor vpmaddwd (the pair-wise
+#     multiply-accumulate the offset form is written to get);
 #   * the f32 tile function contains no vfmadd231ps, or any vmulps/vaddps
 #     (the multiply-then-add form, a third of the FMA rate).
 # x86-64 hosts with objdump only; skips elsewhere.
@@ -24,6 +25,7 @@ status=0
 # fn, instructions it must contain, instructions it must not contain.
 for check in "tile_i8 vpdpwssd|v?pmaddwd v?pmulld" \
     "tile_i4 vpdpwssd|v?pmaddwd v?pmulld" \
+    "tile_i16 vpdpwssd|v?pmaddwd v?pmulld" \
     "tile_f32 vfmadd231ps vmulps|vaddps"; do
     read -r fn want forbid <<<"$check"
     # The (mangled) symbol is seneca_tensor::gemm::<fn>; it must exist as a

@@ -10,7 +10,9 @@ use common::{random_frame, random_graph, random_net, randomize_bn};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use seneca_ir::oracle::{self, assert_close_f32};
-use seneca_ir::{lower, LowerOptions, Lowered};
+use seneca_ir::{
+    assign_pack_slots, lower, select_winograd, IrOp, LowerOptions, Lowered, PackFormat,
+};
 use seneca_nn::graph::Graph;
 use seneca_nn::unet::{ModelSize, UNet};
 use seneca_quant::{
@@ -51,6 +53,41 @@ fn every_table_ii_model_fp32_matches_the_oracle() {
         let lowered = lower(graph.to_ir(), shape, &LowerOptions::reference());
         let x = random_frame(shape, seed as u64);
         oracle::check_f32(&lowered, &mut lowered.make_scratch_f32(), &x);
+    }
+}
+
+/// The Winograd rule at paper geometry picks exactly the expected convs: on
+/// 16M every conv but the `C_in = 1` first layer and the two 8x8 bottleneck
+/// convs (16 tiles), on 1M every conv but the first layer (its bottleneck is
+/// 16x16, 64 tiles).
+#[test]
+fn winograd_rule_picks_the_expected_convs_at_256() {
+    let input = Shape4::new(1, 1, 256, 256);
+    for (size, direct) in [
+        (ModelSize::M16, vec![(1, 16, 256), (512, 512, 8), (512, 512, 8)]),
+        (ModelSize::M1, vec![(1, 8, 256)]),
+    ] {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let fg = fuse(&Graph::from_unet(&UNet::from_size(size, &mut rng), "rule"));
+        let calib = vec![random_frame(Shape4::new(1, 1, 32, 32), 5)];
+        let (qg, _) = quantize_post_training(&fg, &calib, &PtqConfig::default());
+        let mut m = qg.to_ir();
+        let n_conv = assign_pack_slots(&mut m) - m.op_histogram()["qtconv"];
+        let shapes = m.shapes(input);
+        let picked = select_winograd(&mut m, &shapes);
+        let kept: Vec<(usize, usize, usize)> = m
+            .nodes
+            .iter()
+            .zip(&shapes)
+            .filter_map(|(n, s)| match &n.op {
+                IrOp::Conv(a) if a.pack.unwrap().format != PackFormat::Winograd => {
+                    Some((a.kernel.c_in(false), a.kernel.c_out(false), s.h))
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(kept, direct, "{}", size.label());
+        assert_eq!(picked + direct.len(), n_conv, "{}", size.label());
     }
 }
 
