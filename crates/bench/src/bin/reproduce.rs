@@ -7,12 +7,11 @@
 //! ```
 //!
 //! Experiments: table1 table2 table3 table4 table5 fig3 fig4 fig5 fig6
-//! ablation-quant ablation-prune ablation-arch boundary serve fleet profile
-//! mixed robustness.
+//! ablation-quant ablation-prune ablation-arch boundary profile mixed
+//! robustness.
 //! Markdown output lands in `$SENECA_ARTIFACTS/experiments/` (default
-//! `target/seneca-artifacts`); `serve` also writes `BENCH_serve.json`,
-//! `fleet` writes `BENCH_fleet.json` (multi-tenant isolation sweep),
-//! `profile` writes `BENCH_profile.json` (measured per-op trace tables),
+//! `target/seneca-artifacts`); `profile` also writes `BENCH_profile.json`
+//! (measured per-op trace tables),
 //! `mixed` writes `BENCH_mixed.json` (per-layer W4/W8 sensitivity + greedy
 //! cost-aware bitwidth search), and `robustness` writes
 //! `BENCH_robustness.json` (pathology + dose/thickness/FOV scenario grid,

@@ -6,11 +6,9 @@ pub mod fig3;
 pub mod fig4;
 pub mod fig5;
 pub mod fig6;
-pub mod fleet;
 pub mod mixed;
 pub mod profile;
 pub mod robustness;
-pub mod serve;
 pub mod table1;
 pub mod table2;
 pub mod table3;
@@ -20,7 +18,7 @@ pub mod table5;
 use crate::ctx::ExperimentCtx;
 
 /// All experiment names in run order.
-pub const ALL: [&str; 18] = [
+pub const ALL: [&str; 16] = [
     "table1",
     "table2",
     "table3",
@@ -34,8 +32,6 @@ pub const ALL: [&str; 18] = [
     "ablation-prune",
     "ablation-arch",
     "boundary",
-    "serve",
-    "fleet",
     "profile",
     "mixed",
     "robustness",
@@ -57,8 +53,6 @@ pub fn run(name: &str, ctx: &mut ExperimentCtx) -> bool {
         "ablation-prune" => ablations::run_prune(ctx),
         "ablation-arch" => ablations::run_arch(ctx),
         "boundary" => boundary::run(ctx),
-        "serve" => serve::run(ctx),
-        "fleet" => fleet::run(ctx),
         "profile" => profile::run(ctx),
         "mixed" => mixed::run(ctx),
         "robustness" => robustness::run(ctx),

@@ -376,9 +376,9 @@ pub fn run(ctx: &mut ExperimentCtx) {
     // GEMM pack-vs-kernel split on the 16M INT8 model: weight panels are
     // packed once at lowering, so this is the activation-side pack share. A
     // recorded figure, not a gate (the per-call-pack baseline it used to be
-    // compared against no longer exists; BENCH_profile_before.json and the
-    // benchmark ledger's `tensor.pack_a_ms.big` carry that history). Needs
-    // the `trace-gemm` feature.
+    // compared against no longer exists; the benchmark ledger's
+    // `tensor.pack_a_ms.big` carries that history). Needs the `trace-gemm`
+    // feature.
     #[cfg(feature = "trace-gemm")]
     let gemm_pack_share = {
         let dep = ctx.deployment(ModelSize::M16);

@@ -15,8 +15,8 @@
 //! * [`perf`] — the cycle/bandwidth cost model (lane quantisation via
 //!   `ceil(C/16)`, channel-padding DDR traffic, misalignment penalties —
 //!   the mechanisms behind the paper's model ordering on the DPU);
-//! * [`executor`] — functional execution of an xmodel (bit-exact INT8, same
-//!   kernels as `seneca-quant`) and timing-only execution;
+//! * [`executor`] — functional execution of an xmodel (bit-exact INT8, the
+//!   same lowered program as the host INT8 backend);
 //! * [`runtime`] — the VART-style asynchronous multi-threaded runner: real
 //!   worker threads for functional jobs, a `seneca-hwsim` closed-network
 //!   model for throughput/energy experiments (1/2/4/8 threads, Fig. 3);
@@ -36,6 +36,5 @@ pub mod xmodel;
 
 pub use arch::DpuArch;
 pub use compiler::compile;
-pub use executor::{DpuCore, ExecMode};
 pub use runtime::{DpuRunner, ThroughputReport};
 pub use xmodel::XModel;

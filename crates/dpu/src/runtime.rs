@@ -16,7 +16,7 @@
 //! [`RuntimeConfig::worker_threads`] helper, so the functional pool and the
 //! simulated pipeline population can never drift apart.
 
-use crate::executor::{DpuCore, ExecMode};
+use crate::executor;
 use crate::perf::frame_cost;
 use crate::power::{PowerInputs, Zcu104Power};
 use crate::xmodel::XModel;
@@ -77,13 +77,6 @@ pub struct DpuRunner {
     pub xmodel: Arc<XModel>,
     /// Runtime configuration.
     pub config: RuntimeConfig,
-}
-
-/// Per-worker state of the functional path: one simulated core plus its
-/// scratch pool (per-node activations, im2col columns, GEMM accumulators).
-pub struct DpuWorker {
-    core: DpuCore,
-    scratch: QScratch,
 }
 
 impl DpuRunner {
@@ -174,16 +167,14 @@ impl DpuRunner {
 }
 
 impl InferenceEngine for DpuRunner {
-    type Worker = DpuWorker;
+    /// A worker is its scratch pool (per-node activations, GEMM strips).
+    type Worker = QScratch;
 
-    fn new_worker(&self) -> DpuWorker {
-        DpuWorker {
-            core: DpuCore::new(ExecMode::Functional),
-            scratch: DpuCore::make_scratch(&self.xmodel),
-        }
+    fn new_worker(&self) -> QScratch {
+        self.xmodel.lowered().make_scratch_i8()
     }
 
-    fn infer(&self, worker: &mut DpuWorker, image: &Tensor) -> Prediction {
+    fn infer(&self, scratch: &mut QScratch, image: &Tensor) -> Prediction {
         // Worker-side quantisation: the FP32 frame crosses the queue, the
         // INT8 copy is created on the thread that consumes it.
         let input = {
@@ -191,12 +182,7 @@ impl InferenceEngine for DpuRunner {
                 seneca_trace::span_bytes("session", "quantize", image.data().len() as u64 * 4);
             self.xmodel.quantize_input(image)
         };
-        let out = worker
-            .core
-            .run_with_scratch(&self.xmodel, &input, &mut worker.scratch)
-            .output
-            .expect("functional mode");
-        Prediction::from_i8(out)
+        Prediction::from_i8(executor::run(&self.xmodel, &input, scratch).to_qtensor())
     }
 }
 

@@ -36,7 +36,7 @@ pub use fleet::{
     Fleet, FleetBuilder, FleetConfig, FleetError, FleetHandle, FleetStats, FleetTicket, ModelStats,
     RoutedCount, TenantStats,
 };
-pub use loadgen::{run_mixed_load, run_tenant_load, TenantLoad, TenantLoadReport};
+pub use loadgen::{run_mixed_load, TenantLoad};
 pub use registry::{ModelId, ModelRegistry, ModelSpec};
 pub use ring::{HashRing, DEFAULT_VNODES};
 pub use tenant::{TenantId, TenantSpec};
@@ -45,7 +45,7 @@ pub use tenant::{TenantId, TenantSpec};
 mod tests {
     use super::*;
     use seneca_backend::{Backend, Prediction, ThroughputReport};
-    use seneca_serve::{Priority, ServeError, SyntheticBackend};
+    use seneca_serve::{ServeError, SyntheticBackend};
     use seneca_tensor::{Shape4, Tensor};
     use std::sync::{mpsc, Arc, Mutex};
     use std::time::Duration;

@@ -1,21 +1,18 @@
 //! Multi-tenant load generation against a [`FleetHandle`].
 //!
-//! Reuses `seneca-serve`'s [`ArrivalProcess`] vocabulary, adds the fleet
-//! dimensions: each spec drives one tenant, and every request draws an
-//! affinity key (a patient id) from the tenant's patient population, so
-//! the consistent-hash router sees realistic per-patient key reuse.
-//! [`run_mixed_load`] drives several tenants *concurrently* — the shape of
-//! every isolation experiment: an interactive tenant measured while a
-//! batch tenant floods the fleet.
+//! The arrival loops are `seneca-serve`'s ([`seneca_serve::drive`]); this
+//! module adds the fleet dimensions: each spec drives one tenant, and every
+//! request draws an affinity key (a patient id) from the tenant's patient
+//! population, so the consistent-hash router sees realistic per-patient key
+//! reuse. [`run_mixed_load`] drives several tenants *concurrently* — the
+//! shape of every isolation experiment: an interactive tenant measured
+//! while a batch tenant floods the fleet.
 
-use crate::fleet::{FleetHandle, FleetTicket};
+use crate::fleet::FleetHandle;
 use crate::tenant::TenantId;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use seneca_serve::ArrivalProcess;
+use rand::Rng;
+use seneca_serve::{drive, ArrivalProcess, LoadReport};
 use seneca_tensor::Tensor;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::time::{Duration, Instant};
 
 /// One tenant's load-generation spec.
 #[derive(Debug, Clone)]
@@ -33,197 +30,45 @@ pub struct TenantLoad {
 }
 
 impl TenantLoad {
-    /// A full-throttle closed loop (`clients` workers, no think time).
+    /// A full-throttle closed loop of `clients` workers.
     pub fn closed(tenant: TenantId, requests: usize, clients: usize, seed: u64) -> Self {
-        Self {
-            tenant,
-            requests,
-            arrival: ArrivalProcess::ClosedLoop { clients, think: Duration::ZERO },
-            patients: 64,
-            seed,
-        }
+        let arrival = ArrivalProcess::ClosedLoop { clients };
+        Self { tenant, requests, arrival, patients: 64, seed }
     }
 
-    /// An open loop at `rate_fps` with Poisson arrivals.
+    /// An open loop of Poisson arrivals at `rate_fps`.
     pub fn open(tenant: TenantId, requests: usize, rate_fps: f64, seed: u64) -> Self {
-        Self {
-            tenant,
-            requests,
-            arrival: ArrivalProcess::OpenLoop { rate_fps, poisson: true },
-            patients: 64,
-            seed,
-        }
+        let arrival = ArrivalProcess::OpenLoop { rate_fps };
+        Self { tenant, requests, arrival, patients: 64, seed }
     }
 }
 
-/// One tenant's client-side outcome.
-#[derive(Debug, Clone)]
-pub struct TenantLoadReport {
-    /// The tenant driven.
-    pub tenant: TenantId,
-    /// Requests answered with a prediction.
-    pub ok: u64,
-    /// Requests refused at fleet admission or resolved with an error.
-    pub errored: u64,
-    /// Requests the router downgraded below the tenant's Dice target.
-    pub downgraded: u64,
-    /// Offered load (requests / submission-schedule span).
-    pub offered_fps: f64,
-    /// First submission → last resolution (s).
-    pub wall_s: f64,
-}
-
-/// Drives one tenant's load; every request submits a clone of `frame`.
-pub fn run_tenant_load(
-    handle: &FleetHandle,
-    frame: &Tensor,
-    load: &TenantLoad,
-) -> TenantLoadReport {
-    match load.arrival {
-        ArrivalProcess::ClosedLoop { clients, think } => {
-            run_closed(handle, frame, load, clients, think)
-        }
-        ArrivalProcess::OpenLoop { rate_fps, poisson } => {
-            run_open(handle, frame, load, rate_fps, poisson)
-        }
-    }
-}
-
-/// Drives several tenant loads concurrently (one driver per spec); reports
-/// come back in spec order. Server-side truth lives in `FleetStats`.
+/// Drives several tenant loads concurrently (one driver per spec); every
+/// request submits a clone of `frame`. Client-side reports come back in
+/// spec order; server-side truth lives in `FleetStats`.
 pub fn run_mixed_load(
     handle: &FleetHandle,
     frame: &Tensor,
     loads: &[TenantLoad],
-) -> Vec<TenantLoadReport> {
+) -> Vec<LoadReport> {
     std::thread::scope(|scope| {
         let drivers: Vec<_> = loads
             .iter()
             .map(|load| {
-                let handle = handle.clone();
-                scope.spawn(move || run_tenant_load(&handle, frame, load))
+                scope.spawn(move || {
+                    drive(
+                        load.arrival,
+                        load.requests,
+                        load.seed,
+                        |rng| {
+                            let key = rng.gen_range(0..load.patients.max(1));
+                            handle.submit(load.tenant, key, frame.clone()).ok()
+                        },
+                        |ticket| ticket.wait().result.is_ok(),
+                    )
+                })
             })
             .collect();
         drivers.into_iter().map(|d| d.join().expect("load driver panicked")).collect()
     })
-}
-
-fn key_for(rng: &mut StdRng, load: &TenantLoad) -> u64 {
-    rng.gen_range(0..load.patients.max(1))
-}
-
-fn run_closed(
-    handle: &FleetHandle,
-    frame: &Tensor,
-    load: &TenantLoad,
-    clients: usize,
-    think: Duration,
-) -> TenantLoadReport {
-    let clients = clients.max(1);
-    let remaining = AtomicI64::new(load.requests as i64);
-    let ok = AtomicU64::new(0);
-    let errored = AtomicU64::new(0);
-    let downgraded = AtomicU64::new(0);
-    let t0 = Instant::now();
-    std::thread::scope(|scope| {
-        for c in 0..clients {
-            let remaining = &remaining;
-            let ok = &ok;
-            let errored = &errored;
-            let downgraded = &downgraded;
-            let handle = handle.clone();
-            scope.spawn(move || {
-                let mut rng =
-                    StdRng::seed_from_u64(load.seed ^ (c as u64).wrapping_mul(0x9E37_79B9));
-                while remaining.fetch_sub(1, Ordering::Relaxed) > 0 {
-                    let key = key_for(&mut rng, load);
-                    match handle.submit(load.tenant, key, frame.clone()) {
-                        Ok(t) => {
-                            if t.downgraded {
-                                downgraded.fetch_add(1, Ordering::Relaxed);
-                            }
-                            match t.wait().result {
-                                Ok(_) => ok.fetch_add(1, Ordering::Relaxed),
-                                Err(_) => errored.fetch_add(1, Ordering::Relaxed),
-                            };
-                        }
-                        Err(_) => {
-                            errored.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    if !think.is_zero() {
-                        std::thread::sleep(think);
-                    }
-                }
-            });
-        }
-    });
-    let wall_s = t0.elapsed().as_secs_f64().max(1e-9);
-    let done = ok.load(Ordering::Relaxed) + errored.load(Ordering::Relaxed);
-    TenantLoadReport {
-        tenant: load.tenant,
-        ok: ok.load(Ordering::Relaxed),
-        errored: errored.load(Ordering::Relaxed),
-        downgraded: downgraded.load(Ordering::Relaxed),
-        // Closed loops offer exactly what completes.
-        offered_fps: done as f64 / wall_s,
-        wall_s,
-    }
-}
-
-fn run_open(
-    handle: &FleetHandle,
-    frame: &Tensor,
-    load: &TenantLoad,
-    rate_fps: f64,
-    poisson: bool,
-) -> TenantLoadReport {
-    assert!(rate_fps > 0.0, "open-loop rate must be positive");
-    let mut rng = StdRng::seed_from_u64(load.seed);
-    let t0 = Instant::now();
-    let mut next = t0;
-    let mut tickets: Vec<FleetTicket> = Vec::with_capacity(load.requests);
-    let mut errored = 0u64;
-    let mut downgraded = 0u64;
-    for _ in 0..load.requests {
-        let now = Instant::now();
-        // Absolute schedule: if submission falls behind, later requests
-        // burst to restore the average rate.
-        if next > now {
-            std::thread::sleep(next - now);
-        }
-        let key = key_for(&mut rng, load);
-        match handle.submit(load.tenant, key, frame.clone()) {
-            Ok(t) => {
-                if t.downgraded {
-                    downgraded += 1;
-                }
-                tickets.push(t);
-            }
-            Err(_) => errored += 1,
-        }
-        let dt = if poisson {
-            let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-            -u.ln() / rate_fps
-        } else {
-            1.0 / rate_fps
-        };
-        next += Duration::from_secs_f64(dt);
-    }
-    let schedule_s = (next - t0).as_secs_f64().max(1e-9);
-    let mut ok = 0u64;
-    for t in tickets {
-        match t.wait().result {
-            Ok(_) => ok += 1,
-            Err(_) => errored += 1,
-        }
-    }
-    TenantLoadReport {
-        tenant: load.tenant,
-        ok,
-        errored,
-        downgraded,
-        offered_fps: load.requests as f64 / schedule_s,
-        wall_s: t0.elapsed().as_secs_f64(),
-    }
 }

@@ -15,6 +15,7 @@
 //! output element count, so every dtype and layout reuses the same pass.
 
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
 
 /// A liveness-planned execution schedule over a topologically ordered DAG.
 ///
@@ -90,35 +91,13 @@ impl ExecPlan {
         let mut free: Vec<usize> = Vec::new();
         for i in 0..n {
             let need = elems[i];
-            // Best fit among dead slots; ties break toward the lowest id so
-            // the plan is independent of release order.
-            let mut fit: Option<usize> = None; // index into `free`
-            let mut grow: Option<usize> = None;
-            for (k, &s) in free.iter().enumerate() {
-                let cap = slot_elems[s];
-                if cap >= need {
-                    let better = match fit {
-                        None => true,
-                        Some(f) => (cap, s) < (slot_elems[free[f]], free[f]),
-                    };
-                    if better {
-                        fit = Some(k);
-                    }
-                } else {
-                    let better = match grow {
-                        None => true,
-                        Some(g) => {
-                            (cap, free[g]) > (slot_elems[free[g]], s).min((cap, s))
-                                && (cap > slot_elems[free[g]]
-                                    || (cap == slot_elems[free[g]] && s < free[g]))
-                        }
-                    };
-                    if better {
-                        grow = Some(k);
-                    }
-                }
-            }
-            let s = match fit.or(grow) {
+            // Best fit among dead slots: the smallest that fits, else the
+            // largest (to grow). Ties break toward the lowest id so the plan
+            // is independent of release order.
+            let dead = || free.iter().enumerate().map(|(k, &s)| (k, s, slot_elems[s]));
+            let fit = dead().filter(|&(_, _, cap)| cap >= need).min_by_key(|&(_, s, cap)| (cap, s));
+            let grow = || dead().max_by_key(|&(_, s, cap)| (cap, Reverse(s)));
+            let s = match fit.or_else(grow).map(|(k, _, _)| k) {
                 Some(k) => {
                     let s = free.swap_remove(k);
                     slot_elems[s] = slot_elems[s].max(need);
@@ -291,6 +270,23 @@ mod tests {
         // the arena at 110 rather than growing to 200.
         assert_eq!(plan.peak_arena_elems(), 110);
         plan.assert_valid();
+    }
+
+    /// When no dead slot fits, the largest one grows; on equal capacity the
+    /// lowest id wins, whatever order the slots were released in.
+    #[test]
+    fn no_fit_grows_the_largest_dead_slot() {
+        // Nodes 1 and 2 die at step 3 and node 0 at step 4, so slot 1 is
+        // released before slot 0; node 4 takes slot 2 (the best fit), which
+        // leaves slots 1 and 0 (5 each) and 3 (1) dead for node 5's 8.
+        let inputs: Vec<Vec<usize>> = vec![vec![], vec![], vec![], vec![1, 2], vec![0, 3], vec![4]];
+        let ins: Vec<&[usize]> = inputs.iter().map(|v| v.as_slice()).collect();
+        let tie = ExecPlan::build(&ins, &[5, 5, 1, 1, 1, 8], 5);
+        assert_eq!(tie.slot_of(5), 0, "equal capacity: the lowest id grows");
+        assert_eq!(tie.slot_sizes(), &[8, 5, 1, 1]);
+        let larger = ExecPlan::build(&ins, &[5, 6, 1, 1, 1, 8], 5);
+        assert_eq!(larger.slot_of(5), 1, "the largest dead slot grows");
+        assert_eq!(larger.slot_sizes(), &[5, 8, 1, 1]);
     }
 
     /// An op never writes over an input it is still reading.

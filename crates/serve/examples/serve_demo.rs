@@ -38,9 +38,9 @@ fn main() {
     // measured served-FPS is the service capacity.
     println!("== phase 1: closed-loop saturation ==");
     let server = Server::start(backend.clone(), config.clone());
-    let rep = run_load(&server.handle(), &frame(), &LoadSpec::closed(n_sat, 8, 42));
-    let sat_fps = rep.stats.served_fps;
+    run_load(&server.handle(), &frame(), &LoadSpec::closed(n_sat, 8, 42));
     let stats = server.shutdown();
+    let sat_fps = stats.served_fps;
     println!(
         "backend {} | saturation {:.0} fps | mean batch {:.2} | p50/p99 total {:.1}/{:.1} ms",
         backend.name(),

@@ -25,7 +25,7 @@
 //!   timings rolled into lock-free [`LatencyHistogram`]s (p50/p95/p99);
 //! * a seeded load generator ([`run_load`]) with closed- and open-loop
 //!   arrival processes for saturation measurements and overload
-//!   experiments.
+//!   experiments; its loops ([`drive`]) also drive `seneca-fleet`.
 //!
 //! [`Backend`]: seneca_backend::Backend
 //! [`Backend::infer_batch_timed`]: seneca_backend::Backend::infer_batch_timed
@@ -39,7 +39,7 @@ mod server;
 mod synthetic;
 
 pub use histogram::{LatencyHistogram, LatencySummary};
-pub use loadgen::{run_load, ArrivalProcess, LoadReport, LoadSpec};
+pub use loadgen::{drive, run_load, ArrivalProcess, LoadReport, LoadSpec};
 pub use metrics::{ServeMetrics, ServeStats};
 pub use queue::AdmissionPolicy;
 pub use request::{Priority, RequestId, ServeError, ServeResponse, Ticket, Timing};

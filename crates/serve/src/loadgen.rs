@@ -1,18 +1,20 @@
-//! Synthetic load generation against a [`ServeHandle`].
-//!
-//! Two arrival disciplines, both seeded and deterministic in their draws:
+//! Synthetic load generation: the one pair of arrival loops in the
+//! workspace, seeded and deterministic in their draws.
 //!
 //! * **closed loop** — `clients` workers each keep exactly one request in
-//!   flight (submit → wait → think). Offered load self-regulates to the
+//!   flight (submit → wait → submit). Offered load self-regulates to the
 //!   service rate, so the measured served-FPS *is* the saturation
-//!   throughput when `clients` exceeds the replica count and think is 0;
-//! * **open loop** — requests arrive on a fixed schedule (uniform spacing
-//!   or a Poisson process) regardless of completions, which is what a
-//!   fleet of independent edge clients looks like. Offered load can exceed
+//!   throughput when `clients` exceeds the replica count;
+//! * **open loop** — requests arrive as a Poisson process on an absolute
+//!   schedule regardless of completions, which is what a fleet of
+//!   independent edge clients looks like. Offered load can exceed
 //!   capacity, which is exactly how admission control gets exercised.
+//!
+//! [`drive`] runs either loop over any submit/await pair; [`run_load`] is
+//! its [`ServeHandle`] front end, and `seneca-fleet` drives its tenants
+//! through the same function.
 
-use crate::metrics::ServeStats;
-use crate::request::{Priority, Ticket};
+use crate::request::Priority;
 use crate::server::ServeHandle;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -23,24 +25,19 @@ use std::time::{Duration, Instant};
 /// How requests arrive.
 #[derive(Debug, Clone, Copy)]
 pub enum ArrivalProcess {
-    /// `clients` workers, one outstanding request each, `think` pause
-    /// between a response and the next submission.
+    /// `clients` workers, one outstanding request each.
     ClosedLoop {
         /// Concurrent workers.
         clients: usize,
-        /// Pause between response and next request.
-        think: Duration,
     },
-    /// Requests arrive at `rate_fps` regardless of completions.
+    /// Poisson arrivals at `rate_fps` regardless of completions.
     OpenLoop {
         /// Offered load in requests per second.
         rate_fps: f64,
-        /// Exponential inter-arrivals (Poisson process) instead of uniform.
-        poisson: bool,
     },
 }
 
-/// One load-generation run.
+/// One load-generation run against a [`ServeHandle`].
 #[derive(Debug, Clone)]
 pub struct LoadSpec {
     /// Total requests to submit.
@@ -56,31 +53,31 @@ pub struct LoadSpec {
 }
 
 impl LoadSpec {
-    /// A full-throttle closed loop: `clients` workers, no think time.
+    /// A full-throttle closed loop of `clients` workers.
     pub fn closed(requests: usize, clients: usize, seed: u64) -> Self {
         Self {
             requests,
             interactive_fraction: 1.0,
             deadline: None,
-            arrival: ArrivalProcess::ClosedLoop { clients, think: Duration::ZERO },
+            arrival: ArrivalProcess::ClosedLoop { clients },
             seed,
         }
     }
 
-    /// An open loop at `rate_fps` with Poisson arrivals.
+    /// An open loop of Poisson arrivals at `rate_fps`.
     pub fn open(requests: usize, rate_fps: f64, seed: u64) -> Self {
         Self {
             requests,
             interactive_fraction: 1.0,
             deadline: None,
-            arrival: ArrivalProcess::OpenLoop { rate_fps, poisson: true },
+            arrival: ArrivalProcess::OpenLoop { rate_fps },
             seed,
         }
     }
 }
 
-/// Outcome of a load run, from the clients' point of view, plus the
-/// server-side statistics snapshot taken after the last response.
+/// Outcome of a load run, from the clients' point of view. Server-side
+/// truth is in the server's own statistics.
 #[derive(Debug, Clone)]
 pub struct LoadReport {
     /// Offered load (requests / submission-schedule span).
@@ -89,125 +86,114 @@ pub struct LoadReport {
     pub wall_s: f64,
     /// Requests answered with a prediction.
     pub ok: u64,
-    /// Requests rejected, shed, or otherwise failed.
+    /// Requests refused at submission or resolved with an error.
     pub errored: u64,
-    /// Server statistics after the run.
-    pub stats: ServeStats,
 }
 
 /// Drives one load run; every request submits a clone of `frame`.
 pub fn run_load(handle: &ServeHandle, frame: &Tensor, spec: &LoadSpec) -> LoadReport {
-    match spec.arrival {
-        ArrivalProcess::ClosedLoop { clients, think } => {
-            run_closed(handle, frame, spec, clients, think)
-        }
-        ArrivalProcess::OpenLoop { rate_fps, poisson } => {
-            run_open(handle, frame, spec, rate_fps, poisson)
-        }
-    }
+    let p = spec.interactive_fraction;
+    drive(
+        spec.arrival,
+        spec.requests,
+        spec.seed,
+        |rng| {
+            let priority = if p >= 1.0 || rng.gen_bool(p.clamp(0.0, 1.0)) {
+                Priority::Interactive
+            } else {
+                Priority::Batch
+            };
+            handle.submit(frame.clone(), priority, spec.deadline).ok()
+        },
+        |ticket| ticket.wait().result.is_ok(),
+    )
 }
 
-fn priority_for(rng: &mut StdRng, spec: &LoadSpec) -> Priority {
-    if spec.interactive_fraction >= 1.0 || rng.gen_bool(spec.interactive_fraction.clamp(0.0, 1.0)) {
-        Priority::Interactive
-    } else {
-        Priority::Batch
-    }
-}
-
-fn run_closed(
-    handle: &ServeHandle,
-    frame: &Tensor,
-    spec: &LoadSpec,
-    clients: usize,
-    think: Duration,
+/// Runs `requests` arrivals of `arrival`. `submit` draws what it needs
+/// from the loop's seeded generator and admits one request, `None` when it
+/// was refused; `resolve` awaits an admitted one, `true` when it was
+/// answered with a prediction.
+pub fn drive<T>(
+    arrival: ArrivalProcess,
+    requests: usize,
+    seed: u64,
+    submit: impl Fn(&mut StdRng) -> Option<T> + Sync,
+    resolve: impl Fn(T) -> bool + Sync,
 ) -> LoadReport {
-    let clients = clients.max(1);
-    let remaining = AtomicI64::new(spec.requests as i64);
+    match arrival {
+        ArrivalProcess::ClosedLoop { clients } => {
+            closed_loop(clients, requests, seed, &submit, &resolve)
+        }
+        ArrivalProcess::OpenLoop { rate_fps } => {
+            open_loop(rate_fps, requests, seed, &submit, &resolve)
+        }
+    }
+}
+
+fn closed_loop<T>(
+    clients: usize,
+    requests: usize,
+    seed: u64,
+    submit: &(impl Fn(&mut StdRng) -> Option<T> + Sync),
+    resolve: &(impl Fn(T) -> bool + Sync),
+) -> LoadReport {
+    let remaining = AtomicI64::new(requests as i64);
     let ok = AtomicU64::new(0);
     let errored = AtomicU64::new(0);
     let t0 = Instant::now();
     std::thread::scope(|scope| {
-        for c in 0..clients {
-            let remaining = &remaining;
-            let ok = &ok;
-            let errored = &errored;
-            let handle = handle.clone();
+        for c in 0..clients.max(1) {
+            let (remaining, ok, errored) = (&remaining, &ok, &errored);
             scope.spawn(move || {
-                let mut rng =
-                    StdRng::seed_from_u64(spec.seed ^ (c as u64).wrapping_mul(0x9E37_79B9));
+                let mut rng = StdRng::seed_from_u64(seed ^ (c as u64).wrapping_mul(0x9E37_79B9));
                 while remaining.fetch_sub(1, Ordering::Relaxed) > 0 {
-                    let pr = priority_for(&mut rng, spec);
-                    match handle.submit_wait(frame.clone(), pr, spec.deadline) {
-                        Ok(_) => ok.fetch_add(1, Ordering::Relaxed),
-                        Err(_) => errored.fetch_add(1, Ordering::Relaxed),
-                    };
-                    if !think.is_zero() {
-                        std::thread::sleep(think);
-                    }
+                    let outcome = if submit(&mut rng).is_some_and(resolve) { ok } else { errored };
+                    outcome.fetch_add(1, Ordering::Relaxed);
                 }
             });
         }
     });
     let wall_s = t0.elapsed().as_secs_f64().max(1e-9);
-    let done = ok.load(Ordering::Relaxed) + errored.load(Ordering::Relaxed);
+    let (ok, errored) = (ok.into_inner(), errored.into_inner());
     LoadReport {
         // Closed loops offer exactly what completes.
-        offered_fps: done as f64 / wall_s,
+        offered_fps: (ok + errored) as f64 / wall_s,
         wall_s,
-        ok: ok.load(Ordering::Relaxed),
-        errored: errored.load(Ordering::Relaxed),
-        stats: handle.stats(),
+        ok,
+        errored,
     }
 }
 
-fn run_open(
-    handle: &ServeHandle,
-    frame: &Tensor,
-    spec: &LoadSpec,
+fn open_loop<T>(
     rate_fps: f64,
-    poisson: bool,
+    requests: usize,
+    seed: u64,
+    submit: &impl Fn(&mut StdRng) -> Option<T>,
+    resolve: &impl Fn(T) -> bool,
 ) -> LoadReport {
     assert!(rate_fps > 0.0, "open-loop rate must be positive");
-    let mut rng = StdRng::seed_from_u64(spec.seed);
+    let mut rng = StdRng::seed_from_u64(seed);
     let t0 = Instant::now();
     let mut next = t0;
-    let mut tickets: Vec<Ticket> = Vec::with_capacity(spec.requests);
-    let mut errored = 0u64;
-    for _ in 0..spec.requests {
+    let mut admitted = Vec::with_capacity(requests);
+    for _ in 0..requests {
         let now = Instant::now();
-        // Absolute schedule: if we fall behind (sleep granularity, a Block
-        // admission), later submissions burst to restore the average rate.
+        // Absolute schedule: if submission falls behind (sleep granularity,
+        // a blocking admission), later requests burst to restore the rate.
         if next > now {
             std::thread::sleep(next - now);
         }
-        let pr = priority_for(&mut rng, spec);
-        match handle.submit(frame.clone(), pr, spec.deadline) {
-            Ok(t) => tickets.push(t),
-            Err(_) => errored += 1,
-        }
-        let dt = if poisson {
-            let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-            -u.ln() / rate_fps
-        } else {
-            1.0 / rate_fps
-        };
-        next += Duration::from_secs_f64(dt);
+        admitted.extend(submit(&mut rng));
+        let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+        next += Duration::from_secs_f64(-u.ln() / rate_fps);
     }
     let schedule_s = (next - t0).as_secs_f64().max(1e-9);
-    let mut ok = 0u64;
-    for t in tickets {
-        match t.wait().result {
-            Ok(_) => ok += 1,
-            Err(_) => errored += 1,
-        }
-    }
+    let ok = admitted.into_iter().map(|t| u64::from(resolve(t))).sum::<u64>();
     LoadReport {
-        offered_fps: spec.requests as f64 / schedule_s,
+        offered_fps: requests as f64 / schedule_s,
         wall_s: t0.elapsed().as_secs_f64(),
         ok,
-        errored,
-        stats: handle.stats(),
+        errored: requests as u64 - ok,
     }
 }
 
@@ -234,9 +220,8 @@ mod tests {
         let rep = run_load(&server.handle(), &tiny_frame(), &spec);
         assert_eq!(rep.ok, 40);
         assert_eq!(rep.errored, 0);
-        assert_eq!(rep.stats.served, 40);
+        assert_eq!(server.shutdown().served, 40);
         assert!(rep.offered_fps > 0.0);
-        server.shutdown();
     }
 
     #[test]
@@ -257,7 +242,20 @@ mod tests {
         assert!(rep.errored > 0, "overload must reject: {rep:?}");
         assert!(rep.ok > 0, "some requests still get served");
         assert_eq!(rep.ok + rep.errored, 60);
-        assert_eq!(rep.stats.rejected, rep.errored);
-        server.shutdown();
+        assert_eq!(server.shutdown().rejected, rep.errored);
+    }
+
+    /// The loops only see the submit/await pair: a refusal and a failed
+    /// resolution both count as errored, in either discipline.
+    #[test]
+    fn drive_counts_refusals_and_failures() {
+        for arrival in
+            [ArrivalProcess::ClosedLoop { clients: 3 }, ArrivalProcess::OpenLoop { rate_fps: 1e6 }]
+        {
+            let rep = drive(arrival, 30, 5, |rng| Some(rng.gen_range(0..3u32)), |v| v != 0);
+            assert_eq!(rep.ok + rep.errored, 30, "{arrival:?}");
+            let rep = drive(arrival, 30, 5, |_| None::<()>, |_| true);
+            assert_eq!((rep.ok, rep.errored), (0, 30), "{arrival:?}");
+        }
     }
 }

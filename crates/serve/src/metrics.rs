@@ -18,6 +18,7 @@ pub struct ServeMetrics {
     shed_expired: AtomicU64,
     shed_interactive: AtomicU64,
     shed_batch: AtomicU64,
+    failed: AtomicU64,
     deadline_misses: AtomicU64,
     batches: AtomicU64,
     batched_frames: AtomicU64,
@@ -49,6 +50,7 @@ impl ServeMetrics {
             shed_expired: AtomicU64::new(0),
             shed_interactive: AtomicU64::new(0),
             shed_batch: AtomicU64::new(0),
+            failed: AtomicU64::new(0),
             deadline_misses: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             batched_frames: AtomicU64::new(0),
@@ -84,6 +86,12 @@ impl ServeMetrics {
             Priority::Interactive => self.shed_interactive.fetch_add(1, Ordering::Relaxed),
             Priority::Batch => self.shed_batch.fetch_add(1, Ordering::Relaxed),
         };
+    }
+
+    /// Records `frames` requests answered with an error because the
+    /// backend failed their batch.
+    pub(crate) fn note_failed(&self, frames: usize) {
+        self.failed.fetch_add(frames as u64, Ordering::Relaxed);
     }
 
     /// Records one dispatched micro-batch of `frames` frames.
@@ -130,6 +138,7 @@ impl ServeMetrics {
             shed_expired: self.shed_expired.load(Ordering::Relaxed),
             shed_interactive: self.shed_interactive.load(Ordering::Relaxed),
             shed_batch: self.shed_batch.load(Ordering::Relaxed),
+            failed: self.failed.load(Ordering::Relaxed),
             deadline_misses: self.deadline_misses.load(Ordering::Relaxed),
             batches,
             mean_batch: if batches == 0 {
@@ -167,6 +176,9 @@ pub struct ServeStats {
     pub shed_interactive: u64,
     /// Sheds that hit `Batch`-class requests.
     pub shed_batch: u64,
+    /// Admitted requests answered with an error because the backend failed
+    /// their batch.
+    pub failed: u64,
     /// Served requests whose response arrived after their deadline.
     pub deadline_misses: u64,
     /// Micro-batches dispatched to replicas.
@@ -197,12 +209,12 @@ impl ServeStats {
         }
     }
 
-    /// Fraction of submissions not served (rejected or shed).
+    /// Fraction of submissions not served (rejected, shed or failed).
     pub fn loss_rate(&self) -> f64 {
         if self.submitted == 0 {
             0.0
         } else {
-            (self.rejected + self.shed_expired) as f64 / self.submitted as f64
+            (self.rejected + self.shed_expired + self.failed) as f64 / self.submitted as f64
         }
     }
 }
@@ -215,10 +227,11 @@ mod tests {
     #[test]
     fn snapshot_aggregates_counters() {
         let m = ServeMetrics::new();
-        m.note_submit();
-        m.note_submit();
-        m.note_submit();
+        for _ in 0..5 {
+            m.note_submit();
+        }
         m.note_reject();
+        m.note_failed(1);
         m.note_shed(Priority::Batch);
         m.note_batch(1);
         m.note_batch(3);
@@ -230,7 +243,7 @@ mod tests {
         m.note_served(Priority::Interactive, &t, false);
         m.note_served(Priority::Batch, &t, true);
         let s = m.snapshot();
-        assert_eq!((s.submitted, s.served, s.rejected, s.shed_expired), (3, 2, 1, 1));
+        assert_eq!((s.submitted, s.served, s.rejected, s.shed_expired, s.failed), (5, 2, 1, 1, 1));
         assert_eq!((s.served_interactive, s.served_batch), (1, 1));
         assert_eq!((s.shed_interactive, s.shed_batch), (0, 1));
         assert_eq!(s.deadline_misses, 1);
@@ -240,7 +253,7 @@ mod tests {
         assert_eq!(s.total_batch.count, 1);
         assert_eq!(s.queue.count, 2);
         assert!(s.miss_rate() > 0.49 && s.miss_rate() < 0.51);
-        assert!((s.loss_rate() - 2.0 / 3.0).abs() < 1e-12);
+        assert!((s.loss_rate() - 3.0 / 5.0).abs() < 1e-12);
     }
 
     #[test]

@@ -233,6 +233,7 @@ fn run_batch(shared: &Shared, backend: &dyn Backend, batch: Vec<ServeRequest>) {
     let (preds, timing) = match outcome {
         Ok(out) => out,
         Err(_) => {
+            shared.metrics.note_failed(metas.len());
             for m in metas {
                 let timing = Timing {
                     queue: exec_start.saturating_duration_since(m.submitted_at),
@@ -348,17 +349,32 @@ mod tests {
 
     #[test]
     fn backend_panic_fails_batch_not_server() {
+        // One replica and a long window: frames go in full batches of two.
         let server = Server::start(
             Arc::new(Grumpy),
-            ServeConfig { max_batch: 1, max_delay: Duration::ZERO, ..Default::default() },
+            ServeConfig {
+                replicas: 1,
+                max_batch: 2,
+                max_delay: Duration::from_secs(5),
+                ..Default::default()
+            },
         );
         let h = server.handle();
-        let bad = h.submit(frame(-1.0), Priority::Interactive, None).unwrap();
-        assert_eq!(bad.wait().result.unwrap_err(), ServeError::BackendFailed);
+        let bad: Vec<Ticket> =
+            (0..2).map(|_| h.submit(frame(-1.0), Priority::Interactive, None).unwrap()).collect();
+        for t in bad {
+            assert_eq!(t.wait().result.unwrap_err(), ServeError::BackendFailed);
+        }
         // The pool survived the panic and keeps serving.
-        let good = h.submit_wait(frame(1.0), Priority::Interactive, None).unwrap();
-        assert_eq!(good.as_f32().unwrap().data()[0], 2.0);
-        server.shutdown();
+        let good: Vec<Ticket> =
+            (0..2).map(|_| h.submit(frame(1.0), Priority::Interactive, None).unwrap()).collect();
+        for t in good {
+            assert_eq!(t.wait().result.unwrap().as_f32().unwrap().data()[0], 2.0);
+        }
+        let s = server.shutdown();
+        assert_eq!((s.failed, s.served), (2, 2));
+        assert_eq!(s.served + s.rejected + s.shed_expired + s.failed, s.submitted);
+        assert!((s.loss_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]

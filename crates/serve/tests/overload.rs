@@ -3,9 +3,7 @@
 //! per-request deadlines, the service must stay up, keep interactive p99
 //! under the deadline, and report explicit rejections/sheds.
 
-use seneca_serve::{
-    run_load, AdmissionPolicy, ArrivalProcess, LoadSpec, ServeConfig, Server, SyntheticBackend,
-};
+use seneca_serve::{run_load, AdmissionPolicy, LoadSpec, ServeConfig, Server, SyntheticBackend};
 use seneca_tensor::{Shape4, Tensor};
 use std::sync::Arc;
 use std::time::Duration;
@@ -40,11 +38,9 @@ fn overload_sheds_but_keeps_interactive_slo() {
     let deadline = Duration::from_millis(100);
     let server = Server::start(backend, config);
     let spec = LoadSpec {
-        requests: 200,
         interactive_fraction: 0.5,
         deadline: Some(deadline),
-        arrival: ArrivalProcess::OpenLoop { rate_fps: 2.0 * sat_fps, poisson: true },
-        seed: 0xCAFE,
+        ..LoadSpec::open(200, 2.0 * sat_fps, 0xCAFE)
     };
     let rep = run_load(&server.handle(), &frame(), &spec);
     let stats = server.shutdown();
@@ -57,7 +53,7 @@ fn overload_sheds_but_keeps_interactive_slo() {
         stats.rejected + stats.shed_expired > 0,
         "2x offered load must reject or shed: {stats:?}"
     );
-    assert_eq!(stats.rejected + stats.shed_expired + stats.served, stats.submitted);
+    assert_eq!(stats.rejected + stats.shed_expired + stats.served + stats.failed, stats.submitted);
     // Interactive latency stays under the deadline: the bounded queue caps
     // the worst-case wait at (queue + in-flight) / service-rate, far below
     // 100 ms for this configuration.

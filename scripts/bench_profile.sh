@@ -18,18 +18,3 @@ src="$SENECA_ARTIFACTS/experiments/BENCH_profile.json"
 [ -f "$src" ] || { echo "expected $src after the profile experiment" >&2; exit 1; }
 cp "$src" BENCH_profile.json
 echo "BENCH_profile.json updated (scale: $scale)"
-
-# Conv-level before/after: when a BENCH_profile_before.json snapshot exists
-# (the parent commit's BENCH_profile.json, kept by the PR that moves the
-# kernels), print the paper-geometry per-frame deltas so a kernel change's
-# end-to-end effect is visible in CI logs, not just raw-GEMM throughput.
-if [ -f BENCH_profile_before.json ] && command -v jq >/dev/null; then
-  echo "paper-geometry ms/frame, before (BENCH_profile_before.json) -> after:"
-  jq -r --slurpfile before BENCH_profile_before.json '
-    .paper_geometry[] as $a
-    | ($before[0].paper_geometry[] | select(.model == $a.model)) as $b
-    | "  \($a.model): \($b.wall_ns_per_frame / 1e6 | floor)ms -> " +
-      "\($a.wall_ns_per_frame / 1e6 | floor)ms " +
-      "(\(100 * (1 - $a.wall_ns_per_frame / $b.wall_ns_per_frame) * 10 | floor / 10)% faster)"
-  ' BENCH_profile.json
-fi

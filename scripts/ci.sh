@@ -31,14 +31,11 @@ cargo run --release -q -p seneca-serve --example serve_demo -- smoke
 echo "== ir smoke (pass pipeline clean; peak arena < total activations; implicit-GEMM peak < materialized route) =="
 cargo run --release -q -p seneca-bench --example ir_stats
 
-echo "== kernel smoke (packed GEMM beats reference; igemm bit-exact; implicit and Winograd conv bit-exact; on 16M 64->32 @256: implicit >= materialized in both dtypes, Winograd > direct, i8 / f32 MAC rate printed) =="
+echo "== kernel smoke (igemm and W4 nibble GEMM bit-exact; packed GEMM beats reference; implicit conv == materialized; on 16M 64->32 @256: implicit >= materialized in both dtypes, Winograd bit-exact and > direct, i8 / f32 MAC rate printed) =="
 cargo run --release -q -p seneca-bench --example kernel_stats -- smoke
 
 echo "== kernel asm (INT8/INT4/Winograd i16 tiles: vpdpwssd/vpmaddwd, no vpmulld; f32 tile: vfmadd231ps, no vmulps/vaddps) =="
 bash scripts/check_kernel_asm.sh
-
-echo "== fleet smoke (2x batch overload: fleet up, interactive p99 in SLO, no cross-tenant misses) =="
-cargo run --release -q -p seneca-bench --bin reproduce -- fleet --scale fast
 
 echo "== trace smoke (profile: op spans fit the wall; measured-vs-modeled op-share band at 256 px; 16M pack share recorded) =="
 cargo run --release -q -p seneca-bench --features trace-gemm --bin reproduce -- profile --scale fast

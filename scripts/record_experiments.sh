@@ -13,7 +13,7 @@ tmp=$(mktemp)
   for f in "$ART"/table1-*.md "$ART"/table2-*.md "$ART"/table3-*.md \
            "$ART"/table4-*.md "$ART"/table5-*.md "$ART"/fig3-*.md \
            "$ART"/fig4-*.md "$ART"/fig5-*.md "$ART"/fig6-*.md \
-           "$ART"/ablation-*.md "$ART"/boundary-*.md "$ART"/serve-*.md; do
+           "$ART"/ablation-*.md "$ART"/boundary-*.md; do
     [ -f "$f" ] && { cat "$f"; echo; }
   done
   sed -n '/<!-- RESULTS_END -->/,$p' EXPERIMENTS.md

@@ -90,9 +90,11 @@ fn xmodel_json_is_a_complete_artifact() {
     std::fs::write(&path, xm.to_json()).unwrap();
     let loaded = seneca_dpu::XModel::from_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
     let img = &calib[0];
-    let core = seneca_dpu::executor::DpuCore::new(seneca_dpu::executor::ExecMode::Functional);
-    let a = core.run(&xm, &xm.quantize_input(img)).output.unwrap();
-    let b = core.run(&loaded, &loaded.quantize_input(img)).output.unwrap();
+    let mut scratch = xm.lowered().make_scratch_i8();
+    let a = seneca_dpu::executor::run(&xm, &xm.quantize_input(img), &mut scratch).to_qtensor();
+    let mut scratch = loaded.lowered().make_scratch_i8();
+    let b =
+        seneca_dpu::executor::run(&loaded, &loaded.quantize_input(img), &mut scratch).to_qtensor();
     assert_eq!(a.data(), b.data());
     assert_eq!(xm.input_scale(), loaded.input_scale());
     let _ = std::fs::remove_file(&path);

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use seneca::backend::{Backend, Fp32RefBackend, QuantRefBackend};
 use seneca_dpu::arch::DpuArch;
-use seneca_dpu::executor::{DpuCore, ExecMode};
+use seneca_dpu::executor;
 use seneca_dpu::runtime::{DpuRunner, RuntimeConfig};
 use seneca_gpu::{GpuModel, GpuRunner};
 use seneca_ir::oracle::{self, assert_close_f32};
@@ -65,9 +65,8 @@ fn every_handoff_preserves_predictions() {
         let agree = fp32_labels.iter().zip(&int8_labels).filter(|(a, b)| a == b).count();
         assert!(agree as f64 / fp32_labels.len() as f64 > 0.8, "agreement {agree}/256");
         // Hand-off 4: xmodel functional execution == QuantizedGraph, bit exact.
-        let core = DpuCore::new(ExecMode::Functional);
         let input = xm.quantize_input(img);
-        let out_core = core.run(&xm, &input).output.unwrap();
+        let out_core = executor::run(&xm, &input, &mut xm.lowered().make_scratch_i8()).to_qtensor();
         let out_qg = oracle::run_i8(&qg.to_ir(), &input).swap_remove(qg.output);
         assert_eq!(out_core, out_qg);
     }
@@ -87,8 +86,8 @@ fn quantization_works_across_resolutions() {
     for size in [16usize, 32, 64] {
         let xm = seneca_dpu::compile(&qg, Shape4::new(1, 1, size, size), DpuArch::b4096_zcu104());
         let img = &calib_images(1, size, 5)[0];
-        let out =
-            DpuCore::new(ExecMode::Functional).run(&xm, &xm.quantize_input(img)).output.unwrap();
+        let mut scratch = xm.lowered().make_scratch_i8();
+        let out = executor::run(&xm, &xm.quantize_input(img), &mut scratch).to_qtensor();
         assert_eq!(out.shape(), Shape4::new(1, 6, size, size));
         // Cost model scales superlinearly-ish with resolution.
         if size > 16 {
