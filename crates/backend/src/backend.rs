@@ -2,7 +2,7 @@
 
 use crate::prediction::Prediction;
 use crate::report::{MemoryFootprint, ThroughputReport, ThroughputStats};
-use crate::session::{resolve_worker_threads, InferenceEngine, InferenceSession, SessionConfig};
+use crate::session::{resolve_worker_threads, InferenceEngine, InferenceSession};
 use seneca_ir::{lower, FpScratch, LowerOptions, Lowered, QScratch};
 use seneca_nn::graph::Graph;
 use seneca_quant::QuantizedGraph;
@@ -29,10 +29,6 @@ pub trait Backend: Send + Sync {
     /// Human-readable backend identifier (used as the row/series key in
     /// experiment outputs).
     fn name(&self) -> String;
-
-    /// One-time preparation: weight upload, buffer allocation, sanity
-    /// checks. Backends with nothing to do inherit the no-op.
-    fn prepare(&mut self) {}
 
     /// Runs a batch of preprocessed FP32 images; outputs are in input order.
     fn infer_batch(&self, images: &[Tensor]) -> Vec<Prediction>;
@@ -92,7 +88,7 @@ fn measured_throughput<E: InferenceEngine>(
     // magnitude slower than the device models, and FPS converges quickly.
     let frames = n_frames.clamp(1, 16);
     let batch: Vec<Tensor> = (0..frames).map(|_| synthetic_frame(shape)).collect();
-    let session = InferenceSession::new(engine, SessionConfig::new(threads));
+    let session = InferenceSession::new(engine, threads);
     session.run(&batch[..1]); // warm-up (page-in weights, fill caches)
     let t0 = std::time::Instant::now();
     session.run(&batch);
@@ -172,11 +168,11 @@ impl InferenceEngine for Fp32RefBackend {
 
 impl Backend for Fp32RefBackend {
     fn name(&self) -> String {
-        format!("fp32-ref/{}", self.graph.name)
+        format!("fp32-ref/{}", self.graph.module().name)
     }
 
     fn infer_batch(&self, images: &[Tensor]) -> Vec<Prediction> {
-        InferenceSession::new(self, SessionConfig::new(self.threads)).run(images)
+        InferenceSession::new(self, self.threads).run(images)
     }
 
     fn infer_batch_timed(&self, images: &[Tensor]) -> (Vec<Prediction>, BatchTiming) {
@@ -196,8 +192,7 @@ fn session_timed<E: InferenceEngine>(
     images: &[Tensor],
 ) -> (Vec<Prediction>, BatchTiming) {
     let t0 = Instant::now();
-    let (preds, per_frame) =
-        InferenceSession::new(engine, SessionConfig::new(threads)).run_timed(images);
+    let (preds, per_frame) = InferenceSession::new(engine, threads).run_timed(images);
     (preds, BatchTiming { wall: t0.elapsed(), per_frame })
 }
 
@@ -261,11 +256,11 @@ impl InferenceEngine for QuantRefBackend {
 
 impl Backend for QuantRefBackend {
     fn name(&self) -> String {
-        format!("int8-ref/{}", self.qgraph.name)
+        format!("int8-ref/{}", self.qgraph.module().name)
     }
 
     fn infer_batch(&self, images: &[Tensor]) -> Vec<Prediction> {
-        InferenceSession::new(self, SessionConfig::new(self.threads)).run(images)
+        InferenceSession::new(self, self.threads).run(images)
     }
 
     fn infer_batch_timed(&self, images: &[Tensor]) -> (Vec<Prediction>, BatchTiming) {

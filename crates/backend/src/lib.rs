@@ -5,7 +5,7 @@
 //! reproduction adds two host reference executors (FP32 graph, bit-exact
 //! INT8 graph). This crate defines the one vocabulary they all speak:
 //!
-//! * [`Backend`] — `name` / `prepare` / `infer_batch` / `throughput`;
+//! * [`Backend`] — `name` / `infer_batch` / `throughput`;
 //! * [`ThroughputReport`] / [`ThroughputStats`] — shared measurement types;
 //! * [`Prediction`] / [`Logits`] — labels plus backend-native logits;
 //! * [`InferenceSession`] — the streaming batch executor: bounded job
@@ -19,4 +19,4 @@ mod session;
 pub use backend::{Backend, BatchTiming, Fp32RefBackend, FpWorker, QuantRefBackend};
 pub use prediction::{Logits, Prediction};
 pub use report::{MemoryFootprint, ThroughputReport, ThroughputStats};
-pub use session::{resolve_worker_threads, InferenceEngine, InferenceSession, SessionConfig};
+pub use session::{resolve_worker_threads, InferenceEngine, InferenceSession};

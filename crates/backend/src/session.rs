@@ -3,9 +3,9 @@
 //! Replaces the eager fan-out pattern (quantize every input up front into an
 //! unbounded channel — an O(batch) memory spike) with:
 //!
-//! * a **bounded job queue** ([`SessionConfig::queue_depth`] slots): the
-//!   feeder blocks once workers fall behind, so only a handful of in-flight
-//!   frames exist at any time;
+//! * a **bounded job queue** (twice as many slots as workers): the feeder
+//!   blocks once workers fall behind, so only a handful of in-flight frames
+//!   exist at any time;
 //! * **worker-side preparation**: quantisation (or any other per-frame input
 //!   transform) happens on the worker thread that will execute the frame,
 //!   not on the submitting thread;
@@ -31,25 +31,6 @@ pub fn resolve_worker_threads(requested: usize, jobs: usize) -> usize {
     requested.max(1).min(jobs.max(1))
 }
 
-/// Session tuning knobs.
-#[derive(Debug, Clone)]
-pub struct SessionConfig {
-    /// Worker threads (capped to the job count at run time).
-    pub threads: usize,
-    /// Bounded job-queue capacity: how many frames may wait between the
-    /// feeder and the workers. Small values bound memory; larger values
-    /// smooth out service-time jitter.
-    pub queue_depth: usize,
-}
-
-impl SessionConfig {
-    /// A config with `threads` workers and a queue of twice that depth.
-    pub fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
-        Self { threads, queue_depth: 2 * threads }
-    }
-}
-
 /// Per-frame execution engine: how one worker turns an FP32 image into a
 /// [`Prediction`]. Implementations own the backend-specific preparation
 /// (e.g. INT8 quantisation) and reuse `Worker` scratch state across frames.
@@ -67,7 +48,8 @@ pub trait InferenceEngine: Sync {
 /// A streaming inference session over some [`InferenceEngine`].
 pub struct InferenceSession<'e, E: InferenceEngine> {
     engine: &'e E,
-    config: SessionConfig,
+    /// Worker threads (capped to the job count at run time).
+    threads: usize,
 }
 
 /// Re-raises a worker panic on the calling thread, annotated with the frame
@@ -88,9 +70,9 @@ fn rethrow(frame: usize, payload: Box<dyn std::any::Any + Send>) -> ! {
 }
 
 impl<'e, E: InferenceEngine> InferenceSession<'e, E> {
-    /// Creates a session.
-    pub fn new(engine: &'e E, config: SessionConfig) -> Self {
-        Self { engine, config }
+    /// Creates a session of `threads` workers.
+    pub fn new(engine: &'e E, threads: usize) -> Self {
+        Self { engine, threads }
     }
 
     /// Runs a batch; outputs are in input order.
@@ -122,7 +104,7 @@ impl<'e, E: InferenceEngine> InferenceSession<'e, E> {
         if n == 0 {
             return Vec::new();
         }
-        let threads = resolve_worker_threads(self.config.threads, n);
+        let threads = resolve_worker_threads(self.threads, n);
         if threads == 1 {
             // No pool needed; still reuses one worker's scratch across frames.
             let mut worker = self.engine.new_worker();
@@ -140,8 +122,9 @@ impl<'e, E: InferenceEngine> InferenceSession<'e, E> {
         }
 
         type Outcome<T> = Result<T, Box<dyn std::any::Any + Send>>;
-        let capacity = self.config.queue_depth.max(1);
-        let (job_tx, job_rx) = std::sync::mpsc::sync_channel::<(usize, &Tensor)>(capacity);
+        // Twice as many frames may wait as execute: enough to smooth out
+        // service-time jitter, few enough to bound memory.
+        let (job_tx, job_rx) = std::sync::mpsc::sync_channel::<(usize, &Tensor)>(2 * threads);
         let (res_tx, res_rx) = std::sync::mpsc::channel::<(usize, Outcome<T>)>();
         // Workers co-own the receiver: when the last worker retires (normal
         // drain or panic), the channel closes and the feeder's `send` errors
@@ -188,10 +171,11 @@ impl<'e, E: InferenceEngine> InferenceSession<'e, E> {
             }
             drop(res_tx);
             drop(job_rx); // only workers hold the receiver now
-                          // Feed lazily: blocks when the bounded queue is full, so at most
-                          // `queue_depth` frames wait and `threads` frames execute at once.
-                          // Send errors mean every worker has retired (all panicked): stop
-                          // feeding and let the panic below surface.
+
+            // Feed lazily: blocks when the bounded queue is full, so at most
+            // `2 * threads` frames wait and `threads` execute at once. Send
+            // errors mean every worker has retired (all panicked): stop
+            // feeding and let the panic below surface.
             for (i, img) in images.iter().enumerate() {
                 if job_tx.send((i, img)).is_err() {
                     break;
@@ -257,7 +241,7 @@ mod tests {
     fn preserves_submission_order() {
         let imgs = images(17);
         for threads in [1, 2, 4, 8] {
-            let out = InferenceSession::new(&Echo, SessionConfig::new(threads)).run(&imgs);
+            let out = InferenceSession::new(&Echo, threads).run(&imgs);
             let labels: Vec<u8> = out.iter().map(|p| p.labels[0]).collect();
             assert_eq!(labels, (0..17).map(|i| i as u8).collect::<Vec<_>>(), "threads={threads}");
         }
@@ -265,15 +249,14 @@ mod tests {
 
     #[test]
     fn empty_batch_is_empty() {
-        assert!(InferenceSession::new(&Echo, SessionConfig::new(4)).run(&[]).is_empty());
+        assert!(InferenceSession::new(&Echo, 4).run(&[]).is_empty());
     }
 
     #[test]
     fn run_timed_returns_one_duration_per_frame() {
         let imgs = images(9);
         for threads in [1, 3] {
-            let (preds, times) =
-                InferenceSession::new(&Echo, SessionConfig::new(threads)).run_timed(&imgs);
+            let (preds, times) = InferenceSession::new(&Echo, threads).run_timed(&imgs);
             assert_eq!(preds.len(), 9);
             assert_eq!(times.len(), 9);
             assert_eq!(preds[4].labels[0], 4, "timed path preserves order");
@@ -286,7 +269,7 @@ mod tests {
         imgs[7] = Tensor::from_vec(Shape4::new(1, 1, 1, 1), vec![-1.0]);
         for threads in [1, 4] {
             let session_panic = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                InferenceSession::new(&Fussy, SessionConfig::new(threads)).run(&imgs)
+                InferenceSession::new(&Fussy, threads).run(&imgs)
             }))
             .expect_err("worker panic must propagate");
             let msg =
@@ -301,7 +284,7 @@ mod tests {
         let imgs: Vec<Tensor> =
             (0..20).map(|_| Tensor::from_vec(Shape4::new(1, 1, 1, 1), vec![-1.0])).collect();
         let session_panic = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            InferenceSession::new(&Fussy, SessionConfig::new(4)).run(&imgs)
+            InferenceSession::new(&Fussy, 4).run(&imgs)
         }))
         .expect_err("must propagate");
         let msg = session_panic.downcast_ref::<String>().cloned().unwrap();
@@ -324,7 +307,7 @@ mod tests {
             }
         }
         let engine = Where(std::thread::current().id());
-        assert_eq!(InferenceSession::new(&engine, SessionConfig::new(3)).run(&images(7)).len(), 7);
+        assert_eq!(InferenceSession::new(&engine, 3).run(&images(7)).len(), 7);
     }
 
     #[test]
@@ -333,14 +316,5 @@ mod tests {
         assert_eq!(resolve_worker_threads(4, 100), 4);
         assert_eq!(resolve_worker_threads(0, 3), 1);
         assert_eq!(resolve_worker_threads(2, 0), 1);
-    }
-
-    #[test]
-    fn session_config_defaults_queue_depth_to_twice_threads() {
-        let c = SessionConfig::new(3);
-        assert_eq!((c.threads, c.queue_depth), (3, 6));
-        // Zero threads clamps once, and the queue depth follows the clamp.
-        let z = SessionConfig::new(0);
-        assert_eq!((z.threads, z.queue_depth), (1, 2));
     }
 }

@@ -71,7 +71,7 @@ fn main() {
     for size in ModelSize::ALL {
         let net = UNet::from_size(size, &mut rng);
         let g = Graph::from_unet(&net, size.label());
-        let hist = g.op_histogram();
+        let hist = g.module().op_histogram();
         let count = |op: &str| hist.get(op).copied().unwrap_or(0);
         let n_conv = count("conv3x3") + count("tconv2x2");
 
@@ -140,7 +140,7 @@ fn main() {
         println!(
             "{:>4} {:>5} {:>5} | {:>3} {:>4} {:>3} {:>4} | {:>10.2}M {:>10.2}M {:>5.2}x | {:>10.2}M {:>5.2}x | {:>5.1}% {:>5.1}%",
             size.label(),
-            g.nodes.len(),
+            g.module().nodes.len(),
             fp.module().nodes.len(),
             stats.bn_folded,
             stats.relu_fused,

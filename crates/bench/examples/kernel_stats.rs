@@ -15,7 +15,8 @@
 //!   beside them (the per-shape i8 ÷ f32 MAC-rate ratio).
 
 use rand::{Rng, SeedableRng};
-use seneca_nn::graph::{Graph, Op};
+use seneca_ir::IrOp;
+use seneca_nn::graph::Graph;
 use seneca_nn::unet::{ModelSize, UNet};
 use seneca_tensor::gemm::{
     igemm, igemm4_fused_packed, igemm_fused, igemm_fused_packed, igemm_reference, packed_b_len,
@@ -97,19 +98,19 @@ fn table2_conv_shapes() -> Vec<[ConvShape; 2]> {
         .iter()
         .map(|&size| {
             let net = UNet::from_size(size, &mut rng);
-            let g = Graph::from_unet(&net, size.label());
+            let g = Graph::from_unet(&net, size.label()).to_ir();
             let shapes = g.shapes(input);
             let none = ConvShape { model: size.label(), m: 0, k: 0, n: 0, c_in: 0, h: 0, w: 0 };
             let mut best = [none; 2];
             for node in &g.nodes {
-                if let Op::Conv { w, .. } = &node.op {
+                if let IrOp::Conv(a) = &node.op {
                     let s = shapes[node.inputs[0]];
                     let cand = ConvShape {
                         model: size.label(),
-                        m: w.shape().n,
-                        k: w.shape().c * 9,
+                        m: a.kernel.c_out(false),
+                        k: a.kernel.c_in(false) * 9,
                         n: s.h * s.w,
-                        c_in: w.shape().c,
+                        c_in: a.kernel.c_in(false),
                         h: s.h,
                         w: s.w,
                     };
@@ -256,12 +257,12 @@ fn winograd_race_shapes() -> Vec<ConvShape> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
     let mut out: Vec<ConvShape> = Vec::new();
     for size in [ModelSize::M1, ModelSize::M16] {
-        let g = Graph::from_unet(&UNet::from_size(size, &mut rng), size.label());
+        let g = Graph::from_unet(&UNet::from_size(size, &mut rng), size.label()).to_ir();
         let shapes = g.shapes(input);
         for node in &g.nodes {
-            if let Op::Conv { w, .. } = &node.op {
+            if let IrOp::Conv(a) = &node.op {
                 let s = shapes[node.inputs[0]];
-                let (m, c_in) = (w.shape().n, w.shape().c);
+                let (m, c_in) = (a.kernel.c_out(false), a.kernel.c_in(false));
                 let cand = ConvShape {
                     model: size.label(),
                     m,

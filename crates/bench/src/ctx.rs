@@ -133,9 +133,6 @@ impl ExperimentCtx {
         for &threads in dpu_threads {
             backends.push(Box::new(self.dpu_runner_256(size, threads)));
         }
-        for b in &mut backends {
-            b.prepare();
-        }
         backends
     }
 

@@ -36,14 +36,14 @@ pub fn run_quant(ctx: &mut ExperimentCtx) {
     eprintln!("[ablation-quant] QAT ...");
     // QAT: short fine-tune of the trained model with weight projection.
     let mut qat_graph = dep.graph.clone();
-    qat_graph.name = "1M-qat".into();
     let loss = FocalTverskyLoss::paper_defaults(ctx.data.class_weights.clone());
     let mut opt = Adam::new(2e-4);
     let mut qat_cfg = ctx.wf.config.train.clone();
     qat_cfg.epochs = (qat_cfg.epochs / 2).max(1);
     let _ =
         seneca_quant::qat::train_qat(&mut qat_graph, &ctx.data.train, &loss, &mut opt, &qat_cfg);
-    let qat_fg = fuse(&qat_graph);
+    let mut qat_fg = fuse(&qat_graph);
+    qat_fg.name = "1M-qat".into();
     let (qg_qat, _) = quantize_post_training(&qat_fg, &calib, &PtqConfig::default());
 
     let mut t = Table::new(vec!["Method", "Global DSC [%]", "Logit MSE vs FP32", "Notes"]);

@@ -21,6 +21,7 @@ use seneca::backend::{Backend, Fp32RefBackend, QuantRefBackend};
 use seneca_dpu::isa::DpuInstr;
 use seneca_dpu::runtime::{DpuRunner, RuntimeConfig};
 use seneca_dpu::xmodel::XModel;
+use seneca_ir::DType;
 use seneca_nn::unet::ModelSize;
 use seneca_serve::{run_load, AdmissionPolicy, LoadSpec, ServeConfig, Server};
 use seneca_tensor::{Shape4, Tensor};
@@ -92,7 +93,7 @@ fn modeled_op_ns(xm: &XModel) -> BTreeMap<&'static str, u64> {
             | DpuInstr::Elew { node, .. } => node,
             _ => continue,
         };
-        let mnemonic = xm.qgraph.nodes[node].op.mnemonic();
+        let mnemonic = xm.qgraph.module().nodes[node].op.mnemonic(DType::I8);
         *by_op.entry(mnemonic).or_default() += l.compute_ns.max(l.mem_ns) + l.overhead_ns;
     }
     by_op
@@ -135,7 +136,7 @@ pub fn run(ctx: &mut ExperimentCtx) {
         // Single-threaded variants of all four paths: with one worker the
         // op spans nest strictly inside the batch wall clock, so coverage
         // (op time / wall) is a meaningful fraction in [0, 1].
-        let mut backends: Vec<Box<dyn Backend>> = vec![
+        let backends: Vec<Box<dyn Backend>> = vec![
             Box::new(Fp32RefBackend::new(dep.graph.clone(), shape)),
             Box::new(dep.gpu_runner.clone()),
             Box::new(QuantRefBackend::new(dep.qgraph.clone(), shape)),
@@ -158,8 +159,7 @@ pub fn run(ctx: &mut ExperimentCtx) {
         let mut dpu_report: Option<TraceReport> = None;
         let mut detail = String::new();
 
-        for backend in &mut backends {
-            backend.prepare();
+        for backend in &backends {
             let name = backend.name();
             eprintln!("[profile] {size}: tracing {name} over {frames} frames ...");
             let (wall_ns, rep) = traced_run(backend.as_ref(), &batch);
@@ -275,8 +275,7 @@ pub fn run(ctx: &mut ExperimentCtx) {
     // like the throughput experiments.
     let mut json_paper: Vec<Value> = Vec::new();
     for size in SIZES {
-        let mut runner = ctx.dpu_runner_256(size, 1);
-        Backend::prepare(&mut runner);
+        let runner = ctx.dpu_runner_256(size, 1);
         let shape = runner.xmodel.input_shape;
         eprintln!(
             "[profile] {size}: paper geometry {}x{}, {PAPER_FRAMES} frames ...",

@@ -167,15 +167,12 @@ pub fn run(ctx: &mut ExperimentCtx) {
     let shape = dep.gpu_runner.input_shape;
     let (qg_manual, qg_random, qg_mixed, n_w4) = quantized_variants(&rwf, &rdata, &dep);
 
-    let mut backends: Vec<(&str, Box<dyn Backend>)> = vec![
+    let backends: Vec<(&str, Box<dyn Backend>)> = vec![
         ("fp32", Box::new(Fp32RefBackend::new(dep.graph.clone(), shape))),
         ("int8-manual", Box::new(QuantRefBackend::new(qg_manual, shape))),
         ("int8-random", Box::new(QuantRefBackend::new(qg_random, shape))),
         ("mixed-w4w8", Box::new(QuantRefBackend::new(qg_mixed, shape))),
     ];
-    for (_, b) in &mut backends {
-        b.prepare();
-    }
 
     // Sweep the grid: every backend sees the same scenario tensors.
     let mut pooled: Vec<PooledDice> = backends.iter().map(|_| PooledDice::new()).collect();

@@ -258,14 +258,10 @@ impl Workflow {
         Deployment { graph, qgraph: qg, dpu_runner, gpu_runner }
     }
 
-    /// Stage E, trait form: the deployment's inference paths as prepared
+    /// Stage E, trait form: the deployment's inference paths as
     /// [`Backend`] trait objects.
     pub fn deploy_backends(&self, graph: Graph, qg: QuantizedGraph) -> Vec<Box<dyn Backend>> {
-        let mut backends = self.compile_and_deploy(graph, qg).backends();
-        for b in &mut backends {
-            b.prepare();
-        }
-        backends
+        self.compile_and_deploy(graph, qg).backends()
     }
 
     /// Full pipeline for one model size (train → quantize → compile).

@@ -24,8 +24,9 @@ pub fn artifacts_dir() -> PathBuf {
 /// arithmetic of training itself. Bump it with such a change, and every
 /// cached model is retrained instead of silently reused. 2: FP32 GEMMs (all
 /// of training) accumulate with fused multiply-add. 3: the cache holds the
-/// trained `Graph` (same weights, new file format).
-const PIPELINE_VERSION: u32 = 3;
+/// trained `Graph` (same weights, new file format). 4: the trained `Graph`
+/// is stored as its FP32 `seneca_ir::Module` (same weights, new file format).
+const PIPELINE_VERSION: u32 = 4;
 
 /// A stable fingerprint of everything that affects trained weights: the
 /// configuration, salted with the pipeline version (the leading `v<N>`).
@@ -59,7 +60,7 @@ pub fn model_path(cfg: &SenecaConfig, size: ModelSize) -> PathBuf {
 pub fn load_model(path: &Path, size: ModelSize) -> Option<Graph> {
     let bytes = std::fs::read(path).ok()?;
     let graph: Graph = serde_json::from_slice(&bytes).ok()?;
-    (graph.name == size.label()).then_some(graph)
+    (graph.module().name == size.label()).then_some(graph)
 }
 
 /// Saves a trained model (best effort; failures only warn).

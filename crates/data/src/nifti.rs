@@ -109,7 +109,9 @@ fn le<const N: usize>(b: &[u8], at: usize) -> [u8; N] {
 /// A header that does not fit its file — a negative dimension, an
 /// unsupported datatype, or a voxel payload larger than the bytes after the
 /// header — is `InvalidData`, found before anything is allocated for the
-/// payload.
+/// payload. So is a NaN or infinite voxel, named by its index: preprocessing
+/// would carry it to the model, whose INT8 input cast turns it into a silent
+/// 0.
 pub fn read_nifti(path: &Path) -> std::io::Result<(NiftiInfo, Vec<f32>)> {
     let mut f = std::fs::File::open(path)?;
     let mut hdr = [0u8; 352];
@@ -153,10 +155,13 @@ pub fn read_nifti(path: &Path) -> std::io::Result<(NiftiInfo, Vec<f32>)> {
         })?;
     let mut buf = vec![0u8; payload];
     f.read_exact(&mut buf)?;
-    let data = match info.datatype {
+    let data: Vec<f32> = match info.datatype {
         DT_FLOAT32 => buf.chunks_exact(4).map(|c| f32::from_le_bytes(le(c, 0))).collect(),
         _ => buf.iter().map(|&b| b as f32).collect(),
     };
+    if let Some(i) = data.iter().position(|v| !v.is_finite()) {
+        return Err(invalid(format!("voxel {i} is {}: intensities must be finite", data[i])));
+    }
     Ok((info, data))
 }
 
@@ -228,11 +233,15 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// Writes the labels file of a small volume with `edit` applied to its
+    /// Writes one channel of a small volume with `edit` applied to its
     /// bytes, reads it back and returns the error.
-    fn read_edited(name: &str, edit: impl FnOnce(&mut Vec<u8>)) -> std::io::Error {
+    fn read_edited(
+        name: &str,
+        channel: NiftiChannel,
+        edit: impl FnOnce(&mut Vec<u8>),
+    ) -> std::io::Error {
         let path = tmpdir().join(name);
-        write_nifti(&path, &small_volume(), NiftiChannel::Labels).unwrap();
+        write_nifti(&path, &small_volume(), channel).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         edit(&mut bytes);
         std::fs::write(&path, bytes).unwrap();
@@ -249,7 +258,7 @@ mod tests {
     #[test]
     fn absurd_dims_are_an_error_not_an_allocation() {
         // A bare 352-byte header claiming 32767³ float voxels (~140 TB).
-        read_edited("absurd.nii", |b| {
+        read_edited("absurd.nii", NiftiChannel::Labels, |b| {
             b.truncate(352);
             for i in 1..=3 {
                 set_i16(b, 40 + 2 * i, i16::MAX);
@@ -260,13 +269,13 @@ mod tests {
 
     #[test]
     fn negative_dim_is_an_error() {
-        let err = read_edited("negative.nii", |b| set_i16(b, 42, -32));
+        let err = read_edited("negative.nii", NiftiChannel::Labels, |b| set_i16(b, 42, -32));
         assert!(err.to_string().contains("negative"), "{err}");
     }
 
     #[test]
     fn truncated_payload_is_an_error() {
-        read_edited("truncated.nii", |b| {
+        read_edited("truncated.nii", NiftiChannel::Labels, |b| {
             let keep = b.len() - 1;
             b.truncate(keep);
         });
@@ -274,7 +283,27 @@ mod tests {
 
     #[test]
     fn unsupported_datatype_is_an_error() {
-        let err = read_edited("datatype.nii", |b| set_i16(b, 70, 64));
+        let err = read_edited("datatype.nii", NiftiChannel::Labels, |b| set_i16(b, 70, 64));
         assert!(err.to_string().contains("unsupported"), "{err}");
+    }
+
+    /// The float voxel `i` of an intensity file's bytes set to `v`.
+    fn set_voxel(bytes: &mut [u8], i: usize, v: f32) {
+        bytes[352 + 4 * i..356 + 4 * i].copy_from_slice(&v.to_le_bytes());
+    }
+
+    #[test]
+    fn nan_voxel_is_an_error_naming_it() {
+        let err = read_edited("nan.nii", NiftiChannel::Intensity, |b| set_voxel(b, 77, f32::NAN));
+        assert!(err.to_string().contains("voxel 77 is NaN"), "{err}");
+    }
+
+    #[test]
+    fn infinite_voxel_is_an_error_naming_it() {
+        let err = read_edited("inf.nii", NiftiChannel::Intensity, |b| {
+            set_voxel(b, 1000, f32::INFINITY);
+            set_voxel(b, 5, f32::INFINITY);
+        });
+        assert!(err.to_string().contains("voxel 5 is inf"), "{err}");
     }
 }

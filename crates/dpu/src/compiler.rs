@@ -18,13 +18,14 @@ use crate::arch::DpuArch;
 use crate::isa::{DpuInstr, LoadKind};
 use crate::perf;
 use crate::xmodel::{CompileStats, XModel};
-use seneca_quant::{QOp, QuantizedGraph};
+use seneca_ir::IrOp;
+use seneca_quant::QuantizedGraph;
 use seneca_tensor::Shape4;
 
 /// Compiles a quantized graph for the given input geometry and architecture.
 pub fn compile(qg: &QuantizedGraph, input_shape: Shape4, arch: DpuArch) -> XModel {
     assert_eq!(input_shape.n, 1, "xmodels are compiled for batch 1");
-    let module = qg.to_ir();
+    let module = qg.module();
     let shapes = module.shapes(input_shape);
     let mut instrs = Vec::new();
     let mut stats = CompileStats::default();
@@ -39,15 +40,14 @@ pub fn compile(qg: &QuantizedGraph, input_shape: Shape4, arch: DpuArch) -> XMode
     });
     stats.fm_traffic_bytes += fm_bytes(&shapes[0]);
 
-    for (i, node) in qg.nodes.iter().enumerate().skip(1) {
+    for (i, node) in module.nodes.iter().enumerate().skip(1) {
         let out_s = shapes[i];
         match &node.op {
-            QOp::Input => unreachable!("input is node 0"),
-            QOp::Conv(p) | QOp::TConv(p) => {
-                let transpose = matches!(node.op, QOp::TConv(_));
+            IrOp::Conv(a) | IrOp::TConv(a) => {
+                let transpose = matches!(node.op, IrOp::TConv(_));
                 let in_s = shapes[node.inputs[0]];
                 // Nibble-packed W4 layers stream half the weight bytes.
-                let w_bytes = p.weight_bytes();
+                let w_bytes = a.kernel.weight_bytes();
                 instrs.push(DpuInstr::Load {
                     what: LoadKind::Weights,
                     bytes: w_bytes,
@@ -58,21 +58,16 @@ pub fn compile(qg: &QuantizedGraph, input_shape: Shape4, arch: DpuArch) -> XMode
                     bytes: fm_bytes(&in_s),
                     misaligned: arch.is_misaligned(in_s.c),
                 });
-                let (c_in, c_out, k) = if transpose {
-                    (p.w.shape().n, p.w.shape().c, 2)
-                } else {
-                    (p.w.shape().c, p.w.shape().n, 3)
-                };
                 instrs.push(DpuInstr::Conv {
                     node: i,
                     h: if transpose { in_s.h } else { out_s.h },
                     w: if transpose { in_s.w } else { out_s.w },
-                    c_in,
-                    c_out,
-                    k,
+                    c_in: a.kernel.c_in(transpose),
+                    c_out: a.kernel.c_out(transpose),
+                    k: if transpose { 2 } else { 3 },
                     transpose,
-                    relu: p.relu,
-                    wbits: p.wbits,
+                    relu: a.relu,
+                    wbits: a.kernel.wbits(),
                 });
                 instrs.push(DpuInstr::Save {
                     bytes: fm_bytes(&out_s),
@@ -84,7 +79,7 @@ pub fn compile(qg: &QuantizedGraph, input_shape: Shape4, arch: DpuArch) -> XMode
                 stats.misaligned_layers +=
                     (arch.is_misaligned(in_s.c) || arch.is_misaligned(out_s.c)) as usize;
             }
-            QOp::MaxPool2x2 => {
+            IrOp::MaxPool2x2 => {
                 let in_s = shapes[node.inputs[0]];
                 instrs.push(DpuInstr::Load {
                     what: LoadKind::FeatureMap,
@@ -98,18 +93,19 @@ pub fn compile(qg: &QuantizedGraph, input_shape: Shape4, arch: DpuArch) -> XMode
                 });
                 stats.fm_traffic_bytes += fm_bytes(&in_s) + fm_bytes(&out_s);
             }
-            QOp::Concat { .. } => {
+            IrOp::Concat { .. } => {
                 // The elementwise engine rewrites both inputs at the shared
                 // fix position into the concatenated layout.
                 let elems = out_s.len() as u64;
                 instrs.push(DpuInstr::Elew { node: i, elems });
                 stats.fm_traffic_bytes += 2 * fm_bytes(&out_s);
             }
+            other => unreachable!("a quantized graph holds no {}", other.mnemonic(module.dtype)),
         }
     }
 
     // Final result DMA + end-of-kernel.
-    let out_s = shapes[qg.output];
+    let out_s = shapes[module.output];
     instrs
         .push(DpuInstr::Save { bytes: fm_bytes(&out_s), misaligned: arch.is_misaligned(out_s.c) });
     instrs.push(DpuInstr::End);
@@ -126,7 +122,7 @@ pub fn compile(qg: &QuantizedGraph, input_shape: Shape4, arch: DpuArch) -> XMode
     stats.total_activation_bytes = plan.total_activation_bytes(1);
 
     XModel {
-        name: qg.name.clone(),
+        name: module.name.clone(),
         arch,
         input_shape,
         instrs,
@@ -273,26 +269,39 @@ mod tests {
             let xm = compile(qg, shape, DpuArch::b4096_zcu104());
             let walked: Vec<usize> =
                 xm.instrs.iter().filter_map(|i| compute_node(i, &xm.qgraph)).collect();
-            assert_eq!(walked, (1..qg.nodes.len()).collect::<Vec<_>>(), "{}", qg.name);
+            let m = qg.module();
+            assert_eq!(walked, (1..m.nodes.len()).collect::<Vec<_>>(), "{}", m.name);
         }
     }
 
-    /// Golden PTQ output: FNV-1a of the JSON-serialised quantized graph of a
-    /// seeded 1M model. Any change to how calibration evaluates the FP32
-    /// module, observes ranges or quantises weights that moves one fix
-    /// position or one weight byte moves this hash.
+    /// Golden hand-off graphs of a seeded 1M model: FNV-1a of the JSON of
+    /// its export graph, of its PTQ graph and of one W4-mixed plan's graph
+    /// (each serialises as the module it holds). Any change to how the
+    /// exporter writes the graph, how calibration evaluates the FP32 module,
+    /// observes ranges or quantises weights that moves one fix position or
+    /// one weight byte moves a hash.
     #[test]
     fn ptq_of_a_seeded_1m_model_is_byte_identical_to_the_recorded_graph() {
+        use seneca_quant::{quantize_from_calibration, Bitwidth};
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x5E4ECA);
         let net = UNet::from_size(ModelSize::M1, &mut rng);
-        let fg = fuse(&Graph::from_unet(&net, "1M"));
+        let graph = Graph::from_unet(&net, "1M");
+        let fg = fuse(&graph);
         let calib: Vec<Tensor> =
             (0..4).map(|_| Tensor::he_normal(Shape4::new(1, 1, 32, 32), &mut rng)).collect();
-        let (qg, _) = quantize_post_training(&fg, &calib, &PtqConfig::default());
-        let json = serde_json::to_string(&qg).expect("qgraph serialises");
-        let hash = json.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-        });
-        assert_eq!(hash, 0x8b92_712b_ba1e_15df, "PTQ output moved ({} bytes)", json.len());
+        let (qg, report) = quantize_post_training(&fg, &calib, &PtqConfig::default());
+        let wbits: Vec<Bitwidth> = (0..fg.nodes.len())
+            .map(|i| if i % 2 == 0 { Bitwidth::W4 } else { Bitwidth::W8 })
+            .collect();
+        let w4 = quantize_from_calibration(&fg, &report, &wbits);
+        fn json<T: serde::Serialize>(v: &T) -> u64 {
+            let json = serde_json::to_string(v).expect("graph serialises");
+            json.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        }
+        assert_eq!(json(&qg), 0x83be_cced_767d_21ce, "PTQ output moved");
+        assert_eq!(json(&w4), 0x95c8_fc19_71ab_6ba7, "W4 plan moved");
+        assert_eq!(json(&graph), 0xbb92_f060_7e9c_c323, "export graph moved");
     }
 }

@@ -7,8 +7,8 @@
 
 use crate::isa::DpuInstr;
 use crate::xmodel::XModel;
-use seneca_ir::QScratch;
-use seneca_quant::{QOp, QuantizedGraph};
+use seneca_ir::{IrOp, QScratch};
+use seneca_quant::QuantizedGraph;
 use seneca_tensor::{QTensor, QTensorView};
 
 /// The graph node a CONV / POOL / ELEW instruction computes (`None` for
@@ -21,15 +21,16 @@ pub(crate) fn compute_node(instr: &DpuInstr, qg: &QuantizedGraph) -> Option<usiz
             *node
         }
     };
-    let op = &qg.nodes[node].op;
+    let m = qg.module();
+    let op = &m.nodes[node].op;
     let kind_matches = match instr {
         DpuInstr::Conv { transpose, .. } => {
-            matches!((op, transpose), (QOp::Conv(_), false) | (QOp::TConv(_), true))
+            matches!((op, transpose), (IrOp::Conv(_), false) | (IrOp::TConv(_), true))
         }
-        DpuInstr::Pool { .. } => matches!(op, QOp::MaxPool2x2),
-        _ => matches!(op, QOp::Concat { .. }),
+        DpuInstr::Pool { .. } => matches!(op, IrOp::MaxPool2x2),
+        _ => matches!(op, IrOp::Concat { .. }),
     };
-    assert!(kind_matches, "`{}` maps to {:?}", instr.disassemble(), op.mnemonic());
+    assert!(kind_matches, "`{}` maps to {:?}", instr.disassemble(), op.mnemonic(m.dtype));
     Some(node)
 }
 
@@ -39,7 +40,7 @@ pub(crate) fn compute_node(instr: &DpuInstr, qg: &QuantizedGraph) -> Option<usiz
 /// one, so each instruction indexes the lowered program directly. Streaming
 /// callers hold one pool per worker: no per-frame allocation once warm.
 pub fn run<'s>(xm: &XModel, input: &QTensor, scratch: &'s mut QScratch) -> QTensorView<'s> {
-    assert_eq!(input.fix_pos(), xm.qgraph.input_fp, "input fix position");
+    assert_eq!(input.fix_pos(), xm.qgraph.module().input_fp, "input fix position");
     assert_eq!(input.shape(), xm.input_shape, "input geometry");
     let lowered = xm.lowered();
     lowered.load_input_i8(input, scratch);
@@ -47,7 +48,7 @@ pub fn run<'s>(xm: &XModel, input: &QTensor, scratch: &'s mut QScratch) -> QTens
         let Some(node) = compute_node(instr, &xm.qgraph) else { continue };
         lowered.execute_node_i8(node, scratch);
     }
-    scratch.node_output(xm.qgraph.output)
+    scratch.node_output(xm.qgraph.module().output)
 }
 
 #[cfg(test)]
@@ -78,7 +79,8 @@ mod tests {
 
     /// What the quantized graph computes, per the naive oracle.
     fn oracle(xm: &XModel, input: &QTensor) -> QTensor {
-        seneca_ir::oracle::run_i8(&xm.qgraph.to_ir(), input).swap_remove(xm.qgraph.output)
+        let m = xm.qgraph.module();
+        seneca_ir::oracle::run_i8(m, input).swap_remove(m.output)
     }
 
     #[test]
@@ -109,7 +111,8 @@ mod tests {
     #[should_panic(expected = "input geometry")]
     fn wrong_geometry_rejected() {
         let (xm, _) = setup(4);
-        let bad = QTensor::from_vec(Shape4::new(1, 1, 8, 8), vec![0; 64], xm.qgraph.input_fp);
+        let bad =
+            QTensor::from_vec(Shape4::new(1, 1, 8, 8), vec![0; 64], xm.qgraph.module().input_fp);
         run(&xm, &bad, &mut xm.lowered().make_scratch_i8());
     }
 }

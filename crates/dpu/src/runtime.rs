@@ -21,7 +21,7 @@ use crate::perf::frame_cost;
 use crate::power::{PowerInputs, Zcu104Power};
 use crate::xmodel::XModel;
 use rand::{Rng, SeedableRng};
-use seneca_backend::{Backend, InferenceEngine, InferenceSession, Prediction, SessionConfig};
+use seneca_backend::{Backend, InferenceEngine, InferenceSession, Prediction};
 use seneca_hwsim::{simulate_closed_pipeline, Resource, StageSpec};
 use seneca_ir::QScratch;
 use seneca_tensor::{QTensor, Tensor};
@@ -162,7 +162,7 @@ impl DpuRunner {
 
     /// The streaming session over this runner's worker pool.
     fn session(&self) -> InferenceSession<'_, Self> {
-        InferenceSession::new(self, SessionConfig::new(self.config.threads))
+        InferenceSession::new(self, self.config.threads)
     }
 }
 
@@ -234,8 +234,8 @@ mod tests {
 
     /// What the quantized graph computes for `img`, per the naive oracle.
     fn oracle(xm: &XModel, img: &Tensor) -> QTensor {
-        seneca_ir::oracle::run_i8(&xm.qgraph.to_ir(), &xm.quantize_input(img))
-            .swap_remove(xm.qgraph.output)
+        let m = xm.qgraph.module();
+        seneca_ir::oracle::run_i8(m, &xm.quantize_input(img)).swap_remove(m.output)
     }
 
     #[test]

@@ -74,7 +74,7 @@ impl XModel {
     /// The input scale factor `2^fix_pos` stored by the compiler: multiply
     /// preprocessed `[-1, 1]` pixels by this and round to get INT8 input.
     pub fn input_scale(&self) -> f32 {
-        (self.qgraph.input_fp as f32).exp2()
+        (self.qgraph.module().input_fp as f32).exp2()
     }
 
     /// Quantises one preprocessed FP32 image for submission.
@@ -133,7 +133,7 @@ mod tests {
     #[test]
     fn input_scale_matches_fix_pos() {
         let xm = tiny_xmodel();
-        assert_eq!(xm.input_scale(), (xm.qgraph.input_fp as f32).exp2());
+        assert_eq!(xm.input_scale(), (xm.qgraph.module().input_fp as f32).exp2());
     }
 
     #[test]
@@ -153,5 +153,14 @@ mod tests {
         assert_eq!(xm.instrs, xm2.instrs);
         assert_eq!(xm.stats, xm2.stats);
         assert_eq!(xm.name, xm2.name);
+        // The functional payload survives too: one frame, the same bytes.
+        let frame = Tensor::he_normal(xm.input_shape, &mut rand::rngs::StdRng::seed_from_u64(2));
+        let run = |m: &XModel| {
+            let mut scratch = m.lowered().make_scratch_i8();
+            crate::executor::run(m, &m.quantize_input(&frame), &mut scratch).to_qtensor()
+        };
+        assert_eq!(run(&xm), run(&xm2));
+        // A payload edited into something the quantizer never emits is refused.
+        assert!(XModel::from_json(&j.replacen("\"MaxPool2x2\"", "\"Relu\"", 1)).is_err());
     }
 }

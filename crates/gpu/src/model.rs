@@ -1,6 +1,7 @@
 //! Analytic GPU timing and power model.
 
-use seneca_nn::graph::{Graph, Op};
+use seneca_ir::IrOp;
+use seneca_nn::graph::Graph;
 use seneca_tensor::Shape4;
 use serde::{Deserialize, Serialize};
 
@@ -59,34 +60,33 @@ impl GpuModel {
     /// Dropout/softmax/BN run as (cheap) kernels too — TensorFlow executes
     /// them unfused in the baseline — so they pay launch overhead.
     pub fn frame_time_ns(&self, graph: &Graph, input: Shape4) -> f64 {
-        let shapes = graph.shapes(input);
+        let m = graph.module();
+        let shapes = m.shapes(input);
         let mut total = 0.0;
-        for (i, node) in graph.nodes.iter().enumerate() {
+        for (i, node) in m.nodes.iter().enumerate() {
             match &node.op {
-                Op::Input => {}
-                Op::Conv { w, .. } => {
-                    let out = shapes[i];
-                    let flops = 2.0 * out.hw() as f64 * w.shape().len() as f64;
-                    let bytes =
-                        4.0 * (shapes[node.inputs[0]].len() + out.len() + w.shape().len()) as f64;
-                    total += self.layer_time_ns(flops, bytes, w.shape().c, w.shape().n);
+                IrOp::Input => {}
+                IrOp::Conv(a) | IrOp::TConv(a) => {
+                    let t = matches!(node.op, IrOp::TConv(_));
+                    let (c_in, c_out) = (a.kernel.c_in(t), a.kernel.c_out(t));
+                    let weights = c_in * c_out * if t { 4 } else { 9 };
+                    let (inp, out) = (shapes[node.inputs[0]], shapes[i]);
+                    // A conv computes per output pixel, a tconv per input pixel.
+                    let pixels = if t { inp.hw() } else { out.hw() };
+                    let flops = 2.0 * pixels as f64 * weights as f64;
+                    let bytes = 4.0 * (inp.len() + out.len() + weights) as f64;
+                    total += self.layer_time_ns(flops, bytes, c_in, c_out);
                 }
-                Op::TConv { w, .. } => {
-                    let inp = shapes[node.inputs[0]];
-                    let flops = 2.0 * inp.hw() as f64 * w.shape().len() as f64;
-                    let bytes = 4.0 * (inp.len() + shapes[i].len() + w.shape().len()) as f64;
-                    total += self.layer_time_ns(flops, bytes, w.shape().n, w.shape().c);
-                }
-                Op::BatchNorm { .. } | Op::Relu | Op::MaxPool2x2 | Op::Softmax => {
+                IrOp::BatchNorm { .. }
+                | IrOp::Relu
+                | IrOp::MaxPool2x2
+                | IrOp::Softmax
+                | IrOp::Concat { .. } => {
                     // Memory-bound elementwise kernel.
                     let bytes = 4.0 * 2.0 * shapes[i].len() as f64;
                     total += (bytes / self.mem_gbps) + self.launch_overhead_ns;
                 }
-                Op::Concat => {
-                    let bytes = 4.0 * 2.0 * shapes[i].len() as f64;
-                    total += (bytes / self.mem_gbps) + self.launch_overhead_ns;
-                }
-                Op::Dropout { .. } => {
+                IrOp::Dropout { .. } => {
                     // Identity at inference: TF prunes it from the session.
                 }
             }

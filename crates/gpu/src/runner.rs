@@ -76,7 +76,7 @@ impl GpuRunner {
 
 impl Backend for GpuRunner {
     fn name(&self) -> String {
-        format!("gpu/{}", self.graph.name)
+        format!("gpu/{}", self.graph.module().name)
     }
 
     fn infer_batch(&self, images: &[Tensor]) -> Vec<Prediction> {

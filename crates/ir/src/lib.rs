@@ -1,15 +1,16 @@
 //! # seneca-ir
 //!
 //! The typed graph IR at the centre of the SENECA reproduction: one node
-//! vocabulary ([`Module`]) with explicit dtype and quantisation attributes,
-//! a rewrite-pass pipeline ([`passes`]: BN fold or exact BN carry → ReLU
-//! fusion → identity strip → pack-slot assignment), and a single lowering
-//! path ([`lower`])
-//! that ends in liveness planning ([`ExecPlan`]).
+//! vocabulary ([`IrOp`], in a [`Module`]) with explicit dtype and
+//! quantisation attributes, a rewrite-pass pipeline ([`passes`]: BN fold or
+//! exact BN carry → ReLU fusion → identity strip → pack-slot assignment), and
+//! a single lowering path ([`lower`]) that ends in liveness planning
+//! ([`ExecPlan`]).
 //!
-//! The FP32 executor, the bit-exact INT8 executor and the DPU compiler all
-//! lower through this crate — there is exactly one shape-inference walk,
-//! one ICP-padding hook, one planner and one executor loop, where the
+//! The trained graph and the quantized graph are [`Module`]s, and the FP32
+//! executor, the bit-exact INT8 executor and the DPU compiler all lower
+//! through this crate — there is exactly one shape-inference walk, one
+//! ICP-padding hook, one planner and one executor loop, where the
 //! pre-refactor code kept a parallel node-walk implementation per graph
 //! type. Weight tensors are immutable at inference, so the pack-slot pass
 //! packs their GEMM panels once at model load; per frame only activation
@@ -35,4 +36,4 @@ pub use passes::{
 };
 pub use plan::ExecPlan;
 pub use seneca_tensor::quantized::Bitwidth;
-pub use shape::{infer_shapes, infer_shapes_ops, ShapeOp};
+pub use shape::infer_shapes;

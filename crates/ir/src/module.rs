@@ -1,12 +1,14 @@
 //! The typed graph IR: one node vocabulary for every SENECA executor.
 //!
 //! A [`Module`] is a single-input / single-output DAG in topological order,
-//! tagged with an explicit element dtype ([`DType`]). The FP32 inference
-//! graph, the quantized INT8 graph and the DPU compiler all convert into
-//! this one representation, run the same rewrite passes
-//! ([`crate::passes`]) and lower through the same planner
-//! ([`crate::plan::ExecPlan`]) — fusion and layout knowledge lives here
-//! once instead of per-executor.
+//! tagged with an explicit element dtype ([`DType`]). The trained FP32
+//! graph (`seneca_nn::Graph`) and the quantized INT8 graph
+//! (`seneca_quant::QuantizedGraph`) *are* modules — each a typed holder of
+//! one, checking the subset of [`IrOp`] its stage allows — so they run the
+//! same rewrite passes ([`crate::passes`]), the DPU compiler reads the same
+//! nodes, and everything lowers through the same planner
+//! ([`crate::plan::ExecPlan`]): fusion and layout knowledge lives here once
+//! instead of per-executor.
 //!
 //! Conv/TConv nodes carry their kernel as a [`ConvKernel`]: FP32 weights
 //! plus bias, or INT8 weights plus accumulator-scale bias and the fix
@@ -115,6 +117,21 @@ impl ConvKernel {
             ConvKernel::F32 { .. } => Bitwidth::W8,
         }
     }
+
+    /// Deployed parameter bytes of an INT8 kernel: nibble-packed weights for
+    /// W4, one byte per weight for W8, plus the INT32 bias words. Panics on
+    /// an FP32 kernel.
+    pub fn weight_bytes(&self) -> u64 {
+        let ConvKernel::I8 { w, bias, wbits, .. } = self else {
+            panic!("weight_bytes() on an FP32 kernel")
+        };
+        let elems = w.shape().len();
+        let w_bytes = match wbits {
+            Bitwidth::W8 => elems,
+            Bitwidth::W4 => elems.div_ceil(2),
+        };
+        (w_bytes + 4 * bias.len()) as u64
+    }
 }
 
 /// Layout of one pre-packed weight-panel slot, recorded at pack-slot
@@ -156,6 +173,13 @@ pub struct ConvAttrs {
     /// format of this node's pre-packed weight panels in the lowered
     /// program. `None` until the pass runs (weights then pack per call).
     pub pack: Option<PackSlot>,
+}
+
+impl ConvAttrs {
+    /// An unfused node: no ReLU in the store, no pack slot yet.
+    pub fn new(kernel: ConvKernel) -> Self {
+        Self { kernel, relu: false, pack: None }
+    }
 }
 
 /// Requantisation attributes of an INT8 concat.
@@ -275,6 +299,30 @@ impl Module {
         self.nodes.push(IrNode { op, inputs });
         self.output = self.nodes.len() - 1;
         self.output
+    }
+
+    /// Checks what every executor assumes of a module: node 0 is the only
+    /// [`IrOp::Input`], each node reads earlier nodes only and as many as its
+    /// op takes, and the output is a node. The typed holders of a module run
+    /// this when they take one over (deserialisation included).
+    pub fn check_structure(&self) -> Result<(), String> {
+        for (i, node) in self.nodes.iter().enumerate() {
+            let arity = match node.op {
+                IrOp::Input => 0,
+                IrOp::Concat { .. } => 2,
+                _ => 1,
+            };
+            if (i == 0) != matches!(node.op, IrOp::Input)
+                || node.inputs.len() != arity
+                || node.inputs.iter().any(|&j| j >= i)
+            {
+                return Err(format!("node {i} ({}) is malformed", node.op.mnemonic(self.dtype)));
+            }
+        }
+        if self.output >= self.nodes.len() {
+            return Err(format!("output {} is not a node", self.output));
+        }
+        Ok(())
     }
 
     /// Infers every node's output shape for a given input shape. Panics on

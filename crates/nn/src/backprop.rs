@@ -12,8 +12,9 @@
 //!
 //! Nothing here knows the U-Net's shape: any graph of these ops trains.
 
-use crate::graph::{Graph, Op};
+use crate::graph::{export_kernel, Graph};
 use rand::Rng;
+use seneca_ir::IrOp;
 use seneca_tensor::activation::softmax_channels_backward;
 use seneca_tensor::norm::BnCache;
 use seneca_tensor::pool::PoolOut;
@@ -97,24 +98,25 @@ impl Graph {
     /// statistics and draws dropout masks from `rng` in node order.
     ///
     /// Panics on a max-pool input with odd height or width (a U-Net input
-    /// must be divisible by `2^depth`), and on a conv with a fused ReLU:
-    /// training runs on the unfused graph.
+    /// must be divisible by `2^depth`), and on what the exporter never emits
+    /// (an INT8 kernel or concat, a carried BatchNorm, a fused ReLU, a pack
+    /// slot): training runs on the unfused FP32 graph.
     pub fn forward_train<R: Rng>(&mut self, x: &Tensor, rng: &mut R) -> Tape {
-        let mut saved: Vec<Saved> = Vec::with_capacity(self.nodes.len());
-        for node in &mut self.nodes {
+        let mut saved: Vec<Saved> = Vec::with_capacity(self.module.nodes.len());
+        for node in &mut self.module.nodes {
             let arg = |k: usize| saved[node.inputs[k]].out();
             let s = match &mut node.op {
-                Op::Input => Saved::Out(x.clone()),
-                Op::Conv { w, b, relu } => {
-                    assert!(!*relu, "training runs on the unfused graph");
+                IrOp::Input => Saved::Out(x.clone()),
+                IrOp::Conv(a) => {
+                    let (w, b) = export_kernel(a);
                     Saved::Out(conv2d(arg(0), w, b, Conv2dParams::SAME_3X3))
                 }
-                Op::BatchNorm { bn } => {
+                IrOp::BatchNorm { bn } => {
                     let (y, cache) = batchnorm_forward(arg(0), bn);
                     Saved::Bn(y, cache)
                 }
-                Op::Relu => Saved::Out(relu(arg(0))),
-                Op::MaxPool2x2 => {
+                IrOp::Relu => Saved::Out(relu(arg(0))),
+                IrOp::MaxPool2x2 => {
                     let s = arg(0).shape();
                     assert!(
                         s.h.is_multiple_of(2) && s.w.is_multiple_of(2),
@@ -122,59 +124,66 @@ impl Graph {
                     );
                     Saved::Pool(maxpool2x2(arg(0)))
                 }
-                Op::TConv { w, b } => Saved::Out(tconv2x2(arg(0), w, b)),
-                Op::Concat => Saved::Out(Tensor::concat_channels(arg(0), arg(1))),
-                Op::Dropout { rate } => {
+                IrOp::TConv(a) => {
+                    let (w, b) = export_kernel(a);
+                    Saved::Out(tconv2x2(arg(0), w, b))
+                }
+                IrOp::Concat { requant: None } => {
+                    Saved::Out(Tensor::concat_channels(arg(0), arg(1)))
+                }
+                IrOp::Concat { requant: Some(_) } => panic!("training runs on the FP32 graph"),
+                IrOp::Dropout { rate } => {
                     let (y, mask) = dropout(arg(0), *rate, rng);
                     Saved::Dropout(y, mask)
                 }
-                Op::Softmax => Saved::Out(softmax_channels(arg(0))),
+                IrOp::Softmax => Saved::Out(softmax_channels(arg(0))),
             };
             saved.push(s);
         }
-        Tape { saved, output: self.output }
+        Tape { saved, output: self.module.output }
     }
 
     /// The reverse walk: from `dy` (the loss gradient w.r.t. the graph
     /// output) back to every parameter and the input. `tape` must come from
     /// [`Graph::forward_train`] on this graph.
     pub fn backward(&self, tape: &Tape, dy: &Tensor) -> Grads {
-        let mut douts: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
-        douts[self.output] = Some(dy.clone());
+        let mut douts: Vec<Option<Tensor>> = vec![None; self.module.nodes.len()];
+        douts[self.module.output] = Some(dy.clone());
         let mut params = BTreeMap::new();
-        for (id, node) in self.nodes.iter().enumerate().rev() {
+        for (id, node) in self.module.nodes.iter().enumerate().rev() {
             let Some(g) = douts[id].take() else { continue };
             let arg = |k: usize| tape.saved[node.inputs[k]].out();
             let dxs = match (&node.op, &tape.saved[id]) {
-                (Op::Input, _) => return Grads { params, input: g },
-                (Op::Conv { w, .. }, _) => {
-                    let gr = conv2d_backward(arg(0), w, &g, Conv2dParams::SAME_3X3);
+                (IrOp::Input, _) => return Grads { params, input: g },
+                (IrOp::Conv(a), _) => {
+                    let gr =
+                        conv2d_backward(arg(0), export_kernel(a).0, &g, Conv2dParams::SAME_3X3);
                     params.insert(id, [gr.dw.into_vec(), gr.db]);
                     vec![gr.dx]
                 }
-                (Op::BatchNorm { bn }, Saved::Bn(_, cache)) => {
+                (IrOp::BatchNorm { bn }, Saved::Bn(_, cache)) => {
                     let gr = batchnorm_backward(bn, cache, &g);
                     params.insert(id, [gr.dgamma, gr.dbeta]);
                     vec![gr.dx]
                 }
-                (Op::Relu, _) => vec![relu_backward(arg(0), &g)],
-                (Op::MaxPool2x2, Saved::Pool(pool)) => {
+                (IrOp::Relu, _) => vec![relu_backward(arg(0), &g)],
+                (IrOp::MaxPool2x2, Saved::Pool(pool)) => {
                     vec![maxpool2x2_backward(arg(0).shape(), pool, &g)]
                 }
-                (Op::TConv { w, .. }, _) => {
-                    let gr = tconv2x2_backward(arg(0), w, &g);
+                (IrOp::TConv(a), _) => {
+                    let gr = tconv2x2_backward(arg(0), export_kernel(a).0, &g);
                     params.insert(id, [gr.dw.into_vec(), gr.db]);
                     vec![gr.dx]
                 }
-                (Op::Concat, _) => {
+                (IrOp::Concat { .. }, _) => {
                     let (a, b) = g.split_channels(arg(0).shape().c);
                     vec![a, b]
                 }
-                (Op::Dropout { rate }, Saved::Dropout(_, mask)) => match mask {
+                (IrOp::Dropout { rate }, Saved::Dropout(_, mask)) => match mask {
                     Some(mask) => vec![apply_mask(g, mask, 1.0 / (1.0 - rate))],
                     None => vec![g],
                 },
-                (Op::Softmax, Saved::Out(y)) => vec![softmax_channels_backward(y, &g)],
+                (IrOp::Softmax, Saved::Out(y)) => vec![softmax_channels_backward(y, &g)],
                 _ => unreachable!("tape does not come from this graph"),
             };
             for (&i, dx) in node.inputs.iter().zip(dxs) {
@@ -226,9 +235,10 @@ mod tests {
         let x = Tensor::he_normal(Shape4::new(1, 1, 8, 8), &mut rng);
         let tape = g.forward_train(&x, &mut rng);
         let grads = g.backward(&tape, tape.output());
-        let param_nodes: Vec<usize> = (0..g.nodes.len())
+        let nodes = &g.module().nodes;
+        let param_nodes: Vec<usize> = (0..nodes.len())
             .filter(|&i| {
-                matches!(g.nodes[i].op, Op::Conv { .. } | Op::TConv { .. } | Op::BatchNorm { .. })
+                matches!(nodes[i].op, IrOp::Conv(_) | IrOp::TConv(_) | IrOp::BatchNorm { .. })
             })
             .collect();
         // encoders 2 × 2 blocks, bottleneck 2, decoders 2 × 2 blocks: 10 conv
@@ -251,7 +261,7 @@ mod tests {
     fn dropout_keeps_the_expectation_and_backward_reuses_the_mask() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(42);
         let mut g = Graph::new("d");
-        g.push(Op::Dropout { rate: 0.3 }, vec![0]);
+        g.push(IrOp::Dropout { rate: 0.3 }, vec![0]);
         let x = Tensor::full(Shape4::new(1, 1, 64, 64), 1.0);
         let tape = g.forward_train(&x, &mut rng);
         let y = tape.output();
@@ -263,7 +273,7 @@ mod tests {
             assert_eq!(*yv == 0.0, *dxv == 0.0, "mask mismatch between forward and backward");
         }
         // Rate 0 draws nothing and passes values and gradients through.
-        g.nodes[1].op = Op::Dropout { rate: 0.0 };
+        g.module.nodes[1].op = IrOp::Dropout { rate: 0.0 };
         let before = rng.clone().gen::<u64>();
         let tape = g.forward_train(&x, &mut rng);
         assert_eq!(rng.gen::<u64>(), before);

@@ -4,117 +4,99 @@
 //! single-input / single-output DAG, trained in place by the reverse walk of
 //! [`crate::backprop`], and then handed to the quantizer (`seneca-quant`) and
 //! the DPU compiler (`seneca-dpu`) — mirroring how one TensorFlow graph is
-//! trained and then flows into the Vitis AI quantizer and VAI_C. It
-//! deliberately keeps BatchNorm and Dropout as *separate nodes*: training
-//! needs them explicit, and the tools demonstrate folding/removal.
+//! trained and then flows into the Vitis AI quantizer and VAI_C.
 //!
-//! Inference never runs the graph itself: it lowers through `seneca-ir`.
-//! [`Graph::to_ir`] converts into the typed IR [`seneca_ir::Module`], whose
-//! pass pipeline and planned executor run it. Shape inference delegates to
-//! the same IR pass.
+//! The graph *is* a [`seneca_ir::Module`]: [`Graph`] is a typed holder of an
+//! FP32 module in the form the exporter writes it — BatchNorm, ReLU, Dropout
+//! and Softmax as separate nodes (training needs them explicit, the tools
+//! demonstrate folding/removal), every conv with an FP32 kernel, no carried
+//! BatchNorm, no fused ReLU and no pack slot. Everything that reads the
+//! graph reads [`Graph::module`]; inference lowers [`Graph::to_ir`] through
+//! `seneca-ir`'s pass pipeline and planned executor.
 
 use crate::unet::{ConvBlock, UNet};
-use seneca_ir::shape::{infer_shapes_ops, ShapeOp};
 use seneca_ir::{ConvAttrs, ConvKernel, DType, IrOp, Module};
-use seneca_tensor::norm::BnState;
 use seneca_tensor::{Shape4, Tensor};
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::sync::Arc;
 
-/// Graph operation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub enum Op {
-    /// Graph input placeholder (exactly one, always node 0).
-    Input,
-    /// 3x3 stride-1 pad-1 convolution with optional fused ReLU.
-    Conv {
-        /// Weights `[C_out, C_in, 3, 3]` (shared with the IR modules lowered
-        /// from this graph, see [`Graph::to_ir`]).
-        w: Arc<Tensor>,
-        /// Bias (may be empty).
-        b: Vec<f32>,
-        /// Fused ReLU flag (set by the compiler's fusion pass, not the exporter).
-        relu: bool,
-    },
-    /// Batch normalisation: batch statistics in training (which update the
-    /// running ones), running statistics at inference.
-    BatchNorm {
-        /// BN parameters.
-        bn: BnState,
-    },
-    /// Standalone ReLU.
-    Relu,
-    /// 2x2 stride-2 max pool.
-    MaxPool2x2,
-    /// 2x2 stride-2 transpose convolution.
-    TConv {
-        /// Weights `[C_in, C_out, 2, 2]` (shared like [`Op::Conv`]'s).
-        w: Arc<Tensor>,
-        /// Bias.
-        b: Vec<f32>,
-    },
-    /// Channel concatenation of the two inputs (first, second).
-    Concat,
-    /// Dropout (training artifact; identity at inference, removed by VAI_C).
-    Dropout {
-        /// Drop rate recorded for provenance.
-        rate: f32,
-    },
-    /// Channel-wise softmax.
-    Softmax,
+/// The trained graph: an FP32 [`Module`] holding only export nodes (see the
+/// module docs). Serialises as the module itself.
+#[derive(Debug, Clone)]
+pub struct Graph {
+    pub(crate) module: Module,
 }
 
-impl Op {
-    /// Short mnemonic for logs and compiler listings.
-    pub fn mnemonic(&self) -> &'static str {
-        match self {
-            Op::Input => "input",
-            Op::Conv { .. } => "conv3x3",
-            Op::BatchNorm { .. } => "batchnorm",
-            Op::Relu => "relu",
-            Op::MaxPool2x2 => "maxpool2x2",
-            Op::TConv { .. } => "tconv2x2",
-            Op::Concat => "concat",
-            Op::Dropout { .. } => "dropout",
-            Op::Softmax => "softmax",
-        }
+/// The FP32 weights and bias of an export conv / tconv. Panics on what the
+/// exporter never emits: an INT8 kernel, a carried BatchNorm, a fused ReLU
+/// or a pack slot.
+pub(crate) fn export_kernel(a: &ConvAttrs) -> (&Arc<Tensor>, &Vec<f32>) {
+    match a {
+        ConvAttrs { kernel: ConvKernel::F32 { w, b, bn: None }, relu: false, pack: None } => (w, b),
+        _ => panic!("not an export conv: {a:?}"),
     }
 }
 
-/// A node: an operation plus the ids of its input nodes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Node {
-    /// The operation.
-    pub op: Op,
-    /// Input node ids (empty for `Input`, two for `Concat`, else one).
-    pub inputs: Vec<usize>,
+/// [`export_kernel`], mutably.
+pub(crate) fn export_kernel_mut(a: &mut ConvAttrs) -> (&mut Arc<Tensor>, &mut Vec<f32>) {
+    match a {
+        ConvAttrs { kernel: ConvKernel::F32 { w, b, bn: None }, relu: false, pack: None } => (w, b),
+        _ => panic!("not an export conv: {a:?}"),
+    }
 }
 
-/// A single-input, single-output inference DAG in topological order.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Graph {
-    /// Nodes; `nodes[0]` is always [`Op::Input`], ids are vector indices.
-    pub nodes: Vec<Node>,
-    /// Id of the output node.
-    pub output: usize,
-    /// Human-readable name (model label).
-    pub name: String,
+/// Whether `op` may be a node of the export graph.
+fn is_export_op(op: &IrOp) -> bool {
+    match op {
+        IrOp::Conv(a) | IrOp::TConv(a) => matches!(
+            a,
+            ConvAttrs { kernel: ConvKernel::F32 { bn: None, .. }, relu: false, pack: None }
+        ),
+        IrOp::Concat { requant } => requant.is_none(),
+        _ => true,
+    }
+}
+
+impl TryFrom<Module> for Graph {
+    type Error = String;
+
+    /// Takes over a module that is an export graph: well-formed, FP32, and
+    /// holding only export nodes.
+    fn try_from(module: Module) -> Result<Self, String> {
+        module.check_structure()?;
+        if module.dtype != DType::F32 {
+            return Err("the trained graph is an FP32 module".into());
+        }
+        if let Some(n) = module.nodes.iter().position(|n| !is_export_op(&n.op)) {
+            return Err(format!("node {n} is not an export node: {:?}", module.nodes[n].op));
+        }
+        Ok(Self { module })
+    }
+}
+
+impl Serialize for Graph {
+    fn to_value(&self) -> Value {
+        self.module.to_value()
+    }
+}
+
+impl Deserialize for Graph {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        Graph::try_from(Module::from_value(v)?).map_err(DeError::new)
+    }
 }
 
 impl Graph {
     /// Creates an empty graph containing only the input node.
     pub fn new(name: impl Into<String>) -> Self {
-        Self { nodes: vec![Node { op: Op::Input, inputs: vec![] }], output: 0, name: name.into() }
+        Self { module: Module::new(name, DType::F32) }
     }
 
-    /// Appends a node and returns its id.
-    pub fn push(&mut self, op: Op, inputs: Vec<usize>) -> usize {
-        for &i in &inputs {
-            assert!(i < self.nodes.len(), "forward reference in graph");
-        }
-        self.nodes.push(Node { op, inputs });
-        self.output = self.nodes.len() - 1;
-        self.output
+    /// Appends a node and returns its id. Rejects forward references and
+    /// nodes the exporter never emits.
+    pub fn push(&mut self, op: IrOp, inputs: Vec<usize>) -> usize {
+        assert!(is_export_op(&op), "not an export node: {op:?}");
+        self.module.push(op, inputs)
     }
 
     /// Exports a U-Net into graph form (BN and dropout kept explicit). Node
@@ -125,14 +107,14 @@ impl Graph {
         let mut cur = 0usize;
         let mut skips = Vec::new();
         let rate = net.config.dropout;
+        let kernel = |w: &Tensor, b: &[f32]| {
+            ConvAttrs::new(ConvKernel::F32 { w: w.clone().into(), b: b.to_vec(), bn: None })
+        };
         let push_block = |g: &mut Graph, cur: usize, blk: &ConvBlock| -> usize {
-            let mut id = g.push(
-                Op::Conv { w: blk.w.clone().into(), b: blk.b.clone(), relu: false },
-                vec![cur],
-            );
+            let mut id = g.push(IrOp::Conv(kernel(&blk.w, &blk.b)), vec![cur]);
             if let Some(bn) = &blk.bn {
-                id = g.push(Op::BatchNorm { bn: bn.clone() }, vec![id]);
-                id = g.push(Op::Relu, vec![id]);
+                id = g.push(IrOp::BatchNorm { bn: bn.clone() }, vec![id]);
+                id = g.push(IrOp::Relu, vec![id]);
             }
             id
         };
@@ -140,112 +122,74 @@ impl Graph {
             cur = push_block(&mut g, cur, &e.conv1);
             cur = push_block(&mut g, cur, &e.conv2);
             skips.push(cur);
-            cur = g.push(Op::MaxPool2x2, vec![cur]);
-            cur = g.push(Op::Dropout { rate }, vec![cur]);
+            cur = g.push(IrOp::MaxPool2x2, vec![cur]);
+            cur = g.push(IrOp::Dropout { rate }, vec![cur]);
         }
         cur = push_block(&mut g, cur, &net.bneck1);
         cur = push_block(&mut g, cur, &net.bneck2);
         for (di, d) in net.decoders.iter().enumerate() {
             let skip = skips[net.config.depth - 1 - di];
-            let up = g.push(Op::TConv { w: d.up.w.clone().into(), b: d.up.b.clone() }, vec![cur]);
-            cur = g.push(Op::Concat, vec![skip, up]);
+            let up = g.push(IrOp::TConv(kernel(&d.up.w, &d.up.b)), vec![cur]);
+            cur = g.push(IrOp::Concat { requant: None }, vec![skip, up]);
             cur = push_block(&mut g, cur, &d.conv1);
             cur = push_block(&mut g, cur, &d.conv2);
-            cur = g.push(Op::Dropout { rate }, vec![cur]);
+            cur = g.push(IrOp::Dropout { rate }, vec![cur]);
         }
         cur = push_block(&mut g, cur, &net.head);
-        g.push(Op::Softmax, vec![cur]);
+        g.push(IrOp::Softmax, vec![cur]);
         g
+    }
+
+    /// The held module: what every reader of the graph walks.
+    pub fn module(&self) -> &Module {
+        &self.module
+    }
+
+    /// A copy of the held module for the pass pipeline and the lowering. The
+    /// copy shares this graph's weight tensors (no weight copy).
+    pub fn to_ir(&self) -> Module {
+        self.module.clone()
     }
 
     /// The trainable tensors of node `id`: `[W, b]` of a conv or tconv,
     /// `[γ, β]` of a BatchNorm, `None` for every other op. A weight still
     /// shared with a lowered module or a graph clone is copied first.
     pub fn params_mut(&mut self, id: usize) -> Option<[&mut [f32]; 2]> {
-        match &mut self.nodes[id].op {
-            Op::Conv { w, b, .. } | Op::TConv { w, b } => Some([Arc::make_mut(w).data_mut(), b]),
-            Op::BatchNorm { bn } => Some([&mut bn.gamma, &mut bn.beta]),
+        match &mut self.module.nodes[id].op {
+            IrOp::Conv(a) | IrOp::TConv(a) => {
+                let (w, b) = export_kernel_mut(a);
+                Some([Arc::make_mut(w).data_mut(), b])
+            }
+            IrOp::BatchNorm { bn } => Some([&mut bn.gamma, &mut bn.beta]),
             _ => None,
         }
     }
 
-    /// Infers every node's output shape for a given input shape (delegates
-    /// to the IR shape-inference pass — one walk for every graph type).
-    pub fn shapes(&self, input: Shape4) -> Vec<Shape4> {
-        let ops: Vec<(ShapeOp, &[usize])> = self
-            .nodes
-            .iter()
-            .map(|node| {
-                let op = match &node.op {
-                    Op::Input => ShapeOp::Input,
-                    Op::Conv { w, .. } => ShapeOp::Conv { c_in: w.shape().c, c_out: w.shape().n },
-                    Op::TConv { w, .. } => ShapeOp::TConv { c_in: w.shape().n, c_out: w.shape().c },
-                    Op::BatchNorm { .. } | Op::Relu | Op::Dropout { .. } | Op::Softmax => {
-                        ShapeOp::PassThrough
-                    }
-                    Op::MaxPool2x2 => ShapeOp::MaxPool2x2,
-                    Op::Concat => ShapeOp::Concat,
-                };
-                (op, node.inputs.as_slice())
-            })
-            .collect();
-        infer_shapes_ops(&ops, DType::F32, input)
-    }
-
-    /// Converts the export graph into the typed IR. Node ids are preserved
-    /// one-to-one; every downstream executor (FP32 host, GPU baseline) and
-    /// the quantizer frontend lower from the returned [`Module`]. The module
-    /// shares this graph's weight tensors (no copy).
-    pub fn to_ir(&self) -> Module {
-        let mut m = Module::new(self.name.clone(), DType::F32);
-        for node in self.nodes.iter().skip(1) {
-            let op = match &node.op {
-                Op::Input => unreachable!("input is always node 0"),
-                Op::Conv { w, b, relu } => IrOp::Conv(ConvAttrs {
-                    kernel: ConvKernel::F32 { w: Arc::clone(w), b: b.clone(), bn: None },
-                    relu: *relu,
-                    pack: None,
-                }),
-                Op::BatchNorm { bn } => IrOp::BatchNorm { bn: bn.clone() },
-                Op::Relu => IrOp::Relu,
-                Op::MaxPool2x2 => IrOp::MaxPool2x2,
-                Op::TConv { w, b } => IrOp::TConv(ConvAttrs {
-                    kernel: ConvKernel::F32 { w: Arc::clone(w), b: b.clone(), bn: None },
-                    relu: false,
-                    pack: None,
-                }),
-                Op::Concat => IrOp::Concat { requant: None },
-                Op::Dropout { rate } => IrOp::Dropout { rate: *rate },
-                Op::Softmax => IrOp::Softmax,
-            };
-            m.push(op, node.inputs.clone());
-        }
-        m.output = self.output;
-        m
+    /// Every conv / tconv weight tensor in node order, each copied first if
+    /// still shared (the quantization-aware training hook projects them).
+    pub fn weights_mut(&mut self) -> impl Iterator<Item = &mut Tensor> {
+        self.module.nodes.iter_mut().filter_map(|n| match &mut n.op {
+            IrOp::Conv(a) | IrOp::TConv(a) => Some(Arc::make_mut(export_kernel_mut(a).0)),
+            _ => None,
+        })
     }
 
     /// Multiply-accumulate count per node for a given input shape (conv,
     /// tconv only; other ops are counted as zero-MAC).
     pub fn macs(&self, input: Shape4) -> Vec<u64> {
-        let shapes = self.shapes(input);
-        self.nodes
+        let shapes = self.module.shapes(input);
+        self.module
+            .nodes
             .iter()
             .enumerate()
             .map(|(i, node)| match &node.op {
-                Op::Conv { w, .. } => shapes[i].hw() as u64 * w.shape().len() as u64,
-                Op::TConv { w, .. } => shapes[node.inputs[0]].hw() as u64 * w.shape().len() as u64,
+                IrOp::Conv(a) => shapes[i].hw() as u64 * export_kernel(a).0.shape().len() as u64,
+                IrOp::TConv(a) => {
+                    shapes[node.inputs[0]].hw() as u64 * export_kernel(a).0.shape().len() as u64
+                }
                 _ => 0,
             })
             .collect()
-    }
-
-    /// Number of nodes per mnemonic (compiler statistics helper).
-    pub fn op_histogram(&self) -> std::collections::BTreeMap<&'static str, usize> {
-        let mut h = std::collections::BTreeMap::new();
-        for n in &self.nodes {
-            *h.entry(n.op.mnemonic()).or_insert(0) += 1;
-        }
-        h
     }
 }
 
@@ -266,7 +210,7 @@ mod tests {
     fn graph_structure_counts() {
         let net = tiny_net(6);
         let g = Graph::from_unet(&net, "tiny");
-        let h = g.op_histogram();
+        let h = g.module().op_histogram();
         // depth 2: enc 2*2 convs + bneck 2 + dec 2*2 convs + head = 11 convs.
         assert_eq!(h["conv3x3"], 11);
         assert_eq!(h["tconv2x2"], 2);
@@ -281,10 +225,10 @@ mod tests {
     #[test]
     fn shapes_propagate() {
         let net = tiny_net(7);
-        let g = Graph::from_unet(&net, "tiny");
-        let shapes = g.shapes(Shape4::new(1, 1, 32, 32));
+        let m = Graph::from_unet(&net, "tiny").to_ir();
+        let shapes = m.shapes(Shape4::new(1, 1, 32, 32));
         assert_eq!(shapes[0], Shape4::new(1, 1, 32, 32));
-        assert_eq!(shapes[g.output], Shape4::new(1, 6, 32, 32));
+        assert_eq!(shapes[m.output], Shape4::new(1, 6, 32, 32));
     }
 
     #[test]
@@ -294,9 +238,9 @@ mod tests {
         let macs = g.macs(Shape4::new(1, 1, 32, 32));
         let total: u64 = macs.iter().sum();
         assert!(total > 0);
-        for (i, node) in g.nodes.iter().enumerate() {
+        for (i, node) in g.module().nodes.iter().enumerate() {
             match node.op {
-                Op::Conv { .. } | Op::TConv { .. } => assert!(macs[i] > 0),
+                IrOp::Conv(_) | IrOp::TConv(_) => assert!(macs[i] > 0),
                 _ => assert_eq!(macs[i], 0),
             }
         }
@@ -306,7 +250,33 @@ mod tests {
     #[should_panic(expected = "forward reference")]
     fn push_rejects_forward_references() {
         let mut g = Graph::new("bad");
-        g.push(Op::Relu, vec![7]);
+        g.push(IrOp::Relu, vec![7]);
+    }
+
+    /// An INT8 kernel, a carried BatchNorm, a fused ReLU, a pack slot or an
+    /// INT8 concat is no export node: `push` panics, and a module holding one
+    /// — a fused one, say, or a file edited to hold one — is refused.
+    #[test]
+    fn rejects_what_the_exporter_never_emits() {
+        let g = Graph::from_unet(&tiny_net(9), "tiny");
+        let mut fused = g.to_ir();
+        seneca_ir::fold_batchnorm(&mut fused);
+        seneca_ir::fuse_relu(&mut fused);
+        let err = Graph::try_from(fused).unwrap_err();
+        assert!(err.contains("not an export node"), "{err}");
+        let mut i8 = g.to_ir();
+        i8.dtype = DType::I8;
+        assert!(Graph::try_from(i8).is_err());
+        let json =
+            serde_json::to_string(&g).unwrap().replacen("\"relu\":false", "\"relu\":true", 1);
+        assert!(serde_json::from_str::<Graph>(&json).is_err());
+        let relu_conv = std::panic::catch_unwind(|| {
+            let w = Tensor::zeros(Shape4::new(1, 1, 3, 3));
+            let kernel = ConvKernel::F32 { w: w.into(), b: vec![0.0], bn: None };
+            Graph::new("bad")
+                .push(IrOp::Conv(ConvAttrs { relu: true, ..ConvAttrs::new(kernel) }), vec![0])
+        });
+        assert!(relu_conv.is_err());
     }
 
     #[test]
@@ -333,7 +303,7 @@ mod tests {
         let cfg =
             UNetConfig { depth: 4, base_filters: 8, in_channels: 1, num_classes: 6, dropout: 0.1 };
         let g = Graph::from_unet(&UNet::new(cfg, &mut rng), "m1");
-        let plan = g.to_ir().plan(Shape4::new(1, 1, 64, 64));
+        let plan = g.module().plan(Shape4::new(1, 1, 64, 64));
         assert!(plan.n_slots() < plan.n_nodes());
         assert!(
             2 * plan.peak_arena_elems() < plan.total_activation_elems(),
@@ -348,9 +318,9 @@ mod tests {
         let net = tiny_net(15);
         let g = Graph::from_unet(&net, "tiny");
         // `Module::plan` runs no rewrite passes, so ids map 1:1 onto `g`.
-        let plan = g.to_ir().plan(Shape4::new(1, 1, 32, 32));
-        for (i, node) in g.nodes.iter().enumerate() {
-            if !matches!(node.op, Op::Concat) {
+        let plan = g.module().plan(Shape4::new(1, 1, 32, 32));
+        for (i, node) in g.module().nodes.iter().enumerate() {
+            if !matches!(node.op, IrOp::Concat { .. }) {
                 continue;
             }
             // The skip input was produced long before the concat; every node
@@ -378,7 +348,7 @@ mod tests {
         // Reference lowering strips dropout identities, so the lowered module
         // is strictly smaller than the export graph.
         assert_eq!(scratch.plan().n_nodes(), lowered.module().nodes.len());
-        assert!(lowered.module().nodes.len() < g.nodes.len());
+        assert!(lowered.module().nodes.len() < g.module().nodes.len());
     }
 
     #[test]
@@ -386,6 +356,7 @@ mod tests {
         let net = tiny_net(10);
         let g = Graph::from_unet(&net, "tiny");
         let json = serde_json::to_string(&g).unwrap();
+        assert_eq!(json, serde_json::to_string(g.module()).unwrap(), "a graph is its module");
         let g2: Graph = serde_json::from_str(&json).unwrap();
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
         let x = Tensor::he_normal(Shape4::new(1, 1, 8, 8), &mut rng);

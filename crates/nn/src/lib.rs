@@ -6,9 +6,10 @@
 //!   randomly initialised network, its parameter count (reproducing the
 //!   paper's 1M…16M totals) and MACs per frame;
 //! * [`graph`] — the model graph a U-Net is exported to: the one thing that
-//!   is trained, quantized, compiled and served. Inference converts it to
-//!   `seneca-ir` via [`Graph::to_ir`] and lowers through the shared pass
-//!   pipeline and liveness planner;
+//!   is trained, quantized, compiled and served. It is an FP32
+//!   `seneca_ir::Module` ([`Graph::module`]); inference lowers a copy
+//!   ([`Graph::to_ir`]) through the shared pass pipeline and liveness
+//!   planner;
 //! * [`backprop`] — training over the graph: a forward pass that keeps every
 //!   node's output and one reverse walk with a backward step per op;
 //! * [`loss`] — the weighted Focal Tversky loss of Eq. (1)–(2), plus Dice and
@@ -33,7 +34,7 @@ pub mod unet;
 /// `seneca_nn::plan::ExecPlan` paths keep resolving.
 pub use seneca_ir::plan;
 
-pub use graph::{Graph, Node, Op};
+pub use graph::Graph;
 pub use loss::FocalTverskyLoss;
 pub use optim::{Adam, Optimizer, Sgd};
 pub use seneca_ir::ExecPlan;

@@ -149,11 +149,12 @@ impl Optimizer for Adam {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::Op;
+    use crate::graph::export_kernel;
     use crate::loss::cross_entropy_loss;
     use crate::train::step;
     use crate::unet::{UNet, UNetConfig};
     use rand::SeedableRng;
+    use seneca_ir::IrOp;
     use seneca_tensor::{Shape4, Tensor};
 
     fn tiny_setup(seed: u64) -> (Graph, Tensor, Vec<u8>, rand::rngs::StdRng) {
@@ -179,10 +180,13 @@ mod tests {
     /// Every trainable value of the graph, in node order.
     fn params(g: &Graph) -> Vec<f32> {
         let mut out = Vec::new();
-        for node in &g.nodes {
+        for node in &g.module().nodes {
             match &node.op {
-                Op::Conv { w, b, .. } | Op::TConv { w, b } => out.extend(w.data().iter().chain(b)),
-                Op::BatchNorm { bn } => out.extend(bn.gamma.iter().chain(&bn.beta)),
+                IrOp::Conv(a) | IrOp::TConv(a) => {
+                    let (w, b) = export_kernel(a);
+                    out.extend(w.data().iter().chain(b))
+                }
+                IrOp::BatchNorm { bn } => out.extend(bn.gamma.iter().chain(&bn.beta)),
                 _ => {}
             }
         }

@@ -8,7 +8,8 @@
 //! (so the DPU compiler output stays valid) but the performance model can
 //! skip the zero work, which is how sparsity translates into FPS on the DPU.
 
-use crate::graph::{Graph, Op};
+use crate::graph::{export_kernel, export_kernel_mut, Graph};
+use seneca_ir::IrOp;
 use std::sync::Arc;
 
 /// Per-graph pruning summary.
@@ -32,19 +33,15 @@ pub fn prune_channels(graph: &mut Graph, ratio: f64) -> PruneReport {
     let mut weights = 0usize;
 
     // Identify the last conv before softmax (the head) to skip it.
-    let head_conv = graph
-        .nodes
-        .iter()
-        .enumerate()
-        .rev()
-        .find(|(_, n)| matches!(n.op, Op::Conv { .. }))
-        .map(|(i, _)| i);
+    let nodes = &mut graph.module.nodes;
+    let head_conv = nodes.iter().rposition(|n| matches!(n.op, IrOp::Conv(_)));
 
-    for (i, node) in graph.nodes.iter_mut().enumerate() {
+    for (i, node) in nodes.iter_mut().enumerate() {
         if Some(i) == head_conv {
             continue;
         }
-        if let Op::Conv { w, b, .. } = &mut node.op {
+        if let IrOp::Conv(a) = &mut node.op {
+            let (w, b) = export_kernel_mut(a);
             let s = w.shape();
             let per_out = s.c * s.h * s.w;
             total += s.n;
@@ -68,8 +65,9 @@ pub fn prune_channels(graph: &mut Graph, ratio: f64) -> PruneReport {
             }
         }
     }
-    for node in &graph.nodes {
-        if let Op::Conv { w, .. } = &node.op {
+    for node in nodes.iter() {
+        if let IrOp::Conv(a) = &node.op {
+            let w = export_kernel(a).0;
             weights += w.data().len();
             zeros += w.data().iter().filter(|v| **v == 0.0).count();
         }
@@ -84,13 +82,14 @@ pub fn prune_channels(graph: &mut Graph, ratio: f64) -> PruneReport {
 /// Effective (non-zero-channel) MAC count per node after pruning; the DPU
 /// performance model uses this to credit pruning with cycle savings.
 pub fn effective_macs(graph: &Graph, input: seneca_tensor::Shape4) -> Vec<u64> {
-    let shapes = graph.shapes(input);
-    graph
-        .nodes
+    let m = graph.module();
+    let shapes = m.shapes(input);
+    m.nodes
         .iter()
         .enumerate()
         .map(|(i, node)| match &node.op {
-            Op::Conv { w, .. } => {
+            IrOp::Conv(a) => {
+                let w = export_kernel(a).0;
                 let s = w.shape();
                 let per_out = s.c * s.h * s.w;
                 let live = (0..s.n)
@@ -100,7 +99,9 @@ pub fn effective_macs(graph: &Graph, input: seneca_tensor::Shape4) -> Vec<u64> {
                     .count() as u64;
                 shapes[i].hw() as u64 * live * per_out as u64
             }
-            Op::TConv { w, .. } => shapes[node.inputs[0]].hw() as u64 * w.shape().len() as u64,
+            IrOp::TConv(a) => {
+                shapes[node.inputs[0]].hw() as u64 * export_kernel(a).0.shape().len() as u64
+            }
             _ => 0,
         })
         .collect()
@@ -125,7 +126,7 @@ mod tests {
         let mut g = tiny_graph(1);
         let report = prune_channels(&mut g, 0.5);
         assert!(report.channels_pruned > 0);
-        assert!(report.channels_pruned <= report.channels_total / 2 + g.nodes.len());
+        assert!(report.channels_pruned <= report.channels_total / 2 + g.module().nodes.len());
         assert!(report.weight_sparsity > 0.2, "{report:?}");
     }
 
@@ -145,10 +146,11 @@ mod tests {
         let mut g = tiny_graph(4);
         prune_channels(&mut g, 0.9);
         let head = g
+            .module()
             .nodes
             .iter()
             .rev()
-            .find_map(|n| if let Op::Conv { w, .. } = &n.op { Some(w) } else { None })
+            .find_map(|n| if let IrOp::Conv(a) = &n.op { Some(export_kernel(a).0) } else { None })
             .unwrap();
         let s = head.shape();
         let per_out = s.c * s.h * s.w;

@@ -14,9 +14,9 @@
 //! Consistent with the paper's finding, FFQ rarely beats plain PTQ on this
 //! workload — the ablation bench (`reproduce ablation-quant`) shows that.
 
-use crate::qgraph::{QOp, QuantizedGraph};
+use crate::qgraph::QuantizedGraph;
 use crate::run::{FpRunner, QRunner};
-use seneca_ir::Module;
+use seneca_ir::{ConvKernel, IrOp, Module};
 use seneca_tensor::quantized::QTensor;
 use seneca_tensor::Tensor;
 use serde::{Deserialize, Serialize};
@@ -60,35 +60,35 @@ pub fn fast_finetune(
     let mut scales_changed = 0usize;
     let mut biases_corrected = 0usize;
 
-    let node_ids: Vec<usize> = (0..qg.nodes.len())
-        .filter(|&i| matches!(qg.nodes[i].op, QOp::Conv(_) | QOp::TConv(_)))
+    let node_ids: Vec<usize> = (0..qg.module.nodes.len())
+        .filter(|&i| matches!(qg.module.nodes[i].op, IrOp::Conv(_) | IrOp::TConv(_)))
         .collect();
 
     for &i in &node_ids {
         // --- scale search: try w_fp - 1 and w_fp + 1 ---
         let base_mse = node_mse(qg, &refs, imgs, i);
-        let orig = get_conv(qg, i).clone();
+        let orig = kernel(qg, i).clone();
+        let ConvKernel::I8 { w: orig_w, bias: orig_bias, .. } = &orig else { unreachable!() };
         let mut best_mse = base_mse;
-        let mut best: Option<crate::qgraph::QConvParams> = None;
+        let mut best: Option<ConvKernel> = None;
         for delta in [-1i32, 1] {
-            let mut cand = orig.clone();
-            let new_fp = orig.w.fix_pos() + delta;
+            let new_fp = orig_w.fix_pos() + delta;
             if !(-12..=14).contains(&new_fp) {
                 continue;
             }
+            let mut cand = orig.clone();
+            let ConvKernel::I8 { w, bias, .. } = &mut cand else { unreachable!() };
             // Requantise the original FP32 weights at the new position. We
             // only have the INT8 weights here, so dequantise first — for a
             // +1 shift this is exact, for -1 it merely coarsens.
-            let w_f = orig.w.dequantize();
-            cand.w = QTensor::quantize(&w_f, new_fp);
+            *w = QTensor::quantize(&orig_w.dequantize(), new_fp);
             // Re-scale bias to the new accumulator fix position.
-            let shift = new_fp - orig.w.fix_pos();
-            cand.bias = orig
-                .bias
+            let shift = new_fp - orig_w.fix_pos();
+            *bias = orig_bias
                 .iter()
                 .map(|&b| if shift >= 0 { b << shift } else { b >> (-shift) })
                 .collect();
-            *get_conv_mut(qg, i) = cand.clone();
+            *kernel(qg, i) = cand.clone();
             let mse = node_mse(qg, &refs, imgs, i);
             if mse < best_mse * 0.999 {
                 best_mse = mse;
@@ -97,20 +97,20 @@ pub fn fast_finetune(
         }
         match best {
             Some(b) => {
-                *get_conv_mut(qg, i) = b;
+                *kernel(qg, i) = b;
                 scales_changed += 1;
             }
-            None => *get_conv_mut(qg, i) = orig,
+            None => *kernel(qg, i) = orig,
         }
 
         // --- bias correction: remove the mean per-channel output error ---
         let (mean_err, hw_count) = channel_mean_error(qg, &refs, imgs, i);
         if hw_count > 0 {
-            let p = get_conv_mut(qg, i);
-            let acc_fp = p.in_fp + p.w.fix_pos();
+            let ConvKernel::I8 { w, bias, in_fp, .. } = kernel(qg, i) else { unreachable!() };
+            let acc_fp = *in_fp + w.fix_pos();
             let acc_scale = (acc_fp as f32).exp2();
             let mut corrected = false;
-            for (b, &e) in p.bias.iter_mut().zip(&mean_err) {
+            for (b, &e) in bias.iter_mut().zip(&mean_err) {
                 let delta = (e * acc_scale).round() as i32;
                 if delta != 0 {
                     *b += delta;
@@ -125,16 +125,11 @@ pub fn fast_finetune(
     FinetuneReport { mse_before, mse_after, scales_changed, biases_corrected }
 }
 
-fn get_conv(qg: &QuantizedGraph, i: usize) -> &crate::qgraph::QConvParams {
-    match &qg.nodes[i].op {
-        QOp::Conv(p) | QOp::TConv(p) => p,
-        _ => unreachable!("filtered to conv nodes"),
-    }
-}
-
-fn get_conv_mut(qg: &mut QuantizedGraph, i: usize) -> &mut crate::qgraph::QConvParams {
-    match &mut qg.nodes[i].op {
-        QOp::Conv(p) | QOp::TConv(p) => p,
+/// The INT8 kernel of conv / tconv node `i`, edited in place (a kernel stays
+/// `ConvKernel::I8`, so the graph stays a quantized graph).
+fn kernel(qg: &mut QuantizedGraph, i: usize) -> &mut ConvKernel {
+    match &mut qg.module.nodes[i].op {
+        IrOp::Conv(a) | IrOp::TConv(a) => &mut a.kernel,
         _ => unreachable!("filtered to conv nodes"),
     }
 }

@@ -9,9 +9,9 @@
 //!
 //! The rewrites themselves live in `seneca-ir`'s pass pipeline
 //! ([`seneca_ir::fold_batchnorm`], [`seneca_ir::fuse_relu`],
-//! [`seneca_ir::strip_identities`]); [`fuse`] runs them on the export
-//! graph's IR form. The rewritten [`Module`] is the quantizer's input: its
-//! node ids are the "fused node ids" of [`crate::ptq::PtqReport`],
+//! [`seneca_ir::strip_identities`]); [`fuse`] runs them on a copy of the
+//! export graph's module. The rewritten [`Module`] is the quantizer's input:
+//! its node ids are the "fused node ids" of [`crate::ptq::PtqReport`],
 //! [`crate::mixed::BitwidthPlan`] and the [`crate::QuantizedGraph`] built
 //! from it.
 
@@ -97,8 +97,9 @@ mod tests {
         let x = Tensor::he_normal(Shape4::new(1, 1, 16, 16), &mut rng);
         // Reference: the oracle on the *unfused* export graph, whose last
         // node is the softmax over the node `fuse` keeps as its output.
-        let reference = oracle::run_f32(&g.to_ir(), &x);
-        let logits_ref = &reference[g.nodes[g.output].inputs[0]];
+        let m = g.module();
+        let reference = oracle::run_f32(m, &x);
+        let logits_ref = &reference[m.nodes[m.output].inputs[0]];
         let logits = seneca_ir::execute_f32(&f, &x);
         assert_eq!(logits.shape(), logits_ref.shape());
         oracle::assert_close_f32(logits.data(), logits_ref.data(), "fused logits");
@@ -110,7 +111,7 @@ mod tests {
         let f = fuse(&g);
         let input = Shape4::new(1, 1, 32, 32);
         let fused_out = f.shapes(input)[f.output];
-        let src_out = g.shapes(input)[g.output];
+        let src_out = g.module().shapes(input)[g.module().output];
         assert_eq!(fused_out, src_out);
     }
 
@@ -119,10 +120,10 @@ mod tests {
         let g = tiny_graph(5);
         let f = fuse(&g);
         assert!(
-            f.nodes.len() < g.nodes.len() - 10,
+            f.nodes.len() < g.module().nodes.len() - 10,
             "{} fused vs {} source",
             f.nodes.len(),
-            g.nodes.len()
+            g.module().nodes.len()
         );
     }
 }

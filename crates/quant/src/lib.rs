@@ -3,7 +3,10 @@
 //! A Vitis-AI-style INT8 quantization stack (stage D of the SENECA
 //! workflow). The DPU consumes INT8 tensors with power-of-two scales
 //! ("fix positions"); this crate turns a trained FP32 [`seneca_nn::Graph`]
-//! into a [`QuantizedGraph`] executable with pure integer arithmetic:
+//! into a [`QuantizedGraph`] executable with pure integer arithmetic. Both
+//! are typed holders of a [`seneca_ir::Module`] — the one node vocabulary —
+//! the first FP32 as exported, the second INT8 with only the nodes the DPU
+//! executes:
 //!
 //! 1. [`fuse`] — graph clean-up that mirrors the quantizer/VAI_C front end:
 //!    BatchNorm folded into the preceding conv, dropout removed, ReLU fused
@@ -23,9 +26,9 @@
 //!
 //! Nothing here evaluates a graph itself: calibration, fast-finetune, the
 //! sensitivity sweep and the search all step the one `seneca-ir` executor
-//! (the fused FP32 module for references, [`QuantizedGraph::to_ir`] lowered
-//! for candidates) — the same program the host backends and the DPU
-//! runtime run, checked against `seneca_ir::oracle`.
+//! (the fused FP32 module for references, a copy of the quantized graph's
+//! module lowered for candidates) — the same program the host backends and
+//! the DPU runtime run, checked against `seneca_ir::oracle`.
 
 pub mod finetune;
 pub mod fuse;
@@ -43,5 +46,5 @@ pub use mixed::{
 };
 pub use observer::{ObserverKind, RangeObserver};
 pub use ptq::{calibrate, quantize_from_calibration, quantize_post_training, PtqConfig};
-pub use qgraph::{QConvParams, QNode, QOp, QuantizedGraph};
+pub use qgraph::QuantizedGraph;
 pub use seneca_tensor::quantized::Bitwidth;

@@ -362,7 +362,7 @@ mod tests {
         let logits =
             |g: &QuantizedGraph| QRunner::new(g, calib[0].shape()).logits(&calib[0]).to_qtensor();
         assert_eq!(logits(&qg), logits(&manual));
-        assert!(qg.name.ends_with("-w4a8"));
+        assert!(qg.module().name.ends_with("-w4a8"));
         assert!(qg.weight_bytes() < manual_bytes_uniform(&fg, &report));
     }
 

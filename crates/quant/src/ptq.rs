@@ -8,9 +8,9 @@
 
 use crate::fuse::assert_fused;
 use crate::observer::{ObserverKind, RangeObserver};
-use crate::qgraph::{QConvParams, QNode, QOp, QuantizedGraph};
+use crate::qgraph::QuantizedGraph;
 use crate::run::{FpRunner, QRunner};
-use seneca_ir::{ConvAttrs, ConvKernel, IrOp, Module};
+use seneca_ir::{ConcatQ, ConvAttrs, ConvKernel, DType, IrOp, Module};
 use seneca_tensor::quantized::{choose_fix_pos_bits, Bitwidth, QTensor};
 use seneca_tensor::Tensor;
 use serde::{Deserialize, Serialize};
@@ -115,53 +115,50 @@ pub fn quantize_from_calibration(
     assert_eq!(fp.len(), fg.nodes.len(), "calibration report is for another graph");
 
     let mut mixed = false;
-    let mut nodes = Vec::with_capacity(fg.nodes.len());
-    for (i, node) in fg.nodes.iter().enumerate() {
+    let mut m = Module::new("", DType::I8);
+    for (i, node) in fg.nodes.iter().enumerate().skip(1) {
         let op = match &node.op {
-            IrOp::Input => QOp::Input,
             IrOp::Conv(a) | IrOp::TConv(a) => {
                 mixed |= wbits[i] == Bitwidth::W4;
-                let p = make_qconv(a, fp[node.inputs[0]], fp[i], wbits[i]);
+                let a = quantize_conv(a, fp[node.inputs[0]], fp[i], wbits[i]);
                 if matches!(node.op, IrOp::Conv(_)) {
-                    QOp::Conv(p)
+                    IrOp::Conv(a)
                 } else {
-                    QOp::TConv(p)
+                    IrOp::TConv(a)
                 }
             }
-            IrOp::MaxPool2x2 => QOp::MaxPool2x2,
-            IrOp::Concat { .. } => QOp::Concat {
-                shift_a: fp[node.inputs[0]] - fp[i],
-                shift_b: fp[node.inputs[1]] - fp[i],
-                out_fp: fp[i],
+            IrOp::MaxPool2x2 => IrOp::MaxPool2x2,
+            IrOp::Concat { .. } => IrOp::Concat {
+                requant: Some(ConcatQ {
+                    shift_a: fp[node.inputs[0]] - fp[i],
+                    shift_b: fp[node.inputs[1]] - fp[i],
+                    out_fp: fp[i],
+                }),
             },
             _ => unreachable!("ruled out by assert_fused"),
         };
-        nodes.push(QNode { op, inputs: node.inputs.clone() });
+        m.push(op, node.inputs.clone());
     }
-
-    QuantizedGraph {
-        nodes,
-        output: fg.output,
-        input_fp: fp[0],
-        output_fp: fp[fg.output],
-        name: format!("{}-{}", fg.name, if mixed { "w4a8" } else { "int8" }),
-    }
+    m.output = fg.output;
+    m.name = format!("{}-{}", fg.name, if mixed { "w4a8" } else { "int8" });
+    (m.input_fp, m.output_fp) = (fp[0], fp[fg.output]);
+    QuantizedGraph::try_from(m).expect("PTQ builds a quantized graph")
 }
 
-fn make_qconv(a: &ConvAttrs, in_fp: i32, out_fp: i32, wbits: Bitwidth) -> QConvParams {
+fn quantize_conv(a: &ConvAttrs, in_fp: i32, out_fp: i32, wbits: Bitwidth) -> ConvAttrs {
     let ConvKernel::F32 { w, b, bn: None } = &a.kernel else {
         panic!("the quantizer takes the fused FP32 module")
     };
     let w_fp = choose_fix_pos_bits(w.abs_max(), wbits);
     let acc_scale = ((in_fp + w_fp) as f32).exp2();
-    QConvParams {
+    let kernel = ConvKernel::I8 {
         w: QTensor::quantize_bits(w, w_fp, wbits),
         bias: b.iter().map(|&v| (v * acc_scale).round() as i32).collect(),
-        relu: a.relu,
         in_fp,
         out_fp,
         wbits,
-    }
+    };
+    ConvAttrs { relu: a.relu, ..ConvAttrs::new(kernel) }
 }
 
 /// Mean squared error between the dequantised INT8 logits and the FP32
@@ -243,19 +240,20 @@ mod tests {
         assert_eq!(report.fix_pos.len(), fg.nodes.len());
         assert_eq!(report.images_used, 6);
         // Structural constraints honoured.
-        for (i, node) in qg.nodes.iter().enumerate() {
+        for (i, node) in qg.module().nodes.iter().enumerate() {
             match &node.op {
-                QOp::MaxPool2x2 => {
+                IrOp::MaxPool2x2 => {
                     assert_eq!(report.fix_pos[i], report.fix_pos[node.inputs[0]]);
                 }
-                QOp::Concat { shift_a, shift_b, .. } => {
-                    assert!(*shift_a >= 0 && *shift_b >= 0, "concat shifts must be right shifts");
+                IrOp::Concat { requant: Some(q) } => {
+                    assert!(q.shift_a >= 0 && q.shift_b >= 0, "concat shifts must be right shifts");
                 }
-                QOp::Conv(p) | QOp::TConv(p) => {
-                    assert_eq!(p.in_fp, report.fix_pos[node.inputs[0]]);
-                    assert_eq!(p.out_fp, report.fix_pos[i]);
+                IrOp::Conv(a) | IrOp::TConv(a) => {
+                    let ConvKernel::I8 { in_fp, out_fp, .. } = a.kernel else { panic!("INT8") };
+                    assert_eq!(in_fp, report.fix_pos[node.inputs[0]]);
+                    assert_eq!(out_fp, report.fix_pos[i]);
                 }
-                QOp::Input => {}
+                _ => {}
             }
         }
     }
@@ -322,23 +320,24 @@ mod tests {
         let b = vec![205.0 / 2048.0, 0.0];
         let mut fg = Module::new("hand", seneca_ir::DType::F32);
         let kernel = ConvKernel::F32 { w: w.into(), b, bn: None };
-        fg.push(IrOp::Conv(ConvAttrs { kernel, relu: false, pack: None }), vec![0]);
+        fg.push(IrOp::Conv(ConvAttrs::new(kernel)), vec![0]);
         let img = Tensor::from_vec(Shape4::new(1, 1, 1, 2), vec![0.5, -0.75]);
 
         let report = calibrate(&fg, std::slice::from_ref(&img), &PtqConfig::default());
         assert_eq!(report.fix_pos, vec![7, 8]);
         let qg = quantize_from_calibration(&fg, &report, &[Bitwidth::W8, Bitwidth::W4]);
-        assert_eq!(qg.name, "hand-w4a8");
+        assert_eq!(qg.module().name, "hand-w4a8");
 
-        let QOp::Conv(p) = &qg.nodes[1].op else { panic!("node 1 must be a conv") };
-        assert_eq!(p.wbits, Bitwidth::W4);
-        assert_eq!(p.w.fix_pos(), 3);
-        assert_eq!(p.w.data()[4], 4, "centre tap of ch0");
-        assert_eq!(p.w.data()[13], -2, "centre tap of ch1");
-        assert_eq!(p.bias, vec![103, 0]);
-        assert_eq!(p.in_fp + p.w.fix_pos() - p.out_fp, 2, "requantisation shift");
+        let IrOp::Conv(a) = &qg.module().nodes[1].op else { panic!("node 1 must be a conv") };
+        let ConvKernel::I8 { w, bias, wbits, .. } = &a.kernel else { panic!("INT8 kernel") };
+        assert_eq!(*wbits, Bitwidth::W4);
+        assert_eq!(w.fix_pos(), 3);
+        assert_eq!(w.data()[4], 4, "centre tap of ch0");
+        assert_eq!(w.data()[13], -2, "centre tap of ch1");
+        assert_eq!(bias, &vec![103, 0]);
+        assert_eq!(a.kernel.shift(), 2, "requantisation shift");
         // 2 weight nibbles round up to 9 bytes for 18 elems, plus 2 i32 bias.
-        assert_eq!(p.weight_bytes(), 9 + 8);
+        assert_eq!(a.kernel.weight_bytes(), 9 + 8);
 
         // Executor and oracle both land on the hand-computed bytes.
         assert_eq!(run_i8(&qg, &img).data(), &[90, -70, -32, 48]);
@@ -358,7 +357,7 @@ mod tests {
         let (qg_direct, report) = quantize_post_training(&fg, &calib, &PtqConfig::default());
         let qg_planned =
             quantize_from_calibration(&fg, &report, &vec![Bitwidth::W8; fg.nodes.len()]);
-        assert_eq!(qg_direct.name, qg_planned.name);
+        assert_eq!(qg_direct.module().name, qg_planned.module().name);
         assert_eq!(run_i8(&qg_direct, &calib[0]), run_i8(&qg_planned, &calib[0]));
     }
 

@@ -11,12 +11,11 @@
 //! training time; `reproduce ablation-quant` quantifies that.
 
 use seneca_nn::backprop::Grads;
-use seneca_nn::graph::{Graph, Op};
+use seneca_nn::graph::Graph;
 use seneca_nn::loss::FocalTverskyLoss;
 use seneca_nn::optim::Optimizer;
 use seneca_nn::train::{train, EpochStats, Sample, TrainConfig};
 use seneca_tensor::quantized::{choose_fix_pos_bits, Bitwidth, QTensor};
-use std::sync::Arc;
 
 /// Projects every conv / tconv weight of the graph onto the integer grid of
 /// the given bitwidth (quantize–dequantize with per-tensor fix positions).
@@ -25,12 +24,9 @@ use std::sync::Arc;
 /// mixed-precision deployments: train against the 4-bit grid the
 /// nibble-packed panels will hold.
 pub fn project_weights(graph: &mut Graph, bits: Bitwidth) {
-    for node in &mut graph.nodes {
-        if let Op::Conv { w, .. } | Op::TConv { w, .. } = &mut node.op {
-            let w = Arc::make_mut(w);
-            let fp = choose_fix_pos_bits(w.abs_max(), bits);
-            *w = QTensor::quantize_bits(w, fp, bits).dequantize();
-        }
+    for w in graph.weights_mut() {
+        let fp = choose_fix_pos_bits(w.abs_max(), bits);
+        *w = QTensor::quantize_bits(w, fp, bits).dequantize();
     }
 }
 
@@ -85,13 +81,7 @@ mod tests {
     }
 
     fn first_conv(g: &Graph) -> Tensor {
-        g.nodes
-            .iter()
-            .find_map(|n| match &n.op {
-                Op::Conv { w, .. } => Some(Tensor::clone(w)),
-                _ => None,
-            })
-            .unwrap()
+        g.clone().weights_mut().next().unwrap().clone()
     }
 
     /// Every weight sits on the grid of `bits` and inside its integer range;

@@ -3,172 +3,97 @@
 //! payload). It holds numbers, not code — to run it, lower
 //! [`QuantizedGraph::to_ir`] through `seneca-ir`.
 //!
-//! The arithmetic its fields describe follows the DPU model: INT8 operands,
-//! INT32 accumulators, power-of-two rescaling by arithmetic shift (round half
-//! away from zero, saturating). The bias is pre-scaled to the accumulator's
-//! fix position `fp_in + fp_w`, and each op's output is requantised to its
+//! Like the trained graph it *is* a [`seneca_ir::Module`]: [`QuantizedGraph`]
+//! is a typed holder of an INT8 module whose nodes are only what the DPU
+//! executes — the input, (transpose) convs with a [`ConvKernel::I8`] kernel,
+//! max pools, and concats with their requantisation shifts. The arithmetic
+//! those fields describe follows the DPU model: INT8 operands, INT32
+//! accumulators, power-of-two rescaling by arithmetic shift (round half away
+//! from zero, saturating). The bias is pre-scaled to the accumulator's fix
+//! position `fp_in + fp_w`, and each op's output is requantised to its
 //! calibrated activation fix position.
 
-use seneca_ir::{ConcatQ, ConvAttrs, ConvKernel, DType, IrOp, Module};
-use seneca_tensor::quantized::{Bitwidth, QTensor};
+use seneca_ir::{ConvAttrs, ConvKernel, DType, IrOp, Module};
+use seneca_tensor::quantized::QTensor;
 use seneca_tensor::Tensor;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
-/// Parameters of a quantized (t)conv.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct QConvParams {
-    /// INT8 weights with their fix position.
-    pub w: QTensor,
-    /// Bias at accumulator scale (`fp_in + fp_w`).
-    pub bias: Vec<i32>,
-    /// Fused ReLU.
-    pub relu: bool,
-    /// Input activation fix position this node was calibrated for.
-    pub in_fp: i32,
-    /// Output activation fix position.
-    pub out_fp: i32,
-    /// Weight bitwidth. W4 weights are stored as i8 values in `[-8, 7]`, so
-    /// every unpacked execution path runs them unchanged; only the packed
-    /// GEMM panels and the deployment byte accounting differ.
-    pub wbits: Bitwidth,
-}
-
-impl QConvParams {
-    /// Deployed parameter bytes of this node: nibble-packed weights for W4,
-    /// one byte per weight for W8, plus the INT32 bias words.
-    pub fn weight_bytes(&self) -> u64 {
-        let elems = self.w.shape().len();
-        let w_bytes = match self.wbits {
-            Bitwidth::W8 => elems,
-            Bitwidth::W4 => elems.div_ceil(2),
-        };
-        (w_bytes + 4 * self.bias.len()) as u64
-    }
-}
-
-/// Quantized operation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub enum QOp {
-    /// Input placeholder.
-    Input,
-    /// Quantized 3x3 conv (+ReLU).
-    Conv(QConvParams),
-    /// Quantized 2x2 stride-2 transpose conv.
-    TConv(QConvParams),
-    /// Max pool (fix position unchanged).
-    MaxPool2x2,
-    /// Concat with per-input alignment shifts (right shifts to the smaller
-    /// fix position).
-    Concat {
-        /// Right shift applied to the first input.
-        shift_a: i32,
-        /// Right shift applied to the second input.
-        shift_b: i32,
-        /// Resulting fix position.
-        out_fp: i32,
-    },
-}
-
-impl QOp {
-    /// Mnemonic for compiler listings.
-    pub fn mnemonic(&self) -> &'static str {
-        match self {
-            QOp::Input => "input",
-            QOp::Conv(_) => "qconv",
-            QOp::TConv(_) => "qtconv",
-            QOp::MaxPool2x2 => "qmaxpool",
-            QOp::Concat { .. } => "qconcat",
-        }
-    }
-}
-
-/// Quantized node.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct QNode {
-    /// Operation.
-    pub op: QOp,
-    /// Input node ids.
-    pub inputs: Vec<usize>,
-}
-
-/// A fully quantized inference graph.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// A fully quantized inference graph: an INT8 [`Module`] of DPU nodes only.
+/// Serialises as the module itself.
+#[derive(Debug, Clone)]
 pub struct QuantizedGraph {
-    /// Nodes, topological order, node 0 = input.
-    pub nodes: Vec<QNode>,
-    /// Output node id.
-    pub output: usize,
-    /// Fix position expected for the INT8 input image.
-    pub input_fp: i32,
-    /// Fix position of the INT8 output logits.
-    pub output_fp: i32,
-    /// Model name.
-    pub name: String,
+    pub(crate) module: Module,
+}
+
+/// Whether `op` is a node the DPU executes.
+fn is_dpu_op(op: &IrOp) -> bool {
+    match op {
+        IrOp::Conv(a) | IrOp::TConv(a) => {
+            matches!(a, ConvAttrs { kernel: ConvKernel::I8 { .. }, pack: None, .. })
+        }
+        IrOp::Concat { requant } => requant.is_some(),
+        IrOp::Input | IrOp::MaxPool2x2 => true,
+        IrOp::BatchNorm { .. } | IrOp::Relu | IrOp::Dropout { .. } | IrOp::Softmax => false,
+    }
+}
+
+impl TryFrom<Module> for QuantizedGraph {
+    type Error = String;
+
+    /// Takes over a module that is a quantized graph: well-formed, INT8, and
+    /// holding only the nodes the DPU executes.
+    fn try_from(module: Module) -> Result<Self, String> {
+        module.check_structure()?;
+        if module.dtype != DType::I8 {
+            return Err("the quantized graph is an INT8 module".into());
+        }
+        if let Some(n) = module.nodes.iter().position(|n| !is_dpu_op(&n.op)) {
+            let op = module.nodes[n].op.mnemonic(DType::I8);
+            return Err(format!("node {n} ({op}) is not a quantized DPU node"));
+        }
+        Ok(Self { module })
+    }
+}
+
+impl Serialize for QuantizedGraph {
+    fn to_value(&self) -> Value {
+        self.module.to_value()
+    }
+}
+
+impl Deserialize for QuantizedGraph {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        QuantizedGraph::try_from(Module::from_value(v)?).map_err(DeError::new)
+    }
 }
 
 impl QuantizedGraph {
+    /// The held module: what every reader of the graph walks.
+    pub fn module(&self) -> &Module {
+        &self.module
+    }
+
+    /// A copy of the held module for lowering (the INT8 weights are cloned).
+    pub fn to_ir(&self) -> Module {
+        self.module.clone()
+    }
+
     /// Quantises an FP32 input image (`[-1, 1]` after preprocessing) into the
     /// graph's expected INT8 representation — this is the "scale input slices
     /// with a factor stored in the xmodel" step of §III-E.
     pub fn quantize_input(&self, x: &Tensor) -> QTensor {
-        QTensor::quantize(x, self.input_fp)
-    }
-
-    /// Converts the quantized graph into the typed IR. Node ids are
-    /// preserved one-to-one; the INT8 host executor and the DPU compiler
-    /// both lower from the returned [`Module`].
-    pub fn to_ir(&self) -> Module {
-        let mut m = Module::new(self.name.clone(), DType::I8);
-        m.input_fp = self.input_fp;
-        m.output_fp = self.output_fp;
-        for node in self.nodes.iter().skip(1) {
-            let op = match &node.op {
-                QOp::Input => unreachable!("input is always node 0"),
-                QOp::Conv(p) => IrOp::Conv(ConvAttrs {
-                    kernel: ConvKernel::I8 {
-                        w: p.w.clone(),
-                        bias: p.bias.clone(),
-                        in_fp: p.in_fp,
-                        out_fp: p.out_fp,
-                        wbits: p.wbits,
-                    },
-                    relu: p.relu,
-                    pack: None,
-                }),
-                QOp::TConv(p) => IrOp::TConv(ConvAttrs {
-                    kernel: ConvKernel::I8 {
-                        w: p.w.clone(),
-                        bias: p.bias.clone(),
-                        in_fp: p.in_fp,
-                        out_fp: p.out_fp,
-                        wbits: p.wbits,
-                    },
-                    relu: p.relu,
-                    pack: None,
-                }),
-                QOp::MaxPool2x2 => IrOp::MaxPool2x2,
-                QOp::Concat { shift_a, shift_b, out_fp } => IrOp::Concat {
-                    requant: Some(ConcatQ {
-                        shift_a: *shift_a,
-                        shift_b: *shift_b,
-                        out_fp: *out_fp,
-                    }),
-                },
-            };
-            m.push(op, node.inputs.clone());
-        }
-        m.output = self.output;
-        m
+        QTensor::quantize(x, self.module.input_fp)
     }
 
     /// Total deployed parameter bytes across the graph (nibble-packed W4
     /// weights count half a byte per element). This is the "total weight
     /// bytes" number the mixed-precision search minimises alongside cycles.
     pub fn weight_bytes(&self) -> u64 {
-        self.nodes
+        self.module
+            .nodes
             .iter()
             .map(|n| match &n.op {
-                QOp::Conv(p) | QOp::TConv(p) => p.weight_bytes(),
+                IrOp::Conv(a) | IrOp::TConv(a) => a.kernel.weight_bytes(),
                 _ => 0,
             })
             .sum()
@@ -178,15 +103,31 @@ impl QuantizedGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seneca_tensor::quantized::choose_fix_pos;
+    use seneca_ir::ConcatQ;
+    use seneca_tensor::quantized::{choose_fix_pos, Bitwidth};
     use seneca_tensor::Shape4;
 
-    fn qp(w: Tensor, bias_f: &[f32], relu: bool, in_fp: i32, out_fp: i32) -> QConvParams {
+    fn qp(w: Tensor, bias_f: &[f32], relu: bool, in_fp: i32, out_fp: i32) -> ConvAttrs {
         let w_fp = choose_fix_pos(w.abs_max());
         let wq = QTensor::quantize(&w, w_fp);
         let acc_fp = in_fp + w_fp;
         let bias = bias_f.iter().map(|&b| (b * (acc_fp as f32).exp2()).round() as i32).collect();
-        QConvParams { w: wq, bias, relu, in_fp, out_fp, wbits: Bitwidth::W8 }
+        let kernel = ConvKernel::I8 { w: wq, bias, in_fp, out_fp, wbits: Bitwidth::W8 };
+        ConvAttrs { relu, ..ConvAttrs::new(kernel) }
+    }
+
+    fn concat(shift_a: i32, shift_b: i32, out_fp: i32) -> IrOp {
+        IrOp::Concat { requant: Some(ConcatQ { shift_a, shift_b, out_fp }) }
+    }
+
+    /// A quantized graph of `ops` (each reading the listed nodes).
+    fn graph(ops: Vec<(IrOp, Vec<usize>)>, input_fp: i32, output_fp: i32) -> QuantizedGraph {
+        let mut m = Module::new("test", DType::I8);
+        for (op, inputs) in ops {
+            m.push(op, inputs);
+        }
+        (m.input_fp, m.output_fp) = (input_fp, output_fp);
+        QuantizedGraph::try_from(m).unwrap()
     }
 
     #[test]
@@ -205,19 +146,16 @@ mod tests {
         );
         let tconv =
             qp(Tensor::he_normal(Shape4::new(3, 2, 2, 2), &mut rng), &[0.01, 0.0], false, 5, 4);
-        let g = QuantizedGraph {
-            nodes: vec![
-                QNode { op: QOp::Input, inputs: vec![] },
-                QNode { op: QOp::Conv(conv), inputs: vec![0] },
-                QNode { op: QOp::MaxPool2x2, inputs: vec![1] },
-                QNode { op: QOp::TConv(tconv), inputs: vec![2] },
-                QNode { op: QOp::Concat { shift_a: 1, shift_b: 0, out_fp: 4 }, inputs: vec![1, 3] },
+        let g = graph(
+            vec![
+                (IrOp::Conv(conv), vec![0]),
+                (IrOp::MaxPool2x2, vec![1]),
+                (IrOp::TConv(tconv), vec![2]),
+                (concat(1, 0, 4), vec![1, 3]),
             ],
-            output: 4,
-            input_fp: in_fp,
-            output_fp: 4,
-            name: "scratch-test".into(),
-        };
+            in_fp,
+            4,
+        );
         let shape = Shape4::new(1, 2, 8, 8);
         let lowered = seneca_ir::lower(g.to_ir(), shape, &seneca_ir::LowerOptions::reference());
         let mut scratch = lowered.make_scratch_i8();
@@ -227,8 +165,28 @@ mod tests {
                 (0..shape.len()).map(|_| rng.gen_range(-1.0f32..1.0)).collect(),
             );
             seneca_ir::oracle::check_i8(&lowered, &mut scratch, &g.quantize_input(&x));
-            assert_eq!(lowered.node_output_i8(g.output, &scratch).fix_pos(), g.output_fp);
+            let m = g.module();
+            assert_eq!(lowered.node_output_i8(m.output, &scratch).fix_pos(), m.output_fp);
         }
+    }
+
+    /// What the quantizer never emits is refused: an FP32 module, a node the
+    /// DPU does not execute, a concat without its shifts, a read of a later
+    /// node.
+    #[test]
+    fn only_well_formed_int8_dpu_modules_are_quantized_graphs() {
+        let err = |m: Module| QuantizedGraph::try_from(m).unwrap_err();
+        assert!(err(Module::new("f", DType::F32)).contains("INT8"));
+        let mut relu = Module::new("r", DType::I8);
+        relu.push(IrOp::Relu, vec![0]);
+        assert!(err(relu).contains("node 1 (relu)"));
+        let mut cat = Module::new("c", DType::I8);
+        cat.push(IrOp::Concat { requant: None }, vec![0, 0]);
+        assert!(err(cat).contains("qconcat"));
+        let mut pool = Module::new("p", DType::I8);
+        pool.push(IrOp::MaxPool2x2, vec![0]);
+        pool.nodes[1].inputs = vec![1];
+        assert!(err(pool).contains("malformed"));
     }
 
     #[test]
@@ -239,17 +197,8 @@ mod tests {
         // Weights expect 5 input channels but the upstream value has 2.
         let conv =
             qp(Tensor::he_normal(Shape4::new(3, 5, 3, 3), &mut rng), &[0.0, 0.0, 0.0], false, 6, 5);
-        let g = QuantizedGraph {
-            nodes: vec![
-                QNode { op: QOp::Input, inputs: vec![] },
-                QNode { op: QOp::Conv(conv), inputs: vec![0] },
-            ],
-            output: 1,
-            input_fp: 6,
-            output_fp: 5,
-            name: "corrupt".into(),
-        };
-        let _ = g.to_ir().shapes(Shape4::new(1, 2, 8, 8));
+        let g = graph(vec![(IrOp::Conv(conv), vec![0])], 6, 5);
+        let _ = g.module().shapes(Shape4::new(1, 2, 8, 8));
     }
 
     #[test]
@@ -260,19 +209,16 @@ mod tests {
         let conv =
             qp(Tensor::he_normal(Shape4::new(2, 2, 3, 3), &mut rng), &[0.0, 0.0], false, 6, 5);
         // Concat of a full-res value with its pooled half-res sibling.
-        let g = QuantizedGraph {
-            nodes: vec![
-                QNode { op: QOp::Input, inputs: vec![] },
-                QNode { op: QOp::Conv(conv), inputs: vec![0] },
-                QNode { op: QOp::MaxPool2x2, inputs: vec![1] },
-                QNode { op: QOp::Concat { shift_a: 0, shift_b: 0, out_fp: 5 }, inputs: vec![1, 2] },
+        let g = graph(
+            vec![
+                (IrOp::Conv(conv), vec![0]),
+                (IrOp::MaxPool2x2, vec![1]),
+                (concat(0, 0, 5), vec![1, 2]),
             ],
-            output: 3,
-            input_fp: 6,
-            output_fp: 5,
-            name: "corrupt".into(),
-        };
-        let _ = g.to_ir().shapes(Shape4::new(1, 2, 8, 8));
+            6,
+            5,
+        );
+        let _ = g.module().shapes(Shape4::new(1, 2, 8, 8));
     }
 
     #[test]
@@ -284,19 +230,16 @@ mod tests {
             qp(Tensor::he_normal(Shape4::new(4, 2, 3, 3), &mut rng), &[0.0; 4], true, in_fp, 5);
         let conv2 = qp(Tensor::he_normal(Shape4::new(4, 4, 3, 3), &mut rng), &[0.0; 4], true, 5, 5);
         let conv3 = qp(Tensor::he_normal(Shape4::new(4, 4, 3, 3), &mut rng), &[0.0; 4], true, 5, 4);
-        let g = QuantizedGraph {
-            nodes: vec![
-                QNode { op: QOp::Input, inputs: vec![] },
-                QNode { op: QOp::Conv(conv1), inputs: vec![0] },
-                QNode { op: QOp::Conv(conv2), inputs: vec![1] },
-                QNode { op: QOp::Conv(conv3), inputs: vec![2] },
+        let g = graph(
+            vec![
+                (IrOp::Conv(conv1), vec![0]),
+                (IrOp::Conv(conv2), vec![1]),
+                (IrOp::Conv(conv3), vec![2]),
             ],
-            output: 3,
-            input_fp: in_fp,
-            output_fp: 4,
-            name: "chain".into(),
-        };
-        let plan = g.to_ir().plan(Shape4::new(1, 2, 16, 16));
+            in_fp,
+            4,
+        );
+        let plan = g.module().plan(Shape4::new(1, 2, 16, 16));
         // A 3-conv chain ping-pongs: peak-live well below the per-node sum.
         assert!(plan.n_slots() < plan.n_nodes());
         assert!(plan.peak_arena_elems() < plan.total_activation_elems());

@@ -68,7 +68,7 @@ impl<'g> QRunner<'g> {
 
     /// INT8 logits of one image.
     pub fn logits(&mut self, img: &Tensor) -> QTensorView<'_> {
-        self.node_output(img, self.qg.output)
+        self.node_output(img, self.qg.module().output)
     }
 
     /// Per-pixel argmax labels of each image.

@@ -25,6 +25,14 @@ echo "== benchmark package (a crate API change that breaks benchmark/ fails here
 cargo test --offline -q --release --manifest-path benchmark/Cargo.toml
 bash benchmark/run.sh --quick
 
+echo "== benchmark/ untouched (a crate dependency-list edit rewrites benchmark/Cargo.lock in the build above) =="
+changed="$(git status --porcelain -- benchmark BENCHMARK.json)"
+if [[ -n "$changed" ]]; then
+    echo "benchmark/ or BENCHMARK.json changed:" >&2
+    echo "$changed" >&2
+    exit 1
+fi
+
 echo "== serve smoke (seneca-serve demo) =="
 cargo run --release -q -p seneca-serve --example serve_demo -- smoke
 

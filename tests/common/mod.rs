@@ -5,7 +5,8 @@
 #![allow(dead_code)]
 
 use rand::{Rng, SeedableRng};
-use seneca_nn::graph::{Graph, Op};
+use seneca_ir::{ConvKernel, IrOp};
+use seneca_nn::graph::Graph;
 use seneca_nn::train::EpochStats;
 use seneca_nn::unet::{UNet, UNetConfig};
 use seneca_tensor::{Shape4, Tensor};
@@ -25,10 +26,11 @@ pub fn random_graph(depth: usize, base_filters: usize, seed: u64) -> Graph {
 
 /// Gives every BatchNorm of `g` random running statistics and affine
 /// parameters.
-pub fn randomize_bn(mut g: Graph, seed: u64) -> Graph {
+pub fn randomize_bn(g: Graph, seed: u64) -> Graph {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xB4);
-    for node in &mut g.nodes {
-        if let Op::BatchNorm { bn } = &mut node.op {
+    let mut m = g.to_ir();
+    for node in &mut m.nodes {
+        if let IrOp::BatchNorm { bn } = &mut node.op {
             for c in 0..bn.channels() {
                 bn.gamma[c] = rng.gen_range(0.5f32..1.5);
                 bn.beta[c] = rng.gen_range(-0.3f32..0.3);
@@ -37,7 +39,7 @@ pub fn randomize_bn(mut g: Graph, seed: u64) -> Graph {
             }
         }
     }
-    g
+    Graph::try_from(m).expect("still an export graph")
 }
 
 /// A seeded He-normal frame clamped to `[-1, 1]`.
@@ -56,13 +58,14 @@ pub fn random_frame(shape: Shape4, seed: u64) -> Tensor {
 pub fn training_hash(g: &Graph, history: &[EpochStats]) -> u64 {
     let mut bytes: Vec<u8> = Vec::new();
     let mut put = |v: &[f32]| bytes.extend(v.iter().flat_map(|x| x.to_bits().to_le_bytes()));
-    for node in &g.nodes {
+    for node in &g.module().nodes {
         match &node.op {
-            Op::Conv { w, b, .. } | Op::TConv { w, b } => {
+            IrOp::Conv(a) | IrOp::TConv(a) => {
+                let ConvKernel::F32 { w, b, .. } = &a.kernel else { panic!("an FP32 graph") };
                 put(w.data());
                 put(b);
             }
-            Op::BatchNorm { bn } => {
+            IrOp::BatchNorm { bn } => {
                 for v in [&bn.gamma, &bn.beta, &bn.running_mean, &bn.running_var] {
                     put(v);
                 }

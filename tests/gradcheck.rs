@@ -20,7 +20,8 @@ mod common;
 
 use common::{random_frame, random_graph};
 use rand::{Rng, SeedableRng};
-use seneca_nn::graph::{Graph, Op};
+use seneca_ir::{ConvAttrs, ConvKernel, IrOp};
+use seneca_nn::graph::Graph;
 use seneca_nn::prune::prune_channels;
 use seneca_tensor::norm::BnState;
 use seneca_tensor::{Shape4, Tensor};
@@ -41,14 +42,16 @@ struct Case {
 
 impl Case {
     /// `graph` with every dropout at rate 0.25, a batch of two `side`² frames.
-    fn new(mut graph: Graph, side: usize, seed: u64) -> Self {
-        for node in &mut graph.nodes {
-            if let Op::Dropout { rate } = &mut node.op {
+    fn new(graph: Graph, side: usize, seed: u64) -> Self {
+        let mut m = graph.to_ir();
+        for node in &mut m.nodes {
+            if let IrOp::Dropout { rate } = &mut node.op {
                 *rate = 0.25;
             }
         }
         let x = random_frame(Shape4::new(2, 1, side, side), seed);
-        let out = graph.shapes(x.shape())[graph.output];
+        let out = m.shapes(x.shape())[m.output];
+        let graph = Graph::try_from(m).expect("still an export graph");
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x5EED);
         let r =
             Tensor::from_vec(out, (0..out.len()).map(|_| rng.gen_range(-1.0f32..1.0)).collect());
@@ -99,8 +102,8 @@ impl Case {
                     let j = (id * 7 + k * 13 + t * 31) % grad.len();
                     // A pruned weight's channel has zero batch variance: the
                     // BN after it is at a singular point no finite step resolves.
-                    let op = &self.graph.nodes[id].op;
-                    if k == 0 && matches!(op, Op::Conv { w, .. } if w.data()[j] == 0.0) {
+                    let op = &self.graph.module().nodes[id].op;
+                    if k == 0 && matches!(op, IrOp::Conv(a) if weights(a)[j] == 0.0) {
                         continue;
                     }
                     let q = self.slopes(l0, |g, _, d| g.params_mut(id).unwrap()[k][j] += d);
@@ -108,7 +111,7 @@ impl Case {
                 }
             }
         }
-        let param_nodes = self.graph.nodes.iter().filter(|n| has_params(&n.op)).count();
+        let param_nodes = self.graph.module().nodes.iter().filter(|n| has_params(&n.op)).count();
         assert_eq!(tensors, 2 * param_nodes, "every parameter tensor has a gradient");
         let dx = grads.input().data();
         for t in 0..COORDS {
@@ -119,8 +122,13 @@ impl Case {
     }
 }
 
-fn has_params(op: &Op) -> bool {
-    matches!(op, Op::Conv { .. } | Op::TConv { .. } | Op::BatchNorm { .. })
+fn has_params(op: &IrOp) -> bool {
+    matches!(op, IrOp::Conv(_) | IrOp::TConv(_) | IrOp::BatchNorm { .. })
+}
+
+fn weights(a: &ConvAttrs) -> &[f32] {
+    let ConvKernel::F32 { w, .. } = &a.kernel else { panic!("an FP32 graph") };
+    w.data()
 }
 
 #[test]
@@ -145,20 +153,21 @@ fn channel_pruned_unet() {
 #[test]
 fn hand_built_graph() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(14);
-    let mut w = |s: Shape4| Arc::new(Tensor::he_normal(s, &mut rng));
+    let mut kernel = |s: Shape4, b: Vec<f32>| {
+        let w = Arc::new(Tensor::he_normal(s, &mut rng));
+        ConvAttrs::new(ConvKernel::F32 { w, b, bn: None })
+    };
     let mut g = Graph::new("no-unet");
-    let c =
-        g.push(Op::Conv { w: w(Shape4::new(3, 1, 3, 3)), b: vec![0.1; 3], relu: false }, vec![0]);
-    let bn = g.push(Op::BatchNorm { bn: BnState::new(3) }, vec![c]);
-    let r = g.push(Op::Relu, vec![bn]);
-    let twice = g.push(Op::Concat, vec![r, r]);
-    let pool = g.push(Op::MaxPool2x2, vec![twice]);
-    let drop = g.push(Op::Dropout { rate: 0.25 }, vec![pool]);
-    let up = g.push(Op::TConv { w: w(Shape4::new(6, 2, 2, 2)), b: vec![-0.1; 2] }, vec![drop]);
-    let cat = g.push(Op::Concat, vec![up, r]);
-    let head_w = w(Shape4::new(4, 5, 3, 3));
-    let head = g.push(Op::Conv { w: head_w, b: vec![0.0; 4], relu: false }, vec![cat]);
-    let bn = g.push(Op::BatchNorm { bn: BnState::new(4) }, vec![head]);
-    g.push(Op::Softmax, vec![bn]);
+    let c = g.push(IrOp::Conv(kernel(Shape4::new(3, 1, 3, 3), vec![0.1; 3])), vec![0]);
+    let bn = g.push(IrOp::BatchNorm { bn: BnState::new(3) }, vec![c]);
+    let r = g.push(IrOp::Relu, vec![bn]);
+    let twice = g.push(IrOp::Concat { requant: None }, vec![r, r]);
+    let pool = g.push(IrOp::MaxPool2x2, vec![twice]);
+    let drop = g.push(IrOp::Dropout { rate: 0.25 }, vec![pool]);
+    let up = g.push(IrOp::TConv(kernel(Shape4::new(6, 2, 2, 2), vec![-0.1; 2])), vec![drop]);
+    let cat = g.push(IrOp::Concat { requant: None }, vec![up, r]);
+    let head = g.push(IrOp::Conv(kernel(Shape4::new(4, 5, 3, 3), vec![0.0; 4])), vec![cat]);
+    let bn = g.push(IrOp::BatchNorm { bn: BnState::new(4) }, vec![head]);
+    g.push(IrOp::Softmax, vec![bn]);
     Case::new(g, 8, 4).check();
 }

@@ -51,12 +51,13 @@ fn every_handoff_preserves_predictions() {
     for img in &calib[..4] {
         // Hand-off 1: the executor == the oracle on the export graph
         // (probabilities; BN, ReLU, dropout and softmax still explicit).
-        let p_exec = seneca_ir::execute_f32(&graph.to_ir(), img);
-        let graph_vals = oracle::run_f32(&graph.to_ir(), img);
-        let p_graph = &graph_vals[graph.output];
+        let m = graph.module();
+        let p_exec = seneca_ir::execute_f32(m, img);
+        let graph_vals = oracle::run_f32(m, img);
+        let p_graph = &graph_vals[m.output];
         assert_close_f32(p_exec.data(), p_graph.data(), "executor vs export graph");
         // Hand-off 2: Graph == fused module up to softmax.
-        let logits_graph = &graph_vals[graph.nodes[graph.output].inputs[0]];
+        let logits_graph = &graph_vals[m.nodes[m.output].inputs[0]];
         let logits_fused = oracle::run_f32(&fg, img).swap_remove(fg.output);
         assert_close_f32(logits_fused.data(), logits_graph.data(), "export graph vs fused");
         // Hand-off 3: QuantizedGraph argmax mostly agrees with FP32.
@@ -67,7 +68,7 @@ fn every_handoff_preserves_predictions() {
         // Hand-off 4: xmodel functional execution == QuantizedGraph, bit exact.
         let input = xm.quantize_input(img);
         let out_core = executor::run(&xm, &input, &mut xm.lowered().make_scratch_i8()).to_qtensor();
-        let out_qg = oracle::run_i8(&qg.to_ir(), &input).swap_remove(qg.output);
+        let out_qg = oracle::run_i8(qg.module(), &input).swap_remove(qg.module().output);
         assert_eq!(out_core, out_qg);
     }
 
