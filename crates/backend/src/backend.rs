@@ -197,9 +197,10 @@ fn session_timed<E: InferenceEngine>(
 }
 
 /// Host INT8 reference backend: executes the [`QuantizedGraph`] bit-exactly,
-/// with worker-side input quantisation and a per-worker scratch pool (zero
-/// per-frame allocation in the im2col/GEMM hot path). This is the bit-for-bit
-/// twin of the DPU runtime's functional path.
+/// with worker-side input quantisation and a per-worker scratch arena (no
+/// allocation inside the graph walk; [`crate::InferenceSession`] says when
+/// arenas are built). This is the bit-for-bit twin of the DPU runtime's
+/// functional path.
 #[derive(Clone)]
 pub struct QuantRefBackend {
     /// The quantized graph.

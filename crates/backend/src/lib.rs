@@ -9,7 +9,7 @@
 //! * [`ThroughputReport`] / [`ThroughputStats`] — shared measurement types;
 //! * [`Prediction`] / [`Logits`] — labels plus backend-native logits;
 //! * [`InferenceSession`] — the streaming batch executor: bounded job
-//!   queue, worker-side input preparation, per-worker scratch pools.
+//!   queue, worker-side input preparation, per-worker scratch arenas.
 
 mod backend;
 mod prediction;

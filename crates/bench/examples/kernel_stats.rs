@@ -8,8 +8,11 @@
 //! * `smoke` — CI gate: igemm and the W4 nibble kernel bit-exact against
 //!   the naive / W8 kernels on a fixed seed, and packed-beats-reference on
 //!   the largest shape, both dtypes; the Winograd conv bit-exact and faster
-//!   than the direct one on the 16M `64 -> 32` conv at 256x256. It is also
-//!   the binary `scripts/check_kernel_asm.sh` disassembles.
+//!   than the direct one on the 16M `64 -> 32` conv at 256x256; the 1M
+//!   model's last INT8 tconv bit-exact against GEMM + scatter and at least
+//!   0.6x the MAC rate of the same GEMM with a row store (its scatter store
+//!   vectorises). It is also the binary `scripts/check_kernel_asm.sh`
+//!   disassembles.
 //! * `winograd` — the Winograd-vs-direct race on every 1M / 16M conv shape
 //!   at 256x256, with the input transform's share and the FP32 conv's rate
 //!   beside them (the per-shape i8 ÷ f32 MAC-rate ratio).
@@ -22,8 +25,11 @@ use seneca_tensor::gemm::{
     igemm, igemm4_fused_packed, igemm_fused, igemm_fused_packed, igemm_reference, packed_b_len,
     sgemm, sgemm_fused, sgemm_reference, strip_cols, GemmEpilogue, PackedA, PackedA4,
 };
-use seneca_tensor::igemm::{igemm_conv_packed, sgemm_conv, sgemm_conv_packed};
+use seneca_tensor::igemm::{
+    igemm_conv_packed, igemm_tconv2x2_packed, sgemm_conv, sgemm_conv_packed,
+};
 use seneca_tensor::im2col::{im2col, im2col_t, ConvGeom};
+use seneca_tensor::tconv::scatter_tconv2x2;
 use seneca_tensor::winograd::{igemm_conv_winograd, pack_b_winograd, PackedWinograd};
 use seneca_tensor::Shape4;
 use std::time::Instant;
@@ -250,6 +256,45 @@ fn check_implicit_conv(s: ConvShape, race_time: Option<f64>) {
     assert!(t_f32[0] <= t_f32[1] * 1.05, "implicit f32 conv slower than the materialized route");
 }
 
+/// The INT8 tconv store gate on the 1M model's last tconv (`16 -> 16`,
+/// 128x128 -> 256x256): the scatter-fused tconv must be bit-exact against
+/// the fused GEMM followed by [`scatter_tconv2x2`], and reach at least 0.6x
+/// the MAC rate of a 1x1 [`igemm_conv_packed`] with the same `(m, k, n) =
+/// (64, 16, 16384)` — the same GEMM with a row store — raced back to back.
+/// The GEMM is 16 MACs per output byte, so the store decides the rate: a
+/// scalar scatter store ran at ~0.12x, the vectorised one at ~1.05x.
+fn check_tconv_store() {
+    let (c_in, c_out, h, w) = (16, 16, 128, 128);
+    let (m, k, n) = (4 * c_out, c_in, h * w);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x7C0);
+    let wk: Vec<i8> = (0..m * k).map(|_| rng.gen_range(-128i32..128) as i8).collect();
+    let x: Vec<i8> = (0..k * n).map(|_| rng.gen_range(-128i32..128) as i8).collect();
+    let bias4: Vec<i32> = (0..m as i32).map(|i| (i / 4) * 91 - 777).collect();
+    let (shift, relu) = (7, true);
+    let pa = PackedA::pack(m, k, &wk);
+    let geom = ConvGeom { c_in, h, w, k: 1, pad: 0, stride: 1 };
+    let (mut y, mut y_rows) = (vec![0i8; m * n], vec![0i8; m * n]);
+    let [t_tconv, t_rows] = race(
+        0.5,
+        [&mut || igemm_tconv2x2_packed(&pa, &x, h, w, &bias4, shift, relu, &mut y), &mut || {
+            igemm_conv_packed(&pa, &geom, &x, &bias4, shift, relu, &mut y_rows)
+        }],
+    );
+    let mut y_ref = vec![0i8; m * n];
+    igemm_fused(m, k, n, &wk, &x, &bias4, shift, relu, &mut y_rows);
+    scatter_tconv2x2(c_out, h, w, &y_rows, &mut y_ref);
+    assert_eq!(y, y_ref, "scatter-fused tconv != GEMM + scatter (seed 0x7C0)");
+    let gmac = (m * k * n) as f64 / 1e9;
+    let ratio = t_rows / t_tconv;
+    println!(
+        "tconv store 1M {c_in}->{c_out} @{h}: bit-exact, {:.2} vs row store {:.2} GMAC/s ({:.2}x)",
+        gmac / t_tconv,
+        gmac / t_rows,
+        ratio
+    );
+    assert!(ratio >= 0.6, "tconv scatter store at {ratio:.2}x the row store's rate (< 0.6x)");
+}
+
 /// The 3x3 convs of the 1M and 16M models at 256x256, distinct shapes in
 /// node order.
 fn winograd_race_shapes() -> Vec<ConvShape> {
@@ -397,6 +442,7 @@ fn smoke() {
         100.0 * r.pack_share
     );
     assert!(r.winograd > r.direct, "Winograd conv no faster than the direct conv");
+    check_tconv_store();
     let (af, bf, mut cf) = make_f32(largest);
     let gflop = 2.0 * largest.macs() as f64 / 1e9;
     let (m, k, n) = (largest.m, largest.k, largest.n);

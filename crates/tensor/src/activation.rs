@@ -116,24 +116,26 @@ pub fn argmax_channels(x: &Tensor) -> Vec<u8> {
     out
 }
 
-/// Argmax over channels for an INT8 tensor buffer (used on DPU outputs).
+/// Argmax over channels for an INT8 tensor buffer (used on DPU outputs);
+/// ties go to the lowest channel, as in [`argmax_channels`].
+///
+/// Plane-major: a running `best` row and the label row are updated by
+/// compare-and-select one channel plane at a time, so every pass is a
+/// contiguous, vectorisable walk.
 pub fn argmax_channels_i8(shape: Shape4, data: &[i8]) -> Vec<u8> {
     assert_eq!(data.len(), shape.len());
+    assert!(shape.c <= u8::MAX as usize + 1);
     let hw = shape.hw();
     let mut out = vec![0u8; shape.n * hw];
     out.par_chunks_mut(hw).enumerate().for_each(|(n, labels)| {
         let x_n = &data[n * shape.chw()..(n + 1) * shape.chw()];
-        for (pix, lbl) in labels.iter_mut().enumerate() {
-            let mut best = x_n[pix];
-            let mut best_c = 0u8;
-            for c in 1..shape.c {
-                let v = x_n[c * hw + pix];
-                if v > best {
-                    best = v;
-                    best_c = c as u8;
-                }
+        let mut best = x_n[..hw].to_vec();
+        for (c, plane) in x_n.chunks_exact(hw).enumerate().skip(1) {
+            for ((b, l), &v) in best.iter_mut().zip(labels.iter_mut()).zip(plane) {
+                let gt = v > *b;
+                *b = if gt { v } else { *b };
+                *l = if gt { c as u8 } else { *l };
             }
-            *lbl = best_c;
         }
     });
     out
@@ -218,6 +220,45 @@ mod tests {
         *x.at_mut(0, 1, 1, 1) = 2.0;
         let labels = argmax_channels(&x);
         assert_eq!(labels, vec![2, 0, 0, 1]);
+    }
+
+    /// The per-pixel scalar definition the plane-major kernel replaces.
+    fn argmax_channels_i8_reference(shape: Shape4, data: &[i8]) -> Vec<u8> {
+        let hw = shape.hw();
+        let mut out = vec![0u8; shape.n * hw];
+        for (n, labels) in out.chunks_mut(hw).enumerate() {
+            let x_n = &data[n * shape.chw()..(n + 1) * shape.chw()];
+            for (pix, lbl) in labels.iter_mut().enumerate() {
+                let mut best = x_n[pix];
+                for c in 1..shape.c {
+                    if x_n[c * hw + pix] > best {
+                        best = x_n[c * hw + pix];
+                        *lbl = c as u8;
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Ties go to the lowest channel: values from a narrow range tie often.
+    #[test]
+    fn argmax_i8_ties_go_to_the_lowest_channel() {
+        use rand::{Rng, SeedableRng};
+        let s = Shape4::new(1, 3, 1, 4);
+        let data = [5, 1, -128, 7, 5, 1, -128, 7, 0, 1, -128, 7];
+        assert_eq!(argmax_channels_i8(s, &data), vec![0, 0, 0, 0]);
+        let data = [5, 1, -128, 7, 6, 2, -127, 7, 6, 2, -127, 8];
+        assert_eq!(argmax_channels_i8(s, &data), vec![1, 1, 1, 2]);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(4);
+        for s in [Shape4::new(2, 6, 5, 7), Shape4::new(2, 1, 3, 3), Shape4::new(1, 17, 9, 1)] {
+            let data: Vec<i8> = (0..s.len()).map(|_| rng.gen_range(-2i8..2)).collect();
+            assert_eq!(
+                argmax_channels_i8(s, &data),
+                argmax_channels_i8_reference(s, &data),
+                "{s:?}"
+            );
+        }
     }
 
     #[test]

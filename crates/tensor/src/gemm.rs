@@ -826,12 +826,7 @@ pub(crate) fn store_rows<S: Copy, C, R: Copy>(
 /// shift))`, optionally ReLU-clamped.
 #[inline(always)]
 pub(crate) fn requant(v: i32, bias: i32, shift: i32, relu: bool) -> i8 {
-    let q = requantize_i32(v + bias, shift);
-    if relu && q < 0 {
-        0
-    } else {
-        q
-    }
+    requantize_i32(v + bias, shift).max(if relu { 0 } else { i8::MIN })
 }
 
 /// Row `i` of a per-row bias; a short or empty slice contributes zero.
@@ -1077,8 +1072,15 @@ pub fn igemm_reference(m: usize, k: usize, n: usize, a: &[i8], b: &[i8], c: &mut
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::quantized::requantize_slice;
     use rand::{Rng, SeedableRng};
+
+    /// Requantises a whole accumulator buffer, element by element.
+    fn requantize_slice(acc: &[i32], shift: i32, out: &mut [i8]) {
+        assert_eq!(acc.len(), out.len());
+        for (o, &a) in out.iter_mut().zip(acc) {
+            *o = requantize_i32(a, shift);
+        }
+    }
 
     fn rand_vec(len: usize, seed: u64) -> Vec<f32> {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);

@@ -197,7 +197,11 @@ fn conv_requant<A: Panels<B = i8, Out = Acc<i32>>>(
 /// `iy*w + ix` lands at `(2iy+ky, 2ix+kx)` of output plane `co` as
 /// `f(acc, bias4[row])`. `out` is `[C_out, 2H, 2W]`; the driver hands each
 /// part the band of every plane its (whole) input rows scatter into.
-fn run_tconv2x2<A: Panels<Out = Acc<S>, B: PackElem>, S: Copy + Zero + Sync, C: Send>(
+fn run_tconv2x2<
+    A: Panels<Out = Acc<S>, B: PackElem>,
+    S: Copy + Zero + Sync,
+    C: Copy + Zero + Send,
+>(
     pa: &A,
     x: &[A::B],
     (h, w): (usize, usize),
@@ -213,21 +217,30 @@ fn run_tconv2x2<A: Panels<Out = Acc<S>, B: PackElem>, S: Copy + Zero + Sync, C: 
     let layout = OutLayout { rows: 4, len: 4 * h * w, quantum: w, quantum_elems: 4 * w };
     run(pa, h * w, layout, out, pack, |acc, t: Tile, chunks| {
         // GEMM rows come in `(kx = 0, kx = 1)` pairs that interleave into one
-        // output row; a tile's columns are walked in runs that share an input
+        // output row. Each pair is stored in three vectorisable passes over
+        // fixed-size arrays: `f` down each row, the interleave, then the
+        // copies; a tile's columns are walked in runs that share an input
         // row, each run one contiguous piece of that output row.
         for (pi, pair) in acc[..t.rows].chunks_exact(2).enumerate() {
             let row = t.row + 2 * pi;
             let (b0, b1) = (bias_at(bias4, row), bias_at(bias4, row + 1));
+            let (mut q0, mut q1) = ([C::ZERO; NR], [C::ZERO; NR]);
+            for ((d0, d1), (&v0, &v1)) in
+                q0.iter_mut().zip(&mut q1).zip(pair[0].iter().zip(&pair[1]))
+            {
+                (*d0, *d1) = (f(v0, b0), f(v1, b1));
+            }
+            let mut q = [C::ZERO; 2 * NR];
+            for ((d, &v0), &v1) in q.as_chunks_mut::<2>().0.iter_mut().zip(&q0).zip(&q1) {
+                *d = [v0, v1];
+            }
             let band = &mut chunks[(row - t.row0) / 4];
             let (mut oy, mut ix) = (2 * (t.col / w - t.col0 / w) + (row % 4) / 2, t.col % w);
             let mut done = 0;
             while done < t.cols {
                 let run = (w - ix).min(t.cols - done);
                 let dst = &mut band[oy * 2 * w + 2 * ix..][..2 * run];
-                let (v0, v1) = (&pair[0][done..done + run], &pair[1][done..done + run]);
-                for ((d, &v0), &v1) in dst.chunks_exact_mut(2).zip(v0).zip(v1) {
-                    (d[0], d[1]) = (f(v0, b0), f(v1, b1));
-                }
+                dst.copy_from_slice(&q[2 * done..][..2 * run]);
                 (done, ix, oy) = (done + run, 0, oy + 2);
             }
         }

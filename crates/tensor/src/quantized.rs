@@ -185,32 +185,43 @@ pub fn choose_fix_pos_bits(abs_max: f32, bits: Bitwidth) -> i32 {
 /// Requantises a 32-bit accumulator to INT8 with a right shift of `shift`
 /// bits (round-half-away-from-zero, saturating) — the DPU's rescale step.
 /// Negative `shift` left-shifts.
-#[inline]
+///
+/// Everything stays in `i32`, so a store loop over it vectorises at the
+/// accumulator's lane width, and it is exact on the whole `(acc, shift)`
+/// domain: a right shift rounds the magnitude `u = |acc| <= 2^31`, where
+/// `u >> (shift - 1)` keeps the half bit as its lowest bit and cannot
+/// overflow; a left shift saturates `acc` to the `i8` range first (a
+/// non-zero value shifted 8 places saturates either way).
+#[inline(always)]
 pub fn requantize_i32(acc: i32, shift: i32) -> i8 {
-    let v: i64 = if shift > 0 {
-        let acc = acc as i64;
-        let half = 1i64 << (shift - 1);
-        // Round half away from zero.
-        if acc >= 0 {
-            (acc + half) >> shift
+    let v = if shift > 0 {
+        let r = acc.unsigned_abs().checked_shr(shift as u32 - 1).unwrap_or(0);
+        let q = ((r >> 1) + (r & 1)) as i32;
+        if acc < 0 {
+            -q
         } else {
-            -((-acc + half) >> shift)
+            q
         }
     } else {
-        (acc as i64) << (-shift)
+        acc.clamp(i8::MIN.into(), i8::MAX.into()) << shift.max(-8).unsigned_abs()
     };
-    v.clamp(i8::MIN as i64, i8::MAX as i64) as i8
+    v.clamp(i8::MIN.into(), i8::MAX.into()) as i8
 }
 
-/// Requantises a whole accumulator buffer into an existing `i8` buffer.
-pub fn requantize_slice(acc: &[i32], shift: i32, out: &mut [i8]) {
-    assert_eq!(acc.len(), out.len());
-    for (o, &a) in out.iter_mut().zip(acc) {
-        *o = requantize_i32(a, shift);
+/// Requantises `src` onto `dst` by [`requantize_i32`]; a zero shift is a
+/// plain copy.
+fn requantize_i8_into(src: &[i8], shift: i32, dst: &mut [i8]) {
+    if shift == 0 {
+        dst.copy_from_slice(src);
+    } else {
+        for (d, &v) in dst.iter_mut().zip(src) {
+            *d = requantize_i32(v.into(), shift);
+        }
     }
 }
 
 /// INT8 2x2 stride-2 max pool on raw NCHW slices. Returns the output shape.
+/// An odd trailing row or column is dropped (floor semantics).
 ///
 /// The max of INT8 values at one fix position is exact — no requantisation —
 /// so the output keeps the input's fix position (the caller's bookkeeping).
@@ -218,16 +229,15 @@ pub fn maxpool2x2_i8(xs: Shape4, x: &[i8], out: &mut [i8]) -> Shape4 {
     let out_shape = xs.pooled2x2();
     assert_eq!(x.len(), xs.len(), "qmaxpool input buffer/shape mismatch");
     assert_eq!(out.len(), out_shape.len(), "qmaxpool output buffer size");
-    let (ho, wo) = (out_shape.h, out_shape.w);
-    for plane in 0..xs.n * xs.c {
-        let x_plane = &x[plane * xs.hw()..(plane + 1) * xs.hw()];
-        for oy in 0..ho {
-            for ox in 0..wo {
-                let v = x_plane[2 * oy * xs.w + 2 * ox]
-                    .max(x_plane[2 * oy * xs.w + 2 * ox + 1])
-                    .max(x_plane[(2 * oy + 1) * xs.w + 2 * ox])
-                    .max(x_plane[(2 * oy + 1) * xs.w + 2 * ox + 1]);
-                out[plane * ho * wo + oy * wo + ox] = v;
+    if out_shape.is_empty() {
+        return out_shape; // no plane or row to walk (chunk sizes would be 0)
+    }
+    let (wo, w) = (out_shape.w, xs.w);
+    for (x_plane, o_plane) in x.chunks_exact(xs.hw()).zip(out.chunks_exact_mut(out_shape.hw())) {
+        for (pair, o_row) in x_plane.chunks_exact(2 * w).zip(o_plane.chunks_exact_mut(wo)) {
+            let (r0, r1) = pair.split_at(w);
+            for ((o, a), b) in o_row.iter_mut().zip(r0.chunks_exact(2)).zip(r1.chunks_exact(2)) {
+                *o = a[0].max(a[1]).max(b[0].max(b[1]));
             }
         }
     }
@@ -252,15 +262,11 @@ pub fn concat_requant_i8(
     assert_eq!(b.len(), sb.len(), "qconcat second input buffer/shape mismatch");
     let out_shape = Shape4::new(sa.n, sa.c + sb.c, sa.h, sa.w);
     assert_eq!(out.len(), out_shape.len(), "qconcat output buffer size");
-    let hw = sa.hw();
+    let (ca, cb) = (sa.chw(), sb.chw());
     for n in 0..sa.n {
-        let dst = n * out_shape.chw();
-        for (i, &v) in a[n * sa.chw()..(n + 1) * sa.chw()].iter().enumerate() {
-            out[dst + i] = requantize_i32(v as i32, shift_a);
-        }
-        for (i, &v) in b[n * sb.chw()..(n + 1) * sb.chw()].iter().enumerate() {
-            out[dst + sa.c * hw + i] = requantize_i32(v as i32, shift_b);
-        }
+        let (dst_a, dst_b) = out[n * (ca + cb)..][..ca + cb].split_at_mut(ca);
+        requantize_i8_into(&a[n * ca..][..ca], shift_a, dst_a);
+        requantize_i8_into(&b[n * cb..][..cb], shift_b, dst_b);
     }
     out_shape
 }
@@ -322,6 +328,139 @@ mod tests {
         assert_eq!(requantize_i32(1 << 20, 4), 127);
         assert_eq!(requantize_i32(-(1 << 20), 4), -128);
         assert_eq!(requantize_i32(100, -2), 127); // left shift overflow saturates
+    }
+
+    /// The scalar definitions the vectorised kernels replace.
+    fn requantize_i64_reference(acc: i32, shift: i32) -> i8 {
+        let v: i64 = if shift > 0 {
+            let acc = acc as i64;
+            let half = 1i64 << (shift - 1);
+            if acc >= 0 {
+                (acc + half) >> shift
+            } else {
+                -((-acc + half) >> shift)
+            }
+        } else {
+            (acc as i64) << (-shift)
+        };
+        v.clamp(i8::MIN as i64, i8::MAX as i64) as i8
+    }
+
+    fn maxpool2x2_i8_reference(xs: Shape4, x: &[i8]) -> Vec<i8> {
+        let os = xs.pooled2x2();
+        let mut out = vec![0i8; os.len()];
+        for plane in 0..xs.n * xs.c {
+            let x_plane = &x[plane * xs.hw()..(plane + 1) * xs.hw()];
+            for oy in 0..os.h {
+                for ox in 0..os.w {
+                    let v = x_plane[2 * oy * xs.w + 2 * ox]
+                        .max(x_plane[2 * oy * xs.w + 2 * ox + 1])
+                        .max(x_plane[(2 * oy + 1) * xs.w + 2 * ox])
+                        .max(x_plane[(2 * oy + 1) * xs.w + 2 * ox + 1]);
+                    out[plane * os.hw() + oy * os.w + ox] = v;
+                }
+            }
+        }
+        out
+    }
+
+    fn concat_requant_i8_reference(
+        (sa, a, shift_a): (Shape4, &[i8], i32),
+        (sb, b, shift_b): (Shape4, &[i8], i32),
+    ) -> Vec<i8> {
+        let c = sa.c + sb.c;
+        let mut out = vec![0i8; sa.n * c * sa.hw()];
+        for n in 0..sa.n {
+            let dst = n * c * sa.hw();
+            for (i, &v) in a[n * sa.chw()..(n + 1) * sa.chw()].iter().enumerate() {
+                out[dst + i] = requantize_i64_reference(v as i32, shift_a);
+            }
+            for (i, &v) in b[n * sb.chw()..(n + 1) * sb.chw()].iter().enumerate() {
+                out[dst + sa.c * sa.hw() + i] = requantize_i64_reference(v as i32, shift_b);
+            }
+        }
+        out
+    }
+
+    fn rand_i8(len: usize, seed: u64) -> Vec<i8> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        (0..len).map(|_| rng.gen_range(-128i32..128) as i8).collect()
+    }
+
+    /// The `i32` form is the `i64` one on the whole accumulator domain, for
+    /// every shift the requantiser sees and past it.
+    #[test]
+    fn requantize_i32_matches_i64_form() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5EED);
+        for shift in -8..=31 {
+            let mut accs = vec![i32::MIN, i32::MIN + 1, i32::MAX, i32::MAX - 1, -1, 0, 1];
+            accs.extend([-128, 127, -129, 128]);
+            if shift > 0 {
+                // The half boundaries: k * 2^s ± 2^(s-1) and one either side.
+                let (one, half) = (1i64 << shift, 1i64 << (shift - 1));
+                for k in [-200i64, -129, -128, -3, -1, 0, 1, 3, 127, 128, 200] {
+                    for d in [-half - 1, -half, -half + 1, half - 1, half, half + 1] {
+                        let v = k * one + d;
+                        if let Ok(v) = i32::try_from(v) {
+                            accs.push(v);
+                        }
+                    }
+                }
+            }
+            accs.extend((0..2000).map(|_| rng.gen::<i32>()));
+            accs.extend((0..2000).map(|_| rng.gen_range(-(1 << 16)..(1 << 16))));
+            for acc in accs {
+                assert_eq!(
+                    requantize_i32(acc, shift),
+                    requantize_i64_reference(acc, shift),
+                    "acc {acc} shift {shift}"
+                );
+            }
+        }
+        // Past the range: everything rounds to zero but `i32::MIN >> 32`.
+        for shift in [32, 33, 40] {
+            for acc in [i32::MIN, i32::MIN + 1, i32::MAX, -1, 1] {
+                assert_eq!(requantize_i32(acc, shift), requantize_i64_reference(acc, shift));
+            }
+        }
+    }
+
+    /// Odd H and W drop the trailing row and column (floor semantics).
+    #[test]
+    fn maxpool2x2_i8_matches_scalar_definition() {
+        for (i, &(n, c, h, w)) in
+            [(2, 3, 7, 9), (2, 2, 8, 8), (2, 1, 5, 2), (1, 4, 3, 65), (2, 2, 1, 5)]
+                .iter()
+                .enumerate()
+        {
+            let xs = Shape4::new(n, c, h, w);
+            let x = rand_i8(xs.len(), i as u64);
+            let mut out = vec![0x55i8; xs.pooled2x2().len()];
+            assert_eq!(maxpool2x2_i8(xs, &x, &mut out), xs.pooled2x2());
+            assert_eq!(out, maxpool2x2_i8_reference(xs, &x), "{xs:?}");
+        }
+    }
+
+    #[test]
+    fn concat_requant_i8_matches_scalar_definition() {
+        let (sa, sb) = (Shape4::new(2, 3, 5, 7), Shape4::new(2, 2, 5, 7));
+        let with_extremes = |len, seed| {
+            let mut v = rand_i8(len, seed);
+            v[..4].copy_from_slice(&[-128, 127, -128, 127]);
+            v[len - 2..].copy_from_slice(&[127, -128]);
+            v
+        };
+        let (a, b) = (with_extremes(sa.len(), 1), with_extremes(sb.len(), 2));
+        for shift_a in [-1, 0, 1, 2, 7] {
+            for shift_b in [-1, 0, 1, 2, 7] {
+                let mut out = vec![0x55i8; sa.len() + sb.len()];
+                concat_requant_i8(sa, &a, sb, &b, shift_a, shift_b, &mut out);
+                let want = concat_requant_i8_reference((sa, &a, shift_a), (sb, &b, shift_b));
+                assert_eq!(out, want, "shifts {shift_a} {shift_b}");
+            }
+        }
     }
 
     #[test]

@@ -260,7 +260,7 @@ fn store_winograd(
             }
         }
         // ... then Aᵀ (M A), `>> 2` and requant: q[2 dy + dx][j] is output
-        // pixel (dy, dx) of tile column j.
+        // pixel (dy, dx) of tile column j ...
         let b = bias_at(bias, t.row + ii);
         let mut q = [[0i8; NR]; 4];
         for dx in 0..2 {
@@ -270,23 +270,25 @@ fn store_winograd(
                 q[2 + dx][j] = requant(y1 >> 2, b, shift, relu);
             }
         }
+        // ... interleaved into the tile row's two output rows, so that each
+        // run of tile columns sharing a tile row is one copy per output row
+        // (an odd width clips the last tile's right column).
+        let mut rows = [[0i8; 2 * NR]; 2];
+        for (dy, row) in rows.iter_mut().enumerate() {
+            let (q0, q1) = (&q[2 * dy], &q[2 * dy + 1]);
+            for ((d, &v0), &v1) in row.as_chunks_mut::<2>().0.iter_mut().zip(q0).zip(q1) {
+                *d = [v0, v1];
+            }
+        }
         let band = &mut chunks[t.row - t.row0 + ii];
         let mut done = 0;
         while done < t.cols {
             let (ty, tx0) = ((t.col + done) / tw, (t.col + done) % tw);
             let seg = (tw - tx0).min(t.cols - done);
-            for dy in 0..2.min(h - 2 * ty) {
+            for (dy, src) in rows.iter().enumerate().take(2.min(h - 2 * ty)) {
                 let row = &mut band[(2 * (ty - ty0) + dy) * w..][..w];
                 let dst = &mut row[2 * tx0..(2 * (tx0 + seg)).min(w)];
-                let (q0, q1) = (&q[2 * dy][done..done + seg], &q[2 * dy + 1][done..done + seg]);
-                let mut pairs = dst.chunks_exact_mut(2);
-                for (px, (&v0, &v1)) in (&mut pairs).zip(q0.iter().zip(q1)) {
-                    (px[0], px[1]) = (v0, v1);
-                }
-                // An odd width clips the last tile's right column.
-                if let [last] = pairs.into_remainder() {
-                    *last = q0[seg - 1];
-                }
+                dst.copy_from_slice(&src[2 * done..][..dst.len()]);
             }
             done += seg;
         }

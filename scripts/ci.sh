@@ -39,7 +39,7 @@ cargo run --release -q -p seneca-serve --example serve_demo -- smoke
 echo "== ir smoke (pass pipeline clean; peak arena < total activations; implicit-GEMM peak < materialized route) =="
 cargo run --release -q -p seneca-bench --example ir_stats
 
-echo "== kernel smoke (igemm and W4 nibble GEMM bit-exact; packed GEMM beats reference; implicit conv == materialized; on 16M 64->32 @256: implicit >= materialized in both dtypes, Winograd bit-exact and > direct, i8 / f32 MAC rate printed) =="
+echo "== kernel smoke (igemm and W4 nibble GEMM bit-exact; packed GEMM beats reference; implicit conv == materialized; on 16M 64->32 @256: implicit >= materialized in both dtypes, Winograd bit-exact and > direct, i8 / f32 MAC rate printed; on 1M 16->16 @128: INT8 tconv == GEMM + scatter and >= 0.6x the MAC rate of the same GEMM with a row store) =="
 cargo run --release -q -p seneca-bench --example kernel_stats -- smoke
 
 echo "== kernel asm (INT8/INT4/Winograd i16 tiles: vpdpwssd/vpmaddwd, no vpmulld; f32 tile: vfmadd231ps, no vmulps/vaddps) =="
