@@ -28,7 +28,7 @@ use seneca_tensor::gemm::{
 use seneca_tensor::igemm::{
     igemm_conv_packed, igemm_tconv2x2_packed, sgemm_conv, sgemm_conv_packed,
 };
-use seneca_tensor::im2col::{im2col, im2col_t, ConvGeom};
+use seneca_tensor::im2col::{im2col_t, ConvGeom};
 use seneca_tensor::tconv::scatter_tconv2x2;
 use seneca_tensor::winograd::{igemm_conv_winograd, pack_b_winograd, PackedWinograd};
 use seneca_tensor::Shape4;
@@ -220,7 +220,7 @@ fn check_implicit_conv(s: ConvShape, race_time: Option<f64>) {
     let mut implicit_f32 =
         || sgemm_conv(m, &wf, &geom, &xf, &mut yf_imp, GemmEpilogue::BiasRelu(&bf));
     let mut materialized_f32 = || {
-        im2col(&geom, &xf, &mut colf);
+        im2col_t(&geom, &xf, &mut colf);
         sgemm_fused(m, k, n, &wf, &colf, &mut yf_mat, GemmEpilogue::BiasRelu(&bf));
     };
     let times = race_time.map(|t| {

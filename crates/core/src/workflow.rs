@@ -209,15 +209,17 @@ impl Workflow {
         let net = UNet::from_size(size, &mut rng);
         let mut opt = Adam::new(self.config.learning_rate);
 
-        // Compute-normalised epoch budget. The 1M reference is built from the
-        // training RNG, so its draws are part of the stream every cached
-        // model was trained with.
+        // Compute-normalised epoch budget, against the 1M model's MAC count.
+        // The 1M reference is built from its own RNG, so it leaves the
+        // training stream alone.
         let s = self.config.input_size;
-        let macs_this = net.macs_per_frame(s, s) as f64;
-        let macs_1m = UNet::from_size(ModelSize::M1, &mut rng).macs_per_frame(s, s) as f64;
-        let epochs =
-            ((self.config.train.epochs as f64 * macs_1m / macs_this).round() as usize).max(1);
+        let frame_macs = |g: &Graph| g.macs(Shape4::new(1, 1, s, s)).iter().sum::<u64>() as f64;
         let mut graph = Graph::from_unet(&net, size.label());
+        let reference = UNet::from_size(ModelSize::M1, &mut rand::rngs::StdRng::seed_from_u64(0));
+        let macs_1m = frame_macs(&Graph::from_unet(&reference, ModelSize::M1.label()));
+        let epochs = ((self.config.train.epochs as f64 * macs_1m / frame_macs(&graph)).round()
+            as usize)
+            .max(1);
 
         // Cross-entropy warm-up epoch.
         use rand::seq::SliceRandom;

@@ -26,7 +26,10 @@ pub fn artifacts_dir() -> PathBuf {
 /// of training) accumulate with fused multiply-add. 3: the cache holds the
 /// trained `Graph` (same weights, new file format). 4: the trained `Graph`
 /// is stored as its FP32 `seneca_ir::Module` (same weights, new file format).
-const PIPELINE_VERSION: u32 = 4;
+/// 5: conv and tconv backward run as implicit GEMMs on the strip driver (new
+/// FMA sum orders), and the epoch budget no longer draws from the training
+/// RNG.
+const PIPELINE_VERSION: u32 = 5;
 
 /// A stable fingerprint of everything that affects trained weights: the
 /// configuration, salted with the pipeline version (the leading `v<N>`).

@@ -238,31 +238,6 @@ impl UNet {
         }
         total + self.head.param_count()
     }
-
-    /// Multiply-accumulate operations for one forward pass at `h`x`w` input,
-    /// used by the GPU/DPU performance models. Counts conv, tconv and head.
-    pub fn macs_per_frame(&self, h: usize, w: usize) -> u64 {
-        let mut total: u64 = 0;
-        let (mut hh, mut ww) = (h as u64, w as u64);
-        for e in &self.encoders {
-            let ws1 = e.conv1.w.shape();
-            let ws2 = e.conv2.w.shape();
-            total += hh * ww * (ws1.len() as u64 + ws2.len() as u64);
-            hh /= 2;
-            ww /= 2;
-        }
-        total +=
-            hh * ww * (self.bneck1.w.shape().len() as u64 + self.bneck2.w.shape().len() as u64);
-        for d in &self.decoders {
-            // tconv: each input pixel does C_in*C_out*4 MACs.
-            total += hh * ww * d.up.w.shape().len() as u64;
-            hh *= 2;
-            ww *= 2;
-            total += hh * ww * (d.conv1.w.shape().len() as u64 + d.conv2.w.shape().len() as u64);
-        }
-        total += hh * ww * self.head.w.shape().len() as u64;
-        total
-    }
 }
 
 #[cfg(test)]
@@ -304,10 +279,9 @@ mod tests {
 
     #[test]
     fn macs_scale_with_resolution() {
-        let mut r = rng();
-        let net = UNet::from_size(ModelSize::M1, &mut r);
-        let m256 = net.macs_per_frame(256, 256);
-        let m128 = net.macs_per_frame(128, 128);
+        let graph = crate::Graph::from_unet(&UNet::from_size(ModelSize::M1, &mut rng()), "1M");
+        let macs = |s| graph.macs(Shape4::new(1, 1, s, s)).iter().sum::<u64>();
+        let (m256, m128) = (macs(256), macs(128));
         let ratio = m256 as f64 / m128 as f64;
         assert!((ratio - 4.0).abs() < 0.1, "ratio {ratio}");
         // 1M model at 256² is in the GMAC range (sanity check).

@@ -1,13 +1,15 @@
-//! 2-D convolution: implicit-GEMM forward, `im2col` + GEMM backward.
+//! 2-D convolution, forward and backward, as implicit GEMMs.
 //!
-//! The forward path never materializes the column matrix — the im2col index
-//! math runs inside the GEMM panel pack (see [`crate::igemm`]). The backward
-//! pass keeps explicit `im2col`/`col2im` because it needs the column matrix
-//! as a GEMM operand in its own right (`dW = dY * col^T`).
+//! No pass materializes the column matrix — the im2col index math runs
+//! inside the GEMM panel packs of the one strip-mined driver (see
+//! [`crate::igemm`]). The backward pass is two more GEMMs on that driver:
+//! `dX` is the forward conv of `dY` with the kernel flipped and `C_in`/`C_out`
+//! swapped, and `dW = dY * col^T` gathers the transposed column matrix strip
+//! by strip.
 
-use crate::gemm::{sgemm_at, sgemm_bt, GemmEpilogue};
-use crate::igemm::sgemm_conv;
-use crate::im2col::{col2im, im2col, ConvGeom};
+use crate::gemm::{GemmEpilogue, PackedA};
+use crate::igemm::{sgemm_conv, sgemm_conv_packed, sgemm_conv_wgrad};
+use crate::im2col::ConvGeom;
 use crate::shape::Shape4;
 use crate::tensor::Tensor;
 
@@ -127,7 +129,10 @@ pub struct ConvGrads {
 
 /// Backward convolution. Given the forward input `x`, the weights `w`, and
 /// the upstream gradient `dy` (shaped like the forward output), computes
-/// gradients for input, weights, and bias.
+/// gradients for input, weights, and bias. Stride 1 only (every conv the
+/// U-Net trains): then `dX` is the "full" conv of `dY` — padding `k - 1 -
+/// pad` — with the weights flipped and transposed to `[C_in, C_out, K, K]`,
+/// which pack straight into the `A` panels. Allocates only the gradients.
 pub fn conv2d_backward(x: &Tensor, w: &Tensor, dy: &Tensor, p: Conv2dParams) -> ConvGrads {
     let xs = x.shape();
     let ws = w.shape();
@@ -136,36 +141,32 @@ pub fn conv2d_backward(x: &Tensor, w: &Tensor, dy: &Tensor, p: Conv2dParams) -> 
     assert_eq!(ys.c, ws.n);
     assert_eq!((ys.h, ys.w), (geom.h_out(), geom.w_out()));
     assert_eq!(ys.n, xs.n);
-
-    let ckk = geom.col_rows();
-    let cols = geom.col_cols();
+    assert!(p.stride == 1 && p.pad < p.k, "conv2d_backward needs stride 1 and pad < k");
 
     let mut dw = Tensor::zeros(ws);
     let mut db = vec![0.0f32; ws.n];
     let mut dx = Tensor::zeros(xs);
 
-    let mut col = vec![0.0f32; ckk * cols];
-    let mut dcol = vec![0.0f32; ckk * cols];
-    let mut dw_n = vec![0.0f32; ws.len()];
-    for n in 0..xs.n {
-        let x_n = &x.data()[n * xs.chw()..(n + 1) * xs.chw()];
-        let dy_n = &dy.data()[n * ys.chw()..(n + 1) * ys.chw()];
-
-        // dW += dY_n · col_nᵀ
-        im2col(&geom, x_n, &mut col);
-        sgemm_bt(ws.n, cols, ckk, dy_n, &col, &mut dw_n);
-        for (acc, v) in dw.data_mut().iter_mut().zip(&dw_n) {
-            *acc += v;
+    let dy_geom =
+        ConvGeom { c_in: ws.n, h: ys.h, w: ys.w, k: p.k, pad: p.k - 1 - p.pad, stride: 1 };
+    let taps = p.k * p.k;
+    let w_data = w.data();
+    // Row `ci`, column `(co, tap)` = `w[co, ci, k*k - 1 - tap]`.
+    let flipped =
+        |ci: usize, j: usize| w_data[((j / taps) * xs.c + ci) * taps + taps - 1 - j % taps];
+    PackedA::with_scratch(xs.c, ws.n * taps, flipped, |w_t| {
+        for (dx_n, dy_n) in
+            dx.data_mut().chunks_exact_mut(xs.chw()).zip(dy.data().chunks_exact(ys.chw()))
+        {
+            sgemm_conv_packed(w_t, &dy_geom, dy_n, dx_n, GemmEpilogue::None);
         }
+    });
 
-        // db += Σ_spatial dY_n
-        for (co, acc) in db.iter_mut().enumerate() {
-            *acc += dy_n[co * cols..(co + 1) * cols].iter().sum::<f32>();
+    for (x_n, dy_n) in x.data().chunks_exact(xs.chw()).zip(dy.data().chunks_exact(ys.chw())) {
+        sgemm_conv_wgrad(ws.n, dy_n, &geom, x_n, dw.data_mut());
+        for (acc, plane) in db.iter_mut().zip(dy_n.chunks_exact(ys.hw())) {
+            *acc += plane.iter().sum::<f32>();
         }
-
-        // dX_n = col2im(Wᵀ · dY_n)
-        sgemm_at(ckk, ws.n, cols, w.data(), dy_n, &mut dcol);
-        col2im(&geom, &dcol, &mut dx.data_mut()[n * xs.chw()..(n + 1) * xs.chw()]);
     }
 
     ConvGrads { dx, dw, db }

@@ -875,21 +875,6 @@ pub(crate) fn run_requant<A: Panels<B = i8, Out = Acc<i32>>>(
     });
 }
 
-/// Shared f32 entry for flat operands: packs `A` into the thread's scratch
-/// and strip-mines `B`. `ga(i, kk)` / `gb(kk, j)` adapt the operand layouts
-/// (row-major or transposed) without separate kernel copies.
-fn gemm_f32(
-    (m, k, n): (usize, usize, usize),
-    ga: impl Fn(usize, usize) -> f32,
-    gb: impl Fn(usize, usize) -> f32 + Sync,
-    c: &mut [f32],
-    epi: GemmEpilogue<'_>,
-) {
-    PackedA::with_scratch(m, k, ga, |pa| {
-        run_f32(pa, n, c, epi, |cols, buf| pack_b(k, cols, &gb, buf))
-    });
-}
-
 /// `f32` GEMM: `c = a * b` (`a: m x k`, `b: k x n`, row-major).
 ///
 /// Panics if slice lengths are inconsistent with the given dimensions.
@@ -909,27 +894,7 @@ pub fn sgemm_fused(
     epi: GemmEpilogue<'_>,
 ) {
     assert_eq!(a.len(), m * k, "A size");
-    assert_eq!(b.len(), k * n, "B size");
-    gemm_f32((m, k, n), |i, kk| a[i * k + kk], |kk, j| b[kk * n + j], c, epi);
-}
-
-/// `f32` GEMM with `A` transposed: `c = a^T * b` where `a: k x m` row-major.
-///
-/// Used by the convolution backward pass (`dX = W^T * dY`). The transposition
-/// is absorbed by the packing step — the micro-kernel is shared.
-pub fn sgemm_at(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    assert_eq!(a.len(), k * m, "A size (transposed)");
-    assert_eq!(b.len(), k * n, "B size");
-    gemm_f32((m, k, n), |i, kk| a[kk * m + i], |kk, j| b[kk * n + j], c, GemmEpilogue::None);
-}
-
-/// `f32` GEMM with `B` transposed: `c = a * b^T` where `b: n x k` row-major.
-///
-/// Used by the convolution weight-gradient pass (`dW = dY * col^T`).
-pub fn sgemm_bt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    assert_eq!(a.len(), m * k, "A size");
-    assert_eq!(b.len(), n * k, "B size (transposed)");
-    gemm_f32((m, k, n), |i, kk| a[i * k + kk], |kk, j| b[j * k + kk], c, GemmEpilogue::None);
+    PackedA::with_scratch(m, k, |i, kk| a[i * k + kk], |pa| sgemm_fused_packed(pa, n, b, c, epi));
 }
 
 /// [`sgemm_fused`] with a pre-packed `A` operand: only the `B` strips are
@@ -1163,43 +1128,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn sgemm_at_matches_reference() {
-        let (m, k, n) = (17, 29, 13);
-        let a_t = rand_vec(k * m, 3); // stored as k x m
-        let b = rand_vec(k * n, 4);
-        // Build the untransposed A for the reference.
-        let mut a = vec![0.0; m * k];
-        for i in 0..m {
-            for kk in 0..k {
-                a[i * k + kk] = a_t[kk * m + i];
-            }
-        }
-        let mut c = vec![0.0; m * n];
-        let mut c_ref = vec![0.0; m * n];
-        sgemm_at(m, k, n, &a_t, &b, &mut c);
-        sgemm_reference(m, k, n, &a, &b, &mut c_ref);
-        assert_close(&c, &c_ref, 1e-4);
-    }
-
-    #[test]
-    fn sgemm_bt_matches_reference() {
-        let (m, k, n) = (9, 21, 15);
-        let a = rand_vec(m * k, 5);
-        let b_t = rand_vec(n * k, 6); // stored as n x k
-        let mut b = vec![0.0; k * n];
-        for kk in 0..k {
-            for j in 0..n {
-                b[kk * n + j] = b_t[j * k + kk];
-            }
-        }
-        let mut c = vec![0.0; m * n];
-        let mut c_ref = vec![0.0; m * n];
-        sgemm_bt(m, k, n, &a, &b_t, &mut c);
-        sgemm_reference(m, k, n, &a, &b, &mut c_ref);
-        assert_close(&c, &c_ref, 1e-4);
     }
 
     #[test]

@@ -26,10 +26,13 @@
 //! rows `2iy, 2iy+1`, so the driver's column parts are cut on whole input
 //! rows (`quantum = w`): each part owns a band of every output plane.
 //!
-//! The training backward pass deliberately keeps explicit `im2col`/`col2im`:
-//! it needs the column matrix as a *GEMM operand in its own right*
-//! (`dW = dY * col^T`), not merely as a staging layout, so there is no
-//! redundant pass to remove there.
+//! The training backward pass runs on the same GEMM driver, with no column
+//! matrix either. `dX` of a conv is the implicit conv of `dY` ([`sgemm_conv`]
+//! with the kernel flipped and transposed); `dX` of the transpose conv is the
+//! implicit 2x2 stride-2 conv of `dY` (its im2col is a space-to-depth
+//! gather). Both weight gradients reduce over pixels,
+//! `dW += A * im2col(x)^T` ([`sgemm_conv_wgrad`]): the `B` strips gather the
+//! *transposed* virtual im2col matrix of a band of output rows.
 
 use crate::gemm::{
     bias_at, packed_b_len, requant, run, run_f32, run_requant, Acc, GemmEpilogue, OutLayout,
@@ -149,6 +152,96 @@ pub fn sgemm_conv_packed(
 ) {
     assert_eq!(pa.k(), geom.col_rows(), "packed A k extent vs conv geometry");
     run_f32(pa, geom.col_cols(), c, epi, |cols, buf| pack_b_im2col(geom, x, cols, buf));
+}
+
+/// Output pixels per weight-gradient GEMM. The GEMM driver never splits `k`,
+/// [`sgemm_conv_wgrad`] cuts its reduction over pixels into bands of whole
+/// output rows of about this many pixels: one band's `B` strip (`NR` columns
+/// of `f32`) is 512 KiB and stays in L2 while every row tile reads it.
+const WGRAD_PIXELS: usize = 4096;
+
+/// Packs columns `cols` of the transposed virtual im2col matrix of one
+/// `[C, H, W]` plane, restricted to output rows `rows`, into `NR`-wide
+/// k-major `B` panels: `B[p][kk] = im2col(x)[kk][p]` for the pixels `p` of
+/// those rows. Column `kk` decomposes as `(c, ky, kx)` and reads one input
+/// row segment per output row. A panel is written one output row at a time
+/// (`w_out * NR` elements, L1-sized at the U-Net's widths), so the
+/// column-by-column strided stores land in cache; padded pixels keep the
+/// row's zero pre-fill.
+fn pack_b_im2col_t(
+    geom: &ConvGeom,
+    input: &[f32],
+    rows: &Range<usize>,
+    cols: Range<usize>,
+    buf: &mut [f32],
+) {
+    let (w_out, hw, taps) = (geom.w_out(), geom.h * geom.w, geom.k * geom.k);
+    let k = rows.len() * w_out;
+    for (jp, panel) in buf[..packed_b_len(k, cols.len())].chunks_exact_mut(NR * k).enumerate() {
+        let j0 = cols.start + jp * NR;
+        for (dst_row, oy) in panel.chunks_exact_mut(w_out * NR).zip(rows.clone()) {
+            dst_row.fill(0.0);
+            for jj in 0..NR.min(cols.end - j0) {
+                let (c, tap) = ((j0 + jj) / taps, (j0 + jj) % taps);
+                let (ky, kx) = (tap / geom.k, tap % geom.k);
+                let iy = (oy * geom.stride + ky) as isize - geom.pad as isize;
+                // Output columns whose source pixel lies inside the row.
+                let ox_lo = geom.pad.saturating_sub(kx).div_ceil(geom.stride);
+                let ox_hi = (geom.w + geom.pad).saturating_sub(kx).div_ceil(geom.stride).min(w_out);
+                if iy < 0 || iy >= geom.h as isize || ox_lo >= ox_hi {
+                    continue;
+                }
+                let src = &input[c * hw + iy as usize * geom.w..][..geom.w];
+                let src = &src[ox_lo * geom.stride + kx - geom.pad..];
+                let dst = &mut dst_row.as_chunks_mut::<NR>().0[ox_lo..ox_hi];
+                if geom.stride == 1 {
+                    for (d, &v) in dst.iter_mut().zip(src) {
+                        d[jj] = v;
+                    }
+                } else {
+                    for (d, &v) in dst.iter_mut().zip(src.iter().step_by(geom.stride)) {
+                        d[jj] = v;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Weight-gradient GEMM of one image: `c += a * im2col(x)^T`, with `a`
+/// row-major `[m, H_out*W_out]` and `c` row-major `[m, C*K*K]` — a conv's
+/// `dW += dY * col^T` (`a = dY`), or a 2x2 transpose conv's
+/// `dW += x * s2d(dY)^T` (`a = x`, `geom` the space-to-depth of `dY`). The
+/// reduction runs band by band (`WGRAD_PIXELS`): each band is one strip
+/// GEMM whose `A` panels pack from `a` and whose `B` strips gather from `x`
+/// (`pack_b_im2col_t`), and its tiles are added onto `c` in band order, so
+/// the sums do not depend on the thread count.
+pub fn sgemm_conv_wgrad(m: usize, a: &[f32], geom: &ConvGeom, x: &[f32], c: &mut [f32]) {
+    let (w_out, pixels, n) = (geom.w_out(), geom.col_cols(), geom.col_rows());
+    assert_eq!(a.len(), m * pixels, "A size");
+    assert_eq!(x.len(), geom.c_in * geom.h * geom.w, "input size");
+    assert_eq!(c.len(), m * n, "C size");
+    let band = (WGRAD_PIXELS / w_out.max(1)).max(1);
+    for r0 in (0..geom.h_out()).step_by(band) {
+        let rows = r0..(r0 + band).min(geom.h_out());
+        let (p0, k) = (r0 * w_out, rows.len() * w_out);
+        PackedA::with_scratch(
+            m,
+            k,
+            |i, kk| a[i * pixels + p0 + kk],
+            |pa| {
+                let pack = |cols, buf: &mut [f32]| pack_b_im2col_t(geom, x, &rows, cols, buf);
+                run(pa, n, OutLayout::rows(n), c, pack, |acc, t, chunks| {
+                    for (ii, acc_i) in acc.iter().enumerate().take(t.rows) {
+                        let dst = &mut chunks[t.row - t.row0 + ii][t.col - t.col0..][..t.cols];
+                        for (d, &v) in dst.iter_mut().zip(acc_i) {
+                            *d += v;
+                        }
+                    }
+                });
+            },
+        );
+    }
 }
 
 /// Implicit-GEMM INT8 convolution of one `[C, H, W]` image against a
@@ -320,7 +413,7 @@ pub fn igemm4_tconv2x2_packed(
 mod tests {
     use super::*;
     use crate::gemm::{igemm_fused, pack_b, sgemm_fused};
-    use crate::im2col::{im2col, im2col_t};
+    use crate::im2col::im2col_t;
     use rand::{Rng, SeedableRng};
 
     fn rand_vec(len: usize, seed: u64) -> Vec<f32> {
@@ -348,7 +441,7 @@ mod tests {
             let x = rand_vec(c * h * w, 7);
             let (k_dim, n) = (geom.col_rows(), geom.col_cols());
             let mut col = vec![0.0f32; k_dim * n];
-            im2col(&geom, &x, &mut col);
+            im2col_t(&geom, &x, &mut col);
             // The whole matrix, and a strip that starts and ends mid-row.
             for cols in [0..n, n / 3..n - n / 4] {
                 let lb = packed_b_len(k_dim, cols.len());
@@ -357,6 +450,36 @@ mod tests {
                 let mut pb = vec![1.0f32; lb];
                 pack_b_im2col(&geom, &x, cols.clone(), &mut pb);
                 assert_eq!(pb, pb_ref, "geom {geom:?} cols {cols:?}");
+            }
+        }
+    }
+
+    /// The weight gradient against `a * im2col(x)^T` on the materialized
+    /// column matrix, over geometries whose reduction spans several bands
+    /// (`65 x 70` output pixels > `WGRAD_PIXELS`), stride 2 and no padding.
+    #[test]
+    fn wgrad_matches_materialized_transpose() {
+        for &(c, h, w, kk, pad, stride) in &[
+            (3usize, 70usize, 65usize, 3usize, 1usize, 1usize),
+            (2, 9, 7, 3, 1, 1),
+            (5, 12, 10, 2, 0, 2),
+            (2, 8, 9, 3, 1, 2),
+        ] {
+            let geom = ConvGeom { c_in: c, h, w, k: kk, pad, stride };
+            let (k_dim, n, m) = (geom.col_rows(), geom.col_cols(), 6);
+            let x = rand_vec(c * h * w, 13);
+            let a = rand_vec(m * n, 14);
+            let mut col = vec![0.0f32; k_dim * n];
+            im2col_t(&geom, &x, &mut col);
+            let mut got = vec![1.0f32; m * k_dim];
+            sgemm_conv_wgrad(m, &a, &geom, &x, &mut got);
+            for i in 0..m {
+                for j in 0..k_dim {
+                    let want: f64 =
+                        (0..n).map(|p| a[i * n + p] as f64 * col[j * n + p] as f64).sum();
+                    let g = got[i * k_dim + j] as f64 - 1.0;
+                    assert!((g - want).abs() < 1e-3, "geom {geom:?} [{i},{j}]: {g} vs {want}");
+                }
             }
         }
     }

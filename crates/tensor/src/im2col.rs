@@ -1,4 +1,4 @@
-//! `im2col`/`col2im` lowering for convolution.
+//! Convolution geometry and the `im2col` lowering.
 //!
 //! For an input plane `[C, H, W]`, a `K x K` kernel with padding `p` and
 //! stride `s`, `im2col` builds a matrix of shape `[C*K*K, H_out*W_out]` whose
@@ -49,7 +49,9 @@ impl ConvGeom {
 /// Lowers one `[C, H, W]` input plane into the column matrix `col`
 /// (`[C*K*K, H_out*W_out]`, row-major), generic over the element type —
 /// padding writes `T::ZERO`. `col` must be pre-sized; it is fully
-/// overwritten. [`im2col`] is the `f32` wrapper training backward uses.
+/// overwritten. Every GEMM of the crate packs this matrix implicitly (see
+/// [`crate::igemm`]); the materialized form is the reference those packs
+/// are tested against.
 pub fn im2col_t<T: Zero>(geom: &ConvGeom, input: &[T], col: &mut [T]) {
     let (h_out, w_out) = (geom.h_out(), geom.w_out());
     let cols = h_out * w_out;
@@ -84,46 +86,6 @@ pub fn im2col_t<T: Zero>(geom: &ConvGeom, input: &[T], col: &mut [T]) {
     }
 }
 
-/// `f32` [`im2col_t`] (zero padding maps to `0.0`).
-pub fn im2col(geom: &ConvGeom, input: &[f32], col: &mut [f32]) {
-    im2col_t(geom, input, col);
-}
-
-/// Scatters a column matrix back into an input plane, accumulating overlaps.
-/// This is the adjoint of [`im2col`] and is used for `dX` in the backward
-/// pass. `out` must be pre-sized `[C, H, W]`; it is overwritten.
-pub fn col2im(geom: &ConvGeom, col: &[f32], out: &mut [f32]) {
-    let (h_out, w_out) = (geom.h_out(), geom.w_out());
-    let cols = h_out * w_out;
-    assert_eq!(out.len(), geom.c_in * geom.h * geom.w, "out size");
-    assert_eq!(col.len(), geom.col_rows() * cols, "col size");
-    out.fill(0.0);
-
-    for c in 0..geom.c_in {
-        let plane = &mut out[c * geom.h * geom.w..(c + 1) * geom.h * geom.w];
-        for ky in 0..geom.k {
-            for kx in 0..geom.k {
-                let row = (c * geom.k + ky) * geom.k + kx;
-                let src_row = &col[row * cols..(row + 1) * cols];
-                for oy in 0..h_out {
-                    let iy = (oy * geom.stride + ky) as isize - geom.pad as isize;
-                    if iy < 0 || iy >= geom.h as isize {
-                        continue;
-                    }
-                    let dst = &mut plane[iy as usize * geom.w..(iy as usize + 1) * geom.w];
-                    let src = &src_row[oy * w_out..(oy + 1) * w_out];
-                    for (ox, s) in src.iter().enumerate() {
-                        let ix = (ox * geom.stride + kx) as isize - geom.pad as isize;
-                        if ix >= 0 && ix < geom.w as isize {
-                            dst[ix as usize] += s;
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,7 +108,7 @@ mod tests {
         let g = geom_3x3_same(1, 3, 3);
         let input: Vec<f32> = (1..=9).map(|v| v as f32).collect();
         let mut col = vec![0.0; g.col_rows() * g.col_cols()];
-        im2col(&g, &input, &mut col);
+        im2col_t(&g, &input, &mut col);
         // Centre output (index 4) must see the whole 3x3 patch in order.
         let centre: Vec<f32> = (0..9).map(|r| col[r * 9 + 4]).collect();
         assert_eq!(centre, input);
@@ -162,29 +124,10 @@ mod tests {
         let input_i: Vec<i8> = input_f.iter().map(|&v| v as i8).collect();
         let mut col_f = vec![0.0; g.col_rows() * g.col_cols()];
         let mut col_i = vec![0i8; g.col_rows() * g.col_cols()];
-        im2col(&g, &input_f, &mut col_f);
+        im2col_t(&g, &input_f, &mut col_f);
         im2col_t(&g, &input_i, &mut col_i);
         for (f, i) in col_f.iter().zip(&col_i) {
             assert_eq!(*f as i8, *i);
         }
-    }
-
-    #[test]
-    fn col2im_is_adjoint_of_im2col() {
-        // <im2col(x), y> == <x, col2im(y)> for random x, y — the defining
-        // property of the adjoint, which is exactly what backprop needs.
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        let g = geom_3x3_same(3, 7, 6);
-        let x: Vec<f32> = (0..g.c_in * g.h * g.w).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let y: Vec<f32> =
-            (0..g.col_rows() * g.col_cols()).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let mut cx = vec![0.0; y.len()];
-        im2col(&g, &x, &mut cx);
-        let mut ay = vec![0.0; x.len()];
-        col2im(&g, &y, &mut ay);
-        let lhs: f32 = cx.iter().zip(&y).map(|(a, b)| a * b).sum();
-        let rhs: f32 = x.iter().zip(&ay).map(|(a, b)| a * b).sum();
-        assert!((lhs - rhs).abs() < 1e-3, "{lhs} vs {rhs}");
     }
 }

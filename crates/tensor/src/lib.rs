@@ -7,7 +7,7 @@
 //!   flat `Vec<f32>`;
 //! * [`QTensor`] — symmetric INT8 quantized tensors with power-of-two scales,
 //!   matching the arithmetic of the Xilinx DPU;
-//! * parallel compute kernels (rayon): blocked GEMM ([`gemm`]), `im2col`
+//! * parallel compute kernels (rayon): blocked GEMM ([`gemm`]), implicit-GEMM
 //!   convolution ([`conv`]), transpose convolution ([`tconv`]), max pooling
 //!   ([`pool`]), batch normalisation ([`norm`]) and activations
 //!   ([`activation`]) — each with the backward passes needed for training.

@@ -9,7 +9,9 @@
 //! GEMM tile store (see [`crate::igemm`]), so no pre-scatter buffer is ever
 //! materialized.
 
-use crate::igemm::sgemm_tconv2x2;
+use crate::gemm::GemmEpilogue;
+use crate::igemm::{sgemm_conv, sgemm_conv_wgrad, sgemm_tconv2x2};
+use crate::im2col::ConvGeom;
 use crate::shape::Shape4;
 use crate::tensor::Tensor;
 use rayon::prelude::*;
@@ -149,7 +151,12 @@ pub struct TconvGrads {
     pub db: Vec<f32>,
 }
 
-/// Backward pass of [`tconv2x2`].
+/// Backward pass of [`tconv2x2`]. Both gradients are GEMMs on the strip
+/// driver over the 2x2 space-to-depth of `dY` — the im2col of a 2x2
+/// stride-2 conv over it, rows `co*4 + kidx`, which is also the column order
+/// of the `[C_in, C_out, 2, 2]` weights read as a `[C_in, 4*C_out]` matrix:
+/// `dX = W * s2d(dY)` is that conv, and `dW += x * s2d(dY)^T` reduces over
+/// pixels. Allocates only the gradients.
 pub fn tconv2x2_backward(x: &Tensor, w: &Tensor, dy: &Tensor) -> TconvGrads {
     let xs = x.shape();
     let ws = w.shape();
@@ -157,67 +164,25 @@ pub fn tconv2x2_backward(x: &Tensor, w: &Tensor, dy: &Tensor) -> TconvGrads {
     let c_out = ws.c;
     assert_eq!(ys.c, c_out);
     assert_eq!((ys.h, ys.w), (xs.h * 2, xs.w * 2));
+    assert_eq!(ys.n, xs.n);
 
     let mut dx = Tensor::zeros(xs);
     let mut dw = Tensor::zeros(ws);
     let mut db = vec![0.0f32; c_out];
-    let (h, wd) = (xs.h, xs.w);
-    let ow = ys.w;
+    let s2d = ConvGeom { c_in: c_out, h: ys.h, w: ys.w, k: 2, pad: 0, stride: 2 };
 
-    // db
-    for n in 0..ys.n {
-        for (co, dbc) in db.iter_mut().enumerate() {
-            let plane = &dy.data()[(n * c_out + co) * ys.hw()..(n * c_out + co + 1) * ys.hw()];
-            *dbc += plane.iter().sum::<f32>();
+    for ((x_n, dx_n), dy_n) in x
+        .data()
+        .chunks_exact(xs.chw())
+        .zip(dx.data_mut().chunks_exact_mut(xs.chw()))
+        .zip(dy.data().chunks_exact(ys.chw()))
+    {
+        sgemm_conv(xs.c, w.data(), &s2d, dy_n, dx_n, GemmEpilogue::None);
+        sgemm_conv_wgrad(xs.c, x_n, &s2d, dy_n, dw.data_mut());
+        for (acc, plane) in db.iter_mut().zip(dy_n.chunks_exact(ys.hw())) {
+            *acc += plane.iter().sum::<f32>();
         }
     }
-
-    // dx[n,ci,iy,ix] = Σ_co Σ_k dy[n,co,2iy+ky,2ix+kx] * w[ci,co,ky,kx]
-    let w_data = w.data();
-    let dy_data = dy.data();
-    dx.data_mut().par_chunks_mut(h * wd).enumerate().for_each(|(plane_idx, dx_plane)| {
-        let n = plane_idx / xs.c;
-        let ci = plane_idx % xs.c;
-        for co in 0..c_out {
-            let dy_plane = &dy_data[(n * c_out + co) * ys.hw()..(n * c_out + co + 1) * ys.hw()];
-            let w_base = (ci * c_out + co) * 4;
-            let (w00, w01, w10, w11) =
-                (w_data[w_base], w_data[w_base + 1], w_data[w_base + 2], w_data[w_base + 3]);
-            for iy in 0..h {
-                let oy = iy * 2;
-                for ix in 0..wd {
-                    let ox = ix * 2;
-                    dx_plane[iy * wd + ix] += dy_plane[oy * ow + ox] * w00
-                        + dy_plane[oy * ow + ox + 1] * w01
-                        + dy_plane[(oy + 1) * ow + ox] * w10
-                        + dy_plane[(oy + 1) * ow + ox + 1] * w11;
-                }
-            }
-        }
-    });
-
-    // dw[ci,co,ky,kx] = Σ_n,iy,ix x[n,ci,iy,ix] * dy[n,co,2iy+ky,2ix+kx]
-    let x_data = x.data();
-    dw.data_mut().par_chunks_mut(c_out * 4).enumerate().for_each(|(ci, dw_ci)| {
-        for n in 0..xs.n {
-            let x_plane = &x_data[(n * xs.c + ci) * h * wd..(n * xs.c + ci + 1) * h * wd];
-            for co in 0..c_out {
-                let dy_plane = &dy_data[(n * c_out + co) * ys.hw()..(n * c_out + co + 1) * ys.hw()];
-                let acc = &mut dw_ci[co * 4..(co + 1) * 4];
-                for iy in 0..h {
-                    let oy = iy * 2;
-                    for ix in 0..wd {
-                        let ox = ix * 2;
-                        let xv = x_plane[iy * wd + ix];
-                        acc[0] += xv * dy_plane[oy * ow + ox];
-                        acc[1] += xv * dy_plane[oy * ow + ox + 1];
-                        acc[2] += xv * dy_plane[(oy + 1) * ow + ox];
-                        acc[3] += xv * dy_plane[(oy + 1) * ow + ox + 1];
-                    }
-                }
-            }
-        }
-    });
 
     TconvGrads { dx, dw, db }
 }

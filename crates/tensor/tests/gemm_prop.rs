@@ -9,9 +9,9 @@
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use seneca_tensor::gemm::{
-    igemm, igemm4_fused_packed, igemm_fused, igemm_reference, pack_nibble_pairs, sgemm, sgemm_at,
-    sgemm_bt, sgemm_reference, strip_cols, unpack_nibble_pairs, PackElem, PackedA, PackedA4,
-    FORK_MIN_MACS, MR, NR,
+    igemm, igemm4_fused_packed, igemm_fused, igemm_reference, pack_nibble_pairs, sgemm,
+    sgemm_reference, strip_cols, unpack_nibble_pairs, PackElem, PackedA, PackedA4, FORK_MIN_MACS,
+    MR, NR,
 };
 use seneca_tensor::quantized::requantize_i32;
 
@@ -77,52 +77,6 @@ proptest! {
         sgemm(1, k, 1, &a, &b, &mut c);
         sgemm_reference(1, k, 1, &a, &b, &mut c_ref);
         prop_assert_eq!(c[0].to_bits(), c_ref[0].to_bits(), "{} vs {}", c[0], c_ref[0]);
-    }
-
-    /// Transposed-A variant over off-tile sizes.
-    #[test]
-    fn sgemm_at_remainder_tiles_match_reference(
-        mi in 0usize..8, ki in 0usize..8, ni in 0usize..8, seed in 0u64..1000
-    ) {
-        let (m, k, n) = (PRIMES[mi], PRIMES[ki], PRIMES[ni]);
-        let a_t = rand_f32(k * m, seed); // stored k x m
-        let b = rand_f32(k * n, seed + 1);
-        let mut a = vec![0.0; m * k];
-        for i in 0..m {
-            for kk in 0..k {
-                a[i * k + kk] = a_t[kk * m + i];
-            }
-        }
-        let mut c = vec![0.0; m * n];
-        let mut c_ref = vec![0.0; m * n];
-        sgemm_at(m, k, n, &a_t, &b, &mut c);
-        sgemm_reference(m, k, n, &a, &b, &mut c_ref);
-        if let Err((i, x, y)) = same_bits(&c, &c_ref) {
-            prop_assert!(false, "{m}x{k}x{n} idx {i}: {x} vs {y}");
-        }
-    }
-
-    /// Transposed-B variant over off-tile sizes.
-    #[test]
-    fn sgemm_bt_remainder_tiles_match_reference(
-        mi in 0usize..8, ki in 0usize..8, ni in 0usize..8, seed in 0u64..1000
-    ) {
-        let (m, k, n) = (PRIMES[mi], PRIMES[ki], PRIMES[ni]);
-        let a = rand_f32(m * k, seed);
-        let b_t = rand_f32(n * k, seed + 1); // stored n x k
-        let mut b = vec![0.0; k * n];
-        for kk in 0..k {
-            for j in 0..n {
-                b[kk * n + j] = b_t[j * k + kk];
-            }
-        }
-        let mut c = vec![0.0; m * n];
-        let mut c_ref = vec![0.0; m * n];
-        sgemm_bt(m, k, n, &a, &b_t, &mut c);
-        sgemm_reference(m, k, n, &a, &b, &mut c_ref);
-        if let Err((i, x, y)) = same_bits(&c, &c_ref) {
-            prop_assert!(false, "{m}x{k}x{n} idx {i}: {x} vs {y}");
-        }
     }
 
     /// Packed igemm is BIT-EXACT against the naive kernel for arbitrary

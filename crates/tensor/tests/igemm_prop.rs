@@ -25,7 +25,7 @@ use seneca_tensor::igemm::{
     igemm4_conv_packed, igemm4_tconv2x2_packed, igemm_conv_packed, igemm_tconv2x2_packed,
     sgemm_conv, sgemm_tconv2x2,
 };
-use seneca_tensor::im2col::{im2col, im2col_t, ConvGeom};
+use seneca_tensor::im2col::{im2col_t, ConvGeom};
 use seneca_tensor::quantized::requantize_i32;
 use seneca_tensor::tconv::{repack_tconv_weights, scatter_tconv2x2};
 use seneca_tensor::winograd::{igemm_conv_winograd, PackedWinograd, WINO_MAX_C_IN};
@@ -63,7 +63,7 @@ fn conv_f32_materialized(
 ) {
     let (k, n) = (geom.col_rows(), geom.col_cols());
     let mut col = vec![0.0f32; k * n];
-    im2col(geom, x, &mut col);
+    im2col_t(geom, x, &mut col);
     sgemm_fused(m, k, n, w, &col, out, epi);
 }
 

@@ -1,0 +1,53 @@
+#!/usr/bin/env bash
+# Timed A/B of this checkout against a parent commit on the benchmark's four
+# workloads, for a PR that claims a speed-up or has to show it lost none.
+#
+#   scripts/ab.sh PARENT [PAIRS]
+#
+# Builds PARENT in a git worktree with its own CARGO_TARGET_DIR, then runs
+# PAIRS (default 5) parent/change pairs of every workload at --trace 0: the
+# same seed within a pair, the side that runs first alternating from pair to
+# pair. Ends with `benchmark/run.sh --compare parent change`, whose exit code
+# it returns. Not part of ci.sh: it builds the benchmark twice and takes
+# ~3 min per pair on 2 cores.
+#
+# Each run takes the benchmark's own measured-phase length. Environment:
+# AB_DIR (work directory, default target/ab).
+set -euo pipefail
+cd "$(dirname "$0")/.."
+root="$PWD"
+
+parent="${1:?usage: scripts/ab.sh PARENT [PAIRS]}"
+pairs="${2:-5}"
+work="$(mkdir -p "${AB_DIR:-target/ab}" && cd "${AB_DIR:-target/ab}" && pwd)"
+tree="$work/parent"
+
+git worktree remove --force "$tree" 2>/dev/null || true
+git worktree add --detach --quiet "$tree" "$parent"
+trap 'git -C "$root" worktree remove --force "$tree"' EXIT
+
+a="$work/parent.jsonl"
+b="$work/change.jsonl"
+: >"$a"
+: >"$b"
+# side DIR TARGET OUT WORKLOAD SEED: one run, from its own checkout root.
+side() {
+    (cd "$1" && CARGO_TARGET_DIR="$2" bash benchmark/run.sh --workload "$4" --seed "$5" \
+        --trace 0 --record "$3" | tail -n 1)
+}
+for ((p = 0; p < pairs; p++)); do
+    seed=$((101 + p))
+    for workload in stream-1m-int8 bulk-16m-int8 bulk-16m-fp32 fleet-roi-open; do
+        parent_run=("$tree" "$work/target-parent" "$a" "$workload" "$seed")
+        change_run=("$root" "$work/target-change" "$b" "$workload" "$seed")
+        echo "== pair $((p + 1))/$pairs $workload seed $seed ==" >&2
+        if ((p % 2 == 0)); then
+            side "${parent_run[@]}" >/dev/null
+            side "${change_run[@]}" >/dev/null
+        else
+            side "${change_run[@]}" >/dev/null
+            side "${parent_run[@]}" >/dev/null
+        fi
+    done
+done
+CARGO_TARGET_DIR="$work/target-change" bash benchmark/run.sh --compare "$a" "$b"

@@ -16,14 +16,18 @@ echo "== cargo test --workspace -q =="
 # that a bare `cargo test -q` runs. No known-failure carve-outs.
 cargo test --workspace -q
 
-echo "== single-part path (RAYON_NUM_THREADS=1: the GEMM driver never forks) =="
+echo "== single-part path (RAYON_NUM_THREADS=1: the GEMM driver never forks; training bits equal the threaded run's) =="
 RAYON_NUM_THREADS=1 cargo test -q -p seneca-tensor -p seneca-ir
+RAYON_NUM_THREADS=1 cargo test -q --test training_golden
 
 echo "== benchmark package (a crate API change that breaks benchmark/ fails here) =="
 # --release, as benchmark/README.md runs them: two of its tests time the
 # machine-speed calibration kernel, which a debug build slows past their budget.
 cargo test --offline -q --release --manifest-path benchmark/Cargo.toml
 bash benchmark/run.sh --quick
+
+echo "== exact gate (every output checksum and exact ledger field of that run equals scripts/exact_baseline.json) =="
+cargo run --release -q -p seneca-bench --bin exact_gate
 
 echo "== benchmark/ untouched (a crate dependency-list edit rewrites benchmark/Cargo.lock in the build above) =="
 changed="$(git status --porcelain -- benchmark BENCHMARK.json)"

@@ -3,10 +3,11 @@
 
 use proptest::prelude::*;
 use seneca_metrics::seg::{confusion, dice, global_weighted_dice, tnr, tpr};
+use seneca_tensor::conv::{conv2d_backward, Conv2dParams};
 use seneca_tensor::gemm::{igemm, sgemm, sgemm_reference};
-use seneca_tensor::im2col::{col2im, im2col, ConvGeom};
 use seneca_tensor::pool::{maxpool2x2, maxpool2x2_backward};
 use seneca_tensor::quantized::{choose_fix_pos, requantize_i32, QTensor};
+use seneca_tensor::tconv::tconv2x2_backward;
 use seneca_tensor::{Shape4, Tensor};
 
 proptest! {
@@ -51,23 +52,30 @@ proptest! {
         }
     }
 
-    /// col2im is the exact adjoint of im2col: <im2col(x), y> == <x, col2im(y)>.
+    /// Conv and transpose-conv backward against naive loops over their
+    /// definitions, at odd H/W, batch 2 and C_in != C_out: every entry of dX,
+    /// dW and db within 1e-4 * (1 + |reference|) of the f64 reference.
     #[test]
-    fn im2col_adjoint(
-        c in 1usize..4, h in 3usize..10, w in 3usize..10, seed in 0u64..1000
+    fn backward_matches_naive_loops(
+        c_in in 1usize..5, dc in 1usize..4, hh in 1usize..6, wh in 1usize..6, seed in 0u64..1000
     ) {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let geom = ConvGeom { c_in: c, h, w, k: 3, pad: 1, stride: 1 };
-        let x: Vec<f32> = (0..c*h*w).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let y: Vec<f32> = (0..geom.col_rows()*geom.col_cols()).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let mut cx = vec![0.0; y.len()];
-        im2col(&geom, &x, &mut cx);
-        let mut ay = vec![0.0; x.len()];
-        col2im(&geom, &y, &mut ay);
-        let lhs: f64 = cx.iter().zip(&y).map(|(a, b)| (*a as f64) * (*b as f64)).sum();
-        let rhs: f64 = x.iter().zip(&ay).map(|(a, b)| (*a as f64) * (*b as f64)).sum();
-        prop_assert!((lhs - rhs).abs() < 1e-3 * (1.0 + lhs.abs()));
+        let (n, c_out, h, w) = (2, c_in + dc, 2 * hh + 1, 2 * wh + 1);
+        let x = rand_tensor(Shape4::new(n, c_in, h, w), seed);
+        let wc = rand_tensor(Shape4::new(c_out, c_in, 3, 3), seed + 1);
+        let dy = rand_tensor(Shape4::new(n, c_out, h, w), seed + 2);
+        let g = conv2d_backward(&x, &wc, &dy, Conv2dParams::SAME_3X3);
+        let (dx, dw, db) = conv_backward_naive(&x, &wc, &dy);
+        check_close(g.dx.data(), &dx);
+        check_close(g.dw.data(), &dw);
+        check_close(&g.db, &db);
+
+        let wt = rand_tensor(Shape4::new(c_in, c_out, 2, 2), seed + 3);
+        let dy = rand_tensor(Shape4::new(n, c_out, 2 * h, 2 * w), seed + 4);
+        let g = tconv2x2_backward(&x, &wt, &dy);
+        let (dx, dw, db) = tconv_backward_naive(&x, &wt, &dy);
+        check_close(g.dx.data(), &dx);
+        check_close(g.dw.data(), &dw);
+        check_close(&g.db, &db);
     }
 
     /// Quantise/dequantise error is bounded by half a quantum (no saturation
@@ -191,4 +199,83 @@ proptest! {
         prop_assert!(rep.busy_ns[0] <= 2 * rep.makespan_ns);
         prop_assert!(rep.busy_ns[1] <= rep.makespan_ns);
     }
+}
+
+fn rand_tensor(shape: Shape4, seed: u64) -> Tensor {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    Tensor::from_vec(shape, (0..shape.len()).map(|_| rng.gen_range(-1.0..1.0)).collect())
+}
+
+fn check_close(got: &[f32], want: &[f64]) {
+    assert_eq!(got.len(), want.len());
+    for (i, (&g, &r)) in got.iter().zip(want).enumerate() {
+        assert!((g as f64 - r).abs() <= 1e-4 * (1.0 + r.abs()), "[{i}]: {g} vs {r}");
+    }
+}
+
+/// `(dX, dW, db)` of a 3x3 "same" conv by its definition, in f64:
+/// `y[n,co,oy,ox] = Σ w[co,ci,ky,kx] * x[n,ci,oy+ky-1,ox+kx-1] + b[co]`.
+fn conv_backward_naive(x: &Tensor, w: &Tensor, dy: &Tensor) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+    let (xs, ws) = (x.shape(), w.shape());
+    let (mut dx, mut dw, mut db) = (vec![0.0; xs.len()], vec![0.0; ws.len()], vec![0.0; ws.n]);
+    for n in 0..xs.n {
+        for co in 0..ws.n {
+            for oy in 0..xs.h {
+                for ox in 0..xs.w {
+                    let g = dy.at(n, co, oy, ox) as f64;
+                    db[co] += g;
+                    for ci in 0..xs.c {
+                        for ky in 0..3 {
+                            for kx in 0..3 {
+                                let (iy, ix) =
+                                    ((oy + ky).wrapping_sub(1), (ox + kx).wrapping_sub(1));
+                                if iy < xs.h && ix < xs.w {
+                                    dx[((n * xs.c + ci) * xs.h + iy) * xs.w + ix] +=
+                                        g * w.at(co, ci, ky, kx) as f64;
+                                    dw[((co * xs.c + ci) * 3 + ky) * 3 + kx] +=
+                                        g * x.at(n, ci, iy, ix) as f64;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    (dx, dw, db)
+}
+
+/// `(dX, dW, db)` of a 2x2 stride-2 transpose conv by its definition, in
+/// f64: `y[n,co,2iy+ky,2ix+kx] = Σ_ci w[ci,co,ky,kx] * x[n,ci,iy,ix] + b[co]`.
+fn tconv_backward_naive(x: &Tensor, w: &Tensor, dy: &Tensor) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+    let (xs, ws) = (x.shape(), w.shape());
+    let (mut dx, mut dw, mut db) = (vec![0.0; xs.len()], vec![0.0; ws.len()], vec![0.0; ws.c]);
+    for n in 0..xs.n {
+        for (co, acc) in db.iter_mut().enumerate() {
+            for oy in 0..2 * xs.h {
+                for ox in 0..2 * xs.w {
+                    *acc += dy.at(n, co, oy, ox) as f64;
+                }
+            }
+        }
+        for ci in 0..xs.c {
+            for iy in 0..xs.h {
+                for ix in 0..xs.w {
+                    for co in 0..ws.c {
+                        for ky in 0..2 {
+                            for kx in 0..2 {
+                                let g = dy.at(n, co, 2 * iy + ky, 2 * ix + kx) as f64;
+                                dx[((n * xs.c + ci) * xs.h + iy) * xs.w + ix] +=
+                                    g * w.at(ci, co, ky, kx) as f64;
+                                dw[((ci * ws.c + co) * 2 + ky) * 2 + kx] +=
+                                    g * x.at(n, ci, iy, ix) as f64;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    (dx, dw, db)
 }
