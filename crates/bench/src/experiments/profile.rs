@@ -23,7 +23,7 @@ use seneca_dpu::runtime::{DpuRunner, RuntimeConfig};
 use seneca_dpu::xmodel::XModel;
 use seneca_ir::DType;
 use seneca_nn::unet::ModelSize;
-use seneca_serve::{run_load, AdmissionPolicy, LoadSpec, ServeConfig, Server};
+use seneca_serve::{run_load, LoadSpec, ServeConfig, Server};
 use seneca_tensor::{Shape4, Tensor};
 use seneca_trace::TraceReport;
 use serde::Serialize;
@@ -424,7 +424,6 @@ pub fn run(ctx: &mut ExperimentCtx) {
             max_batch: 4,
             max_delay: Duration::from_millis(2),
             queue_capacity: 8,
-            admission: AdmissionPolicy::Block,
         },
     );
     run_load(&server.handle(), &frame(shape), &LoadSpec::closed(n_serve, 4, 0x51EC));

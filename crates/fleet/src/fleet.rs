@@ -44,10 +44,7 @@ pub struct FleetConfig {
 
 impl Default for FleetConfig {
     fn default() -> Self {
-        let serve = ServeConfig {
-            admission: seneca_serve::AdmissionPolicy::RejectWhenFull,
-            ..ServeConfig::default()
-        };
+        let serve = ServeConfig::default();
         // Half the queue: batch work can fill at most half of any cell.
         let batch_inflight_cap = serve.queue_capacity / 2;
         Self { shards: 2, serve, batch_inflight_cap }
@@ -388,7 +385,7 @@ impl FleetHandle {
                         _slot: slot,
                     });
                 }
-                Err(e @ (ServeError::QueueFull | ServeError::DeadlineExpired)) => {
+                Err(e @ ServeError::QueueFull) => {
                     // Overload on this cell; the next hop may still admit.
                     saw_full = true;
                     last_err = e;

@@ -134,7 +134,6 @@ mod tests {
                 max_batch: 1,
                 max_delay: Duration::ZERO,
                 queue_capacity: 16,
-                admission: seneca_serve::AdmissionPolicy::RejectWhenFull,
             },
             batch_inflight_cap: 2,
         });
@@ -170,7 +169,6 @@ mod tests {
                 max_batch: 1,
                 max_delay: Duration::ZERO,
                 queue_capacity: 8,
-                admission: seneca_serve::AdmissionPolicy::RejectWhenFull,
             },
             batch_inflight_cap: 1,
         });
@@ -231,7 +229,6 @@ mod tests {
                 max_batch: 1,
                 max_delay: Duration::ZERO,
                 queue_capacity: 1,
-                admission: seneca_serve::AdmissionPolicy::RejectWhenFull,
             },
             batch_inflight_cap: 8,
         });

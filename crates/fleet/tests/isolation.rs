@@ -9,7 +9,7 @@
 //! misses, and never route any tenant below its Dice floor.
 
 use seneca_fleet::{run_mixed_load, FleetBuilder, FleetConfig, ModelSpec, TenantLoad, TenantSpec};
-use seneca_serve::{AdmissionPolicy, ServeConfig, SyntheticBackend};
+use seneca_serve::{ServeConfig, SyntheticBackend};
 use seneca_tensor::{Shape4, Tensor};
 use std::sync::Arc;
 use std::time::Duration;
@@ -45,7 +45,6 @@ fn batch_overload_cannot_move_interactive_p99() {
             max_batch: 4,
             max_delay: Duration::from_millis(1),
             queue_capacity: 16,
-            admission: AdmissionPolicy::RejectWhenFull,
         },
         batch_inflight_cap: 8,
     });

@@ -7,7 +7,7 @@
 //! ```
 
 use seneca_backend::Backend;
-use seneca_serve::{run_load, AdmissionPolicy, LoadSpec, ServeConfig, Server, SyntheticBackend};
+use seneca_serve::{run_load, LoadSpec, ServeConfig, Server, SyntheticBackend};
 use seneca_tensor::{Shape4, Tensor};
 use std::sync::Arc;
 use std::time::Duration;
@@ -31,7 +31,6 @@ fn main() {
         max_batch: 4,
         max_delay: Duration::from_millis(2),
         queue_capacity: 8,
-        admission: AdmissionPolicy::Block,
     };
 
     // Phase 1 — closed-loop saturation: enough always-busy clients that the
@@ -54,10 +53,7 @@ fn main() {
     // of unbounded queueing and a deadline on every request.
     println!("\n== phase 2: open-loop overload at 2x saturation ==");
     let deadline = Duration::from_millis(if smoke { 60 } else { 120 });
-    let server = Server::start(
-        backend.clone(),
-        ServeConfig { admission: AdmissionPolicy::RejectWhenFull, ..config },
-    );
+    let server = Server::start(backend.clone(), config);
     let spec = LoadSpec {
         deadline: Some(deadline),
         interactive_fraction: 0.5,

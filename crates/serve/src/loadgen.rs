@@ -178,8 +178,8 @@ fn open_loop<T>(
     let mut admitted = Vec::with_capacity(requests);
     for _ in 0..requests {
         let now = Instant::now();
-        // Absolute schedule: if submission falls behind (sleep granularity,
-        // a blocking admission), later requests burst to restore the rate.
+        // Absolute schedule: if submission falls behind (sleep granularity),
+        // later requests burst to restore the rate.
         if next > now {
             std::thread::sleep(next - now);
         }
@@ -200,7 +200,6 @@ fn open_loop<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue::AdmissionPolicy;
     use crate::server::{ServeConfig, Server};
     use crate::synthetic::SyntheticBackend;
     use seneca_tensor::Shape4;
@@ -228,13 +227,7 @@ mod tests {
     fn open_loop_overload_rejects_some() {
         let server = Server::start(
             Arc::new(SyntheticBackend::new(Duration::from_millis(5))),
-            ServeConfig {
-                replicas: 1,
-                max_batch: 1,
-                max_delay: Duration::ZERO,
-                queue_capacity: 1,
-                admission: AdmissionPolicy::RejectWhenFull,
-            },
+            ServeConfig { replicas: 1, max_batch: 1, max_delay: Duration::ZERO, queue_capacity: 1 },
         );
         // Service rate ≈ 200/s; offer 2000/s.
         let spec = LoadSpec::open(60, 2000.0, 11);

@@ -73,13 +73,13 @@ impl ServeMetrics {
         self.first_submit_ns.fetch_min(self.now_ns(), Ordering::Relaxed);
     }
 
-    /// Records an admission rejection (queue full).
+    /// Records an admission rejection (queue full or shutting down).
     pub(crate) fn note_reject(&self) {
         self.rejected.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a shed request (deadline expired at admission, in queue, or
-    /// at dispatch), attributed to its priority class.
+    /// Records a request shed at dispatch because its deadline expired,
+    /// attributed to its priority class.
     pub(crate) fn note_shed(&self, priority: Priority) {
         self.shed_expired.fetch_add(1, Ordering::Relaxed);
         match priority {
@@ -168,7 +168,7 @@ pub struct ServeStats {
     pub served_interactive: u64,
     /// Served `Batch`-class requests.
     pub served_batch: u64,
-    /// Requests turned away at admission (queue full).
+    /// Requests turned away at admission (queue full or shutting down).
     pub rejected: u64,
     /// Requests dropped because their deadline expired before execution.
     pub shed_expired: u64,

@@ -1,5 +1,6 @@
 //! The request/response vocabulary of the serving layer.
 
+use crate::intake::Queued;
 use seneca_backend::Prediction;
 use seneca_tensor::Tensor;
 use std::sync::mpsc;
@@ -91,12 +92,16 @@ pub(crate) struct ServeRequest {
     pub resp: mpsc::Sender<ServeResponse>,
 }
 
-impl ServeRequest {
-    /// True once the deadline has passed.
-    pub fn expired(&self, now: Instant) -> bool {
-        self.deadline.is_some_and(|d| d <= now)
+impl Queued for ServeRequest {
+    fn priority(&self) -> Priority {
+        self.priority
     }
+    fn deadline(&self) -> Option<Instant> {
+        self.deadline
+    }
+}
 
+impl ServeRequest {
     /// Resolves the request with an error response.
     pub fn fail(self, err: ServeError) {
         let timing = Timing { queue: self.submitted_at.elapsed(), ..Default::default() };

@@ -1,21 +1,23 @@
-//! The server: a replica pool pulling micro-batches from the intake queue.
+//! The server: a replica pool pulling micro-batches from the intake.
 //!
-//! Each replica is one worker thread that owns its slot on the accelerator
-//! (modelling the ZCU104's two DPU cores) and repeatedly: collects a
-//! micro-batch from the [`IntakeQueue`], runs it through
-//! [`Backend::infer_batch_timed`], and resolves every request's ticket with
-//! a [`ServeResponse`] carrying queue/execute/total timings. A backend
-//! panic fails the affected batch, not the server.
+//! This is the threaded shell around the [`Intake`] core: one mutex over
+//! the core, two condvars, and every clock read. Each replica is one worker
+//! thread that owns its slot on the accelerator (modelling the ZCU104's two
+//! DPU cores) and repeatedly: polls the core for a micro-batch, runs it
+//! through [`Backend::infer_batch_timed`], and resolves every request's
+//! ticket with a [`ServeResponse`] carrying queue/execute/total timings. A
+//! backend panic, or an answer with the wrong number of predictions, fails
+//! the affected batch, not the server.
 
+use crate::intake::{settle, Collector, Intake, Step};
 use crate::metrics::{ServeMetrics, ServeStats};
-use crate::queue::{AdmissionPolicy, IntakeQueue};
 use crate::request::{
     Priority, RequestId, ServeError, ServeRequest, ServeResponse, Ticket, Timing,
 };
 use seneca_backend::{Backend, Prediction};
 use seneca_tensor::Tensor;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -30,26 +32,24 @@ pub struct ServeConfig {
     /// request arrives (the dynamic batching window). Cut short while
     /// another replica is idle: it would serve a new request at once.
     pub max_delay: Duration,
-    /// Intake queue capacity (bounds memory and queueing delay).
+    /// Intake queue capacity (bounds memory and queueing delay); a
+    /// submission to a full queue is refused with [`ServeError::QueueFull`].
     pub queue_capacity: usize,
-    /// What to do with submissions when the queue is full.
-    pub admission: AdmissionPolicy,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        Self {
-            replicas: 2,
-            max_batch: 4,
-            max_delay: Duration::from_millis(2),
-            queue_capacity: 16,
-            admission: AdmissionPolicy::Block,
-        }
+        Self { replicas: 2, max_batch: 4, max_delay: Duration::from_millis(2), queue_capacity: 16 }
     }
 }
 
 struct Shared {
-    queue: IntakeQueue,
+    intake: Mutex<Intake<ServeRequest>>,
+    /// Idle replicas wait here for work.
+    not_empty: Condvar,
+    /// Replicas holding a partial batch wait here: for more work, for
+    /// another replica to go idle, for the window's end or for the close.
+    window: Condvar,
     metrics: ServeMetrics,
     next_id: AtomicU64,
 }
@@ -82,15 +82,14 @@ impl ServeHandle {
             image,
             resp: tx,
         };
-        match self.shared.queue.push(req, &self.shared.metrics) {
-            Ok(()) => Ok(Ticket { id, priority, rx }),
-            Err(e) => {
-                if e == ServeError::QueueFull {
-                    self.shared.metrics.note_reject();
-                }
-                Err(e)
-            }
+        let admitted = self.shared.intake.lock().expect("intake lock").push(req);
+        if let Err(e) = admitted {
+            self.shared.metrics.note_reject();
+            return Err(e);
         }
+        self.shared.not_empty.notify_one();
+        self.shared.window.notify_all();
+        Ok(Ticket { id, priority, rx })
     }
 
     /// Submit + block until the prediction (or failure) comes back.
@@ -120,9 +119,14 @@ impl Server {
     /// Starts `config.replicas` worker threads over a shared backend.
     pub fn start(backend: Arc<dyn Backend>, config: ServeConfig) -> Self {
         assert!(config.replicas >= 1, "need at least one replica");
-        assert!(config.max_batch >= 1, "micro-batches hold at least one frame");
         let shared = Arc::new(Shared {
-            queue: IntakeQueue::new(config.queue_capacity, config.admission),
+            intake: Mutex::new(Intake::new(
+                config.queue_capacity,
+                config.max_batch,
+                config.max_delay,
+            )),
+            not_empty: Condvar::new(),
+            window: Condvar::new(),
             metrics: ServeMetrics::new(),
             next_id: AtomicU64::new(0),
         });
@@ -130,11 +134,9 @@ impl Server {
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 let backend = Arc::clone(&backend);
-                let max_batch = config.max_batch;
-                let max_delay = config.max_delay;
                 std::thread::Builder::new()
                     .name(format!("serve-replica-{i}"))
-                    .spawn(move || replica_loop(&shared, backend.as_ref(), max_batch, max_delay))
+                    .spawn(move || replica_loop(&shared, backend.as_ref()))
                     .expect("spawn replica thread")
             })
             .collect();
@@ -159,7 +161,9 @@ impl Server {
     }
 
     fn shutdown_inner(&mut self) {
-        self.shared.queue.close();
+        self.shared.intake.lock().expect("intake lock").close();
+        self.shared.not_empty.notify_all();
+        self.shared.window.notify_all();
         for r in self.replicas.drain(..) {
             let _ = r.join();
         }
@@ -172,16 +176,38 @@ impl Drop for Server {
     }
 }
 
-/// One replica: pull micro-batches until the queue closes.
-fn replica_loop(shared: &Shared, backend: &dyn Backend, max_batch: usize, max_delay: Duration) {
+/// One replica: pull micro-batches until the intake closes and drains.
+fn replica_loop(shared: &Shared, backend: &dyn Backend) {
+    let mut collector = Collector::default();
+    let mut shed = Vec::new();
     loop {
         // Batch formation covers idle wait for the first request plus the
         // dynamic batching window; recorded only for batches that formed
-        // (the final `None` is shutdown, not formation time).
+        // (the final `Closed` is shutdown, not formation time).
         let t0 = seneca_trace::now_ns();
-        let Some(batch) = shared.queue.pop_batch(max_batch, max_delay, &shared.metrics) else {
-            break;
+        let mut g = shared.intake.lock().expect("intake lock");
+        let batch = loop {
+            let now = Instant::now();
+            let step = g.poll(&mut collector, now, &mut shed);
+            for r in shed.drain(..) {
+                shared.metrics.note_shed(r.priority);
+                r.fail(ServeError::DeadlineExpired);
+            }
+            match step {
+                Step::Dispatch(batch) => break batch,
+                Step::Closed => return,
+                Step::WaitForWork => {
+                    // A replica holding a partial batch stops waiting for it.
+                    shared.window.notify_all();
+                    g = shared.not_empty.wait(g).expect("intake lock");
+                }
+                Step::WaitUntil(end) => {
+                    let timeout = end.saturating_duration_since(now);
+                    g = shared.window.wait_timeout(g, timeout).expect("intake lock").0;
+                }
+            }
         };
+        drop(g);
         seneca_trace::record_ns(
             "serve",
             "batch_form",
@@ -230,43 +256,29 @@ fn run_batch(shared: &Shared, backend: &dyn Backend, batch: Vec<ServeRequest>) {
         backend.infer_batch_timed(&images)
     }));
     drop(exec_sp);
-    let (preds, timing) = match outcome {
-        Ok(out) => out,
-        Err(_) => {
-            shared.metrics.note_failed(metas.len());
-            for m in metas {
-                let timing = Timing {
-                    queue: exec_start.saturating_duration_since(m.submitted_at),
-                    execute: exec_start.elapsed(),
-                    total: m.submitted_at.elapsed(),
-                };
-                let _ = m.resp.send(ServeResponse {
-                    id: m.id,
-                    priority: m.priority,
-                    result: Err(ServeError::BackendFailed),
-                    timing,
-                });
-            }
-            return;
-        }
-    };
-
-    shared.metrics.note_batch(metas.len());
-    for (i, (m, pred)) in metas.into_iter().zip(preds).enumerate() {
+    let (preds, timing) = outcome.ok().unzip();
+    let settled = settle(metas, preds);
+    // `settle` answers a batch all served or all failed.
+    if settled.first().is_some_and(|(_, r)| r.is_ok()) {
+        shared.metrics.note_batch(settled.len());
+    }
+    for (i, (m, result)) in settled.into_iter().enumerate() {
         let done = Instant::now();
+        let execute = match (&result, &timing) {
+            (Ok(_), Some(t)) => t.per_frame.get(i).copied().unwrap_or(t.wall),
+            _ => done.saturating_duration_since(exec_start),
+        };
         let t = Timing {
             queue: exec_start.saturating_duration_since(m.submitted_at),
-            execute: timing.per_frame.get(i).copied().unwrap_or(timing.wall),
+            execute,
             total: done.saturating_duration_since(m.submitted_at),
         };
-        let missed = m.deadline.is_some_and(|d| done > d);
-        shared.metrics.note_served(m.priority, &t, missed);
-        let _ = m.resp.send(ServeResponse {
-            id: m.id,
-            priority: m.priority,
-            result: Ok(pred),
-            timing: t,
-        });
+        if result.is_ok() {
+            shared.metrics.note_served(m.priority, &t, m.deadline.is_some_and(|d| done > d));
+        } else {
+            shared.metrics.note_failed(1);
+        }
+        let _ = m.resp.send(ServeResponse { id: m.id, priority: m.priority, result, timing: t });
     }
 }
 
@@ -395,38 +407,6 @@ mod tests {
         }
     }
 
-    /// With a second replica idle the first one dispatches at once instead
-    /// of holding its request for the (long) window.
-    #[test]
-    fn an_idle_replica_cuts_the_batch_window_short() {
-        let max_delay = Duration::from_millis(500);
-        let server =
-            Server::start(Arc::new(Double), ServeConfig { max_delay, ..Default::default() });
-        let resp = server.handle().submit(frame(1.0), Priority::Interactive, None).unwrap().wait();
-        assert!(resp.result.is_ok());
-        assert!(resp.timing.total < max_delay / 4, "held for {:?}", resp.timing.total);
-        server.shutdown();
-    }
-
-    /// A lone replica has no idle peer: the window is honoured and a late
-    /// arrival joins the batch.
-    #[test]
-    fn one_replica_honours_the_batch_window() {
-        let max_delay = Duration::from_millis(300);
-        let server = Server::start(
-            Arc::new(Double),
-            ServeConfig { replicas: 1, max_delay, ..Default::default() },
-        );
-        let h = server.handle();
-        let first = h.submit(frame(1.0), Priority::Interactive, None).unwrap();
-        std::thread::sleep(Duration::from_millis(20));
-        let second = h.submit(frame(2.0), Priority::Interactive, None).unwrap();
-        assert!(first.wait().timing.total >= max_delay);
-        assert!(second.wait().result.is_ok());
-        let stats = server.shutdown();
-        assert_eq!((stats.batches, stats.served), (1, 2));
-    }
-
     #[test]
     fn submissions_after_shutdown_are_refused() {
         let server = Server::start(Arc::new(Double), ServeConfig::default());
@@ -434,5 +414,47 @@ mod tests {
         server.shutdown();
         let err = h.submit(frame(0.0), Priority::Interactive, None).unwrap_err();
         assert_eq!(err, ServeError::ShuttingDown);
+        let s = h.stats();
+        assert_eq!((s.submitted, s.rejected), (1, 1), "a refusal at shutdown counts as rejected");
+        assert_eq!(s.served + s.shed_expired + s.rejected + s.failed, s.submitted);
+    }
+
+    /// Backend that answers one prediction short.
+    #[derive(Clone)]
+    struct Short;
+    impl Backend for Short {
+        fn name(&self) -> String {
+            "short".into()
+        }
+        fn infer_batch(&self, images: &[Tensor]) -> Vec<Prediction> {
+            let mut preds = Double.infer_batch(images);
+            preds.pop();
+            preds
+        }
+        fn throughput(&self, n_frames: usize, seed: u64) -> ThroughputReport {
+            Double.throughput(n_frames, seed)
+        }
+    }
+
+    #[test]
+    fn a_short_answer_fails_the_whole_batch() {
+        let server = Server::start(
+            Arc::new(Short),
+            ServeConfig {
+                replicas: 1,
+                max_batch: 2,
+                max_delay: Duration::from_secs(5),
+                ..Default::default()
+            },
+        );
+        let h = server.handle();
+        let tickets: Vec<Ticket> =
+            (0..2).map(|_| h.submit(frame(1.0), Priority::Interactive, None).unwrap()).collect();
+        for t in tickets {
+            assert_eq!(t.wait().result.unwrap_err(), ServeError::BackendFailed);
+        }
+        let s = server.shutdown();
+        assert_eq!((s.failed, s.served, s.batches), (2, 0, 0));
+        assert_eq!(s.served + s.shed_expired + s.rejected + s.failed, s.submitted);
     }
 }

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use seneca_backend::{Backend, Fp32RefBackend, Logits, Prediction, ThroughputReport};
-use seneca_serve::{AdmissionPolicy, Priority, ServeConfig, Server, Ticket};
+use seneca_serve::{Priority, ServeConfig, Server, Ticket};
 use seneca_tensor::{Shape4, Tensor};
 use std::sync::Arc;
 use std::time::Duration;
@@ -85,13 +85,7 @@ fn check_serve_equivalence(
     let direct = backend.infer_batch(imgs);
     let server = Server::start(
         backend,
-        ServeConfig {
-            replicas,
-            max_batch,
-            max_delay,
-            queue_capacity: imgs.len().max(1),
-            admission: AdmissionPolicy::Block,
-        },
+        ServeConfig { replicas, max_batch, max_delay, queue_capacity: imgs.len().max(1) },
     );
     let h = server.handle();
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -99,7 +93,7 @@ fn check_serve_equivalence(
         .iter()
         .map(|img| {
             let pr = if rng.gen_bool(0.5) { Priority::Interactive } else { Priority::Batch };
-            h.submit(img.clone(), pr, None).expect("blocking admission never rejects")
+            h.submit(img.clone(), pr, None).expect("a queue with a slot per frame never rejects")
         })
         .collect();
     for (i, t) in tickets.into_iter().enumerate() {

@@ -10,6 +10,13 @@ cargo fmt --check
 echo "== cargo clippy --all-targets -- -D warnings =="
 cargo clippy --all-targets -- -D warnings
 
+echo "== serving core stays sans-IO (no clock read, sleep, lock or channel in crates/serve/src/intake.rs) =="
+echo "The intake core takes 'now' from its caller and returns what to do, so its tests and tests/serve_explorer.rs step it on explicit instants; the threaded shell in server.rs owns the clock, the lock and the condvars."
+if grep -nE 'Instant::now|\.elapsed\(\)|thread::sleep|Mutex|Condvar|mpsc' crates/serve/src/intake.rs; then
+    echo "crates/serve/src/intake.rs reads the clock, sleeps, locks or sends (lines above): move that into server.rs" >&2
+    exit 1
+fi
+
 echo "== cargo test --workspace -q =="
 # The whole suite is expected green — every crate's unit tests and
 # crates/*/tests/*_prop.rs, not just the root package's integration tests
