@@ -1,33 +1,27 @@
 //! The fleet: shards × models × replica pools, one admin surface.
 //!
-//! A [`Fleet`] instantiates every registered model on every shard — each
+//! A [`Fleet`] instantiates every registered model on every shard: each
 //! `(shard, model)` cell is a full `seneca-serve` [`Server`] (bounded
-//! intake queue, dynamic micro-batching, replica pool) — and routes each
-//! submission in three steps:
-//!
-//! 1. **shard** by consistent-hashing the request's affinity key (the
-//!    patient id), so per-patient traffic has shard affinity and capacity
-//!    scales by adding shards;
-//! 2. **model** by the tenant's routing chain (cheapest model meeting its
-//!    Dice target, with optional overload downgrade down to its floor);
-//! 3. **tier admission**: batch-tier requests take a per-cell in-flight
-//!    slot first, so bulk traffic can never occupy more than
-//!    [`FleetConfig::batch_inflight_cap`] slots of any cell — interactive
-//!    work always finds queue room, which is what keeps its p99 flat under
-//!    batch overload.
+//! intake queue, dynamic micro-batching, replica pool). This is the
+//! threaded shell around the [`Router`] core, which makes every routing
+//! decision: one mutex over the core, the cells' [`ServeHandle`]s and the
+//! latency histograms. [`FleetTicket`] hands the core each resolution, on
+//! `wait` or, unwaited, on drop. The router lock is held only around core
+//! calls and the cells' admissions, never around backend code (a backend
+//! panic fails its batch inside the cell), so a poisoned lock can only
+//! mean a bug in the core: that is why `expect` stays.
 
 use crate::registry::{ModelId, ModelRegistry, ModelSpec};
-use crate::ring::HashRing;
+use crate::router::{Admission, FleetError, Resolution, Router};
 use crate::tenant::{TenantId, TenantSpec};
 use seneca_serve::{
-    LatencyHistogram, LatencySummary, Priority, ServeConfig, ServeError, ServeHandle,
-    ServeResponse, ServeStats, Server, Ticket,
+    LatencyHistogram, LatencySummary, ServeConfig, ServeError, ServeHandle, ServeResponse,
+    ServeStats, Server, Ticket,
 };
 use seneca_tensor::Tensor;
 use seneca_trace::TraceReport;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Fleet-level knobs.
 #[derive(Debug, Clone)]
@@ -51,113 +45,14 @@ impl Default for FleetConfig {
     }
 }
 
-/// Why the fleet turned a submission away.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FleetError {
-    /// No such tenant id.
-    UnknownTenant,
-    /// Every model in the tenant's routing chain refused admission; the
-    /// payload is the last refusal (queue full, shutting down, …).
-    Overloaded(ServeError),
-    /// Batch-tier shed: every candidate cell was already at its batch
-    /// in-flight cap (interactive traffic is never shed this way).
-    BatchShed,
-}
-
-impl std::fmt::Display for FleetError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FleetError::UnknownTenant => f.write_str("unknown tenant"),
-            FleetError::Overloaded(e) => write!(f, "all routed models refused admission: {e}"),
-            FleetError::BatchShed => f.write_str("batch tier at its in-flight cap"),
-        }
-    }
-}
-
-impl std::error::Error for FleetError {}
-
-/// RAII batch-tier in-flight slot; freed when the request resolves (or
-/// its ticket is dropped).
-struct BatchSlot {
-    counter: Arc<AtomicUsize>,
-}
-
-impl BatchSlot {
-    fn acquire(counter: &Arc<AtomicUsize>, cap: usize) -> Option<Self> {
-        let mut cur = counter.load(Ordering::Relaxed);
-        loop {
-            if cur >= cap {
-                return None;
-            }
-            match counter.compare_exchange_weak(cur, cur + 1, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => return Some(Self { counter: Arc::clone(counter) }),
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-}
-
-impl Drop for BatchSlot {
-    fn drop(&mut self) {
-        self.counter.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// One `(shard, model)` cell's submission side.
-struct Cell {
-    handle: ServeHandle,
-    batch_inflight: Arc<AtomicUsize>,
-}
-
-/// Fleet-level accounting for one tenant.
-struct TenantMetrics {
-    submitted: AtomicU64,
-    served: AtomicU64,
-    /// Tier sheds + deadline-expired resolutions.
-    shed: AtomicU64,
-    /// Admission refusals after the whole routing chain was tried.
-    rejected: AtomicU64,
-    /// Resolutions that failed for other reasons (backend panic, shutdown).
-    failed: AtomicU64,
-    downgraded: AtomicU64,
-    deadline_misses: AtomicU64,
-    /// Admissions per model id — the routing table the Dice-floor
-    /// invariant is asserted against.
-    routed: Vec<AtomicU64>,
-    latency: LatencyHistogram,
-}
-
-impl TenantMetrics {
-    fn new(n_models: usize) -> Self {
-        Self {
-            submitted: AtomicU64::new(0),
-            served: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            downgraded: AtomicU64::new(0),
-            deadline_misses: AtomicU64::new(0),
-            routed: (0..n_models).map(|_| AtomicU64::new(0)).collect(),
-            latency: LatencyHistogram::new(),
-        }
-    }
-}
-
-struct TenantState {
-    spec: TenantSpec,
-    /// Precomputed model routing chain (validated non-empty at start).
-    chain: Vec<ModelId>,
-    metrics: TenantMetrics,
-}
-
 struct FleetInner {
     registry: ModelRegistry,
-    tenants: Vec<TenantState>,
-    ring: HashRing,
+    tenants: Vec<TenantSpec>,
+    /// End-to-end latency of each tenant's served, waited-on requests.
+    latency: Vec<LatencyHistogram>,
+    router: Mutex<Router>,
     /// `cells[shard][model]`.
-    cells: Vec<Vec<Cell>>,
-    batch_inflight_cap: usize,
+    cells: Vec<Vec<ServeHandle>>,
 }
 
 /// Builds a [`Fleet`]: register models and tenants, then start.
@@ -194,46 +89,24 @@ impl FleetBuilder {
     /// Panics if a tenant's Dice target is not met by any registered model
     /// — that tenant could never be routed.
     pub fn start(self) -> Fleet {
+        let FleetConfig { shards, serve, batch_inflight_cap } = self.config;
         let registry = ModelRegistry::new(self.models);
-        let tenants: Vec<TenantState> = self
-            .tenants
-            .into_iter()
-            .map(|spec| {
-                let chain = registry.route_chain(&spec);
-                assert!(
-                    !chain.is_empty(),
-                    "tenant '{}' wants dice >= {:.2} but no registered model reaches it",
-                    spec.name,
-                    spec.dice_target
-                );
-                let metrics = TenantMetrics::new(registry.len());
-                TenantState { spec, chain, metrics }
+        let router = Router::new(&registry, &self.tenants, shards, batch_inflight_cap);
+        let servers: Vec<Vec<Server>> = (0..shards)
+            .map(|_| {
+                let start =
+                    |spec: &ModelSpec| Server::start(Arc::clone(&spec.backend), serve.clone());
+                registry.models().iter().map(start).collect()
             })
             .collect();
-
-        let mut servers = Vec::with_capacity(self.config.shards);
-        let mut cells = Vec::with_capacity(self.config.shards);
-        for _ in 0..self.config.shards {
-            let mut shard_servers = Vec::with_capacity(registry.len());
-            let mut shard_cells = Vec::with_capacity(registry.len());
-            for spec in registry.models() {
-                let server = Server::start(Arc::clone(&spec.backend), self.config.serve.clone());
-                shard_cells.push(Cell {
-                    handle: server.handle(),
-                    batch_inflight: Arc::new(AtomicUsize::new(0)),
-                });
-                shard_servers.push(server);
-            }
-            servers.push(shard_servers);
-            cells.push(shard_cells);
-        }
-
+        let cells =
+            servers.iter().map(|shard| shard.iter().map(Server::handle).collect()).collect();
         let inner = Arc::new(FleetInner {
             registry,
-            tenants,
-            ring: HashRing::new(self.config.shards),
+            latency: self.tenants.iter().map(|_| LatencyHistogram::new()).collect(),
+            tenants: self.tenants,
+            router: Mutex::new(router),
             cells,
-            batch_inflight_cap: self.config.batch_inflight_cap,
         });
         Fleet { inner, servers }
     }
@@ -250,11 +123,6 @@ impl Fleet {
     /// A cloneable submission/admin handle.
     pub fn handle(&self) -> FleetHandle {
         FleetHandle { inner: Arc::clone(&self.inner) }
-    }
-
-    /// Live fleet statistics.
-    pub fn stats(&self) -> FleetStats {
-        self.handle().stats()
     }
 
     /// Graceful shutdown: drains every cell and returns final statistics.
@@ -280,10 +148,10 @@ pub struct FleetTicket {
     /// True when overload pushed the tenant below its Dice target (but
     /// never below its floor).
     pub downgraded: bool,
-    ticket: Ticket,
+    /// The cell's ticket and the admission it resolves; taken on `wait`
+    /// or drop.
+    pending: Option<(Ticket, Admission)>,
     inner: Arc<FleetInner>,
-    /// Holds the batch-tier in-flight slot until resolution.
-    _slot: Option<BatchSlot>,
 }
 
 impl std::fmt::Debug for FleetTicket {
@@ -300,29 +168,32 @@ impl std::fmt::Debug for FleetTicket {
 impl FleetTicket {
     /// Blocks until the response arrives, recording the outcome in the
     /// tenant's fleet-level statistics.
-    pub fn wait(self) -> ServeResponse {
-        let resp = self.ticket.wait();
-        let m = &self.inner.tenants[self.tenant].metrics;
-        match &resp.result {
+    pub fn wait(mut self) -> ServeResponse {
+        let (ticket, admission) = self.pending.take().expect("pending until waited or dropped");
+        let resp = ticket.wait();
+        let resolution = match &resp.result {
             Ok(_) => {
-                m.served.fetch_add(1, Ordering::Relaxed);
-                m.latency.record(resp.timing.total);
-                let missed = self.inner.tenants[self.tenant]
-                    .spec
-                    .deadline
-                    .is_some_and(|d| resp.timing.total > d);
-                if missed {
-                    m.deadline_misses.fetch_add(1, Ordering::Relaxed);
-                }
+                self.inner.latency[self.tenant].record(resp.timing.total);
+                let deadline = self.inner.tenants[self.tenant].deadline;
+                Resolution::Served { late: deadline.is_some_and(|d| resp.timing.total > d) }
             }
-            Err(ServeError::DeadlineExpired) => {
-                m.shed.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                m.failed.fetch_add(1, Ordering::Relaxed);
+            Err(ServeError::DeadlineExpired) => Resolution::Shed,
+            Err(_) => Resolution::Failed,
+        };
+        self.inner.router().resolve(admission, resolution);
+        resp
+    }
+}
+
+impl Drop for FleetTicket {
+    /// A ticket dropped unwaited resolves as failed and frees its slot.
+    fn drop(&mut self) {
+        if let Some((_, admission)) = self.pending.take() {
+            // Drop must not panic: a poisoned router already panicked once.
+            if let Ok(mut router) = self.inner.router.lock() {
+                router.resolve(admission, Resolution::Abandoned);
             }
         }
-        resp
     }
 }
 
@@ -342,69 +213,24 @@ impl FleetHandle {
         affinity: u64,
         image: Tensor,
     ) -> Result<FleetTicket, FleetError> {
-        let state = self.inner.tenants.get(tenant).ok_or(FleetError::UnknownTenant)?;
-        state.metrics.submitted.fetch_add(1, Ordering::Relaxed);
-        let shard = self.inner.ring.shard_for(affinity) as usize;
-        let cells = &self.inner.cells[shard];
-
         let mut image = Some(image);
-        let mut saw_full = false;
-        let mut last_err = ServeError::QueueFull;
-        for (hop, &model) in state.chain.iter().enumerate() {
-            let cell = &cells[model];
-            // Tiered shedding: batch work must take an in-flight slot
-            // before it may touch the cell's queue.
-            let slot = match state.spec.tier {
-                Priority::Batch => {
-                    match BatchSlot::acquire(&cell.batch_inflight, self.inner.batch_inflight_cap) {
-                        Some(s) => Some(s),
-                        None => continue,
-                    }
-                }
-                Priority::Interactive => None,
-            };
-            // Clone only when another chain hop could still need the frame.
-            let frame = if hop + 1 < state.chain.len() {
-                image.clone().expect("frame present until submitted")
-            } else {
-                image.take().expect("frame present until submitted")
-            };
-            match cell.handle.submit(frame, state.spec.tier, state.spec.deadline) {
-                Ok(ticket) => {
-                    state.metrics.routed[model].fetch_add(1, Ordering::Relaxed);
-                    if hop > 0 {
-                        state.metrics.downgraded.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return Ok(FleetTicket {
-                        tenant,
-                        model,
-                        shard,
-                        downgraded: hop > 0,
-                        ticket,
-                        inner: Arc::clone(&self.inner),
-                        _slot: slot,
-                    });
-                }
-                Err(e @ ServeError::QueueFull) => {
-                    // Overload on this cell; the next hop may still admit.
-                    saw_full = true;
-                    last_err = e;
-                }
-                Err(e) => {
-                    state.metrics.rejected.fetch_add(1, Ordering::Relaxed);
-                    return Err(FleetError::Overloaded(e));
-                }
-            }
-        }
-        if state.spec.tier == Priority::Batch && !saw_full {
-            // Every candidate was at its batch in-flight cap: a pure
-            // tier shed — the queues themselves may well have room.
-            state.metrics.shed.fetch_add(1, Ordering::Relaxed);
-            Err(FleetError::BatchShed)
-        } else {
-            state.metrics.rejected.fetch_add(1, Ordering::Relaxed);
-            Err(FleetError::Overloaded(last_err))
-        }
+        let (admission, ticket) =
+            self.inner.router().route(tenant, affinity, |shard, model, last| {
+                // The router asks only for a tenant it knows.
+                let spec = &self.inner.tenants[tenant];
+                // Clone only when another chain hop could still need the frame.
+                let frame = if last { image.take() } else { image.clone() };
+                let frame = frame.expect("frame present until submitted");
+                self.inner.cells[shard][model].submit(frame, spec.tier, spec.deadline)
+            })?;
+        Ok(FleetTicket {
+            tenant,
+            model: admission.model,
+            shard: admission.shard,
+            downgraded: admission.downgraded,
+            pending: Some((ticket, admission)),
+            inner: Arc::clone(&self.inner),
+        })
     }
 
     /// Submit + block until the prediction (or failure) comes back.
@@ -420,7 +246,7 @@ impl FleetHandle {
     /// The shard an affinity key routes to (for tests and placement
     /// introspection).
     pub fn shard_for(&self, affinity: u64) -> usize {
-        self.inner.ring.shard_for(affinity) as usize
+        self.inner.router().shard_for(affinity)
     }
 
     /// Live fleet statistics aggregated per tenant, model, and shard.
@@ -429,7 +255,7 @@ impl FleetHandle {
             .inner
             .cells
             .iter()
-            .map(|shard| shard.iter().map(|c| c.handle.stats()).collect())
+            .map(|shard| shard.iter().map(ServeHandle::stats).collect())
             .collect();
         self.inner.stats_from_cells(cells)
     }
@@ -442,6 +268,10 @@ impl FleetHandle {
 }
 
 impl FleetInner {
+    fn router(&self) -> MutexGuard<'_, Router> {
+        self.router.lock().expect("router lock")
+    }
+
     fn stats_from_cells(&self, cells: Vec<Vec<ServeStats>>) -> FleetStats {
         let models = (0..self.registry.len())
             .map(|m| {
@@ -461,35 +291,34 @@ impl FleetInner {
                 }
             })
             .collect();
+        let router = self.router();
         let tenants = self
             .tenants
             .iter()
-            .map(|t| {
-                let m = &t.metrics;
+            .enumerate()
+            .map(|(t, spec)| {
+                let c = router.counts(t);
                 TenantStats {
-                    name: t.spec.name.clone(),
-                    tier: t.spec.tier.label().to_string(),
-                    deadline_ms: t.spec.deadline.map(|d| d.as_secs_f64() * 1000.0),
-                    dice_target: t.spec.dice_target,
-                    dice_floor: t.spec.dice_floor,
-                    submitted: m.submitted.load(Ordering::Relaxed),
-                    served: m.served.load(Ordering::Relaxed),
-                    shed: m.shed.load(Ordering::Relaxed),
-                    rejected: m.rejected.load(Ordering::Relaxed),
-                    failed: m.failed.load(Ordering::Relaxed),
-                    downgraded: m.downgraded.load(Ordering::Relaxed),
-                    deadline_misses: m.deadline_misses.load(Ordering::Relaxed),
-                    routed: m
-                        .routed
-                        .iter()
-                        .enumerate()
-                        .map(|(i, c)| RoutedCount {
-                            model: self.registry.get(i).name.clone(),
-                            dice: self.registry.get(i).dice,
-                            count: c.load(Ordering::Relaxed),
+                    name: spec.name.clone(),
+                    tier: spec.tier.label().to_string(),
+                    deadline_ms: spec.deadline.map(|d| d.as_secs_f64() * 1000.0),
+                    dice_target: spec.dice_target,
+                    dice_floor: spec.dice_floor,
+                    submitted: c.submitted,
+                    served: c.served,
+                    shed: c.shed,
+                    rejected: c.rejected,
+                    failed: c.failed,
+                    downgraded: c.downgraded,
+                    deadline_misses: c.deadline_misses,
+                    routed: (c.routed.iter().zip(self.registry.models()))
+                        .map(|(&count, m)| RoutedCount {
+                            model: m.name.clone(),
+                            dice: m.dice,
+                            count,
                         })
                         .collect(),
-                    latency: m.latency.summary(),
+                    latency: self.latency[t].summary(),
                 }
             })
             .collect();
@@ -529,7 +358,7 @@ pub struct TenantStats {
     pub shed: u64,
     /// Refusals after the whole routing chain was tried.
     pub rejected: u64,
-    /// Backend/shutdown failures.
+    /// Backend/shutdown failures, or abandoned unwaited (a dropped ticket).
     pub failed: u64,
     /// Admissions that landed below the Dice target (but ≥ the floor).
     pub downgraded: u64,

@@ -18,34 +18,40 @@
 //! * Dice-floor cost routing ([`ModelRegistry::route_chain`]) — cheapest
 //!   model meeting the tenant's target, with overload fallback down to
 //!   (never below) its floor for tenants that allow downgrade;
-//! * tiered load-shedding — batch-tier requests take a bounded per-cell
-//!   in-flight slot before touching any queue, so bulk overload cannot
-//!   crowd interactive traffic out of admission (the isolation guarantee
-//!   the acceptance test pins: 2× batch overload, flat interactive p99);
+//! * tiered load-shedding — a batch-tier request holds one of a bounded
+//!   number of per-cell in-flight slots from admission until its ticket is
+//!   waited or dropped, so bulk overload cannot crowd interactive traffic
+//!   out of admission (the isolation guarantee the acceptance test pins:
+//!   2× batch overload, flat interactive p99);
+//! * [`Router`] — the sans-IO core that makes all of the above decisions
+//!   and keeps every tenant's counters as plain state; the threaded shell
+//!   holds it behind one lock, and `tests/fleet_explorer.rs` steps it
+//!   against fake cells on seeded schedules;
 //! * [`FleetHandle`] — the admin surface: per-tenant / per-model /
 //!   per-shard [`FleetStats`], plus a live [`seneca_trace::TraceReport`]
 //!   export, no restart required.
 
 mod fleet;
-mod loadgen;
 mod registry;
 mod ring;
+mod router;
 mod tenant;
 
 pub use fleet::{
-    Fleet, FleetBuilder, FleetConfig, FleetError, FleetHandle, FleetStats, FleetTicket, ModelStats,
+    Fleet, FleetBuilder, FleetConfig, FleetHandle, FleetStats, FleetTicket, ModelStats,
     RoutedCount, TenantStats,
 };
-pub use loadgen::{run_mixed_load, TenantLoad};
 pub use registry::{ModelId, ModelRegistry, ModelSpec};
 pub use ring::{HashRing, DEFAULT_VNODES};
+pub use router::{Admission, FleetError, Resolution, Router, TenantCounts};
 pub use tenant::{TenantId, TenantSpec};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::Rng;
     use seneca_backend::{Backend, Prediction, ThroughputReport};
-    use seneca_serve::{ServeError, SyntheticBackend};
+    use seneca_serve::{drive, ArrivalProcess, LoadReport, ServeError, SyntheticBackend};
     use seneca_tensor::{Shape4, Tensor};
     use std::sync::{mpsc, Arc, Mutex};
     use std::time::Duration;
@@ -309,11 +315,25 @@ mod tests {
         let bulk = b.tenant(TenantSpec::batch("bulk", 92.5));
         let surg = b.tenant(TenantSpec::interactive("surgery", Duration::from_millis(500), 93.5));
         let fleet = b.start();
-        let reports = run_mixed_load(
-            &fleet.handle(),
-            &frame(),
-            &[TenantLoad::closed(bulk, 20, 2, 1), TenantLoad::closed(surg, 20, 2, 2)],
-        );
+        let (h, image) = (fleet.handle(), frame());
+        let reports: Vec<LoadReport> = std::thread::scope(|scope| {
+            let drivers: Vec<_> = [(bulk, 1), (surg, 2)]
+                .map(|(tenant, seed)| {
+                    let (h, image) = (&h, &image);
+                    scope.spawn(move || {
+                        drive(
+                            ArrivalProcess::ClosedLoop { clients: 2 },
+                            20,
+                            seed,
+                            |rng| h.submit(tenant, rng.gen_range(0..64), image.clone()).ok(),
+                            |ticket| ticket.wait().result.is_ok(),
+                        )
+                    })
+                })
+                .into_iter()
+                .collect();
+            drivers.into_iter().map(|d| d.join().expect("load driver")).collect()
+        });
         assert_eq!(reports.len(), 2);
         for r in &reports {
             assert_eq!(r.ok, 20, "closed loop over an uncontended fleet serves all");
@@ -322,6 +342,75 @@ mod tests {
         assert_eq!(stats.tenant("bulk").unwrap().served, 20);
         assert_eq!(stats.tenant("surgery").unwrap().served, 20);
         fleet_totals_are_consistent(&stats);
+    }
+
+    fn assert_balanced(t: &TenantStats) {
+        assert_eq!(t.submitted, t.served + t.shed + t.rejected + t.failed, "{t:?}");
+    }
+
+    #[test]
+    fn a_dropped_ticket_counts_as_failed_and_frees_its_slot() {
+        let mut b = FleetBuilder::new(FleetConfig {
+            shards: 1,
+            serve: seneca_serve::ServeConfig {
+                replicas: 1,
+                max_batch: 1,
+                max_delay: Duration::ZERO,
+                queue_capacity: 4,
+            },
+            batch_inflight_cap: 1,
+        });
+        b.model(ModelSpec::from_fps(
+            "m",
+            93.0,
+            100.0,
+            Arc::new(SyntheticBackend::new(Duration::from_millis(5))),
+        ));
+        let t = b.tenant(TenantSpec::batch("bulk", 93.0));
+        let fleet = b.start();
+        let h = fleet.handle();
+        drop(h.submit(t, 0, frame()).expect("admitted"));
+        // The dropped ticket gave its only batch slot back.
+        h.submit(t, 1, frame()).expect("slot freed by the drop").wait().result.expect("served");
+        let stats = fleet.shutdown();
+        let ts = stats.tenant("bulk").unwrap();
+        assert_eq!((ts.submitted, ts.served, ts.failed), (2, 1, 1), "{ts:?}");
+        assert_balanced(ts);
+    }
+
+    /// A backend that panics on a frame whose first value is negative.
+    struct Fragile;
+
+    impl Backend for Fragile {
+        fn name(&self) -> String {
+            "fragile".into()
+        }
+
+        fn infer_batch(&self, images: &[Tensor]) -> Vec<Prediction> {
+            assert!(images.iter().all(|x| x.data()[0] >= 0.0), "fragile backend panics");
+            SyntheticBackend::new(Duration::ZERO).infer_batch(images)
+        }
+
+        fn throughput(&self, n_frames: usize, seed: u64) -> ThroughputReport {
+            SyntheticBackend::new(Duration::ZERO).throughput(n_frames, seed)
+        }
+    }
+
+    #[test]
+    fn a_panicking_backend_fails_its_request_not_the_fleet() {
+        let (mut b, _, _) = two_model_fleet(1);
+        b.model(ModelSpec::from_fps("fragile", 99.0, 10.0, Arc::new(Fragile)));
+        let t = b.tenant(TenantSpec::interactive("t", Duration::from_secs(5), 99.0));
+        let fleet = b.start();
+        let h = fleet.handle();
+        let poison = Tensor::from_vec(Shape4::new(1, 1, 2, 2), vec![-1.0, 0.0, 0.0, 0.0]);
+        let resp = h.submit_wait(t, 0, poison).expect("admitted");
+        assert_eq!(resp.result.unwrap_err(), ServeError::BackendFailed);
+        h.submit_wait(t, 0, frame()).expect("admitted after the panic").result.expect("served");
+        let stats = fleet.shutdown();
+        let ts = stats.tenant("t").unwrap();
+        assert_eq!((ts.submitted, ts.served, ts.failed), (2, 1, 1), "{ts:?}");
+        assert_balanced(ts);
     }
 
     /// Cross-checks tenant-side and model-side accounting.

@@ -8,8 +8,9 @@
 //! explicitly, keep interactive p99 under its deadline with zero deadline
 //! misses, and never route any tenant below its Dice floor.
 
-use seneca_fleet::{run_mixed_load, FleetBuilder, FleetConfig, ModelSpec, TenantLoad, TenantSpec};
-use seneca_serve::{ServeConfig, SyntheticBackend};
+use rand::Rng;
+use seneca_fleet::{FleetBuilder, FleetConfig, ModelSpec, TenantSpec};
+use seneca_serve::{drive, ArrivalProcess, ServeConfig, SyntheticBackend};
 use seneca_tensor::{Shape4, Tensor};
 use std::sync::Arc;
 use std::time::Duration;
@@ -75,17 +76,33 @@ fn batch_overload_cannot_move_interactive_p99() {
     let n_bulk = 600;
     let n_inter = 150;
 
-    let reports = run_mixed_load(
-        &h,
-        &frame(),
-        &[
-            // 2x saturation: half of this load *must* be turned away.
-            TenantLoad { patients: 64, ..TenantLoad::open(bulk, n_bulk, 2.0 * sat_fps, 0xB01) },
-            // Interactive tenants at comfortable fractions of capacity.
-            TenantLoad { patients: 32, ..TenantLoad::open(surgery, n_inter, 0.2 * sat_fps, 0x51) },
-            TenantLoad { patients: 32, ..TenantLoad::open(clinic, n_inter, 0.1 * sat_fps, 0xC1) },
-        ],
-    );
+    // One open-loop driver per tenant: (tenant, requests, rate, patients, seed).
+    let loads = [
+        // 2x saturation: half of this load *must* be turned away.
+        (bulk, n_bulk, 2.0 * sat_fps, 64, 0xB01),
+        // Interactive tenants at comfortable fractions of capacity.
+        (surgery, n_inter, 0.2 * sat_fps, 32, 0x51),
+        (clinic, n_inter, 0.1 * sat_fps, 32, 0xC1),
+    ];
+    let image = frame();
+    let reports: Vec<_> = std::thread::scope(|scope| {
+        let drivers: Vec<_> = loads
+            .map(|(tenant, requests, rate_fps, patients, seed)| {
+                let (h, image) = (&h, &image);
+                scope.spawn(move || {
+                    drive(
+                        ArrivalProcess::OpenLoop { rate_fps },
+                        requests,
+                        seed,
+                        |rng| h.submit(tenant, rng.gen_range(0..patients), image.clone()).ok(),
+                        |ticket| ticket.wait().result.is_ok(),
+                    )
+                })
+            })
+            .into_iter()
+            .collect();
+        drivers.into_iter().map(|d| d.join().expect("load driver")).collect()
+    });
     let stats = fleet.shutdown();
 
     // Every request resolved: the fleet stayed up through the overload.

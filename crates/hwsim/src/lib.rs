@@ -1,10 +1,10 @@
 //! # seneca-hwsim
 //!
 //! A small discrete-event simulation (DES) engine used to model the timing
-//! and power behaviour of the ZCU104 (dual-core DPU + ARM host) and the GPU
-//! baseline. The engine is generic: [`des`] provides an event queue,
-//! multi-server FIFO resources and a closed pipeline-network simulator;
-//! [`power`] integrates busy/idle power into energy.
+//! of the ZCU104 (dual-core DPU + ARM host). The engine is generic: [`des`]
+//! provides an event queue, multi-server FIFO resources and a closed
+//! pipeline-network simulator. Energy is priced from its busy times by
+//! `seneca_dpu::power`, not here.
 //!
 //! The VART-style runtime in `seneca-dpu` maps onto this as a *closed
 //! queueing network*: `population` = number of runner threads, stages =
@@ -14,8 +14,5 @@
 //! from a fitted curve.
 
 pub mod des;
-pub mod power;
-pub mod trace;
 
 pub use des::{simulate_closed_pipeline, PipelineSim, Resource, SimReport, StageSpec};
-pub use power::{EnergyMeter, PowerRail};

@@ -7,7 +7,9 @@
 //! through [`Backend::infer_batch_timed`], and resolves every request's
 //! ticket with a [`ServeResponse`] carrying queue/execute/total timings. A
 //! backend panic, or an answer with the wrong number of predictions, fails
-//! the affected batch, not the server.
+//! the affected batch, not the server. The intake lock is held only around
+//! core calls and admissions, never around backend code, so a poisoned
+//! lock can only mean a bug in the core: that is why `expect` stays.
 
 use crate::intake::{settle, Collector, Intake, Step};
 use crate::metrics::{ServeMetrics, ServeStats};

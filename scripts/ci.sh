@@ -10,12 +10,14 @@ cargo fmt --check
 echo "== cargo clippy --all-targets -- -D warnings =="
 cargo clippy --all-targets -- -D warnings
 
-echo "== serving core stays sans-IO (no clock read, sleep, lock or channel in crates/serve/src/intake.rs) =="
-echo "The intake core takes 'now' from its caller and returns what to do, so its tests and tests/serve_explorer.rs step it on explicit instants; the threaded shell in server.rs owns the clock, the lock and the condvars."
-if grep -nE 'Instant::now|\.elapsed\(\)|thread::sleep|Mutex|Condvar|mpsc' crates/serve/src/intake.rs; then
-    echo "crates/serve/src/intake.rs reads the clock, sleeps, locks or sends (lines above): move that into server.rs" >&2
-    exit 1
-fi
+echo "== serving and routing cores stay sans-IO (no clock read, sleep, lock, channel or atomic in crates/serve/src/intake.rs or crates/fleet/src/router.rs) =="
+echo "Each core takes its inputs from its caller and returns what to do, so tests/serve_explorer.rs and tests/fleet_explorer.rs step them on seeded schedules; the threaded shells (server.rs, fleet.rs) own the clock, the locks, the condvars and the channels."
+for core in crates/serve/src/intake.rs crates/fleet/src/router.rs; do
+    if grep -nE 'Instant::now|\.elapsed\(\)|thread::sleep|Mutex|Condvar|mpsc|Atomic' "$core"; then
+        echo "$core reads the clock, sleeps, locks, sends or shares an atomic (lines above): move that into its shell" >&2
+        exit 1
+    fi
+done
 
 echo "== cargo test --workspace -q =="
 # The whole suite is expected green — every crate's unit tests and
