@@ -1,8 +1,7 @@
 //! The [`Backend`] trait and the two host reference backends.
 
 use crate::prediction::Prediction;
-use crate::report::{MemoryFootprint, ThroughputReport, ThroughputStats};
-use crate::session::{resolve_worker_threads, InferenceEngine, InferenceSession};
+use crate::session::{InferenceEngine, InferenceSession};
 use seneca_ir::{lower, FpScratch, LowerOptions, Lowered, QScratch};
 use seneca_nn::graph::Graph;
 use seneca_quant::QuantizedGraph;
@@ -23,8 +22,10 @@ pub struct BatchTiming {
 
 /// A deployable inference target: every path through the SENECA pipeline —
 /// FP32 reference, GPU baseline, bit-exact INT8 reference, DPU runtime —
-/// implements this one vocabulary, so evaluation and benchmarking code can
-/// iterate `Box<dyn Backend>` instead of hard-coding runner pairs.
+/// turns preprocessed frames into [`Prediction`]s through this one
+/// vocabulary, so evaluation and serving take any `dyn Backend`. It is
+/// inference only: the two device models report throughput through their
+/// own inherent `throughput(n_frames, seed)`.
 pub trait Backend: Send + Sync {
     /// Human-readable backend identifier (used as the row/series key in
     /// experiment outputs).
@@ -46,63 +47,11 @@ pub trait Backend: Send + Sync {
         (preds, BatchTiming { wall, per_frame })
     }
 
-    /// One throughput run over `n_frames` frames. Device-modelled backends
-    /// use `seed` for measurement jitter; host-measured backends ignore it.
-    fn throughput(&self, n_frames: usize, seed: u64) -> ThroughputReport;
-
     /// Per-pixel argmax labels for one image.
     fn predict(&self, image: &Tensor) -> Vec<u8> {
         let mut out = self.infer_batch(std::slice::from_ref(image));
         assert_eq!(out.len(), 1);
         out.pop().expect("one prediction").labels
-    }
-
-    /// μ±σ over `n_runs` seeded throughput runs (the Table IV aggregation),
-    /// shared across all backends.
-    fn throughput_repeated(&self, n_frames: usize, n_runs: usize, seed0: u64) -> ThroughputStats {
-        assert!(n_runs >= 1);
-        ThroughputStats::from_runs(
-            (0..n_runs).map(|r| self.throughput(n_frames, seed0 + r as u64)).collect(),
-        )
-        .expect("n_runs >= 1")
-    }
-}
-
-/// Deterministic synthetic frame for host-measured throughput runs: a ramp
-/// in `[-1, 1]` so no kernel gets an all-zero fast path.
-fn synthetic_frame(shape: Shape4) -> Tensor {
-    let data = (0..shape.len()).map(|i| ((i * 37) % 255) as f32 / 127.0 - 1.0).collect();
-    Tensor::from_vec(shape, data)
-}
-
-/// Measures host wall-clock throughput of an engine. Reference backends have
-/// no power model, so `watt` (and thus energy efficiency) is reported as 0.
-fn measured_throughput<E: InferenceEngine>(
-    engine: &E,
-    shape: Shape4,
-    threads: usize,
-    n_frames: usize,
-    mem: MemoryFootprint,
-) -> ThroughputReport {
-    // Cap the measured frames: host execution of a 256x256 UNet is orders of
-    // magnitude slower than the device models, and FPS converges quickly.
-    let frames = n_frames.clamp(1, 16);
-    let batch: Vec<Tensor> = (0..frames).map(|_| synthetic_frame(shape)).collect();
-    let session = InferenceSession::new(engine, threads);
-    session.run(&batch[..1]); // warm-up (page-in weights, fill caches)
-    let t0 = std::time::Instant::now();
-    session.run(&batch);
-    let makespan_s = t0.elapsed().as_secs_f64().max(1e-9);
-    ThroughputReport {
-        fps: frames as f64 / makespan_s,
-        watt: 0.0,
-        frames,
-        threads: resolve_worker_threads(threads, frames),
-        busy_cores: 0.0,
-        util: 0.0,
-        makespan_s,
-        peak_arena_bytes: mem.peak_arena_bytes,
-        total_activation_bytes: mem.total_activation_bytes,
     }
 }
 
@@ -137,15 +86,6 @@ impl Fp32RefBackend {
         self.threads = threads.max(1);
         self
     }
-
-    /// Planned per-worker activation memory (4 bytes per FP32 element).
-    pub fn memory_footprint(&self) -> MemoryFootprint {
-        let plan = self.lowered.plan();
-        MemoryFootprint {
-            peak_arena_bytes: plan.peak_arena_bytes(4),
-            total_activation_bytes: plan.total_activation_bytes(4),
-        }
-    }
 }
 
 /// Per-worker state of [`Fp32RefBackend`]: a liveness-planned scratch arena,
@@ -177,10 +117,6 @@ impl Backend for Fp32RefBackend {
 
     fn infer_batch_timed(&self, images: &[Tensor]) -> (Vec<Prediction>, BatchTiming) {
         session_timed(self, self.threads, images)
-    }
-
-    fn throughput(&self, n_frames: usize, _seed: u64) -> ThroughputReport {
-        measured_throughput(self, self.input_shape, self.threads, n_frames, self.memory_footprint())
     }
 }
 
@@ -226,15 +162,6 @@ impl QuantRefBackend {
         self.threads = threads.max(1);
         self
     }
-
-    /// Planned per-worker activation memory (1 byte per INT8 element).
-    pub fn memory_footprint(&self) -> MemoryFootprint {
-        let plan = self.lowered.plan();
-        MemoryFootprint {
-            peak_arena_bytes: plan.peak_arena_bytes(1),
-            total_activation_bytes: plan.total_activation_bytes(1),
-        }
-    }
 }
 
 impl InferenceEngine for QuantRefBackend {
@@ -266,10 +193,6 @@ impl Backend for QuantRefBackend {
 
     fn infer_batch_timed(&self, images: &[Tensor]) -> (Vec<Prediction>, BatchTiming) {
         session_timed(self, self.threads, images)
-    }
-
-    fn throughput(&self, n_frames: usize, _seed: u64) -> ThroughputReport {
-        measured_throughput(self, self.input_shape, self.threads, n_frames, self.memory_footprint())
     }
 }
 

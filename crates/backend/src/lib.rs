@@ -5,11 +5,15 @@
 //! reproduction adds two host reference executors (FP32 graph, bit-exact
 //! INT8 graph). This crate defines the one vocabulary they all speak:
 //!
-//! * [`Backend`] — `name` / `infer_batch` / `throughput`;
-//! * [`ThroughputReport`] / [`ThroughputStats`] — shared measurement types;
+//! * [`Backend`] — inference only: `name` / `infer_batch` /
+//!   `infer_batch_timed` / `predict`;
+//! * [`ThroughputReport`] / [`ThroughputStats`] — what the two device
+//!   models (`DpuRunner::throughput`, `GpuRunner::throughput`) report, and
+//!   its μ±σ over seeded runs;
 //! * [`Prediction`] / [`Logits`] — labels plus backend-native logits;
-//! * [`InferenceSession`] — the streaming batch executor: bounded job
-//!   queue, worker-side input preparation, per-worker scratch arenas.
+//! * [`InferenceSession`] — the batch executor: workers pull frame indices
+//!   from one shared cursor, prepare their input themselves and reuse a
+//!   per-worker scratch arena.
 
 mod backend;
 mod prediction;
@@ -18,5 +22,5 @@ mod session;
 
 pub use backend::{Backend, BatchTiming, Fp32RefBackend, FpWorker, QuantRefBackend};
 pub use prediction::{Logits, Prediction};
-pub use report::{MemoryFootprint, ThroughputReport, ThroughputStats};
+pub use report::{ThroughputReport, ThroughputStats};
 pub use session::{resolve_worker_threads, InferenceEngine, InferenceSession};

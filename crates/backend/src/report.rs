@@ -1,48 +1,23 @@
 //! The shared throughput vocabulary.
 //!
-//! Every backend — device-modelled (DPU DES simulation, GPU latency model)
-//! or host-measured (the FP32/INT8 reference executors) — reports the same
-//! [`ThroughputReport`], and μ±σ aggregation over seeded runs lives in one
-//! place ([`ThroughputStats::from_runs`]) instead of being re-implemented
-//! per runner.
+//! Both device models — the DPU DES simulation and the GPU latency model —
+//! report the same [`ThroughputReport`] from their inherent
+//! `throughput(n_frames, seed)`, and μ±σ aggregation over seeded runs lives
+//! in one place ([`ThroughputStats::from_runs`]).
 
 use serde::{Deserialize, Serialize};
 
-/// Planned activation-memory footprint of a backend's executor, derived from
-/// the shared liveness plan (`seneca_nn::plan::ExecPlan`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MemoryFootprint {
-    /// Activation arena bytes actually allocated per worker: the sum of the
-    /// liveness plan's slot capacities (peak-live, skip-aware).
-    pub peak_arena_bytes: u64,
-    /// Sum of every node's activation bytes — what a naive
-    /// one-buffer-per-node executor would hold.
-    pub total_activation_bytes: u64,
-}
-
-/// Result of one throughput run on any backend.
+/// Result of one simulated throughput run on a device model.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ThroughputReport {
     /// Frames per second.
     pub fps: f64,
-    /// Average board power (W). Host-measured reference backends report 0
-    /// (no power model) and therefore a zero energy efficiency.
+    /// Average board power (W).
     pub watt: f64,
-    /// Frames processed.
-    pub frames: usize,
     /// Host runner threads used.
     pub threads: usize,
-    /// Mean busy accelerator cores (0 when the backend has no core model).
-    pub busy_cores: f64,
-    /// Accelerator utilisation in `[0, 1]` (0 when not modelled).
+    /// Accelerator utilisation in `[0, 1]`.
     pub util: f64,
-    /// Wall-clock of the run (s) — simulated or measured.
-    pub makespan_s: f64,
-    /// Per-worker activation arena bytes under the liveness plan (0 when the
-    /// backend does not report memory).
-    pub peak_arena_bytes: u64,
-    /// Sum-of-all-activations bytes for comparison (0 when not reported).
-    pub total_activation_bytes: u64,
 }
 
 impl ThroughputReport {
@@ -98,17 +73,7 @@ mod tests {
     use super::*;
 
     fn rep(fps: f64, watt: f64) -> ThroughputReport {
-        ThroughputReport {
-            fps,
-            watt,
-            frames: 10,
-            threads: 1,
-            busy_cores: 0.0,
-            util: 0.0,
-            makespan_s: 1.0,
-            peak_arena_bytes: 0,
-            total_activation_bytes: 0,
-        }
+        ThroughputReport { fps, watt, threads: 1, util: 0.0 }
     }
 
     #[test]

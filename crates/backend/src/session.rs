@@ -1,11 +1,9 @@
-//! The streaming inference session.
+//! The batch inference session.
 //!
-//! Replaces the eager fan-out pattern (quantize every input up front into an
-//! unbounded channel — an O(batch) memory spike) with:
-//!
-//! * a **bounded job queue** (twice as many slots as workers): the feeder
-//!   blocks once workers fall behind, so only a handful of in-flight frames
-//!   exist at any time;
+//! * **one cursor**: workers pull frame indices from a shared atomic
+//!   counter and run each frame straight from the caller's slice, so no
+//!   frame is copied or queued; a batch of `n` frames holds `n` borrows and
+//!   nothing else in flight;
 //! * **worker-side preparation**: quantisation (or any other per-frame input
 //!   transform) happens on the worker thread that will execute the frame,
 //!   not on the submitting thread;
@@ -20,16 +18,18 @@
 //! (0.5–0.8 ms on a 2-core x86 host). They are not pooled across calls on
 //! purpose: keeping the arenas, or keeping the worker threads alive, saved
 //! 0.3–0.8 ms per frame but was measured at +4.3 MB of peak RSS (+11 %) on
-//! the streaming 1M workload.
+//! the streaming 1M workload. With one worker the frames run inline on the
+//! calling thread and no thread is spawned.
 //!
-//! Results are returned in submission order regardless of completion order.
-//! A panic inside [`InferenceEngine::infer`] is captured on the worker and
-//! re-raised on the calling thread with the failing frame index attached,
-//! instead of surfacing as an unrelated "all jobs completed" failure.
+//! Results are returned in input order regardless of completion order.
+//! A panic inside [`InferenceEngine::infer`] is captured on the worker,
+//! which retires, and re-raised on the calling thread with the failing
+//! frame index attached — the earliest one when several frames fail.
 
 use crate::prediction::Prediction;
 use seneca_tensor::Tensor;
 use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// Resolves the number of worker threads for a job batch: never more threads
@@ -101,111 +101,60 @@ impl<'e, E: InferenceEngine> InferenceSession<'e, E> {
         .unzip()
     }
 
-    /// The shared batch executor: applies `work` to every frame on the
-    /// worker pool, preserving submission order and frame-indexed panics.
+    /// The shared batch executor: applies `work` to every frame, preserving
+    /// input order and frame-indexed panics.
     fn run_map<T, F>(&self, images: &[Tensor], work: F) -> Vec<T>
     where
         T: Send,
         F: Fn(&E, &mut E::Worker, &Tensor) -> T + Sync,
     {
-        let n = images.len();
-        if n == 0 {
+        type Outcome<T> = Result<T, Box<dyn std::any::Any + Send>>;
+        if images.is_empty() {
             return Vec::new();
         }
-        let threads = resolve_worker_threads(self.threads, n);
-        if threads == 1 {
-            // No pool needed; still reuses one worker's scratch across frames.
-            let mut worker = self.engine.new_worker();
-            return images
-                .iter()
-                .enumerate()
-                .map(|(i, img)| {
-                    let _sp = seneca_trace::span("session", "infer");
-                    std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        work(self.engine, &mut worker, img)
-                    }))
-                    .unwrap_or_else(|payload| rethrow(i, payload))
-                })
-                .collect();
-        }
-
-        type Outcome<T> = Result<T, Box<dyn std::any::Any + Send>>;
-        // Twice as many frames may wait as execute: enough to smooth out
-        // service-time jitter, few enough to bound memory.
-        let (job_tx, job_rx) = std::sync::mpsc::sync_channel::<(usize, &Tensor)>(2 * threads);
-        let (res_tx, res_rx) = std::sync::mpsc::channel::<(usize, Outcome<T>)>();
-        // Workers co-own the receiver: when the last worker retires (normal
-        // drain or panic), the channel closes and the feeder's `send` errors
-        // instead of blocking on a queue nobody will ever empty.
-        let job_rx = std::sync::Arc::new(std::sync::Mutex::new(job_rx));
-        let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        let mut panic: Option<(usize, Box<dyn std::any::Any + Send>)> = None;
-
-        std::thread::scope(|scope| {
-            // Each worker's state (its scratch arena) is built here, on the
-            // calling thread, so it lives in the caller's heap, which the
-            // next batch reuses. A worker thread allocates from a malloc
-            // arena of its own that stays resident after the thread exits,
-            // and a batch whose threads start before the last batch's have
-            // released theirs takes a fresh one.
-            for mut worker in (0..threads).map(|_| self.engine.new_worker()) {
-                let job_rx = std::sync::Arc::clone(&job_rx);
-                let res_tx = res_tx.clone();
-                let engine = self.engine;
-                let work = &work;
-                scope.spawn(move || {
-                    loop {
-                        // Hold the lock only for the dequeue, not the inference.
-                        let wait = seneca_trace::span("session", "dequeue_wait");
-                        let job = job_rx.lock().expect("job queue lock").recv();
-                        drop(wait);
-                        let (i, img) = match job {
-                            Ok(j) => j,
-                            Err(_) => break, // feeder done and queue drained
-                        };
-                        let infer_sp = seneca_trace::span("session", "infer");
-                        let out = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            work(engine, &mut worker, img)
-                        }));
-                        drop(infer_sp);
-                        // A panic may have poisoned the worker state; report
-                        // it and retire this worker.
-                        let dead = out.is_err();
-                        if res_tx.send((i, out)).is_err() || dead {
-                            break;
-                        }
-                    }
-                });
-            }
-            drop(res_tx);
-            drop(job_rx); // only workers hold the receiver now
-
-            // Feed lazily: blocks when the bounded queue is full, so at most
-            // `2 * threads` frames wait and `threads` execute at once. Send
-            // errors mean every worker has retired (all panicked): stop
-            // feeding and let the panic below surface.
-            for (i, img) in images.iter().enumerate() {
-                if job_tx.send((i, img)).is_err() {
+        let threads = resolve_worker_threads(self.threads, images.len());
+        // Each worker's state (its scratch arena) is built here, on the
+        // calling thread, so it lives in the caller's heap, which the next
+        // batch reuses. A worker thread allocates from a malloc arena of its
+        // own that stays resident after the thread exits, and a batch whose
+        // threads start before the last batch's have released theirs takes
+        // a fresh one.
+        let mut workers: Vec<E::Worker> = (0..threads).map(|_| self.engine.new_worker()).collect();
+        let cursor = AtomicUsize::new(0);
+        // One worker's loop: take the next frame index until the batch is
+        // exhausted. A panic may have poisoned the worker state, so the
+        // worker reports it and retires.
+        let drain = |worker: &mut E::Worker| {
+            let mut done: Vec<(usize, Outcome<T>)> = Vec::new();
+            loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(img) = images.get(i) else { break };
+                let _sp = seneca_trace::span("session", "infer");
+                let out =
+                    std::panic::catch_unwind(AssertUnwindSafe(|| work(self.engine, worker, img)));
+                let dead = out.is_err();
+                done.push((i, out));
+                if dead {
                     break;
                 }
             }
-            drop(job_tx);
-            while let Ok((i, out)) = res_rx.recv() {
-                match out {
-                    Ok(v) => results[i] = Some(v),
-                    Err(payload) => {
-                        // Keep the earliest failing frame for the re-raise.
-                        if panic.as_ref().is_none_or(|(j, _)| i < *j) {
-                            panic = Some((i, payload));
-                        }
-                    }
-                }
-            }
-        });
-        if let Some((i, payload)) = panic {
-            rethrow(i, payload);
-        }
-        results.into_iter().map(|r| r.expect("all jobs completed")).collect()
+            done
+        };
+        let mut done = if threads == 1 {
+            drain(&mut workers[0])
+        } else {
+            std::thread::scope(|scope| {
+                let drain = &drain;
+                let handles: Vec<_> =
+                    workers.iter_mut().map(|w| scope.spawn(move || drain(w))).collect();
+                handles.into_iter().flat_map(|h| h.join().expect("worker loop")).collect()
+            })
+        };
+        // Indices are taken in order, so every frame before the earliest
+        // failing one ran to completion: in index order, the first error
+        // met is the one to re-raise.
+        done.sort_unstable_by_key(|&(i, _)| i);
+        done.into_iter().map(|(i, out)| out.unwrap_or_else(|payload| rethrow(i, payload))).collect()
     }
 }
 
@@ -273,8 +222,10 @@ mod tests {
 
     #[test]
     fn worker_panic_reports_failing_frame() {
+        // Two failing frames: the earlier one is the one reported.
         let mut imgs = images(12);
         imgs[7] = Tensor::from_vec(Shape4::new(1, 1, 1, 1), vec![-1.0]);
+        imgs[9] = Tensor::from_vec(Shape4::new(1, 1, 1, 1), vec![-1.0]);
         for threads in [1, 4] {
             let session_panic = std::panic::catch_unwind(AssertUnwindSafe(|| {
                 InferenceSession::new(&Fussy, threads).run(&imgs)
@@ -282,7 +233,7 @@ mod tests {
             .expect_err("worker panic must propagate");
             let msg =
                 session_panic.downcast_ref::<String>().cloned().expect("panic message is a string");
-            assert!(msg.contains("frame 7"), "threads={threads}: {msg}");
+            assert!(msg.contains("frame 7:"), "threads={threads}: {msg}");
             assert!(msg.contains("negative frame rejected"), "threads={threads}: {msg}");
         }
     }
@@ -296,7 +247,7 @@ mod tests {
         }))
         .expect_err("must propagate");
         let msg = session_panic.downcast_ref::<String>().cloned().unwrap();
-        assert!(msg.contains("panicked on frame"), "{msg}");
+        assert!(msg.contains("panicked on frame 0:"), "{msg}");
     }
 
     /// Worker state is built on the calling thread, so its buffers live in

@@ -27,9 +27,9 @@ fn main() {
         let cost = frame_cost(&xm, &xm.arch);
         let runner =
             DpuRunner::new(Arc::new(xm), RuntimeConfig { threads: 4, ..Default::default() });
-        let rep = runner.run_throughput(2000, 1);
+        let rep = runner.throughput(2000, 1);
         let gpu = GpuRunner::new(g, GpuModel::rtx2060_mobile(), input);
-        let grep = gpu.run_throughput(500, 1);
+        let grep = gpu.throughput(500, 1);
         println!(
             "{:>4} {:>9.1} {:>7.2} {:>7.2} {:>7.2} | {:>8.2} {:>7.2} | {:.2}/{:.2}/{:.2}",
             size.label(),

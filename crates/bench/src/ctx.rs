@@ -1,7 +1,6 @@
 //! Shared experiment context: one cohort, one training run per model size,
 //! lazily-built deployments, memoised accuracy reports.
 
-use seneca::backend::Backend;
 use seneca::eval::{evaluate_backend, AccuracyReport};
 use seneca::workflow::{Deployment, PreparedData, Workflow};
 use seneca::{zoo, SenecaConfig};
@@ -118,22 +117,6 @@ impl ExperimentCtx {
             seneca_gpu::GpuModel::rtx2060_mobile(),
             Shape4::new(1, 1, 256, 256),
         )
-    }
-
-    /// The throughput-experiment backends at the paper's 256x256 geometry:
-    /// the GPU baseline first, then one DPU runtime per requested thread
-    /// count. All are [`Backend`]s, so experiments iterate the list instead
-    /// of hard-coding the two devices.
-    pub fn backends_256(
-        &mut self,
-        size: ModelSize,
-        dpu_threads: &[usize],
-    ) -> Vec<Box<dyn Backend>> {
-        let mut backends: Vec<Box<dyn Backend>> = vec![Box::new(self.gpu_runner_256(size))];
-        for &threads in dpu_threads {
-            backends.push(Box::new(self.dpu_runner_256(size, threads)));
-        }
-        backends
     }
 
     /// FP32 (GPU baseline) accuracy on the test split, memoised.

@@ -152,7 +152,7 @@ pub fn run_arch(ctx: &mut ExperimentCtx) {
     for arch in [DpuArch::b4096_zcu104(), DpuArch::b1152()] {
         let xm = Arc::new(seneca_dpu::compile(&dep.qgraph, input, arch.clone()));
         let rep = DpuRunner::new(xm, RuntimeConfig::default())
-            .run_throughput(ctx.wf.config.throughput_frames, 0xA2C4);
+            .throughput(ctx.wf.config.throughput_frames, 0xA2C4);
         t.row(vec![
             arch.name.clone(),
             format!("{:.2}", arch.peak_tops()),

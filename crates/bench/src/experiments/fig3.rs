@@ -26,12 +26,13 @@ pub fn run(ctx: &mut ExperimentCtx) {
 
     for size in ModelSize::ALL {
         eprintln!("[fig3] {size}: thread sweep ...");
-        // Backends in list order: [gpu, dpu@1thr, dpu@2thr, dpu@4thr, dpu@8thr].
-        let backends = ctx.backends_256(size, &threads_list);
-        let reps: Vec<_> = backends.iter().map(|b| b.throughput(frames, 0xF163)).collect();
-        let gee = reps[0].energy_efficiency();
-        let ees: Vec<f64> = reps[1..].iter().map(|r| r.energy_efficiency()).collect();
-        let fps: Vec<f64> = reps[1..].iter().map(|r| r.fps).collect();
+        let gee = ctx.gpu_runner_256(size).throughput(frames, 0xF163).energy_efficiency();
+        let reps: Vec<_> = threads_list
+            .iter()
+            .map(|&threads| ctx.dpu_runner_256(size, threads).throughput(frames, 0xF163))
+            .collect();
+        let ees: Vec<f64> = reps.iter().map(|r| r.energy_efficiency()).collect();
+        let fps: Vec<f64> = reps.iter().map(|r| r.fps).collect();
         max_ee = max_ee.max(ees.iter().cloned().fold(gee, f64::max));
         rows.push((size, gee, ees.clone(), fps.clone()));
         t.row(vec![

@@ -18,7 +18,7 @@ pub fn run(ctx: &mut ExperimentCtx) {
     let mut ours = Vec::new();
     for (i, size) in ModelSize::ALL.into_iter().enumerate() {
         eprintln!("[fig4] {size} ...");
-        let rep = ctx.dpu_runner_256(size, 4).run_throughput(frames, 0xF164);
+        let rep = ctx.dpu_runner_256(size, 4).throughput(frames, 0xF164);
         let dsc = ctx.accuracy_int8(size).global().mean / 100.0;
         let prod = dsc * rep.energy_efficiency();
         ours.push(prod);

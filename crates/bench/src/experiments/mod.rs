@@ -16,6 +16,7 @@ pub mod table4;
 pub mod table5;
 
 use crate::ctx::ExperimentCtx;
+use seneca::backend::{ThroughputReport, ThroughputStats};
 
 /// All experiment names in run order.
 pub const ALL: [&str; 16] = [
@@ -59,4 +60,11 @@ pub fn run(name: &str, ctx: &mut ExperimentCtx) -> bool {
         _ => return false,
     }
     true
+}
+
+/// μ±σ over `runs` throughput runs seeded `seed0, seed0 + 1, ...` (the
+/// Table IV aggregation).
+fn repeated(runs: usize, seed0: u64, run: impl Fn(u64) -> ThroughputReport) -> ThroughputStats {
+    ThroughputStats::from_runs((0..runs as u64).map(|r| run(seed0 + r)).collect())
+        .expect("at least one run")
 }

@@ -2,8 +2,10 @@
 //! FP32 on the GPU model vs INT8 on the simulated ZCU104 (4 threads),
 //! μ±σ over seeded runs.
 
+use super::repeated;
 use crate::ctx::ExperimentCtx;
 use crate::fmt::{emit, pm, ratio, Table};
+use seneca::backend::Backend;
 use seneca_metrics::literature::TABLE4;
 use seneca_nn::unet::ModelSize;
 
@@ -38,18 +40,11 @@ pub fn run(ctx: &mut ExperimentCtx) {
 
     for (i, size) in ModelSize::ALL.into_iter().enumerate() {
         eprintln!("[table4] {size}: throughput ...");
-        // Backends in list order: [gpu, dpu@4thr]; seeds follow the same order.
-        let backends = ctx.backends_256(size, &[4]);
-        let seeds = [0xFEED + i as u64, 0xBEEF + i as u64];
-        let stats: Vec<_> = backends
-            .iter()
-            .zip(seeds)
-            .map(|(b, seed)| {
-                eprintln!("[table4]   {} ...", b.name());
-                b.throughput_repeated(frames, runs, seed)
-            })
-            .collect();
-        let (gstats, dstats) = (&stats[0], &stats[1]);
+        let (gpu, dpu) = (ctx.gpu_runner_256(size), ctx.dpu_runner_256(size, 4));
+        eprintln!("[table4]   {} ...", gpu.name());
+        let gstats = repeated(runs, 0xFEED + i as u64, |seed| gpu.throughput(frames, seed));
+        eprintln!("[table4]   {} ...", dpu.name());
+        let dstats = repeated(runs, 0xBEEF + i as u64, |seed| dpu.throughput(frames, seed));
         let acc_fp32 = ctx.accuracy_fp32(size);
         let acc_int8 = ctx.accuracy_int8(size);
         let d32 = acc_fp32.global();

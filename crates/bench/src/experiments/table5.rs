@@ -2,6 +2,7 @@
 //! CT-ORG 3D U-Net [17] — FPS, EE, global and per-organ DSC, plus the
 //! global TPR/TNR discussed in §IV-D.
 
+use super::repeated;
 use crate::ctx::ExperimentCtx;
 use crate::fmt::{emit, pm, Table};
 use seneca_data::volume::Organ;
@@ -15,14 +16,9 @@ pub fn run(ctx: &mut ExperimentCtx) {
     let runs = ctx.wf.config.throughput_runs;
 
     eprintln!("[table5] throughput ...");
-    // Backends in list order: [gpu, dpu@4thr]; seeds follow the same order.
-    let backends = ctx.backends_256(size, &[4]);
-    let stats: Vec<_> = backends
-        .iter()
-        .zip([0x7AB6u64, 0x7AB5])
-        .map(|(b, seed)| b.throughput_repeated(frames, runs, seed))
-        .collect();
-    let (gstats, dstats) = (&stats[0], &stats[1]);
+    let (gpu, dpu) = (ctx.gpu_runner_256(size), ctx.dpu_runner_256(size, 4));
+    let gstats = repeated(runs, 0x7AB6, |seed| gpu.throughput(frames, seed));
+    let dstats = repeated(runs, 0x7AB5, |seed| dpu.throughput(frames, seed));
     let int8 = ctx.accuracy_int8(size);
     let fp32 = ctx.accuracy_fp32(size);
 

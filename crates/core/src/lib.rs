@@ -23,7 +23,7 @@
 //! let wf = Workflow::new(cfg);
 //! let data = wf.prepare_data();
 //! let deployment = wf.deploy(ModelSize::M1, &data);
-//! let report = deployment.dpu_runner.run_throughput(2000, 0);
+//! let report = deployment.dpu_runner.throughput(2000, 0);
 //! println!("{:.1} FPS at {:.1} W", report.fps, report.watt);
 //! ```
 

@@ -2,7 +2,6 @@
 
 use crate::config::SenecaConfig;
 use rand::SeedableRng;
-use seneca_backend::{Backend, Fp32RefBackend, QuantRefBackend};
 use seneca_data::calibration::{manual_calibration, PAPER_MANUAL_TARGET};
 use seneca_data::dataset::{SplitKind, SyntheticCtOrg};
 use seneca_data::pathology::PathologyConfig;
@@ -60,22 +59,6 @@ pub struct Deployment {
     pub dpu_runner: DpuRunner,
     /// GPU baseline runner.
     pub gpu_runner: GpuRunner,
-}
-
-impl Deployment {
-    /// Every inference path of this deployment behind the unified
-    /// [`Backend`] trait: FP32 reference, GPU baseline, bit-exact INT8
-    /// reference, DPU runtime. Evaluation and benchmarking iterate this
-    /// list instead of hard-coding runner pairs.
-    pub fn backends(&self) -> Vec<Box<dyn Backend>> {
-        let input_shape = self.gpu_runner.input_shape;
-        vec![
-            Box::new(Fp32RefBackend::new(self.graph.clone(), input_shape)),
-            Box::new(self.gpu_runner.clone()),
-            Box::new(QuantRefBackend::new(self.qgraph.clone(), input_shape)),
-            Box::new(self.dpu_runner.clone()),
-        ]
-    }
 }
 
 /// The workflow driver.
@@ -260,12 +243,6 @@ impl Workflow {
         Deployment { graph, qgraph: qg, dpu_runner, gpu_runner }
     }
 
-    /// Stage E, trait form: the deployment's inference paths as
-    /// [`Backend`] trait objects.
-    pub fn deploy_backends(&self, graph: Graph, qg: QuantizedGraph) -> Vec<Box<dyn Backend>> {
-        self.compile_and_deploy(graph, qg).backends()
-    }
-
     /// Full pipeline for one model size (train → quantize → compile).
     pub fn deploy(&self, size: ModelSize, data: &PreparedData) -> Deployment {
         let graph = self.train_model(size, data);
@@ -277,6 +254,7 @@ impl Workflow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use seneca_backend::{Backend, Fp32RefBackend, QuantRefBackend};
 
     fn fast_workflow() -> (Workflow, PreparedData) {
         let wf = Workflow::new(SenecaConfig::fast());
@@ -327,29 +305,21 @@ mod tests {
         // All artifacts line up on shapes.
         let img = &data.test_by_patient[0].images[0];
         let fp32 = dep.gpu_runner.predict(img);
-        let int8 = dep.dpu_runner.predict(std::slice::from_ref(img));
+        let int8 = dep.dpu_runner.predict(img);
         assert_eq!(fp32.len(), 32 * 32);
-        assert_eq!(int8[0].len(), 32 * 32);
+        assert_eq!(int8.len(), 32 * 32);
         // INT8 and FP32 agree on a large majority of pixels.
-        let agree = fp32.iter().zip(&int8[0]).filter(|(a, b)| a == b).count() as f64 / 1024.0;
+        let agree = fp32.iter().zip(&int8).filter(|(a, b)| a == b).count() as f64 / 1024.0;
         assert!(agree > 0.7, "agreement {agree}");
         // Throughput path works on the deployed model.
-        let rep = dep.dpu_runner.run_throughput(100, 1);
+        let rep = dep.dpu_runner.throughput(100, 1);
         assert!(rep.fps > 0.0 && rep.watt > 15.0);
 
-        // Stage E exposes all four paths behind the unified Backend trait.
-        let backends = dep.backends();
-        assert_eq!(backends.len(), 4);
-        for b in &backends {
-            let pred = b.predict(img);
-            assert_eq!(pred.len(), 32 * 32, "{} label map size", b.name());
-            let t = b.throughput(20, 1);
-            assert!(t.fps > 0.0, "{} throughput", b.name());
-        }
         // Reference backends bit-match their device twins.
-        let fp32_ref = backends[0].predict(img);
+        let input_shape = dep.gpu_runner.input_shape;
+        let fp32_ref = Fp32RefBackend::new(dep.graph.clone(), input_shape).predict(img);
         assert_eq!(fp32_ref, fp32, "fp32-ref vs gpu");
-        let int8_ref = backends[2].predict(img);
-        assert_eq!(int8_ref, int8[0], "int8-ref vs dpu");
+        let int8_ref = QuantRefBackend::new(dep.qgraph.clone(), input_shape).predict(img);
+        assert_eq!(int8_ref, int8, "int8-ref vs dpu");
     }
 }

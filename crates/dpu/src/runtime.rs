@@ -3,11 +3,10 @@
 //! VART lets host threads "asynchronously submit and collect jobs to/from
 //! the accelerator" (§III-E). Two execution paths are provided:
 //!
-//! * [`DpuRunner::run_functional`] — the streaming
-//!   [`seneca_backend::InferenceSession`] (bounded job queue, worker-side
-//!   INT8 quantisation, per-worker scratch pools) running the bit-exact
-//!   INT8 executor; used by every accuracy experiment;
-//! * [`DpuRunner::run_throughput`] — a `seneca-hwsim` closed-network
+//! * [`Backend::infer_batch`] — the [`seneca_backend::InferenceSession`]
+//!   (worker-side INT8 quantisation, per-worker scratch arenas) running the
+//!   bit-exact INT8 executor; used by every accuracy experiment;
+//! * [`DpuRunner::throughput`] — a `seneca-hwsim` closed-network
 //!   simulation of the same pipeline (ARM pre-process → DPU core → ARM
 //!   post-process) with the cost model supplying DPU service times; used by
 //!   the FPS / Watt / EE sweeps (Table IV, Fig. 3).
@@ -24,7 +23,7 @@ use rand::{Rng, SeedableRng};
 use seneca_backend::{Backend, InferenceEngine, InferenceSession, Prediction};
 use seneca_hwsim::{simulate_closed_pipeline, Resource, StageSpec};
 use seneca_ir::QScratch;
-use seneca_tensor::{QTensor, Tensor};
+use seneca_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -91,7 +90,7 @@ impl DpuRunner {
     ///
     /// The seed drives the per-job jitter; the paper's μ±σ over 10 runs maps
     /// to 10 different seeds.
-    pub fn run_throughput(&self, n_frames: usize, seed: u64) -> ThroughputReport {
+    pub fn throughput(&self, n_frames: usize, seed: u64) -> ThroughputReport {
         let xm = &self.xmodel;
         let threads = self.config.worker_threads(n_frames);
         let cost = frame_cost(xm, &xm.arch);
@@ -120,15 +119,13 @@ impl DpuRunner {
             (base[stage] * jitter[(job * 3 + stage) % jitter.len()]) as u64
         });
 
-        let makespan_s = rep.makespan_ns as f64 * 1e-9;
         let fps = rep.throughput_per_s();
         let util = rep.utilisation(1, xm.arch.cores);
-        let busy_cores = util * xm.arch.cores as f64;
         let arm_busy_cores =
             rep.utilisation(0, self.config.arm_cores) * self.config.arm_cores as f64;
         let ddr_gbps = xm.stats.fm_traffic_bytes as f64 * fps / 1e9;
         let watt = self.config.power.board_power_w(&PowerInputs {
-            dpu_busy_cores: busy_cores,
+            dpu_busy_cores: util * xm.arch.cores as f64,
             compute_intensity: cost.compute_intensity(),
             arm_busy_cores,
             arm_cores: self.config.arm_cores,
@@ -136,33 +133,7 @@ impl DpuRunner {
             threads,
         });
 
-        ThroughputReport {
-            fps,
-            watt,
-            frames: rep.completed,
-            threads,
-            busy_cores,
-            util,
-            makespan_s,
-            peak_arena_bytes: xm.stats.peak_arena_bytes,
-            total_activation_bytes: xm.stats.total_activation_bytes,
-        }
-    }
-
-    /// Functional execution of a batch of preprocessed FP32 images through
-    /// the streaming session. Outputs are returned in input order.
-    pub fn run_functional(&self, images: &[Tensor]) -> Vec<QTensor> {
-        self.session().run(images).into_iter().map(Prediction::into_i8).collect()
-    }
-
-    /// Per-pixel argmax labels for a batch (functional path + host argmax).
-    pub fn predict(&self, images: &[Tensor]) -> Vec<Vec<u8>> {
-        self.session().run(images).into_iter().map(|p| p.labels).collect()
-    }
-
-    /// The streaming session over this runner's worker pool.
-    fn session(&self) -> InferenceSession<'_, Self> {
-        InferenceSession::new(self, self.config.threads)
+        ThroughputReport { fps, watt, threads, util }
     }
 }
 
@@ -175,8 +146,8 @@ impl InferenceEngine for DpuRunner {
     }
 
     fn infer(&self, scratch: &mut QScratch, image: &Tensor) -> Prediction {
-        // Worker-side quantisation: the FP32 frame crosses the queue, the
-        // INT8 copy is created on the thread that consumes it.
+        // Worker-side quantisation: the FP32 frame is borrowed from the
+        // caller's batch, the INT8 copy is created on the thread that runs it.
         let input = {
             let _sp =
                 seneca_trace::span_bytes("session", "quantize", image.data().len() as u64 * 4);
@@ -192,11 +163,7 @@ impl Backend for DpuRunner {
     }
 
     fn infer_batch(&self, images: &[Tensor]) -> Vec<Prediction> {
-        self.session().run(images)
-    }
-
-    fn throughput(&self, n_frames: usize, seed: u64) -> ThroughputReport {
-        self.run_throughput(n_frames, seed)
+        InferenceSession::new(self, self.config.threads).run(images)
     }
 }
 
@@ -209,7 +176,7 @@ mod tests {
     use seneca_nn::graph::Graph;
     use seneca_nn::unet::{UNet, UNetConfig};
     use seneca_quant::{fuse, quantize_post_training, PtqConfig};
-    use seneca_tensor::Shape4;
+    use seneca_tensor::{QTensor, Shape4};
 
     fn runner(threads: usize) -> (DpuRunner, Vec<Tensor>) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
@@ -243,7 +210,7 @@ mod tests {
         let mut fps = vec![];
         for threads in [1usize, 2, 4, 8] {
             let (r, _) = runner(threads);
-            fps.push(r.run_throughput(300, 1).fps);
+            fps.push(r.throughput(300, 1).fps);
         }
         assert!(fps[1] > fps[0] * 1.2, "2 threads should beat 1: {fps:?}");
         assert!(fps[2] >= fps[1], "{fps:?}");
@@ -255,8 +222,8 @@ mod tests {
     fn more_threads_past_saturation_cost_power() {
         let (r4, _) = runner(4);
         let (r8, _) = runner(8);
-        let t4 = r4.run_throughput(300, 1);
-        let t8 = r8.run_throughput(300, 1);
+        let t4 = r4.throughput(300, 1);
+        let t8 = r8.throughput(300, 1);
         assert!(t8.watt > t4.watt, "8 threads must draw more power");
         assert!(t8.energy_efficiency() < t4.energy_efficiency());
     }
@@ -264,7 +231,9 @@ mod tests {
     #[test]
     fn repeated_runs_have_small_std() {
         let (r, _) = runner(4);
-        let stats = r.throughput_repeated(200, 5, 42);
+        let stats =
+            ThroughputStats::from_runs((42..47).map(|seed| r.throughput(200, seed)).collect())
+                .unwrap();
         assert!(stats.fps_std / stats.fps_mean < 0.02, "σ/μ = {}", stats.fps_std / stats.fps_mean);
         assert_eq!(stats.runs.len(), 5);
     }
@@ -272,19 +241,22 @@ mod tests {
     #[test]
     fn functional_run_matches_single_threaded_reference() {
         let (r, images) = runner(3);
-        let outs = r.run_functional(&images);
+        let outs = r.infer_batch(&images);
         assert_eq!(outs.len(), images.len());
-        for (img, out) in images.iter().zip(&outs) {
-            assert_eq!(*out, oracle(&r.xmodel, img), "thread pool must not change results");
+        for (img, out) in images.iter().zip(outs) {
+            assert_eq!(
+                out.into_i8(),
+                oracle(&r.xmodel, img),
+                "thread pool must not change results"
+            );
         }
     }
 
     #[test]
     fn predict_returns_labels_in_range() {
         let (r, images) = runner(2);
-        let labels = r.predict(&images[..2]);
-        assert_eq!(labels.len(), 2);
-        for l in &labels {
+        for img in &images[..2] {
+            let l = r.predict(img);
             assert_eq!(l.len(), 256);
             assert!(l.iter().all(|&v| v < 6));
         }
@@ -293,11 +265,11 @@ mod tests {
     #[test]
     fn throughput_is_deterministic_per_seed() {
         let (r, _) = runner(4);
-        let a = r.run_throughput(100, 7);
-        let b = r.run_throughput(100, 7);
+        let a = r.throughput(100, 7);
+        let b = r.throughput(100, 7);
         assert_eq!(a.fps, b.fps);
         assert_eq!(a.watt, b.watt);
-        let c = r.run_throughput(100, 8);
+        let c = r.throughput(100, 8);
         assert_ne!(a.fps, c.fps);
     }
 
@@ -309,7 +281,7 @@ mod tests {
         let preds = b.infer_batch(&images[..2]);
         assert_eq!(preds.len(), 2);
         assert_eq!(*preds[0].as_i8().unwrap(), oracle(&r.xmodel, &images[0]));
-        let rep = b.throughput(50, 3);
+        let rep = r.throughput(50, 3);
         assert!(rep.fps > 0.0 && rep.util > 0.0 && rep.threads == 2);
     }
 
@@ -319,6 +291,6 @@ mod tests {
         assert_eq!(r.config.worker_threads(2), 2);
         assert_eq!(r.config.worker_threads(100), 4);
         // The throughput report carries the resolved count.
-        assert_eq!(r.run_throughput(2, 1).threads, 2);
+        assert_eq!(r.throughput(2, 1).threads, 2);
     }
 }

@@ -50,7 +50,7 @@ pub use tenant::{TenantId, TenantSpec};
 mod tests {
     use super::*;
     use rand::Rng;
-    use seneca_backend::{Backend, Prediction, ThroughputReport};
+    use seneca_backend::{Backend, Prediction};
     use seneca_serve::{drive, ArrivalProcess, LoadReport, ServeError, SyntheticBackend};
     use seneca_tensor::{Shape4, Tensor};
     use std::sync::{mpsc, Arc, Mutex};
@@ -214,10 +214,6 @@ mod tests {
             self.started.lock().expect("gate lock").send(()).expect("test listens");
             self.release.lock().expect("gate lock").recv().expect("test releases");
             SyntheticBackend::new(Duration::ZERO).infer_batch(images)
-        }
-
-        fn throughput(&self, n_frames: usize, seed: u64) -> ThroughputReport {
-            SyntheticBackend::new(Duration::ZERO).throughput(n_frames, seed)
         }
     }
 
@@ -389,10 +385,6 @@ mod tests {
         fn infer_batch(&self, images: &[Tensor]) -> Vec<Prediction> {
             assert!(images.iter().all(|x| x.data()[0] >= 0.0), "fragile backend panics");
             SyntheticBackend::new(Duration::ZERO).infer_batch(images)
-        }
-
-        fn throughput(&self, n_frames: usize, seed: u64) -> ThroughputReport {
-            SyntheticBackend::new(Duration::ZERO).throughput(n_frames, seed)
         }
     }
 

@@ -1,11 +1,13 @@
 //! # seneca-gpu
 //!
 //! The FP32 baseline of the paper: the five U-Nets running on an NVIDIA
-//! GeForce RTX 2060 Mobile. Functional execution reuses the FP32 graph
-//! executor from `seneca-nn`; [`model`] adds an analytic timing/energy model
-//! of the GPU (SM-occupancy-limited effective FLOPS, per-kernel launch
-//! overhead, TDP-bound power ≈ 78 W) and [`runner`] wraps it into the same
-//! throughput-report interface as the DPU runtime.
+//! GeForce RTX 2060 Mobile. Functional execution is the host FP32
+//! reference backend (`seneca_backend::Fp32RefBackend`) at one thread;
+//! [`model`] adds an analytic timing/energy model of the GPU
+//! (SM-occupancy-limited effective FLOPS, per-kernel launch overhead,
+//! TDP-bound power ≈ 78 W) and [`runner`] reports it through
+//! `GpuRunner::throughput`, in the same `ThroughputReport` as the DPU
+//! runtime.
 //!
 //! The model captures the two GPU behaviours visible in Table IV:
 //! small-channel convolutions under-occupy the SMs (so layer time scales

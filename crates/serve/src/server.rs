@@ -287,7 +287,6 @@ fn run_batch(shared: &Shared, backend: &dyn Backend, batch: Vec<ServeRequest>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seneca_backend::ThroughputReport;
     use seneca_tensor::Shape4;
 
     /// Pure toy backend: logits echo the input scaled by 2.
@@ -306,19 +305,6 @@ mod tests {
                 })
                 .collect()
         }
-        fn throughput(&self, n_frames: usize, _seed: u64) -> ThroughputReport {
-            ThroughputReport {
-                fps: 0.0,
-                watt: 0.0,
-                frames: n_frames,
-                threads: 1,
-                busy_cores: 0.0,
-                util: 0.0,
-                makespan_s: 0.0,
-                peak_arena_bytes: 0,
-                total_activation_bytes: 0,
-            }
-        }
     }
 
     /// Backend that panics on any frame whose first pixel is negative.
@@ -331,9 +317,6 @@ mod tests {
         fn infer_batch(&self, images: &[Tensor]) -> Vec<Prediction> {
             assert!(images.iter().all(|i| i.data()[0] >= 0.0), "negative frame");
             Double.infer_batch(images)
-        }
-        fn throughput(&self, n_frames: usize, seed: u64) -> ThroughputReport {
-            Double.throughput(n_frames, seed)
         }
     }
 
@@ -432,9 +415,6 @@ mod tests {
             let mut preds = Double.infer_batch(images);
             preds.pop();
             preds
-        }
-        fn throughput(&self, n_frames: usize, seed: u64) -> ThroughputReport {
-            Double.throughput(n_frames, seed)
         }
     }
 

@@ -1,6 +1,6 @@
 //! A deterministic constant-cost backend for serving tests and demos.
 
-use seneca_backend::{Backend, Prediction, ThroughputReport};
+use seneca_backend::{Backend, Prediction};
 use seneca_tensor::Tensor;
 use std::time::Duration;
 
@@ -38,21 +38,6 @@ impl Backend for SyntheticBackend {
             std::thread::sleep(self.per_frame * images.len() as u32);
         }
         images.iter().map(Self::transform).collect()
-    }
-
-    fn throughput(&self, n_frames: usize, _seed: u64) -> ThroughputReport {
-        let per_s = self.per_frame.as_secs_f64().max(1e-9);
-        ThroughputReport {
-            fps: 1.0 / per_s,
-            watt: 0.0,
-            frames: n_frames,
-            threads: 1,
-            busy_cores: 0.0,
-            util: 0.0,
-            makespan_s: per_s * n_frames as f64,
-            peak_arena_bytes: 0,
-            total_activation_bytes: 0,
-        }
     }
 }
 

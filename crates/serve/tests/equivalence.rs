@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
-use seneca_backend::{Backend, Fp32RefBackend, Logits, Prediction, ThroughputReport};
+use seneca_backend::{Backend, Fp32RefBackend, Logits, Prediction};
 use seneca_serve::{Priority, ServeConfig, Server, Ticket};
 use seneca_tensor::{Shape4, Tensor};
 use std::sync::Arc;
@@ -30,20 +30,6 @@ impl Backend for Affine {
                 Prediction::from_f32(Tensor::from_vec(img.shape(), data))
             })
             .collect()
-    }
-
-    fn throughput(&self, n_frames: usize, _seed: u64) -> ThroughputReport {
-        ThroughputReport {
-            fps: 0.0,
-            watt: 0.0,
-            frames: n_frames,
-            threads: 1,
-            busy_cores: 0.0,
-            util: 0.0,
-            makespan_s: 0.0,
-            peak_arena_bytes: 0,
-            total_activation_bytes: 0,
-        }
     }
 }
 

@@ -43,7 +43,9 @@ impl Conv2dParams {
     }
 }
 
-/// Forward convolution: `y = conv(x, w) + b`.
+/// Forward convolution: `y = conv(x, w) + b`. The activation panels pack
+/// straight from the feature map (implicit GEMM) and the bias rides in the
+/// GEMM store.
 ///
 /// * `x`: `[N, C_in, H, W]`
 /// * `w`: `[C_out, C_in, K, K]`
@@ -51,69 +53,22 @@ impl Conv2dParams {
 ///
 /// Returns `[N, C_out, H_out, W_out]`.
 pub fn conv2d(x: &Tensor, w: &Tensor, b: &[f32], p: Conv2dParams) -> Tensor {
-    let geom = p.geom(x.shape());
-    let out_shape = Shape4::new(x.shape().n, w.shape().n, geom.h_out(), geom.w_out());
-    let mut out = Tensor::zeros(out_shape);
-    conv2d_into(x.shape(), x.data(), w, b, p, out.data_mut());
-    out
-}
-
-/// Forward convolution into a caller-owned output slice — the arithmetic of
-/// [`conv2d`] bit for bit, with the output storage coming from the caller
-/// (per-worker arena). The activation panels pack directly from the feature
-/// map (implicit GEMM), so there is no column buffer to provide and
-/// steady-state execution performs no allocation beyond the thread-local
-/// GEMM pack scratch. Returns the output shape.
-pub fn conv2d_into(
-    xs: Shape4,
-    x: &[f32],
-    w: &Tensor,
-    b: &[f32],
-    p: Conv2dParams,
-    out: &mut [f32],
-) -> Shape4 {
-    conv2d_fused_into(xs, x, w, b, false, p, out)
-}
-
-/// [`conv2d_into`] with an optional fused ReLU: bias and activation are
-/// applied by the GEMM epilogue straight from the register accumulators, so
-/// the fused-Conv+ReLU graph node makes a single pass over the output
-/// instead of three (GEMM store, bias pass, ReLU pass).
-#[allow(clippy::too_many_arguments)]
-pub fn conv2d_fused_into(
-    xs: Shape4,
-    x: &[f32],
-    w: &Tensor,
-    b: &[f32],
-    relu: bool,
-    p: Conv2dParams,
-    out: &mut [f32],
-) -> Shape4 {
-    let ws = w.shape();
-    assert_eq!(x.len(), xs.len(), "input buffer/shape mismatch");
+    let (xs, ws) = (x.shape(), w.shape());
     assert_eq!(ws.c, xs.c, "C_in mismatch: weights {} input {}", ws.c, xs.c);
     assert_eq!(ws.h, p.k);
     assert_eq!(ws.w, p.k);
     assert!(b.is_empty() || b.len() == ws.n, "bias length");
 
     let geom = p.geom(xs);
-    let (ho, wo) = (geom.h_out(), geom.w_out());
-    let out_shape = Shape4::new(xs.n, ws.n, ho, wo);
-    assert_eq!(out.len(), out_shape.len(), "output buffer size");
-
-    let epi = match (b.is_empty(), relu) {
-        (true, false) => GemmEpilogue::None,
-        (false, false) => GemmEpilogue::Bias(b),
-        // BiasRelu with an empty slice is a plain ReLU (missing bias reads 0).
-        (_, true) => GemmEpilogue::BiasRelu(b),
-    };
-
+    let out_shape = Shape4::new(xs.n, ws.n, geom.h_out(), geom.w_out());
+    let mut out = Tensor::zeros(out_shape);
+    let epi = if b.is_empty() { GemmEpilogue::None } else { GemmEpilogue::Bias(b) };
     for n in 0..xs.n {
-        let x_n = &x[n * xs.chw()..(n + 1) * xs.chw()];
-        let y_n = &mut out[n * out_shape.chw()..(n + 1) * out_shape.chw()];
+        let x_n = &x.data()[n * xs.chw()..(n + 1) * xs.chw()];
+        let y_n = &mut out.data_mut()[n * out_shape.chw()..(n + 1) * out_shape.chw()];
         sgemm_conv(ws.n, w.data(), &geom, x_n, y_n, epi);
     }
-    out_shape
+    out
 }
 
 /// Gradients produced by [`conv2d_backward`].

@@ -37,11 +37,11 @@ pub use zero::Zero;
 /// Convenience re-exports for downstream crates.
 pub mod prelude {
     pub use crate::activation::{relu, relu_backward, relu_into, softmax_channels};
-    pub use crate::conv::{conv2d, conv2d_backward, conv2d_fused_into, conv2d_into, Conv2dParams};
+    pub use crate::conv::{conv2d, conv2d_backward, Conv2dParams};
     pub use crate::norm::{batchnorm_backward, batchnorm_forward, BnState};
     pub use crate::pool::{maxpool2x2, maxpool2x2_backward, maxpool2x2_into};
     pub use crate::quantized::{QTensor, QTensorView};
     pub use crate::shape::Shape4;
-    pub use crate::tconv::{tconv2x2, tconv2x2_backward, tconv2x2_into};
+    pub use crate::tconv::{tconv2x2, tconv2x2_backward};
     pub use crate::tensor::{Tensor, TensorView};
 }

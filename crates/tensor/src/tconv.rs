@@ -15,15 +15,6 @@ use crate::im2col::ConvGeom;
 use crate::shape::Shape4;
 use crate::tensor::Tensor;
 use rayon::prelude::*;
-use std::cell::RefCell;
-
-thread_local! {
-    /// Per-thread scratch for [`tconv2x2_into`]: the `[4*C_out, C_in]`
-    /// repacked weights and the kidx-replicated bias — reused across calls
-    /// so steady-state execution stays allocation-free.
-    static TCONV_WORK: RefCell<(Vec<f32>, Vec<f32>)> =
-        const { RefCell::new((Vec::new(), Vec::new())) };
-}
 
 /// Repacks `[C_in, C_out, 2, 2]` transpose-conv weights into the
 /// `[4*C_out, C_in]` GEMM operand: row `co*4 + kidx` holds the `(ky, kx)`
@@ -80,7 +71,8 @@ pub fn scatter_tconv2x2<T: Copy + Send + Sync>(
     });
 }
 
-/// Forward transpose convolution.
+/// Forward transpose convolution: one GEMM per image with the stride-2
+/// scatter fused into its tile store.
 ///
 /// * `x`: `[N, C_in, H, W]`
 /// * `w`: `[C_in, C_out, 2, 2]` (PyTorch `ConvTranspose2d` weight layout)
@@ -88,56 +80,26 @@ pub fn scatter_tconv2x2<T: Copy + Send + Sync>(
 ///
 /// Returns `[N, C_out, 2H, 2W]`.
 pub fn tconv2x2(x: &Tensor, w: &Tensor, b: &[f32]) -> Tensor {
-    let xs = x.shape();
-    let mut out = Tensor::zeros(Shape4::new(xs.n, w.shape().c, xs.h * 2, xs.w * 2));
-    tconv2x2_into(xs, x.data(), w, b, out.data_mut());
-    out
-}
-
-/// Transpose convolution into a caller-owned output slice ([`tconv2x2`]
-/// semantics). The output buffer may hold stale data: every element is
-/// overwritten by the scatter-fused GEMM store. Returns the output shape.
-pub fn tconv2x2_into(xs: Shape4, x: &[f32], w: &Tensor, b: &[f32], out: &mut [f32]) -> Shape4 {
-    let ws = w.shape();
-    assert_eq!(x.len(), xs.len(), "input buffer/shape mismatch");
+    let (xs, ws) = (x.shape(), w.shape());
     assert_eq!(ws.n, xs.c, "C_in mismatch");
     assert_eq!((ws.h, ws.w), (2, 2), "kernel must be 2x2");
     let c_out = ws.c;
     assert!(b.is_empty() || b.len() == c_out);
 
     let out_shape = Shape4::new(xs.n, c_out, xs.h * 2, xs.w * 2);
-    assert_eq!(out.len(), out_shape.len(), "output buffer size");
-    let (h, wd) = (xs.h, xs.w);
-
-    TCONV_WORK.with(|cell| {
-        let (wk, bias4) = &mut *cell.borrow_mut();
-
-        let wk_len = 4 * c_out * xs.c;
-        if wk.len() < wk_len {
-            wk.resize(wk_len, 0.0);
-        }
-        repack_tconv_weights(xs.c, c_out, w.data(), wk);
-
-        // Bias replicated per kernel position so the fused store can index
-        // it by GEMM row; each output pixel gets it exactly once.
-        if !b.is_empty() {
-            if bias4.len() < 4 * c_out {
-                bias4.resize(4 * c_out, 0.0);
-            }
-            for (i, v) in bias4[..4 * c_out].iter_mut().enumerate() {
-                *v = b[i / 4];
-            }
-        }
-        let bias4 = if b.is_empty() { &[][..] } else { &bias4[..4 * c_out] };
-
-        for n in 0..xs.n {
-            let x_n = &x[n * xs.chw()..(n + 1) * xs.chw()];
-            let out_n = &mut out[n * out_shape.chw()..(n + 1) * out_shape.chw()];
-            // The `[C_in, H*W]` input plane is already the column matrix.
-            sgemm_tconv2x2(c_out, xs.c, &wk[..wk_len], x_n, h, wd, bias4, out_n);
-        }
-    });
-    out_shape
+    let mut out = Tensor::zeros(out_shape);
+    let mut wk = vec![0.0; 4 * c_out * xs.c];
+    repack_tconv_weights(xs.c, c_out, w.data(), &mut wk);
+    // Bias replicated per kernel position so the fused store can index it
+    // by GEMM row; each output pixel gets it exactly once.
+    let bias4: Vec<f32> = b.iter().flat_map(|&v| [v; 4]).collect();
+    for n in 0..xs.n {
+        let x_n = &x.data()[n * xs.chw()..(n + 1) * xs.chw()];
+        let out_n = &mut out.data_mut()[n * out_shape.chw()..(n + 1) * out_shape.chw()];
+        // The `[C_in, H*W]` input plane is already the column matrix.
+        sgemm_tconv2x2(c_out, xs.c, &wk, x_n, xs.h, xs.w, &bias4, out_n);
+    }
+    out
 }
 
 /// Gradients produced by [`tconv2x2_backward`].

@@ -45,7 +45,7 @@ fn main() {
         for threads in [1usize, 2, 4, 8] {
             let r =
                 DpuRunner::new(Arc::clone(&xm256), RuntimeConfig { threads, ..Default::default() })
-                    .run_throughput(wf.config.throughput_frames, 7);
+                    .throughput(wf.config.throughput_frames, 7);
             if r.energy_efficiency() > best_ee {
                 best_ee = r.energy_efficiency();
                 best_thr = threads;

@@ -10,6 +10,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use seneca::backend::Backend;
 use seneca::eval::{evaluate_accuracy, evaluate_backend};
 use seneca::{SenecaConfig, Workflow};
 use seneca_nn::ModelSize;
@@ -39,8 +40,8 @@ fn main() {
     );
 
     // 4. Throughput + energy on both targets.
-    let fpga = dep.dpu_runner.run_throughput(wf.config.throughput_frames, 0);
-    let gpu = dep.gpu_runner.run_throughput(wf.config.throughput_frames, 0);
+    let fpga = dep.dpu_runner.throughput(wf.config.throughput_frames, 0);
+    let gpu = dep.gpu_runner.throughput(wf.config.throughput_frames, 0);
     println!(
         "FPGA (sim): {:8.1} FPS at {:5.2} W -> EE {:5.2}",
         fpga.fps,

@@ -13,6 +13,7 @@
 //! cargo run --release --example surgery_stream
 //! ```
 
+use seneca::backend::Backend;
 use seneca::{SenecaConfig, Workflow};
 use seneca_nn::ModelSize;
 
@@ -39,7 +40,7 @@ fn main() {
     for threads in [1usize, 2, 4] {
         let mut runner = dep.dpu_runner.clone();
         runner.config.threads = threads;
-        let rep = runner.run_throughput(n_frames, 42);
+        let rep = runner.throughput(n_frames, 42);
         let keeps_up = rep.fps >= ACQUISITION_FPS;
         let in_budget = rep.watt <= POWER_BUDGET_W;
         println!(
@@ -64,11 +65,11 @@ fn main() {
         .collect();
     println!("\nsegmenting one sweep functionally ({} slices) ...", sweep.len());
     let t0 = std::time::Instant::now();
-    let outputs = dep.dpu_runner.predict(&sweep);
+    let outputs = dep.dpu_runner.infer_batch(&sweep);
     let wall = t0.elapsed();
     let mut organ_pixels = [0u64; 6];
-    for labels in &outputs {
-        for &l in labels {
+    for pred in &outputs {
+        for &l in &pred.labels {
             organ_pixels[(l as usize).min(5)] += 1;
         }
     }

@@ -49,6 +49,10 @@ fi
 echo "== serve smoke (seneca-serve demo) =="
 cargo run --release -q -p seneca-serve --example serve_demo -- smoke
 
+echo "== device-throughput smokes (calibrate: per-model DpuRunner/GpuRunner::throughput at 256, no training; fig3: GPU + DPU 1/2/4/8-thread sweep through the bench context; wall time printed) =="
+time cargo run --release -q -p seneca-bench --example calibrate
+time cargo run --release -q -p seneca-bench --bin reproduce -- fig3 --scale fast
+
 echo "== ir smoke (pass pipeline clean; peak arena < total activations; implicit-GEMM peak < materialized route) =="
 cargo run --release -q -p seneca-bench --example ir_stats
 

@@ -3,6 +3,7 @@
 
 mod common;
 
+use seneca::backend::{Backend, Prediction};
 use seneca::eval::{evaluate_accuracy, evaluate_backend};
 use seneca::{SenecaConfig, Workflow};
 use seneca_nn::ModelSize;
@@ -65,7 +66,8 @@ fn functional_dpu_runner_is_bit_exact_and_order_preserving() {
         data.test_by_patient.iter().flat_map(|p| p.images.iter().cloned()).take(6).collect();
     // Multi-threaded VART path == the naive oracle's evaluation of the
     // quantized graph, frame by frame, in order.
-    let outs = dep.dpu_runner.run_functional(&images);
+    let outs: Vec<_> =
+        dep.dpu_runner.infer_batch(&images).into_iter().map(Prediction::into_i8).collect();
     let module = dep.qgraph.to_ir();
     for (img, out) in images.iter().zip(&outs) {
         let reference = seneca_ir::oracle::run_i8(&module, &dep.qgraph.quantize_input(img))

@@ -7,7 +7,7 @@
 //! training is needed and the test runs in seconds.
 
 use rand::SeedableRng;
-use seneca::backend::Backend;
+use seneca::backend::ThroughputStats;
 use seneca_dpu::arch::DpuArch;
 use seneca_dpu::runtime::{DpuRunner, RuntimeConfig, ThroughputReport};
 use seneca_gpu::{GpuModel, GpuRunner};
@@ -27,8 +27,8 @@ fn throughputs(size: ModelSize, threads: usize) -> (ThroughputReport, Throughput
     let input = Shape4::new(1, 1, 256, 256);
     let xm = Arc::new(seneca_dpu::compile(&qg, input, DpuArch::b4096_zcu104()));
     let dpu =
-        DpuRunner::new(xm, RuntimeConfig { threads, ..Default::default() }).run_throughput(2000, 3);
-    let gpu = GpuRunner::new(graph, GpuModel::rtx2060_mobile(), input).run_throughput(2000, 3);
+        DpuRunner::new(xm, RuntimeConfig { threads, ..Default::default() }).throughput(2000, 3);
+    let gpu = GpuRunner::new(graph, GpuModel::rtx2060_mobile(), input).throughput(2000, 3);
     (dpu, gpu)
 }
 
@@ -108,7 +108,10 @@ fn throughput_sigma_is_paper_small() {
     let (qg, _) = quantize_post_training(&fg, &calib, &PtqConfig::default());
     let xm =
         Arc::new(seneca_dpu::compile(&qg, Shape4::new(1, 1, 256, 256), DpuArch::b4096_zcu104()));
-    let stats = DpuRunner::new(xm, RuntimeConfig::default()).throughput_repeated(2000, 10, 5);
+    let runner = DpuRunner::new(xm, RuntimeConfig::default());
+    let stats =
+        ThroughputStats::from_runs((5..15).map(|seed| runner.throughput(2000, seed)).collect())
+            .unwrap();
     assert!(stats.fps_std / stats.fps_mean < 0.01, "σ/μ = {}", stats.fps_std / stats.fps_mean);
     assert_eq!(stats.runs.len(), 10);
 }
