@@ -25,8 +25,7 @@ fn main() {
         let (qg, _) = quantize_post_training(&fg, &calib, &PtqConfig::default());
         let xm = seneca_dpu::compile(&qg, input, DpuArch::b4096_zcu104());
         let cost = frame_cost(&xm, &xm.arch);
-        let runner =
-            DpuRunner::new(Arc::new(xm), RuntimeConfig { threads: 4, ..Default::default() });
+        let runner = DpuRunner::new(Arc::new(xm), RuntimeConfig { threads: 4 });
         let rep = runner.throughput(2000, 1);
         let gpu = GpuRunner::new(g, GpuModel::rtx2060_mobile(), input);
         let grep = gpu.throughput(500, 1);

@@ -1,9 +1,9 @@
 //! IR pass-pipeline and activation-memory smoke check over the five
 //! Table II model sizes at 256x256. Used as a CI gate: on every model the
-//! frontend pipeline must fold all BN nodes, fuse all standalone ReLUs,
-//! strip all inference identities, give every conv/tconv weight a pack
-//! slot; the reference lowering must carry every BN and ReLU in a conv
-//! store — the planned arena must beat the naive sum-of-all-activations
+//! deployment front end (`seneca_quant::fuse`) must fold all BN nodes, fuse
+//! all standalone ReLUs, strip all inference identities, and its lowering
+//! give every conv/tconv weight a pack slot; the reference lowering must
+//! carry every BN and ReLU in a conv store — the planned arena must beat the naive sum-of-all-activations
 //! pool on both the FP32 and INT8 lowerings — and the implicit-GEMM
 //! route's reported peak (slots + strip buffers) must beat the materialized
 //! route's footprint (slots + im2col column / pre-scatter buffer + the
@@ -75,20 +75,33 @@ fn main() {
         let count = |op: &str| hist.get(op).copied().unwrap_or(0);
         let n_conv = count("conv3x3") + count("tconv2x2");
 
-        // Frontend pipeline: every BN folds, every ReLU fuses, every
-        // inference identity (dropout + softmax) strips, every weight
-        // tensor gets exactly one pack slot.
-        let fp = lower(g.to_ir(), input, &LowerOptions::frontend());
-        let stats = fp.stats();
-        assert_eq!(stats.bn_folded, count("batchnorm"), "{}: unfolded BN", size.label());
-        assert_eq!(stats.relu_fused, count("relu"), "{}: unfused ReLU", size.label());
+        // Deployment front end: every BN folds, every ReLU fuses, every
+        // inference identity (dropout + softmax) strips, and the convs are
+        // all kept, so every weight tensor gets exactly one pack slot.
+        let fused = fuse(&g);
+        let fused_hist = fused.op_histogram();
+        let left = |op: &str| fused_hist.get(op).copied().unwrap_or(0);
+        assert_eq!(left("batchnorm"), 0, "{}: unfolded BN", size.label());
+        let relu_fused = fused
+            .nodes
+            .iter()
+            .filter(|n| matches!(&n.op, IrOp::Conv(a) | IrOp::TConv(a) if a.relu))
+            .count();
         assert_eq!(
-            stats.identities_removed,
-            count("dropout") + count("softmax"),
+            (left("relu"), relu_fused),
+            (0, count("relu")),
+            "{}: unfused ReLU",
+            size.label()
+        );
+        assert_eq!(
+            left("dropout") + left("softmax"),
+            0,
             "{}: identity left in the program",
             size.label()
         );
-        assert_eq!(stats.pack_slots, n_conv, "{}: pack slot per weight tensor", size.label());
+        assert_eq!(left("conv3x3") + left("tconv2x2"), n_conv, "{}: conv lost", size.label());
+        let fp = lower(fused.clone(), input, &LowerOptions::reference());
+        assert_eq!(fp.stats().pack_slots, n_conv, "{}: pack slot per weight tensor", size.label());
         fp.plan().assert_valid();
 
         // Arena accounting on the reference lowerings (what the host
@@ -105,7 +118,7 @@ fn main() {
             size.label()
         );
         let plan = fp_ref.plan();
-        let (qg, _) = quantize_post_training(&fuse(&g), &calib, &PtqConfig::default());
+        let (qg, _) = quantize_post_training(&fused, &calib, &PtqConfig::default());
         let q_ref = lower(qg.to_ir(), input, &LowerOptions::reference());
         assert_eq!(
             q_ref.stats().pack_slots,
@@ -141,11 +154,11 @@ fn main() {
             "{:>4} {:>5} {:>5} | {:>3} {:>4} {:>3} {:>4} | {:>10.2}M {:>10.2}M {:>5.2}x | {:>10.2}M {:>5.2}x | {:>5.1}% {:>5.1}%",
             size.label(),
             g.module().nodes.len(),
-            fp.module().nodes.len(),
-            stats.bn_folded,
-            stats.relu_fused,
-            stats.identities_removed,
-            stats.pack_slots,
+            fused.nodes.len(),
+            count("batchnorm"),
+            relu_fused,
+            count("dropout") + count("softmax"),
+            fp.stats().pack_slots,
             mib(fp_slots),
             mib(fp_total),
             fp_total as f64 / fp_slots as f64,

@@ -106,7 +106,7 @@ impl ExperimentCtx {
         let dep = self.deployment(size);
         let xm =
             seneca_dpu::compile(&dep.qgraph, Shape4::new(1, 1, 256, 256), DpuArch::b4096_zcu104());
-        DpuRunner::new(Arc::new(xm), RuntimeConfig { threads, ..Default::default() })
+        DpuRunner::new(Arc::new(xm), RuntimeConfig { threads })
     }
 
     /// A GPU runner at the paper's 256x256 geometry.

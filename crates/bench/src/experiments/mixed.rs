@@ -50,7 +50,7 @@ pub fn run(ctx: &mut ExperimentCtx) {
         let dep = ctx.deployment(size);
         let shape = dep.gpu_runner.input_shape;
         let fg = fuse(&dep.graph);
-        let cfg = PtqConfig { max_images: ctx.wf.config.calibration_images, ..Default::default() };
+        let cfg = PtqConfig { max_images: ctx.wf.config.calibration_images };
         eprintln!("[mixed] {size}: calibrating once for the bitwidth study ...");
         let report = calibrate(&fg, &ctx.data.calibration, &cfg);
         let n_eval = ctx.data.calibration.len().min(4);

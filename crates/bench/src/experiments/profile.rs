@@ -142,7 +142,7 @@ pub fn run(ctx: &mut ExperimentCtx) {
             Box::new(QuantRefBackend::new(dep.qgraph.clone(), shape)),
             Box::new(DpuRunner::new(
                 Arc::clone(&dep.dpu_runner.xmodel),
-                RuntimeConfig { threads: 1, ..Default::default() },
+                RuntimeConfig { threads: 1 },
             )),
         ];
 

@@ -122,7 +122,7 @@ fn quantized_variants(
     let shape = dep.gpu_runner.input_shape;
     let n = wf.config.calibration_images;
     let fg = fuse(&dep.graph);
-    let cfg = PtqConfig { max_images: n, ..Default::default() };
+    let cfg = PtqConfig { max_images: n };
 
     // Random-calibration PTQ over the same training pool the manual
     // sampler used (Table III "random" row, pushed through deployment).

@@ -229,7 +229,7 @@ impl Workflow {
         let (qg, _report) = quantize_post_training(
             &fg,
             &data.calibration,
-            &PtqConfig { max_images: self.config.calibration_images, ..Default::default() },
+            &PtqConfig { max_images: self.config.calibration_images },
         );
         qg
     }

@@ -35,29 +35,11 @@ pub use seneca_backend::{ThroughputReport, ThroughputStats};
 pub struct RuntimeConfig {
     /// Runner threads (the paper sweeps 1, 2, 4 and discusses 8).
     pub threads: usize,
-    /// ARM host cores (the ZCU104's Cortex-A53 has 4).
-    pub arm_cores: usize,
-    /// Pre-processing time per input pixel on one ARM core (ns): rescale to
-    /// the xmodel's input scale + INT8 quantisation.
-    pub pre_ns_per_pixel: f64,
-    /// Post-processing time per output pixel (ns): 6-channel argmax.
-    pub post_ns_per_pixel: f64,
-    /// Relative service-time jitter (DDR contention, scheduler noise).
-    pub jitter_sigma: f64,
-    /// Board power model.
-    pub power: Zcu104Power,
 }
 
 impl Default for RuntimeConfig {
     fn default() -> Self {
-        Self {
-            threads: 4,
-            arm_cores: 4,
-            pre_ns_per_pixel: 14.0,
-            post_ns_per_pixel: 26.0,
-            jitter_sigma: 0.004,
-            power: Zcu104Power::default(),
-        }
+        Self { threads: 4 }
     }
 }
 
@@ -82,11 +64,22 @@ impl DpuRunner {
     /// Creates a runner.
     pub fn new(xmodel: Arc<XModel>, config: RuntimeConfig) -> Self {
         assert!(config.threads >= 1, "need at least one runner thread");
-        assert!(config.arm_cores >= 1);
         Self { xmodel, config }
     }
 
-    /// Simulated throughput run over `n_frames` frames.
+    /// ARM host cores (the ZCU104's Cortex-A53 has 4).
+    const ARM_CORES: usize = 4;
+    /// Pre-processing time per input pixel on one ARM core (ns): rescale to
+    /// the xmodel's input scale + INT8 quantisation.
+    const PRE_NS_PER_PIXEL: f64 = 14.0;
+    /// Post-processing time per output pixel (ns): 6-channel argmax.
+    const POST_NS_PER_PIXEL: f64 = 26.0;
+    /// Relative service-time jitter (DDR contention, scheduler noise).
+    const JITTER_SIGMA: f64 = 0.004;
+
+    /// Simulated throughput run over `n_frames` frames, on the ZCU104's 4 ARM
+    /// cores and the xmodel's DPU cores, with board power from
+    /// [`Zcu104Power::default`].
     ///
     /// The seed drives the per-job jitter; the paper's μ±σ over 10 runs maps
     /// to 10 different seeds.
@@ -95,12 +88,12 @@ impl DpuRunner {
         let threads = self.config.worker_threads(n_frames);
         let cost = frame_cost(xm, &xm.arch);
         let hw = xm.input_shape.hw() as f64;
-        let pre_ns = hw * self.config.pre_ns_per_pixel;
-        let post_ns = hw * self.config.post_ns_per_pixel;
+        let pre_ns = hw * Self::PRE_NS_PER_PIXEL;
+        let post_ns = hw * Self::POST_NS_PER_PIXEL;
 
         // Per-job multiplicative jitter, one factor per (job, stage).
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let sigma = self.config.jitter_sigma;
+        let sigma = Self::JITTER_SIGMA;
         let jitter: Vec<f64> = (0..n_frames * 3)
             .map(|_| {
                 let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
@@ -111,7 +104,7 @@ impl DpuRunner {
             .collect();
 
         let resources =
-            [Resource::new("arm", self.config.arm_cores), Resource::new("dpu", xm.arch.cores)];
+            [Resource::new("arm", Self::ARM_CORES), Resource::new("dpu", xm.arch.cores)];
         let stages =
             [StageSpec { resource: 0 }, StageSpec { resource: 1 }, StageSpec { resource: 0 }];
         let base = [pre_ns, cost.serial_ns as f64, post_ns];
@@ -121,14 +114,13 @@ impl DpuRunner {
 
         let fps = rep.throughput_per_s();
         let util = rep.utilisation(1, xm.arch.cores);
-        let arm_busy_cores =
-            rep.utilisation(0, self.config.arm_cores) * self.config.arm_cores as f64;
+        let arm_busy_cores = rep.utilisation(0, Self::ARM_CORES) * Self::ARM_CORES as f64;
         let ddr_gbps = xm.stats.fm_traffic_bytes as f64 * fps / 1e9;
-        let watt = self.config.power.board_power_w(&PowerInputs {
+        let watt = Zcu104Power::default().board_power_w(&PowerInputs {
             dpu_busy_cores: util * xm.arch.cores as f64,
             compute_intensity: cost.compute_intensity(),
             arm_busy_cores,
-            arm_cores: self.config.arm_cores,
+            arm_cores: Self::ARM_CORES,
             ddr_gbps,
             threads,
         });
@@ -195,7 +187,7 @@ mod tests {
             .collect();
         let (qg, _) = quantize_post_training(&fg, &images, &PtqConfig::default());
         let xm = compile(&qg, Shape4::new(1, 1, 16, 16), DpuArch::b4096_zcu104());
-        let config = RuntimeConfig { threads, ..Default::default() };
+        let config = RuntimeConfig { threads };
         (DpuRunner::new(Arc::new(xm), config), images)
     }
 

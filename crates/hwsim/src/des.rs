@@ -4,8 +4,8 @@
 //! stages; each stage runs on one server of a named [`Resource`] for a
 //! caller-supplied service time. At most `population` jobs are in flight
 //! (closed network) — when one completes, the next is admitted at the same
-//! instant. All state lives in the [`PipelineSim`] struct; the engine is
-//! fully deterministic given the service-time function.
+//! instant. [`simulate_closed_pipeline`] is the one entry point; it is fully
+//! deterministic given the service-time function.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -45,8 +45,6 @@ pub struct SimReport {
     pub busy_ns: Vec<u64>,
     /// Jobs completed.
     pub completed: usize,
-    /// Per-resource peak queue length observed.
-    pub peak_queue: Vec<usize>,
     /// Per-job completion times (ns), in completion order.
     pub completion_times_ns: Vec<u64>,
 }
@@ -76,113 +74,9 @@ enum Event {
     StageDone { job: usize, stage: usize },
 }
 
-/// The simulator. Construct with [`PipelineSim::new`], then [`PipelineSim::run`].
-pub struct PipelineSim<'a> {
-    resources: &'a [Resource],
-    stages: &'a [StageSpec],
-    population: usize,
-    n_jobs: usize,
-    /// `service(job, stage) -> ns`.
-    service: Box<dyn Fn(usize, usize) -> u64 + 'a>,
-}
-
-impl<'a> PipelineSim<'a> {
-    /// Creates a simulator for `n_jobs` jobs flowing through `stages` with at
-    /// most `population` jobs in flight.
-    pub fn new(
-        resources: &'a [Resource],
-        stages: &'a [StageSpec],
-        population: usize,
-        n_jobs: usize,
-        service: impl Fn(usize, usize) -> u64 + 'a,
-    ) -> Self {
-        assert!(population >= 1, "population must be >= 1");
-        assert!(!stages.is_empty(), "pipeline needs at least one stage");
-        for s in stages {
-            assert!(s.resource < resources.len(), "stage references unknown resource");
-        }
-        Self { resources, stages, population, n_jobs, service: Box::new(service) }
-    }
-
-    /// Runs the simulation to completion.
-    pub fn run(&self) -> SimReport {
-        let nr = self.resources.len();
-        let mut free: Vec<usize> = self.resources.iter().map(|r| r.servers).collect();
-        let mut queues: Vec<VecDeque<(usize, usize)>> = vec![VecDeque::new(); nr];
-        let mut peak_queue = vec![0usize; nr];
-        let mut busy = vec![0u64; nr];
-        let mut heap: BinaryHeap<Reverse<(u64, u64, Event)>> = BinaryHeap::new();
-        let mut seq = 0u64;
-        let mut now = 0u64;
-        let mut admitted = 0usize;
-        let mut completed = 0usize;
-        let mut completion_times = Vec::with_capacity(self.n_jobs);
-
-        // Either starts the stage now (if a server is free) or enqueues.
-        macro_rules! try_start {
-            ($job:expr, $stage:expr) => {{
-                let r = self.stages[$stage].resource;
-                if free[r] > 0 {
-                    free[r] -= 1;
-                    let dt = (self.service)($job, $stage);
-                    busy[r] += dt;
-                    seq += 1;
-                    heap.push(Reverse((
-                        now + dt,
-                        seq,
-                        Event::StageDone { job: $job, stage: $stage },
-                    )));
-                } else {
-                    queues[r].push_back(($job, $stage));
-                    peak_queue[r] = peak_queue[r].max(queues[r].len());
-                }
-            }};
-        }
-
-        // Admit the initial population.
-        while admitted < self.population.min(self.n_jobs) {
-            let job = admitted;
-            admitted += 1;
-            try_start!(job, 0);
-        }
-
-        while let Some(Reverse((t, _, Event::StageDone { job, stage }))) = heap.pop() {
-            now = t;
-            let r = self.stages[stage].resource;
-            // Release the server; hand it to the next queued stage if any.
-            if let Some((qjob, qstage)) = queues[r].pop_front() {
-                let dt = (self.service)(qjob, qstage);
-                busy[r] += dt;
-                seq += 1;
-                heap.push(Reverse((now + dt, seq, Event::StageDone { job: qjob, stage: qstage })));
-            } else {
-                free[r] += 1;
-            }
-            // Advance the job.
-            if stage + 1 < self.stages.len() {
-                try_start!(job, stage + 1);
-            } else {
-                completed += 1;
-                completion_times.push(now);
-                if admitted < self.n_jobs {
-                    let next = admitted;
-                    admitted += 1;
-                    try_start!(next, 0);
-                }
-            }
-        }
-
-        SimReport {
-            makespan_ns: now,
-            busy_ns: busy,
-            completed,
-            peak_queue,
-            completion_times_ns: completion_times,
-        }
-    }
-}
-
-/// One-shot convenience wrapper around [`PipelineSim`].
+/// Simulates `n_jobs` jobs flowing through `stages` with at most
+/// `population` jobs in flight; `service(job, stage)` is a stage's service
+/// time in ns. Runs the simulation to completion.
 pub fn simulate_closed_pipeline(
     resources: &[Resource],
     stages: &[StageSpec],
@@ -190,7 +84,72 @@ pub fn simulate_closed_pipeline(
     n_jobs: usize,
     service: impl Fn(usize, usize) -> u64,
 ) -> SimReport {
-    PipelineSim::new(resources, stages, population, n_jobs, service).run()
+    assert!(population >= 1, "population must be >= 1");
+    assert!(!stages.is_empty(), "pipeline needs at least one stage");
+    for s in stages {
+        assert!(s.resource < resources.len(), "stage references unknown resource");
+    }
+    let nr = resources.len();
+    let mut free: Vec<usize> = resources.iter().map(|r| r.servers).collect();
+    let mut queues: Vec<VecDeque<(usize, usize)>> = vec![VecDeque::new(); nr];
+    let mut busy = vec![0u64; nr];
+    let mut heap: BinaryHeap<Reverse<(u64, u64, Event)>> = BinaryHeap::new();
+    let mut seq = 0u64;
+    let mut now = 0u64;
+    let mut admitted = 0usize;
+    let mut completed = 0usize;
+    let mut completion_times = Vec::with_capacity(n_jobs);
+
+    // Either starts the stage now (if a server is free) or enqueues.
+    macro_rules! try_start {
+        ($job:expr, $stage:expr) => {{
+            let r = stages[$stage].resource;
+            if free[r] > 0 {
+                free[r] -= 1;
+                let dt = service($job, $stage);
+                busy[r] += dt;
+                seq += 1;
+                heap.push(Reverse((now + dt, seq, Event::StageDone { job: $job, stage: $stage })));
+            } else {
+                queues[r].push_back(($job, $stage));
+            }
+        }};
+    }
+
+    // Admit the initial population.
+    while admitted < population.min(n_jobs) {
+        let job = admitted;
+        admitted += 1;
+        try_start!(job, 0);
+    }
+
+    while let Some(Reverse((t, _, Event::StageDone { job, stage }))) = heap.pop() {
+        now = t;
+        let r = stages[stage].resource;
+        // Release the server; hand it to the next queued stage if any.
+        if let Some((qjob, qstage)) = queues[r].pop_front() {
+            let dt = service(qjob, qstage);
+            busy[r] += dt;
+            seq += 1;
+            heap.push(Reverse((now + dt, seq, Event::StageDone { job: qjob, stage: qstage })));
+        } else {
+            free[r] += 1;
+        }
+        // Advance the job.
+        if stage + 1 < stages.len() {
+            try_start!(job, stage + 1);
+        } else {
+            completed += 1;
+            completion_times.push(now);
+            if admitted < n_jobs {
+                let next = admitted;
+                admitted += 1;
+                try_start!(next, 0);
+            }
+        }
+    }
+
+    SimReport { makespan_ns: now, busy_ns: busy, completed, completion_times_ns: completion_times }
 }
 
 #[cfg(test)]
@@ -269,14 +228,6 @@ mod tests {
         // 1 -> 2 threads is a big jump; 4 -> 8 is negligible (saturated).
         assert!(rates[1] > rates[0] * 1.5);
         assert!(rates[3] < rates[2] * 1.05);
-    }
-
-    #[test]
-    fn queue_lengths_are_tracked() {
-        let res = one_resource(1);
-        let stages = [StageSpec { resource: 0 }];
-        let rep = simulate_closed_pipeline(&res, &stages, 5, 5, |_, _| 10);
-        assert_eq!(rep.peak_queue[0], 4); // all but the running job queued
     }
 
     #[test]

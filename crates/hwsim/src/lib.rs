@@ -15,4 +15,4 @@
 
 pub mod des;
 
-pub use des::{simulate_closed_pipeline, PipelineSim, Resource, SimReport, StageSpec};
+pub use des::{simulate_closed_pipeline, Resource, SimReport, StageSpec};

@@ -216,7 +216,7 @@ impl Lowered {
                         // pass and the ReLU pass computed, bit for bit.
                         (_, false, relu) => GemmEpilogue::BiasBn { bias: b, bn, relu },
                     };
-                    let geom = same3x3(xs);
+                    let geom = ConvGeom::same_3x3(xs);
                     per_image(xs, x, out, |x_n, y_n| sgemm_conv_packed(pa, &geom, x_n, y_n, epi));
                 }
                 IrOp::TConv(a) => {
@@ -333,7 +333,7 @@ impl Lowered {
                     };
                     debug_assert_eq!(fps[j], *in_fp, "qconv input fix position");
                     let shift = a.kernel.shift();
-                    let (geom, relu) = (same3x3(xs), a.relu);
+                    let (geom, relu) = (ConvGeom::same_3x3(xs), a.relu);
                     match self.pack_of(a) {
                         PackedKernel::ConvI8(pa) => per_image(xs, x, out, |x_n, y_n| {
                             igemm_conv_packed(pa, &geom, x_n, bias, shift, relu, y_n)
@@ -386,11 +386,6 @@ impl Lowered {
         }
         scratch.slots[si] = out_buf;
     }
-}
-
-/// The 3x3 stride-1 pad-1 geometry of a conv over an `xs` feature map.
-fn same3x3(xs: Shape4) -> ConvGeom {
-    ConvGeom { c_in: xs.c, h: xs.h, w: xs.w, k: 3, pad: 1, stride: 1 }
 }
 
 /// Runs a one-image conv/tconv GEMM kernel over a batch: image `n` of `x`

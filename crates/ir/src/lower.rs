@@ -1,9 +1,9 @@
 //! Lowering: IR module → executable program.
 //!
-//! [`lower`] runs the rewrite passes selected by [`LowerOptions`] (BN fold →
-//! BN carry → ReLU fusion → identity strip), assigns every weight a pack slot,
-//! picks from the lowered shapes which INT8 convs run as Winograd F(2x2, 3x3)
-//! ([`select_winograd`]), then materialises everything the executors need per
+//! [`lower`] runs the exact rewrite passes (BN carry → ReLU fusion, switched
+//! by [`LowerOptions`]; then the dropout strip), assigns every weight a pack
+//! slot, picks from the lowered shapes which INT8 convs run as Winograd
+//! F(2x2, 3x3) ([`select_winograd`]), then materialises everything the executors need per
 //! model — shapes, fix positions, the liveness [`ExecPlan`] and the
 //! **pre-packed weight panels**. Weights are immutable at inference, so their GEMM A-operand
 //! panels are packed exactly once here; each frame then only packs the
@@ -13,8 +13,7 @@
 use crate::exec::{FpScratch, QScratch, Scratch};
 use crate::module::{ConvKernel, IrOp, Module, PackFormat};
 use crate::passes::{
-    assign_pack_slots, fold_batchnorm, fuse_batchnorm, fuse_relu, select_winograd,
-    strip_identities, PassStats,
+    assign_pack_slots, fuse_batchnorm, fuse_relu, select_winograd, strip_identities, PassStats,
 };
 use crate::plan::ExecPlan;
 use seneca_tensor::gemm::{PackedA, PackedA4};
@@ -23,39 +22,29 @@ use seneca_tensor::tconv::repack_tconv_weights;
 use seneca_tensor::winograd::PackedWinograd;
 use seneca_tensor::Shape4;
 
-/// Which rewrite passes a lowering runs. Weight panels are always packed
-/// once here: weights are immutable at inference.
+/// How a lowering runs. A lowering keeps the graph's own arithmetic: it
+/// makes no semantic rewrite (the BN fold and the softmax strip of the
+/// deployment front end are `seneca_quant::fuse`'s), strips the dropout
+/// nodes (the identity at inference), and packs weight panels once:
+/// weights are immutable at inference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LowerOptions {
-    /// Fold inference BatchNorm into the preceding conv's weights (a
-    /// semantic rewrite: the folded weights round differently).
-    pub fold_bn: bool,
-    /// The exact epilogue fusions: carry every exclusive BatchNorm that
-    /// `fold_bn` did not fold into its conv's GEMM store
-    /// ([`crate::passes::fuse_batchnorm`]), then fuse exclusive standalone
-    /// ReLUs into the conv/tconv store. Bit for bit what the separate passes
-    /// compute; off only for the tests that prove it.
+    /// The exact epilogue fusions: carry every exclusive BatchNorm into its
+    /// conv's GEMM store ([`crate::passes::fuse_batchnorm`]), then fuse
+    /// exclusive standalone ReLUs into the conv/tconv store. Bit for bit
+    /// what the separate passes compute; off only for the tests that prove
+    /// it.
     pub fuse_relu: bool,
-    /// Strip softmax too (DPU-bound / quantizer-bound lowerings; dropout is
-    /// always stripped — it is the identity at inference).
-    pub strip_softmax: bool,
 }
 
 impl LowerOptions {
-    /// Lowering of the graph's own arithmetic: only the exact epilogue
-    /// fusions, no semantic rewrites. The FP32/INT8 host executors, the GPU
-    /// baseline's functional path, the DPU runtime and the quantizer's
-    /// calibration all use this (the quantizer's modules are already fused,
-    /// so for it the lowering keeps every node id).
+    /// The lowering every executor runs: the exact epilogue fusions on. The
+    /// FP32/INT8 host executors, the GPU baseline's functional path, the DPU
+    /// runtime and the quantizer's calibration all use this (the quantizer's
+    /// modules are already fused, so for it the lowering keeps every node
+    /// id).
     pub fn reference() -> Self {
-        Self { fold_bn: false, fuse_relu: true, strip_softmax: false }
-    }
-
-    /// The quantizer/compiler frontend pipeline: BN fold + ReLU fusion +
-    /// identity strip (softmax included), mirroring what Vitis AI does
-    /// before calibration.
-    pub fn frontend() -> Self {
-        Self { fold_bn: true, fuse_relu: true, strip_softmax: true }
+        Self { fuse_relu: true }
     }
 }
 
@@ -150,14 +139,11 @@ pub struct Lowered {
 /// for the given input geometry.
 pub fn lower(mut module: Module, input: Shape4, opts: &LowerOptions) -> Lowered {
     let mut stats = PassStats::default();
-    if opts.fold_bn {
-        stats.bn_folded = fold_batchnorm(&mut module);
-    }
     if opts.fuse_relu {
         stats.bn_fused = fuse_batchnorm(&mut module);
         stats.relu_fused = fuse_relu(&mut module);
     }
-    stats.identities_removed = strip_identities(&mut module, opts.strip_softmax);
+    stats.identities_removed = strip_identities(&mut module, false);
     stats.pack_slots = assign_pack_slots(&mut module);
     let shapes = module.shapes(input);
     stats.winograd = select_winograd(&mut module, &shapes);

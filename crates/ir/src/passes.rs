@@ -5,12 +5,13 @@
 //! edges rewire for free and the node vocabulary never grows transient
 //! "fused" variants. Nodes *move* into the rebuilt module (a pass never
 //! copies a weight tensor; a folded conv's old weights are freed as soon as
-//! the new ones replace them). The canonical frontend pipeline is
-//! BN fold → ReLU fusion → identity strip → pack-slot assignment, with
-//! liveness planning ([`crate::plan::ExecPlan`]) as the final pass at
-//! lowering time. The reference pipeline replaces the fold by the exact
-//! BN carry ([`fuse_batchnorm`]): the FP32 graph keeps its own arithmetic
-//! and loses its BN and ReLU passes.
+//! the new ones replace them). The deployment front end
+//! (`seneca_quant::fuse`) is BN fold → ReLU fusion → identity strip
+//! (softmax included). Lowering ([`crate::lower::lower`]) replaces the fold
+//! by the exact BN carry ([`fuse_batchnorm`]): the FP32 graph keeps its own
+//! arithmetic and loses its BN and ReLU passes; then come the dropout strip,
+//! pack-slot assignment and, last, liveness planning
+//! ([`crate::plan::ExecPlan`]).
 
 use crate::module::{ConvAttrs, ConvKernel, IrNode, IrOp, Module, PackFormat, PackSlot};
 use seneca_tensor::gemm::NR;
@@ -23,13 +24,11 @@ use serde::{Deserialize, Serialize};
 /// What the pass pipeline did to a module, for listings and smoke gates.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PassStats {
-    /// BatchNorm nodes folded into their producing conv.
-    pub bn_folded: usize,
     /// BatchNorm nodes carried (unfolded) into their producing conv's store.
     pub bn_fused: usize,
     /// Standalone ReLU nodes fused into a conv/tconv epilogue.
     pub relu_fused: usize,
-    /// Inference-identity nodes (dropout, optionally softmax) removed.
+    /// Inference-identity nodes (dropout) removed.
     pub identities_removed: usize,
     /// Weight tensors given a pack slot (packed once at model load).
     pub pack_slots: usize,
@@ -366,7 +365,7 @@ mod tests {
 
         let s = Shape4::new(2, 2, 6, 5);
         let x = Tensor::from_vec(s, (0..s.len()).map(|_| rng.gen_range(-1.0f32..1.0)).collect());
-        let unfused = LowerOptions { fuse_relu: false, ..LowerOptions::reference() };
+        let unfused = LowerOptions { fuse_relu: false };
         let want = lower(m, s, &unfused).execute_f32(&x);
         let got = execute_f32(&fused, &x);
         let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();

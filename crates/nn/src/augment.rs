@@ -15,7 +15,6 @@
 
 use crate::train::Sample;
 use rand::Rng;
-use seneca_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
 /// Augmentation policy.
@@ -52,41 +51,6 @@ impl Default for AugmentConfig {
             elastic_grid: 8,
         }
     }
-}
-
-/// Horizontal flip of image and labels.
-pub fn flip_horizontal(s: &Sample) -> Sample {
-    let shape = s.image.shape();
-    let (h, w) = (shape.h, shape.w);
-    let mut image = Tensor::zeros(shape);
-    let mut labels = vec![0u8; h * w];
-    for y in 0..h {
-        for x in 0..w {
-            *image.at_mut(0, 0, y, x) = s.image.at(0, 0, y, w - 1 - x);
-            labels[y * w + x] = s.labels[y * w + (w - 1 - x)];
-        }
-    }
-    Sample { image, labels }
-}
-
-/// Integer translation with zero padding (air background) for the image and
-/// background label for the label map.
-pub fn translate(s: &Sample, dx: isize, dy: isize) -> Sample {
-    let shape = s.image.shape();
-    let (h, w) = (shape.h as isize, shape.w as isize);
-    let mut image = Tensor::full(shape, -1.0); // air after [-1,1] rescale
-    let mut labels = vec![0u8; (h * w) as usize];
-    for y in 0..h {
-        for x in 0..w {
-            let (sx, sy) = (x - dx, y - dy);
-            if sx >= 0 && sx < w && sy >= 0 && sy < h {
-                *image.at_mut(0, 0, y as usize, x as usize) =
-                    s.image.at(0, 0, sy as usize, sx as usize);
-                labels[(y * w + x) as usize] = s.labels[(sy * w + sx) as usize];
-            }
-        }
-    }
-    Sample { image, labels }
 }
 
 /// Smooth elastic deformation: random displacements on a coarse `grid`-px
@@ -270,27 +234,11 @@ pub fn flip_horizontal_in_place(s: &mut Sample) {
     }
 }
 
-/// Expands a dataset with `factor - 1` augmented copies per sample.
-pub fn augment_dataset<R: Rng>(
-    samples: &[Sample],
-    cfg: &AugmentConfig,
-    factor: usize,
-    rng: &mut R,
-) -> Vec<Sample> {
-    assert!(factor >= 1);
-    let mut out = Vec::with_capacity(samples.len() * factor);
-    out.extend(samples.iter().cloned());
-    for _ in 1..factor {
-        out.extend(samples.iter().map(|s| augment(s, cfg, rng)));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::SeedableRng;
-    use seneca_tensor::Shape4;
+    use seneca_tensor::{Shape4, Tensor};
 
     fn sample() -> Sample {
         let mut image = Tensor::zeros(Shape4::new(1, 1, 4, 4));
@@ -303,18 +251,19 @@ mod tests {
     #[test]
     fn flip_is_involutive() {
         let s = sample();
-        let once = flip_horizontal(&s);
-        assert_eq!(once.image.at(0, 0, 1, 3), 0.8);
-        assert_eq!(once.labels[4 + 3], 3);
-        let twice = flip_horizontal(&once);
-        assert_eq!(twice.image, s.image);
-        assert_eq!(twice.labels, s.labels);
+        let mut t = s.clone();
+        flip_horizontal_in_place(&mut t);
+        assert_eq!(t.image.at(0, 0, 1, 3), 0.8);
+        assert_eq!(t.labels[4 + 3], 3);
+        flip_horizontal_in_place(&mut t);
+        assert_eq!(t.image, s.image);
+        assert_eq!(t.labels, s.labels);
     }
 
     #[test]
     fn translate_moves_content_and_pads_with_air() {
-        let s = sample();
-        let t = translate(&s, 2, 1);
+        let mut t = sample();
+        Augmenter::new(AugmentConfig::default()).translate_in_place(&mut t, 2, 1);
         assert_eq!(t.image.at(0, 0, 2, 2), 0.8);
         assert_eq!(t.labels[2 * 4 + 2], 3);
         // Vacated corner is air / background.
@@ -343,16 +292,6 @@ mod tests {
             assert!(a.image.data().iter().all(|v| (-1.0..=1.0).contains(v)));
             assert!(a.labels.iter().all(|&l| l <= 6));
         }
-    }
-
-    #[test]
-    fn in_place_flip_matches_the_copying_flip() {
-        let s = sample();
-        let copied = flip_horizontal(&s);
-        let mut inplace = s.clone();
-        flip_horizontal_in_place(&mut inplace);
-        assert_eq!(inplace.image, copied.image);
-        assert_eq!(inplace.labels, copied.labels);
     }
 
     #[test]
@@ -395,15 +334,5 @@ mod tests {
             assert_eq!(via_fn.image, via_engine.image, "seed {seed}");
             assert_eq!(via_fn.labels, via_engine.labels, "seed {seed}");
         }
-    }
-
-    #[test]
-    fn dataset_expansion_factor() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        let samples = vec![sample(), sample(), sample()];
-        let out = augment_dataset(&samples, &AugmentConfig::default(), 3, &mut rng);
-        assert_eq!(out.len(), 9);
-        // Originals come first, untouched.
-        assert_eq!(out[0].image, samples[0].image);
     }
 }

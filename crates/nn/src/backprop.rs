@@ -109,7 +109,7 @@ impl Graph {
                 IrOp::Input => Saved::Out(x.clone()),
                 IrOp::Conv(a) => {
                     let (w, b) = export_kernel(a);
-                    Saved::Out(conv2d(arg(0), w, b, Conv2dParams::SAME_3X3))
+                    Saved::Out(conv2d(arg(0), w, b))
                 }
                 IrOp::BatchNorm { bn } => {
                     let (y, cache) = batchnorm_forward(arg(0), bn);
@@ -156,8 +156,7 @@ impl Graph {
             let dxs = match (&node.op, &tape.saved[id]) {
                 (IrOp::Input, _) => return Grads { params, input: g },
                 (IrOp::Conv(a), _) => {
-                    let gr =
-                        conv2d_backward(arg(0), export_kernel(a).0, &g, Conv2dParams::SAME_3X3);
+                    let gr = conv2d_backward(arg(0), export_kernel(a).0, &g);
                     params.insert(id, [gr.dw.into_vec(), gr.db]);
                     vec![gr.dx]
                 }

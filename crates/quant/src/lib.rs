@@ -12,16 +12,15 @@
 //!    BatchNorm folded into the preceding conv, dropout removed, ReLU fused
 //!    into conv, softmax stripped (argmax runs on the CPU, paper §III-E);
 //!    the result is a [`seneca_ir::Module`], which every later step takes;
-//! 2. [`observer`] — activation-range observers run over the calibration set
-//!    (min-max, averaged-max, percentile);
-//! 3. [`ptq`] — post-training quantization: per-tensor symmetric weights,
-//!    calibrated activations, bias at accumulator scale;
-//! 4. [`mixed`] — per-layer W4/W8 bitwidth assignment: sensitivity sweep
+//! 2. [`ptq`] — post-training quantization: per-tensor symmetric weights,
+//!    activations calibrated to each node's max |x| over the calibration set
+//!    (min-max), bias at accumulator scale;
+//! 3. [`mixed`] — per-layer W4/W8 bitwidth assignment: sensitivity sweep
 //!    plus a greedy DPU-cost-aware search (W4 weights live on a nibble
 //!    grid, halving weight bytes where the layer tolerates it);
-//! 5. [`finetune`] — "fast finetuning" (AdaQuant-flavoured): per-layer scale
+//! 4. [`finetune`] — "fast finetuning" (AdaQuant-flavoured): per-layer scale
 //!    search plus bias correction against FP32 references;
-//! 6. [`qat`] — quantization-aware training hooks (weight fake-quant at
+//! 5. [`qat`] — quantization-aware training hooks (weight fake-quant at
 //!    either bitwidth).
 //!
 //! Nothing here evaluates a graph itself: calibration, fast-finetune, the
@@ -33,7 +32,6 @@
 pub mod finetune;
 pub mod fuse;
 pub mod mixed;
-pub mod observer;
 pub mod ptq;
 pub mod qat;
 pub mod qgraph;
@@ -41,10 +39,8 @@ mod run;
 
 pub use fuse::fuse;
 pub use mixed::{
-    quantize_post_training_mixed, search_mixed_plan, sensitivity_sweep, BitwidthPlan,
-    MixedSearchResult, SensitivityEntry,
+    search_mixed_plan, sensitivity_sweep, BitwidthPlan, MixedSearchResult, SensitivityEntry,
 };
-pub use observer::{ObserverKind, RangeObserver};
 pub use ptq::{calibrate, quantize_from_calibration, quantize_post_training, PtqConfig};
 pub use qgraph::QuantizedGraph;
 pub use seneca_tensor::quantized::Bitwidth;

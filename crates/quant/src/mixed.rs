@@ -20,9 +20,7 @@
 //! depend on the weight bitwidth, so [`crate::ptq::calibrate`] runs once
 //! and each candidate plan only re-quantizes weights.
 
-use crate::ptq::{
-    agreement_vs, calibrate, label_agreement, quantize_from_calibration, PtqConfig, PtqReport,
-};
+use crate::ptq::{agreement_vs, label_agreement, quantize_from_calibration, PtqReport};
 use crate::qgraph::QuantizedGraph;
 use crate::run::{FpRunner, QRunner};
 use seneca_ir::{IrOp, Module};
@@ -58,20 +56,6 @@ pub fn quantizable_nodes(fg: &Module) -> Vec<usize> {
         .filter(|(_, n)| matches!(n.op, IrOp::Conv(_) | IrOp::TConv(_)))
         .map(|(i, _)| i)
         .collect()
-}
-
-/// Quantises a fused module with an explicit per-node bitwidth plan
-/// (calibrate + build in one call; the mixed analogue of
-/// [`crate::ptq::quantize_post_training`]).
-pub fn quantize_post_training_mixed(
-    fg: &Module,
-    calib: &[Tensor],
-    cfg: &PtqConfig,
-    plan: &BitwidthPlan,
-) -> (QuantizedGraph, PtqReport) {
-    let report = calibrate(fg, calib, cfg);
-    let qg = quantize_from_calibration(fg, &report, &plan.wbits);
-    (qg, report)
 }
 
 /// Listing mnemonic of a fused conv/tconv node.
@@ -273,6 +257,7 @@ pub fn search_mixed_plan(
 mod tests {
     use super::*;
     use crate::fuse::fuse;
+    use crate::ptq::{calibrate, PtqConfig};
     use rand::SeedableRng;
     use seneca_nn::graph::Graph;
     use seneca_nn::unet::{UNet, UNetConfig};
@@ -349,24 +334,5 @@ mod tests {
         assert_eq!(res.plan.n_w4(), 0);
         assert_eq!(res.cost, res.baseline_cost);
         assert!(res.steps.iter().all(|s| !s.accepted));
-    }
-
-    #[test]
-    fn mixed_ptq_wrapper_matches_manual_plan() {
-        let (fg, calib) = setup(14);
-        let mut plan = BitwidthPlan::uniform(fg.nodes.len(), Bitwidth::W8);
-        let node = quantizable_nodes(&fg)[0];
-        plan.wbits[node] = Bitwidth::W4;
-        let (qg, report) = quantize_post_training_mixed(&fg, &calib, &PtqConfig::default(), &plan);
-        let manual = quantize_from_calibration(&fg, &report, &plan.wbits);
-        let logits =
-            |g: &QuantizedGraph| QRunner::new(g, calib[0].shape()).logits(&calib[0]).to_qtensor();
-        assert_eq!(logits(&qg), logits(&manual));
-        assert!(qg.module().name.ends_with("-w4a8"));
-        assert!(qg.weight_bytes() < manual_bytes_uniform(&fg, &report));
-    }
-
-    fn manual_bytes_uniform(fg: &Module, report: &PtqReport) -> u64 {
-        quantize_from_calibration(fg, report, &vec![Bitwidth::W8; fg.nodes.len()]).weight_bytes()
     }
 }

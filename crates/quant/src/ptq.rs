@@ -7,30 +7,23 @@
 //! accumulator fix position.
 
 use crate::fuse::assert_fused;
-use crate::observer::{ObserverKind, RangeObserver};
 use crate::qgraph::QuantizedGraph;
 use crate::run::{FpRunner, QRunner};
 use seneca_ir::{ConcatQ, ConvAttrs, ConvKernel, DType, IrOp, Module};
-use seneca_tensor::quantized::{choose_fix_pos_bits, Bitwidth, QTensor};
+use seneca_tensor::quantized::{choose_fix_pos, choose_fix_pos_bits, Bitwidth, QTensor};
 use seneca_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
 /// PTQ settings.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct PtqConfig {
-    /// Activation-range observer.
-    pub observer: ObserverKind,
-    /// Cap on calibration images actually used.
+    /// Cap on calibration images actually used (the paper's set has 500).
     pub max_images: usize,
-    /// Default weight bitwidth applied to every conv/tconv. Per-node
-    /// assignments go through [`quantize_from_calibration`] (see
-    /// `crate::mixed` for the sensitivity sweep and the cost-aware search).
-    pub wbits: Bitwidth,
 }
 
 impl Default for PtqConfig {
     fn default() -> Self {
-        Self { observer: ObserverKind::MinMax, max_images: 500, wbits: Bitwidth::W8 }
+        Self { max_images: 500 }
     }
 }
 
@@ -45,8 +38,9 @@ pub struct PtqReport {
     pub images_used: usize,
 }
 
-/// Quantises a fused FP32 module using `calib` images at the config's uniform
-/// weight bitwidth.
+/// Quantises a fused FP32 module using `calib` images, every conv/tconv at
+/// W8. Per-node bitwidths go through [`quantize_from_calibration`] (see
+/// `crate::mixed` for the sensitivity sweep and the cost-aware search).
 ///
 /// Returns the quantized graph plus a calibration report.
 pub fn quantize_post_training(
@@ -55,12 +49,13 @@ pub fn quantize_post_training(
     cfg: &PtqConfig,
 ) -> (QuantizedGraph, PtqReport) {
     let report = calibrate(fg, calib, cfg);
-    let wbits = vec![cfg.wbits; fg.nodes.len()];
+    let wbits = vec![Bitwidth::W8; fg.nodes.len()];
     let qg = quantize_from_calibration(fg, &report, &wbits);
     (qg, report)
 }
 
-/// Runs the calibration phases of PTQ only: observes activation ranges
+/// Runs the calibration phases of PTQ only: records each node's activation
+/// range (the max |x| over every calibration image, Vitis AI's min-max rule)
 /// through the fused FP32 module and assigns the structurally-constrained fix
 /// positions. Activation scales do not depend on the weight bitwidth, so a
 /// mixed-precision sweep calibrates once and rebuilds graphs per plan via
@@ -69,19 +64,21 @@ pub fn calibrate(fg: &Module, calib: &[Tensor], cfg: &PtqConfig) -> PtqReport {
     assert!(!calib.is_empty(), "PTQ needs a non-empty calibration set");
     let used = calib.len().min(cfg.max_images.max(1));
 
-    // 1. Observe each node's output right after it ran. The lowered program
-    // (a full set of packed FP32 weight panels) lives only for this block.
-    let mut observers: Vec<RangeObserver> =
-        (0..fg.nodes.len()).map(|_| RangeObserver::new(cfg.observer)).collect();
+    // 1. Track each node's running max |x| right after it ran. The lowered
+    // program (a full set of packed FP32 weight panels) lives only for this
+    // block.
+    let mut range = vec![0.0f32; fg.nodes.len()];
     {
         let mut runner = FpRunner::new(fg, calib[0].shape());
         for img in &calib[..used] {
-            runner.for_each_node(img, |id, out| observers[id].observe(out.data()));
+            runner.for_each_node(img, |id, out| {
+                range[id] = out.data().iter().fold(range[id], |m, v| m.max(v.abs()));
+            });
         }
     }
 
     // 2. Assign fix positions with structural constraints.
-    let mut fp: Vec<i32> = observers.iter().map(|o| o.fix_pos()).collect();
+    let mut fp: Vec<i32> = range.iter().map(|&r| choose_fix_pos(r)).collect();
     for (i, node) in fg.nodes.iter().enumerate() {
         match &node.op {
             IrOp::MaxPool2x2 => fp[i] = fp[node.inputs[0]], // pool can't rescale
@@ -92,11 +89,7 @@ pub fn calibrate(fg: &Module, calib: &[Tensor], cfg: &PtqConfig) -> PtqReport {
         }
     }
 
-    PtqReport {
-        fix_pos: fp,
-        range: observers.iter().map(|o| o.range()).collect(),
-        images_used: used,
-    }
+    PtqReport { fix_pos: fp, range, images_used: used }
 }
 
 /// Builds the quantized graph from an existing calibration, with a per-node
@@ -282,12 +275,37 @@ mod tests {
     #[test]
     fn max_images_caps_calibration() {
         let (fg, calib) = setup(4);
-        let (_, r) = quantize_post_training(
-            &fg,
-            &calib,
-            &PtqConfig { observer: ObserverKind::MinMax, max_images: 3, wbits: Bitwidth::W8 },
-        );
+        let (_, r) = quantize_post_training(&fg, &calib, &PtqConfig { max_images: 3 });
         assert_eq!(r.images_used, 3);
+    }
+
+    /// The range rule by hand: input (node 0) -> conv with centre tap -0.5
+    /// (node 1) -> conv with all-zero weights and bias (node 2), over three
+    /// 1x2 images `[0.5, -0.2]`, `[-3.0, 1.0]`, `[0.25, 0.0]`. Node 0's
+    /// max |x| is 3.0 (from the middle image, so neither the first nor the
+    /// last image decides), node 1's is 0.5 * 3.0 = 1.5, node 2 is all zero.
+    /// Fix positions: floor(log2(127 / 3)) = 5, floor(log2(127 / 1.5)) = 6,
+    /// and an all-zero activation gets `choose_fix_pos(0.0)`.
+    #[test]
+    fn calibration_range_is_max_abs_over_every_image() {
+        let centre = |v: f32| {
+            let mut w = Tensor::zeros(Shape4::new(1, 1, 3, 3));
+            *w.at_mut(0, 0, 1, 1) = v;
+            ConvKernel::F32 { w: w.into(), b: vec![0.0], bn: None }
+        };
+        let mut fg = Module::new("hand", DType::F32);
+        fg.push(IrOp::Conv(ConvAttrs::new(centre(-0.5))), vec![0]);
+        fg.push(IrOp::Conv(ConvAttrs::new(centre(0.0))), vec![1]);
+        let images: Vec<Tensor> = [[0.5, -0.2], [-3.0, 1.0], [0.25, 0.0]]
+            .iter()
+            .map(|x| Tensor::from_vec(Shape4::new(1, 1, 1, 2), x.to_vec()))
+            .collect();
+
+        let report = calibrate(&fg, &images, &PtqConfig::default());
+        assert_eq!(report.images_used, 3);
+        assert_eq!(report.range, vec![3.0, 1.5, 0.0]);
+        assert_eq!(report.fix_pos, vec![5, 6, choose_fix_pos(0.0)]);
+        assert_eq!(choose_fix_pos(0.0), 15);
     }
 
     #[test]

@@ -13,54 +13,24 @@ use crate::im2col::ConvGeom;
 use crate::shape::Shape4;
 use crate::tensor::Tensor;
 
-/// Static parameters of a convolution layer.
-///
-/// Weights are stored as a [`Tensor`] of shape `[C_out, C_in, K, K]` (NCHW
-/// with `n = C_out`); the bias is a flat `Vec<f32>` of length `C_out`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Conv2dParams {
-    /// Square kernel size.
-    pub k: usize,
-    /// Symmetric zero padding.
-    pub pad: usize,
-    /// Stride.
-    pub stride: usize,
-}
-
-impl Conv2dParams {
-    /// The SENECA default: 3x3, padding 1, stride 1 ("same" convolution).
-    pub const SAME_3X3: Self = Self { k: 3, pad: 1, stride: 1 };
-
-    fn geom(&self, input: Shape4) -> ConvGeom {
-        ConvGeom {
-            c_in: input.c,
-            h: input.h,
-            w: input.w,
-            k: self.k,
-            pad: self.pad,
-            stride: self.stride,
-        }
-    }
-}
-
-/// Forward convolution: `y = conv(x, w) + b`. The activation panels pack
+/// Forward 3x3, pad-1, stride-1 ("same") convolution, the only one the
+/// U-Net has (Table II): `y = conv(x, w) + b`. The activation panels pack
 /// straight from the feature map (implicit GEMM) and the bias rides in the
 /// GEMM store.
 ///
 /// * `x`: `[N, C_in, H, W]`
-/// * `w`: `[C_out, C_in, K, K]`
+/// * `w`: `[C_out, C_in, 3, 3]`
 /// * `b`: length `C_out` (pass an empty slice to skip the bias)
 ///
-/// Returns `[N, C_out, H_out, W_out]`.
-pub fn conv2d(x: &Tensor, w: &Tensor, b: &[f32], p: Conv2dParams) -> Tensor {
+/// Returns `[N, C_out, H, W]`.
+pub fn conv2d(x: &Tensor, w: &Tensor, b: &[f32]) -> Tensor {
     let (xs, ws) = (x.shape(), w.shape());
     assert_eq!(ws.c, xs.c, "C_in mismatch: weights {} input {}", ws.c, xs.c);
-    assert_eq!(ws.h, p.k);
-    assert_eq!(ws.w, p.k);
+    assert_eq!((ws.h, ws.w), (3, 3), "3x3 kernel");
     assert!(b.is_empty() || b.len() == ws.n, "bias length");
 
-    let geom = p.geom(xs);
-    let out_shape = Shape4::new(xs.n, ws.n, geom.h_out(), geom.w_out());
+    let geom = ConvGeom::same_3x3(xs);
+    let out_shape = Shape4::new(xs.n, ws.n, xs.h, xs.w);
     let mut out = Tensor::zeros(out_shape);
     let epi = if b.is_empty() { GemmEpilogue::None } else { GemmEpilogue::Bias(b) };
     for n in 0..xs.n {
@@ -82,29 +52,26 @@ pub struct ConvGrads {
     pub db: Vec<f32>,
 }
 
-/// Backward convolution. Given the forward input `x`, the weights `w`, and
+/// Backward of [`conv2d`]. Given the forward input `x`, the weights `w`, and
 /// the upstream gradient `dy` (shaped like the forward output), computes
-/// gradients for input, weights, and bias. Stride 1 only (every conv the
-/// U-Net trains): then `dX` is the "full" conv of `dY` — padding `k - 1 -
-/// pad` — with the weights flipped and transposed to `[C_in, C_out, K, K]`,
-/// which pack straight into the `A` panels. Allocates only the gradients.
-pub fn conv2d_backward(x: &Tensor, w: &Tensor, dy: &Tensor, p: Conv2dParams) -> ConvGrads {
+/// gradients for input, weights, and bias. At stride 1, `dX` is the "full"
+/// conv of `dY` — padding `k - 1 - pad`, here 1 again — with the weights
+/// flipped and transposed to `[C_in, C_out, 3, 3]`, which pack straight into
+/// the `A` panels. Allocates only the gradients.
+pub fn conv2d_backward(x: &Tensor, w: &Tensor, dy: &Tensor) -> ConvGrads {
     let xs = x.shape();
     let ws = w.shape();
     let ys = dy.shape();
-    let geom = p.geom(xs);
-    assert_eq!(ys.c, ws.n);
-    assert_eq!((ys.h, ys.w), (geom.h_out(), geom.w_out()));
-    assert_eq!(ys.n, xs.n);
-    assert!(p.stride == 1 && p.pad < p.k, "conv2d_backward needs stride 1 and pad < k");
+    let geom = ConvGeom::same_3x3(xs);
+    assert_eq!((ws.h, ws.w), (3, 3), "3x3 kernel");
+    assert_eq!(ys, Shape4::new(xs.n, ws.n, xs.h, xs.w), "dy shaped like the forward output");
 
     let mut dw = Tensor::zeros(ws);
     let mut db = vec![0.0f32; ws.n];
     let mut dx = Tensor::zeros(xs);
 
-    let dy_geom =
-        ConvGeom { c_in: ws.n, h: ys.h, w: ys.w, k: p.k, pad: p.k - 1 - p.pad, stride: 1 };
-    let taps = p.k * p.k;
+    let dy_geom = ConvGeom::same_3x3(ys);
+    let taps = 9;
     let w_data = w.data();
     // Row `ci`, column `(co, tap)` = `w[co, ci, k*k - 1 - tap]`.
     let flipped =
@@ -137,23 +104,21 @@ mod tests {
         Tensor::from_vec(shape, (0..shape.len()).map(|_| rng.gen_range(-1.0..1.0)).collect())
     }
 
-    /// Direct (quadruple-loop) reference convolution.
-    fn conv_reference(x: &Tensor, w: &Tensor, b: &[f32], p: Conv2dParams) -> Tensor {
+    /// Direct (quadruple-loop) reference "same" 3x3 convolution.
+    fn conv_reference(x: &Tensor, w: &Tensor, b: &[f32]) -> Tensor {
         let xs = x.shape();
         let ws = w.shape();
-        let ho = (xs.h + 2 * p.pad - p.k) / p.stride + 1;
-        let wo = (xs.w + 2 * p.pad - p.k) / p.stride + 1;
-        let mut out = Tensor::zeros(Shape4::new(xs.n, ws.n, ho, wo));
+        let mut out = Tensor::zeros(Shape4::new(xs.n, ws.n, xs.h, xs.w));
         for n in 0..xs.n {
             for co in 0..ws.n {
-                for oy in 0..ho {
-                    for ox in 0..wo {
+                for oy in 0..xs.h {
+                    for ox in 0..xs.w {
                         let mut acc = if b.is_empty() { 0.0 } else { b[co] };
                         for ci in 0..xs.c {
-                            for ky in 0..p.k {
-                                for kx in 0..p.k {
-                                    let iy = (oy * p.stride + ky) as isize - p.pad as isize;
-                                    let ix = (ox * p.stride + kx) as isize - p.pad as isize;
+                            for ky in 0..3 {
+                                for kx in 0..3 {
+                                    let iy = (oy + ky) as isize - 1;
+                                    let ix = (ox + kx) as isize - 1;
                                     if iy >= 0
                                         && iy < xs.h as isize
                                         && ix >= 0
@@ -175,12 +140,11 @@ mod tests {
 
     #[test]
     fn forward_matches_direct_reference() {
-        let p = Conv2dParams::SAME_3X3;
         let x = rand_tensor(Shape4::new(2, 3, 8, 7), 1);
         let w = rand_tensor(Shape4::new(5, 3, 3, 3), 2);
         let b: Vec<f32> = (0..5).map(|i| i as f32 * 0.1).collect();
-        let y = conv2d(&x, &w, &b, p);
-        let y_ref = conv_reference(&x, &w, &b, p);
+        let y = conv2d(&x, &w, &b);
+        let y_ref = conv_reference(&x, &w, &b);
         assert_eq!(y.shape(), y_ref.shape());
         for (a, r) in y.data().iter().zip(y_ref.data()) {
             assert!((a - r).abs() < 1e-4, "{a} vs {r}");
@@ -190,11 +154,10 @@ mod tests {
     #[test]
     fn forward_unit_kernel_identity() {
         // A 1x1-like identity built from a 3x3 kernel with centre 1.
-        let p = Conv2dParams::SAME_3X3;
         let x = rand_tensor(Shape4::new(1, 1, 6, 6), 3);
         let mut w = Tensor::zeros(Shape4::new(1, 1, 3, 3));
         *w.at_mut(0, 0, 1, 1) = 1.0;
-        let y = conv2d(&x, &w, &[], p);
+        let y = conv2d(&x, &w, &[]);
         for (a, b) in y.data().iter().zip(x.data()) {
             assert!((a - b).abs() < 1e-6);
         }
@@ -202,17 +165,16 @@ mod tests {
 
     #[test]
     fn backward_matches_numerical_gradient() {
-        let p = Conv2dParams::SAME_3X3;
         let x = rand_tensor(Shape4::new(1, 2, 5, 5), 4);
         let w = rand_tensor(Shape4::new(3, 2, 3, 3), 5);
         let b = vec![0.05, -0.1, 0.2];
         // Loss = sum(y * g) for a fixed random g => dy = g.
         let g = rand_tensor(Shape4::new(1, 3, 5, 5), 6);
         let loss = |x: &Tensor, w: &Tensor, b: &[f32]| -> f32 {
-            conv2d(x, w, b, p).data().iter().zip(g.data()).map(|(a, b)| a * b).sum()
+            conv2d(x, w, b).data().iter().zip(g.data()).map(|(a, b)| a * b).sum()
         };
 
-        let grads = conv2d_backward(&x, &w, &g, p);
+        let grads = conv2d_backward(&x, &w, &g);
 
         let eps = 1e-3;
         // Check a sample of input gradient entries.
@@ -243,19 +205,6 @@ mod tests {
             bm[co] -= eps;
             let num = (loss(&x, &w, &bp) - loss(&x, &w, &bm)) / (2.0 * eps);
             assert!((num - grads.db[co]).abs() < 2e-2);
-        }
-    }
-
-    #[test]
-    fn strided_conv_shapes() {
-        let p = Conv2dParams { k: 3, pad: 1, stride: 2 };
-        let x = rand_tensor(Shape4::new(1, 2, 8, 8), 7);
-        let w = rand_tensor(Shape4::new(4, 2, 3, 3), 8);
-        let y = conv2d(&x, &w, &[], p);
-        assert_eq!(y.shape(), Shape4::new(1, 4, 4, 4));
-        let y_ref = conv_reference(&x, &w, &[], p);
-        for (a, r) in y.data().iter().zip(y_ref.data()) {
-            assert!((a - r).abs() < 1e-4);
         }
     }
 }

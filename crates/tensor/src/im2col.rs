@@ -5,6 +5,7 @@
 //! column `o` holds the receptive field of output pixel `o`. Convolution then
 //! becomes a GEMM with the `[C_out, C*K*K]` weight matrix.
 
+use crate::shape::Shape4;
 use crate::zero::Zero;
 
 /// Geometry of a 2-D convolution.
@@ -25,6 +26,12 @@ pub struct ConvGeom {
 }
 
 impl ConvGeom {
+    /// The 3x3, pad-1, stride-1 ("same") convolution over one `[C, H, W]`
+    /// plane of `input`: every conv of the U-Net (Table II).
+    pub fn same_3x3(input: Shape4) -> Self {
+        Self { c_in: input.c, h: input.h, w: input.w, k: 3, pad: 1, stride: 1 }
+    }
+
     /// Output height.
     pub fn h_out(&self) -> usize {
         (self.h + 2 * self.pad - self.k) / self.stride + 1

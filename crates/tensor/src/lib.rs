@@ -37,7 +37,7 @@ pub use zero::Zero;
 /// Convenience re-exports for downstream crates.
 pub mod prelude {
     pub use crate::activation::{relu, relu_backward, relu_into, softmax_channels};
-    pub use crate::conv::{conv2d, conv2d_backward, Conv2dParams};
+    pub use crate::conv::{conv2d, conv2d_backward};
     pub use crate::norm::{batchnorm_backward, batchnorm_forward, BnState};
     pub use crate::pool::{maxpool2x2, maxpool2x2_backward, maxpool2x2_into};
     pub use crate::quantized::{QTensor, QTensorView};

@@ -205,7 +205,7 @@ fn plane(t: &Tensor, n: usize, c: usize) -> &[f32] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conv::{conv2d, Conv2dParams};
+    use crate::conv::conv2d;
     use crate::shape::Shape4;
     use rand::{Rng, SeedableRng};
 
@@ -291,7 +291,6 @@ mod tests {
 
     #[test]
     fn folding_preserves_inference_output() {
-        let p = Conv2dParams::SAME_3X3;
         let x = rand_tensor(Shape4::new(1, 2, 6, 6), 4);
         let w = rand_tensor(Shape4::new(3, 2, 3, 3), 5);
         let b = vec![0.1, -0.2, 0.3];
@@ -301,9 +300,9 @@ mod tests {
         bn.gamma = vec![1.2, 0.8, -1.0];
         bn.beta = vec![0.0, 0.1, -0.1];
 
-        let y1 = inference(&conv2d(&x, &w, &b, p), &bn);
+        let y1 = inference(&conv2d(&x, &w, &b), &bn);
         let (w2, b2) = fold_bn_into_conv(&w, &b, &bn);
-        let y2 = conv2d(&x, &w2, &b2, p);
+        let y2 = conv2d(&x, &w2, &b2);
         for (a, bv) in y1.data().iter().zip(y2.data()) {
             assert!((a - bv).abs() < 1e-4, "{a} vs {bv}");
         }

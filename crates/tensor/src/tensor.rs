@@ -85,13 +85,6 @@ impl Tensor {
         &mut self.data[i]
     }
 
-    /// Reinterprets the tensor with a new shape of identical length.
-    pub fn reshaped(mut self, shape: Shape4) -> Self {
-        assert_eq!(self.shape.len(), shape.len(), "reshape must preserve length");
-        self.shape = shape;
-        self
-    }
-
     /// Returns a new tensor `self + other` (elementwise; shapes must match).
     pub fn add(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.shape, other.shape);
@@ -131,13 +124,6 @@ impl Tensor {
         } else {
             self.sum() / self.data.len() as f32
         }
-    }
-
-    /// Slices out batch item `n` as a new `1xCxHxW` tensor.
-    pub fn batch_item(&self, n: usize) -> Tensor {
-        assert!(n < self.shape.n);
-        let chw = self.shape.chw();
-        Tensor { shape: self.shape.with_n(1), data: self.data[n * chw..(n + 1) * chw].to_vec() }
     }
 
     /// Stacks `1xCxHxW` tensors along the batch dimension.
@@ -291,8 +277,8 @@ mod tests {
             (0..3).map(|i| Tensor::full(Shape4::new(1, 2, 2, 2), i as f32)).collect();
         let stacked = Tensor::stack_batch(&items);
         assert_eq!(stacked.shape(), Shape4::new(3, 2, 2, 2));
-        for i in 0..3 {
-            assert_eq!(stacked.batch_item(i), items[i]);
+        for (chunk, item) in stacked.data().chunks_exact(8).zip(&items) {
+            assert_eq!(chunk, item.data());
         }
     }
 

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
-use seneca_tensor::conv::{conv2d, Conv2dParams};
+use seneca_tensor::conv::conv2d;
 use seneca_tensor::norm::{batchnorm_inference_into, fold_bn_into_conv, BnState};
 use seneca_tensor::tconv::{tconv2x2, tconv2x2_backward};
 use seneca_tensor::{Shape4, Tensor};
@@ -22,17 +22,16 @@ proptest! {
         c_in in 1usize..4, c_out in 1usize..4, hw in 3usize..8,
         a in -2.0f32..2.0, b in -2.0f32..2.0, seed in 0u64..500
     ) {
-        let p = Conv2dParams::SAME_3X3;
         let x = rand_tensor(Shape4::new(1, c_in, hw, hw), seed);
         let y = rand_tensor(Shape4::new(1, c_in, hw, hw), seed + 1);
         let w = rand_tensor(Shape4::new(c_out, c_in, 3, 3), seed + 2);
         let mut combo = x.clone();
         combo.scale(a);
         combo.axpy(b, &y);
-        let lhs = conv2d(&combo, &w, &[], p);
-        let mut rhs = conv2d(&x, &w, &[], p);
+        let lhs = conv2d(&combo, &w, &[]);
+        let mut rhs = conv2d(&x, &w, &[]);
         rhs.scale(a);
-        rhs.axpy(b, &conv2d(&y, &w, &[], p));
+        rhs.axpy(b, &conv2d(&y, &w, &[]));
         for (u, v) in lhs.data().iter().zip(rhs.data()) {
             prop_assert!((u - v).abs() < 1e-3 * (1.0 + u.abs()));
         }
@@ -61,7 +60,6 @@ proptest! {
         c_out in 1usize..5, seed in 0u64..500,
         mean in -2.0f32..2.0, var in 0.1f32..4.0, gamma in -2.0f32..2.0
     ) {
-        let p = Conv2dParams::SAME_3X3;
         let x = rand_tensor(Shape4::new(1, 2, 6, 6), seed);
         let w = rand_tensor(Shape4::new(c_out, 2, 3, 3), seed + 1);
         let bias: Vec<f32> = (0..c_out).map(|i| i as f32 * 0.1).collect();
@@ -72,11 +70,11 @@ proptest! {
             bn.gamma[i] = gamma;
             bn.beta[i] = 0.25 - i as f32 * 0.1;
         }
-        let conv = conv2d(&x, &w, &bias, p);
+        let conv = conv2d(&x, &w, &bias);
         let mut reference = Tensor::zeros(conv.shape());
         batchnorm_inference_into(conv.shape(), conv.data(), &bn, reference.data_mut());
         let (w2, b2) = fold_bn_into_conv(&w, &bias, &bn);
-        let folded = conv2d(&x, &w2, &b2, p);
+        let folded = conv2d(&x, &w2, &b2);
         for (a, b) in reference.data().iter().zip(folded.data()) {
             prop_assert!((a - b).abs() < 2e-4 * (1.0 + a.abs()), "{a} vs {b}");
         }

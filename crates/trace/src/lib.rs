@@ -168,16 +168,6 @@ struct SpanInner {
     start: u64,
 }
 
-impl Span {
-    /// Attributes a byte count (e.g. the op's output size) to the sample.
-    #[inline]
-    pub fn set_bytes(&mut self, bytes: u64) {
-        if let Some(inner) = &mut self.inner {
-            inner.bytes = bytes;
-        }
-    }
-}
-
 impl Drop for Span {
     #[inline]
     fn drop(&mut self) {
@@ -320,9 +310,8 @@ mod tests {
         set_enabled(true);
         reset();
         for i in 0..10u64 {
-            let mut sp = span("test", "work");
+            let sp = span_bytes("test", "work", 100);
             std::hint::black_box(i);
-            sp.set_bytes(100);
             drop(sp);
         }
         record_ns("test", "external", 5_000, 7);

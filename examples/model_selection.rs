@@ -43,9 +43,8 @@ fn main() {
         ));
         let (mut best_thr, mut best_ee, mut best_fps) = (1usize, 0.0f64, 0.0f64);
         for threads in [1usize, 2, 4, 8] {
-            let r =
-                DpuRunner::new(Arc::clone(&xm256), RuntimeConfig { threads, ..Default::default() })
-                    .throughput(wf.config.throughput_frames, 7);
+            let r = DpuRunner::new(Arc::clone(&xm256), RuntimeConfig { threads })
+                .throughput(wf.config.throughput_frames, 7);
             if r.energy_efficiency() > best_ee {
                 best_ee = r.energy_efficiency();
                 best_thr = threads;

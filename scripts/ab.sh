@@ -4,12 +4,13 @@
 #
 #   scripts/ab.sh PARENT [PAIRS]
 #
-# Builds PARENT in a git worktree with its own CARGO_TARGET_DIR, then runs
-# PAIRS (default 5) parent/change pairs of every workload at --trace 0: the
-# same seed within a pair, the side that runs first alternating from pair to
-# pair. Ends with `benchmark/run.sh --compare parent change`, whose exit code
-# it returns. Not part of ci.sh: it builds the benchmark twice and takes
-# ~3 min per pair on 2 cores.
+# Exports a fresh copy of PARENT with `git archive` (a plain directory, not a
+# git worktree: nothing to register or remove) and builds it with its own
+# CARGO_TARGET_DIR, then runs PAIRS (default 5) parent/change pairs of every
+# workload at --trace 0: the same seed within a pair, the side that runs
+# first alternating from pair to pair. Ends with `benchmark/run.sh --compare
+# parent change`, whose exit code it returns. Not part of ci.sh: it builds
+# the benchmark twice and takes ~3 min per pair on 2 cores.
 #
 # Each run takes the benchmark's own measured-phase length. Environment:
 # AB_DIR (work directory, default target/ab).
@@ -22,9 +23,9 @@ pairs="${2:-5}"
 work="$(mkdir -p "${AB_DIR:-target/ab}" && cd "${AB_DIR:-target/ab}" && pwd)"
 tree="$work/parent"
 
-git worktree remove --force "$tree" 2>/dev/null || true
-git worktree add --detach --quiet "$tree" "$parent"
-trap 'git -C "$root" worktree remove --force "$tree"' EXIT
+rm -rf "$tree"
+mkdir -p "$tree"
+git archive "$parent" | tar -x -C "$tree"
 
 a="$work/parent.jsonl"
 b="$work/change.jsonl"

@@ -126,8 +126,7 @@ proptest! {
         let n_bn = module.op_histogram()["batchnorm"];
         let shape = Shape4::new(2, 1, 2 << depth, (2 + wider) << depth);
         let fused = lower(module.clone(), shape, &LowerOptions::reference());
-        let unfused =
-            lower(module, shape, &LowerOptions { fuse_relu: false, ..LowerOptions::reference() });
+        let unfused = lower(module, shape, &LowerOptions { fuse_relu: false });
         prop_assert_eq!((fused.stats().bn_fused, fused.stats().relu_fused), (n_bn, n_bn));
         prop_assert_eq!(fused.module().nodes.len() + 2 * n_bn, unfused.module().nodes.len());
         let x = random_frame(shape, seed.wrapping_mul(7));
@@ -197,28 +196,29 @@ proptest! {
         prop_assert!(plan.n_slots() <= plan.n_nodes());
     }
 
-    /// The frontend pipeline (BN fold + ReLU fuse + identity strip) is a
-    /// semantic rewrite — folded weights round-trip through f32 multiplies —
-    /// so the rewritten program matches the oracle on its own nodes, and its
-    /// output matches the oracle's evaluation of the *unrewritten* module.
+    /// The deployment front end ([`fuse`]: BN fold + ReLU fuse + identity
+    /// strip, softmax included) is a semantic rewrite — folded weights
+    /// round-trip through f32 multiplies — so the rewritten program matches
+    /// the oracle on its own nodes, and its output (the logits) matches the
+    /// oracle's evaluation of the *unrewritten* module at the softmax input.
     #[test]
     fn frontend_fp32_matches_naive_within_tolerance(
         depth in 1usize..=2,
         base_filters in 2usize..5,
         seed in 0u64..1000,
     ) {
-        let net = random_net(depth, base_filters, seed);
-        let module = Graph::from_unet(&net, "prop").to_ir();
+        let graph = Graph::from_unet(&random_net(depth, base_filters, seed), "prop");
+        let module = graph.module();
         let side = 1 << (depth + 1);
         let shape = Shape4::new(1, 1, side, side);
-        // strip_softmax stays false so both programs end in softmax.
-        let opts = LowerOptions { strip_softmax: false, ..LowerOptions::frontend() };
-        let lowered = lower(module.clone(), shape, &opts);
+        let lowered = lower(fuse(&graph), shape, &LowerOptions::reference());
         assert_f32_matches_oracle(&lowered, shape, seed.wrapping_mul(13));
         let img = random_frame(shape, seed.wrapping_mul(13));
-        let naive = oracle::run_f32(&module, &img).swap_remove(module.output);
+        let out = &module.nodes[module.output];
+        prop_assert!(matches!(out.op, IrOp::Softmax));
+        let naive = oracle::run_f32(module, &img).swap_remove(out.inputs[0]);
         let fused = lowered.execute_f32(&img);
         prop_assert_eq!(fused.shape(), naive.shape());
-        assert_close_f32(fused.data(), naive.data(), "rewritten vs original output");
+        assert_close_f32(fused.data(), naive.data(), "rewritten vs original logits");
     }
 }

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use seneca_metrics::seg::{confusion, dice, global_weighted_dice, tnr, tpr};
-use seneca_tensor::conv::{conv2d_backward, Conv2dParams};
+use seneca_tensor::conv::conv2d_backward;
 use seneca_tensor::gemm::{igemm, sgemm, sgemm_reference};
 use seneca_tensor::pool::{maxpool2x2, maxpool2x2_backward};
 use seneca_tensor::quantized::{choose_fix_pos, requantize_i32, QTensor};
@@ -63,7 +63,7 @@ proptest! {
         let x = rand_tensor(Shape4::new(n, c_in, h, w), seed);
         let wc = rand_tensor(Shape4::new(c_out, c_in, 3, 3), seed + 1);
         let dy = rand_tensor(Shape4::new(n, c_out, h, w), seed + 2);
-        let g = conv2d_backward(&x, &wc, &dy, Conv2dParams::SAME_3X3);
+        let g = conv2d_backward(&x, &wc, &dy);
         let (dx, dw, db) = conv_backward_naive(&x, &wc, &dy);
         check_close(g.dx.data(), &dx);
         check_close(g.dw.data(), &dw);

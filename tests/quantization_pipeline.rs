@@ -152,7 +152,7 @@ fn quant_ref_backend_matches_dpu_runner_bit_for_bit() {
 
     let reference = QuantRefBackend::new(qg.clone(), shape).with_threads(2);
     let xm = Arc::new(seneca_dpu::compile(&qg, shape, DpuArch::b4096_zcu104()));
-    let dpu = DpuRunner::new(xm, RuntimeConfig { threads: 3, ..Default::default() });
+    let dpu = DpuRunner::new(xm, RuntimeConfig { threads: 3 });
     let a = reference.infer_batch(&calib);
     let b = dpu.infer_batch(&calib);
     assert_eq!(a.len(), b.len());

@@ -26,8 +26,7 @@ fn throughputs(size: ModelSize, threads: usize) -> (ThroughputReport, Throughput
     let (qg, _) = quantize_post_training(&fg, &calib, &PtqConfig::default());
     let input = Shape4::new(1, 1, 256, 256);
     let xm = Arc::new(seneca_dpu::compile(&qg, input, DpuArch::b4096_zcu104()));
-    let dpu =
-        DpuRunner::new(xm, RuntimeConfig { threads, ..Default::default() }).throughput(2000, 3);
+    let dpu = DpuRunner::new(xm, RuntimeConfig { threads }).throughput(2000, 3);
     let gpu = GpuRunner::new(graph, GpuModel::rtx2060_mobile(), input).throughput(2000, 3);
     (dpu, gpu)
 }
