@@ -380,20 +380,25 @@ impl Module {
     /// Peak per-frame GEMM work memory: for each conv/tconv node, the strip
     /// buffers the driver's parallel parts pack activations into (`parts x
     /// strip`, a few hundred KB — there is no whole packed `B`; the weight
-    /// panels are packed once at lowering and are not per-frame work). Two
-    /// buffers, each reused node to node, so each figure is a max over nodes,
-    /// not a sum: the direct convs' and tconvs' (bytes; the GEMM driver's
-    /// thread-local scratch) and the Winograd convs' (`i16` elements; the
-    /// executor arena's, see [`crate::exec::Scratch`]). Mirrors what the
-    /// kernels actually allocate via [`seneca_tensor::gemm::strip_scratch_len`].
+    /// panels are packed once at lowering and are not per-frame work), or an
+    /// FP32 band conv's row bands. Each buffer is reused node to node, so
+    /// each figure is a max over nodes, not a sum: the direct convs' and
+    /// tconvs' strips plus the band convs' `u32` k-step offset table (bytes;
+    /// the GEMM driver's thread-local scratch), and the Winograd convs'
+    /// strips (`i16` elements; the executor arena's, see
+    /// [`crate::exec::Scratch`]). Mirrors what the
+    /// kernels actually allocate via [`seneca_tensor::gemm::strip_scratch_len`]
+    /// and [`seneca_tensor::igemm::sgemm_conv_scratch`].
     fn gemm_work(&self, shapes: &[Shape4]) -> (u64, usize) {
         use seneca_tensor::gemm::{strip_scratch_len, NR};
+        use seneca_tensor::igemm::sgemm_conv_scratch;
+        use seneca_tensor::im2col::ConvGeom;
         use seneca_tensor::winograd::winograd_strip_scratch_len;
         let es = match self.dtype {
             DType::F32 => 4,
             DType::I8 => 1,
         };
-        let (mut direct, mut winograd) = (0, 0);
+        let (mut direct, mut band_offsets, mut winograd) = (0, 0, 0);
         for (node, out) in self.nodes.iter().zip(shapes) {
             // Per image, not per batch: the per-image loop reuses the buffers.
             let s = shapes[*node.inputs.first().unwrap_or(&0)];
@@ -404,6 +409,11 @@ impl Module {
                 IrOp::Conv(a) if a.pack.is_some_and(|p| p.format == PackFormat::Winograd) => {
                     winograd = winograd.max(winograd_strip_scratch_len(out.c, s.c, s.h, s.w));
                 }
+                IrOp::Conv(_) if self.dtype == DType::F32 => {
+                    let (strips, offsets) = sgemm_conv_scratch(out.c, &ConvGeom::same_3x3(s));
+                    direct = direct.max(es * strips);
+                    band_offsets = band_offsets.max(offsets * size_of::<u32>());
+                }
                 IrOp::Conv(_) => {
                     direct = direct.max(es * strip_scratch_len(out.c, s.c * 9, s.hw(), NR, es));
                 }
@@ -413,7 +423,7 @@ impl Module {
                 _ => {}
             }
         }
-        (direct as u64, winograd)
+        ((direct + band_offsets) as u64, winograd)
     }
 
     /// Number of nodes per mnemonic (listing/statistics helper).

@@ -197,13 +197,9 @@ mod tests {
         // Organ 1: 90 px perfectly segmented. Organ 2: 10 px fully missed.
         let mut gt = vec![0u8; 200];
         let mut pred = vec![0u8; 200];
-        for i in 0..90 {
-            gt[i] = 1;
-            pred[i] = 1;
-        }
-        for i in 90..100 {
-            gt[i] = 2;
-        }
+        gt[..90].fill(1);
+        pred[..90].fill(1);
+        gt[90..100].fill(2);
         let g = global_weighted_dice(&pred, &gt, 2).unwrap();
         assert!((g - 0.9).abs() < 1e-9, "{g}");
     }

@@ -28,6 +28,32 @@
 //!    37.7 MB for one 16M-model layer at 256², 151 MB in FP32). Edge panels
 //!    are zero padded to the tile width: the micro-kernels see no remainder,
 //!    padded lanes hold exact zeros and are clipped at store time.
+//!
+//!    **Bands.** An FP32 3x3 pad-1 stride-1 conv whose width `W` is a
+//!    multiple of `NR` packs no strip: the 9x im2col copy would be read by
+//!    only `c_out / MR` row tiles. A strip is `r` whole output rows instead,
+//!    and its buffer a zero-bordered copy of the `r + 2` input rows they
+//!    read, `r` chosen within [`STRIP_BYTES`] (`Strip::Band`). The tile
+//!    reads each k-step's `NR` values in place:
+//!
+//!    ```text
+//!      band, per part, per strip:  [C][r+2][W+2]     (1.x times the rows, not 9x)
+//!        plane c  ┌─┬─────────────────────┬─┐
+//!                 │0│ input row oy0-1     │0│  a row outside the map is all 0
+//!                 │0│ input row oy0       │0│
+//!                 │0│   ...               │0│
+//!                 │0│ input row oy0+r     │0│
+//!                 └─┴─────────────────────┴─┘
+//!      B[kk = (c, ky, kx)][oy*W + ox0 + j] = band[base + off[kk] + j],  j < NR
+//!      base    = (oy - oy0)(W+2) + ox0
+//!      off[kk] = c(r+2)(W+2) + ky(W+2) + kx        (a packed panel: off[kk] = kk*NR)
+//!    ```
+//!
+//!    The zero border is the `+0.0` the strip pack writes for padding, and
+//!    the tile walks the same ascending `k`, so both layouts give the same
+//!    bits. Parts and strips are cut on whole output rows, as the tconv and
+//!    Winograd parts are. Every other GEMM (narrower maps, the tconv,
+//!    stride 2, the weight gradient, every integer GEMM) packs strips.
 //! 2. **Parts.** One fork-join per GEMM. With at least as many strips as
 //!    threads the parts split the *columns* — so layers with few output rows
 //!    (`c_out <= 32`, every full-resolution layer of the 1M model) use every
@@ -40,8 +66,9 @@
 //!    ([`run_with`]; see [`crate::winograd`]).
 //! 3. **Micro-kernels.** An `MR x NR` accumulator tile walks one `A` row
 //!    panel (`[ip][kk][MR]`, packed once per weight tensor — [`PackedA`],
-//!    [`PackedA4`]) and one `B` panel over the whole `k` extent; constant
-//!    trip counts let LLVM keep the tile in vector registers.
+//!    [`PackedA4`]) and one `B` panel over the whole `k` extent — a packed
+//!    panel, or for `f32` the k-step offsets of a band (`Steps`);
+//!    constant trip counts let LLVM keep the tile in vector registers.
 //! 4. **Fused epilogues.** Bias, ReLU, an inference BatchNorm, the DPU
 //!    requantise-clamp and the transpose-conv scatter are applied to the
 //!    finished tile as it is stored; there is no pass over `C` after the
@@ -149,9 +176,11 @@ pub const MR: usize = 8;
 /// with AVX2 it is four.
 pub const NR: usize = 32;
 
-/// Cache budget of one packed `B` strip (see [`strip_cols`]). Sized for the
-/// L2 of the smallest cores this runs on; every row tile re-reads the strip
-/// from there.
+/// Cache budget of one packed `B` strip (see [`strip_cols`]) or one FP32 row
+/// band. Sized for the L2 of the smallest cores this runs on; every row tile
+/// re-reads the strip from there. The band conv measured the same from 128
+/// to 512 KiB on every 1M/16M shape at 256² down to 32², and well above the
+/// packed strips at each.
 pub const STRIP_BYTES: usize = 256 << 10;
 
 /// GEMMs below this many multiply-accumulates run inline on the calling
@@ -200,6 +229,10 @@ const STRIPS: usize = 1;
 thread_local! {
     static PACK_F32: PackScratch<f32> = const { RefCell::new([Vec::new(), Vec::new()]) };
     static PACK_I8: PackScratch<i8> = const { RefCell::new([Vec::new(), Vec::new()]) };
+    /// The k-step offsets of this thread's row bands ([`Steps::Band`]),
+    /// reused call to call like the strips: a fresh table per conv call
+    /// left the INT8 stream workload's peak RSS 4 MB higher (heap holes).
+    static BAND_OFFSETS: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Element type of a packed GEMM operand (`f32`, `i8`).
@@ -442,8 +475,22 @@ pub(crate) trait Panels: Sync {
     fn dims(&self) -> (usize, usize);
 
     /// Overwrites the first `rows` rows of `out` (at least) with row panel
-    /// `ip` times the `B` panel `bp` (`depth * NR` elements).
-    fn tile(&self, ip: usize, bp: &[Self::B], rows: usize, out: &mut Self::Out);
+    /// `ip` times the `B` panel `bp` whose k-steps sit where `steps` says: a
+    /// packed panel (`depth * NR` elements), or for the f32 impl also a row
+    /// band from the panel's first element on.
+    fn tile(&self, ip: usize, bp: &[Self::B], steps: Steps<'_>, rows: usize, out: &mut Self::Out);
+}
+
+/// Where the k-steps of one `B` panel sit, counted from the panel's first
+/// element: step `kk` is the `NR` elements at `kk * NR` of a packed panel, or
+/// at `offs[kk]` of a row band ([`Strip::Band`], f32 only).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Steps<'a> {
+    /// A packed k-major panel (`[kk][NR]`).
+    Packed,
+    /// A zero-bordered row band: `offs[(c, ky, kx)] = c·(r+2)(W+2) +
+    /// ky·(W+2) + kx`.
+    Band(&'a [u32]),
 }
 
 impl Panels for PackedA<f32> {
@@ -454,8 +501,17 @@ impl Panels for PackedA<f32> {
         (self.m, self.k)
     }
 
-    fn tile(&self, ip: usize, bp: &[f32], _rows: usize, out: &mut Acc<f32>) {
-        tile_f32(&self.panels[ip * MR * self.k..][..MR * self.k], bp, out);
+    fn tile(&self, ip: usize, bp: &[f32], steps: Steps<'_>, _rows: usize, out: &mut Acc<f32>) {
+        let ap = &self.panels[ip * MR * self.k..][..MR * self.k];
+        match steps {
+            Steps::Packed => tile_f32(ap, bp.as_chunks::<NR>().0.iter(), out),
+            Steps::Band(offs) => {
+                let step = |&off: &u32| -> &[f32; NR] {
+                    bp[off as usize..][..NR].try_into().expect("NR elements")
+                };
+                tile_f32(ap, offs.iter().map(step), out)
+            }
+        }
     }
 }
 
@@ -467,7 +523,8 @@ impl Panels for PackedA<i8> {
         (self.m, self.k)
     }
 
-    fn tile(&self, ip: usize, bp: &[i8], rows: usize, out: &mut Acc<i32>) {
+    fn tile(&self, ip: usize, bp: &[i8], steps: Steps<'_>, rows: usize, out: &mut Acc<i32>) {
+        debug_assert!(matches!(steps, Steps::Packed), "integer tiles read packed panels");
         tile_i8(&self.panels[ip * MR * self.k..][..MR * self.k], bp, rows, out);
     }
 }
@@ -480,23 +537,26 @@ impl Panels for PackedA4 {
         (self.m, self.k)
     }
 
-    fn tile(&self, ip: usize, bp: &[i8], rows: usize, out: &mut Acc<i32>) {
+    fn tile(&self, ip: usize, bp: &[i8], steps: Steps<'_>, rows: usize, out: &mut Acc<i32>) {
+        debug_assert!(matches!(steps, Steps::Packed), "integer tiles read packed panels");
         tile_i4(&self.panels[ip * (MR / 2) * self.k..][..MR / 2 * self.k], bp, rows, out);
     }
 }
 
 /// The f32 micro-kernel: an `MR x NR` accumulator tile over the full `k`
-/// extent of one A row panel and one B column panel, one fused
-/// multiply-add per element and k-step (`acc = a.mul_add(b, acc)`, one
-/// rounding), written to `out`. Branch-free with constant trip counts so
-/// LLVM keeps the tile in vector registers; isolated `#[inline(never)]`
-/// like the integer tiles (see the module docs for what it compiles to).
+/// extent of one A row panel and the `k` steps of `NR` `B` values that
+/// `steps` walks (a packed panel's consecutive rows, or a row band's
+/// offsets, [`Steps`]), one fused multiply-add per element and k-step (`acc
+/// = a.mul_add(b, acc)`, one rounding), written to `out`. Branch-free with
+/// constant trip counts so LLVM keeps the tile in vector registers; isolated
+/// `#[inline(never)]` like the integer tiles (see the module docs for what
+/// it compiles to). One source for both walks: the compiler instantiates it
+/// once per [`Steps`] variant.
 #[inline(never)]
-fn tile_f32(ap: &[f32], bp: &[f32], out: &mut [[f32; NR]; MR]) {
+fn tile_f32<'b>(ap: &[f32], steps: impl Iterator<Item = &'b [f32; NR]>, out: &mut Acc<f32>) {
     let mut acc = [[0.0f32; NR]; MR];
-    for (a, b) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
+    for (a, b) in ap.chunks_exact(MR).zip(steps) {
         let a: &[f32; MR] = a.try_into().expect("panel chunk");
-        let b: &[f32; NR] = b.try_into().expect("panel chunk");
         for (i, acc_i) in acc.iter_mut().enumerate() {
             let aik = a[i];
             for (acc_ij, &bv) in acc_i.iter_mut().zip(b) {
@@ -589,11 +649,24 @@ pub fn strip_cols(k: usize, elem_bytes: usize) -> usize {
     (STRIP_BYTES / (k.max(1) * elem_bytes) / NR).max(1) * NR
 }
 
+/// What a part's strip buffer holds for the micro-kernel to read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Strip {
+    /// Columns of `B` packed into `NR`-wide k-major panels, a strip of
+    /// [`strip_cols`] at a time: every GEMM but the FP32 band conv.
+    Panels,
+    /// Whole output rows of a 3x3 pad-1 stride-1 conv over `c` input
+    /// channels of width `w` (a multiple of `NR`), read in place from a
+    /// zero-bordered `[c][r + 2][w + 2]` band of the input, `r` rows within
+    /// [`STRIP_BYTES`] (at least one).
+    Band { c: usize, w: usize },
+}
+
 /// How one GEMM is cut into strips and parallel parts — shared by the driver
 /// and by the memory accounting ([`strip_scratch_len`]), so the two cannot
 /// drift.
 struct Split {
-    /// Columns per strip (a multiple of `NR`).
+    /// Columns per strip (a multiple of `NR`; of `w` for a band).
     nc: usize,
     row_parts: usize,
     col_parts: usize,
@@ -601,31 +674,51 @@ struct Split {
     rows_per: usize,
     /// Columns per column part (a multiple of the caller's quantum).
     cols_per: usize,
+    /// Elements of one part's strip buffer.
+    strip_len: usize,
 }
 
 impl Split {
     /// `quantum` is the granularity of column-part boundaries: `NR` for a
-    /// row-major `C`, one input row for the tconv scatter.
-    fn new(m: usize, k: usize, n: usize, quantum: usize, elem_bytes: usize) -> Self {
-        let nc = strip_cols(k, elem_bytes);
+    /// row-major `C`, one input row for the tconv scatter, one output row for
+    /// a band.
+    fn new(m: usize, k: usize, n: usize, quantum: usize, elem_bytes: usize, strip: Strip) -> Self {
+        let nc = match strip {
+            Strip::Panels => strip_cols(k, elem_bytes),
+            Strip::Band { c, w } => {
+                assert!(k == 9 * c && w > 0 && quantum == w, "band of a 3x3 conv, whole rows");
+                (STRIP_BYTES / (c * (w + 2) * elem_bytes)).saturating_sub(2).max(1) * w
+            }
+        };
         let (tiles, quanta) = (m.div_ceil(MR), n.div_ceil(quantum));
         let threads = if m * k * n < FORK_MIN_MACS { 1 } else { rayon::current_num_threads() };
         // Columns when every thread gets at least one strip of its own, the
         // row tiles (each part packing the strips itself) with what is left.
         let col_parts = threads.min(n.div_ceil(nc)).min(quanta).max(1);
         let row_parts = (threads / col_parts).min(tiles).max(1);
+        let cols_per = quanta.div_ceil(col_parts) * quantum;
+        let (nc, strip_len) = match strip {
+            Strip::Panels => (nc, packed_b_len(k, nc.min(cols_per).min(n))),
+            // A part's rows in equal bands (each band re-reads two halo rows).
+            Strip::Band { c, w } => {
+                let rows = cols_per.min(n) / w;
+                let r = rows.div_ceil(rows.div_ceil(nc / w).max(1));
+                (r * w, c * (r + 2) * (w + 2))
+            }
+        };
         Self {
             nc,
             row_parts,
             col_parts,
             rows_per: tiles.div_ceil(row_parts) * MR,
-            cols_per: quanta.div_ceil(col_parts) * quantum,
+            cols_per,
+            strip_len,
         }
     }
 
-    /// Elements of one part's strip buffer.
-    fn strip_len(&self, k: usize, n: usize) -> usize {
-        packed_b_len(k, self.nc.min(self.cols_per).min(n))
+    /// Elements of the strip buffers of all parts.
+    fn scratch_len(&self) -> usize {
+        self.row_parts * self.col_parts * self.strip_len
     }
 }
 
@@ -633,10 +726,27 @@ impl Split {
 /// GEMM whose packed operand has `elem_bytes`-wide elements: one strip buffer
 /// per parallel part. This is the *only* per-frame GEMM work memory (the
 /// weight panels are packed once). `quantum` as in the entry point: `NR` for
-/// a convolution, the input width for a 2x2 transpose convolution.
+/// a convolution, the input width for a 2x2 transpose convolution. An FP32
+/// conv that reads row bands is [`crate::igemm::sgemm_conv_scratch`].
 pub fn strip_scratch_len(m: usize, k: usize, n: usize, quantum: usize, elem_bytes: usize) -> usize {
-    let s = Split::new(m, k, n, quantum, elem_bytes);
-    s.row_parts * s.col_parts * s.strip_len(k, n)
+    Split::new(m, k, n, quantum, elem_bytes, Strip::Panels).scratch_len()
+}
+
+/// Elements of the row-band strip buffers of an FP32 `[m x 9c x h*w]` band
+/// conv ([`Strip::Band`]).
+pub(crate) fn band_scratch_len(m: usize, c: usize, h: usize, w: usize) -> usize {
+    Split::new(m, 9 * c, h * w, w, size_of::<f32>(), Strip::Band { c, w }).scratch_len()
+}
+
+/// Writes the band's k-step offsets into `offs`: `(c, ky, kx)` at `c *
+/// plane + ky * (w + 2) + kx`, `plane` being one channel's `(r + 2) * (w +
+/// 2)` elements.
+fn band_offsets(c: usize, w: usize, plane: usize, offs: &mut Vec<u32>) {
+    let at = |ci: usize, tap: usize| ci * plane + tap / 3 * (w + 2) + tap % 3;
+    offs.clear();
+    for ci in 0..c {
+        offs.extend((0..9).map(|tap| u32::try_from(at(ci, tap)).expect("band offsets fit u32")));
+    }
 }
 
 /// One micro-tile's position, handed to the store with the owning part's
@@ -696,7 +806,7 @@ struct Part<'a, B, C> {
 pub(crate) fn run<A: Panels, C: Send>(
     a: &A,
     n: usize,
-    layout: OutLayout,
+    (layout, strip): (OutLayout, Strip),
     c: &mut [C],
     pack: impl Fn(Range<usize>, &mut [A::B]) + Sync,
     store: impl Fn(&A::Out, Tile, &mut [&mut [C]]) + Sync,
@@ -704,7 +814,7 @@ pub(crate) fn run<A: Panels, C: Send>(
     A::B: PackElem,
 {
     let mut strips = take_buf::<A::B>(STRIPS);
-    run_with(a, n, layout, c, &mut strips, pack, store);
+    run_with(a, n, (layout, strip), c, &mut strips, pack, store);
     put_buf(STRIPS, strips);
 }
 
@@ -713,13 +823,13 @@ pub(crate) fn run<A: Panels, C: Send>(
 /// GEMM rows scatter into one plane, a quantum of one input row owns 2 output
 /// rows), or the `[H, W]` planes of a Winograd conv (a quantum of one tile
 /// row owns 2 output rows). The parts' strip buffers are slices of `strips`,
-/// grown to [`strip_scratch_len`] when shorter. `pack(cols, buf)` packs a
-/// strip of `B`; `store(out, tile, chunks)` writes one finished tile into the
-/// part's chunk pieces.
+/// grown to [`strip_scratch_len`] when shorter. `pack(cols, buf)` fills a
+/// strip buffer with columns `cols` of `B` as `strip` says; `store(out,
+/// tile, chunks)` writes one finished tile into the part's chunk pieces.
 pub(crate) fn run_with<A: Panels, C: Send>(
     a: &A,
     n: usize,
-    layout: OutLayout,
+    (layout, strip): (OutLayout, Strip),
     c: &mut [C],
     strips: &mut Vec<A::B>,
     pack: impl Fn(Range<usize>, &mut [A::B]) + Sync,
@@ -732,11 +842,20 @@ pub(crate) fn run_with<A: Panels, C: Send>(
     if m == 0 || n == 0 {
         return;
     }
-    let split = Split::new(m, k, n, layout.quantum, size_of::<A::B>());
-    let (n_parts, strip_len) = (split.row_parts * split.col_parts, split.strip_len(k, n));
+    let split = Split::new(m, k, n, layout.quantum, size_of::<A::B>(), strip);
+    let (n_parts, strip_len) = (split.row_parts * split.col_parts, split.strip_len);
     if strips.len() < n_parts * strip_len {
         strips.resize(n_parts * strip_len, A::B::ZERO);
     }
+    // Where a panel starts in its strip and where its k-steps sit.
+    let mut offs = BAND_OFFSETS.with(|o| std::mem::take(&mut *o.borrow_mut()));
+    if let Strip::Band { c, w } = strip {
+        band_offsets(c, w, strip_len / c, &mut offs);
+    }
+    let panel = |j: usize| match strip {
+        Strip::Panels => (j * k..(j + NR) * k, Steps::Packed),
+        Strip::Band { w, .. } => (j / w * (w + 2) + j % w..strip_len, Steps::Band(&offs)),
+    };
     let mut rest = &mut strips[..];
     let mut parts: Vec<Part<'_, A::B, C>> = (0..n_parts)
         .map(|p| {
@@ -776,8 +895,8 @@ pub(crate) fn run_with<A: Panels, C: Send>(
                 let rows = MR.min(part.rows.end - row);
                 for col in strip_cols.clone().step_by(NR) {
                     let cols = NR.min(strip_cols.end - col);
-                    let bp = &part.strip[(col - strip_cols.start) * k..][..NR * k];
-                    a.tile(row / MR, bp, rows, &mut acc);
+                    let (at, steps) = panel(col - strip_cols.start);
+                    a.tile(row / MR, &part.strip[at], steps, rows, &mut acc);
                     let tile =
                         Tile { row, col, rows, cols, row0: part.rows.start, col0: part.cols.start };
                     store(&acc, tile, &mut part.chunks);
@@ -791,12 +910,18 @@ pub(crate) fn run_with<A: Panels, C: Send>(
             }
         }
     });
+    BAND_OFFSETS.with(|o| *o.borrow_mut() = offs);
     // One record of each per GEMM call, carrying the parts' summed time: a
     // 256x256 conv has hundreds of strips and the trace ring 4096 slots.
     #[cfg(feature = "trace-gemm")]
     {
         use std::sync::atomic::Ordering::Relaxed;
-        let packed = (packed_b_len(k, n) * size_of::<A::B>()) as u64;
+        let elems = match strip {
+            Strip::Panels => packed_b_len(k, n),
+            // Every band copies its rows plus two halo rows.
+            Strip::Band { c, w } => c * (w + 2) * (n / w + 2 * n.div_ceil(split.nc)),
+        };
+        let packed = (elems * size_of::<A::B>()) as u64;
         seneca_trace::record_ns("gemm", "pack", spent[0].load(Relaxed), packed);
         seneca_trace::record_ns("gemm", "kernel", spent[1].load(Relaxed), size_of_val(c) as u64);
     }
@@ -835,15 +960,21 @@ pub(crate) fn bias_at<T: Zero>(bias: &[T], i: usize) -> T {
     bias.get(i).copied().unwrap_or(T::ZERO)
 }
 
-/// Runs the f32 driver into a row-major `C` with `epi` fused into the store.
+/// Runs the f32 driver into a row-major `C` with `epi` fused into the store;
+/// `pack` fills strip buffers as `strip` says.
 pub(crate) fn run_f32(
     pa: &PackedA<f32>,
-    n: usize,
+    (n, strip): (usize, Strip),
     c: &mut [f32],
     epi: GemmEpilogue<'_>,
     pack: impl Fn(Range<usize>, &mut [f32]) + Sync,
 ) {
-    run(pa, n, OutLayout::rows(n), c, pack, |acc, t, chunks| match epi {
+    let layout = match strip {
+        Strip::Panels => OutLayout::rows(n),
+        // Column parts own whole output rows.
+        Strip::Band { w, .. } => OutLayout { rows: 1, len: n, quantum: w, quantum_elems: w },
+    };
+    run(pa, n, (layout, strip), c, pack, |acc, t, chunks| match epi {
         GemmEpilogue::None => store_rows(acc, t, chunks, |_| (), |v, ()| v),
         GemmEpilogue::Bias(b) => store_rows(acc, t, chunks, |i| bias_at(b, i), |v, b| v + b),
         GemmEpilogue::BiasRelu(b) => {
@@ -870,7 +1001,7 @@ pub(crate) fn run_requant<A: Panels<B = i8, Out = Acc<i32>>>(
     (bias, shift, relu): (&[i32], i32, bool),
     pack: impl Fn(Range<usize>, &mut [i8]) + Sync,
 ) {
-    run(pa, n, OutLayout::rows(n), out, pack, |acc, t, chunks| {
+    run(pa, n, (OutLayout::rows(n), Strip::Panels), out, pack, |acc, t, chunks| {
         store_rows(acc, t, chunks, |i| bias_at(bias, i), |v, b| requant(v, b, shift, relu))
     });
 }
@@ -908,7 +1039,8 @@ pub fn sgemm_fused_packed(
     epi: GemmEpilogue<'_>,
 ) {
     assert_eq!(b.len(), pa.k * n, "B size");
-    run_f32(pa, n, c, epi, |cols, buf| pack_b(pa.k, cols, |kk, j| b[kk * n + j], buf));
+    let pack = |cols, buf: &mut [f32]| pack_b(pa.k, cols, |kk, j| b[kk * n + j], buf);
+    run_f32(pa, (n, Strip::Panels), c, epi, pack);
 }
 
 /// [`igemm_fused`] with a pre-packed `A` operand (see
@@ -969,7 +1101,7 @@ pub fn igemm(m: usize, k: usize, n: usize, a: &[i8], b: &[i8], c: &mut [i32]) {
         |pa| {
             let pack =
                 |cols: Range<usize>, buf: &mut [i8]| pack_b(k, cols, |kk, j| b[kk * n + j], buf);
-            run(pa, n, OutLayout::rows(n), c, pack, |acc, t, chunks| {
+            run(pa, n, (OutLayout::rows(n), Strip::Panels), c, pack, |acc, t, chunks| {
                 store_rows(acc, t, chunks, |_| (), |v, ()| v)
             });
         },
@@ -1055,13 +1187,6 @@ mod tests {
     fn rand_i8(len: usize, seed: u64) -> Vec<i8> {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         (0..len).map(|_| rng.gen_range(-128i32..128) as i8).collect()
-    }
-
-    fn assert_close(a: &[f32], b: &[f32], tol: f32) {
-        assert_eq!(a.len(), b.len());
-        for (i, (x, y)) in a.iter().zip(b).enumerate() {
-            assert!((x - y).abs() <= tol * (1.0 + x.abs().max(y.abs())), "idx {i}: {x} vs {y}");
-        }
     }
 
     #[test]
@@ -1291,15 +1416,13 @@ mod tests {
 
     #[test]
     fn igemm_exact_small_case() {
-        // 2x3 * 3x2
+        // 2x3 * 3x2: rows (1, -2, 3) and (0, 5, -6) against columns
+        // (7, 9, 11) and (8, 10, 12).
         let a: Vec<i8> = vec![1, -2, 3, 0, 5, -6];
         let b: Vec<i8> = vec![7, 8, 9, 10, 11, 12];
         let mut c = vec![0i32; 4];
         igemm(2, 3, 2, &a, &b, &mut c);
-        assert_eq!(
-            c,
-            vec![1 * 7 - 2 * 9 + 3 * 11, 1 * 8 - 2 * 10 + 3 * 12, 5 * 9 - 6 * 11, 5 * 10 - 6 * 12]
-        );
+        assert_eq!(c, vec![7 - 18 + 33, 8 - 20 + 36, 45 - 66, 50 - 72]);
     }
 
     #[test]

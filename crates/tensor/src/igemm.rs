@@ -15,6 +15,21 @@
 //! produced and the micro-kernels are the same — the implicit route is
 //! bit-identical to the materialized one by construction.
 //!
+//! An FP32 3x3 pad-1 stride-1 conv on a map whose width `W` is a multiple of
+//! `NR` (every level from 256² down to 32² of the U-Net) goes one step
+//! further and packs nothing 9x: a strip is `r` whole output rows, `pack_band`
+//! copies the `r + 2` input rows they read into a zero-bordered `[C][r +
+//! 2][W + 2]` band, and the f32 micro-kernel reads k-step `kk = (c, ky, kx)`
+//! of a panel in place, at `base + off[kk]` with
+//! `off[kk] = c(r + 2)(W + 2) + ky(W + 2) + kx`
+//! (the layout is drawn in [`crate::gemm`]). At 256² with
+//! 16–64 output channels the strip pack's 9x copy was read by only 2–8 row
+//! tiles; the band is 1.x times the rows it covers. Its zero border is the
+//! strip pack's zero fill and the FMA order is the same ascending `k`, so
+//! the band route is bit-identical to the strip route. Narrower maps, stride
+//! 2, the tconv, the weight gradient and every integer conv keep
+//! [`pack_b_im2col`].
+//!
 //! The 2x2 stride-2 transpose convolution gets the dual treatment on the
 //! *store* side: its input plane already is the column matrix (no gather
 //! needed), but the classic lowering materializes a `[4*C_out, H*W]`
@@ -35,8 +50,8 @@
 //! *transposed* virtual im2col matrix of a band of output rows.
 
 use crate::gemm::{
-    bias_at, packed_b_len, requant, run, run_f32, run_requant, Acc, GemmEpilogue, OutLayout,
-    PackElem, PackedA, PackedA4, Panels, Tile, NR,
+    band_scratch_len, bias_at, packed_b_len, requant, run, run_f32, run_requant, strip_scratch_len,
+    Acc, GemmEpilogue, OutLayout, PackElem, PackedA, PackedA4, Panels, Strip, Tile, NR,
 };
 use crate::im2col::ConvGeom;
 use crate::zero::Zero;
@@ -142,7 +157,8 @@ pub fn sgemm_conv(
 }
 
 /// [`sgemm_conv`] with a pre-packed weight operand: the per-call pack work
-/// is only the implicit activation strips.
+/// is only the implicit activation strips — or, for a band conv
+/// (`reads_bands`), the row bands the micro-kernel reads in place.
 pub fn sgemm_conv_packed(
     pa: &PackedA<f32>,
     geom: &ConvGeom,
@@ -151,7 +167,61 @@ pub fn sgemm_conv_packed(
     epi: GemmEpilogue<'_>,
 ) {
     assert_eq!(pa.k(), geom.col_rows(), "packed A k extent vs conv geometry");
-    run_f32(pa, geom.col_cols(), c, epi, |cols, buf| pack_b_im2col(geom, x, cols, buf));
+    assert_eq!(x.len(), geom.c_in * geom.h * geom.w, "input size");
+    let n = geom.col_cols();
+    if reads_bands(geom) {
+        let strip = Strip::Band { c: geom.c_in, w: geom.w };
+        run_f32(pa, (n, strip), c, epi, |cols, buf| pack_band(geom, x, cols, buf));
+    } else {
+        run_f32(pa, (n, Strip::Panels), c, epi, |cols, buf| pack_b_im2col(geom, x, cols, buf));
+    }
+}
+
+/// Whether an FP32 conv reads its activations in place from row bands
+/// instead of packed im2col strips: a 3x3 pad-1 stride-1 conv whose width is
+/// a whole number of `NR`-wide panels, so no panel straddles two output rows.
+fn reads_bands(geom: &ConvGeom) -> bool {
+    (geom.k, geom.pad, geom.stride) == (3, 1, 1)
+        && geom.c_in > 0
+        && geom.w > 0
+        && geom.w.is_multiple_of(NR)
+}
+
+/// Copies the input rows that output rows `cols / W` of a 3x3 same conv read
+/// into a zero-bordered band: `buf` holds `C` planes of `(r + 2) x (W + 2)`
+/// elements, and plane `c`'s row `i`, column `1 + ix` is input pixel `(oy0 -
+/// 1 + i, ix)` of channel `c`, zero outside the map (its first and last
+/// column, and the rows above the first or below the last input row), as
+/// the im2col pack's zero fill. Output pixel `(oy, ox)`'s tap `(ky, kx)` is
+/// then row `oy - oy0 + ky`, column `ox + kx` of the plane. Only the strip's
+/// own `cols.len() / W + 2` rows are written; `r` is the band's capacity.
+fn pack_band(geom: &ConvGeom, input: &[f32], cols: Range<usize>, buf: &mut [f32]) {
+    let (h, w) = (geom.h, geom.w);
+    let (oy0, rows) = (cols.start / w, cols.len() / w);
+    for (src, plane) in input.chunks_exact(h * w).zip(buf.chunks_exact_mut(buf.len() / geom.c_in)) {
+        for (i, row) in plane.chunks_exact_mut(w + 2).take(rows + 2).enumerate() {
+            match (oy0 + i).checked_sub(1).filter(|&iy| iy < h) {
+                Some(iy) => {
+                    row[1..=w].copy_from_slice(&src[iy * w..][..w]);
+                    (row[0], row[w + 1]) = (0.0, 0.0);
+                }
+                None => row.fill(0.0),
+            }
+        }
+    }
+}
+
+/// Per-call GEMM work memory of [`sgemm_conv_packed`] for an `m`-output-
+/// channel conv over `geom`: `(strip elements, offsets)`, the `f32` elements
+/// of the parts' packed strips or row bands, and the `u32` k-step offsets a
+/// band conv reads them through (0 for a strip conv). The two are separate
+/// thread-local buffers, each grown to the largest call's need.
+pub fn sgemm_conv_scratch(m: usize, geom: &ConvGeom) -> (usize, usize) {
+    if reads_bands(geom) {
+        (band_scratch_len(m, geom.c_in, geom.h, geom.w), geom.col_rows())
+    } else {
+        (strip_scratch_len(m, geom.col_rows(), geom.col_cols(), NR, size_of::<f32>()), 0)
+    }
 }
 
 /// Output pixels per weight-gradient GEMM. The GEMM driver never splits `k`,
@@ -231,7 +301,7 @@ pub fn sgemm_conv_wgrad(m: usize, a: &[f32], geom: &ConvGeom, x: &[f32], c: &mut
             |i, kk| a[i * pixels + p0 + kk],
             |pa| {
                 let pack = |cols, buf: &mut [f32]| pack_b_im2col_t(geom, x, &rows, cols, buf);
-                run(pa, n, OutLayout::rows(n), c, pack, |acc, t, chunks| {
+                run(pa, n, (OutLayout::rows(n), Strip::Panels), c, pack, |acc, t, chunks| {
                     for (ii, acc_i) in acc.iter().enumerate().take(t.rows) {
                         let dst = &mut chunks[t.row - t.row0 + ii][t.col - t.col0..][..t.cols];
                         for (d, &v) in dst.iter_mut().zip(acc_i) {
@@ -308,7 +378,7 @@ fn run_tconv2x2<
     let plane = ConvGeom { c_in: k, h, w, k: 1, pad: 0, stride: 1 };
     let pack = |cols: Range<usize>, buf: &mut [A::B]| pack_b_im2col(&plane, x, cols, buf);
     let layout = OutLayout { rows: 4, len: 4 * h * w, quantum: w, quantum_elems: 4 * w };
-    run(pa, h * w, layout, out, pack, |acc, t: Tile, chunks| {
+    run(pa, h * w, (layout, Strip::Panels), out, pack, |acc, t: Tile, chunks| {
         // GEMM rows come in `(kx = 0, kx = 1)` pairs that interleave into one
         // output row. Each pair is stored in three vectorisable passes over
         // fixed-size arrays: `f` down each row, the interleave, then the

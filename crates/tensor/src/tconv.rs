@@ -187,10 +187,10 @@ mod tests {
         let w = rand_tensor(Shape4::new(2, 4, 2, 2), 3);
         let b = vec![1.0, 2.0, 3.0, 4.0];
         let y = tconv2x2(&x, &w, &b);
-        for co in 0..4 {
+        for (co, &bias) in b.iter().enumerate() {
             for hh in 0..6 {
                 for ww in 0..6 {
-                    assert_eq!(y.at(0, co, hh, ww), b[co]);
+                    assert_eq!(y.at(0, co, hh, ww), bias);
                 }
             }
         }

@@ -38,7 +38,7 @@
 
 use crate::gemm::{
     bias_at, packed_b_len, requant, run_with, strip_scratch_len, tile_i16, Acc, OutLayout, Panels,
-    Tile, MR, NR,
+    Steps, Strip, Tile, MR, NR,
 };
 use crate::im2col::ConvGeom;
 use std::ops::Range;
@@ -133,7 +133,15 @@ impl Panels for PackedWinograd {
         (self.m, POS * self.c_in)
     }
 
-    fn tile(&self, ip: usize, bp: &[i16], rows: usize, out: &mut [Acc<i32>; POS]) {
+    fn tile(
+        &self,
+        ip: usize,
+        bp: &[i16],
+        steps: Steps<'_>,
+        rows: usize,
+        out: &mut [Acc<i32>; POS],
+    ) {
+        debug_assert!(matches!(steps, Steps::Packed), "integer tiles read packed panels");
         let k = self.c_in;
         let ap = &self.panels[ip * POS * MR * k..][..POS * MR * k];
         for ((a, b), o) in ap.chunks_exact(MR * k).zip(bp.chunks_exact(NR * k)).zip(out) {
@@ -323,7 +331,7 @@ pub fn igemm_conv_winograd(
     // A column part owns whole tile rows: two output rows of every plane.
     let layout = OutLayout { rows: 1, len: h * w, quantum: tw, quantum_elems: 2 * w };
     let pack = |cols: Range<usize>, buf: &mut [i16]| pack_b_winograd(geom, x, cols, buf);
-    run_with(pw, th * tw, layout, out, strips, pack, |m, t, chunks| {
+    run_with(pw, th * tw, (layout, Strip::Panels), out, strips, pack, |m, t, chunks| {
         store_winograd(m, t, chunks, (h, w), (bias, shift, relu))
     });
 }
@@ -364,8 +372,9 @@ mod tests {
             .map(|xi| (i32::from(pw.panels[xi * MR]) - WINO_U_OFFSET) * i32::from(v[xi * NR]))
             .collect();
         let ma: Vec<[i32; 2]> = (0..4).map(|p| at(from_fn(|q| m[4 * p + q]))).collect();
-        for dx in 0..2 {
-            let y = at(from_fn(|p| ma[p][dx]));
+        let ma_cols: [[i32; 4]; 2] = from_fn(|dx| from_fn(|p| ma[p][dx]));
+        for (dx, &col) in ma_cols.iter().enumerate() {
+            let y = at(col);
             for (dy, &yv) in y.iter().enumerate() {
                 let (oy, ox) = (2 + dy, 2 + dx);
                 let mut want = 0;

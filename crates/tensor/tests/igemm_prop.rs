@@ -19,11 +19,11 @@ use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use seneca_tensor::gemm::{
     igemm4_fused_packed, igemm_fused, igemm_reference, sgemm_fused, sgemm_reference, strip_cols,
-    GemmEpilogue, PackedA, PackedA4, FORK_MIN_MACS,
+    GemmEpilogue, PackedA, PackedA4, FORK_MIN_MACS, NR, STRIP_BYTES,
 };
 use seneca_tensor::igemm::{
     igemm4_conv_packed, igemm4_tconv2x2_packed, igemm_conv_packed, igemm_tconv2x2_packed,
-    sgemm_conv, sgemm_tconv2x2,
+    sgemm_conv, sgemm_conv_packed, sgemm_tconv2x2,
 };
 use seneca_tensor::im2col::{im2col_t, ConvGeom};
 use seneca_tensor::quantized::requantize_i32;
@@ -67,41 +67,65 @@ fn conv_f32_materialized(
     sgemm_fused(m, k, n, w, &col, out, epi);
 }
 
+/// Widths for the f32 conv: the primes, and whole numbers of `NR`-wide
+/// panels, where a 3x3 same conv reads row bands instead of packed strips.
+const WIDTHS: [usize; 9] = [1, 3, 5, 7, 11, 13, NR, 2 * NR, 3 * NR];
+
+/// Checks `sgemm_conv` and `sgemm_conv_packed` against the materialized
+/// route bit for bit on a batch of two `[C, H, W]` images, under all four
+/// epilogues.
+fn check_f32_conv(m: usize, geom: &ConvGeom, seed: u64) {
+    let (kdim, n) = (geom.col_rows(), geom.col_cols());
+    let wt = rand_f32(m * kdim, seed);
+    let pa = PackedA::pack(m, kdim, &wt);
+    let b = rand_f32(m, seed + 2);
+    let bn: Vec<(f32, f32)> = rand_f32(2 * m, seed + 3).chunks(2).map(|p| (p[0], p[1])).collect();
+    let epis = [
+        GemmEpilogue::None,
+        GemmEpilogue::Bias(&b),
+        GemmEpilogue::BiasRelu(&b),
+        GemmEpilogue::BiasBn { bias: &b, bn: &bn, relu: seed.is_multiple_of(2) },
+    ];
+    let xs = rand_f32(2 * geom.c_in * geom.h * geom.w, seed + 1);
+    let bits = |y: &[f32]| y.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for (img, x) in xs.chunks_exact(geom.c_in * geom.h * geom.w).enumerate() {
+        for epi in epis {
+            let what = format!("{geom:?} m{m} image {img} {epi:?}");
+            let mut y_ref = vec![0.0f32; m * n];
+            conv_f32_materialized(m, &wt, geom, x, epi, &mut y_ref);
+            let mut y = vec![0.0f32; m * n];
+            sgemm_conv(m, &wt, geom, x, &mut y, epi);
+            // Byte-identical operands + the same kernel => identical float ops.
+            assert_eq!(bits(&y), bits(&y_ref), "sgemm_conv {what}");
+            y.fill(f32::NAN);
+            sgemm_conv_packed(&pa, geom, x, &mut y, epi);
+            assert_eq!(bits(&y), bits(&y_ref), "sgemm_conv_packed {what}");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// f32 conv: implicit pack == materialized im2col, bit for bit, over
-    /// random geometry (stride 1/2, pad 0/1, k 1..3, prime H/W/C).
+    /// f32 conv: the implicit route (packed strips, or row bands for a 3x3
+    /// same conv on a whole number of panels) == materialized im2col, bit for
+    /// bit, over random geometry (stride 1/2, pad 0/1, k 1..3, prime H/C,
+    /// prime or `NR`-multiple W, `m` off the `MR` grid), every epilogue,
+    /// batch 2. Half the draws are 3x3 same convs.
     #[test]
     fn conv_f32_implicit_matches_materialized(
-        hi in 0usize..6, wi in 0usize..6, ci in 0usize..5, mi in 0usize..5,
+        hi in 0usize..6, wi in 0usize..9, ci in 0usize..6, mi in 0usize..6,
         k in 1usize..4, pad in 0usize..2, stride in 1usize..3,
-        bias_bit in 0u32..2, relu_bit in 0u32..2, seed in 0u64..1000
+        same in any::<bool>(), seed in 0u64..1000
     ) {
-        let (h, w, c_in, m) = (DIMS[hi], DIMS[wi], CHANS[ci], CHANS[mi]);
+        let (h, w) = (DIMS[hi], WIDTHS[wi]);
+        let c_in = [1, 2, 3, 5, 7, 16][ci];
+        let m = [1, 3, 5, 7, 8, 13][mi];
+        let (k, pad, stride) = if same { (3, 1, 1) } else { (k, pad, stride) };
         // Keep the kernel within the padded extent (h, w >= 1 so k = 1
         // always fits).
         let k = k.min(h + 2 * pad).min(w + 2 * pad);
-        let geom = ConvGeom { c_in, h, w, k, pad, stride };
-        let (kdim, n) = (geom.col_rows(), geom.col_cols());
-        let wt = rand_f32(m * kdim, seed);
-        let x = rand_f32(c_in * h * w, seed + 1);
-        let b = rand_f32(m, seed + 2);
-        let epi = match (bias_bit == 1, relu_bit == 1) {
-            (false, false) => GemmEpilogue::None,
-            (true, false) => GemmEpilogue::Bias(&b),
-            (_, true) => GemmEpilogue::BiasRelu(&b),
-        };
-        let mut y = vec![0.0f32; m * n];
-        let mut y_ref = vec![0.0f32; m * n];
-        sgemm_conv(m, &wt, &geom, &x, &mut y, epi);
-        conv_f32_materialized(m, &wt, &geom, &x, epi, &mut y_ref);
-        // Byte-identical panels + the same kernel => identical float ops.
-        prop_assert_eq!(
-            y.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            y_ref.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            "c{}x{}x{} k{} p{} s{}", c_in, h, w, k, pad, stride
-        );
+        check_f32_conv(m, &ConvGeom { c_in, h, w, k, pad, stride }, seed);
     }
 
     /// i8 conv: implicit pack == materialized im2col through the fused
@@ -346,6 +370,20 @@ fn conv_driver_seams_match_the_naive_reference() {
         sgemm_conv(m, &wf, &geom, &xf, &mut yf, GemmEpilogue::BiasRelu(&bf));
         // Same ascending-k FMA chain per element as the naive loop: equal bits.
         assert!(yf.iter().zip(&want_f32).all(|(a, b)| a.to_bits() == b.to_bits()), "f32 {what}");
+    }
+}
+
+/// The f32 row-band route at the driver's seams, against the materialized
+/// route: a channel count whose single padded row is larger than
+/// the band budget, [`STRIP_BYTES`] (one-row bands) and a map that forks into column parts
+/// whose row counts are not a multiple of the band's. Both fork.
+#[test]
+fn band_conv_seams_match_materialized() {
+    let wide_c = STRIP_BYTES / ((NR + 2) * size_of::<f32>()) + 1;
+    for (c_in, h, w, m) in [(wide_c, 3, NR, 13), (64, 70, 2 * NR, 13)] {
+        let geom = ConvGeom { c_in, h, w, k: 3, pad: 1, stride: 1 };
+        assert!(m * geom.col_rows() * geom.col_cols() >= FORK_MIN_MACS, "{geom:?} forks");
+        check_f32_conv(m, &geom, 9);
     }
 }
 

@@ -343,11 +343,11 @@ mod tests {
         const K: u64 = 500;
         let keys: [&'static str; N] = ["t0", "t1", "t2", "t3", "t4", "t5", "t6", "t7"];
         std::thread::scope(|s| {
-            for t in 0..N {
+            for key in keys {
                 s.spawn(move || {
                     for i in 1..=K {
                         record_ns("mt", "shared", i, 1);
-                        record_ns("mt", keys[t], 1_000, 0);
+                        record_ns("mt", key, 1_000, 0);
                     }
                 });
             }

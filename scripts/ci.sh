@@ -7,8 +7,8 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check =="
 cargo fmt --check
 
-echo "== cargo clippy --all-targets -- -D warnings =="
-cargo clippy --all-targets -- -D warnings
+echo "== cargo clippy --workspace --all-targets -- -D warnings =="
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== serving and routing cores stay sans-IO (no clock read, sleep, lock, channel or atomic in crates/serve/src/intake.rs or crates/fleet/src/router.rs) =="
 echo "Each core takes its inputs from its caller and returns what to do, so tests/serve_explorer.rs and tests/fleet_explorer.rs step them on seeded schedules; the threaded shells (server.rs, fleet.rs) own the clock, the locks, the condvars and the channels."
