@@ -211,8 +211,7 @@ mod tests {
     #[test]
     fn fp32_backend_is_thread_count_invariant_bit_for_bit() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(22);
-        let cfg =
-            UNetConfig { depth: 2, base_filters: 8, in_channels: 1, num_classes: 6, dropout: 0.0 };
+        let cfg = UNetConfig { depth: 2, base_filters: 8, num_classes: 6, dropout: 0.0 };
         let graph = Graph::from_unet(&UNet::new(cfg, &mut rng), "t");
         let shape = Shape4::new(1, 1, 64, 48);
         let frames: Vec<Tensor> = (0..3).map(|_| Tensor::he_normal(shape, &mut rng)).collect();
@@ -235,8 +234,7 @@ mod tests {
     #[test]
     fn int8_backend_serves_a_frame_of_another_geometry() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(21);
-        let cfg =
-            UNetConfig { depth: 2, base_filters: 4, in_channels: 1, num_classes: 6, dropout: 0.0 };
+        let cfg = UNetConfig { depth: 2, base_filters: 4, num_classes: 6, dropout: 0.0 };
         let fg = fuse(&Graph::from_unet(&UNet::new(cfg, &mut rng), "t"));
         let frame = |side: usize, rng: &mut rand::rngs::StdRng| {
             let mut t = Tensor::he_normal(Shape4::new(1, 1, side, side), rng);

@@ -9,15 +9,7 @@ use seneca_backend::Backend;
 use seneca_data::volume::Organ;
 use seneca_metrics::agg::{BoxplotStats, MeanStd};
 use seneca_metrics::seg::{global_weighted_dice, weighted_global_rates, Confusion};
-use seneca_tensor::Tensor;
 use serde::{Deserialize, Serialize};
-
-/// A segmentation predictor: preprocessed image in, label map out.
-pub type Predictor<'a> = dyn Fn(&Tensor) -> Vec<u8> + Sync + 'a;
-
-/// A batch predictor: one patient's preprocessed images in, label maps out
-/// (in input order). Backends map onto this via `infer_batch`.
-pub type BatchPredictor<'a> = dyn Fn(&[Tensor]) -> Vec<Vec<u8>> + Sync + 'a;
 
 /// Accuracy evaluation results over the test split.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -65,11 +57,6 @@ impl AccuracyReport {
     }
 }
 
-/// Evaluates a per-image predictor over the prepared test split.
-pub fn evaluate_accuracy(predict: &Predictor<'_>, data: &PreparedData) -> AccuracyReport {
-    evaluate_batches(&|images| images.iter().map(predict).collect(), data)
-}
-
 /// Evaluates any [`Backend`] over the prepared test split. Each patient's
 /// slices go through `infer_batch` as one batch, so backends with worker
 /// pools (the DPU runtime, the INT8 reference) parallelise within patients.
@@ -80,43 +67,28 @@ pub fn evaluate_backend(backend: &dyn Backend, data: &PreparedData) -> AccuracyR
 /// Evaluates any [`Backend`] over an explicit patient list — the robustness
 /// suite evaluates the same deployment on many scenario-specific test sets,
 /// none of which are the prepared split.
-pub fn evaluate_backend_on(backend: &dyn Backend, patients: &[TestPatient]) -> AccuracyReport {
-    evaluate_batches_on(
-        &|images| backend.infer_batch(images).into_iter().map(|p| p.labels).collect(),
-        patients,
-    )
-}
-
-/// Evaluates a batch predictor over the prepared test split.
 ///
-/// Each patient's prepared images are handed to the predictor as one
-/// borrowed `&[Tensor]` batch — evaluation never copies the test set, and
-/// the tensors a predictor sees are *the* prepared tensors (stable buffer
-/// addresses across evaluation passes).
-pub fn evaluate_batches(predict: &BatchPredictor<'_>, data: &PreparedData) -> AccuracyReport {
-    evaluate_batches_on(predict, &data.test_by_patient)
-}
-
-/// Evaluates a batch predictor over an explicit patient list.
-pub fn evaluate_batches_on(
-    predict: &BatchPredictor<'_>,
-    patients: &[TestPatient],
-) -> AccuracyReport {
+/// Each patient's images are handed to the backend as one borrowed
+/// `&[Tensor]` batch — evaluation never copies the test set, and the tensors
+/// a backend sees are *the* prepared tensors (stable buffer addresses across
+/// evaluation passes).
+pub fn evaluate_backend_on(backend: &dyn Backend, patients: &[TestPatient]) -> AccuracyReport {
     let mut per_organ_pct: Vec<Vec<f64>> = vec![Vec::new(); 5];
     let mut global_pct = Vec::new();
     let mut tpr_pct = Vec::new();
     let mut tnr_pct = Vec::new();
 
     for patient in patients {
-        let preds = predict(&patient.images);
-        assert_eq!(preds.len(), patient.images.len(), "predictor batch length");
+        let preds: Vec<Vec<u8>> =
+            backend.infer_batch(&patient.images).into_iter().map(|p| p.labels).collect();
+        assert_eq!(preds.len(), patient.images.len(), "backend batch length");
 
         // Accumulate confusion counts across the patient's slices.
         let mut organ_conf = [Confusion::default(); 5];
         let mut pred_all: Vec<u8> = Vec::new();
         let mut truth_all: Vec<u8> = Vec::new();
         for (truth, pred) in patient.labels.iter().zip(&preds) {
-            assert_eq!(pred.len(), truth.len(), "predictor output length");
+            assert_eq!(pred.len(), truth.len(), "backend output length");
             for (k, conf) in organ_conf.iter_mut().enumerate() {
                 conf.merge(&seneca_metrics::seg::confusion(pred, truth, k as u8 + 1));
             }
@@ -153,9 +125,33 @@ mod tests {
     use super::*;
     use crate::config::SenecaConfig;
     use crate::workflow::Workflow;
+    use seneca_backend::{Logits, Prediction};
+    use seneca_tensor::{Shape4, Tensor};
 
     fn data() -> PreparedData {
         Workflow::new(SenecaConfig::fast()).prepare_data()
+    }
+
+    /// A backend that labels each image with `label(image)`.
+    struct LabelBackend<F>(F);
+
+    impl<F: Fn(&Tensor) -> Vec<u8> + Send + Sync> Backend for LabelBackend<F> {
+        fn name(&self) -> String {
+            "labels".into()
+        }
+
+        fn infer_batch(&self, images: &[Tensor]) -> Vec<Prediction> {
+            let logits = || Logits::F32(Tensor::zeros(Shape4::new(1, 1, 1, 1)));
+            images
+                .iter()
+                .map(|img| Prediction { labels: (self.0)(img), logits: logits() })
+                .collect()
+        }
+    }
+
+    /// Predicts background everywhere.
+    fn background() -> LabelBackend<impl Fn(&Tensor) -> Vec<u8> + Send + Sync> {
+        LabelBackend(|img: &Tensor| vec![0u8; img.shape().hw()])
     }
 
     #[test]
@@ -170,8 +166,8 @@ mod tests {
             .map(|(img, labels)| (img.data().as_ptr() as usize, labels.clone()))
             .collect();
         let oracle =
-            move |img: &Tensor| -> Vec<u8> { lookup[&(img.data().as_ptr() as usize)].clone() };
-        let rep = evaluate_accuracy(&oracle, &data);
+            LabelBackend(move |img: &Tensor| lookup[&(img.data().as_ptr() as usize)].clone());
+        let rep = evaluate_backend(&oracle, &data);
         assert!((rep.global().mean - 100.0).abs() < 1e-9);
         assert!((rep.global_tpr().mean - 100.0).abs() < 1e-9);
         assert!((rep.global_tnr().mean - 100.0).abs() < 1e-9);
@@ -179,9 +175,7 @@ mod tests {
 
     #[test]
     fn background_predictor_scores_0_dice_100_tnr_is_undefined() {
-        let data = data();
-        let bg = |img: &Tensor| -> Vec<u8> { vec![0u8; img.shape().hw()] };
-        let rep = evaluate_accuracy(&bg, &data);
+        let rep = evaluate_backend(&background(), &data());
         assert!(rep.global().mean < 1e-9);
         // Predicting nothing: TPR 0, TNR 100 (no false positives).
         assert!(rep.global_tpr().mean < 1e-9);
@@ -190,9 +184,7 @@ mod tests {
 
     #[test]
     fn organ_samples_respect_presence() {
-        let data = data();
-        let bg = |img: &Tensor| -> Vec<u8> { vec![0u8; img.shape().hw()] };
-        let rep = evaluate_accuracy(&bg, &data);
+        let rep = evaluate_backend(&background(), &data());
         // Lungs occur in every scan kind; samples == number of test patients
         // that contain lungs (> 0). Brain is not among the 5 targets at all.
         assert!(!rep.per_organ_pct[Organ::Lungs.label() as usize - 1].is_empty());
@@ -201,9 +193,7 @@ mod tests {
 
     #[test]
     fn boxplot_available_for_present_organs() {
-        let data = data();
-        let bg = |img: &Tensor| -> Vec<u8> { vec![0u8; img.shape().hw()] };
-        let rep = evaluate_accuracy(&bg, &data);
+        let rep = evaluate_backend(&background(), &data());
         assert!(rep.organ_boxplot(Organ::Lungs).is_some());
     }
 }

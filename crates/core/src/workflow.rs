@@ -122,18 +122,7 @@ impl Workflow {
             cal.slices.iter().map(|s| slice_to_sample(s).image).collect();
 
         // Test slices grouped per patient (per-volume DSC for Fig. 6).
-        let mut test_by_patient = Vec::new();
-        for id in ds.patients(SplitKind::Test) {
-            let vol = ds.volume(id);
-            let mut images = Vec::new();
-            let mut labels = Vec::new();
-            for z in (0..vol.depth).step_by(self.config.test_stride) {
-                let s = slice_to_sample(&preprocess(&vol.slice(z), factor));
-                images.push(s.image);
-                labels.push(s.labels);
-            }
-            test_by_patient.push(TestPatient { id, images, labels });
-        }
+        let test_by_patient = self.scenario_test_patients(&Scenario::nominal(), None);
 
         PreparedData {
             train: train_slices.iter().map(slice_to_sample).collect(),
@@ -146,10 +135,9 @@ impl Workflow {
 
     /// Builds the test split under an acquisition [`Scenario`], optionally
     /// with seeded pathology — the robustness suite's per-scenario
-    /// evaluation sets. Uses the same patients, strides and preprocessing
-    /// as [`Self::prepare_data`], so `(Scenario::nominal(), None)`
-    /// reproduces the prepared `test_by_patient` exactly; only the
-    /// acquisition (and the injected lesions) differ otherwise. FP32 and
+    /// evaluation sets. `(Scenario::nominal(), None)` is the prepared
+    /// `test_by_patient` itself ([`Self::prepare_data`] builds it so); only
+    /// the acquisition (and the injected lesions) differ otherwise. FP32 and
     /// every quantized deployment are evaluated on these same tensors, so
     /// the measured gap is attributable to quantization alone.
     pub fn scenario_test_patients(
@@ -189,7 +177,8 @@ impl Workflow {
     /// Returns the trained graph, named by the size label.
     pub fn train_model(&self, size: ModelSize, data: &PreparedData) -> Graph {
         let mut rng = rand::rngs::StdRng::seed_from_u64(self.config.seed);
-        let net = UNet::from_size(size, &mut rng);
+        // The net is dropped here, so training owns its weights (no copy).
+        let mut graph = Graph::from_unet(&UNet::from_size(size, &mut rng), size.label());
         let mut opt = Adam::new(self.config.learning_rate);
 
         // Compute-normalised epoch budget, against the 1M model's MAC count.
@@ -197,7 +186,6 @@ impl Workflow {
         // training stream alone.
         let s = self.config.input_size;
         let frame_macs = |g: &Graph| g.macs(Shape4::new(1, 1, s, s)).iter().sum::<u64>() as f64;
-        let mut graph = Graph::from_unet(&net, size.label());
         let reference = UNet::from_size(ModelSize::M1, &mut rand::rngs::StdRng::seed_from_u64(0));
         let macs_1m = frame_macs(&Graph::from_unet(&reference, ModelSize::M1.label()));
         let epochs = ((self.config.train.epochs as f64 * macs_1m / frame_macs(&graph)).round()

@@ -143,8 +143,7 @@ mod tests {
 
     fn quantized(depth: usize, f: usize, seed: u64, size: usize) -> QuantizedGraph {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let cfg =
-            UNetConfig { depth, base_filters: f, in_channels: 1, num_classes: 6, dropout: 0.0 };
+        let cfg = UNetConfig { depth, base_filters: f, num_classes: 6, dropout: 0.0 };
         let net = UNet::new(cfg, &mut rng);
         let fg = fuse(&Graph::from_unet(&net, format!("d{depth}f{f}")));
         let calib = vec![Tensor::he_normal(Shape4::new(1, 1, size, size), &mut rng)];
@@ -180,8 +179,7 @@ mod tests {
     fn mixed_w4_model_compiles_with_fewer_weight_bytes_and_cycles() {
         use seneca_quant::{calibrate, quantize_from_calibration, Bitwidth};
         let mut rng = rand::rngs::StdRng::seed_from_u64(6);
-        let cfg =
-            UNetConfig { depth: 2, base_filters: 16, in_channels: 1, num_classes: 6, dropout: 0.0 };
+        let cfg = UNetConfig { depth: 2, base_filters: 16, num_classes: 6, dropout: 0.0 };
         let net = UNet::new(cfg, &mut rng);
         let fg = fuse(&Graph::from_unet(&net, "mixed"));
         let calib = vec![Tensor::he_normal(Shape4::new(1, 1, 16, 16), &mut rng)];

@@ -64,8 +64,7 @@ mod tests {
 
     fn setup(seed: u64) -> (XModel, Tensor) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let cfg =
-            UNetConfig { depth: 2, base_filters: 4, in_channels: 1, num_classes: 6, dropout: 0.0 };
+        let cfg = UNetConfig { depth: 2, base_filters: 4, num_classes: 6, dropout: 0.0 };
         let net = UNet::new(cfg, &mut rng);
         let fg = fuse(&Graph::from_unet(&net, "t"));
         let mut img = Tensor::he_normal(Shape4::new(1, 1, 16, 16), &mut rng);

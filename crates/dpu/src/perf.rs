@@ -95,35 +95,50 @@ pub fn mem_ns(instr: &DpuInstr, arch: &DpuArch) -> u64 {
     (base * factor) as u64
 }
 
+/// One compute instruction's price: its array time, and the DMA that feeds
+/// it (the transfers since the previous compute instruction).
+pub(crate) struct LayerCost {
+    /// Index of the compute instruction in the stream.
+    pub instr_index: usize,
+    /// Array time (ns).
+    pub compute_ns: u64,
+    /// DMA time of the transfers that feed it (ns).
+    pub feed_mem_ns: u64,
+}
+
+/// The one pricing walk over an instruction stream, shared by
+/// [`frame_cost`] and [`crate::profile::profile`]: a row per compute
+/// instruction (each also pays `arch.instr_overhead_ns` of dispatch), and
+/// the DMA time after the last one (the final SAVE).
+pub(crate) fn layer_costs(xm: &XModel, arch: &DpuArch) -> (Vec<LayerCost>, u64) {
+    let ns_per_cycle = arch.ns_per_cycle();
+    let mut rows = Vec::new();
+    let mut pending_mem = 0u64;
+    for (instr_index, instr) in xm.instrs.iter().enumerate() {
+        match instr {
+            DpuInstr::Load { .. } | DpuInstr::Save { .. } | DpuInstr::End => {
+                pending_mem += mem_ns(instr, arch);
+            }
+            _ => {
+                let compute_ns = (compute_cycles(instr, arch) as f64 * ns_per_cycle) as u64;
+                rows.push(LayerCost { instr_index, compute_ns, feed_mem_ns: pending_mem });
+                pending_mem = 0;
+            }
+        }
+    }
+    (rows, pending_mem)
+}
+
 /// Frame cost on one core: the DPU's load/compute/store engines run deeply
 /// pipelined with double-buffered on-chip memory, so over a whole frame the
 /// DMA stream overlaps the array almost completely — the frame latency is
 /// `max(total compute, total DMA) + per-dispatch overheads`.
 pub fn frame_cost(xm: &XModel, arch: &DpuArch) -> FrameCost {
-    let ns_per_cycle = arch.ns_per_cycle();
-    let mut compute_total = 0u64;
-    let mut mem_total = 0u64;
-    let mut overhead_total = 0u64;
-
-    for instr in &xm.instrs {
-        match instr {
-            DpuInstr::Load { .. } | DpuInstr::Save { .. } | DpuInstr::End => {
-                mem_total += mem_ns(instr, arch);
-            }
-            _ => {
-                compute_total += (compute_cycles(instr, arch) as f64 * ns_per_cycle) as u64;
-                overhead_total += arch.instr_overhead_ns;
-            }
-        }
-    }
-    let overhead_total = overhead_total + arch.frame_overhead_ns;
-    let serial = compute_total.max(mem_total) + overhead_total;
-    FrameCost {
-        compute_ns: compute_total,
-        mem_ns: mem_total,
-        overhead_ns: overhead_total,
-        serial_ns: serial,
-    }
+    let (rows, trailing_mem) = layer_costs(xm, arch);
+    let compute_ns = rows.iter().map(|r| r.compute_ns).sum::<u64>();
+    let mem_ns = rows.iter().map(|r| r.feed_mem_ns).sum::<u64>() + trailing_mem;
+    let overhead_ns = rows.len() as u64 * arch.instr_overhead_ns + arch.frame_overhead_ns;
+    FrameCost { compute_ns, mem_ns, overhead_ns, serial_ns: compute_ns.max(mem_ns) + overhead_ns }
 }
 
 /// Frame cost with pruning credit: zeroed output channels (see
@@ -156,8 +171,7 @@ mod tests {
         use seneca_quant::{fuse, quantize_post_training, PtqConfig};
         use seneca_tensor::{Shape4, Tensor};
         let mut rng = rand::rngs::StdRng::seed_from_u64(4);
-        let cfg =
-            UNetConfig { depth: 2, base_filters: 8, in_channels: 1, num_classes: 6, dropout: 0.0 };
+        let cfg = UNetConfig { depth: 2, base_filters: 8, num_classes: 6, dropout: 0.0 };
         let fg = fuse(&Graph::from_unet(&UNet::new(cfg, &mut rng), "p"));
         let calib = vec![Tensor::he_normal(Shape4::new(1, 1, 32, 32), &mut rng)];
         let (qg, _) = quantize_post_training(&fg, &calib, &PtqConfig::default());

@@ -3,8 +3,7 @@
 //! microseconds of a frame go, and which engine bounds each layer?
 
 use crate::arch::DpuArch;
-use crate::isa::DpuInstr;
-use crate::perf::{compute_cycles, mem_ns};
+use crate::perf::layer_costs;
 use crate::xmodel::XModel;
 use serde::{Deserialize, Serialize};
 
@@ -92,50 +91,37 @@ impl FrameProfile {
     }
 }
 
-/// Profiles one frame of an xmodel on the given architecture.
+/// Profiles one frame of an xmodel on the given architecture: the rows of
+/// [`crate::perf::frame_cost`]'s pricing walk, disassembled and classified.
 ///
 /// DMA instructions are attributed to the next compute instruction (the
-/// layer they feed); trailing DMA (final SAVE) is attributed to the last
-/// layer.
+/// layer they feed), which is what its bound is judged on; trailing DMA
+/// (final SAVE) is then added to the last layer.
 pub fn profile(xm: &XModel, arch: &DpuArch) -> FrameProfile {
-    let ns_per_cycle = arch.ns_per_cycle();
-    let mut layers: Vec<LayerProfile> = Vec::new();
-    let mut pending_mem = 0u64;
-    for (i, instr) in xm.instrs.iter().enumerate() {
-        match instr {
-            DpuInstr::Load { .. } | DpuInstr::Save { .. } => pending_mem += mem_ns(instr, arch),
-            DpuInstr::End => {
-                if let Some(last) = layers.last_mut() {
-                    last.mem_ns += pending_mem;
-                }
-                pending_mem = 0;
+    let (rows, trailing_mem) = layer_costs(xm, arch);
+    let ovh = arch.instr_overhead_ns;
+    let mut layers: Vec<LayerProfile> = rows
+        .into_iter()
+        .map(|r| {
+            let bound = if r.compute_ns >= r.feed_mem_ns && r.compute_ns >= ovh {
+                Bound::Compute
+            } else if r.feed_mem_ns >= ovh {
+                Bound::Memory
+            } else {
+                Bound::Overhead
+            };
+            LayerProfile {
+                instr_index: r.instr_index,
+                disasm: xm.instrs[r.instr_index].disassemble(),
+                compute_ns: r.compute_ns,
+                mem_ns: r.feed_mem_ns,
+                overhead_ns: ovh,
+                bound,
             }
-            _ => {
-                let c_ns = (compute_cycles(instr, arch) as f64 * ns_per_cycle) as u64;
-                let ovh = arch.instr_overhead_ns;
-                let bound = if c_ns >= pending_mem && c_ns >= ovh {
-                    Bound::Compute
-                } else if pending_mem >= ovh {
-                    Bound::Memory
-                } else {
-                    Bound::Overhead
-                };
-                layers.push(LayerProfile {
-                    instr_index: i,
-                    disasm: instr.disassemble(),
-                    compute_ns: c_ns,
-                    mem_ns: pending_mem,
-                    overhead_ns: ovh,
-                    bound,
-                });
-                pending_mem = 0;
-            }
-        }
-    }
-    if pending_mem > 0 {
-        if let Some(last) = layers.last_mut() {
-            last.mem_ns += pending_mem;
-        }
+        })
+        .collect();
+    if let Some(last) = layers.last_mut() {
+        last.mem_ns += trailing_mem;
     }
     let totals = layers.iter().fold((0u64, 0u64, 0u64), |acc, l| {
         (acc.0 + l.compute_ns, acc.1 + l.mem_ns, acc.2 + l.overhead_ns)
@@ -147,6 +133,7 @@ pub fn profile(xm: &XModel, arch: &DpuArch) -> FrameProfile {
 mod tests {
     use super::*;
     use crate::compiler::compile;
+    use crate::isa::DpuInstr;
     use rand::SeedableRng;
     use seneca_nn::graph::Graph;
     use seneca_nn::unet::{UNet, UNetConfig};
@@ -156,7 +143,7 @@ mod tests {
     fn xmodel(f: usize) -> XModel {
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let net = UNet::new(
-            UNetConfig { depth: 2, base_filters: f, in_channels: 1, num_classes: 6, dropout: 0.0 },
+            UNetConfig { depth: 2, base_filters: f, num_classes: 6, dropout: 0.0 },
             &mut rng,
         );
         let fg = fuse(&Graph::from_unet(&net, "p"));
@@ -179,14 +166,30 @@ mod tests {
         assert_eq!(p.layers.len(), n_compute);
     }
 
+    /// `frame_cost` is the profile's totals, field for field, on the five
+    /// Table II xmodels at 256² on both DPU configurations.
     #[test]
     fn totals_match_frame_cost() {
-        let xm = xmodel(4);
-        let p = profile(&xm, &xm.arch);
-        let fc = crate::perf::frame_cost(&xm, &xm.arch);
-        assert_eq!(p.totals.0, fc.compute_ns);
-        assert_eq!(p.totals.1, fc.mem_ns);
-        assert_eq!(p.totals.2 + p.frame_overhead_ns, fc.overhead_ns);
+        use seneca_nn::unet::ModelSize;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let calib = vec![Tensor::he_normal(Shape4::new(1, 1, 32, 32), &mut rng)];
+        for size in ModelSize::ALL {
+            let fg = fuse(&Graph::from_unet(&UNet::from_size(size, &mut rng), size.label()));
+            let (qg, _) = quantize_post_training(&fg, &calib, &PtqConfig::default());
+            for arch in [DpuArch::b4096_zcu104(), DpuArch::b1152()] {
+                let xm = compile(&qg, Shape4::new(1, 1, 256, 256), arch);
+                let p = profile(&xm, &xm.arch);
+                let (compute_ns, mem_ns, overhead_ns) = p.totals;
+                let overhead_ns = overhead_ns + p.frame_overhead_ns;
+                let serial_ns = compute_ns.max(mem_ns) + overhead_ns;
+                assert_eq!(
+                    crate::perf::frame_cost(&xm, &xm.arch),
+                    crate::perf::FrameCost { compute_ns, mem_ns, overhead_ns, serial_ns },
+                    "{size} on {}",
+                    xm.arch.name
+                );
+            }
+        }
     }
 
     #[test]

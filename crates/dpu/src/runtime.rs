@@ -172,8 +172,7 @@ mod tests {
 
     fn runner(threads: usize) -> (DpuRunner, Vec<Tensor>) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let cfg =
-            UNetConfig { depth: 2, base_filters: 4, in_channels: 1, num_classes: 6, dropout: 0.0 };
+        let cfg = UNetConfig { depth: 2, base_filters: 4, num_classes: 6, dropout: 0.0 };
         let net = UNet::new(cfg, &mut rng);
         let fg = fuse(&Graph::from_unet(&net, "t"));
         let images: Vec<Tensor> = (0..6)

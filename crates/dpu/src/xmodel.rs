@@ -121,8 +121,7 @@ mod tests {
 
     fn tiny_xmodel() -> XModel {
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let cfg =
-            UNetConfig { depth: 1, base_filters: 4, in_channels: 1, num_classes: 6, dropout: 0.0 };
+        let cfg = UNetConfig { depth: 1, base_filters: 4, num_classes: 6, dropout: 0.0 };
         let net = UNet::new(cfg, &mut rng);
         let fg = fuse(&Graph::from_unet(&net, "t"));
         let calib = vec![Tensor::he_normal(Shape4::new(1, 1, 8, 8), &mut rng)];

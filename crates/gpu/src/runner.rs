@@ -68,8 +68,7 @@ mod tests {
 
     fn runner(seed: u64) -> GpuRunner {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let cfg =
-            UNetConfig { depth: 2, base_filters: 4, in_channels: 1, num_classes: 6, dropout: 0.0 };
+        let cfg = UNetConfig { depth: 2, base_filters: 4, num_classes: 6, dropout: 0.0 };
         let net = UNet::new(cfg, &mut rng);
         GpuRunner::new(
             Graph::from_unet(&net, "t"),

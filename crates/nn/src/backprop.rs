@@ -204,7 +204,7 @@ mod tests {
 
     fn graph(depth: usize, dropout: f32, seed: u64) -> (Graph, rand::rngs::StdRng) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let cfg = UNetConfig { depth, base_filters: 4, in_channels: 1, num_classes: 6, dropout };
+        let cfg = UNetConfig { depth, base_filters: 4, num_classes: 6, dropout };
         (Graph::from_unet(&UNet::new(cfg, &mut rng), "t"), rng)
     }
 

@@ -1,7 +1,7 @@
 //! The model graph: what is trained, and what is handed off.
 //!
-//! A freshly built [`crate::unet::UNet`] is exported to this small
-//! single-input / single-output DAG, trained in place by the reverse walk of
+//! A [`crate::unet::UNet`] is built as this small single-input /
+//! single-output DAG, which is trained in place by the reverse walk of
 //! [`crate::backprop`], and then handed to the quantizer (`seneca-quant`) and
 //! the DPU compiler (`seneca-dpu`) — mirroring how one TensorFlow graph is
 //! trained and then flows into the Vitis AI quantizer and VAI_C.
@@ -14,7 +14,7 @@
 //! graph reads [`Graph::module`]; inference lowers [`Graph::to_ir`] through
 //! `seneca-ir`'s pass pipeline and planned executor.
 
-use crate::unet::{ConvBlock, UNet};
+use crate::unet::UNet;
 use seneca_ir::{ConvAttrs, ConvKernel, DType, IrOp, Module};
 use seneca_tensor::{Shape4, Tensor};
 use serde::{DeError, Deserialize, Serialize, Value};
@@ -99,44 +99,11 @@ impl Graph {
         self.module.push(op, inputs)
     }
 
-    /// Exports a U-Net into graph form (BN and dropout kept explicit). Node
-    /// order is the U-Net's forward order, so training draws the dropout
-    /// masks stack by stack, shallow encoder first.
+    /// The graph a U-Net was built as, named `name`. The weights are shared
+    /// with `net` (a trainer's first write copies them).
     pub fn from_unet(net: &UNet, name: impl Into<String>) -> Self {
-        let mut g = Graph::new(name);
-        let mut cur = 0usize;
-        let mut skips = Vec::new();
-        let rate = net.config.dropout;
-        let kernel = |w: &Tensor, b: &[f32]| {
-            ConvAttrs::new(ConvKernel::F32 { w: w.clone().into(), b: b.to_vec(), bn: None })
-        };
-        let push_block = |g: &mut Graph, cur: usize, blk: &ConvBlock| -> usize {
-            let mut id = g.push(IrOp::Conv(kernel(&blk.w, &blk.b)), vec![cur]);
-            if let Some(bn) = &blk.bn {
-                id = g.push(IrOp::BatchNorm { bn: bn.clone() }, vec![id]);
-                id = g.push(IrOp::Relu, vec![id]);
-            }
-            id
-        };
-        for e in &net.encoders {
-            cur = push_block(&mut g, cur, &e.conv1);
-            cur = push_block(&mut g, cur, &e.conv2);
-            skips.push(cur);
-            cur = g.push(IrOp::MaxPool2x2, vec![cur]);
-            cur = g.push(IrOp::Dropout { rate }, vec![cur]);
-        }
-        cur = push_block(&mut g, cur, &net.bneck1);
-        cur = push_block(&mut g, cur, &net.bneck2);
-        for (di, d) in net.decoders.iter().enumerate() {
-            let skip = skips[net.config.depth - 1 - di];
-            let up = g.push(IrOp::TConv(kernel(&d.up.w, &d.up.b)), vec![cur]);
-            cur = g.push(IrOp::Concat { requant: None }, vec![skip, up]);
-            cur = push_block(&mut g, cur, &d.conv1);
-            cur = push_block(&mut g, cur, &d.conv2);
-            cur = g.push(IrOp::Dropout { rate }, vec![cur]);
-        }
-        cur = push_block(&mut g, cur, &net.head);
-        g.push(IrOp::Softmax, vec![cur]);
+        let mut g = net.graph.clone();
+        g.module.name = name.into();
         g
     }
 
@@ -201,8 +168,7 @@ mod tests {
 
     fn tiny_net(seed: u64) -> UNet {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let cfg =
-            UNetConfig { depth: 2, base_filters: 4, in_channels: 1, num_classes: 6, dropout: 0.1 };
+        let cfg = UNetConfig { depth: 2, base_filters: 4, num_classes: 6, dropout: 0.1 };
         UNet::new(cfg, &mut rng)
     }
 
@@ -300,8 +266,7 @@ mod tests {
         // Depth-4 / 8-filter is the paper's 1M configuration: skip-aware
         // liveness must cut the arena well below the per-node sum.
         let mut rng = rand::rngs::StdRng::seed_from_u64(14);
-        let cfg =
-            UNetConfig { depth: 4, base_filters: 8, in_channels: 1, num_classes: 6, dropout: 0.1 };
+        let cfg = UNetConfig { depth: 4, base_filters: 8, num_classes: 6, dropout: 0.1 };
         let g = Graph::from_unet(&UNet::new(cfg, &mut rng), "m1");
         let plan = g.module().plan(Shape4::new(1, 1, 64, 64));
         assert!(plan.n_slots() < plan.n_nodes());

@@ -1,12 +1,12 @@
 //! Segmentation losses: weighted Focal Tversky (the SENECA training loss,
-//! Eq. (1)–(2) of the paper), soft Dice, and pixel cross-entropy.
+//! Eq. (1)–(2) of the paper) and pixel cross-entropy (the warm-up epoch's).
 //!
 //! All losses operate on softmax *probabilities* `[N, C, H, W]` and flat
 //! ground-truth labels (`u8`, length `N*H*W`), and return `(value, dprobs)`
 //! so they can feed the reverse walk ([`crate::graph::Graph::backward`])
 //! directly.
 
-use seneca_tensor::{Shape4, Tensor};
+use seneca_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
 /// The weighted Focal Tversky loss:
@@ -140,47 +140,6 @@ impl FocalTverskyLoss {
     }
 }
 
-/// Unweighted soft Dice loss `1 - mean_c( 2Σpg / (Σp + Σg) )` with gradient.
-/// Used for the loss-function ablation.
-pub fn dice_loss(probs: &Tensor, labels: &[u8]) -> (f32, Tensor) {
-    let s = probs.shape();
-    let hw = s.hw();
-    let mut num = vec![0.0f64; s.c];
-    let mut psum = vec![0.0f64; s.c];
-    let mut gsum = vec![0.0f64; s.c];
-    for n in 0..s.n {
-        for c in 0..s.c {
-            let base = s.idx(n, c, 0, 0);
-            for pix in 0..hw {
-                let p = probs.data()[base + pix] as f64;
-                let g = (labels[n * hw + pix] as usize == c) as u8 as f64;
-                num[c] += p * g;
-                psum[c] += p;
-                gsum[c] += g;
-            }
-        }
-    }
-    let smooth = 1.0f64;
-    let dices: Vec<f64> =
-        (0..s.c).map(|c| (2.0 * num[c] + smooth) / (psum[c] + gsum[c] + smooth)).collect();
-    let loss = 1.0 - dices.iter().sum::<f64>() / s.c as f64;
-
-    let mut dprobs = Tensor::zeros(s);
-    for n in 0..s.n {
-        for c in 0..s.c {
-            let base = s.idx(n, c, 0, 0);
-            let den = psum[c] + gsum[c] + smooth;
-            for pix in 0..hw {
-                let g = (labels[n * hw + pix] as usize == c) as u8 as f64;
-                // d dice_c/dp = (2g·den - (2num+smooth)) / den²; loss averages -1/C.
-                let dd = (2.0 * g * den - (2.0 * num[c] + smooth)) / (den * den);
-                dprobs.data_mut()[base + pix] = (-dd / s.c as f64) as f32;
-            }
-        }
-    }
-    (loss as f32, dprobs)
-}
-
 /// Mean pixel cross-entropy `-log p_true` with gradient w.r.t. probabilities.
 pub fn cross_entropy_loss(probs: &Tensor, labels: &[u8]) -> (f32, Tensor) {
     let s = probs.shape();
@@ -200,25 +159,12 @@ pub fn cross_entropy_loss(probs: &Tensor, labels: &[u8]) -> (f32, Tensor) {
     ((loss / count as f64) as f32, dprobs)
 }
 
-/// One-hot ground truth as a probability tensor (test/diagnostic helper).
-pub fn one_hot(labels: &[u8], shape: Shape4) -> Tensor {
-    let hw = shape.hw();
-    assert_eq!(labels.len(), shape.n * hw);
-    let mut t = Tensor::zeros(shape);
-    for n in 0..shape.n {
-        for pix in 0..hw {
-            let c = labels[n * hw + pix] as usize;
-            t.data_mut()[shape.idx(n, c, 0, 0) + pix] = 1.0;
-        }
-    }
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::{Rng, SeedableRng};
     use seneca_tensor::activation::softmax_channels;
+    use seneca_tensor::Shape4;
 
     fn random_case(seed: u64, shape: Shape4) -> (Tensor, Vec<u8>) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -230,6 +176,20 @@ mod tests {
         let labels: Vec<u8> =
             (0..shape.n * shape.hw()).map(|_| rng.gen_range(0..shape.c as u8)).collect();
         (probs, labels)
+    }
+
+    /// One-hot ground truth as a probability tensor.
+    fn one_hot(labels: &[u8], shape: Shape4) -> Tensor {
+        let hw = shape.hw();
+        assert_eq!(labels.len(), shape.n * hw);
+        let mut t = Tensor::zeros(shape);
+        for n in 0..shape.n {
+            for pix in 0..hw {
+                let c = labels[n * hw + pix] as usize;
+                t.data_mut()[shape.idx(n, c, 0, 0) + pix] = 1.0;
+            }
+        }
+        t
     }
 
     #[test]
@@ -307,22 +267,6 @@ mod tests {
         assert_eq!(min_i, 4);
         let sum: f32 = w.iter().sum();
         assert!((sum - 5.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn dice_loss_gradient_matches_numerical() {
-        let shape = Shape4::new(1, 3, 3, 3);
-        let (probs, labels) = random_case(2, shape);
-        let (_, grad) = dice_loss(&probs, &labels);
-        let eps = 1e-3;
-        for &i in &[0usize, 7, 16, 25] {
-            let mut pp = probs.clone();
-            pp.data_mut()[i] += eps;
-            let mut pm = probs.clone();
-            pm.data_mut()[i] -= eps;
-            let num = (dice_loss(&pp, &labels).0 - dice_loss(&pm, &labels).0) / (2.0 * eps);
-            assert!((num - grad.data()[i]).abs() < 1e-3, "i={i}");
-        }
     }
 
     #[test]

@@ -159,8 +159,7 @@ mod tests {
 
     fn tiny_setup(seed: u64) -> (Graph, Tensor, Vec<u8>, rand::rngs::StdRng) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let cfg =
-            UNetConfig { depth: 1, base_filters: 4, in_channels: 1, num_classes: 3, dropout: 0.0 };
+        let cfg = UNetConfig { depth: 1, base_filters: 4, num_classes: 3, dropout: 0.0 };
         let g = Graph::from_unet(&UNet::new(cfg, &mut rng), "t");
         let x = Tensor::he_normal(Shape4::new(2, 1, 8, 8), &mut rng);
         // Labels correlated with input sign so the task is learnable.

@@ -116,8 +116,7 @@ mod tests {
 
     fn tiny_graph(seed: u64) -> Graph {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let cfg =
-            UNetConfig { depth: 1, base_filters: 4, in_channels: 1, num_classes: 6, dropout: 0.0 };
+        let cfg = UNetConfig { depth: 1, base_filters: 4, num_classes: 6, dropout: 0.0 };
         Graph::from_unet(&UNet::new(cfg, &mut rng), "tiny")
     }
 

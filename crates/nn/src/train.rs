@@ -180,8 +180,7 @@ mod tests {
     fn training_learns_quadrants() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(21);
         let samples = toy_quadrant_dataset(8, 16, 4, &mut rng);
-        let cfg =
-            UNetConfig { depth: 2, base_filters: 4, in_channels: 1, num_classes: 4, dropout: 0.05 };
+        let cfg = UNetConfig { depth: 2, base_filters: 4, num_classes: 4, dropout: 0.05 };
         let mut net = Graph::from_unet(&UNet::new(cfg, &mut rng), "t");
         let loss = FocalTverskyLoss::paper_defaults(vec![1.0; 4]);
         let mut opt = Adam::new(2e-3);
@@ -216,8 +215,7 @@ mod tests {
     fn lr_decays_each_epoch() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(22);
         let samples = toy_quadrant_dataset(2, 8, 4, &mut rng);
-        let cfg =
-            UNetConfig { depth: 1, base_filters: 2, in_channels: 1, num_classes: 4, dropout: 0.0 };
+        let cfg = UNetConfig { depth: 1, base_filters: 2, num_classes: 4, dropout: 0.0 };
         let mut net = Graph::from_unet(&UNet::new(cfg, &mut rng), "t");
         let loss = FocalTverskyLoss::paper_defaults(vec![1.0; 4]);
         let mut opt = Adam::new(1e-3);
@@ -238,8 +236,7 @@ mod tests {
         use crate::augment::AugmentConfig;
         let mut rng = rand::rngs::StdRng::seed_from_u64(31);
         let samples = toy_quadrant_dataset(8, 16, 4, &mut rng);
-        let cfg =
-            UNetConfig { depth: 2, base_filters: 4, in_channels: 1, num_classes: 4, dropout: 0.05 };
+        let cfg = UNetConfig { depth: 2, base_filters: 4, num_classes: 4, dropout: 0.05 };
         let mut net = Graph::from_unet(&UNet::new(cfg, &mut rng), "t");
         let loss = FocalTverskyLoss::paper_defaults(vec![1.0; 4]);
         let mut opt = Adam::new(2e-3);
@@ -275,8 +272,7 @@ mod tests {
     #[should_panic(expected = "empty training set")]
     fn empty_dataset_panics() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(23);
-        let cfg =
-            UNetConfig { depth: 1, base_filters: 2, in_channels: 1, num_classes: 4, dropout: 0.0 };
+        let cfg = UNetConfig { depth: 1, base_filters: 2, num_classes: 4, dropout: 0.0 };
         let mut net = Graph::from_unet(&UNet::new(cfg, &mut rng), "t");
         let loss = FocalTverskyLoss::paper_defaults(vec![1.0; 4]);
         let mut opt = Adam::new(1e-3);

@@ -11,24 +11,26 @@
 //! With `layers = 2*depth + 1`, the five Table II configurations land within
 //! 1% of the paper's parameter totals (asserted by a unit test below).
 //!
-//! [`UNet`] only builds and sizes the network: [`crate::Graph::from_unet`]
-//! exports it, and everything after that — training included — runs on the
-//! graph.
+//! [`UNet::new`] builds the network directly as its export [`Graph`],
+//! drawing each conv / tconv weight as its node is pushed; there is no other
+//! form of the network. [`Graph::from_unet`] hands that graph out, and
+//! everything after — training included — runs on it.
 
+use crate::graph::{export_kernel, Graph};
 use rand::Rng;
+use seneca_ir::{ConvAttrs, ConvKernel, IrOp};
 use seneca_tensor::norm::BnState;
 use seneca_tensor::{Shape4, Tensor};
 use serde::{Deserialize, Serialize};
 
-/// Structural hyper-parameters of a SENECA U-Net.
+/// Structural hyper-parameters of a SENECA U-Net. The input is always one
+/// channel ([`UNetConfig::IN_CHANNELS`]).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct UNetConfig {
     /// Number of encoder (= decoder) stacks; Table II `layers = 2*depth + 1`.
     pub depth: usize,
     /// Base filter count (Table II "Filters").
     pub base_filters: usize,
-    /// Input channels (1 for CT slices).
-    pub in_channels: usize,
     /// Output classes (5 organs + background = 6).
     pub num_classes: usize,
     /// Dropout rate applied at the end of each stack.
@@ -36,6 +38,9 @@ pub struct UNetConfig {
 }
 
 impl UNetConfig {
+    /// Input channels: CT slices are single-channel.
+    pub const IN_CHANNELS: usize = 1;
+
     /// Table II "Layers" column: `2*depth + 1`.
     pub fn layers(&self) -> usize {
         2 * self.depth + 1
@@ -70,7 +75,7 @@ impl ModelSize {
             Self::M8 => (5, 11),
             Self::M16 => (5, 16),
         };
-        UNetConfig { depth, base_filters, in_channels: 1, num_classes: 6, dropout: 0.10 }
+        UNetConfig { depth, base_filters, num_classes: 6, dropout: 0.10 }
     }
 
     /// Parameter total reported by the paper, in millions.
@@ -102,123 +107,74 @@ impl std::fmt::Display for ModelSize {
     }
 }
 
-/// A convolution block's parameters: `conv 3x3 → BatchNorm → ReLU`, or a
-/// plain conv when `bn` is `None` (the output head). ReLU follows exactly
-/// when BatchNorm does.
-#[derive(Debug, Clone)]
-pub struct ConvBlock {
-    /// Convolution weights `[C_out, C_in, 3, 3]`.
-    pub w: Tensor,
-    /// Convolution bias.
-    pub b: Vec<f32>,
-    /// Batch normalisation (and with it the ReLU).
-    pub bn: Option<BnState>,
+/// The FP32 kernel of a freshly built conv / tconv: weights `w`, zero bias.
+fn kernel(w: Tensor, c_out: usize) -> ConvAttrs {
+    ConvAttrs::new(ConvKernel::F32 { w: w.into(), b: vec![0.0; c_out], bn: None })
 }
 
-impl ConvBlock {
-    /// He-initialised block, with BN + ReLU when `bn_relu`.
-    pub fn new<R: Rng>(c_in: usize, c_out: usize, bn_relu: bool, rng: &mut R) -> Self {
-        Self {
-            w: Tensor::he_normal(Shape4::new(c_out, c_in, 3, 3), rng),
-            b: vec![0.0; c_out],
-            bn: bn_relu.then(|| BnState::new(c_out)),
-        }
+/// Pushes a He-initialised `conv 3x3 (c_in → c_out)` on `x`, followed by
+/// BatchNorm + ReLU when `bn_relu` (every conv but the head's), and returns
+/// the block's output node.
+fn push_conv<R: Rng>(
+    g: &mut Graph,
+    x: usize,
+    c_in: usize,
+    c_out: usize,
+    bn_relu: bool,
+    rng: &mut R,
+) -> usize {
+    let w = Tensor::he_normal(Shape4::new(c_out, c_in, 3, 3), rng);
+    let mut id = g.push(IrOp::Conv(kernel(w, c_out)), vec![x]);
+    if bn_relu {
+        id = g.push(IrOp::BatchNorm { bn: BnState::new(c_out) }, vec![id]);
+        id = g.push(IrOp::Relu, vec![id]);
     }
-
-    /// Trainable + tracked parameter count, TF-style (BN counts 4/channel).
-    pub fn param_count(&self) -> usize {
-        self.w.shape().len() + self.b.len() + self.bn.as_ref().map_or(0, |bn| 4 * bn.channels())
-    }
+    id
 }
 
-/// A 2x2/stride-2 transpose-convolution up-sampling layer's parameters.
-#[derive(Debug, Clone)]
-pub struct TConvLayer {
-    /// Weights `[C_in, C_out, 2, 2]`.
-    pub w: Tensor,
-    /// Bias, length `C_out`.
-    pub b: Vec<f32>,
-}
-
-impl TConvLayer {
-    /// He-initialised transpose conv.
-    pub fn new<R: Rng>(c_in: usize, c_out: usize, rng: &mut R) -> Self {
-        Self { w: Tensor::he_normal(Shape4::new(c_in, c_out, 2, 2), rng), b: vec![0.0; c_out] }
-    }
-
-    /// Parameter count.
-    pub fn param_count(&self) -> usize {
-        self.w.shape().len() + self.b.len()
-    }
-}
-
-/// One encoder stack: two conv blocks (then max-pool + dropout).
-#[derive(Debug, Clone)]
-pub struct EncoderStack {
-    /// First conv (`c_in → c`).
-    pub conv1: ConvBlock,
-    /// Second conv (`c → 2c`, the "doubling" conv).
-    pub conv2: ConvBlock,
-}
-
-/// One decoder stack: up-sample, concat skip, two conv blocks (then dropout).
-#[derive(Debug, Clone)]
-pub struct DecoderStack {
-    /// 2x2 transpose conv (`cur → skip_channels`).
-    pub up: TConvLayer,
-    /// First conv after concat (`2s → s`).
-    pub conv1: ConvBlock,
-    /// Second conv (`s → s/2`, the "halving" conv).
-    pub conv2: ConvBlock,
-}
-
-/// The SENECA U-Net.
+/// The SENECA U-Net: its configuration and the export graph built from it.
 #[derive(Debug, Clone)]
 pub struct UNet {
     /// Construction config.
     pub config: UNetConfig,
-    /// Encoder stacks, shallow to deep.
-    pub encoders: Vec<EncoderStack>,
-    /// Bottleneck conv 1 (width-preserving).
-    pub bneck1: ConvBlock,
-    /// Bottleneck conv 2.
-    pub bneck2: ConvBlock,
-    /// Decoder stacks, deep to shallow (forward order).
-    pub decoders: Vec<DecoderStack>,
-    /// Output head: 3x3 conv to `num_classes`, no BN, no ReLU.
-    pub head: ConvBlock,
+    pub(crate) graph: Graph,
 }
 
 impl UNet {
-    /// Builds a randomly initialised U-Net.
+    /// Builds a randomly initialised U-Net. Node order is the forward order
+    /// (so training draws the dropout masks stack by stack, shallow encoder
+    /// first), and weights are drawn in that order: each encoder's two convs,
+    /// the bottleneck pair, each decoder's tconv and two convs, the head.
     pub fn new<R: Rng>(config: UNetConfig, rng: &mut R) -> Self {
-        let f = config.base_filters;
-        let mut encoders = Vec::with_capacity(config.depth);
-        let mut c_in = config.in_channels;
-        let mut c = f;
-        let mut skip_chans = Vec::new();
-        for _ in 0..config.depth {
-            let conv1 = ConvBlock::new(c_in, c, true, rng);
-            let conv2 = ConvBlock::new(c, 2 * c, true, rng);
-            encoders.push(EncoderStack { conv1, conv2 });
-            skip_chans.push(2 * c);
+        let rate = config.dropout;
+        let mut g = Graph::new("unet");
+        // `c_in` is always the width of node `cur`.
+        let (mut cur, mut c_in) = (0, UNetConfig::IN_CHANNELS);
+        // Each encoder's output node and its width, shallow to deep.
+        let mut skips = Vec::with_capacity(config.depth);
+        for i in 0..config.depth {
+            let c = config.base_filters << i;
+            cur = push_conv(&mut g, cur, c_in, c, true, rng);
+            cur = push_conv(&mut g, cur, c, 2 * c, true, rng);
+            skips.push((cur, 2 * c));
+            cur = g.push(IrOp::MaxPool2x2, vec![cur]);
+            cur = g.push(IrOp::Dropout { rate }, vec![cur]);
             c_in = 2 * c;
-            c *= 2;
         }
-        let bneck1 = ConvBlock::new(c_in, c_in, true, rng);
-        let bneck2 = ConvBlock::new(c_in, c_in, true, rng);
-        let mut decoders = Vec::with_capacity(config.depth);
-        let mut cur = c_in;
-        for i in (0..config.depth).rev() {
-            let s = skip_chans[i];
-            let up = TConvLayer::new(cur, s, rng);
-            let conv1 = ConvBlock::new(2 * s, s, true, rng);
-            let conv2 = ConvBlock::new(s, s / 2, true, rng);
-            decoders.push(DecoderStack { up, conv1, conv2 });
-            cur = s / 2;
+        cur = push_conv(&mut g, cur, c_in, c_in, true, rng);
+        cur = push_conv(&mut g, cur, c_in, c_in, true, rng);
+        for &(skip, s) in skips.iter().rev() {
+            let w = Tensor::he_normal(Shape4::new(c_in, s, 2, 2), rng);
+            let up = g.push(IrOp::TConv(kernel(w, s)), vec![cur]);
+            cur = g.push(IrOp::Concat { requant: None }, vec![skip, up]);
+            cur = push_conv(&mut g, cur, 2 * s, s, true, rng);
+            cur = push_conv(&mut g, cur, s, s / 2, true, rng);
+            cur = g.push(IrOp::Dropout { rate }, vec![cur]);
+            c_in = s / 2;
         }
-        let head = ConvBlock::new(cur, config.num_classes, false, rng);
-        Self { config, encoders, bneck1, bneck2, decoders, head }
+        cur = push_conv(&mut g, cur, c_in, config.num_classes, false, rng);
+        g.push(IrOp::Softmax, vec![cur]);
+        Self { config, graph: g }
     }
 
     /// Builds one of the Table II models.
@@ -226,17 +182,18 @@ impl UNet {
         Self::new(size.config(), rng)
     }
 
-    /// Total parameter count (TF-style: BN contributes 4 per channel).
+    /// Total parameter count, TF-style: every conv / tconv weight and bias,
+    /// and 4 per BatchNorm channel (γ, β and the two running statistics).
     pub fn param_count(&self) -> usize {
-        let mut total = 0;
-        for e in &self.encoders {
-            total += e.conv1.param_count() + e.conv2.param_count();
-        }
-        total += self.bneck1.param_count() + self.bneck2.param_count();
-        for d in &self.decoders {
-            total += d.up.param_count() + d.conv1.param_count() + d.conv2.param_count();
-        }
-        total + self.head.param_count()
+        let count = |op: &IrOp| match op {
+            IrOp::Conv(a) | IrOp::TConv(a) => {
+                let (w, b) = export_kernel(a);
+                w.shape().len() + b.len()
+            }
+            IrOp::BatchNorm { bn } => 4 * bn.channels(),
+            _ => 0,
+        };
+        self.graph.module.nodes.iter().map(|n| count(&n.op)).sum()
     }
 }
 
@@ -269,12 +226,23 @@ mod tests {
         }
     }
 
+    /// The count walks every node: a conv block is `9·c_in·c_out + c_out`
+    /// plus 4 per BatchNorm channel, a tconv `4·c_in·c_out + c_out`.
     #[test]
     fn block_param_counts() {
-        let mut r = rng();
-        assert_eq!(ConvBlock::new(3, 8, true, &mut r).param_count(), 8 * 3 * 9 + 8 + 32);
-        assert_eq!(ConvBlock::new(3, 8, false, &mut r).param_count(), 8 * 3 * 9 + 8);
-        assert_eq!(TConvLayer::new(4, 2, &mut r).param_count(), 4 * 2 * 4 + 2);
+        let conv = |c_in: usize, c_out: usize, bn: bool| {
+            9 * c_in * c_out + c_out + 4 * c_out * bn as usize
+        };
+        let tconv = |c_in: usize, c_out: usize| 4 * c_in * c_out + c_out;
+        let cfg = UNetConfig { depth: 1, base_filters: 3, num_classes: 5, dropout: 0.0 };
+        let expected = conv(1, 3, true)
+            + conv(3, 6, true)
+            + 2 * conv(6, 6, true)
+            + tconv(6, 6)
+            + conv(12, 6, true)
+            + conv(6, 3, true)
+            + conv(3, 5, false);
+        assert_eq!(UNet::new(cfg, &mut rng()).param_count(), expected);
     }
 
     #[test]

@@ -191,8 +191,7 @@ mod tests {
 
     fn setup(seed: u64) -> (Module, QuantizedGraph, Vec<Tensor>) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let cfg =
-            UNetConfig { depth: 1, base_filters: 4, in_channels: 1, num_classes: 4, dropout: 0.0 };
+        let cfg = UNetConfig { depth: 1, base_filters: 4, num_classes: 4, dropout: 0.0 };
         let net = UNet::new(cfg, &mut rng);
         let fg = fuse(&Graph::from_unet(&net, "t"));
         let calib: Vec<Tensor> = (0..4)

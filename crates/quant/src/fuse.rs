@@ -59,8 +59,7 @@ mod tests {
 
     fn tiny_graph(seed: u64) -> Graph {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let cfg =
-            UNetConfig { depth: 2, base_filters: 4, in_channels: 1, num_classes: 6, dropout: 0.1 };
+        let cfg = UNetConfig { depth: 2, base_filters: 4, num_classes: 6, dropout: 0.1 };
         Graph::from_unet(&UNet::new(cfg, &mut rng), "tiny")
     }
 

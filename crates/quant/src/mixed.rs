@@ -265,8 +265,7 @@ mod tests {
 
     fn setup(seed: u64) -> (Module, Vec<Tensor>) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let cfg =
-            UNetConfig { depth: 2, base_filters: 4, in_channels: 1, num_classes: 6, dropout: 0.1 };
+        let cfg = UNetConfig { depth: 2, base_filters: 4, num_classes: 6, dropout: 0.1 };
         let net = UNet::new(cfg, &mut rng);
         let fg = fuse(&Graph::from_unet(&net, "tiny"));
         let calib: Vec<Tensor> = (0..4)

@@ -75,8 +75,7 @@ mod tests {
 
     fn tiny_graph(seed: u64, depth: usize) -> (Graph, rand::rngs::StdRng) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let cfg =
-            UNetConfig { depth, base_filters: 4, in_channels: 1, num_classes: 4, dropout: 0.0 };
+        let cfg = UNetConfig { depth, base_filters: 4, num_classes: 4, dropout: 0.0 };
         (Graph::from_unet(&UNet::new(cfg, &mut rng), "t"), rng)
     }
 

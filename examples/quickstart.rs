@@ -10,8 +10,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use seneca::backend::Backend;
-use seneca::eval::{evaluate_accuracy, evaluate_backend};
+use seneca::eval::evaluate_backend;
 use seneca::{SenecaConfig, Workflow};
 use seneca_nn::ModelSize;
 
@@ -62,6 +61,6 @@ fn main() {
 
     // 5. Accuracy: INT8 vs FP32 global Dice on the held-out patients.
     let int8 = evaluate_backend(&dep.dpu_runner, &data);
-    let fp32 = evaluate_accuracy(&|img| dep.gpu_runner.predict(img), &data);
+    let fp32 = evaluate_backend(&dep.gpu_runner, &data);
     println!("global DSC: INT8 {} | FP32 {}", int8.global().display(2), fp32.global().display(2));
 }

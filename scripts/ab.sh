@@ -6,9 +6,10 @@
 #
 # Exports a fresh copy of PARENT with `git archive` (a plain directory, not a
 # git worktree: nothing to register or remove) and builds it with its own
-# CARGO_TARGET_DIR, then runs PAIRS (default 5) parent/change pairs of every
-# workload at --trace 0: the same seed within a pair, the side that runs
-# first alternating from pair to pair. Ends with `benchmark/run.sh --compare
+# CARGO_TARGET_DIR, then runs PAIRS parent/change pairs of every workload at
+# --trace 0: the same seed within a pair, the side that runs first
+# alternating from pair to pair. PAIRS defaults to 10, the fewest that can
+# show a gain holding in nine of ten pairs. Ends with `benchmark/run.sh --compare
 # parent change`, whose exit code it returns. Not part of ci.sh: it builds
 # the benchmark twice and takes ~3 min per pair on 2 cores.
 #
@@ -19,7 +20,7 @@ cd "$(dirname "$0")/.."
 root="$PWD"
 
 parent="${1:?usage: scripts/ab.sh PARENT [PAIRS]}"
-pairs="${2:-5}"
+pairs="${2:-10}"
 work="$(mkdir -p "${AB_DIR:-target/ab}" && cd "${AB_DIR:-target/ab}" && pwd)"
 tree="$work/parent"
 

@@ -76,10 +76,8 @@ fn fig5_style_render_roundtrip() {
 #[test]
 fn xmodel_json_is_a_complete_artifact() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-    let net = UNet::new(
-        UNetConfig { depth: 1, base_filters: 4, in_channels: 1, num_classes: 6, dropout: 0.0 },
-        &mut rng,
-    );
+    let net =
+        UNet::new(UNetConfig { depth: 1, base_filters: 4, num_classes: 6, dropout: 0.0 }, &mut rng);
     let fg = fuse(&Graph::from_unet(&net, "artifact"));
     let calib = vec![Tensor::he_normal(Shape4::new(1, 1, 16, 16), &mut rng)];
     let (qg, _) = quantize_post_training(&fg, &calib, &PtqConfig::default());

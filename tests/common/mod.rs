@@ -14,7 +14,7 @@ use seneca_tensor::{Shape4, Tensor};
 /// A seeded random U-Net over 6 classes, without dropout.
 pub fn random_net(depth: usize, base_filters: usize, seed: u64) -> UNet {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let cfg = UNetConfig { depth, base_filters, in_channels: 1, num_classes: 6, dropout: 0.0 };
+    let cfg = UNetConfig { depth, base_filters, num_classes: 6, dropout: 0.0 };
     UNet::new(cfg, &mut rng)
 }
 

@@ -3,11 +3,10 @@
 
 mod common;
 
-use seneca::backend::{Backend, Prediction};
-use seneca::eval::{evaluate_accuracy, evaluate_backend};
+use seneca::backend::{Backend, Fp32RefBackend, Prediction};
+use seneca::eval::evaluate_backend;
 use seneca::{SenecaConfig, Workflow};
 use seneca_nn::ModelSize;
-use seneca_tensor::activation::argmax_channels;
 
 #[test]
 fn full_pipeline_trains_quantises_compiles_and_evaluates() {
@@ -32,14 +31,12 @@ fn full_pipeline_trains_quantises_compiles_and_evaluates() {
 
     // Training must have learned *something*: the trained model beats a
     // random-initialised one on global DSC.
-    let trained = evaluate_accuracy(&|img| dep.gpu_runner.predict(img), &data);
+    let trained = evaluate_backend(&dep.gpu_runner, &data);
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(999);
     let random_net = seneca_nn::UNet::from_size(ModelSize::M1, &mut rng);
-    let random_module = seneca_nn::Graph::from_unet(&random_net, "random").to_ir();
-    let random = evaluate_accuracy(
-        &|img| argmax_channels(&seneca_ir::execute_f32(&random_module, img)),
-        &data,
-    );
+    let random_graph = seneca_nn::Graph::from_unet(&random_net, "random");
+    let shape = data.test_by_patient[0].images[0].shape();
+    let random = evaluate_backend(&Fp32RefBackend::new(random_graph, shape), &data);
     assert!(
         trained.global().mean > random.global().mean + 5.0,
         "trained {:.2}% vs random {:.2}%",

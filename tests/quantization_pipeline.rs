@@ -18,10 +18,7 @@ use std::sync::Arc;
 
 fn tiny_net(seed: u64) -> UNet {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    UNet::new(
-        UNetConfig { depth: 2, base_filters: 6, in_channels: 1, num_classes: 6, dropout: 0.1 },
-        &mut rng,
-    )
+    UNet::new(UNetConfig { depth: 2, base_filters: 6, num_classes: 6, dropout: 0.1 }, &mut rng)
 }
 
 fn calib_images(n: usize, size: usize, seed: u64) -> Vec<Tensor> {
@@ -196,12 +193,10 @@ fn misaligned_channel_models_compile_with_penalties() {
     // f=6 channels are ICP-misaligned; the compiler must record that and the
     // cost model must charge for it (the 2M-vs-4M mechanism of Table IV).
     let mut rng = rand::rngs::StdRng::seed_from_u64(8);
-    let net6 = UNet::new(
-        UNetConfig { depth: 2, base_filters: 6, in_channels: 1, num_classes: 6, dropout: 0.0 },
-        &mut rng,
-    );
+    let net6 =
+        UNet::new(UNetConfig { depth: 2, base_filters: 6, num_classes: 6, dropout: 0.0 }, &mut rng);
     let net16 = UNet::new(
-        UNetConfig { depth: 2, base_filters: 16, in_channels: 1, num_classes: 6, dropout: 0.0 },
+        UNetConfig { depth: 2, base_filters: 16, num_classes: 6, dropout: 0.0 },
         &mut rng,
     );
     let mk = |net: &UNet, name: &str| {
