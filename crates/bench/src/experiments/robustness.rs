@@ -34,12 +34,11 @@ use seneca::workflow::slice_to_sample;
 use seneca::{Deployment, PreparedData, Workflow};
 use seneca_data::calibration::random_calibration;
 use seneca_data::dataset::SplitKind;
-use seneca_data::pathology::PathologyConfig;
+use seneca_data::pathology::{LESION_HOSTS, MAX_LESIONS, MIN_LESIONS};
 use seneca_data::preprocess::preprocess;
 use seneca_data::scenario::ScenarioGrid;
 use seneca_data::volume::Organ;
 use seneca_dpu::arch::DpuArch;
-use seneca_nn::augment::AugmentConfig;
 use seneca_nn::unet::ModelSize;
 use seneca_quant::ptq::{argmax_agreement, calibrate};
 use seneca_quant::{
@@ -105,7 +104,7 @@ fn robust_deployment(ctx: &ExperimentCtx) -> (Workflow, PreparedData, Deployment
     let mut cfg = ctx.wf.config.clone();
     cfg.input_size = cfg.cohort.slice_size;
     cfg.train.epochs *= 2;
-    cfg.train.augment = Some(AugmentConfig::default());
+    cfg.train.augment = true;
     let wf = Workflow::new(cfg);
     let data = wf.prepare_data();
     let dep = wf.deploy(SIZE, &data);
@@ -160,7 +159,6 @@ fn quantized_variants(
 pub fn run(ctx: &mut ExperimentCtx) {
     let grid = ScenarioGrid::paper_default();
     let scenarios = grid.scenarios();
-    let pathology = PathologyConfig::default();
 
     eprintln!("[robustness] building augmented full-resolution {SIZE} deployment ...");
     let (rwf, rdata, dep) = robust_deployment(ctx);
@@ -189,7 +187,7 @@ pub fn run(ctx: &mut ExperimentCtx) {
     let mut json_scenarios: Vec<Value> = Vec::new();
     for sc in &scenarios {
         eprintln!("[robustness] scenario {} ...", sc.name());
-        let patients = rwf.scenario_test_patients(sc, Some(&pathology));
+        let patients = rwf.scenario_test_patients(sc, true);
         let mut row = vec![
             sc.name(),
             format!("{:.0}%", sc.dose * 100.0),
@@ -364,11 +362,9 @@ pub fn run(ctx: &mut ExperimentCtx) {
             "fovs": grid.fovs.clone(),
         },
         "pathology": {
-            "min_lesions": pathology.min_lesions,
-            "max_lesions": pathology.max_lesions,
-            "hosts": Value::Array(
-                pathology.hosts.iter().map(|o| json!(o.to_string())).collect()
-            ),
+            "min_lesions": MIN_LESIONS,
+            "max_lesions": MAX_LESIONS,
+            "hosts": Value::Array(LESION_HOSTS.iter().map(|o| json!(o.to_string())).collect()),
         },
         "eligibility_floor_pct": ELIGIBILITY_FLOOR_PCT,
         "mixed_w4_layers": n_w4,

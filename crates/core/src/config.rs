@@ -54,7 +54,7 @@ impl SenecaConfig {
                 seed: 0xC70E,
                 lr_decay: 0.9,
                 verbose: true,
-                augment: None,
+                augment: false,
             },
             learning_rate: 1.5e-3,
             calibration_images: 500,
@@ -75,7 +75,6 @@ impl SenecaConfig {
                 n_patients: 28,
                 slice_size: 128,
                 slices_per_unit_z: 36.0,
-                ..Default::default()
             },
             input_size: 64,
             train_stride: 6,
@@ -86,7 +85,7 @@ impl SenecaConfig {
                 seed: 0xC70E,
                 lr_decay: 0.93,
                 verbose: true,
-                augment: None,
+                augment: false,
             },
             learning_rate: 3e-3,
             calibration_images: 150,
@@ -103,7 +102,6 @@ impl SenecaConfig {
                 n_patients: 12,
                 slice_size: 64,
                 slices_per_unit_z: 16.0,
-                ..Default::default()
             },
             input_size: 32,
             train_stride: 3,
@@ -114,7 +112,7 @@ impl SenecaConfig {
                 seed: 0xC70E,
                 lr_decay: 0.9,
                 verbose: false,
-                augment: None,
+                augment: false,
             },
             learning_rate: 2e-3,
             calibration_images: 24,

@@ -4,7 +4,6 @@ use crate::config::SenecaConfig;
 use rand::SeedableRng;
 use seneca_data::calibration::{manual_calibration, PAPER_MANUAL_TARGET};
 use seneca_data::dataset::{SplitKind, SyntheticCtOrg};
-use seneca_data::pathology::PathologyConfig;
 use seneca_data::preprocess::preprocess;
 use seneca_data::scenario::Scenario;
 use seneca_data::stats::{FrequencyAccumulator, OrganFrequencies};
@@ -122,7 +121,7 @@ impl Workflow {
             cal.slices.iter().map(|s| slice_to_sample(s).image).collect();
 
         // Test slices grouped per patient (per-volume DSC for Fig. 6).
-        let test_by_patient = self.scenario_test_patients(&Scenario::nominal(), None);
+        let test_by_patient = self.scenario_test_patients(&Scenario::nominal(), false);
 
         PreparedData {
             train: train_slices.iter().map(slice_to_sample).collect(),
@@ -133,23 +132,19 @@ impl Workflow {
         }
     }
 
-    /// Builds the test split under an acquisition [`Scenario`], optionally
-    /// with seeded pathology — the robustness suite's per-scenario
-    /// evaluation sets. `(Scenario::nominal(), None)` is the prepared
+    /// Builds the test split under an acquisition [`Scenario`], with seeded
+    /// lesions when `lesions` is set — the robustness suite's per-scenario
+    /// evaluation sets. `(Scenario::nominal(), false)` is the prepared
     /// `test_by_patient` itself ([`Self::prepare_data`] builds it so); only
     /// the acquisition (and the injected lesions) differ otherwise. FP32 and
     /// every quantized deployment are evaluated on these same tensors, so
     /// the measured gap is attributable to quantization alone.
-    pub fn scenario_test_patients(
-        &self,
-        scenario: &Scenario,
-        pathology: Option<&PathologyConfig>,
-    ) -> Vec<TestPatient> {
+    pub fn scenario_test_patients(&self, scenario: &Scenario, lesions: bool) -> Vec<TestPatient> {
         let ds = self.cohort();
         let factor = self.config.downsample_factor();
         let mut patients = Vec::new();
         for id in ds.patients(SplitKind::Test) {
-            let vol = ds.scenario_volume(id, scenario, pathology);
+            let vol = ds.scenario_volume(id, scenario, lesions);
             let mut images = Vec::new();
             let mut labels = Vec::new();
             for z in (0..vol.depth).step_by(self.config.test_stride) {
@@ -270,7 +265,7 @@ mod tests {
     #[test]
     fn nominal_scenario_test_set_matches_prepared_split() {
         let (wf, data) = fast_workflow();
-        let nominal = wf.scenario_test_patients(&Scenario::nominal(), None);
+        let nominal = wf.scenario_test_patients(&Scenario::nominal(), false);
         assert_eq!(nominal.len(), data.test_by_patient.len());
         for (a, b) in nominal.iter().zip(&data.test_by_patient) {
             assert_eq!(a.id, b.id);
@@ -281,7 +276,7 @@ mod tests {
         }
         // A degraded scenario with pathology produces different inputs.
         let sc = Scenario { dose: 0.25, slice_thickness: 2, fov: 0.85 };
-        let degraded = wf.scenario_test_patients(&sc, Some(&PathologyConfig::default()));
+        let degraded = wf.scenario_test_patients(&sc, true);
         assert_eq!(degraded.len(), data.test_by_patient.len());
         assert!(degraded[0].images.len() < data.test_by_patient[0].images.len());
     }

@@ -31,25 +31,29 @@ pub fn artifacts_dir() -> PathBuf {
 /// RNG.
 const PIPELINE_VERSION: u32 = 5;
 
-/// A stable fingerprint of everything that affects trained weights: the
-/// configuration, salted with the pipeline version (the leading `v<N>`).
+/// A stable fingerprint of everything that affects trained weights: every
+/// configuration field training reads, salted with the pipeline version (the
+/// leading `v<N>`). Floats print in their shortest exact form, so any change
+/// of one changes the name.
 pub fn config_fingerprint(cfg: &SenecaConfig) -> String {
     let c = &cfg.cohort;
+    let t = &cfg.train;
     format!(
-        "v{PIPELINE_VERSION}p{}s{}z{}i{}ts{}e{}b{}lr{}sd{:x}{}",
+        "v{PIPELINE_VERSION}p{}s{}z{}i{}ts{}e{}b{}lr{}d{}sd{:x}-{:x}{}",
         c.n_patients,
         c.slice_size,
-        c.slices_per_unit_z as u32,
+        c.slices_per_unit_z,
         cfg.input_size,
         cfg.train_stride,
-        cfg.train.epochs,
-        cfg.train.batch_size,
-        (cfg.learning_rate * 1e6) as u64,
-        cfg.seed ^ cfg.train.seed,
-        // Suffix only when augmentation is on, so pre-augmentation cache
-        // entries keep their names (and stay valid — `None` leaves the
-        // training RNG stream untouched).
-        if cfg.train.augment.is_some() { "-aug" } else { "" },
+        t.epochs,
+        t.batch_size,
+        cfg.learning_rate,
+        t.lr_decay,
+        cfg.seed,
+        t.seed,
+        // Suffix only when augmentation is on (it draws from the training
+        // RNG stream; off leaves that stream untouched).
+        if t.augment { "-aug" } else { "" },
     )
 }
 
@@ -104,6 +108,28 @@ mod tests {
         b.train.epochs += 1;
         assert_ne!(config_fingerprint(&a), config_fingerprint(&b));
         assert_eq!(config_fingerprint(&a), config_fingerprint(&SenecaConfig::fast()));
+        // Every field that shapes trained weights, changed alone; floats by
+        // less than a truncating encoding would resolve.
+        type Edit = fn(&mut SenecaConfig);
+        let edits: [(&str, Edit); 12] = [
+            ("n_patients", |c| c.cohort.n_patients += 1),
+            ("slice_size", |c| c.cohort.slice_size *= 2),
+            ("slices_per_unit_z", |c| c.cohort.slices_per_unit_z += 0.5),
+            ("input_size", |c| c.input_size *= 2),
+            ("train_stride", |c| c.train_stride += 1),
+            ("epochs", |c| c.train.epochs += 1),
+            ("batch_size", |c| c.train.batch_size += 1),
+            ("learning_rate", |c| c.learning_rate += 1e-7),
+            ("seed", |c| c.seed += 1),
+            ("train.seed", |c| c.train.seed += 1),
+            ("lr_decay", |c| c.train.lr_decay = 0.93),
+            ("augment", |c| c.train.augment = !c.train.augment),
+        ];
+        for (field, edit) in edits {
+            let mut b = SenecaConfig::fast();
+            edit(&mut b);
+            assert_ne!(config_fingerprint(&a), config_fingerprint(&b), "{field}");
+        }
         assert!(config_fingerprint(&a).starts_with(&format!("v{PIPELINE_VERSION}p")));
     }
 

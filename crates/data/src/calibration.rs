@@ -101,7 +101,6 @@ mod tests {
             n_patients: 24,
             slice_size: 48,
             slices_per_unit_z: 28.0,
-            ..Default::default()
         });
         ds.slices(SplitKind::Train, 1)
     }

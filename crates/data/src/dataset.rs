@@ -1,13 +1,15 @@
 //! The synthetic 140-patient cohort standing in for CT-ORG.
 //!
-//! Volumes are generated lazily and deterministically from `(config.seed,
+//! Volumes are generated lazily and deterministically from `(COHORT_SEED,
 //! patient_id)`, so experiments never need the whole cohort in memory.
 //! Like CT-ORG, the cohort mixes chest-only and total-body acquisitions;
 //! only a small fraction of total-body scans include the head, which is what
-//! makes the brain label massively under-represented (Table I: 0.18%).
+//! makes the brain label massively under-represented (Table I: 0.18%). The
+//! scan mix and the partial-volume blur are properties of the dataset, so
+//! they are constants; a cohort's settings are its size and resolution.
 
 use crate::anatomy::Anatomy;
-use crate::pathology::{seed_lesions, PathologyConfig};
+use crate::pathology::seed_lesions;
 use crate::phantom::RasterConfig;
 use crate::scenario::{rasterize_scenario, Scenario};
 use crate::volume::{Slice2d, Volume};
@@ -47,6 +49,13 @@ pub enum SplitKind {
     Test,
 }
 
+/// Master seed of the cohort: anatomy, lesions and acquisition noise.
+pub const COHORT_SEED: u64 = 0x5EED_C70E;
+/// Fraction of chest-only scans.
+pub const CHEST_ONLY_FRACTION: f64 = 0.35;
+/// Fraction of *all* scans that include the head.
+pub const HEAD_FRACTION: f64 = 0.025;
+
 /// Cohort generation settings.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SyntheticCtOrgConfig {
@@ -57,27 +66,11 @@ pub struct SyntheticCtOrgConfig {
     pub slice_size: usize,
     /// Slices generated per unit of normalized z.
     pub slices_per_unit_z: f32,
-    /// Master seed.
-    pub seed: u64,
-    /// Fraction of chest-only scans.
-    pub chest_only_fraction: f64,
-    /// Fraction of *all* scans that include the head.
-    pub head_fraction: f64,
-    /// Partial-volume blur on/off.
-    pub blur: bool,
 }
 
 impl Default for SyntheticCtOrgConfig {
     fn default() -> Self {
-        Self {
-            n_patients: 140,
-            slice_size: 128,
-            slices_per_unit_z: 56.0,
-            seed: 0x5EED_C70E,
-            chest_only_fraction: 0.35,
-            head_fraction: 0.025,
-            blur: true,
-        }
+        Self { n_patients: 140, slice_size: 128, slices_per_unit_z: 56.0 }
     }
 }
 
@@ -97,7 +90,7 @@ impl SyntheticCtOrg {
     /// Per-patient RNG.
     fn patient_rng(&self, patient_id: usize) -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(
-            self.config.seed.wrapping_mul(0x100_0000_01B3) ^ patient_id as u64,
+            COHORT_SEED.wrapping_mul(0x100_0000_01B3) ^ patient_id as u64,
         )
     }
 
@@ -105,9 +98,9 @@ impl SyntheticCtOrg {
     pub fn scan_kind(&self, patient_id: usize) -> ScanKind {
         let mut rng = self.patient_rng(patient_id);
         let u: f64 = rng.gen();
-        if u < self.config.head_fraction {
+        if u < HEAD_FRACTION {
             ScanKind::TotalBodyWithHead
-        } else if u < self.config.head_fraction + self.config.chest_only_fraction {
+        } else if u < HEAD_FRACTION + CHEST_ONLY_FRACTION {
             ScanKind::ChestOnly
         } else {
             ScanKind::TotalBody
@@ -132,29 +125,24 @@ impl SyntheticCtOrg {
     /// Generates the full volume of one patient (healthy, nominal
     /// acquisition — this is what training and calibration see).
     pub fn volume(&self, patient_id: usize) -> Volume {
-        self.scenario_volume(patient_id, &Scenario::nominal(), None)
+        self.scenario_volume(patient_id, &Scenario::nominal(), false)
     }
 
-    /// Generates one patient under an acquisition [`Scenario`], optionally
-    /// with seeded pathology. `(Scenario::nominal(), None)` reproduces
-    /// [`Self::volume`] bit for bit: lesion seeding uses its own RNG stream
-    /// (`seed ^ 0x1E51_0000 ^ patient_id`), so healthy anatomy sampling is
-    /// untouched, and nominal scenario multipliers are exact 1.0s.
-    pub fn scenario_volume(
-        &self,
-        patient_id: usize,
-        scenario: &Scenario,
-        pathology: Option<&PathologyConfig>,
-    ) -> Volume {
+    /// Generates one patient under an acquisition [`Scenario`], with seeded
+    /// lesions ([`crate::pathology`]) when `lesions` is set.
+    /// `(Scenario::nominal(), false)` reproduces [`Self::volume`] bit for
+    /// bit: lesion seeding uses its own RNG stream
+    /// (`COHORT_SEED ^ 0x1E51_0000 ^ patient_id`), so healthy anatomy
+    /// sampling is untouched, and nominal scenario multipliers are exact 1.0s.
+    pub fn scenario_volume(&self, patient_id: usize, scenario: &Scenario, lesions: bool) -> Volume {
         assert!(patient_id < self.config.n_patients, "patient {patient_id} out of cohort");
         let mut rng = self.patient_rng(patient_id);
         let _ = rng.gen::<f64>(); // consumed by scan_kind
         let mut anatomy = Anatomy::sample(&mut rng);
-        if let Some(cfg) = pathology {
-            let mut lrng = rand::rngs::StdRng::seed_from_u64(
-                self.config.seed ^ 0x1E51_0000 ^ patient_id as u64,
-            );
-            anatomy.lesions = seed_lesions(&anatomy, cfg, &mut lrng);
+        if lesions {
+            let mut lrng =
+                rand::rngs::StdRng::seed_from_u64(COHORT_SEED ^ 0x1E51_0000 ^ patient_id as u64);
+            anatomy.lesions = seed_lesions(&anatomy, &mut lrng);
         }
         let kind = self.scan_kind(patient_id);
         let (z0, z1) = kind.z_range();
@@ -165,11 +153,10 @@ impl SyntheticCtOrg {
                 size: self.config.slice_size,
                 z_range: (z0, z1),
                 slices,
-                blur: self.config.blur,
                 ..RasterConfig::default()
             },
             scenario,
-            self.config.seed ^ 0xABCD,
+            COHORT_SEED ^ 0xABCD,
             patient_id,
         )
     }
@@ -199,7 +186,6 @@ mod tests {
             n_patients: 20,
             slice_size: 48,
             slices_per_unit_z: 24.0,
-            ..Default::default()
         })
     }
 
@@ -253,21 +239,21 @@ mod tests {
 
     #[test]
     fn brain_only_in_head_scans() {
+        // Head scans are rare (HEAD_FRACTION): pick them by scan kind from a
+        // large cohort, and check them alongside the first 40 patients.
         let ds = SyntheticCtOrg::new(SyntheticCtOrgConfig {
-            n_patients: 60,
+            n_patients: 400,
             slice_size: 48,
             slices_per_unit_z: 24.0,
-            head_fraction: 0.10,
-            ..Default::default()
         });
-        let mut head_scans = 0;
-        for id in 0..60 {
+        let head: Vec<usize> =
+            (0..400).filter(|&id| ds.scan_kind(id) == ScanKind::TotalBodyWithHead).collect();
+        assert!(!head.is_empty(), "cohort draw produced no head scans");
+        for id in head.into_iter().chain(0..40) {
             let has_brain = ds.volume(id).label_histogram()[Organ::Brain.label() as usize] > 0;
             let is_head = ds.scan_kind(id) == ScanKind::TotalBodyWithHead;
             assert_eq!(has_brain, is_head, "patient {id}");
-            head_scans += is_head as usize;
         }
-        assert!(head_scans >= 1, "cohort draw produced no head scans");
     }
 
     #[test]
@@ -292,7 +278,7 @@ mod tests {
         // must stay bit-identical (zoo caches key off these voxels).
         let ds = tiny_cohort();
         let plain = ds.volume(4);
-        let nominal = ds.scenario_volume(4, &Scenario::nominal(), None);
+        let nominal = ds.scenario_volume(4, &Scenario::nominal(), false);
         assert_eq!(plain.hu, nominal.hu);
         assert_eq!(plain.labels, nominal.labels);
         assert!(nominal.lesion.is_empty());
@@ -301,16 +287,15 @@ mod tests {
     #[test]
     fn pathology_volumes_are_deterministic_and_lesion_bearing() {
         let ds = tiny_cohort();
-        let cfg = PathologyConfig { min_lesions: 2, max_lesions: 3, ..Default::default() };
         let sc = Scenario { dose: 0.5, slice_thickness: 2, fov: 0.9 };
-        let a = ds.scenario_volume(7, &sc, Some(&cfg));
-        let b = ds.scenario_volume(7, &sc, Some(&cfg));
+        let a = ds.scenario_volume(7, &sc, true);
+        let b = ds.scenario_volume(7, &sc, true);
         assert_eq!(a.hu, b.hu);
         assert_eq!(a.labels, b.labels);
         assert_eq!(a.lesion, b.lesion);
         // At least one patient in the cohort rasterises lesion voxels.
         let total: u64 = (0..8)
-            .map(|id| ds.scenario_volume(id, &Scenario::nominal(), Some(&cfg)).lesion_voxels())
+            .map(|id| ds.scenario_volume(id, &Scenario::nominal(), true).lesion_voxels())
             .sum();
         assert!(total > 0, "no lesion voxels across 8 patients");
     }
@@ -320,12 +305,16 @@ mod tests {
         // Lesions are folded into organ labels: the label field with
         // pathology is identical to the healthy one (HU differs inside).
         let ds = tiny_cohort();
-        let cfg = PathologyConfig { min_lesions: 3, max_lesions: 3, ..Default::default() };
-        let healthy = ds.volume(0);
-        let sick = ds.scenario_volume(0, &Scenario::nominal(), Some(&cfg));
-        assert_eq!(healthy.labels, sick.labels);
-        if sick.lesion_voxels() > 0 {
-            assert_ne!(healthy.hu, sick.hu);
+        let mut sick_patients = 0;
+        for id in 0..8 {
+            let healthy = ds.volume(id);
+            let sick = ds.scenario_volume(id, &Scenario::nominal(), true);
+            assert_eq!(healthy.labels, sick.labels, "patient {id}");
+            if sick.lesion_voxels() > 0 {
+                assert_ne!(healthy.hu, sick.hu, "patient {id}");
+                sick_patients += 1;
+            }
         }
+        assert!(sick_patients > 0, "no lesion voxels across 8 patients");
     }
 }

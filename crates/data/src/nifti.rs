@@ -181,7 +181,6 @@ mod tests {
             n_patients: 1,
             slice_size: 32,
             slices_per_unit_z: 12.0,
-            ..Default::default()
         })
         .volume(0)
     }

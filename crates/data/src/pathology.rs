@@ -13,11 +13,13 @@
 //! organ's *label* (the lesion channel is folded into the organ mask — Dice
 //! is scored on lesion-bearing anatomy) but shift its *HU*, producing the
 //! hypodense tumors / solid nodules the network has never been trained on.
-//! The rasteriser records the lesion voxels in [`Volume::lesion`]
-//! (see [`crate::volume::Volume`]).
+//! The rasteriser records the lesion voxels in
+//! [`crate::volume::Volume::lesion`].
 //!
 //! [`seed_lesions`] samples a deterministic lesion set for one patient by
-//! rejection-sampling centers inside the host organs of an [`Anatomy`].
+//! rejection-sampling centers inside the host organs of an [`Anatomy`]. How
+//! many lesions, how large and in which organs are constants of the cohort
+//! ([`MIN_LESIONS`]..=[`MAX_LESIONS`], [`LESION_RADIUS`], [`LESION_HOSTS`]).
 
 use crate::anatomy::Anatomy;
 use crate::volume::Organ;
@@ -52,31 +54,16 @@ impl Lesion {
     }
 }
 
-/// Lesion-seeding policy for one cohort.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PathologyConfig {
-    /// Minimum lesions per patient.
-    pub min_lesions: usize,
-    /// Maximum lesions per patient (inclusive).
-    pub max_lesions: usize,
-    /// Lesion in-plane radius range in normalized units (z half-extent is
-    /// drawn from the same range, scaled by 0.6 — lesions are oblate like
-    /// most real tumors on axial CT).
-    pub radius_range: (f32, f32),
-    /// Organs that can host lesions.
-    pub hosts: Vec<Organ>,
-}
-
-impl Default for PathologyConfig {
-    fn default() -> Self {
-        Self {
-            min_lesions: 1,
-            max_lesions: 3,
-            radius_range: (0.04, 0.12),
-            hosts: vec![Organ::Liver, Organ::Lungs, Organ::Kidneys],
-        }
-    }
-}
+/// Fewest lesions seeded per patient.
+pub const MIN_LESIONS: usize = 1;
+/// Most lesions seeded per patient (inclusive).
+pub const MAX_LESIONS: usize = 3;
+/// Lesion in-plane radius range in normalized units (the z half-extent is
+/// drawn from the same range, scaled by 0.6 — lesions are oblate like most
+/// real tumors on axial CT).
+pub const LESION_RADIUS: (f32, f32) = (0.04, 0.12);
+/// Organs that host lesions: liver tumors, lung nodules, renal cysts.
+pub const LESION_HOSTS: [Organ; 3] = [Organ::Liver, Organ::Lungs, Organ::Kidneys];
 
 /// Nominal HU offset for a lesion hosted by `organ`.
 ///
@@ -93,25 +80,21 @@ pub fn lesion_hu_offset(organ: Organ) -> f32 {
     }
 }
 
-/// Samples a deterministic lesion set for one patient.
+/// Samples a deterministic lesion set for one patient: between
+/// [`MIN_LESIONS`] and [`MAX_LESIONS`] lesions, each in one of the
+/// [`LESION_HOSTS`], with a radius drawn from [`LESION_RADIUS`].
 ///
 /// Centers are rejection-sampled: a candidate `(nx, ny, z)` is kept only if
 /// the healthy anatomy classifies it as the drawn host organ, so every
 /// lesion is guaranteed to sit inside real parenchyma. Hosts that the scan
 /// geometry or the draw never hits are skipped after a bounded number of
-/// tries (a patient can end up with fewer than `min_lesions` only if no
+/// tries (a patient can end up with fewer than `MIN_LESIONS` only if no
 /// host organ is reachable at all).
-pub fn seed_lesions<R: Rng>(anatomy: &Anatomy, cfg: &PathologyConfig, rng: &mut R) -> Vec<Lesion> {
-    assert!(cfg.min_lesions <= cfg.max_lesions, "lesion count range inverted");
-    assert!(!cfg.hosts.is_empty(), "pathology without host organs");
-    assert!(
-        cfg.radius_range.0 > 0.0 && cfg.radius_range.0 <= cfg.radius_range.1,
-        "degenerate lesion radius range"
-    );
-    let n = rng.gen_range(cfg.min_lesions..=cfg.max_lesions);
+pub fn seed_lesions<R: Rng>(anatomy: &Anatomy, rng: &mut R) -> Vec<Lesion> {
+    let n = rng.gen_range(MIN_LESIONS..=MAX_LESIONS);
     let mut lesions = Vec::with_capacity(n);
     for _ in 0..n {
-        let host = cfg.hosts[rng.gen_range(0..cfg.hosts.len())];
+        let host = LESION_HOSTS[rng.gen_range(0..LESION_HOSTS.len())];
         // Rejection-sample a centre inside the host organ. The trunk spans
         // z in [0, 1]; organs occupy known sub-ranges, so a bounded number
         // of uniform draws finds parenchyma with overwhelming probability.
@@ -122,7 +105,7 @@ pub fn seed_lesions<R: Rng>(anatomy: &Anatomy, cfg: &PathologyConfig, rng: &mut 
             if anatomy.classify(nx, ny, z).0 != host.label() {
                 continue;
             }
-            let r = rng.gen_range(cfg.radius_range.0..=cfg.radius_range.1);
+            let r = rng.gen_range(LESION_RADIUS.0..=LESION_RADIUS.1);
             let ar = rng.gen_range(0.8f32..1.25); // in-plane aspect jitter
             lesions.push(Lesion {
                 organ: host,
@@ -148,27 +131,33 @@ mod tests {
 
     #[test]
     fn lesions_land_inside_their_host_organ() {
-        let a = anatomy(3);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(77);
-        let cfg = PathologyConfig { min_lesions: 4, max_lesions: 4, ..Default::default() };
-        let lesions = seed_lesions(&a, &cfg, &mut rng);
-        assert!(!lesions.is_empty(), "no lesion found a host");
-        for l in &lesions {
-            let (nx, ny, z) = l.center;
-            assert_eq!(a.classify(nx, ny, z).0, l.organ.label(), "{l:?} centre off-organ");
-            assert!(l.contains(nx, ny, z));
-            assert!(!l.contains(nx + 1.0, ny, z));
+        // Eight patients: enough draws that some patient carries the most
+        // lesions a patient can.
+        let mut most = 0;
+        for seed in 0..8 {
+            let a = anatomy(3 + seed);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(77 + seed);
+            let lesions = seed_lesions(&a, &mut rng);
+            assert!(!lesions.is_empty(), "seed {seed}: no lesion found a host");
+            for l in &lesions {
+                let (nx, ny, z) = l.center;
+                assert_eq!(a.classify(nx, ny, z).0, l.organ.label(), "{l:?} centre off-organ");
+                assert!(LESION_HOSTS.contains(&l.organ));
+                assert!(l.contains(nx, ny, z));
+                assert!(!l.contains(nx + 1.0, ny, z));
+            }
+            most = most.max(lesions.len());
         }
+        assert_eq!(most, MAX_LESIONS);
     }
 
     #[test]
     fn seeding_is_deterministic() {
         let a = anatomy(4);
-        let cfg = PathologyConfig::default();
         let mut r1 = rand::rngs::StdRng::seed_from_u64(9);
         let mut r2 = rand::rngs::StdRng::seed_from_u64(9);
-        let l1 = seed_lesions(&a, &cfg, &mut r1);
-        let l2 = seed_lesions(&a, &cfg, &mut r2);
+        let l1 = seed_lesions(&a, &mut r1);
+        let l2 = seed_lesions(&a, &mut r2);
         assert_eq!(l1.len(), l2.len());
         for (a, b) in l1.iter().zip(&l2) {
             assert_eq!(a.center, b.center);
@@ -182,14 +171,5 @@ mod tests {
         assert!(lesion_hu_offset(Organ::Lungs) > 500.0);
         assert!(lesion_hu_offset(Organ::Liver) < 0.0);
         assert!(lesion_hu_offset(Organ::Kidneys) < 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "host organs")]
-    fn empty_hosts_rejected() {
-        let a = anatomy(5);
-        let cfg = PathologyConfig { hosts: vec![], ..Default::default() };
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let _ = seed_lesions(&a, &cfg, &mut rng);
     }
 }

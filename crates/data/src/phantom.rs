@@ -1,4 +1,4 @@
-//! Rasterising an [`Anatomy`](crate::anatomy::Anatomy) into a [`Volume`].
+//! Rasterising an [`Anatomy`] into a [`Volume`].
 //!
 //! Each slice is rasterised in parallel (rayon); after classification the HU
 //! field gets Gaussian noise plus a small in-plane box blur that simulates
@@ -19,8 +19,6 @@ pub struct RasterConfig {
     pub z_range: (f32, f32),
     /// Number of slices across `z_range`.
     pub slices: usize,
-    /// Apply partial-volume blur.
-    pub blur: bool,
     /// Multiplier on the anatomy's HU noise sigma (1 = nominal dose; a
     /// quarter-dose scan doubles it — see [`crate::scenario`]).
     pub noise_scale: f32,
@@ -32,7 +30,7 @@ pub struct RasterConfig {
 
 impl Default for RasterConfig {
     fn default() -> Self {
-        Self { size: 128, z_range: (0.0, 1.0), slices: 56, blur: true, noise_scale: 1.0, fov: 1.0 }
+        Self { size: 128, z_range: (0.0, 1.0), slices: 56, noise_scale: 1.0, fov: 1.0 }
     }
 }
 
@@ -80,10 +78,7 @@ pub fn rasterize(anatomy: &Anatomy, cfg: &RasterConfig, seed: u64, patient_id: u
                     hu[y * n + x] = base_hu + sigma * g;
                 }
             }
-            if cfg.blur {
-                hu = box_blur3(&hu, n, n);
-            }
-            (hu, labels, lesion)
+            (box_blur3(&hu, n, n), labels, lesion)
         })
         .collect();
 

@@ -129,7 +129,6 @@ mod tests {
             n_patients: 30,
             slice_size: 64,
             slices_per_unit_z: 32.0,
-            ..Default::default()
         });
         let f = cohort_frequencies(&ds);
         // Ordering: bones & lungs dominate, then liver, kidneys, bladder, brain.
@@ -164,7 +163,6 @@ mod debug_print {
             n_patients: 30,
             slice_size: 64,
             slices_per_unit_z: 32.0,
-            ..Default::default()
         });
         let f = cohort_frequencies(&ds);
         println!("{}", f.table_row());

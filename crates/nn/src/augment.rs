@@ -5,7 +5,9 @@
 //! small translations, smooth elastic deformation (the classic coarse
 //! displacement grid, bilinearly upsampled), intensity scale/shift jitter
 //! and Gaussian noise. Labels follow geometric transforms exactly (nearest
-//! neighbour for elastic); intensity transforms leave them untouched.
+//! neighbour for elastic); intensity transforms leave them untouched. The
+//! policy is one set of constants, like the CT-ORG authors' own pipeline;
+//! [`crate::train::TrainConfig::augment`] only switches it on or off.
 //!
 //! For the training loop use [`Augmenter`]: it keeps scratch buffers across
 //! calls and mutates samples in place — the flip is a true in-place column
@@ -15,43 +17,23 @@
 
 use crate::train::Sample;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
-/// Augmentation policy.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct AugmentConfig {
-    /// Probability of a horizontal (left-right) flip.
-    pub flip_prob: f64,
-    /// Maximum |shift| in pixels along each axis (zero-padded).
-    pub max_shift: usize,
-    /// Intensity scale jitter: factor drawn from `1 ± scale_jitter`.
-    pub scale_jitter: f32,
-    /// Intensity shift jitter: offset drawn from `± shift_jitter`.
-    pub shift_jitter: f32,
-    /// Additive Gaussian noise sigma (post-normalisation units).
-    pub noise_sigma: f32,
-    /// Probability of applying an elastic deformation.
-    pub elastic_prob: f64,
-    /// Maximum |displacement| of an elastic grid node, in pixels.
-    pub elastic_alpha: f32,
-    /// Spacing of the coarse elastic displacement grid, in pixels.
-    pub elastic_grid: usize,
-}
-
-impl Default for AugmentConfig {
-    fn default() -> Self {
-        Self {
-            flip_prob: 0.5,
-            max_shift: 4,
-            scale_jitter: 0.05,
-            shift_jitter: 0.05,
-            noise_sigma: 0.02,
-            elastic_prob: 0.3,
-            elastic_alpha: 2.5,
-            elastic_grid: 8,
-        }
-    }
-}
+/// Probability of a horizontal (left-right) flip.
+pub const FLIP_PROB: f64 = 0.5;
+/// Maximum |shift| in pixels along each axis (zero-padded).
+pub const MAX_SHIFT: isize = 4;
+/// Intensity scale jitter: factor drawn from `1 ± SCALE_JITTER`.
+pub const SCALE_JITTER: f32 = 0.05;
+/// Intensity shift jitter: offset drawn from `± SHIFT_JITTER`.
+pub const SHIFT_JITTER: f32 = 0.05;
+/// Additive Gaussian noise sigma (post-normalisation units).
+pub const NOISE_SIGMA: f32 = 0.02;
+/// Probability of applying an elastic deformation.
+pub const ELASTIC_PROB: f64 = 0.3;
+/// Maximum |displacement| of an elastic grid node, in pixels.
+pub const ELASTIC_ALPHA: f32 = 2.5;
+/// Spacing of the coarse elastic displacement grid, in pixels.
+pub const ELASTIC_GRID: usize = 8;
 
 /// Smooth elastic deformation: random displacements on a coarse `grid`-px
 /// lattice (uniform in `±alpha` px), bilinearly upsampled to a per-pixel
@@ -59,16 +41,15 @@ impl Default for AugmentConfig {
 /// labels nearest-neighbour so classes never blend.
 pub fn elastic_deform<R: Rng>(s: &Sample, alpha: f32, grid: usize, rng: &mut R) -> Sample {
     let mut out = s.clone();
-    let mut aug = Augmenter::new(AugmentConfig::default());
-    aug.elastic_in_place(&mut out, alpha, grid, rng);
+    Augmenter::new().elastic_in_place(&mut out, alpha, grid, rng);
     out
 }
 
 /// Applies the policy to one sample (convenience wrapper over
 /// [`Augmenter`], which is what the training loop uses).
-pub fn augment<R: Rng>(s: &Sample, cfg: &AugmentConfig, rng: &mut R) -> Sample {
+pub fn augment<R: Rng>(s: &Sample, rng: &mut R) -> Sample {
     let mut out = s.clone();
-    Augmenter::new(*cfg).apply(&mut out, rng);
+    Augmenter::new().apply(&mut out, rng);
     out
 }
 
@@ -77,10 +58,8 @@ pub fn augment<R: Rng>(s: &Sample, cfg: &AugmentConfig, rng: &mut R) -> Sample {
 /// Holds the scratch image/label pair and the elastic node buffers, so a
 /// training loop pays for their allocation once and then augments every
 /// sample of every epoch without touching the allocator.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Augmenter {
-    /// The policy applied by [`Augmenter::apply`].
-    pub cfg: AugmentConfig,
     scratch_img: Vec<f32>,
     scratch_lab: Vec<u8>,
     node_dx: Vec<f32>,
@@ -88,44 +67,26 @@ pub struct Augmenter {
 }
 
 impl Augmenter {
-    /// Creates an engine for `cfg` (scratch grows lazily to the slice size).
-    pub fn new(cfg: AugmentConfig) -> Self {
-        Self {
-            cfg,
-            scratch_img: Vec::new(),
-            scratch_lab: Vec::new(),
-            node_dx: Vec::new(),
-            node_dy: Vec::new(),
-        }
+    /// Creates an engine (scratch grows lazily to the slice size).
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Augments `s` in place. Deterministic given the RNG state.
+    /// Augments `s` in place: flip, shift, elastic warp, then intensity
+    /// jitter. Deterministic given the RNG state.
     pub fn apply<R: Rng>(&mut self, s: &mut Sample, rng: &mut R) {
-        let cfg = self.cfg;
-        if rng.gen_bool(cfg.flip_prob) {
+        if rng.gen_bool(FLIP_PROB) {
             flip_horizontal_in_place(s);
         }
-        if cfg.max_shift > 0 {
-            let m = cfg.max_shift as isize;
-            let (dx, dy) = (rng.gen_range(-m..=m), rng.gen_range(-m..=m));
-            if dx != 0 || dy != 0 {
-                self.translate_in_place(s, dx, dy);
-            }
+        let (dx, dy) =
+            (rng.gen_range(-MAX_SHIFT..=MAX_SHIFT), rng.gen_range(-MAX_SHIFT..=MAX_SHIFT));
+        if dx != 0 || dy != 0 {
+            self.translate_in_place(s, dx, dy);
         }
-        if cfg.elastic_prob > 0.0 && rng.gen_bool(cfg.elastic_prob) {
-            self.elastic_in_place(s, cfg.elastic_alpha, cfg.elastic_grid, rng);
+        if rng.gen_bool(ELASTIC_PROB) {
+            self.elastic_in_place(s, ELASTIC_ALPHA, ELASTIC_GRID, rng);
         }
-        let scale = 1.0 + rng.gen_range(-cfg.scale_jitter..=cfg.scale_jitter);
-        let shift = rng.gen_range(-cfg.shift_jitter..=cfg.shift_jitter);
-        for v in s.image.data_mut() {
-            let mut x = *v * scale + shift;
-            if cfg.noise_sigma > 0.0 {
-                let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
-                let u2: f32 = rng.gen_range(0.0..1.0);
-                x += cfg.noise_sigma * (-2.0 * u1.ln()).sqrt() * (std::f32::consts::TAU * u2).cos();
-            }
-            *v = x.clamp(-1.0, 1.0);
-        }
+        jitter_intensity(s, rng);
     }
 
     fn translate_in_place(&mut self, s: &mut Sample, dx: isize, dy: isize) {
@@ -234,6 +195,20 @@ pub fn flip_horizontal_in_place(s: &mut Sample) {
     }
 }
 
+/// Intensity jitter: one scale (`1 ± SCALE_JITTER`) and offset
+/// (`± SHIFT_JITTER`) per sample, Gaussian noise (`NOISE_SIGMA`) per pixel,
+/// clamped to the preprocessed `[-1, 1]` range. Labels are untouched.
+fn jitter_intensity<R: Rng>(s: &mut Sample, rng: &mut R) {
+    let scale = 1.0 + rng.gen_range(-SCALE_JITTER..=SCALE_JITTER);
+    let shift = rng.gen_range(-SHIFT_JITTER..=SHIFT_JITTER);
+    for v in s.image.data_mut() {
+        let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
+        let u2: f32 = rng.gen_range(0.0..1.0);
+        let noise = NOISE_SIGMA * (-2.0 * u1.ln()).sqrt() * (std::f32::consts::TAU * u2).cos();
+        *v = (*v * scale + shift + noise).clamp(-1.0, 1.0);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,7 +238,7 @@ mod tests {
     #[test]
     fn translate_moves_content_and_pads_with_air() {
         let mut t = sample();
-        Augmenter::new(AugmentConfig::default()).translate_in_place(&mut t, 2, 1);
+        Augmenter::new().translate_in_place(&mut t, 2, 1);
         assert_eq!(t.image.at(0, 0, 2, 2), 0.8);
         assert_eq!(t.labels[2 * 4 + 2], 3);
         // Vacated corner is air / background.
@@ -272,12 +247,11 @@ mod tests {
     }
 
     #[test]
-    fn labels_follow_geometry_not_intensity() {
+    fn intensity_jitter_leaves_labels_alone() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let cfg =
-            AugmentConfig { flip_prob: 0.0, max_shift: 0, elastic_prob: 0.0, ..Default::default() };
         let s = sample();
-        let a = augment(&s, &cfg, &mut rng);
+        let mut a = s.clone();
+        jitter_intensity(&mut a, &mut rng);
         // No geometric change: labels identical even though intensities moved.
         assert_eq!(a.labels, s.labels);
         assert_ne!(a.image, s.image);
@@ -288,7 +262,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(6);
         let s = sample();
         for _ in 0..20 {
-            let a = augment(&s, &AugmentConfig::default(), &mut rng);
+            let a = augment(&s, &mut rng);
             assert!(a.image.data().iter().all(|v| (-1.0..=1.0).contains(v)));
             assert!(a.labels.iter().all(|&l| l <= 6));
         }
@@ -322,13 +296,12 @@ mod tests {
 
     #[test]
     fn augmenter_reuses_scratch_and_matches_the_wrapper() {
-        let cfg = AugmentConfig::default();
-        let mut aug = Augmenter::new(cfg);
+        let mut aug = Augmenter::new();
         for seed in 0..4 {
             let s = sample();
             let mut r1 = rand::rngs::StdRng::seed_from_u64(seed);
             let mut r2 = rand::rngs::StdRng::seed_from_u64(seed);
-            let via_fn = augment(&s, &cfg, &mut r1);
+            let via_fn = augment(&s, &mut r1);
             let mut via_engine = s.clone();
             aug.apply(&mut via_engine, &mut r2);
             assert_eq!(via_fn.image, via_engine.image, "seed {seed}");

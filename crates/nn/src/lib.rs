@@ -19,7 +19,8 @@
 //!   shuffling;
 //! * [`prune`] — magnitude-based channel pruning (the paper's future-work
 //!   ablation);
-//! * [`augment`] — flip/translate/intensity-jitter training augmentation.
+//! * [`augment`] — the one training augmentation policy (flip, shift,
+//!   elastic warp, intensity jitter).
 
 pub mod augment;
 pub mod backprop;

@@ -4,7 +4,7 @@
 //! workflow's cross-entropy warm-up — runs batches through one [`step`]:
 //! training forward over the graph, loss, reverse walk, optimizer update.
 
-use crate::augment::{AugmentConfig, Augmenter};
+use crate::augment::Augmenter;
 use crate::graph::Graph;
 use crate::loss::FocalTverskyLoss;
 use crate::optim::Optimizer;
@@ -46,10 +46,11 @@ pub struct TrainConfig {
     pub lr_decay: f32,
     /// Print progress lines to stderr.
     pub verbose: bool,
-    /// On-the-fly per-sample augmentation (flips, shifts, elastic,
-    /// intensity jitter). `None` trains on raw samples and keeps the RNG
-    /// stream — and therefore cached trained models — byte-stable.
-    pub augment: Option<AugmentConfig>,
+    /// On-the-fly per-sample augmentation with the [`crate::augment`]
+    /// policy (flips, shifts, elastic, intensity jitter). `false` trains on
+    /// raw samples and keeps the RNG stream — and therefore cached trained
+    /// models — byte-stable.
+    pub augment: bool,
 }
 
 impl Default for TrainConfig {
@@ -60,7 +61,7 @@ impl Default for TrainConfig {
             seed: 0xC7_0E6,
             lr_decay: 0.9,
             verbose: false,
-            augment: None,
+            augment: false,
         }
     }
 }
@@ -106,7 +107,7 @@ pub fn train(
     let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed);
     let mut order: Vec<usize> = (0..samples.len()).collect();
     let mut history = Vec::with_capacity(cfg.epochs);
-    let mut augmenter = cfg.augment.map(Augmenter::new);
+    let mut augmenter = cfg.augment.then(Augmenter::new);
     let ftl = |probs: &Tensor, labels: &[u8]| loss.forward_backward(probs, labels);
 
     for epoch in 0..cfg.epochs {
@@ -231,24 +232,36 @@ mod tests {
         assert!((history[2].lr - 2.5e-4).abs() < 1e-9);
     }
 
+    /// Quadrant samples whose quadrants draw a random class each, coded by
+    /// intensity alone: flips and shifts move labels with the pixels, and the
+    /// air a shift pads in (-1) reads as class 0.
+    fn toy_random_quadrants<R: Rng>(n: usize, size: usize, rng: &mut R) -> Vec<Sample> {
+        const BASE: [f32; 4] = [-0.75, -0.25, 0.25, 0.75];
+        (0..n)
+            .map(|_| {
+                let classes: [u8; 4] = std::array::from_fn(|_| rng.gen_range(0..4));
+                let mut img = Tensor::zeros(seneca_tensor::Shape4::new(1, 1, size, size));
+                let mut labels = vec![0u8; size * size];
+                for y in 0..size {
+                    for x in 0..size {
+                        let c = classes[(y >= size / 2) as usize * 2 + (x >= size / 2) as usize];
+                        *img.at_mut(0, 0, y, x) = BASE[c as usize] + rng.gen_range(-0.1..0.1);
+                        labels[y * size + x] = c;
+                    }
+                }
+                Sample { image: img, labels }
+            })
+            .collect()
+    }
+
     #[test]
     fn augmented_training_still_learns() {
-        use crate::augment::AugmentConfig;
         let mut rng = rand::rngs::StdRng::seed_from_u64(31);
-        let samples = toy_quadrant_dataset(8, 16, 4, &mut rng);
+        let samples = toy_random_quadrants(8, 16, &mut rng);
         let cfg = UNetConfig { depth: 2, base_filters: 4, num_classes: 4, dropout: 0.05 };
         let mut net = Graph::from_unet(&UNet::new(cfg, &mut rng), "t");
         let loss = FocalTverskyLoss::paper_defaults(vec![1.0; 4]);
         let mut opt = Adam::new(2e-3);
-        // Quadrant labels are position-coded, so geometric augmentation is
-        // kept gentle: intensity jitter + light elastic only.
-        let aug = AugmentConfig {
-            flip_prob: 0.0,
-            max_shift: 0,
-            elastic_alpha: 1.0,
-            elastic_grid: 4,
-            ..Default::default()
-        };
         let history = train(
             &mut net,
             &samples,
@@ -259,7 +272,7 @@ mod tests {
                 batch_size: 4,
                 seed: 3,
                 lr_decay: 0.95,
-                augment: Some(aug),
+                augment: true,
                 ..Default::default()
             },
         );

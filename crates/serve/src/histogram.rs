@@ -6,7 +6,7 @@
 //! increment), so replicas and the scheduler can share one histogram without
 //! contention on the serving hot path.
 
-use seneca_trace::hdr::{bucket_of, bucket_upper, BUCKETS};
+use seneca_trace::hdr::{bucket_of, percentile, BUCKETS};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -54,19 +54,8 @@ impl LatencyHistogram {
     /// holding the target sample, so the reported value never understates
     /// the true quantile by more than the bucket precision (12.5%).
     pub fn percentile_us(&self, q: f64) -> u64 {
-        let total = self.count();
-        if total == 0 {
-            return 0;
-        }
-        let target = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (idx, c) in self.counts.iter().enumerate() {
-            seen += c.load(Ordering::Relaxed);
-            if seen >= target {
-                return bucket_upper(idx).min(self.max_us.load(Ordering::Relaxed));
-            }
-        }
-        self.max_us.load(Ordering::Relaxed)
+        let counts = self.counts.iter().map(|c| c.load(Ordering::Relaxed));
+        percentile(counts, self.count(), self.max_us.load(Ordering::Relaxed), q)
     }
 
     /// Point-in-time summary (p50/p95/p99, mean, max, count).

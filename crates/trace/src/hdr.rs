@@ -3,7 +3,7 @@
 //! exact (one per unit), and every octave above that is split into [`SUB`]
 //! geometric sub-buckets, giving a bounded relative error of `1/SUB` (12.5%)
 //! across the full `u64` range. Who counts, and how (plain or atomic), is
-//! the caller's business.
+//! the caller's business; both read quantiles through [`percentile`].
 
 /// Sub-buckets per octave (and the width of the exact linear prefix).
 pub const SUB: u64 = 8;
@@ -31,6 +31,25 @@ pub fn bucket_upper(idx: usize) -> u64 {
     // The topmost buckets' edges exceed u64; compute wide and saturate.
     let edge = (u128::from(mantissa) + 1) << octave;
     u64::try_from(edge - 1).unwrap_or(u64::MAX)
+}
+
+/// The `q`-quantile (`0.0..=1.0`) of `total` samples counted per bucket in
+/// bucket order, whose exact maximum is `max`: the upper edge of the bucket
+/// holding the target sample, capped at `max`, so it never understates the
+/// true quantile by more than the bucket precision. 0 when empty.
+pub fn percentile(counts: impl IntoIterator<Item = u64>, total: u64, max: u64, q: f64) -> u64 {
+    if total == 0 {
+        return 0;
+    }
+    let target = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
+    let mut seen = 0u64;
+    for (idx, c) in counts.into_iter().enumerate() {
+        seen += c;
+        if seen >= target {
+            return bucket_upper(idx).min(max);
+        }
+    }
+    max
 }
 
 #[cfg(test)]

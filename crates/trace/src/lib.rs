@@ -2,7 +2,7 @@
 //!
 //! The paper's argument rests on *measured* behaviour — FPS, per-layer DPU
 //! time (§IV, Tables IV–VI) — but until this crate the repo could only model
-//! per-layer cost ([`seneca_dpu::profile`]-style estimates). This is the
+//! per-layer cost (`seneca_dpu::profile`-style estimates). This is the
 //! measuring side, shaped like the profiling hooks vaitrace/VART expose per
 //! operator:
 //!
@@ -11,7 +11,7 @@
 //!   two pointer copies and two clock reads — no allocation, no formatting.
 //! - **Recording** goes to a thread-local ring buffer (overwrite-oldest, so
 //!   a forgotten drain costs accuracy, never memory). Buffers are owned by
-//!   `Arc` and registered with a process-global [`Collector`], which keeps
+//!   `Arc` and registered with a process-global `Collector`, which keeps
 //!   them drainable after their threads exit — the inference session spawns
 //!   transient scoped workers per batch.
 //! - **Draining** folds samples into per-key aggregates (count, total, max,
@@ -19,9 +19,7 @@
 //!   threads are gone. [`report`] returns the aggregate as a serializable
 //!   [`TraceReport`].
 //! - **Disabled is free-ish**: tracing is off until [`set_enabled`]`(true)`;
-//!   a disabled probe is one relaxed atomic load and a branch. The `noop`
-//!   cargo feature removes even that, compiling every probe to nothing, for
-//!   A/B-ing the cost of the tracer's mere presence.
+//!   a disabled probe is one relaxed atomic load and a branch.
 //!
 //! Timestamps are monotonic: nanoseconds since a process-global epoch taken
 //! on first use, so durations are robust to wall-clock adjustments and spans
@@ -131,18 +129,12 @@ fn with_local(f: impl FnOnce(&ThreadBuf)) {
 /// Turns recording on or off process-wide. Off is the default; probes in
 /// code that never enables tracing cost one relaxed load each.
 pub fn set_enabled(on: bool) {
-    if cfg!(feature = "noop") {
-        return;
-    }
     collector().enabled.store(on, Ordering::Relaxed);
 }
 
 /// Whether probes currently record.
 #[inline]
 pub fn enabled() -> bool {
-    if cfg!(feature = "noop") {
-        return false;
-    }
     collector().enabled.load(Ordering::Relaxed)
 }
 
@@ -200,9 +192,6 @@ pub fn span_bytes(domain: &'static str, name: &'static str, bytes: u64) -> Span 
 /// prunes buffers whose owning threads have exited. Safe to call while
 /// other threads record: their in-flight samples land in the next drain.
 pub fn drain() {
-    if cfg!(feature = "noop") {
-        return;
-    }
     let c = collector();
     let mut threads = c.threads.lock().unwrap();
     let mut agg = c.agg.lock().unwrap();
@@ -244,9 +233,6 @@ pub fn report() -> TraceReport {
 
 /// Discards all recorded samples and aggregates (rings and totals).
 pub fn reset() {
-    if cfg!(feature = "noop") {
-        return;
-    }
     let c = collector();
     let mut threads = c.threads.lock().unwrap();
     let mut agg = c.agg.lock().unwrap();
@@ -277,9 +263,9 @@ mod tests {
         set_enabled(false);
         reset();
         for _ in 0..100 {
-            let _sp = span_bytes("test", "noop-path", 64);
+            let _sp = span_bytes("test", "off-path", 64);
         }
-        record_ns("test", "noop-counter", 1_000, 0);
+        record_ns("test", "off-counter", 1_000, 0);
         let rep = report();
         assert!(rep.rows.is_empty(), "disabled tracer must add no samples: {:?}", rep.rows);
         assert_eq!(rep.dropped, 0);
@@ -304,7 +290,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(feature = "noop", ignore = "recording compiled out")]
     fn spans_record_and_aggregate() {
         let _g = guard();
         set_enabled(true);
@@ -330,7 +315,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(feature = "noop", ignore = "recording compiled out")]
     fn concurrent_threads_aggregate_exact_counts_and_totals() {
         let _g = guard();
         set_enabled(true);
@@ -373,7 +357,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(feature = "noop", ignore = "recording compiled out")]
     fn ring_overwrites_oldest_and_counts_drops() {
         let _g = guard();
         set_enabled(true);
@@ -391,7 +374,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(feature = "noop", ignore = "recording compiled out")]
     fn dead_thread_buffers_survive_until_drained() {
         let _g = guard();
         set_enabled(true);
@@ -405,7 +387,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(feature = "noop", ignore = "recording compiled out")]
     fn report_serializes_to_json() {
         let _g = guard();
         set_enabled(true);

@@ -4,7 +4,7 @@
 //! nanosecond resolution (12.5% bounded relative error), so p95 comes out of
 //! the aggregate without keeping raw samples around.
 
-use crate::hdr::{bucket_of, bucket_upper, BUCKETS};
+use crate::hdr::{bucket_of, percentile, BUCKETS};
 use serde::{Deserialize, Serialize};
 
 /// Running aggregate for one `(domain, name)` key. Not thread-safe on its
@@ -36,18 +36,7 @@ impl KeyAgg {
     /// The `q`-quantile (ns): upper edge of the bucket holding the target
     /// sample, capped at the exact observed maximum.
     pub fn percentile_ns(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (idx, c) in self.hist.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return bucket_upper(idx).min(self.max_ns);
-            }
-        }
-        self.max_ns
+        percentile(self.hist.iter().copied(), self.count, self.max_ns, q)
     }
 }
 

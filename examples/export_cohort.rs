@@ -21,7 +21,6 @@ fn main() {
         n_patients: n,
         slice_size: 128,
         slices_per_unit_z: 48.0,
-        ..Default::default()
     });
 
     for id in 0..n {

@@ -22,7 +22,6 @@ fn nifti_export_matches_viewer_expectations() {
         n_patients: 1,
         slice_size: 32,
         slices_per_unit_z: 10.0,
-        ..Default::default()
     });
     let vol = ds.volume(0);
     let ct = tmp("ct.nii");
@@ -57,7 +56,6 @@ fn fig5_style_render_roundtrip() {
         n_patients: 1,
         slice_size: 32,
         slices_per_unit_z: 12.0,
-        ..Default::default()
     });
     let vol = ds.volume(0);
     let s = preprocess(&vol.slice(vol.depth / 2), 1);

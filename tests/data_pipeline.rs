@@ -13,7 +13,6 @@ fn cohort() -> SyntheticCtOrg {
         n_patients: 28,
         slice_size: 64,
         slices_per_unit_z: 24.0,
-        ..Default::default()
     })
 }
 

@@ -8,7 +8,6 @@ mod common;
 
 use common::training_hash;
 use rand::SeedableRng;
-use seneca_nn::augment::AugmentConfig;
 use seneca_nn::graph::Graph;
 use seneca_nn::loss::FocalTverskyLoss;
 use seneca_nn::optim::{Adam, Sgd};
@@ -48,7 +47,7 @@ fn augmented_sgd_training_is_bit_identical() {
         batch_size: 4,
         seed: 4,
         lr_decay: 0.9,
-        augment: Some(AugmentConfig::default()),
+        augment: true,
         ..Default::default()
     };
     let history = train(&mut g, &samples, &loss, &mut opt, &cfg);
