@@ -3,11 +3,14 @@
 //! deployment front end (`seneca_quant::fuse`) must fold all BN nodes, fuse
 //! all standalone ReLUs, strip all inference identities, and its lowering
 //! give every conv/tconv weight a pack slot; the reference lowering must
-//! carry every BN and ReLU in a conv store — the planned arena must beat the naive sum-of-all-activations
-//! pool on both the FP32 and INT8 lowerings — and the implicit-GEMM
-//! route's reported peak (slots + strip buffers) must beat the materialized
-//! route's footprint (slots + im2col column / pre-scatter buffer + the
-//! same strip buffers).
+//! carry every BN and ReLU in a conv store; every concat whose only consumer
+//! is a conv must be folded into that conv (no arena bytes) in both the FP32
+//! and INT8 lowerings; the planned arena must equal the peak-live footprint
+//! and beat the naive sum-of-all-activations pool in both; and the
+//! implicit-GEMM route's
+//! reported peak (arena + strip buffers) must beat the materialized route's
+//! footprint (arena + im2col column / pre-scatter buffer + the same strip
+//! buffers).
 
 use rand::SeedableRng;
 use seneca_ir::{lower, IrOp, LowerOptions, Module};
@@ -47,12 +50,35 @@ fn materialized_aux_bytes(m: &Module, input: Shape4, bytes_per_elem: usize) -> u
     peak
 }
 
+/// Panics unless every concat of the lowered `m` whose only consumer is a
+/// conv (and which is not the output) takes no arena bytes under `plan`:
+/// its conv gathers the concat's inputs itself. Returns how many there are.
+fn assert_concats_folded(m: &Module, plan: &seneca_ir::ExecPlan, what: &str) -> usize {
+    let mut folded = 0;
+    for (i, node) in m.nodes.iter().enumerate() {
+        if !matches!(node.op, IrOp::Concat { .. }) || i == m.output {
+            continue;
+        }
+        let consumers: Vec<&IrOp> =
+            m.nodes.iter().filter(|n| n.inputs.contains(&i)).map(|n| &n.op).collect();
+        if let [IrOp::Conv(_)] = consumers[..] {
+            assert_eq!(
+                plan.elems_of(i),
+                0,
+                "{what}: concat {i} feeds one conv but is materialized"
+            );
+            folded += 1;
+        }
+    }
+    folded
+}
+
 fn main() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(1);
     let input = Shape4::new(1, 1, 256, 256);
     let calib = vec![Tensor::he_normal(Shape4::new(1, 1, 32, 32), &mut rng)];
     println!(
-        "{:>4} {:>5} {:>5} | {:>3} {:>4} {:>3} {:>4} | {:>11} {:>11} {:>6} | {:>11} {:>6} | {:>6} {:>6}",
+        "{:>4} {:>5} {:>5} | {:>3} {:>4} {:>3} {:>4} {:>3} | {:>11} {:>11} {:>6} {:>11} | {:>11} {:>6} {:>11} | {:>6} {:>6}",
         "cfg",
         "nodes",
         "low",
@@ -60,11 +86,14 @@ fn main() {
         "relu",
         "id",
         "pack",
-        "fp32_peak",
+        "cat",
+        "fp32_arena",
         "fp32_total",
         "ratio",
-        "int8_peak",
+        "fp32_full",
+        "int8_arena",
         "ratio",
+        "int8_full",
         "fpdrop",
         "i8drop"
     );
@@ -127,8 +156,20 @@ fn main() {
             size.label()
         );
         let qplan = q_ref.plan();
-        // Slot arena vs naive pool: an activations-only comparison, so it
-        // uses the slot bytes, not the full footprint with GEMM strips.
+        let cats = assert_concats_folded(fp_ref.module(), plan, size.label());
+        // Greedy-by-size offsets reach the lower bound of any placement.
+        for (p, what) in [(plan, "FP32"), (qplan, "INT8")] {
+            assert_eq!(
+                p.peak_arena_elems(),
+                p.peak_live_elems(),
+                "{} {what}: arena above the peak-live footprint",
+                size.label()
+            );
+        }
+        assert_eq!(cats, assert_concats_folded(q_ref.module(), qplan, size.label()));
+        assert_eq!((fp_ref.stats().concats_folded, q_ref.stats().concats_folded), (cats, cats));
+        // Arena vs naive pool: an activations-only comparison, so it uses
+        // the arena bytes, not the full footprint with GEMM strips.
         let (fp_slots, fp_total) =
             ((plan.peak_arena_elems() * 4) as u64, plan.total_activation_bytes(4));
         let (q_slots, q_total) = (qplan.peak_arena_elems() as u64, qplan.total_activation_bytes(1));
@@ -138,9 +179,9 @@ fn main() {
             size.label()
         );
 
-        // Full reported footprint (slots + the GEMM strip buffers) vs the
+        // Full reported footprint (arena + the GEMM strip buffers) vs the
         // materialized route, which carried the im2col column / pre-scatter
-        // buffer alongside the same slots and strips. The peak must drop.
+        // buffer alongside the same arena and strips. The peak must drop.
         let (fp_peak, q_peak) = (plan.peak_arena_bytes(4), qplan.peak_arena_bytes(1));
         let fp_mat = fp_slots + materialized_aux_bytes(fp_ref.module(), input, 4);
         let q_mat = q_slots + materialized_aux_bytes(q_ref.module(), input, 1);
@@ -151,7 +192,7 @@ fn main() {
             size.label()
         );
         println!(
-            "{:>4} {:>5} {:>5} | {:>3} {:>4} {:>3} {:>4} | {:>10.2}M {:>10.2}M {:>5.2}x | {:>10.2}M {:>5.2}x | {:>5.1}% {:>5.1}%",
+            "{:>4} {:>5} {:>5} | {:>3} {:>4} {:>3} {:>4} {:>3} | {:>10.2}M {:>10.2}M {:>5.2}x {:>10.2}M | {:>10.2}M {:>5.2}x {:>10.2}M | {:>5.1}% {:>5.1}%",
             size.label(),
             g.module().nodes.len(),
             fused.nodes.len(),
@@ -159,17 +200,20 @@ fn main() {
             relu_fused,
             count("dropout") + count("softmax"),
             fp.stats().pack_slots,
+            cats,
             mib(fp_slots),
             mib(fp_total),
             fp_total as f64 / fp_slots as f64,
+            mib(fp_peak),
             mib(q_slots),
             q_total as f64 / q_slots as f64,
+            mib(q_peak),
             100.0 * (1.0 - fp_peak as f64 / fp_mat as f64),
             100.0 * (1.0 - q_peak as f64 / q_mat as f64),
         );
     }
     println!(
-        "ok: pass pipeline clean, peak arena < total activations, and implicit-GEMM \
-         peak < materialized-route peak for all model sizes"
+        "ok: pass pipeline clean, every concat feeding one conv folded, arena = peak live < \
+         total activations, and implicit-GEMM peak < materialized-route peak for all model sizes"
     );
 }

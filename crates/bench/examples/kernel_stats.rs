@@ -23,7 +23,7 @@ use seneca_nn::graph::Graph;
 use seneca_nn::unet::{ModelSize, UNet};
 use seneca_tensor::gemm::{
     igemm, igemm4_fused_packed, igemm_fused, igemm_fused_packed, igemm_reference, packed_b_len,
-    sgemm, sgemm_fused, sgemm_reference, strip_cols, GemmEpilogue, PackedA, PackedA4,
+    sgemm, sgemm_fused, sgemm_reference, strip_cols, GemmEpilogue, PackedA, PackedA4, Work,
 };
 use seneca_tensor::igemm::{
     igemm_conv_packed, igemm_tconv2x2_packed, sgemm_conv, sgemm_conv_packed,
@@ -274,11 +274,13 @@ fn check_tconv_store() {
     let pa = PackedA::pack(m, k, &wk);
     let geom = ConvGeom { c_in, h, w, k: 1, pad: 0, stride: 1 };
     let (mut y, mut y_rows) = (vec![0i8; m * n], vec![0i8; m * n]);
+    let mut work = Work::default();
     let [t_tconv, t_rows] = race(
         0.5,
-        [&mut || igemm_tconv2x2_packed(&pa, &x, h, w, &bias4, shift, relu, &mut y), &mut || {
-            igemm_conv_packed(&pa, &geom, &x, &bias4, shift, relu, &mut y_rows)
-        }],
+        [
+            &mut || igemm_tconv2x2_packed(&pa, &x, h, w, &bias4, shift, relu, &mut y, &mut work),
+            &mut || igemm_conv_packed(&pa, &geom, &x, &bias4, shift, relu, &mut y_rows),
+        ],
     );
     let mut y_ref = vec![0i8; m * n];
     igemm_fused(m, k, n, &wk, &x, &bias4, shift, relu, &mut y_rows);
@@ -355,12 +357,23 @@ fn winograd_vs_direct(s: ConvShape, min_time: f64) -> WinogradRace {
     let (mut yd, mut yw, mut yf) =
         (vec![0i8; s.m * s.n], vec![0i8; s.m * s.n], vec![0.0; s.m * s.n]);
     let shift = 8 + s.k.ilog2() as i32;
-    let mut strips = Vec::new();
+    let mut strips = Work::default();
     let [td, tw, tf] = race(
         min_time,
         [
             &mut || igemm_conv_packed(&pa, &geom, &x, &bias, shift, true, &mut yd),
-            &mut || igemm_conv_winograd(&pw, &geom, &x, &bias, shift, true, &mut yw, &mut strips),
+            &mut || {
+                igemm_conv_winograd(
+                    &pw,
+                    &geom,
+                    x[..].into(),
+                    &bias,
+                    shift,
+                    true,
+                    &mut yw,
+                    &mut strips,
+                )
+            },
             &mut || sgemm_conv_packed(&paf, &geom, &xf, &mut yf, GemmEpilogue::BiasRelu(&bf)),
         ],
     );
@@ -370,7 +383,7 @@ fn winograd_vs_direct(s: ConvShape, min_time: f64) -> WinogradRace {
     let mut strip = vec![0i16; packed_b_len(16 * s.c_in, nc)];
     let t_pack = time_per_call(min_time, 1, || {
         for j0 in (0..tiles).step_by(nc) {
-            pack_b_winograd(&geom, &x, j0..(j0 + nc).min(tiles), &mut strip);
+            pack_b_winograd(&geom, x[..].into(), j0..(j0 + nc).min(tiles), &mut strip);
         }
     });
     let gmac = s.macs() as f64 / 1e9;

@@ -1,60 +1,73 @@
 //! The one executor: the only code outside [`crate::oracle`] that evaluates
 //! a node of an inference graph, in either dtype.
 //!
-//! A [`crate::lower::Lowered`] program executes out of a per-worker slot
-//! arena ([`FpScratch`] / [`QScratch`]): every node writes into its
-//! liveness-plan slot, so steady-state inference allocates nothing and the
-//! arena holds the peak-live footprint instead of one buffer per node.
-//! FP32 and INT8 share the walk; only the kernel dispatch differs. Conv and
+//! A [`crate::lower::Lowered`] program executes out of a per-worker arena
+//! ([`FpScratch`] / [`QScratch`]): one buffer in which every node writes its
+//! value at its liveness-plan offset, so steady-state inference allocates
+//! nothing and the arena holds the peak-live footprint instead of one buffer
+//! per node. The executor carves a node's output and its inputs out of the
+//! one buffer with `split_at_mut` — the plan keeps every value live at a
+//! step clear of that step's output, so no `unsafe` is needed. FP32 and INT8
+//! share the walk; only the kernel dispatch differs. Conv and
 //! transpose-conv nodes run their GEMM against the panels packed once at
 //! lowering time — per frame only the activation (B) side is packed, a strip
-//! of columns at a time, directly from the NCHW feature map (implicit GEMM;
-//! [`ExecPlan::work_bytes`] counts the strip buffers: the GEMM driver's
-//! thread-local ones, and the Winograd convs' `i16` strips, which the arena
-//! owns, sized once for the plan). The arena therefore holds the plan slots
-//! and that strip buffer only: there is no im2col column buffer and no
-//! pre-scatter tconv buffer — the conv packs compute the im2col index math
-//! (or the Winograd input transform) inside the tile gather and the
-//! tconv/Winograd stores scatter from the GEMM tile.
+//! of columns at a time, directly from the NCHW feature map (implicit GEMM).
+//! The strip buffers ([`ExecPlan::work_bytes`]: the direct convs' and
+//! tconvs', a band conv's k-step offsets, the Winograd convs' `i16` strips)
+//! belong to the arena too, built with it on the calling thread and sized
+//! once for the plan, so a short-lived worker thread finds them ready
+//! instead of regrowing thread-local ones. There is no im2col column buffer,
+//! no pre-scatter tconv buffer and no concatenated map in front of a conv:
+//! the conv packs compute the im2col index math (or the Winograd input
+//! transform) inside the tile gather, the tconv/Winograd stores scatter from
+//! the GEMM tile, and a conv over a folded concat
+//! ([`crate::module::Module::folded_concats`]) gathers the concat's two
+//! inputs, each requantised by its own shift as it is loaded.
 //!
 //! Both dtypes also step node by node ([`Lowered::execute_node_f32`] /
 //! [`Lowered::execute_node_i8`]): the DPU runtime drives the INT8 step from
-//! its instruction stream, and the quantizer's calibration, fast-finetune
-//! and tests read each node's output while it is live. What the executor
-//! computes is pinned by the naive [`crate::oracle`]: INT8 bit for bit, FP32
-//! within [`crate::oracle::F32_TOLERANCE`].
+//! its instruction stream (a folded concat's ELEW step executes nothing),
+//! and the quantizer's calibration, fast-finetune and tests read each node's
+//! output while it is live. What the executor computes is pinned by the
+//! naive [`crate::oracle`]: INT8 bit for bit, FP32 within
+//! [`crate::oracle::F32_TOLERANCE`].
 
 use crate::lower::{Lowered, PackedKernel};
 use crate::module::{ConvAttrs, ConvKernel, DType, IrOp, Module};
 use crate::plan::ExecPlan;
 use seneca_tensor::activation::{relu_into, softmax_channels_into};
-use seneca_tensor::gemm::GemmEpilogue;
+use seneca_tensor::gemm::{GemmEpilogue, Work};
 use seneca_tensor::igemm::{
-    igemm4_conv_packed, igemm4_tconv2x2_packed, igemm_conv_packed, igemm_tconv2x2_packed,
-    sgemm_conv_packed, sgemm_tconv2x2_packed,
+    igemm4_conv_with, igemm4_tconv2x2_packed, igemm_conv_with, igemm_tconv2x2_packed,
+    sgemm_conv_with, sgemm_tconv2x2_packed,
 };
-use seneca_tensor::im2col::ConvGeom;
+use seneca_tensor::im2col::{ConvGeom, ConvInput, Gather};
 use seneca_tensor::norm::batchnorm_inference_into;
 use seneca_tensor::pool::maxpool2x2_into;
 use seneca_tensor::quantized::{concat_requant_i8, maxpool2x2_i8};
 use seneca_tensor::tensor::concat_channels_into;
 use seneca_tensor::winograd::igemm_conv_winograd;
 use seneca_tensor::{QTensor, QTensorView, Shape4, Tensor, TensorView};
+use std::ops::Range;
 
-/// Per-worker execution arena: one buffer per plan slot, reused across
+/// Per-worker execution arena: one buffer holding every value at its plan
+/// offset, and the GEMM work memory of the plan's convs, all reused across
 /// frames, so steady-state inference allocates nothing. Built by
-/// [`Lowered::make_scratch_f32`] / [`Lowered::make_scratch_i8`].
+/// [`Lowered::make_scratch_f32`] / [`Lowered::make_scratch_i8`] on the
+/// calling thread.
 #[derive(Debug, Clone)]
 pub struct Scratch<T> {
     plan: ExecPlan,
     shapes: Vec<Shape4>,
     /// Per-node output fix positions (all zero in an FP32 arena).
     fps: Vec<i32>,
-    slots: Vec<Vec<T>>,
-    /// The Winograd convs' strip buffer (empty without them), sized from
-    /// the plan and allocated with the slots rather than kept per thread:
-    /// a thread-local of its size would live as long as the thread.
-    winograd: Vec<i16>,
+    arena: Vec<T>,
+    /// The direct convs' and tconvs' strips and band offsets, sized from the
+    /// plan: a worker thread's own (thread-local) work memory would start
+    /// empty on every short-lived worker and regrow.
+    work: Work<T>,
+    /// The Winograd convs' strips (empty without them), likewise.
+    winograd: Work<i16>,
 }
 
 /// The FP32 arena.
@@ -62,11 +75,13 @@ pub type FpScratch = Scratch<f32>;
 /// The INT8 arena.
 pub type QScratch = Scratch<i8>;
 
-impl<T: Copy + Default> Scratch<T> {
+impl<T: Gather> Scratch<T> {
     pub(crate) fn new(plan: ExecPlan, shapes: Vec<Shape4>, fps: Vec<i32>) -> Self {
-        let slots = plan.slot_sizes().iter().map(|&e| vec![T::default(); e]).collect();
-        let winograd = vec![0; plan.winograd_strips()];
-        Self { plan, shapes, fps, slots, winograd }
+        let arena = vec![T::ZERO; plan.peak_arena_elems()];
+        let (strips, offsets) = plan.direct_work();
+        let work = Work::new(strips, offsets);
+        let winograd = Work::new(plan.winograd_strips(), 0);
+        Self { plan, shapes, fps, arena, work, winograd }
     }
 
     /// The execution plan this arena was built from.
@@ -79,35 +94,34 @@ impl<T: Copy + Default> Scratch<T> {
         self.shapes[0]
     }
 
-    /// Total slot elements actually allocated by this arena. With
-    /// implicit-GEMM convolution this is exactly the plan's slot footprint —
-    /// there is no auxiliary column/repack/pre-scatter storage to hide (the
-    /// Winograd strips are GEMM work memory, [`ExecPlan::work_bytes`]).
+    /// Activation elements allocated by this arena: exactly the plan's
+    /// footprint — there is no auxiliary column/repack/pre-scatter storage
+    /// to hide (the strips are GEMM work memory, [`ExecPlan::work_bytes`]).
     pub fn arena_elems(&self) -> usize {
-        self.slots.iter().map(Vec::len).sum()
+        self.arena.len()
     }
 
     fn load(&mut self, shape: Shape4, data: &[T]) {
         assert_eq!(shape, self.shapes[0], "scratch input geometry");
-        let s0 = self.plan.slot_of(0);
-        self.slots[s0][..data.len()].copy_from_slice(data);
+        self.arena[self.plan.range_of(0)].copy_from_slice(data);
     }
 
     fn output_of(&self, id: usize) -> (Shape4, &[T]) {
         let s = self.shapes[id];
-        (s, &self.slots[self.plan.slot_of(id)][..s.len()])
+        assert_eq!(self.plan.elems_of(id), s.len(), "node {id} is a folded concat: no value");
+        (s, &self.arena[self.plan.range_of(id)])
     }
 }
 
 impl FpScratch {
-    /// Seeds the input node's slot from a frame.
+    /// Seeds the input node's value from a frame.
     pub fn load_input(&mut self, input: &Tensor) {
         self.load(input.shape(), input.data());
     }
 
     /// Borrowed view of one node's output. Valid only while the node's
     /// value is live under the plan (always true for the graph output after
-    /// a full walk).
+    /// a full walk); a folded concat has none.
     pub fn node_output(&self, id: usize) -> TensorView<'_> {
         let (shape, data) = self.output_of(id);
         TensorView::new(shape, data)
@@ -115,7 +129,7 @@ impl FpScratch {
 }
 
 impl QScratch {
-    /// Seeds the input node's slot from a quantised frame.
+    /// Seeds the input node's value from a quantised frame.
     pub fn load_input(&mut self, input: &QTensor) {
         assert_eq!(input.fix_pos(), self.fps[0], "scratch input fix position");
         self.load(input.shape(), input.data());
@@ -129,6 +143,33 @@ impl QScratch {
     }
 }
 
+/// The arena split around the value being written: the plan places every
+/// value live at the same step (a node's inputs included) clear of it, so
+/// each lies wholly below or wholly above and is read from there.
+struct Values<'a, T> {
+    below: &'a [T],
+    above: &'a [T],
+    above_at: usize,
+}
+
+/// Carves node output `out` out of `arena` with `split_at_mut`.
+fn carve<T>(arena: &mut [T], out: Range<usize>) -> (&mut [T], Values<'_, T>) {
+    let (below, rest) = arena.split_at_mut(out.start);
+    let (out_buf, above) = rest.split_at_mut(out.len());
+    (out_buf, Values { below, above, above_at: out.end })
+}
+
+impl<'a, T> Values<'a, T> {
+    fn get(&self, r: Range<usize>) -> &'a [T] {
+        if r.end <= self.below.len() {
+            &self.below[r]
+        } else {
+            let at = r.start.checked_sub(self.above_at).expect("a value read overlaps the output");
+            &self.above[at..][..r.len()]
+        }
+    }
+}
+
 impl Lowered {
     /// The pre-packed panels of a conv/tconv node of this program (lowering
     /// gives every one a pack slot).
@@ -136,6 +177,25 @@ impl Lowered {
         &self.packs()[a.pack.expect("lowered conv without a pack slot").slot]
     }
 
+    /// What a conv over node `j` gathers: `j`'s value, or for a folded
+    /// concat its two inputs, each with its requant shift (INT8).
+    fn conv_input<'a, T: Gather>(
+        &self,
+        j: usize,
+        view: impl Fn(usize) -> (Shape4, &'a [T]),
+    ) -> (Shape4, ConvInput<'a, T>) {
+        let (xs, x) = view(j);
+        if !self.folded()[j] {
+            return (xs, x.into());
+        }
+        let node = &self.module().nodes[j];
+        let (sa, sb) = match &node.op {
+            IrOp::Concat { requant: Some(q) } => (q.shift_a, q.shift_b),
+            _ => (0, 0),
+        };
+        let (a, b) = (view(node.inputs[0]).1, view(node.inputs[1]).1);
+        (xs, ConvInput::concat(a, sa, b, sb))
+    }
     /// Executes an FP32 program through the liveness plan; the returned view
     /// borrows the scratch and stays valid until the next frame.
     pub fn execute_f32_into<'s>(
@@ -176,88 +236,73 @@ impl Lowered {
         let m = self.module();
         assert_eq!(m.dtype, DType::F32, "FP32 execution of a non-FP32 module");
         let node = &m.nodes[i];
-        if matches!(node.op, IrOp::Input) {
-            return; // seeded by `FpScratch::load_input`
+        if matches!(node.op, IrOp::Input) || self.folded()[i] {
+            return; // seeded by `FpScratch::load_input` / gathered by its conv
         }
         let _sp = seneca_trace::span_bytes(
             "fp32-op",
             node.op.mnemonic(m.dtype),
             (scratch.plan.elems_of(i) * std::mem::size_of::<f32>()) as u64,
         );
-        let Scratch { plan, shapes, slots, .. } = scratch;
-        let si = plan.slot_of(i);
-        // Take the output buffer out of the arena so input slots stay
-        // borrowable; the plan guarantees no live input shares `si`.
-        let mut out_buf = std::mem::take(&mut slots[si]);
-        let out = &mut out_buf[..plan.elems_of(i)];
-        {
-            let slots = &*slots;
-            let view = |j: usize| -> (Shape4, &[f32]) {
-                debug_assert_ne!(plan.slot_of(j), si, "output slot aliases live input {j}");
-                (shapes[j], &slots[plan.slot_of(j)][..shapes[j].len()])
-            };
-            match &node.op {
-                IrOp::Input => unreachable!(),
-                IrOp::Conv(a) => {
-                    let (xs, x) = view(node.inputs[0]);
-                    let ConvKernel::F32 { b, .. } = &a.kernel else {
-                        panic!("INT8 kernel in an FP32 module")
-                    };
-                    let PackedKernel::ConvF32 { pa, bn } = self.pack_of(a) else {
-                        panic!("pack slot holds the wrong kernel kind")
-                    };
-                    let epi = match (b.is_empty(), bn.is_empty(), a.relu) {
-                        (true, true, false) => GemmEpilogue::None,
-                        (false, true, false) => GemmEpilogue::Bias(b),
-                        // BiasRelu with an empty slice is a plain ReLU
-                        // (missing bias reads 0).
-                        (_, true, true) => GemmEpilogue::BiasRelu(b),
-                        // A carried BatchNorm: what the bias store, the BN
-                        // pass and the ReLU pass computed, bit for bit.
-                        (_, false, relu) => GemmEpilogue::BiasBn { bias: b, bn, relu },
-                    };
-                    let geom = ConvGeom::same_3x3(xs);
-                    per_image(xs, x, out, |x_n, y_n| sgemm_conv_packed(pa, &geom, x_n, y_n, epi));
-                }
-                IrOp::TConv(a) => {
-                    let (xs, x) = view(node.inputs[0]);
-                    assert!(!a.relu, "fused ReLU on an FP32 tconv is unsupported");
-                    let PackedKernel::TConvF32 { pa, bias4 } = self.pack_of(a) else {
-                        panic!("pack slot holds the wrong kernel kind")
-                    };
-                    per_image(xs, x, out, |x_n, y_n| {
-                        sgemm_tconv2x2_packed(pa, x_n, xs.h, xs.w, bias4, y_n)
-                    });
-                }
-                IrOp::BatchNorm { bn } => {
-                    let (xs, x) = view(node.inputs[0]);
-                    batchnorm_inference_into(xs, x, bn, out);
-                }
-                IrOp::Relu => {
-                    let (_, x) = view(node.inputs[0]);
-                    relu_into(x, out);
-                }
-                IrOp::MaxPool2x2 => {
-                    let (xs, x) = view(node.inputs[0]);
-                    maxpool2x2_into(xs, x, out);
-                }
-                IrOp::Concat { requant } => {
-                    assert!(requant.is_none(), "requantising concat in an FP32 module");
-                    let (sa, a) = view(node.inputs[0]);
-                    let (sb, b) = view(node.inputs[1]);
-                    concat_channels_into(sa, a, sb, b, out);
-                }
-                IrOp::Dropout { .. } => {
-                    let (_, x) = view(node.inputs[0]);
-                    out.copy_from_slice(x);
-                }
-                IrOp::Softmax => {
-                    let (xs, x) = view(node.inputs[0]);
-                    softmax_channels_into(xs, x, out);
-                }
+        let Scratch { plan, shapes, arena, work, .. } = scratch;
+        let (out, values) = carve(arena, plan.range_of(i));
+        let view = |j: usize| (shapes[j], values.get(plan.range_of(j)));
+        match &node.op {
+            IrOp::Input => unreachable!(),
+            IrOp::Conv(a) => {
+                let (xs, x) = self.conv_input(node.inputs[0], view);
+                let ConvKernel::F32 { b, .. } = &a.kernel else {
+                    panic!("INT8 kernel in an FP32 module")
+                };
+                let PackedKernel::ConvF32 { pa, bn } = self.pack_of(a) else {
+                    panic!("pack slot holds the wrong kernel kind")
+                };
+                let epi = match (b.is_empty(), bn.is_empty(), a.relu) {
+                    (true, true, false) => GemmEpilogue::None,
+                    (false, true, false) => GemmEpilogue::Bias(b),
+                    // BiasRelu with an empty slice is a plain ReLU (missing
+                    // bias reads 0).
+                    (_, true, true) => GemmEpilogue::BiasRelu(b),
+                    // A carried BatchNorm: what the bias store, the BN pass
+                    // and the ReLU pass computed, bit for bit.
+                    (_, false, relu) => GemmEpilogue::BiasBn { bias: b, bn, relu },
+                };
+                let geom = ConvGeom::same_3x3(xs);
+                per_image_conv(xs, x, out, |x_n, y_n| {
+                    sgemm_conv_with(pa, &geom, x_n, y_n, epi, work)
+                });
+            }
+            IrOp::TConv(a) => {
+                let (xs, x) = view(node.inputs[0]);
+                assert!(!a.relu, "fused ReLU on an FP32 tconv is unsupported");
+                let PackedKernel::TConvF32 { pa, bias4 } = self.pack_of(a) else {
+                    panic!("pack slot holds the wrong kernel kind")
+                };
+                per_image(xs, x, out, |x_n, y_n| {
+                    sgemm_tconv2x2_packed(pa, x_n, xs.h, xs.w, bias4, y_n, work)
+                });
+            }
+            IrOp::BatchNorm { bn } => {
+                let (xs, x) = view(node.inputs[0]);
+                batchnorm_inference_into(xs, x, bn, out);
+            }
+            IrOp::Relu => relu_into(view(node.inputs[0]).1, out),
+            IrOp::MaxPool2x2 => {
+                let (xs, x) = view(node.inputs[0]);
+                maxpool2x2_into(xs, x, out);
+            }
+            IrOp::Concat { requant } => {
+                assert!(requant.is_none(), "requantising concat in an FP32 module");
+                let (sa, a) = view(node.inputs[0]);
+                let (sb, b) = view(node.inputs[1]);
+                concat_channels_into(sa, a, sb, b, out);
+            }
+            IrOp::Dropout { .. } => out.copy_from_slice(view(node.inputs[0]).1),
+            IrOp::Softmax => {
+                let (xs, x) = view(node.inputs[0]);
+                softmax_channels_into(xs, x, out);
             }
         }
-        scratch.slots[si] = out_buf;
     }
 
     /// Executes an INT8 program through the liveness plan. The returned view
@@ -297,108 +342,113 @@ impl Lowered {
     /// Executes one INT8 node out of the scratch arena. Inputs must still
     /// be live under the plan — running ids in increasing order (as both
     /// [`Lowered::execute_i8_into`] and the compiled DPU instruction stream
-    /// do) satisfies this, because a slot is only recycled after its
-    /// value's last consumer has run.
+    /// do) satisfies this, because a value's bytes are only reused after its
+    /// last consumer has run. A folded concat executes nothing: its conv
+    /// gathers and requantises the concat's inputs itself.
     pub fn execute_node_i8(&self, id: usize, scratch: &mut QScratch) {
         let m = self.module();
         assert_eq!(m.dtype, DType::I8, "INT8 execution of a non-INT8 module");
         let node = &m.nodes[id];
-        if matches!(node.op, IrOp::Input) {
-            return; // seeded by `QScratch::load_input`
+        if matches!(node.op, IrOp::Input) || self.folded()[id] {
+            return; // seeded by `QScratch::load_input` / gathered by its conv
         }
         let _sp = seneca_trace::span_bytes(
             "int8-op",
             node.op.mnemonic(m.dtype),
             scratch.plan.elems_of(id) as u64,
         );
-        let Scratch { plan, shapes, fps, slots, winograd } = scratch;
-        let si = plan.slot_of(id);
-        // Take the output buffer out of the arena so input slots stay
-        // borrowable; the plan guarantees no live input shares `si`.
-        let mut out_buf = std::mem::take(&mut slots[si]);
-        let out = &mut out_buf[..plan.elems_of(id)];
-        {
-            let slots = &*slots;
-            let view = |j: usize| -> (Shape4, &[i8]) {
-                debug_assert_ne!(plan.slot_of(j), si, "output slot aliases live input {j}");
-                (shapes[j], &slots[plan.slot_of(j)][..shapes[j].len()])
-            };
-            match &node.op {
-                IrOp::Input => unreachable!(),
-                IrOp::Conv(a) => {
-                    let j = node.inputs[0];
-                    let (xs, x) = view(j);
-                    let ConvKernel::I8 { bias, in_fp, .. } = &a.kernel else {
-                        panic!("FP32 kernel in an INT8 module")
-                    };
-                    debug_assert_eq!(fps[j], *in_fp, "qconv input fix position");
-                    let shift = a.kernel.shift();
-                    let (geom, relu) = (ConvGeom::same_3x3(xs), a.relu);
-                    match self.pack_of(a) {
-                        PackedKernel::ConvI8(pa) => per_image(xs, x, out, |x_n, y_n| {
-                            igemm_conv_packed(pa, &geom, x_n, bias, shift, relu, y_n)
-                        }),
-                        // Nibble-packed W4 panels: half the weight bytes,
-                        // bit-exact vs the i8 path on the `[-8, 7]` weights.
-                        PackedKernel::ConvI4(pa) => per_image(xs, x, out, |x_n, y_n| {
-                            igemm4_conv_packed(pa, &geom, x_n, bias, shift, relu, y_n)
-                        }),
-                        // Winograd F(2x2, 3x3): bit for bit the direct conv.
-                        PackedKernel::ConvWinograd(pw) => per_image(xs, x, out, |x_n, y_n| {
-                            igemm_conv_winograd(pw, &geom, x_n, bias, shift, relu, y_n, winograd)
-                        }),
-                        _ => panic!("pack slot holds the wrong kernel kind"),
-                    }
-                }
-                IrOp::TConv(a) => {
-                    let j = node.inputs[0];
-                    let (xs, x) = view(j);
-                    let ConvKernel::I8 { in_fp, .. } = &a.kernel else {
-                        panic!("FP32 kernel in an INT8 module")
-                    };
-                    debug_assert_eq!(fps[j], *in_fp, "qtconv input fix position");
-                    let shift = a.kernel.shift();
-                    let (h, w, relu) = (xs.h, xs.w, a.relu);
-                    match self.pack_of(a) {
-                        PackedKernel::TConvI8 { pa, bias4 } => per_image(xs, x, out, |x_n, y_n| {
-                            igemm_tconv2x2_packed(pa, x_n, h, w, bias4, shift, relu, y_n)
-                        }),
-                        PackedKernel::TConvI4 { pa, bias4 } => per_image(xs, x, out, |x_n, y_n| {
-                            igemm4_tconv2x2_packed(pa, x_n, h, w, bias4, shift, relu, y_n)
-                        }),
-                        _ => panic!("pack slot holds the wrong kernel kind"),
-                    }
-                }
-                IrOp::MaxPool2x2 => {
-                    let (xs, x) = view(node.inputs[0]);
-                    maxpool2x2_i8(xs, x, out);
-                }
-                IrOp::Concat { requant } => {
-                    let q = requant.as_ref().expect("INT8 concat without requant attributes");
-                    let (sa, a) = view(node.inputs[0]);
-                    let (sb, b) = view(node.inputs[1]);
-                    concat_requant_i8(sa, a, sb, b, q.shift_a, q.shift_b, out);
-                }
-                IrOp::BatchNorm { .. } | IrOp::Relu | IrOp::Dropout { .. } | IrOp::Softmax => {
-                    panic!("{} unsupported in an INT8 module", node.op.mnemonic(m.dtype))
+        let Scratch { plan, shapes, fps, arena, work, winograd } = scratch;
+        let (out, values) = carve(arena, plan.range_of(id));
+        let view = |j: usize| (shapes[j], values.get(plan.range_of(j)));
+        match &node.op {
+            IrOp::Input => unreachable!(),
+            IrOp::Conv(a) => {
+                let j = node.inputs[0];
+                let (xs, x) = self.conv_input(j, view);
+                let ConvKernel::I8 { bias, in_fp, .. } = &a.kernel else {
+                    panic!("FP32 kernel in an INT8 module")
+                };
+                debug_assert_eq!(fps[j], *in_fp, "qconv input fix position");
+                let shift = a.kernel.shift();
+                let (geom, relu) = (ConvGeom::same_3x3(xs), a.relu);
+                match self.pack_of(a) {
+                    PackedKernel::ConvI8(pa) => per_image_conv(xs, x, out, |x_n, y_n| {
+                        igemm_conv_with(pa, &geom, x_n, bias, shift, relu, y_n, work)
+                    }),
+                    // Nibble-packed W4 panels: half the weight bytes,
+                    // bit-exact vs the i8 path on the `[-8, 7]` weights.
+                    PackedKernel::ConvI4(pa) => per_image_conv(xs, x, out, |x_n, y_n| {
+                        igemm4_conv_with(pa, &geom, x_n, bias, shift, relu, y_n, work)
+                    }),
+                    // Winograd F(2x2, 3x3): bit for bit the direct conv.
+                    PackedKernel::ConvWinograd(pw) => per_image_conv(xs, x, out, |x_n, y_n| {
+                        igemm_conv_winograd(pw, &geom, x_n, bias, shift, relu, y_n, winograd)
+                    }),
+                    _ => panic!("pack slot holds the wrong kernel kind"),
                 }
             }
+            IrOp::TConv(a) => {
+                let j = node.inputs[0];
+                let (xs, x) = view(j);
+                let ConvKernel::I8 { in_fp, .. } = &a.kernel else {
+                    panic!("FP32 kernel in an INT8 module")
+                };
+                debug_assert_eq!(fps[j], *in_fp, "qtconv input fix position");
+                let shift = a.kernel.shift();
+                let (h, w, relu) = (xs.h, xs.w, a.relu);
+                match self.pack_of(a) {
+                    PackedKernel::TConvI8 { pa, bias4 } => per_image(xs, x, out, |x_n, y_n| {
+                        igemm_tconv2x2_packed(pa, x_n, h, w, bias4, shift, relu, y_n, work)
+                    }),
+                    PackedKernel::TConvI4 { pa, bias4 } => per_image(xs, x, out, |x_n, y_n| {
+                        igemm4_tconv2x2_packed(pa, x_n, h, w, bias4, shift, relu, y_n, work)
+                    }),
+                    _ => panic!("pack slot holds the wrong kernel kind"),
+                }
+            }
+            IrOp::MaxPool2x2 => {
+                let (xs, x) = view(node.inputs[0]);
+                maxpool2x2_i8(xs, x, out);
+            }
+            IrOp::Concat { requant } => {
+                let q = requant.as_ref().expect("INT8 concat without requant attributes");
+                let (sa, a) = view(node.inputs[0]);
+                let (sb, b) = view(node.inputs[1]);
+                concat_requant_i8(sa, a, sb, b, q.shift_a, q.shift_b, out);
+            }
+            IrOp::BatchNorm { .. } | IrOp::Relu | IrOp::Dropout { .. } | IrOp::Softmax => {
+                panic!("{} unsupported in an INT8 module", node.op.mnemonic(m.dtype))
+            }
         }
-        scratch.slots[si] = out_buf;
     }
 }
 
-/// Runs a one-image conv/tconv GEMM kernel over a batch: image `n` of `x`
-/// (laid out as `xs`) produces image `n` of `out`. The kernels pack the
-/// activation (B) strips straight from the feature map (implicit GEMM) and
-/// run against weight panels packed at lowering time; each asserts its own
-/// panel and output extents.
+/// Runs a one-image tconv GEMM kernel over a batch: image `n` of `x` (laid
+/// out as `xs`) produces image `n` of `out`. The kernels pack the activation
+/// (B) strips straight from the feature map (implicit GEMM) and run against
+/// weight panels packed at lowering time; each asserts its own panel and
+/// output extents.
 fn per_image<T>(xs: Shape4, x: &[T], out: &mut [T], mut kernel: impl FnMut(&[T], &mut [T])) {
     assert_eq!(x.len(), xs.len(), "input buffer/shape mismatch");
     assert_eq!(out.len() % xs.n, 0, "output buffer size");
     let out_chw = out.len() / xs.n;
     for (x_n, y_n) in x.chunks_exact(xs.chw()).zip(out.chunks_exact_mut(out_chw)) {
         kernel(x_n, y_n);
+    }
+}
+
+/// [`per_image`] for a conv, whose input may be a folded concat.
+fn per_image_conv<'a, T: Gather>(
+    xs: Shape4,
+    x: ConvInput<'a, T>,
+    out: &mut [T],
+    mut kernel: impl FnMut(ConvInput<'a, T>, &mut [T]),
+) {
+    assert_eq!(x.len(), xs.len(), "input buffer/shape mismatch");
+    assert_eq!(out.len() % xs.n, 0, "output buffer size");
+    let out_chw = out.len() / xs.n;
+    for (n, y_n) in out.chunks_exact_mut(out_chw).enumerate() {
+        kernel(x.image(n, xs.n), y_n);
     }
 }
 
@@ -696,6 +746,46 @@ mod tests {
         assert_eq!(y.data(), &[4, 8, 16, 33]);
     }
 
+    /// A folded concat feeding a Winograd conv, with a direct conv and a
+    /// materialized output concat around it: the conv requantises both
+    /// sources as it gathers them (bit for bit the oracle's concat then
+    /// conv), and the arena's work memory, sized once from the plan, is
+    /// exactly what the GEMM driver asks for — running frames grows none of
+    /// it.
+    #[test]
+    fn folded_concat_runs_on_the_arena_work_memory() {
+        let mut rng = StdRng::seed_from_u64(37);
+        let mut m = Module::new("fold", DType::I8);
+        m.input_fp = 6;
+        let conv = |kernel| IrOp::Conv(ConvAttrs { kernel, relu: true, pack: None });
+        let k1 = rand_qkernel(Shape4::new(8, 2, 3, 3), 8, 6, 5, Bitwidth::W8, &mut rng);
+        let c1 = m.push(conv(k1), vec![0]);
+        let k2 = rand_qkernel(Shape4::new(8, 8, 3, 3), 8, 5, 4, Bitwidth::W8, &mut rng);
+        let c2 = m.push(conv(k2), vec![c1]);
+        let q = ConcatQ { shift_a: 2, shift_b: 1, out_fp: 3 };
+        let cat = m.push(IrOp::Concat { requant: Some(q) }, vec![c1, c2]);
+        let k3 = rand_qkernel(Shape4::new(4, 16, 3, 3), 4, 3, 4, Bitwidth::W8, &mut rng);
+        let c3 = m.push(conv(k3), vec![cat]);
+        let q = ConcatQ { shift_a: 0, shift_b: 1, out_fp: 3 };
+        m.push(IrOp::Concat { requant: Some(q) }, vec![c3, c2]);
+        m.output_fp = 3;
+        let s = Shape4::new(2, 2, 16, 16);
+        let frames: Vec<QTensor> =
+            (0..2).map(|_| QTensor::quantize(&rand_tensor(s, &mut rng), 6)).collect();
+        let lowered = assert_i8_matches_oracle(&m, &frames);
+        assert_eq!(lowered.folded(), [false, false, false, true, false, false]);
+        assert_eq!((lowered.stats().concats_folded, lowered.stats().winograd), (1, 2));
+        let mut scratch = lowered.make_scratch_i8();
+        let sizes = |s: &QScratch| (s.work.strip_len(), s.winograd.strip_len());
+        let planned = sizes(&scratch);
+        assert_eq!(planned, (scratch.plan.direct_work().0, scratch.plan.winograd_strips()));
+        assert!(planned.0 > 0 && planned.1 > 0);
+        for x in &frames {
+            lowered.execute_i8_into(x, &mut scratch);
+            assert_eq!(sizes(&scratch), planned, "the driver grew the arena's work memory");
+        }
+    }
+
     /// Scratch arenas replan for a new geometry; the packed weights are
     /// shape-independent and shared.
     #[test]
@@ -712,12 +802,12 @@ mod tests {
     }
 
     /// Regression for the implicit-GEMM refactor: the executor arenas hold
-    /// ONLY plan-slot storage, even after running conv-heavy frames — the
-    /// materialized im2col column buffer and the pre-scatter tconv buffer
-    /// are gone (their former fields no longer exist; this guards against
-    /// side storage creeping back in under another name).
+    /// ONLY the plan's activation buffer, even after running conv-heavy
+    /// frames — the materialized im2col column buffer and the pre-scatter
+    /// tconv buffer are gone (their former fields no longer exist; this
+    /// guards against side storage creeping back in under another name).
     #[test]
-    fn scratch_allocates_only_plan_slots() {
+    fn scratch_allocates_only_the_plan_arena() {
         let mut rng = StdRng::seed_from_u64(36);
         let m = f32_module(&mut rng);
         let s = Shape4::new(1, 2, 8, 8);

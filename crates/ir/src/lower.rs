@@ -3,9 +3,11 @@
 //! [`lower`] runs the exact rewrite passes (BN carry → ReLU fusion, switched
 //! by [`LowerOptions`]; then the dropout strip), assigns every weight a pack
 //! slot, picks from the lowered shapes which INT8 convs run as Winograd
-//! F(2x2, 3x3) ([`select_winograd`]), then materialises everything the executors need per
-//! model — shapes, fix positions, the liveness [`ExecPlan`] and the
-//! **pre-packed weight panels**. Weights are immutable at inference, so their GEMM A-operand
+//! F(2x2, 3x3) ([`select_winograd`]), folds every concat whose only consumer
+//! is a conv into that conv's gather ([`Module::folded_concats`]), then
+//! materialises everything the executors need per model — shapes, fix
+//! positions, the liveness [`ExecPlan`] and the **pre-packed weight
+//! panels**. Weights are immutable at inference, so their GEMM A-operand
 //! panels are packed exactly once here; each frame then only packs the
 //! activation (B) panels, which is where the per-frame pack share of the
 //! 16M model drops measurably.
@@ -17,6 +19,7 @@ use crate::passes::{
 };
 use crate::plan::ExecPlan;
 use seneca_tensor::gemm::{PackedA, PackedA4};
+use seneca_tensor::im2col::Gather;
 use seneca_tensor::quantized::Bitwidth;
 use seneca_tensor::tconv::repack_tconv_weights;
 use seneca_tensor::winograd::PackedWinograd;
@@ -122,14 +125,15 @@ impl PackedKernel {
 }
 
 /// A lowered program: the rewritten module plus everything the executors
-/// derive from it once per model — shapes, fix positions, the liveness
-/// plan and the pre-packed weight panels.
+/// derive from it once per model — shapes, fix positions, the folded
+/// concats, the liveness plan and the pre-packed weight panels.
 #[derive(Debug, Clone)]
 pub struct Lowered {
     module: Module,
     input: Shape4,
     shapes: Vec<Shape4>,
     fps: Vec<i32>,
+    folded: Vec<bool>,
     plan: ExecPlan,
     packs: Vec<PackedKernel>,
     stats: PassStats,
@@ -156,9 +160,11 @@ pub fn lower(mut module: Module, input: Shape4, opts: &LowerOptions) -> Lowered 
         })
         .count();
     let fps = module.fix_positions();
+    let folded = module.folded_concats();
+    stats.concats_folded = folded.iter().filter(|&&f| f).count();
     let plan = module.plan(input);
     let packs = build_packs(&module);
-    Lowered { module, input, shapes, fps, plan, packs, stats }
+    Lowered { module, input, shapes, fps, folded, plan, packs, stats }
 }
 
 /// Packs every pack-slotted weight tensor once (model load time).
@@ -273,6 +279,12 @@ impl Lowered {
         &self.fps
     }
 
+    /// Per node: whether it is a concat folded into its conv
+    /// ([`Module::folded_concats`]): it has no value and executes nothing.
+    pub fn folded(&self) -> &[bool] {
+        &self.folded
+    }
+
     /// The liveness plan at the lowered input geometry.
     pub fn plan(&self) -> &ExecPlan {
         &self.plan
@@ -314,13 +326,13 @@ impl Lowered {
         self.make_scratch(input)
     }
 
-    fn make_scratch<T: Copy + Default>(&self, input: Shape4) -> Scratch<T> {
+    fn make_scratch<T: Gather>(&self, input: Shape4) -> Scratch<T> {
         Scratch::new(self.module.plan(input), self.module.shapes(input), self.fps.clone())
     }
 
     /// Re-plans `scratch` when it was built for another geometry than
     /// `input`: one odd-sized frame costs its worker a re-plan, not a panic.
-    pub(crate) fn fit<T: Copy + Default>(&self, scratch: &mut Scratch<T>, input: Shape4) {
+    pub(crate) fn fit<T: Gather>(&self, scratch: &mut Scratch<T>, input: Shape4) {
         if scratch.input_shape() != input {
             *scratch = self.make_scratch(input);
         }

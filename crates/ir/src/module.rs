@@ -356,6 +356,33 @@ impl Module {
         fps
     }
 
+    /// Per node: whether it is a concat folded into its consumer — a
+    /// [`IrOp::Concat`] whose only consumer is a [`IrOp::Conv`] (every conv
+    /// is 3x3) and which is not the graph output. The conv gathers its
+    /// channels from the concat's two inputs, each requantised by its own
+    /// shift as it is loaded ([`seneca_tensor::im2col::ConvInput`]), so the
+    /// concat keeps its node id and shape (the DPU stream still maps one to
+    /// one) but holds no value and executes nothing. A concat with another
+    /// consumer, or that is the output, stays materialized.
+    pub fn folded_concats(&self) -> Vec<bool> {
+        let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); self.nodes.len()];
+        for (i, node) in self.nodes.iter().enumerate() {
+            for &j in &node.inputs {
+                consumers[j].push(i);
+            }
+        }
+        self.nodes
+            .iter()
+            .zip(&consumers)
+            .enumerate()
+            .map(|(i, (node, by))| {
+                matches!(node.op, IrOp::Concat { .. })
+                    && i != self.output
+                    && matches!(by[..], [c] if matches!(self.nodes[c].op, IrOp::Conv(_)))
+            })
+            .collect()
+    }
+
     /// Lowers the module into a liveness-planned [`ExecPlan`] for the given
     /// input geometry.
     pub fn plan(&self, input: Shape4) -> ExecPlan {
@@ -363,14 +390,34 @@ impl Module {
     }
 
     /// [`Module::plan`] over channel-padded element counts: node `i`
-    /// contributes `n * h * w * pad_c(c)` elements. This is the single
-    /// ICP-padding hook shared by the host executor arenas (`pad_c`
-    /// identity) and the DPU compiler's DDR accounting
-    /// (`pad_c = arch.pad_channels`), so the two can never drift.
+    /// contributes `n * h * w * pad_c(c)` elements, a folded concat
+    /// ([`Module::folded_concats`]) none, and a folded concat's inputs live
+    /// until its conv has run. This is the single ICP-padding hook shared by
+    /// the host executor arenas (`pad_c` identity) and the DPU compiler's DDR
+    /// accounting (`pad_c = arch.pad_channels`), so the two can never drift.
     pub fn plan_padded(&self, input: Shape4, pad_c: impl Fn(usize) -> usize) -> ExecPlan {
         let shapes = self.shapes(input);
-        let elems: Vec<usize> = shapes.iter().map(|s| s.n * s.hw() * pad_c(s.c)).collect();
-        let inputs: Vec<&[usize]> = self.nodes.iter().map(|n| n.inputs.as_slice()).collect();
+        let folded = self.folded_concats();
+        let elems: Vec<usize> = shapes
+            .iter()
+            .zip(&folded)
+            .map(|(s, &f)| if f { 0 } else { s.n * s.hw() * pad_c(s.c) })
+            .collect();
+        // What each node reads: a conv over a folded concat reads its inputs.
+        let reads: Vec<Vec<usize>> = self
+            .nodes
+            .iter()
+            .map(|n| {
+                let mut r = n.inputs.clone();
+                if let [j] = n.inputs[..] {
+                    if folded[j] {
+                        r.extend(&self.nodes[j].inputs);
+                    }
+                }
+                r
+            })
+            .collect();
+        let inputs: Vec<&[usize]> = reads.iter().map(Vec::as_slice).collect();
         let mut plan = ExecPlan::build(&inputs, &elems, self.output);
         let (direct, winograd) = self.gemm_work(&shapes);
         plan.set_work(direct, winograd);
@@ -383,13 +430,15 @@ impl Module {
     /// panels are packed once at lowering and are not per-frame work), or an
     /// FP32 band conv's row bands. Each buffer is reused node to node, so
     /// each figure is a max over nodes, not a sum: the direct convs' and
-    /// tconvs' strips plus the band convs' `u32` k-step offset table (bytes;
-    /// the GEMM driver's thread-local scratch), and the Winograd convs'
-    /// strips (`i16` elements; the executor arena's, see
-    /// [`crate::exec::Scratch`]). Mirrors what the
+    /// tconvs' strips, the band convs' `u32` k-step offset table and the
+    /// Winograd convs' `i16` strips, all three the work memory of the
+    /// executor's worker arena ([`crate::exec::Scratch`]). Mirrors what the
     /// kernels actually allocate via [`seneca_tensor::gemm::strip_scratch_len`]
-    /// and [`seneca_tensor::igemm::sgemm_conv_scratch`].
-    fn gemm_work(&self, shapes: &[Shape4]) -> (u64, usize) {
+    /// and [`seneca_tensor::igemm::sgemm_conv_scratch`]. A conv over a folded
+    /// concat packs the concat's channels, as over the materialized one.
+    /// Returns `((strip elements, band offsets, element bytes), Winograd
+    /// strip elements)`.
+    fn gemm_work(&self, shapes: &[Shape4]) -> ((usize, usize, usize), usize) {
         use seneca_tensor::gemm::{strip_scratch_len, NR};
         use seneca_tensor::igemm::sgemm_conv_scratch;
         use seneca_tensor::im2col::ConvGeom;
@@ -411,19 +460,19 @@ impl Module {
                 }
                 IrOp::Conv(_) if self.dtype == DType::F32 => {
                     let (strips, offsets) = sgemm_conv_scratch(out.c, &ConvGeom::same_3x3(s));
-                    direct = direct.max(es * strips);
-                    band_offsets = band_offsets.max(offsets * size_of::<u32>());
+                    direct = direct.max(strips);
+                    band_offsets = band_offsets.max(offsets);
                 }
                 IrOp::Conv(_) => {
-                    direct = direct.max(es * strip_scratch_len(out.c, s.c * 9, s.hw(), NR, es));
+                    direct = direct.max(strip_scratch_len(out.c, s.c * 9, s.hw(), NR, es));
                 }
                 IrOp::TConv(_) => {
-                    direct = direct.max(es * strip_scratch_len(4 * out.c, s.c, s.hw(), s.w, es));
+                    direct = direct.max(strip_scratch_len(4 * out.c, s.c, s.hw(), s.w, es));
                 }
                 _ => {}
             }
         }
-        ((direct + band_offsets) as u64, winograd)
+        ((direct, band_offsets, es), winograd)
     }
 
     /// Number of nodes per mnemonic (listing/statistics helper).

@@ -36,6 +36,9 @@ pub struct PassStats {
     pub pack_slots_i4: usize,
     /// Of those, INT8 convs lowered to Winograd F(2x2, 3x3).
     pub winograd: usize,
+    /// Concats folded into the gather of their conv
+    /// ([`crate::module::Module::folded_concats`]).
+    pub concats_folded: usize,
 }
 
 /// Fewest input channels of a Winograd conv. The per-shape race of the 1M

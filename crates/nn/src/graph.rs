@@ -261,15 +261,22 @@ mod tests {
         }
     }
 
+    /// Whether two values of `plan` share arena elements.
+    fn overlap(plan: &seneca_ir::ExecPlan, i: usize, j: usize) -> bool {
+        let (a, b) = (plan.range_of(i), plan.range_of(j));
+        a.start < b.end && b.start < a.end
+    }
+
     #[test]
-    fn plan_reuses_slots_below_total_activations() {
+    fn plan_reuses_bytes_below_total_activations() {
         // Depth-4 / 8-filter is the paper's 1M configuration: skip-aware
         // liveness must cut the arena well below the per-node sum.
         let mut rng = rand::rngs::StdRng::seed_from_u64(14);
         let cfg = UNetConfig { depth: 4, base_filters: 8, num_classes: 6, dropout: 0.1 };
         let g = Graph::from_unet(&UNet::new(cfg, &mut rng), "m1");
         let plan = g.module().plan(Shape4::new(1, 1, 64, 64));
-        assert!(plan.n_slots() < plan.n_nodes());
+        let n = plan.n_nodes();
+        assert!((1..n).any(|j| (0..j).any(|i| overlap(&plan, i, j))), "no value reuses bytes");
         assert!(
             2 * plan.peak_arena_elems() < plan.total_activation_elems(),
             "peak {} vs total {}",
@@ -279,24 +286,31 @@ mod tests {
     }
 
     #[test]
-    fn slot_reuse_never_aliases_live_skip_connection() {
+    fn byte_reuse_never_aliases_live_skip_connection() {
         let net = tiny_net(15);
         let g = Graph::from_unet(&net, "tiny");
         // `Module::plan` runs no rewrite passes, so ids map 1:1 onto `g`.
-        let plan = g.module().plan(Shape4::new(1, 1, 32, 32));
-        for (i, node) in g.module().nodes.iter().enumerate() {
+        let m = g.module();
+        let plan = m.plan(Shape4::new(1, 1, 32, 32));
+        let folded = m.folded_concats();
+        for (i, node) in m.nodes.iter().enumerate() {
             if !matches!(node.op, IrOp::Concat { .. }) {
                 continue;
             }
+            // Every decoder concat feeds one conv only, so it is folded: the
+            // skip is read by that conv, and the concat holds no value.
+            assert!(folded[i], "concat {i} is materialized");
+            assert_eq!(plan.elems_of(i), 0, "folded concat {i} takes arena bytes");
+            let conv = i + 1;
+            assert!(matches!(m.nodes[conv].op, IrOp::Conv(_)) && m.nodes[conv].inputs == [i]);
             // The skip input was produced long before the concat; every node
-            // defined in between must avoid its slot.
+            // defined up to the conv that reads it must avoid its bytes.
             let skip = node.inputs[0];
-            assert_eq!(plan.last_use_of(skip), i, "skip {skip} live exactly until concat {i}");
-            for j in (skip + 1)..i {
-                assert_ne!(
-                    plan.slot_of(j),
-                    plan.slot_of(skip),
-                    "node {j} clobbers skip {skip} before concat {i}"
+            assert_eq!(plan.last_use_of(skip), conv, "skip {skip} live exactly until conv {conv}");
+            for j in (skip + 1)..=conv {
+                assert!(
+                    !overlap(&plan, j, skip),
+                    "node {j} clobbers skip {skip} before conv {conv}"
                 );
             }
         }

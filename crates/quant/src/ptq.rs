@@ -76,6 +76,14 @@ pub fn calibrate(fg: &Module, calib: &[Tensor], cfg: &PtqConfig) -> PtqReport {
             });
         }
     }
+    // A concat folded into its conv holds no value; its max |x| is its
+    // inputs' (the lowering preserves ids, and inputs come first).
+    for (id, &folded) in fg.folded_concats().iter().enumerate() {
+        if folded {
+            let ins = &fg.nodes[id].inputs;
+            range[id] = range[ins[0]].max(range[ins[1]]);
+        }
+    }
 
     // 2. Assign fix positions with structural constraints.
     let mut fp: Vec<i32> = range.iter().map(|&r| choose_fix_pos(r)).collect();

@@ -22,12 +22,15 @@ impl FpRunner {
     }
 
     /// Runs `img` node by node, handing each node's output to `visit` while
-    /// it is live (the input node included).
+    /// it is live (the input node included; a concat folded into its conv
+    /// has no output, see [`Module::folded_concats`]).
     pub fn for_each_node(&mut self, img: &Tensor, mut visit: impl FnMut(usize, TensorView<'_>)) {
         self.lowered.load_input_f32(img, &mut self.scratch);
         for id in 0..self.lowered.module().nodes.len() {
             self.lowered.execute_node_f32(id, &mut self.scratch);
-            visit(id, self.lowered.node_output_f32(id, &self.scratch));
+            if !self.lowered.folded()[id] {
+                visit(id, self.lowered.node_output_f32(id, &self.scratch));
+            }
         }
     }
 

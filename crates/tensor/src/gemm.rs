@@ -59,11 +59,12 @@
 //!    (`c_out <= 32`, every full-resolution layer of the 1M model) use every
 //!    core; otherwise they split the row tiles and each packs the one strip
 //!    itself. GEMMs under [`FORK_MIN_MACS`] run inline on the caller. The
-//!    per-part strip buffers are slices of the *calling* thread's scratch
-//!    (worker threads are short-lived, their thread-locals would be
-//!    re-allocated per call); parts never touch that scratch themselves. The
-//!    Winograd conv hands the driver a caller-owned buffer instead
-//!    ([`run_with`]; see [`crate::winograd`]).
+//!    per-part strip buffers are slices of one [`Work`] the caller hands the
+//!    driver ([`run_with`]): the executor's worker arena owns one per element
+//!    type, sized once for its plan, and the entry points that take none use
+//!    the *calling* thread's. A part never touches its own thread's scratch:
+//!    the rayon shim's workers are fresh threads, whose thread-locals would
+//!    be re-allocated every call.
 //! 3. **Micro-kernels.** An `MR x NR` accumulator tile walks one `A` row
 //!    panel (`[ip][kk][MR]`, packed once per weight tensor — [`PackedA`],
 //!    [`PackedA4`]) and one `B` panel over the whole `k` extent — a packed
@@ -220,19 +221,57 @@ pub enum GemmEpilogue<'a> {
     },
 }
 
+/// GEMM work memory for one element type: the strip buffers of the driver's
+/// parallel parts, and the k-step offsets a band conv reads its band
+/// through ([`Steps::Band`]). Both grow to the largest call's need and are
+/// reused call to call. An executor worker owns one per element type, built
+/// with its arena on the calling thread and sized once for its plan
+/// ([`Work::new`]), and hands it to the entry points that take one; every
+/// other entry point uses the calling thread's.
+#[derive(Debug, Clone)]
+pub struct Work<T> {
+    strips: Vec<T>,
+    offsets: Vec<u32>,
+}
+
+impl<T> Default for Work<T> {
+    fn default() -> Self {
+        Self { strips: Vec::new(), offsets: Vec::new() }
+    }
+}
+
+impl<T: Zero> Work<T> {
+    /// Work memory of `strips` zeroed strip elements and room for `offsets`
+    /// band offsets ([`crate::igemm::sgemm_conv_scratch`] and
+    /// [`strip_scratch_len`] give the sizes of a call).
+    pub fn new(strips: usize, offsets: usize) -> Self {
+        Self { strips: vec![T::ZERO; strips], offsets: Vec::with_capacity(offsets) }
+    }
+
+    /// Strip elements held.
+    pub fn strip_len(&self) -> usize {
+        self.strips.len()
+    }
+}
+
 /// This thread's reusable pack buffers for one element type: the `A` panels
-/// of the entry points that pack weights per call, and the parts' `B` strips.
-type PackScratch<T> = RefCell<[Vec<T>; 2]>;
-const A_PANELS: usize = 0;
-const STRIPS: usize = 1;
+/// of the entry points that pack weights per call, and the work memory of
+/// those that take no [`Work`].
+#[doc(hidden)]
+#[derive(Debug)]
+pub struct PackScratch<T> {
+    a_panels: Vec<T>,
+    work: Work<T>,
+}
+
+impl<T> PackScratch<T> {
+    const EMPTY: Self =
+        Self { a_panels: Vec::new(), work: Work { strips: Vec::new(), offsets: Vec::new() } };
+}
 
 thread_local! {
-    static PACK_F32: PackScratch<f32> = const { RefCell::new([Vec::new(), Vec::new()]) };
-    static PACK_I8: PackScratch<i8> = const { RefCell::new([Vec::new(), Vec::new()]) };
-    /// The k-step offsets of this thread's row bands ([`Steps::Band`]),
-    /// reused call to call like the strips: a fresh table per conv call
-    /// left the INT8 stream workload's peak RSS 4 MB higher (heap holes).
-    static BAND_OFFSETS: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
+    static PACK_F32: RefCell<PackScratch<f32>> = const { RefCell::new(PackScratch::EMPTY) };
+    static PACK_I8: RefCell<PackScratch<i8>> = const { RefCell::new(PackScratch::EMPTY) };
 }
 
 /// Element type of a packed GEMM operand (`f32`, `i8`).
@@ -242,13 +281,13 @@ pub trait PackElem: Zero + Send + Sync + 'static {
     const MAX_K: usize;
 
     #[doc(hidden)]
-    fn scratch() -> &'static LocalKey<PackScratch<Self>>;
+    fn scratch() -> &'static LocalKey<RefCell<PackScratch<Self>>>;
 }
 
 impl PackElem for f32 {
     const MAX_K: usize = usize::MAX;
 
-    fn scratch() -> &'static LocalKey<PackScratch<f32>> {
+    fn scratch() -> &'static LocalKey<RefCell<PackScratch<f32>>> {
         &PACK_F32
     }
 }
@@ -256,19 +295,18 @@ impl PackElem for f32 {
 impl PackElem for i8 {
     const MAX_K: usize = 1 << 16;
 
-    fn scratch() -> &'static LocalKey<PackScratch<i8>> {
+    fn scratch() -> &'static LocalKey<RefCell<PackScratch<i8>>> {
         &PACK_I8
     }
 }
 
-/// Takes buffer `slot` out of the calling thread's pack scratch (so no
-/// `RefCell` borrow is held while the GEMM runs); [`put_buf`] returns it.
-fn take_buf<T: PackElem>(slot: usize) -> Vec<T> {
-    T::scratch().with(|s| std::mem::take(&mut s.borrow_mut()[slot]))
-}
-
-fn put_buf<T: PackElem>(slot: usize, buf: Vec<T>) {
-    T::scratch().with(|s| s.borrow_mut()[slot] = buf);
+/// Runs `f` on the calling thread's work memory, taken out of its pack
+/// scratch so that no `RefCell` borrow is held while the GEMM runs.
+pub(crate) fn with_thread_work<T: PackElem, R>(f: impl FnOnce(&mut Work<T>) -> R) -> R {
+    let mut work = T::scratch().with(|s| std::mem::take(&mut s.borrow_mut().work));
+    let r = f(&mut work);
+    T::scratch().with(|s| s.borrow_mut().work = work);
+    r
 }
 
 /// A pre-packed `A` operand: the `MR`-tall k-major row panels the micro-kernel
@@ -314,9 +352,10 @@ impl<T: PackElem> PackedA<T> {
         get: impl Fn(usize, usize) -> T,
         f: impl FnOnce(&Self) -> R,
     ) -> R {
-        let pa = Self::pack_with(m, k, get, take_buf(A_PANELS));
+        let panels = T::scratch().with(|s| std::mem::take(&mut s.borrow_mut().a_panels));
+        let pa = Self::pack_with(m, k, get, panels);
         let r = f(&pa);
-        put_buf(A_PANELS, pa.panels);
+        T::scratch().with(|s| s.borrow_mut().a_panels = pa.panels);
         r
     }
 }
@@ -801,8 +840,7 @@ struct Part<'a, B, C> {
 }
 
 /// The strip-mined driver behind every GEMM of the crate (see the module
-/// docs), with the strip buffers in the calling thread's pack scratch: see
-/// [`run_with`].
+/// docs), on the calling thread's work memory: see [`run_with`].
 pub(crate) fn run<A: Panels, C: Send>(
     a: &A,
     n: usize,
@@ -813,16 +851,14 @@ pub(crate) fn run<A: Panels, C: Send>(
 ) where
     A::B: PackElem,
 {
-    let mut strips = take_buf::<A::B>(STRIPS);
-    run_with(a, n, (layout, strip), c, &mut strips, pack, store);
-    put_buf(STRIPS, strips);
+    with_thread_work(|work| run_with(a, n, (layout, strip), c, work, pack, store));
 }
 
 /// The driver itself. `c` is laid out as `layout` says — the rows of a
 /// row-major `C`, the `[2H, 2W]` output planes of a 2x2 transpose conv (4
 /// GEMM rows scatter into one plane, a quantum of one input row owns 2 output
 /// rows), or the `[H, W]` planes of a Winograd conv (a quantum of one tile
-/// row owns 2 output rows). The parts' strip buffers are slices of `strips`,
+/// row owns 2 output rows). The parts' strip buffers are slices of `work`'s,
 /// grown to [`strip_scratch_len`] when shorter. `pack(cols, buf)` fills a
 /// strip buffer with columns `cols` of `B` as `strip` says; `store(out,
 /// tile, chunks)` writes one finished tile into the part's chunk pieces.
@@ -831,7 +867,7 @@ pub(crate) fn run_with<A: Panels, C: Send>(
     n: usize,
     (layout, strip): (OutLayout, Strip),
     c: &mut [C],
-    strips: &mut Vec<A::B>,
+    work: &mut Work<A::B>,
     pack: impl Fn(Range<usize>, &mut [A::B]) + Sync,
     store: impl Fn(&A::Out, Tile, &mut [&mut [C]]) + Sync,
 ) {
@@ -844,17 +880,18 @@ pub(crate) fn run_with<A: Panels, C: Send>(
     }
     let split = Split::new(m, k, n, layout.quantum, size_of::<A::B>(), strip);
     let (n_parts, strip_len) = (split.row_parts * split.col_parts, split.strip_len);
+    let Work { strips, offsets: offs } = work;
     if strips.len() < n_parts * strip_len {
         strips.resize(n_parts * strip_len, A::B::ZERO);
     }
     // Where a panel starts in its strip and where its k-steps sit.
-    let mut offs = BAND_OFFSETS.with(|o| std::mem::take(&mut *o.borrow_mut()));
     if let Strip::Band { c, w } = strip {
-        band_offsets(c, w, strip_len / c, &mut offs);
+        band_offsets(c, w, strip_len / c, offs);
     }
+    let offs = &*offs;
     let panel = |j: usize| match strip {
         Strip::Panels => (j * k..(j + NR) * k, Steps::Packed),
-        Strip::Band { w, .. } => (j / w * (w + 2) + j % w..strip_len, Steps::Band(&offs)),
+        Strip::Band { w, .. } => (j / w * (w + 2) + j % w..strip_len, Steps::Band(offs)),
     };
     let mut rest = &mut strips[..];
     let mut parts: Vec<Part<'_, A::B, C>> = (0..n_parts)
@@ -910,7 +947,6 @@ pub(crate) fn run_with<A: Panels, C: Send>(
             }
         }
     });
-    BAND_OFFSETS.with(|o| *o.borrow_mut() = offs);
     // One record of each per GEMM call, carrying the parts' summed time: a
     // 256x256 conv has hundreds of strips and the trace ring 4096 slots.
     #[cfg(feature = "trace-gemm")]
@@ -960,13 +996,14 @@ pub(crate) fn bias_at<T: Zero>(bias: &[T], i: usize) -> T {
     bias.get(i).copied().unwrap_or(T::ZERO)
 }
 
-/// Runs the f32 driver into a row-major `C` with `epi` fused into the store;
-/// `pack` fills strip buffers as `strip` says.
+/// Runs the f32 driver into a row-major `C` with `epi` fused into the store,
+/// on `work`; `pack` fills strip buffers as `strip` says.
 pub(crate) fn run_f32(
     pa: &PackedA<f32>,
     (n, strip): (usize, Strip),
     c: &mut [f32],
     epi: GemmEpilogue<'_>,
+    work: &mut Work<f32>,
     pack: impl Fn(Range<usize>, &mut [f32]) + Sync,
 ) {
     let layout = match strip {
@@ -974,7 +1011,7 @@ pub(crate) fn run_f32(
         // Column parts own whole output rows.
         Strip::Band { w, .. } => OutLayout { rows: 1, len: n, quantum: w, quantum_elems: w },
     };
-    run(pa, n, (layout, strip), c, pack, |acc, t, chunks| match epi {
+    run_with(pa, n, (layout, strip), c, work, pack, |acc, t, chunks| match epi {
         GemmEpilogue::None => store_rows(acc, t, chunks, |_| (), |v, ()| v),
         GemmEpilogue::Bias(b) => store_rows(acc, t, chunks, |i| bias_at(b, i), |v, b| v + b),
         GemmEpilogue::BiasRelu(b) => {
@@ -993,15 +1030,16 @@ pub(crate) fn run_f32(
 }
 
 /// Runs an INT8/INT4 driver into a row-major `i8` `C` with the requantise
-/// epilogue fused into the store.
+/// epilogue fused into the store, on `work`.
 pub(crate) fn run_requant<A: Panels<B = i8, Out = Acc<i32>>>(
     pa: &A,
     n: usize,
     out: &mut [i8],
     (bias, shift, relu): (&[i32], i32, bool),
+    work: &mut Work<i8>,
     pack: impl Fn(Range<usize>, &mut [i8]) + Sync,
 ) {
-    run(pa, n, (OutLayout::rows(n), Strip::Panels), out, pack, |acc, t, chunks| {
+    run_with(pa, n, (OutLayout::rows(n), Strip::Panels), out, work, pack, |acc, t, chunks| {
         store_rows(acc, t, chunks, |i| bias_at(bias, i), |v, b| requant(v, b, shift, relu))
     });
 }
@@ -1040,7 +1078,7 @@ pub fn sgemm_fused_packed(
 ) {
     assert_eq!(b.len(), pa.k * n, "B size");
     let pack = |cols, buf: &mut [f32]| pack_b(pa.k, cols, |kk, j| b[kk * n + j], buf);
-    run_f32(pa, (n, Strip::Panels), c, epi, pack);
+    with_thread_work(|work| run_f32(pa, (n, Strip::Panels), c, epi, work, pack));
 }
 
 /// [`igemm_fused`] with a pre-packed `A` operand (see
@@ -1082,7 +1120,8 @@ fn requant_packed<A: Panels<B = i8, Out = Acc<i32>>>(
 ) {
     let k = pa.dims().1;
     assert_eq!(b.len(), k * n, "B size");
-    run_requant(pa, n, out, epi, |cols, buf| pack_b(k, cols, |kk, j| b[kk * n + j], buf));
+    let pack = |cols, buf: &mut [i8]| pack_b(k, cols, |kk, j| b[kk * n + j], buf);
+    with_thread_work(|work| run_requant(pa, n, out, epi, work, pack));
 }
 
 /// INT8 GEMM with `i32` accumulation: `c = a * b`.

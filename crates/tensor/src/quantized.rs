@@ -6,6 +6,7 @@
 //! arithmetic exactly so the functional DPU executor bit-matches what a real
 //! compiled xmodel would produce.
 
+use crate::im2col::Gather;
 use crate::shape::Shape4;
 use crate::tensor::Tensor;
 use serde::{Deserialize, Serialize};
@@ -122,7 +123,7 @@ impl QTensor {
 }
 
 /// A borrowed quantised tensor: shape and fix position over a slice of a
-/// larger INT8 buffer (the planned executor's slot arena). Valid only until
+/// larger INT8 buffer (the planned executor's arena). Valid only until
 /// the arena runs another frame; copy out with [`QTensorView::to_qtensor`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QTensorView<'a> {
@@ -208,18 +209,6 @@ pub fn requantize_i32(acc: i32, shift: i32) -> i8 {
     v.clamp(i8::MIN.into(), i8::MAX.into()) as i8
 }
 
-/// Requantises `src` onto `dst` by [`requantize_i32`]; a zero shift is a
-/// plain copy.
-fn requantize_i8_into(src: &[i8], shift: i32, dst: &mut [i8]) {
-    if shift == 0 {
-        dst.copy_from_slice(src);
-    } else {
-        for (d, &v) in dst.iter_mut().zip(src) {
-            *d = requantize_i32(v.into(), shift);
-        }
-    }
-}
-
 /// INT8 2x2 stride-2 max pool on raw NCHW slices. Returns the output shape.
 /// An odd trailing row or column is dropped (floor semantics).
 ///
@@ -246,7 +235,9 @@ pub fn maxpool2x2_i8(xs: Shape4, x: &[i8], out: &mut [i8]) -> Shape4 {
 
 /// INT8 channel concat with per-input alignment shifts on raw NCHW slices:
 /// each input is requantised (arithmetic shift, [`requantize_i32`]) onto the
-/// common output fix position as it is copied. Returns the output shape.
+/// common output fix position as it is copied ([`Gather::load`], what a conv
+/// that gathers the concat's sources itself applies too). Returns the output
+/// shape.
 #[allow(clippy::too_many_arguments)]
 pub fn concat_requant_i8(
     sa: Shape4,
@@ -265,8 +256,8 @@ pub fn concat_requant_i8(
     let (ca, cb) = (sa.chw(), sb.chw());
     for n in 0..sa.n {
         let (dst_a, dst_b) = out[n * (ca + cb)..][..ca + cb].split_at_mut(ca);
-        requantize_i8_into(&a[n * ca..][..ca], shift_a, dst_a);
-        requantize_i8_into(&b[n * cb..][..cb], shift_b, dst_b);
+        i8::load(&a[n * ca..][..ca], shift_a, dst_a);
+        i8::load(&b[n * cb..][..cb], shift_b, dst_b);
     }
     out_shape
 }

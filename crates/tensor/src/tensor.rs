@@ -194,7 +194,7 @@ pub fn concat_channels_into(
 
 /// A borrowed NCHW tensor: a [`Shape4`] over a slice of a larger buffer.
 ///
-/// The planned executors hand out views into their per-worker slot arenas;
+/// The planned executors hand out views into their per-worker arenas;
 /// a view stays valid only until the arena runs another frame. Callers that
 /// need an owning value copy out with [`TensorView::to_tensor`].
 #[derive(Debug, Clone, Copy, PartialEq)]

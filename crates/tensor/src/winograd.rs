@@ -20,7 +20,9 @@
 //! * **the pack closure is the input transform** ([`pack_b_winograd`]): a
 //!   strip of tiles is transformed once into `NR`-wide panels of 16 position
 //!   sub-panels, `[ξ][c][NR]` `i16`, straight from the NCHW map (zero
-//!   padding at the borders, as the im2col gather);
+//!   padding at the borders, as the im2col gather) — or from the two inputs
+//!   of a folded concat, each patch row requantised by its source's shift as
+//!   it is loaded ([`crate::im2col::ConvInput`]);
 //! * **the tile** runs the 16 position products of one row tile against one
 //!   panel, each through `tile_i16` — the INT8 tile's `i16` sibling, with the
 //!   same offset form and column-sum correction;
@@ -38,9 +40,9 @@
 
 use crate::gemm::{
     bias_at, packed_b_len, requant, run_with, strip_scratch_len, tile_i16, Acc, OutLayout, Panels,
-    Steps, Strip, Tile, MR, NR,
+    Steps, Strip, Tile, Work, MR, NR,
 };
-use crate::im2col::ConvGeom;
+use crate::im2col::{ConvGeom, ConvInput, Gather};
 use std::ops::Range;
 
 /// Largest `|U|` of a transformed `i8` weight tile (`9 * 128`).
@@ -159,10 +161,12 @@ pub fn winograd_tiles(h: usize, w: usize) -> (usize, usize) {
 /// tiling of `geom`'s map) become `NR`-wide panels of 16 position sub-panels
 /// `[ξ][c][NR]`, `V = Bᵀ d B` of each tile's 4x4 patch `d` (rows `2ty - 1 ..
 /// 2ty + 3`, columns likewise, zero outside the map). Tiles are walked in runs
-/// that share a tile row; the tail panel's missing tiles are zero.
-pub fn pack_b_winograd(geom: &ConvGeom, x: &[i8], cols: Range<usize>, buf: &mut [i16]) {
+/// that share a tile row; the tail panel's missing tiles are zero. The input
+/// may be a folded concat ([`ConvInput`]): each patch row is requantised by
+/// its source's shift as it is loaded into the window.
+pub fn pack_b_winograd(geom: &ConvGeom, x: ConvInput<'_, i8>, cols: Range<usize>, buf: &mut [i16]) {
     let (c_in, h, w) = (geom.c_in, geom.h, geom.w);
-    assert_eq!(x.len(), c_in * h * w, "input size");
+    x.check(c_in, h * w);
     let tw = winograd_tiles(h, w).1;
     let depth = POS * c_in;
     for (jp, panel) in
@@ -183,7 +187,8 @@ pub fn pack_b_winograd(geom: &ConvGeom, x: &[i8], cols: Range<usize>, buf: &mut 
             let hi = (w - x0 + lo).min(2 * seg + 2);
             let mut win = [0i16; 2 * NR + 2];
             let mut t = [[[0i16; NR]; 4]; 4];
-            for (c, plane) in x.chunks_exact(h * w).enumerate() {
+            for c in 0..c_in {
+                let (plane, shift) = x.plane(c, h * w);
                 // d B along each patch row (rows outside the map are zero) ...
                 for (r, tr) in t.iter_mut().enumerate() {
                     let iy = 2 * ty + r; // map row `iy - 1`
@@ -193,10 +198,10 @@ pub fn pack_b_winograd(geom: &ConvGeom, x: &[i8], cols: Range<usize>, buf: &mut 
                     }
                     let src = &plane[(iy - 1) * w + x0..];
                     match <&[i8; 2 * NR + 2]>::try_from(src.get(..2 * NR + 2).unwrap_or(&[])) {
-                        Ok(s) if hi - lo == 2 * NR + 2 => win = s.map(i16::from),
+                        Ok(s) if shift == 0 && hi - lo == 2 * NR + 2 => win = s.map(i16::from),
                         _ => {
                             for (d, &s) in win[lo..hi].iter_mut().zip(src) {
-                                *d = i16::from(s);
+                                *d = i16::from(s.shifted(shift));
                             }
                         }
                     }
@@ -305,21 +310,22 @@ fn store_winograd(
 
 /// Winograd INT8 3x3 same conv of one `[C, H, W]` image against pre-packed
 /// transformed weights, with the fused requantise-clamp epilogue: bit for bit
-/// [`crate::igemm::igemm_conv_packed`] on the same weights. `out` is `[C_out,
-/// H, W]`. The driver's strip buffers are slices of `strips`, grown when
-/// shorter than [`winograd_strip_scratch_len`]: the caller owns them, as the
-/// executor's worker arena does (a thread-local of their size, up to 1 MB per
-/// part at `C_in = 1024`, would live as long as the thread).
+/// [`crate::igemm::igemm_conv_with`] on the same weights and input (which may
+/// be a folded concat). `out` is `[C_out, H, W]`. The driver's strip buffers
+/// are slices of `work`'s, grown when shorter than
+/// [`winograd_strip_scratch_len`]: the caller owns them, as the executor's
+/// worker arena does (a thread-local of their size, up to 1 MB per part at
+/// `C_in = 1024`, would live as long as the thread).
 #[allow(clippy::too_many_arguments)]
 pub fn igemm_conv_winograd(
     pw: &PackedWinograd,
     geom: &ConvGeom,
-    x: &[i8],
+    x: ConvInput<'_, i8>,
     bias: &[i32],
     shift: i32,
     relu: bool,
     out: &mut [i8],
-    strips: &mut Vec<i16>,
+    work: &mut Work<i16>,
 ) {
     assert!(
         (geom.k, geom.pad, geom.stride) == (3, 1, 1),
@@ -331,7 +337,7 @@ pub fn igemm_conv_winograd(
     // A column part owns whole tile rows: two output rows of every plane.
     let layout = OutLayout { rows: 1, len: h * w, quantum: tw, quantum_elems: 2 * w };
     let pack = |cols: Range<usize>, buf: &mut [i16]| pack_b_winograd(geom, x, cols, buf);
-    run_with(pw, th * tw, (layout, Strip::Panels), out, strips, pack, |m, t, chunks| {
+    run_with(pw, th * tw, (layout, Strip::Panels), out, work, pack, |m, t, chunks| {
         store_winograd(m, t, chunks, (h, w), (bias, shift, relu))
     });
 }
@@ -367,7 +373,7 @@ mod tests {
         let geom = ConvGeom { c_in: 1, h: 4, w: 4, k: 3, pad: 1, stride: 1 };
         let mut v = vec![0i16; packed_b_len(POS, NR)];
         // Tile (1, 1) of a 4x4 map covers rows/columns 1..5 of the padded map.
-        pack_b_winograd(&geom, &d, 3..4, &mut v);
+        pack_b_winograd(&geom, d[..].into(), 3..4, &mut v);
         let m: Vec<i32> = (0..POS)
             .map(|xi| (i32::from(pw.panels[xi * MR]) - WINO_U_OFFSET) * i32::from(v[xi * NR]))
             .collect();
@@ -405,12 +411,12 @@ mod tests {
                 igemm_conv_winograd(
                     &PackedWinograd::pack(c_out, c_in, &wt),
                     &geom,
-                    &x,
+                    x[..].into(),
                     &bias,
                     shift,
                     relu,
                     &mut got,
-                    &mut Vec::new(),
+                    &mut Work::default(),
                 );
                 assert_eq!(got, want, "{c_in}->{c_out} {h}x{w} shift {shift} relu {relu}");
             }

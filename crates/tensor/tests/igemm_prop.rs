@@ -19,7 +19,7 @@ use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use seneca_tensor::gemm::{
     igemm4_fused_packed, igemm_fused, igemm_reference, sgemm_fused, sgemm_reference, strip_cols,
-    GemmEpilogue, PackedA, PackedA4, FORK_MIN_MACS, NR, STRIP_BYTES,
+    GemmEpilogue, PackedA, PackedA4, Work, FORK_MIN_MACS, NR, STRIP_BYTES,
 };
 use seneca_tensor::igemm::{
     igemm4_conv_packed, igemm4_tconv2x2_packed, igemm_conv_packed, igemm_tconv2x2_packed,
@@ -233,7 +233,7 @@ proptest! {
         let bias4: Vec<i32> = (0..m as i32).map(|i| (i / 4) * 37 - 111).collect();
         let mut y = vec![0i8; c_out * 4 * n];
         let pa = PackedA::pack(m, c_in, &wk);
-        igemm_tconv2x2_packed(&pa, &x, h, w, &bias4, shift, relu, &mut y);
+        igemm_tconv2x2_packed(&pa, &x, h, w, &bias4, shift, relu, &mut y, &mut Work::default());
         let mut ytmp = vec![0i8; m * n];
         igemm_fused(m, c_in, n, &wk, &x, &bias4, shift, relu, &mut ytmp);
         let mut y_ref = vec![0i8; c_out * 4 * n];
@@ -259,7 +259,7 @@ proptest! {
         let bias: Vec<i32> = (0..m as i32).map(|i| i * 91 - 777).collect();
         let mut y = vec![0i8; m * h * w];
         let pw = PackedWinograd::pack(m, c_in, &wt);
-        igemm_conv_winograd(&pw, &geom, &x, &bias, shift, relu, &mut y, &mut Vec::new());
+        igemm_conv_winograd(&pw, &geom, x[..].into(), &bias, shift, relu, &mut y, &mut Work::default());
         let mut y_ref = vec![0i8; m * h * w];
         igemm_conv_packed(&PackedA::pack(m, c_in * 9, &wt), &geom, &x, &bias, shift, relu, &mut y_ref);
         prop_assert_eq!(y, y_ref, "c{}->{} {}x{} shift {}", c_in, m, h, w, shift);
@@ -282,7 +282,7 @@ proptest! {
         let x = rand_i8(c_in * n, seed + 1);
         let bias4: Vec<i32> = (0..m as i32).map(|i| (i / 4) * 53 - 222).collect();
         let mut y = vec![0i8; c_out * 4 * n];
-        igemm4_tconv2x2_packed(&pa, &x, h, w, &bias4, shift, relu, &mut y);
+        igemm4_tconv2x2_packed(&pa, &x, h, w, &bias4, shift, relu, &mut y, &mut Work::default());
         let mut ytmp = vec![0i8; m * n];
         igemm4_fused_packed(&pa, n, &x, &bias4, shift, relu, &mut ytmp);
         let mut y_ref = vec![0i8; c_out * 4 * n];
@@ -359,7 +359,16 @@ fn conv_driver_seams_match_the_naive_reference() {
         if kk == 3 {
             y.fill(0);
             let pw = PackedWinograd::pack(m, c_in, &wt);
-            igemm_conv_winograd(&pw, &geom, &x, &bias, shift, true, &mut y, &mut Vec::new());
+            igemm_conv_winograd(
+                &pw,
+                &geom,
+                x[..].into(),
+                &bias,
+                shift,
+                true,
+                &mut y,
+                &mut Work::default(),
+            );
             assert_eq!(y, want_i8, "Winograd {what}");
         }
 
@@ -407,7 +416,16 @@ fn winograd_is_exact_at_the_accumulator_bound() {
             igemm_conv_packed(&pa, &geom, &x, &bias, shift, false, &mut want);
             let mut got = vec![0i8; m * h * w];
             let pw = PackedWinograd::pack(m, c_in, &wt);
-            igemm_conv_winograd(&pw, &geom, &x, &bias, shift, false, &mut got, &mut Vec::new());
+            igemm_conv_winograd(
+                &pw,
+                &geom,
+                x[..].into(),
+                &bias,
+                shift,
+                false,
+                &mut got,
+                &mut Work::default(),
+            );
             assert_eq!(got, want, "w {wv} x {xv} shift {shift}");
             assert!(got.iter().any(|&v| v != 0 && v.abs() < 127), "outputs dead or saturated");
         }
@@ -469,7 +487,17 @@ fn tconv_driver_seams_match_the_definition() {
             |a, co| requantize_i32(a + bias[co], shift),
         );
         let mut y = vec![0i8; 4 * c_out * n];
-        igemm_tconv2x2_packed(&PackedA::pack(m, c_in, &wk), &x, h, w, &bias4, shift, false, &mut y);
+        igemm_tconv2x2_packed(
+            &PackedA::pack(m, c_in, &wk),
+            &x,
+            h,
+            w,
+            &bias4,
+            shift,
+            false,
+            &mut y,
+            &mut Work::default(),
+        );
         assert_eq!(y, want, "W8 {dims:?}");
         y.fill(0);
         igemm4_tconv2x2_packed(
@@ -481,6 +509,7 @@ fn tconv_driver_seams_match_the_definition() {
             shift,
             false,
             &mut y,
+            &mut Work::default(),
         );
         assert_eq!(y, want, "W4 {dims:?}");
 

@@ -2,7 +2,7 @@
 //! bitwidth plans and input shapes, every node output of the lowered FP32 and
 //! INT8 programs must equal the naive oracle's (`seneca_ir::oracle`: INT8 bit
 //! for bit, FP32 within `F32_TOLERANCE`), across repeated frames through the
-//! same scratch arena (stale slot contents must never leak into a frame).
+//! same scratch arena (stale arena contents must never leak into a frame).
 
 mod common;
 
@@ -11,7 +11,8 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use seneca_ir::oracle::{self, assert_close_f32};
 use seneca_ir::{
-    assign_pack_slots, lower, select_winograd, IrOp, LowerOptions, Lowered, PackFormat,
+    assign_pack_slots, lower, select_winograd, ConvAttrs, ConvKernel, DType, IrOp, LowerOptions,
+    Lowered, Module, PackFormat,
 };
 use seneca_nn::graph::Graph;
 use seneca_nn::unet::{ModelSize, UNet};
@@ -19,7 +20,7 @@ use seneca_quant::{
     calibrate, fuse, mixed::quantizable_nodes, quantize_from_calibration, quantize_post_training,
     Bitwidth, PtqConfig, QuantizedGraph,
 };
-use seneca_tensor::{Shape4, Tensor};
+use seneca_tensor::{QTensor, Shape4, Tensor};
 
 /// Checks every node of `lowered` against the oracle over two frames through
 /// one reused arena.
@@ -88,6 +89,170 @@ fn winograd_rule_picks_the_expected_convs_at_256() {
             .collect();
         assert_eq!(kept, direct, "{}", size.label());
         assert_eq!(picked + direct.len(), n_conv, "{}", size.label());
+    }
+}
+
+/// A hand-built FP32 skip net with no pooling (any width works), relu convs
+/// of `c[k]` channels: `x3 = concat(x1, x2)` feeds only conv `x4` (folded),
+/// `x5 = concat(x4, x2)` feeds two convs and `x8 = concat(x6, x7)` is the
+/// output (both materialized).
+fn concat_net(c: [usize; 4], seed: u64) -> Module {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut m = Module::new("concats", DType::F32);
+    let mut conv = |m: &mut Module, c_in: usize, c_out: usize, x: usize| {
+        let w = Tensor::he_normal(Shape4::new(c_out, c_in, 3, 3), &mut rng);
+        let b = (0..c_out).map(|i| 0.01 * i as f32 - 0.02).collect();
+        let kernel = ConvKernel::F32 { w: w.into(), b, bn: None };
+        m.push(IrOp::Conv(ConvAttrs { relu: true, ..ConvAttrs::new(kernel) }), vec![x])
+    };
+    let cat =
+        |m: &mut Module, a: usize, b: usize| m.push(IrOp::Concat { requant: None }, vec![a, b]);
+    let x1 = conv(&mut m, c[0], c[1], 0);
+    let x2 = conv(&mut m, c[1], c[2], x1);
+    let x3 = cat(&mut m, x1, x2);
+    let x4 = conv(&mut m, c[1] + c[2], c[3], x3);
+    let x5 = cat(&mut m, x4, x2);
+    let x6 = conv(&mut m, c[3] + c[2], c[1], x5);
+    let x7 = conv(&mut m, c[3] + c[2], c[2], x5);
+    cat(&mut m, x6, x7);
+    m
+}
+
+/// The differential test of the concat fold, batch of two: a conv over a
+/// folded concat gathers its channels from both inputs in every gather — the
+/// FP32 row band (`W % 32 == 0`) and strips (`W` = 16, 8, odd), the INT8
+/// Winograd, direct W8 and direct W4 convs — each input requantised by its
+/// own (forced non-zero) shift, INT8 bit for bit and FP32 within tolerance
+/// of the oracle; a concat with two consumers and the output concat stay
+/// materialized.
+#[test]
+fn folded_concats_match_the_oracle_in_every_gather() {
+    let (folded, twice, output) = (3, 5, 8);
+    // (channels, h, w, the folded conv's INT8 route)
+    let cases = [
+        ([2, 4, 6, 5], 6, 64, PackFormat::Winograd),
+        ([1, 3, 2, 4], 5, 32, PackFormat::I8),
+        ([2, 5, 4, 3], 16, 16, PackFormat::Winograd),
+        ([3, 4, 5, 4], 8, 8, PackFormat::I4),
+        ([1, 6, 3, 2], 9, 13, PackFormat::I8),
+    ];
+    for (k, &(c, h, w, route)) in cases.iter().enumerate() {
+        let seed = 40 + k as u64;
+        let fg = concat_net(c, seed);
+        let shape = Shape4::new(2, c[0], h, w);
+        let what = format!("{c:?} at {h}x{w}");
+
+        let lowered = lower(fg.clone(), shape, &LowerOptions::reference());
+        let plan = lowered.plan();
+        assert_eq!(lowered.stats().concats_folded, 1, "{what}");
+        assert!(lowered.folded()[folded] && plan.elems_of(folded) == 0, "{what}");
+        for id in [twice, output] {
+            assert!(!lowered.folded()[id] && plan.elems_of(id) > 0, "{what}: {id} materialized");
+        }
+        assert_f32_matches_oracle(&lowered, shape, seed);
+
+        let calib = [random_frame(shape, seed ^ 0xCA7)];
+        let report = calibrate(&fg, &calib, &PtqConfig::default());
+        let mut wbits = vec![Bitwidth::W8; fg.nodes.len()];
+        if route == PackFormat::I4 {
+            wbits[folded + 1] = Bitwidth::W4;
+        }
+        let mut m = quantize_from_calibration(&fg, &report, &wbits).to_ir();
+        for (i, node) in m.nodes.iter_mut().enumerate() {
+            if let IrOp::Concat { requant: Some(q) } = &mut node.op {
+                (q.shift_a, q.shift_b) = if i == folded { (1, 2) } else { (2, 0) };
+            }
+        }
+        let lowered = lower(m, shape, &LowerOptions::reference());
+        let IrOp::Conv(a) = &lowered.module().nodes[folded + 1].op else { unreachable!() };
+        assert_eq!(a.pack.unwrap().format, route, "{what}");
+        assert!(lowered.folded()[folded] && !lowered.folded()[twice], "{what}");
+        let mut scratch = lowered.make_scratch_i8();
+        for frame in 0..2u64 {
+            let x = random_frame(shape, seed.wrapping_add(frame));
+            let q = QTensor::quantize(&x, lowered.module().input_fp);
+            oracle::check_i8(&lowered, &mut scratch, &q);
+        }
+    }
+}
+
+/// The same on random U-Nets, batch of two: every decoder concat folds, at
+/// levels whose widths take the FP32 band (64) and strips (40, 20, 16, 10,
+/// 8) and the INT8 Winograd, direct W8 and direct W4 convs, with the shifts
+/// of every concat forced to (1, 2).
+#[test]
+fn folded_decoder_concats_match_the_oracle_on_random_unets() {
+    let mut routes = Vec::new();
+    for (k, &(depth, filters, side)) in [(1, 4, 64), (2, 2, 16), (3, 3, 40)].iter().enumerate() {
+        let seed = 60 + k as u64;
+        let graph = random_graph(depth, filters, seed);
+        let shape = Shape4::new(2, 1, side, side);
+        let lowered = lower(graph.to_ir(), shape, &LowerOptions::reference());
+        assert_eq!(lowered.stats().concats_folded, depth);
+        assert_f32_matches_oracle(&lowered, shape, seed);
+
+        let fg = fuse(&graph);
+        let report = calibrate(&fg, &[random_frame(shape, seed ^ 0xCA7)], &PtqConfig::default());
+        let bits = if k == 2 { Bitwidth::W4 } else { Bitwidth::W8 };
+        let mut m = quantize_from_calibration(&fg, &report, &vec![bits; fg.nodes.len()]).to_ir();
+        for node in &mut m.nodes {
+            if let IrOp::Concat { requant: Some(q) } = &mut node.op {
+                (q.shift_a, q.shift_b) = (1, 2);
+            }
+        }
+        let lowered = lower(m, shape, &LowerOptions::reference());
+        assert_eq!(lowered.stats().concats_folded, depth);
+        for (i, node) in lowered.module().nodes.iter().enumerate() {
+            match &node.op {
+                IrOp::Conv(a) if lowered.folded()[node.inputs[0]] => {
+                    routes.push(a.pack.unwrap().format);
+                }
+                IrOp::Concat { .. } => assert!(lowered.folded()[i], "concat {i} materialized"),
+                _ => {}
+            }
+        }
+        let mut scratch = lowered.make_scratch_i8();
+        for frame in 0..2u64 {
+            let x = random_frame(shape, seed.wrapping_add(frame));
+            let q = QTensor::quantize(&x, lowered.module().input_fp);
+            oracle::check_i8(&lowered, &mut scratch, &q);
+        }
+    }
+    for route in [PackFormat::Winograd, PackFormat::I8, PackFormat::I4] {
+        assert!(routes.contains(&route), "no folded concat feeds a {route:?} conv");
+    }
+}
+
+/// `ExecPlan::assert_valid` holds on every Table II model's FP32 and INT8
+/// plans at 256² and 64², and on the DPU's channel-padded plan; and the
+/// 256² activation arenas of 1M and 16M are pinned to the byte, so that a
+/// materialized concat or a fragmenting placement fails here.
+#[test]
+fn table_ii_plans_are_valid_and_the_arenas_pinned() {
+    let arch = seneca_dpu::arch::DpuArch::b4096_zcu104();
+    let calib = vec![random_frame(Shape4::new(1, 1, 32, 32), 9)];
+    for (seed, size) in ModelSize::ALL.into_iter().enumerate() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed as u64);
+        let graph = Graph::from_unet(&UNet::from_size(size, &mut rng), "pin");
+        let (qg, _) = quantize_post_training(&fuse(&graph), &calib, &PtqConfig::default());
+        let side = |s: usize| Shape4::new(1, 1, s, s);
+        let fp = lower(graph.to_ir(), side(256), &LowerOptions::reference());
+        let q = lower(qg.to_ir(), side(256), &LowerOptions::reference());
+        for m in [fp.module(), q.module()] {
+            for s in [256, 64] {
+                m.plan(side(s)).assert_valid();
+            }
+        }
+        for s in [256, 64] {
+            qg.module().plan_padded(side(s), |c| arch.pad_channels(c)).assert_valid();
+        }
+        let arenas = (fp.plan().peak_arena_elems() * 4, q.plan().peak_arena_elems());
+        let pinned = match size {
+            ModelSize::M1 => (12_582_912, 3_145_728),
+            ModelSize::M16 => (25_165_824, 6_291_456),
+            _ => continue,
+        };
+        assert_eq!(arenas, pinned, "{} arena bytes (FP32, INT8) at 256²", size.label());
     }
 }
 
@@ -179,8 +344,9 @@ proptest! {
         assert_i8_matches_oracle(&qg, shape, seed.wrapping_mul(23));
     }
 
-    /// The plan never maps two simultaneously-live values to one slot, and
-    /// its arena never exceeds the naive per-node total.
+    /// The plan never places two simultaneously-live values on the same
+    /// bytes, its arena lies between the peak-live footprint and the naive
+    /// per-node total, and every concat feeding one conv takes no bytes.
     #[test]
     fn plan_is_valid_and_never_larger_than_naive(
         depth in 1usize..=3,
@@ -190,10 +356,17 @@ proptest! {
         let net = random_net(depth, base_filters, seed);
         let graph = Graph::from_unet(&net, "prop");
         let shape = Shape4::new(1, 1, 1 << depth, 1 << depth);
-        let plan = graph.to_ir().plan(shape);
+        let module = graph.to_ir();
+        let plan = module.plan(shape);
         plan.assert_valid();
         prop_assert!(plan.peak_arena_elems() <= plan.total_activation_elems());
-        prop_assert!(plan.n_slots() <= plan.n_nodes());
+        prop_assert!(plan.peak_live_elems() <= plan.peak_arena_elems());
+        let folded = module.folded_concats();
+        for (i, node) in module.nodes.iter().enumerate() {
+            if matches!(node.op, IrOp::Concat { .. }) {
+                prop_assert!(folded[i] && plan.elems_of(i) == 0, "concat {} materialized", i);
+            }
+        }
     }
 
     /// The deployment front end ([`fuse`]: BN fold + ReLU fuse + identity
