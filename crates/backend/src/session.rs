@@ -8,7 +8,7 @@
 //!   transform) happens on the worker thread that will execute the frame,
 //!   not on the submitting thread;
 //! * **per-worker state** ([`InferenceEngine::Worker`]): each worker owns
-//!   its scratch arena (the liveness-planned activation slots), reused for
+//!   its scratch arena (the liveness-planned activation offsets), reused for
 //!   every frame that worker runs within one call.
 //!
 //! Each [`InferenceSession::run`] builds `threads` fresh workers (capped at

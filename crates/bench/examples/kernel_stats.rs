@@ -5,8 +5,8 @@
 //!
 //! Modes (first CLI argument):
 //!
-//! * `smoke` — CI gate: igemm and the W4 nibble kernel bit-exact against
-//!   the naive / W8 kernels on a fixed seed, and packed-beats-reference on
+//! * `smoke` — CI gate: igemm bit-exact against the naive kernel on a
+//!   fixed seed, and packed-beats-reference on
 //!   the largest shape, both dtypes; the Winograd conv bit-exact and faster
 //!   than the direct one on the 16M `64 -> 32` conv at 256x256; the 1M
 //!   model's last INT8 tconv bit-exact against GEMM + scatter and at least
@@ -22,8 +22,8 @@ use seneca_ir::IrOp;
 use seneca_nn::graph::Graph;
 use seneca_nn::unet::{ModelSize, UNet};
 use seneca_tensor::gemm::{
-    igemm, igemm4_fused_packed, igemm_fused, igemm_fused_packed, igemm_reference, packed_b_len,
-    sgemm, sgemm_fused, sgemm_reference, strip_cols, GemmEpilogue, PackedA, PackedA4, Work,
+    igemm, igemm_fused, igemm_reference, packed_b_len, sgemm, sgemm_fused, sgemm_reference,
+    strip_cols, GemmEpilogue, PackedA, Work,
 };
 use seneca_tensor::igemm::{
     igemm_conv_packed, igemm_tconv2x2_packed, sgemm_conv, sgemm_conv_packed,
@@ -162,22 +162,6 @@ fn check_igemm_bit_exact(largest: ConvShape) {
     igemm_reference(m, k, n, &a, &b, &mut c_ref);
     assert_eq!(c, c_ref, "igemm packed != naive on fixed seed ({m}x{k}x{n})");
     println!("igemm bit-exactness: packed == naive on {m}x{k}x{n} (seed 99)");
-}
-
-/// W4 gate on a fixed seed: the same `[-8, 7]` weights through the nibble
-/// panels (`igemm4_fused_packed`) and the i8 panels must give the same
-/// requantized output.
-fn check_w4_bit_exact(largest: ConvShape) {
-    let (m, k, n) = (largest.m, largest.k, largest.n.min(4096));
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0x4444);
-    let wt: Vec<i8> = (0..m * k).map(|_| rng.gen_range(-8i32..8) as i8).collect();
-    let b: Vec<i8> = (0..k * n).map(|_| rng.gen_range(-128i32..128) as i8).collect();
-    let bias: Vec<i32> = (0..m as i32).map(|i| i * 57 - 333).collect();
-    let (mut c8, mut c4) = (vec![0i8; m * n], vec![0i8; m * n]);
-    igemm_fused_packed(&PackedA::pack(m, k, &wt), n, &b, &bias, 6, true, &mut c8);
-    igemm4_fused_packed(&PackedA4::pack(m, k, &wt), n, &b, &bias, 6, true, &mut c4);
-    assert_eq!(c8, c4, "W4 nibble kernel != W8 kernel on the same [-8,7] weights");
-    println!("W4 bit-exactness: nibble == i8 panels on {m}x{k}x{n} (seed 0x4444)");
 }
 
 /// Implicit-GEMM conv gate on one Table II conv: the implicit route (strips
@@ -438,7 +422,6 @@ fn smoke() {
     let largest = pairs.iter().map(|p| p[0]).max_by_key(|s| s.macs()).expect("five models");
 
     check_igemm_bit_exact(largest);
-    check_w4_bit_exact(largest);
     check_implicit_conv(largest, None);
     check_implicit_conv(full_res_16m, Some(0.5));
     let r = winograd_vs_direct(full_res_16m, 0.5);

@@ -6,7 +6,7 @@
 //! 1. **Sensitivity sweep** — each conv/tconv is quantized to W4 alone and
 //!    scored against the FP32 reference (argmax agreement + per-class Dice
 //!    on the FP32 argmax labels), tabulating which layers tolerate the
-//!    nibble grid and which collapse;
+//!    4-bit grid and which collapse;
 //! 2. **Greedy cost-aware search** — layers are flipped to W4 in order of
 //!    modeled DPU frame-cycle saving (W4 doubles the array's
 //!    output-channel parallelism and halves weight DMA), reverting any flip
@@ -140,8 +140,8 @@ pub fn run(ctx: &mut ExperimentCtx) {
         body.push_str(&format!(
             "### {size}: greedy cost-aware plan (floor = uniform INT8 agreement − {:.0} pp)\n\n\
              {}\nCycles use the bitwidth-aware B4096 model (W4 doubles output-channel \
-             parallelism where layers are wide enough); weight bytes count nibble-packed \
-             W4 panels at half a byte per element. Agreement is argmax match vs the FP32 \
+             parallelism where layers are wide enough); weight bytes count deployed W4 \
+             weights at half a byte per weight. Agreement is argmax match vs the FP32 \
              reference on the evaluation images.\n\n",
             100.0 * AGREEMENT_MARGIN,
             tbl.markdown()

@@ -116,9 +116,10 @@ pub fn compile(qg: &QuantizedGraph, input_shape: Shape4, arch: DpuArch) -> XMode
 
     // DDR feature-map arena accounting: the same liveness plan the host
     // executors use, over channel-padded element counts (1 byte each) via
-    // the IR's single ICP-padding hook.
+    // the IR's single ICP-padding hook. The host's GEMM strip buffers are
+    // not DDR: the arena is the placed values alone.
     let plan = module.plan_padded(input_shape, |c| arch.pad_channels(c));
-    stats.peak_arena_bytes = plan.peak_arena_bytes(1);
+    stats.peak_arena_bytes = plan.peak_arena_elems() as u64;
     stats.total_activation_bytes = plan.total_activation_bytes(1);
 
     XModel {
@@ -226,6 +227,25 @@ mod tests {
         let xm16 =
             compile(&quantized(2, 4, 4, 16), Shape4::new(1, 1, 16, 16), DpuArch::b4096_zcu104());
         assert!(xm32.stats.fm_traffic_bytes > 3 * xm16.stats.fm_traffic_bytes);
+    }
+
+    /// The DDR arena is the channel-padded plan's placed values, one byte
+    /// each, and nothing of the host: not its GEMM strip buffers, whose size
+    /// follows the host's thread count.
+    #[test]
+    fn ddr_arena_is_the_padded_plan_alone() {
+        let shape = Shape4::new(1, 1, 256, 256);
+        for (size, bytes) in [(ModelSize::M1, 3_145_728), (ModelSize::M16, 6_291_456)] {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(8);
+            let fg = fuse(&Graph::from_unet(&UNet::from_size(size, &mut rng), size.label()));
+            let calib = vec![Tensor::he_normal(Shape4::new(1, 1, 32, 32), &mut rng)];
+            let (qg, _) = quantize_post_training(&fg, &calib, &PtqConfig::default());
+            let arch = DpuArch::b4096_zcu104();
+            let plan = qg.module().plan_padded(shape, |c| arch.pad_channels(c));
+            let xm = compile(&qg, shape, arch);
+            assert_eq!(xm.stats.peak_arena_bytes, plan.peak_arena_elems() as u64, "{size:?}");
+            assert_eq!(xm.stats.peak_arena_bytes, bytes, "{size:?}");
+        }
     }
 
     #[test]

@@ -31,7 +31,8 @@ pub struct CompileStats {
     /// Number of layers with ICP-misaligned channel counts.
     pub misaligned_layers: usize,
     /// DDR feature-map arena bytes under the shared liveness plan
-    /// (channel-padded, slots reused once a map's last consumer retires).
+    /// (channel-padded, each map at an offset whose bytes are reused once
+    /// its last consumer retires).
     pub peak_arena_bytes: u64,
     /// Sum of every feature map's channel-padded bytes — what keeping all
     /// maps resident in DDR simultaneously would cost.

@@ -38,8 +38,7 @@ use crate::plan::ExecPlan;
 use seneca_tensor::activation::{relu_into, softmax_channels_into};
 use seneca_tensor::gemm::{GemmEpilogue, Work};
 use seneca_tensor::igemm::{
-    igemm4_conv_with, igemm4_tconv2x2_packed, igemm_conv_with, igemm_tconv2x2_packed,
-    sgemm_conv_with, sgemm_tconv2x2_packed,
+    igemm_conv_with, igemm_tconv2x2_packed, sgemm_conv_with, sgemm_tconv2x2_packed,
 };
 use seneca_tensor::im2col::{ConvGeom, ConvInput, Gather};
 use seneca_tensor::norm::batchnorm_inference_into;
@@ -375,11 +374,6 @@ impl Lowered {
                     PackedKernel::ConvI8(pa) => per_image_conv(xs, x, out, |x_n, y_n| {
                         igemm_conv_with(pa, &geom, x_n, bias, shift, relu, y_n, work)
                     }),
-                    // Nibble-packed W4 panels: half the weight bytes,
-                    // bit-exact vs the i8 path on the `[-8, 7]` weights.
-                    PackedKernel::ConvI4(pa) => per_image_conv(xs, x, out, |x_n, y_n| {
-                        igemm4_conv_with(pa, &geom, x_n, bias, shift, relu, y_n, work)
-                    }),
                     // Winograd F(2x2, 3x3): bit for bit the direct conv.
                     PackedKernel::ConvWinograd(pw) => per_image_conv(xs, x, out, |x_n, y_n| {
                         igemm_conv_winograd(pw, &geom, x_n, bias, shift, relu, y_n, winograd)
@@ -399,9 +393,6 @@ impl Lowered {
                 match self.pack_of(a) {
                     PackedKernel::TConvI8 { pa, bias4 } => per_image(xs, x, out, |x_n, y_n| {
                         igemm_tconv2x2_packed(pa, x_n, h, w, bias4, shift, relu, y_n, work)
-                    }),
-                    PackedKernel::TConvI4 { pa, bias4 } => per_image(xs, x, out, |x_n, y_n| {
-                        igemm4_tconv2x2_packed(pa, x_n, h, w, bias4, shift, relu, y_n, work)
                     }),
                     _ => panic!("pack slot holds the wrong kernel kind"),
                 }
@@ -464,10 +455,11 @@ pub fn execute_f32(m: &Module, x: &Tensor) -> Tensor {
 mod tests {
     use super::*;
     use crate::lower::{lower, LowerOptions};
-    use crate::module::ConcatQ;
+    use crate::module::{ConcatQ, PackFormat};
     use crate::oracle;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use seneca_tensor::gemm::{igemm_fused_packed, PackedA};
     use seneca_tensor::norm::BnState;
     use seneca_tensor::quantized::{choose_fix_pos, choose_fix_pos_bits, Bitwidth};
 
@@ -624,13 +616,12 @@ mod tests {
         let frames: Vec<QTensor> =
             (0..3).map(|_| QTensor::quantize(&rand_tensor(s, &mut rng), 6)).collect();
         let lowered = assert_i8_matches_oracle(&m, &frames);
-        assert_eq!(lowered.stats().pack_slots_i4, 0);
         assert_eq!(lowered.execute_i8(&frames[0]).fix_pos(), 4);
     }
 
-    /// Mixed-precision modules: the W4 layers run nibble-packed panels (half
-    /// the bytes) and still match the oracle, which sees plain `i8` weights
-    /// in `[-8, 7]` — the packing is a pure bandwidth optimisation.
+    /// Mixed-precision modules: the W4 conv and tconv run the INT8 panels,
+    /// which hold their `[-8, 7]` weights, and match the oracle, which sees
+    /// the same `i8` weights.
     #[test]
     fn mixed_w4_module_matches_the_oracle() {
         let mut rng = StdRng::seed_from_u64(35);
@@ -639,9 +630,63 @@ mod tests {
         let x = QTensor::quantize(&rand_tensor(s, &mut rng), 6);
         let lowered = assert_i8_matches_oracle(&m, &[x]);
         assert_eq!(lowered.stats().pack_slots, 3);
-        assert_eq!(lowered.stats().pack_slots_i4, 2, "W4 conv + W4 tconv slots");
-        assert!(lowered.packs().iter().any(|p| matches!(p, PackedKernel::ConvI4(_))));
-        assert!(lowered.packs().iter().any(|p| matches!(p, PackedKernel::TConvI4 { .. })));
+        // A panel read back through an identity `B`: `A * I` requantised by
+        // shift 0 is `A`.
+        let values = |pa: &PackedA<i8>| {
+            let k = pa.k();
+            let eye: Vec<i8> = (0..k * k).map(|i| i8::from(i % (k + 1) == 0)).collect();
+            let mut a = vec![0i8; pa.m() * k];
+            igemm_fused_packed(pa, k, &eye, &[], 0, false, &mut a);
+            a
+        };
+        let mut w4 = Vec::new();
+        for node in &lowered.module().nodes {
+            let (IrOp::Conv(a) | IrOp::TConv(a)) = &node.op else { continue };
+            let ConvKernel::I8 { w, wbits: Bitwidth::W4, .. } = &a.kernel else { continue };
+            let (PackedKernel::ConvI8(pa) | PackedKernel::TConvI8 { pa, .. }) = lowered.pack_of(a)
+            else {
+                panic!("W4 {} not on INT8 panels", node.op.mnemonic(DType::I8))
+            };
+            let got = values(pa);
+            assert!(got.iter().all(|v| (-8..=7).contains(v)), "W4 panel values");
+            if matches!(node.op, IrOp::Conv(_)) {
+                assert_eq!(got, w.data(), "conv panels hold the W4 weights");
+            }
+            w4.push(node.op.mnemonic(DType::I8));
+        }
+        assert_eq!(w4.len(), 2, "W4 conv + W4 tconv: {w4:?}");
+    }
+
+    /// A W4 kernel packs into the INT8 panels, so lowering checks that its
+    /// weights lie in `[-8, 7]`: one weight of 8 panics for a direct conv, a
+    /// tconv and a Winograd conv alike.
+    #[test]
+    fn lowering_rejects_w4_weights_outside_the_4_bit_range() {
+        let mut rng = StdRng::seed_from_u64(36);
+        let m = i8_module(Bitwidth::W4, &mut rng);
+        let k = rand_qkernel(Shape4::new(4, 8, 3, 3), 4, 6, 5, Bitwidth::W4, &mut rng);
+        let wino = single_node_i8(IrOp::Conv(ConvAttrs::new(k)), vec![0], 6, 5);
+        let (small, wide) = (Shape4::new(1, 2, 8, 8), Shape4::new(1, 8, 16, 16));
+        let cases = [
+            (m.clone(), 1, small, PackFormat::I8),
+            (m, 4, small, PackFormat::I8),
+            (wino, 1, wide, PackFormat::Winograd),
+        ];
+        for (mut m, id, shape, format) in cases {
+            let lowered = lower(m.clone(), shape, &LowerOptions::reference());
+            let (IrOp::Conv(a) | IrOp::TConv(a)) = &lowered.module().nodes[id].op else {
+                unreachable!("node {id} is a conv")
+            };
+            assert_eq!(a.pack.map(|p| p.format), Some(format), "node {id}");
+            let (IrOp::Conv(a) | IrOp::TConv(a)) = &mut m.nodes[id].op else { unreachable!() };
+            let ConvKernel::I8 { w, .. } = &mut a.kernel else { unreachable!() };
+            w.data_mut()[0] = 8;
+            let lowering = || lower(m, shape, &LowerOptions::reference());
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(lowering))
+                .expect_err("a W4 weight of 8 lowered");
+            let msg = err.downcast_ref::<String>().expect("formatted panic message");
+            assert!(msg.contains("outside [-8, 7]"), "{format:?}: {msg}");
+        }
     }
 
     /// One-node INT8 module around `op` with the given fix positions.

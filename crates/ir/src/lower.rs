@@ -10,7 +10,9 @@
 //! panels**. Weights are immutable at inference, so their GEMM A-operand
 //! panels are packed exactly once here; each frame then only packs the
 //! activation (B) panels, which is where the per-frame pack share of the
-//! 16M model drops measurably.
+//! 16M model drops measurably. W8 and W4 kernels pack into the same INT8
+//! (or Winograd) panels; a W4 kernel's weights are checked to lie in
+//! `[-8, 7]` as they are packed.
 
 use crate::exec::{FpScratch, QScratch, Scratch};
 use crate::module::{ConvKernel, IrOp, Module, PackFormat};
@@ -18,7 +20,7 @@ use crate::passes::{
     assign_pack_slots, fuse_batchnorm, fuse_relu, select_winograd, strip_identities, PassStats,
 };
 use crate::plan::ExecPlan;
-use seneca_tensor::gemm::{PackedA, PackedA4};
+use seneca_tensor::gemm::PackedA;
 use seneca_tensor::im2col::Gather;
 use seneca_tensor::quantized::Bitwidth;
 use seneca_tensor::tconv::repack_tconv_weights;
@@ -64,7 +66,7 @@ pub enum PackedKernel {
         /// output channel, or empty.
         bn: Vec<(f32, f32)>,
     },
-    /// INT8 conv: `[C_out, C_in*K*K]` panels.
+    /// INT8 (W8 or W4) conv: `[C_out, C_in*K*K]` panels.
     ConvI8(PackedA<i8>),
     /// INT8 (W8 or W4) conv lowered to Winograd F(2x2, 3x3): the
     /// transformed `[16][C_out, C_in]` `u16` panels.
@@ -78,22 +80,11 @@ pub enum PackedKernel {
         /// Bias replicated per kernel position (`4*C_out`, or empty).
         bias4: Vec<f32>,
     },
-    /// INT8 transpose conv: co-major `[4*C_out, C_in]` panels plus the
-    /// per-row-replicated accumulator-scale bias.
+    /// INT8 (W8 or W4) transpose conv: co-major `[4*C_out, C_in]` panels
+    /// plus the per-row-replicated accumulator-scale bias.
     TConvI8 {
         /// Packed repacked weights.
         pa: PackedA<i8>,
-        /// Bias replicated per kernel position (`4*C_out`).
-        bias4: Vec<i32>,
-    },
-    /// INT4 (W4A8) conv: nibble-packed `[C_out, C_in*K*K]` panels — half
-    /// the panel bytes of `ConvI8`.
-    ConvI4(PackedA4),
-    /// INT4 (W4A8) transpose conv: nibble-packed co-major `[4*C_out, C_in]`
-    /// panels plus the per-row-replicated accumulator-scale bias.
-    TConvI4 {
-        /// Packed repacked weights (nibble-packed).
-        pa: PackedA4,
         /// Bias replicated per kernel position (`4*C_out`).
         bias4: Vec<i32>,
     },
@@ -108,8 +99,6 @@ impl PackedKernel {
             PackedKernel::ConvWinograd(pw) => (pw.panel_len() * 2) as u64,
             PackedKernel::TConvF32 { pa, bias4 } => ((pa.panel_len() + bias4.len()) * 4) as u64,
             PackedKernel::TConvI8 { pa, bias4 } => (pa.panel_len() + bias4.len() * 4) as u64,
-            PackedKernel::ConvI4(pa) => pa.panel_len() as u64,
-            PackedKernel::TConvI4 { pa, bias4 } => (pa.panel_len() + bias4.len() * 4) as u64,
         }
     }
 
@@ -118,7 +107,6 @@ impl PackedKernel {
         match self {
             PackedKernel::ConvF32 { .. } | PackedKernel::TConvF32 { .. } => PackFormat::F32,
             PackedKernel::ConvI8(_) | PackedKernel::TConvI8 { .. } => PackFormat::I8,
-            PackedKernel::ConvI4(_) | PackedKernel::TConvI4 { .. } => PackFormat::I4,
             PackedKernel::ConvWinograd(_) => PackFormat::Winograd,
         }
     }
@@ -151,14 +139,6 @@ pub fn lower(mut module: Module, input: Shape4, opts: &LowerOptions) -> Lowered 
     stats.pack_slots = assign_pack_slots(&mut module);
     let shapes = module.shapes(input);
     stats.winograd = select_winograd(&mut module, &shapes);
-    stats.pack_slots_i4 = module
-        .nodes
-        .iter()
-        .filter(|n| match &n.op {
-            IrOp::Conv(a) | IrOp::TConv(a) => a.pack.is_some_and(|p| p.format == PackFormat::I4),
-            _ => false,
-        })
-        .count();
     let fps = module.fix_positions();
     let folded = module.folded_concats();
     stats.concats_folded = folded.iter().filter(|&&f| f).count();
@@ -167,16 +147,25 @@ pub fn lower(mut module: Module, input: Shape4, opts: &LowerOptions) -> Lowered 
     Lowered { module, input, shapes, fps, folded, plan, packs, stats }
 }
 
-/// Packs every pack-slotted weight tensor once (model load time).
+/// Packs every pack-slotted weight tensor once (model load time). A W4
+/// kernel packs into the same panels as a W8 one, so its weights must lie in
+/// `[-8, 7]`: wider values would compute a layer the DPU's 4-bit weights
+/// cannot hold.
 fn build_packs(m: &Module) -> Vec<PackedKernel> {
     let mut packs: Vec<Option<PackedKernel>> = Vec::new();
-    for node in &m.nodes {
+    for (id, node) in m.nodes.iter().enumerate() {
         let (attrs, transpose) = match &node.op {
             IrOp::Conv(a) => (a, false),
             IrOp::TConv(a) => (a, true),
             _ => continue,
         };
         let Some(ps) = attrs.pack else { continue };
+        if let ConvKernel::I8 { w, wbits: Bitwidth::W4, .. } = &attrs.kernel {
+            assert!(
+                w.data().iter().all(|v| (-8..=7).contains(v)),
+                "W4 weights of node {id} outside [-8, 7]"
+            );
+        }
         let packed = if transpose {
             let c_in = attrs.kernel.c_in(true);
             let c_out = attrs.kernel.c_out(true);
@@ -195,20 +184,12 @@ fn build_packs(m: &Module) -> Vec<PackedKernel> {
                     };
                     PackedKernel::TConvF32 { pa: PackedA::pack(4 * c_out, c_in, &wk), bias4 }
                 }
-                ConvKernel::I8 { w, bias, wbits, .. } => {
+                ConvKernel::I8 { w, bias, .. } => {
                     let mut wk = vec![0i8; 4 * c_out * c_in];
                     repack_tconv_weights(c_in, c_out, w.data(), &mut wk);
                     let bias4: Vec<i32> =
                         (0..4 * c_out).map(|i| bias.get(i / 4).copied().unwrap_or(0)).collect();
-                    match wbits {
-                        Bitwidth::W8 => {
-                            PackedKernel::TConvI8 { pa: PackedA::pack(4 * c_out, c_in, &wk), bias4 }
-                        }
-                        Bitwidth::W4 => PackedKernel::TConvI4 {
-                            pa: PackedA4::pack(4 * c_out, c_in, &wk),
-                            bias4,
-                        },
-                    }
+                    PackedKernel::TConvI8 { pa: PackedA::pack(4 * c_out, c_in, &wk), bias4 }
                 }
             }
         } else {
@@ -226,18 +207,12 @@ fn build_packs(m: &Module) -> Vec<PackedKernel> {
                             .collect(),
                     }
                 }
-                ConvKernel::I8 { w, wbits, .. } => {
+                ConvKernel::I8 { w, .. } => {
                     let ws = w.shape();
-                    match (ps.format, wbits) {
-                        (PackFormat::Winograd, _) => {
-                            PackedKernel::ConvWinograd(PackedWinograd::pack(ws.n, ws.c, w.data()))
-                        }
-                        (_, Bitwidth::W8) => {
-                            PackedKernel::ConvI8(PackedA::pack(ws.n, ws.c * ws.h * ws.w, w.data()))
-                        }
-                        (_, Bitwidth::W4) => {
-                            PackedKernel::ConvI4(PackedA4::pack(ws.n, ws.c * ws.h * ws.w, w.data()))
-                        }
+                    if ps.format == PackFormat::Winograd {
+                        PackedKernel::ConvWinograd(PackedWinograd::pack(ws.n, ws.c, w.data()))
+                    } else {
+                        PackedKernel::ConvI8(PackedA::pack(ws.n, ws.c * ws.h * ws.w, w.data()))
                     }
                 }
             }

@@ -55,9 +55,10 @@ pub enum ConvKernel {
     },
     /// Integer weights, bias at accumulator scale, calibrated fix positions.
     /// The weight *bitwidth* is a per-node attribute: `W4` kernels store
-    /// their weights as `i8` values confined to `[-8, 7]` (nibble packing
-    /// happens in the lowered weight panels), so every unpacked execution
-    /// path handles mixed W8/W4 graphs unchanged.
+    /// their weights as `i8` values confined to `[-8, 7]` (the DPU deploys
+    /// them at half a byte each, [`ConvKernel::weight_bytes`]), so every
+    /// host execution path, the lowered INT8 panels included, runs mixed
+    /// W8/W4 graphs unchanged.
     I8 {
         /// Integer weights with their fix position (layouts as in `F32`).
         w: QTensor,
@@ -141,11 +142,9 @@ impl ConvKernel {
 pub enum PackFormat {
     /// `f32` panels ([`seneca_tensor::gemm::PackedA<f32>`]).
     F32,
-    /// `i8` panels ([`seneca_tensor::gemm::PackedA<i8>`]).
+    /// `i8` panels ([`seneca_tensor::gemm::PackedA<i8>`]) of a W8 or W4
+    /// kernel.
     I8,
-    /// Nibble-packed INT4 panels ([`seneca_tensor::gemm::PackedA4`]), two
-    /// weights per byte — half the panel bytes of `I8`.
-    I4,
     /// Winograd-transformed panels of an INT8 (W8 or W4) 3x3 conv
     /// ([`seneca_tensor::winograd::PackedWinograd`]), chosen per node by
     /// [`crate::passes::select_winograd`] from the lowered shapes.

@@ -16,7 +16,6 @@
 use crate::module::{ConvAttrs, ConvKernel, IrNode, IrOp, Module, PackFormat, PackSlot};
 use seneca_tensor::gemm::NR;
 use seneca_tensor::norm::{fold_bn_into_conv, BnState};
-use seneca_tensor::quantized::Bitwidth;
 use seneca_tensor::winograd::{winograd_tiles, WINO_MAX_C_IN};
 use seneca_tensor::Shape4;
 use serde::{Deserialize, Serialize};
@@ -32,8 +31,6 @@ pub struct PassStats {
     pub identities_removed: usize,
     /// Weight tensors given a pack slot (packed once at model load).
     pub pack_slots: usize,
-    /// Of those, slots materialized as nibble-packed INT4 panels.
-    pub pack_slots_i4: usize,
     /// Of those, INT8 convs lowered to Winograd F(2x2, 3x3).
     pub winograd: usize,
     /// Concats folded into the gather of their conv
@@ -218,8 +215,8 @@ pub fn strip_identities(m: &mut Module, strip_softmax: bool) -> usize {
 
 /// Assigns every conv/tconv weight tensor a pack slot: the index of its
 /// pre-packed GEMM panels in the lowered program, plus the panel *format*
-/// (f32 / i8 / nibble-packed int4) derived from the kernel dtype and weight
-/// bitwidth. Weights are immutable at inference, so packing happens exactly
+/// (f32 / i8) derived from the kernel dtype: a W4 kernel's weights are `i8`
+/// in `[-8, 7]` and pack into the same panels as a W8 one. Weights are immutable at inference, so packing happens exactly
 /// once at model load instead of once per frame. Panics if any node already
 /// holds a slot — the pass must run exactly once per module. Returns the
 /// number of slots assigned.
@@ -230,8 +227,7 @@ pub fn assign_pack_slots(m: &mut Module) -> usize {
             assert!(a.pack.is_none(), "pack slot already assigned");
             let format = match &a.kernel {
                 ConvKernel::F32 { .. } => PackFormat::F32,
-                ConvKernel::I8 { wbits: Bitwidth::W8, .. } => PackFormat::I8,
-                ConvKernel::I8 { wbits: Bitwidth::W4, .. } => PackFormat::I4,
+                ConvKernel::I8 { .. } => PackFormat::I8,
             };
             a.pack = Some(PackSlot { slot: next, format });
             next += 1;

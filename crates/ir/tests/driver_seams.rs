@@ -109,14 +109,9 @@ fn int8_layers_match_the_oracle_across_strips_and_parts_w8_and_w4() {
         m.output_fp = fps[3];
         let lowered = lower(m, INPUT, &LowerOptions::reference());
         let formats: Vec<PackFormat> = lowered.packs().iter().map(PackedKernel::format).collect();
-        // The middle conv runs Winograd whatever its bitwidth; the others keep
-        // nibble panels where W4.
-        let nibble = |b: Bitwidth| if b == W4 { PackFormat::I4 } else { PackFormat::I8 };
-        assert_eq!(
-            formats,
-            [nibble(mask[0]), PackFormat::Winograd, nibble(mask[2])],
-            "mask {case}"
-        );
+        // The middle conv runs Winograd whatever its bitwidth; the others run
+        // the INT8 panels, W4 or W8.
+        assert_eq!(formats, [PackFormat::I8, PackFormat::Winograd, PackFormat::I8], "mask {case}");
         assert_eq!(lowered.stats().winograd, 1);
         let mut scratch = lowered.make_scratch_i8();
         let x = QTensor::quantize(&rand_tensor(INPUT, &mut rng), fps[0]);

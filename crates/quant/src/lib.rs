@@ -16,8 +16,8 @@
 //!    activations calibrated to each node's max |x| over the calibration set
 //!    (min-max), bias at accumulator scale;
 //! 3. [`mixed`] — per-layer W4/W8 bitwidth assignment: sensitivity sweep
-//!    plus a greedy DPU-cost-aware search (W4 weights live on a nibble
-//!    grid, halving weight bytes where the layer tolerates it);
+//!    plus a greedy DPU-cost-aware search (W4 weights live on a 4-bit
+//!    grid, halving deployed weight bytes where the layer tolerates it);
 //! 4. [`finetune`] — "fast finetuning" (AdaQuant-flavoured): per-layer scale
 //!    search plus bias correction against FP32 references;
 //! 5. [`qat`] — quantization-aware training hooks (weight fake-quant at

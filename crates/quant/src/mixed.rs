@@ -1,11 +1,11 @@
 //! Mixed-precision (W4A8 / W8A8) bitwidth assignment.
 //!
 //! The DPU's INT8 datapath leaves weight bandwidth on the table for layers
-//! whose weight distribution survives a 4-bit grid: nibble-packed panels
-//! halve the weight bytes a conv streams per frame, and a W4-aware
-//! convolution engine doubles its output-channel parallelism. Not every
-//! layer tolerates W4 — the per-layer damage is empirical. This module
-//! provides the two tools the deployment flow needs:
+//! whose weight distribution survives a 4-bit grid: deployed at half a byte
+//! per weight, W4 halves the weight bytes a conv streams per frame, and a
+//! W4-aware convolution engine doubles its output-channel parallelism. Not
+//! every layer tolerates W4 — the per-layer damage is empirical. This
+//! module provides the two tools the deployment flow needs:
 //!
 //! 1. [`sensitivity_sweep`] — quantize one conv/tconv at a time to W4 (all
 //!    others stay W8) and measure the damage against the FP32 reference:
@@ -107,7 +107,7 @@ pub struct SensitivityEntry {
     pub mean_dice: f64,
     /// Worst per-class Dice (the organ that suffers most).
     pub min_dice: f64,
-    /// Weight bytes saved by nibble-packing this layer.
+    /// Deployed weight bytes saved by this layer's 4-bit weights.
     pub bytes_saved: u64,
 }
 

@@ -21,8 +21,8 @@ use seneca_tensor::quantized::{choose_fix_pos_bits, Bitwidth, QTensor};
 /// the given bitwidth (quantize–dequantize with per-tensor fix positions).
 /// Biases and BN parameters stay FP32, matching DPU deployment where biases
 /// live in INT32. With [`Bitwidth::W4`] this is the QAT hook for
-/// mixed-precision deployments: train against the 4-bit grid the
-/// nibble-packed panels will hold.
+/// mixed-precision deployments: train against the 4-bit grid the deployed
+/// W4 weights will hold.
 pub fn project_weights(graph: &mut Graph, bits: Bitwidth) {
     for w in graph.weights_mut() {
         let fp = choose_fix_pos_bits(w.abs_max(), bits);

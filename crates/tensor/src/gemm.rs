@@ -1,10 +1,11 @@
 //! Packed, register-tiled matrix multiplication: one strip-mined
-//! pack+compute driver, four micro-kernels (`f32`, `i8`, nibble-packed INT4
-//! and the `i16` Winograd tile), fused epilogues.
+//! pack+compute driver, three micro-kernels (`f32`, `i8` and the `i16`
+//! Winograd tile), fused epilogues.
 //!
 //! Every GEMM of the crate — the matrix entry points here ([`sgemm`] …
 //! [`igemm_fused`]), the implicit-GEMM convolutions of [`crate::igemm`], in
-//! `f32`, `i8` and nibble-packed INT4, and the Winograd convolution of
+//! `f32` and `i8` (W8 and W4 weights alike: a W4 weight is an `i8` in
+//! `[-8, 7]`), and the Winograd convolution of
 //! [`crate::winograd`] (sixteen position products per tile) — computes
 //! `C = A * B` with `A: [m x k]`, `B: [k x n]` through the same driver:
 //!
@@ -66,8 +67,8 @@
 //!    the rayon shim's workers are fresh threads, whose thread-locals would
 //!    be re-allocated every call.
 //! 3. **Micro-kernels.** An `MR x NR` accumulator tile walks one `A` row
-//!    panel (`[ip][kk][MR]`, packed once per weight tensor — [`PackedA`],
-//!    [`PackedA4`]) and one `B` panel over the whole `k` extent — a packed
+//!    panel (`[ip][kk][MR]`, packed once per weight tensor — [`PackedA`])
+//!    and one `B` panel over the whole `k` extent — a packed
 //!    panel, or for `f32` the k-step offsets of a band (`Steps`);
 //!    constant trip counts let LLVM keep the tile in vector registers.
 //! 4. **Fused epilogues.** Bias, ReLU, an inference BatchNorm, the DPU
@@ -116,8 +117,7 @@
 //! yield `128·colsum − 128·colsum = 0` and are clipped anyway. No
 //! intermediate overflows: `|Σ (a+128)·b| <= k·255·128 < 2^31` for
 //! `k <= 65 536` ([`PackElem::MAX_K`], asserted where panels are packed; the
-//! largest Table II `k` is 9216). The INT4 kernel is the same with
-//! `(nibble ^ 8)` and `8 · colsum`.
+//! largest Table II `k` is 9216).
 //!
 //! The Winograd kernel `tile_i16` is the same again on `i16` operands: the
 //! activations `V` (`|V| <= 512`) are native `i16`, the transformed weights
@@ -133,8 +133,8 @@
 //!
 //! * *Inlining the MAC loop into the driver closure* still makes LLVM
 //!   vectorise over `k`, assembling operands byte by byte (`vpinsrb`) with
-//!   the accumulators in stack slots — so `tile_i8` / `tile_i4` /
-//!   `tile_i16` are isolated `#[inline(never)]` functions.
+//!   the accumulators in stack slots — so `tile_i8` / `tile_i16` are
+//!   isolated `#[inline(never)]` functions.
 //! * *Factoring the store out* used to trigger the same failure (hence five
 //!   monolithic `i8_block_*` bodies, one per store). With the offset form it
 //!   no longer does: a tile function that hands the corrected accumulators
@@ -377,81 +377,13 @@ impl<T> PackedA<T> {
     }
 }
 
-/// A pre-packed INT4 `A` operand: the same `MR`-tall k-major row panels as
-/// [`PackedA<i8>`], but with two signed nibbles per byte — the panel buffer
-/// is exactly half the size, halving weight-panel memory traffic in the
-/// micro-kernel.
-///
-/// Packing runs along the `MR` dimension: each k-step of a panel holds `MR`
-/// weights in `MR / 2` bytes, with the even row in the low nibble and the odd
-/// row in the high nibble (`byte j = (a[2j+1] << 4) | (a[2j] & 0xF)`). The
-/// micro-kernel widens both nibbles in registers, so [`igemm4_fused_packed`]
-/// is bit-identical to unpacking to `i8` and calling [`igemm_fused`].
-#[derive(Debug, Clone)]
-pub struct PackedA4 {
-    m: usize,
-    k: usize,
-    pub(crate) panels: Vec<u8>,
-}
-
-impl PackedA4 {
-    /// Packs a row-major `m x k` matrix whose values all lie in `[-8, 7]`
-    /// (panics otherwise — INT4 packing of wider data would corrupt weights
-    /// silently).
-    pub fn pack(m: usize, k: usize, a: &[i8]) -> Self {
-        assert!(
-            a.iter().all(|&v| (-8..=7).contains(&(v as i32))),
-            "INT4 pack requires all values in [-8, 7]"
-        );
-        let wide = PackedA::pack(m, k, a);
-        Self { m, k, panels: pack_nibble_pairs(&wide.panels) }
-    }
-
-    /// Rows of the packed matrix.
-    pub fn m(&self) -> usize {
-        self.m
-    }
-
-    /// Shared (`k`) extent of the packed matrix.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Bytes held by the panel buffer (half of the equivalent INT8 panels).
-    pub fn panel_len(&self) -> usize {
-        self.panels.len()
-    }
-
-    /// Expands the nibble panels back to the equivalent [`PackedA<i8>`]
-    /// (reference/fallback path; the panel bytes match `PackedA::pack` of the
-    /// original matrix exactly).
-    pub fn unpack(&self) -> PackedA<i8> {
-        let mut panels = vec![0i8; self.panels.len() * 2];
-        unpack_nibble_pairs(&self.panels, &mut panels);
-        PackedA { m: self.m, k: self.k, panels }
-    }
-}
-
-/// Packs adjacent pairs of `[-8, 7]` values into single bytes: even index in
-/// the low nibble, odd index in the high nibble. `src.len()` must be even.
-pub fn pack_nibble_pairs(src: &[i8]) -> Vec<u8> {
-    assert!(src.len().is_multiple_of(2), "nibble packing needs an even length");
-    src.chunks_exact(2).map(|p| ((p[1] as u8) << 4) | (p[0] as u8 & 0xF)).collect()
-}
-
-/// Inverse of [`pack_nibble_pairs`]: sign-extends both nibbles of each byte.
-/// `dst.len()` must be `2 * src.len()`.
-pub fn unpack_nibble_pairs(src: &[u8], dst: &mut [i8]) {
-    assert_eq!(dst.len(), src.len() * 2, "nibble unpack size");
-    for (d, &b) in dst.chunks_exact_mut(2).zip(src) {
-        d[0] = ((b as i8) << 4) >> 4;
-        d[1] = (b as i8) >> 4;
-    }
-}
+/// Kept for the benchmark's `tensor` probe until ROADMAP 3(a): a W4 layer's
+/// weight panels are the INT8 panels, holding its `[-8, 7]` weights.
+pub type PackedA4 = PackedA<i8>;
 
 /// Elements of `A`-panel storage an `m x k` operand packs into (the `MR`-tall
 /// row panels, tail panel zero padded).
-pub fn packed_a_len(m: usize, k: usize) -> usize {
+fn packed_a_len(m: usize, k: usize) -> usize {
     m.div_ceil(MR) * MR * k
 }
 
@@ -568,20 +500,6 @@ impl Panels for PackedA<i8> {
     }
 }
 
-impl Panels for PackedA4 {
-    type B = i8;
-    type Out = Acc<i32>;
-
-    fn dims(&self) -> (usize, usize) {
-        (self.m, self.k)
-    }
-
-    fn tile(&self, ip: usize, bp: &[i8], steps: Steps<'_>, rows: usize, out: &mut Acc<i32>) {
-        debug_assert!(matches!(steps, Steps::Packed), "integer tiles read packed panels");
-        tile_i4(&self.panels[ip * (MR / 2) * self.k..][..MR / 2 * self.k], bp, rows, out);
-    }
-}
-
 /// The f32 micro-kernel: an `MR x NR` accumulator tile over the full `k`
 /// extent of one A row panel and the `k` steps of `NR` `B` values that
 /// `steps` walks (a packed panel's consecutive rows, or a row band's
@@ -607,7 +525,7 @@ fn tile_f32<'b>(ap: &[f32], steps: impl Iterator<Item = &'b [f32; NR]>, out: &mu
 }
 
 /// An integer micro-kernel in the offset form of the module docs: `$widen`
-/// reads row `i` of one k-step of the `A` panel (`$step` elements) as the
+/// reads row `i` of one k-step of the `A` panel (`MR` elements) as the
 /// non-negative weight `a + $offset`; the column sums of `B` (`$b`
 /// activations) take the offset back out when the first `rows` rows of the
 /// finished tile are written to `out` (rows beyond are padding and left
@@ -615,13 +533,13 @@ fn tile_f32<'b>(ap: &[f32], steps: impl Iterator<Item = &'b [f32; NR]>, out: &mu
 /// into gathers). Isolated `#[inline(never)]` functions — see the codegen
 /// hazards in the module docs.
 macro_rules! int_tile_fn {
-    ($(#[$doc:meta])* $name:ident, $a:ty, $b:ty, $step:expr, $offset:expr, $widen:expr) => {
+    ($(#[$doc:meta])* $name:ident, $a:ty, $b:ty, $offset:expr, $widen:expr) => {
         $(#[$doc])*
         #[inline(never)]
         pub(crate) fn $name(ap: &[$a], bp: &[$b], rows: usize, out: &mut Acc<i32>) {
             let mut acc = [[0i32; NR]; MR];
             let mut colsum = [0i32; NR];
-            for (a, b) in ap.chunks_exact($step).zip(bp.chunks_exact(NR)) {
+            for (a, b) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
                 let mut bw = [0i32; NR];
                 for (w, &v) in bw.iter_mut().zip(b) {
                     *w = v as i32;
@@ -650,20 +568,8 @@ int_tile_fn!(
     tile_i8,
     i8,
     i8,
-    MR,
     128,
     |a: &[i8], i: usize| ((a[i] as u8) ^ 0x80) as i32
-);
-
-int_tile_fn!(
-    /// The INT4 micro-kernel: each k-step is `MR / 2` bytes, even row in the
-    /// low nibble; weights read as `nibble ^ 8 = a + 8`.
-    tile_i4,
-    u8,
-    i8,
-    MR / 2,
-    8,
-    |a: &[u8], i: usize| (((a[i / 2] >> (4 * (i % 2))) & 0xF) ^ 8) as i32
 );
 
 int_tile_fn!(
@@ -676,7 +582,6 @@ int_tile_fn!(
     tile_i16,
     u16,
     i16,
-    MR,
     WINO_U_OFFSET,
     |a: &[u16], i: usize| (a[i] & 0x0FFF) as i32
 );
@@ -1029,10 +934,10 @@ pub(crate) fn run_f32(
     });
 }
 
-/// Runs an INT8/INT4 driver into a row-major `i8` `C` with the requantise
+/// Runs the INT8 driver into a row-major `i8` `C` with the requantise
 /// epilogue fused into the store, on `work`.
-pub(crate) fn run_requant<A: Panels<B = i8, Out = Acc<i32>>>(
-    pa: &A,
+pub(crate) fn run_requant(
+    pa: &PackedA<i8>,
     n: usize,
     out: &mut [i8],
     (bias, shift, relu): (&[i32], i32, bool),
@@ -1069,7 +974,7 @@ pub fn sgemm_fused(
 /// [`sgemm_fused`] with a pre-packed `A` operand: only the `B` strips are
 /// packed per call. Bit-identical to the unpacked call — the `A` panel bytes
 /// are the same.
-pub fn sgemm_fused_packed(
+fn sgemm_fused_packed(
     pa: &PackedA<f32>,
     n: usize,
     b: &[f32],
@@ -1081,8 +986,9 @@ pub fn sgemm_fused_packed(
     with_thread_work(|work| run_f32(pa, (n, Strip::Panels), c, epi, work, pack));
 }
 
-/// [`igemm_fused`] with a pre-packed `A` operand (see
-/// [`sgemm_fused_packed`]); bit-identical to the unpacked call.
+/// [`igemm_fused`] with a pre-packed `A` operand: only the `B` strips are
+/// packed per call. Bit-identical to the unpacked call — the `A` panel bytes
+/// are the same.
 pub fn igemm_fused_packed(
     pa: &PackedA<i8>,
     n: usize,
@@ -1092,36 +998,9 @@ pub fn igemm_fused_packed(
     relu: bool,
     out: &mut [i8],
 ) {
-    requant_packed(pa, n, b, (bias, shift, relu), out);
-}
-
-/// [`igemm_fused_packed`] for a nibble-packed INT4 `A` operand: the weight
-/// panels stream at half the bytes, the activation (`B`) packing and the
-/// fused bias/requant/ReLU epilogue are identical. Bit-identical to
-/// `pa.unpack()` + [`igemm_fused_packed`].
-pub fn igemm4_fused_packed(
-    pa: &PackedA4,
-    n: usize,
-    b: &[i8],
-    bias: &[i32],
-    shift: i32,
-    relu: bool,
-    out: &mut [i8],
-) {
-    requant_packed(pa, n, b, (bias, shift, relu), out);
-}
-
-fn requant_packed<A: Panels<B = i8, Out = Acc<i32>>>(
-    pa: &A,
-    n: usize,
-    b: &[i8],
-    epi: (&[i32], i32, bool),
-    out: &mut [i8],
-) {
-    let k = pa.dims().1;
-    assert_eq!(b.len(), k * n, "B size");
-    let pack = |cols, buf: &mut [i8]| pack_b(k, cols, |kk, j| b[kk * n + j], buf);
-    with_thread_work(|work| run_requant(pa, n, out, epi, work, pack));
+    assert_eq!(b.len(), pa.k * n, "B size");
+    let pack = |cols, buf: &mut [i8]| pack_b(pa.k, cols, |kk, j| b[kk * n + j], buf);
+    with_thread_work(|work| run_requant(pa, n, out, (bias, shift, relu), work, pack));
 }
 
 /// INT8 GEMM with `i32` accumulation: `c = a * b`.
@@ -1402,55 +1281,6 @@ mod tests {
                 assert_eq!(c, c_packed, "{m}x{k}x{n} shift {shift} relu {relu}");
             }
         }
-    }
-
-    fn rand_i4(len: usize, seed: u64) -> Vec<i8> {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        (0..len).map(|_| rng.gen_range(-8i32..8) as i8).collect()
-    }
-
-    #[test]
-    fn nibble_pack_unpack_roundtrip() {
-        let src = rand_i4(64, 40);
-        let packed = pack_nibble_pairs(&src);
-        assert_eq!(packed.len(), src.len() / 2);
-        let mut back = vec![0i8; src.len()];
-        unpack_nibble_pairs(&packed, &mut back);
-        assert_eq!(back, src);
-    }
-
-    #[test]
-    fn packed_a4_unpack_matches_packed_a_i8() {
-        for &(m, k) in &[(1, 1), (7, 13), (64, 576), (33, 100)] {
-            let a = rand_i4(m * k, 41);
-            let pa4 = PackedA4::pack(m, k, &a);
-            let pa8 = PackedA::pack(m, k, &a);
-            assert_eq!(pa4.panel_len() * 2, pa8.panel_len(), "{m}x{k}");
-            assert_eq!(pa4.unpack().panels, pa8.panels, "{m}x{k}");
-        }
-    }
-
-    #[test]
-    fn igemm4_matches_unpacked_i8_bit_exactly() {
-        for &(m, k, n) in &[(11, 90, 23), (64, 576, 100), (1, 1, 1), (8, 16, 32)] {
-            let a = rand_i4(m * k, 42);
-            let b = rand_i8(k * n, 43);
-            let bias: Vec<i32> = (0..m as i32).map(|i| i * 13 - 60).collect();
-            let pa4 = PackedA4::pack(m, k, &a);
-            for &(shift, relu) in &[(4, false), (2, true), (0, false), (-1, true)] {
-                let mut c8 = vec![0i8; m * n];
-                let mut c4 = vec![0i8; m * n];
-                igemm_fused(m, k, n, &a, &b, &bias, shift, relu, &mut c8);
-                igemm4_fused_packed(&pa4, n, &b, &bias, shift, relu, &mut c4);
-                assert_eq!(c4, c8, "{m}x{k}x{n} shift {shift} relu {relu}");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "INT4 pack requires")]
-    fn packed_a4_rejects_wide_values() {
-        PackedA4::pack(1, 2, &[8, 0]);
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! L2, so neither the column matrix nor its packed form ever exists in full.
 //! The panels hold byte-for-byte what `im2col` + `pack_b` would have
 //! produced and the micro-kernels are the same — the implicit route is
-//! bit-identical to the materialized one by construction.
+//! bit-identical to the materialized one by construction. The INT8 entry
+//! points serve W8 and W4 layers alike: a W4 weight is an `i8` in `[-8, 7]`.
 //!
 //! An FP32 3x3 pad-1 stride-1 conv on a map whose width `W` is a multiple of
 //! `NR` (every level from 256² down to 32² of the U-Net) goes one step
@@ -62,8 +63,8 @@
 
 use crate::gemm::{
     band_scratch_len, bias_at, packed_b_len, requant, run, run_f32, run_requant, run_with,
-    strip_scratch_len, with_thread_work, Acc, GemmEpilogue, OutLayout, PackedA, PackedA4, Panels,
-    Strip, Tile, Work, NR,
+    strip_scratch_len, with_thread_work, Acc, GemmEpilogue, OutLayout, PackedA, Panels, Strip,
+    Tile, Work, NR,
 };
 use crate::im2col::{ConvGeom, ConvInput, Gather};
 use crate::zero::Zero;
@@ -363,24 +364,12 @@ pub fn igemm_conv_packed(
     relu: bool,
     out: &mut [i8],
 ) {
-    let epi = (bias, shift, relu);
-    with_thread_work(|work| conv_requant(pa, geom, x.into(), epi, out, work));
+    with_thread_work(|work| igemm_conv_with(pa, geom, x.into(), bias, shift, relu, out, work));
 }
 
-/// [`igemm_conv_packed`] for a nibble-packed INT4 weight operand: the weight
-/// panels stream at half the bytes.
-pub fn igemm4_conv_packed(
-    pa: &PackedA4,
-    geom: &ConvGeom,
-    x: &[i8],
-    bias: &[i32],
-    shift: i32,
-    relu: bool,
-    out: &mut [i8],
-) {
-    let epi = (bias, shift, relu);
-    with_thread_work(|work| conv_requant(pa, geom, x.into(), epi, out, work));
-}
+/// Kept for the benchmark's `tensor` probe until ROADMAP 3(a): a W4 conv is
+/// the INT8 conv on `[-8, 7]` weights.
+pub use crate::igemm::igemm_conv_packed as igemm4_conv_packed;
 
 /// [`igemm_conv_packed`] on caller-owned work memory, over an input that may
 /// be a folded concat (each source requantised by its shift as it is
@@ -396,35 +385,9 @@ pub fn igemm_conv_with(
     out: &mut [i8],
     work: &mut Work<i8>,
 ) {
-    conv_requant(pa, geom, x, (bias, shift, relu), out, work);
-}
-
-/// [`igemm4_conv_packed`] as [`igemm_conv_with`].
-#[allow(clippy::too_many_arguments)]
-pub fn igemm4_conv_with(
-    pa: &PackedA4,
-    geom: &ConvGeom,
-    x: ConvInput<'_, i8>,
-    bias: &[i32],
-    shift: i32,
-    relu: bool,
-    out: &mut [i8],
-    work: &mut Work<i8>,
-) {
-    conv_requant(pa, geom, x, (bias, shift, relu), out, work);
-}
-
-fn conv_requant<A: Panels<B = i8, Out = Acc<i32>>>(
-    pa: &A,
-    geom: &ConvGeom,
-    x: ConvInput<'_, i8>,
-    epi: (&[i32], i32, bool),
-    out: &mut [i8],
-    work: &mut Work<i8>,
-) {
-    assert_eq!(pa.dims().1, geom.col_rows(), "packed A k extent vs conv geometry");
+    assert_eq!(pa.k(), geom.col_rows(), "packed A k extent vs conv geometry");
     let pack = |cols, buf: &mut [i8]| pack_b_im2col(geom, x, cols, buf);
-    run_requant(pa, geom.col_cols(), out, epi, work, pack);
+    run_requant(pa, geom.col_cols(), out, (bias, shift, relu), work, pack);
 }
 
 /// The scatter-fused transpose-conv GEMM of one `[C_in, H, W]` image against
@@ -530,22 +493,6 @@ pub fn sgemm_tconv2x2_packed(
 #[allow(clippy::too_many_arguments)]
 pub fn igemm_tconv2x2_packed(
     pa: &PackedA<i8>,
-    x: &[i8],
-    h: usize,
-    w: usize,
-    bias4: &[i32],
-    shift: i32,
-    relu: bool,
-    out: &mut [i8],
-    work: &mut Work<i8>,
-) {
-    run_tconv2x2(pa, x, (h, w), bias4, out, work, |v, b| requant(v, b, shift, relu));
-}
-
-/// [`igemm_tconv2x2_packed`] for nibble-packed INT4 weights.
-#[allow(clippy::too_many_arguments)]
-pub fn igemm4_tconv2x2_packed(
-    pa: &PackedA4,
     x: &[i8],
     h: usize,
     w: usize,

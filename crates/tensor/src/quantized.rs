@@ -14,10 +14,10 @@ use serde::{Deserialize, Serialize};
 /// Weight bitwidth of a quantised kernel. Activations stay INT8 throughout
 /// (the DPU datapath is 8-bit); `W4` narrows only the weights, i.e. W4A8.
 ///
-/// A `W4` tensor still travels as `i8` values — confined to `[-8, 7]` — in a
-/// [`QTensor`]; the nibble packing (two weights per byte) happens only in the
-/// pre-packed GEMM panels, so every unpacked code path executes mixed graphs
-/// unchanged and bit-exactly.
+/// A `W4` tensor travels as `i8` values — confined to `[-8, 7]` — in a
+/// [`QTensor`], and the host runs it on the INT8 kernels, so every code path
+/// executes mixed graphs unchanged and bit-exactly. Only the DPU's deployed
+/// weights are two per byte (its cost model's weight bytes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Bitwidth {
     /// 8-bit weights (the paper's baseline: W8A8).

@@ -9,9 +9,8 @@
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use seneca_tensor::gemm::{
-    igemm, igemm4_fused_packed, igemm_fused, igemm_reference, pack_nibble_pairs, sgemm,
-    sgemm_reference, strip_cols, unpack_nibble_pairs, PackElem, PackedA, PackedA4, FORK_MIN_MACS,
-    MR, NR,
+    igemm, igemm_fused, igemm_reference, sgemm, sgemm_reference, strip_cols, PackElem, PackedA,
+    FORK_MIN_MACS, MR, NR,
 };
 use seneca_tensor::quantized::requantize_i32;
 
@@ -23,12 +22,6 @@ fn rand_f32(len: usize, seed: u64) -> Vec<f32> {
 fn rand_i8(len: usize, seed: u64) -> Vec<i8> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     (0..len).map(|_| rng.gen_range(-128i32..128) as i8).collect()
-}
-
-/// INT4-range values stored as i8 (the W4A8 weight representation).
-fn rand_i4(len: usize, seed: u64) -> Vec<i8> {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    (0..len).map(|_| rng.gen_range(-8i32..8) as i8).collect()
 }
 
 /// Primes around and above the tile sizes (MR = 8, NR = 16), so every draw
@@ -119,46 +112,6 @@ proptest! {
         igemm_fused(m, k, n, &a, &b, &bias, shift, relu, &mut fused);
         prop_assert_eq!(fused, expect, "{}x{}x{} shift {} relu {}", m, k, n, shift, relu);
     }
-
-    /// Nibble packing round-trips every INT4 value: low nibble first, sign
-    /// extension recovers the exact i8 in `[-8, 7]`.
-    #[test]
-    fn int4_nibble_pack_roundtrips(pairs in 0usize..600, seed in 0u64..1000) {
-        let src = rand_i4(2 * pairs, seed);
-        let packed = pack_nibble_pairs(&src);
-        prop_assert_eq!(packed.len(), pairs);
-        let mut back = vec![0i8; 2 * pairs];
-        unpack_nibble_pairs(&packed, &mut back);
-        prop_assert_eq!(back, src);
-    }
-
-    /// The nibble-packed INT4 micro-kernel is BIT-EXACT against unpacking to
-    /// i8 panels and running the INT8 fused kernel, on prime (off-tile)
-    /// remainder shapes with arbitrary shift/relu epilogues. Both kernels
-    /// accumulate in ascending-k order in i32, so no tolerance.
-    #[test]
-    fn igemm4_remainder_tiles_bit_exact_vs_unpacked_i8(
-        mi in 0usize..8, ki in 0usize..8, ni in 0usize..8,
-        shift in -2i32..10, relu_bit in 0u32..2, seed in 0u64..1000
-    ) {
-        let (m, k, n) = (PRIMES[mi], PRIMES[ki], PRIMES[ni]);
-        prop_assert!(m == 1 || m % MR != 0);
-        prop_assert!(n == 1 || n % NR != 0);
-        let relu = relu_bit == 1;
-        let a = rand_i4(m * k, seed);
-        let b = rand_i8(k * n, seed + 1);
-        let bias: Vec<i32> = (0..m as i32).map(|i| i * 57 - 333).collect();
-
-        let pa4 = PackedA4::pack(m, k, &a);
-        // panel_len is exactly half the widened i8 panels (same zero padding).
-        prop_assert_eq!(pa4.panel_len() * 2, pa4.unpack().panel_len());
-        let mut c4 = vec![0i8; m * n];
-        igemm4_fused_packed(&pa4, n, &b, &bias, shift, relu, &mut c4);
-
-        let mut c8 = vec![0i8; m * n];
-        igemm_fused(m, k, n, &a, &b, &bias, shift, relu, &mut c8);
-        prop_assert_eq!(c4, c8, "{}x{}x{} shift {} relu {}", m, k, n, shift, relu);
-    }
 }
 
 /// Smallest row count that puts an `? x k x n` GEMM over the fork threshold.
@@ -200,8 +153,7 @@ fn driver_seams_match_the_naive_reference() {
 
 /// All-extreme operands at the largest Table II `k`: the unsigned-weight
 /// kernel's intermediate `Σ (a+128)·b` peaks here (`255·128·k`), and its
-/// column-sum correction must land back on the exact signed sum. INT4 rides
-/// along with its own extremes.
+/// column-sum correction must land back on the exact signed sum.
 #[test]
 fn extreme_operands_are_bit_exact_at_k_9216() {
     let (m, k, n) = (MR + 1, 9216, NR + 8);
@@ -221,13 +173,6 @@ fn extreme_operands_are_bit_exact_at_k_9216() {
         igemm_reference(m, k, n, a, b, &mut c_ref);
         assert_eq!(c, c_ref, "a[0] = {}, b[0] = {}", a[0], b[0]);
     }
-    let (a4, b) = (pick(m * k, -8, 7), pick(k * n, -128, 127));
-    let mut acc = vec![0i32; m * n];
-    igemm_reference(m, k, n, &a4, &b, &mut acc);
-    let want: Vec<i8> = acc.iter().map(|&v| requantize_i32(v, 16)).collect();
-    let mut got = vec![0i8; m * n];
-    igemm4_fused_packed(&PackedA4::pack(m, k, &a4), n, &b, &[], 16, false, &mut got);
-    assert_eq!(got, want, "INT4 extremes");
 }
 
 /// Beyond `k = 65 536` the offset accumulator could overflow `i32`; packing

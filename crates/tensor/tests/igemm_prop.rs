@@ -18,12 +18,11 @@
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use seneca_tensor::gemm::{
-    igemm4_fused_packed, igemm_fused, igemm_reference, sgemm_fused, sgemm_reference, strip_cols,
-    GemmEpilogue, PackedA, PackedA4, Work, FORK_MIN_MACS, NR, STRIP_BYTES,
+    igemm_fused, igemm_reference, sgemm_fused, sgemm_reference, strip_cols, GemmEpilogue, PackedA,
+    Work, FORK_MIN_MACS, NR, STRIP_BYTES,
 };
 use seneca_tensor::igemm::{
-    igemm4_conv_packed, igemm4_tconv2x2_packed, igemm_conv_packed, igemm_tconv2x2_packed,
-    sgemm_conv, sgemm_conv_packed, sgemm_tconv2x2,
+    igemm_conv_packed, igemm_tconv2x2_packed, sgemm_conv, sgemm_conv_packed, sgemm_tconv2x2,
 };
 use seneca_tensor::im2col::{im2col_t, ConvGeom};
 use seneca_tensor::quantized::requantize_i32;
@@ -155,34 +154,6 @@ proptest! {
         prop_assert_eq!(y, y_ref, "c{}x{}x{} k{} p{} s{}", c_in, h, w, k, pad, stride);
     }
 
-    /// W4A8 conv: implicit pack through the nibble kernel == materialized
-    /// im2col through the same nibble kernel.
-    #[test]
-    fn conv_i4_implicit_matches_materialized(
-        hi in 0usize..6, wi in 0usize..6, ci in 0usize..5, mi in 0usize..5,
-        k in 1usize..4, pad in 0usize..2, stride in 1usize..3,
-        shift in -2i32..10, relu_bit in 0u32..2, seed in 0u64..1000
-    ) {
-        let (h, w, c_in, m) = (DIMS[hi], DIMS[wi], CHANS[ci], CHANS[mi]);
-        // Keep the kernel within the padded extent (h, w >= 1 so k = 1
-        // always fits).
-        let k = k.min(h + 2 * pad).min(w + 2 * pad);
-        let relu = relu_bit == 1;
-        let geom = ConvGeom { c_in, h, w, k, pad, stride };
-        let (kdim, n) = (geom.col_rows(), geom.col_cols());
-        let wt = rand_i4(m * kdim, seed);
-        let pa = PackedA4::pack(m, kdim, &wt);
-        let x = rand_i8(c_in * h * w, seed + 1);
-        let bias: Vec<i32> = (0..m as i32).map(|i| i * 57 - 333).collect();
-        let mut y = vec![0i8; m * n];
-        igemm4_conv_packed(&pa, &geom, &x, &bias, shift, relu, &mut y);
-        let mut col = vec![0i8; kdim * n];
-        im2col_t(&geom, &x, &mut col);
-        let mut y_ref = vec![0i8; m * n];
-        igemm4_fused_packed(&pa, n, &col, &bias, shift, relu, &mut y_ref);
-        prop_assert_eq!(y, y_ref, "c{}x{}x{} k{} p{} s{}", c_in, h, w, k, pad, stride);
-    }
-
     /// f32 tconv: scatter-fused store == GEMM into a pre-scatter buffer
     /// followed by the explicit stride-2 scatter, bit for bit.
     #[test]
@@ -264,31 +235,6 @@ proptest! {
         igemm_conv_packed(&PackedA::pack(m, c_in * 9, &wt), &geom, &x, &bias, shift, relu, &mut y_ref);
         prop_assert_eq!(y, y_ref, "c{}->{} {}x{} shift {}", c_in, m, h, w, shift);
     }
-
-    /// W4A8 tconv: the nibble scatter-fused store == nibble GEMM + explicit
-    /// scatter.
-    #[test]
-    fn tconv_i4_scatter_fused_matches_materialized(
-        hi in 0usize..6, wi in 0usize..6, ci in 0usize..5, coi in 0usize..5,
-        shift in -2i32..10, relu_bit in 0u32..2, seed in 0u64..1000
-    ) {
-        let (h, w, c_in, c_out) = (DIMS[hi], DIMS[wi], CHANS[ci], CHANS[coi]);
-        let relu = relu_bit == 1;
-        let (m, n) = (4 * c_out, h * w);
-        let wt = rand_i4(c_in * c_out * 4, seed);
-        let mut wk = vec![0i8; m * c_in];
-        repack_tconv_weights(c_in, c_out, &wt, &mut wk);
-        let pa = PackedA4::pack(m, c_in, &wk);
-        let x = rand_i8(c_in * n, seed + 1);
-        let bias4: Vec<i32> = (0..m as i32).map(|i| (i / 4) * 53 - 222).collect();
-        let mut y = vec![0i8; c_out * 4 * n];
-        igemm4_tconv2x2_packed(&pa, &x, h, w, &bias4, shift, relu, &mut y, &mut Work::default());
-        let mut ytmp = vec![0i8; m * n];
-        igemm4_fused_packed(&pa, n, &x, &bias4, shift, relu, &mut ytmp);
-        let mut y_ref = vec![0i8; c_out * 4 * n];
-        scatter_tconv2x2(c_out, h, w, &ytmp, &mut y_ref);
-        prop_assert_eq!(y, y_ref, "cin{} cout{} {}x{} shift {}", c_in, c_out, h, w, shift);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -298,8 +244,8 @@ proptest! {
 // triple loops for conv, the transpose-conv definition for tconv.
 // ---------------------------------------------------------------------------
 
-/// Naive conv in all three operand types from one `[-8, 7]` weight draw:
-/// returns `(f32 out, i8 out)`; W4 must equal the `i8` result.
+/// Naive conv in both dtypes from one `[-8, 7]` weight draw: returns `(f32
+/// out, i8 out)`; the INT8 and Winograd convs must equal the `i8` result.
 fn conv_reference(
     m: usize,
     geom: &ConvGeom,
@@ -351,10 +297,7 @@ fn conv_driver_seams_match_the_naive_reference() {
 
         let mut y = vec![0i8; m * n];
         igemm_conv_packed(&PackedA::pack(m, k, &wt), &geom, &x, &bias, shift, true, &mut y);
-        assert_eq!(y, want_i8, "W8 {what}");
-        y.fill(0);
-        igemm4_conv_packed(&PackedA4::pack(m, k, &wt), &geom, &x, &bias, shift, true, &mut y);
-        assert_eq!(y, want_i8, "W4 {what}");
+        assert_eq!(y, want_i8, "INT8 {what}");
 
         if kk == 3 {
             y.fill(0);
@@ -498,20 +441,7 @@ fn tconv_driver_seams_match_the_definition() {
             &mut y,
             &mut Work::default(),
         );
-        assert_eq!(y, want, "W8 {dims:?}");
-        y.fill(0);
-        igemm4_tconv2x2_packed(
-            &PackedA4::pack(m, c_in, &wk),
-            &x,
-            h,
-            w,
-            &bias4,
-            shift,
-            false,
-            &mut y,
-            &mut Work::default(),
-        );
-        assert_eq!(y, want, "W4 {dims:?}");
+        assert_eq!(y, want, "INT8 {dims:?}");
 
         let to_f32 = |v: &[i8]| v.iter().map(|&v| v as f32 / 4.0).collect::<Vec<f32>>();
         let (wtf, wkf, xf) = (to_f32(&wt), to_f32(&wk), to_f32(&x));

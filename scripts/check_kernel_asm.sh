@@ -2,7 +2,7 @@
 # Catches the vectoriser silently regressing on the GEMM micro-kernels
 # (crates/tensor/src/gemm.rs, module docs): disassembles the release
 # kernel_stats example and fails if
-#   * an integer tile function (INT8, INT4, and the i16 Winograd tile)
+#   * an integer tile function (INT8 and the i16 Winograd tile)
 #     multiplies with vpmulld/pmulld (the widening i32 form, half the MAC
 #     rate) or contains neither vpdpwssd nor vpmaddwd (the pair-wise
 #     multiply-accumulate the offset form is written to get);
@@ -35,7 +35,6 @@ status=0
 # fn, instructions it must contain, instructions it must not contain,
 # instances expected.
 for check in "tile_i8 vpdpwssd|v?pmaddwd v?pmulld 1" \
-    "tile_i4 vpdpwssd|v?pmaddwd v?pmulld 1" \
     "tile_i16 vpdpwssd|v?pmaddwd v?pmulld 1" \
     "tile_f32 vfmadd231ps vmulps|vaddps 2"; do
     read -r fn want forbid instances <<<"$check"

@@ -56,10 +56,10 @@ time cargo run --release -q -p seneca-bench --bin reproduce -- fig3 --scale fast
 echo "== ir smoke (seneca_quant::fuse folds every BN, fuses every ReLU, strips every identity; one pack slot per weight; every concat whose only consumer is a conv folded, no arena bytes, in both dtypes; arena = peak-live footprint < total activations; implicit-GEMM peak < materialized route) =="
 cargo run --release -q -p seneca-bench --example ir_stats
 
-echo "== kernel smoke (igemm and W4 nibble GEMM bit-exact; packed GEMM beats reference; implicit conv == materialized; on 16M 64->32 @256: implicit >= materialized in both dtypes, Winograd bit-exact and > direct, i8 / f32 MAC rate printed; on 1M 16->16 @128: INT8 tconv == GEMM + scatter and >= 0.6x the MAC rate of the same GEMM with a row store) =="
+echo "== kernel smoke (igemm bit-exact; packed GEMM beats reference; implicit conv == materialized; on 16M 64->32 @256: implicit >= materialized in both dtypes, Winograd bit-exact and > direct, i8 / f32 MAC rate printed; on 1M 16->16 @128: INT8 tconv == GEMM + scatter and >= 0.6x the MAC rate of the same GEMM with a row store) =="
 cargo run --release -q -p seneca-bench --example kernel_stats -- smoke
 
-echo "== kernel asm (INT8/INT4/Winograd i16 tiles: vpdpwssd/vpmaddwd, no vpmulld; f32 tile: vfmadd231ps, no vmulps/vaddps) =="
+echo "== kernel asm (INT8/Winograd i16 tiles: vpdpwssd/vpmaddwd, no vpmulld; f32 tile: vfmadd231ps, no vmulps/vaddps) =="
 bash scripts/check_kernel_asm.sh
 
 echo "== trace smoke (profile: op spans fit the wall; measured-vs-modeled op-share band at 256 px; 16M pack share recorded) =="

@@ -121,22 +121,23 @@ fn concat_net(c: [usize; 4], seed: u64) -> Module {
 /// The differential test of the concat fold, batch of two: a conv over a
 /// folded concat gathers its channels from both inputs in every gather — the
 /// FP32 row band (`W % 32 == 0`) and strips (`W` = 16, 8, odd), the INT8
-/// Winograd, direct W8 and direct W4 convs — each input requantised by its
+/// Winograd, direct W8 and direct W4 convs (both on the INT8 panels) — each
+/// input requantised by its
 /// own (forced non-zero) shift, INT8 bit for bit and FP32 within tolerance
 /// of the oracle; a concat with two consumers and the output concat stay
 /// materialized.
 #[test]
 fn folded_concats_match_the_oracle_in_every_gather() {
     let (folded, twice, output) = (3, 5, 8);
-    // (channels, h, w, the folded conv's INT8 route)
+    // (channels, h, w, the folded conv's bitwidth and INT8 route)
     let cases = [
-        ([2, 4, 6, 5], 6, 64, PackFormat::Winograd),
-        ([1, 3, 2, 4], 5, 32, PackFormat::I8),
-        ([2, 5, 4, 3], 16, 16, PackFormat::Winograd),
-        ([3, 4, 5, 4], 8, 8, PackFormat::I4),
-        ([1, 6, 3, 2], 9, 13, PackFormat::I8),
+        ([2, 4, 6, 5], 6, 64, Bitwidth::W8, PackFormat::Winograd),
+        ([1, 3, 2, 4], 5, 32, Bitwidth::W8, PackFormat::I8),
+        ([2, 5, 4, 3], 16, 16, Bitwidth::W8, PackFormat::Winograd),
+        ([3, 4, 5, 4], 8, 8, Bitwidth::W4, PackFormat::I8),
+        ([1, 6, 3, 2], 9, 13, Bitwidth::W8, PackFormat::I8),
     ];
-    for (k, &(c, h, w, route)) in cases.iter().enumerate() {
+    for (k, &(c, h, w, bits, route)) in cases.iter().enumerate() {
         let seed = 40 + k as u64;
         let fg = concat_net(c, seed);
         let shape = Shape4::new(2, c[0], h, w);
@@ -154,9 +155,7 @@ fn folded_concats_match_the_oracle_in_every_gather() {
         let calib = [random_frame(shape, seed ^ 0xCA7)];
         let report = calibrate(&fg, &calib, &PtqConfig::default());
         let mut wbits = vec![Bitwidth::W8; fg.nodes.len()];
-        if route == PackFormat::I4 {
-            wbits[folded + 1] = Bitwidth::W4;
-        }
+        wbits[folded + 1] = bits;
         let mut m = quantize_from_calibration(&fg, &report, &wbits).to_ir();
         for (i, node) in m.nodes.iter_mut().enumerate() {
             if let IrOp::Concat { requant: Some(q) } = &mut node.op {
@@ -166,6 +165,7 @@ fn folded_concats_match_the_oracle_in_every_gather() {
         let lowered = lower(m, shape, &LowerOptions::reference());
         let IrOp::Conv(a) = &lowered.module().nodes[folded + 1].op else { unreachable!() };
         assert_eq!(a.pack.unwrap().format, route, "{what}");
+        assert_eq!(a.kernel.wbits(), bits, "{what}");
         assert!(lowered.folded()[folded] && !lowered.folded()[twice], "{what}");
         let mut scratch = lowered.make_scratch_i8();
         for frame in 0..2u64 {
@@ -205,7 +205,7 @@ fn folded_decoder_concats_match_the_oracle_on_random_unets() {
         for (i, node) in lowered.module().nodes.iter().enumerate() {
             match &node.op {
                 IrOp::Conv(a) if lowered.folded()[node.inputs[0]] => {
-                    routes.push(a.pack.unwrap().format);
+                    routes.push((a.pack.unwrap().format, a.kernel.wbits()));
                 }
                 IrOp::Concat { .. } => assert!(lowered.folded()[i], "concat {i} materialized"),
                 _ => {}
@@ -218,8 +218,11 @@ fn folded_decoder_concats_match_the_oracle_on_random_unets() {
             oracle::check_i8(&lowered, &mut scratch, &q);
         }
     }
-    for route in [PackFormat::Winograd, PackFormat::I8, PackFormat::I4] {
-        assert!(routes.contains(&route), "no folded concat feeds a {route:?} conv");
+    for route in [PackFormat::Winograd, PackFormat::I8] {
+        for bits in [Bitwidth::W8, Bitwidth::W4] {
+            let what = format!("no folded concat feeds a {bits:?} {route:?} conv");
+            assert!(routes.contains(&(route, bits)), "{what}");
+        }
     }
 }
 
@@ -318,7 +321,7 @@ proptest! {
     }
 
     /// Mixed W4/W8: for a random per-layer bitwidth assignment, the
-    /// IR-lowered executor (nibble-packed panels where assigned) matches the
+    /// IR-lowered executor (the INT8 panels for either bitwidth) matches the
     /// oracle, which sees a W4 layer as plain `i8` weights in `[-8, 7]`.
     #[test]
     fn lowered_mixed_w4_matches_naive(
