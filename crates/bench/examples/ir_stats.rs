@@ -3,17 +3,17 @@
 //! deployment front end (`seneca_quant::fuse`) must fold all BN nodes, fuse
 //! all standalone ReLUs, strip all inference identities, and its lowering
 //! give every conv/tconv weight a pack slot; the reference lowering must
-//! carry every BN and ReLU in a conv store; every concat whose only consumer
-//! is a conv must be folded into that conv (no arena bytes) in both the FP32
-//! and INT8 lowerings; the planned arena must equal the peak-live footprint
-//! and beat the naive sum-of-all-activations pool in both; and the
-//! implicit-GEMM route's
+//! carry every BN and ReLU in a conv store; every concat must have both
+//! inputs placed at their channel offsets of its value and copy nothing, in
+//! both the FP32 and INT8 lowerings; the planned arena must equal the
+//! peak-live footprint, equal the pinned arena of that model, and beat the
+//! naive sum-of-all-activations pool in both; and the implicit-GEMM route's
 //! reported peak (arena + strip buffers) must beat the materialized route's
 //! footprint (arena + im2col column / pre-scatter buffer + the same strip
 //! buffers).
 
 use rand::SeedableRng;
-use seneca_ir::{lower, IrOp, LowerOptions, Module};
+use seneca_ir::{lower, ExecPlan, IrOp, LowerOptions, Module};
 use seneca_nn::graph::Graph;
 use seneca_nn::unet::{ModelSize, UNet};
 use seneca_quant::{fuse, quantize_post_training, PtqConfig};
@@ -50,27 +50,25 @@ fn materialized_aux_bytes(m: &Module, input: Shape4, bytes_per_elem: usize) -> u
     peak
 }
 
-/// Panics unless every concat of the lowered `m` whose only consumer is a
-/// conv (and which is not the output) takes no arena bytes under `plan`:
-/// its conv gathers the concat's inputs itself. Returns how many there are.
-fn assert_concats_folded(m: &Module, plan: &seneca_ir::ExecPlan, what: &str) -> usize {
-    let mut folded = 0;
+/// Activation arena elements (FP32 and INT8 alike) of each Table II model
+/// at 256x256, in `ModelSize::ALL` order: what the greedy-by-size placement
+/// reached when each concat was still folded into its conv's gather. Laying
+/// concats out by address must not grow any of them.
+const ARENA_ELEMS_256: [usize; 5] = [3_145_728, 2_359_296, 3_145_728, 4_325_376, 6_291_456];
+
+/// Panics unless every concat of `m` has both inputs placed side by side as
+/// its value under `plan` and copies nothing. Returns how many there are.
+fn assert_concats_placed(m: &Module, plan: &ExecPlan, what: &str) -> usize {
+    let mut placed = 0;
     for (i, node) in m.nodes.iter().enumerate() {
-        if !matches!(node.op, IrOp::Concat { .. }) || i == m.output {
-            continue;
-        }
-        let consumers: Vec<&IrOp> =
-            m.nodes.iter().filter(|n| n.inputs.contains(&i)).map(|n| &n.op).collect();
-        if let [IrOp::Conv(_)] = consumers[..] {
-            assert_eq!(
-                plan.elems_of(i),
-                0,
-                "{what}: concat {i} feeds one conv but is materialized"
-            );
-            folded += 1;
-        }
+        let (IrOp::Concat { .. }, &[a, b]) = (&node.op, &node.inputs[..]) else { continue };
+        let (r, half) = (plan.range_of(i), plan.elems_of(a));
+        let slots = (r.start..r.start + half, r.start + half..r.end);
+        assert_eq!((plan.range_of(a), plan.range_of(b)), slots, "{what}: concat {i} not placed");
+        assert!(plan.writes(i).is_empty(), "{what}: concat {i} copies");
+        placed += 1;
     }
-    folded
+    placed
 }
 
 fn main() {
@@ -97,7 +95,7 @@ fn main() {
         "fpdrop",
         "i8drop"
     );
-    for size in ModelSize::ALL {
+    for (size, arena) in ModelSize::ALL.into_iter().zip(ARENA_ELEMS_256) {
         let net = UNet::from_size(size, &mut rng);
         let g = Graph::from_unet(&net, size.label());
         let hist = g.module().op_histogram();
@@ -156,18 +154,18 @@ fn main() {
             size.label()
         );
         let qplan = q_ref.plan();
-        let cats = assert_concats_folded(fp_ref.module(), plan, size.label());
-        // Greedy-by-size offsets reach the lower bound of any placement.
+        let cats = assert_concats_placed(fp_ref.module(), plan, size.label());
+        assert_eq!(cats, assert_concats_placed(q_ref.module(), qplan, size.label()));
+        // Greedy-by-size offsets reach the lower bound of any placement, and
+        // the pinned arena.
         for (p, what) in [(plan, "FP32"), (qplan, "INT8")] {
             assert_eq!(
-                p.peak_arena_elems(),
-                p.peak_live_elems(),
-                "{} {what}: arena above the peak-live footprint",
+                (p.peak_arena_elems(), p.peak_live_elems()),
+                (arena, arena),
+                "{} {what}: arena vs pinned and peak-live footprint",
                 size.label()
             );
         }
-        assert_eq!(cats, assert_concats_folded(q_ref.module(), qplan, size.label()));
-        assert_eq!((fp_ref.stats().concats_folded, q_ref.stats().concats_folded), (cats, cats));
         // Arena vs naive pool: an activations-only comparison, so it uses
         // the arena bytes, not the full footprint with GEMM strips.
         let (fp_slots, fp_total) =
@@ -213,7 +211,8 @@ fn main() {
         );
     }
     println!(
-        "ok: pass pipeline clean, every concat feeding one conv folded, arena = peak live < \
-         total activations, and implicit-GEMM peak < materialized-route peak for all model sizes"
+        "ok: pass pipeline clean, every concat placed and copying nothing, arena = pinned = \
+         peak live < total activations, and implicit-GEMM peak < materialized-route peak for \
+         all model sizes"
     );
 }

@@ -346,18 +346,7 @@ fn winograd_vs_direct(s: ConvShape, min_time: f64) -> WinogradRace {
         min_time,
         [
             &mut || igemm_conv_packed(&pa, &geom, &x, &bias, shift, true, &mut yd),
-            &mut || {
-                igemm_conv_winograd(
-                    &pw,
-                    &geom,
-                    x[..].into(),
-                    &bias,
-                    shift,
-                    true,
-                    &mut yw,
-                    &mut strips,
-                )
-            },
+            &mut || igemm_conv_winograd(&pw, &geom, &x, &bias, shift, true, &mut yw, &mut strips),
             &mut || sgemm_conv_packed(&paf, &geom, &xf, &mut yf, GemmEpilogue::BiasRelu(&bf)),
         ],
     );
@@ -367,7 +356,7 @@ fn winograd_vs_direct(s: ConvShape, min_time: f64) -> WinogradRace {
     let mut strip = vec![0i16; packed_b_len(16 * s.c_in, nc)];
     let t_pack = time_per_call(min_time, 1, || {
         for j0 in (0..tiles).step_by(nc) {
-            pack_b_winograd(&geom, x[..].into(), j0..(j0 + nc).min(tiles), &mut strip);
+            pack_b_winograd(&geom, &x, j0..(j0 + nc).min(tiles), &mut strip);
         }
     });
     let gmac = s.macs() as f64 / 1e9;

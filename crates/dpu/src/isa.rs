@@ -61,7 +61,7 @@ pub enum DpuInstr {
         /// Channels.
         c: usize,
     },
-    /// Element-wise engine: channel concat with alignment shifts.
+    /// Element-wise engine: channel concat of two inputs at one fix position.
     Elew {
         /// Quantized-graph node.
         node: usize,

@@ -2,34 +2,35 @@
 //! a node of an inference graph, in either dtype.
 //!
 //! A [`crate::lower::Lowered`] program executes out of a per-worker arena
-//! ([`FpScratch`] / [`QScratch`]): one buffer in which every node writes its
-//! value at its liveness-plan offset, so steady-state inference allocates
-//! nothing and the arena holds the peak-live footprint instead of one buffer
-//! per node. The executor carves a node's output and its inputs out of the
-//! one buffer with `split_at_mut` — the plan keeps every value live at a
-//! step clear of that step's output, so no `unsafe` is needed. FP32 and INT8
-//! share the walk; only the kernel dispatch differs. Conv and
-//! transpose-conv nodes run their GEMM against the panels packed once at
-//! lowering time — per frame only the activation (B) side is packed, a strip
-//! of columns at a time, directly from the NCHW feature map (implicit GEMM).
-//! The strip buffers ([`ExecPlan::work_bytes`]: the direct convs' and
-//! tconvs', a band conv's k-step offsets, the Winograd convs' `i16` strips)
-//! belong to the arena too, built with it on the calling thread and sized
-//! once for the plan, so a short-lived worker thread finds them ready
-//! instead of regrowing thread-local ones. There is no im2col column buffer,
-//! no pre-scatter tconv buffer and no concatenated map in front of a conv:
-//! the conv packs compute the im2col index math (or the Winograd input
-//! transform) inside the tile gather, the tconv/Winograd stores scatter from
-//! the GEMM tile, and a conv over a folded concat
-//! ([`crate::module::Module::folded_concats`]) gathers the concat's two
-//! inputs, each requantised by its own shift as it is loaded.
+//! ([`FpScratch`] / [`QScratch`]) holding one image: one buffer in which every
+//! node writes its value at its liveness-plan offset, so steady-state
+//! inference allocates nothing and the arena holds the peak-live footprint
+//! instead of one buffer per node. A batch runs image by image. The executor
+//! carves a node's output and its inputs out of the one buffer with
+//! `split_at_mut` — the plan keeps every value live at a step clear of that
+//! step's output, so no `unsafe` is needed. FP32 and INT8 share the walk;
+//! only the kernel dispatch differs. Conv and transpose-conv nodes run their
+//! GEMM against the panels packed once at lowering time — per frame only the
+//! activation (B) side is packed, a strip of columns at a time, directly from
+//! the CHW feature map (implicit GEMM). The strip buffers
+//! ([`ExecPlan::work_bytes`]: the direct convs' and tconvs', a band conv's
+//! k-step offsets, the Winograd convs' `i16` strips) belong to the arena too,
+//! built with it on the calling thread and sized once for the plan, so a
+//! short-lived worker thread finds them ready instead of regrowing
+//! thread-local ones. There is no im2col column buffer, no pre-scatter tconv
+//! buffer and no concat copy: the conv packs compute the im2col index math
+//! (or the Winograd input transform) inside the tile gather, the
+//! tconv/Winograd stores scatter from the GEMM tile, and a concat's inputs
+//! are written in place at their channel offsets of its value
+//! ([`crate::plan`]), so its readers gather one contiguous map. Only an input
+//! the plan could not place is copied, by the concat's own step.
 //!
-//! Both dtypes also step node by node ([`Lowered::execute_node_f32`] /
-//! [`Lowered::execute_node_i8`]): the DPU runtime drives the INT8 step from
-//! its instruction stream (a folded concat's ELEW step executes nothing),
-//! and the quantizer's calibration, fast-finetune and tests read each node's
-//! output while it is live. What the executor computes is pinned by the
-//! naive [`crate::oracle`]: INT8 bit for bit, FP32 within
+//! Both dtypes also step node by node, one image at a time
+//! ([`Lowered::execute_node_f32`] / [`Lowered::execute_node_i8`]): the DPU
+//! runtime drives the INT8 step from its instruction stream, and the
+//! quantizer's calibration, fast-finetune and tests read each node's output
+//! while it is live. What the executor computes is pinned by the naive
+//! [`crate::oracle`]: INT8 bit for bit, FP32 within
 //! [`crate::oracle::F32_TOLERANCE`].
 
 use crate::lower::{Lowered, PackedKernel};
@@ -40,23 +41,23 @@ use seneca_tensor::gemm::{GemmEpilogue, Work};
 use seneca_tensor::igemm::{
     igemm_conv_with, igemm_tconv2x2_packed, sgemm_conv_with, sgemm_tconv2x2_packed,
 };
-use seneca_tensor::im2col::{ConvGeom, ConvInput, Gather};
+use seneca_tensor::im2col::ConvGeom;
 use seneca_tensor::norm::batchnorm_inference_into;
 use seneca_tensor::pool::maxpool2x2_into;
-use seneca_tensor::quantized::{concat_requant_i8, maxpool2x2_i8};
-use seneca_tensor::tensor::concat_channels_into;
+use seneca_tensor::quantized::maxpool2x2_i8;
 use seneca_tensor::winograd::igemm_conv_winograd;
-use seneca_tensor::{QTensor, QTensorView, Shape4, Tensor, TensorView};
+use seneca_tensor::{QTensor, QTensorView, Shape4, Tensor, TensorView, Zero};
 use std::ops::Range;
 
-/// Per-worker execution arena: one buffer holding every value at its plan
-/// offset, and the GEMM work memory of the plan's convs, all reused across
-/// frames, so steady-state inference allocates nothing. Built by
-/// [`Lowered::make_scratch_f32`] / [`Lowered::make_scratch_i8`] on the
+/// Per-worker execution arena: one buffer holding every value of one image
+/// at its plan offset, and the GEMM work memory of the plan's convs, all
+/// reused across frames, so steady-state inference allocates nothing. Built
+/// by [`Lowered::make_scratch_f32`] / [`Lowered::make_scratch_i8`] on the
 /// calling thread.
 #[derive(Debug, Clone)]
 pub struct Scratch<T> {
     plan: ExecPlan,
+    /// Per-node output shapes of one image.
     shapes: Vec<Shape4>,
     /// Per-node output fix positions (all zero in an FP32 arena).
     fps: Vec<i32>,
@@ -67,6 +68,9 @@ pub struct Scratch<T> {
     work: Work<T>,
     /// The Winograd convs' strips (empty without them), likewise.
     winograd: Work<i16>,
+    /// The outputs of a batch of more than one image, image after image
+    /// (empty until one runs).
+    batch: Vec<T>,
 }
 
 /// The FP32 arena.
@@ -74,13 +78,13 @@ pub type FpScratch = Scratch<f32>;
 /// The INT8 arena.
 pub type QScratch = Scratch<i8>;
 
-impl<T: Gather> Scratch<T> {
+impl<T: Zero> Scratch<T> {
     pub(crate) fn new(plan: ExecPlan, shapes: Vec<Shape4>, fps: Vec<i32>) -> Self {
         let arena = vec![T::ZERO; plan.peak_arena_elems()];
         let (strips, offsets) = plan.direct_work();
         let work = Work::new(strips, offsets);
         let winograd = Work::new(plan.winograd_strips(), 0);
-        Self { plan, shapes, fps, arena, work, winograd }
+        Self { plan, shapes, fps, arena, work, winograd, batch: Vec::new() }
     }
 
     /// The execution plan this arena was built from.
@@ -88,7 +92,7 @@ impl<T: Gather> Scratch<T> {
         &self.plan
     }
 
-    /// The input geometry this arena was built for.
+    /// The geometry of the one image this arena holds.
     pub fn input_shape(&self) -> Shape4 {
         self.shapes[0]
     }
@@ -100,27 +104,20 @@ impl<T: Gather> Scratch<T> {
         self.arena.len()
     }
 
-    fn load(&mut self, shape: Shape4, data: &[T]) {
-        assert_eq!(shape, self.shapes[0], "scratch input geometry");
-        self.arena[self.plan.range_of(0)].copy_from_slice(data);
+    /// Seeds node 0 with one image of the arena's geometry.
+    fn load(&mut self, x: &[T]) {
+        self.arena[self.plan.range_of(0)].copy_from_slice(x);
     }
 
     fn output_of(&self, id: usize) -> (Shape4, &[T]) {
-        let s = self.shapes[id];
-        assert_eq!(self.plan.elems_of(id), s.len(), "node {id} is a folded concat: no value");
-        (s, &self.arena[self.plan.range_of(id)])
+        (self.shapes[id], &self.arena[self.plan.range_of(id)])
     }
 }
 
 impl FpScratch {
-    /// Seeds the input node's value from a frame.
-    pub fn load_input(&mut self, input: &Tensor) {
-        self.load(input.shape(), input.data());
-    }
-
     /// Borrowed view of one node's output. Valid only while the node's
     /// value is live under the plan (always true for the graph output after
-    /// a full walk); a folded concat has none.
+    /// a full walk).
     pub fn node_output(&self, id: usize) -> TensorView<'_> {
         let (shape, data) = self.output_of(id);
         TensorView::new(shape, data)
@@ -128,12 +125,6 @@ impl FpScratch {
 }
 
 impl QScratch {
-    /// Seeds the input node's value from a quantised frame.
-    pub fn load_input(&mut self, input: &QTensor) {
-        assert_eq!(input.fix_pos(), self.fps[0], "scratch input fix position");
-        self.load(input.shape(), input.data());
-    }
-
     /// Borrowed view of one node's output, valid while it is live (see
     /// [`FpScratch::node_output`]).
     pub fn node_output(&self, id: usize) -> QTensorView<'_> {
@@ -142,7 +133,7 @@ impl QScratch {
     }
 }
 
-/// The arena split around the value being written: the plan places every
+/// The arena split around the range being written: the plan places every
 /// value live at the same step (a node's inputs included) clear of it, so
 /// each lies wholly below or wholly above and is read from there.
 struct Values<'a, T> {
@@ -151,7 +142,7 @@ struct Values<'a, T> {
     above_at: usize,
 }
 
-/// Carves node output `out` out of `arena` with `split_at_mut`.
+/// Carves the range `out` out of `arena` with `split_at_mut`.
 fn carve<T>(arena: &mut [T], out: Range<usize>) -> (&mut [T], Values<'_, T>) {
     let (below, rest) = arena.split_at_mut(out.start);
     let (out_buf, above) = rest.split_at_mut(out.len());
@@ -176,37 +167,64 @@ impl Lowered {
         &self.packs()[a.pack.expect("lowered conv without a pack slot").slot]
     }
 
-    /// What a conv over node `j` gathers: `j`'s value, or for a folded
-    /// concat its two inputs, each with its requant shift (INT8).
-    fn conv_input<'a, T: Gather>(
+    /// Runs a batch through the walk, image by image. The output of one
+    /// image is read in the arena; a batch of more than one copies each
+    /// image's output into the arena's batch buffer and returns that.
+    fn run<'s, T: Zero>(
         &self,
-        j: usize,
-        view: impl Fn(usize) -> (Shape4, &'a [T]),
-    ) -> (Shape4, ConvInput<'a, T>) {
-        let (xs, x) = view(j);
-        if !self.folded()[j] {
-            return (xs, x.into());
+        (s, x): (Shape4, &[T]),
+        scratch: &'s mut Scratch<T>,
+        step: impl Fn(usize, &mut Scratch<T>),
+    ) -> (Shape4, &'s [T]) {
+        let (image, out) = (s.with_n(1), self.module().output);
+        self.fit(scratch, image);
+        let per_image = scratch.plan.elems_of(out);
+        scratch.batch.resize(if s.n == 1 { 0 } else { s.n * per_image }, T::ZERO);
+        for (k, x_k) in x.chunks_exact(image.len()).enumerate() {
+            scratch.load(x_k);
+            for id in 1..self.module().nodes.len() {
+                step(id, scratch);
+            }
+            if s.n > 1 {
+                let Scratch { plan, arena, batch, .. } = &mut *scratch;
+                batch[k * per_image..][..per_image].copy_from_slice(&arena[plan.range_of(out)]);
+            }
         }
-        let node = &self.module().nodes[j];
-        let (sa, sb) = match &node.op {
-            IrOp::Concat { requant: Some(q) } => (q.shift_a, q.shift_b),
-            _ => (0, 0),
-        };
-        let (a, b) = (view(node.inputs[0]).1, view(node.inputs[1]).1);
-        (xs, ConvInput::concat(a, sa, b, sb))
+        match s.n {
+            1 => scratch.output_of(out),
+            n => (scratch.shapes[out].with_n(n), &scratch.batch),
+        }
     }
-    /// Executes an FP32 program through the liveness plan; the returned view
-    /// borrows the scratch and stays valid until the next frame.
+
+    /// A concat's step: copies each input the plan did not place at its
+    /// channel offset of the concat's value into that slot, a plain
+    /// channel-range copy (a placed input is there already).
+    fn copy_into_concat<T: Copy>(&self, id: usize, scratch: &mut Scratch<T>) {
+        let Scratch { plan, arena, .. } = scratch;
+        let mut at = plan.range_of(id).start;
+        for &x in &self.module().nodes[id].inputs {
+            let (src, slot) = (plan.range_of(x), at..at + plan.elems_of(x));
+            at = slot.end;
+            if src != slot {
+                let (out, values) = carve(arena, slot);
+                out.copy_from_slice(values.get(src));
+            }
+        }
+    }
+
+    /// Executes an FP32 program, image by image; the returned view borrows
+    /// the scratch and stays valid until the next frame. For a batch of more
+    /// than one image it views the scratch's batch buffer, into which each
+    /// image's output is copied as its walk ends (grown once to the batch).
     pub fn execute_f32_into<'s>(
         &self,
         input: &Tensor,
         scratch: &'s mut FpScratch,
     ) -> TensorView<'s> {
-        self.load_input_f32(input, scratch);
-        for id in 1..self.module().nodes.len() {
-            self.execute_node_f32(id, scratch);
-        }
-        scratch.node_output(self.module().output)
+        let (shape, data) = self.run((input.shape(), input.data()), scratch, |id, scratch| {
+            self.execute_node_f32(id, scratch)
+        });
+        TensorView::new(shape, data)
     }
 
     /// Allocating convenience wrapper around [`Lowered::execute_f32_into`].
@@ -215,13 +233,13 @@ impl Lowered {
         self.execute_f32_into(input, &mut scratch).to_tensor()
     }
 
-    /// Seeds the input node's slot from a frame, re-planning the arena first
-    /// when the frame has another geometry (pairs with
+    /// Seeds the input node's slot from a one-image frame, re-planning the
+    /// arena first when the frame has another geometry (pairs with
     /// [`Lowered::execute_node_f32`]; calibration and fast-finetune step a
     /// program node by node and read each output while it is live).
     pub fn load_input_f32(&self, input: &Tensor, scratch: &mut FpScratch) {
         self.fit(scratch, input.shape());
-        scratch.load_input(input);
+        scratch.load(input.data());
     }
 
     /// Borrowed view of one node's output, valid while it is live.
@@ -235,21 +253,25 @@ impl Lowered {
         let m = self.module();
         assert_eq!(m.dtype, DType::F32, "FP32 execution of a non-FP32 module");
         let node = &m.nodes[i];
-        if matches!(node.op, IrOp::Input) || self.folded()[i] {
-            return; // seeded by `FpScratch::load_input` / gathered by its conv
+        let writes = scratch.plan.writes(i);
+        if matches!(node.op, IrOp::Input) || writes.is_empty() {
+            return; // seeded by `load_input_f32` / written in place by its producers
         }
         let _sp = seneca_trace::span_bytes(
             "fp32-op",
             node.op.mnemonic(m.dtype),
-            (scratch.plan.elems_of(i) * std::mem::size_of::<f32>()) as u64,
+            (writes.len() * std::mem::size_of::<f32>()) as u64,
         );
+        if matches!(node.op, IrOp::Concat { .. }) {
+            return self.copy_into_concat(i, scratch);
+        }
         let Scratch { plan, shapes, arena, work, .. } = scratch;
-        let (out, values) = carve(arena, plan.range_of(i));
+        let (out, values) = carve(arena, writes);
         let view = |j: usize| (shapes[j], values.get(plan.range_of(j)));
         match &node.op {
-            IrOp::Input => unreachable!(),
+            IrOp::Input | IrOp::Concat { .. } => unreachable!(),
             IrOp::Conv(a) => {
-                let (xs, x) = self.conv_input(node.inputs[0], view);
+                let (xs, x) = view(node.inputs[0]);
                 let ConvKernel::F32 { b, .. } = &a.kernel else {
                     panic!("INT8 kernel in an FP32 module")
                 };
@@ -266,10 +288,7 @@ impl Lowered {
                     // and the ReLU pass computed, bit for bit.
                     (_, false, relu) => GemmEpilogue::BiasBn { bias: b, bn, relu },
                 };
-                let geom = ConvGeom::same_3x3(xs);
-                per_image_conv(xs, x, out, |x_n, y_n| {
-                    sgemm_conv_with(pa, &geom, x_n, y_n, epi, work)
-                });
+                sgemm_conv_with(pa, &ConvGeom::same_3x3(xs), x, out, epi, work);
             }
             IrOp::TConv(a) => {
                 let (xs, x) = view(node.inputs[0]);
@@ -277,9 +296,7 @@ impl Lowered {
                 let PackedKernel::TConvF32 { pa, bias4 } = self.pack_of(a) else {
                     panic!("pack slot holds the wrong kernel kind")
                 };
-                per_image(xs, x, out, |x_n, y_n| {
-                    sgemm_tconv2x2_packed(pa, x_n, xs.h, xs.w, bias4, y_n, work)
-                });
+                sgemm_tconv2x2_packed(pa, x, xs.h, xs.w, bias4, out, work);
             }
             IrOp::BatchNorm { bn } => {
                 let (xs, x) = view(node.inputs[0]);
@@ -290,12 +307,6 @@ impl Lowered {
                 let (xs, x) = view(node.inputs[0]);
                 maxpool2x2_into(xs, x, out);
             }
-            IrOp::Concat { requant } => {
-                assert!(requant.is_none(), "requantising concat in an FP32 module");
-                let (sa, a) = view(node.inputs[0]);
-                let (sb, b) = view(node.inputs[1]);
-                concat_channels_into(sa, a, sb, b, out);
-            }
             IrOp::Dropout { .. } => out.copy_from_slice(view(node.inputs[0]).1),
             IrOp::Softmax => {
                 let (xs, x) = view(node.inputs[0]);
@@ -304,18 +315,19 @@ impl Lowered {
         }
     }
 
-    /// Executes an INT8 program through the liveness plan. The returned view
-    /// borrows the arena and stays valid until the next frame.
+    /// Executes an INT8 program, image by image. The returned view borrows
+    /// the arena and stays valid until the next frame (a batch's, as in
+    /// [`Lowered::execute_f32_into`]).
     pub fn execute_i8_into<'s>(
         &self,
         input: &QTensor,
         scratch: &'s mut QScratch,
     ) -> QTensorView<'s> {
-        self.load_input_i8(input, scratch);
-        for id in 1..self.module().nodes.len() {
-            self.execute_node_i8(id, scratch);
-        }
-        scratch.node_output(self.module().output)
+        assert_eq!(input.fix_pos(), self.fix_positions()[0], "input fix position");
+        let (shape, data) = self.run((input.shape(), input.data()), scratch, |id, scratch| {
+            self.execute_node_i8(id, scratch)
+        });
+        QTensorView::new(shape, data, self.fix_positions()[self.module().output])
     }
 
     /// Allocating convenience wrapper around [`Lowered::execute_i8_into`].
@@ -324,13 +336,14 @@ impl Lowered {
         self.execute_i8_into(input, &mut scratch).to_qtensor()
     }
 
-    /// Seeds the input node's slot from a quantised frame, re-planning the
-    /// arena first when the frame has another geometry (pairs with
-    /// [`Lowered::execute_node_i8`]; the DPU runtime, fixed-geometry by
+    /// Seeds the input node's slot from a one-image quantised frame,
+    /// re-planning the arena first when the frame has another geometry (pairs
+    /// with [`Lowered::execute_node_i8`]; the DPU runtime, fixed-geometry by
     /// design, checks the shape before it gets here).
     pub fn load_input_i8(&self, input: &QTensor, scratch: &mut QScratch) {
+        assert_eq!(input.fix_pos(), self.fix_positions()[0], "input fix position");
         self.fit(scratch, input.shape());
-        scratch.load_input(input);
+        scratch.load(input.data());
     }
 
     /// Borrowed view of one node's output (DPU runtime entry point).
@@ -342,28 +355,29 @@ impl Lowered {
     /// be live under the plan — running ids in increasing order (as both
     /// [`Lowered::execute_i8_into`] and the compiled DPU instruction stream
     /// do) satisfies this, because a value's bytes are only reused after its
-    /// last consumer has run. A folded concat executes nothing: its conv
-    /// gathers and requantises the concat's inputs itself.
+    /// last consumer has run. A concat whose inputs are both placed in it
+    /// executes nothing.
     pub fn execute_node_i8(&self, id: usize, scratch: &mut QScratch) {
         let m = self.module();
         assert_eq!(m.dtype, DType::I8, "INT8 execution of a non-INT8 module");
         let node = &m.nodes[id];
-        if matches!(node.op, IrOp::Input) || self.folded()[id] {
-            return; // seeded by `QScratch::load_input` / gathered by its conv
+        let writes = scratch.plan.writes(id);
+        if matches!(node.op, IrOp::Input) || writes.is_empty() {
+            return; // seeded by `load_input_i8` / written in place by its producers
         }
-        let _sp = seneca_trace::span_bytes(
-            "int8-op",
-            node.op.mnemonic(m.dtype),
-            scratch.plan.elems_of(id) as u64,
-        );
-        let Scratch { plan, shapes, fps, arena, work, winograd } = scratch;
-        let (out, values) = carve(arena, plan.range_of(id));
+        let _sp =
+            seneca_trace::span_bytes("int8-op", node.op.mnemonic(m.dtype), writes.len() as u64);
+        if matches!(node.op, IrOp::Concat { .. }) {
+            return self.copy_into_concat(id, scratch);
+        }
+        let Scratch { plan, shapes, fps, arena, work, winograd, .. } = scratch;
+        let (out, values) = carve(arena, writes);
         let view = |j: usize| (shapes[j], values.get(plan.range_of(j)));
         match &node.op {
-            IrOp::Input => unreachable!(),
+            IrOp::Input | IrOp::Concat { .. } => unreachable!(),
             IrOp::Conv(a) => {
                 let j = node.inputs[0];
-                let (xs, x) = self.conv_input(j, view);
+                let (xs, x) = view(j);
                 let ConvKernel::I8 { bias, in_fp, .. } = &a.kernel else {
                     panic!("FP32 kernel in an INT8 module")
                 };
@@ -371,13 +385,13 @@ impl Lowered {
                 let shift = a.kernel.shift();
                 let (geom, relu) = (ConvGeom::same_3x3(xs), a.relu);
                 match self.pack_of(a) {
-                    PackedKernel::ConvI8(pa) => per_image_conv(xs, x, out, |x_n, y_n| {
-                        igemm_conv_with(pa, &geom, x_n, bias, shift, relu, y_n, work)
-                    }),
+                    PackedKernel::ConvI8(pa) => {
+                        igemm_conv_with(pa, &geom, x, bias, shift, relu, out, work)
+                    }
                     // Winograd F(2x2, 3x3): bit for bit the direct conv.
-                    PackedKernel::ConvWinograd(pw) => per_image_conv(xs, x, out, |x_n, y_n| {
-                        igemm_conv_winograd(pw, &geom, x_n, bias, shift, relu, y_n, winograd)
-                    }),
+                    PackedKernel::ConvWinograd(pw) => {
+                        igemm_conv_winograd(pw, &geom, x, bias, shift, relu, out, winograd)
+                    }
                     _ => panic!("pack slot holds the wrong kernel kind"),
                 }
             }
@@ -389,57 +403,19 @@ impl Lowered {
                 };
                 debug_assert_eq!(fps[j], *in_fp, "qtconv input fix position");
                 let shift = a.kernel.shift();
-                let (h, w, relu) = (xs.h, xs.w, a.relu);
-                match self.pack_of(a) {
-                    PackedKernel::TConvI8 { pa, bias4 } => per_image(xs, x, out, |x_n, y_n| {
-                        igemm_tconv2x2_packed(pa, x_n, h, w, bias4, shift, relu, y_n, work)
-                    }),
-                    _ => panic!("pack slot holds the wrong kernel kind"),
-                }
+                let PackedKernel::TConvI8 { pa, bias4 } = self.pack_of(a) else {
+                    panic!("pack slot holds the wrong kernel kind")
+                };
+                igemm_tconv2x2_packed(pa, x, xs.h, xs.w, bias4, shift, a.relu, out, work);
             }
             IrOp::MaxPool2x2 => {
                 let (xs, x) = view(node.inputs[0]);
                 maxpool2x2_i8(xs, x, out);
             }
-            IrOp::Concat { requant } => {
-                let q = requant.as_ref().expect("INT8 concat without requant attributes");
-                let (sa, a) = view(node.inputs[0]);
-                let (sb, b) = view(node.inputs[1]);
-                concat_requant_i8(sa, a, sb, b, q.shift_a, q.shift_b, out);
-            }
             IrOp::BatchNorm { .. } | IrOp::Relu | IrOp::Dropout { .. } | IrOp::Softmax => {
                 panic!("{} unsupported in an INT8 module", node.op.mnemonic(m.dtype))
             }
         }
-    }
-}
-
-/// Runs a one-image tconv GEMM kernel over a batch: image `n` of `x` (laid
-/// out as `xs`) produces image `n` of `out`. The kernels pack the activation
-/// (B) strips straight from the feature map (implicit GEMM) and run against
-/// weight panels packed at lowering time; each asserts its own panel and
-/// output extents.
-fn per_image<T>(xs: Shape4, x: &[T], out: &mut [T], mut kernel: impl FnMut(&[T], &mut [T])) {
-    assert_eq!(x.len(), xs.len(), "input buffer/shape mismatch");
-    assert_eq!(out.len() % xs.n, 0, "output buffer size");
-    let out_chw = out.len() / xs.n;
-    for (x_n, y_n) in x.chunks_exact(xs.chw()).zip(out.chunks_exact_mut(out_chw)) {
-        kernel(x_n, y_n);
-    }
-}
-
-/// [`per_image`] for a conv, whose input may be a folded concat.
-fn per_image_conv<'a, T: Gather>(
-    xs: Shape4,
-    x: ConvInput<'a, T>,
-    out: &mut [T],
-    mut kernel: impl FnMut(ConvInput<'a, T>, &mut [T]),
-) {
-    assert_eq!(x.len(), xs.len(), "input buffer/shape mismatch");
-    assert_eq!(out.len() % xs.n, 0, "output buffer size");
-    let out_chw = out.len() / xs.n;
-    for (n, y_n) in out.chunks_exact_mut(out_chw).enumerate() {
-        kernel(x.image(n, xs.n), y_n);
     }
 }
 
@@ -455,7 +431,7 @@ pub fn execute_f32(m: &Module, x: &Tensor) -> Tensor {
 mod tests {
     use super::*;
     use crate::lower::{lower, LowerOptions};
-    use crate::module::{ConcatQ, PackFormat};
+    use crate::module::PackFormat;
     use crate::oracle;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -468,15 +444,18 @@ mod tests {
     }
 
     /// Lowers `m` and checks every node against the oracle over `frames`,
-    /// through one reused arena; the whole-program entry points must agree
-    /// with the stepped walk.
+    /// through one reused arena; the whole-program entry points, which run a
+    /// batch image by image, must agree with the oracle's batch output.
     fn assert_f32_matches_oracle(m: &Module, frames: &[Tensor]) -> Lowered {
         let lowered = lower(m.clone(), frames[0].shape(), &LowerOptions::reference());
         let mut scratch = lowered.make_scratch_f32();
         for x in frames {
             oracle::check_f32(&lowered, &mut scratch, x);
-            let whole = lowered.execute_f32(x);
-            assert_eq!(whole.data(), scratch.node_output(lowered.module().output).data());
+            let want = oracle::run_f32(lowered.module(), x).swap_remove(lowered.module().output);
+            let whole = lowered.execute_f32_into(x, &mut scratch);
+            assert_eq!(whole.shape(), want.shape());
+            oracle::assert_close_f32(whole.data(), want.data(), "batch output");
+            assert_eq!(whole.data(), lowered.execute_f32(x).data());
         }
         lowered
     }
@@ -487,8 +466,9 @@ mod tests {
         let mut scratch = lowered.make_scratch_i8();
         for x in frames {
             oracle::check_i8(&lowered, &mut scratch, x);
-            let whole = lowered.execute_i8(x);
-            assert_eq!(whole, scratch.node_output(lowered.module().output).to_qtensor());
+            let want = oracle::run_i8(lowered.module(), x).swap_remove(lowered.module().output);
+            assert_eq!(lowered.execute_i8_into(x, &mut scratch).to_qtensor(), want);
+            assert_eq!(lowered.execute_i8(x), want);
         }
         lowered
     }
@@ -537,7 +517,7 @@ mod tests {
             }),
             vec![r2],
         );
-        let cat = m.push(IrOp::Concat { requant: None }, vec![r1, t]);
+        let cat = m.push(IrOp::Concat {}, vec![r1, t]);
         let d = m.push(IrOp::Dropout { rate: 0.5 }, vec![cat]);
         let sm = m.push(IrOp::Softmax, vec![d]);
         m.output = sm;
@@ -586,8 +566,9 @@ mod tests {
     }
 
     /// An INT8 module: qconv → (qconv) → qmaxpool → qtconv → qconcat with a
-    /// skip; `wbits` picks the bitwidth of the first conv and the tconv, the
-    /// second conv stays W8.
+    /// skip, the skip and the tconv at the concat's fix position; `wbits`
+    /// picks the bitwidth of the first conv and the tconv, the second conv
+    /// stays W8.
     fn i8_module(wbits: Bitwidth, rng: &mut StdRng) -> Module {
         let mut m = Module::new("exec-i8", DType::I8);
         m.input_fp = 6;
@@ -597,14 +578,11 @@ mod tests {
         let k2 = rand_qkernel(Shape4::new(4, 4, 3, 3), 4, 5, 5, Bitwidth::W8, rng);
         let c2 = m.push(conv(k2, true), vec![c1]);
         let p1 = m.push(IrOp::MaxPool2x2, vec![c2]);
-        let kt = rand_qkernel(Shape4::new(4, 3, 2, 2), 3, 5, 4, wbits, rng);
+        let kt = rand_qkernel(Shape4::new(4, 3, 2, 2), 3, 5, 5, wbits, rng);
         let t = m.push(IrOp::TConv(ConvAttrs { kernel: kt, relu: false, pack: None }), vec![p1]);
-        let cat = m.push(
-            IrOp::Concat { requant: Some(ConcatQ { shift_a: 1, shift_b: 0, out_fp: 4 }) },
-            vec![c2, t],
-        );
+        let cat = m.push(IrOp::Concat {}, vec![c2, t]);
         m.output = cat;
-        m.output_fp = 4;
+        m.output_fp = 5;
         m
     }
 
@@ -616,7 +594,7 @@ mod tests {
         let frames: Vec<QTensor> =
             (0..3).map(|_| QTensor::quantize(&rand_tensor(s, &mut rng), 6)).collect();
         let lowered = assert_i8_matches_oracle(&m, &frames);
-        assert_eq!(lowered.execute_i8(&frames[0]).fix_pos(), 4);
+        assert_eq!(lowered.execute_i8(&frames[0]).fix_pos(), 5);
     }
 
     /// Mixed-precision modules: the W4 conv and tconv run the INT8 panels,
@@ -777,49 +755,53 @@ mod tests {
         assert_eq!(y.data(), &[9]);
     }
 
+    /// A concat reading one value twice places neither slot: its step
+    /// copies the value into both.
     #[test]
-    fn qconcat_aligns_scales() {
-        // Input at fp 4 (scale 1/16) concatenated with itself: the first copy
-        // shifted right by 2 onto fp 2, the second claimed to sit at fp 2
-        // already (shift 0).
+    fn qconcat_copies_a_value_it_reads_twice() {
         let x = QTensor::from_vec(Shape4::new(1, 1, 1, 2), vec![16, 33], 4);
-        let requant = Some(ConcatQ { shift_a: 2, shift_b: 0, out_fp: 2 });
-        let m = single_node_i8(IrOp::Concat { requant }, vec![0, 0], 4, 2);
-        let y = assert_i8_matches_oracle(&m, std::slice::from_ref(&x)).execute_i8(&x);
-        assert_eq!(y.fix_pos(), 2);
-        // 16/16 = 1.0 -> at fp2: 4 ; 33>>2 rounds to 8 (8.25).
-        assert_eq!(y.data(), &[4, 8, 16, 33]);
+        let m = single_node_i8(IrOp::Concat {}, vec![0, 0], 4, 4);
+        let lowered = assert_i8_matches_oracle(&m, std::slice::from_ref(&x));
+        assert_eq!(lowered.plan().writes(1), lowered.plan().range_of(1));
+        let y = lowered.execute_i8(&x);
+        assert_eq!((y.fix_pos(), y.data()), (4, &[16, 33, 16, 33][..]));
     }
 
-    /// A folded concat feeding a Winograd conv, with a direct conv and a
-    /// materialized output concat around it: the conv requantises both
-    /// sources as it gathers them (bit for bit the oracle's concat then
-    /// conv), and the arena's work memory, sized once from the plan, is
-    /// exactly what the GEMM driver asks for — running frames grows none of
-    /// it.
+    /// A placed concat feeding a Winograd conv, with a direct conv and an
+    /// output concat around it, batch of two: the first concat's producers
+    /// write its value in place (it writes nothing), the output concat
+    /// places its conv and copies the value already placed in the first
+    /// (bit for bit the oracle's concats); and the arena's work memory,
+    /// sized once from the plan, is exactly what the GEMM driver asks for —
+    /// running frames grows none of it.
     #[test]
-    fn folded_concat_runs_on_the_arena_work_memory() {
+    fn placed_concat_runs_on_the_arena_work_memory() {
         let mut rng = StdRng::seed_from_u64(37);
-        let mut m = Module::new("fold", DType::I8);
+        let mut m = Module::new("place", DType::I8);
         m.input_fp = 6;
         let conv = |kernel| IrOp::Conv(ConvAttrs { kernel, relu: true, pack: None });
         let k1 = rand_qkernel(Shape4::new(8, 2, 3, 3), 8, 6, 5, Bitwidth::W8, &mut rng);
         let c1 = m.push(conv(k1), vec![0]);
-        let k2 = rand_qkernel(Shape4::new(8, 8, 3, 3), 8, 5, 4, Bitwidth::W8, &mut rng);
+        let k2 = rand_qkernel(Shape4::new(8, 8, 3, 3), 8, 5, 5, Bitwidth::W8, &mut rng);
         let c2 = m.push(conv(k2), vec![c1]);
-        let q = ConcatQ { shift_a: 2, shift_b: 1, out_fp: 3 };
-        let cat = m.push(IrOp::Concat { requant: Some(q) }, vec![c1, c2]);
-        let k3 = rand_qkernel(Shape4::new(4, 16, 3, 3), 4, 3, 4, Bitwidth::W8, &mut rng);
+        let cat = m.push(IrOp::Concat {}, vec![c1, c2]);
+        let k3 = rand_qkernel(Shape4::new(4, 16, 3, 3), 4, 5, 5, Bitwidth::W8, &mut rng);
         let c3 = m.push(conv(k3), vec![cat]);
-        let q = ConcatQ { shift_a: 0, shift_b: 1, out_fp: 3 };
-        m.push(IrOp::Concat { requant: Some(q) }, vec![c3, c2]);
-        m.output_fp = 3;
+        let out = m.push(IrOp::Concat {}, vec![c3, c2]);
+        m.output_fp = 5;
         let s = Shape4::new(2, 2, 16, 16);
         let frames: Vec<QTensor> =
             (0..2).map(|_| QTensor::quantize(&rand_tensor(s, &mut rng), 6)).collect();
         let lowered = assert_i8_matches_oracle(&m, &frames);
-        assert_eq!(lowered.folded(), [false, false, false, true, false, false]);
-        assert_eq!((lowered.stats().concats_folded, lowered.stats().winograd), (1, 2));
+        assert_eq!(lowered.stats().winograd, 2);
+        let plan = lowered.plan();
+        let (r, plane) = (plan.range_of(cat), 16 * 16);
+        let halves = (r.start..r.start + 8 * plane, r.start + 8 * plane..r.end);
+        assert_eq!((plan.range_of(c1), plan.range_of(c2)), halves);
+        assert!(plan.writes(cat).is_empty());
+        let r = plan.range_of(out);
+        assert_eq!(plan.range_of(c3), r.start..r.start + 4 * plane);
+        assert_eq!(plan.writes(out), r.start + 4 * plane..r.end, "copies the placed c2");
         let mut scratch = lowered.make_scratch_i8();
         let sizes = |s: &QScratch| (s.work.strip_len(), s.winograd.strip_len());
         let planned = sizes(&scratch);

@@ -27,9 +27,7 @@ pub mod shape;
 
 pub use exec::{execute_f32, FpScratch, QScratch, Scratch};
 pub use lower::{lower, LowerOptions, Lowered, PackedKernel};
-pub use module::{
-    ConcatQ, ConvAttrs, ConvKernel, DType, IrNode, IrOp, Module, PackFormat, PackSlot,
-};
+pub use module::{ConvAttrs, ConvKernel, DType, IrNode, IrOp, Module, PackFormat, PackSlot};
 pub use passes::{
     assign_pack_slots, fold_batchnorm, fuse_relu, select_winograd, strip_identities, PassStats,
     WINOGRAD_MIN_C_IN, WINOGRAD_MIN_TILES,

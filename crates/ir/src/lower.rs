@@ -3,16 +3,15 @@
 //! [`lower`] runs the exact rewrite passes (BN carry → ReLU fusion, switched
 //! by [`LowerOptions`]; then the dropout strip), assigns every weight a pack
 //! slot, picks from the lowered shapes which INT8 convs run as Winograd
-//! F(2x2, 3x3) ([`select_winograd`]), folds every concat whose only consumer
-//! is a conv into that conv's gather ([`Module::folded_concats`]), then
-//! materialises everything the executors need per model — shapes, fix
-//! positions, the liveness [`ExecPlan`] and the **pre-packed weight
-//! panels**. Weights are immutable at inference, so their GEMM A-operand
-//! panels are packed exactly once here; each frame then only packs the
-//! activation (B) panels, which is where the per-frame pack share of the
-//! 16M model drops measurably. W8 and W4 kernels pack into the same INT8
-//! (or Winograd) panels; a W4 kernel's weights are checked to lie in
-//! `[-8, 7]` as they are packed.
+//! F(2x2, 3x3) ([`select_winograd`]), then materialises everything the
+//! executors need per model — shapes, fix positions, the liveness
+//! [`ExecPlan`] (which lays every concat out by address) and the
+//! **pre-packed weight panels**. Weights are immutable at inference, so
+//! their GEMM A-operand panels are packed exactly once here; each frame then
+//! only packs the activation (B) panels, which is where the per-frame pack
+//! share of the 16M model drops measurably. W8 and W4 kernels pack into the
+//! same INT8 (or Winograd) panels; a W4 kernel's weights are checked to lie
+//! in `[-8, 7]` as they are packed.
 
 use crate::exec::{FpScratch, QScratch, Scratch};
 use crate::module::{ConvKernel, IrOp, Module, PackFormat};
@@ -21,11 +20,10 @@ use crate::passes::{
 };
 use crate::plan::ExecPlan;
 use seneca_tensor::gemm::PackedA;
-use seneca_tensor::im2col::Gather;
 use seneca_tensor::quantized::Bitwidth;
 use seneca_tensor::tconv::repack_tconv_weights;
 use seneca_tensor::winograd::PackedWinograd;
-use seneca_tensor::Shape4;
+use seneca_tensor::{Shape4, Zero};
 
 /// How a lowering runs. A lowering keeps the graph's own arithmetic: it
 /// makes no semantic rewrite (the BN fold and the softmax strip of the
@@ -113,15 +111,14 @@ impl PackedKernel {
 }
 
 /// A lowered program: the rewritten module plus everything the executors
-/// derive from it once per model — shapes, fix positions, the folded
-/// concats, the liveness plan and the pre-packed weight panels.
+/// derive from it once per model — shapes, fix positions, the liveness plan
+/// and the pre-packed weight panels.
 #[derive(Debug, Clone)]
 pub struct Lowered {
     module: Module,
     input: Shape4,
     shapes: Vec<Shape4>,
     fps: Vec<i32>,
-    folded: Vec<bool>,
     plan: ExecPlan,
     packs: Vec<PackedKernel>,
     stats: PassStats,
@@ -140,11 +137,9 @@ pub fn lower(mut module: Module, input: Shape4, opts: &LowerOptions) -> Lowered 
     let shapes = module.shapes(input);
     stats.winograd = select_winograd(&mut module, &shapes);
     let fps = module.fix_positions();
-    let folded = module.folded_concats();
-    stats.concats_folded = folded.iter().filter(|&&f| f).count();
     let plan = module.plan(input);
     let packs = build_packs(&module);
-    Lowered { module, input, shapes, fps, folded, plan, packs, stats }
+    Lowered { module, input, shapes, fps, plan, packs, stats }
 }
 
 /// Packs every pack-slotted weight tensor once (model load time). A W4
@@ -254,13 +249,7 @@ impl Lowered {
         &self.fps
     }
 
-    /// Per node: whether it is a concat folded into its conv
-    /// ([`Module::folded_concats`]): it has no value and executes nothing.
-    pub fn folded(&self) -> &[bool] {
-        &self.folded
-    }
-
-    /// The liveness plan at the lowered input geometry.
+    /// The liveness plan for one image of the lowered input geometry.
     pub fn plan(&self) -> &ExecPlan {
         &self.plan
     }
@@ -280,7 +269,8 @@ impl Lowered {
         self.packs.iter().map(|p| p.bytes()).sum()
     }
 
-    /// Allocates the per-worker FP32 arena at the lowered input geometry.
+    /// Allocates the per-worker FP32 arena at the lowered input geometry (an
+    /// arena holds one image of it).
     pub fn make_scratch_f32(&self) -> FpScratch {
         self.make_scratch(self.input)
     }
@@ -301,15 +291,17 @@ impl Lowered {
         self.make_scratch(input)
     }
 
-    fn make_scratch<T: Gather>(&self, input: Shape4) -> Scratch<T> {
-        Scratch::new(self.module.plan(input), self.module.shapes(input), self.fps.clone())
+    fn make_scratch<T: Zero>(&self, input: Shape4) -> Scratch<T> {
+        let image = input.with_n(1);
+        Scratch::new(self.module.plan(image), self.module.shapes(image), self.fps.clone())
     }
 
     /// Re-plans `scratch` when it was built for another geometry than
-    /// `input`: one odd-sized frame costs its worker a re-plan, not a panic.
-    pub(crate) fn fit<T: Gather>(&self, scratch: &mut Scratch<T>, input: Shape4) {
-        if scratch.input_shape() != input {
-            *scratch = self.make_scratch(input);
+    /// `image`: one odd-sized frame costs its worker a re-plan, not a panic.
+    pub(crate) fn fit<T: Zero>(&self, scratch: &mut Scratch<T>, image: Shape4) {
+        assert_eq!(image.n, 1, "an arena holds one image: step a batch image by image");
+        if scratch.input_shape() != image {
+            *scratch = self.make_scratch(image);
         }
     }
 }

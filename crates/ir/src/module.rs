@@ -181,17 +181,6 @@ impl ConvAttrs {
     }
 }
 
-/// Requantisation attributes of an INT8 concat.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct ConcatQ {
-    /// Right shift applied to the first input.
-    pub shift_a: i32,
-    /// Right shift applied to the second input.
-    pub shift_b: i32,
-    /// Resulting fix position.
-    pub out_fp: i32,
-}
-
 /// IR operation.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum IrOp {
@@ -213,11 +202,10 @@ pub enum IrOp {
     Relu,
     /// 2x2 stride-2 max pool (fix position unchanged in INT8).
     MaxPool2x2,
-    /// Channel concat of two inputs; INT8 modules carry alignment shifts.
-    Concat {
-        /// INT8 requantisation (None for FP32).
-        requant: Option<ConcatQ>,
-    },
+    /// Channel concat of two inputs. In an INT8 module both inputs sit at
+    /// the concat's fix position (calibration gives the three one), so the
+    /// plan lays the concat out by address ([`crate::plan`]).
+    Concat {},
     /// Dropout (identity at inference; stripped by
     /// [`crate::passes::strip_identities`]).
     Dropout {
@@ -342,8 +330,7 @@ impl Module {
                     ConvKernel::I8 { out_fp, .. } => *out_fp,
                     ConvKernel::F32 { .. } => 0,
                 },
-                IrOp::Concat { requant: Some(q) } => q.out_fp,
-                IrOp::Concat { requant: None }
+                IrOp::Concat {}
                 | IrOp::BatchNorm { .. }
                 | IrOp::Relu
                 | IrOp::MaxPool2x2
@@ -355,69 +342,30 @@ impl Module {
         fps
     }
 
-    /// Per node: whether it is a concat folded into its consumer — a
-    /// [`IrOp::Concat`] whose only consumer is a [`IrOp::Conv`] (every conv
-    /// is 3x3) and which is not the graph output. The conv gathers its
-    /// channels from the concat's two inputs, each requantised by its own
-    /// shift as it is loaded ([`seneca_tensor::im2col::ConvInput`]), so the
-    /// concat keeps its node id and shape (the DPU stream still maps one to
-    /// one) but holds no value and executes nothing. A concat with another
-    /// consumer, or that is the output, stays materialized.
-    pub fn folded_concats(&self) -> Vec<bool> {
-        let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); self.nodes.len()];
-        for (i, node) in self.nodes.iter().enumerate() {
-            for &j in &node.inputs {
-                consumers[j].push(i);
-            }
-        }
-        self.nodes
-            .iter()
-            .zip(&consumers)
-            .enumerate()
-            .map(|(i, (node, by))| {
-                matches!(node.op, IrOp::Concat { .. })
-                    && i != self.output
-                    && matches!(by[..], [c] if matches!(self.nodes[c].op, IrOp::Conv(_)))
-            })
-            .collect()
-    }
-
-    /// Lowers the module into a liveness-planned [`ExecPlan`] for the given
-    /// input geometry.
+    /// Lowers the module into a liveness-planned [`ExecPlan`] for one image
+    /// of the given input geometry.
     pub fn plan(&self, input: Shape4) -> ExecPlan {
         self.plan_padded(input, |c| c)
     }
 
     /// [`Module::plan`] over channel-padded element counts: node `i`
-    /// contributes `n * h * w * pad_c(c)` elements, a folded concat
-    /// ([`Module::folded_concats`]) none, and a folded concat's inputs live
-    /// until its conv has run. This is the single ICP-padding hook shared by
-    /// the host executor arenas (`pad_c` identity) and the DPU compiler's DDR
-    /// accounting (`pad_c = arch.pad_channels`), so the two can never drift.
+    /// contributes `h * w * pad_c(c)` elements, a concat its inputs' (each
+    /// input padded on its own in its slot). This is the single ICP-padding
+    /// hook shared by the host executor arenas (`pad_c` identity) and the DPU
+    /// compiler's DDR accounting (`pad_c = arch.pad_channels`), so the two
+    /// can never drift.
     pub fn plan_padded(&self, input: Shape4, pad_c: impl Fn(usize) -> usize) -> ExecPlan {
-        let shapes = self.shapes(input);
-        let folded = self.folded_concats();
-        let elems: Vec<usize> = shapes
-            .iter()
-            .zip(&folded)
-            .map(|(s, &f)| if f { 0 } else { s.n * s.hw() * pad_c(s.c) })
-            .collect();
-        // What each node reads: a conv over a folded concat reads its inputs.
-        let reads: Vec<Vec<usize>> = self
-            .nodes
-            .iter()
-            .map(|n| {
-                let mut r = n.inputs.clone();
-                if let [j] = n.inputs[..] {
-                    if folded[j] {
-                        r.extend(&self.nodes[j].inputs);
-                    }
-                }
-                r
-            })
-            .collect();
-        let inputs: Vec<&[usize]> = reads.iter().map(Vec::as_slice).collect();
-        let mut plan = ExecPlan::build(&inputs, &elems, self.output);
+        let shapes = self.shapes(input.with_n(1));
+        let concat: Vec<bool> =
+            self.nodes.iter().map(|n| matches!(n.op, IrOp::Concat { .. })).collect();
+        let mut elems: Vec<usize> = Vec::with_capacity(shapes.len());
+        for ((node, s), &cat) in self.nodes.iter().zip(&shapes).zip(&concat) {
+            let e =
+                if cat { node.inputs.iter().map(|&j| elems[j]).sum() } else { s.hw() * pad_c(s.c) };
+            elems.push(e);
+        }
+        let inputs: Vec<&[usize]> = self.nodes.iter().map(|n| n.inputs.as_slice()).collect();
+        let mut plan = ExecPlan::build(&inputs, &elems, &concat, self.output);
         let (direct, winograd) = self.gemm_work(&shapes);
         plan.set_work(direct, winograd);
         plan
@@ -433,9 +381,7 @@ impl Module {
     /// Winograd convs' `i16` strips, all three the work memory of the
     /// executor's worker arena ([`crate::exec::Scratch`]). Mirrors what the
     /// kernels actually allocate via [`seneca_tensor::gemm::strip_scratch_len`]
-    /// and [`seneca_tensor::igemm::sgemm_conv_scratch`]. A conv over a folded
-    /// concat packs the concat's channels, as over the materialized one.
-    /// Returns `((strip elements, band offsets, element bytes), Winograd
+    /// and [`seneca_tensor::igemm::sgemm_conv_scratch`]. Returns `((strip elements, band offsets, element bytes), Winograd
     /// strip elements)`.
     fn gemm_work(&self, shapes: &[Shape4]) -> ((usize, usize, usize), usize) {
         use seneca_tensor::gemm::{strip_scratch_len, NR};
@@ -448,7 +394,6 @@ impl Module {
         };
         let (mut direct, mut band_offsets, mut winograd) = (0, 0, 0);
         for (node, out) in self.nodes.iter().zip(shapes) {
-            // Per image, not per batch: the per-image loop reuses the buffers.
             let s = shapes[*node.inputs.first().unwrap_or(&0)];
             // The implicit im2col GEMM is [C_out x C_in*9 x H*W]; a tconv's is
             // [4*C_out x C_in x H*W], its column parts cut on input rows; a

@@ -14,7 +14,7 @@ use crate::lower::Lowered;
 use crate::module::{ConvKernel, DType, IrOp, Module};
 use seneca_tensor::norm::BnState;
 use seneca_tensor::quantized::requantize_i32;
-use seneca_tensor::{QTensor, Shape4, Tensor};
+use seneca_tensor::{QTensor, QTensorView, Shape4, Tensor};
 
 /// How far an FP32 executor output may sit from the oracle's, relative to
 /// `max(1, |oracle|)`.
@@ -119,18 +119,13 @@ fn maxpool2x2<T: Copy + PartialOrd>((xs, x): (Shape4, &[T])) -> (Shape4, Vec<T>)
 
 /// Channel concat; `fa`/`fb` map each element of the first/second input on
 /// its way into the output (the INT8 alignment shifts).
-fn concat<T: Copy>(
-    (sa, a): (Shape4, &[T]),
-    (sb, b): (Shape4, &[T]),
-    fa: impl Fn(T) -> T,
-    fb: impl Fn(T) -> T,
-) -> (Shape4, Vec<T>) {
+fn concat<T: Copy>((sa, a): (Shape4, &[T]), (sb, b): (Shape4, &[T])) -> (Shape4, Vec<T>) {
     assert_eq!((sa.n, sa.h, sa.w), (sb.n, sb.h, sb.w), "concat geometry");
     let os = sa.with_c(sa.c + sb.c);
     let mut out = Vec::with_capacity(os.len());
     for n in 0..sa.n {
-        out.extend(a[n * sa.chw()..(n + 1) * sa.chw()].iter().map(|&v| fa(v)));
-        out.extend(b[n * sb.chw()..(n + 1) * sb.chw()].iter().map(|&v| fb(v)));
+        out.extend_from_slice(&a[n * sa.chw()..(n + 1) * sa.chw()]);
+        out.extend_from_slice(&b[n * sb.chw()..(n + 1) * sb.chw()]);
     }
     (os, out)
 }
@@ -178,10 +173,7 @@ pub fn run_f32(m: &Module, input: &Tensor) -> Vec<Tensor> {
                 (xs, x.iter().map(|v| v.max(0.0)).collect())
             }
             IrOp::MaxPool2x2 => maxpool2x2(arg(0)),
-            IrOp::Concat { requant } => {
-                assert!(requant.is_none(), "requantising concat in an FP32 module");
-                concat(arg(0), arg(1), |v| v, |v| v)
-            }
+            IrOp::Concat {} => concat(arg(0), arg(1)),
             IrOp::Dropout { .. } => {
                 let (xs, x) = arg(0);
                 (xs, x.to_vec())
@@ -241,15 +233,10 @@ pub fn run_i8(m: &Module, input: &QTensor) -> Vec<QTensor> {
                 (y, *out_fp)
             }
             IrOp::MaxPool2x2 => (maxpool2x2(arg(0)), vals[node.inputs[0]].fix_pos()),
-            IrOp::Concat { requant } => {
-                let q = requant.expect("INT8 concat without requant attributes");
-                let y = concat(
-                    arg(0),
-                    arg(1),
-                    |v| requantize_i32(v as i32, q.shift_a),
-                    |v| requantize_i32(v as i32, q.shift_b),
-                );
-                (y, q.out_fp)
+            IrOp::Concat {} => {
+                let fp = vals[node.inputs[0]].fix_pos();
+                assert_eq!(vals[node.inputs[1]].fix_pos(), fp, "concat inputs' fix positions");
+                (concat(arg(0), arg(1)), fp)
             }
             IrOp::BatchNorm { .. } | IrOp::Relu | IrOp::Dropout { .. } | IrOp::Softmax => {
                 panic!("{} unsupported in an INT8 module", node.op.mnemonic(m.dtype))
@@ -260,23 +247,23 @@ pub fn run_i8(m: &Module, input: &QTensor) -> Vec<QTensor> {
     vals
 }
 
-/// Steps `lowered` node by node on `input` through `scratch` (reused across
-/// calls: stale arena contents must never leak into a frame) and panics
-/// unless every node output, read while it is live, is within
-/// [`F32_TOLERANCE`] of the oracle's. A concat folded into its conv has no
-/// output of its own; the oracle materializes it, and its conv's output is
-/// checked against the conv of that.
+/// Steps `lowered` node by node on each image of `input` through `scratch`
+/// (reused across calls: stale arena contents must never leak into a frame)
+/// and panics unless every node output, read while it is live, is within
+/// [`F32_TOLERANCE`] of the oracle's for that image.
 pub fn check_f32(lowered: &Lowered, scratch: &mut FpScratch, input: &Tensor) {
     let want = run_f32(lowered.module(), input);
-    lowered.load_input_f32(input, scratch);
-    for (id, want) in want.iter().enumerate() {
-        lowered.execute_node_f32(id, scratch);
-        if lowered.folded()[id] {
-            continue;
+    let image = input.shape().with_n(1);
+    for (k, x) in input.data().chunks_exact(image.len()).enumerate() {
+        lowered.load_input_f32(&Tensor::from_vec(image, x.to_vec()), scratch);
+        for (id, want) in want.iter().enumerate() {
+            lowered.execute_node_f32(id, scratch);
+            let got = lowered.node_output_f32(id, scratch);
+            let (ws, len) = (want.shape().with_n(1), want.shape().chw());
+            assert_eq!(got.shape(), ws, "node {id} shape");
+            let what = format!("node {id}, image {k}");
+            assert_close_f32(got.data(), &want.data()[k * len..][..len], &what);
         }
-        let got = lowered.node_output_f32(id, scratch);
-        assert_eq!(got.shape(), want.shape(), "node {id} shape");
-        assert_close_f32(got.data(), want.data(), &format!("node {id}"));
     }
 }
 
@@ -284,12 +271,19 @@ pub fn check_f32(lowered: &Lowered, scratch: &mut FpScratch, input: &Tensor) {
 /// included.
 pub fn check_i8(lowered: &Lowered, scratch: &mut QScratch, input: &QTensor) {
     let want = run_i8(lowered.module(), input);
-    lowered.load_input_i8(input, scratch);
-    for (id, want) in want.iter().enumerate() {
-        lowered.execute_node_i8(id, scratch);
-        if lowered.folded()[id] {
-            continue;
+    let image = input.shape().with_n(1);
+    for (k, x) in input.data().chunks_exact(image.len()).enumerate() {
+        lowered.load_input_i8(&QTensor::from_vec(image, x.to_vec(), input.fix_pos()), scratch);
+        for (id, want) in want.iter().enumerate() {
+            lowered.execute_node_i8(id, scratch);
+            let got = lowered.node_output_i8(id, scratch);
+            let len = want.shape().chw();
+            let want = QTensorView::new(
+                want.shape().with_n(1),
+                &want.data()[k * len..][..len],
+                want.fix_pos(),
+            );
+            assert_eq!(got, want, "node {id}, image {k}");
         }
-        assert_eq!(lowered.node_output_i8(id, scratch).to_qtensor(), *want, "node {id}");
     }
 }

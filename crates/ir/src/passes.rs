@@ -33,9 +33,6 @@ pub struct PassStats {
     pub pack_slots: usize,
     /// Of those, INT8 convs lowered to Winograd F(2x2, 3x3).
     pub winograd: usize,
-    /// Concats folded into the gather of their conv
-    /// ([`crate::module::Module::folded_concats`]).
-    pub concats_folded: usize,
 }
 
 /// Fewest input channels of a Winograd conv. The per-shape race of the 1M
@@ -332,7 +329,7 @@ mod tests {
         let mut m = Module::new("shared-bn", DType::F32);
         let c = m.push(IrOp::Conv(conv_attrs(2, 2, &mut rng)), vec![0]);
         let bn = m.push(IrOp::BatchNorm { bn: random_bn(2, &mut rng) }, vec![c]);
-        let cat = m.push(IrOp::Concat { requant: None }, vec![c, bn]);
+        let cat = m.push(IrOp::Concat {}, vec![c, bn]);
         m.output = cat;
         assert_eq!(fold_batchnorm(&mut m), 0);
         assert!(m.nodes.iter().any(|n| matches!(n.op, IrOp::BatchNorm { .. })));
@@ -381,7 +378,7 @@ mod tests {
         let bn = m.push(IrOp::BatchNorm { bn: random_bn(2, &mut rng) }, vec![c]);
         let mut relu_conv = conv_attrs(4, 2, &mut rng);
         relu_conv.relu = true;
-        let cat = m.push(IrOp::Concat { requant: None }, vec![c, bn]);
+        let cat = m.push(IrOp::Concat {}, vec![c, bn]);
         let c2 = m.push(IrOp::Conv(relu_conv), vec![cat]);
         m.output = m.push(IrOp::BatchNorm { bn: random_bn(2, &mut rng) }, vec![c2]);
         assert_eq!(fuse_batchnorm(&mut m), 0);
@@ -410,7 +407,7 @@ mod tests {
         let mut m = Module::new("relu-shared", DType::F32);
         let c = m.push(IrOp::Conv(conv_attrs(2, 2, &mut rng)), vec![0]);
         let r = m.push(IrOp::Relu, vec![c]);
-        let cat = m.push(IrOp::Concat { requant: None }, vec![c, r]);
+        let cat = m.push(IrOp::Concat {}, vec![c, r]);
         m.output = cat;
         assert_eq!(fuse_relu(&mut m), 0);
         assert!(m.nodes.iter().any(|n| matches!(n.op, IrOp::Relu)));

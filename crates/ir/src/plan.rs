@@ -4,40 +4,51 @@
 //! program — the FP32 executor, the bit-exact INT8 executor and the DPU
 //! compiler's channel-padded DDR layout — reduces to the same [`ExecPlan`],
 //! a topologically ordered walk annotated with each value's *last use* and
-//! an **offset** into one per-worker arena. Offsets are placed greedy by
-//! size (Pisarchyk & Lee, arXiv:2001.03288): the largest value first, each
-//! at the lowest offset where it overlaps no value live at the same time.
-//! The arena is sized to the highest end, close to the peak-live footprint
-//! with none of the fragmentation a fixed set of reusable buffers bakes in
-//! (a buffer sized for its largest value holds every smaller one it is
-//! reused for). Skip connections stay live across the encoder–decoder span
-//! and keep their bytes; every other activation's bytes recycle as soon as
-//! its last consumer has run.
+//! an **offset** into one per-worker arena holding one image. Offsets are
+//! placed greedy by size (Pisarchyk & Lee, arXiv:2001.03288): the largest
+//! value first, each at the lowest offset where it overlaps no value live at
+//! the same time. The arena is sized to the highest end, close to the
+//! peak-live footprint with none of the fragmentation a fixed set of
+//! reusable buffers bakes in. Skip connections stay live across the
+//! encoder–decoder span and keep their bytes; every other activation's bytes
+//! recycle as soon as its last consumer has run.
 //!
-//! The planner is graph-agnostic: it sees only each node's input ids and
-//! output element count, so every dtype and layout reuses the same pass. A
-//! value of zero elements (a concat folded into its conv, see
-//! [`crate::module::Module::folded_concats`]) takes no bytes.
+//! A channel concat is an address, not an op: each of its inputs is placed
+//! at its channel offset of the concat's value, so its producer writes there
+//! and the concat's readers see one contiguous map. Each half keeps its own
+//! live range (from its producer to the concat's last reader), and the pair
+//! is placed as one unit under that adjacency. An input that cannot be
+//! placed — the same value twice, a value already placed in an earlier
+//! concat, or a concat itself — is copied into its slot by the concat's own
+//! step.
+//!
+//! The planner is graph-agnostic: it sees only each node's input ids, output
+//! element count and whether it is a concat, so every dtype and layout
+//! reuses the same pass.
 
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
-/// A liveness-planned execution schedule over a topologically ordered DAG.
+/// A liveness-planned execution schedule over a topologically ordered DAG,
+/// for one image.
 ///
-/// Node `i`'s value is *defined* at step `i` and *lives* until
-/// `last_use[i]` (the index of its last consumer; the graph output carries
-/// the sentinel `n_nodes`, keeping it live past the final step so the
-/// caller can read it). Two values may share arena elements only when their
-/// live ranges are disjoint; [`ExecPlan::assert_valid`] checks the
-/// invariant.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// Node `i` *writes* [`ExecPlan::writes`] at step `i`, and those elements
+/// live until `last_use[i]` (the index of its last reader; the graph output
+/// carries the sentinel `n_nodes`, keeping it live past the final step so
+/// the caller can read it). Two written ranges may share arena elements only
+/// when their live ranges are disjoint; [`ExecPlan::assert_valid`] checks
+/// the invariant.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecPlan {
     /// Per node: element offset of its value in the arena.
     offset: Vec<usize>,
-    /// Per node: step index of the last consumer (`n_nodes` for the output).
-    last_use: Vec<usize>,
-    /// Per node: output element count.
+    /// Per node: element count of its value (a concat's: both inputs').
     elems: Vec<usize>,
+    /// Per node: the arena elements its step writes — its value, or a
+    /// concat's slots of the inputs it copies.
+    writes: Vec<Range<usize>>,
+    /// Per node: step index of the last reader of what it writes (`n_nodes`
+    /// for the output); a placed input lives until its concat's last reader.
+    last_use: Vec<usize>,
     /// Arena elements: the highest end of any value.
     arena: usize,
     /// The graph's output node.
@@ -47,19 +58,23 @@ pub struct ExecPlan {
     /// (the buffers are reused node to node) — the direct convs' and
     /// tconvs', plus the Winograd convs' below. Set by the module lowering;
     /// zero for plans built directly via [`ExecPlan::build`].
-    #[serde(default)]
     work_bytes: u64,
     /// Of those, the direct convs' and tconvs' strip elements and the band
     /// convs' `u32` k-step offsets, which the worker arena allocates
     /// ([`crate::exec::Scratch`]).
-    #[serde(default)]
     strips: usize,
-    #[serde(default)]
     band_offsets: usize,
     /// And the Winograd convs' `i16` strip elements, which the worker arena
     /// allocates too.
-    #[serde(default)]
     winograd_strips: usize,
+}
+
+/// A range of arena elements one placement unit lays out, `at` past the
+/// unit's offset: written by `node`, live from its step to its last use.
+struct Part {
+    node: usize,
+    at: usize,
+    len: usize,
 }
 
 impl ExecPlan {
@@ -67,16 +82,20 @@ impl ExecPlan {
     ///
     /// * `inputs[i]` — the ids of the values node `i` reads (all `< i`);
     /// * `elems[i]` — the element count of node `i`'s output;
+    /// * `concat[i]` — node `i` concatenates its two inputs (its count is
+    ///   theirs summed);
     /// * `output` — the node whose value must survive the whole walk.
     ///
-    /// Offsets are placed greedy by size: values in decreasing size (ties
-    /// toward the lower id, so the plan is deterministic), each at the lowest
-    /// offset where it overlaps no already placed value whose live range
+    /// Offsets are placed greedy by size: units — a value, or a concat with
+    /// the inputs placed in it — in decreasing size (ties toward the lower
+    /// id, so the plan is deterministic), each at the lowest offset where
+    /// none of its parts overlaps an already placed part whose live range
     /// meets its own. A node's value is live at its own step, as are its
     /// inputs', so an op never writes into a buffer it is still reading.
-    pub fn build(inputs: &[&[usize]], elems: &[usize], output: usize) -> Self {
+    pub fn build(inputs: &[&[usize]], elems: &[usize], concat: &[bool], output: usize) -> Self {
         let n = inputs.len();
         assert_eq!(elems.len(), n, "one element count per node");
+        assert_eq!(concat.len(), n, "one concat flag per node");
         assert!(output < n, "output node out of range");
 
         // Liveness: last_use[i] = index of i's last consumer. A value nobody
@@ -90,30 +109,75 @@ impl ExecPlan {
         }
         last_use[output] = n;
 
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&i| (std::cmp::Reverse(elems[i]), i));
-        let mut offset = vec![0; n];
-        // Placed values in increasing offset.
-        let mut placed: Vec<usize> = Vec::with_capacity(n);
-        for i in order {
-            let live = |j: usize| i.max(j) <= last_use[i.min(j)];
-            let mut at = 0;
-            for &j in placed.iter().filter(|&&j| elems[j] > 0 && live(j)) {
-                if offset[j] >= at + elems[i] {
-                    break;
+        // Each concat input that can be, is placed in its concat.
+        let mut placed_in: Vec<Option<usize>> = vec![None; n];
+        for c in (0..n).filter(|&c| concat[c]) {
+            let &[a, b] = inputs[c] else { panic!("concat {c} reads two values") };
+            assert_eq!(elems[c], elems[a] + elems[b], "concat {c} holds its inputs' elements");
+            for x in [a, b] {
+                if a != b && !concat[x] && placed_in[x].is_none() {
+                    placed_in[x] = Some(c);
+                    last_use[x] = last_use[x].max(last_use[c]);
                 }
-                at = at.max(offset[j] + elems[j]);
             }
-            offset[i] = at;
-            let k = placed.partition_point(|&j| (offset[j], j) < (at, i));
-            placed.insert(k, i);
+        }
+
+        // Placement units: every value not placed in a concat; a concat
+        // with a placed input is laid out as its two slots, each written by
+        // the input placed there or else by the concat's own copy.
+        let mut units: Vec<(usize, Vec<Part>)> = (0..n)
+            .filter(|&i| placed_in[i].is_none())
+            .map(|i| match *inputs[i] {
+                [a, b] if concat[i] && (placed_in[a] == Some(i) || placed_in[b] == Some(i)) => {
+                    let node = |x| if placed_in[x] == Some(i) { x } else { i };
+                    let (pa, pb) = (node(a), node(b));
+                    let (la, lb) = (elems[a], elems[b]);
+                    (i, vec![Part { node: pa, at: 0, len: la }, Part { node: pb, at: la, len: lb }])
+                }
+                _ => (i, vec![Part { node: i, at: 0, len: elems[i] }]),
+            })
+            .collect();
+        units.sort_by_key(|&(i, _)| (std::cmp::Reverse(elems[i]), i));
+
+        let mut offset = vec![0; n];
+        let mut writes = vec![0..0; n];
+        // Placed parts: (arena range, writer).
+        let mut placed: Vec<(Range<usize>, usize)> = Vec::with_capacity(n);
+        let live = |i: usize, j: usize| i.max(j) <= last_use[i].min(last_use[j]);
+        for (i, parts) in units {
+            let mut at = 0;
+            'fit: loop {
+                for p in parts.iter().filter(|p| p.len > 0) {
+                    let start = at + p.at;
+                    let clash = placed.iter().find(|(r, j)| {
+                        live(p.node, *j) && r.start < start + p.len && start < r.end
+                    });
+                    if let Some((r, ..)) = clash {
+                        at = r.end - p.at;
+                        continue 'fit;
+                    }
+                }
+                break;
+            }
+            (offset[i], writes[i]) = (at, at..at);
+            for p in parts {
+                let r = at + p.at..at + p.at + p.len;
+                if p.node != i {
+                    offset[p.node] = r.start;
+                }
+                writes[p.node] = r.clone();
+                if !r.is_empty() {
+                    placed.push((r, p.node));
+                }
+            }
         }
         let arena = (0..n).map(|i| offset[i] + elems[i]).max().unwrap_or(0);
 
         let plan = Self {
             offset,
-            last_use,
             elems: elems.to_vec(),
+            writes,
+            last_use,
             arena,
             output,
             work_bytes: 0,
@@ -161,12 +225,20 @@ impl ExecPlan {
         self.offset.len()
     }
 
-    /// The arena elements node `i`'s value occupies.
+    /// The arena elements node `i`'s value occupies (a concat's: both
+    /// inputs' slots).
     pub fn range_of(&self, i: usize) -> Range<usize> {
         self.offset[i]..self.offset[i] + self.elems[i]
     }
 
-    /// Step index of node `i`'s last consumer (`n_nodes()` for the output).
+    /// The arena elements node `i`'s step writes: its value, or a concat's
+    /// slots of the inputs it copies — none when both are placed in it.
+    pub fn writes(&self, i: usize) -> Range<usize> {
+        self.writes[i].clone()
+    }
+
+    /// Step index of the last reader of what node `i` writes (`n_nodes()`
+    /// for the output).
     pub fn last_use_of(&self, i: usize) -> usize {
         self.last_use[i]
     }
@@ -182,10 +254,10 @@ impl ExecPlan {
         self.arena
     }
 
-    /// Sum of every node's output elements — what a naive one-buffer-per-node
-    /// executor allocates.
+    /// Elements written per image, each once — what a naive
+    /// one-buffer-per-node executor allocates.
     pub fn total_activation_elems(&self) -> usize {
-        self.elems.iter().sum()
+        self.writes.iter().map(Range::len).sum()
     }
 
     /// The largest number of elements live at any one step: the lower bound
@@ -193,9 +265,7 @@ impl ExecPlan {
     pub fn peak_live_elems(&self) -> usize {
         let n = self.n_nodes();
         (0..n)
-            .map(|t| {
-                (0..n).filter(|&i| i <= t && t <= self.last_use[i]).map(|i| self.elems[i]).sum()
-            })
+            .map(|t| (0..=t).filter(|&i| t <= self.last_use[i]).map(|i| self.writes[i].len()).sum())
             .max()
             .unwrap_or(0)
     }
@@ -205,7 +275,7 @@ impl ExecPlan {
     /// per-frame GEMM strip buffers ([`ExecPlan::work_bytes`]), the *only*
     /// auxiliary storage — there is no materialized im2col column matrix, no
     /// whole packed activation matrix, no pre-scatter tconv buffer and no
-    /// concatenated map in front of a conv.
+    /// concat buffer beside its inputs.
     pub fn peak_arena_bytes(&self, bytes_per_elem: usize) -> u64 {
         (self.peak_arena_elems() * bytes_per_elem) as u64 + self.work_bytes
     }
@@ -216,15 +286,16 @@ impl ExecPlan {
     }
 
     /// Panics unless the plan is sound: every value lies inside the arena,
-    /// and no two values overlap both in address and in lifetime (a node's
-    /// inputs are live at its step, so no output aliases a value it reads).
+    /// and no two written ranges overlap both in address and in lifetime (a
+    /// node's inputs are live at its step, so no output aliases a value it
+    /// reads).
     pub fn assert_valid(&self) {
         let n = self.n_nodes();
         for i in 0..n {
-            let ri = self.range_of(i);
-            assert!(ri.end <= self.arena, "node {i} ends past the arena");
+            assert!(self.range_of(i).end <= self.arena, "node {i} ends past the arena");
+            let ri = &self.writes[i];
             for j in (i + 1)..n {
-                let rj = self.range_of(j);
+                let rj = &self.writes[j];
                 let overlap =
                     !ri.is_empty() && !rj.is_empty() && ri.start < rj.end && rj.start < ri.end;
                 // j is defined at step j; i must be dead strictly before.
@@ -244,8 +315,19 @@ mod tests {
     use super::*;
 
     fn plan(inputs: &[Vec<usize>], elems: &[usize], output: usize) -> ExecPlan {
+        plan_with(inputs, elems, &[], output)
+    }
+
+    /// A plan whose nodes `concats` are concats.
+    fn plan_with(
+        inputs: &[Vec<usize>],
+        elems: &[usize],
+        concats: &[usize],
+        output: usize,
+    ) -> ExecPlan {
         let ins: Vec<&[usize]> = inputs.iter().map(|v| v.as_slice()).collect();
-        ExecPlan::build(&ins, elems, output)
+        let concat: Vec<bool> = (0..inputs.len()).map(|i| concats.contains(&i)).collect();
+        ExecPlan::build(&ins, elems, &concat, output)
     }
 
     fn overlap(p: &ExecPlan, i: usize, j: usize) -> bool {
@@ -323,11 +405,48 @@ mod tests {
         assert_eq!(plan.peak_arena_elems(), 8);
     }
 
+    /// A decoder level: the skip (1) and the upsample (3) are placed side by
+    /// side as the concat's value, each live from its producer to the
+    /// concat's reader; the concat writes nothing, and the upsample's
+    /// producer never overwrites the skip.
+    #[test]
+    fn concat_inputs_are_placed_at_their_channel_offsets() {
+        // 0 -> 1 (skip) -> 2 (pool) -> 3 (upsample); 4 = concat(1, 3); 5 reads 4.
+        let inputs = vec![vec![], vec![0], vec![1], vec![2], vec![1, 3], vec![4]];
+        let plan = plan_with(&inputs, &[8, 8, 2, 8, 16, 8], &[4], 5);
+        let cat = plan.range_of(4);
+        assert_eq!(
+            (plan.range_of(1), plan.range_of(3)),
+            (cat.start..cat.start + 8, cat.start + 8..cat.end)
+        );
+        assert!(plan.writes(4).is_empty());
+        assert_eq!((plan.last_use_of(1), plan.last_use_of(3)), (5, 5));
+        assert!(!overlap(&plan, 5, 4));
+        assert_eq!(plan.total_activation_elems(), 8 + 8 + 2 + 8 + 8);
+    }
+
+    /// An input that cannot be placed is copied by the concat's step: the
+    /// same value twice (both slots), a value already placed in an earlier
+    /// concat, and a concat.
+    #[test]
+    fn unplaceable_concat_inputs_are_copied() {
+        // 2 = concat(1, 1); 3 = concat(1, 0) places both; 4 = concat(0, 3)
+        // copies 0 (placed in 3) and 3 (a concat).
+        let inputs = vec![vec![], vec![0], vec![1, 1], vec![1, 0], vec![0, 3], vec![2, 4]];
+        let plan = plan_with(&inputs, &[4, 4, 8, 8, 12, 20], &[2, 3, 4, 5], 5);
+        assert_eq!(plan.writes(2), plan.range_of(2));
+        assert!(plan.writes(3).is_empty());
+        assert_eq!(plan.range_of(0).start, plan.range_of(3).start + 4);
+        assert_eq!(plan.writes(4), plan.range_of(4));
+        // 5 = concat(2, 4) places neither: both are concats.
+        assert_eq!(plan.writes(5), plan.range_of(5));
+    }
+
     #[test]
     #[should_panic(expected = "overlap while both live")]
     fn overlapping_live_values_rejected() {
         let mut plan = plan(&[vec![], vec![0]], &[4, 4], 1);
-        plan.offset[1] = 2;
+        (plan.offset[1], plan.writes[1]) = (2, 2..6);
         plan.assert_valid();
     }
 

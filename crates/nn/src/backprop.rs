@@ -99,8 +99,8 @@ impl Graph {
     ///
     /// Panics on a max-pool input with odd height or width (a U-Net input
     /// must be divisible by `2^depth`), and on what the exporter never emits
-    /// (an INT8 kernel or concat, a carried BatchNorm, a fused ReLU, a pack
-    /// slot): training runs on the unfused FP32 graph.
+    /// (an INT8 kernel, a carried BatchNorm, a fused ReLU, a pack slot):
+    /// training runs on the unfused FP32 graph.
     pub fn forward_train<R: Rng>(&mut self, x: &Tensor, rng: &mut R) -> Tape {
         let mut saved: Vec<Saved> = Vec::with_capacity(self.module.nodes.len());
         for node in &mut self.module.nodes {
@@ -128,10 +128,7 @@ impl Graph {
                     let (w, b) = export_kernel(a);
                     Saved::Out(tconv2x2(arg(0), w, b))
                 }
-                IrOp::Concat { requant: None } => {
-                    Saved::Out(Tensor::concat_channels(arg(0), arg(1)))
-                }
-                IrOp::Concat { requant: Some(_) } => panic!("training runs on the FP32 graph"),
+                IrOp::Concat {} => Saved::Out(Tensor::concat_channels(arg(0), arg(1))),
                 IrOp::Dropout { rate } => {
                     let (y, mask) = dropout(arg(0), *rate, rng);
                     Saved::Dropout(y, mask)

@@ -52,7 +52,6 @@ fn is_export_op(op: &IrOp) -> bool {
             a,
             ConvAttrs { kernel: ConvKernel::F32 { bn: None, .. }, relu: false, pack: None }
         ),
-        IrOp::Concat { requant } => requant.is_none(),
         _ => true,
     }
 }
@@ -219,8 +218,8 @@ mod tests {
         g.push(IrOp::Relu, vec![7]);
     }
 
-    /// An INT8 kernel, a carried BatchNorm, a fused ReLU, a pack slot or an
-    /// INT8 concat is no export node: `push` panics, and a module holding one
+    /// An INT8 kernel, a carried BatchNorm, a fused ReLU or a pack slot is
+    /// no export node: `push` panics, and a module holding one
     /// — a fused one, say, or a file edited to hold one — is refused.
     #[test]
     fn rejects_what_the_exporter_never_emits() {
@@ -292,28 +291,43 @@ mod tests {
         // `Module::plan` runs no rewrite passes, so ids map 1:1 onto `g`.
         let m = g.module();
         let plan = m.plan(Shape4::new(1, 1, 32, 32));
-        let folded = m.folded_concats();
         for (i, node) in m.nodes.iter().enumerate() {
             if !matches!(node.op, IrOp::Concat { .. }) {
                 continue;
             }
-            // Every decoder concat feeds one conv only, so it is folded: the
-            // skip is read by that conv, and the concat holds no value.
-            assert!(folded[i], "concat {i} is materialized");
-            assert_eq!(plan.elems_of(i), 0, "folded concat {i} takes arena bytes");
+            // Every decoder concat is an address: the skip and the upsample
+            // are placed side by side as its value, and it writes nothing.
+            let (skip, up, cat) = (node.inputs[0], node.inputs[1], plan.range_of(i));
+            let half = plan.elems_of(skip);
+            assert_eq!(plan.range_of(skip), cat.start..cat.start + half, "skip {skip} not placed");
+            assert_eq!(plan.range_of(up), cat.start + half..cat.end, "upsample {up} not placed");
+            assert!(plan.writes(i).is_empty(), "concat {i} copies");
             let conv = i + 1;
             assert!(matches!(m.nodes[conv].op, IrOp::Conv(_)) && m.nodes[conv].inputs == [i]);
-            // The skip input was produced long before the concat; every node
+            // The skip was produced long before the concat; every node
             // defined up to the conv that reads it must avoid its bytes.
-            let skip = node.inputs[0];
             assert_eq!(plan.last_use_of(skip), conv, "skip {skip} live exactly until conv {conv}");
+            let skip_bytes = plan.range_of(skip);
             for j in (skip + 1)..=conv {
+                let w = plan.writes(j);
                 assert!(
-                    !overlap(&plan, j, skip),
+                    w.is_empty() || w.end <= skip_bytes.start || skip_bytes.end <= w.start,
                     "node {j} clobbers skip {skip} before conv {conv}"
                 );
             }
         }
+    }
+
+    /// A graph file written while a concat still carried an optional
+    /// requantisation (`"Concat":{"requant":null}`) reads as the same graph.
+    #[test]
+    fn a_graph_written_with_concat_requant_fields_still_reads() {
+        let g = Graph::from_unet(&tiny_net(17), "tiny");
+        let json = serde_json::to_string(&g).unwrap();
+        assert!(json.contains("\"Concat\":{}"), "concat serialises with no field");
+        let old = json.replace("\"Concat\":{}", "\"Concat\":{\"requant\":null}");
+        let read: Graph = serde_json::from_str(&old).unwrap();
+        assert_eq!(serde_json::to_string(&read).unwrap(), json);
     }
 
     #[test]

@@ -166,7 +166,7 @@ impl UNet {
         for &(skip, s) in skips.iter().rev() {
             let w = Tensor::he_normal(Shape4::new(c_in, s, 2, 2), rng);
             let up = g.push(IrOp::TConv(kernel(w, s)), vec![cur]);
-            cur = g.push(IrOp::Concat { requant: None }, vec![skip, up]);
+            cur = g.push(IrOp::Concat {}, vec![skip, up]);
             cur = push_conv(&mut g, cur, 2 * s, s, true, rng);
             cur = push_conv(&mut g, cur, s, s / 2, true, rng);
             cur = g.push(IrOp::Dropout { rate }, vec![cur]);

@@ -18,7 +18,7 @@ use crate::qgraph::QuantizedGraph;
 use crate::run::{FpRunner, QRunner};
 use seneca_ir::{ConvKernel, IrOp, Module};
 use seneca_tensor::quantized::QTensor;
-use seneca_tensor::{Shape4, Tensor};
+use seneca_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
 /// Summary of a fast-finetune run.
@@ -45,18 +45,13 @@ pub fn fast_finetune(
     let imgs = &calib[..calib.len().min(max_images.max(1))];
     let mse_before = crate::ptq::quantization_mse(fg, qg, imgs);
 
-    // FP32 reference activations per node, per image (an empty tensor for a
-    // concat folded into its conv: it has no value, and only conv / tconv
-    // outputs are compared).
+    // FP32 reference activations per node, per image.
     let refs: Vec<Vec<Tensor>> = {
         let mut runner = FpRunner::new(fg, imgs[0].shape());
         imgs.iter()
             .map(|img| {
                 let mut outs = Vec::with_capacity(fg.nodes.len());
-                runner.for_each_node(img, |id, out| {
-                    outs.resize_with(id, || Tensor::zeros(Shape4::new(0, 0, 0, 0)));
-                    outs.push(out.to_tensor());
-                });
+                runner.for_each_node(img, |_, out| outs.push(out.to_tensor()));
                 outs
             })
             .collect()

@@ -9,7 +9,7 @@
 use crate::fuse::assert_fused;
 use crate::qgraph::QuantizedGraph;
 use crate::run::{FpRunner, QRunner};
-use seneca_ir::{ConcatQ, ConvAttrs, ConvKernel, DType, IrOp, Module};
+use seneca_ir::{ConvAttrs, ConvKernel, DType, IrOp, Module};
 use seneca_tensor::quantized::{choose_fix_pos, choose_fix_pos_bits, Bitwidth, QTensor};
 use seneca_tensor::Tensor;
 use serde::{Deserialize, Serialize};
@@ -57,8 +57,13 @@ pub fn quantize_post_training(
 /// Runs the calibration phases of PTQ only: records each node's activation
 /// range (the max |x| over every calibration image, Vitis AI's min-max rule)
 /// through the fused FP32 module and assigns the structurally-constrained fix
-/// positions. Activation scales do not depend on the weight bitwidth, so a
-/// mixed-precision sweep calibrates once and rebuilds graphs per plan via
+/// positions: a max pool cannot rescale, so it shares its input's position,
+/// and a concat is laid out by address, so it shares both of its inputs'
+/// (as Vitis AI's quantizer gives a concat's inputs one position). Each
+/// class of nodes so tied takes the least non-overflow position of its
+/// members, and every concat then copies its inputs unshifted. Activation
+/// scales do not depend on the weight bitwidth, so a mixed-precision sweep
+/// calibrates once and rebuilds graphs per plan via
 /// [`quantize_from_calibration`].
 pub fn calibrate(fg: &Module, calib: &[Tensor], cfg: &PtqConfig) -> PtqReport {
     assert!(!calib.is_empty(), "PTQ needs a non-empty calibration set");
@@ -76,26 +81,29 @@ pub fn calibrate(fg: &Module, calib: &[Tensor], cfg: &PtqConfig) -> PtqReport {
             });
         }
     }
-    // A concat folded into its conv holds no value; its max |x| is its
-    // inputs' (the lowering preserves ids, and inputs come first).
-    for (id, &folded) in fg.folded_concats().iter().enumerate() {
-        if folded {
-            let ins = &fg.nodes[id].inputs;
-            range[id] = range[ins[0]].max(range[ins[1]]);
-        }
-    }
 
-    // 2. Assign fix positions with structural constraints.
-    let mut fp: Vec<i32> = range.iter().map(|&r| choose_fix_pos(r)).collect();
+    // 2. Fix positions by class (union-find over pools and concats).
+    let mut class: Vec<usize> = (0..fg.nodes.len()).collect();
+    let root = |class: &[usize], mut i: usize| {
+        while class[i] != i {
+            i = class[i];
+        }
+        i
+    };
     for (i, node) in fg.nodes.iter().enumerate() {
-        match &node.op {
-            IrOp::MaxPool2x2 => fp[i] = fp[node.inputs[0]], // pool can't rescale
-            IrOp::Concat { .. } => {
-                fp[i] = fp[node.inputs[0]].min(fp[node.inputs[1]]).min(fp[i]);
+        if matches!(node.op, IrOp::MaxPool2x2 | IrOp::Concat { .. }) {
+            for &j in &node.inputs {
+                let (a, b) = (root(&class, i), root(&class, j));
+                class[a] = b;
             }
-            _ => {}
         }
     }
+    let mut least = vec![i32::MAX; fg.nodes.len()];
+    for (i, &r) in range.iter().enumerate() {
+        let c = root(&class, i);
+        least[c] = least[c].min(choose_fix_pos(r));
+    }
+    let fp = (0..fg.nodes.len()).map(|i| least[root(&class, i)]).collect();
 
     PtqReport { fix_pos: fp, range, images_used: used }
 }
@@ -129,13 +137,7 @@ pub fn quantize_from_calibration(
                 }
             }
             IrOp::MaxPool2x2 => IrOp::MaxPool2x2,
-            IrOp::Concat { .. } => IrOp::Concat {
-                requant: Some(ConcatQ {
-                    shift_a: fp[node.inputs[0]] - fp[i],
-                    shift_b: fp[node.inputs[1]] - fp[i],
-                    out_fp: fp[i],
-                }),
-            },
+            IrOp::Concat { .. } => IrOp::Concat {},
             _ => unreachable!("ruled out by assert_fused"),
         };
         m.push(op, node.inputs.clone());
@@ -245,8 +247,12 @@ mod tests {
                 IrOp::MaxPool2x2 => {
                     assert_eq!(report.fix_pos[i], report.fix_pos[node.inputs[0]]);
                 }
-                IrOp::Concat { requant: Some(q) } => {
-                    assert!(q.shift_a >= 0 && q.shift_b >= 0, "concat shifts must be right shifts");
+                IrOp::Concat {} => {
+                    let [a, b] = node.inputs[..] else { unreachable!() };
+                    assert_eq!(
+                        (report.fix_pos[a], report.fix_pos[b]),
+                        (report.fix_pos[i], report.fix_pos[i])
+                    );
                 }
                 IrOp::Conv(a) | IrOp::TConv(a) => {
                     let ConvKernel::I8 { in_fp, out_fp, .. } = a.kernel else { panic!("INT8") };
@@ -313,6 +319,40 @@ mod tests {
         assert_eq!(report.range, vec![3.0, 1.5, 0.0]);
         assert_eq!(report.fix_pos, vec![5, 6, choose_fix_pos(0.0)]);
         assert_eq!(choose_fix_pos(0.0), 15);
+    }
+
+    /// The position classes by hand: input (node 0) -> conv with centre tap
+    /// 1 (node 1, the skip) -> pool (2) -> tconv with every tap 3 (3) ->
+    /// concat(1, 3) (4) -> conv with zero weights (5), over one 2x2 image of
+    /// max |x| 0.5. Ranges: 0.5, 0.5, 0.5, 1.5, 1.5, 0, so each node alone
+    /// would take 7, 7, 7, 6, 6, 15. The pool joins the skip's class and the
+    /// concat joins both the skip's and the tconv's, so the skip, the pool,
+    /// the tconv and the concat all take the least, 6, and the concat
+    /// copies both inputs unshifted.
+    #[test]
+    fn a_pool_and_a_concat_share_their_inputs_position() {
+        let f32_kernel = |shape, v: f32| {
+            let w = Tensor::from_vec(shape, vec![v; Shape4::len(&shape)]);
+            ConvKernel::F32 { w: w.into(), b: vec![0.0], bn: None }
+        };
+        let mut centre = Tensor::zeros(Shape4::new(1, 1, 3, 3));
+        *centre.at_mut(0, 0, 1, 1) = 1.0;
+        let skip = ConvKernel::F32 { w: centre.into(), b: vec![0.0], bn: None };
+        let mut fg = Module::new("classes", DType::F32);
+        let c1 = fg.push(IrOp::Conv(ConvAttrs::new(skip)), vec![0]);
+        let p = fg.push(IrOp::MaxPool2x2, vec![c1]);
+        let up =
+            fg.push(IrOp::TConv(ConvAttrs::new(f32_kernel(Shape4::new(1, 1, 2, 2), 3.0))), vec![p]);
+        let cat = fg.push(IrOp::Concat {}, vec![c1, up]);
+        fg.push(IrOp::Conv(ConvAttrs::new(f32_kernel(Shape4::new(1, 2, 3, 3), 0.0))), vec![cat]);
+        let img = Tensor::from_vec(Shape4::new(1, 1, 2, 2), vec![0.5, -0.25, 0.1, 0.2]);
+
+        let report = calibrate(&fg, std::slice::from_ref(&img), &PtqConfig::default());
+        assert_eq!(report.range, vec![0.5, 0.5, 0.5, 1.5, 1.5, 0.0]);
+        assert_eq!(report.fix_pos, vec![7, 6, 6, 6, 6, 15]);
+        let qg = quantize_from_calibration(&fg, &report, &[Bitwidth::W8; 6]);
+        let fps = qg.module().fix_positions();
+        assert_eq!((fps[c1], fps[up], fps[cat]), (6, 6, 6));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! Like the trained graph it *is* a [`seneca_ir::Module`]: [`QuantizedGraph`]
 //! is a typed holder of an INT8 module whose nodes are only what the DPU
 //! executes — the input, (transpose) convs with a [`ConvKernel::I8`] kernel,
-//! max pools, and concats with their requantisation shifts. The arithmetic
+//! max pools, and concats of two inputs at one fix position. The arithmetic
 //! those fields describe follows the DPU model: INT8 operands, INT32
 //! accumulators, power-of-two rescaling by arithmetic shift (round half away
 //! from zero, saturating). The bias is pre-scaled to the accumulator's fix
@@ -31,8 +31,7 @@ fn is_dpu_op(op: &IrOp) -> bool {
         IrOp::Conv(a) | IrOp::TConv(a) => {
             matches!(a, ConvAttrs { kernel: ConvKernel::I8 { .. }, pack: None, .. })
         }
-        IrOp::Concat { requant } => requant.is_some(),
-        IrOp::Input | IrOp::MaxPool2x2 => true,
+        IrOp::Input | IrOp::MaxPool2x2 | IrOp::Concat {} => true,
         IrOp::BatchNorm { .. } | IrOp::Relu | IrOp::Dropout { .. } | IrOp::Softmax => false,
     }
 }
@@ -40,8 +39,9 @@ fn is_dpu_op(op: &IrOp) -> bool {
 impl TryFrom<Module> for QuantizedGraph {
     type Error = String;
 
-    /// Takes over a module that is a quantized graph: well-formed, INT8, and
-    /// holding only the nodes the DPU executes.
+    /// Takes over a module that is a quantized graph: well-formed, INT8,
+    /// holding only the nodes the DPU executes, and every concat joining two
+    /// inputs at one fix position (the DPU lays it out by address).
     fn try_from(module: Module) -> Result<Self, String> {
         module.check_structure()?;
         if module.dtype != DType::I8 {
@@ -50,6 +50,15 @@ impl TryFrom<Module> for QuantizedGraph {
         if let Some(n) = module.nodes.iter().position(|n| !is_dpu_op(&n.op)) {
             let op = module.nodes[n].op.mnemonic(DType::I8);
             return Err(format!("node {n} ({op}) is not a quantized DPU node"));
+        }
+        let fps = module.fix_positions();
+        for (i, node) in module.nodes.iter().enumerate() {
+            if let (IrOp::Concat {}, &[a, b]) = (&node.op, &node.inputs[..]) {
+                if fps[a] != fps[b] {
+                    let (fa, fb) = (fps[a], fps[b]);
+                    return Err(format!("node {i} (qconcat) joins fix positions {fa} and {fb}"));
+                }
+            }
         }
         Ok(Self { module })
     }
@@ -103,7 +112,6 @@ impl QuantizedGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seneca_ir::ConcatQ;
     use seneca_tensor::quantized::{choose_fix_pos, Bitwidth};
     use seneca_tensor::Shape4;
 
@@ -114,10 +122,6 @@ mod tests {
         let bias = bias_f.iter().map(|&b| (b * (acc_fp as f32).exp2()).round() as i32).collect();
         let kernel = ConvKernel::I8 { w: wq, bias, in_fp, out_fp, wbits: Bitwidth::W8 };
         ConvAttrs { relu, ..ConvAttrs::new(kernel) }
-    }
-
-    fn concat(shift_a: i32, shift_b: i32, out_fp: i32) -> IrOp {
-        IrOp::Concat { requant: Some(ConcatQ { shift_a, shift_b, out_fp }) }
     }
 
     /// A quantized graph of `ops` (each reading the listed nodes).
@@ -145,16 +149,16 @@ mod tests {
             5,
         );
         let tconv =
-            qp(Tensor::he_normal(Shape4::new(3, 2, 2, 2), &mut rng), &[0.01, 0.0], false, 5, 4);
+            qp(Tensor::he_normal(Shape4::new(3, 2, 2, 2), &mut rng), &[0.01, 0.0], false, 5, 5);
         let g = graph(
             vec![
                 (IrOp::Conv(conv), vec![0]),
                 (IrOp::MaxPool2x2, vec![1]),
                 (IrOp::TConv(tconv), vec![2]),
-                (concat(1, 0, 4), vec![1, 3]),
+                (IrOp::Concat {}, vec![1, 3]),
             ],
             in_fp,
-            4,
+            5,
         );
         let shape = Shape4::new(1, 2, 8, 8);
         let lowered = seneca_ir::lower(g.to_ir(), shape, &seneca_ir::LowerOptions::reference());
@@ -171,8 +175,8 @@ mod tests {
     }
 
     /// What the quantizer never emits is refused: an FP32 module, a node the
-    /// DPU does not execute, a concat without its shifts, a read of a later
-    /// node.
+    /// DPU does not execute, a read of a later node, a concat of inputs at
+    /// two fix positions.
     #[test]
     fn only_well_formed_int8_dpu_modules_are_quantized_graphs() {
         let err = |m: Module| QuantizedGraph::try_from(m).unwrap_err();
@@ -180,13 +184,29 @@ mod tests {
         let mut relu = Module::new("r", DType::I8);
         relu.push(IrOp::Relu, vec![0]);
         assert!(err(relu).contains("node 1 (relu)"));
-        let mut cat = Module::new("c", DType::I8);
-        cat.push(IrOp::Concat { requant: None }, vec![0, 0]);
-        assert!(err(cat).contains("qconcat"));
         let mut pool = Module::new("p", DType::I8);
         pool.push(IrOp::MaxPool2x2, vec![0]);
         pool.nodes[1].inputs = vec![1];
         assert!(err(pool).contains("malformed"));
+    }
+
+    /// A concat whose inputs sit at different fix positions would need a
+    /// requantising copy: no quantized graph holds one.
+    #[test]
+    fn a_concat_of_unequal_fix_positions_is_refused() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(24);
+        let mut cat = |out_fp| {
+            let w = Tensor::he_normal(Shape4::new(2, 2, 3, 3), &mut rng);
+            let mut m = Module::new("c", DType::I8);
+            m.push(IrOp::Conv(qp(w, &[0.0, 0.0], false, 6, out_fp)), vec![0]);
+            m.push(IrOp::Concat {}, vec![0, 1]);
+            (m.input_fp, m.output_fp) = (6, 6);
+            QuantizedGraph::try_from(m)
+        };
+        assert!(cat(6).is_ok());
+        let err = cat(5).unwrap_err();
+        assert_eq!(err, "node 2 (qconcat) joins fix positions 6 and 5");
     }
 
     #[test]
@@ -213,7 +233,7 @@ mod tests {
             vec![
                 (IrOp::Conv(conv), vec![0]),
                 (IrOp::MaxPool2x2, vec![1]),
-                (concat(0, 0, 5), vec![1, 2]),
+                (IrOp::Concat {}, vec![1, 2]),
             ],
             6,
             5,

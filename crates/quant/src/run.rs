@@ -21,14 +21,15 @@ impl FpRunner {
         Self { lowered, scratch }
     }
 
-    /// Runs `img` node by node, handing each node's output to `visit` while
-    /// it is live (the input node included; a concat folded into its conv
-    /// has no output, see [`Module::folded_concats`]).
+    /// Runs each image of `img` node by node, handing each node's output to
+    /// `visit` while it is live (the input node included).
     pub fn for_each_node(&mut self, img: &Tensor, mut visit: impl FnMut(usize, TensorView<'_>)) {
-        self.lowered.load_input_f32(img, &mut self.scratch);
-        for id in 0..self.lowered.module().nodes.len() {
-            self.lowered.execute_node_f32(id, &mut self.scratch);
-            if !self.lowered.folded()[id] {
+        let image = img.shape().with_n(1);
+        for x in img.data().chunks_exact(image.len()) {
+            let x = Tensor::from_vec(image, x.to_vec());
+            self.lowered.load_input_f32(&x, &mut self.scratch);
+            for id in 0..self.lowered.module().nodes.len() {
+                self.lowered.execute_node_f32(id, &mut self.scratch);
                 visit(id, self.lowered.node_output_f32(id, &self.scratch));
             }
         }

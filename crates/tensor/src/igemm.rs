@@ -31,16 +31,8 @@
 //! 2, the tconv, the weight gradient and every integer conv keep
 //! [`pack_b_im2col`].
 //!
-//! A conv's input may be a channel concat folded into it ([`ConvInput`]):
-//! every gather — [`pack_b_im2col`], `pack_band` and the Winograd input
-//! transform — looks up each channel's plane in its source and loads a row
-//! (or window) of it requantised by that source's shift
-//! ([`crate::im2col::Gather::load`], the per-element function of
-//! [`crate::quantized::concat_requant_i8`]; a zero shift is a plain copy), so
-//! the panels hold exactly what they would over the materialized concat.
-//! The `*_with` entry points take that input and the caller's
-//! [`crate::gemm::Work`]; the slice entry points are the single-map case on
-//! the calling thread's work memory.
+//! The `*_with` entry points run on the caller's [`crate::gemm::Work`]; the
+//! others on the calling thread's work memory.
 //!
 //! The 2x2 stride-2 transpose convolution gets the dual treatment on the
 //! *store* side: its input plane already is the column matrix (no gather
@@ -66,15 +58,13 @@ use crate::gemm::{
     strip_scratch_len, with_thread_work, Acc, GemmEpilogue, OutLayout, PackedA, Panels, Strip,
     Tile, Work, NR,
 };
-use crate::im2col::{ConvGeom, ConvInput, Gather};
+use crate::im2col::ConvGeom;
 use crate::zero::Zero;
 use std::ops::Range;
 
 /// Packs columns `cols` of the virtual im2col matrix of one `[C, H, W]`
-/// input straight into `NR`-wide k-major `B` panels — the fusion of
-/// `im2col` and `pack_b`. The input may be a folded concat
-/// ([`ConvInput`]): each channel's rows come from its source, requantised
-/// by its shift as they are copied.
+/// input plane straight into `NR`-wide k-major `B` panels — the fusion of
+/// `im2col` and `pack_b`.
 ///
 /// Row `kk` of the virtual matrix decomposes as `(c, ky, kx)`; column `j`
 /// as `(oy, ox)`; the source pixel is `(oy*stride + ky - pad,
@@ -84,29 +74,24 @@ use std::ops::Range;
 /// larger strides gather per element. The panel bytes are identical to
 /// `im2col` followed by `pack_b`, so implicit and materialized GEMMs are
 /// bit-exact for every dtype.
-pub fn pack_b_im2col<T: Gather>(
-    geom: &ConvGeom,
-    input: ConvInput<'_, T>,
-    cols: Range<usize>,
-    buf: &mut [T],
-) {
+pub fn pack_b_im2col<T: Zero>(geom: &ConvGeom, input: &[T], cols: Range<usize>, buf: &mut [T]) {
     let k = geom.col_rows();
-    input.check(geom.c_in, geom.h * geom.w);
+    assert_eq!(input.len(), geom.c_in * geom.h * geom.w, "input size");
     assert!(cols.end <= geom.col_cols(), "column range");
     let panels = &mut buf[..packed_b_len(k, cols.len())];
     for (jp, panel) in panels.chunks_exact_mut(NR * k).enumerate() {
         let j0 = cols.start + jp * NR;
-        pack_im2col_panel(geom, &input, j0, NR.min(cols.end - j0), panel);
+        pack_im2col_panel(geom, input, j0, NR.min(cols.end - j0), panel);
     }
 }
 
 /// Gathers one `NR`-wide k-major panel (columns `j0 .. j0 + cols` of the
-/// virtual im2col matrix) straight from the `[C, H, W]` input. The panel's
+/// virtual im2col matrix) straight from the `[C, H, W]` plane. The panel's
 /// columns are walked in runs that share an output row, so the index
 /// division happens once per run, not once per `(kk, column)`.
-fn pack_im2col_panel<T: Gather>(
+fn pack_im2col_panel<T: Zero>(
     geom: &ConvGeom,
-    input: &ConvInput<'_, T>,
+    input: &[T],
     j0: usize,
     cols: usize,
     panel: &mut [T],
@@ -125,8 +110,7 @@ fn pack_im2col_panel<T: Gather>(
             if iy < 0 || iy >= geom.h as isize {
                 continue;
             }
-            let (plane, shift) = input.plane(c, hw);
-            let src_row = &plane[iy as usize * geom.w..][..geom.w];
+            let src_row = &input[c * hw + iy as usize * geom.w..][..geom.w];
             for (kx, row) in krows.chunks_exact_mut(NR).enumerate() {
                 let dst = &mut row[jj..jj + seg];
                 let ix0 = (ox0 * geom.stride + kx) as isize - geom.pad as isize;
@@ -136,23 +120,22 @@ fn pack_im2col_panel<T: Gather>(
                     let hi = (geom.w as isize - ix0).clamp(0, seg as isize) as usize;
                     if lo < hi {
                         let src = &src_row[(ix0 + lo as isize) as usize..][..hi - lo];
-                        // A whole unshifted panel row (every interior panel
-                        // when `NR` divides `w_out`) is one fixed-size vector
-                        // move, not a `memcpy` call.
+                        // A whole panel row (every interior panel when `NR`
+                        // divides `w_out`) is one fixed-size vector move, not
+                        // a `memcpy` call.
                         match (
-                            shift,
                             <&mut [T; NR]>::try_from(&mut dst[lo..hi]),
                             <&[T; NR]>::try_from(src),
                         ) {
-                            (0, Ok(d), Ok(s)) => *d = *s,
-                            _ => T::load(src, shift, &mut dst[lo..hi]),
+                            (Ok(d), Ok(s)) => *d = *s,
+                            _ => dst[lo..hi].copy_from_slice(src),
                         }
                     }
                 } else {
                     for (t, d) in dst.iter_mut().enumerate() {
                         let ix = ix0 + (t * geom.stride) as isize;
                         if ix >= 0 && ix < geom.w as isize {
-                            *d = src_row[ix as usize].shifted(shift);
+                            *d = src_row[ix as usize];
                         }
                     }
                 }
@@ -188,25 +171,24 @@ pub fn sgemm_conv_packed(
     c: &mut [f32],
     epi: GemmEpilogue<'_>,
 ) {
-    with_thread_work(|work| sgemm_conv_with(pa, geom, x.into(), c, epi, work));
+    with_thread_work(|work| sgemm_conv_with(pa, geom, x, c, epi, work));
 }
 
-/// [`sgemm_conv_packed`] on caller-owned work memory, over an input that
-/// may be a folded concat.
+/// [`sgemm_conv_packed`] on caller-owned work memory.
 pub fn sgemm_conv_with(
     pa: &PackedA<f32>,
     geom: &ConvGeom,
-    x: ConvInput<'_, f32>,
+    x: &[f32],
     c: &mut [f32],
     epi: GemmEpilogue<'_>,
     work: &mut Work<f32>,
 ) {
     assert_eq!(pa.k(), geom.col_rows(), "packed A k extent vs conv geometry");
-    x.check(geom.c_in, geom.h * geom.w);
+    assert_eq!(x.len(), geom.c_in * geom.h * geom.w, "input size");
     let n = geom.col_cols();
     if reads_bands(geom) {
         let strip = Strip::Band { c: geom.c_in, w: geom.w };
-        run_f32(pa, (n, strip), c, epi, work, |cols, buf| pack_band(geom, &x, cols, buf));
+        run_f32(pa, (n, strip), c, epi, work, |cols, buf| pack_band(geom, x, cols, buf));
     } else {
         let pack = |cols, buf: &mut [f32]| pack_b_im2col(geom, x, cols, buf);
         run_f32(pa, (n, Strip::Panels), c, epi, work, pack);
@@ -231,11 +213,10 @@ fn reads_bands(geom: &ConvGeom) -> bool {
 /// the im2col pack's zero fill. Output pixel `(oy, ox)`'s tap `(ky, kx)` is
 /// then row `oy - oy0 + ky`, column `ox + kx` of the plane. Only the strip's
 /// own `cols.len() / W + 2` rows are written; `r` is the band's capacity.
-fn pack_band(geom: &ConvGeom, input: &ConvInput<'_, f32>, cols: Range<usize>, buf: &mut [f32]) {
+fn pack_band(geom: &ConvGeom, input: &[f32], cols: Range<usize>, buf: &mut [f32]) {
     let (h, w) = (geom.h, geom.w);
     let (oy0, rows) = (cols.start / w, cols.len() / w);
-    for (c, plane) in buf.chunks_exact_mut(buf.len() / geom.c_in).enumerate() {
-        let (src, _) = input.plane(c, h * w);
+    for (src, plane) in input.chunks_exact(h * w).zip(buf.chunks_exact_mut(buf.len() / geom.c_in)) {
         for (i, row) in plane.chunks_exact_mut(w + 2).take(rows + 2).enumerate() {
             match (oy0 + i).checked_sub(1).filter(|&iy| iy < h) {
                 Some(iy) => {
@@ -364,21 +345,19 @@ pub fn igemm_conv_packed(
     relu: bool,
     out: &mut [i8],
 ) {
-    with_thread_work(|work| igemm_conv_with(pa, geom, x.into(), bias, shift, relu, out, work));
+    with_thread_work(|work| igemm_conv_with(pa, geom, x, bias, shift, relu, out, work));
 }
 
 /// Kept for the benchmark's `tensor` probe until ROADMAP 3(a): a W4 conv is
 /// the INT8 conv on `[-8, 7]` weights.
 pub use crate::igemm::igemm_conv_packed as igemm4_conv_packed;
 
-/// [`igemm_conv_packed`] on caller-owned work memory, over an input that may
-/// be a folded concat (each source requantised by its shift as it is
-/// gathered).
+/// [`igemm_conv_packed`] on caller-owned work memory.
 #[allow(clippy::too_many_arguments)]
 pub fn igemm_conv_with(
     pa: &PackedA<i8>,
     geom: &ConvGeom,
-    x: ConvInput<'_, i8>,
+    x: &[i8],
     bias: &[i32],
     shift: i32,
     relu: bool,
@@ -395,11 +374,7 @@ pub fn igemm_conv_with(
 /// `iy*w + ix` lands at `(2iy+ky, 2ix+kx)` of output plane `co` as
 /// `f(acc, bias4[row])`. `out` is `[C_out, 2H, 2W]`; the driver hands each
 /// part the band of every plane its (whole) input rows scatter into.
-fn run_tconv2x2<
-    A: Panels<Out = Acc<S>, B: Gather>,
-    S: Copy + Zero + Sync,
-    C: Copy + Zero + Send,
->(
+fn run_tconv2x2<A: Panels<Out = Acc<S>>, S: Copy + Zero + Sync, C: Copy + Zero + Send>(
     pa: &A,
     x: &[A::B],
     (h, w): (usize, usize),
@@ -412,7 +387,7 @@ fn run_tconv2x2<
     // The input plane is the im2col matrix of a 1x1 convolution over it: the
     // strip pack is the same row-segment copy as the 3x3 gather's.
     let plane = ConvGeom { c_in: k, h, w, k: 1, pad: 0, stride: 1 };
-    let pack = |cols: Range<usize>, buf: &mut [A::B]| pack_b_im2col(&plane, x.into(), cols, buf);
+    let pack = |cols: Range<usize>, buf: &mut [A::B]| pack_b_im2col(&plane, x, cols, buf);
     let layout = OutLayout { rows: 4, len: 4 * h * w, quantum: w, quantum_elems: 4 * w };
     run_with(pa, h * w, (layout, Strip::Panels), out, work, pack, |acc, t: Tile, chunks| {
         // GEMM rows come in `(kx = 0, kx = 1)` pairs that interleave into one
@@ -544,7 +519,7 @@ mod tests {
                 let mut pb_ref = vec![0.0f32; lb];
                 pack_b(k_dim, cols.clone(), |kk2, j| col[kk2 * n + j], &mut pb_ref);
                 let mut pb = vec![1.0f32; lb];
-                pack_b_im2col(&geom, x[..].into(), cols.clone(), &mut pb);
+                pack_b_im2col(&geom, &x, cols.clone(), &mut pb);
                 assert_eq!(pb, pb_ref, "geom {geom:?} cols {cols:?}");
             }
         }

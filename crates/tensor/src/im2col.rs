@@ -3,9 +3,10 @@
 //! For an input plane `[C, H, W]`, a `K x K` kernel with padding `p` and
 //! stride `s`, `im2col` builds a matrix of shape `[C*K*K, H_out*W_out]` whose
 //! column `o` holds the receptive field of output pixel `o`. Convolution then
-//! becomes a GEMM with the `[C_out, C*K*K]` weight matrix.
+//! becomes a GEMM with the `[C_out, C*K*K]` weight matrix. A conv's input is
+//! always one contiguous `[C, H, W]` map: a channel concat in front of it is
+//! laid out by address (its inputs written in place, `seneca_ir::plan`).
 
-use crate::quantized::requantize_i32;
 use crate::shape::Shape4;
 use crate::zero::Zero;
 
@@ -51,108 +52,6 @@ impl ConvGeom {
     /// Columns of the im2col matrix (`H_out*W_out`).
     pub fn col_cols(&self) -> usize {
         self.h_out() * self.w_out()
-    }
-}
-
-/// An activation type a conv gather loads ([`ConvInput`]): `f32`, or `i8`
-/// with a requantising shift per source.
-pub trait Gather: Zero {
-    /// One element requantised by `shift`, as
-    /// [`crate::quantized::concat_requant_i8`] requantises it.
-    fn shifted(self, shift: i32) -> Self;
-
-    /// Copies `src` onto `dst`, each element [`Gather::shifted`]; a zero
-    /// shift is a plain copy.
-    #[inline]
-    fn load(src: &[Self], shift: i32, dst: &mut [Self]) {
-        if shift == 0 {
-            dst.copy_from_slice(src);
-        } else {
-            for (d, &v) in dst.iter_mut().zip(src) {
-                *d = v.shifted(shift);
-            }
-        }
-    }
-}
-
-impl Gather for f32 {
-    /// An FP32 concat copies its inputs: no shift.
-    fn shifted(self, shift: i32) -> f32 {
-        debug_assert_eq!(shift, 0, "an f32 source carries no shift");
-        self
-    }
-}
-
-impl Gather for i8 {
-    #[inline]
-    fn shifted(self, shift: i32) -> i8 {
-        requantize_i32(self.into(), shift)
-    }
-}
-
-/// The input of one image of a conv as its gathers read it: the `[C, H, W]`
-/// planes of one map, or — a channel concat folded into the conv — of two,
-/// channels `0..C_a` from the first and the rest from the second, each
-/// source requantised by its own shift as a row or window of it is loaded
-/// ([`Gather::load`]). Folding the concat this way costs the gather one
-/// plane lookup per channel row and saves the concatenated map: the largest
-/// value of a U-Net's decoder.
-#[derive(Debug, Clone, Copy)]
-pub struct ConvInput<'a, T> {
-    parts: [&'a [T]; 2],
-    shifts: [i32; 2],
-}
-
-impl<'a, T: Gather> ConvInput<'a, T> {
-    /// The concat of `a` (requantised by `shift_a`) and `b` (by `shift_b`)
-    /// along channels, for a batch of images alike: image `i` of the concat
-    /// is image `i` of `a`, then image `i` of `b` ([`ConvInput::image`]).
-    pub fn concat(a: &'a [T], shift_a: i32, b: &'a [T], shift_b: i32) -> Self {
-        Self { parts: [a, b], shifts: [shift_a, shift_b] }
-    }
-
-    /// Elements of the input (both sources).
-    pub fn len(&self) -> usize {
-        self.parts[0].len() + self.parts[1].len()
-    }
-
-    /// Whether the input holds no element.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Image `i` of a batch of `n` images.
-    pub fn image(&self, i: usize, n: usize) -> Self {
-        let [a, b] = self.parts.map(|p| {
-            let len = p.len() / n;
-            &p[i * len..][..len]
-        });
-        Self { parts: [a, b], shifts: self.shifts }
-    }
-
-    /// Panics unless the input is `c * hw` elements with the first source a
-    /// whole number of `hw`-element planes.
-    pub(crate) fn check(&self, c: usize, hw: usize) {
-        assert_eq!(self.len(), c * hw, "input size");
-        assert!(hw == 0 || self.parts[0].len().is_multiple_of(hw), "concat of whole planes");
-    }
-
-    /// Channel `c`'s plane of `hw` elements and the shift it loads with.
-    #[inline]
-    pub(crate) fn plane(&self, c: usize, hw: usize) -> (&'a [T], i32) {
-        let (at, first) = (c * hw, self.parts[0].len());
-        if at < first {
-            (&self.parts[0][at..][..hw], self.shifts[0])
-        } else {
-            (&self.parts[1][at - first..][..hw], self.shifts[1])
-        }
-    }
-}
-
-/// A single map: every channel from one source, no shift.
-impl<'a, T> From<&'a [T]> for ConvInput<'a, T> {
-    fn from(x: &'a [T]) -> Self {
-        Self { parts: [x, &[]], shifts: [0, 0] }
     }
 }
 

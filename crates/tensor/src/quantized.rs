@@ -6,7 +6,6 @@
 //! arithmetic exactly so the functional DPU executor bit-matches what a real
 //! compiled xmodel would produce.
 
-use crate::im2col::Gather;
 use crate::shape::Shape4;
 use crate::tensor::Tensor;
 use serde::{Deserialize, Serialize};
@@ -233,35 +232,6 @@ pub fn maxpool2x2_i8(xs: Shape4, x: &[i8], out: &mut [i8]) -> Shape4 {
     out_shape
 }
 
-/// INT8 channel concat with per-input alignment shifts on raw NCHW slices:
-/// each input is requantised (arithmetic shift, [`requantize_i32`]) onto the
-/// common output fix position as it is copied ([`Gather::load`], what a conv
-/// that gathers the concat's sources itself applies too). Returns the output
-/// shape.
-#[allow(clippy::too_many_arguments)]
-pub fn concat_requant_i8(
-    sa: Shape4,
-    a: &[i8],
-    sb: Shape4,
-    b: &[i8],
-    shift_a: i32,
-    shift_b: i32,
-    out: &mut [i8],
-) -> Shape4 {
-    assert_eq!((sa.n, sa.h, sa.w), (sb.n, sb.h, sb.w), "qconcat geometry");
-    assert_eq!(a.len(), sa.len(), "qconcat first input buffer/shape mismatch");
-    assert_eq!(b.len(), sb.len(), "qconcat second input buffer/shape mismatch");
-    let out_shape = Shape4::new(sa.n, sa.c + sb.c, sa.h, sa.w);
-    assert_eq!(out.len(), out_shape.len(), "qconcat output buffer size");
-    let (ca, cb) = (sa.chw(), sb.chw());
-    for n in 0..sa.n {
-        let (dst_a, dst_b) = out[n * (ca + cb)..][..ca + cb].split_at_mut(ca);
-        i8::load(&a[n * ca..][..ca], shift_a, dst_a);
-        i8::load(&b[n * cb..][..cb], shift_b, dst_b);
-    }
-    out_shape
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -355,24 +325,6 @@ mod tests {
         out
     }
 
-    fn concat_requant_i8_reference(
-        (sa, a, shift_a): (Shape4, &[i8], i32),
-        (sb, b, shift_b): (Shape4, &[i8], i32),
-    ) -> Vec<i8> {
-        let c = sa.c + sb.c;
-        let mut out = vec![0i8; sa.n * c * sa.hw()];
-        for n in 0..sa.n {
-            let dst = n * c * sa.hw();
-            for (i, &v) in a[n * sa.chw()..(n + 1) * sa.chw()].iter().enumerate() {
-                out[dst + i] = requantize_i64_reference(v as i32, shift_a);
-            }
-            for (i, &v) in b[n * sb.chw()..(n + 1) * sb.chw()].iter().enumerate() {
-                out[dst + sa.c * sa.hw() + i] = requantize_i64_reference(v as i32, shift_b);
-            }
-        }
-        out
-    }
-
     fn rand_i8(len: usize, seed: u64) -> Vec<i8> {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -431,26 +383,6 @@ mod tests {
             let mut out = vec![0x55i8; xs.pooled2x2().len()];
             assert_eq!(maxpool2x2_i8(xs, &x, &mut out), xs.pooled2x2());
             assert_eq!(out, maxpool2x2_i8_reference(xs, &x), "{xs:?}");
-        }
-    }
-
-    #[test]
-    fn concat_requant_i8_matches_scalar_definition() {
-        let (sa, sb) = (Shape4::new(2, 3, 5, 7), Shape4::new(2, 2, 5, 7));
-        let with_extremes = |len, seed| {
-            let mut v = rand_i8(len, seed);
-            v[..4].copy_from_slice(&[-128, 127, -128, 127]);
-            v[len - 2..].copy_from_slice(&[127, -128]);
-            v
-        };
-        let (a, b) = (with_extremes(sa.len(), 1), with_extremes(sb.len(), 2));
-        for shift_a in [-1, 0, 1, 2, 7] {
-            for shift_b in [-1, 0, 1, 2, 7] {
-                let mut out = vec![0x55i8; sa.len() + sb.len()];
-                concat_requant_i8(sa, &a, sb, &b, shift_a, shift_b, &mut out);
-                let want = concat_requant_i8_reference((sa, &a, shift_a), (sb, &b, shift_b));
-                assert_eq!(out, want, "shifts {shift_a} {shift_b}");
-            }
         }
     }
 

@@ -143,9 +143,12 @@ impl Tensor {
     pub fn concat_channels(a: &Tensor, b: &Tensor) -> Tensor {
         let (sa, sb) = (a.shape, b.shape);
         assert_eq!((sa.n, sa.h, sa.w), (sb.n, sb.h, sb.w), "concat requires equal N/H/W");
-        let mut out = Tensor::zeros(Shape4::new(sa.n, sa.c + sb.c, sa.h, sa.w));
-        concat_channels_into(sa, &a.data, sb, &b.data, &mut out.data);
-        out
+        let mut data = Vec::with_capacity(sa.len() + sb.len());
+        for (x_a, x_b) in a.data.chunks_exact(sa.chw()).zip(b.data.chunks_exact(sb.chw())) {
+            data.extend_from_slice(x_a);
+            data.extend_from_slice(x_b);
+        }
+        Tensor::from_vec(Shape4::new(sa.n, sa.c + sb.c, sa.h, sa.w), data)
     }
 
     /// Splits a channel-concatenated gradient back into the two parts.
@@ -165,31 +168,6 @@ impl Tensor {
         }
         (a, b)
     }
-}
-
-/// Channel concatenation into a caller-owned output slice
-/// ([`Tensor::concat_channels`] semantics; every output element is written).
-/// Returns the output shape.
-pub fn concat_channels_into(
-    sa: Shape4,
-    a: &[f32],
-    sb: Shape4,
-    b: &[f32],
-    out: &mut [f32],
-) -> Shape4 {
-    assert_eq!((sa.n, sa.h, sa.w), (sb.n, sb.h, sb.w), "concat requires equal N/H/W");
-    assert_eq!(a.len(), sa.len(), "first input buffer/shape mismatch");
-    assert_eq!(b.len(), sb.len(), "second input buffer/shape mismatch");
-    let out_shape = Shape4::new(sa.n, sa.c + sb.c, sa.h, sa.w);
-    assert_eq!(out.len(), out_shape.len(), "output buffer size");
-    let hw = sa.hw();
-    for n in 0..sa.n {
-        let dst_base = n * out_shape.chw();
-        out[dst_base..dst_base + sa.c * hw].copy_from_slice(&a[n * sa.chw()..(n + 1) * sa.chw()]);
-        out[dst_base + sa.c * hw..dst_base + (sa.c + sb.c) * hw]
-            .copy_from_slice(&b[n * sb.chw()..(n + 1) * sb.chw()]);
-    }
-    out_shape
 }
 
 /// A borrowed NCHW tensor: a [`Shape4`] over a slice of a larger buffer.

@@ -20,9 +20,7 @@
 //! * **the pack closure is the input transform** ([`pack_b_winograd`]): a
 //!   strip of tiles is transformed once into `NR`-wide panels of 16 position
 //!   sub-panels, `[ξ][c][NR]` `i16`, straight from the NCHW map (zero
-//!   padding at the borders, as the im2col gather) — or from the two inputs
-//!   of a folded concat, each patch row requantised by its source's shift as
-//!   it is loaded ([`crate::im2col::ConvInput`]);
+//!   padding at the borders, as the im2col gather);
 //! * **the tile** runs the 16 position products of one row tile against one
 //!   panel, each through `tile_i16` — the INT8 tile's `i16` sibling, with the
 //!   same offset form and column-sum correction;
@@ -42,7 +40,7 @@ use crate::gemm::{
     bias_at, packed_b_len, requant, run_with, strip_scratch_len, tile_i16, Acc, OutLayout, Panels,
     Steps, Strip, Tile, Work, MR, NR,
 };
-use crate::im2col::{ConvGeom, ConvInput, Gather};
+use crate::im2col::ConvGeom;
 use std::ops::Range;
 
 /// Largest `|U|` of a transformed `i8` weight tile (`9 * 128`).
@@ -161,12 +159,10 @@ pub fn winograd_tiles(h: usize, w: usize) -> (usize, usize) {
 /// tiling of `geom`'s map) become `NR`-wide panels of 16 position sub-panels
 /// `[ξ][c][NR]`, `V = Bᵀ d B` of each tile's 4x4 patch `d` (rows `2ty - 1 ..
 /// 2ty + 3`, columns likewise, zero outside the map). Tiles are walked in runs
-/// that share a tile row; the tail panel's missing tiles are zero. The input
-/// may be a folded concat ([`ConvInput`]): each patch row is requantised by
-/// its source's shift as it is loaded into the window.
-pub fn pack_b_winograd(geom: &ConvGeom, x: ConvInput<'_, i8>, cols: Range<usize>, buf: &mut [i16]) {
+/// that share a tile row; the tail panel's missing tiles are zero.
+pub fn pack_b_winograd(geom: &ConvGeom, x: &[i8], cols: Range<usize>, buf: &mut [i16]) {
     let (c_in, h, w) = (geom.c_in, geom.h, geom.w);
-    x.check(c_in, h * w);
+    assert_eq!(x.len(), c_in * h * w, "input size");
     let tw = winograd_tiles(h, w).1;
     let depth = POS * c_in;
     for (jp, panel) in
@@ -187,8 +183,7 @@ pub fn pack_b_winograd(geom: &ConvGeom, x: ConvInput<'_, i8>, cols: Range<usize>
             let hi = (w - x0 + lo).min(2 * seg + 2);
             let mut win = [0i16; 2 * NR + 2];
             let mut t = [[[0i16; NR]; 4]; 4];
-            for c in 0..c_in {
-                let (plane, shift) = x.plane(c, h * w);
+            for (c, plane) in x.chunks_exact(h * w).enumerate() {
                 // d B along each patch row (rows outside the map are zero) ...
                 for (r, tr) in t.iter_mut().enumerate() {
                     let iy = 2 * ty + r; // map row `iy - 1`
@@ -198,10 +193,10 @@ pub fn pack_b_winograd(geom: &ConvGeom, x: ConvInput<'_, i8>, cols: Range<usize>
                     }
                     let src = &plane[(iy - 1) * w + x0..];
                     match <&[i8; 2 * NR + 2]>::try_from(src.get(..2 * NR + 2).unwrap_or(&[])) {
-                        Ok(s) if shift == 0 && hi - lo == 2 * NR + 2 => win = s.map(i16::from),
+                        Ok(s) if hi - lo == 2 * NR + 2 => win = s.map(i16::from),
                         _ => {
                             for (d, &s) in win[lo..hi].iter_mut().zip(src) {
-                                *d = i16::from(s.shifted(shift));
+                                *d = i16::from(s);
                             }
                         }
                     }
@@ -310,8 +305,8 @@ fn store_winograd(
 
 /// Winograd INT8 3x3 same conv of one `[C, H, W]` image against pre-packed
 /// transformed weights, with the fused requantise-clamp epilogue: bit for bit
-/// [`crate::igemm::igemm_conv_with`] on the same weights and input (which may
-/// be a folded concat). `out` is `[C_out, H, W]`. The driver's strip buffers
+/// [`crate::igemm::igemm_conv_with`] on the same weights and input. `out` is
+/// `[C_out, H, W]`. The driver's strip buffers
 /// are slices of `work`'s, grown when shorter than
 /// [`winograd_strip_scratch_len`]: the caller owns them, as the executor's
 /// worker arena does (a thread-local of their size, up to 1 MB per part at
@@ -320,7 +315,7 @@ fn store_winograd(
 pub fn igemm_conv_winograd(
     pw: &PackedWinograd,
     geom: &ConvGeom,
-    x: ConvInput<'_, i8>,
+    x: &[i8],
     bias: &[i32],
     shift: i32,
     relu: bool,
@@ -373,7 +368,7 @@ mod tests {
         let geom = ConvGeom { c_in: 1, h: 4, w: 4, k: 3, pad: 1, stride: 1 };
         let mut v = vec![0i16; packed_b_len(POS, NR)];
         // Tile (1, 1) of a 4x4 map covers rows/columns 1..5 of the padded map.
-        pack_b_winograd(&geom, d[..].into(), 3..4, &mut v);
+        pack_b_winograd(&geom, &d, 3..4, &mut v);
         let m: Vec<i32> = (0..POS)
             .map(|xi| (i32::from(pw.panels[xi * MR]) - WINO_U_OFFSET) * i32::from(v[xi * NR]))
             .collect();
@@ -411,7 +406,7 @@ mod tests {
                 igemm_conv_winograd(
                     &PackedWinograd::pack(c_out, c_in, &wt),
                     &geom,
-                    x[..].into(),
+                    &x,
                     &bias,
                     shift,
                     relu,

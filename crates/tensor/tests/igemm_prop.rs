@@ -230,7 +230,7 @@ proptest! {
         let bias: Vec<i32> = (0..m as i32).map(|i| i * 91 - 777).collect();
         let mut y = vec![0i8; m * h * w];
         let pw = PackedWinograd::pack(m, c_in, &wt);
-        igemm_conv_winograd(&pw, &geom, x[..].into(), &bias, shift, relu, &mut y, &mut Work::default());
+        igemm_conv_winograd(&pw, &geom, &x, &bias, shift, relu, &mut y, &mut Work::default());
         let mut y_ref = vec![0i8; m * h * w];
         igemm_conv_packed(&PackedA::pack(m, c_in * 9, &wt), &geom, &x, &bias, shift, relu, &mut y_ref);
         prop_assert_eq!(y, y_ref, "c{}->{} {}x{} shift {}", c_in, m, h, w, shift);
@@ -302,16 +302,7 @@ fn conv_driver_seams_match_the_naive_reference() {
         if kk == 3 {
             y.fill(0);
             let pw = PackedWinograd::pack(m, c_in, &wt);
-            igemm_conv_winograd(
-                &pw,
-                &geom,
-                x[..].into(),
-                &bias,
-                shift,
-                true,
-                &mut y,
-                &mut Work::default(),
-            );
+            igemm_conv_winograd(&pw, &geom, &x, &bias, shift, true, &mut y, &mut Work::default());
             assert_eq!(y, want_i8, "Winograd {what}");
         }
 
@@ -362,7 +353,7 @@ fn winograd_is_exact_at_the_accumulator_bound() {
             igemm_conv_winograd(
                 &pw,
                 &geom,
-                x[..].into(),
+                &x,
                 &bias,
                 shift,
                 false,

@@ -53,7 +53,7 @@ echo "== device-throughput smokes (calibrate: per-model DpuRunner/GpuRunner::thr
 time cargo run --release -q -p seneca-bench --example calibrate
 time cargo run --release -q -p seneca-bench --bin reproduce -- fig3 --scale fast
 
-echo "== ir smoke (seneca_quant::fuse folds every BN, fuses every ReLU, strips every identity; one pack slot per weight; every concat whose only consumer is a conv folded, no arena bytes, in both dtypes; arena = peak-live footprint < total activations; implicit-GEMM peak < materialized route) =="
+echo "== ir smoke (seneca_quant::fuse folds every BN, fuses every ReLU, strips every identity; one pack slot per weight; every concat's inputs placed at their channel offsets, copying nothing, in both dtypes; arena = pinned 256² arena = peak-live footprint < total activations; implicit-GEMM peak < materialized route) =="
 cargo run --release -q -p seneca-bench --example ir_stats
 
 echo "== kernel smoke (igemm bit-exact; packed GEMM beats reference; implicit conv == materialized; on 16M 64->32 @256: implicit >= materialized in both dtypes, Winograd bit-exact and > direct, i8 / f32 MAC rate printed; on 1M 16->16 @128: INT8 tconv == GEMM + scatter and >= 0.6x the MAC rate of the same GEMM with a row store) =="

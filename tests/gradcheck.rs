@@ -161,11 +161,11 @@ fn hand_built_graph() {
     let c = g.push(IrOp::Conv(kernel(Shape4::new(3, 1, 3, 3), vec![0.1; 3])), vec![0]);
     let bn = g.push(IrOp::BatchNorm { bn: BnState::new(3) }, vec![c]);
     let r = g.push(IrOp::Relu, vec![bn]);
-    let twice = g.push(IrOp::Concat { requant: None }, vec![r, r]);
+    let twice = g.push(IrOp::Concat {}, vec![r, r]);
     let pool = g.push(IrOp::MaxPool2x2, vec![twice]);
     let drop = g.push(IrOp::Dropout { rate: 0.25 }, vec![pool]);
     let up = g.push(IrOp::TConv(kernel(Shape4::new(6, 2, 2, 2), vec![-0.1; 2])), vec![drop]);
-    let cat = g.push(IrOp::Concat { requant: None }, vec![up, r]);
+    let cat = g.push(IrOp::Concat {}, vec![up, r]);
     let head = g.push(IrOp::Conv(kernel(Shape4::new(4, 5, 3, 3), vec![0.0; 4])), vec![cat]);
     let bn = g.push(IrOp::BatchNorm { bn: BnState::new(4) }, vec![head]);
     g.push(IrOp::Softmax, vec![bn]);

@@ -93,9 +93,9 @@ fn winograd_rule_picks_the_expected_convs_at_256() {
 }
 
 /// A hand-built FP32 skip net with no pooling (any width works), relu convs
-/// of `c[k]` channels: `x3 = concat(x1, x2)` feeds only conv `x4` (folded),
+/// of `c[k]` channels: `x3 = concat(x1, x2)` feeds only conv `x4`,
 /// `x5 = concat(x4, x2)` feeds two convs and `x8 = concat(x6, x7)` is the
-/// output (both materialized).
+/// output.
 fn concat_net(c: [usize; 4], seed: u64) -> Module {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let mut m = Module::new("concats", DType::F32);
@@ -105,8 +105,7 @@ fn concat_net(c: [usize; 4], seed: u64) -> Module {
         let kernel = ConvKernel::F32 { w: w.into(), b, bn: None };
         m.push(IrOp::Conv(ConvAttrs { relu: true, ..ConvAttrs::new(kernel) }), vec![x])
     };
-    let cat =
-        |m: &mut Module, a: usize, b: usize| m.push(IrOp::Concat { requant: None }, vec![a, b]);
+    let cat = |m: &mut Module, a: usize, b: usize| m.push(IrOp::Concat {}, vec![a, b]);
     let x1 = conv(&mut m, c[0], c[1], 0);
     let x2 = conv(&mut m, c[1], c[2], x1);
     let x3 = cat(&mut m, x1, x2);
@@ -118,18 +117,40 @@ fn concat_net(c: [usize; 4], seed: u64) -> Module {
     m
 }
 
-/// The differential test of the concat fold, batch of two: a conv over a
-/// folded concat gathers its channels from both inputs in every gather — the
-/// FP32 row band (`W % 32 == 0`) and strips (`W` = 16, 8, odd), the INT8
-/// Winograd, direct W8 and direct W4 convs (both on the INT8 panels) — each
-/// input requantised by its
-/// own (forced non-zero) shift, INT8 bit for bit and FP32 within tolerance
-/// of the oracle; a concat with two consumers and the output concat stay
-/// materialized.
+/// Per input of concat `id` under the plan of `lowered`: whether it is
+/// placed at its channel offset of the concat's value (else the concat's
+/// step copies it there); panics unless the concat writes exactly the
+/// copied slots.
+fn placed_inputs(lowered: &Lowered, id: usize) -> Vec<bool> {
+    let plan = lowered.plan();
+    let mut at = plan.range_of(id).start;
+    let mut copied = 0;
+    let placed = lowered.module().nodes[id]
+        .inputs
+        .iter()
+        .map(|&x| {
+            let slot = at..at + plan.elems_of(x);
+            at = slot.end;
+            let placed = plan.range_of(x) == slot;
+            copied += if placed { 0 } else { slot.len() };
+            placed
+        })
+        .collect();
+    assert_eq!(plan.writes(id).len(), copied, "concat {id} writes its copied slots");
+    placed
+}
+
+/// The differential test of concat placement, batch of two: a conv over a
+/// placed concat gathers one contiguous map in every gather — the FP32 row
+/// band (`W % 32 == 0`) and strips (`W` = 16, 8, odd), the INT8 Winograd,
+/// direct W8 and direct W4 convs (both on the INT8 panels) — INT8 bit for
+/// bit and FP32 within tolerance of the oracle. `x3` places both inputs and
+/// copies nothing; `x5` places `x4` and copies `x2`, which `x3` holds; the
+/// output concat `x8` places both.
 #[test]
-fn folded_concats_match_the_oracle_in_every_gather() {
-    let (folded, twice, output) = (3, 5, 8);
-    // (channels, h, w, the folded conv's bitwidth and INT8 route)
+fn placed_concats_match_the_oracle_in_every_gather() {
+    let (cat, twice, output) = (3, 5, 8);
+    // (channels, h, w, the conv over `x3`: its bitwidth and INT8 route)
     let cases = [
         ([2, 4, 6, 5], 6, 64, Bitwidth::W8, PackFormat::Winograd),
         ([1, 3, 2, 4], 5, 32, Bitwidth::W8, PackFormat::I8),
@@ -137,6 +158,8 @@ fn folded_concats_match_the_oracle_in_every_gather() {
         ([3, 4, 5, 4], 8, 8, Bitwidth::W4, PackFormat::I8),
         ([1, 6, 3, 2], 9, 13, Bitwidth::W8, PackFormat::I8),
     ];
+    let placements = |lowered: &Lowered| [cat, twice, output].map(|id| placed_inputs(lowered, id));
+    let want = [vec![true, true], vec![true, false], vec![true, true]];
     for (k, &(c, h, w, bits, route)) in cases.iter().enumerate() {
         let seed = 40 + k as u64;
         let fg = concat_net(c, seed);
@@ -144,29 +167,19 @@ fn folded_concats_match_the_oracle_in_every_gather() {
         let what = format!("{c:?} at {h}x{w}");
 
         let lowered = lower(fg.clone(), shape, &LowerOptions::reference());
-        let plan = lowered.plan();
-        assert_eq!(lowered.stats().concats_folded, 1, "{what}");
-        assert!(lowered.folded()[folded] && plan.elems_of(folded) == 0, "{what}");
-        for id in [twice, output] {
-            assert!(!lowered.folded()[id] && plan.elems_of(id) > 0, "{what}: {id} materialized");
-        }
+        assert_eq!(placements(&lowered), want, "{what}");
         assert_f32_matches_oracle(&lowered, shape, seed);
 
         let calib = [random_frame(shape, seed ^ 0xCA7)];
         let report = calibrate(&fg, &calib, &PtqConfig::default());
         let mut wbits = vec![Bitwidth::W8; fg.nodes.len()];
-        wbits[folded + 1] = bits;
-        let mut m = quantize_from_calibration(&fg, &report, &wbits).to_ir();
-        for (i, node) in m.nodes.iter_mut().enumerate() {
-            if let IrOp::Concat { requant: Some(q) } = &mut node.op {
-                (q.shift_a, q.shift_b) = if i == folded { (1, 2) } else { (2, 0) };
-            }
-        }
+        wbits[cat + 1] = bits;
+        let m = quantize_from_calibration(&fg, &report, &wbits).to_ir();
         let lowered = lower(m, shape, &LowerOptions::reference());
-        let IrOp::Conv(a) = &lowered.module().nodes[folded + 1].op else { unreachable!() };
+        let IrOp::Conv(a) = &lowered.module().nodes[cat + 1].op else { unreachable!() };
         assert_eq!(a.pack.unwrap().format, route, "{what}");
         assert_eq!(a.kernel.wbits(), bits, "{what}");
-        assert!(lowered.folded()[folded] && !lowered.folded()[twice], "{what}");
+        assert_eq!(placements(&lowered), want, "{what}");
         let mut scratch = lowered.make_scratch_i8();
         for frame in 0..2u64 {
             let x = random_frame(shape, seed.wrapping_add(frame));
@@ -176,39 +189,43 @@ fn folded_concats_match_the_oracle_in_every_gather() {
     }
 }
 
-/// The same on random U-Nets, batch of two: every decoder concat folds, at
-/// levels whose widths take the FP32 band (64) and strips (40, 20, 16, 10,
-/// 8) and the INT8 Winograd, direct W8 and direct W4 convs, with the shifts
-/// of every concat forced to (1, 2).
+/// The same on random U-Nets, batch of two: every decoder concat places
+/// both inputs and copies nothing, at levels whose widths take the FP32 band
+/// (64) and strips (40, 20, 16, 10, 8) and the INT8 Winograd, direct W8 and
+/// direct W4 convs.
 #[test]
-fn folded_decoder_concats_match_the_oracle_on_random_unets() {
+fn placed_decoder_concats_match_the_oracle_on_random_unets() {
     let mut routes = Vec::new();
     for (k, &(depth, filters, side)) in [(1, 4, 64), (2, 2, 16), (3, 3, 40)].iter().enumerate() {
         let seed = 60 + k as u64;
         let graph = random_graph(depth, filters, seed);
         let shape = Shape4::new(2, 1, side, side);
         let lowered = lower(graph.to_ir(), shape, &LowerOptions::reference());
-        assert_eq!(lowered.stats().concats_folded, depth);
+        let concats = |lowered: &Lowered| {
+            let m = lowered.module();
+            let ids: Vec<usize> = (0..m.nodes.len())
+                .filter(|&i| matches!(m.nodes[i].op, IrOp::Concat { .. }))
+                .collect();
+            for &i in &ids {
+                assert_eq!(placed_inputs(lowered, i), [true, true], "concat {i}");
+            }
+            ids.len()
+        };
+        assert_eq!(concats(&lowered), depth);
         assert_f32_matches_oracle(&lowered, shape, seed);
 
         let fg = fuse(&graph);
         let report = calibrate(&fg, &[random_frame(shape, seed ^ 0xCA7)], &PtqConfig::default());
         let bits = if k == 2 { Bitwidth::W4 } else { Bitwidth::W8 };
-        let mut m = quantize_from_calibration(&fg, &report, &vec![bits; fg.nodes.len()]).to_ir();
-        for node in &mut m.nodes {
-            if let IrOp::Concat { requant: Some(q) } = &mut node.op {
-                (q.shift_a, q.shift_b) = (1, 2);
-            }
-        }
+        let m = quantize_from_calibration(&fg, &report, &vec![bits; fg.nodes.len()]).to_ir();
         let lowered = lower(m, shape, &LowerOptions::reference());
-        assert_eq!(lowered.stats().concats_folded, depth);
-        for (i, node) in lowered.module().nodes.iter().enumerate() {
-            match &node.op {
-                IrOp::Conv(a) if lowered.folded()[node.inputs[0]] => {
+        assert_eq!(concats(&lowered), depth);
+        let m = lowered.module();
+        for node in &m.nodes {
+            if let IrOp::Conv(a) = &node.op {
+                if matches!(m.nodes[node.inputs[0]].op, IrOp::Concat { .. }) {
                     routes.push((a.pack.unwrap().format, a.kernel.wbits()));
                 }
-                IrOp::Concat { .. } => assert!(lowered.folded()[i], "concat {i} materialized"),
-                _ => {}
             }
         }
         let mut scratch = lowered.make_scratch_i8();
@@ -220,7 +237,7 @@ fn folded_decoder_concats_match_the_oracle_on_random_unets() {
     }
     for route in [PackFormat::Winograd, PackFormat::I8] {
         for bits in [Bitwidth::W8, Bitwidth::W4] {
-            let what = format!("no folded concat feeds a {bits:?} {route:?} conv");
+            let what = format!("no placed concat feeds a {bits:?} {route:?} conv");
             assert!(routes.contains(&(route, bits)), "{what}");
         }
     }
@@ -349,7 +366,8 @@ proptest! {
 
     /// The plan never places two simultaneously-live values on the same
     /// bytes, its arena lies between the peak-live footprint and the naive
-    /// per-node total, and every concat feeding one conv takes no bytes.
+    /// per-node total, and every concat has both inputs placed in its value
+    /// and writes nothing.
     #[test]
     fn plan_is_valid_and_never_larger_than_naive(
         depth in 1usize..=3,
@@ -364,10 +382,12 @@ proptest! {
         plan.assert_valid();
         prop_assert!(plan.peak_arena_elems() <= plan.total_activation_elems());
         prop_assert!(plan.peak_live_elems() <= plan.peak_arena_elems());
-        let folded = module.folded_concats();
         for (i, node) in module.nodes.iter().enumerate() {
-            if matches!(node.op, IrOp::Concat { .. }) {
-                prop_assert!(folded[i] && plan.elems_of(i) == 0, "concat {} materialized", i);
+            if let (IrOp::Concat { .. }, &[a, b]) = (&node.op, &node.inputs[..]) {
+                let r = plan.range_of(i);
+                prop_assert_eq!(plan.range_of(a).start, r.start, "concat {} skip", i);
+                prop_assert_eq!(plan.range_of(b).end, r.end, "concat {} upsample", i);
+                prop_assert!(plan.writes(i).is_empty(), "concat {} copies", i);
             }
         }
     }
