@@ -117,8 +117,7 @@ fn maxpool2x2<T: Copy + PartialOrd>((xs, x): (Shape4, &[T])) -> (Shape4, Vec<T>)
     (os, out)
 }
 
-/// Channel concat; `fa`/`fb` map each element of the first/second input on
-/// its way into the output (the INT8 alignment shifts).
+/// Channel concat of two inputs (in INT8, both at one fix position).
 fn concat<T: Copy>((sa, a): (Shape4, &[T]), (sb, b): (Shape4, &[T])) -> (Shape4, Vec<T>) {
     assert_eq!((sa.n, sa.h, sa.w), (sb.n, sb.h, sb.w), "concat geometry");
     let os = sa.with_c(sa.c + sb.c);

@@ -53,6 +53,8 @@ pub struct ExecPlan {
     arena: usize,
     /// The graph's output node.
     output: usize,
+    /// Every concat and its two inputs.
+    concats: Vec<(usize, [usize; 2])>,
     /// Peak per-frame GEMM work-buffer bytes: the strip buffers the GEMM
     /// driver's parallel parts gather activations into, max over nodes
     /// (the buffers are reused node to node) — the direct convs' and
@@ -111,9 +113,10 @@ impl ExecPlan {
 
         // Each concat input that can be, is placed in its concat.
         let mut placed_in: Vec<Option<usize>> = vec![None; n];
+        let mut concats = Vec::new();
         for c in (0..n).filter(|&c| concat[c]) {
             let &[a, b] = inputs[c] else { panic!("concat {c} reads two values") };
-            assert_eq!(elems[c], elems[a] + elems[b], "concat {c} holds its inputs' elements");
+            concats.push((c, [a, b]));
             for x in [a, b] {
                 if a != b && !concat[x] && placed_in[x].is_none() {
                     placed_in[x] = Some(c);
@@ -180,6 +183,7 @@ impl ExecPlan {
             last_use,
             arena,
             output,
+            concats,
             work_bytes: 0,
             strips: 0,
             band_offsets: 0,
@@ -285,12 +289,28 @@ impl ExecPlan {
         (self.total_activation_elems() * bytes_per_elem) as u64
     }
 
-    /// Panics unless the plan is sound: every value lies inside the arena,
-    /// and no two written ranges overlap both in address and in lifetime (a
-    /// node's inputs are live at its step, so no output aliases a value it
-    /// reads).
+    /// Panics unless the plan is sound: each concat's value is its two
+    /// inputs' slots, each written either by the input placed there (and
+    /// live as long as the concat) or by the concat's own copy; every value
+    /// lies inside the arena; and no two written ranges overlap both in
+    /// address and in lifetime (a node's inputs are live at its step, so no
+    /// output aliases a value it reads).
     pub fn assert_valid(&self) {
         let n = self.n_nodes();
+        for &(c, [a, b]) in &self.concats {
+            let cat = self.range_of(c);
+            assert_eq!(cat.len(), self.elems[a] + self.elems[b], "concat {c} holds its inputs");
+            let split = cat.start + self.elems[a];
+            let copy = &self.writes[c];
+            for (x, slot) in [(a, cat.start..split), (b, split..cat.end)] {
+                let placed = self.writes[x] == slot && self.last_use[x] >= self.last_use[c];
+                let copied = slot.is_empty() || (copy.start <= slot.start && slot.end <= copy.end);
+                assert!(
+                    placed || copied,
+                    "concat {c}: slot {slot:?} of {x} is neither placed nor copied"
+                );
+            }
+        }
         for i in 0..n {
             assert!(self.range_of(i).end <= self.arena, "node {i} ends past the arena");
             let ri = &self.writes[i];
@@ -447,6 +467,16 @@ mod tests {
     fn overlapping_live_values_rejected() {
         let mut plan = plan(&[vec![], vec![0]], &[4, 4], 1);
         (plan.offset[1], plan.writes[1]) = (2, 2..6);
+        plan.assert_valid();
+    }
+
+    #[test]
+    #[should_panic(expected = "neither placed nor copied")]
+    fn misplaced_concat_input_rejected() {
+        let inputs = vec![vec![], vec![0], vec![1], vec![2], vec![1, 3], vec![4]];
+        let mut plan = plan_with(&inputs, &[8, 8, 2, 8, 16, 8], &[4], 5);
+        let end = plan.range_of(4).end;
+        (plan.offset[3], plan.writes[3]) = (end, end..end + 8);
         plan.assert_valid();
     }
 
