@@ -9,8 +9,8 @@
 use crate::ctx::ExperimentCtx;
 use crate::fmt::{emit, Table};
 use seneca::backend::Backend;
+use seneca::metrics::boundary::hausdorff;
 use seneca_data::volume::Organ;
-use seneca_metrics::boundary::hausdorff;
 use seneca_nn::unet::ModelSize;
 
 /// Runs the boundary-metric comparison on the 1M model.

@@ -6,7 +6,7 @@ use super::repeated;
 use crate::ctx::ExperimentCtx;
 use crate::fmt::{emit, pm, ratio, Table};
 use seneca::backend::Backend;
-use seneca_metrics::literature::TABLE4;
+use seneca::metrics::literature::TABLE4;
 use seneca_nn::unet::ModelSize;
 
 /// Regenerates Table IV.

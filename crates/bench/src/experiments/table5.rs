@@ -5,8 +5,8 @@
 use super::repeated;
 use crate::ctx::ExperimentCtx;
 use crate::fmt::{emit, pm, Table};
+use seneca::metrics::literature::{ct_org_unet3d, seneca_fpga};
 use seneca_data::volume::Organ;
-use seneca_metrics::literature::{ct_org_unet3d, seneca_fpga};
 use seneca_nn::unet::ModelSize;
 
 /// Regenerates Table V.

@@ -4,11 +4,11 @@
 //! per-organ Dice sample, which is what the paper's boxplots (Fig. 6) and
 //! mean±std columns (Table V) are built from.
 
+use crate::metrics::agg::{BoxplotStats, MeanStd};
+use crate::metrics::seg::{global_weighted_dice, weighted_global_rates, Confusion};
 use crate::workflow::{PreparedData, TestPatient};
 use seneca_backend::Backend;
 use seneca_data::volume::Organ;
-use seneca_metrics::agg::{BoxplotStats, MeanStd};
-use seneca_metrics::seg::{global_weighted_dice, weighted_global_rates, Confusion};
 use serde::{Deserialize, Serialize};
 
 /// Accuracy evaluation results over the test split.
@@ -90,7 +90,7 @@ pub fn evaluate_backend_on(backend: &dyn Backend, patients: &[TestPatient]) -> A
         for (truth, pred) in patient.labels.iter().zip(&preds) {
             assert_eq!(pred.len(), truth.len(), "backend output length");
             for (k, conf) in organ_conf.iter_mut().enumerate() {
-                conf.merge(&seneca_metrics::seg::confusion(pred, truth, k as u8 + 1));
+                conf.merge(&crate::metrics::seg::confusion(pred, truth, k as u8 + 1));
             }
             pred_all.extend_from_slice(pred);
             truth_all.extend_from_slice(truth);

@@ -13,7 +13,8 @@
 //!   ([`workflow::Workflow::compile_and_deploy`]).
 //!
 //! [`eval`] hosts the accuracy/throughput drivers behind Tables IV–V and
-//! Figures 3, 4 and 6; [`render`] writes the qualitative Figure 5 panels.
+//! Figures 3, 4 and 6, over the Dice/TPR/TNR and box-plot statistics of
+//! [`metrics`]; [`render`] writes the qualitative Figure 5 panels.
 //!
 //! ```no_run
 //! use seneca::{SenecaConfig, Workflow};
@@ -29,6 +30,7 @@
 
 pub mod config;
 pub mod eval;
+pub mod metrics;
 pub mod render;
 pub mod workflow;
 pub mod zoo;

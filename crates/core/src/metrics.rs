@@ -1,5 +1,3 @@
-//! # seneca-metrics
-//!
 //! Segmentation quality metrics and distribution statistics:
 //!
 //! * [`seg`] — Dice similarity coefficient (Eq. 4), recall/TPR (Eq. 5),
@@ -16,6 +14,3 @@ pub mod agg;
 pub mod boundary;
 pub mod literature;
 pub mod seg;
-
-pub use agg::{BoxplotStats, MeanStd};
-pub use seg::{confusion, dice, global_weighted_dice, per_organ_dice, tnr, tpr, Confusion};

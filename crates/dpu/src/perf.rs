@@ -141,19 +141,6 @@ pub fn frame_cost(xm: &XModel, arch: &DpuArch) -> FrameCost {
     FrameCost { compute_ns, mem_ns, overhead_ns, serial_ns: compute_ns.max(mem_ns) + overhead_ns }
 }
 
-/// Frame cost with pruning credit: zeroed output channels (see
-/// `seneca_nn::prune`) skip their channel-group work. `live_ratio` in
-/// `[0, 1]` scales conv compute cycles; memory and overheads do not shrink
-/// (maps keep their padded layout). The frame is [`frame_cost`]'s own rule,
-/// `max(compute', DMA) + overheads`: compute saved off the critical path of a
-/// memory-bound frame buys no time.
-pub fn frame_cost_pruned(xm: &XModel, arch: &DpuArch, live_ratio: f64) -> FrameCost {
-    let base = frame_cost(xm, arch);
-    let compute = (base.compute_ns as f64 * live_ratio.clamp(0.0, 1.0)) as u64;
-    let serial = compute.max(base.mem_ns) + base.overhead_ns;
-    FrameCost { compute_ns: compute, serial_ns: serial, ..base }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,48 +150,74 @@ mod tests {
         DpuArch::b4096_zcu104()
     }
 
-    /// A small U-Net compiled at 64x64.
-    fn xmodel() -> XModel {
+    /// A depth-2 U-Net of `base_filters`, shrunk at `ratio`, compiled at 64x64.
+    fn xmodel(base_filters: usize, ratio: f64) -> XModel {
         use rand::SeedableRng;
         use seneca_nn::graph::Graph;
+        use seneca_nn::prune::shrink;
         use seneca_nn::unet::{UNet, UNetConfig};
         use seneca_quant::{fuse, quantize_post_training, PtqConfig};
         use seneca_tensor::{Shape4, Tensor};
         let mut rng = rand::rngs::StdRng::seed_from_u64(4);
-        let cfg = UNetConfig { depth: 2, base_filters: 8, num_classes: 6, dropout: 0.0 };
-        let fg = fuse(&Graph::from_unet(&UNet::new(cfg, &mut rng), "p"));
+        let cfg = UNetConfig { depth: 2, base_filters, num_classes: 6, dropout: 0.0 };
+        let mut g = Graph::from_unet(&UNet::new(cfg, &mut rng), "p");
+        shrink(&mut g, ratio);
         let calib = vec![Tensor::he_normal(Shape4::new(1, 1, 32, 32), &mut rng)];
-        let (qg, _) = quantize_post_training(&fg, &calib, &PtqConfig::default());
+        let (qg, _) = quantize_post_training(&fuse(&g), &calib, &PtqConfig::default());
         crate::compiler::compile(&qg, Shape4::new(1, 1, 64, 64), arch())
     }
 
-    /// A memory-bound frame (DDR slowed 100x) gains nothing from pruning:
-    /// the DMA stream, not the array, sets its time.
+    /// A memory-bound frame (DDR slowed 100x) takes its DMA time: the
+    /// compute stream hides behind it.
     #[test]
-    fn pruning_credits_nothing_on_a_memory_bound_frame() {
-        let xm = xmodel();
+    fn a_memory_bound_frame_takes_its_dma_time() {
         let slow = DpuArch { ddr_gbps: arch().ddr_gbps / 100.0, ..arch() };
-        let base = frame_cost(&xm, &slow);
-        assert!(base.mem_ns > base.compute_ns, "{base:?} is not memory-bound");
-        let pruned = frame_cost_pruned(&xm, &slow, 0.5);
-        assert!(pruned.compute_ns < base.compute_ns);
-        assert_eq!(pruned.serial_ns, base.serial_ns);
+        let c = frame_cost(&xmodel(8, 0.0), &slow);
+        assert!(c.mem_ns > c.compute_ns, "{c:?} is not memory-bound");
+        assert_eq!(c.serial_ns, c.mem_ns + c.overhead_ns);
     }
 
-    /// A compute-bound frame (DDR 100x faster) gets the compute it saves, down
-    /// to the DMA floor: `max(compute', DMA) + overheads`, as `frame_cost`.
+    /// A compute-bound frame (DDR 100x faster) takes its compute time: the
+    /// DMA stream hides behind it.
     #[test]
-    fn pruning_credits_compute_on_a_compute_bound_frame() {
-        let xm = xmodel();
+    fn a_compute_bound_frame_takes_its_compute_time() {
         let fast = DpuArch { ddr_gbps: arch().ddr_gbps * 100.0, ..arch() };
-        let base = frame_cost(&xm, &fast);
-        assert!(base.compute_ns > 2 * base.mem_ns, "{base:?} is not compute-bound");
-        let half = frame_cost_pruned(&xm, &fast, 0.5);
-        assert_eq!(half.serial_ns, half.compute_ns + base.overhead_ns);
-        assert_eq!(half.compute_ns, base.compute_ns / 2);
-        let none = frame_cost_pruned(&xm, &fast, 0.0);
-        assert_eq!(none.serial_ns, base.mem_ns + base.overhead_ns);
-        assert_eq!(frame_cost_pruned(&xm, &fast, 1.0), base);
+        let c = frame_cost(&xmodel(8, 0.0), &fast);
+        assert!(c.compute_ns > 2 * c.mem_ns, "{c:?} is not compute-bound");
+        assert_eq!(c.serial_ns, c.compute_ns + c.overhead_ns);
+    }
+
+    /// A shrunk f=16 U-Net is priced through lane quantisation: a 32 -> 16
+    /// cut drops an output-channel group, so the layer and the frame take
+    /// fewer cycles; a 16 -> 14 cut keeps the one group and makes the layer
+    /// misaligned, so it saves nothing.
+    #[test]
+    fn shrinking_is_priced_by_lane_groups() {
+        let convs = |xm: &XModel| -> Vec<(usize, u64)> {
+            let conv = |i: &DpuInstr| match i {
+                DpuInstr::Conv { c_out, transpose: false, .. } => {
+                    Some((*c_out, compute_cycles(i, &xm.arch)))
+                }
+                _ => None,
+            };
+            xm.instrs.iter().filter_map(conv).collect()
+        };
+        let full = xmodel(16, 0.0);
+        let [half, eighth] = [0.5, 0.125].map(|r| xmodel(16, r));
+        for ((c, cycles), (cut, cut_cycles)) in convs(&full).into_iter().zip(convs(&half)) {
+            if c == 32 {
+                assert_eq!(cut, 16);
+                assert!(cut_cycles < cycles, "{cut_cycles} !< {cycles}");
+            }
+        }
+        assert!(half.stats.compute_cycles < full.stats.compute_cycles);
+        for ((c, cycles), (cut, cut_cycles)) in convs(&full).into_iter().zip(convs(&eighth)) {
+            if c == 16 {
+                assert_eq!((cut, cut.div_ceil(arch().ocp)), (14, 1));
+                assert!(cut_cycles >= cycles, "{cut_cycles} < {cycles}");
+            }
+        }
+        assert!(eighth.stats.misaligned_layers > full.stats.misaligned_layers);
     }
 
     #[test]

@@ -140,6 +140,20 @@ impl Graph {
         })
     }
 
+    /// Total parameter count, TF-style: every conv / tconv weight and bias,
+    /// and 4 per BatchNorm channel (γ, β and the two running statistics).
+    pub fn param_count(&self) -> usize {
+        let count = |op: &IrOp| match op {
+            IrOp::Conv(a) | IrOp::TConv(a) => {
+                let (w, b) = export_kernel(a);
+                w.shape().len() + b.len()
+            }
+            IrOp::BatchNorm { bn } => 4 * bn.channels(),
+            _ => 0,
+        };
+        self.module.nodes.iter().map(|n| count(&n.op)).sum()
+    }
+
     /// Multiply-accumulate count per node for a given input shape (conv,
     /// tconv only; other ops are counted as zero-MAC).
     pub fn macs(&self, input: Shape4) -> Vec<u64> {

@@ -17,8 +17,8 @@
 //! * [`optim`] — SGD-with-momentum and Adam;
 //! * [`train`] — the one training step and a mini-batch loop with seeded
 //!   shuffling;
-//! * [`prune`] — magnitude-based channel pruning (the paper's future-work
-//!   ablation);
+//! * [`prune`] — L1 channel pruning as a graph rewrite that removes channels
+//!   (the paper's future-work ablation);
 //! * [`augment`] — the one training augmentation policy (flip, shift,
 //!   elastic warp, intensity jitter).
 

@@ -16,7 +16,7 @@
 //! form of the network. [`Graph::from_unet`] hands that graph out, and
 //! everything after — training included — runs on it.
 
-use crate::graph::{export_kernel, Graph};
+use crate::graph::Graph;
 use rand::Rng;
 use seneca_ir::{ConvAttrs, ConvKernel, IrOp};
 use seneca_tensor::norm::BnState;
@@ -182,18 +182,9 @@ impl UNet {
         Self::new(size.config(), rng)
     }
 
-    /// Total parameter count, TF-style: every conv / tconv weight and bias,
-    /// and 4 per BatchNorm channel (γ, β and the two running statistics).
+    /// Total parameter count, TF-style ([`Graph::param_count`]).
     pub fn param_count(&self) -> usize {
-        let count = |op: &IrOp| match op {
-            IrOp::Conv(a) | IrOp::TConv(a) => {
-                let (w, b) = export_kernel(a);
-                w.shape().len() + b.len()
-            }
-            IrOp::BatchNorm { bn } => 4 * bn.channels(),
-            _ => 0,
-        };
-        self.graph.module.nodes.iter().map(|n| count(&n.op)).sum()
+        self.graph.param_count()
     }
 }
 

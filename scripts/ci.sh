@@ -68,6 +68,9 @@ cargo run --release -q -p seneca-bench --features trace-gemm --bin reproduce -- 
 echo "== mixed smoke (16M W4/W8 plan cuts cycles and weight bytes above the agreement floor) =="
 cargo run --release -q -p seneca-bench --bin reproduce -- mixed --scale fast
 
+echo "== prune smoke (shrink the 1M at 0 / 12.5 / 25 / 50 %: MACs fall strictly with the ratio, and the 0 % row equals DpuRunner::throughput on the unshrunk 1M; wall time printed) =="
+time cargo run --release -q -p seneca-bench --bin reproduce -- ablation-prune --scale fast
+
 echo "== robustness smoke (lesion + scenario grid runs clean; small organs degrade most under INT8; calibration leveling recovers part) =="
 cargo run --release -q -p seneca-bench --bin reproduce -- robustness --scale fast
 

@@ -2,7 +2,7 @@
 //! whole reproduction rests on.
 
 use proptest::prelude::*;
-use seneca_metrics::seg::{confusion, dice, global_weighted_dice, tnr, tpr};
+use seneca::metrics::seg::{confusion, dice, global_weighted_dice, tnr, tpr};
 use seneca_tensor::conv::conv2d_backward;
 use seneca_tensor::gemm::{igemm, sgemm, sgemm_reference};
 use seneca_tensor::pool::{maxpool2x2, maxpool2x2_backward};
