@@ -200,6 +200,7 @@ impl Backend for QuantRefBackend {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+    use seneca_ir::PackedKernel;
     use seneca_nn::unet::{UNet, UNetConfig};
     use seneca_quant::{fuse, quantize_post_training, PtqConfig};
 
@@ -247,7 +248,10 @@ mod tests {
 
         let at32 = QuantRefBackend::new(qg.clone(), big.shape());
         let at16 = QuantRefBackend::new(qg, small.shape());
-        let winograd = |b: &QuantRefBackend| b.lowered.stats().winograd;
+        let winograd = |b: &QuantRefBackend| {
+            let packs = b.lowered.packs().iter().flatten();
+            packs.filter(|p| matches!(p, PackedKernel::ConvWinograd(_))).count()
+        };
         assert!(winograd(&at32) > winograd(&at16), "the 16x16 frame crosses a Winograd layer");
         // One worker, three frames: 32 -> 16 -> 32 through the same scratch.
         let got = at32.infer_batch(&[big.clone(), small.clone(), big2.clone()]);

@@ -2,7 +2,7 @@
 //! Table II model sizes at 256x256. Used as a CI gate: on every model the
 //! deployment front end (`seneca_quant::fuse`) must fold all BN nodes, fuse
 //! all standalone ReLUs, strip all inference identities, and its lowering
-//! give every conv/tconv weight a pack slot; the reference lowering must
+//! pack one kernel per conv/tconv node and none for any other; the reference lowering must
 //! carry every BN and ReLU in a conv store; every concat must have both
 //! inputs placed at their channel offsets of its value and copy nothing, in
 //! both the FP32 and INT8 lowerings; the planned arena must equal the
@@ -13,7 +13,7 @@
 //! buffers).
 
 use rand::SeedableRng;
-use seneca_ir::{lower, ExecPlan, IrOp, LowerOptions, Module};
+use seneca_ir::{lower, ExecPlan, IrOp, LowerOptions, Lowered, Module};
 use seneca_nn::graph::Graph;
 use seneca_nn::unet::{ModelSize, UNet};
 use seneca_quant::{fuse, quantize_post_training, PtqConfig};
@@ -48,6 +48,17 @@ fn materialized_aux_bytes(m: &Module, input: Shape4, bytes_per_elem: usize) -> u
         peak = peak.max((elems * bytes_per_elem) as u64);
     }
     peak
+}
+
+/// Panics unless `lowered` packs exactly one kernel per conv/tconv node and
+/// none for any other node. Returns how many it packs.
+fn assert_one_pack_per_conv(lowered: &Lowered, what: &str) -> usize {
+    let m = lowered.module();
+    for (i, (node, pack)) in m.nodes.iter().zip(lowered.packs()).enumerate() {
+        let conv = matches!(node.op, IrOp::Conv(_) | IrOp::TConv(_));
+        assert_eq!(pack.is_some(), conv, "{what}: node {i} packed {}", pack.is_some());
+    }
+    lowered.packs().iter().flatten().count()
 }
 
 /// Activation arena elements (FP32 and INT8 alike) of each Table II model
@@ -104,7 +115,7 @@ fn main() {
 
         // Deployment front end: every BN folds, every ReLU fuses, every
         // inference identity (dropout + softmax) strips, and the convs are
-        // all kept, so every weight tensor gets exactly one pack slot.
+        // all kept, so every weight tensor is packed exactly once.
         let fused = fuse(&g);
         let fused_hist = fused.op_histogram();
         let left = |op: &str| fused_hist.get(op).copied().unwrap_or(0);
@@ -128,7 +139,8 @@ fn main() {
         );
         assert_eq!(left("conv3x3") + left("tconv2x2"), n_conv, "{}: conv lost", size.label());
         let fp = lower(fused.clone(), input, &LowerOptions::reference());
-        assert_eq!(fp.stats().pack_slots, n_conv, "{}: pack slot per weight tensor", size.label());
+        let packed = assert_one_pack_per_conv(&fp, size.label());
+        assert_eq!(packed, n_conv, "{}: one packed kernel per weight tensor", size.label());
         fp.plan().assert_valid();
 
         // Arena accounting on the reference lowerings (what the host
@@ -147,12 +159,8 @@ fn main() {
         let plan = fp_ref.plan();
         let (qg, _) = quantize_post_training(&fused, &calib, &PtqConfig::default());
         let q_ref = lower(qg.to_ir(), input, &LowerOptions::reference());
-        assert_eq!(
-            q_ref.stats().pack_slots,
-            n_conv,
-            "{}: INT8 pack slot per weight tensor",
-            size.label()
-        );
+        let q_packed = assert_one_pack_per_conv(&q_ref, size.label());
+        assert_eq!(q_packed, n_conv, "{}: one INT8 packed kernel per weight tensor", size.label());
         let qplan = q_ref.plan();
         let cats = assert_concats_placed(fp_ref.module(), plan, size.label());
         assert_eq!(cats, assert_concats_placed(q_ref.module(), qplan, size.label()));
@@ -197,7 +205,7 @@ fn main() {
             count("batchnorm"),
             relu_fused,
             count("dropout") + count("softmax"),
-            fp.stats().pack_slots,
+            packed,
             cats,
             mib(fp_slots),
             mib(fp_total),

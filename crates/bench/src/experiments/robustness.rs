@@ -6,7 +6,7 @@
 //! lesion-bearing anatomy) and is re-acquired under a factorial grid of
 //! dose x slice-thickness x FOV scenarios. The model under study is the 1M
 //! U-Net trained with the train-time augmentation pipeline at full raster
-//! resolution (see [`robust_deployment`]). The same scenario tensors feed
+//! resolution (see `robust_deployment`). The same scenario tensors feed
 //! four inference paths of it:
 //!
 //! * **fp32** — the reference float graph;

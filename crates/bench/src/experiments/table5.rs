@@ -1,5 +1,5 @@
 //! Table V: SENECA (1M INT8, 4 threads) vs its GPU counterpart vs the
-//! CT-ORG 3D U-Net [17] — FPS, EE, global and per-organ DSC, plus the
+//! CT-ORG 3D U-Net \[17\] — FPS, EE, global and per-organ DSC, plus the
 //! global TPR/TNR discussed in §IV-D.
 
 use super::repeated;

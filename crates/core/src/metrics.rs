@@ -6,7 +6,7 @@
 //!   whiskers, outliers) for Fig. 6;
 //! * [`boundary`] — Hausdorff / average-surface-distance boundary metrics
 //!   (quantifying §IV-D's "conservative at the organ edges" observation);
-//! * [`literature`] — the published CT-ORG 3D U-Net numbers [17] and the
+//! * [`literature`] — the published CT-ORG 3D U-Net numbers \[17\] and the
 //!   SENECA paper's own reported values, used as comparison columns when
 //!   regenerating Tables IV and V.
 

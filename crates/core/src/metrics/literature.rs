@@ -1,6 +1,6 @@
 //! Published numbers used as comparison columns.
 //!
-//! Two sources: the CT-ORG 3D U-Net results of Rister et al. [17] (Table V's
+//! Two sources: the CT-ORG 3D U-Net results of Rister et al. \[17\] (Table V's
 //! right column) and the SENECA paper's own reported measurements (used by
 //! EXPERIMENTS.md to print paper-vs-ours for every cell).
 
@@ -22,7 +22,7 @@ impl PaperStat {
     }
 }
 
-/// CT-ORG 3D U-Net [17] per-organ Dice (%, mean ± std) — Table V.
+/// CT-ORG 3D U-Net \[17\] per-organ Dice (%, mean ± std) — Table V.
 pub mod ct_org_unet3d {
     use super::PaperStat;
 

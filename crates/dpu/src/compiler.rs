@@ -139,6 +139,7 @@ pub fn compile(qg: &QuantizedGraph, input_shape: Shape4, arch: DpuArch) -> XMode
 mod tests {
     use super::*;
     use rand::SeedableRng;
+    use seneca_ir::Module;
     use seneca_nn::graph::Graph;
     use seneca_nn::unet::{ModelSize, UNet, UNetConfig};
     use seneca_quant::{fuse, quantize_post_training, PtqConfig};
@@ -294,14 +295,9 @@ mod tests {
         }
     }
 
-    /// Golden hand-off graphs of a seeded 1M model: FNV-1a of the JSON of
-    /// its export graph, of its PTQ graph and of one W4-mixed plan's graph
-    /// (each serialises as the module it holds). Any change to how the
-    /// exporter writes the graph, how calibration evaluates the FP32 module,
-    /// observes ranges or quantises weights that moves one fix position or
-    /// one weight byte moves a hash.
-    #[test]
-    fn ptq_of_a_seeded_1m_model_is_byte_identical_to_the_recorded_graph() {
+    /// The seeded 1M model's export graph, its PTQ graph and one W4-mixed
+    /// plan's graph.
+    fn seeded_1m_graphs() -> (Graph, QuantizedGraph, QuantizedGraph) {
         use seneca_quant::{quantize_from_calibration, Bitwidth};
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x5E4ECA);
         let net = UNet::from_size(ModelSize::M1, &mut rng);
@@ -314,14 +310,80 @@ mod tests {
             .map(|i| if i % 2 == 0 { Bitwidth::W4 } else { Bitwidth::W8 })
             .collect();
         let w4 = quantize_from_calibration(&fg, &report, &wbits);
-        fn json<T: serde::Serialize>(v: &T) -> u64 {
-            let json = serde_json::to_string(v).expect("graph serialises");
-            json.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-                (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-            })
+        (graph, qg, w4)
+    }
+
+    /// FNV-1a of a JSON string.
+    fn fnv(json: &str) -> u64 {
+        json.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    fn json<T: serde::Serialize>(v: &T) -> String {
+        serde_json::to_string(v).expect("graph serialises")
+    }
+
+    /// Golden hand-off graphs of a seeded 1M model: FNV-1a of the JSON of
+    /// its export graph, of its PTQ graph and of one W4-mixed plan's graph
+    /// (each serialises as the module it holds). Any change to how the
+    /// exporter writes the graph, how calibration evaluates the FP32 module,
+    /// observes ranges or quantises weights that moves one fix position or
+    /// one weight byte moves a hash.
+    #[test]
+    fn ptq_of_a_seeded_1m_model_is_byte_identical_to_the_recorded_graph() {
+        let (graph, qg, w4) = seeded_1m_graphs();
+        assert_eq!(fnv(&json(&qg)), 0xd135_305c_9549_beb7, "PTQ output moved");
+        assert_eq!(fnv(&json(&w4)), 0xed01_0e78_09e4_9862, "W4 plan moved");
+        assert_eq!(fnv(&json(&graph)), 0xb836_71a9_aa40_ef87, "export graph moved");
+    }
+
+    /// Graph and xmodel JSON written while every conv carried a `"pack"`
+    /// slot (always `null` in a file) and every module its output fix
+    /// position still reads, and runs the same bits: zoo caches and xmodels stay
+    /// valid. The old files are today's JSON with those keys put back, which
+    /// is byte for byte what was written then: the hashes are the ones the
+    /// golden above recorded before the keys were dropped.
+    #[test]
+    fn json_with_the_dropped_pack_and_output_fp_keys_still_loads_and_runs_the_same_bits() {
+        let (graph, qg, w4) = seeded_1m_graphs();
+        let old_format = |json: String, fp: i32| {
+            let json = json.replace("\"relu\":false}", "\"relu\":false,\"pack\":null}");
+            let json = json.replace("\"relu\":true}", "\"relu\":true,\"pack\":null}");
+            let body = json.strip_suffix('}').expect("a module is a JSON object");
+            format!("{body},\"output_fp\":{fp}}}")
+        };
+        let out_fp = |g: &QuantizedGraph| g.module().fix_positions()[g.module().output];
+        let old_graph = old_format(json(&graph), 0);
+        let (old_qg, old_w4) =
+            (old_format(json(&qg), out_fp(&qg)), old_format(json(&w4), out_fp(&w4)));
+        assert_eq!(fnv(&old_qg), 0xe6f7_0de6_e0ef_c91a, "old PTQ JSON");
+        assert_eq!(fnv(&old_w4), 0xf49b_aed0_0d81_f5f7, "old W4 JSON");
+        assert_eq!(fnv(&old_graph), 0x34fd_243c_c315_8d47, "old export JSON");
+
+        let shape = Shape4::new(1, 1, 32, 32);
+        let x = Tensor::he_normal(shape, &mut rand::rngs::StdRng::seed_from_u64(3));
+        let reference = seneca_ir::LowerOptions::reference();
+        let f32_bits = |m: Module| {
+            let y = seneca_ir::lower(m, shape, &reference).execute_f32(&x);
+            y.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        let read: Graph = serde_json::from_str(&old_graph).expect("old export JSON reads");
+        assert_eq!(f32_bits(read.to_ir()), f32_bits(graph.to_ir()));
+        for (old, g) in [(old_qg, qg), (old_w4, w4)] {
+            let i8_out = |m: Module| {
+                seneca_ir::lower(m, shape, &reference).execute_i8(&g.quantize_input(&x))
+            };
+            let want = i8_out(g.to_ir());
+            let read: QuantizedGraph = serde_json::from_str(&old).expect("old PTQ JSON reads");
+            assert_eq!(i8_out(read.to_ir()), want);
+            let module: Module = serde_json::from_str(&old).expect("old module JSON reads");
+            assert_eq!(i8_out(module), want);
+            let xm = compile(&g, Shape4::new(1, 1, 64, 64), DpuArch::b4096_zcu104());
+            let old_xm = json(&xm).replace(&json(&g), &old);
+            assert!(old_xm.contains(&old), "the xmodel holds its graph's JSON");
+            let read = XModel::from_json(&old_xm).expect("old xmodel JSON reads");
+            assert_eq!(i8_out(read.qgraph.to_ir()), want);
         }
-        assert_eq!(json(&qg), 0xe6f7_0de6_e0ef_c91a, "PTQ output moved");
-        assert_eq!(json(&w4), 0xf49b_aed0_0d81_f5f7, "W4 plan moved");
-        assert_eq!(json(&graph), 0x34fd_243c_c315_8d47, "export graph moved");
     }
 }

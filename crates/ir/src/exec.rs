@@ -34,7 +34,7 @@
 //! [`crate::oracle::F32_TOLERANCE`].
 
 use crate::lower::{Lowered, PackedKernel};
-use crate::module::{ConvAttrs, ConvKernel, DType, IrOp, Module};
+use crate::module::{ConvKernel, DType, IrOp, Module};
 use crate::plan::ExecPlan;
 use seneca_tensor::activation::{relu_into, softmax_channels_into};
 use seneca_tensor::gemm::{GemmEpilogue, Work};
@@ -161,12 +161,6 @@ impl<'a, T> Values<'a, T> {
 }
 
 impl Lowered {
-    /// The pre-packed panels of a conv/tconv node of this program (lowering
-    /// gives every one a pack slot).
-    fn pack_of(&self, a: &ConvAttrs) -> &PackedKernel {
-        &self.packs()[a.pack.expect("lowered conv without a pack slot").slot]
-    }
-
     /// Runs a batch through the walk, image by image. The output of one
     /// image is read in the arena; a batch of more than one copies each
     /// image's output into the arena's batch buffer and returns that.
@@ -275,8 +269,8 @@ impl Lowered {
                 let ConvKernel::F32 { b, .. } = &a.kernel else {
                     panic!("INT8 kernel in an FP32 module")
                 };
-                let PackedKernel::ConvF32 { pa, bn } = self.pack_of(a) else {
-                    panic!("pack slot holds the wrong kernel kind")
+                let Some(PackedKernel::ConvF32 { pa, bn }) = &self.packs()[i] else {
+                    panic!("conv {i} is not packed as an FP32 conv")
                 };
                 let epi = match (b.is_empty(), bn.is_empty(), a.relu) {
                     (true, true, false) => GemmEpilogue::None,
@@ -293,8 +287,8 @@ impl Lowered {
             IrOp::TConv(a) => {
                 let (xs, x) = view(node.inputs[0]);
                 assert!(!a.relu, "fused ReLU on an FP32 tconv is unsupported");
-                let PackedKernel::TConvF32 { pa, bias4 } = self.pack_of(a) else {
-                    panic!("pack slot holds the wrong kernel kind")
+                let Some(PackedKernel::TConvF32 { pa, bias4 }) = &self.packs()[i] else {
+                    panic!("tconv {i} is not packed as an FP32 tconv")
                 };
                 sgemm_tconv2x2_packed(pa, x, xs.h, xs.w, bias4, out, work);
             }
@@ -384,15 +378,15 @@ impl Lowered {
                 debug_assert_eq!(fps[j], *in_fp, "qconv input fix position");
                 let shift = a.kernel.shift();
                 let (geom, relu) = (ConvGeom::same_3x3(xs), a.relu);
-                match self.pack_of(a) {
-                    PackedKernel::ConvI8(pa) => {
+                match &self.packs()[id] {
+                    Some(PackedKernel::ConvI8(pa)) => {
                         igemm_conv_with(pa, &geom, x, bias, shift, relu, out, work)
                     }
                     // Winograd F(2x2, 3x3): bit for bit the direct conv.
-                    PackedKernel::ConvWinograd(pw) => {
+                    Some(PackedKernel::ConvWinograd(pw)) => {
                         igemm_conv_winograd(pw, &geom, x, bias, shift, relu, out, winograd)
                     }
-                    _ => panic!("pack slot holds the wrong kernel kind"),
+                    _ => panic!("conv {id} is not packed as an INT8 conv"),
                 }
             }
             IrOp::TConv(a) => {
@@ -403,8 +397,8 @@ impl Lowered {
                 };
                 debug_assert_eq!(fps[j], *in_fp, "qtconv input fix position");
                 let shift = a.kernel.shift();
-                let PackedKernel::TConvI8 { pa, bias4 } = self.pack_of(a) else {
-                    panic!("pack slot holds the wrong kernel kind")
+                let Some(PackedKernel::TConvI8 { pa, bias4 }) = &self.packs()[id] else {
+                    panic!("tconv {id} is not packed as an INT8 tconv")
                 };
                 igemm_tconv2x2_packed(pa, x, xs.h, xs.w, bias4, shift, a.relu, out, work);
             }
@@ -431,7 +425,7 @@ pub fn execute_f32(m: &Module, x: &Tensor) -> Tensor {
 mod tests {
     use super::*;
     use crate::lower::{lower, LowerOptions};
-    use crate::module::PackFormat;
+    use crate::module::ConvAttrs;
     use crate::oracle;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -476,11 +470,7 @@ mod tests {
     fn f32_conv(c_in: usize, c_out: usize, relu: bool, rng: &mut StdRng) -> IrOp {
         let w = rand_tensor(Shape4::new(c_out, c_in, 3, 3), rng);
         let b: Vec<f32> = (0..c_out).map(|_| rng.gen_range(-0.2f32..0.2)).collect();
-        IrOp::Conv(ConvAttrs {
-            kernel: ConvKernel::F32 { w: w.into(), b, bn: None },
-            relu,
-            pack: None,
-        })
+        IrOp::Conv(ConvAttrs { kernel: ConvKernel::F32 { w: w.into(), b, bn: None }, relu })
     }
 
     fn rand_bn(c: usize, rng: &mut StdRng) -> IrOp {
@@ -513,7 +503,6 @@ mod tests {
             IrOp::TConv(ConvAttrs {
                 kernel: ConvKernel::F32 { w: wt.into(), b: bt, bn: None },
                 relu: false,
-                pack: None,
             }),
             vec![r2],
         );
@@ -533,9 +522,49 @@ mod tests {
         let frames: Vec<Tensor> = (0..3).map(|_| rand_tensor(s, &mut rng)).collect();
         let lowered = assert_f32_matches_oracle(&m, &frames);
         let stats = lowered.stats();
-        assert_eq!((stats.pack_slots, stats.bn_fused, stats.relu_fused), (3, 1, 1));
+        assert_eq!((stats.bn_fused, stats.relu_fused), (1, 1));
         let left = |op: &str| lowered.module().op_histogram().get(op).copied();
         assert_eq!((left("batchnorm"), left("relu")), (Some(1), Some(1)));
+    }
+
+    /// Lowering packs exactly one kernel per conv/tconv node, of the node's
+    /// kind and dtype (an INT8 conv on either route), and none for any other
+    /// node.
+    #[test]
+    fn lowering_packs_one_kernel_per_conv_and_tconv() {
+        let mut rng = StdRng::seed_from_u64(38);
+        let k = rand_qkernel(Shape4::new(4, 8, 3, 3), 4, 6, 5, Bitwidth::W8, &mut rng);
+        let small = Shape4::new(1, 2, 8, 8);
+        let cases = [
+            (f32_module(&mut rng), small),
+            (i8_module(Bitwidth::W8, &mut rng), small),
+            (i8_module(Bitwidth::W4, &mut rng), small),
+            (single_node_i8(IrOp::Conv(ConvAttrs::new(k)), vec![0], 6), Shape4::new(1, 8, 16, 16)),
+        ];
+        let mut winograd = 0;
+        for (m, shape) in cases {
+            let lowered = lower(m, shape, &LowerOptions::reference());
+            let (m, packs) = (lowered.module(), lowered.packs());
+            assert_eq!(packs.len(), m.nodes.len());
+            for (id, (node, pack)) in m.nodes.iter().zip(packs).enumerate() {
+                use PackedKernel as P;
+                let ok = match (&node.op, m.dtype, pack) {
+                    (IrOp::Conv(_), DType::F32, Some(P::ConvF32 { .. }))
+                    | (IrOp::Conv(_), DType::I8, Some(P::ConvI8(_)))
+                    | (IrOp::TConv(_), DType::F32, Some(P::TConvF32 { .. }))
+                    | (IrOp::TConv(_), DType::I8, Some(P::TConvI8 { .. })) => true,
+                    (IrOp::Conv(_), DType::I8, Some(P::ConvWinograd(_))) => {
+                        winograd += 1;
+                        true
+                    }
+                    (op, _, None) => !matches!(op, IrOp::Conv(_) | IrOp::TConv(_)),
+                    _ => false,
+                };
+                let kind = pack.as_ref().map(|p| p.bytes());
+                assert!(ok, "node {id} ({}): packed {kind:?}", node.op.mnemonic(m.dtype));
+            }
+        }
+        assert_eq!(winograd, 1, "the 8-channel conv at 16x16 packs Winograd panels");
     }
 
     /// A quantised conv/tconv kernel from FP32 weights and bias: weights on
@@ -572,17 +601,16 @@ mod tests {
     fn i8_module(wbits: Bitwidth, rng: &mut StdRng) -> Module {
         let mut m = Module::new("exec-i8", DType::I8);
         m.input_fp = 6;
-        let conv = |kernel, relu| IrOp::Conv(ConvAttrs { kernel, relu, pack: None });
+        let conv = |kernel, relu| IrOp::Conv(ConvAttrs { kernel, relu });
         let k1 = rand_qkernel(Shape4::new(4, 2, 3, 3), 4, 6, 5, wbits, rng);
         let c1 = m.push(conv(k1, true), vec![0]);
         let k2 = rand_qkernel(Shape4::new(4, 4, 3, 3), 4, 5, 5, Bitwidth::W8, rng);
         let c2 = m.push(conv(k2, true), vec![c1]);
         let p1 = m.push(IrOp::MaxPool2x2, vec![c2]);
         let kt = rand_qkernel(Shape4::new(4, 3, 2, 2), 3, 5, 5, wbits, rng);
-        let t = m.push(IrOp::TConv(ConvAttrs { kernel: kt, relu: false, pack: None }), vec![p1]);
+        let t = m.push(IrOp::TConv(ConvAttrs { kernel: kt, relu: false }), vec![p1]);
         let cat = m.push(IrOp::Concat {}, vec![c2, t]);
         m.output = cat;
-        m.output_fp = 5;
         m
     }
 
@@ -607,7 +635,6 @@ mod tests {
         let s = Shape4::new(1, 2, 8, 8);
         let x = QTensor::quantize(&rand_tensor(s, &mut rng), 6);
         let lowered = assert_i8_matches_oracle(&m, &[x]);
-        assert_eq!(lowered.stats().pack_slots, 3);
         // A panel read back through an identity `B`: `A * I` requantised by
         // shift 0 is `A`.
         let values = |pa: &PackedA<i8>| {
@@ -618,11 +645,10 @@ mod tests {
             a
         };
         let mut w4 = Vec::new();
-        for node in &lowered.module().nodes {
+        for (node, pack) in lowered.module().nodes.iter().zip(lowered.packs()) {
             let (IrOp::Conv(a) | IrOp::TConv(a)) = &node.op else { continue };
             let ConvKernel::I8 { w, wbits: Bitwidth::W4, .. } = &a.kernel else { continue };
-            let (PackedKernel::ConvI8(pa) | PackedKernel::TConvI8 { pa, .. }) = lowered.pack_of(a)
-            else {
+            let Some(PackedKernel::ConvI8(pa) | PackedKernel::TConvI8 { pa, .. }) = pack else {
                 panic!("W4 {} not on INT8 panels", node.op.mnemonic(DType::I8))
             };
             let got = values(pa);
@@ -643,19 +669,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(36);
         let m = i8_module(Bitwidth::W4, &mut rng);
         let k = rand_qkernel(Shape4::new(4, 8, 3, 3), 4, 6, 5, Bitwidth::W4, &mut rng);
-        let wino = single_node_i8(IrOp::Conv(ConvAttrs::new(k)), vec![0], 6, 5);
+        let wino = single_node_i8(IrOp::Conv(ConvAttrs::new(k)), vec![0], 6);
         let (small, wide) = (Shape4::new(1, 2, 8, 8), Shape4::new(1, 8, 16, 16));
-        let cases = [
-            (m.clone(), 1, small, PackFormat::I8),
-            (m, 4, small, PackFormat::I8),
-            (wino, 1, wide, PackFormat::Winograd),
-        ];
-        for (mut m, id, shape, format) in cases {
+        let cases = [(m.clone(), 1, small, false), (m, 4, small, false), (wino, 1, wide, true)];
+        for (mut m, id, shape, winograd) in cases {
             let lowered = lower(m.clone(), shape, &LowerOptions::reference());
-            let (IrOp::Conv(a) | IrOp::TConv(a)) = &lowered.module().nodes[id].op else {
-                unreachable!("node {id} is a conv")
-            };
-            assert_eq!(a.pack.map(|p| p.format), Some(format), "node {id}");
+            let packed = matches!(lowered.packs()[id], Some(PackedKernel::ConvWinograd(_)));
+            assert_eq!(packed, winograd, "node {id}");
             let (IrOp::Conv(a) | IrOp::TConv(a)) = &mut m.nodes[id].op else { unreachable!() };
             let ConvKernel::I8 { w, .. } = &mut a.kernel else { unreachable!() };
             w.data_mut()[0] = 8;
@@ -663,16 +683,15 @@ mod tests {
             let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(lowering))
                 .expect_err("a W4 weight of 8 lowered");
             let msg = err.downcast_ref::<String>().expect("formatted panic message");
-            assert!(msg.contains("outside [-8, 7]"), "{format:?}: {msg}");
+            assert!(msg.contains("outside [-8, 7]"), "node {id}: {msg}");
         }
     }
 
-    /// One-node INT8 module around `op` with the given fix positions.
-    fn single_node_i8(op: IrOp, inputs: Vec<usize>, input_fp: i32, output_fp: i32) -> Module {
+    /// One-node INT8 module around `op` with the given input fix position.
+    fn single_node_i8(op: IrOp, inputs: Vec<usize>, input_fp: i32) -> Module {
         let mut m = Module::new("single", DType::I8);
         m.input_fp = input_fp;
         m.push(op, inputs);
-        m.output_fp = output_fp;
         m
     }
 
@@ -688,14 +707,14 @@ mod tests {
         let b = vec![0.05, -0.02, 0.0, 0.11];
         let mut fm = Module::new("fp32", DType::F32);
         let kernel = ConvKernel::F32 { w: w.clone().into(), b: b.clone(), bn: None };
-        fm.push(IrOp::Conv(ConvAttrs { kernel, relu: false, pack: None }), vec![0]);
+        fm.push(IrOp::Conv(ConvAttrs { kernel, relu: false }), vec![0]);
         let y_ref = execute_f32(&fm, &x);
 
         let in_fp = choose_fix_pos(1.0);
         let out_fp = choose_fix_pos(y_ref.abs_max());
         let kernel = qkernel(&w, &b, in_fp, out_fp, Bitwidth::W8);
-        let op = IrOp::Conv(ConvAttrs { kernel, relu: false, pack: None });
-        let m = single_node_i8(op, vec![0], in_fp, out_fp);
+        let op = IrOp::Conv(ConvAttrs { kernel, relu: false });
+        let m = single_node_i8(op, vec![0], in_fp);
         let xq = QTensor::quantize(&x, in_fp);
         let y = assert_i8_matches_oracle(&m, std::slice::from_ref(&xq)).execute_i8(&xq);
         let quantum = (-out_fp as f32).exp2();
@@ -715,8 +734,8 @@ mod tests {
         let mut w = Tensor::zeros(Shape4::new(1, 1, 3, 3));
         *w.at_mut(0, 0, 1, 1) = 1.0;
         let kernel = qkernel(&w, &[0.0], 6, 6, Bitwidth::W8);
-        let op = IrOp::Conv(ConvAttrs { kernel, relu: true, pack: None });
-        let m = single_node_i8(op, vec![0], 6, 6);
+        let op = IrOp::Conv(ConvAttrs { kernel, relu: true });
+        let m = single_node_i8(op, vec![0], 6);
         let y = assert_i8_matches_oracle(&m, std::slice::from_ref(&x)).execute_i8(&x);
         assert!(y.data().iter().all(|&v| v == 0));
     }
@@ -730,14 +749,14 @@ mod tests {
         let b = vec![0.01, -0.03, 0.02];
         let mut fm = Module::new("fp32", DType::F32);
         let kernel = ConvKernel::F32 { w: w.clone().into(), b: b.clone(), bn: None };
-        fm.push(IrOp::TConv(ConvAttrs { kernel, relu: false, pack: None }), vec![0]);
+        fm.push(IrOp::TConv(ConvAttrs { kernel, relu: false }), vec![0]);
         let y_ref = execute_f32(&fm, &x);
 
         let in_fp = choose_fix_pos(1.0);
         let out_fp = choose_fix_pos(y_ref.abs_max());
         let kernel = qkernel(&w, &b, in_fp, out_fp, Bitwidth::W8);
-        let op = IrOp::TConv(ConvAttrs { kernel, relu: false, pack: None });
-        let m = single_node_i8(op, vec![0], in_fp, out_fp);
+        let op = IrOp::TConv(ConvAttrs { kernel, relu: false });
+        let m = single_node_i8(op, vec![0], in_fp);
         let xq = QTensor::quantize(&x, in_fp);
         let y = assert_i8_matches_oracle(&m, std::slice::from_ref(&xq)).execute_i8(&xq);
         let quantum = (-out_fp as f32).exp2();
@@ -749,7 +768,7 @@ mod tests {
     #[test]
     fn qmaxpool_preserves_fix_pos_and_picks_max() {
         let x = QTensor::from_vec(Shape4::new(1, 1, 2, 2), vec![1, 9, -4, 5], 3);
-        let m = single_node_i8(IrOp::MaxPool2x2, vec![0], 3, 3);
+        let m = single_node_i8(IrOp::MaxPool2x2, vec![0], 3);
         let y = assert_i8_matches_oracle(&m, std::slice::from_ref(&x)).execute_i8(&x);
         assert_eq!(y.fix_pos(), 3);
         assert_eq!(y.data(), &[9]);
@@ -760,7 +779,7 @@ mod tests {
     #[test]
     fn qconcat_copies_a_value_it_reads_twice() {
         let x = QTensor::from_vec(Shape4::new(1, 1, 1, 2), vec![16, 33], 4);
-        let m = single_node_i8(IrOp::Concat {}, vec![0, 0], 4, 4);
+        let m = single_node_i8(IrOp::Concat {}, vec![0, 0], 4);
         let lowered = assert_i8_matches_oracle(&m, std::slice::from_ref(&x));
         assert_eq!(lowered.plan().writes(1), lowered.plan().range_of(1));
         let y = lowered.execute_i8(&x);
@@ -779,7 +798,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(37);
         let mut m = Module::new("place", DType::I8);
         m.input_fp = 6;
-        let conv = |kernel| IrOp::Conv(ConvAttrs { kernel, relu: true, pack: None });
+        let conv = |kernel| IrOp::Conv(ConvAttrs { kernel, relu: true });
         let k1 = rand_qkernel(Shape4::new(8, 2, 3, 3), 8, 6, 5, Bitwidth::W8, &mut rng);
         let c1 = m.push(conv(k1), vec![0]);
         let k2 = rand_qkernel(Shape4::new(8, 8, 3, 3), 8, 5, 5, Bitwidth::W8, &mut rng);
@@ -788,12 +807,12 @@ mod tests {
         let k3 = rand_qkernel(Shape4::new(4, 16, 3, 3), 4, 5, 5, Bitwidth::W8, &mut rng);
         let c3 = m.push(conv(k3), vec![cat]);
         let out = m.push(IrOp::Concat {}, vec![c3, c2]);
-        m.output_fp = 5;
         let s = Shape4::new(2, 2, 16, 16);
         let frames: Vec<QTensor> =
             (0..2).map(|_| QTensor::quantize(&rand_tensor(s, &mut rng), 6)).collect();
         let lowered = assert_i8_matches_oracle(&m, &frames);
-        assert_eq!(lowered.stats().winograd, 2);
+        let winograd = lowered.packs().iter().flatten();
+        assert_eq!(winograd.filter(|p| matches!(p, PackedKernel::ConvWinograd(_))).count(), 2);
         let plan = lowered.plan();
         let (r, plane) = (plan.range_of(cat), 16 * 16);
         let halves = (r.start..r.start + 8 * plane, r.start + 8 * plane..r.end);

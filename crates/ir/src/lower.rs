@@ -1,29 +1,44 @@
 //! Lowering: IR module → executable program.
 //!
 //! [`lower`] runs the exact rewrite passes (BN carry → ReLU fusion, switched
-//! by [`LowerOptions`]; then the dropout strip), assigns every weight a pack
-//! slot, picks from the lowered shapes which INT8 convs run as Winograd
-//! F(2x2, 3x3) ([`select_winograd`]), then materialises everything the
-//! executors need per model — shapes, fix positions, the liveness
+//! by [`LowerOptions`]; then the dropout strip), then materialises everything
+//! the executors need per model — shapes, fix positions, the liveness
 //! [`ExecPlan`] (which lays every concat out by address) and the
-//! **pre-packed weight panels**. Weights are immutable at inference, so
-//! their GEMM A-operand panels are packed exactly once here; each frame then
-//! only packs the activation (B) panels, which is where the per-frame pack
-//! share of the 16M model drops measurably. W8 and W4 kernels pack into the
+//! **pre-packed weight panels**, one [`PackedKernel`] per conv/tconv node,
+//! indexed by node id. Weights are immutable at inference, so their GEMM
+//! A-operand panels are packed exactly once here; each frame then only packs
+//! the activation (B) panels, which is where the per-frame pack share of the
+//! 16M model drops measurably. Packing is also where each INT8 conv's route
+//! is chosen, from the lowered shapes: Winograd F(2x2, 3x3) or the direct
+//! conv ([`WINOGRAD_MIN_C_IN`], [`WINOGRAD_MIN_TILES`]). The packed variant
+//! is the only record of the route; the executor dispatches on it and the
+//! plan's GEMM work memory is sized from it. W8 and W4 kernels pack into the
 //! same INT8 (or Winograd) panels; a W4 kernel's weights are checked to lie
 //! in `[-8, 7]` as they are packed.
 
 use crate::exec::{FpScratch, QScratch, Scratch};
-use crate::module::{ConvKernel, IrOp, Module, PackFormat};
-use crate::passes::{
-    assign_pack_slots, fuse_batchnorm, fuse_relu, select_winograd, strip_identities, PassStats,
-};
+use crate::module::{ConvKernel, DType, IrOp, Module};
+use crate::passes::{fuse_batchnorm, fuse_relu, strip_identities, PassStats};
 use crate::plan::ExecPlan;
-use seneca_tensor::gemm::PackedA;
+use seneca_tensor::gemm::{strip_scratch_len, PackedA, NR};
+use seneca_tensor::igemm::sgemm_conv_scratch;
+use seneca_tensor::im2col::ConvGeom;
 use seneca_tensor::quantized::Bitwidth;
 use seneca_tensor::tconv::repack_tconv_weights;
-use seneca_tensor::winograd::PackedWinograd;
+use seneca_tensor::winograd::{
+    winograd_strip_scratch_len, winograd_tiles, PackedWinograd, WINO_MAX_C_IN,
+};
 use seneca_tensor::{Shape4, Zero};
+
+/// Fewest input channels of a Winograd conv. The per-shape race of the 1M
+/// and 16M convs at 256x256 (`kernel_stats winograd`) has `C_in = 1` at
+/// 0.95-1.0x the direct conv and `C_in = 8` at 1.45-1.6x, with every wider
+/// shape at 1.4x or more.
+pub const WINOGRAD_MIN_C_IN: usize = 8;
+
+/// Fewest 2x2 output tiles of a Winograd conv (two `NR` panels). In the same
+/// race an 8x8 map (16 tiles) runs at 0.95x, a 16x16 map (64) at 1.4-2.0x.
+pub const WINOGRAD_MIN_TILES: usize = 2 * NR;
 
 /// How a lowering runs. A lowering keeps the graph's own arithmetic: it
 /// makes no semantic rewrite (the BN fold and the softmax strip of the
@@ -51,8 +66,7 @@ impl LowerOptions {
     }
 }
 
-/// Pre-packed GEMM panels of one conv/tconv weight tensor, indexed by the
-/// node's pack slot.
+/// Pre-packed GEMM panels of one conv/tconv weight tensor.
 #[derive(Debug, Clone)]
 pub enum PackedKernel {
     /// FP32 conv: `[C_out, C_in*K*K]` panels plus, for a conv carrying a
@@ -99,15 +113,6 @@ impl PackedKernel {
             PackedKernel::TConvI8 { pa, bias4 } => (pa.panel_len() + bias4.len() * 4) as u64,
         }
     }
-
-    /// The panel format this kernel was materialized in.
-    pub fn format(&self) -> PackFormat {
-        match self {
-            PackedKernel::ConvF32 { .. } | PackedKernel::TConvF32 { .. } => PackFormat::F32,
-            PackedKernel::ConvI8(_) | PackedKernel::TConvI8 { .. } => PackFormat::I8,
-            PackedKernel::ConvWinograd(_) => PackFormat::Winograd,
-        }
-    }
 }
 
 /// A lowered program: the rewritten module plus everything the executors
@@ -120,7 +125,8 @@ pub struct Lowered {
     shapes: Vec<Shape4>,
     fps: Vec<i32>,
     plan: ExecPlan,
-    packs: Vec<PackedKernel>,
+    /// Per node: its packed panels (`Some` exactly for conv/tconv nodes).
+    packs: Vec<Option<PackedKernel>>,
     stats: PassStats,
 }
 
@@ -133,99 +139,140 @@ pub fn lower(mut module: Module, input: Shape4, opts: &LowerOptions) -> Lowered 
         stats.relu_fused = fuse_relu(&mut module);
     }
     stats.identities_removed = strip_identities(&mut module, false);
-    stats.pack_slots = assign_pack_slots(&mut module);
     let shapes = module.shapes(input);
-    stats.winograd = select_winograd(&mut module, &shapes);
     let fps = module.fix_positions();
-    let plan = module.plan(input);
-    let packs = build_packs(&module);
+    let nodes = module.nodes.iter().zip(&shapes).enumerate();
+    let packs: Vec<_> = nodes.map(|(id, (node, out))| pack(id, &node.op, *out)).collect();
+    let mut plan = module.plan(input);
+    let (direct, winograd) = gemm_work(&module, &packs, &shapes);
+    plan.set_work(direct, winograd);
     Lowered { module, input, shapes, fps, plan, packs, stats }
 }
 
-/// Packs every pack-slotted weight tensor once (model load time). A W4
+/// Packs the weight tensor of node `id`, if it is a conv/tconv, once (model
+/// load time), for its lowered output shape `out`. An INT8 conv with
+/// [`WINOGRAD_MIN_C_IN`] up to the Winograd tile's accumulator-safe `C_in`
+/// input channels and at least [`WINOGRAD_MIN_TILES`] output tiles packs
+/// Winograd panels; both routes are exact, so a frame of another geometry
+/// may run the same panels. A W4
 /// kernel packs into the same panels as a W8 one, so its weights must lie in
 /// `[-8, 7]`: wider values would compute a layer the DPU's 4-bit weights
 /// cannot hold.
-fn build_packs(m: &Module) -> Vec<PackedKernel> {
-    let mut packs: Vec<Option<PackedKernel>> = Vec::new();
-    for (id, node) in m.nodes.iter().enumerate() {
-        let (attrs, transpose) = match &node.op {
-            IrOp::Conv(a) => (a, false),
-            IrOp::TConv(a) => (a, true),
-            _ => continue,
-        };
-        let Some(ps) = attrs.pack else { continue };
-        if let ConvKernel::I8 { w, wbits: Bitwidth::W4, .. } = &attrs.kernel {
-            assert!(
-                w.data().iter().all(|v| (-8..=7).contains(v)),
-                "W4 weights of node {id} outside [-8, 7]"
-            );
-        }
-        let packed = if transpose {
-            let c_in = attrs.kernel.c_in(true);
-            let c_out = attrs.kernel.c_out(true);
-            match &attrs.kernel {
-                ConvKernel::F32 { w, b, bn } => {
-                    assert!(bn.is_none(), "BatchNorm carried by an FP32 tconv is unsupported");
-                    let mut wk = vec![0.0f32; 4 * c_out * c_in];
-                    repack_tconv_weights(c_in, c_out, w.data(), &mut wk);
-                    // Row `co*4 + kidx` of the co-major repack belongs to
-                    // output channel `co`, so the replicated bias indexes by
-                    // `row / 4`.
-                    let bias4: Vec<f32> = if b.is_empty() {
-                        Vec::new()
-                    } else {
-                        (0..4 * c_out).map(|i| b[i / 4]).collect()
-                    };
-                    PackedKernel::TConvF32 { pa: PackedA::pack(4 * c_out, c_in, &wk), bias4 }
-                }
-                ConvKernel::I8 { w, bias, .. } => {
-                    let mut wk = vec![0i8; 4 * c_out * c_in];
-                    repack_tconv_weights(c_in, c_out, w.data(), &mut wk);
-                    let bias4: Vec<i32> =
-                        (0..4 * c_out).map(|i| bias.get(i / 4).copied().unwrap_or(0)).collect();
-                    PackedKernel::TConvI8 { pa: PackedA::pack(4 * c_out, c_in, &wk), bias4 }
-                }
-            }
-        } else {
-            match &attrs.kernel {
-                ConvKernel::F32 { w, bn, .. } => {
-                    let ws = w.shape();
-                    PackedKernel::ConvF32 {
-                        pa: PackedA::pack(ws.n, ws.c * ws.h * ws.w, w.data()),
-                        bn: bn
-                            .iter()
-                            .flat_map(|bn| {
-                                assert_eq!(bn.channels(), ws.n, "BN channel count");
-                                (0..ws.n).map(|c| bn.affine(c))
-                            })
-                            .collect(),
-                    }
-                }
-                ConvKernel::I8 { w, .. } => {
-                    let ws = w.shape();
-                    if ps.format == PackFormat::Winograd {
-                        PackedKernel::ConvWinograd(PackedWinograd::pack(ws.n, ws.c, w.data()))
-                    } else {
-                        PackedKernel::ConvI8(PackedA::pack(ws.n, ws.c * ws.h * ws.w, w.data()))
-                    }
-                }
-            }
-        };
-        assert_eq!(
-            packed.format(),
-            ps.format,
-            "pack slot {} format drifted from assignment",
-            ps.slot
+fn pack(id: usize, op: &IrOp, out: Shape4) -> Option<PackedKernel> {
+    let (kernel, transpose) = match op {
+        IrOp::Conv(a) => (&a.kernel, false),
+        IrOp::TConv(a) => (&a.kernel, true),
+        _ => return None,
+    };
+    if let ConvKernel::I8 { w, wbits: Bitwidth::W4, .. } = kernel {
+        assert!(
+            w.data().iter().all(|v| (-8..=7).contains(v)),
+            "W4 weights of node {id} outside [-8, 7]"
         );
-        let slot = ps.slot;
-        if packs.len() <= slot {
-            packs.resize_with(slot + 1, || None);
-        }
-        assert!(packs[slot].is_none(), "pack slot {slot} assigned twice");
-        packs[slot] = Some(packed);
     }
-    packs.into_iter().map(|p| p.expect("pack slot without kernel")).collect()
+    let packed = if transpose {
+        let c_in = kernel.c_in(true);
+        let c_out = kernel.c_out(true);
+        match kernel {
+            ConvKernel::F32 { w, b, bn } => {
+                assert!(bn.is_none(), "BatchNorm carried by an FP32 tconv is unsupported");
+                let mut wk = vec![0.0f32; 4 * c_out * c_in];
+                repack_tconv_weights(c_in, c_out, w.data(), &mut wk);
+                // Row `co*4 + kidx` of the co-major repack belongs to
+                // output channel `co`, so the replicated bias indexes by
+                // `row / 4`.
+                let bias4: Vec<f32> = if b.is_empty() {
+                    Vec::new()
+                } else {
+                    (0..4 * c_out).map(|i| b[i / 4]).collect()
+                };
+                PackedKernel::TConvF32 { pa: PackedA::pack(4 * c_out, c_in, &wk), bias4 }
+            }
+            ConvKernel::I8 { w, bias, .. } => {
+                let mut wk = vec![0i8; 4 * c_out * c_in];
+                repack_tconv_weights(c_in, c_out, w.data(), &mut wk);
+                let bias4: Vec<i32> =
+                    (0..4 * c_out).map(|i| bias.get(i / 4).copied().unwrap_or(0)).collect();
+                PackedKernel::TConvI8 { pa: PackedA::pack(4 * c_out, c_in, &wk), bias4 }
+            }
+        }
+    } else {
+        match kernel {
+            ConvKernel::F32 { w, bn, .. } => {
+                let ws = w.shape();
+                PackedKernel::ConvF32 {
+                    pa: PackedA::pack(ws.n, ws.c * ws.h * ws.w, w.data()),
+                    bn: bn
+                        .iter()
+                        .flat_map(|bn| {
+                            assert_eq!(bn.channels(), ws.n, "BN channel count");
+                            (0..ws.n).map(|c| bn.affine(c))
+                        })
+                        .collect(),
+                }
+            }
+            ConvKernel::I8 { w, .. } => {
+                let ws = w.shape();
+                let (th, tw) = winograd_tiles(out.h, out.w);
+                if (WINOGRAD_MIN_C_IN..=WINO_MAX_C_IN).contains(&ws.c)
+                    && th * tw >= WINOGRAD_MIN_TILES
+                {
+                    PackedKernel::ConvWinograd(PackedWinograd::pack(ws.n, ws.c, w.data()))
+                } else {
+                    PackedKernel::ConvI8(PackedA::pack(ws.n, ws.c * ws.h * ws.w, w.data()))
+                }
+            }
+        }
+    };
+    Some(packed)
+}
+
+/// Peak per-frame GEMM work memory of the packed convs at `shapes`: for each
+/// conv/tconv node, the strip buffers the driver's parallel parts pack
+/// activations into (`parts x strip`, a few hundred KB — there is no whole
+/// packed `B`; the weight panels are packed once and are not per-frame
+/// work), or an FP32 band conv's row bands. Each buffer is reused node to
+/// node, so each figure is a max over nodes, not a sum: the direct convs'
+/// and tconvs' strips, the band convs' `u32` k-step offset table and the
+/// Winograd convs' `i16` strips, all three the work memory of the executor's
+/// worker arena ([`crate::exec::Scratch`]). Mirrors what the kernels
+/// allocate via [`seneca_tensor::gemm::strip_scratch_len`] and
+/// [`seneca_tensor::igemm::sgemm_conv_scratch`]. Returns `((strip elements,
+/// band offsets, element bytes), Winograd strip elements)`.
+fn gemm_work(
+    m: &Module,
+    packs: &[Option<PackedKernel>],
+    shapes: &[Shape4],
+) -> ((usize, usize, usize), usize) {
+    let es = match m.dtype {
+        DType::F32 => 4,
+        DType::I8 => 1,
+    };
+    let (mut direct, mut band_offsets, mut winograd) = (0, 0, 0);
+    for ((node, pack), out) in m.nodes.iter().zip(packs).zip(shapes) {
+        let Some(pack) = pack else { continue };
+        let s = shapes[node.inputs[0]];
+        // The implicit im2col GEMM is [C_out x C_in*9 x H*W]; a tconv's is
+        // [4*C_out x C_in x H*W], its column parts cut on input rows; a
+        // Winograd conv's packs 16 * C_in rows per 2x2 tile.
+        match pack {
+            PackedKernel::ConvF32 { .. } => {
+                let (strips, offsets) = sgemm_conv_scratch(out.c, &ConvGeom::same_3x3(s));
+                direct = direct.max(strips);
+                band_offsets = band_offsets.max(offsets);
+            }
+            PackedKernel::ConvI8(_) => {
+                direct = direct.max(strip_scratch_len(out.c, s.c * 9, s.hw(), NR, es));
+            }
+            PackedKernel::ConvWinograd(_) => {
+                winograd = winograd.max(winograd_strip_scratch_len(out.c, s.c, s.h, s.w));
+            }
+            PackedKernel::TConvF32 { .. } | PackedKernel::TConvI8 { .. } => {
+                direct = direct.max(strip_scratch_len(4 * out.c, s.c, s.hw(), s.w, es));
+            }
+        }
+    }
+    ((direct, band_offsets, es), winograd)
 }
 
 impl Lowered {
@@ -259,14 +306,15 @@ impl Lowered {
         self.stats
     }
 
-    /// The pre-packed weight panels, indexed by pack slot.
-    pub fn packs(&self) -> &[PackedKernel] {
+    /// The pre-packed weight panels, indexed by node id: `Some` exactly for
+    /// the conv/tconv nodes, whose variant is the route their step runs.
+    pub fn packs(&self) -> &[Option<PackedKernel>] {
         &self.packs
     }
 
     /// Bytes held by all pre-packed weight panels.
     pub fn packed_weight_bytes(&self) -> u64 {
-        self.packs.iter().map(|p| p.bytes()).sum()
+        self.packs.iter().flatten().map(PackedKernel::bytes).sum()
     }
 
     /// Allocates the per-worker FP32 arena at the lowered input geometry (an
@@ -293,7 +341,11 @@ impl Lowered {
 
     fn make_scratch<T: Zero>(&self, input: Shape4) -> Scratch<T> {
         let image = input.with_n(1);
-        Scratch::new(self.module.plan(image), self.module.shapes(image), self.fps.clone())
+        let shapes = self.module.shapes(image);
+        let mut plan = self.module.plan(image);
+        let (direct, winograd) = gemm_work(&self.module, &self.packs, &shapes);
+        plan.set_work(direct, winograd);
+        Scratch::new(plan, shapes, self.fps.clone())
     }
 
     /// Re-plans `scratch` when it was built for another geometry than

@@ -40,7 +40,7 @@ pub enum ConvKernel {
     F32 {
         /// Weights: `[C_out, C_in, 3, 3]` for conv, `[C_in, C_out, 2, 2]`
         /// for transpose conv. Shared, not owned: the rewrite passes and
-        /// [`crate::lower`] work on copies of a module (the quantizer lowers
+        /// [`crate::lower()`] work on copies of a module (the quantizer lowers
         /// the fused module while its caller still holds it), and a copy
         /// must not cost another set of FP32 weights.
         w: Arc<Tensor>,
@@ -135,32 +135,6 @@ impl ConvKernel {
     }
 }
 
-/// Layout of one pre-packed weight-panel slot, recorded at pack-slot
-/// assignment time so the lowering and the executor agree on the panel
-/// format without re-deriving it from the kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PackFormat {
-    /// `f32` panels ([`seneca_tensor::gemm::PackedA<f32>`]).
-    F32,
-    /// `i8` panels ([`seneca_tensor::gemm::PackedA<i8>`]) of a W8 or W4
-    /// kernel.
-    I8,
-    /// Winograd-transformed panels of an INT8 (W8 or W4) 3x3 conv
-    /// ([`seneca_tensor::winograd::PackedWinograd`]), chosen per node by
-    /// [`crate::passes::select_winograd`] from the lowered shapes.
-    Winograd,
-}
-
-/// A pack-slot assignment: where this node's pre-packed weight panels live
-/// in the lowered program, and in which format they are materialized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PackSlot {
-    /// Index into the lowered program's pack table.
-    pub slot: usize,
-    /// Panel layout, derived from the kernel dtype and weight bitwidth.
-    pub format: PackFormat,
-}
-
 /// Attributes shared by conv and transpose-conv nodes.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ConvAttrs {
@@ -168,16 +142,12 @@ pub struct ConvAttrs {
     pub kernel: ConvKernel,
     /// ReLU fused into the GEMM epilogue (after a carried BatchNorm).
     pub relu: bool,
-    /// Pack slot assigned by [`crate::passes::assign_pack_slots`]: index and
-    /// format of this node's pre-packed weight panels in the lowered
-    /// program. `None` until the pass runs (weights then pack per call).
-    pub pack: Option<PackSlot>,
 }
 
 impl ConvAttrs {
-    /// An unfused node: no ReLU in the store, no pack slot yet.
+    /// An unfused node: no ReLU in the store.
     pub fn new(kernel: ConvKernel) -> Self {
-        Self { kernel, relu: false, pack: None }
+        Self { kernel, relu: false }
     }
 }
 
@@ -260,8 +230,6 @@ pub struct Module {
     pub dtype: DType,
     /// Fix position of the INT8 input (0 for FP32 modules).
     pub input_fp: i32,
-    /// Fix position of the INT8 output (0 for FP32 modules).
-    pub output_fp: i32,
 }
 
 impl Module {
@@ -274,7 +242,6 @@ impl Module {
             name: name.into(),
             dtype,
             input_fp: 0,
-            output_fp: 0,
         }
     }
 
@@ -342,8 +309,9 @@ impl Module {
         fps
     }
 
-    /// Lowers the module into a liveness-planned [`ExecPlan`] for one image
-    /// of the given input geometry.
+    /// The liveness-planned activation layout ([`ExecPlan`]) of one image of
+    /// the given input geometry. It holds no GEMM work memory: that follows
+    /// the packed kernels, so [`crate::lower::Lowered::plan`] adds it.
     pub fn plan(&self, input: Shape4) -> ExecPlan {
         self.plan_padded(input, |c| c)
     }
@@ -365,58 +333,7 @@ impl Module {
             elems.push(e);
         }
         let inputs: Vec<&[usize]> = self.nodes.iter().map(|n| n.inputs.as_slice()).collect();
-        let mut plan = ExecPlan::build(&inputs, &elems, &concat, self.output);
-        let (direct, winograd) = self.gemm_work(&shapes);
-        plan.set_work(direct, winograd);
-        plan
-    }
-
-    /// Peak per-frame GEMM work memory: for each conv/tconv node, the strip
-    /// buffers the driver's parallel parts pack activations into (`parts x
-    /// strip`, a few hundred KB — there is no whole packed `B`; the weight
-    /// panels are packed once at lowering and are not per-frame work), or an
-    /// FP32 band conv's row bands. Each buffer is reused node to node, so
-    /// each figure is a max over nodes, not a sum: the direct convs' and
-    /// tconvs' strips, the band convs' `u32` k-step offset table and the
-    /// Winograd convs' `i16` strips, all three the work memory of the
-    /// executor's worker arena ([`crate::exec::Scratch`]). Mirrors what the
-    /// kernels actually allocate via [`seneca_tensor::gemm::strip_scratch_len`]
-    /// and [`seneca_tensor::igemm::sgemm_conv_scratch`]. Returns `((strip elements, band offsets, element bytes), Winograd
-    /// strip elements)`.
-    fn gemm_work(&self, shapes: &[Shape4]) -> ((usize, usize, usize), usize) {
-        use seneca_tensor::gemm::{strip_scratch_len, NR};
-        use seneca_tensor::igemm::sgemm_conv_scratch;
-        use seneca_tensor::im2col::ConvGeom;
-        use seneca_tensor::winograd::winograd_strip_scratch_len;
-        let es = match self.dtype {
-            DType::F32 => 4,
-            DType::I8 => 1,
-        };
-        let (mut direct, mut band_offsets, mut winograd) = (0, 0, 0);
-        for (node, out) in self.nodes.iter().zip(shapes) {
-            let s = shapes[*node.inputs.first().unwrap_or(&0)];
-            // The implicit im2col GEMM is [C_out x C_in*9 x H*W]; a tconv's is
-            // [4*C_out x C_in x H*W], its column parts cut on input rows; a
-            // Winograd conv's packs 16 * C_in rows per 2x2 tile.
-            match &node.op {
-                IrOp::Conv(a) if a.pack.is_some_and(|p| p.format == PackFormat::Winograd) => {
-                    winograd = winograd.max(winograd_strip_scratch_len(out.c, s.c, s.h, s.w));
-                }
-                IrOp::Conv(_) if self.dtype == DType::F32 => {
-                    let (strips, offsets) = sgemm_conv_scratch(out.c, &ConvGeom::same_3x3(s));
-                    direct = direct.max(strips);
-                    band_offsets = band_offsets.max(offsets);
-                }
-                IrOp::Conv(_) => {
-                    direct = direct.max(strip_scratch_len(out.c, s.c * 9, s.hw(), NR, es));
-                }
-                IrOp::TConv(_) => {
-                    direct = direct.max(strip_scratch_len(4 * out.c, s.c, s.hw(), s.w, es));
-                }
-                _ => {}
-            }
-        }
-        ((direct, band_offsets, es), winograd)
+        ExecPlan::build(&inputs, &elems, &concat, self.output)
     }
 
     /// Number of nodes per mnemonic (listing/statistics helper).

@@ -9,15 +9,12 @@
 //! (`seneca_quant::fuse`) is BN fold → ReLU fusion → identity strip
 //! (softmax included). Lowering ([`crate::lower::lower`]) replaces the fold
 //! by the exact BN carry ([`fuse_batchnorm`]): the FP32 graph keeps its own
-//! arithmetic and loses its BN and ReLU passes; then come the dropout strip,
-//! pack-slot assignment and, last, liveness planning
-//! ([`crate::plan::ExecPlan`]).
+//! arithmetic and loses its BN and ReLU passes; then comes the dropout strip.
+//! What follows the passes — packing the weights and liveness planning — is
+//! the lowering's, not a rewrite.
 
-use crate::module::{ConvAttrs, ConvKernel, IrNode, IrOp, Module, PackFormat, PackSlot};
-use seneca_tensor::gemm::NR;
+use crate::module::{ConvAttrs, ConvKernel, IrNode, IrOp, Module};
 use seneca_tensor::norm::{fold_bn_into_conv, BnState};
-use seneca_tensor::winograd::{winograd_tiles, WINO_MAX_C_IN};
-use seneca_tensor::Shape4;
 use serde::{Deserialize, Serialize};
 
 /// What the pass pipeline did to a module, for listings and smoke gates.
@@ -29,21 +26,7 @@ pub struct PassStats {
     pub relu_fused: usize,
     /// Inference-identity nodes (dropout) removed.
     pub identities_removed: usize,
-    /// Weight tensors given a pack slot (packed once at model load).
-    pub pack_slots: usize,
-    /// Of those, INT8 convs lowered to Winograd F(2x2, 3x3).
-    pub winograd: usize,
 }
-
-/// Fewest input channels of a Winograd conv. The per-shape race of the 1M
-/// and 16M convs at 256x256 (`kernel_stats winograd`) has `C_in = 1` at
-/// 0.95-1.0x the direct conv and `C_in = 8` at 1.45-1.6x, with every wider
-/// shape at 1.4x or more.
-pub const WINOGRAD_MIN_C_IN: usize = 8;
-
-/// Fewest 2x2 output tiles of a Winograd conv (two `NR` panels). In the same
-/// race an 8x8 map (16 tiles) runs at 0.95x, a 16x16 map (64) at 1.4-2.0x.
-pub const WINOGRAD_MIN_TILES: usize = 2 * NR;
 
 /// Consumers per node id; the module output counts as one extra consumer so
 /// a value feeding the output is never treated as exclusively owned.
@@ -58,11 +41,11 @@ fn consumer_counts(m: &Module) -> Vec<usize> {
     counts
 }
 
-/// Shell of a rebuilt module: same name/dtype/fix positions, input node only.
+/// Shell of a rebuilt module: same name/dtype/input fix position, input node
+/// only.
 fn rebuilt_shell(m: &Module) -> Module {
     let mut new = Module::new(m.name.clone(), m.dtype);
     new.input_fp = m.input_fp;
-    new.output_fp = m.output_fp;
     new
 }
 
@@ -112,11 +95,9 @@ pub fn fold_batchnorm(m: &mut Module) -> usize {
 /// first).
 fn bn_slot(op: &mut IrOp) -> Option<&mut Option<BnState>> {
     match op {
-        IrOp::Conv(ConvAttrs {
-            kernel: ConvKernel::F32 { bn: slot @ None, .. },
-            relu: false,
-            ..
-        }) => Some(slot),
+        IrOp::Conv(ConvAttrs { kernel: ConvKernel::F32 { bn: slot @ None, .. }, relu: false }) => {
+            Some(slot)
+        }
         _ => None,
     }
 }
@@ -210,54 +191,6 @@ pub fn strip_identities(m: &mut Module, strip_softmax: bool) -> usize {
     removed
 }
 
-/// Assigns every conv/tconv weight tensor a pack slot: the index of its
-/// pre-packed GEMM panels in the lowered program, plus the panel *format*
-/// (f32 / i8) derived from the kernel dtype: a W4 kernel's weights are `i8`
-/// in `[-8, 7]` and pack into the same panels as a W8 one. Weights are immutable at inference, so packing happens exactly
-/// once at model load instead of once per frame. Panics if any node already
-/// holds a slot — the pass must run exactly once per module. Returns the
-/// number of slots assigned.
-pub fn assign_pack_slots(m: &mut Module) -> usize {
-    let mut next = 0;
-    for node in &mut m.nodes {
-        if let IrOp::Conv(a) | IrOp::TConv(a) = &mut node.op {
-            assert!(a.pack.is_none(), "pack slot already assigned");
-            let format = match &a.kernel {
-                ConvKernel::F32 { .. } => PackFormat::F32,
-                ConvKernel::I8 { .. } => PackFormat::I8,
-            };
-            a.pack = Some(PackSlot { slot: next, format });
-            next += 1;
-        }
-    }
-    next
-}
-
-/// Lowers to Winograd F(2x2, 3x3) ([`seneca_tensor::winograd`]) every INT8
-/// conv (W8 or W4: W4 weights are `i8` in `[-8, 7]`) with at least
-/// [`WINOGRAD_MIN_C_IN`] input channels and [`WINOGRAD_MIN_TILES`] output
-/// tiles at the lowered geometry `shapes`, within the Winograd tile's
-/// accumulator-safe `C_in`: its pack slot's format becomes
-/// [`PackFormat::Winograd`]. Both routes are exact, so a frame of another
-/// geometry may run the same kernels. Runs after [`assign_pack_slots`];
-/// returns the number of convs lowered.
-pub fn select_winograd(m: &mut Module, shapes: &[Shape4]) -> usize {
-    let mut picked = 0;
-    for (node, out) in m.nodes.iter_mut().zip(shapes) {
-        let IrOp::Conv(a @ ConvAttrs { kernel: ConvKernel::I8 { .. }, .. }) = &mut node.op else {
-            continue;
-        };
-        let slot = a.pack.as_mut().expect("Winograd selection before pack-slot assignment");
-        let c_in = a.kernel.c_in(false);
-        let (th, tw) = winograd_tiles(out.h, out.w);
-        if (WINOGRAD_MIN_C_IN..=WINO_MAX_C_IN).contains(&c_in) && th * tw >= WINOGRAD_MIN_TILES {
-            slot.format = PackFormat::Winograd;
-            picked += 1;
-        }
-    }
-    picked
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,7 +206,7 @@ mod tests {
         let ws = Shape4::new(c_out, c_in, 3, 3);
         let w = Tensor::from_vec(ws, (0..ws.len()).map(|_| rng.gen_range(-1.0f32..1.0)).collect());
         let b: Vec<f32> = (0..c_out).map(|_| rng.gen_range(-0.5f32..0.5)).collect();
-        ConvAttrs { kernel: ConvKernel::F32 { w: w.into(), b, bn: None }, relu: false, pack: None }
+        ConvAttrs { kernel: ConvKernel::F32 { w: w.into(), b, bn: None }, relu: false }
     }
 
     fn random_bn(c: usize, rng: &mut StdRng) -> BnState {
@@ -432,43 +365,5 @@ mod tests {
         assert_eq!(strip_identities(&mut m, true), 2);
         assert_eq!(m.nodes.len(), 2);
         assert!(matches!(m.nodes[m.output].op, IrOp::Conv(_)));
-    }
-
-    /// Every weight tensor gets exactly one pack slot, in node order.
-    #[test]
-    fn pack_slots_assigned_exactly_once_per_weight() {
-        let mut rng = StdRng::seed_from_u64(16);
-        let mut m = Module::new("pack", DType::F32);
-        let c1 = m.push(IrOp::Conv(conv_attrs(2, 3, &mut rng)), vec![0]);
-        let p = m.push(IrOp::MaxPool2x2, vec![c1]);
-        let c2 = m.push(IrOp::Conv(conv_attrs(3, 4, &mut rng)), vec![p]);
-        m.output = c2;
-        assert_eq!(assign_pack_slots(&mut m), 2);
-        let slots: Vec<Option<PackSlot>> = m
-            .nodes
-            .iter()
-            .filter_map(|n| match &n.op {
-                IrOp::Conv(a) | IrOp::TConv(a) => Some(a.pack),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(
-            slots,
-            vec![
-                Some(PackSlot { slot: 0, format: PackFormat::F32 }),
-                Some(PackSlot { slot: 1, format: PackFormat::F32 })
-            ]
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "pack slot already assigned")]
-    fn double_pack_assignment_panics() {
-        let mut rng = StdRng::seed_from_u64(17);
-        let mut m = Module::new("pack-twice", DType::F32);
-        let c = m.push(IrOp::Conv(conv_attrs(2, 2, &mut rng)), vec![0]);
-        m.output = c;
-        assign_pack_slots(&mut m);
-        assign_pack_slots(&mut m);
     }
 }

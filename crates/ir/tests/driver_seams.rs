@@ -10,10 +10,10 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use seneca_ir::oracle;
+use seneca_ir::WINOGRAD_MIN_C_IN;
 use seneca_ir::{
     lower, Bitwidth, ConvAttrs, ConvKernel, DType, IrOp, LowerOptions, Module, PackedKernel,
 };
-use seneca_ir::{PackFormat, WINOGRAD_MIN_C_IN};
 use seneca_tensor::gemm::{FORK_MIN_MACS, STRIP_BYTES};
 use seneca_tensor::quantized::choose_fix_pos_bits;
 use seneca_tensor::{QTensor, Shape4, Tensor};
@@ -28,7 +28,7 @@ fn rand_tensor(shape: Shape4, rng: &mut StdRng) -> Tensor {
 }
 
 fn op(i: usize, kernel: ConvKernel) -> IrOp {
-    let attrs = ConvAttrs { kernel, relu: i < 2, pack: None };
+    let attrs = ConvAttrs { kernel, relu: i < 2 };
     if i < 2 {
         IrOp::Conv(attrs)
     } else {
@@ -106,13 +106,17 @@ fn int8_layers_match_the_oracle_across_strips_and_parts_w8_and_w4() {
             };
             m.output = m.push(op(i, kernel), vec![i]);
         }
-        m.output_fp = fps[3];
         let lowered = lower(m, INPUT, &LowerOptions::reference());
-        let formats: Vec<PackFormat> = lowered.packs().iter().map(PackedKernel::format).collect();
         // The middle conv runs Winograd whatever its bitwidth; the others run
         // the INT8 panels, W4 or W8.
-        assert_eq!(formats, [PackFormat::I8, PackFormat::Winograd, PackFormat::I8], "mask {case}");
-        assert_eq!(lowered.stats().winograd, 1);
+        let routes = lowered.packs().iter().map(|p| match p {
+            None => "none",
+            Some(PackedKernel::ConvI8(_) | PackedKernel::TConvI8 { .. }) => "i8",
+            Some(PackedKernel::ConvWinograd(_)) => "winograd",
+            Some(_) => "f32",
+        });
+        let routes: Vec<&str> = routes.collect();
+        assert_eq!(routes, ["none", "i8", "winograd", "i8"], "mask {case}");
         let mut scratch = lowered.make_scratch_i8();
         let x = QTensor::quantize(&rand_tensor(INPUT, &mut rng), fps[0]);
         oracle::check_i8(&lowered, &mut scratch, &x);

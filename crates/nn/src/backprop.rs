@@ -99,7 +99,7 @@ impl Graph {
     ///
     /// Panics on a max-pool input with odd height or width (a U-Net input
     /// must be divisible by `2^depth`), and on what the exporter never emits
-    /// (an INT8 kernel, a carried BatchNorm, a fused ReLU, a pack slot):
+    /// (an INT8 kernel, a carried BatchNorm, a fused ReLU):
     /// training runs on the unfused FP32 graph.
     pub fn forward_train<R: Rng>(&mut self, x: &Tensor, rng: &mut R) -> Tape {
         let mut saved: Vec<Saved> = Vec::with_capacity(self.module.nodes.len());

@@ -10,7 +10,7 @@
 //! FP32 module in the form the exporter writes it — BatchNorm, ReLU, Dropout
 //! and Softmax as separate nodes (training needs them explicit, the tools
 //! demonstrate folding/removal), every conv with an FP32 kernel, no carried
-//! BatchNorm, no fused ReLU and no pack slot. Everything that reads the
+//! BatchNorm and no fused ReLU. Everything that reads the
 //! graph reads [`Graph::module`]; inference lowers [`Graph::to_ir`] through
 //! `seneca-ir`'s pass pipeline and planned executor.
 
@@ -28,11 +28,11 @@ pub struct Graph {
 }
 
 /// The FP32 weights and bias of an export conv / tconv. Panics on what the
-/// exporter never emits: an INT8 kernel, a carried BatchNorm, a fused ReLU
-/// or a pack slot.
+/// exporter never emits: an INT8 kernel, a carried BatchNorm or a fused
+/// ReLU.
 pub(crate) fn export_kernel(a: &ConvAttrs) -> (&Arc<Tensor>, &Vec<f32>) {
     match a {
-        ConvAttrs { kernel: ConvKernel::F32 { w, b, bn: None }, relu: false, pack: None } => (w, b),
+        ConvAttrs { kernel: ConvKernel::F32 { w, b, bn: None }, relu: false } => (w, b),
         _ => panic!("not an export conv: {a:?}"),
     }
 }
@@ -40,7 +40,7 @@ pub(crate) fn export_kernel(a: &ConvAttrs) -> (&Arc<Tensor>, &Vec<f32>) {
 /// [`export_kernel`], mutably.
 pub(crate) fn export_kernel_mut(a: &mut ConvAttrs) -> (&mut Arc<Tensor>, &mut Vec<f32>) {
     match a {
-        ConvAttrs { kernel: ConvKernel::F32 { w, b, bn: None }, relu: false, pack: None } => (w, b),
+        ConvAttrs { kernel: ConvKernel::F32 { w, b, bn: None }, relu: false } => (w, b),
         _ => panic!("not an export conv: {a:?}"),
     }
 }
@@ -48,10 +48,9 @@ pub(crate) fn export_kernel_mut(a: &mut ConvAttrs) -> (&mut Arc<Tensor>, &mut Ve
 /// Whether `op` may be a node of the export graph.
 fn is_export_op(op: &IrOp) -> bool {
     match op {
-        IrOp::Conv(a) | IrOp::TConv(a) => matches!(
-            a,
-            ConvAttrs { kernel: ConvKernel::F32 { bn: None, .. }, relu: false, pack: None }
-        ),
+        IrOp::Conv(a) | IrOp::TConv(a) => {
+            matches!(a, ConvAttrs { kernel: ConvKernel::F32 { bn: None, .. }, relu: false })
+        }
         _ => true,
     }
 }
@@ -232,8 +231,8 @@ mod tests {
         g.push(IrOp::Relu, vec![7]);
     }
 
-    /// An INT8 kernel, a carried BatchNorm, a fused ReLU or a pack slot is
-    /// no export node: `push` panics, and a module holding one
+    /// An INT8 kernel, a carried BatchNorm or a fused ReLU is no export
+    /// node: `push` panics, and a module holding one
     /// — a fused one, say, or a file edited to hold one — is refused.
     #[test]
     fn rejects_what_the_exporter_never_emits() {

@@ -8,7 +8,7 @@
 //! the first FP32 as exported, the second INT8 with only the nodes the DPU
 //! executes:
 //!
-//! 1. [`fuse`] — graph clean-up that mirrors the quantizer/VAI_C front end:
+//! 1. [`fuse()`] — graph clean-up that mirrors the quantizer/VAI_C front end:
 //!    BatchNorm folded into the preceding conv, dropout removed, ReLU fused
 //!    into conv, softmax stripped (argmax runs on the CPU, paper §III-E);
 //!    the result is a [`seneca_ir::Module`], which every later step takes;

@@ -2,7 +2,7 @@
 //!
 //! PTQ needs only a small unlabeled calibration set (the paper uses 500
 //! slices): activations are observed through the fused FP32 module (the
-//! output of [`crate::fuse`]), each node gets a power-of-two fix position,
+//! output of [`crate::fuse()`]), each node gets a power-of-two fix position,
 //! weights are quantised per-tensor, and biases are pre-scaled to the
 //! accumulator fix position.
 
@@ -144,7 +144,7 @@ pub fn quantize_from_calibration(
     }
     m.output = fg.output;
     m.name = format!("{}-{}", fg.name, if mixed { "w4a8" } else { "int8" });
-    (m.input_fp, m.output_fp) = (fp[0], fp[fg.output]);
+    m.input_fp = fp[0];
     QuantizedGraph::try_from(m).expect("PTQ builds a quantized graph")
 }
 

@@ -13,7 +13,7 @@
 //! position `fp_in + fp_w`, and each op's output is requantised to its
 //! calibrated activation fix position.
 
-use seneca_ir::{ConvAttrs, ConvKernel, DType, IrOp, Module};
+use seneca_ir::{ConvKernel, DType, IrOp, Module};
 use seneca_tensor::quantized::QTensor;
 use seneca_tensor::Tensor;
 use serde::{DeError, Deserialize, Serialize, Value};
@@ -28,9 +28,7 @@ pub struct QuantizedGraph {
 /// Whether `op` is a node the DPU executes.
 fn is_dpu_op(op: &IrOp) -> bool {
     match op {
-        IrOp::Conv(a) | IrOp::TConv(a) => {
-            matches!(a, ConvAttrs { kernel: ConvKernel::I8 { .. }, pack: None, .. })
-        }
+        IrOp::Conv(a) | IrOp::TConv(a) => matches!(a.kernel, ConvKernel::I8 { .. }),
         IrOp::Input | IrOp::MaxPool2x2 | IrOp::Concat {} => true,
         IrOp::BatchNorm { .. } | IrOp::Relu | IrOp::Dropout { .. } | IrOp::Softmax => false,
     }
@@ -40,8 +38,10 @@ impl TryFrom<Module> for QuantizedGraph {
     type Error = String;
 
     /// Takes over a module that is a quantized graph: well-formed, INT8,
-    /// holding only the nodes the DPU executes, and every concat joining two
-    /// inputs at one fix position (the DPU lays it out by address).
+    /// holding only the nodes the DPU executes, every concat joining two
+    /// inputs at one fix position (the DPU lays it out by address), and
+    /// every conv/tconv calibrated for the fix position its input is at (its
+    /// requantising shift is taken from its own `in_fp`).
     fn try_from(module: Module) -> Result<Self, String> {
         module.check_structure()?;
         if module.dtype != DType::I8 {
@@ -53,11 +53,22 @@ impl TryFrom<Module> for QuantizedGraph {
         }
         let fps = module.fix_positions();
         for (i, node) in module.nodes.iter().enumerate() {
-            if let (IrOp::Concat {}, &[a, b]) = (&node.op, &node.inputs[..]) {
-                if fps[a] != fps[b] {
+            let op = node.op.mnemonic(DType::I8);
+            match (&node.op, &node.inputs[..]) {
+                (IrOp::Concat {}, &[a, b]) if fps[a] != fps[b] => {
                     let (fa, fb) = (fps[a], fps[b]);
-                    return Err(format!("node {i} (qconcat) joins fix positions {fa} and {fb}"));
+                    return Err(format!("node {i} ({op}) joins fix positions {fa} and {fb}"));
                 }
+                (IrOp::Conv(c) | IrOp::TConv(c), &[x]) => {
+                    let ConvKernel::I8 { in_fp, .. } = c.kernel else { unreachable!("INT8") };
+                    if in_fp != fps[x] {
+                        let fx = fps[x];
+                        return Err(format!(
+                            "node {i} ({op}) expects input fix position {in_fp}, node {x} is at {fx}"
+                        ));
+                    }
+                }
+                _ => {}
             }
         }
         Ok(Self { module })
@@ -112,6 +123,7 @@ impl QuantizedGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use seneca_ir::ConvAttrs;
     use seneca_tensor::quantized::{choose_fix_pos, Bitwidth};
     use seneca_tensor::Shape4;
 
@@ -125,12 +137,12 @@ mod tests {
     }
 
     /// A quantized graph of `ops` (each reading the listed nodes).
-    fn graph(ops: Vec<(IrOp, Vec<usize>)>, input_fp: i32, output_fp: i32) -> QuantizedGraph {
+    fn graph(ops: Vec<(IrOp, Vec<usize>)>, input_fp: i32) -> QuantizedGraph {
         let mut m = Module::new("test", DType::I8);
         for (op, inputs) in ops {
             m.push(op, inputs);
         }
-        (m.input_fp, m.output_fp) = (input_fp, output_fp);
+        m.input_fp = input_fp;
         QuantizedGraph::try_from(m).unwrap()
     }
 
@@ -158,7 +170,6 @@ mod tests {
                 (IrOp::Concat {}, vec![1, 3]),
             ],
             in_fp,
-            5,
         );
         let shape = Shape4::new(1, 2, 8, 8);
         let lowered = seneca_ir::lower(g.to_ir(), shape, &seneca_ir::LowerOptions::reference());
@@ -170,7 +181,8 @@ mod tests {
             );
             seneca_ir::oracle::check_i8(&lowered, &mut scratch, &g.quantize_input(&x));
             let m = g.module();
-            assert_eq!(lowered.node_output_i8(m.output, &scratch).fix_pos(), m.output_fp);
+            let out_fp = lowered.node_output_i8(m.output, &scratch).fix_pos();
+            assert_eq!((out_fp, m.fix_positions()[m.output]), (5, 5));
         }
     }
 
@@ -201,12 +213,40 @@ mod tests {
             let mut m = Module::new("c", DType::I8);
             m.push(IrOp::Conv(qp(w, &[0.0, 0.0], false, 6, out_fp)), vec![0]);
             m.push(IrOp::Concat {}, vec![0, 1]);
-            (m.input_fp, m.output_fp) = (6, 6);
+            m.input_fp = 6;
             QuantizedGraph::try_from(m)
         };
         assert!(cat(6).is_ok());
         let err = cat(5).unwrap_err();
         assert_eq!(err, "node 2 (qconcat) joins fix positions 6 and 5");
+    }
+
+    /// A conv or tconv whose `in_fp` is not its input's fix position would
+    /// run mis-scaled (the executor shifts by its own `in_fp`): bumping any
+    /// one of a PTQ graph's by one makes loading it fail.
+    #[test]
+    fn a_conv_calibrated_for_another_input_position_is_refused() {
+        use rand::SeedableRng;
+        use seneca_nn::graph::Graph;
+        use seneca_nn::unet::{UNet, UNetConfig};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(25);
+        let cfg = UNetConfig { depth: 1, base_filters: 2, num_classes: 6, dropout: 0.0 };
+        let fg = crate::fuse(&Graph::from_unet(&UNet::new(cfg, &mut rng), "tiny"));
+        let calib = [Tensor::he_normal(Shape4::new(1, 1, 8, 8), &mut rng)];
+        let (qg, _) = crate::quantize_post_training(&fg, &calib, &crate::PtqConfig::default());
+        assert!(QuantizedGraph::try_from(qg.to_ir()).is_ok());
+        let mut bumped = 0;
+        for id in 0..qg.module().nodes.len() {
+            let mut m = qg.to_ir();
+            let (IrOp::Conv(a) | IrOp::TConv(a)) = &mut m.nodes[id].op else { continue };
+            let ConvKernel::I8 { in_fp, .. } = &mut a.kernel else { unreachable!("INT8") };
+            *in_fp += 1;
+            let err = QuantizedGraph::try_from(m).unwrap_err();
+            assert!(err.starts_with(&format!("node {id} (")), "{err}");
+            assert!(err.contains("expects input fix position"), "{err}");
+            bumped += 1;
+        }
+        assert!(bumped >= 4, "{bumped} convs and tconvs");
     }
 
     #[test]
@@ -217,7 +257,7 @@ mod tests {
         // Weights expect 5 input channels but the upstream value has 2.
         let conv =
             qp(Tensor::he_normal(Shape4::new(3, 5, 3, 3), &mut rng), &[0.0, 0.0, 0.0], false, 6, 5);
-        let g = graph(vec![(IrOp::Conv(conv), vec![0])], 6, 5);
+        let g = graph(vec![(IrOp::Conv(conv), vec![0])], 6);
         let _ = g.module().shapes(Shape4::new(1, 2, 8, 8));
     }
 
@@ -236,7 +276,6 @@ mod tests {
                 (IrOp::Concat {}, vec![1, 2]),
             ],
             6,
-            5,
         );
         let _ = g.module().shapes(Shape4::new(1, 2, 8, 8));
     }
@@ -257,7 +296,6 @@ mod tests {
                 (IrOp::Conv(conv3), vec![2]),
             ],
             in_fp,
-            4,
         );
         let plan = g.module().plan(Shape4::new(1, 2, 16, 16));
         // A 3-conv chain ping-pongs: the third conv reuses the first's bytes,

@@ -61,7 +61,7 @@
 //!    core; otherwise they split the row tiles and each packs the one strip
 //!    itself. GEMMs under [`FORK_MIN_MACS`] run inline on the caller. The
 //!    per-part strip buffers are slices of one [`Work`] the caller hands the
-//!    driver ([`run_with`]): the executor's worker arena owns one per element
+//!    driver (`run_with`): the executor's worker arena owns one per element
 //!    type, sized once for its plan, and the entry points that take none use
 //!    the *calling* thread's. A part never touches its own thread's scratch:
 //!    the rayon shim's workers are fresh threads, whose thread-locals would
@@ -223,7 +223,7 @@ pub enum GemmEpilogue<'a> {
 
 /// GEMM work memory for one element type: the strip buffers of the driver's
 /// parallel parts, and the k-step offsets a band conv reads its band
-/// through ([`Steps::Band`]). Both grow to the largest call's need and are
+/// through (`Steps::Band`). Both grow to the largest call's need and are
 /// reused call to call. An executor worker owns one per element type, built
 /// with its arena on the calling thread and sized once for its plan
 /// ([`Work::new`]), and hands it to the entry points that take one; every
@@ -314,8 +314,8 @@ pub(crate) fn with_thread_work<T: PackElem, R>(f: impl FnOnce(&mut Work<T>) -> R
 ///
 /// Inference weights are immutable, so re-packing them on every frame (as
 /// [`sgemm_fused`] / [`igemm_fused`] must, since they only see flat slices) is
-/// pure per-frame overhead. The pack-slot pass in `seneca-ir` builds one
-/// `PackedA` per weight tensor at lowering time and routes frames through the
+/// pure per-frame overhead. The lowering in `seneca-ir` builds one
+/// `PackedA` per weight tensor and routes frames through the
 /// `*_packed` entry points, whose per-call pack work covers only the
 /// activation (`B`) strips.
 ///

@@ -10,6 +10,10 @@ cargo fmt --check
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== rustdoc links (no doc links a missing, ambiguous or private item) =="
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
+    cargo doc --workspace --no-deps
+
 echo "== serving and routing cores stay sans-IO (no clock read, sleep, lock, channel or atomic in crates/serve/src/intake.rs or crates/fleet/src/router.rs) =="
 echo "Each core takes its inputs from its caller and returns what to do, so tests/serve_explorer.rs and tests/fleet_explorer.rs step them on seeded schedules; the threaded shells (server.rs, fleet.rs) own the clock, the locks, the condvars and the channels."
 for core in crates/serve/src/intake.rs crates/fleet/src/router.rs; do
@@ -53,7 +57,7 @@ echo "== device-throughput smokes (calibrate: per-model DpuRunner/GpuRunner::thr
 time cargo run --release -q -p seneca-bench --example calibrate
 time cargo run --release -q -p seneca-bench --bin reproduce -- fig3 --scale fast
 
-echo "== ir smoke (seneca_quant::fuse folds every BN, fuses every ReLU, strips every identity; one pack slot per weight; every concat's inputs placed at their channel offsets, copying nothing, in both dtypes; arena = pinned 256² arena = peak-live footprint < total activations; implicit-GEMM peak < materialized route) =="
+echo "== ir smoke (seneca_quant::fuse folds every BN, fuses every ReLU, strips every identity; lowering packs one kernel per conv/tconv and none for any other node; every concat's inputs placed at their channel offsets, copying nothing, in both dtypes; arena = pinned 256² arena = peak-live footprint < total activations; implicit-GEMM peak < materialized route) =="
 cargo run --release -q -p seneca-bench --example ir_stats
 
 echo "== kernel smoke (igemm bit-exact; packed GEMM beats reference; implicit conv == materialized; on 16M 64->32 @256: implicit >= materialized in both dtypes, Winograd bit-exact and > direct, i8 / f32 MAC rate printed; on 1M 16->16 @128: INT8 tconv == GEMM + scatter and >= 0.6x the MAC rate of the same GEMM with a row store) =="

@@ -11,8 +11,7 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use seneca_ir::oracle::{self, assert_close_f32};
 use seneca_ir::{
-    assign_pack_slots, lower, select_winograd, ConvAttrs, ConvKernel, DType, IrOp, LowerOptions,
-    Lowered, Module, PackFormat,
+    lower, ConvAttrs, ConvKernel, DType, IrOp, LowerOptions, Lowered, Module, PackedKernel,
 };
 use seneca_nn::graph::Graph;
 use seneca_nn::unet::{ModelSize, UNet};
@@ -38,6 +37,16 @@ fn assert_i8_matches_oracle(qg: &QuantizedGraph, shape: Shape4, seed: u64) {
     for frame in 0..2u64 {
         let q = qg.quantize_input(&random_frame(shape, seed.wrapping_add(frame)));
         oracle::check_i8(&lowered, &mut scratch, &q);
+    }
+}
+
+/// The route the INT8 conv `id` of `lowered` runs, read off its packed
+/// panels: `"winograd"` or `"direct"`.
+fn route(lowered: &Lowered, id: usize) -> &'static str {
+    match &lowered.packs()[id] {
+        Some(PackedKernel::ConvWinograd(_)) => "winograd",
+        Some(PackedKernel::ConvI8(_)) => "direct",
+        _ => panic!("node {id} is not packed as an INT8 conv"),
     }
 }
 
@@ -72,23 +81,18 @@ fn winograd_rule_picks_the_expected_convs_at_256() {
         let fg = fuse(&Graph::from_unet(&UNet::from_size(size, &mut rng), "rule"));
         let calib = vec![random_frame(Shape4::new(1, 1, 32, 32), 5)];
         let (qg, _) = quantize_post_training(&fg, &calib, &PtqConfig::default());
-        let mut m = qg.to_ir();
-        let n_conv = assign_pack_slots(&mut m) - m.op_histogram()["qtconv"];
-        let shapes = m.shapes(input);
-        let picked = select_winograd(&mut m, &shapes);
-        let kept: Vec<(usize, usize, usize)> = m
-            .nodes
-            .iter()
-            .zip(&shapes)
-            .filter_map(|(n, s)| match &n.op {
-                IrOp::Conv(a) if a.pack.unwrap().format != PackFormat::Winograd => {
-                    Some((a.kernel.c_in(false), a.kernel.c_out(false), s.h))
-                }
-                _ => None,
-            })
-            .collect();
+        let lowered = lower(qg.to_ir(), input, &LowerOptions::reference());
+        let (m, shapes) = (lowered.module(), lowered.shapes());
+        let (mut picked, mut kept) = (0, Vec::new());
+        for (id, (n, s)) in m.nodes.iter().zip(shapes).enumerate() {
+            let IrOp::Conv(a) = &n.op else { continue };
+            match route(&lowered, id) {
+                "winograd" => picked += 1,
+                _ => kept.push((a.kernel.c_in(false), a.kernel.c_out(false), s.h)),
+            }
+        }
         assert_eq!(kept, direct, "{}", size.label());
-        assert_eq!(picked + direct.len(), n_conv, "{}", size.label());
+        assert_eq!(picked + direct.len(), m.op_histogram()["qconv"], "{}", size.label());
     }
 }
 
@@ -152,15 +156,15 @@ fn placed_concats_match_the_oracle_in_every_gather() {
     let (cat, twice, output) = (3, 5, 8);
     // (channels, h, w, the conv over `x3`: its bitwidth and INT8 route)
     let cases = [
-        ([2, 4, 6, 5], 6, 64, Bitwidth::W8, PackFormat::Winograd),
-        ([1, 3, 2, 4], 5, 32, Bitwidth::W8, PackFormat::I8),
-        ([2, 5, 4, 3], 16, 16, Bitwidth::W8, PackFormat::Winograd),
-        ([3, 4, 5, 4], 8, 8, Bitwidth::W4, PackFormat::I8),
-        ([1, 6, 3, 2], 9, 13, Bitwidth::W8, PackFormat::I8),
+        ([2, 4, 6, 5], 6, 64, Bitwidth::W8, "winograd"),
+        ([1, 3, 2, 4], 5, 32, Bitwidth::W8, "direct"),
+        ([2, 5, 4, 3], 16, 16, Bitwidth::W8, "winograd"),
+        ([3, 4, 5, 4], 8, 8, Bitwidth::W4, "direct"),
+        ([1, 6, 3, 2], 9, 13, Bitwidth::W8, "direct"),
     ];
     let placements = |lowered: &Lowered| [cat, twice, output].map(|id| placed_inputs(lowered, id));
     let want = [vec![true, true], vec![true, false], vec![true, true]];
-    for (k, &(c, h, w, bits, route)) in cases.iter().enumerate() {
+    for (k, &(c, h, w, bits, want_route)) in cases.iter().enumerate() {
         let seed = 40 + k as u64;
         let fg = concat_net(c, seed);
         let shape = Shape4::new(2, c[0], h, w);
@@ -177,7 +181,7 @@ fn placed_concats_match_the_oracle_in_every_gather() {
         let m = quantize_from_calibration(&fg, &report, &wbits).to_ir();
         let lowered = lower(m, shape, &LowerOptions::reference());
         let IrOp::Conv(a) = &lowered.module().nodes[cat + 1].op else { unreachable!() };
-        assert_eq!(a.pack.unwrap().format, route, "{what}");
+        assert_eq!(route(&lowered, cat + 1), want_route, "{what}");
         assert_eq!(a.kernel.wbits(), bits, "{what}");
         assert_eq!(placements(&lowered), want, "{what}");
         let mut scratch = lowered.make_scratch_i8();
@@ -221,10 +225,10 @@ fn placed_decoder_concats_match_the_oracle_on_random_unets() {
         let lowered = lower(m, shape, &LowerOptions::reference());
         assert_eq!(concats(&lowered), depth);
         let m = lowered.module();
-        for node in &m.nodes {
+        for (id, node) in m.nodes.iter().enumerate() {
             if let IrOp::Conv(a) = &node.op {
                 if matches!(m.nodes[node.inputs[0]].op, IrOp::Concat { .. }) {
-                    routes.push((a.pack.unwrap().format, a.kernel.wbits()));
+                    routes.push((route(&lowered, id), a.kernel.wbits()));
                 }
             }
         }
@@ -235,9 +239,9 @@ fn placed_decoder_concats_match_the_oracle_on_random_unets() {
             oracle::check_i8(&lowered, &mut scratch, &q);
         }
     }
-    for route in [PackFormat::Winograd, PackFormat::I8] {
+    for route in ["winograd", "direct"] {
         for bits in [Bitwidth::W8, Bitwidth::W4] {
-            let what = format!("no placed concat feeds a {bits:?} {route:?} conv");
+            let what = format!("no placed concat feeds a {bits:?} {route} conv");
             assert!(routes.contains(&(route, bits)), "{what}");
         }
     }
