@@ -31,7 +31,7 @@ use crate::fmt::{emit, Table};
 use seneca::backend::{Backend, Fp32RefBackend, QuantRefBackend};
 use seneca::eval::{evaluate_backend_on, AccuracyReport};
 use seneca::workflow::slice_to_sample;
-use seneca::{Deployment, PreparedData, Workflow};
+use seneca::{zoo, Deployment, PreparedData, Workflow};
 use seneca_data::calibration::random_calibration;
 use seneca_data::dataset::SplitKind;
 use seneca_data::pathology::{LESION_HOSTS, MAX_LESIONS, MIN_LESIONS};
@@ -107,7 +107,9 @@ fn robust_deployment(ctx: &ExperimentCtx) -> (Workflow, PreparedData, Deployment
     cfg.train.augment = true;
     let wf = Workflow::new(cfg);
     let data = wf.prepare_data();
-    let dep = wf.deploy(SIZE, &data);
+    let graph = zoo::get_or_train(&wf, SIZE, &data);
+    let qg = wf.quantize(&graph, &data);
+    let dep = wf.compile_and_deploy(graph, qg);
     (wf, data, dep)
 }
 

@@ -44,7 +44,6 @@ use seneca_tensor::igemm::{
 use seneca_tensor::im2col::ConvGeom;
 use seneca_tensor::norm::batchnorm_inference_into;
 use seneca_tensor::pool::maxpool2x2_into;
-use seneca_tensor::quantized::maxpool2x2_i8;
 use seneca_tensor::winograd::igemm_conv_winograd;
 use seneca_tensor::{QTensor, QTensorView, Shape4, Tensor, TensorView, Zero};
 use std::ops::Range;
@@ -404,7 +403,7 @@ impl Lowered {
             }
             IrOp::MaxPool2x2 => {
                 let (xs, x) = view(node.inputs[0]);
-                maxpool2x2_i8(xs, x, out);
+                maxpool2x2_into(xs, x, out);
             }
             IrOp::BatchNorm { .. } | IrOp::Relu | IrOp::Dropout { .. } | IrOp::Softmax => {
                 panic!("{} unsupported in an INT8 module", node.op.mnemonic(m.dtype))

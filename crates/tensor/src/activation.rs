@@ -2,30 +2,33 @@
 
 use crate::shape::Shape4;
 use crate::tensor::Tensor;
-use rayon::prelude::*;
 
 /// Elementwise ReLU.
 pub fn relu(x: &Tensor) -> Tensor {
     let mut y = x.clone();
-    y.data_mut().par_iter_mut().for_each(|v| *v = v.max(0.0));
+    for v in y.data_mut() {
+        *v = v.max(0.0);
+    }
     y
 }
 
 /// Elementwise ReLU into a caller-owned output slice ([`relu`] bit for bit).
 pub fn relu_into(x: &[f32], out: &mut [f32]) {
     assert_eq!(x.len(), out.len(), "buffer length mismatch");
-    out.par_iter_mut().zip(x.par_iter()).for_each(|(o, &v)| *o = v.max(0.0));
+    for (o, &v) in out.iter_mut().zip(x) {
+        *o = v.max(0.0);
+    }
 }
 
 /// ReLU backward: gradient passes where the forward *input* was positive.
 pub fn relu_backward(x: &Tensor, dy: &Tensor) -> Tensor {
     assert_eq!(x.shape(), dy.shape());
     let mut dx = dy.clone();
-    dx.data_mut().par_iter_mut().zip(x.data().par_iter()).for_each(|(g, &xv)| {
+    for (g, &xv) in dx.data_mut().iter_mut().zip(x.data()) {
         if xv <= 0.0 {
             *g = 0.0;
         }
-    });
+    }
     dx
 }
 
@@ -43,8 +46,7 @@ pub fn softmax_channels_into(s: Shape4, x: &[f32], out: &mut [f32]) {
     assert_eq!(x.len(), s.len(), "input buffer/shape mismatch");
     assert_eq!(out.len(), s.len(), "output buffer size");
     let hw = s.hw();
-    out.par_chunks_mut(s.chw()).enumerate().for_each(|(n, y_n)| {
-        let x_n = &x[n * s.chw()..(n + 1) * s.chw()];
+    for (x_n, y_n) in x.chunks_exact(s.chw()).zip(out.chunks_exact_mut(s.chw())) {
         for pix in 0..hw {
             let mut maxv = f32::NEG_INFINITY;
             for c in 0..s.c {
@@ -61,7 +63,7 @@ pub fn softmax_channels_into(s: Shape4, x: &[f32], out: &mut [f32]) {
                 y_n[c * hw + pix] *= inv;
             }
         }
-    });
+    }
 }
 
 /// Backward of [`softmax_channels`]: given the forward output `y` and the
@@ -72,11 +74,8 @@ pub fn softmax_channels_backward(y: &Tensor, dy: &Tensor) -> Tensor {
     assert_eq!(s, dy.shape());
     let hw = s.hw();
     let mut dx = Tensor::zeros(s);
-    let y_data = y.data();
-    let dy_data = dy.data();
-    dx.data_mut().par_chunks_mut(s.chw()).enumerate().for_each(|(n, dx_n)| {
-        let y_n = &y_data[n * s.chw()..(n + 1) * s.chw()];
-        let dy_n = &dy_data[n * s.chw()..(n + 1) * s.chw()];
+    let images = y.data().chunks_exact(s.chw()).zip(dy.data().chunks_exact(s.chw()));
+    for ((y_n, dy_n), dx_n) in images.zip(dx.data_mut().chunks_exact_mut(s.chw())) {
         for pix in 0..hw {
             let mut dot = 0.0;
             for c in 0..s.c {
@@ -86,7 +85,7 @@ pub fn softmax_channels_backward(y: &Tensor, dy: &Tensor) -> Tensor {
                 dx_n[c * hw + pix] = y_n[c * hw + pix] * (dy_n[c * hw + pix] - dot);
             }
         }
-    });
+    }
     dx
 }
 
@@ -96,10 +95,8 @@ pub fn argmax_channels(x: &Tensor) -> Vec<u8> {
     let s = x.shape();
     assert!(s.c <= u8::MAX as usize + 1);
     let hw = s.hw();
-    let x_data = x.data();
     let mut out = vec![0u8; s.n * hw];
-    out.par_chunks_mut(hw).enumerate().for_each(|(n, labels)| {
-        let x_n = &x_data[n * s.chw()..(n + 1) * s.chw()];
+    for (x_n, labels) in x.data().chunks_exact(s.chw()).zip(out.chunks_exact_mut(hw)) {
         for (pix, lbl) in labels.iter_mut().enumerate() {
             let mut best = x_n[pix];
             let mut best_c = 0u8;
@@ -112,7 +109,7 @@ pub fn argmax_channels(x: &Tensor) -> Vec<u8> {
             }
             *lbl = best_c;
         }
-    });
+    }
     out
 }
 
@@ -127,8 +124,7 @@ pub fn argmax_channels_i8(shape: Shape4, data: &[i8]) -> Vec<u8> {
     assert!(shape.c <= u8::MAX as usize + 1);
     let hw = shape.hw();
     let mut out = vec![0u8; shape.n * hw];
-    out.par_chunks_mut(hw).enumerate().for_each(|(n, labels)| {
-        let x_n = &data[n * shape.chw()..(n + 1) * shape.chw()];
+    for (x_n, labels) in data.chunks_exact(shape.chw()).zip(out.chunks_exact_mut(hw)) {
         let mut best = x_n[..hw].to_vec();
         for (c, plane) in x_n.chunks_exact(hw).enumerate().skip(1) {
             for ((b, l), &v) in best.iter_mut().zip(labels.iter_mut()).zip(plane) {
@@ -137,7 +133,7 @@ pub fn argmax_channels_i8(shape: Shape4, data: &[i8]) -> Vec<u8> {
                 *l = if gt { c as u8 } else { *l };
             }
         }
-    });
+    }
     out
 }
 

@@ -7,13 +7,19 @@
 //!   flat `Vec<f32>`;
 //! * [`QTensor`] — symmetric INT8 quantized tensors with power-of-two scales,
 //!   matching the arithmetic of the Xilinx DPU;
-//! * parallel compute kernels (rayon): blocked GEMM ([`gemm`]), implicit-GEMM
-//!   convolution ([`conv`]), transpose convolution ([`tconv`]), max pooling
-//!   ([`pool`]), batch normalisation ([`norm`]) and activations
-//!   ([`activation`]) — each with the backward passes needed for training.
+//! * compute kernels: blocked GEMM ([`gemm`]), implicit-GEMM convolution
+//!   ([`conv`]), transpose convolution ([`tconv`]), max pooling ([`pool`]),
+//!   batch normalisation ([`norm`]) and activations ([`activation`]) — each
+//!   with the backward passes needed for training.
+//!
+//! The GEMM driver (`gemm::run_with`) is the one kernel that forks: above
+//! [`gemm::FORK_MIN_MACS`] it splits a GEMM into parts on rayon. Every
+//! other kernel runs on its caller's thread; inference sessions already hold
+//! one worker per core, so a second fork would only oversubscribe them.
 //!
 //! The crate is deliberately free of `unsafe`: data-race freedom comes from
-//! rayon's parallel iterators, per the workspace HPC guidelines.
+//! handing each part disjoint `&mut` pieces, per the workspace HPC
+//! guidelines.
 
 pub mod activation;
 pub mod conv;

@@ -208,30 +208,6 @@ pub fn requantize_i32(acc: i32, shift: i32) -> i8 {
     v.clamp(i8::MIN.into(), i8::MAX.into()) as i8
 }
 
-/// INT8 2x2 stride-2 max pool on raw NCHW slices. Returns the output shape.
-/// An odd trailing row or column is dropped (floor semantics).
-///
-/// The max of INT8 values at one fix position is exact — no requantisation —
-/// so the output keeps the input's fix position (the caller's bookkeeping).
-pub fn maxpool2x2_i8(xs: Shape4, x: &[i8], out: &mut [i8]) -> Shape4 {
-    let out_shape = xs.pooled2x2();
-    assert_eq!(x.len(), xs.len(), "qmaxpool input buffer/shape mismatch");
-    assert_eq!(out.len(), out_shape.len(), "qmaxpool output buffer size");
-    if out_shape.is_empty() {
-        return out_shape; // no plane or row to walk (chunk sizes would be 0)
-    }
-    let (wo, w) = (out_shape.w, xs.w);
-    for (x_plane, o_plane) in x.chunks_exact(xs.hw()).zip(out.chunks_exact_mut(out_shape.hw())) {
-        for (pair, o_row) in x_plane.chunks_exact(2 * w).zip(o_plane.chunks_exact_mut(wo)) {
-            let (r0, r1) = pair.split_at(w);
-            for ((o, a), b) in o_row.iter_mut().zip(r0.chunks_exact(2)).zip(r1.chunks_exact(2)) {
-                *o = a[0].max(a[1]).max(b[0].max(b[1]));
-            }
-        }
-    }
-    out_shape
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -307,30 +283,6 @@ mod tests {
         v.clamp(i8::MIN as i64, i8::MAX as i64) as i8
     }
 
-    fn maxpool2x2_i8_reference(xs: Shape4, x: &[i8]) -> Vec<i8> {
-        let os = xs.pooled2x2();
-        let mut out = vec![0i8; os.len()];
-        for plane in 0..xs.n * xs.c {
-            let x_plane = &x[plane * xs.hw()..(plane + 1) * xs.hw()];
-            for oy in 0..os.h {
-                for ox in 0..os.w {
-                    let v = x_plane[2 * oy * xs.w + 2 * ox]
-                        .max(x_plane[2 * oy * xs.w + 2 * ox + 1])
-                        .max(x_plane[(2 * oy + 1) * xs.w + 2 * ox])
-                        .max(x_plane[(2 * oy + 1) * xs.w + 2 * ox + 1]);
-                    out[plane * os.hw() + oy * os.w + ox] = v;
-                }
-            }
-        }
-        out
-    }
-
-    fn rand_i8(len: usize, seed: u64) -> Vec<i8> {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        (0..len).map(|_| rng.gen_range(-128i32..128) as i8).collect()
-    }
-
     /// The `i32` form is the `i64` one on the whole accumulator domain, for
     /// every shift the requantiser sees and past it.
     #[test]
@@ -367,22 +319,6 @@ mod tests {
             for acc in [i32::MIN, i32::MIN + 1, i32::MAX, -1, 1] {
                 assert_eq!(requantize_i32(acc, shift), requantize_i64_reference(acc, shift));
             }
-        }
-    }
-
-    /// Odd H and W drop the trailing row and column (floor semantics).
-    #[test]
-    fn maxpool2x2_i8_matches_scalar_definition() {
-        for (i, &(n, c, h, w)) in
-            [(2, 3, 7, 9), (2, 2, 8, 8), (2, 1, 5, 2), (1, 4, 3, 65), (2, 2, 1, 5)]
-                .iter()
-                .enumerate()
-        {
-            let xs = Shape4::new(n, c, h, w);
-            let x = rand_i8(xs.len(), i as u64);
-            let mut out = vec![0x55i8; xs.pooled2x2().len()];
-            assert_eq!(maxpool2x2_i8(xs, &x, &mut out), xs.pooled2x2());
-            assert_eq!(out, maxpool2x2_i8_reference(xs, &x), "{xs:?}");
         }
     }
 

@@ -14,7 +14,6 @@ use crate::igemm::{sgemm_conv, sgemm_conv_wgrad, sgemm_tconv2x2};
 use crate::im2col::ConvGeom;
 use crate::shape::Shape4;
 use crate::tensor::Tensor;
-use rayon::prelude::*;
 
 /// Repacks `[C_in, C_out, 2, 2]` transpose-conv weights into the
 /// `[4*C_out, C_in]` GEMM operand: row `co*4 + kidx` holds the `(ky, kx)`
@@ -42,21 +41,14 @@ pub fn repack_tconv_weights<T: Copy>(c_in: usize, c_out: usize, w: &[T], wk: &mu
 /// `[C_out, 2H, 2W]` image plane: position `(2iy+ky, 2ix+kx)` of plane `co`
 /// comes from GEMM row `co*4 + kidx`, element `iy*W + ix`. The hot forward
 /// paths fuse this store into the GEMM tiles; this standalone version is the
-/// materialized reference the fused kernels are tested against. Parallel
-/// over output planes; writes are disjoint. Every output element is written
-/// exactly once, so `out` may hold stale data.
-pub fn scatter_tconv2x2<T: Copy + Send + Sync>(
-    c_out: usize,
-    h: usize,
-    w: usize,
-    y: &[T],
-    out: &mut [T],
-) {
+/// materialized reference the fused kernels are tested against. Every
+/// output element is written exactly once, so `out` may hold stale data.
+pub fn scatter_tconv2x2<T: Copy>(c_out: usize, h: usize, w: usize, y: &[T], out: &mut [T]) {
     let hw = h * w;
     let (oh, ow) = (2 * h, 2 * w);
     assert_eq!(y.len(), 4 * c_out * hw, "pre-scatter size");
     assert_eq!(out.len(), c_out * oh * ow, "output plane size");
-    out.par_chunks_mut(oh * ow).enumerate().for_each(|(co, y_plane)| {
+    for (co, y_plane) in out.chunks_exact_mut(oh * ow).enumerate() {
         for kidx in 0..4 {
             let (ky, kx) = (kidx / 2, kidx % 2);
             let src = &y[(co * 4 + kidx) * hw..][..hw];
@@ -68,7 +60,7 @@ pub fn scatter_tconv2x2<T: Copy + Send + Sync>(
                 }
             }
         }
-    });
+    }
 }
 
 /// Forward transpose convolution: one GEMM per image with the stride-2

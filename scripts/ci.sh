@@ -23,6 +23,14 @@ for core in crates/serve/src/intake.rs crates/fleet/src/router.rs; do
     fi
 done
 
+echo "== one fork point (no parallel iterator in crates/*/src or crates/*/examples outside the GEMM driver and the cohort rasteriser) =="
+echo "Inference session workers already hold one core each, so a kernel that forks again only oversubscribes them: only crates/tensor/src/gemm.rs (above FORK_MIN_MACS) and crates/data/src/phantom.rs may call par_iter, par_chunks or into_par_iter."
+if grep -rnE 'par_iter|par_chunks' --include='*.rs' crates/*/src crates/*/examples |
+    grep -vE '^(crates/tensor/src/gemm\.rs|crates/data/src/phantom\.rs):'; then
+    echo "parallel iterator outside gemm.rs / phantom.rs (lines above): run that loop on the caller's thread" >&2
+    exit 1
+fi
+
 echo "== cargo test --workspace -q =="
 # The whole suite is expected green — every crate's unit tests and
 # crates/*/tests/*_prop.rs, not just the root package's integration tests

@@ -1,17 +1,20 @@
 //! Offline drop-in replacement for the subset of `rayon` this workspace
-//! uses. Parallelism is real: indexed parallel iterators are recursively
-//! `split_at` into contiguous parts, one per available core; all but the
-//! last are driven on `std::thread::scope` workers, the last on the calling
-//! thread. Inputs too small to split run inline on the calling thread, so
-//! tiny kernels pay no spawn cost.
+//! uses: `into_par_iter()` over a `Vec` or a `Range<usize>`, then
+//! `for_each`, or `map` and `collect`. Two callers fork: the GEMM driver
+//! (`seneca_tensor::gemm`, over its row/column parts) and the cohort
+//! rasteriser (`seneca_data::phantom`, over slices). Every other kernel runs
+//! on its caller's thread, because inference sessions already hold one
+//! worker per core.
+//!
+//! Parallelism is real: an iterator is `split_at` into contiguous parts, one
+//! per available core; all but the last are driven on `std::thread::scope`
+//! workers, the last on the calling thread. Inputs too small to split run
+//! inline on the calling thread, so tiny calls pay no spawn cost.
 
 use std::sync::OnceLock;
 
 pub mod prelude {
-    pub use crate::{
-        IndexedParallelIterator, IntoParallelIterator, ParallelIterator, ParallelSlice,
-        ParallelSliceMut,
-    };
+    pub use crate::{IndexedParallelIterator, IntoParallelIterator, ParallelIterator};
 }
 
 /// Worker count: `RAYON_NUM_THREADS` if set, else `available_parallelism`.
@@ -26,8 +29,8 @@ pub fn current_num_threads() -> usize {
     })
 }
 
-/// A splittable iterator with a known length — the minimal producer
-/// contract every adapter and driver in this shim is built on.
+/// A splittable iterator with a known length — the producer contract the
+/// drivers below are built on.
 pub trait IndexedParallelIterator: Sized + Send {
     type Item: Send;
 
@@ -50,7 +53,7 @@ pub trait ParallelIterator: IndexedParallelIterator {
     where
         F: Fn(Self::Item) + Sync,
     {
-        run_parts(self, &|part| part.drive(&mut |item| f(item)));
+        map_parts(self, &|part| part.drive(&mut |item| f(item)));
     }
 
     fn map<R, F>(self, f: F) -> Map<Self, F>
@@ -61,54 +64,27 @@ pub trait ParallelIterator: IndexedParallelIterator {
         Map { base: self, f }
     }
 
-    fn zip<B: IndexedParallelIterator>(self, other: B) -> Zip<Self, B> {
-        Zip { a: self, b: other }
-    }
-
-    fn enumerate(self) -> Enumerate<Self> {
-        Enumerate { base: self, offset: 0 }
-    }
-
-    fn with_min_len(self, _min: usize) -> Self {
-        self
-    }
-
+    /// Gathers every item in iterator order.
     fn collect<C: From<Vec<Self::Item>>>(self) -> C {
         let len = self.len();
-        let mut parts = collect_parts(self, len);
+        let parts = map_parts(self, &|part| {
+            let mut items = Vec::with_capacity(part.len());
+            part.drive(&mut |item| items.push(item));
+            items
+        });
         let mut out = Vec::with_capacity(len);
-        for part in &mut parts {
-            out.append(part);
+        for mut part in parts {
+            out.append(&mut part);
         }
         C::from(out)
-    }
-
-    fn sum<S>(self) -> S
-    where
-        S: std::iter::Sum<Self::Item> + Send + std::iter::Sum<S>,
-    {
-        let parts = map_parts(self, &|part| {
-            let mut items = Vec::new();
-            part.drive(&mut |item| items.push(item));
-            items.into_iter().sum::<S>()
-        });
-        parts.into_iter().sum()
     }
 }
 
 impl<I: IndexedParallelIterator> ParallelIterator for I {}
 
-/// Splits `iter` into at most `current_num_threads()` contiguous parts and
-/// runs `body` on each, using scoped threads when there is more than one.
-fn run_parts<I, F>(iter: I, body: &F)
-where
-    I: IndexedParallelIterator,
-    F: Fn(I) + Sync,
-{
-    map_parts(iter, &|part| body(part));
-}
-
-/// Like [`run_parts`] but gathers each part's result in part order.
+/// Splits `iter` into at most `current_num_threads()` contiguous parts, runs
+/// `body` on each (scoped threads when there is more than one) and gathers
+/// each part's result in part order.
 fn map_parts<I, R, F>(iter: I, body: &F) -> Vec<R>
 where
     I: IndexedParallelIterator,
@@ -135,14 +111,6 @@ where
     })
 }
 
-fn collect_parts<I: IndexedParallelIterator>(iter: I, _len: usize) -> Vec<Vec<I::Item>> {
-    map_parts(iter, &|part| {
-        let mut items = Vec::with_capacity(part.len());
-        part.drive(&mut |item| items.push(item));
-        items
-    })
-}
-
 fn split_even<I: IndexedParallelIterator>(iter: I, parts: usize) -> Vec<I> {
     let mut out = Vec::with_capacity(parts);
     let mut rest = iter;
@@ -163,102 +131,6 @@ fn split_even<I: IndexedParallelIterator>(iter: I, parts: usize) -> Vec<I> {
 // ---------------------------------------------------------------------------
 // Producers
 // ---------------------------------------------------------------------------
-
-pub struct ParChunksMut<'a, T> {
-    slice: &'a mut [T],
-    chunk: usize,
-}
-
-impl<'a, T: Send> IndexedParallelIterator for ParChunksMut<'a, T> {
-    type Item = &'a mut [T];
-
-    fn len(&self) -> usize {
-        self.slice.len().div_ceil(self.chunk)
-    }
-
-    fn split_at(self, index: usize) -> (Self, Self) {
-        let mid = (index * self.chunk).min(self.slice.len());
-        let (a, b) = self.slice.split_at_mut(mid);
-        (Self { slice: a, chunk: self.chunk }, Self { slice: b, chunk: self.chunk })
-    }
-
-    fn drive<F: FnMut(Self::Item)>(self, f: &mut F) {
-        for chunk in self.slice.chunks_mut(self.chunk) {
-            f(chunk);
-        }
-    }
-}
-
-pub struct ParChunks<'a, T> {
-    slice: &'a [T],
-    chunk: usize,
-}
-
-impl<'a, T: Sync> IndexedParallelIterator for ParChunks<'a, T> {
-    type Item = &'a [T];
-
-    fn len(&self) -> usize {
-        self.slice.len().div_ceil(self.chunk)
-    }
-
-    fn split_at(self, index: usize) -> (Self, Self) {
-        let mid = (index * self.chunk).min(self.slice.len());
-        let (a, b) = self.slice.split_at(mid);
-        (Self { slice: a, chunk: self.chunk }, Self { slice: b, chunk: self.chunk })
-    }
-
-    fn drive<F: FnMut(Self::Item)>(self, f: &mut F) {
-        for chunk in self.slice.chunks(self.chunk) {
-            f(chunk);
-        }
-    }
-}
-
-pub struct ParIterMut<'a, T> {
-    slice: &'a mut [T],
-}
-
-impl<'a, T: Send> IndexedParallelIterator for ParIterMut<'a, T> {
-    type Item = &'a mut T;
-
-    fn len(&self) -> usize {
-        self.slice.len()
-    }
-
-    fn split_at(self, index: usize) -> (Self, Self) {
-        let (a, b) = self.slice.split_at_mut(index);
-        (Self { slice: a }, Self { slice: b })
-    }
-
-    fn drive<F: FnMut(Self::Item)>(self, f: &mut F) {
-        for item in self.slice.iter_mut() {
-            f(item);
-        }
-    }
-}
-
-pub struct ParIter<'a, T> {
-    slice: &'a [T],
-}
-
-impl<'a, T: Sync> IndexedParallelIterator for ParIter<'a, T> {
-    type Item = &'a T;
-
-    fn len(&self) -> usize {
-        self.slice.len()
-    }
-
-    fn split_at(self, index: usize) -> (Self, Self) {
-        let (a, b) = self.slice.split_at(index);
-        (Self { slice: a }, Self { slice: b })
-    }
-
-    fn drive<F: FnMut(Self::Item)>(self, f: &mut F) {
-        for item in self.slice.iter() {
-            f(item);
-        }
-    }
-}
 
 pub struct ParRange {
     start: usize,
@@ -308,7 +180,7 @@ impl<T: Send> IndexedParallelIterator for IntoParIterVec<T> {
 }
 
 // ---------------------------------------------------------------------------
-// Adapters
+// Adapter and entry point
 // ---------------------------------------------------------------------------
 
 pub struct Map<I, F> {
@@ -336,111 +208,6 @@ where
     fn drive<G: FnMut(Self::Item)>(self, g: &mut G) {
         let f = self.f;
         self.base.drive(&mut |item| g(f(item)));
-    }
-}
-
-pub struct Zip<A, B> {
-    a: A,
-    b: B,
-}
-
-impl<A, B> IndexedParallelIterator for Zip<A, B>
-where
-    A: IndexedParallelIterator,
-    B: IndexedParallelIterator,
-{
-    type Item = (A::Item, B::Item);
-
-    fn len(&self) -> usize {
-        self.a.len().min(self.b.len())
-    }
-
-    fn split_at(self, index: usize) -> (Self, Self) {
-        let (a1, a2) = self.a.split_at(index);
-        let (b1, b2) = self.b.split_at(index);
-        (Self { a: a1, b: b1 }, Self { a: a2, b: b2 })
-    }
-
-    fn drive<F: FnMut(Self::Item)>(self, f: &mut F) {
-        let n = self.len();
-        let mut bs = Vec::with_capacity(n);
-        let mut b = self.b;
-        if b.len() > n {
-            b = b.split_at(n).0;
-        }
-        b.drive(&mut |item| bs.push(item));
-        let mut b_iter = bs.into_iter();
-        let mut a = self.a;
-        if a.len() > n {
-            a = a.split_at(n).0;
-        }
-        a.drive(&mut |item| {
-            if let Some(bi) = b_iter.next() {
-                f((item, bi));
-            }
-        });
-    }
-}
-
-pub struct Enumerate<I> {
-    base: I,
-    offset: usize,
-}
-
-impl<I: IndexedParallelIterator> IndexedParallelIterator for Enumerate<I> {
-    type Item = (usize, I::Item);
-
-    fn len(&self) -> usize {
-        self.base.len()
-    }
-
-    fn split_at(self, index: usize) -> (Self, Self) {
-        let (a, b) = self.base.split_at(index);
-        (Self { base: a, offset: self.offset }, Self { base: b, offset: self.offset + index })
-    }
-
-    fn drive<F: FnMut(Self::Item)>(self, f: &mut F) {
-        let mut i = self.offset;
-        self.base.drive(&mut |item| {
-            f((i, item));
-            i += 1;
-        });
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Entry-point traits
-// ---------------------------------------------------------------------------
-
-pub trait ParallelSliceMut<T: Send> {
-    fn par_chunks_mut(&mut self, chunk: usize) -> ParChunksMut<'_, T>;
-    fn par_iter_mut(&mut self) -> ParIterMut<'_, T>;
-}
-
-impl<T: Send> ParallelSliceMut<T> for [T] {
-    fn par_chunks_mut(&mut self, chunk: usize) -> ParChunksMut<'_, T> {
-        assert!(chunk > 0, "chunk size must be non-zero");
-        ParChunksMut { slice: self, chunk }
-    }
-
-    fn par_iter_mut(&mut self) -> ParIterMut<'_, T> {
-        ParIterMut { slice: self }
-    }
-}
-
-pub trait ParallelSlice<T: Sync> {
-    fn par_chunks(&self, chunk: usize) -> ParChunks<'_, T>;
-    fn par_iter(&self) -> ParIter<'_, T>;
-}
-
-impl<T: Sync> ParallelSlice<T> for [T] {
-    fn par_chunks(&self, chunk: usize) -> ParChunks<'_, T> {
-        assert!(chunk > 0, "chunk size must be non-zero");
-        ParChunks { slice: self, chunk }
-    }
-
-    fn par_iter(&self) -> ParIter<'_, T> {
-        ParIter { slice: self }
     }
 }
 
@@ -474,32 +241,12 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
-    fn chunks_mut_covers_every_element_once() {
-        let mut data = vec![0u32; 1003];
-        data.par_chunks_mut(64).enumerate().for_each(|(i, chunk)| {
-            for x in chunk {
-                *x += 1 + i as u32;
-            }
-        });
-        for (i, &x) in data.iter().enumerate() {
-            assert_eq!(x, 1 + (i / 64) as u32);
-        }
-    }
-
-    #[test]
     fn map_collect_preserves_order() {
         let out: Vec<usize> = (0..517).into_par_iter().map(|i| i * 2).collect();
         assert_eq!(out, (0..517).map(|i| i * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn zip_pairs_by_index() {
-        let a: Vec<usize> = (0..300).collect();
-        let mut b = vec![0usize; 300];
-        b.par_iter_mut().zip(a.par_iter()).for_each(|(dst, &src)| {
-            *dst = src + 7;
-        });
-        assert!(b.iter().enumerate().all(|(i, &x)| x == i + 7));
+        let out: Vec<String> =
+            (0..301).collect::<Vec<usize>>().into_par_iter().map(|i| i.to_string()).collect();
+        assert_eq!(out, (0..301).map(|i| i.to_string()).collect::<Vec<_>>());
     }
 
     #[test]
@@ -509,6 +256,11 @@ mod tests {
             count.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(count.load(Ordering::Relaxed), 999);
+        let sum = AtomicUsize::new(0);
+        (1..=100).collect::<Vec<usize>>().into_par_iter().for_each(|i| {
+            sum.fetch_add(i, Ordering::Relaxed);
+        });
+        assert_eq!(sum.load(Ordering::Relaxed), 5050, "each Vec item exactly once");
     }
 
     /// Two parts, one spawn: the caller runs a part itself.
@@ -530,11 +282,5 @@ mod tests {
     #[should_panic]
     fn a_panicking_part_panics_the_caller() {
         (0..2).into_par_iter().for_each(|i| assert_ne!(i, 0, "part 0 fails"));
-    }
-
-    #[test]
-    fn sum_matches_sequential() {
-        let s: usize = (0..1000).into_par_iter().map(|i| i * i).sum();
-        assert_eq!(s, (0..1000usize).map(|i| i * i).sum::<usize>());
     }
 }
