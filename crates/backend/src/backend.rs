@@ -200,9 +200,11 @@ impl Backend for QuantRefBackend {
 mod tests {
     use super::*;
     use rand::SeedableRng;
-    use seneca_ir::PackedKernel;
+    use seneca_ir::{IrNode, PackedKernel};
     use seneca_nn::unet::{UNet, UNetConfig};
     use seneca_quant::{fuse, quantize_post_training, PtqConfig};
+    use seneca_tensor::igemm::quad_band;
+    use seneca_tensor::im2col::ConvGeom;
 
     /// FP32 results do not depend on the thread count, bit for bit: two
     /// session workers against one, at a size where the GEMM driver forks
@@ -229,9 +231,9 @@ mod tests {
 
     /// One odd-sized frame must not take the batch down: the INT8 backend
     /// re-plans its arena like its FP32 twin, and goes back afterwards. The
-    /// kernels stay the ones chosen at 32x32, so the 16x16 frame runs the
-    /// Winograd convs on maps below the rule's tile count, and still gets the
-    /// bits of the program lowered for it.
+    /// panels stay the ones packed at 32x32, so the 16x16 frame gathers for a
+    /// conv that reads a row band at 32x32 (its map shrinks to 8x8), and
+    /// still gets the bits of the program lowered for it.
     #[test]
     fn int8_backend_serves_a_frame_of_another_geometry() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(21);
@@ -248,11 +250,17 @@ mod tests {
 
         let at32 = QuantRefBackend::new(qg.clone(), big.shape());
         let at16 = QuantRefBackend::new(qg, small.shape());
-        let winograd = |b: &QuantRefBackend| {
-            let packs = b.lowered.packs().iter().flatten();
-            packs.filter(|p| matches!(p, PackedKernel::ConvWinograd(_))).count()
+        let bands = |b: &QuantRefBackend| {
+            let (nodes, shapes) = (&b.lowered.module().nodes, b.lowered.shapes());
+            let band = |(node, pack): (&IrNode, &Option<PackedKernel>)| match pack {
+                Some(PackedKernel::ConvI8(pa)) => {
+                    quad_band(pa, &ConvGeom::same_3x3(shapes[node.inputs[0]])).is_some()
+                }
+                _ => false,
+            };
+            nodes.iter().zip(b.lowered.packs()).filter(|&p| band(p)).count()
         };
-        assert!(winograd(&at32) > winograd(&at16), "the 16x16 frame crosses a Winograd layer");
+        assert!(bands(&at32) > bands(&at16), "the 16x16 frame gathers for a band conv");
         // One worker, three frames: 32 -> 16 -> 32 through the same scratch.
         let got = at32.infer_batch(&[big.clone(), small.clone(), big2.clone()]);
         let want = [

@@ -15,6 +15,8 @@
 //!   from one shared cursor, prepare their input themselves and reuse a
 //!   per-worker scratch arena.
 
+#![deny(unsafe_code)]
+
 mod backend;
 mod prediction;
 mod report;

@@ -1,36 +1,36 @@
 //! GEMM and conv micro-kernel checks on the conv shapes of the Table II
 //! models at 256x256. Per-shape throughput over time is the benchmark's
 //! `tensor.*` ledger (`benchmark/`); this example keeps the CI gate and the
-//! race the Winograd lowering rule comes from.
+//! INT8-vs-FP32 race.
 //!
 //! Modes (first CLI argument):
 //!
 //! * `smoke` — CI gate: igemm bit-exact against the naive kernel on a
 //!   fixed seed, and packed-beats-reference on
-//!   the largest shape, both dtypes; the Winograd conv bit-exact and faster
-//!   than the direct one on the 16M `64 -> 32` conv at 256x256; the 1M
-//!   model's last INT8 tconv bit-exact against GEMM + scatter and at least
-//!   0.6x the MAC rate of the same GEMM with a row store (its scatter store
-//!   vectorises). It is also the binary `scripts/check_kernel_asm.sh`
-//!   disassembles.
-//! * `winograd` — the Winograd-vs-direct race on every 1M / 16M conv shape
-//!   at 256x256, with the input transform's share and the FP32 conv's rate
-//!   beside them (the per-shape i8 ÷ f32 MAC-rate ratio).
+//!   the largest shape, both dtypes; the INT8 row-band conv bit-exact
+//!   against the naive reference and at least 1.5x the FP32 conv's MAC rate
+//!   on the 16M `64 -> 32` conv at 256x256; the 1M model's last INT8 tconv
+//!   bit-exact against GEMM + scatter and at least 0.6x the MAC rate of the
+//!   same GEMM with a row store (its scatter store vectorises). It is also
+//!   the binary `scripts/check_kernel_asm.sh` disassembles.
+//! * `int8` — the INT8 conv (row band or gathered strips, as the executor
+//!   runs it) against the FP32 conv on every 1M / 16M conv shape at 256x256,
+//!   with the i8 ÷ f32 MAC-rate ratio.
 
 use rand::{Rng, SeedableRng};
 use seneca_ir::IrOp;
 use seneca_nn::graph::Graph;
 use seneca_nn::unet::{ModelSize, UNet};
 use seneca_tensor::gemm::{
-    igemm, igemm_fused, igemm_reference, packed_b_len, sgemm, sgemm_fused, sgemm_reference,
-    strip_cols, GemmEpilogue, PackedA, Work,
+    igemm, igemm_fused, igemm_reference, sgemm, sgemm_fused, sgemm_reference, GemmEpilogue,
+    PackedA, Work,
 };
 use seneca_tensor::igemm::{
-    igemm_conv_packed, igemm_tconv2x2_packed, sgemm_conv, sgemm_conv_packed,
+    igemm_conv_packed, igemm_tconv2x2_packed, quad_band, sgemm_conv, sgemm_conv_packed,
 };
 use seneca_tensor::im2col::{im2col_t, ConvGeom};
+use seneca_tensor::quantized::requantize_i32;
 use seneca_tensor::tconv::scatter_tconv2x2;
-use seneca_tensor::winograd::{igemm_conv_winograd, pack_b_winograd, PackedWinograd};
 use seneca_tensor::Shape4;
 use std::time::Instant;
 
@@ -171,8 +171,9 @@ fn check_igemm_bit_exact(largest: ConvShape) {
 /// dominates) two ratios are gated, each from an interleaved [`race`]:
 /// implicit is no slower than materialized in either dtype — it does strictly
 /// less memory traffic, so a loss means the pack stopped vectorizing. The
-/// INT8 / FP32 MAC-rate ratio is raced and printed, not gated: with the FMA
-/// f32 tile it sits below 1 on this host (DESIGN.md §16).
+/// INT8 / FP32 MAC-rate ratio of these per-call-packed (gathering) arms is
+/// raced and printed, not gated; the row-band conv's is gated by
+/// [`check_int8_band_conv`].
 fn check_implicit_conv(s: ConvShape, race_time: Option<f64>) {
     let geom = s.geom();
     let (m, k, n) = (s.m, s.k, s.n);
@@ -283,7 +284,7 @@ fn check_tconv_store() {
 
 /// The 3x3 convs of the 1M and 16M models at 256x256, distinct shapes in
 /// node order.
-fn winograd_race_shapes() -> Vec<ConvShape> {
+fn race_shapes() -> Vec<ConvShape> {
     let input = Shape4::new(1, 1, 256, 256);
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
     let mut out: Vec<ConvShape> = Vec::new();
@@ -312,94 +313,130 @@ fn winograd_race_shapes() -> Vec<ConvShape> {
     out
 }
 
-/// One shape's race, in direct-conv GMAC/s.
-struct WinogradRace {
-    direct: f64,
-    winograd: f64,
-    /// The FP32 implicit conv, weights packed once as inference runs it.
+/// One shape's race, in GMAC/s.
+struct Int8Race {
+    /// The INT8 conv, weights packed for a conv as the lowering packs them.
+    i8: f64,
+    /// The FP32 conv, weights packed once as inference runs it.
     f32: f64,
-    /// The share of the Winograd call its input transform takes.
-    pack_share: f64,
+    /// Whether the INT8 conv reads a row band (else it gathers strips).
+    band: bool,
 }
 
-/// Winograd F(2x2, 3x3) against the direct implicit INT8 conv and the FP32
-/// implicit conv on one shape, every weight set packed once: asserts the
-/// two INT8 routes bit-exact, then returns an interleaved three-way race
-/// and the input transform's share (the strip pack, timed alone on one
-/// thread, over the Winograd call's thread-seconds).
-fn winograd_vs_direct(s: ConvShape, min_time: f64) -> WinogradRace {
+/// The INT8 conv against the FP32 conv on one shape, every weight set packed
+/// once as the lowering packs it: asserts the INT8 conv bit-exact against
+/// `want` (the same conv by another route), then returns an interleaved
+/// race.
+fn int8_vs_f32(
+    s: ConvShape,
+    min_time: f64,
+    want: impl Fn(&PackedA<i8>, &[i8], &[i8]) -> Vec<i8>,
+) -> Int8Race {
     let geom = s.geom();
     let mut rng = rand::rngs::StdRng::seed_from_u64(s.macs());
     let wt: Vec<i8> = (0..s.m * s.k).map(|_| rng.gen_range(-128i32..128) as i8).collect();
     let x: Vec<i8> = (0..s.c_in * s.n).map(|_| rng.gen_range(-128i32..128) as i8).collect();
     let bias: Vec<i32> = (0..s.m as i32).map(|i| i * 91 - 777).collect();
-    let (pa, pw) = (PackedA::pack(s.m, s.k, &wt), PackedWinograd::pack(s.m, s.c_in, &wt));
+    let pa = PackedA::pack_conv(s.m, s.c_in, 9, &wt);
     let wf: Vec<f32> = wt.iter().map(|&v| v as f32 / 128.0).collect();
     let xf: Vec<f32> = x.iter().map(|&v| v as f32 / 128.0).collect();
     let bf: Vec<f32> = bias.iter().map(|&v| v as f32 / 1024.0).collect();
     let paf = PackedA::pack(s.m, s.k, &wf);
-    let (mut yd, mut yw, mut yf) =
-        (vec![0i8; s.m * s.n], vec![0i8; s.m * s.n], vec![0.0; s.m * s.n]);
+    let (mut yi, mut yf) = (vec![0i8; s.m * s.n], vec![0.0; s.m * s.n]);
     let shift = 8 + s.k.ilog2() as i32;
-    let mut strips = Work::default();
-    let [td, tw, tf] = race(
+    let [ti, tf] = race(
         min_time,
-        [
-            &mut || igemm_conv_packed(&pa, &geom, &x, &bias, shift, true, &mut yd),
-            &mut || igemm_conv_winograd(&pw, &geom, &x, &bias, shift, true, &mut yw, &mut strips),
-            &mut || sgemm_conv_packed(&paf, &geom, &xf, &mut yf, GemmEpilogue::BiasRelu(&bf)),
-        ],
+        [&mut || igemm_conv_packed(&pa, &geom, &x, &bias, shift, true, &mut yi), &mut || {
+            sgemm_conv_packed(&paf, &geom, &xf, &mut yf, GemmEpilogue::BiasRelu(&bf))
+        }],
     );
-    assert_eq!(yd, yw, "Winograd != direct on {} {}->{} @{}", s.model, s.c_in, s.m, s.h);
-    let tiles = s.h.div_ceil(2) * s.w.div_ceil(2);
-    let nc = strip_cols(16 * s.c_in, 2);
-    let mut strip = vec![0i16; packed_b_len(16 * s.c_in, nc)];
-    let t_pack = time_per_call(min_time, 1, || {
-        for j0 in (0..tiles).step_by(nc) {
-            pack_b_winograd(&geom, &x, j0..(j0 + nc).min(tiles), &mut strip);
-        }
-    });
+    let what = format!("{} {}->{} @{}", s.model, s.c_in, s.m, s.h);
+    assert_eq!(yi, want(&PackedA::pack(s.m, s.k, &wt), &x, &wt), "INT8 conv on {what}");
     let gmac = s.macs() as f64 / 1e9;
-    WinogradRace {
-        direct: gmac / td,
-        winograd: gmac / tw,
-        f32: gmac / tf,
-        pack_share: t_pack / (tw * rayon::current_num_threads() as f64),
-    }
+    let band = quad_band(&pa, &geom).is_some();
+    Int8Race { i8: gmac / ti, f32: gmac / tf, band }
 }
 
-/// [`winograd_vs_direct`] on every 1M / 16M conv shape at 256x256: the race
-/// the lowering rule's constants (`seneca_ir::WINOGRAD_MIN_C_IN`,
-/// `WINOGRAD_MIN_TILES`) come from, and the per-shape i8 ÷ f32 MAC rate.
-fn race_winograd(min_time: f64) {
+/// [`int8_vs_f32`] on every 1M / 16M conv shape at 256x256, each INT8 result
+/// checked against the gathering route on weights packed in row order.
+fn race_int8(min_time: f64) {
     println!(
-        "{:>4} {:>5} {:>5} {:>4} | {:>8} {:>8} {:>6} | {:>6} | {:>8} {:>7}",
-        "cfg", "c_in", "c_out", "hw", "direct", "wino", "x", "pack%", "f32", "i8/f32"
+        "{:>4} {:>5} {:>5} {:>4} | {:>6} | {:>8} {:>8} {:>7}",
+        "cfg", "c_in", "c_out", "hw", "route", "i8", "f32", "i8/f32"
     );
-    for s in winograd_race_shapes() {
-        let r = winograd_vs_direct(s, min_time);
+    for s in race_shapes() {
+        let geom = s.geom();
+        let gather = |pa: &PackedA<i8>, x: &[i8], _: &[i8]| {
+            let bias: Vec<i32> = (0..s.m as i32).map(|i| i * 91 - 777).collect();
+            let mut y = vec![0i8; s.m * s.n];
+            igemm_conv_packed(pa, &geom, x, &bias, 8 + s.k.ilog2() as i32, true, &mut y);
+            y
+        };
+        let r = int8_vs_f32(s, min_time, gather);
         println!(
-            "{:>4} {:>5} {:>5} {:>4} | {:>8.2} {:>8.2} {:>5.2}x | {:>5.1}% | {:>8.2} {:>6.2}x",
+            "{:>4} {:>5} {:>5} {:>4} | {:>6} | {:>8.2} {:>8.2} {:>6.2}x",
             s.model,
             s.c_in,
             s.m,
             s.h,
-            r.direct,
-            r.winograd,
-            r.winograd / r.direct,
-            100.0 * r.pack_share,
+            if r.band { "band" } else { "gather" },
+            r.i8,
             r.f32,
-            r.direct / r.f32
+            r.i8 / r.f32
         );
     }
+}
+
+/// The INT8 row-band gate on the 16M `64 -> 32` conv at 256x256: bit-exact
+/// against the conv by its definition (`im2col_t`, a naive `i32` GEMM, the
+/// requantise-clamp) on a fixed seed, and at least 1.5x the MAC rate of the
+/// FP32 conv, raced back to back.
+fn check_int8_band_conv(s: ConvShape) {
+    let naive = |_: &PackedA<i8>, x: &[i8], wt: &[i8]| {
+        let (geom, (k, n)) = (s.geom(), (s.k, s.n));
+        let mut col = vec![0i8; k * n];
+        im2col_t(&geom, x, &mut col);
+        let mut acc = vec![0i32; n];
+        let mut y = vec![0i8; s.m * n];
+        for (i, yi) in y.chunks_exact_mut(n).enumerate() {
+            acc.fill(0);
+            for (&a, row) in wt[i * k..][..k].iter().zip(col.chunks_exact(n)) {
+                for (v, &b) in acc.iter_mut().zip(row) {
+                    *v += i32::from(a) * i32::from(b);
+                }
+            }
+            let b = i as i32 * 91 - 777;
+            for (o, &v) in yi.iter_mut().zip(&acc) {
+                *o = requantize_i32(v + b, 8 + k.ilog2() as i32).max(0);
+            }
+        }
+        y
+    };
+    let r = int8_vs_f32(s, 0.5, naive);
+    assert!(r.band, "the 16M {}->{} conv at {} reads no row band", s.c_in, s.m, s.h);
+    println!(
+        "INT8 band conv {} {}->{} @{}: bit-exact, {:.2} vs FP32 {:.2} GMAC/s ({:.2}x)",
+        s.model,
+        s.c_in,
+        s.m,
+        s.h,
+        r.i8,
+        r.f32,
+        r.i8 / r.f32
+    );
+    assert!(
+        r.i8 >= 1.5 * r.f32,
+        "INT8 band conv at {:.2}x the FP32 conv's MAC rate (< 1.5x)",
+        r.i8 / r.f32
+    );
 }
 
 fn main() {
     let mode = std::env::args().nth(1).unwrap_or_else(|| "smoke".to_string());
     match mode.as_str() {
         "smoke" => smoke(),
-        "winograd" => race_winograd(0.3),
-        other => panic!("unknown mode {other}; expected smoke | winograd"),
+        "int8" => race_int8(0.3),
+        other => panic!("unknown mode {other}; expected smoke | int8"),
     }
 }
 
@@ -413,20 +450,7 @@ fn smoke() {
     check_igemm_bit_exact(largest);
     check_implicit_conv(largest, None);
     check_implicit_conv(full_res_16m, Some(0.5));
-    let r = winograd_vs_direct(full_res_16m, 0.5);
-    println!(
-        "Winograd conv {} {}->{} @{}: bit-exact, {:.2} vs direct {:.2} GMAC/s ({:.2}x), input \
-         transform {:.0} %",
-        full_res_16m.model,
-        full_res_16m.c_in,
-        full_res_16m.m,
-        full_res_16m.h,
-        r.winograd,
-        r.direct,
-        r.winograd / r.direct,
-        100.0 * r.pack_share
-    );
-    assert!(r.winograd > r.direct, "Winograd conv no faster than the direct conv");
+    check_int8_band_conv(full_res_16m);
     check_tconv_store();
     let (af, bf, mut cf) = make_f32(largest);
     let gflop = 2.0 * largest.macs() as f64 / 1e9;

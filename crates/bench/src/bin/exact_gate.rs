@@ -14,6 +14,8 @@
 //! line. A change that moves these values on purpose re-records the baseline
 //! with `--write` and says so.
 
+#![deny(unsafe_code)]
+
 use serde_json::Value;
 use std::collections::BTreeMap;
 use std::process::ExitCode;

@@ -17,6 +17,8 @@
 //! `BENCH_robustness.json` (pathology + dose/thickness/FOV scenario grid,
 //! FP32 vs INT8 vs mixed W4/W8).
 
+#![deny(unsafe_code)]
+
 use seneca_bench::experiments;
 use seneca_bench::{ExperimentCtx, Scale};
 

@@ -5,6 +5,8 @@
 //! shared state (cohort, trained models, deployments) so a full
 //! `reproduce all` trains each model exactly once.
 
+#![deny(unsafe_code)]
+
 pub mod ctx;
 pub mod experiments;
 pub mod fmt;

@@ -28,6 +28,8 @@
 //! println!("{:.1} FPS at {:.1} W", report.fps, report.watt);
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod config;
 pub mod eval;
 pub mod metrics;

@@ -26,6 +26,8 @@
 //! * [`nifti`] — minimal NIfTI-1 export so synthetic volumes open in
 //!   standard medical viewers (CT-ORG's native format).
 
+#![deny(unsafe_code)]
+
 pub mod anatomy;
 pub mod calibration;
 pub mod dataset;

@@ -24,6 +24,8 @@
 //!   DDR traffic), calibrated against Table IV's 24–31 W range;
 //! * [`profile`] — vaitrace-style per-layer profiling of a compiled xmodel.
 
+#![deny(unsafe_code)]
+
 pub mod arch;
 pub mod compiler;
 pub mod executor;

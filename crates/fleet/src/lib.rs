@@ -31,6 +31,8 @@
 //!   per-shard [`FleetStats`], plus a live [`seneca_trace::TraceReport`]
 //!   export, no restart required.
 
+#![deny(unsafe_code)]
+
 mod fleet;
 mod registry;
 mod ring;

@@ -15,6 +15,8 @@
 //! f=8 "1M" net despite more layers), and power is TDP-bound and nearly
 //! model-independent (77–78 W).
 
+#![deny(unsafe_code)]
+
 pub mod model;
 pub mod runner;
 

@@ -13,6 +13,8 @@
 //! threads, flat beyond) emerges from the contention structure rather than
 //! from a fitted curve.
 
+#![deny(unsafe_code)]
+
 pub mod des;
 
 pub use des::{simulate_closed_pipeline, Resource, SimReport, StageSpec};

@@ -12,15 +12,15 @@
 //! only the kernel dispatch differs. Conv and transpose-conv nodes run their
 //! GEMM against the panels packed once at lowering time — per frame only the
 //! activation (B) side is packed, a strip of columns at a time, directly from
-//! the CHW feature map (implicit GEMM). The strip buffers
-//! ([`ExecPlan::work_bytes`]: the direct convs' and tconvs', a band conv's
-//! k-step offsets, the Winograd convs' `i16` strips) belong to the arena too,
-//! built with it on the calling thread and sized once for the plan, so a
-//! short-lived worker thread finds them ready instead of regrowing
-//! thread-local ones. There is no im2col column buffer, no pre-scatter tconv
-//! buffer and no concat copy: the conv packs compute the im2col index math
-//! (or the Winograd input transform) inside the tile gather, the
-//! tconv/Winograd stores scatter from the GEMM tile, and a concat's inputs
+//! the CHW feature map (implicit GEMM), or copied into the row bands a 3x3
+//! conv reads in place. The strip buffers and the k-step offsets the
+//! micro-kernels read them through ([`ExecPlan::work_bytes`]) belong to the
+//! arena too, built with it on the calling thread and sized once for the
+//! plan, so a short-lived worker thread finds them ready instead of
+//! regrowing thread-local ones. There is no im2col column buffer, no
+//! pre-scatter tconv buffer and no concat copy: the conv packs compute the
+//! im2col index math inside the tile gather, the tconv stores scatter from
+//! the GEMM tile, and a concat's inputs
 //! are written in place at their channel offsets of its value
 //! ([`crate::plan`]), so its readers gather one contiguous map. Only an input
 //! the plan could not place is copied, by the concat's own step.
@@ -37,15 +37,14 @@ use crate::lower::{Lowered, PackedKernel};
 use crate::module::{ConvKernel, DType, IrOp, Module};
 use crate::plan::ExecPlan;
 use seneca_tensor::activation::{relu_into, softmax_channels_into};
-use seneca_tensor::gemm::{GemmEpilogue, Work};
+use seneca_tensor::gemm::{GemmEpilogue, PackElem, Work};
 use seneca_tensor::igemm::{
     igemm_conv_with, igemm_tconv2x2_packed, sgemm_conv_with, sgemm_tconv2x2_packed,
 };
 use seneca_tensor::im2col::ConvGeom;
 use seneca_tensor::norm::batchnorm_inference_into;
 use seneca_tensor::pool::maxpool2x2_into;
-use seneca_tensor::winograd::igemm_conv_winograd;
-use seneca_tensor::{QTensor, QTensorView, Shape4, Tensor, TensorView, Zero};
+use seneca_tensor::{QTensor, QTensorView, Shape4, Tensor, TensorView};
 use std::ops::Range;
 
 /// Per-worker execution arena: one buffer holding every value of one image
@@ -54,19 +53,17 @@ use std::ops::Range;
 /// by [`Lowered::make_scratch_f32`] / [`Lowered::make_scratch_i8`] on the
 /// calling thread.
 #[derive(Debug, Clone)]
-pub struct Scratch<T> {
+pub struct Scratch<T: PackElem> {
     plan: ExecPlan,
     /// Per-node output shapes of one image.
     shapes: Vec<Shape4>,
     /// Per-node output fix positions (all zero in an FP32 arena).
     fps: Vec<i32>,
     arena: Vec<T>,
-    /// The direct convs' and tconvs' strips and band offsets, sized from the
+    /// The convs' and tconvs' strips and k-step offsets, sized from the
     /// plan: a worker thread's own (thread-local) work memory would start
     /// empty on every short-lived worker and regrow.
     work: Work<T>,
-    /// The Winograd convs' strips (empty without them), likewise.
-    winograd: Work<i16>,
     /// The outputs of a batch of more than one image, image after image
     /// (empty until one runs).
     batch: Vec<T>,
@@ -77,13 +74,12 @@ pub type FpScratch = Scratch<f32>;
 /// The INT8 arena.
 pub type QScratch = Scratch<i8>;
 
-impl<T: Zero> Scratch<T> {
+impl<T: PackElem> Scratch<T> {
     pub(crate) fn new(plan: ExecPlan, shapes: Vec<Shape4>, fps: Vec<i32>) -> Self {
         let arena = vec![T::ZERO; plan.peak_arena_elems()];
-        let (strips, offsets) = plan.direct_work();
+        let (strips, offsets) = plan.work();
         let work = Work::new(strips, offsets);
-        let winograd = Work::new(plan.winograd_strips(), 0);
-        Self { plan, shapes, fps, arena, work, winograd, batch: Vec::new() }
+        Self { plan, shapes, fps, arena, work, batch: Vec::new() }
     }
 
     /// The execution plan this arena was built from.
@@ -163,7 +159,7 @@ impl Lowered {
     /// Runs a batch through the walk, image by image. The output of one
     /// image is read in the arena; a batch of more than one copies each
     /// image's output into the arena's batch buffer and returns that.
-    fn run<'s, T: Zero>(
+    fn run<'s, T: PackElem>(
         &self,
         (s, x): (Shape4, &[T]),
         scratch: &'s mut Scratch<T>,
@@ -192,7 +188,7 @@ impl Lowered {
     /// A concat's step: copies each input the plan did not place at its
     /// channel offset of the concat's value into that slot, a plain
     /// channel-range copy (a placed input is there already).
-    fn copy_into_concat<T: Copy>(&self, id: usize, scratch: &mut Scratch<T>) {
+    fn copy_into_concat<T: PackElem>(&self, id: usize, scratch: &mut Scratch<T>) {
         let Scratch { plan, arena, .. } = scratch;
         let mut at = plan.range_of(id).start;
         for &x in &self.module().nodes[id].inputs {
@@ -363,7 +359,7 @@ impl Lowered {
         if matches!(node.op, IrOp::Concat { .. }) {
             return self.copy_into_concat(id, scratch);
         }
-        let Scratch { plan, shapes, fps, arena, work, winograd, .. } = scratch;
+        let Scratch { plan, shapes, fps, arena, work, .. } = scratch;
         let (out, values) = carve(arena, writes);
         let view = |j: usize| (shapes[j], values.get(plan.range_of(j)));
         match &node.op {
@@ -377,16 +373,10 @@ impl Lowered {
                 debug_assert_eq!(fps[j], *in_fp, "qconv input fix position");
                 let shift = a.kernel.shift();
                 let (geom, relu) = (ConvGeom::same_3x3(xs), a.relu);
-                match &self.packs()[id] {
-                    Some(PackedKernel::ConvI8(pa)) => {
-                        igemm_conv_with(pa, &geom, x, bias, shift, relu, out, work)
-                    }
-                    // Winograd F(2x2, 3x3): bit for bit the direct conv.
-                    Some(PackedKernel::ConvWinograd(pw)) => {
-                        igemm_conv_winograd(pw, &geom, x, bias, shift, relu, out, winograd)
-                    }
-                    _ => panic!("conv {id} is not packed as an INT8 conv"),
-                }
+                let Some(PackedKernel::ConvI8(pa)) = &self.packs()[id] else {
+                    panic!("conv {id} is not packed as an INT8 conv")
+                };
+                igemm_conv_with(pa, &geom, x, bias, shift, relu, out, work);
             }
             IrOp::TConv(a) => {
                 let j = node.inputs[0];
@@ -428,7 +418,8 @@ mod tests {
     use crate::oracle;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use seneca_tensor::gemm::{igemm_fused_packed, PackedA};
+    use seneca_tensor::gemm::{igemm_fused_packed, KOrder, PackedA};
+    use seneca_tensor::igemm::quad_band;
     use seneca_tensor::norm::BnState;
     use seneca_tensor::quantized::{choose_fix_pos, choose_fix_pos_bits, Bitwidth};
 
@@ -527,8 +518,8 @@ mod tests {
     }
 
     /// Lowering packs exactly one kernel per conv/tconv node, of the node's
-    /// kind and dtype (an INT8 conv on either route), and none for any other
-    /// node.
+    /// kind and dtype (an INT8 conv in channel quads, so that it can read a
+    /// row band), and none for any other node.
     #[test]
     fn lowering_packs_one_kernel_per_conv_and_tconv() {
         let mut rng = StdRng::seed_from_u64(38);
@@ -540,21 +531,21 @@ mod tests {
             (i8_module(Bitwidth::W4, &mut rng), small),
             (single_node_i8(IrOp::Conv(ConvAttrs::new(k)), vec![0], 6), Shape4::new(1, 8, 16, 16)),
         ];
-        let mut winograd = 0;
+        let mut band = 0;
         for (m, shape) in cases {
             let lowered = lower(m, shape, &LowerOptions::reference());
             let (m, packs) = (lowered.module(), lowered.packs());
             assert_eq!(packs.len(), m.nodes.len());
             for (id, (node, pack)) in m.nodes.iter().zip(packs).enumerate() {
                 use PackedKernel as P;
+                let input = lowered.shapes()[node.inputs.first().copied().unwrap_or(0)];
                 let ok = match (&node.op, m.dtype, pack) {
                     (IrOp::Conv(_), DType::F32, Some(P::ConvF32 { .. }))
-                    | (IrOp::Conv(_), DType::I8, Some(P::ConvI8(_)))
                     | (IrOp::TConv(_), DType::F32, Some(P::TConvF32 { .. }))
                     | (IrOp::TConv(_), DType::I8, Some(P::TConvI8 { .. })) => true,
-                    (IrOp::Conv(_), DType::I8, Some(P::ConvWinograd(_))) => {
-                        winograd += 1;
-                        true
+                    (IrOp::Conv(_), DType::I8, Some(P::ConvI8(pa))) => {
+                        band += usize::from(quad_band(pa, &ConvGeom::same_3x3(input)).is_some());
+                        pa.order() == (KOrder::Conv { taps: 9 })
                     }
                     (op, _, None) => !matches!(op, IrOp::Conv(_) | IrOp::TConv(_)),
                     _ => false,
@@ -563,7 +554,7 @@ mod tests {
                 assert!(ok, "node {id} ({}): packed {kind:?}", node.op.mnemonic(m.dtype));
             }
         }
-        assert_eq!(winograd, 1, "the 8-channel conv at 16x16 packs Winograd panels");
+        assert_eq!(band, 1, "only the 8-channel conv at 16x16 reads a row band");
     }
 
     /// A quantised conv/tconv kernel from FP32 weights and bias: weights on
@@ -661,20 +652,23 @@ mod tests {
     }
 
     /// A W4 kernel packs into the INT8 panels, so lowering checks that its
-    /// weights lie in `[-8, 7]`: one weight of 8 panics for a direct conv, a
-    /// tconv and a Winograd conv alike.
+    /// weights lie in `[-8, 7]`: one weight of 8 panics for a conv that
+    /// gathers, a tconv and a conv that reads a row band alike.
     #[test]
     fn lowering_rejects_w4_weights_outside_the_4_bit_range() {
         let mut rng = StdRng::seed_from_u64(36);
         let m = i8_module(Bitwidth::W4, &mut rng);
         let k = rand_qkernel(Shape4::new(4, 8, 3, 3), 4, 6, 5, Bitwidth::W4, &mut rng);
-        let wino = single_node_i8(IrOp::Conv(ConvAttrs::new(k)), vec![0], 6);
+        let wide_conv = single_node_i8(IrOp::Conv(ConvAttrs::new(k)), vec![0], 6);
         let (small, wide) = (Shape4::new(1, 2, 8, 8), Shape4::new(1, 8, 16, 16));
-        let cases = [(m.clone(), 1, small, false), (m, 4, small, false), (wino, 1, wide, true)];
-        for (mut m, id, shape, winograd) in cases {
+        let cases =
+            [(m.clone(), 1, small, false), (m, 4, small, false), (wide_conv, 1, wide, true)];
+        for (mut m, id, shape, band) in cases {
             let lowered = lower(m.clone(), shape, &LowerOptions::reference());
-            let packed = matches!(lowered.packs()[id], Some(PackedKernel::ConvWinograd(_)));
-            assert_eq!(packed, winograd, "node {id}");
+            let input = lowered.shapes()[lowered.module().nodes[id].inputs[0]];
+            let reads_band = matches!(&lowered.packs()[id],
+                Some(PackedKernel::ConvI8(pa)) if quad_band(pa, &ConvGeom::same_3x3(input)).is_some());
+            assert_eq!(reads_band, band, "node {id}");
             let (IrOp::Conv(a) | IrOp::TConv(a)) = &mut m.nodes[id].op else { unreachable!() };
             let ConvKernel::I8 { w, .. } = &mut a.kernel else { unreachable!() };
             w.data_mut()[0] = 8;
@@ -785,8 +779,8 @@ mod tests {
         assert_eq!((y.fix_pos(), y.data()), (4, &[16, 33, 16, 33][..]));
     }
 
-    /// A placed concat feeding a Winograd conv, with a direct conv and an
-    /// output concat around it, batch of two: the first concat's producers
+    /// A placed concat feeding a conv that reads a row band, with another
+    /// and an output concat around it, batch of two: the first concat's producers
     /// write its value in place (it writes nothing), the output concat
     /// places its conv and copies the value already placed in the first
     /// (bit for bit the oracle's concats); and the arena's work memory,
@@ -810,8 +804,11 @@ mod tests {
         let frames: Vec<QTensor> =
             (0..2).map(|_| QTensor::quantize(&rand_tensor(s, &mut rng), 6)).collect();
         let lowered = assert_i8_matches_oracle(&m, &frames);
-        let winograd = lowered.packs().iter().flatten();
-        assert_eq!(winograd.filter(|p| matches!(p, PackedKernel::ConvWinograd(_))).count(), 2);
+        let band = |id: usize| {
+            let input = ConvGeom::same_3x3(lowered.shapes()[lowered.module().nodes[id].inputs[0]]);
+            matches!(&lowered.packs()[id], Some(PackedKernel::ConvI8(pa)) if quad_band(pa, &input).is_some())
+        };
+        assert!([c1, c2, c3].into_iter().all(band), "every conv at 16x16 reads a row band");
         let plan = lowered.plan();
         let (r, plane) = (plan.range_of(cat), 16 * 16);
         let halves = (r.start..r.start + 8 * plane, r.start + 8 * plane..r.end);
@@ -821,10 +818,11 @@ mod tests {
         assert_eq!(plan.range_of(c3), r.start..r.start + 4 * plane);
         assert_eq!(plan.writes(out), r.start + 4 * plane..r.end, "copies the placed c2");
         let mut scratch = lowered.make_scratch_i8();
-        let sizes = |s: &QScratch| (s.work.strip_len(), s.winograd.strip_len());
+        let sizes = |s: &QScratch| (s.work.strip_len(), s.work.offset_capacity());
         let planned = sizes(&scratch);
-        assert_eq!(planned, (scratch.plan.direct_work().0, scratch.plan.winograd_strips()));
-        assert!(planned.0 > 0 && planned.1 > 0);
+        let (strips, offsets) = scratch.plan.work();
+        assert!(planned.0 == strips && planned.1 >= offsets, "{planned:?} vs {strips} {offsets}");
+        assert!(strips > 0 && offsets > 0);
         for x in &frames {
             lowered.execute_i8_into(x, &mut scratch);
             assert_eq!(sizes(&scratch), planned, "the driver grew the arena's work memory");

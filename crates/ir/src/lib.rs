@@ -17,6 +17,8 @@
 //! per frame only activation panels are packed, which measurably cuts
 //! per-frame latency on the larger Table II models.
 
+#![deny(unsafe_code)]
+
 pub mod exec;
 pub mod lower;
 pub mod module;
@@ -26,9 +28,7 @@ pub mod plan;
 pub mod shape;
 
 pub use exec::{execute_f32, FpScratch, QScratch, Scratch};
-pub use lower::{
-    lower, LowerOptions, Lowered, PackedKernel, WINOGRAD_MIN_C_IN, WINOGRAD_MIN_TILES,
-};
+pub use lower::{lower, LowerOptions, Lowered, PackedKernel};
 pub use module::{ConvAttrs, ConvKernel, DType, IrNode, IrOp, Module};
 pub use passes::{fold_batchnorm, fuse_relu, strip_identities, PassStats};
 pub use plan::ExecPlan;

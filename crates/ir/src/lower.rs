@@ -8,37 +8,23 @@
 //! indexed by node id. Weights are immutable at inference, so their GEMM
 //! A-operand panels are packed exactly once here; each frame then only packs
 //! the activation (B) panels, which is where the per-frame pack share of the
-//! 16M model drops measurably. Packing is also where each INT8 conv's route
-//! is chosen, from the lowered shapes: Winograd F(2x2, 3x3) or the direct
-//! conv ([`WINOGRAD_MIN_C_IN`], [`WINOGRAD_MIN_TILES`]). The packed variant
-//! is the only record of the route; the executor dispatches on it and the
-//! plan's GEMM work memory is sized from it. W8 and W4 kernels pack into the
-//! same INT8 (or Winograd) panels; a W4 kernel's weights are checked to lie
-//! in `[-8, 7]` as they are packed.
+//! 16M model drops measurably. An INT8 conv's weights are packed in channel
+//! quads ([`seneca_tensor::gemm::PackedA::pack_conv`]), so that a 3x3 conv
+//! on a width of whole 16-column halves reads its activations from a row
+//! band in place; the plan's GEMM work memory is sized from the packed
+//! kernels. W8 and W4 kernels pack into the same INT8 panels; a W4 kernel's
+//! weights are checked to lie in `[-8, 7]` as they are packed.
 
 use crate::exec::{FpScratch, QScratch, Scratch};
 use crate::module::{ConvKernel, DType, IrOp, Module};
 use crate::passes::{fuse_batchnorm, fuse_relu, strip_identities, PassStats};
 use crate::plan::ExecPlan;
-use seneca_tensor::gemm::{strip_scratch_len, PackedA, NR};
-use seneca_tensor::igemm::sgemm_conv_scratch;
+use seneca_tensor::gemm::{strip_scratch_len, PackElem, PackedA};
+use seneca_tensor::igemm::{igemm_conv_scratch, igemm_tconv_scratch, sgemm_conv_scratch};
 use seneca_tensor::im2col::ConvGeom;
 use seneca_tensor::quantized::Bitwidth;
 use seneca_tensor::tconv::repack_tconv_weights;
-use seneca_tensor::winograd::{
-    winograd_strip_scratch_len, winograd_tiles, PackedWinograd, WINO_MAX_C_IN,
-};
-use seneca_tensor::{Shape4, Zero};
-
-/// Fewest input channels of a Winograd conv. The per-shape race of the 1M
-/// and 16M convs at 256x256 (`kernel_stats winograd`) has `C_in = 1` at
-/// 0.95-1.0x the direct conv and `C_in = 8` at 1.45-1.6x, with every wider
-/// shape at 1.4x or more.
-pub const WINOGRAD_MIN_C_IN: usize = 8;
-
-/// Fewest 2x2 output tiles of a Winograd conv (two `NR` panels). In the same
-/// race an 8x8 map (16 tiles) runs at 0.95x, a 16x16 map (64) at 1.4-2.0x.
-pub const WINOGRAD_MIN_TILES: usize = 2 * NR;
+use seneca_tensor::Shape4;
 
 /// How a lowering runs. A lowering keeps the graph's own arithmetic: it
 /// makes no semantic rewrite (the BN fold and the softmax strip of the
@@ -78,11 +64,8 @@ pub enum PackedKernel {
         /// output channel, or empty.
         bn: Vec<(f32, f32)>,
     },
-    /// INT8 (W8 or W4) conv: `[C_out, C_in*K*K]` panels.
+    /// INT8 (W8 or W4) conv: `[C_out, C_in*K*K]` panels in channel quads.
     ConvI8(PackedA<i8>),
-    /// INT8 (W8 or W4) conv lowered to Winograd F(2x2, 3x3): the
-    /// transformed `[16][C_out, C_in]` `u16` panels.
-    ConvWinograd(PackedWinograd),
     /// FP32 transpose conv: co-major `[4*C_out, C_in]` panels (row
     /// `co*4 + kidx`) plus the per-row-replicated bias (empty when the conv
     /// has no bias).
@@ -106,11 +89,10 @@ impl PackedKernel {
     /// Bytes held by the packed panels (memory accounting).
     pub fn bytes(&self) -> u64 {
         match self {
-            PackedKernel::ConvF32 { pa, bn } => (pa.panel_len() * 4 + bn.len() * 8) as u64,
-            PackedKernel::ConvI8(pa) => pa.panel_len() as u64,
-            PackedKernel::ConvWinograd(pw) => (pw.panel_len() * 2) as u64,
-            PackedKernel::TConvF32 { pa, bias4 } => ((pa.panel_len() + bias4.len()) * 4) as u64,
-            PackedKernel::TConvI8 { pa, bias4 } => (pa.panel_len() + bias4.len() * 4) as u64,
+            PackedKernel::ConvF32 { pa, bn } => (pa.bytes() + size_of_val(&bn[..])) as u64,
+            PackedKernel::ConvI8(pa) => pa.bytes() as u64,
+            PackedKernel::TConvF32 { pa, bias4 } => (pa.bytes() + size_of_val(&bias4[..])) as u64,
+            PackedKernel::TConvI8 { pa, bias4 } => (pa.bytes() + size_of_val(&bias4[..])) as u64,
         }
     }
 }
@@ -141,24 +123,18 @@ pub fn lower(mut module: Module, input: Shape4, opts: &LowerOptions) -> Lowered 
     stats.identities_removed = strip_identities(&mut module, false);
     let shapes = module.shapes(input);
     let fps = module.fix_positions();
-    let nodes = module.nodes.iter().zip(&shapes).enumerate();
-    let packs: Vec<_> = nodes.map(|(id, (node, out))| pack(id, &node.op, *out)).collect();
+    let nodes = module.nodes.iter().enumerate();
+    let packs: Vec<_> = nodes.map(|(id, node)| pack(id, &node.op)).collect();
     let mut plan = module.plan(input);
-    let (direct, winograd) = gemm_work(&module, &packs, &shapes);
-    plan.set_work(direct, winograd);
+    plan.set_work(gemm_work(&module, &packs, &shapes));
     Lowered { module, input, shapes, fps, plan, packs, stats }
 }
 
 /// Packs the weight tensor of node `id`, if it is a conv/tconv, once (model
-/// load time), for its lowered output shape `out`. An INT8 conv with
-/// [`WINOGRAD_MIN_C_IN`] up to the Winograd tile's accumulator-safe `C_in`
-/// input channels and at least [`WINOGRAD_MIN_TILES`] output tiles packs
-/// Winograd panels; both routes are exact, so a frame of another geometry
-/// may run the same panels. A W4
-/// kernel packs into the same panels as a W8 one, so its weights must lie in
-/// `[-8, 7]`: wider values would compute a layer the DPU's 4-bit weights
-/// cannot hold.
-fn pack(id: usize, op: &IrOp, out: Shape4) -> Option<PackedKernel> {
+/// load time); the panels serve every input geometry. A W4 kernel packs into
+/// the same panels as a W8 one, so its weights must lie in `[-8, 7]`: wider
+/// values would compute a layer the DPU's 4-bit weights cannot hold.
+fn pack(id: usize, op: &IrOp) -> Option<PackedKernel> {
     let (kernel, transpose) = match op {
         IrOp::Conv(a) => (&a.kernel, false),
         IrOp::TConv(a) => (&a.kernel, true),
@@ -213,14 +189,7 @@ fn pack(id: usize, op: &IrOp, out: Shape4) -> Option<PackedKernel> {
             }
             ConvKernel::I8 { w, .. } => {
                 let ws = w.shape();
-                let (th, tw) = winograd_tiles(out.h, out.w);
-                if (WINOGRAD_MIN_C_IN..=WINO_MAX_C_IN).contains(&ws.c)
-                    && th * tw >= WINOGRAD_MIN_TILES
-                {
-                    PackedKernel::ConvWinograd(PackedWinograd::pack(ws.n, ws.c, w.data()))
-                } else {
-                    PackedKernel::ConvI8(PackedA::pack(ws.n, ws.c * ws.h * ws.w, w.data()))
-                }
+                PackedKernel::ConvI8(PackedA::pack_conv(ws.n, ws.c, ws.h * ws.w, w.data()))
             }
         }
     };
@@ -231,48 +200,38 @@ fn pack(id: usize, op: &IrOp, out: Shape4) -> Option<PackedKernel> {
 /// conv/tconv node, the strip buffers the driver's parallel parts pack
 /// activations into (`parts x strip`, a few hundred KB — there is no whole
 /// packed `B`; the weight panels are packed once and are not per-frame
-/// work), or an FP32 band conv's row bands. Each buffer is reused node to
-/// node, so each figure is a max over nodes, not a sum: the direct convs'
-/// and tconvs' strips, the band convs' `u32` k-step offset table and the
-/// Winograd convs' `i16` strips, all three the work memory of the executor's
-/// worker arena ([`crate::exec::Scratch`]). Mirrors what the kernels
-/// allocate via [`seneca_tensor::gemm::strip_scratch_len`] and
-/// [`seneca_tensor::igemm::sgemm_conv_scratch`]. Returns `((strip elements,
-/// band offsets, element bytes), Winograd strip elements)`.
+/// work), or a band conv's row bands, and the `u32` k-step offsets the
+/// micro-kernel reads them through. Each buffer is reused node to node, so
+/// each figure is a max over nodes, not a sum; both are the work memory of
+/// the executor's worker arena ([`crate::exec::Scratch`]). Mirrors what the
+/// kernels allocate via [`seneca_tensor::gemm::strip_scratch_len`],
+/// [`seneca_tensor::igemm::sgemm_conv_scratch`] and
+/// [`seneca_tensor::igemm::igemm_conv_scratch`]. Returns `(strip elements,
+/// offsets, strip element bytes)`.
 fn gemm_work(
     m: &Module,
     packs: &[Option<PackedKernel>],
     shapes: &[Shape4],
-) -> ((usize, usize, usize), usize) {
-    let es = match m.dtype {
-        DType::F32 => 4,
-        DType::I8 => 1,
-    };
-    let (mut direct, mut band_offsets, mut winograd) = (0, 0, 0);
+) -> (usize, usize, usize) {
+    let (mut strips, mut offsets) = (0, 0);
     for ((node, pack), out) in m.nodes.iter().zip(packs).zip(shapes) {
         let Some(pack) = pack else { continue };
         let s = shapes[node.inputs[0]];
         // The implicit im2col GEMM is [C_out x C_in*9 x H*W]; a tconv's is
-        // [4*C_out x C_in x H*W], its column parts cut on input rows; a
-        // Winograd conv's packs 16 * C_in rows per 2x2 tile.
-        match pack {
-            PackedKernel::ConvF32 { .. } => {
-                let (strips, offsets) = sgemm_conv_scratch(out.c, &ConvGeom::same_3x3(s));
-                direct = direct.max(strips);
-                band_offsets = band_offsets.max(offsets);
-            }
-            PackedKernel::ConvI8(_) => {
-                direct = direct.max(strip_scratch_len(out.c, s.c * 9, s.hw(), NR, es));
-            }
-            PackedKernel::ConvWinograd(_) => {
-                winograd = winograd.max(winograd_strip_scratch_len(out.c, s.c, s.h, s.w));
-            }
-            PackedKernel::TConvF32 { .. } | PackedKernel::TConvI8 { .. } => {
-                direct = direct.max(strip_scratch_len(4 * out.c, s.c, s.hw(), s.w, es));
-            }
-        }
+        // [4*C_out x C_in x H*W], its column parts cut on input rows.
+        let (st, off) = match pack {
+            PackedKernel::ConvF32 { .. } => sgemm_conv_scratch(out.c, &ConvGeom::same_3x3(s)),
+            PackedKernel::ConvI8(pa) => igemm_conv_scratch(pa, &ConvGeom::same_3x3(s)),
+            PackedKernel::TConvF32 { .. } => (strip_scratch_len(4 * out.c, s.c, s.hw(), s.w, 4), 0),
+            PackedKernel::TConvI8 { pa, .. } => igemm_tconv_scratch(pa, s.h, s.w),
+        };
+        (strips, offsets) = (strips.max(st), offsets.max(off));
     }
-    ((direct, band_offsets, es), winograd)
+    let es = match m.dtype {
+        DType::F32 => size_of::<<f32 as PackElem>::Strip>(),
+        DType::I8 => size_of::<<i8 as PackElem>::Strip>(),
+    };
+    (strips, offsets, es)
 }
 
 impl Lowered {
@@ -339,18 +298,17 @@ impl Lowered {
         self.make_scratch(input)
     }
 
-    fn make_scratch<T: Zero>(&self, input: Shape4) -> Scratch<T> {
+    fn make_scratch<T: PackElem>(&self, input: Shape4) -> Scratch<T> {
         let image = input.with_n(1);
         let shapes = self.module.shapes(image);
         let mut plan = self.module.plan(image);
-        let (direct, winograd) = gemm_work(&self.module, &self.packs, &shapes);
-        plan.set_work(direct, winograd);
+        plan.set_work(gemm_work(&self.module, &self.packs, &shapes));
         Scratch::new(plan, shapes, self.fps.clone())
     }
 
     /// Re-plans `scratch` when it was built for another geometry than
     /// `image`: one odd-sized frame costs its worker a re-plan, not a panic.
-    pub(crate) fn fit<T: Zero>(&self, scratch: &mut Scratch<T>, image: Shape4) {
+    pub(crate) fn fit<T: PackElem>(&self, scratch: &mut Scratch<T>, image: Shape4) {
         assert_eq!(image.n, 1, "an arena holds one image: step a batch image by image");
         if scratch.input_shape() != image {
             *scratch = self.make_scratch(image);

@@ -55,20 +55,16 @@ pub struct ExecPlan {
     output: usize,
     /// Every concat and its two inputs.
     concats: Vec<(usize, [usize; 2])>,
-    /// Peak per-frame GEMM work-buffer bytes: the strip buffers the GEMM
-    /// driver's parallel parts gather activations into, max over nodes
-    /// (the buffers are reused node to node) — the direct convs' and
-    /// tconvs', plus the Winograd convs' below. Set by the module lowering;
-    /// zero for plans built directly via [`ExecPlan::build`].
+    /// Peak per-frame GEMM work-buffer bytes: the strip buffers (or row
+    /// bands) the GEMM driver's parallel parts gather activations into and
+    /// the `u32` k-step offsets the micro-kernels read them through, max over
+    /// nodes (the buffers are reused node to node). Set by the module
+    /// lowering; zero for plans built directly via [`ExecPlan::build`].
     work_bytes: u64,
-    /// Of those, the direct convs' and tconvs' strip elements and the band
-    /// convs' `u32` k-step offsets, which the worker arena allocates
-    /// ([`crate::exec::Scratch`]).
+    /// Of those, the strip elements and the offsets, which the worker arena
+    /// allocates ([`crate::exec::Scratch`]).
     strips: usize,
-    band_offsets: usize,
-    /// And the Winograd convs' `i16` strip elements, which the worker arena
-    /// allocates too.
-    winograd_strips: usize,
+    offsets: usize,
 }
 
 /// A range of arena elements one placement unit lays out, `at` past the
@@ -186,26 +182,17 @@ impl ExecPlan {
             concats,
             work_bytes: 0,
             strips: 0,
-            band_offsets: 0,
-            winograd_strips: 0,
+            offsets: 0,
         };
         plan.assert_valid();
         plan
     }
 
     /// Records the peak per-frame GEMM work memory: `strips` elements of
-    /// `elem_bytes` each and `band_offsets` `u32`s of the direct convs' and
-    /// tconvs', `winograd_strips` `i16` elements of the Winograd convs'.
-    pub fn set_work(
-        &mut self,
-        (strips, band_offsets, elem_bytes): (usize, usize, usize),
-        winograd_strips: usize,
-    ) {
-        self.work_bytes = (strips * elem_bytes
-            + band_offsets * size_of::<u32>()
-            + winograd_strips * size_of::<i16>()) as u64;
-        (self.strips, self.band_offsets) = (strips, band_offsets);
-        self.winograd_strips = winograd_strips;
+    /// `elem_bytes` each and `offsets` `u32` k-step offsets.
+    pub fn set_work(&mut self, (strips, offsets, elem_bytes): (usize, usize, usize)) {
+        self.work_bytes = (strips * elem_bytes + offsets * size_of::<u32>()) as u64;
+        (self.strips, self.offsets) = (strips, offsets);
     }
 
     /// Peak per-frame GEMM work-buffer bytes recorded by the lowering.
@@ -213,15 +200,10 @@ impl ExecPlan {
         self.work_bytes
     }
 
-    /// The direct convs' and tconvs' strip elements and band offsets (in
+    /// The strip elements and k-step offsets of the GEMM work memory (in
     /// [`ExecPlan::work_bytes`]).
-    pub fn direct_work(&self) -> (usize, usize) {
-        (self.strips, self.band_offsets)
-    }
-
-    /// The Winograd convs' `i16` strip elements (in [`ExecPlan::work_bytes`]).
-    pub fn winograd_strips(&self) -> usize {
-        self.winograd_strips
+    pub fn work(&self) -> (usize, usize) {
+        (self.strips, self.offsets)
     }
 
     /// Number of planned nodes.

@@ -1,26 +1,32 @@
-//! The executor against the naive oracle at a geometry where the GEMM driver
+//! The executor against the naive oracle at geometries where the GEMM driver
 //! under it really cuts strips and forks: batch of two, non-square,
-//! non-power-of-two width (a transpose-conv or Winograd column part must cover
-//! whole input or tile rows whatever `w` is), W8 and two W4 masks, both
-//! dtypes. The INT8 program runs every conv kind: a direct conv (`C_in` below
-//! the Winograd rule), a Winograd conv and a transpose conv. The unit tests in
-//! `exec.rs` cover every op on 8x8 frames, which the driver runs inline under
-//! one strip; this file covers what they cannot reach.
+//! non-power-of-two widths (a transpose-conv or row-band column part must
+//! cover whole input or output rows whatever `w` is), W8 and two W4 masks,
+//! both dtypes. The INT8 program runs every conv kind: at a width of whole
+//! 16-column halves its two convs read row bands (which straddle output rows
+//! at 144 = 4.5 x 32), at any other width they gather panels, and a
+//! transpose conv. The unit tests in `exec.rs` cover every op on 8x8 frames,
+//! which the driver runs inline under one strip; this file covers what they
+//! cannot reach.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use seneca_ir::oracle;
-use seneca_ir::WINOGRAD_MIN_C_IN;
 use seneca_ir::{
-    lower, Bitwidth, ConvAttrs, ConvKernel, DType, IrOp, LowerOptions, Module, PackedKernel,
+    lower, Bitwidth, ConvAttrs, ConvKernel, DType, IrNode, IrOp, LowerOptions, Lowered, Module,
+    PackedKernel,
 };
-use seneca_tensor::gemm::{FORK_MIN_MACS, STRIP_BYTES};
+use seneca_tensor::gemm::{FORK_MIN_MACS, NR, QUAD, STRIP_BYTES};
+use seneca_tensor::igemm::quad_band;
+use seneca_tensor::im2col::ConvGeom;
 use seneca_tensor::quantized::choose_fix_pos_bits;
 use seneca_tensor::{QTensor, Shape4, Tensor};
 
-/// Input geometry: 38 x 150 = 5700 columns per image.
+/// Input geometry: 38 x 150 = 5700 columns per image; INT8 convs gather.
 const INPUT: Shape4 = Shape4 { n: 2, c: 6, h: 38, w: 150 };
-/// conv 6 -> 32 (direct), conv 32 -> 64 (Winograd in INT8), tconv 64 -> 8.
+/// 38 x 144 = 5472 columns per image; INT8 convs read row bands.
+const BAND_INPUT: Shape4 = Shape4 { w: 144, ..INPUT };
+/// conv 6 -> 32, conv 32 -> 64, tconv 64 -> 8.
 const CHANNELS: [usize; 4] = [6, 32, 64, 8];
 
 fn rand_tensor(shape: Shape4, rng: &mut StdRng) -> Tensor {
@@ -45,25 +51,52 @@ fn weight_shape(i: usize) -> Shape4 {
     }
 }
 
-/// The sizes above are chosen so that every layer forks and cuts at least two
-/// strips in INT8 (hence more in FP32) — the Winograd layer as 16 `i16` rows
-/// per input channel and 2x2 tile — and that the rule lowers exactly the
-/// middle conv to Winograd; if the driver's constants or the rule move, this
-/// says so instead of silently testing another path.
+/// The sizes above are chosen so that every layer forks at both widths and
+/// cuts at least two strips in INT8 (hence more in FP32), `k` padded to
+/// whole quads, and that the convs read row bands at [`BAND_INPUT`]'s width,
+/// whose 16-column halves straddle output rows, and gather at [`INPUT`]'s;
+/// if the driver's constants or the band rule move, this says so instead of
+/// silently testing another path.
 #[test]
 fn the_geometry_reaches_the_seams() {
-    let (n, tiles) = (INPUT.h * INPUT.w, INPUT.h.div_ceil(2) * INPUT.w.div_ceil(2));
-    // (k, bytes per packed element, m, columns) of each layer's GEMM.
-    let gemms = [
-        (CHANNELS[0] * 9, 1, CHANNELS[1], n),
-        (CHANNELS[1] * 16, 2, CHANNELS[2], tiles),
-        (CHANNELS[2], 1, 4 * CHANNELS[3], n),
-    ];
-    for (i, (k, es, m, cols)) in gemms.into_iter().enumerate() {
-        assert!(m * k * cols >= FORK_MIN_MACS, "layer {i} would run inline");
-        assert!(k * es * cols > STRIP_BYTES, "layer {i} is a single INT8 strip");
+    let quads = |c: usize| c.next_multiple_of(QUAD);
+    for input in [INPUT, BAND_INPUT] {
+        let n = input.h * input.w;
+        // (k, m) of each layer's GEMM.
+        let gemms = [
+            (quads(CHANNELS[0]) * 9, CHANNELS[1]),
+            (quads(CHANNELS[1]) * 9, CHANNELS[2]),
+            (quads(CHANNELS[2]), 4 * CHANNELS[3]),
+        ];
+        for (i, (k, m)) in gemms.into_iter().enumerate() {
+            assert!(m * k * n >= FORK_MIN_MACS, "layer {i} at {input:?} would run inline");
+            assert!(k * n > STRIP_BYTES, "layer {i} at {input:?} is a single INT8 strip");
+        }
     }
-    assert!(CHANNELS[0] < WINOGRAD_MIN_C_IN && CHANNELS[1] >= WINOGRAD_MIN_C_IN);
+    const {
+        assert!(!INPUT.w.is_multiple_of(NR / 2));
+        assert!(BAND_INPUT.w.is_multiple_of(NR / 2) && !BAND_INPUT.w.is_multiple_of(NR));
+    }
+}
+
+/// The route each node of `lowered` runs: `"band"` or `"gather"` for an
+/// INT8 conv, `"i8"` for an INT8 tconv, `"f32"` or `"none"` otherwise.
+fn routes(lowered: &Lowered) -> Vec<&'static str> {
+    let (nodes, shapes) = (&lowered.module().nodes, lowered.shapes());
+    let route = |(node, pack): (&IrNode, &Option<PackedKernel>)| match pack {
+        None => "none",
+        Some(PackedKernel::ConvI8(pa)) => {
+            let geom = ConvGeom::same_3x3(shapes[node.inputs[0]]);
+            if quad_band(pa, &geom).is_some() {
+                "band"
+            } else {
+                "gather"
+            }
+        }
+        Some(PackedKernel::TConvI8 { .. }) => "i8",
+        Some(_) => "f32",
+    };
+    nodes.iter().zip(lowered.packs()).map(route).collect()
 }
 
 #[test]
@@ -106,22 +139,18 @@ fn int8_layers_match_the_oracle_across_strips_and_parts_w8_and_w4() {
             };
             m.output = m.push(op(i, kernel), vec![i]);
         }
-        let lowered = lower(m, INPUT, &LowerOptions::reference());
-        // The middle conv runs Winograd whatever its bitwidth; the others run
-        // the INT8 panels, W4 or W8.
-        let routes = lowered.packs().iter().map(|p| match p {
-            None => "none",
-            Some(PackedKernel::ConvI8(_) | PackedKernel::TConvI8 { .. }) => "i8",
-            Some(PackedKernel::ConvWinograd(_)) => "winograd",
-            Some(_) => "f32",
-        });
-        let routes: Vec<&str> = routes.collect();
-        assert_eq!(routes, ["none", "i8", "winograd", "i8"], "mask {case}");
-        let mut scratch = lowered.make_scratch_i8();
-        let x = QTensor::quantize(&rand_tensor(INPUT, &mut rng), fps[0]);
-        oracle::check_i8(&lowered, &mut scratch, &x);
-        let out = lowered.execute_i8(&x);
-        let spread = out.data().iter().filter(|&&v| v != 0 && (-126..=126).contains(&v)).count();
-        assert!(spread > out.data().len() / 4, "mask {case}: output saturated or dead");
+        // Both convs read row bands or both gather, whatever their bitwidth:
+        // W4 and W8 run the same INT8 panels.
+        for (input, conv) in [(INPUT, "gather"), (BAND_INPUT, "band")] {
+            let lowered = lower(m.clone(), input, &LowerOptions::reference());
+            assert_eq!(routes(&lowered), ["none", conv, conv, "i8"], "mask {case}");
+            let mut scratch = lowered.make_scratch_i8();
+            let x = QTensor::quantize(&rand_tensor(input, &mut rng), fps[0]);
+            oracle::check_i8(&lowered, &mut scratch, &x);
+            let out = lowered.execute_i8(&x);
+            let spread =
+                out.data().iter().filter(|&&v| v != 0 && (-126..=126).contains(&v)).count();
+            assert!(spread > out.data().len() / 4, "mask {case}: output saturated or dead");
+        }
     }
 }

@@ -22,6 +22,8 @@
 //! * [`augment`] — the one training augmentation policy (flip, shift,
 //!   elastic warp, intensity jitter).
 
+#![deny(unsafe_code)]
+
 pub mod augment;
 pub mod backprop;
 pub mod graph;

@@ -29,6 +29,8 @@
 //! module lowered for candidates) — the same program the host backends and
 //! the DPU runtime run, checked against `seneca_ir::oracle`.
 
+#![deny(unsafe_code)]
+
 pub mod finetune;
 pub mod fuse;
 pub mod mixed;

@@ -32,6 +32,8 @@
 //! [`Backend`]: seneca_backend::Backend
 //! [`Backend::infer_batch_timed`]: seneca_backend::Backend::infer_batch_timed
 
+#![deny(unsafe_code)]
+
 mod histogram;
 mod intake;
 mod loadgen;

@@ -1,13 +1,12 @@
 //! Packed, register-tiled matrix multiplication: one strip-mined
-//! pack+compute driver, three micro-kernels (`f32`, `i8` and the `i16`
-//! Winograd tile), fused epilogues.
+//! pack+compute driver, two micro-kernels (`f32`, and `i8` on AVX-512 VNNI
+//! with a portable body elsewhere), fused epilogues.
 //!
 //! Every GEMM of the crate — the matrix entry points here ([`sgemm`] …
-//! [`igemm_fused`]), the implicit-GEMM convolutions of [`crate::igemm`], in
-//! `f32` and `i8` (W8 and W4 weights alike: a W4 weight is an `i8` in
-//! `[-8, 7]`), and the Winograd convolution of
-//! [`crate::winograd`] (sixteen position products per tile) — computes
-//! `C = A * B` with `A: [m x k]`, `B: [k x n]` through the same driver:
+//! [`igemm_fused`]) and the implicit-GEMM convolutions and transpose
+//! convolutions of [`crate::igemm`], in `f32` and `i8` (W8 and W4 weights
+//! alike: a W4 weight is an `i8` in `[-8, 7]`) — computes `C = A * B` with
+//! `A: [m x k]`, `B: [k x n]` through the same driver:
 //!
 //! ```text
 //!            B (never materialised whole)           per part, per strip:
@@ -30,12 +29,12 @@
 //!    are zero padded to the tile width: the micro-kernels see no remainder,
 //!    padded lanes hold exact zeros and are clipped at store time.
 //!
-//!    **Bands.** An FP32 3x3 pad-1 stride-1 conv whose width `W` is a
-//!    multiple of `NR` packs no strip: the 9x im2col copy would be read by
-//!    only `c_out / MR` row tiles. A strip is `r` whole output rows instead,
-//!    and its buffer a zero-bordered copy of the `r + 2` input rows they
-//!    read, `r` chosen within [`STRIP_BYTES`] (`Strip::Band`). The tile
-//!    reads each k-step's `NR` values in place:
+//!    **Bands.** A 3x3 pad-1 stride-1 conv whose width `W` is a multiple of
+//!    `NR` (FP32) or of `NR / 2` (INT8) packs no strip: the 9x im2col copy
+//!    would be read by only `c_out / MR` row tiles. A strip is `r` whole
+//!    output rows instead, and its buffer a zero-bordered copy of the `r + 2`
+//!    input rows they read, `r` chosen within [`STRIP_BYTES`]
+//!    (`Strip::Band`). The tile reads each k-step's `NR` values in place:
 //!
 //!    ```text
 //!      band, per part, per strip:  [C][r+2][W+2]     (1.x times the rows, not 9x)
@@ -52,9 +51,13 @@
 //!
 //!    The zero border is the `+0.0` the strip pack writes for padding, and
 //!    the tile walks the same ascending `k`, so both layouts give the same
-//!    bits. Parts and strips are cut on whole output rows, as the tconv and
-//!    Winograd parts are. Every other GEMM (narrower maps, the tconv,
-//!    stride 2, the weight gradient, every integer GEMM) packs strips.
+//!    bits. Parts and strips are cut on whole output rows, as the tconv
+//!    parts are. The INT8 band is the same with a channel quad per pixel
+//!    (`[C/4][r+2][W+2][4]`, below), its k-steps `(quad, ky, kx)`, and each
+//!    16-column half of a panel read from its own base, so that at `W = 16`
+//!    a panel's two halves are two output rows. Every other GEMM (narrower
+//!    maps, the tconv, stride 2, the weight gradient, plain GEMMs) packs
+//!    strips.
 //! 2. **Parts.** One fork-join per GEMM. With at least as many strips as
 //!    threads the parts split the *columns* — so layers with few output rows
 //!    (`c_out <= 32`, every full-resolution layer of the 1M model) use every
@@ -67,10 +70,11 @@
 //!    the rayon shim's workers are fresh threads, whose thread-locals would
 //!    be re-allocated every call.
 //! 3. **Micro-kernels.** An `MR x NR` accumulator tile walks one `A` row
-//!    panel (`[ip][kk][MR]`, packed once per weight tensor — [`PackedA`])
-//!    and one `B` panel over the whole `k` extent — a packed
-//!    panel, or for `f32` the k-step offsets of a band (`Steps`);
-//!    constant trip counts let LLVM keep the tile in vector registers.
+//!    panel (`[ip][s][MR][GROUP]`, packed once per weight tensor —
+//!    [`PackedA`]) and one `B` panel over the whole `k` extent — a packed
+//!    panel, or the k-step offsets of a band (the INT8 tile reads a packed
+//!    panel through offsets too: it has one walk); constant trip counts let
+//!    LLVM keep the tile in vector registers.
 //! 4. **Fused epilogues.** Bias, ReLU, an inference BatchNorm, the DPU
 //!    requantise-clamp and the transpose-conv scatter are applied to the
 //!    finished tile as it is stored; there is no pass over `C` after the
@@ -96,64 +100,45 @@
 //! every target (the ZCU104's A53 cores have FMA too), so results do not
 //! depend on the CPU either.
 //!
-//! # The INT8 micro-kernel: unsigned weights, column-sum correction
+//! # The INT8 micro-kernel: `vpdpbusd` over channel quads
 //!
-//! Widening both operands to `i32` and multiplying makes LLVM emit
-//! `vpmulld` (2 µops per 16 MACs — the kernel is multiplier-bound at ≈ 8
-//! MAC/cycle). `tile_i8` instead reads the weight as *unsigned*,
-//! `a' = (a as u8) ^ 0x80 = a + 128` — a value in `[0, 255]` whose upper 24
-//! bits are provably zero — and uses
+//! AVX-512 VNNI's `vpdpbusd` multiplies 64 unsigned by 64 signed bytes and
+//! adds each lane's four products to one `i32`: 64 MACs per instruction,
+//! four times a one-product-per-lane `vpdpwssd`. So INT8 operands are packed
+//! in *quads* of `k` rows ([`QUAD`]): a conv's in the order (channel quad,
+//! tap, channel within quad), `C` zero padded ([`KOrder::Conv`]), so that a
+//! step's four activations are one pixel's side by side in a row band; any
+//! other GEMM's four consecutive rows ([`KOrder::Rows`]).
 //!
 //! ```text
-//!   Σ_k a·b  =  Σ_k (a + 128)·b  −  128 · Σ_k b
+//!   A panel  [s][MR][4]  i8        B  [s][NR][4] u8, or the band [C/4][r+2][W+2][4]
+//!   per step s, row i, half h:  acc[i][h] = vpdpbusd(acc[i][h], B[h], bcast(A[s][i]))
 //! ```
 //!
-//! keeping `Σ_k b` per tile column next to the accumulators and subtracting
-//! `128 · colsum[j]` once, when the tile is finished. With one factor known
-//! to fit an unsigned 16-bit lane LLVM lowers the same 8x32 loop nest to 16
-//! `vpdpwssd` per k-step (`vpmaddwd + vpaddd` without VNNI), about twice the
-//! MAC rate. The offset sits on the *weight* side so the packed activations —
-//! and the zero fill of im2col padding — are untouched; zero-padded `A` rows
-//! yield `128·colsum − 128·colsum = 0` and are clipped anyway. No
-//! intermediate overflows: `|Σ (a+128)·b| <= k·255·128 < 2^31` for
-//! `k <= 65 536` ([`PackElem::MAX_K`], asserted where panels are packed; the
-//! largest Table II `k` is 9216).
+//! The activations are the unsigned side, `x ^ 0x80 = x + 128` (the zero
+//! pixel is `0x80`), and `Σ_k w·x = Σ_k w·(x + 128) − 128 · Σ_k w`: the
+//! correction depends on the weights alone, so [`PackedA`] keeps it per row
+//! as the accumulator's start ([`PackElem::row_starts`]) and the kernel
+//! keeps no column sums. Bound: a partial sum is at most `128·128·k` (the
+//! start) plus `255·128·k`, `49 024 · k < 2^31` for `k <= 43 804`;
+//! [`PackElem::MAX_K`] is `2^15`, asserted where panels are packed, on `k`
+//! padded to whole quads (the largest Table II `k` is 9216).
 //!
-//! The Winograd kernel `tile_i16` is the same again on `i16` operands: the
-//! activations `V` (`|V| <= 512`) are native `i16`, the transformed weights
-//! `U` (`|U| <= 1152`) are stored as `U + 2048` in a `u16` and read as
-//! `(a & 0x0FFF)`. The mask changes no value; it proves the upper 20 bits
-//! zero, which a bare `u16` (bit 15 open) does not, and that proof is what
-//! makes LLVM pick `vpdpwssd`. The offset is a power of two so that the
-//! correction `2048 · colsum` is a shift (an offset of 1152 brings two
-//! `vpmulld` into the correction). Bound: `k · 3200 · 512 < 2^31`, `k <=
-//! 1310` ([`crate::winograd::WINO_MAX_C_IN`]).
-//!
-//! Three codegen hazards, each re-tested with rustc 1.95 on AVX-512:
-//!
-//! * *Inlining the MAC loop into the driver closure* still makes LLVM
-//!   vectorise over `k`, assembling operands byte by byte (`vpinsrb`) with
-//!   the accumulators in stack slots — so `tile_i8` / `tile_i16` are
-//!   isolated `#[inline(never)]` functions.
-//! * *Factoring the store out* used to trigger the same failure (hence five
-//!   monolithic `i8_block_*` bodies, one per store). With the offset form it
-//!   no longer does: a tile function that hands the corrected accumulators
-//!   back through `&mut [[i32; NR]; MR]` keeps all 16 `vpdpwssd`, and the
-//!   stores are ordinary closures shared with `f32`. The *signed* form of
-//!   that same function still falls into the `vpinsrb` trap (8–10 GMAC/s).
-//!   Two details of the tile function matter: the weight is widened per row
-//!   *inside* the row loop (widening a k-step into an `[i32; MR]` array
-//!   first makes LLVM vectorise across rows with gathers, 2 GMAC/s), and
-//!   the correction loop runs over the tile's *dynamic* row count (a
-//!   constant `MR` trip count is unrolled and transposed into 32 gathers and
-//!   32 scatters per tile, which halves small-`k` layers).
-//! * *What makes LLVM pick `vpdpwssd`:* the `^ 0x80` must be in the kernel,
-//!   on a `u8`, immediately before the widening — pre-offsetting the panel
-//!   bytes or widening first loses the "upper bits are zero" fact and brings
-//!   `vpmulld` back. An exact-in-`f32` FMA kernel (x0.7–1.3) and a
-//!   k-pair-interleaved `i16` layout (`vpmaddwd` only at 128 bits) were tried
-//!   and are slower. `scripts/check_kernel_asm.sh` fails CI if the tile
-//!   functions regress to `vpmulld`.
+//! `tile_i8` is a `#[target_feature]` function on `core::arch`, compiled
+//! when the build enables AVX-512 VNNI and called through the workspace's
+//! one `unsafe` block (`call_tile_i8`). Its loads are bounds-checked slices
+//! read by `_mm512_set_epi64` over `i64::from_le_bytes`, which LLVM makes one
+//! `vmovdqu64` (with the eight words in one `from_fn` array: eight separate
+//! calls left a half as a `vpermt2q` shuffle); its store goes through 64-bit
+//! extracts, one `vmovdqu64` per register. Per step: 2 loads, 8 broadcasts,
+//! 16 `vpdpbusd`. A packed panel is read through k-step offsets as a band is
+//! (`s · NR · 4`), so there is one instance. Other builds run
+//! `tile_i8_portable`, the same layout and sums in plain Rust (its lanes
+//! unpacked by shift and mask, which LLVM turns into `vpmaddwd`).
+//! `scripts/check_kernel_asm.sh` fails CI if `tile_i8` holds a `vpmulld`,
+//! or on a VNNI host no `vpdpbusd` on `%zmm`. Like `tile_f32` it is
+//! `#[inline(never)]`: inlined into the driver closure, an integer MAC loop
+//! was vectorised over `k` with operands assembled byte by byte (`vpinsrb`).
 //!
 //! There is deliberately **no** `a[i][k] == 0` sparse-skip branch in the
 //! inner loops: a data-dependent branch defeats autovectorization for every
@@ -161,7 +146,6 @@
 //! be saved — essentially never for dense activations.
 
 use crate::quantized::requantize_i32;
-use crate::winograd::WINO_U_OFFSET;
 use crate::zero::Zero;
 use rayon::prelude::*;
 use std::cell::RefCell;
@@ -177,11 +161,15 @@ pub const MR: usize = 8;
 /// with AVX2 it is four.
 pub const NR: usize = 32;
 
-/// Cache budget of one packed `B` strip (see [`strip_cols`]) or one FP32 row
+/// `k` rows per INT8 micro-kernel step: one 32-bit lane of `vpdpbusd` sums
+/// four byte products. INT8 operands are packed in quads of `k` rows.
+pub const QUAD: usize = 4;
+
+/// Cache budget of one packed `B` strip (see [`strip_cols`]) or one row
 /// band. Sized for the L2 of the smallest cores this runs on; every row tile
-/// re-reads the strip from there. The band conv measured the same from 128
-/// to 512 KiB on every 1M/16M shape at 256² down to 32², and well above the
-/// packed strips at each.
+/// re-reads the strip from there. The FP32 band conv measured the same from
+/// 128 to 512 KiB on every 1M/16M shape at 256² down to 32², and well above
+/// the packed strips at each.
 pub const STRIP_BYTES: usize = 256 << 10;
 
 /// GEMMs below this many multiply-accumulates run inline on the calling
@@ -222,35 +210,41 @@ pub enum GemmEpilogue<'a> {
 }
 
 /// GEMM work memory for one element type: the strip buffers of the driver's
-/// parallel parts, and the k-step offsets a band conv reads its band
-/// through (`Steps::Band`). Both grow to the largest call's need and are
-/// reused call to call. An executor worker owns one per element type, built
-/// with its arena on the calling thread and sized once for its plan
-/// ([`Work::new`]), and hands it to the entry points that take one; every
-/// other entry point uses the calling thread's.
+/// parallel parts (of [`PackElem::Strip`]s), and the k-step offsets the
+/// micro-kernel reads a panel or band through. Both grow to the largest
+/// call's need and are reused call to call. An executor worker owns one per
+/// element type, built with its arena on the calling thread and sized once
+/// for its plan ([`Work::new`]), and hands it to the entry points that take
+/// one; every other entry point uses the calling thread's.
 #[derive(Debug, Clone)]
-pub struct Work<T> {
-    strips: Vec<T>,
+pub struct Work<T: PackElem> {
+    strips: Vec<T::Strip>,
     offsets: Vec<u32>,
 }
 
-impl<T> Default for Work<T> {
+impl<T: PackElem> Default for Work<T> {
     fn default() -> Self {
         Self { strips: Vec::new(), offsets: Vec::new() }
     }
 }
 
-impl<T: Zero> Work<T> {
+impl<T: PackElem> Work<T> {
     /// Work memory of `strips` zeroed strip elements and room for `offsets`
-    /// band offsets ([`crate::igemm::sgemm_conv_scratch`] and
-    /// [`strip_scratch_len`] give the sizes of a call).
+    /// k-step offsets ([`crate::igemm::sgemm_conv_scratch`],
+    /// [`crate::igemm::igemm_conv_scratch`] and [`strip_scratch_len`] give
+    /// the sizes of a call).
     pub fn new(strips: usize, offsets: usize) -> Self {
-        Self { strips: vec![T::ZERO; strips], offsets: Vec::with_capacity(offsets) }
+        Self { strips: vec![T::Strip::ZERO; strips], offsets: Vec::with_capacity(offsets) }
     }
 
     /// Strip elements held.
     pub fn strip_len(&self) -> usize {
         self.strips.len()
+    }
+
+    /// Offsets held without growing.
+    pub fn offset_capacity(&self) -> usize {
+        self.offsets.capacity()
     }
 }
 
@@ -259,12 +253,12 @@ impl<T: Zero> Work<T> {
 /// those that take no [`Work`].
 #[doc(hidden)]
 #[derive(Debug)]
-pub struct PackScratch<T> {
+pub struct PackScratch<T: PackElem> {
     a_panels: Vec<T>,
     work: Work<T>,
 }
 
-impl<T> PackScratch<T> {
+impl<T: PackElem> PackScratch<T> {
     const EMPTY: Self =
         Self { a_panels: Vec::new(), work: Work { strips: Vec::new(), offsets: Vec::new() } };
 }
@@ -275,10 +269,25 @@ thread_local! {
 }
 
 /// Element type of a packed GEMM operand (`f32`, `i8`).
-pub trait PackElem: Zero + Send + Sync + 'static {
-    /// Largest shared (`k`) extent the micro-kernel of this type accumulates
-    /// without overflow (see the module docs for the INT8 bound).
+pub trait PackElem: Zero + Send + Sync + std::fmt::Debug + 'static {
+    /// Largest shared (`k`) extent, padding included, the micro-kernel of
+    /// this type accumulates without overflow (see the module docs for the
+    /// INT8 bound).
     const MAX_K: usize;
+
+    /// `k` rows per micro-kernel step (`1`, or [`QUAD`] for `i8`).
+    const GROUP: usize;
+
+    /// What the packed `B` strips and row bands hold: the value itself, or
+    /// for `i8` the activation read as unsigned, `x ^ 0x80 = x + 128`.
+    type Strip: Zero + Send + Sync + std::fmt::Debug;
+
+    /// The accumulator start of each row `i < m` of an `m x k` `A` operand
+    /// (`get(i, kk)`), or nothing when the accumulators start at zero. An
+    /// `i8` row starts at `-128 * Σ_k a[i][kk]`, which takes the `+ 128` of
+    /// its unsigned activations back out.
+    #[doc(hidden)]
+    fn row_starts(m: usize, k: usize, get: impl Fn(usize, usize) -> Self) -> Vec<i32>;
 
     #[doc(hidden)]
     fn scratch() -> &'static LocalKey<RefCell<PackScratch<Self>>>;
@@ -286,6 +295,12 @@ pub trait PackElem: Zero + Send + Sync + 'static {
 
 impl PackElem for f32 {
     const MAX_K: usize = usize::MAX;
+    const GROUP: usize = 1;
+    type Strip = f32;
+
+    fn row_starts(_: usize, _: usize, _: impl Fn(usize, usize) -> f32) -> Vec<i32> {
+        Vec::new()
+    }
 
     fn scratch() -> &'static LocalKey<RefCell<PackScratch<f32>>> {
         &PACK_F32
@@ -293,7 +308,18 @@ impl PackElem for f32 {
 }
 
 impl PackElem for i8 {
-    const MAX_K: usize = 1 << 16;
+    /// `2^15`: see the module docs' bound `k · 49 024 < 2^31`.
+    const MAX_K: usize = 1 << 15;
+    const GROUP: usize = QUAD;
+    type Strip = u8;
+
+    fn row_starts(m: usize, k: usize, get: impl Fn(usize, usize) -> i8) -> Vec<i32> {
+        let mut starts = vec![0; m.div_ceil(MR) * MR];
+        for (i, s) in starts.iter_mut().enumerate().take(m) {
+            *s = -128 * (0..k).map(|kk| i32::from(get(i, kk))).sum::<i32>();
+        }
+        starts
+    }
 
     fn scratch() -> &'static LocalKey<RefCell<PackScratch<i8>>> {
         &PACK_I8
@@ -309,7 +335,46 @@ pub(crate) fn with_thread_work<T: PackElem, R>(f: impl FnOnce(&mut Work<T>) -> R
     r
 }
 
-/// A pre-packed `A` operand: the `MR`-tall k-major row panels the micro-kernel
+/// The order of the shared (`k`) rows within one micro-kernel step of
+/// [`PackElem::GROUP`] rows. It matters for INT8 operands only: an `f32`
+/// step is one row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KOrder {
+    /// Rows in order, `GROUP` per step, the last step zero padded.
+    Rows,
+    /// The `[C * taps]` rows of a conv weight (`kk = c * taps + tap`) in the
+    /// order (channel group, tap, channel within group): step `s` holds tap
+    /// `s % taps` of the `GROUP` channels of group `s / taps`, `C` zero
+    /// padded to a whole group. A row band holds a channel group of one
+    /// pixel side by side, so one step is one place in the band.
+    Conv {
+        /// Kernel taps (`K * K`).
+        taps: usize,
+    },
+}
+
+impl KOrder {
+    /// Micro-kernel steps of `g` rows that `k` rows pack into.
+    fn steps(self, k: usize, g: usize) -> usize {
+        match self {
+            KOrder::Rows => k.div_ceil(g),
+            KOrder::Conv { taps } => (k / taps).div_ceil(g) * taps,
+        }
+    }
+
+    /// The row at place `q` of step `s`, or `None` for padding.
+    fn row(self, k: usize, g: usize, s: usize, q: usize) -> Option<usize> {
+        match self {
+            KOrder::Rows => Some(s * g + q).filter(|&kk| kk < k),
+            KOrder::Conv { taps } => {
+                let c = s / taps * g + q;
+                (c < k / taps).then_some(c * taps + s % taps)
+            }
+        }
+    }
+}
+
+/// A pre-packed `A` operand: the `MR`-tall row panels the micro-kernel
 /// consumes, built once and reused across calls.
 ///
 /// Inference weights are immutable, so re-packing them on every frame (as
@@ -319,29 +384,54 @@ pub(crate) fn with_thread_work<T: PackElem, R>(f: impl FnOnce(&mut Work<T>) -> R
 /// `*_packed` entry points, whose per-call pack work covers only the
 /// activation (`B`) strips.
 ///
-/// The panel bytes are identical to what the unpacked entry points produce
-/// internally, so packed and unpacked calls are bit-identical.
+/// A panel holds, per micro-kernel step, `GROUP` values of each of its `MR`
+/// rows (`[s][MR][GROUP]`), the steps in the [`KOrder`] the operand was
+/// packed in. An INT8 operand also holds each row's accumulator start
+/// ([`PackElem::row_starts`]). The panel bytes are identical to what the
+/// unpacked entry points produce internally, so packed and unpacked calls
+/// are bit-identical.
 #[derive(Debug, Clone)]
 pub struct PackedA<T> {
     m: usize,
     k: usize,
+    order: KOrder,
     pub(crate) panels: Vec<T>,
+    starts: Vec<i32>,
 }
 
 impl<T: PackElem> PackedA<T> {
-    /// Packs a row-major `m x k` matrix. Panics if `k` exceeds
-    /// [`PackElem::MAX_K`].
+    /// Packs a row-major `m x k` matrix, rows in order. Panics if `k`,
+    /// padded to a whole step, exceeds [`PackElem::MAX_K`].
     pub fn pack(m: usize, k: usize, a: &[T]) -> Self {
         assert_eq!(a.len(), m * k, "A size");
-        Self::pack_with(m, k, |i, kk| a[i * k + kk], Vec::new())
+        Self::pack_with(m, k, KOrder::Rows, |i, kk| a[i * k + kk], Vec::new())
     }
 
     /// Packs `A` (via `get(i, kk)`) into `panels`, reusing its allocation.
-    fn pack_with(m: usize, k: usize, get: impl Fn(usize, usize) -> T, mut panels: Vec<T>) -> Self {
-        assert!(k <= T::MAX_K, "k = {k} exceeds the accumulator-safe extent {}", T::MAX_K);
-        panels.resize(packed_a_len(m, k), T::ZERO);
-        pack_a(m, k, get, &mut panels);
-        Self { m, k, panels }
+    fn pack_with(
+        m: usize,
+        k: usize,
+        order: KOrder,
+        get: impl Fn(usize, usize) -> T,
+        mut panels: Vec<T>,
+    ) -> Self {
+        let (g, steps) = (T::GROUP, order.steps(k, T::GROUP));
+        let depth = steps * g;
+        assert!(depth <= T::MAX_K, "k = {depth} exceeds the accumulator-safe extent {}", T::MAX_K);
+        panels.resize(m.div_ceil(MR) * MR * depth, T::ZERO);
+        for (ip, panel) in panels.chunks_exact_mut(MR * depth.max(1)).enumerate() {
+            let rows = MR.min(m - ip * MR);
+            for (s, step) in panel.chunks_exact_mut(MR * g).enumerate() {
+                for (q, d) in step.iter_mut().enumerate() {
+                    let (ii, q) = (q / g, q % g);
+                    *d = match order.row(k, g, s, q) {
+                        Some(kk) if ii < rows => get(ip * MR + ii, kk),
+                        _ => T::ZERO,
+                    };
+                }
+            }
+        }
+        Self { m, k, order, panels, starts: T::row_starts(m, k, get) }
     }
 
     /// Runs `f` on `A` packed into the calling thread's scratch (the entry
@@ -353,10 +443,28 @@ impl<T: PackElem> PackedA<T> {
         f: impl FnOnce(&Self) -> R,
     ) -> R {
         let panels = T::scratch().with(|s| std::mem::take(&mut s.borrow_mut().a_panels));
-        let pa = Self::pack_with(m, k, get, panels);
+        let pa = Self::pack_with(m, k, KOrder::Rows, get, panels);
         let r = f(&pa);
         T::scratch().with(|s| s.borrow_mut().a_panels = pa.panels);
         r
+    }
+
+    /// `(m, depth)`: rows, and the shared extent the micro-kernel walks — `k`
+    /// padded to whole steps.
+    pub(crate) fn dims(&self) -> (usize, usize) {
+        (self.m, self.order.steps(self.k, T::GROUP) * T::GROUP)
+    }
+}
+
+impl PackedA<i8> {
+    /// Packs the `[c_out, c_in * taps]` weights of a conv in the order
+    /// [`KOrder::Conv`]: what a conv that reads its activations from a row
+    /// band needs ([`crate::igemm::igemm_conv_with`]); every other INT8 conv
+    /// runs these panels too. Panics as [`PackedA::pack`] does.
+    pub fn pack_conv(c_out: usize, c_in: usize, taps: usize, w: &[i8]) -> Self {
+        let k = c_in * taps;
+        assert_eq!(w.len(), c_out * k, "weight size");
+        Self::pack_with(c_out, k, KOrder::Conv { taps }, |i, kk| w[i * k + kk], Vec::new())
     }
 }
 
@@ -371,9 +479,14 @@ impl<T> PackedA<T> {
         self.k
     }
 
-    /// Bytes held by the panel buffer (for memory accounting).
-    pub fn panel_len(&self) -> usize {
-        self.panels.len()
+    /// The order the shared rows were packed in.
+    pub fn order(&self) -> KOrder {
+        self.order
+    }
+
+    /// Bytes held by the panels and the row starts (memory accounting).
+    pub fn bytes(&self) -> usize {
+        size_of_val(&self.panels[..]) + size_of_val(&self.starts[..])
     }
 }
 
@@ -381,31 +494,10 @@ impl<T> PackedA<T> {
 /// weight panels are the INT8 panels, holding its `[-8, 7]` weights.
 pub type PackedA4 = PackedA<i8>;
 
-/// Elements of `A`-panel storage an `m x k` operand packs into (the `MR`-tall
-/// row panels, tail panel zero padded).
-fn packed_a_len(m: usize, k: usize) -> usize {
-    m.div_ceil(MR) * MR * k
-}
-
 /// Elements of `B`-panel storage `n` columns of a `k`-row operand pack into
 /// (the `NR`-wide column panels, tail panel zero padded).
 pub fn packed_b_len(k: usize, n: usize) -> usize {
     n.div_ceil(NR) * NR * k
-}
-
-/// Packs `A` (via `get(i, kk)`) into `MR`-tall row panels, k-major, zero
-/// padding the tail panel's missing rows.
-fn pack_a<T: Zero>(m: usize, k: usize, get: impl Fn(usize, usize) -> T, buf: &mut [T]) {
-    for ip in 0..m.div_ceil(MR) {
-        let i0 = ip * MR;
-        let rows = MR.min(m - i0);
-        let panel = &mut buf[ip * MR * k..(ip + 1) * MR * k];
-        for (kk, dst) in panel.chunks_exact_mut(MR).enumerate() {
-            for (ii, d) in dst.iter_mut().enumerate() {
-                *d = if ii < rows { get(i0 + ii, kk) } else { T::ZERO };
-            }
-        }
-    }
 }
 
 /// Packs columns `cols` of `B` (via `get(kk, j)`) into `NR`-wide column
@@ -429,86 +521,158 @@ pub(crate) fn pack_b<T: Zero>(
     }
 }
 
-/// One `MR x NR` accumulator tile.
-pub(crate) type Acc<S> = [[S; NR]; MR];
-
-/// The `A` side of a GEMM as the driver sees it: packed row panels plus the
-/// micro-kernel that multiplies one of them with a packed `B` panel.
-pub(crate) trait Panels: Sync {
-    /// Element type of the packed `B` panels.
-    type B: Zero + Send + Sync;
-    /// What one [`Panels::tile`] call fills and the store reads: one
-    /// [`Acc`] tile, or one per Winograd position.
-    type Out: Default;
-
-    /// `(m, depth)`: rows, and `B` rows per column — the GEMM's `k`, or
-    /// `16 * C_in` for the sixteen Winograd position products.
-    fn dims(&self) -> (usize, usize);
-
-    /// Overwrites the first `rows` rows of `out` (at least) with row panel
-    /// `ip` times the `B` panel `bp` whose k-steps sit where `steps` says: a
-    /// packed panel (`depth * NR` elements), or for the f32 impl also a row
-    /// band from the panel's first element on.
-    fn tile(&self, ip: usize, bp: &[Self::B], steps: Steps<'_>, rows: usize, out: &mut Self::Out);
+/// The INT8 `B` gather: packs columns `cols` of the `B` operand of `pa` into
+/// `NR`-wide quad panels, `[s][NR][QUAD]` bytes, step `s` holding the rows
+/// [`KOrder`] gives it side by side per column, each activation `x` as `x ^
+/// 0x80`. `row(kk, j0, dst)` writes columns `j0 .. j0 + dst.len()` of `B`'s
+/// row `kk` into `dst` and leaves the zeros it finds there where `B` is zero
+/// (a padded pixel); padding rows and the tail panel's missing columns are
+/// zero too. Every INT8 GEMM that reads no row band packs through here.
+pub(crate) fn pack_quads(
+    pa: &PackedA<i8>,
+    cols: Range<usize>,
+    buf: &mut [u8],
+    row: impl Fn(usize, usize, &mut [i8]),
+) {
+    let depth = pa.dims().1;
+    for (jp, panel) in
+        buf[..packed_b_len(depth, cols.len())].chunks_exact_mut(NR * depth.max(1)).enumerate()
+    {
+        let j0 = cols.start + jp * NR;
+        let valid = NR.min(cols.end - j0);
+        for (s, step) in panel.as_chunks_mut::<{ QUAD * NR }>().0.iter_mut().enumerate() {
+            let mut rows = [[0i8; NR]; QUAD];
+            for (q, r) in rows.iter_mut().enumerate() {
+                if let Some(kk) = pa.order.row(pa.k, QUAD, s, q) {
+                    row(kk, j0, &mut r[..valid]);
+                }
+            }
+            for (j, d) in step.as_chunks_mut::<QUAD>().0.iter_mut().enumerate() {
+                *d = [0, 1, 2, 3].map(|q| rows[q][j] as u8 ^ 0x80);
+            }
+        }
+    }
 }
 
-/// Where the k-steps of one `B` panel sit, counted from the panel's first
-/// element: step `kk` is the `NR` elements at `kk * NR` of a packed panel, or
-/// at `offs[kk]` of a row band ([`Strip::Band`], f32 only).
+/// One `MR x NR` accumulator tile.
+pub type Acc<S> = [[S; NR]; MR];
+
+/// The `A` side of a GEMM as the driver sees it: packed row panels plus the
+/// micro-kernel.
+pub(crate) trait Panels: Sync {
+    /// The element type of the packed operands.
+    type E: PackElem;
+    /// The accumulator element.
+    type S: Copy + Default;
+
+    /// `(m, depth)`: rows, and the shared extent the micro-kernel walks.
+    fn dims(&self) -> (usize, usize);
+
+    /// Writes the k-step offsets of this call's strips into `offs`: where
+    /// step `s` of a panel sits, counted from the panel's first element.
+    fn steps(&self, strip: Strip, strip_len: usize, offs: &mut Vec<u32>);
+
+    /// Overwrites the first `rows` rows of `out` (at least) with row panel
+    /// `ip` times the `B` panel `p`.
+    fn tile(
+        &self,
+        ip: usize,
+        p: Panel<'_, <Self::E as PackElem>::Strip>,
+        rows: usize,
+        out: &mut Acc<Self::S>,
+    );
+}
+
+/// One `B` panel as the driver hands it to a tile: column `j` (the panel's
+/// first, `cols` valid) of a part's strip buffer laid out as `kind` says,
+/// and the k-step offsets [`Panels::steps`] wrote for the call.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Steps<'a> {
-    /// A packed k-major panel (`[kk][NR]`).
-    Packed,
-    /// A zero-bordered row band: `offs[(c, ky, kx)] = c·(r+2)(W+2) +
-    /// ky·(W+2) + kx`.
-    Band(&'a [u32]),
+pub(crate) struct Panel<'a, B> {
+    strip: &'a [B],
+    j: usize,
+    cols: usize,
+    kind: Strip,
+    offs: &'a [u32],
 }
 
 impl Panels for PackedA<f32> {
-    type B = f32;
-    type Out = Acc<f32>;
+    type E = f32;
+    type S = f32;
 
     fn dims(&self) -> (usize, usize) {
-        (self.m, self.k)
+        PackedA::dims(self)
     }
 
-    fn tile(&self, ip: usize, bp: &[f32], steps: Steps<'_>, _rows: usize, out: &mut Acc<f32>) {
+    fn steps(&self, strip: Strip, strip_len: usize, offs: &mut Vec<u32>) {
+        offs.clear();
+        if let Strip::Band { c, w } = strip {
+            band_offsets(c, 1, w, strip_len / c, offs);
+        }
+    }
+
+    fn tile(&self, ip: usize, p: Panel<'_, f32>, _rows: usize, out: &mut Acc<f32>) {
         let ap = &self.panels[ip * MR * self.k..][..MR * self.k];
-        match steps {
-            Steps::Packed => tile_f32(ap, bp.as_chunks::<NR>().0.iter(), out),
-            Steps::Band(offs) => {
+        match p.kind {
+            Strip::Panels => {
+                let bp = &p.strip[p.j * self.k..][..NR * self.k];
+                tile_f32(ap, bp.as_chunks::<NR>().0.iter(), out)
+            }
+            Strip::Band { w, .. } => {
+                let bp = &p.strip[p.j / w * (w + 2) + p.j % w..];
                 let step = |&off: &u32| -> &[f32; NR] {
                     bp[off as usize..][..NR].try_into().expect("NR elements")
                 };
-                tile_f32(ap, offs.iter().map(step), out)
+                tile_f32(ap, p.offs.iter().map(step), out)
             }
         }
     }
 }
 
 impl Panels for PackedA<i8> {
-    type B = i8;
-    type Out = Acc<i32>;
+    type E = i8;
+    type S = i32;
 
     fn dims(&self) -> (usize, usize) {
-        (self.m, self.k)
+        PackedA::dims(self)
     }
 
-    fn tile(&self, ip: usize, bp: &[i8], steps: Steps<'_>, rows: usize, out: &mut Acc<i32>) {
-        debug_assert!(matches!(steps, Steps::Packed), "integer tiles read packed panels");
-        tile_i8(&self.panels[ip * MR * self.k..][..MR * self.k], bp, rows, out);
+    fn steps(&self, strip: Strip, strip_len: usize, offs: &mut Vec<u32>) {
+        offs.clear();
+        match strip {
+            Strip::Panels => {
+                let steps = self.dims().1 / QUAD;
+                offs.extend((0..steps).map(|s| u32::try_from(s * QUAD * NR).expect("fits u32")));
+            }
+            Strip::Band { c, w } => band_offsets(c / QUAD, QUAD, w, strip_len / (c / QUAD), offs),
+        }
+    }
+
+    fn tile(&self, ip: usize, p: Panel<'_, u8>, _rows: usize, out: &mut Acc<i32>) {
+        let depth = self.dims().1;
+        let ap = &self.panels[ip * MR * depth..][..MR * depth];
+        let starts = self.starts[ip * MR..][..MR].try_into().expect("MR row starts");
+        // Where column `j` of the strip sits. The two 16-column halves of a
+        // panel are read from their own places: on a band of width 16 they
+        // are two output rows. A half-width panel reads its first half
+        // twice.
+        let at = |j: usize| match p.kind {
+            Strip::Panels => j / NR * depth * NR + j % NR * QUAD,
+            Strip::Band { w, .. } => (j / w * (w + 2) + j % w) * QUAD,
+        };
+        let half = if p.cols > NR / 2 { NR / 2 } else { 0 };
+        let b = [&p.strip[at(p.j)..], &p.strip[at(p.j + half)..]];
+        call_tile_i8(ap, starts, b, p.offs, out)
     }
 }
 
 /// The f32 micro-kernel: an `MR x NR` accumulator tile over the full `k`
 /// extent of one A row panel and the `k` steps of `NR` `B` values that
 /// `steps` walks (a packed panel's consecutive rows, or a row band's
-/// offsets, [`Steps`]), one fused multiply-add per element and k-step (`acc
-/// = a.mul_add(b, acc)`, one rounding), written to `out`. Branch-free with
+/// offsets), one fused multiply-add per element and k-step (`acc =
+/// a.mul_add(b, acc)`, one rounding), written to `out`. Branch-free with
 /// constant trip counts so LLVM keeps the tile in vector registers; isolated
-/// `#[inline(never)]` like the integer tiles (see the module docs for what
-/// it compiles to). One source for both walks: the compiler instantiates it
-/// once per [`Steps`] variant.
+/// `#[inline(never)]` (see the module docs for what it compiles to). One
+/// source for both walks: the compiler instantiates it once per walk.
 #[inline(never)]
 fn tile_f32<'b>(ap: &[f32], steps: impl Iterator<Item = &'b [f32; NR]>, out: &mut Acc<f32>) {
     let mut acc = [[0.0f32; NR]; MR];
@@ -524,67 +688,127 @@ fn tile_f32<'b>(ap: &[f32], steps: impl Iterator<Item = &'b [f32; NR]>, out: &mu
     *out = acc;
 }
 
-/// An integer micro-kernel in the offset form of the module docs: `$widen`
-/// reads row `i` of one k-step of the `A` panel (`MR` elements) as the
-/// non-negative weight `a + $offset`; the column sums of `B` (`$b`
-/// activations) take the offset back out when the first `rows` rows of the
-/// finished tile are written to `out` (rows beyond are padding and left
-/// alone — and the dynamic trip count keeps LLVM from transposing that loop
-/// into gathers). Isolated `#[inline(never)]` functions — see the codegen
-/// hazards in the module docs.
-macro_rules! int_tile_fn {
-    ($(#[$doc:meta])* $name:ident, $a:ty, $b:ty, $offset:expr, $widen:expr) => {
-        $(#[$doc])*
-        #[inline(never)]
-        pub(crate) fn $name(ap: &[$a], bp: &[$b], rows: usize, out: &mut Acc<i32>) {
-            let mut acc = [[0i32; NR]; MR];
-            let mut colsum = [0i32; NR];
-            for (a, b) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
-                let mut bw = [0i32; NR];
-                for (w, &v) in bw.iter_mut().zip(b) {
-                    *w = v as i32;
-                }
-                for (s, &bv) in colsum.iter_mut().zip(&bw) {
-                    *s += bv;
-                }
-                for (i, acc_i) in acc.iter_mut().enumerate() {
-                    let ai = ($widen)(a, i);
-                    for (acc_ij, &bv) in acc_i.iter_mut().zip(&bw) {
-                        *acc_ij += ai * bv;
-                    }
-                }
+/// The INT8 micro-kernel on AVX-512 VNNI: an `MR x NR` tile of `i32`
+/// accumulators, row `i` starting at `starts[i]`, over the quad steps of one
+/// `A` row panel (`[s][MR][QUAD]`). Step `s` reads each half's `NR / 2`
+/// columns of `QUAD` activation bytes at `b[half][offs[s]..]`; one
+/// `vpdpbusd` per row and half adds each column's four products (module
+/// docs).
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512vnni"))]
+#[target_feature(enable = "avx512f,avx512vnni")]
+#[inline(never)]
+fn tile_i8(ap: &[i8], starts: &[i32; MR], b: [&[u8]; 2], offs: &[u32], out: &mut Acc<i32>) {
+    use std::arch::x86_64::{
+        __m512i, _mm256_extract_epi64, _mm512_castsi512_si256, _mm512_dpbusd_epi32,
+        _mm512_extracti64x4_epi64, _mm512_set1_epi32, _mm512_set_epi64,
+    };
+    let load = |s: &[u8]| {
+        let q: [i64; 8] = std::array::from_fn(|i| {
+            i64::from_le_bytes(s[8 * i..8 * i + 8].try_into().expect("8 bytes"))
+        });
+        _mm512_set_epi64(q[7], q[6], q[5], q[4], q[3], q[2], q[1], q[0])
+    };
+    let mut acc: [[__m512i; 2]; MR] = starts.map(|s| [_mm512_set1_epi32(s); 2]);
+    for (a, &off) in ap.as_chunks::<{ QUAD * MR }>().0.iter().zip(offs) {
+        let off = off as usize;
+        let bv = [load(&b[0][off..off + 64]), load(&b[1][off..off + 64])];
+        for (i, acc_i) in acc.iter_mut().enumerate() {
+            let w = [a[QUAD * i], a[QUAD * i + 1], a[QUAD * i + 2], a[QUAD * i + 3]];
+            let w = _mm512_set1_epi32(i32::from_le_bytes(w.map(|v| v as u8)));
+            for (acc_ih, &bh) in acc_i.iter_mut().zip(&bv) {
+                *acc_ih = _mm512_dpbusd_epi32(*acc_ih, bh, w);
             }
-            for (out_i, acc_i) in out.iter_mut().zip(&acc).take(rows) {
-                for ((o, &v), &s) in out_i.iter_mut().zip(acc_i).zip(&colsum) {
-                    *o = v - $offset * s;
+        }
+    }
+    for (out_i, acc_i) in out.iter_mut().zip(&acc) {
+        for (dst, &v) in out_i.as_chunks_mut::<{ NR / 2 }>().0.iter_mut().zip(acc_i) {
+            let (lo, hi) = (_mm512_castsi512_si256(v), _mm512_extracti64x4_epi64::<1>(v));
+            let q = [
+                _mm256_extract_epi64::<0>(lo),
+                _mm256_extract_epi64::<1>(lo),
+                _mm256_extract_epi64::<2>(lo),
+                _mm256_extract_epi64::<3>(lo),
+                _mm256_extract_epi64::<0>(hi),
+                _mm256_extract_epi64::<1>(hi),
+                _mm256_extract_epi64::<2>(hi),
+                _mm256_extract_epi64::<3>(hi),
+            ];
+            for (d, v) in dst.as_chunks_mut::<2>().0.iter_mut().zip(q) {
+                *d = [v as i32, (v >> 32) as i32];
+            }
+        }
+    }
+}
+
+/// Runs [`tile_i8`]: the one call of the VNNI kernel, and the workspace's
+/// one `unsafe` block.
+#[inline(always)]
+fn call_tile_i8(ap: &[i8], starts: &[i32; MR], b: [&[u8]; 2], offs: &[u32], out: &mut Acc<i32>) {
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx512vnni"))]
+    #[allow(unsafe_code)]
+    // SAFETY: calling a `#[target_feature]` function is unsafe because the
+    // CPU might lack the features. This build enables AVX-512 F and VNNI for
+    // every function (the cfg above), so the binary already requires them.
+    unsafe {
+        tile_i8(ap, starts, b, offs, out)
+    }
+    #[cfg(not(all(target_arch = "x86_64", target_feature = "avx512vnni")))]
+    tile_i8(ap, starts, b, offs, out)
+}
+
+/// The INT8 micro-kernel on every other target: [`tile_i8_portable`].
+#[cfg(not(all(target_arch = "x86_64", target_feature = "avx512vnni")))]
+#[inline(never)]
+fn tile_i8(ap: &[i8], starts: &[i32; MR], b: [&[u8]; 2], offs: &[u32], out: &mut Acc<i32>) {
+    tile_i8_portable(ap, starts, b, offs, out)
+}
+
+/// The INT8 micro-kernel's portable body: the VNNI tile's layout and sums
+/// (hence bits) in plain Rust.
+#[inline(always)]
+fn tile_i8_portable(
+    ap: &[i8],
+    starts: &[i32; MR],
+    b: [&[u8]; 2],
+    offs: &[u32],
+    out: &mut Acc<i32>,
+) {
+    let mut acc = starts.map(|s| [s; NR]);
+    for (a, &off) in ap.as_chunks::<{ QUAD * MR }>().0.iter().zip(offs) {
+        let off = off as usize;
+        for (h, bh) in b.iter().enumerate() {
+            let lanes = bh[off..off + 64].as_chunks::<QUAD>().0;
+            for (i, acc_i) in acc.iter_mut().enumerate() {
+                let w = [0, 1, 2, 3].map(|q| i32::from(a[QUAD * i + q]));
+                for (acc_ij, lane) in acc_i[h * NR / 2..][..NR / 2].iter_mut().zip(lanes) {
+                    let x = u32::from_le_bytes(*lane);
+                    let x = [0, 1, 2, 3].map(|q| ((x >> (8 * q)) & 0xFF) as i32);
+                    *acc_ij += x[0] * w[0] + x[1] * w[1] + x[2] * w[2] + x[3] * w[3];
                 }
             }
         }
-    };
+    }
+    *out = acc;
 }
 
-int_tile_fn!(
-    /// The INT8 micro-kernel: weights read as `(a as u8) ^ 0x80 = a + 128`.
-    tile_i8,
-    i8,
-    i8,
-    128,
-    |a: &[i8], i: usize| ((a[i] as u8) ^ 0x80) as i32
-);
-
-int_tile_fn!(
-    /// The Winograd micro-kernel: one position product of `i16` activations
-    /// against weights stored pre-offset, `U + 2048` as `u16` in `[896,
-    /// 3200]`. The `& 0x0FFF` is an identity on those values, and it is what
-    /// proves the upper 20 bits zero to LLVM (a bare `u16` leaves bit 15
-    /// open), so the loop compiles to `vpdpwssd` like [`tile_i8`]. The offset
-    /// is a power of two so that the correction is a shift, not a `vpmulld`.
-    tile_i16,
-    u16,
-    i16,
-    WINO_U_OFFSET,
-    |a: &[u16], i: usize| (a[i] & 0x0FFF) as i32
-);
+/// One INT8 tile by the portable body or by the kernel this build runs, for
+/// the property test that holds the two to the same bits.
+#[doc(hidden)]
+pub fn int8_tile(
+    ap: &[i8],
+    starts: &[i32; MR],
+    b: [&[u8]; 2],
+    offs: &[u32],
+    portable: bool,
+) -> Acc<i32> {
+    let mut out = [[0; NR]; MR];
+    if portable {
+        tile_i8_portable(ap, starts, b, offs, &mut out);
+    } else {
+        call_tile_i8(ap, starts, b, offs, &mut out);
+    }
+    out
+}
 
 /// Columns per strip for a `k`-row packed operand of `elem_bytes`-wide
 /// elements: the largest multiple of `NR` within [`STRIP_BYTES`], at least
@@ -600,9 +824,10 @@ pub(crate) enum Strip {
     /// [`strip_cols`] at a time: every GEMM but the FP32 band conv.
     Panels,
     /// Whole output rows of a 3x3 pad-1 stride-1 conv over `c` input
-    /// channels of width `w` (a multiple of `NR`), read in place from a
-    /// zero-bordered `[c][r + 2][w + 2]` band of the input, `r` rows within
-    /// [`STRIP_BYTES`] (at least one).
+    /// channels of width `w`, read in place from a zero-bordered band of the
+    /// input, `[c][r + 2][w + 2]` (`f32`, `w` a multiple of `NR`) or `[c /
+    /// 4][r + 2][w + 2][4]` (`i8`, `c` padded to whole quads, `w` a multiple
+    /// of `NR / 2`), `r` rows within [`STRIP_BYTES`] (at least one).
     Band { c: usize, w: usize },
 }
 
@@ -676,20 +901,25 @@ pub fn strip_scratch_len(m: usize, k: usize, n: usize, quantum: usize, elem_byte
     Split::new(m, k, n, quantum, elem_bytes, Strip::Panels).scratch_len()
 }
 
-/// Elements of the row-band strip buffers of an FP32 `[m x 9c x h*w]` band
-/// conv ([`Strip::Band`]).
-pub(crate) fn band_scratch_len(m: usize, c: usize, h: usize, w: usize) -> usize {
-    Split::new(m, 9 * c, h * w, w, size_of::<f32>(), Strip::Band { c, w }).scratch_len()
+/// Elements of the row-band strip buffers of an `[m x 9c x h*w]` band conv
+/// over `c` channels (padded to whole groups) of `elem_bytes`-wide elements
+/// ([`Strip::Band`]).
+pub(crate) fn band_scratch_len(
+    m: usize,
+    c: usize,
+    (h, w): (usize, usize),
+    elem_bytes: usize,
+) -> usize {
+    Split::new(m, 9 * c, h * w, w, elem_bytes, Strip::Band { c, w }).scratch_len()
 }
 
-/// Writes the band's k-step offsets into `offs`: `(c, ky, kx)` at `c *
-/// plane + ky * (w + 2) + kx`, `plane` being one channel's `(r + 2) * (w +
-/// 2)` elements.
-fn band_offsets(c: usize, w: usize, plane: usize, offs: &mut Vec<u32>) {
-    let at = |ci: usize, tap: usize| ci * plane + tap / 3 * (w + 2) + tap % 3;
-    offs.clear();
-    for ci in 0..c {
-        offs.extend((0..9).map(|tap| u32::try_from(at(ci, tap)).expect("band offsets fit u32")));
+/// Appends the band's k-step offsets to `offs`: step `(group, ky, kx)` at
+/// `group * plane + (ky * (w + 2) + kx) * g`, `plane` being one group's `(r
+/// + 2) * (w + 2) * g` elements, `g` channels side by side per pixel.
+fn band_offsets(groups: usize, g: usize, w: usize, plane: usize, offs: &mut Vec<u32>) {
+    let at = |gi: usize, tap: usize| gi * plane + (tap / 3 * (w + 2) + tap % 3) * g;
+    for gi in 0..groups {
+        offs.extend((0..9).map(|tap| u32::try_from(at(gi, tap)).expect("band offsets fit u32")));
     }
 }
 
@@ -728,6 +958,15 @@ impl OutLayout {
         Self { rows: 1, len: n, quantum: NR, quantum_elems: NR }
     }
 
+    /// A row-major `[m, n]` `C` whose column parts are cut as `strip`
+    /// needs: a band's own whole output rows.
+    fn of(n: usize, strip: Strip) -> Self {
+        match strip {
+            Strip::Panels => Self::rows(n),
+            Strip::Band { w, .. } => Self { rows: 1, len: n, quantum: w, quantum_elems: w },
+        }
+    }
+
     /// The elements of each chunk that columns `cols` own.
     fn span(&self, cols: &Range<usize>) -> Range<usize> {
         let at = |j: usize| (j.div_ceil(self.quantum) * self.quantum_elems).min(self.len);
@@ -751,30 +990,30 @@ pub(crate) fn run<A: Panels, C: Send>(
     n: usize,
     (layout, strip): (OutLayout, Strip),
     c: &mut [C],
-    pack: impl Fn(Range<usize>, &mut [A::B]) + Sync,
-    store: impl Fn(&A::Out, Tile, &mut [&mut [C]]) + Sync,
-) where
-    A::B: PackElem,
-{
+    pack: impl Fn(Range<usize>, &mut [B<A>]) + Sync,
+    store: impl Fn(&Acc<A::S>, Tile, &mut [&mut [C]]) + Sync,
+) {
     with_thread_work(|work| run_with(a, n, (layout, strip), c, work, pack, store));
 }
 
+/// The element of the strip buffers `A`'s driver packs `B` into.
+pub(crate) type B<A> = <<A as Panels>::E as PackElem>::Strip;
+
 /// The driver itself. `c` is laid out as `layout` says — the rows of a
-/// row-major `C`, the `[2H, 2W]` output planes of a 2x2 transpose conv (4
+/// row-major `C`, or the `[2H, 2W]` output planes of a 2x2 transpose conv (4
 /// GEMM rows scatter into one plane, a quantum of one input row owns 2 output
-/// rows), or the `[H, W]` planes of a Winograd conv (a quantum of one tile
-/// row owns 2 output rows). The parts' strip buffers are slices of `work`'s,
-/// grown to [`strip_scratch_len`] when shorter. `pack(cols, buf)` fills a
-/// strip buffer with columns `cols` of `B` as `strip` says; `store(out,
-/// tile, chunks)` writes one finished tile into the part's chunk pieces.
+/// rows). The parts' strip buffers are slices of `work`'s, grown to
+/// [`strip_scratch_len`] when shorter. `pack(cols, buf)` fills a strip
+/// buffer with columns `cols` of `B` as `strip` says; `store(acc, tile,
+/// chunks)` writes one finished tile into the part's chunk pieces.
 pub(crate) fn run_with<A: Panels, C: Send>(
     a: &A,
     n: usize,
     (layout, strip): (OutLayout, Strip),
     c: &mut [C],
-    work: &mut Work<A::B>,
-    pack: impl Fn(Range<usize>, &mut [A::B]) + Sync,
-    store: impl Fn(&A::Out, Tile, &mut [&mut [C]]) + Sync,
+    work: &mut Work<A::E>,
+    pack: impl Fn(Range<usize>, &mut [B<A>]) + Sync,
+    store: impl Fn(&Acc<A::S>, Tile, &mut [&mut [C]]) + Sync,
 ) {
     let (m, k) = a.dims();
     let rpc = layout.rows;
@@ -783,23 +1022,16 @@ pub(crate) fn run_with<A: Panels, C: Send>(
     if m == 0 || n == 0 {
         return;
     }
-    let split = Split::new(m, k, n, layout.quantum, size_of::<A::B>(), strip);
+    let split = Split::new(m, k, n, layout.quantum, size_of::<B<A>>(), strip);
     let (n_parts, strip_len) = (split.row_parts * split.col_parts, split.strip_len);
     let Work { strips, offsets: offs } = work;
     if strips.len() < n_parts * strip_len {
-        strips.resize(n_parts * strip_len, A::B::ZERO);
+        strips.resize(n_parts * strip_len, B::<A>::ZERO);
     }
-    // Where a panel starts in its strip and where its k-steps sit.
-    if let Strip::Band { c, w } = strip {
-        band_offsets(c, w, strip_len / c, offs);
-    }
+    a.steps(strip, strip_len, offs);
     let offs = &*offs;
-    let panel = |j: usize| match strip {
-        Strip::Panels => (j * k..(j + NR) * k, Steps::Packed),
-        Strip::Band { w, .. } => (j / w * (w + 2) + j % w..strip_len, Steps::Band(offs)),
-    };
     let mut rest = &mut strips[..];
-    let mut parts: Vec<Part<'_, A::B, C>> = (0..n_parts)
+    let mut parts: Vec<Part<'_, B<A>, C>> = (0..n_parts)
         .map(|p| {
             let (rp, cp) = (p / split.col_parts, p % split.col_parts);
             let strip;
@@ -825,7 +1057,7 @@ pub(crate) fn run_with<A: Panels, C: Send>(
     #[cfg(feature = "trace-gemm")]
     let spent = [std::sync::atomic::AtomicU64::new(0), std::sync::atomic::AtomicU64::new(0)];
     parts.into_par_iter().for_each(|mut part| {
-        let mut acc = A::Out::default();
+        let mut acc = Acc::<A::S>::default();
         for s0 in part.cols.clone().step_by(split.nc) {
             let strip_cols = s0..(s0 + split.nc).min(part.cols.end);
             #[cfg(feature = "trace-gemm")]
@@ -837,8 +1069,9 @@ pub(crate) fn run_with<A: Panels, C: Send>(
                 let rows = MR.min(part.rows.end - row);
                 for col in strip_cols.clone().step_by(NR) {
                     let cols = NR.min(strip_cols.end - col);
-                    let (at, steps) = panel(col - strip_cols.start);
-                    a.tile(row / MR, &part.strip[at], steps, rows, &mut acc);
+                    let j = col - strip_cols.start;
+                    let p = Panel { strip: part.strip, j, cols, kind: strip, offs };
+                    a.tile(row / MR, p, rows, &mut acc);
                     let tile =
                         Tile { row, col, rows, cols, row0: part.rows.start, col0: part.cols.start };
                     store(&acc, tile, &mut part.chunks);
@@ -862,7 +1095,7 @@ pub(crate) fn run_with<A: Panels, C: Send>(
             // Every band copies its rows plus two halo rows.
             Strip::Band { c, w } => c * (w + 2) * (n / w + 2 * n.div_ceil(split.nc)),
         };
-        let packed = (elems * size_of::<A::B>()) as u64;
+        let packed = (elems * size_of::<B<A>>()) as u64;
         seneca_trace::record_ns("gemm", "pack", spent[0].load(Relaxed), packed);
         seneca_trace::record_ns("gemm", "kernel", spent[1].load(Relaxed), size_of_val(c) as u64);
     }
@@ -911,12 +1144,7 @@ pub(crate) fn run_f32(
     work: &mut Work<f32>,
     pack: impl Fn(Range<usize>, &mut [f32]) + Sync,
 ) {
-    let layout = match strip {
-        Strip::Panels => OutLayout::rows(n),
-        // Column parts own whole output rows.
-        Strip::Band { w, .. } => OutLayout { rows: 1, len: n, quantum: w, quantum_elems: w },
-    };
-    run_with(pa, n, (layout, strip), c, work, pack, |acc, t, chunks| match epi {
+    run_with(pa, n, (OutLayout::of(n, strip), strip), c, work, pack, |acc, t, chunks| match epi {
         GemmEpilogue::None => store_rows(acc, t, chunks, |_| (), |v, ()| v),
         GemmEpilogue::Bias(b) => store_rows(acc, t, chunks, |i| bias_at(b, i), |v, b| v + b),
         GemmEpilogue::BiasRelu(b) => {
@@ -935,16 +1163,17 @@ pub(crate) fn run_f32(
 }
 
 /// Runs the INT8 driver into a row-major `i8` `C` with the requantise
-/// epilogue fused into the store, on `work`.
+/// epilogue fused into the store, on `work`; `pack` fills strip buffers as
+/// `strip` says.
 pub(crate) fn run_requant(
     pa: &PackedA<i8>,
-    n: usize,
+    (n, strip): (usize, Strip),
     out: &mut [i8],
     (bias, shift, relu): (&[i32], i32, bool),
     work: &mut Work<i8>,
-    pack: impl Fn(Range<usize>, &mut [i8]) + Sync,
+    pack: impl Fn(Range<usize>, &mut [u8]) + Sync,
 ) {
-    run_with(pa, n, (OutLayout::rows(n), Strip::Panels), out, work, pack, |acc, t, chunks| {
+    run_with(pa, n, (OutLayout::of(n, strip), strip), out, work, pack, |acc, t, chunks| {
         store_rows(acc, t, chunks, |i| bias_at(bias, i), |v, b| requant(v, b, shift, relu))
     });
 }
@@ -999,8 +1228,15 @@ pub fn igemm_fused_packed(
     out: &mut [i8],
 ) {
     assert_eq!(b.len(), pa.k * n, "B size");
-    let pack = |cols, buf: &mut [i8]| pack_b(pa.k, cols, |kk, j| b[kk * n + j], buf);
-    with_thread_work(|work| run_requant(pa, n, out, (bias, shift, relu), work, pack));
+    let pack = |cols, buf: &mut [u8]| pack_quads(pa, cols, buf, matrix_row(b, n));
+    with_thread_work(|work| {
+        run_requant(pa, (n, Strip::Panels), out, (bias, shift, relu), work, pack)
+    });
+}
+
+/// The row source of [`pack_quads`] for a row-major `[k, n]` `B`.
+pub(crate) fn matrix_row(b: &[i8], n: usize) -> impl Fn(usize, usize, &mut [i8]) + Sync + '_ {
+    move |kk, j0, dst| dst.copy_from_slice(&b[kk * n + j0..][..dst.len()])
 }
 
 /// INT8 GEMM with `i32` accumulation: `c = a * b`.
@@ -1017,8 +1253,7 @@ pub fn igemm(m: usize, k: usize, n: usize, a: &[i8], b: &[i8], c: &mut [i32]) {
         k,
         |i, kk| a[i * k + kk],
         |pa| {
-            let pack =
-                |cols: Range<usize>, buf: &mut [i8]| pack_b(k, cols, |kk, j| b[kk * n + j], buf);
+            let pack = |cols, buf: &mut [u8]| pack_quads(pa, cols, buf, matrix_row(b, n));
             run(pa, n, (OutLayout::rows(n), Strip::Panels), c, pack, |acc, t, chunks| {
                 store_rows(acc, t, chunks, |_| (), |v, ()| v)
             });

@@ -15,10 +15,15 @@
 //! produced and the micro-kernels are the same — the implicit route is
 //! bit-identical to the materialized one by construction. The INT8 entry
 //! points serve W8 and W4 layers alike: a W4 weight is an `i8` in `[-8, 7]`.
+//! Their strips are quad panels (`[s][NR][4]` unsigned bytes, see
+//! [`crate::gemm`]), gathered by one generic pack, `pack_quads`, from a row
+//! source: `im2col_row` for a conv of any geometry, the input plane's rows
+//! for the tconv, the matrix rows for a plain GEMM.
 //!
-//! An FP32 3x3 pad-1 stride-1 conv on a map whose width `W` is a multiple of
-//! `NR` (every level from 256² down to 32² of the U-Net) goes one step
-//! further and packs nothing 9x: a strip is `r` whole output rows, `pack_band`
+//! A 3x3 pad-1 stride-1 conv on a map whose width `W` is a multiple of `NR`
+//! (FP32: every level from 256² down to 32² of the U-Net) or of `NR / 2`
+//! (INT8 on weights packed by [`PackedA::pack_conv`]: down to 16²) goes one
+//! step further and packs nothing 9x: a strip is `r` whole output rows, `pack_band`
 //! copies the `r + 2` input rows they read into a zero-bordered `[C][r +
 //! 2][W + 2]` band, and the f32 micro-kernel reads k-step `kk = (c, ky, kx)`
 //! of a panel in place, at `base + off[kk]` with
@@ -27,9 +32,13 @@
 //! 16–64 output channels the strip pack's 9x copy was read by only 2–8 row
 //! tiles; the band is 1.x times the rows it covers. Its zero border is the
 //! strip pack's zero fill and the FMA order is the same ascending `k`, so
-//! the band route is bit-identical to the strip route. Narrower maps, stride
-//! 2, the tconv, the weight gradient and every integer conv keep
-//! [`pack_b_im2col`].
+//! the band route is bit-identical to the strip route. The INT8 band,
+//! `pack_quad_band`, is `[C/4][r + 2][W + 2][4]`: a pixel's four channels of
+//! one quad side by side, one micro-kernel step (`(quad, ky, kx)`) each, a
+//! zero border of `0x80`. At 256² the INT8 band conv runs at 1.9–4.5x the
+//! FP32 conv's MAC rate (`kernel_stats int8`; the `C_in = 1` first layers,
+//! three quarters padding, at 0.8–1.1x). Narrower maps, stride 2, the tconv
+//! and the weight gradient gather strips.
 //!
 //! The `*_with` entry points run on the caller's [`crate::gemm::Work`]; the
 //! others on the calling thread's work memory.
@@ -54,9 +63,9 @@
 //! *transposed* virtual im2col matrix of a band of output rows.
 
 use crate::gemm::{
-    band_scratch_len, bias_at, packed_b_len, requant, run, run_f32, run_requant, run_with,
-    strip_scratch_len, with_thread_work, Acc, GemmEpilogue, OutLayout, PackedA, Panels, Strip,
-    Tile, Work, NR,
+    band_scratch_len, bias_at, matrix_row, pack_quads, packed_b_len, requant, run, run_f32,
+    run_requant, run_with, strip_scratch_len, with_thread_work, GemmEpilogue, KOrder, OutLayout,
+    PackedA, Panels, Strip, Tile, Work, B, NR, QUAD,
 };
 use crate::im2col::ConvGeom;
 use crate::zero::Zero;
@@ -236,7 +245,7 @@ fn pack_band(geom: &ConvGeom, input: &[f32], cols: Range<usize>, buf: &mut [f32]
 /// thread-local buffers, each grown to the largest call's need.
 pub fn sgemm_conv_scratch(m: usize, geom: &ConvGeom) -> (usize, usize) {
     if reads_bands(geom) {
-        (band_scratch_len(m, geom.c_in, geom.h, geom.w), geom.col_rows())
+        (band_scratch_len(m, geom.c_in, (geom.h, geom.w), size_of::<f32>()), geom.col_rows())
     } else {
         (strip_scratch_len(m, geom.col_rows(), geom.col_cols(), NR, size_of::<f32>()), 0)
     }
@@ -352,7 +361,9 @@ pub fn igemm_conv_packed(
 /// the INT8 conv on `[-8, 7]` weights.
 pub use crate::igemm::igemm_conv_packed as igemm4_conv_packed;
 
-/// [`igemm_conv_packed`] on caller-owned work memory.
+/// [`igemm_conv_packed`] on caller-owned work memory. A 3x3 same conv whose
+/// weights were packed by [`PackedA::pack_conv`] reads a quad row band
+/// ([`quad_band`]); any other conv gathers quad panels.
 #[allow(clippy::too_many_arguments)]
 pub fn igemm_conv_with(
     pa: &PackedA<i8>,
@@ -365,29 +376,135 @@ pub fn igemm_conv_with(
     work: &mut Work<i8>,
 ) {
     assert_eq!(pa.k(), geom.col_rows(), "packed A k extent vs conv geometry");
-    let pack = |cols, buf: &mut [i8]| pack_b_im2col(geom, x, cols, buf);
-    run_requant(pa, geom.col_cols(), out, (bias, shift, relu), work, pack);
+    assert_eq!(x.len(), geom.c_in * geom.h * geom.w, "input size");
+    let (n, epi) = (geom.col_cols(), (bias, shift, relu));
+    if let Some(c) = quad_band(pa, geom) {
+        let strip = Strip::Band { c, w: geom.w };
+        run_requant(pa, (n, strip), out, epi, work, |cols, buf| pack_quad_band(geom, x, cols, buf));
+    } else {
+        let pack = |cols, buf: &mut [u8]| {
+            pack_quads(pa, cols, buf, |kk, j0, dst| im2col_row(geom, x, kk, j0, dst))
+        };
+        run_requant(pa, (n, Strip::Panels), out, epi, work, pack);
+    }
+}
+
+/// The channels, padded to whole quads, of the row band the INT8 conv of
+/// `pa` over `geom` reads in place, or `None` when it gathers panels: a band
+/// needs a 3x3 pad-1 stride-1 conv packed in [`KOrder::Conv`] on a width of
+/// whole `NR / 2`-column halves, so that no half of a panel straddles two
+/// output rows.
+pub fn quad_band(pa: &PackedA<i8>, geom: &ConvGeom) -> Option<usize> {
+    let band = pa.order() == (KOrder::Conv { taps: 9 })
+        && (geom.k, geom.pad, geom.stride) == (3, 1, 1)
+        && geom.c_in > 0
+        && geom.w > 0
+        && geom.w.is_multiple_of(NR / 2);
+    band.then(|| geom.c_in.next_multiple_of(QUAD))
+}
+
+/// Writes columns `j0 .. j0 + dst.len()` of row `kk` of the virtual im2col
+/// matrix of `geom` over `input` into `dst` (as [`pack_b_im2col`] maps them),
+/// leaving the entries of padded pixels as they are.
+fn im2col_row(geom: &ConvGeom, input: &[i8], kk: usize, j0: usize, dst: &mut [i8]) {
+    let (taps, w_out) = (geom.k * geom.k, geom.w_out());
+    let (c, ky, kx) = (kk / taps, kk % taps / geom.k, kk % geom.k);
+    let plane = &input[c * geom.h * geom.w..][..geom.h * geom.w];
+    let mut jj = 0;
+    while jj < dst.len() {
+        let (oy, ox0) = ((j0 + jj) / w_out, (j0 + jj) % w_out);
+        let seg = (w_out - ox0).min(dst.len() - jj);
+        let iy = (oy * geom.stride + ky) as isize - geom.pad as isize;
+        if (0..geom.h as isize).contains(&iy) {
+            let src = &plane[iy as usize * geom.w..][..geom.w];
+            let dst = &mut dst[jj..jj + seg];
+            let ix0 = (ox0 * geom.stride + kx) as isize - geom.pad as isize;
+            if geom.stride == 1 {
+                // Contiguous segment: clip [lo, hi) to the input row.
+                let lo = (-ix0).max(0) as usize;
+                let hi = (geom.w as isize - ix0).clamp(0, seg as isize) as usize;
+                if lo < hi {
+                    dst[lo..hi].copy_from_slice(&src[(ix0 + lo as isize) as usize..][..hi - lo]);
+                }
+            } else {
+                for (t, d) in dst.iter_mut().enumerate() {
+                    let ix = ix0 + (t * geom.stride) as isize;
+                    if (0..geom.w as isize).contains(&ix) {
+                        *d = src[ix as usize];
+                    }
+                }
+            }
+        }
+        jj += seg;
+    }
+}
+
+/// [`pack_band`] for INT8: `buf` holds `C / 4` planes (`C` padded to whole
+/// quads) of `(r + 2) x (W + 2)` pixels, each the four channels of its quad
+/// side by side as `x ^ 0x80`, and `0x80` (zero) where `pack_band` writes
+/// `0.0`. A quad's channels past `C` repeat its first: their weights are
+/// zero, so any byte adds nothing.
+fn pack_quad_band(geom: &ConvGeom, input: &[i8], cols: Range<usize>, buf: &mut [u8]) {
+    let (c, h, w) = (geom.c_in, geom.h, geom.w);
+    let (oy0, rows) = (cols.start / w, cols.len() / w);
+    let quads = c.div_ceil(QUAD);
+    for (cq, plane) in buf.chunks_exact_mut(buf.len() / quads).enumerate() {
+        for (i, row) in plane.chunks_exact_mut((w + 2) * QUAD).take(rows + 2).enumerate() {
+            let row = row.as_chunks_mut::<QUAD>().0;
+            let Some(iy) = (oy0 + i).checked_sub(1).filter(|&iy| iy < h) else {
+                row.fill([0x80; QUAD]);
+                continue;
+            };
+            let src = [0, 1, 2, 3].map(|q| {
+                let ci = if QUAD * cq + q < c { QUAD * cq + q } else { QUAD * cq };
+                &input[(ci * h + iy) * w..][..w]
+            });
+            let pixels = src[0].iter().zip(src[1]).zip(src[2]).zip(src[3]);
+            for (d, (((&a, &b), &c), &e)) in row[1..=w].iter_mut().zip(pixels) {
+                *d = [a, b, c, e].map(|v| v as u8 ^ 0x80);
+            }
+            (row[0], row[w + 1]) = ([0x80; QUAD], [0x80; QUAD]);
+        }
+    }
+}
+
+/// Per-call GEMM work memory of [`igemm_conv_with`] for `pa` over `geom`:
+/// `(strip bytes, offsets)`, the bytes of the parts' quad row bands or
+/// gathered strips, and the `u32` k-step offsets the micro-kernel reads them
+/// through.
+pub fn igemm_conv_scratch(pa: &PackedA<i8>, geom: &ConvGeom) -> (usize, usize) {
+    let (m, depth) = pa.dims();
+    let strips = match quad_band(pa, geom) {
+        Some(c) => band_scratch_len(m, c, (geom.h, geom.w), 1),
+        None => strip_scratch_len(m, depth, geom.col_cols(), NR, 1),
+    };
+    (strips, depth / QUAD)
+}
+
+/// Per-call GEMM work memory of [`igemm_tconv2x2_packed`] for `pa` on an
+/// `h x w` input, as [`igemm_conv_scratch`] gives it.
+pub fn igemm_tconv_scratch(pa: &PackedA<i8>, h: usize, w: usize) -> (usize, usize) {
+    let (m, depth) = pa.dims();
+    (strip_scratch_len(m, depth, h * w, w, 1), depth / QUAD)
 }
 
 /// The scatter-fused transpose-conv GEMM of one `[C_in, H, W]` image against
 /// co-major `[4*C_out, C_in]` panels: GEMM row `co*4 + kidx`, column
 /// `iy*w + ix` lands at `(2iy+ky, 2ix+kx)` of output plane `co` as
 /// `f(acc, bias4[row])`. `out` is `[C_out, 2H, 2W]`; the driver hands each
-/// part the band of every plane its (whole) input rows scatter into.
-fn run_tconv2x2<A: Panels<Out = Acc<S>>, S: Copy + Zero + Sync, C: Copy + Zero + Send>(
+/// part the band of every plane its (whole) input rows scatter into. The
+/// input plane already is the GEMM's `B` (`[C_in, H*W]`): `pack` packs its
+/// strips.
+#[allow(clippy::too_many_arguments)]
+fn run_tconv2x2<A: Panels<S = S>, S: Copy + Zero + Sync, C: Copy + Zero + Send>(
     pa: &A,
-    x: &[A::B],
     (h, w): (usize, usize),
     bias4: &[S],
     out: &mut [C],
-    work: &mut Work<A::B>,
+    work: &mut Work<A::E>,
+    pack: impl Fn(Range<usize>, &mut [B<A>]) + Sync,
     f: impl Fn(S, S) -> C + Sync,
 ) {
-    let k = pa.dims().1;
-    // The input plane is the im2col matrix of a 1x1 convolution over it: the
-    // strip pack is the same row-segment copy as the 3x3 gather's.
-    let plane = ConvGeom { c_in: k, h, w, k: 1, pad: 0, stride: 1 };
-    let pack = |cols: Range<usize>, buf: &mut [A::B]| pack_b_im2col(&plane, x, cols, buf);
     let layout = OutLayout { rows: 4, len: 4 * h * w, quantum: w, quantum_elems: 4 * w };
     run_with(pa, h * w, (layout, Strip::Panels), out, work, pack, |acc, t: Tile, chunks| {
         // GEMM rows come in `(kx = 0, kx = 1)` pairs that interleave into one
@@ -458,7 +575,11 @@ pub fn sgemm_tconv2x2_packed(
     out: &mut [f32],
     work: &mut Work<f32>,
 ) {
-    run_tconv2x2(pa, x, (h, w), bias4, out, work, |v, b| v + b);
+    // The input plane is the im2col matrix of a 1x1 convolution over it: the
+    // strip pack is the same row-segment copy as the 3x3 gather's.
+    let plane = ConvGeom { c_in: pa.k(), h, w, k: 1, pad: 0, stride: 1 };
+    let pack = |cols, buf: &mut [f32]| pack_b_im2col(&plane, x, cols, buf);
+    run_tconv2x2(pa, (h, w), bias4, out, work, pack, |v, b| v + b);
 }
 
 /// Scatter-fused INT8 transpose conv of one `[C_in, H, W]` image against
@@ -477,7 +598,8 @@ pub fn igemm_tconv2x2_packed(
     out: &mut [i8],
     work: &mut Work<i8>,
 ) {
-    run_tconv2x2(pa, x, (h, w), bias4, out, work, |v, b| requant(v, b, shift, relu));
+    let pack = |cols, buf: &mut [u8]| pack_quads(pa, cols, buf, matrix_row(x, h * w));
+    run_tconv2x2(pa, (h, w), bias4, out, work, pack, |v, b| requant(v, b, shift, relu));
 }
 
 #[cfg(test)]

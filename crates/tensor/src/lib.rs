@@ -17,9 +17,16 @@
 //! other kernel runs on its caller's thread; inference sessions already hold
 //! one worker per core, so a second fork would only oversubscribe them.
 //!
-//! The crate is deliberately free of `unsafe`: data-race freedom comes from
-//! handing each part disjoint `&mut` pieces, per the workspace HPC
+//! The crate holds the workspace's one `unsafe` block: the call of the AVX-512
+//! VNNI INT8 micro-kernel (`gemm::call_tile_i8`), a `#[target_feature]`
+//! function that builds with that feature enabled can always run. Every
+//! crate root denies `unsafe_code`; that call alone allows it, and
+//! `scripts/ci.sh` fails on any other `unsafe` in `crates/*/src`. The
+//! kernel's loads and stores are safe slice accesses, and data-race freedom
+//! comes from handing each part disjoint `&mut` pieces, per the workspace HPC
 //! guidelines.
+
+#![deny(unsafe_code)]
 
 pub mod activation;
 pub mod conv;
@@ -32,7 +39,6 @@ pub mod quantized;
 pub mod shape;
 pub mod tconv;
 pub mod tensor;
-pub mod winograd;
 pub mod zero;
 
 pub use quantized::{Bitwidth, QTensor, QTensorView};

@@ -22,7 +22,7 @@ impl Zero for i8 {
     const ZERO: Self = 0;
 }
 
-impl Zero for i16 {
+impl Zero for u8 {
     const ZERO: Self = 0;
 }
 

@@ -175,7 +175,7 @@ fn extreme_operands_are_bit_exact_at_k_9216() {
     }
 }
 
-/// Beyond `k = 65 536` the offset accumulator could overflow `i32`; packing
+/// Beyond `k = 32 768` the offset accumulator could overflow `i32`; packing
 /// such an INT8 operand is refused outright.
 #[test]
 #[should_panic(expected = "accumulator-safe extent")]

@@ -11,15 +11,19 @@
 //! every draw exercises the padding halo, the output-row segment walk and
 //! the NR-wide panel tails.
 //!
-//! The Winograd F(2x2, 3x3) conv must reproduce the direct conv bit for bit:
-//! on odd and prime maps (partial edge tiles, 1xN and 3x3 maps), at the
-//! driver's seams, and at its accumulator bound.
+//! The INT8 conv has two routes onto its one micro-kernel: a 3x3 same conv
+//! packed by `PackedA::pack_conv` on a width of whole 16-column halves reads
+//! a quad row band in place, every other conv gathers quad panels. Both must
+//! equal `im2col_t` + the naive `igemm_reference` bit for bit: over channel
+//! counts that leave quads part empty, widths that are and are not whole
+//! halves, stride 2 and pad 0, at the driver's seams, and at the `i32`
+//! bound. The portable tile body must equal the VNNI one on random panels.
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use seneca_tensor::gemm::{
-    igemm_fused, igemm_reference, sgemm_fused, sgemm_reference, strip_cols, GemmEpilogue, PackedA,
-    Work, FORK_MIN_MACS, NR, STRIP_BYTES,
+    igemm_fused, igemm_reference, int8_tile, sgemm_fused, sgemm_reference, strip_cols,
+    GemmEpilogue, PackElem, PackedA, Work, FORK_MIN_MACS, MR, NR, QUAD, STRIP_BYTES,
 };
 use seneca_tensor::igemm::{
     igemm_conv_packed, igemm_tconv2x2_packed, sgemm_conv, sgemm_conv_packed, sgemm_tconv2x2,
@@ -27,7 +31,6 @@ use seneca_tensor::igemm::{
 use seneca_tensor::im2col::{im2col_t, ConvGeom};
 use seneca_tensor::quantized::requantize_i32;
 use seneca_tensor::tconv::{repack_tconv_weights, scatter_tconv2x2};
-use seneca_tensor::winograd::{igemm_conv_winograd, PackedWinograd, WINO_MAX_C_IN};
 
 fn rand_f32(len: usize, seed: u64) -> Vec<f32> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -212,29 +215,86 @@ proptest! {
         prop_assert_eq!(y, y_ref, "cin{} cout{} {}x{} shift {}", c_in, c_out, h, w, shift);
     }
 
-    /// Winograd conv == direct implicit conv, bit for bit: prime and odd maps
-    /// (partial edge tiles; 1xN, Nx1 and 3x3 maps), `C_out` below `MR` and
-    /// odd, `C_in` from 1 to past 16, ReLU on and off, positive and negative
-    /// shifts, W8 and W4-range weights.
+    /// INT8 conv on weights packed for a conv: the band route (3x3 same conv,
+    /// width a whole number of 16-column halves) and the gather route (every
+    /// other width, stride 2, pad 0, `k` 1..3) == `im2col_t` + the naive
+    /// GEMM, bit for bit. `C_in` leaves the last quad 1–3 channels short or
+    /// full, `m` is on and off the `MR` grid, W8 and W4-range weights, ReLU
+    /// on and off, positive and negative shifts.
     #[test]
-    fn conv_winograd_matches_direct(
-        hi in 0usize..6, wi in 0usize..6, ci in 0usize..4, mi in 0usize..5,
+    fn conv_i8_band_and_gather_match_the_reference(
+        hi in 0usize..6, wi in 0usize..6, ci in 0usize..6, mi in 0usize..5,
+        k in 1usize..4, pad in 0usize..2, stride in 1usize..3, same in any::<bool>(),
         shift in -2i32..16, relu_bit in 0u32..2, w4_bit in 0u32..2, seed in 0u64..1000
     ) {
-        let (h, w) = (DIMS[hi], DIMS[wi]);
-        let (c_in, m) = ([1, 3, 16, 17][ci], [1, 3, 7, 8, 13][mi]);
-        let relu = relu_bit == 1;
-        let geom = ConvGeom { c_in, h, w, k: 3, pad: 1, stride: 1 };
-        let wt = if w4_bit == 1 { rand_i4(m * c_in * 9, seed) } else { rand_i8(m * c_in * 9, seed) };
+        let (h, w) = (DIMS[hi], [8, 16, 24, 32, 48, 70][wi]);
+        let (c_in, m) = ([1, 2, 3, 5, 8, 13][ci], [1, 3, 7, 8, 13][mi]);
+        let (k, pad, stride) = if same { (3, 1, 1) } else { (k, pad, stride) };
+        let k = k.min(h + 2 * pad);
+        let geom = ConvGeom { c_in, h, w, k, pad, stride };
+        let (kdim, n) = (geom.col_rows(), geom.col_cols());
+        let wt = if w4_bit == 1 { rand_i4(m * kdim, seed) } else { rand_i8(m * kdim, seed) };
         let x = rand_i8(c_in * h * w, seed + 1);
         let bias: Vec<i32> = (0..m as i32).map(|i| i * 91 - 777).collect();
-        let mut y = vec![0i8; m * h * w];
-        let pw = PackedWinograd::pack(m, c_in, &wt);
-        igemm_conv_winograd(&pw, &geom, &x, &bias, shift, relu, &mut y, &mut Work::default());
-        let mut y_ref = vec![0i8; m * h * w];
-        igemm_conv_packed(&PackedA::pack(m, c_in * 9, &wt), &geom, &x, &bias, shift, relu, &mut y_ref);
-        prop_assert_eq!(y, y_ref, "c{}->{} {}x{} shift {}", c_in, m, h, w, shift);
+        let want = conv_i8_reference(m, &geom, &wt, &x, &bias, (shift, relu_bit == 1));
+        let mut y = vec![0i8; m * n];
+        let pa = PackedA::pack_conv(m, c_in, k * k, &wt);
+        igemm_conv_packed(&pa, &geom, &x, &bias, shift, relu_bit == 1, &mut y);
+        prop_assert_eq!(y, want, "c{}->{} {}x{} k{} p{} s{}", c_in, m, h, w, k, pad, stride);
     }
+
+    /// The portable tile body == the VNNI one (on a build without VNNI, the
+    /// same body twice) == the tile by its definition, on random panels,
+    /// row starts, activation bytes and step offsets, the two halves read
+    /// from unrelated places.
+    #[test]
+    fn int8_tile_bodies_agree(steps in 0usize..40, seed in 0u64..1000) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let ap = rand_i8(steps * QUAD * MR, seed + 1);
+        let starts: [i32; MR] = std::array::from_fn(|_| rng.gen_range(-1 << 20..1 << 20));
+        let b: Vec<u8> = rand_i8(5120, seed + 2).iter().map(|&v| v as u8).collect();
+        let offs: Vec<u32> = (0..steps).map(|_| rng.gen_range(0..2048 - 64)).collect();
+        let halves = [&b[..2048], &b[2048 + rng.gen_range(0..1024)..][..2048]];
+        let portable = int8_tile(&ap, &starts, halves, &offs, true);
+        let native = int8_tile(&ap, &starts, halves, &offs, false);
+        prop_assert_eq!(portable, native);
+        for (i, row) in portable.iter().enumerate() {
+            for (j, &got) in row.iter().enumerate() {
+                let (half, lane) = (halves[j / (NR / 2)], j % (NR / 2));
+                let want: i32 = starts[i]
+                    + (0..steps * QUAD)
+                        .map(|t| {
+                            let (s, q) = (t / QUAD, t % QUAD);
+                            let x = half[offs[s] as usize + QUAD * lane + q];
+                            i32::from(ap[(s * MR + i) * QUAD + q]) * i32::from(x)
+                        })
+                        .sum::<i32>();
+                prop_assert_eq!(got, want, "row {} column {}", i, j);
+            }
+        }
+    }
+}
+
+/// The INT8 conv by its definition: `im2col_t`, the naive GEMM, the
+/// requantise-clamp.
+fn conv_i8_reference(
+    m: usize,
+    geom: &ConvGeom,
+    wt: &[i8],
+    x: &[i8],
+    bias: &[i32],
+    (shift, relu): (i32, bool),
+) -> Vec<i8> {
+    let (k, n) = (geom.col_rows(), geom.col_cols());
+    let mut col = vec![0i8; k * n];
+    im2col_t(geom, x, &mut col);
+    let mut acc = vec![0i32; m * n];
+    igemm_reference(m, k, n, wt, &col, &mut acc);
+    let floor = if relu { 0 } else { i8::MIN };
+    acc.iter()
+        .enumerate()
+        .map(|(i, &v)| requantize_i32(v + bias[i / n], shift).max(floor))
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -245,7 +305,8 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 /// Naive conv in both dtypes from one `[-8, 7]` weight draw: returns `(f32
-/// out, i8 out)`; the INT8 and Winograd convs must equal the `i8` result.
+/// out, i8 out)`; the INT8 conv on either packing must equal the `i8`
+/// result.
 fn conv_reference(
     m: usize,
     geom: &ConvGeom,
@@ -299,12 +360,10 @@ fn conv_driver_seams_match_the_naive_reference() {
         igemm_conv_packed(&PackedA::pack(m, k, &wt), &geom, &x, &bias, shift, true, &mut y);
         assert_eq!(y, want_i8, "INT8 {what}");
 
-        if kk == 3 {
-            y.fill(0);
-            let pw = PackedWinograd::pack(m, c_in, &wt);
-            igemm_conv_winograd(&pw, &geom, &x, &bias, shift, true, &mut y, &mut Work::default());
-            assert_eq!(y, want_i8, "Winograd {what}");
-        }
+        y.fill(0);
+        let pa = PackedA::pack_conv(m, c_in, kk * kk, &wt);
+        igemm_conv_packed(&pa, &geom, &x, &bias, shift, true, &mut y);
+        assert_eq!(y, want_i8, "INT8 packed for a conv {what}");
 
         let wf: Vec<f32> = wt.iter().map(|&v| v as f32 / 8.0).collect();
         let xf: Vec<f32> = x.iter().map(|&v| v as f32).collect();
@@ -330,47 +389,61 @@ fn band_conv_seams_match_materialized() {
     }
 }
 
-/// The Winograd tile's accumulator bound: at the largest `C_in` it admits,
-/// extreme operands stay exact — in a debug build, where an `i32` overflow
-/// panics. All `-128` is the extreme of both operands; `+127` weights against
-/// `-128` inputs drive the position-(1, 1) accumulator to `C_in * (2048 +
-/// 1143) * -512`, within 0.4 % of `i32::MIN`.
+/// The INT8 band route at the driver's seams, against the reference: a
+/// channel count whose single padded row is larger than the band budget,
+/// [`STRIP_BYTES`] (one-row bands); a map that forks into column parts whose
+/// row counts are not a multiple of the band's, on a width of three halves
+/// (panels straddle output rows); and a width of one half with an odd row
+/// count (a part ends on a half panel). The first two fork.
 #[test]
-fn winograd_is_exact_at_the_accumulator_bound() {
-    let c_in = WINO_MAX_C_IN;
-    assert_eq!(c_in, 1310);
-    let (m, h, w) = (3, 4, 5);
-    let geom = ConvGeom { c_in, h, w, k: 3, pad: 1, stride: 1 };
+fn int8_band_seams_match_the_reference() {
+    let w = 6 * NR / 2;
+    let wide_c = STRIP_BYTES / (w + 2) + 1;
+    let cases =
+        [(wide_c, 3, w, 13, true), (32, 70, 3 * NR / 2, 13, true), (5, 37, NR / 2, 9, false)];
+    for (c_in, h, w, m, forks) in cases {
+        let geom = ConvGeom { c_in, h, w, k: 3, pad: 1, stride: 1 };
+        let (k, n) = (geom.col_rows(), geom.col_cols());
+        assert_eq!(m * k * n >= FORK_MIN_MACS, forks, "{geom:?} forks");
+        let (wt, x) = (rand_i8(m * k, 11), rand_i8(c_in * h * w, 12));
+        let bias: Vec<i32> = (0..m as i32).map(|i| i * 91 - 777).collect();
+        let epi = (8 + k.ilog2() as i32, false);
+        let mut y = vec![0i8; m * n];
+        let pa = PackedA::pack_conv(m, c_in, 9, &wt);
+        igemm_conv_packed(&pa, &geom, &x, &bias, epi.0, epi.1, &mut y);
+        assert_eq!(y, conv_i8_reference(m, &geom, &wt, &x, &bias, epi), "{geom:?} m{m}");
+    }
+}
+
+/// The INT8 `i32` bound at the largest Table II `k` (1024 channels, 9216):
+/// all `-128` activations against all `127` weights (and the reverse, and
+/// both `-128`) on both routes stay exact — in a debug build the portable
+/// body would panic on an `i32` overflow.
+#[test]
+fn int8_is_exact_at_the_largest_table_ii_k() {
+    let (m, c_in, h) = (3, 1024, 4);
     let bias = [5, -7, 0];
-    for (wv, xv) in [(-128i8, -128i8), (127, -128), (-128, 127)] {
-        let (wt, x) = (vec![wv; m * c_in * 9], vec![xv; c_in * h * w]);
-        for shift in [22, 28] {
-            let mut want = vec![0i8; m * h * w];
-            let pa = PackedA::pack(m, c_in * 9, &wt);
-            igemm_conv_packed(&pa, &geom, &x, &bias, shift, false, &mut want);
-            let mut got = vec![0i8; m * h * w];
-            let pw = PackedWinograd::pack(m, c_in, &wt);
-            igemm_conv_winograd(
-                &pw,
-                &geom,
-                &x,
-                &bias,
-                shift,
-                false,
-                &mut got,
-                &mut Work::default(),
-            );
-            assert_eq!(got, want, "w {wv} x {xv} shift {shift}");
-            assert!(got.iter().any(|&v| v != 0 && v.abs() < 127), "outputs dead or saturated");
+    for w in [NR / 2, 7] {
+        let geom = ConvGeom { c_in, h, w, k: 3, pad: 1, stride: 1 };
+        for (wv, xv) in [(127i8, -128i8), (-128, 127), (-128, -128)] {
+            let (wt, x) = (vec![wv; m * c_in * 9], vec![xv; c_in * h * w]);
+            let epi = (22, false);
+            let mut y = vec![0i8; m * h * w];
+            let pa = PackedA::pack_conv(m, c_in, 9, &wt);
+            igemm_conv_packed(&pa, &geom, &x, &bias, epi.0, epi.1, &mut y);
+            assert_eq!(y, conv_i8_reference(m, &geom, &wt, &x, &bias, epi), "w {wv} x {xv}");
+            assert!(y.iter().any(|&v| v != 0 && v.abs() < 127), "outputs dead or saturated");
         }
     }
 }
 
+/// The bound counts the padding: 3641 channels pad to 3644, `k = 32 796`.
 #[test]
-#[should_panic(expected = "exceeds the Winograd accumulator-safe extent")]
-fn winograd_rejects_c_in_past_the_bound() {
-    let c_in = WINO_MAX_C_IN + 1;
-    PackedWinograd::pack(1, c_in, &vec![0; c_in * 9]);
+#[should_panic(expected = "exceeds the accumulator-safe extent")]
+fn int8_conv_panels_refuse_k_past_the_bound() {
+    let c_in = <i8 as PackElem>::MAX_K / 9 + 1;
+    assert!(c_in * 9 <= <i8 as PackElem>::MAX_K + 9);
+    PackedA::pack_conv(1, c_in, 9, &vec![0; c_in * 9]);
 }
 
 /// 2x2 stride-2 transpose conv by its definition, from `[C_in, C_out, 2, 2]`

@@ -25,6 +25,8 @@
 //! on first use, so durations are robust to wall-clock adjustments and spans
 //! started on different threads are comparable.
 
+#![deny(unsafe_code)]
+
 pub mod hdr;
 mod report;
 

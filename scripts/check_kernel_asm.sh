@@ -2,10 +2,10 @@
 # Catches the vectoriser silently regressing on the GEMM micro-kernels
 # (crates/tensor/src/gemm.rs, module docs): disassembles the release
 # kernel_stats example and fails if
-#   * an integer tile function (INT8 and the i16 Winograd tile)
-#     multiplies with vpmulld/pmulld (the widening i32 form, half the MAC
-#     rate) or contains neither vpdpwssd nor vpmaddwd (the pair-wise
-#     multiply-accumulate the offset form is written to get);
+#   * the INT8 tile function multiplies with vpmulld/pmulld (the widening
+#     i32 form), or — on a host whose /proc/cpuinfo lists avx512_vnni —
+#     contains no vpdpbusd on %zmm registers (the build lost its VNNI
+#     kernel: a build without the feature compiles the portable body);
 #   * the f32 tile function contains no vfmadd231ps, or any vmulps/vaddps
 #     (the multiply-then-add form, a third of the FMA rate);
 #   * on a host whose /proc/cpuinfo lists avx512f, a tile function has no
@@ -30,12 +30,16 @@ zmm=0
 if grep -qw avx512f /proc/cpuinfo 2>/dev/null; then
     zmm=1
 fi
+# `.` matches any instruction: no requirement beyond the forbidden ones.
+int8_want=.
+if grep -qw avx512_vnni /proc/cpuinfo 2>/dev/null; then
+    int8_want='vpdpbusd\s.*%zmm[0-9]+'
+fi
 
 status=0
 # fn, instructions it must contain, instructions it must not contain,
 # instances expected.
-for check in "tile_i8 vpdpwssd|v?pmaddwd v?pmulld 1" \
-    "tile_i16 vpdpwssd|v?pmaddwd v?pmulld 1" \
+for check in "tile_i8 $int8_want v?pmulld 1" \
     "tile_f32 vfmadd231ps vmulps|vaddps 2"; do
     read -r fn want forbid instances <<<"$check"
     # The (mangled) symbols are seneca_tensor::gemm::<fn>[::<hash>]; each

@@ -31,6 +31,15 @@ if grep -rnE 'par_iter|par_chunks' --include='*.rs' crates/*/src crates/*/exampl
     exit 1
 fi
 
+echo "== one unsafe block (the AVX-512 VNNI tile call in crates/tensor/src/gemm.rs is the only unsafe in crates/*/src) =="
+echo "Every crate root denies unsafe_code; the call of the #[target_feature] INT8 micro-kernel alone allows it, with a SAFETY note: the cfg it sits under guarantees the CPU feature."
+unsafe_lines="$(grep -rnwE 'unsafe' --include='*.rs' crates/*/src | grep -vE '^[^:]+:[0-9]+:\s*//' || true)"
+if [[ "$(grep -c . <<<"$unsafe_lines")" -ne 1 || "$unsafe_lines" != crates/tensor/src/gemm.rs:* ]]; then
+    echo "$unsafe_lines" >&2
+    echo "unsafe outside the one VNNI tile call (lines above): keep the kernels safe" >&2
+    exit 1
+fi
+
 echo "== cargo test --workspace -q =="
 # The whole suite is expected green — every crate's unit tests and
 # crates/*/tests/*_prop.rs, not just the root package's integration tests
@@ -68,10 +77,10 @@ time cargo run --release -q -p seneca-bench --bin reproduce -- fig3 --scale fast
 echo "== ir smoke (seneca_quant::fuse folds every BN, fuses every ReLU, strips every identity; lowering packs one kernel per conv/tconv and none for any other node; every concat's inputs placed at their channel offsets, copying nothing, in both dtypes; arena = pinned 256² arena = peak-live footprint < total activations; implicit-GEMM peak < materialized route) =="
 cargo run --release -q -p seneca-bench --example ir_stats
 
-echo "== kernel smoke (igemm bit-exact; packed GEMM beats reference; implicit conv == materialized; on 16M 64->32 @256: implicit >= materialized in both dtypes, Winograd bit-exact and > direct, i8 / f32 MAC rate printed; on 1M 16->16 @128: INT8 tconv == GEMM + scatter and >= 0.6x the MAC rate of the same GEMM with a row store) =="
+echo "== kernel smoke (igemm bit-exact; packed GEMM beats reference; implicit conv == materialized; on 16M 64->32 @256: implicit >= materialized in both dtypes, the INT8 row-band conv bit-exact against the naive reference and >= 1.5x the FP32 conv's MAC rate; on 1M 16->16 @128: INT8 tconv == GEMM + scatter and >= 0.6x the MAC rate of the same GEMM with a row store) =="
 cargo run --release -q -p seneca-bench --example kernel_stats -- smoke
 
-echo "== kernel asm (INT8/Winograd i16 tiles: vpdpwssd/vpmaddwd, no vpmulld; f32 tile: vfmadd231ps, no vmulps/vaddps) =="
+echo "== kernel asm (INT8 tile: no vpmulld, and vpdpbusd on a %zmm operand where /proc/cpuinfo lists avx512_vnni; f32 tile: vfmadd231ps, no vmulps/vaddps) =="
 bash scripts/check_kernel_asm.sh
 
 echo "== trace smoke (profile: op spans fit the wall; measured-vs-modeled op-share band at 256 px; 16M pack share recorded) =="

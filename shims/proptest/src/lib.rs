@@ -5,6 +5,8 @@
 //! and failures panic immediately — there is no shrinking pass, so a failing
 //! case reports the exact inputs that produced it instead of a minimised one.
 
+#![deny(unsafe_code)]
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

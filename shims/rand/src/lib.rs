@@ -8,6 +8,8 @@
 //! `StdRng`; nothing in this workspace depends on upstream's exact streams,
 //! only on determinism per seed.
 
+#![deny(unsafe_code)]
+
 /// Core random source: everything is derived from `next_u64`.
 pub trait RngCore {
     /// Next 64 uniformly random bits.

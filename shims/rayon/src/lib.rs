@@ -11,6 +11,8 @@
 //! workers, the last on the calling thread. Inputs too small to split run
 //! inline on the calling thread, so tiny calls pay no spawn cost.
 
+#![deny(unsafe_code)]
+
 use std::sync::OnceLock;
 
 pub mod prelude {

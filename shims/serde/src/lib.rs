@@ -10,6 +10,8 @@
 //! tagged enum representation, so on-disk artifacts look exactly like
 //! upstream's JSON output.
 
+#![deny(unsafe_code)]
+
 pub use serde_derive::{Deserialize, Serialize};
 
 /// The self-describing data model (mirrors `serde_json::Value`).

@@ -12,6 +12,8 @@
 //! panics with a clear message at expansion time rather than silently
 //! producing wrong code.
 
+#![deny(unsafe_code)]
+
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 struct Field {

@@ -3,6 +3,8 @@
 //! [`Value`], and the [`json!`] macro — all over the `serde` shim's value
 //! tree. Output is compact JSON compatible with upstream `serde_json`.
 
+#![deny(unsafe_code)]
+
 pub use serde::DeError as Error;
 pub use serde::Value;
 

@@ -19,6 +19,8 @@ use seneca_quant::{
     calibrate, fuse, mixed::quantizable_nodes, quantize_from_calibration, quantize_post_training,
     Bitwidth, PtqConfig, QuantizedGraph,
 };
+use seneca_tensor::igemm::quad_band;
+use seneca_tensor::im2col::ConvGeom;
 use seneca_tensor::{QTensor, Shape4, Tensor};
 
 /// Checks every node of `lowered` against the oracle over two frames through
@@ -40,13 +42,17 @@ fn assert_i8_matches_oracle(qg: &QuantizedGraph, shape: Shape4, seed: u64) {
     }
 }
 
-/// The route the INT8 conv `id` of `lowered` runs, read off its packed
-/// panels: `"winograd"` or `"direct"`.
+/// The route the INT8 conv `id` of `lowered` runs at its lowered input,
+/// from its packed panels and its input width: `"band"` or `"gather"`.
 fn route(lowered: &Lowered, id: usize) -> &'static str {
-    match &lowered.packs()[id] {
-        Some(PackedKernel::ConvWinograd(_)) => "winograd",
-        Some(PackedKernel::ConvI8(_)) => "direct",
-        _ => panic!("node {id} is not packed as an INT8 conv"),
+    let Some(PackedKernel::ConvI8(pa)) = &lowered.packs()[id] else {
+        panic!("node {id} is not packed as an INT8 conv")
+    };
+    let input = lowered.shapes()[lowered.module().nodes[id].inputs[0]];
+    if quad_band(pa, &ConvGeom::same_3x3(input)).is_some() {
+        "band"
+    } else {
+        "gather"
     }
 }
 
@@ -66,33 +72,32 @@ fn every_table_ii_model_fp32_matches_the_oracle() {
     }
 }
 
-/// The Winograd rule at paper geometry picks exactly the expected convs: on
-/// 16M every conv but the `C_in = 1` first layer and the two 8x8 bottleneck
-/// convs (16 tiles), on 1M every conv but the first layer (its bottleneck is
-/// 16x16, 64 tiles).
+/// At paper geometry exactly the expected convs read row bands: on 16M
+/// every conv but the two 8x8 bottleneck convs (8 is not a whole 16-column
+/// half), the `C_in = 1` first layer included; on 1M every conv (its
+/// bottleneck is 16x16).
 #[test]
-fn winograd_rule_picks_the_expected_convs_at_256() {
+fn int8_convs_read_row_bands_where_expected_at_256() {
     let input = Shape4::new(1, 1, 256, 256);
-    for (size, direct) in [
-        (ModelSize::M16, vec![(1, 16, 256), (512, 512, 8), (512, 512, 8)]),
-        (ModelSize::M1, vec![(1, 8, 256)]),
-    ] {
+    for (size, gather) in
+        [(ModelSize::M16, vec![(512, 512, 8), (512, 512, 8)]), (ModelSize::M1, vec![])]
+    {
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let fg = fuse(&Graph::from_unet(&UNet::from_size(size, &mut rng), "rule"));
         let calib = vec![random_frame(Shape4::new(1, 1, 32, 32), 5)];
         let (qg, _) = quantize_post_training(&fg, &calib, &PtqConfig::default());
         let lowered = lower(qg.to_ir(), input, &LowerOptions::reference());
         let (m, shapes) = (lowered.module(), lowered.shapes());
-        let (mut picked, mut kept) = (0, Vec::new());
+        let (mut band, mut kept) = (0, Vec::new());
         for (id, (n, s)) in m.nodes.iter().zip(shapes).enumerate() {
             let IrOp::Conv(a) = &n.op else { continue };
             match route(&lowered, id) {
-                "winograd" => picked += 1,
+                "band" => band += 1,
                 _ => kept.push((a.kernel.c_in(false), a.kernel.c_out(false), s.h)),
             }
         }
-        assert_eq!(kept, direct, "{}", size.label());
-        assert_eq!(picked + direct.len(), m.op_histogram()["qconv"], "{}", size.label());
+        assert_eq!(kept, gather, "{}", size.label());
+        assert_eq!(band + gather.len(), m.op_histogram()["qconv"], "{}", size.label());
     }
 }
 
@@ -146,9 +151,9 @@ fn placed_inputs(lowered: &Lowered, id: usize) -> Vec<bool> {
 
 /// The differential test of concat placement, batch of two: a conv over a
 /// placed concat gathers one contiguous map in every gather — the FP32 row
-/// band (`W % 32 == 0`) and strips (`W` = 16, 8, odd), the INT8 Winograd,
-/// direct W8 and direct W4 convs (both on the INT8 panels) — INT8 bit for
-/// bit and FP32 within tolerance of the oracle. `x3` places both inputs and
+/// band (`W % 32 == 0`) and strips (`W` = 16, 8, odd), the INT8 row band
+/// (`W % 16 == 0`) and gathered strips, W8 and W4 on each (both on the INT8
+/// panels) — INT8 bit for bit and FP32 within tolerance of the oracle. `x3` places both inputs and
 /// copies nothing; `x5` places `x4` and copies `x2`, which `x3` holds; the
 /// output concat `x8` places both.
 #[test]
@@ -156,11 +161,11 @@ fn placed_concats_match_the_oracle_in_every_gather() {
     let (cat, twice, output) = (3, 5, 8);
     // (channels, h, w, the conv over `x3`: its bitwidth and INT8 route)
     let cases = [
-        ([2, 4, 6, 5], 6, 64, Bitwidth::W8, "winograd"),
-        ([1, 3, 2, 4], 5, 32, Bitwidth::W8, "direct"),
-        ([2, 5, 4, 3], 16, 16, Bitwidth::W8, "winograd"),
-        ([3, 4, 5, 4], 8, 8, Bitwidth::W4, "direct"),
-        ([1, 6, 3, 2], 9, 13, Bitwidth::W8, "direct"),
+        ([2, 4, 6, 5], 6, 64, Bitwidth::W8, "band"),
+        ([1, 3, 2, 4], 5, 32, Bitwidth::W4, "band"),
+        ([2, 5, 4, 3], 16, 16, Bitwidth::W8, "band"),
+        ([3, 4, 5, 4], 8, 8, Bitwidth::W4, "gather"),
+        ([1, 6, 3, 2], 9, 13, Bitwidth::W8, "gather"),
     ];
     let placements = |lowered: &Lowered| [cat, twice, output].map(|id| placed_inputs(lowered, id));
     let want = [vec![true, true], vec![true, false], vec![true, true]];
@@ -195,8 +200,8 @@ fn placed_concats_match_the_oracle_in_every_gather() {
 
 /// The same on random U-Nets, batch of two: every decoder concat places
 /// both inputs and copies nothing, at levels whose widths take the FP32 band
-/// (64) and strips (40, 20, 16, 10, 8) and the INT8 Winograd, direct W8 and
-/// direct W4 convs.
+/// (64) and strips (40, 20, 16, 10, 8) and the INT8 band (64, 16) and
+/// gathered strips (40, 20, 10, 8), each W8 and W4.
 #[test]
 fn placed_decoder_concats_match_the_oracle_on_random_unets() {
     let mut routes = Vec::new();
@@ -220,7 +225,7 @@ fn placed_decoder_concats_match_the_oracle_on_random_unets() {
 
         let fg = fuse(&graph);
         let report = calibrate(&fg, &[random_frame(shape, seed ^ 0xCA7)], &PtqConfig::default());
-        let bits = if k == 2 { Bitwidth::W4 } else { Bitwidth::W8 };
+        let bits = if k == 1 { Bitwidth::W4 } else { Bitwidth::W8 };
         let m = quantize_from_calibration(&fg, &report, &vec![bits; fg.nodes.len()]).to_ir();
         let lowered = lower(m, shape, &LowerOptions::reference());
         assert_eq!(concats(&lowered), depth);
@@ -239,7 +244,7 @@ fn placed_decoder_concats_match_the_oracle_on_random_unets() {
             oracle::check_i8(&lowered, &mut scratch, &q);
         }
     }
-    for route in ["winograd", "direct"] {
+    for route in ["band", "gather"] {
         for bits in [Bitwidth::W8, Bitwidth::W4] {
             let what = format!("no placed concat feeds a {bits:?} {route} conv");
             assert!(routes.contains(&(route, bits)), "{what}");
