@@ -57,8 +57,8 @@ pub trait Backend: Send + Sync {
 
 /// Host FP32 reference backend: executes the inference [`Graph`] on the CPU
 /// in its own arithmetic — each conv's BatchNorm and ReLU ride in its GEMM
-/// store (an exact rewrite, not a fold), softmax stays explicit. This is the
-/// bit-for-bit twin of the GPU baseline's functional path. Clones share the
+/// store (an exact rewrite, not a fold), softmax stays explicit. It is the
+/// GPU baseline's functional path (`GpuRunner` holds one). Clones share the
 /// graph and the lowered program; its weights are held once (the lowering
 /// shares the graph's weight tensors) next to their packed panels.
 #[derive(Clone)]
@@ -88,21 +88,15 @@ impl Fp32RefBackend {
     }
 }
 
-/// Per-worker state of [`Fp32RefBackend`]: a liveness-planned scratch arena,
-/// reused across frames so the steady-state hot path never allocates.
-pub struct FpWorker {
-    scratch: FpScratch,
-}
-
 impl InferenceEngine for Fp32RefBackend {
-    type Worker = FpWorker;
+    type Worker = FpScratch;
 
-    fn new_worker(&self) -> FpWorker {
-        FpWorker { scratch: self.lowered.make_scratch_f32() }
+    fn new_worker(&self) -> Self::Worker {
+        self.lowered.make_scratch_f32()
     }
 
-    fn infer(&self, worker: &mut FpWorker, image: &Tensor) -> Prediction {
-        Prediction::from_f32(self.lowered.execute_f32_into(image, &mut worker.scratch).to_tensor())
+    fn infer(&self, scratch: &mut Self::Worker, image: &Tensor) -> Prediction {
+        Prediction::from_f32(self.lowered.execute_f32_into(image, scratch).to_tensor())
     }
 }
 
@@ -135,8 +129,8 @@ fn session_timed<E: InferenceEngine>(
 /// Host INT8 reference backend: executes the [`QuantizedGraph`] bit-exactly,
 /// with worker-side input quantisation and a per-worker scratch arena (no
 /// allocation inside the graph walk; [`crate::InferenceSession`] says when
-/// arenas are built). This is the bit-for-bit twin of the DPU runtime's
-/// functional path.
+/// arenas are built). It is the DPU runtime's functional path (`DpuRunner`
+/// builds one over its xmodel's quantized graph on first inference).
 #[derive(Clone)]
 pub struct QuantRefBackend {
     /// The quantized graph.

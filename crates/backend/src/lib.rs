@@ -22,7 +22,7 @@ mod prediction;
 mod report;
 mod session;
 
-pub use backend::{Backend, BatchTiming, Fp32RefBackend, FpWorker, QuantRefBackend};
+pub use backend::{Backend, BatchTiming, Fp32RefBackend, QuantRefBackend};
 pub use prediction::{Logits, Prediction};
 pub use report::{ThroughputReport, ThroughputStats};
 pub use session::{resolve_worker_threads, InferenceEngine, InferenceSession};

@@ -2,10 +2,11 @@
 //! per op and per session stage, on every inference path — from the
 //! `seneca-trace` recorder rather than the analytical device models.
 //!
-//! For each model size the experiment runs the four backends (FP32 reference,
-//! GPU baseline, bit-exact INT8 reference, DPU runtime) over a small batch
-//! with tracing enabled and emits the aggregated span tables. All backends
-//! run single-threaded so per-op attribution is unambiguous: the summed op
+//! For each model size the experiment runs the two device runners (GPU
+//! baseline, DPU runtime) over a small batch with tracing enabled and emits
+//! the aggregated span tables. Their functional paths are the host FP32 and
+//! INT8 executors, so each program is measured once. Both run
+//! single-threaded so per-op attribution is unambiguous: the summed op
 //! spans of a domain can never exceed the batch wall clock, and the harness
 //! asserts exactly that (the CI smoke property).
 //!
@@ -17,9 +18,7 @@
 
 use crate::ctx::ExperimentCtx;
 use crate::fmt::{emit, Table};
-use seneca::backend::{Backend, Fp32RefBackend, QuantRefBackend};
-use seneca_dpu::isa::DpuInstr;
-use seneca_dpu::runtime::{DpuRunner, RuntimeConfig};
+use seneca::backend::{Backend, QuantRefBackend};
 use seneca_dpu::xmodel::XModel;
 use seneca_ir::DType;
 use seneca_nn::unet::ModelSize;
@@ -59,9 +58,9 @@ fn frame(shape: Shape4) -> Tensor {
     Tensor::from_vec(shape, data)
 }
 
-/// The op-span domain a backend's executor records into.
+/// The op-span domain a runner's executor records into.
 fn op_domain(backend_name: &str) -> &'static str {
-    if backend_name.starts_with("int8-ref/") || backend_name.starts_with("dpu/") {
+    if backend_name.starts_with("dpu/") {
         "int8-op"
     } else {
         "fp32-op"
@@ -87,12 +86,7 @@ fn modeled_op_ns(xm: &XModel) -> BTreeMap<&'static str, u64> {
     let fp = seneca_dpu::profile::profile(xm, &xm.arch);
     let mut by_op: BTreeMap<&'static str, u64> = BTreeMap::new();
     for l in &fp.layers {
-        let node = match xm.instrs[l.instr_index] {
-            DpuInstr::Conv { node, .. }
-            | DpuInstr::Pool { node, .. }
-            | DpuInstr::Elew { node, .. } => node,
-            _ => continue,
-        };
+        let Some(node) = xm.instrs[l.instr_index].node() else { continue };
         let mnemonic = xm.qgraph.module().nodes[node].op.mnemonic(DType::I8);
         *by_op.entry(mnemonic).or_default() += l.compute_ns.max(l.mem_ns) + l.overhead_ns;
     }
@@ -133,18 +127,12 @@ pub fn run(ctx: &mut ExperimentCtx) {
         let shape = dep.gpu_runner.input_shape;
         let batch: Vec<Tensor> = (0..frames).map(|_| frame(shape)).collect();
 
-        // Single-threaded variants of all four paths: with one worker the
-        // op spans nest strictly inside the batch wall clock, so coverage
-        // (op time / wall) is a meaningful fraction in [0, 1].
-        let backends: Vec<Box<dyn Backend>> = vec![
-            Box::new(Fp32RefBackend::new(dep.graph.clone(), shape)),
-            Box::new(dep.gpu_runner.clone()),
-            Box::new(QuantRefBackend::new(dep.qgraph.clone(), shape)),
-            Box::new(DpuRunner::new(
-                Arc::clone(&dep.dpu_runner.xmodel),
-                RuntimeConfig { threads: 1 },
-            )),
-        ];
+        // Both runners on one thread (the GPU baseline always is): with one
+        // worker the op spans nest strictly inside the batch wall clock, so
+        // coverage (op time / wall) is a meaningful fraction in [0, 1].
+        let mut dpu = dep.dpu_runner.clone();
+        dpu.config.threads = 1;
+        let backends: Vec<Box<dyn Backend>> = vec![Box::new(dep.gpu_runner.clone()), Box::new(dpu)];
 
         let mut summary = Table::new(vec![
             "Backend",

@@ -124,15 +124,7 @@ pub fn compile(qg: &QuantizedGraph, input_shape: Shape4, arch: DpuArch) -> XMode
     stats.peak_arena_bytes = plan.peak_arena_elems() as u64;
     stats.total_activation_bytes = plan.total_activation_bytes(1);
 
-    XModel {
-        name: module.name.clone(),
-        arch,
-        input_shape,
-        instrs,
-        qgraph: qg.clone(),
-        stats,
-        lowered: Default::default(),
-    }
+    XModel { name: module.name.clone(), arch, input_shape, instrs, qgraph: qg.clone(), stats }
 }
 
 #[cfg(test)]
@@ -258,14 +250,12 @@ mod tests {
         let _ = compile(&qg, Shape4::new(2, 1, 8, 8), DpuArch::b4096_zcu104());
     }
 
-    /// `execute_node_i8` is only correct when nodes run in increasing id
-    /// order with none skipped, and the functional path trusts the stream to
-    /// be that: the compute instructions of every Table II model (and of a
-    /// mixed-W4 plan) name exactly nodes `1..n` in order, each with the
-    /// instruction kind that implements its node's op.
+    /// The stream models the whole program: the compute instructions of
+    /// every Table II model (and of a mixed-W4 plan) name exactly nodes
+    /// `1..n` in order, each with the instruction kind that implements its
+    /// node's op (the check an xmodel passes when it is loaded).
     #[test]
     fn compute_instructions_walk_every_node_once_in_order() {
-        use crate::executor::compute_node;
         use seneca_quant::{calibrate, quantize_from_calibration, Bitwidth};
         let shape = Shape4::new(1, 1, 32, 32);
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
@@ -288,10 +278,10 @@ mod tests {
         }
         for qg in &graphs {
             let xm = compile(qg, shape, DpuArch::b4096_zcu104());
-            let walked: Vec<usize> =
-                xm.instrs.iter().filter_map(|i| compute_node(i, &xm.qgraph)).collect();
+            let walked: Vec<usize> = xm.instrs.iter().filter_map(DpuInstr::node).collect();
             let m = qg.module();
             assert_eq!(walked, (1..m.nodes.len()).collect::<Vec<_>>(), "{}", m.name);
+            assert_eq!(xm.check_instrs(), Ok(()), "{}", m.name);
         }
     }
 

@@ -4,7 +4,8 @@
 //! feature maps and weights between DDR and the on-chip memory pool; CONV
 //! drives the hybrid computing array; POOL and ELEW run on the misc engine.
 //! Each instruction carries the geometry the cost model needs plus the id of
-//! the quantized-graph node it implements (for functional execution).
+//! the quantized-graph node it implements (for profiles, checked when an
+//! xmodel is loaded).
 
 use seneca_quant::Bitwidth;
 use serde::{Deserialize, Serialize};
@@ -94,6 +95,17 @@ impl DpuInstr {
             DpuInstr::Pool { .. } => "POOL",
             DpuInstr::Elew { .. } => "ELEW",
             DpuInstr::End => "END",
+        }
+    }
+
+    /// The graph node a CONV / POOL / ELEW computes (`None` for LOAD, SAVE
+    /// and END).
+    pub fn node(&self) -> Option<usize> {
+        match self {
+            DpuInstr::Conv { node, .. }
+            | DpuInstr::Pool { node, .. }
+            | DpuInstr::Elew { node, .. } => Some(*node),
+            DpuInstr::Load { .. } | DpuInstr::Save { .. } | DpuInstr::End => None,
         }
     }
 

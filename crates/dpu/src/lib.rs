@@ -15,11 +15,11 @@
 //! * [`perf`] — the cycle/bandwidth cost model (lane quantisation via
 //!   `ceil(C/16)`, channel-padding DDR traffic, misalignment penalties —
 //!   the mechanisms behind the paper's model ordering on the DPU);
-//! * [`executor`] — functional execution of an xmodel (bit-exact INT8, the
-//!   same lowered program as the host INT8 backend);
-//! * [`runtime`] — the VART-style asynchronous multi-threaded runner: real
-//!   worker threads for functional jobs, a `seneca-hwsim` closed-network
-//!   model for throughput/energy experiments (1/2/4/8 threads, Fig. 3);
+//! * [`runtime`] — the VART-style asynchronous multi-threaded runner: its
+//!   functional path is the bit-exact host INT8 backend over the xmodel's
+//!   quantized graph (what the DPU computes is what that graph defines),
+//!   its throughput a `seneca-hwsim` closed-network model for
+//!   throughput/energy experiments (1/2/4/8 threads, Fig. 3);
 //! * [`power`] — the ZCU104 board power model (static + per-core dynamic +
 //!   DDR traffic), calibrated against Table IV's 24–31 W range;
 //! * [`profile`] — vaitrace-style per-layer profiling of a compiled xmodel.
@@ -28,7 +28,6 @@
 
 pub mod arch;
 pub mod compiler;
-pub mod executor;
 pub mod isa;
 pub mod perf;
 pub mod power;

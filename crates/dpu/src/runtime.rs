@@ -1,31 +1,34 @@
 //! The VART-style asynchronous runtime.
 //!
 //! VART lets host threads "asynchronously submit and collect jobs to/from
-//! the accelerator" (§III-E). Two execution paths are provided:
+//! the accelerator" (§III-E). A [`DpuRunner`] has two paths:
 //!
-//! * [`Backend::infer_batch`] — the [`seneca_backend::InferenceSession`]
-//!   (worker-side INT8 quantisation, per-worker scratch arenas) running the
-//!   bit-exact INT8 executor; used by every accuracy experiment;
+//! * [`Backend::infer_batch`] — the functional path. What the DPU computes
+//!   is what the quantized graph defines, so the runner runs the host INT8
+//!   backend ([`QuantRefBackend`], bit-exact) over the xmodel's payload, at
+//!   the xmodel's fixed input geometry, through an [`InferenceSession`]
+//!   (worker-side INT8 quantisation, per-worker scratch arenas). It is
+//!   lowered on the first inference, not in [`DpuRunner::new`], so a runner
+//!   built only for its throughput never pays for a lowering. Used by every
+//!   accuracy experiment;
 //! * [`DpuRunner::throughput`] — a `seneca-hwsim` closed-network
 //!   simulation of the same pipeline (ARM pre-process → DPU core → ARM
 //!   post-process) with the cost model supplying DPU service times; used by
 //!   the FPS / Watt / EE sweeps (Table IV, Fig. 3).
 //!
-//! Both paths resolve their worker-thread count through the same
-//! [`RuntimeConfig::worker_threads`] helper, so the functional pool and the
-//! simulated pipeline population can never drift apart.
+//! Both paths resolve their worker-thread count from `config.threads`
+//! through [`seneca_backend::resolve_worker_threads`], so the functional
+//! pool and the simulated pipeline population can never drift apart.
 
-use crate::executor;
 use crate::perf::frame_cost;
 use crate::power::{PowerInputs, Zcu104Power};
 use crate::xmodel::XModel;
 use rand::{Rng, SeedableRng};
-use seneca_backend::{Backend, InferenceEngine, InferenceSession, Prediction};
+use seneca_backend::{Backend, InferenceSession, Prediction, QuantRefBackend};
 use seneca_hwsim::{simulate_closed_pipeline, Resource, StageSpec};
-use seneca_ir::QScratch;
 use seneca_tensor::Tensor;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 // The runtime's measurement vocabulary is the workspace-wide one.
 pub use seneca_backend::{ThroughputReport, ThroughputStats};
@@ -51,20 +54,24 @@ impl RuntimeConfig {
     }
 }
 
-/// The runner: owns a compiled xmodel and a runtime configuration.
+/// The runner: owns a compiled xmodel and a runtime configuration. Clones
+/// share the functional path once it is built.
 #[derive(Clone)]
 pub struct DpuRunner {
     /// Compiled model.
     pub xmodel: Arc<XModel>,
-    /// Runtime configuration.
+    /// Runtime configuration (read on every call).
     pub config: RuntimeConfig,
+    /// The functional path: the host INT8 backend over `xmodel.qgraph` at
+    /// `xmodel.input_shape`, built on first inference.
+    host: Arc<OnceLock<QuantRefBackend>>,
 }
 
 impl DpuRunner {
-    /// Creates a runner.
+    /// Creates a runner. Lowers nothing: see [`Backend::infer_batch`].
     pub fn new(xmodel: Arc<XModel>, config: RuntimeConfig) -> Self {
         assert!(config.threads >= 1, "need at least one runner thread");
-        Self { xmodel, config }
+        Self { xmodel, config, host: Arc::default() }
     }
 
     /// ARM host cores (the ZCU104's Cortex-A53 has 4).
@@ -129,33 +136,22 @@ impl DpuRunner {
     }
 }
 
-impl InferenceEngine for DpuRunner {
-    /// A worker is its scratch pool (per-node activations, GEMM strips).
-    type Worker = QScratch;
-
-    fn new_worker(&self) -> QScratch {
-        self.xmodel.lowered().make_scratch_i8()
-    }
-
-    fn infer(&self, scratch: &mut QScratch, image: &Tensor) -> Prediction {
-        // Worker-side quantisation: the FP32 frame is borrowed from the
-        // caller's batch, the INT8 copy is created on the thread that runs it.
-        let input = {
-            let _sp =
-                seneca_trace::span_bytes("session", "quantize", image.data().len() as u64 * 4);
-            self.xmodel.quantize_input(image)
-        };
-        Prediction::from_i8(executor::run(&self.xmodel, &input, scratch).to_qtensor())
-    }
-}
-
 impl Backend for DpuRunner {
     fn name(&self) -> String {
         format!("dpu/{}", self.xmodel.name)
     }
 
+    /// Runs the frames on the host INT8 backend at `config.threads`. The
+    /// xmodel is compiled for one geometry: a frame of any other shape is
+    /// refused, although the host backend alone would re-plan for it.
     fn infer_batch(&self, images: &[Tensor]) -> Vec<Prediction> {
-        InferenceSession::new(self, self.config.threads).run(images)
+        let xm = &self.xmodel;
+        for image in images {
+            assert_eq!(image.shape(), xm.input_shape, "input geometry");
+        }
+        let host =
+            self.host.get_or_init(|| QuantRefBackend::new(xm.qgraph.clone(), xm.input_shape));
+        InferenceSession::new(host, self.config.threads).run(images)
     }
 }
 
@@ -169,6 +165,7 @@ mod tests {
     use seneca_nn::unet::{UNet, UNetConfig};
     use seneca_quant::{fuse, quantize_post_training, PtqConfig};
     use seneca_tensor::{QTensor, Shape4};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn runner(threads: usize) -> (DpuRunner, Vec<Tensor>) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
@@ -241,6 +238,43 @@ mod tests {
                 "thread pool must not change results"
             );
         }
+    }
+
+    /// Several frames on one worker (one scratch arena, reused) each equal
+    /// the oracle: no state leaks from one frame into the next.
+    #[test]
+    fn frames_on_one_worker_each_match_the_oracle() {
+        let (r, images) = runner(1);
+        for (img, out) in images.iter().zip(r.infer_batch(&images)) {
+            assert_eq!(out.into_i8(), oracle(&r.xmodel, img), "stale scratch state leaked");
+        }
+    }
+
+    /// The DPU is fixed-geometry: a frame of another shape is refused, on
+    /// the first call and after the functional path is built.
+    #[test]
+    fn wrong_geometry_is_refused() {
+        let (r, images) = runner(2);
+        let bad = Tensor::zeros(Shape4::new(1, 1, 8, 8));
+        for _ in 0..2 {
+            let err = catch_unwind(AssertUnwindSafe(|| r.infer_batch(std::slice::from_ref(&bad))))
+                .expect_err("an 8x8 frame ran on a 16x16 xmodel");
+            let msg = err.downcast_ref::<String>().expect("a formatted panic message");
+            assert!(msg.contains("input geometry"), "{msg}");
+            r.infer_batch(&images[..1]);
+        }
+    }
+
+    /// Table IV/V, Fig. 3/4 and the ablations build runners only for their
+    /// throughput: that lowers nothing. Clones share the path once built.
+    #[test]
+    fn throughput_alone_lowers_nothing() {
+        let (r, images) = runner(2);
+        r.throughput(100, 1);
+        assert!(r.host.get().is_none(), "throughput built the functional path");
+        let clone = r.clone();
+        clone.infer_batch(&images[..1]);
+        assert!(r.host.get().is_some(), "clones share the functional path");
     }
 
     #[test]

@@ -9,11 +9,10 @@
 
 use crate::arch::DpuArch;
 use crate::isa::DpuInstr;
-use seneca_ir::{lower, LowerOptions, Lowered};
+use seneca_ir::IrOp;
 use seneca_quant::QuantizedGraph;
 use seneca_tensor::{Shape4, Tensor};
 use serde::{Deserialize, Serialize};
-use std::sync::{Arc, OnceLock};
 
 /// Compile-time statistics embedded in the artifact.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -54,24 +53,9 @@ pub struct XModel {
     pub qgraph: QuantizedGraph,
     /// Compile statistics.
     pub stats: CompileStats,
-    /// Lazily lowered IR program (pre-packed weight panels, liveness plan);
-    /// rebuilt on demand after deserialisation, shared by every worker.
-    #[serde(skip, default)]
-    pub(crate) lowered: Arc<OnceLock<Arc<Lowered>>>,
 }
 
 impl XModel {
-    /// The IR lowering of the functional payload: packed weight panels and
-    /// the liveness plan, built once per xmodel (first use) and shared by
-    /// every executor worker.
-    pub fn lowered(&self) -> Arc<Lowered> {
-        self.lowered
-            .get_or_init(|| {
-                Arc::new(lower(self.qgraph.to_ir(), self.input_shape, &LowerOptions::reference()))
-            })
-            .clone()
-    }
-
     /// The input scale factor `2^fix_pos` stored by the compiler: multiply
     /// preprocessed `[-1, 1]` pixels by this and round to get INT8 input.
     pub fn input_scale(&self) -> f32 {
@@ -105,9 +89,37 @@ impl XModel {
         serde_json::to_string(self).expect("xmodel serialisation")
     }
 
-    /// Deserialises from JSON.
+    /// Deserialises from JSON, refusing an instruction stream that does not
+    /// match its payload.
     pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(s)
+        let xm: Self = serde_json::from_str(s)?;
+        xm.check_instrs().map_err(serde_json::Error::new)?;
+        Ok(xm)
+    }
+
+    /// Every CONV / POOL / ELEW names a node of the payload with the op it
+    /// implements.
+    pub(crate) fn check_instrs(&self) -> Result<(), String> {
+        let m = self.qgraph.module();
+        for instr in &self.instrs {
+            let Some(id) = instr.node() else { continue };
+            let Some(node) = m.nodes.get(id) else {
+                let n = m.nodes.len();
+                return Err(format!("`{}` names node {id} of {n}", instr.disassemble()));
+            };
+            let implements = match instr {
+                DpuInstr::Conv { transpose, .. } => {
+                    matches!((&node.op, transpose), (IrOp::Conv(_), false) | (IrOp::TConv(_), true))
+                }
+                DpuInstr::Pool { .. } => matches!(node.op, IrOp::MaxPool2x2),
+                _ => matches!(node.op, IrOp::Concat { .. }),
+            };
+            if !implements {
+                let op = node.op.mnemonic(m.dtype);
+                return Err(format!("`{}` names node {id}, a {op}", instr.disassemble()));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -115,10 +127,13 @@ impl XModel {
 mod tests {
     use super::*;
     use crate::compiler::compile;
+    use crate::runtime::{DpuRunner, RuntimeConfig};
     use rand::SeedableRng;
+    use seneca_backend::Backend;
     use seneca_nn::graph::Graph;
     use seneca_nn::unet::{UNet, UNetConfig};
     use seneca_quant::{fuse, quantize_post_training, PtqConfig};
+    use std::sync::Arc;
 
     fn tiny_xmodel() -> XModel {
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
@@ -155,12 +170,35 @@ mod tests {
         assert_eq!(xm.name, xm2.name);
         // The functional payload survives too: one frame, the same bytes.
         let frame = Tensor::he_normal(xm.input_shape, &mut rand::rngs::StdRng::seed_from_u64(2));
-        let run = |m: &XModel| {
-            let mut scratch = m.lowered().make_scratch_i8();
-            crate::executor::run(m, &m.quantize_input(&frame), &mut scratch).to_qtensor()
+        let run = |m: XModel| {
+            let runner = DpuRunner::new(Arc::new(m), RuntimeConfig { threads: 1 });
+            runner.infer_batch(std::slice::from_ref(&frame)).remove(0).into_i8()
         };
-        assert_eq!(run(&xm), run(&xm2));
+        assert_eq!(run(xm.clone()), run(xm2));
         // A payload edited into something the quantizer never emits is refused.
         assert!(XModel::from_json(&j.replacen("\"MaxPool2x2\"", "\"Relu\"", 1)).is_err());
+    }
+
+    /// A stream whose CONV names a pool node, or a node past the payload,
+    /// is refused at load time, not on every frame.
+    #[test]
+    fn a_stream_that_misnames_its_nodes_is_refused() {
+        let xm = tiny_xmodel();
+        let pool = xm.instrs.iter().find_map(|i| match i {
+            DpuInstr::Pool { node, .. } => Some(*node),
+            _ => None,
+        });
+        let pool = pool.expect("a depth-1 U-Net pools once");
+        let n_nodes = xm.qgraph.module().nodes.len();
+        for target in [pool, n_nodes] {
+            let mut bad = xm.clone();
+            let conv = bad.instrs.iter_mut().find_map(|i| match i {
+                DpuInstr::Conv { node, .. } => Some(node),
+                _ => None,
+            });
+            *conv.expect("a conv") = target;
+            let err = XModel::from_json(&bad.to_json()).expect_err("misnamed node loads");
+            assert!(err.to_string().contains(&format!("names node {target}")), "{err}");
+        }
     }
 }

@@ -26,10 +26,11 @@
 //! the plan could not place is copied, by the concat's own step.
 //!
 //! Both dtypes also step node by node, one image at a time
-//! ([`Lowered::execute_node_f32`] / [`Lowered::execute_node_i8`]): the DPU
-//! runtime drives the INT8 step from its instruction stream, and the
-//! quantizer's calibration, fast-finetune and tests read each node's output
-//! while it is live. What the executor computes is pinned by the naive
+//! ([`Lowered::execute_node_f32`] / [`Lowered::execute_node_i8`]), for the
+//! callers that read an intermediate node's output while it is live: the
+//! quantizer's calibration and fast-finetune, the oracle checks and the
+//! benchmark's per-op probe. Whole-frame inference, the DPU runtime's
+//! included, runs [`Lowered::execute_f32_into`] / [`Lowered::execute_i8_into`]. What the executor computes is pinned by the naive
 //! [`crate::oracle`]: INT8 bit for bit, FP32 within
 //! [`crate::oracle::F32_TOLERANCE`].
 
@@ -327,23 +328,21 @@ impl Lowered {
 
     /// Seeds the input node's slot from a one-image quantised frame,
     /// re-planning the arena first when the frame has another geometry (pairs
-    /// with [`Lowered::execute_node_i8`]; the DPU runtime, fixed-geometry by
-    /// design, checks the shape before it gets here).
+    /// with [`Lowered::execute_node_i8`]).
     pub fn load_input_i8(&self, input: &QTensor, scratch: &mut QScratch) {
         assert_eq!(input.fix_pos(), self.fix_positions()[0], "input fix position");
         self.fit(scratch, input.shape());
         scratch.load(input.data());
     }
 
-    /// Borrowed view of one node's output (DPU runtime entry point).
+    /// Borrowed view of one node's output, valid while it is live.
     pub fn node_output_i8<'s>(&self, id: usize, scratch: &'s QScratch) -> QTensorView<'s> {
         scratch.node_output(id)
     }
 
     /// Executes one INT8 node out of the scratch arena. Inputs must still
-    /// be live under the plan — running ids in increasing order (as both
-    /// [`Lowered::execute_i8_into`] and the compiled DPU instruction stream
-    /// do) satisfies this, because a value's bytes are only reused after its
+    /// be live under the plan — running ids in increasing order (as
+    /// [`Lowered::execute_i8_into`] does) satisfies this, because a value's bytes are only reused after its
     /// last consumer has run. A concat whose inputs are both placed in it
     /// executes nothing.
     pub fn execute_node_i8(&self, id: usize, scratch: &mut QScratch) {

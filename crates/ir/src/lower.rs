@@ -43,10 +43,10 @@ pub struct LowerOptions {
 
 impl LowerOptions {
     /// The lowering every executor runs: the exact epilogue fusions on. The
-    /// FP32/INT8 host executors, the GPU baseline's functional path, the DPU
-    /// runtime and the quantizer's calibration all use this (the quantizer's
-    /// modules are already fused, so for it the lowering keeps every node
-    /// id).
+    /// FP32/INT8 host backends (the GPU baseline's and the DPU runtime's
+    /// functional paths) and the quantizer's calibration all use this (the
+    /// quantizer's modules are already fused, so for it the lowering keeps
+    /// every node id).
     pub fn reference() -> Self {
         Self { fuse_relu: true }
     }

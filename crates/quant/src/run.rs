@@ -72,7 +72,7 @@ impl<'g> QRunner<'g> {
 
     /// INT8 logits of one image.
     pub fn logits(&mut self, img: &Tensor) -> QTensorView<'_> {
-        self.node_output(img, self.qg.module().output)
+        self.lowered.execute_i8_into(&self.qg.quantize_input(img), &mut self.scratch)
     }
 
     /// Per-pixel argmax labels of each image.

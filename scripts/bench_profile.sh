@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Runs the measured cross-stack profile experiment and copies its
 # machine-readable result (BENCH_profile.json: per-op/per-stage trace
-# tables for all four backends on the 1M and 16M models, plus the
+# tables for the two device runners on the 1M and 16M models, plus the
 # measured-vs-modeled INT8 share comparison and a traced serving burst)
 # to the repo root.
 #

@@ -31,6 +31,14 @@ if grep -rnE 'par_iter|par_chunks' --include='*.rs' crates/*/src crates/*/exampl
     exit 1
 fi
 
+echo "== one INT8 walk (execute_node_i8 in crates/*/src or crates/*/examples only inside crates/ir/src and crates/quant/src) =="
+echo "Whole-frame INT8 inference, the DPU runner's included, runs Lowered::execute_i8_into through the host INT8 backend; only the executor itself, its oracle checks and the quantizer's per-node readers step node by node."
+if grep -rn 'execute_node_i8' --include='*.rs' crates/*/src crates/*/examples |
+    grep -vE '^crates/(ir|quant)/src/'; then
+    echo "execute_node_i8 outside crates/ir/src / crates/quant/src (lines above): run the frame through execute_i8_into" >&2
+    exit 1
+fi
+
 echo "== one unsafe block (the AVX-512 VNNI tile call in crates/tensor/src/gemm.rs is the only unsafe in crates/*/src) =="
 echo "Every crate root denies unsafe_code; the call of the #[target_feature] INT8 micro-kernel alone allows it, with a SAFETY note: the cfg it sits under guarantees the CPU feature."
 unsafe_lines="$(grep -rnwE 'unsafe' --include='*.rs' crates/*/src | grep -vE '^[^:]+:[0-9]+:\s*//' || true)"

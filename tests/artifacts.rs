@@ -2,15 +2,18 @@
 //! the on-disk surfaces a downstream user touches.
 
 use rand::SeedableRng;
+use seneca::backend::Backend;
 use seneca::render::{hstack, render_ct, render_overlay, write_ppm};
 use seneca_data::nifti::{read_nifti, write_nifti, NiftiChannel};
 use seneca_data::preprocess::preprocess;
 use seneca_data::{SyntheticCtOrg, SyntheticCtOrgConfig};
 use seneca_dpu::arch::DpuArch;
+use seneca_dpu::runtime::{DpuRunner, RuntimeConfig};
 use seneca_nn::graph::Graph;
 use seneca_nn::unet::{UNet, UNetConfig};
 use seneca_quant::{fuse, quantize_post_training, PtqConfig};
 use seneca_tensor::{Shape4, Tensor};
+use std::sync::Arc;
 
 fn tmp(name: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("seneca-artifacts-{}-{name}", std::process::id()))
@@ -85,13 +88,12 @@ fn xmodel_json_is_a_complete_artifact() {
     let path = tmp("model.xmodel.json");
     std::fs::write(&path, xm.to_json()).unwrap();
     let loaded = seneca_dpu::XModel::from_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
-    let img = &calib[0];
-    let mut scratch = xm.lowered().make_scratch_i8();
-    let a = seneca_dpu::executor::run(&xm, &xm.quantize_input(img), &mut scratch).to_qtensor();
-    let mut scratch = loaded.lowered().make_scratch_i8();
-    let b =
-        seneca_dpu::executor::run(&loaded, &loaded.quantize_input(img), &mut scratch).to_qtensor();
-    assert_eq!(a.data(), b.data());
+    let run = |xm: seneca_dpu::XModel| {
+        let runner = DpuRunner::new(Arc::new(xm), RuntimeConfig { threads: 1 });
+        runner.infer_batch(std::slice::from_ref(&calib[0])).remove(0).into_i8()
+    };
     assert_eq!(xm.input_scale(), loaded.input_scale());
+    let (a, b) = (run(xm), run(loaded));
+    assert_eq!(a.data(), b.data());
     let _ = std::fs::remove_file(&path);
 }

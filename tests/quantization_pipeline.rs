@@ -6,7 +6,6 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use seneca::backend::{Backend, Fp32RefBackend, QuantRefBackend};
 use seneca_dpu::arch::DpuArch;
-use seneca_dpu::executor;
 use seneca_dpu::runtime::{DpuRunner, RuntimeConfig};
 use seneca_gpu::{GpuModel, GpuRunner};
 use seneca_ir::oracle::{self, assert_close_f32};
@@ -42,7 +41,8 @@ fn every_handoff_preserves_predictions() {
     let calib = calib_images(8, 16, 2);
     let (qg, report) = quantize_post_training(&fg, &calib, &PtqConfig::default());
     let shape = Shape4::new(1, 1, 16, 16);
-    let xm = seneca_dpu::compile(&qg, shape, DpuArch::b4096_zcu104());
+    let xm = Arc::new(seneca_dpu::compile(&qg, shape, DpuArch::b4096_zcu104()));
+    let dpu = DpuRunner::new(Arc::clone(&xm), RuntimeConfig { threads: 1 });
     let int8 = QuantRefBackend::new(qg.clone(), shape);
 
     for img in &calib[..4] {
@@ -64,7 +64,7 @@ fn every_handoff_preserves_predictions() {
         assert!(agree as f64 / fp32_labels.len() as f64 > 0.8, "agreement {agree}/256");
         // Hand-off 4: xmodel functional execution == QuantizedGraph, bit exact.
         let input = xm.quantize_input(img);
-        let out_core = executor::run(&xm, &input, &mut xm.lowered().make_scratch_i8()).to_qtensor();
+        let out_core = dpu.infer_batch(std::slice::from_ref(img)).remove(0).into_i8();
         let out_qg = oracle::run_i8(qg.module(), &input).swap_remove(qg.module().output);
         assert_eq!(out_core, out_qg);
     }
@@ -84,8 +84,8 @@ fn quantization_works_across_resolutions() {
     for size in [16usize, 32, 64] {
         let xm = seneca_dpu::compile(&qg, Shape4::new(1, 1, size, size), DpuArch::b4096_zcu104());
         let img = &calib_images(1, size, 5)[0];
-        let mut scratch = xm.lowered().make_scratch_i8();
-        let out = executor::run(&xm, &xm.quantize_input(img), &mut scratch).to_qtensor();
+        let dpu = DpuRunner::new(Arc::new(xm.clone()), RuntimeConfig { threads: 1 });
+        let out = dpu.infer_batch(std::slice::from_ref(img)).remove(0).into_i8();
         assert_eq!(out.shape(), Shape4::new(1, 6, size, size));
         // Cost model scales superlinearly-ish with resolution.
         if size > 16 {
@@ -138,26 +138,30 @@ fn fp32_ref_backend_matches_gpu_runner_bit_for_bit() {
 }
 
 #[test]
-fn quant_ref_backend_matches_dpu_runner_bit_for_bit() {
-    // The host INT8 reference and the DPU functional runtime execute the same
-    // quantized graph; their fixed-point logits must agree bit for bit.
+fn dpu_runner_matches_the_oracle_bit_for_bit() {
+    // The DPU functional runtime on three workers computes what the naive
+    // oracle says the quantized graph computes: fixed-point logits (fix
+    // position included) and labels, bit for bit, in input order.
     let net = tiny_net(12);
     let fg = fuse(&Graph::from_unet(&net, "t"));
     let calib = calib_images(6, 16, 13);
     let (qg, _) = quantize_post_training(&fg, &calib, &PtqConfig::default());
     let shape = Shape4::new(1, 1, 16, 16);
 
-    let reference = QuantRefBackend::new(qg.clone(), shape).with_threads(2);
     let xm = Arc::new(seneca_dpu::compile(&qg, shape, DpuArch::b4096_zcu104()));
     let dpu = DpuRunner::new(xm, RuntimeConfig { threads: 3 });
-    let a = reference.infer_batch(&calib);
-    let b = dpu.infer_batch(&calib);
-    assert_eq!(a.len(), b.len());
-    for (pa, pb) in a.iter().zip(&b) {
-        assert_eq!(pa.labels, pb.labels);
-        let (qa, qb) = (pa.as_i8().unwrap(), pb.as_i8().unwrap());
-        assert_eq!(qa.fix_pos(), qb.fix_pos());
-        assert_eq!(qa.data(), qb.data());
+    let preds = dpu.infer_batch(&calib);
+    assert_eq!(preds.len(), calib.len());
+    let m = qg.module();
+    for (img, pred) in calib.iter().zip(&preds) {
+        let want = oracle::run_i8(m, &qg.quantize_input(img)).swap_remove(m.output);
+        assert_eq!(
+            pred.labels,
+            seneca_tensor::activation::argmax_channels_i8(want.shape(), want.data())
+        );
+        let got = pred.as_i8().unwrap();
+        assert_eq!(got.fix_pos(), want.fix_pos());
+        assert_eq!(got.data(), want.data());
     }
 }
 
