@@ -5,7 +5,7 @@ use crate::session::{InferenceEngine, InferenceSession};
 use seneca_ir::{lower, FpScratch, LowerOptions, Lowered, QScratch};
 use seneca_nn::graph::Graph;
 use seneca_quant::QuantizedGraph;
-use seneca_tensor::{Shape4, Tensor};
+use seneca_tensor::{QTensor, Shape4, Tensor};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -126,29 +126,30 @@ fn session_timed<E: InferenceEngine>(
     (preds, BatchTiming { wall: t0.elapsed(), per_frame })
 }
 
-/// Host INT8 reference backend: executes the [`QuantizedGraph`] bit-exactly,
+/// Host INT8 reference backend: executes a [`QuantizedGraph`] bit-exactly,
 /// with worker-side input quantisation and a per-worker scratch arena (no
 /// allocation inside the graph walk; [`crate::InferenceSession`] says when
 /// arenas are built). It is the DPU runtime's functional path (`DpuRunner`
-/// builds one over its xmodel's quantized graph on first inference).
+/// builds one over its xmodel's quantized graph on first inference). It
+/// holds the graph's lowering alone: the module (its weights once, its name
+/// and input fix position) next to the packed panels.
 #[derive(Clone)]
 pub struct QuantRefBackend {
-    /// The quantized graph.
-    pub qgraph: QuantizedGraph,
     /// Input geometry.
     pub input_shape: Shape4,
     /// Host worker threads for batch inference.
     pub threads: usize,
-    /// IR lowering of `qgraph` at `input_shape` (packed weight panels +
+    /// IR lowering of the graph at `input_shape` (packed weight panels +
     /// liveness plan), shared by every worker.
     lowered: Arc<Lowered>,
 }
 
 impl QuantRefBackend {
-    /// Creates a single-threaded reference backend.
+    /// Creates a single-threaded reference backend, lowering `qgraph`'s
+    /// module itself (no copy is kept).
     pub fn new(qgraph: QuantizedGraph, input_shape: Shape4) -> Self {
-        let lowered = Arc::new(lower(qgraph.to_ir(), input_shape, &LowerOptions::reference()));
-        Self { qgraph, input_shape, threads: 1, lowered }
+        let lowered = Arc::new(lower(qgraph.into_ir(), input_shape, &LowerOptions::reference()));
+        Self { input_shape, threads: 1, lowered }
     }
 
     /// Sets the host thread count.
@@ -169,7 +170,7 @@ impl InferenceEngine for QuantRefBackend {
         let q = {
             let _sp =
                 seneca_trace::span_bytes("session", "quantize", image.data().len() as u64 * 4);
-            self.qgraph.quantize_input(image)
+            QTensor::quantize(image, self.lowered.module().input_fp)
         };
         let out = self.lowered.execute_i8_into(&q, scratch).to_qtensor();
         Prediction::from_i8(out)
@@ -178,7 +179,7 @@ impl InferenceEngine for QuantRefBackend {
 
 impl Backend for QuantRefBackend {
     fn name(&self) -> String {
-        format!("int8-ref/{}", self.qgraph.module().name)
+        format!("int8-ref/{}", self.lowered.module().name)
     }
 
     fn infer_batch(&self, images: &[Tensor]) -> Vec<Prediction> {
@@ -223,11 +224,34 @@ mod tests {
         }
     }
 
+    /// The INT8 backend keeps no graph beside its lowering: its name, input
+    /// quantisation, logits and labels are the graph's, as the oracle runs
+    /// the graph the backend was built from.
+    #[test]
+    fn int8_backend_answers_from_its_lowering_alone() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(23);
+        let cfg = UNetConfig { depth: 2, base_filters: 4, num_classes: 6, dropout: 0.0 };
+        let fg = fuse(&Graph::from_unet(&UNet::new(cfg, &mut rng), "held"));
+        let shape = Shape4::new(1, 1, 16, 16);
+        let frames: Vec<Tensor> = (0..2).map(|_| Tensor::he_normal(shape, &mut rng)).collect();
+        let (qg, _) = quantize_post_training(&fg, &frames, &PtqConfig::default());
+        let backend = QuantRefBackend::new(qg.clone(), shape).with_threads(2);
+        assert_eq!(backend.name(), "int8-ref/held-int8");
+        let m = qg.module();
+        for (img, pred) in frames.iter().zip(backend.infer_batch(&frames)) {
+            let want = seneca_ir::oracle::run_i8(m, &qg.quantize_input(img)).swap_remove(m.output);
+            let got = pred.as_i8().expect("INT8 logits");
+            assert_eq!((got.fix_pos(), got.data()), (want.fix_pos(), want.data()));
+            let labels = seneca_tensor::activation::argmax_channels_i8(want.shape(), want.data());
+            assert_eq!(pred.labels, labels);
+        }
+    }
+
     /// One odd-sized frame must not take the batch down: the INT8 backend
     /// re-plans its arena like its FP32 twin, and goes back afterwards. The
-    /// panels stay the ones packed at 32x32, so the 16x16 frame gathers for a
-    /// conv that reads a row band at 32x32 (its map shrinks to 8x8), and
-    /// still gets the bits of the program lowered for it.
+    /// panels stay the ones packed at 32x32, so the 20x20 frame gathers for a
+    /// conv that reads a row band at 32x32 (its bottom map is 5x5, an odd
+    /// width), and still gets the bits of the program lowered for it.
     #[test]
     fn int8_backend_serves_a_frame_of_another_geometry() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(21);
@@ -238,12 +262,12 @@ mod tests {
             t.data_mut().iter_mut().for_each(|v| *v = v.clamp(-1.0, 1.0));
             t
         };
-        let (big, small, big2) = (frame(32, &mut rng), frame(16, &mut rng), frame(32, &mut rng));
+        let (big, small, big2) = (frame(32, &mut rng), frame(20, &mut rng), frame(32, &mut rng));
         let (qg, _) =
             quantize_post_training(&fg, std::slice::from_ref(&big), &PtqConfig::default());
 
         let at32 = QuantRefBackend::new(qg.clone(), big.shape());
-        let at16 = QuantRefBackend::new(qg, small.shape());
+        let at20 = QuantRefBackend::new(qg, small.shape());
         let bands = |b: &QuantRefBackend| {
             let (nodes, shapes) = (&b.lowered.module().nodes, b.lowered.shapes());
             let band = |(node, pack): (&IrNode, &Option<PackedKernel>)| match pack {
@@ -254,12 +278,12 @@ mod tests {
             };
             nodes.iter().zip(b.lowered.packs()).filter(|&p| band(p)).count()
         };
-        assert!(bands(&at32) > bands(&at16), "the 16x16 frame gathers for a band conv");
-        // One worker, three frames: 32 -> 16 -> 32 through the same scratch.
+        assert!(bands(&at32) > bands(&at20), "the 20x20 frame gathers for a band conv");
+        // One worker, three frames: 32 -> 20 -> 32 through the same scratch.
         let got = at32.infer_batch(&[big.clone(), small.clone(), big2.clone()]);
         let want = [
             at32.infer_batch(std::slice::from_ref(&big)).remove(0),
-            at16.infer_batch(std::slice::from_ref(&small)).remove(0),
+            at20.infer_batch(std::slice::from_ref(&small)).remove(0),
             at32.infer_batch(std::slice::from_ref(&big2)).remove(0),
         ];
         for (g, w) in got.iter().zip(&want) {

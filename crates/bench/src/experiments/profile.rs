@@ -380,8 +380,9 @@ pub fn run(ctx: &mut ExperimentCtx) {
             format!("{:.2}", kernel as f64 / 1e6),
             format!("{:.1}", 100.0 * share),
         ]);
+        let geometry = format!("{}x{}", shape.h, shape.w);
         body.push_str(&format!(
-            "### M16 INT8: per-frame GEMM pack share ({frames} frames)\n\n\
+            "### M16 INT8 at {geometry}: per-frame GEMM pack share ({frames} frames)\n\n\
              {}\nWeights are immutable at inference, so lowering packs their GEMM panels once \
              at model load; each frame then only packs activation panels. Recorded, not \
              gated.\n\n",
@@ -389,6 +390,7 @@ pub fn run(ctx: &mut ExperimentCtx) {
         ));
         json!({
             "model": "M16",
+            "input": [shape.n, shape.c, shape.h, shape.w],
             "frames": frames,
             "pack_once": { "pack_ns": pack, "kernel_ns": kernel, "pack_share": share }
         })

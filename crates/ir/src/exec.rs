@@ -553,7 +553,7 @@ mod tests {
                 assert!(ok, "node {id} ({}): packed {kind:?}", node.op.mnemonic(m.dtype));
             }
         }
-        assert_eq!(band, 1, "only the 8-channel conv at 16x16 reads a row band");
+        assert_eq!(band, 5, "every INT8 conv (widths 8 and 16) reads a row band");
     }
 
     /// A quantised conv/tconv kernel from FP32 weights and bias: weights on
@@ -658,10 +658,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(36);
         let m = i8_module(Bitwidth::W4, &mut rng);
         let k = rand_qkernel(Shape4::new(4, 8, 3, 3), 4, 6, 5, Bitwidth::W4, &mut rng);
-        let wide_conv = single_node_i8(IrOp::Conv(ConvAttrs::new(k)), vec![0], 6);
-        let (small, wide) = (Shape4::new(1, 2, 8, 8), Shape4::new(1, 8, 16, 16));
-        let cases =
-            [(m.clone(), 1, small, false), (m, 4, small, false), (wide_conv, 1, wide, true)];
+        let conv = single_node_i8(IrOp::Conv(ConvAttrs::new(k)), vec![0], 6);
+        let (small, odd, even) =
+            (Shape4::new(1, 2, 8, 8), Shape4::new(1, 8, 7, 7), Shape4::new(1, 8, 8, 8));
+        let cases = [(conv.clone(), 1, odd, false), (m, 4, small, false), (conv, 1, even, true)];
         for (mut m, id, shape, band) in cases {
             let lowered = lower(m.clone(), shape, &LowerOptions::reference());
             let input = lowered.shapes()[lowered.module().nodes[id].inputs[0]];

@@ -2,10 +2,10 @@
 //! under it really cuts strips and forks: batch of two, non-square,
 //! non-power-of-two widths (a transpose-conv or row-band column part must
 //! cover whole input or output rows whatever `w` is), W8 and two W4 masks,
-//! both dtypes. The INT8 program runs every conv kind: at a width of whole
-//! 16-column halves its two convs read row bands (which straddle output rows
-//! at 144 = 4.5 x 32), at any other width they gather panels, and a
-//! transpose conv. The unit tests in `exec.rs` cover every op on 8x8 frames,
+//! both dtypes. The INT8 program runs every conv kind: at an even width its
+//! two convs read row bands (whose 16-column halves straddle output rows at
+//! 144 = 4.5 x 32, and are read in 2-column pieces at 150), at an odd width
+//! they gather panels, and a transpose conv. The unit tests in `exec.rs` cover every op on 8x8 frames,
 //! which the driver runs inline under one strip; this file covers what they
 //! cannot reach.
 
@@ -22,10 +22,13 @@ use seneca_tensor::im2col::ConvGeom;
 use seneca_tensor::quantized::choose_fix_pos_bits;
 use seneca_tensor::{QTensor, Shape4, Tensor};
 
-/// Input geometry: 38 x 150 = 5700 columns per image; INT8 convs gather.
-const INPUT: Shape4 = Shape4 { n: 2, c: 6, h: 38, w: 150 };
+/// Input geometry: 38 x 149 = 5662 columns per image; INT8 convs gather.
+const INPUT: Shape4 = Shape4 { n: 2, c: 6, h: 38, w: 149 };
 /// 38 x 144 = 5472 columns per image; INT8 convs read row bands.
 const BAND_INPUT: Shape4 = Shape4 { w: 144, ..INPUT };
+/// 38 x 150 = 5700 columns per image; INT8 convs read row bands in pieces of
+/// `gcd(150, 16) = 2` columns.
+const PIECE_INPUT: Shape4 = Shape4 { w: 150, ..INPUT };
 /// conv 6 -> 32, conv 32 -> 64, tconv 64 -> 8.
 const CHANNELS: [usize; 4] = [6, 32, 64, 8];
 
@@ -54,13 +57,14 @@ fn weight_shape(i: usize) -> Shape4 {
 /// The sizes above are chosen so that every layer forks at both widths and
 /// cuts at least two strips in INT8 (hence more in FP32), `k` padded to
 /// whole quads, and that the convs read row bands at [`BAND_INPUT`]'s width,
-/// whose 16-column halves straddle output rows, and gather at [`INPUT`]'s;
+/// whose 16-column halves straddle output rows, and at [`PIECE_INPUT`]'s, in
+/// 2-column pieces, and gather at [`INPUT`]'s;
 /// if the driver's constants or the band rule move, this says so instead of
 /// silently testing another path.
 #[test]
 fn the_geometry_reaches_the_seams() {
     let quads = |c: usize| c.next_multiple_of(QUAD);
-    for input in [INPUT, BAND_INPUT] {
+    for input in [INPUT, BAND_INPUT, PIECE_INPUT] {
         let n = input.h * input.w;
         // (k, m) of each layer's GEMM.
         let gemms = [
@@ -74,8 +78,9 @@ fn the_geometry_reaches_the_seams() {
         }
     }
     const {
-        assert!(!INPUT.w.is_multiple_of(NR / 2));
+        assert!(!INPUT.w.is_multiple_of(2));
         assert!(BAND_INPUT.w.is_multiple_of(NR / 2) && !BAND_INPUT.w.is_multiple_of(NR));
+        assert!(PIECE_INPUT.w.is_multiple_of(2) && !PIECE_INPUT.w.is_multiple_of(4));
     }
 }
 
@@ -141,7 +146,7 @@ fn int8_layers_match_the_oracle_across_strips_and_parts_w8_and_w4() {
         }
         // Both convs read row bands or both gather, whatever their bitwidth:
         // W4 and W8 run the same INT8 panels.
-        for (input, conv) in [(INPUT, "gather"), (BAND_INPUT, "band")] {
+        for (input, conv) in [(INPUT, "gather"), (BAND_INPUT, "band"), (PIECE_INPUT, "band")] {
             let lowered = lower(m.clone(), input, &LowerOptions::reference());
             assert_eq!(routes(&lowered), ["none", conv, conv, "i8"], "mask {case}");
             let mut scratch = lowered.make_scratch_i8();

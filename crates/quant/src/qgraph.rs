@@ -98,6 +98,11 @@ impl QuantizedGraph {
         self.module.clone()
     }
 
+    /// The held module itself, for a lowering that keeps no graph.
+    pub fn into_ir(self) -> Module {
+        self.module
+    }
+
     /// Quantises an FP32 input image (`[-1, 1]` after preprocessing) into the
     /// graph's expected INT8 representation — this is the "scale input slices
     /// with a factor stored in the xmodel" step of §III-E.

@@ -30,7 +30,7 @@
 //!    padded lanes hold exact zeros and are clipped at store time.
 //!
 //!    **Bands.** A 3x3 pad-1 stride-1 conv whose width `W` is a multiple of
-//!    `NR` (FP32) or of `NR / 2` (INT8) packs no strip: the 9x im2col copy
+//!    `NR` (FP32) or even (INT8) packs no strip: the 9x im2col copy
 //!    would be read by only `c_out / MR` row tiles. A strip is `r` whole
 //!    output rows instead, and its buffer a zero-bordered copy of the `r + 2`
 //!    input rows they read, `r` chosen within [`STRIP_BYTES`]
@@ -54,10 +54,12 @@
 //!    bits. Parts and strips are cut on whole output rows, as the tconv
 //!    parts are. The INT8 band is the same with a channel quad per pixel
 //!    (`[C/4][r+2][W+2][4]`, below), its k-steps `(quad, ky, kx)`, and each
-//!    16-column half of a panel read from its own base, so that at `W = 16`
-//!    a panel's two halves are two output rows. Every other GEMM (narrower
-//!    maps, the tconv, stride 2, the weight gradient, plain GEMMs) packs
-//!    strips.
+//!    16-column half of a panel read in pieces of `P = gcd(W, 16)` columns,
+//!    each from its own base, so that no piece straddles two output rows: at
+//!    `W = 16` a panel's two halves are two output rows, at `W = 8` each
+//!    half is two, at `W = 2` eight. Every other GEMM (odd INT8 widths, FP32
+//!    widths off the `NR` grid, the tconv, stride 2, the weight gradient,
+//!    plain GEMMs) packs strips.
 //! 2. **Parts.** One fork-join per GEMM. With at least as many strips as
 //!    threads the parts split the *columns* — so layers with few output rows
 //!    (`c_out <= 32`, every full-resolution layer of the 1M model) use every
@@ -127,16 +129,23 @@
 //! `tile_i8` is a `#[target_feature]` function on `core::arch`, compiled
 //! when the build enables AVX-512 VNNI and called through the workspace's
 //! one `unsafe` block (`call_tile_i8`). Its loads are bounds-checked slices
-//! read by `_mm512_set_epi64` over `i64::from_le_bytes`, which LLVM makes one
-//! `vmovdqu64` (with the eight words in one `from_fn` array: eight separate
-//! calls left a half as a `vpermt2q` shuffle); its store goes through 64-bit
-//! extracts, one `vmovdqu64` per register. Per step: 2 loads, 8 broadcasts,
-//! 16 `vpdpbusd`. A packed panel is read through k-step offsets as a band is
-//! (`s · NR · 4`), so there is one instance. Other builds run
+//! read by `_mm512_set_epi64` over `i64::from_le_bytes` (with the eight words
+//! in one `from_fn` array: eight separate calls left a half as a `vpermt2q`
+//! shuffle); its store goes through 64-bit extracts, one `vmovdqu64` per
+//! register. A packed panel is read through k-step offsets as a band is (`s ·
+//! NR · 4`). The kernel is generic over the `N = 16 / P` pieces a half is
+//! read in (see the bands above), one instance per piece width. At `N = 1`
+//! (packed panels, and bands on multiples of 16) a half is one `vmovdqu64`,
+//! and a step is 2 loads, 8 broadcasts and 16 `vpdpbusd`. At `N = 2` (`W =
+//! 8`) a half is two 32-byte loads and a `vinserti64x4`; at `N = 4` and `8`
+//! (the 4² and 2² maps) 16- and 8-byte loads and inserts. The loads sit in
+//! the step loop itself: as a closure called per half, the `N = 8` one was
+//! outlined, and the accumulators spilled around each call. Other builds run
 //! `tile_i8_portable`, the same layout and sums in plain Rust (its lanes
 //! unpacked by shift and mask, which LLVM turns into `vpmaddwd`).
-//! `scripts/check_kernel_asm.sh` fails CI if `tile_i8` holds a `vpmulld`,
-//! or on a VNNI host no `vpdpbusd` on `%zmm`. Like `tile_f32` it is
+//! `scripts/check_kernel_asm.sh` fails CI unless there are four `tile_i8`
+//! instances, if one holds a `vpmulld`, or on a VNNI host if one has no
+//! `vpdpbusd` on `%zmm`. Like `tile_f32` it is
 //! `#[inline(never)]`: inlined into the driver closure, an integer MAC loop
 //! was vectorised over `k` with operands assembled byte by byte (`vpinsrb`).
 //!
@@ -648,20 +657,43 @@ impl Panels for PackedA<i8> {
     }
 
     fn tile(&self, ip: usize, p: Panel<'_, u8>, _rows: usize, out: &mut Acc<i32>) {
+        match p.kind {
+            Strip::Panels => self.tile_pieces::<1>(ip, p, out),
+            // Pieces of `gcd(w, NR / 2)` pixels, so that none straddles two
+            // output rows (`quad_band` admits even widths only).
+            Strip::Band { w, .. } => match 1 << w.trailing_zeros().min(4) {
+                16 => self.tile_pieces::<1>(ip, p, out),
+                8 => self.tile_pieces::<2>(ip, p, out),
+                4 => self.tile_pieces::<4>(ip, p, out),
+                _ => self.tile_pieces::<8>(ip, p, out),
+            },
+        }
+    }
+}
+
+impl PackedA<i8> {
+    /// [`Panels::tile`] reading each 16-column half of the `B` panel as `N`
+    /// pieces of `P = 16 / N` columns, each from its own base: on a band of
+    /// width `W`, `P = gcd(W, 16)` columns share an output row, so a half
+    /// may span rows (at `W = 16` a panel's two halves are two rows; at `W =
+    /// 8` each half is). A tail panel's missing pieces repeat its first.
+    #[inline(always)]
+    fn tile_pieces<const N: usize>(&self, ip: usize, p: Panel<'_, u8>, out: &mut Acc<i32>) {
         let depth = self.dims().1;
         let ap = &self.panels[ip * MR * depth..][..MR * depth];
         let starts = self.starts[ip * MR..][..MR].try_into().expect("MR row starts");
-        // Where column `j` of the strip sits. The two 16-column halves of a
-        // panel are read from their own places: on a band of width 16 they
-        // are two output rows. A half-width panel reads its first half
-        // twice.
+        // Where column `j` of the strip sits.
         let at = |j: usize| match p.kind {
             Strip::Panels => j / NR * depth * NR + j % NR * QUAD,
             Strip::Band { w, .. } => (j / w * (w + 2) + j % w) * QUAD,
         };
-        let half = if p.cols > NR / 2 { NR / 2 } else { 0 };
-        let b = [&p.strip[at(p.j)..], &p.strip[at(p.j + half)..]];
-        call_tile_i8(ap, starts, b, p.offs, out)
+        let b = std::array::from_fn(|h| {
+            std::array::from_fn(|piece| {
+                let t = h * NR / 2 + piece * (NR / 2 / N);
+                &p.strip[at(p.j + if t < p.cols { t } else { 0 })..]
+            })
+        });
+        call_tile_i8::<N>(ap, starts, b, p.offs, out)
     }
 }
 
@@ -691,27 +723,42 @@ fn tile_f32<'b>(ap: &[f32], steps: impl Iterator<Item = &'b [f32; NR]>, out: &mu
 /// The INT8 micro-kernel on AVX-512 VNNI: an `MR x NR` tile of `i32`
 /// accumulators, row `i` starting at `starts[i]`, over the quad steps of one
 /// `A` row panel (`[s][MR][QUAD]`). Step `s` reads each half's `NR / 2`
-/// columns of `QUAD` activation bytes at `b[half][offs[s]..]`; one
-/// `vpdpbusd` per row and half adds each column's four products (module
-/// docs).
+/// columns of `QUAD` activation bytes as `N` pieces of `P = NR / 2 / N`
+/// columns, piece `p` of half `h` at `b[h][p][offs[s]..]`; one `vpdpbusd`
+/// per row and half adds each column's four products (module docs). One
+/// instance per piece width.
 #[cfg(all(target_arch = "x86_64", target_feature = "avx512vnni"))]
 #[target_feature(enable = "avx512f,avx512vnni")]
 #[inline(never)]
-fn tile_i8(ap: &[i8], starts: &[i32; MR], b: [&[u8]; 2], offs: &[u32], out: &mut Acc<i32>) {
+fn tile_i8<const N: usize>(
+    ap: &[i8],
+    starts: &[i32; MR],
+    b: [[&[u8]; N]; 2],
+    offs: &[u32],
+    out: &mut Acc<i32>,
+) {
     use std::arch::x86_64::{
         __m512i, _mm256_extract_epi64, _mm512_castsi512_si256, _mm512_dpbusd_epi32,
         _mm512_extracti64x4_epi64, _mm512_set1_epi32, _mm512_set_epi64,
     };
-    let load = |s: &[u8]| {
-        let q: [i64; 8] = std::array::from_fn(|i| {
-            i64::from_le_bytes(s[8 * i..8 * i + 8].try_into().expect("8 bytes"))
-        });
-        _mm512_set_epi64(q[7], q[6], q[5], q[4], q[3], q[2], q[1], q[0])
-    };
+    let words = 8 / N;
+    // Every piece is read at every offset, so all of them can be cut to the
+    // shortest: one bounds check then covers a step's loads.
+    let len = b.iter().flatten().map(|s| s.len()).min().unwrap_or(0);
+    let b: [[&[u8]; N]; 2] = std::array::from_fn(|h| std::array::from_fn(|p| &b[h][p][..len]));
     let mut acc: [[__m512i; 2]; MR] = starts.map(|s| [_mm512_set1_epi32(s); 2]);
     for (a, &off) in ap.as_chunks::<{ QUAD * MR }>().0.iter().zip(offs) {
         let off = off as usize;
-        let bv = [load(&b[0][off..off + 64]), load(&b[1][off..off + 64])];
+        // A half is eight `i64` words, `8 / N` of them from each piece.
+        let mut bv = [_mm512_set1_epi32(0); 2];
+        for (v, pieces) in bv.iter_mut().zip(&b) {
+            let pieces: [&[u8]; N] = std::array::from_fn(|p| &pieces[p][off..off + 8 * words]);
+            let q: [i64; 8] = std::array::from_fn(|i| {
+                let s = &pieces[i / words][8 * (i % words)..];
+                i64::from_le_bytes(s[..8].try_into().expect("8 bytes"))
+            });
+            *v = _mm512_set_epi64(q[7], q[6], q[5], q[4], q[3], q[2], q[1], q[0]);
+        }
         for (i, acc_i) in acc.iter_mut().enumerate() {
             let w = [a[QUAD * i], a[QUAD * i + 1], a[QUAD * i + 2], a[QUAD * i + 3]];
             let w = _mm512_set1_epi32(i32::from_le_bytes(w.map(|v| v as u8)));
@@ -743,47 +790,63 @@ fn tile_i8(ap: &[i8], starts: &[i32; MR], b: [&[u8]; 2], offs: &[u32], out: &mut
 /// Runs [`tile_i8`]: the one call of the VNNI kernel, and the workspace's
 /// one `unsafe` block.
 #[inline(always)]
-fn call_tile_i8(ap: &[i8], starts: &[i32; MR], b: [&[u8]; 2], offs: &[u32], out: &mut Acc<i32>) {
+fn call_tile_i8<const N: usize>(
+    ap: &[i8],
+    starts: &[i32; MR],
+    b: [[&[u8]; N]; 2],
+    offs: &[u32],
+    out: &mut Acc<i32>,
+) {
+    const { assert!(N > 0 && 8_usize.is_multiple_of(N), "whole words per piece") };
     #[cfg(all(target_arch = "x86_64", target_feature = "avx512vnni"))]
     #[allow(unsafe_code)]
     // SAFETY: calling a `#[target_feature]` function is unsafe because the
     // CPU might lack the features. This build enables AVX-512 F and VNNI for
     // every function (the cfg above), so the binary already requires them.
     unsafe {
-        tile_i8(ap, starts, b, offs, out)
+        tile_i8::<N>(ap, starts, b, offs, out)
     }
     #[cfg(not(all(target_arch = "x86_64", target_feature = "avx512vnni")))]
-    tile_i8(ap, starts, b, offs, out)
+    tile_i8::<N>(ap, starts, b, offs, out)
 }
 
 /// The INT8 micro-kernel on every other target: [`tile_i8_portable`].
 #[cfg(not(all(target_arch = "x86_64", target_feature = "avx512vnni")))]
 #[inline(never)]
-fn tile_i8(ap: &[i8], starts: &[i32; MR], b: [&[u8]; 2], offs: &[u32], out: &mut Acc<i32>) {
+fn tile_i8<const N: usize>(
+    ap: &[i8],
+    starts: &[i32; MR],
+    b: [[&[u8]; N]; 2],
+    offs: &[u32],
+    out: &mut Acc<i32>,
+) {
     tile_i8_portable(ap, starts, b, offs, out)
 }
 
 /// The INT8 micro-kernel's portable body: the VNNI tile's layout and sums
 /// (hence bits) in plain Rust.
 #[inline(always)]
-fn tile_i8_portable(
+fn tile_i8_portable<const N: usize>(
     ap: &[i8],
     starts: &[i32; MR],
-    b: [&[u8]; 2],
+    b: [[&[u8]; N]; 2],
     offs: &[u32],
     out: &mut Acc<i32>,
 ) {
+    let px = NR / 2 / N;
     let mut acc = starts.map(|s| [s; NR]);
     for (a, &off) in ap.as_chunks::<{ QUAD * MR }>().0.iter().zip(offs) {
         let off = off as usize;
-        for (h, bh) in b.iter().enumerate() {
-            let lanes = bh[off..off + 64].as_chunks::<QUAD>().0;
-            for (i, acc_i) in acc.iter_mut().enumerate() {
-                let w = [0, 1, 2, 3].map(|q| i32::from(a[QUAD * i + q]));
-                for (acc_ij, lane) in acc_i[h * NR / 2..][..NR / 2].iter_mut().zip(lanes) {
-                    let x = u32::from_le_bytes(*lane);
-                    let x = [0, 1, 2, 3].map(|q| ((x >> (8 * q)) & 0xFF) as i32);
-                    *acc_ij += x[0] * w[0] + x[1] * w[1] + x[2] * w[2] + x[3] * w[3];
+        for (h, pieces) in b.iter().enumerate() {
+            for (p, piece) in pieces.iter().enumerate() {
+                let lanes = piece[off..off + QUAD * px].as_chunks::<QUAD>().0;
+                for (i, acc_i) in acc.iter_mut().enumerate() {
+                    let w = [0, 1, 2, 3].map(|q| i32::from(a[QUAD * i + q]));
+                    for (acc_ij, lane) in acc_i[h * NR / 2 + p * px..][..px].iter_mut().zip(lanes) {
+                        let x = u32::from_le_bytes(*lane);
+                        let x = [0, 1, 2, 3].map(|q| ((x >> (8 * q)) & 0xFF) as i32);
+                        *acc_ij += x[0] * w[0] + x[1] * w[1] + x[2] * w[2] + x[3] * w[3];
+                    }
                 }
             }
         }
@@ -791,13 +854,14 @@ fn tile_i8_portable(
     *out = acc;
 }
 
-/// One INT8 tile by the portable body or by the kernel this build runs, for
-/// the property test that holds the two to the same bits.
+/// One INT8 tile by the portable body or by the kernel this build runs, each
+/// half read as `N` pieces ([`tile_i8`]), for the property test that holds
+/// the two to the same bits.
 #[doc(hidden)]
-pub fn int8_tile(
+pub fn int8_tile<const N: usize>(
     ap: &[i8],
     starts: &[i32; MR],
-    b: [&[u8]; 2],
+    b: [[&[u8]; N]; 2],
     offs: &[u32],
     portable: bool,
 ) -> Acc<i32> {
@@ -826,8 +890,8 @@ pub(crate) enum Strip {
     /// Whole output rows of a 3x3 pad-1 stride-1 conv over `c` input
     /// channels of width `w`, read in place from a zero-bordered band of the
     /// input, `[c][r + 2][w + 2]` (`f32`, `w` a multiple of `NR`) or `[c /
-    /// 4][r + 2][w + 2][4]` (`i8`, `c` padded to whole quads, `w` a multiple
-    /// of `NR / 2`), `r` rows within [`STRIP_BYTES`] (at least one).
+    /// 4][r + 2][w + 2][4]` (`i8`, `c` padded to whole quads, `w` even), `r`
+    /// rows within [`STRIP_BYTES`] (at least one).
     Band { c: usize, w: usize },
 }
 

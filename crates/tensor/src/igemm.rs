@@ -17,16 +17,17 @@
 //! points serve W8 and W4 layers alike: a W4 weight is an `i8` in `[-8, 7]`.
 //! Their strips are quad panels (`[s][NR][4]` unsigned bytes, see
 //! [`crate::gemm`]), gathered by one generic pack, `pack_quads`, from a row
-//! source: `im2col_row` for a conv of any geometry, the input plane's rows
-//! for the tconv, the matrix rows for a plain GEMM.
+//! source: `im2col_row` for a conv that reads no row band (an odd width,
+//! stride 2, other kernels, weights packed in row order), the input plane's
+//! rows for the tconv, the matrix rows for a plain GEMM.
 //!
 //! A 3x3 pad-1 stride-1 conv on a map whose width `W` is a multiple of `NR`
-//! (FP32: every level from 256² down to 32² of the U-Net) or of `NR / 2`
-//! (INT8 on weights packed by [`PackedA::pack_conv`]: down to 16²) goes one
-//! step further and packs nothing 9x: a strip is `r` whole output rows, `pack_band`
-//! copies the `r + 2` input rows they read into a zero-bordered `[C][r +
-//! 2][W + 2]` band, and the f32 micro-kernel reads k-step `kk = (c, ky, kx)`
-//! of a panel in place, at `base + off[kk]` with
+//! (FP32: every level from 256² down to 32² of the U-Net) or even (INT8 on
+//! weights packed by [`PackedA::pack_conv`]: every level, down to 2²) goes
+//! one step further and packs nothing 9x: a strip is `r` whole output rows,
+//! `pack_band` copies the `r + 2` input rows they read into a zero-bordered
+//! `[C][r + 2][W + 2]` band, and the f32 micro-kernel reads k-step `kk = (c,
+//! ky, kx)` of a panel in place, at `base + off[kk]` with
 //! `off[kk] = c(r + 2)(W + 2) + ky(W + 2) + kx`
 //! (the layout is drawn in [`crate::gemm`]). At 256² with
 //! 16–64 output channels the strip pack's 9x copy was read by only 2–8 row
@@ -35,10 +36,12 @@
 //! the band route is bit-identical to the strip route. The INT8 band,
 //! `pack_quad_band`, is `[C/4][r + 2][W + 2][4]`: a pixel's four channels of
 //! one quad side by side, one micro-kernel step (`(quad, ky, kx)`) each, a
-//! zero border of `0x80`. At 256² the INT8 band conv runs at 1.9–4.5x the
-//! FP32 conv's MAC rate (`kernel_stats int8`; the `C_in = 1` first layers,
-//! three quarters padding, at 0.8–1.1x). Narrower maps, stride 2, the tconv
-//! and the weight gradient gather strips.
+//! zero border of `0x80`; the micro-kernel reads each 16-column half of a
+//! panel in pieces of `gcd(W, 16)` columns, so a half may span output rows.
+//! At 256² the INT8 band conv runs at 1.9–4.5x the FP32 conv's MAC rate
+//! (`kernel_stats int8`; the `C_in = 1` first layers, three quarters
+//! padding, at 0.8–1.1x). FP32 maps off the `NR` grid, odd INT8 widths,
+//! stride 2, the tconv and the weight gradient gather strips.
 //!
 //! The `*_with` entry points run on the caller's [`crate::gemm::Work`]; the
 //! others on the calling thread's work memory.
@@ -361,9 +364,9 @@ pub fn igemm_conv_packed(
 /// the INT8 conv on `[-8, 7]` weights.
 pub use crate::igemm::igemm_conv_packed as igemm4_conv_packed;
 
-/// [`igemm_conv_packed`] on caller-owned work memory. A 3x3 same conv whose
-/// weights were packed by [`PackedA::pack_conv`] reads a quad row band
-/// ([`quad_band`]); any other conv gathers quad panels.
+/// [`igemm_conv_packed`] on caller-owned work memory. A 3x3 same conv on an
+/// even width whose weights were packed by [`PackedA::pack_conv`] reads a
+/// quad row band ([`quad_band`]); any other conv gathers quad panels.
 #[allow(clippy::too_many_arguments)]
 pub fn igemm_conv_with(
     pa: &PackedA<i8>,
@@ -391,15 +394,16 @@ pub fn igemm_conv_with(
 
 /// The channels, padded to whole quads, of the row band the INT8 conv of
 /// `pa` over `geom` reads in place, or `None` when it gathers panels: a band
-/// needs a 3x3 pad-1 stride-1 conv packed in [`KOrder::Conv`] on a width of
-/// whole `NR / 2`-column halves, so that no half of a panel straddles two
-/// output rows.
+/// needs a 3x3 pad-1 stride-1 conv packed in [`KOrder::Conv`] on an even
+/// width. The micro-kernel reads each 16-column half of a panel in pieces of
+/// `gcd(W, 16)` columns, one base each, so that no piece straddles two
+/// output rows; an odd width would leave one-column pieces.
 pub fn quad_band(pa: &PackedA<i8>, geom: &ConvGeom) -> Option<usize> {
     let band = pa.order() == (KOrder::Conv { taps: 9 })
         && (geom.k, geom.pad, geom.stride) == (3, 1, 1)
         && geom.c_in > 0
         && geom.w > 0
-        && geom.w.is_multiple_of(NR / 2);
+        && geom.w.is_multiple_of(2);
     band.then(|| geom.c_in.next_multiple_of(QUAD))
 }
 

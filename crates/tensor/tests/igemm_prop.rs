@@ -12,12 +12,12 @@
 //! the NR-wide panel tails.
 //!
 //! The INT8 conv has two routes onto its one micro-kernel: a 3x3 same conv
-//! packed by `PackedA::pack_conv` on a width of whole 16-column halves reads
-//! a quad row band in place, every other conv gathers quad panels. Both must
-//! equal `im2col_t` + the naive `igemm_reference` bit for bit: over channel
-//! counts that leave quads part empty, widths that are and are not whole
-//! halves, stride 2 and pad 0, at the driver's seams, and at the `i32`
-//! bound. The portable tile body must equal the VNNI one on random panels.
+//! packed by `PackedA::pack_conv` on an even width reads a quad row band in
+//! place, every other conv gathers quad panels. Both must equal `im2col_t` +
+//! the naive `igemm_reference` bit for bit: over channel counts that leave
+//! quads part empty, every width up to 34, stride 2 and pad 0, at the
+//! driver's seams, and at the `i32` bound. The portable tile body must equal
+//! the VNNI one on random panels, at every piece width.
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -26,7 +26,8 @@ use seneca_tensor::gemm::{
     GemmEpilogue, PackElem, PackedA, Work, FORK_MIN_MACS, MR, NR, QUAD, STRIP_BYTES,
 };
 use seneca_tensor::igemm::{
-    igemm_conv_packed, igemm_tconv2x2_packed, sgemm_conv, sgemm_conv_packed, sgemm_tconv2x2,
+    igemm_conv_packed, igemm_conv_scratch, igemm_conv_with, igemm_tconv2x2_packed, quad_band,
+    sgemm_conv, sgemm_conv_packed, sgemm_tconv2x2,
 };
 use seneca_tensor::im2col::{im2col_t, ConvGeom};
 use seneca_tensor::quantized::requantize_i32;
@@ -215,19 +216,19 @@ proptest! {
         prop_assert_eq!(y, y_ref, "cin{} cout{} {}x{} shift {}", c_in, c_out, h, w, shift);
     }
 
-    /// INT8 conv on weights packed for a conv: the band route (3x3 same conv,
-    /// width a whole number of 16-column halves) and the gather route (every
-    /// other width, stride 2, pad 0, `k` 1..3) == `im2col_t` + the naive
-    /// GEMM, bit for bit. `C_in` leaves the last quad 1–3 channels short or
-    /// full, `m` is on and off the `MR` grid, W8 and W4-range weights, ReLU
-    /// on and off, positive and negative shifts.
+    /// INT8 conv on weights packed for a conv: the band route (3x3 same conv
+    /// on an even width, halves read whole or in pieces of 8 or 2 columns)
+    /// and the gather route (an odd width, stride 2, pad 0, `k` 1..3) ==
+    /// `im2col_t` + the naive GEMM, bit for bit. `C_in` leaves the last quad
+    /// 1–3 channels short or full, `m` is on and off the `MR` grid, W8 and
+    /// W4-range weights, ReLU on and off, positive and negative shifts.
     #[test]
     fn conv_i8_band_and_gather_match_the_reference(
         hi in 0usize..6, wi in 0usize..6, ci in 0usize..6, mi in 0usize..5,
         k in 1usize..4, pad in 0usize..2, stride in 1usize..3, same in any::<bool>(),
         shift in -2i32..16, relu_bit in 0u32..2, w4_bit in 0u32..2, seed in 0u64..1000
     ) {
-        let (h, w) = (DIMS[hi], [8, 16, 24, 32, 48, 70][wi]);
+        let (h, w) = (DIMS[hi], [8, 16, 24, 33, 48, 70][wi]);
         let (c_in, m) = ([1, 2, 3, 5, 8, 13][ci], [1, 3, 7, 8, 13][mi]);
         let (k, pad, stride) = if same { (3, 1, 1) } else { (k, pad, stride) };
         let k = k.min(h + 2 * pad);
@@ -245,32 +246,44 @@ proptest! {
 
     /// The portable tile body == the VNNI one (on a build without VNNI, the
     /// same body twice) == the tile by its definition, on random panels,
-    /// row starts, activation bytes and step offsets, the two halves read
-    /// from unrelated places.
+    /// row starts, activation bytes and step offsets, every half read in
+    /// `N` pieces from unrelated places: one check per piece width.
     #[test]
     fn int8_tile_bodies_agree(steps in 0usize..40, seed in 0u64..1000) {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let ap = rand_i8(steps * QUAD * MR, seed + 1);
-        let starts: [i32; MR] = std::array::from_fn(|_| rng.gen_range(-1 << 20..1 << 20));
-        let b: Vec<u8> = rand_i8(5120, seed + 2).iter().map(|&v| v as u8).collect();
-        let offs: Vec<u32> = (0..steps).map(|_| rng.gen_range(0..2048 - 64)).collect();
-        let halves = [&b[..2048], &b[2048 + rng.gen_range(0..1024)..][..2048]];
-        let portable = int8_tile(&ap, &starts, halves, &offs, true);
-        let native = int8_tile(&ap, &starts, halves, &offs, false);
-        prop_assert_eq!(portable, native);
-        for (i, row) in portable.iter().enumerate() {
-            for (j, &got) in row.iter().enumerate() {
-                let (half, lane) = (halves[j / (NR / 2)], j % (NR / 2));
-                let want: i32 = starts[i]
-                    + (0..steps * QUAD)
-                        .map(|t| {
-                            let (s, q) = (t / QUAD, t % QUAD);
-                            let x = half[offs[s] as usize + QUAD * lane + q];
-                            i32::from(ap[(s * MR + i) * QUAD + q]) * i32::from(x)
-                        })
-                        .sum::<i32>();
-                prop_assert_eq!(got, want, "row {} column {}", i, j);
-            }
+        check_int8_tile::<1>(steps, seed);
+        check_int8_tile::<2>(steps, seed);
+        check_int8_tile::<4>(steps, seed);
+        check_int8_tile::<8>(steps, seed);
+    }
+}
+
+/// [`int8_tile`] with each half read as `N` pieces of `NR / 2 / N` columns:
+/// the portable body against the kernel of this build and the definition.
+fn check_int8_tile<const N: usize>(steps: usize, seed: u64) {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let ap = rand_i8(steps * QUAD * MR, seed + 1);
+    let starts: [i32; MR] = std::array::from_fn(|_| rng.gen_range(-1 << 20..1 << 20));
+    let b: Vec<u8> = rand_i8(5120, seed + 2).iter().map(|&v| v as u8).collect();
+    let offs: Vec<u32> = (0..steps).map(|_| rng.gen_range(0..2048 - 64)).collect();
+    let pieces: [[&[u8]; N]; 2] =
+        std::array::from_fn(|_| std::array::from_fn(|_| &b[rng.gen_range(0..3072)..][..2048]));
+    let portable = int8_tile(&ap, &starts, pieces, &offs, true);
+    let native = int8_tile(&ap, &starts, pieces, &offs, false);
+    assert_eq!(portable, native, "{N} pieces");
+    let px = NR / 2 / N;
+    for (i, row) in portable.iter().enumerate() {
+        for (j, &got) in row.iter().enumerate() {
+            let (half, lane) = (j / (NR / 2), j % (NR / 2));
+            let piece = pieces[half][lane / px];
+            let want: i32 = starts[i]
+                + (0..steps * QUAD)
+                    .map(|t| {
+                        let (s, q) = (t / QUAD, t % QUAD);
+                        let x = piece[offs[s] as usize + QUAD * (lane % px) + q];
+                        i32::from(ap[(s * MR + i) * QUAD + q]) * i32::from(x)
+                    })
+                    .sum::<i32>();
+            assert_eq!(got, want, "{N} pieces, row {i} column {j}");
         }
     }
 }
@@ -389,18 +402,64 @@ fn band_conv_seams_match_materialized() {
     }
 }
 
+/// Every width from 1 to 34 at heights 2, 4, 6 and 8: a 3x3 same conv packed
+/// for a conv reads a quad row band at every even width (each 16-column half
+/// in pieces of `gcd(W, 16)` columns, tail panels repeating a piece) and
+/// gathers at every odd one, bit for bit the conv by its definition. `C_in`
+/// off the quad grid, `m` off the `MR` grid, ReLU on and off, and both entry
+/// points: the thread's work memory, and work memory sized by
+/// `igemm_conv_scratch`, which the call must not grow.
+#[test]
+fn int8_conv_reads_bands_at_every_even_width() {
+    let mut case = 0;
+    for w in 1..=34 {
+        for h in [2, 4, 6, 8] {
+            case += 1;
+            let (c_in, m) = ([1, 3, 11, 22, 44][case % 5], [1, 5, 8, 13][case % 4]);
+            // Periods 5, 4, 7 and 3: every pairing of the four choices.
+            let relu = case % 7 < 4;
+            let geom = ConvGeom { c_in, h, w, k: 3, pad: 1, stride: 1 };
+            let (k, n) = (geom.col_rows(), geom.col_cols());
+            let (wt, x) = (rand_i8(m * k, case as u64), rand_i8(c_in * h * w, case as u64 + 1));
+            let bias: Vec<i32> = (0..m as i32).map(|i| i * 91 - 777).collect();
+            let epi = (6 + k.ilog2() as i32, relu);
+            let pa = PackedA::pack_conv(m, c_in, 9, &wt);
+            assert_eq!(quad_band(&pa, &geom).is_some(), w % 2 == 0, "{geom:?} route");
+            let mut y = vec![0i8; m * n];
+            if case % 3 == 0 {
+                igemm_conv_packed(&pa, &geom, &x, &bias, epi.0, epi.1, &mut y);
+            } else {
+                let (strips, offs) = igemm_conv_scratch(&pa, &geom);
+                let mut work = Work::new(strips, offs);
+                igemm_conv_with(&pa, &geom, &x, &bias, epi.0, epi.1, &mut y, &mut work);
+                assert_eq!(work.strip_len(), strips, "{geom:?} grew its work memory");
+            }
+            let want = conv_i8_reference(m, &geom, &wt, &x, &bias, epi);
+            assert_eq!(y, want, "c{c_in}->{m} {h}x{w} relu {relu}");
+        }
+    }
+}
+
 /// The INT8 band route at the driver's seams, against the reference: a
 /// channel count whose single padded row is larger than the band budget,
 /// [`STRIP_BYTES`] (one-row bands); a map that forks into column parts whose
 /// row counts are not a multiple of the band's, on a width of three halves
-/// (panels straddle output rows); and a width of one half with an odd row
-/// count (a part ends on a half panel). The first two fork.
+/// (panels straddle output rows); a width of one half with an odd row
+/// count (a part ends on a half panel); and two narrow maps of 1024
+/// channels, widths 8 and 6, whose rows fill several bands (23 and 30 rows
+/// each, so strips end on a tail panel with missing pieces), split across
+/// column parts. All but the third fork.
 #[test]
 fn int8_band_seams_match_the_reference() {
     let w = 6 * NR / 2;
     let wide_c = STRIP_BYTES / (w + 2) + 1;
-    let cases =
-        [(wide_c, 3, w, 13, true), (32, 70, 3 * NR / 2, 13, true), (5, 37, NR / 2, 9, false)];
+    let cases = [
+        (wide_c, 3, w, 13, true),
+        (32, 70, 3 * NR / 2, 13, true),
+        (5, 37, NR / 2, 9, false),
+        (1024, 70, 8, 13, true),
+        (1024, 37, 6, 13, true),
+    ];
     for (c_in, h, w, m, forks) in cases {
         let geom = ConvGeom { c_in, h, w, k: 3, pad: 1, stride: 1 };
         let (k, n) = (geom.col_rows(), geom.col_cols());

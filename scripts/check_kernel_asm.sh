@@ -12,7 +12,9 @@
 #     %zmm operand (the kernels fell back to ymm: dropping
 #     `-prefer-256-bit` from .cargo/config.toml does that silently).
 # `tile_f32` is generic over how it walks its k-steps (packed panels, row
-# bands): every instance of a tile function is checked on its own.
+# bands), `tile_i8` over the pieces it reads each 16-column half in (1, 2, 4
+# or 8: one per piece width of a row band): every instance of a tile function
+# is checked on its own, and each must exist.
 # x86-64 hosts with objdump only; skips elsewhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -39,7 +41,7 @@ fi
 status=0
 # fn, instructions it must contain, instructions it must not contain,
 # instances expected.
-for check in "tile_i8 $int8_want v?pmulld 1" \
+for check in "tile_i8 $int8_want v?pmulld 4" \
     "tile_f32 vfmadd231ps vmulps|vaddps 2"; do
     read -r fn want forbid instances <<<"$check"
     # The (mangled) symbols are seneca_tensor::gemm::<fn>[::<hash>]; each

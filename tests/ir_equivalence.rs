@@ -72,32 +72,34 @@ fn every_table_ii_model_fp32_matches_the_oracle() {
     }
 }
 
-/// At paper geometry exactly the expected convs read row bands: on 16M
-/// every conv but the two 8x8 bottleneck convs (8 is not a whole 16-column
-/// half), the `C_in = 1` first layer included; on 1M every conv (its
-/// bottleneck is 16x16).
+/// Every INT8 3x3 conv of the Table II models reads a row band, the `C_in =
+/// 1` first layers included, at the geometries the benchmark runs: the 16M
+/// and 1M at paper geometry (256x256, where the 16M's 8x8 bottleneck convs
+/// read each 16-column half as two 8-column rows), and the 1M, 4M and 8M at
+/// the fleet's 64x64 ROI (maps down to 4x4 and 2x2, read in 4- and 2-column
+/// pieces). No conv gathers.
 #[test]
 fn int8_convs_read_row_bands_where_expected_at_256() {
-    let input = Shape4::new(1, 1, 256, 256);
-    for (size, gather) in
-        [(ModelSize::M16, vec![(512, 512, 8), (512, 512, 8)]), (ModelSize::M1, vec![])]
-    {
+    use ModelSize::{M1, M16, M4, M8};
+    for (size, side) in [(M16, 256), (M1, 256), (M1, 64), (M4, 64), (M8, 64)] {
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let fg = fuse(&Graph::from_unet(&UNet::from_size(size, &mut rng), "rule"));
         let calib = vec![random_frame(Shape4::new(1, 1, 32, 32), 5)];
         let (qg, _) = quantize_post_training(&fg, &calib, &PtqConfig::default());
-        let lowered = lower(qg.to_ir(), input, &LowerOptions::reference());
+        let lowered = lower(qg.to_ir(), Shape4::new(1, 1, side, side), &LowerOptions::reference());
         let (m, shapes) = (lowered.module(), lowered.shapes());
-        let (mut band, mut kept) = (0, Vec::new());
+        let (mut band, mut narrowest, mut gather) = (0, side, Vec::new());
         for (id, (n, s)) in m.nodes.iter().zip(shapes).enumerate() {
             let IrOp::Conv(a) = &n.op else { continue };
             match route(&lowered, id) {
-                "band" => band += 1,
-                _ => kept.push((a.kernel.c_in(false), a.kernel.c_out(false), s.h)),
+                "band" => (band, narrowest) = (band + 1, narrowest.min(s.w)),
+                _ => gather.push((a.kernel.c_in(false), a.kernel.c_out(false), s.h)),
             }
         }
-        assert_eq!(kept, gather, "{}", size.label());
-        assert_eq!(band + gather.len(), m.op_histogram()["qconv"], "{}", size.label());
+        let what = format!("{} at {side}x{side}", size.label());
+        assert_eq!(gather, [], "{what}");
+        assert_eq!(band, m.op_histogram()["qconv"], "{what}");
+        assert_eq!(narrowest, side >> size.config().depth, "{what}: the bottleneck reads a band");
     }
 }
 
@@ -151,9 +153,10 @@ fn placed_inputs(lowered: &Lowered, id: usize) -> Vec<bool> {
 
 /// The differential test of concat placement, batch of two: a conv over a
 /// placed concat gathers one contiguous map in every gather — the FP32 row
-/// band (`W % 32 == 0`) and strips (`W` = 16, 8, odd), the INT8 row band
-/// (`W % 16 == 0`) and gathered strips, W8 and W4 on each (both on the INT8
-/// panels) — INT8 bit for bit and FP32 within tolerance of the oracle. `x3` places both inputs and
+/// band (`W % 32 == 0`) and strips (`W` = 16, 8, 6, odd), the INT8 row band
+/// (even `W`, read in whole halves or in pieces) and gathered strips (odd
+/// `W`), W8 and W4 on each (both on the INT8 panels) — INT8 bit for bit and
+/// FP32 within tolerance of the oracle. `x3` places both inputs and
 /// copies nothing; `x5` places `x4` and copies `x2`, which `x3` holds; the
 /// output concat `x8` places both.
 #[test]
@@ -164,7 +167,8 @@ fn placed_concats_match_the_oracle_in_every_gather() {
         ([2, 4, 6, 5], 6, 64, Bitwidth::W8, "band"),
         ([1, 3, 2, 4], 5, 32, Bitwidth::W4, "band"),
         ([2, 5, 4, 3], 16, 16, Bitwidth::W8, "band"),
-        ([3, 4, 5, 4], 8, 8, Bitwidth::W4, "gather"),
+        ([3, 4, 5, 4], 4, 6, Bitwidth::W4, "band"),
+        ([3, 4, 5, 4], 8, 7, Bitwidth::W4, "gather"),
         ([1, 6, 3, 2], 9, 13, Bitwidth::W8, "gather"),
     ];
     let placements = |lowered: &Lowered| [cat, twice, output].map(|id| placed_inputs(lowered, id));
@@ -200,8 +204,9 @@ fn placed_concats_match_the_oracle_in_every_gather() {
 
 /// The same on random U-Nets, batch of two: every decoder concat places
 /// both inputs and copies nothing, at levels whose widths take the FP32 band
-/// (64) and strips (40, 20, 16, 10, 8) and the INT8 band (64, 16) and
-/// gathered strips (40, 20, 10, 8), each W8 and W4.
+/// (64) and strips (40, 20, 16, 10, 8), and the INT8 band at every level,
+/// W8 and W4. A U-Net's decoder levels are even (each is twice the level
+/// below), so a conv over a decoder concat never gathers in INT8.
 #[test]
 fn placed_decoder_concats_match_the_oracle_on_random_unets() {
     let mut routes = Vec::new();
@@ -244,12 +249,10 @@ fn placed_decoder_concats_match_the_oracle_on_random_unets() {
             oracle::check_i8(&lowered, &mut scratch, &q);
         }
     }
-    for route in ["band", "gather"] {
-        for bits in [Bitwidth::W8, Bitwidth::W4] {
-            let what = format!("no placed concat feeds a {bits:?} {route} conv");
-            assert!(routes.contains(&(route, bits)), "{what}");
-        }
+    for bits in [Bitwidth::W8, Bitwidth::W4] {
+        assert!(routes.contains(&("band", bits)), "no placed concat feeds a {bits:?} band conv");
     }
+    assert!(routes.iter().all(|&(r, _)| r == "band"), "a decoder conv gathers: {routes:?}");
 }
 
 /// `ExecPlan::assert_valid` holds on every Table II model's FP32 and INT8
