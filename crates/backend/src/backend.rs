@@ -198,8 +198,7 @@ mod tests {
     use seneca_ir::{IrNode, PackedKernel};
     use seneca_nn::unet::{UNet, UNetConfig};
     use seneca_quant::{fuse, quantize_post_training, PtqConfig};
-    use seneca_tensor::igemm::quad_band;
-    use seneca_tensor::im2col::ConvGeom;
+    use seneca_tensor::igemm::reads_map;
 
     /// FP32 results do not depend on the thread count, bit for bit: two
     /// session workers against one, at a size where the GEMM driver forks
@@ -250,8 +249,8 @@ mod tests {
     /// One odd-sized frame must not take the batch down: the INT8 backend
     /// re-plans its arena like its FP32 twin, and goes back afterwards. The
     /// panels stay the ones packed at 32x32, so the 20x20 frame gathers for a
-    /// conv that reads a row band at 32x32 (its bottom map is 5x5, an odd
-    /// width), and still gets the bits of the program lowered for it.
+    /// conv that reads its map in place at 32x32 (its bottom map is 5x5, an
+    /// odd width), and still gets the bits of the program lowered for it.
     #[test]
     fn int8_backend_serves_a_frame_of_another_geometry() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(21);
@@ -268,17 +267,15 @@ mod tests {
 
         let at32 = QuantRefBackend::new(qg.clone(), big.shape());
         let at20 = QuantRefBackend::new(qg, small.shape());
-        let bands = |b: &QuantRefBackend| {
+        let in_place = |b: &QuantRefBackend| {
             let (nodes, shapes) = (&b.lowered.module().nodes, b.lowered.shapes());
-            let band = |(node, pack): (&IrNode, &Option<PackedKernel>)| match pack {
-                Some(PackedKernel::ConvI8(pa)) => {
-                    quad_band(pa, &ConvGeom::same_3x3(shapes[node.inputs[0]])).is_some()
-                }
+            let reads = |(node, pack): (&IrNode, &Option<PackedKernel>)| match pack {
+                Some(PackedKernel::ConvI8(_)) => reads_map(shapes[node.inputs[0]].w),
                 _ => false,
             };
-            nodes.iter().zip(b.lowered.packs()).filter(|&p| band(p)).count()
+            nodes.iter().zip(b.lowered.packs()).filter(|&p| reads(p)).count()
         };
-        assert!(bands(&at32) > bands(&at20), "the 20x20 frame gathers for a band conv");
+        assert!(in_place(&at32) > in_place(&at20), "the 20x20 frame gathers for a conv");
         // One worker, three frames: 32 -> 20 -> 32 through the same scratch.
         let got = at32.infer_batch(&[big.clone(), small.clone(), big2.clone()]);
         let want = [

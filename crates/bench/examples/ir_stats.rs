@@ -6,7 +6,8 @@
 //! carry every BN and ReLU in a conv store; every concat must have both
 //! inputs placed at their channel offsets of its value and copy nothing, in
 //! both the FP32 and INT8 lowerings; the planned arena must equal the
-//! peak-live footprint, equal the pinned arena of that model, and beat the
+//! peak-live footprint, equal the pinned arena of that model (INT8: of
+//! bordered quad maps), and beat the
 //! naive sum-of-all-activations pool in both; and the implicit-GEMM route's
 //! reported peak (arena + strip buffers) must beat the materialized route's
 //! footprint (arena + im2col column / pre-scatter buffer + the same strip
@@ -61,11 +62,16 @@ fn assert_one_pack_per_conv(lowered: &Lowered, what: &str) -> usize {
     lowered.packs().iter().flatten().count()
 }
 
-/// Activation arena elements (FP32 and INT8 alike) of each Table II model
-/// at 256x256, in `ModelSize::ALL` order: what the greedy-by-size placement
-/// reached when each concat was still folded into its conv's gather. Laying
-/// concats out by address must not grow any of them.
+/// FP32 activation arena elements of each Table II model at 256x256, in
+/// `ModelSize::ALL` order: what the greedy-by-size placement reached when
+/// each concat was still folded into its conv's gather. Laying concats out
+/// by address must not grow any of them.
 const ARENA_ELEMS_256: [usize; 5] = [3_145_728, 2_359_296, 3_145_728, 4_325_376, 6_291_456];
+
+/// The INT8 arenas at 256x256, in bytes: the same placement over bordered
+/// quad maps (channels padded to quads, a one-pixel border), the output
+/// conv's NCHW image held beside the arena.
+const INT8_ARENA_BYTES_256: [usize; 5] = [3_195_072, 2_396_304, 3_195_072, 4_792_608, 6_390_144];
 
 /// Panics unless every concat of `m` has both inputs placed side by side as
 /// its value under `plan` and copies nothing. Returns how many there are.
@@ -106,7 +112,8 @@ fn main() {
         "fpdrop",
         "i8drop"
     );
-    for (size, arena) in ModelSize::ALL.into_iter().zip(ARENA_ELEMS_256) {
+    let arenas = ARENA_ELEMS_256.into_iter().zip(INT8_ARENA_BYTES_256);
+    for (size, (arena, q_arena)) in ModelSize::ALL.into_iter().zip(arenas) {
         let net = UNet::from_size(size, &mut rng);
         let g = Graph::from_unet(&net, size.label());
         let hist = g.module().op_histogram();
@@ -166,7 +173,7 @@ fn main() {
         assert_eq!(cats, assert_concats_placed(q_ref.module(), qplan, size.label()));
         // Greedy-by-size offsets reach the lower bound of any placement, and
         // the pinned arena.
-        for (p, what) in [(plan, "FP32"), (qplan, "INT8")] {
+        for (p, what, arena) in [(plan, "FP32", arena), (qplan, "INT8", q_arena)] {
             assert_eq!(
                 (p.peak_arena_elems(), p.peak_live_elems()),
                 (arena, arena),

@@ -7,17 +7,19 @@
 //!
 //! * `smoke` — CI gate: igemm bit-exact against the naive kernel on a
 //!   fixed seed, and packed-beats-reference on
-//!   the largest shape, both dtypes; the INT8 row-band conv bit-exact
+//!   the largest shape, both dtypes; the INT8 conv as the executor runs it
+//!   (reading its input quad map in place, storing the next map) bit-exact
 //!   against the naive reference and at least 1.5x the FP32 conv's MAC rate
-//!   on the 16M `64 -> 32` conv at 256x256, and bit-exact on a row band on
-//!   the 16M's 8x8 `512 -> 512` bottleneck conv; the 1M model's last INT8
-//!   tconv bit-exact against GEMM + scatter and at least 0.6x the MAC rate
-//!   of the same GEMM with a row store (its scatter store vectorises). It is
-//!   also the binary `scripts/check_kernel_asm.sh` disassembles.
-//! * `int8` — the INT8 conv (row band or gathered strips, as the executor
-//!   runs it) against the FP32 conv on every 1M / 16M conv shape at 256x256
-//!   and on the 8x8, 4x4 and 2x2 maps of the 1M, 4M and 8M at 64x64, with
-//!   its route and the i8 ÷ f32 MAC-rate ratio.
+//!   on the 16M `64 -> 32` conv at 256x256, and bit-exact in place on the
+//!   16M's 8x8 `512 -> 512` bottleneck conv; the 1M model's last INT8 tconv
+//!   (quad map to quad map) bit-exact against GEMM + scatter and at least
+//!   0.6x the MAC rate of the same GEMM with a row store (its scatter store
+//!   vectorises). It is also the binary `scripts/check_kernel_asm.sh`
+//!   disassembles.
+//! * `int8` — the INT8 conv (in place on its quad map, or gathering from it,
+//!   as the executor runs it) against the FP32 conv on every 1M / 16M conv
+//!   shape at 256x256 and on the 8x8, 4x4 and 2x2 maps of the 1M, 4M and 8M
+//!   at 64x64, with its route and the i8 ÷ f32 MAC-rate ratio.
 
 use rand::{Rng, SeedableRng};
 use seneca_ir::IrOp;
@@ -28,11 +30,13 @@ use seneca_tensor::gemm::{
     PackedA, Work,
 };
 use seneca_tensor::igemm::{
-    igemm_conv_packed, igemm_tconv2x2_packed, quad_band, sgemm_conv, sgemm_conv_packed,
+    igemm_conv_packed, igemm_conv_quads, igemm_map_scratch, igemm_tconv2x2_quads, reads_map,
+    sgemm_conv, sgemm_conv_packed, QuadOut,
 };
 use seneca_tensor::im2col::{im2col_t, ConvGeom};
+use seneca_tensor::quad::{pack_nchw, unpack_nchw, QuadMap};
 use seneca_tensor::quantized::requantize_i32;
-use seneca_tensor::tconv::scatter_tconv2x2;
+use seneca_tensor::tconv::{repack_tconv_quads, scatter_tconv2x2};
 use seneca_tensor::Shape4;
 use std::time::Instant;
 
@@ -141,6 +145,21 @@ fn make_i8(shape: ConvShape) -> (Vec<i8>, Vec<i8>, Vec<i32>) {
     (a, b, vec![0; m * n])
 }
 
+/// One NCHW image of `c` channels as a quad map, border included.
+fn to_map(x: &[i8], c: usize, h: usize, w: usize) -> (QuadMap, Vec<i8>) {
+    let g = QuadMap::new(c, h, w);
+    let mut map = vec![0; g.len()];
+    pack_nchw(x, &(0..c).collect::<Vec<_>>(), g, &mut map);
+    (g, map)
+}
+
+/// The `c` channels of a quad map as an NCHW image.
+fn from_map(map: &[i8], g: QuadMap, c: usize) -> Vec<i8> {
+    let mut y = vec![0; c * g.h * g.w];
+    unpack_nchw(map, g, &(0..c).collect::<Vec<_>>(), &mut y);
+    y
+}
+
 /// igemm bit-exactness gate on a fixed seed, independent of timing noise.
 fn check_igemm_bit_exact(largest: ConvShape) {
     let (m, k, n) = (largest.m, largest.k, largest.n.min(4096));
@@ -163,8 +182,8 @@ fn check_igemm_bit_exact(largest: ConvShape) {
 /// implicit is no slower than materialized in either dtype — it does strictly
 /// less memory traffic, so a loss means the pack stopped vectorizing. The
 /// INT8 / FP32 MAC-rate ratio of these per-call-packed (gathering) arms is
-/// raced and printed, not gated; the row-band conv's is gated by
-/// [`check_int8_band_conv`].
+/// raced and printed, not gated; the executor's conv's is gated by
+/// [`check_int8_map_conv`].
 fn check_implicit_conv(s: ConvShape, race_time: Option<f64>) {
     let geom = s.geom();
     let (m, k, n) = (s.m, s.k, s.n);
@@ -233,35 +252,50 @@ fn check_implicit_conv(s: ConvShape, race_time: Option<f64>) {
 }
 
 /// The INT8 tconv store gate on the 1M model's last tconv (`16 -> 16`,
-/// 128x128 -> 256x256): the scatter-fused tconv must be bit-exact against
-/// the fused GEMM followed by [`scatter_tconv2x2`], and reach at least 0.6x
-/// the MAC rate of a 1x1 [`igemm_conv_packed`] with the same `(m, k, n) =
-/// (64, 16, 16384)` — the same GEMM with a row store — raced back to back.
-/// The GEMM is 16 MACs per output byte, so the store decides the rate: a
-/// scalar scatter store ran at ~0.12x, the vectorised one at ~1.05x.
+/// 128x128 -> 256x256), quad map to quad map as the executor runs it: the
+/// scatter-fused tconv must be bit-exact against the fused GEMM followed by
+/// [`scatter_tconv2x2`], and reach at least 0.6x the MAC rate of a 1x1
+/// [`igemm_conv_packed`] with the same `(m, k, n) = (64, 16, 16384)` — the
+/// same GEMM with a row store — raced back to back. The GEMM is 16 MACs per
+/// output byte, so the store decides the rate: a scalar scatter store ran
+/// at ~0.12x, the vectorised one at ~1.05x.
 fn check_tconv_store() {
     let (c_in, c_out, h, w) = (16, 16, 128, 128);
     let (m, k, n) = (4 * c_out, c_in, h * w);
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x7C0);
-    let wk: Vec<i8> = (0..m * k).map(|_| rng.gen_range(-128i32..128) as i8).collect();
+    let wt: Vec<i8> = (0..m * k).map(|_| rng.gen_range(-128i32..128) as i8).collect();
     let x: Vec<i8> = (0..k * n).map(|_| rng.gen_range(-128i32..128) as i8).collect();
-    let bias4: Vec<i32> = (0..m as i32).map(|i| (i / 4) * 91 - 777).collect();
+    let bias: Vec<i32> = (0..c_out as i32).map(|i| i * 91 - 777).collect();
     let (shift, relu) = (7, true);
-    let pa = PackedA::pack(m, k, &wk);
+    // The co-major GEMM of the reference, and the quad-ordered one the
+    // executor runs (row `16q + 8ky + 4kx + l` is channel `4q + l`).
+    let mut wk = vec![0i8; m * k];
+    seneca_tensor::tconv::repack_tconv_weights(c_in, c_out, &wt, &mut wk);
+    let bias4: Vec<i32> = (0..m).map(|i| bias[i / 4]).collect();
+    let (g, map) = to_map(&x, c_in, h, w);
+    let wq = repack_tconv_quads(c_out, &(0..c_in).collect::<Vec<_>>(), g.c, &wt);
+    let bias_q: Vec<i32> = (0..m).map(|r| bias[r / 16 * 4 + r % 4]).collect();
+    let (pa, pq) = (PackedA::pack(m, k, &wk), PackedA::pack(m, g.c, &wq));
     let geom = ConvGeom { c_in, h, w, k: 1, pad: 0, stride: 1 };
-    let (mut y, mut y_rows) = (vec![0i8; m * n], vec![0i8; m * n]);
-    let mut work = Work::default();
+    let og = QuadMap::new(c_out, 2 * h, 2 * w);
+    let (mut y, mut y_rows) = (vec![0i8; og.len()], vec![0i8; m * n]);
+    let (strips, offs) = igemm_map_scratch(&pq, g);
+    let mut work = Work::new(strips, offs);
     let [t_tconv, t_rows] = race(
         0.5,
         [
-            &mut || igemm_tconv2x2_packed(&pa, &x, h, w, &bias4, shift, relu, &mut y, &mut work),
+            &mut || igemm_tconv2x2_quads(&pq, g, &map, &bias_q, shift, relu, &mut y, &mut work),
             &mut || igemm_conv_packed(&pa, &geom, &x, &bias4, shift, relu, &mut y_rows),
         ],
     );
     let mut y_ref = vec![0i8; m * n];
     igemm_fused(m, k, n, &wk, &x, &bias4, shift, relu, &mut y_rows);
     scatter_tconv2x2(c_out, h, w, &y_rows, &mut y_ref);
-    assert_eq!(y, y_ref, "scatter-fused tconv != GEMM + scatter (seed 0x7C0)");
+    assert_eq!(
+        from_map(&y, og, c_out),
+        y_ref,
+        "scatter-fused tconv != GEMM + scatter (seed 0x7C0)"
+    );
     let gmac = (m * k * n) as f64 / 1e9;
     let ratio = t_rows / t_tconv;
     println!(
@@ -296,18 +330,21 @@ fn race_shapes() -> Vec<ConvShape> {
 
 /// One shape's race, in GMAC/s.
 struct Int8Race {
-    /// The INT8 conv, weights packed for a conv as the lowering packs them.
+    /// The INT8 conv as the executor runs it: weights packed for a conv over
+    /// its input's quad map, the next map stored.
     i8: f64,
     /// The FP32 conv, weights packed once as inference runs it.
     f32: f64,
-    /// Whether the INT8 conv reads a row band (else it gathers strips).
-    band: bool,
+    /// Whether the INT8 conv reads its map in place (else it gathers strips
+    /// from it).
+    in_place: bool,
 }
 
 /// The INT8 conv against the FP32 conv on one shape, every weight set packed
-/// once as the lowering packs it: asserts the INT8 conv bit-exact against
-/// `want` (the same conv by another route), then returns an interleaved
-/// race.
+/// once as the lowering packs it and the INT8 conv run from quad map to quad
+/// map on work memory sized for it, as the executor runs it: asserts the
+/// INT8 conv bit-exact against `want` (the same conv by another route), then
+/// returns an interleaved race.
 fn int8_vs_f32(
     s: ConvShape,
     min_time: f64,
@@ -318,31 +355,43 @@ fn int8_vs_f32(
     let wt: Vec<i8> = (0..s.m * s.k).map(|_| rng.gen_range(-128i32..128) as i8).collect();
     let x: Vec<i8> = (0..s.c_in * s.n).map(|_| rng.gen_range(-128i32..128) as i8).collect();
     let bias: Vec<i32> = (0..s.m as i32).map(|i| i * 91 - 777).collect();
-    let pa = PackedA::pack_conv(s.m, s.c_in, 9, &wt);
+    let (g, map) = to_map(&x, s.c_in, s.h, s.w);
+    let mut wq = vec![0i8; s.m * g.c * 9];
+    for (src, dst) in wt.chunks_exact(s.k).zip(wq.chunks_exact_mut(g.c * 9)) {
+        dst[..s.k].copy_from_slice(src);
+    }
+    let pa = PackedA::pack_conv(s.m, g.c, 9, &wq);
+    let (strips, offs) = igemm_map_scratch(&pa, g);
+    let mut work = Work::new(strips, offs);
+    let og = QuadMap::new(s.m, s.h, s.w);
     let wf: Vec<f32> = wt.iter().map(|&v| v as f32 / 128.0).collect();
     let xf: Vec<f32> = x.iter().map(|&v| v as f32 / 128.0).collect();
     let bf: Vec<f32> = bias.iter().map(|&v| v as f32 / 1024.0).collect();
     let paf = PackedA::pack(s.m, s.k, &wf);
-    let (mut yi, mut yf) = (vec![0i8; s.m * s.n], vec![0.0; s.m * s.n]);
+    let (mut yq, mut yf) = (vec![0i8; og.len()], vec![0.0; s.m * s.n]);
     let shift = 8 + s.k.ilog2() as i32;
     let [ti, tf] = race(
         min_time,
-        [&mut || igemm_conv_packed(&pa, &geom, &x, &bias, shift, true, &mut yi), &mut || {
-            sgemm_conv_packed(&paf, &geom, &xf, &mut yf, GemmEpilogue::BiasRelu(&bf))
-        }],
+        [
+            &mut || {
+                let y = QuadOut::Quads(&mut yq);
+                igemm_conv_quads(&pa, g, &map, &bias, shift, true, y, &mut work)
+            },
+            &mut || sgemm_conv_packed(&paf, &geom, &xf, &mut yf, GemmEpilogue::BiasRelu(&bf)),
+        ],
     );
     let what = format!("{} {}->{} @{}", s.model, s.c_in, s.m, s.h);
+    let yi = from_map(&yq, og, s.m);
     assert_eq!(yi, want(&PackedA::pack(s.m, s.k, &wt), &x, &wt), "INT8 conv on {what}");
     let gmac = s.macs() as f64 / 1e9;
-    let band = quad_band(&pa, &geom).is_some();
-    Int8Race { i8: gmac / ti, f32: gmac / tf, band }
+    Int8Race { i8: gmac / ti, f32: gmac / tf, in_place: reads_map(s.w) }
 }
 
 /// [`int8_vs_f32`] on every shape of [`race_shapes`], each INT8 result
 /// checked against the gathering route on weights packed in row order.
 fn race_int8(min_time: f64) {
     println!(
-        "{:>4} {:>5} {:>5} {:>4} | {:>6} | {:>8} {:>8} {:>7}",
+        "{:>4} {:>5} {:>5} {:>4} | {:>8} | {:>8} {:>8} {:>7}",
         "cfg", "c_in", "c_out", "hw", "route", "i8", "f32", "i8/f32"
     );
     for s in race_shapes() {
@@ -355,12 +404,12 @@ fn race_int8(min_time: f64) {
         };
         let r = int8_vs_f32(s, min_time, gather);
         println!(
-            "{:>4} {:>5} {:>5} {:>4} | {:>6} | {:>8.2} {:>8.2} {:>6.2}x",
+            "{:>4} {:>5} {:>5} {:>4} | {:>8} | {:>8.2} {:>8.2} {:>6.2}x",
             s.model,
             s.c_in,
             s.m,
             s.h,
-            if r.band { "band" } else { "gather" },
+            if r.in_place { "in place" } else { "gather" },
             r.i8,
             r.f32,
             r.i8 / r.f32
@@ -368,12 +417,12 @@ fn race_int8(min_time: f64) {
     }
 }
 
-/// The INT8 row-band gate: `s` reads a row band and is bit-exact against the
-/// conv by its definition (`im2col_t`, a naive `i32` GEMM, the
-/// requantise-clamp) on a fixed seed; with `min_ratio` (the 16M `64 -> 32`
-/// conv at 256x256) it also runs at that multiple of the FP32 conv's MAC
-/// rate, raced back to back.
-fn check_int8_band_conv(s: ConvShape, min_ratio: Option<f64>) {
+/// The INT8 in-place gate: `s` reads its input quad map in place and is
+/// bit-exact against the conv by its definition (`im2col_t`, a naive `i32`
+/// GEMM, the requantise-clamp) on a fixed seed; with `min_ratio` (the 16M
+/// `64 -> 32` conv at 256x256) it also runs at that multiple of the FP32
+/// conv's MAC rate, raced back to back.
+fn check_int8_map_conv(s: ConvShape, min_ratio: Option<f64>) {
     let naive = |_: &PackedA<i8>, x: &[i8], wt: &[i8]| {
         let (geom, (k, n)) = (s.geom(), (s.k, s.n));
         let mut col = vec![0i8; k * n];
@@ -395,9 +444,9 @@ fn check_int8_band_conv(s: ConvShape, min_ratio: Option<f64>) {
         y
     };
     let r = int8_vs_f32(s, if min_ratio.is_some() { 0.5 } else { 0.05 }, naive);
-    assert!(r.band, "the {} {}->{} conv at {} reads no row band", s.model, s.c_in, s.m, s.h);
+    assert!(r.in_place, "the {} {}->{} conv at {} gathers", s.model, s.c_in, s.m, s.h);
     println!(
-        "INT8 band conv {} {}->{} @{}: bit-exact, {:.2} vs FP32 {:.2} GMAC/s ({:.2}x)",
+        "INT8 conv in place {} {}->{} @{}: bit-exact, {:.2} vs FP32 {:.2} GMAC/s ({:.2}x)",
         s.model,
         s.c_in,
         s.m,
@@ -408,7 +457,7 @@ fn check_int8_band_conv(s: ConvShape, min_ratio: Option<f64>) {
     );
     if let Some(min) = min_ratio {
         let ratio = r.i8 / r.f32;
-        assert!(ratio >= min, "INT8 band conv at {ratio:.2}x the FP32 conv's MAC rate (< {min}x)");
+        assert!(ratio >= min, "INT8 conv at {ratio:.2}x the FP32 conv's MAC rate (< {min}x)");
     }
 }
 
@@ -431,11 +480,11 @@ fn smoke() {
     check_igemm_bit_exact(largest);
     check_implicit_conv(largest, None);
     check_implicit_conv(full_res_16m, Some(0.5));
-    check_int8_band_conv(full_res_16m, Some(1.5));
+    check_int8_map_conv(full_res_16m, Some(1.5));
     // The 16M's 8x8 bottleneck conv: each 16-column half is two output rows.
     let is_bottleneck = |s: &ConvShape| (s.c_in, s.m, s.w) == (512, 512, 8);
     let bottleneck = conv_shapes(ModelSize::M16, 256).into_iter().find(is_bottleneck);
-    check_int8_band_conv(bottleneck.expect("the 16M's 8x8 512 -> 512 conv"), None);
+    check_int8_map_conv(bottleneck.expect("the 16M's 8x8 512 -> 512 conv"), None);
     check_tconv_store();
     let (af, bf, mut cf) = make_f32(largest);
     let gflop = 2.0 * largest.macs() as f64 / 1e9;

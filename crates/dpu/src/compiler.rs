@@ -120,7 +120,7 @@ pub fn compile(qg: &QuantizedGraph, input_shape: Shape4, arch: DpuArch) -> XMode
     // executors use, over channel-padded element counts (1 byte each) via
     // the IR's single ICP-padding hook. The host's GEMM strip buffers are
     // not DDR: the arena is the placed values alone.
-    let plan = module.plan_padded(input_shape, |c| arch.pad_channels(c));
+    let plan = module.plan_padded(input_shape, |_, s| s.hw() * arch.pad_channels(s.c));
     stats.peak_arena_bytes = plan.peak_arena_elems() as u64;
     stats.total_activation_bytes = plan.total_activation_bytes(1);
 
@@ -236,7 +236,7 @@ mod tests {
             let calib = vec![Tensor::he_normal(Shape4::new(1, 1, 32, 32), &mut rng)];
             let (qg, _) = quantize_post_training(&fg, &calib, &PtqConfig::default());
             let arch = DpuArch::b4096_zcu104();
-            let plan = qg.module().plan_padded(shape, |c| arch.pad_channels(c));
+            let plan = qg.module().plan_padded(shape, |_, s| s.hw() * arch.pad_channels(s.c));
             let xm = compile(&qg, shape, arch);
             assert_eq!(xm.stats.peak_arena_bytes, plan.peak_arena_elems() as u64, "{size:?}");
             assert_eq!(xm.stats.peak_arena_bytes, bytes, "{size:?}");

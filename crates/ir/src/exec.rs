@@ -4,35 +4,31 @@
 //! A [`crate::lower::Lowered`] program executes out of a per-worker arena
 //! ([`FpScratch`] / [`QScratch`]) holding one image: one buffer in which every
 //! node writes its value at its liveness-plan offset, so steady-state
-//! inference allocates nothing and the arena holds the peak-live footprint
-//! instead of one buffer per node. A batch runs image by image. The executor
-//! carves a node's output and its inputs out of the one buffer with
-//! `split_at_mut` — the plan keeps every value live at a step clear of that
-//! step's output, so no `unsafe` is needed. FP32 and INT8 share the walk;
-//! only the kernel dispatch differs. Conv and transpose-conv nodes run their
-//! GEMM against the panels packed once at lowering time — per frame only the
-//! activation (B) side is packed, a strip of columns at a time, directly from
-//! the CHW feature map (implicit GEMM), or copied into the row bands a 3x3
-//! conv reads in place. The strip buffers and the k-step offsets the
-//! micro-kernels read them through ([`ExecPlan::work_bytes`]) belong to the
-//! arena too, built with it on the calling thread and sized once for the
-//! plan, so a short-lived worker thread finds them ready instead of
-//! regrowing thread-local ones. There is no im2col column buffer, no
-//! pre-scatter tconv buffer and no concat copy: the conv packs compute the
-//! im2col index math inside the tile gather, the tconv stores scatter from
-//! the GEMM tile, and a concat's inputs
-//! are written in place at their channel offsets of its value
-//! ([`crate::plan`]), so its readers gather one contiguous map. Only an input
-//! the plan could not place is copied, by the concat's own step.
+//! inference allocates nothing and the arena holds the peak-live footprint.
+//! A batch runs image by image. The executor carves a node's output and its
+//! inputs out of the buffer with `split_at_mut` — the plan keeps every value
+//! live at a step clear of that step's output, so no `unsafe` is needed.
+//! Conv and transpose-conv nodes run their GEMM against panels packed once
+//! at lowering time. An FP32 value is an NCHW map whose activation side is
+//! gathered a strip of columns at a time or copied into row bands. An INT8
+//! value is a bordered quad map ([`seneca_tensor::quad`]), the layout the
+//! VNNI kernel reads in place; each producer writes the next map, border
+//! included, and only the graph's output conv stores NCHW `i8`. The GEMM
+//! work memory ([`ExecPlan::work_bytes`]) belongs to the arena too, sized
+//! once for the plan on the calling thread. A concat's inputs are written in
+//! place at their offsets of its value ([`crate::plan`]); only an input the
+//! plan could not place is copied, by the concat's own step.
 //!
 //! Both dtypes also step node by node, one image at a time
 //! ([`Lowered::execute_node_f32`] / [`Lowered::execute_node_i8`]), for the
 //! callers that read an intermediate node's output while it is live: the
 //! quantizer's calibration and fast-finetune, the oracle checks and the
-//! benchmark's per-op probe. Whole-frame inference, the DPU runtime's
-//! included, runs [`Lowered::execute_f32_into`] / [`Lowered::execute_i8_into`]. What the executor computes is pinned by the naive
-//! [`crate::oracle`]: INT8 bit for bit, FP32 within
-//! [`crate::oracle::F32_TOLERANCE`].
+//! benchmark's per-op probe. The INT8 steps take and give NCHW images at
+//! their boundary ([`Lowered::load_input_i8`], [`Lowered::node_output_i8`]).
+//! Whole-frame inference, the DPU runtime's included, runs
+//! [`Lowered::execute_f32_into`] / [`Lowered::execute_i8_into`]. What the
+//! executor computes is pinned by the naive [`crate::oracle`]: INT8 bit for
+//! bit, FP32 within [`crate::oracle::F32_TOLERANCE`].
 
 use crate::lower::{Lowered, PackedKernel};
 use crate::module::{ConvKernel, DType, IrOp, Module};
@@ -40,16 +36,18 @@ use crate::plan::ExecPlan;
 use seneca_tensor::activation::{relu_into, softmax_channels_into};
 use seneca_tensor::gemm::{GemmEpilogue, PackElem, Work};
 use seneca_tensor::igemm::{
-    igemm_conv_with, igemm_tconv2x2_packed, sgemm_conv_with, sgemm_tconv2x2_packed,
+    igemm_conv_quads, igemm_tconv2x2_quads, sgemm_conv_with, sgemm_tconv2x2_packed, QuadOut,
 };
 use seneca_tensor::im2col::ConvGeom;
 use seneca_tensor::norm::batchnorm_inference_into;
 use seneca_tensor::pool::maxpool2x2_into;
+use seneca_tensor::quad::{maxpool2x2_quads, pack_nchw, unpack_nchw};
 use seneca_tensor::{QTensor, QTensorView, Shape4, Tensor, TensorView};
 use std::ops::Range;
 
 /// Per-worker execution arena: one buffer holding every value of one image
-/// at its plan offset, and the GEMM work memory of the plan's convs, all
+/// at its plan offset (in INT8 as the kernels read it: bordered quad maps,
+/// [`seneca_tensor::quad`]), and the GEMM work memory of the plan's convs, all
 /// reused across frames, so steady-state inference allocates nothing. Built
 /// by [`Lowered::make_scratch_f32`] / [`Lowered::make_scratch_i8`] on the
 /// calling thread.
@@ -68,6 +66,10 @@ pub struct Scratch<T: PackElem> {
     /// The outputs of a batch of more than one image, image after image
     /// (empty until one runs).
     batch: Vec<T>,
+    /// The last INT8 quad map [`Lowered::node_output_i8`] read, as NCHW:
+    /// room for the largest value reserved with the arena, so that stepping
+    /// never regrows it.
+    view: Vec<T>,
 }
 
 /// The FP32 arena.
@@ -76,11 +78,12 @@ pub type FpScratch = Scratch<f32>;
 pub type QScratch = Scratch<i8>;
 
 impl<T: PackElem> Scratch<T> {
-    pub(crate) fn new(plan: ExecPlan, shapes: Vec<Shape4>, fps: Vec<i32>) -> Self {
+    pub(crate) fn new(plan: ExecPlan, shapes: Vec<Shape4>, fps: Vec<i32>, view: usize) -> Self {
         let arena = vec![T::ZERO; plan.peak_arena_elems()];
         let (strips, offsets) = plan.work();
         let work = Work::new(strips, offsets);
-        Self { plan, shapes, fps, arena, work, batch: Vec::new() }
+        let view = Vec::with_capacity(view);
+        Self { plan, shapes, fps, arena, work, batch: Vec::new(), view }
     }
 
     /// The execution plan this arena was built from.
@@ -99,33 +102,24 @@ impl<T: PackElem> Scratch<T> {
     pub fn arena_elems(&self) -> usize {
         self.arena.len()
     }
-
-    /// Seeds node 0 with one image of the arena's geometry.
-    fn load(&mut self, x: &[T]) {
-        self.arena[self.plan.range_of(0)].copy_from_slice(x);
-    }
-
-    fn output_of(&self, id: usize) -> (Shape4, &[T]) {
-        (self.shapes[id], &self.arena[self.plan.range_of(id)])
-    }
 }
 
 impl FpScratch {
+    /// Seeds node 0 with one image of the arena's geometry.
+    fn load(&mut self, x: &[f32]) {
+        self.arena[self.plan.range_of(0)].copy_from_slice(x);
+    }
+
+    fn output_of(&self, id: usize) -> (Shape4, &[f32]) {
+        (self.shapes[id], &self.arena[self.plan.range_of(id)])
+    }
+
     /// Borrowed view of one node's output. Valid only while the node's
     /// value is live under the plan (always true for the graph output after
     /// a full walk).
     pub fn node_output(&self, id: usize) -> TensorView<'_> {
         let (shape, data) = self.output_of(id);
         TensorView::new(shape, data)
-    }
-}
-
-impl QScratch {
-    /// Borrowed view of one node's output, valid while it is live (see
-    /// [`FpScratch::node_output`]).
-    pub fn node_output(&self, id: usize) -> QTensorView<'_> {
-        let (shape, data) = self.output_of(id);
-        QTensorView::new(shape, data, self.fps[id])
     }
 }
 
@@ -157,23 +151,19 @@ impl<'a, T> Values<'a, T> {
 }
 
 impl Lowered {
-    /// Runs a batch through the walk, image by image. The output of one
-    /// image is read in the arena; a batch of more than one copies each
+    /// Runs an FP32 batch through the walk, image by image. The output of
+    /// one image is read in the arena; a batch of more than one copies each
     /// image's output into the arena's batch buffer and returns that.
-    fn run<'s, T: PackElem>(
-        &self,
-        (s, x): (Shape4, &[T]),
-        scratch: &'s mut Scratch<T>,
-        step: impl Fn(usize, &mut Scratch<T>),
-    ) -> (Shape4, &'s [T]) {
-        let (image, out) = (s.with_n(1), self.module().output);
+    fn run<'s>(&self, x: &Tensor, scratch: &'s mut FpScratch) -> (Shape4, &'s [f32]) {
+        let (s, out) = (x.shape(), self.module().output);
+        let image = s.with_n(1);
         self.fit(scratch, image);
         let per_image = scratch.plan.elems_of(out);
-        scratch.batch.resize(if s.n == 1 { 0 } else { s.n * per_image }, T::ZERO);
-        for (k, x_k) in x.chunks_exact(image.len()).enumerate() {
+        scratch.batch.resize(if s.n == 1 { 0 } else { s.n * per_image }, 0.0);
+        for (k, x_k) in x.data().chunks_exact(image.len()).enumerate() {
             scratch.load(x_k);
             for id in 1..self.module().nodes.len() {
-                step(id, scratch);
+                self.execute_node_f32(id, scratch);
             }
             if s.n > 1 {
                 let Scratch { plan, arena, batch, .. } = &mut *scratch;
@@ -211,9 +201,7 @@ impl Lowered {
         input: &Tensor,
         scratch: &'s mut FpScratch,
     ) -> TensorView<'s> {
-        let (shape, data) = self.run((input.shape(), input.data()), scratch, |id, scratch| {
-            self.execute_node_f32(id, scratch)
-        });
+        let (shape, data) = self.run(input, scratch);
         TensorView::new(shape, data)
     }
 
@@ -305,19 +293,37 @@ impl Lowered {
         }
     }
 
-    /// Executes an INT8 program, image by image. The returned view borrows
-    /// the arena and stays valid until the next frame (a batch's, as in
-    /// [`Lowered::execute_f32_into`]).
+    /// Executes an INT8 program, image by image. The returned NCHW view
+    /// borrows the arena and stays valid until the next frame (a batch's, as
+    /// in [`Lowered::execute_f32_into`]).
     pub fn execute_i8_into<'s>(
         &self,
         input: &QTensor,
         scratch: &'s mut QScratch,
     ) -> QTensorView<'s> {
         assert_eq!(input.fix_pos(), self.fix_positions()[0], "input fix position");
-        let (shape, data) = self.run((input.shape(), input.data()), scratch, |id, scratch| {
-            self.execute_node_i8(id, scratch)
-        });
-        QTensorView::new(shape, data, self.fix_positions()[self.module().output])
+        let (s, out) = (input.shape(), self.module().output);
+        let image = s.with_n(1);
+        self.fit(scratch, image);
+        let per_image = scratch.shapes[out].len();
+        scratch.batch.resize(if s.n == 1 { 0 } else { s.n * per_image }, 0);
+        for (k, x) in input.data().chunks_exact(image.len()).enumerate() {
+            self.load_i8(x, scratch);
+            for id in 1..self.module().nodes.len() {
+                self.execute_node_i8(id, scratch);
+            }
+            if s.n > 1 {
+                let Scratch { plan, shapes, arena, batch, .. } = &mut *scratch;
+                self.read_i8(out, (plan, shapes, arena), &mut batch[k * per_image..][..per_image]);
+            }
+        }
+        match s.n {
+            1 => self.node_output_i8(out, scratch),
+            n => {
+                let shape = scratch.shapes[out].with_n(n);
+                QTensorView::new(shape, &scratch.batch, self.fix_positions()[out])
+            }
+        }
     }
 
     /// Allocating convenience wrapper around [`Lowered::execute_i8_into`].
@@ -326,29 +332,61 @@ impl Lowered {
         self.execute_i8_into(input, &mut scratch).to_qtensor()
     }
 
-    /// Seeds the input node's slot from a one-image quantised frame,
+    /// Seeds the input node's slot from a one-image quantised NCHW frame,
     /// re-planning the arena first when the frame has another geometry (pairs
     /// with [`Lowered::execute_node_i8`]).
     pub fn load_input_i8(&self, input: &QTensor, scratch: &mut QScratch) {
         assert_eq!(input.fix_pos(), self.fix_positions()[0], "input fix position");
         self.fit(scratch, input.shape());
-        scratch.load(input.data());
+        self.load_i8(input.data(), scratch);
     }
 
-    /// Borrowed view of one node's output, valid while it is live.
-    pub fn node_output_i8<'s>(&self, id: usize, scratch: &'s QScratch) -> QTensorView<'s> {
-        scratch.node_output(id)
+    /// Stores one NCHW image into the input node's quad map, border
+    /// included.
+    fn load_i8(&self, x: &[i8], scratch: &mut QScratch) {
+        let map = self.quads().map(0, scratch.shapes[0]);
+        pack_nchw(x, &self.quads().slots[0], map, &mut scratch.arena[scratch.plan.range_of(0)]);
+    }
+
+    /// Node `id`'s value as an NCHW image, into `dst`: the output conv's
+    /// image copied, any other node's quad map converted.
+    fn read_i8(
+        &self,
+        id: usize,
+        (plan, shapes, arena): (&ExecPlan, &[Shape4], &[i8]),
+        dst: &mut [i8],
+    ) {
+        let (value, quads) = (&arena[plan.range_of(id)], self.quads());
+        if quads.nchw == Some(id) {
+            dst.copy_from_slice(value);
+        } else {
+            unpack_nchw(value, quads.map(id, shapes[id]), &quads.slots[id], dst);
+        }
+    }
+
+    /// One node's output as an NCHW view, valid while the node is live: the
+    /// output conv's image where it lies, or the node's quad map converted
+    /// into the arena's view buffer.
+    pub fn node_output_i8<'s>(&self, id: usize, scratch: &'s mut QScratch) -> QTensorView<'s> {
+        let Scratch { plan, shapes, fps, arena, view, .. } = scratch;
+        let s = shapes[id];
+        if self.quads().nchw == Some(id) {
+            return QTensorView::new(s, &arena[plan.range_of(id)], fps[id]);
+        }
+        view.resize(s.len(), 0);
+        self.read_i8(id, (plan, shapes, arena), view);
+        QTensorView::new(s, view, fps[id])
     }
 
     /// Executes one INT8 node out of the scratch arena. Inputs must still
     /// be live under the plan — running ids in increasing order (as
-    /// [`Lowered::execute_i8_into`] does) satisfies this, because a value's bytes are only reused after its
-    /// last consumer has run. A concat whose inputs are both placed in it
-    /// executes nothing.
+    /// [`Lowered::execute_i8_into`] does) satisfies this, because a value's
+    /// bytes are only reused after its last consumer has run. A concat whose
+    /// inputs are both placed in it executes nothing.
     pub fn execute_node_i8(&self, id: usize, scratch: &mut QScratch) {
         let m = self.module();
         assert_eq!(m.dtype, DType::I8, "INT8 execution of a non-INT8 module");
-        let node = &m.nodes[id];
+        let (node, quads) = (&m.nodes[id], self.quads());
         let writes = scratch.plan.writes(id);
         if matches!(node.op, IrOp::Input) || writes.is_empty() {
             return; // seeded by `load_input_i8` / written in place by its producers
@@ -360,40 +398,33 @@ impl Lowered {
         }
         let Scratch { plan, shapes, fps, arena, work, .. } = scratch;
         let (out, values) = carve(arena, writes);
-        let view = |j: usize| (shapes[j], values.get(plan.range_of(j)));
+        let j = node.inputs[0];
+        let (g, x) = (quads.map(j, shapes[j]), values.get(plan.range_of(j)));
         match &node.op {
             IrOp::Input | IrOp::Concat { .. } => unreachable!(),
             IrOp::Conv(a) => {
-                let j = node.inputs[0];
-                let (xs, x) = view(j);
                 let ConvKernel::I8 { bias, in_fp, .. } = &a.kernel else {
                     panic!("FP32 kernel in an INT8 module")
                 };
                 debug_assert_eq!(fps[j], *in_fp, "qconv input fix position");
-                let shift = a.kernel.shift();
-                let (geom, relu) = (ConvGeom::same_3x3(xs), a.relu);
                 let Some(PackedKernel::ConvI8(pa)) = &self.packs()[id] else {
                     panic!("conv {id} is not packed as an INT8 conv")
                 };
-                igemm_conv_with(pa, &geom, x, bias, shift, relu, out, work);
+                let y =
+                    if quads.nchw == Some(id) { QuadOut::Nchw(out) } else { QuadOut::Quads(out) };
+                igemm_conv_quads(pa, g, x, bias, a.kernel.shift(), a.relu, y, work);
             }
             IrOp::TConv(a) => {
-                let j = node.inputs[0];
-                let (xs, x) = view(j);
                 let ConvKernel::I8 { in_fp, .. } = &a.kernel else {
                     panic!("FP32 kernel in an INT8 module")
                 };
                 debug_assert_eq!(fps[j], *in_fp, "qtconv input fix position");
-                let shift = a.kernel.shift();
                 let Some(PackedKernel::TConvI8 { pa, bias4 }) = &self.packs()[id] else {
                     panic!("tconv {id} is not packed as an INT8 tconv")
                 };
-                igemm_tconv2x2_packed(pa, x, xs.h, xs.w, bias4, shift, a.relu, out, work);
+                igemm_tconv2x2_quads(pa, g, x, bias4, a.kernel.shift(), a.relu, out, work);
             }
-            IrOp::MaxPool2x2 => {
-                let (xs, x) = view(node.inputs[0]);
-                maxpool2x2_into(xs, x, out);
-            }
+            IrOp::MaxPool2x2 => maxpool2x2_quads(g, x, out),
             IrOp::BatchNorm { .. } | IrOp::Relu | IrOp::Dropout { .. } | IrOp::Softmax => {
                 panic!("{} unsupported in an INT8 module", node.op.mnemonic(m.dtype))
             }
@@ -418,8 +449,9 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use seneca_tensor::gemm::{igemm_fused_packed, KOrder, PackedA};
-    use seneca_tensor::igemm::quad_band;
+    use seneca_tensor::igemm::reads_map;
     use seneca_tensor::norm::BnState;
+    use seneca_tensor::quad::{QuadMap, ZERO};
     use seneca_tensor::quantized::{choose_fix_pos, choose_fix_pos_bits, Bitwidth};
 
     fn rand_tensor(shape: Shape4, rng: &mut StdRng) -> Tensor {
@@ -517,8 +549,8 @@ mod tests {
     }
 
     /// Lowering packs exactly one kernel per conv/tconv node, of the node's
-    /// kind and dtype (an INT8 conv in channel quads, so that it can read a
-    /// row band), and none for any other node.
+    /// kind and dtype (an INT8 conv in channel quads, so that it can read
+    /// its input's quad map in place), and none for any other node.
     #[test]
     fn lowering_packs_one_kernel_per_conv_and_tconv() {
         let mut rng = StdRng::seed_from_u64(38);
@@ -543,7 +575,7 @@ mod tests {
                     | (IrOp::TConv(_), DType::F32, Some(P::TConvF32 { .. }))
                     | (IrOp::TConv(_), DType::I8, Some(P::TConvI8 { .. })) => true,
                     (IrOp::Conv(_), DType::I8, Some(P::ConvI8(pa))) => {
-                        band += usize::from(quad_band(pa, &ConvGeom::same_3x3(input)).is_some());
+                        band += usize::from(reads_map(input.w));
                         pa.order() == (KOrder::Conv { taps: 9 })
                     }
                     (op, _, None) => !matches!(op, IrOp::Conv(_) | IrOp::TConv(_)),
@@ -553,7 +585,7 @@ mod tests {
                 assert!(ok, "node {id} ({}): packed {kind:?}", node.op.mnemonic(m.dtype));
             }
         }
-        assert_eq!(band, 5, "every INT8 conv (widths 8 and 16) reads a row band");
+        assert_eq!(band, 5, "every INT8 conv (widths 8 and 16) reads its map in place");
     }
 
     /// A quantised conv/tconv kernel from FP32 weights and bias: weights on
@@ -643,7 +675,13 @@ mod tests {
             let got = values(pa);
             assert!(got.iter().all(|v| (-8..=7).contains(v)), "W4 panel values");
             if matches!(node.op, IrOp::Conv(_)) {
-                assert_eq!(got, w.data(), "conv panels hold the W4 weights");
+                // Over the input map's 4 channels, the 2 real ones first.
+                let ws = w.shape();
+                let mut want = vec![0i8; ws.n * 4 * 9];
+                for (src, dst) in w.data().chunks_exact(ws.c * 9).zip(want.chunks_exact_mut(36)) {
+                    dst[..ws.c * 9].copy_from_slice(src);
+                }
+                assert_eq!(got, want, "conv panels hold the W4 weights");
             }
             w4.push(node.op.mnemonic(DType::I8));
         }
@@ -652,7 +690,7 @@ mod tests {
 
     /// A W4 kernel packs into the INT8 panels, so lowering checks that its
     /// weights lie in `[-8, 7]`: one weight of 8 panics for a conv that
-    /// gathers, a tconv and a conv that reads a row band alike.
+    /// gathers, a tconv and a conv that reads its map in place alike.
     #[test]
     fn lowering_rejects_w4_weights_outside_the_4_bit_range() {
         let mut rng = StdRng::seed_from_u64(36);
@@ -665,8 +703,8 @@ mod tests {
         for (mut m, id, shape, band) in cases {
             let lowered = lower(m.clone(), shape, &LowerOptions::reference());
             let input = lowered.shapes()[lowered.module().nodes[id].inputs[0]];
-            let reads_band = matches!(&lowered.packs()[id],
-                Some(PackedKernel::ConvI8(pa)) if quad_band(pa, &ConvGeom::same_3x3(input)).is_some());
+            let reads_band =
+                matches!(&lowered.packs()[id], Some(PackedKernel::ConvI8(_))) && reads_map(input.w);
             assert_eq!(reads_band, band, "node {id}");
             let (IrOp::Conv(a) | IrOp::TConv(a)) = &mut m.nodes[id].op else { unreachable!() };
             let ConvKernel::I8 { w, .. } = &mut a.kernel else { unreachable!() };
@@ -778,7 +816,7 @@ mod tests {
         assert_eq!((y.fix_pos(), y.data()), (4, &[16, 33, 16, 33][..]));
     }
 
-    /// A placed concat feeding a conv that reads a row band, with another
+    /// A placed concat feeding a conv that reads its map in place, with another
     /// and an output concat around it, batch of two: the first concat's producers
     /// write its value in place (it writes nothing), the output concat
     /// places its conv and copies the value already placed in the first
@@ -804,24 +842,26 @@ mod tests {
             (0..2).map(|_| QTensor::quantize(&rand_tensor(s, &mut rng), 6)).collect();
         let lowered = assert_i8_matches_oracle(&m, &frames);
         let band = |id: usize| {
-            let input = ConvGeom::same_3x3(lowered.shapes()[lowered.module().nodes[id].inputs[0]]);
-            matches!(&lowered.packs()[id], Some(PackedKernel::ConvI8(pa)) if quad_band(pa, &input).is_some())
+            let input = lowered.shapes()[lowered.module().nodes[id].inputs[0]];
+            matches!(&lowered.packs()[id], Some(PackedKernel::ConvI8(_))) && reads_map(input.w)
         };
-        assert!([c1, c2, c3].into_iter().all(band), "every conv at 16x16 reads a row band");
+        assert!([c1, c2, c3].into_iter().all(band), "every conv at 16x16 reads its map in place");
         let plan = lowered.plan();
-        let (r, plane) = (plan.range_of(cat), 16 * 16);
-        let halves = (r.start..r.start + 8 * plane, r.start + 8 * plane..r.end);
+        // A bordered 16x16 plane per channel quad.
+        let (r, plane) = (plan.range_of(cat), 18 * 18 * 4);
+        let halves = (r.start..r.start + 2 * plane, r.start + 2 * plane..r.end);
         assert_eq!((plan.range_of(c1), plan.range_of(c2)), halves);
         assert!(plan.writes(cat).is_empty());
         let r = plan.range_of(out);
-        assert_eq!(plan.range_of(c3), r.start..r.start + 4 * plane);
-        assert_eq!(plan.writes(out), r.start + 4 * plane..r.end, "copies the placed c2");
+        assert_eq!(plan.range_of(c3), r.start..r.start + plane);
+        assert_eq!(plan.writes(out), r.start + plane..r.end, "copies the placed c2");
         let mut scratch = lowered.make_scratch_i8();
         let sizes = |s: &QScratch| (s.work.strip_len(), s.work.offset_capacity());
         let planned = sizes(&scratch);
         let (strips, offsets) = scratch.plan.work();
         assert!(planned.0 == strips && planned.1 >= offsets, "{planned:?} vs {strips} {offsets}");
-        assert!(strips > 0 && offsets > 0);
+        // Reading their maps in place, the convs pack no strip.
+        assert!(strips == 0 && offsets > 0);
         for x in &frames {
             lowered.execute_i8_into(x, &mut scratch);
             assert_eq!(sizes(&scratch), planned, "the driver grew the arena's work memory");
@@ -865,5 +905,167 @@ mod tests {
         let xq = QTensor::quantize(&rand_tensor(s, &mut rng), 6);
         let _ = lowered_q.execute_i8_into(&xq, &mut qscratch);
         assert_eq!(qscratch.arena_elems(), qscratch.plan().peak_arena_elems());
+    }
+
+    /// Appends a conv (`ws` 3x3) or tconv (`ws` 2x2) of random weights and
+    /// bias reading `x` at fix position `in_fp`, W8 or W4 and ReLU-fused or
+    /// not at random.
+    fn random_layer(
+        m: &mut Module,
+        x: usize,
+        ws: Shape4,
+        fps: (i32, i32),
+        rng: &mut StdRng,
+    ) -> usize {
+        let bits = if rng.gen_bool(0.5) { Bitwidth::W4 } else { Bitwidth::W8 };
+        let tconv = ws.h == 2;
+        let kernel = rand_qkernel(ws, if tconv { ws.c } else { ws.n }, fps.0, fps.1, bits, rng);
+        let attrs = ConvAttrs { kernel, relu: rng.gen_bool(0.5) };
+        m.push(if tconv { IrOp::TConv(attrs) } else { IrOp::Conv(attrs) }, vec![x])
+    }
+
+    /// [`random_layer`] for a `c_in -> c_out` conv of `x = (node, fix
+    /// position)`, its output fix position following `k`, so that values
+    /// stay spread over the `i8` range.
+    fn random_conv(
+        m: &mut Module,
+        x: (usize, i32),
+        c: (usize, usize),
+        rng: &mut StdRng,
+    ) -> (usize, i32) {
+        let out_fp = (8 - (9 * c.0).ilog2() as i32 / 2).clamp(1, 7);
+        (random_layer(m, x.0, Shape4::new(c.1, c.0, 3, 3), (x.1, out_fp), rng), out_fp)
+    }
+
+    /// A random INT8 U-Net: `c_in` input channels, `c << l` channels at level
+    /// `l` of `depth`, `classes` output channels. Per level two convs and a
+    /// pool, the bottom's two convs, then per level back up a tconv, a
+    /// concat with the level's skip (at the skip's fix position) and two
+    /// convs, then the output conv.
+    fn random_unet_i8(
+        (c_in, c, depth, classes): (usize, usize, usize, usize),
+        rng: &mut StdRng,
+    ) -> Module {
+        let mut m = Module::new("unet-i8", DType::I8);
+        m.input_fp = 6;
+        let (mut x, mut ch, mut skips) = ((0, 6), c_in, Vec::new());
+        for l in 0..depth {
+            x = random_conv(&mut m, x, (ch, c << l), rng);
+            x = random_conv(&mut m, x, (c << l, c << l), rng);
+            skips.push(x);
+            ch = c << l;
+            x = (m.push(IrOp::MaxPool2x2, vec![x.0]), x.1);
+        }
+        x = random_conv(&mut m, x, (ch, c << depth), rng);
+        x = random_conv(&mut m, x, (c << depth, c << depth), rng);
+        ch = c << depth;
+        for (l, skip) in skips.into_iter().enumerate().rev() {
+            let cs = c << l;
+            let t = random_layer(&mut m, x.0, Shape4::new(ch, cs, 2, 2), (x.1, skip.1), rng);
+            let cat = m.push(IrOp::Concat {}, vec![skip.0, t]);
+            x = random_conv(&mut m, (cat, skip.1), (2 * cs, cs), rng);
+            x = random_conv(&mut m, x, (cs, cs), rng);
+            ch = cs;
+        }
+        random_conv(&mut m, x, (ch, classes), rng);
+        m
+    }
+
+    /// The executor against the oracle, bit for bit, on random INT8 U-Nets
+    /// over every width from 1 to 34, odd and even, at heights 2 to 8: the
+    /// deepest U-Net (up to 2 levels) the width and height pool to whole
+    /// maps, so odd widths are read at the top or at the bottom level; top
+    /// levels of 1, 3, 6, 11 and 22 channels (concat halves on and off the
+    /// quad grid), W4 and W8 weights and ReLU on and off at random. Two
+    /// frames through the stepped API (every node, [`oracle::check_i8`]),
+    /// then a batch of two through [`Lowered::execute_i8_into`], all on one
+    /// arena.
+    #[test]
+    fn random_unets_match_the_oracle_at_every_width() {
+        for w in 1..=34usize {
+            let mut rng = StdRng::seed_from_u64(500 + w as u64);
+            let depth = w.trailing_zeros().min(2) as usize;
+            let heights: Vec<usize> = (2..=8).filter(|h| h % (1 << depth) == 0).collect();
+            let h = heights[rng.gen_range(0..heights.len())];
+            let c = [1, 3, 6, 11, 22][w % 5];
+            let (c_in, classes) = ([1, 3][w % 2], [6, 1, 4][w % 3]);
+            let m = random_unet_i8((c_in, c, depth, classes), &mut rng);
+            let s = Shape4::new(2, c_in, h, w);
+            let x = QTensor::quantize(&rand_tensor(s, &mut rng), 6);
+            let lowered = lower(m, s, &LowerOptions::reference());
+            let mut scratch = lowered.make_scratch_i8();
+            for _ in 0..2 {
+                let x = QTensor::quantize(&rand_tensor(s.with_n(1), &mut rng), 6);
+                oracle::check_i8(&lowered, &mut scratch, &x);
+            }
+            let want = oracle::run_i8(lowered.module(), &x).swap_remove(lowered.module().output);
+            let got = lowered.execute_i8_into(&x, &mut scratch).to_qtensor();
+            assert_eq!(got, want, "c{c_in} -> {c} depth {depth} at {h}x{w}");
+            let live = got.data().iter().filter(|&&v| v != 0 && (-126..=126).contains(&v)).count();
+            assert!(live > 0, "c{c_in} -> {c} depth {depth} at {h}x{w}: output dead or saturated");
+        }
+    }
+
+    /// Whether every border byte of the quad map `map` of geometry `g` reads
+    /// `0x80`.
+    fn border_is_zero(map: &[i8], g: QuadMap) -> bool {
+        map.chunks_exact(g.plane()).all(|plane| {
+            plane.chunks_exact(g.row()).enumerate().all(|(y, r)| {
+                let edge = [&r[..4], &r[r.len() - 4..]];
+                let mut bytes: Box<dyn Iterator<Item = &i8>> = if y == 0 || y == g.h + 1 {
+                    Box::new(r.iter())
+                } else {
+                    Box::new(edge.into_iter().flatten())
+                };
+                bytes.all(|&b| b == ZERO)
+            })
+        })
+    }
+
+    /// Slot reuse never leaks into a border: two frames, then a frame of
+    /// another geometry (a re-planned arena) through one arena first filled
+    /// with stale bytes, stepped node by node; before every conv and tconv
+    /// reads its input map, that map's border reads `0x80` (each producer
+    /// writes its own, over what the slot held before), and every node
+    /// matches the oracle.
+    #[test]
+    fn borders_read_zero_before_every_conv_across_slot_reuse() {
+        let mut rng = StdRng::seed_from_u64(77);
+        let m = random_unet_i8((1, 6, 2, 6), &mut rng);
+        let (a, b) = (Shape4::new(1, 1, 16, 12), Shape4::new(1, 1, 8, 20));
+        let lowered = lower(m, a, &LowerOptions::reference());
+        let mut scratch = lowered.make_scratch_i8();
+        let (mut convs, mut reuses) = (0, 0);
+        for (frame, s) in [a, a, b].into_iter().enumerate() {
+            lowered.fit(&mut scratch, s);
+            if frame != 1 {
+                scratch.arena.fill(0x33);
+            }
+            let x = QTensor::quantize(&rand_tensor(s, &mut rng), 6);
+            let want = oracle::run_i8(lowered.module(), &x);
+            lowered.load_input_i8(&x, &mut scratch);
+            for (id, node) in lowered.module().nodes.iter().enumerate().skip(1) {
+                if matches!(node.op, IrOp::Conv(_) | IrOp::TConv(_)) {
+                    let j = node.inputs[0];
+                    let g = lowered.quads().map(j, scratch.shapes[j]);
+                    let r = scratch.plan.range_of(j);
+                    assert!(
+                        border_is_zero(&scratch.arena[r.clone()], g),
+                        "frame {frame} node {id}"
+                    );
+                    convs += 1;
+                    // Another value held these bytes earlier in the walk.
+                    let earlier = (1..j).any(|i| {
+                        let o = scratch.plan.range_of(i);
+                        o.start < r.end && r.start < o.end
+                    });
+                    reuses += usize::from(earlier);
+                }
+                lowered.execute_node_i8(id, &mut scratch);
+                let got = lowered.node_output_i8(id, &mut scratch).to_qtensor();
+                assert_eq!(got, want[id], "frame {frame} node {id}");
+            }
+        }
+        assert!(convs > 30 && reuses > 5, "{convs} conv reads, {reuses} over reused slots");
     }
 }

@@ -8,22 +8,25 @@
 //! indexed by node id. Weights are immutable at inference, so their GEMM
 //! A-operand panels are packed exactly once here; each frame then only packs
 //! the activation (B) panels, which is where the per-frame pack share of the
-//! 16M model drops measurably. An INT8 conv's weights are packed in channel
-//! quads ([`seneca_tensor::gemm::PackedA::pack_conv`]), so that a 3x3 conv
-//! on a width of whole 16-column halves reads its activations from a row
-//! band in place; the plan's GEMM work memory is sized from the packed
+//! 16M model drops measurably. An INT8 program keeps every value as a
+//! bordered quad map ([`seneca_tensor::quad`]), so its conv weights are
+//! packed in channel quads over the input map's channels
+//! ([`seneca_tensor::gemm::PackedA::pack_conv`], zero rows for the lanes a
+//! concat half off the quad grid leaves unused) and its tconv weights in
+//! output quads; the plan's GEMM work memory is sized from the packed
 //! kernels. W8 and W4 kernels pack into the same INT8 panels; a W4 kernel's
 //! weights are checked to lie in `[-8, 7]` as they are packed.
 
 use crate::exec::{FpScratch, QScratch, Scratch};
-use crate::module::{ConvKernel, DType, IrOp, Module};
+use crate::module::{ConvKernel, DType, IrNode, IrOp, Module};
 use crate::passes::{fuse_batchnorm, fuse_relu, strip_identities, PassStats};
 use crate::plan::ExecPlan;
-use seneca_tensor::gemm::{strip_scratch_len, PackElem, PackedA};
-use seneca_tensor::igemm::{igemm_conv_scratch, igemm_tconv_scratch, sgemm_conv_scratch};
+use seneca_tensor::gemm::{strip_scratch_len, PackElem, PackedA, QUAD};
+use seneca_tensor::igemm::{igemm_map_scratch, sgemm_conv_scratch};
 use seneca_tensor::im2col::ConvGeom;
+use seneca_tensor::quad::QuadMap;
 use seneca_tensor::quantized::Bitwidth;
-use seneca_tensor::tconv::repack_tconv_weights;
+use seneca_tensor::tconv::{repack_tconv_quads, repack_tconv_weights};
 use seneca_tensor::Shape4;
 
 /// How a lowering runs. A lowering keeps the graph's own arithmetic: it
@@ -64,7 +67,8 @@ pub enum PackedKernel {
         /// output channel, or empty.
         bn: Vec<(f32, f32)>,
     },
-    /// INT8 (W8 or W4) conv: `[C_out, C_in*K*K]` panels in channel quads.
+    /// INT8 (W8 or W4) conv: `[C_out, C*9]` panels in channel quads over
+    /// the `C` channels of its input's quad map.
     ConvI8(PackedA<i8>),
     /// FP32 transpose conv: co-major `[4*C_out, C_in]` panels (row
     /// `co*4 + kidx`) plus the per-row-replicated bias (empty when the conv
@@ -75,12 +79,14 @@ pub enum PackedKernel {
         /// Bias replicated per kernel position (`4*C_out`, or empty).
         bias4: Vec<f32>,
     },
-    /// INT8 (W8 or W4) transpose conv: co-major `[4*C_out, C_in]` panels
-    /// plus the per-row-replicated accumulator-scale bias.
+    /// INT8 (W8 or W4) transpose conv: `[16 ⌈C_out/4⌉, C]` panels in
+    /// output quads over the `C` channels of its input's quad map
+    /// ([`seneca_tensor::tconv::repack_tconv_quads`]) plus the accumulator-
+    /// scale bias in the same row order.
     TConvI8 {
         /// Packed repacked weights.
         pa: PackedA<i8>,
-        /// Bias replicated per kernel position (`4*C_out`).
+        /// Bias per GEMM row (zero for the lanes past `C_out`).
         bias4: Vec<i32>,
     },
 }
@@ -109,7 +115,55 @@ pub struct Lowered {
     plan: ExecPlan,
     /// Per node: its packed panels (`Some` exactly for conv/tconv nodes).
     packs: Vec<Option<PackedKernel>>,
+    quads: QuadLayout,
     stats: PassStats,
+}
+
+/// Where an INT8 program keeps its values: each as a bordered quad map
+/// ([`seneca_tensor::quad`]), but the graph's output, when it is a conv no
+/// node reads, as an NCHW `i8` image. Geometry-free: the channels of a node
+/// are the same at every input size. Empty for FP32.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct QuadLayout {
+    /// Per node: the padded channel (slot) of each of its channels.
+    pub(crate) slots: Vec<Vec<usize>>,
+    /// Per node: its map's channels (whole quads).
+    pub(crate) chans: Vec<usize>,
+    /// The output conv, stored NCHW.
+    pub(crate) nchw: Option<usize>,
+}
+
+impl QuadLayout {
+    /// The layout of `m`'s values, their channel counts read off `shapes`: a
+    /// conv or tconv fills the first lanes of its own quads, a concat is its
+    /// inputs' planes one after the other, and any other op keeps its
+    /// input's lanes.
+    fn new(m: &Module, shapes: &[Shape4]) -> Self {
+        let mut q = Self::default();
+        for (node, s) in m.nodes.iter().zip(shapes) {
+            let (slots, chans) = match (&node.op, &node.inputs[..]) {
+                (IrOp::Input | IrOp::Conv(_) | IrOp::TConv(_), _) => {
+                    ((0..s.c).collect(), s.c.next_multiple_of(QUAD))
+                }
+                (IrOp::Concat {}, &[a, b]) => {
+                    let b_slots = q.slots[b].iter().map(|&t| q.chans[a] + t);
+                    (q.slots[a].iter().copied().chain(b_slots).collect(), q.chans[a] + q.chans[b])
+                }
+                (_, ins) => (q.slots[ins[0]].clone(), q.chans[ins[0]]),
+            };
+            q.slots.push(slots);
+            q.chans.push(chans);
+        }
+        let out = m.output;
+        let read = m.nodes.iter().any(|n| n.inputs.contains(&out));
+        q.nchw = (matches!(m.nodes[out].op, IrOp::Conv(_)) && !read).then_some(out);
+        q
+    }
+
+    /// The quad map of node `id` at one-image shape `s`.
+    pub(crate) fn map(&self, id: usize, s: Shape4) -> QuadMap {
+        QuadMap { c: self.chans[id], h: s.h, w: s.w }
+    }
 }
 
 /// Runs the pass pipeline on `module` and materialises the lowered program
@@ -123,18 +177,44 @@ pub fn lower(mut module: Module, input: Shape4, opts: &LowerOptions) -> Lowered 
     stats.identities_removed = strip_identities(&mut module, false);
     let shapes = module.shapes(input);
     let fps = module.fix_positions();
+    let quads = match module.dtype {
+        DType::F32 => QuadLayout::default(),
+        DType::I8 => QuadLayout::new(&module, &shapes),
+    };
     let nodes = module.nodes.iter().enumerate();
-    let packs: Vec<_> = nodes.map(|(id, node)| pack(id, &node.op)).collect();
-    let mut plan = module.plan(input);
-    plan.set_work(gemm_work(&module, &packs, &shapes));
-    Lowered { module, input, shapes, fps, plan, packs, stats }
+    let packs: Vec<_> = nodes.map(|(id, node)| pack(id, node, &quads)).collect();
+    let plan = plan(&module, &quads, &packs, input);
+    Lowered { module, input, shapes, fps, plan, packs, quads, stats }
+}
+
+/// The liveness plan of one image of `input` with its GEMM work memory: over
+/// NCHW values in FP32, over bordered quad maps in INT8 (but an NCHW output
+/// conv).
+fn plan(m: &Module, quads: &QuadLayout, packs: &[Option<PackedKernel>], input: Shape4) -> ExecPlan {
+    let image = input.with_n(1);
+    let shapes = m.shapes(image);
+    let mut plan = match m.dtype {
+        DType::F32 => m.plan(image),
+        DType::I8 => m.plan_padded(image, |id, s| {
+            if quads.nchw == Some(id) {
+                s.len()
+            } else {
+                quads.map(id, s).len()
+            }
+        }),
+    };
+    plan.set_work(gemm_work(m, packs, &shapes, quads));
+    plan
 }
 
 /// Packs the weight tensor of node `id`, if it is a conv/tconv, once (model
-/// load time); the panels serve every input geometry. A W4 kernel packs into
-/// the same panels as a W8 one, so its weights must lie in `[-8, 7]`: wider
-/// values would compute a layer the DPU's 4-bit weights cannot hold.
-fn pack(id: usize, op: &IrOp) -> Option<PackedKernel> {
+/// load time); the panels serve every input geometry. An INT8 kernel packs
+/// over the channels of its input's quad map (`quads`), its weights at their
+/// channels' slots. A W4 kernel packs into the same panels as a W8 one, so
+/// its weights must lie in `[-8, 7]`: wider values would compute a layer the
+/// DPU's 4-bit weights cannot hold.
+fn pack(id: usize, node: &IrNode, quads: &QuadLayout) -> Option<PackedKernel> {
+    let op = &node.op;
     let (kernel, transpose) = match op {
         IrOp::Conv(a) => (&a.kernel, false),
         IrOp::TConv(a) => (&a.kernel, true),
@@ -165,11 +245,14 @@ fn pack(id: usize, op: &IrOp) -> Option<PackedKernel> {
                 PackedKernel::TConvF32 { pa: PackedA::pack(4 * c_out, c_in, &wk), bias4 }
             }
             ConvKernel::I8 { w, bias, .. } => {
-                let mut wk = vec![0i8; 4 * c_out * c_in];
-                repack_tconv_weights(c_in, c_out, w.data(), &mut wk);
+                let x = node.inputs[0];
+                let (slots, c_map) = (&quads.slots[x], quads.chans[x]);
+                let wk = repack_tconv_quads(c_out, slots, c_map, w.data());
+                let rows = wk.len() / c_map.max(1);
+                // Row `16q + 8ky + 4kx + l` is output channel `4q + l`.
                 let bias4: Vec<i32> =
-                    (0..4 * c_out).map(|i| bias.get(i / 4).copied().unwrap_or(0)).collect();
-                PackedKernel::TConvI8 { pa: PackedA::pack(4 * c_out, c_in, &wk), bias4 }
+                    (0..rows).map(|r| bias.get(r / 16 * 4 + r % 4).copied().unwrap_or(0)).collect();
+                PackedKernel::TConvI8 { pa: PackedA::pack(rows, c_map, &wk), bias4 }
             }
         }
     } else {
@@ -188,8 +271,17 @@ fn pack(id: usize, op: &IrOp) -> Option<PackedKernel> {
                 }
             }
             ConvKernel::I8 { w, .. } => {
-                let ws = w.shape();
-                PackedKernel::ConvI8(PackedA::pack_conv(ws.n, ws.c, ws.h * ws.w, w.data()))
+                let (ws, x) = (w.shape(), node.inputs[0]);
+                let (slots, c_map, taps) = (&quads.slots[x], quads.chans[x], ws.h * ws.w);
+                let mut wk = vec![0i8; ws.n * c_map * taps];
+                for (src, dst) in
+                    w.data().chunks_exact(ws.c * taps).zip(wk.chunks_exact_mut(c_map * taps))
+                {
+                    for (&s, tap) in slots.iter().zip(src.chunks_exact(taps)) {
+                        dst[s * taps..][..taps].copy_from_slice(tap);
+                    }
+                }
+                PackedKernel::ConvI8(PackedA::pack_conv(ws.n, c_map, taps, &wk))
             }
         }
     };
@@ -206,24 +298,26 @@ fn pack(id: usize, op: &IrOp) -> Option<PackedKernel> {
 /// the executor's worker arena ([`crate::exec::Scratch`]). Mirrors what the
 /// kernels allocate via [`seneca_tensor::gemm::strip_scratch_len`],
 /// [`seneca_tensor::igemm::sgemm_conv_scratch`] and
-/// [`seneca_tensor::igemm::igemm_conv_scratch`]. Returns `(strip elements,
+/// [`seneca_tensor::igemm::igemm_map_scratch`]. Returns `(strip elements,
 /// offsets, strip element bytes)`.
 fn gemm_work(
     m: &Module,
     packs: &[Option<PackedKernel>],
     shapes: &[Shape4],
+    quads: &QuadLayout,
 ) -> (usize, usize, usize) {
     let (mut strips, mut offsets) = (0, 0);
     for ((node, pack), out) in m.nodes.iter().zip(packs).zip(shapes) {
         let Some(pack) = pack else { continue };
-        let s = shapes[node.inputs[0]];
+        let (x, s) = (node.inputs[0], shapes[node.inputs[0]]);
         // The implicit im2col GEMM is [C_out x C_in*9 x H*W]; a tconv's is
         // [4*C_out x C_in x H*W], its column parts cut on input rows.
         let (st, off) = match pack {
             PackedKernel::ConvF32 { .. } => sgemm_conv_scratch(out.c, &ConvGeom::same_3x3(s)),
-            PackedKernel::ConvI8(pa) => igemm_conv_scratch(pa, &ConvGeom::same_3x3(s)),
             PackedKernel::TConvF32 { .. } => (strip_scratch_len(4 * out.c, s.c, s.hw(), s.w, 4), 0),
-            PackedKernel::TConvI8 { pa, .. } => igemm_tconv_scratch(pa, s.h, s.w),
+            PackedKernel::ConvI8(pa) | PackedKernel::TConvI8 { pa, .. } => {
+                igemm_map_scratch(pa, quads.map(x, s))
+            }
         };
         (strips, offsets) = (strips.max(st), offsets.max(off));
     }
@@ -298,12 +392,21 @@ impl Lowered {
         self.make_scratch(input)
     }
 
+    /// Where this INT8 program keeps its values.
+    pub(crate) fn quads(&self) -> &QuadLayout {
+        &self.quads
+    }
+
     fn make_scratch<T: PackElem>(&self, input: Shape4) -> Scratch<T> {
         let image = input.with_n(1);
-        let shapes = self.module.shapes(image);
-        let mut plan = self.module.plan(image);
-        plan.set_work(gemm_work(&self.module, &self.packs, &shapes));
-        Scratch::new(plan, shapes, self.fps.clone())
+        let (plan, shapes) =
+            (plan(&self.module, &self.quads, &self.packs, image), self.module.shapes(image));
+        // The NCHW view of an INT8 quad map: room for the largest value.
+        let view = match self.module.dtype {
+            DType::F32 => 0,
+            DType::I8 => shapes.iter().map(Shape4::len).max().unwrap_or(0),
+        };
+        Scratch::new(plan, shapes, self.fps.clone(), view)
     }
 
     /// Re-plans `scratch` when it was built for another geometry than

@@ -313,25 +313,27 @@ impl Module {
     /// the given input geometry. It holds no GEMM work memory: that follows
     /// the packed kernels, so [`crate::lower::Lowered::plan`] adds it.
     pub fn plan(&self, input: Shape4) -> ExecPlan {
-        self.plan_padded(input, |c| c)
+        self.plan_padded(input, |_, s| s.len())
     }
 
-    /// [`Module::plan`] over channel-padded element counts: node `i`
-    /// contributes `h * w * pad_c(c)` elements, a concat its inputs' (each
-    /// input padded on its own in its slot). This is the single ICP-padding
-    /// hook shared by the host executor arenas (`pad_c` identity) and the DPU
-    /// compiler's DDR accounting (`pad_c = arch.pad_channels`), so the two
-    /// can never drift.
-    pub fn plan_padded(&self, input: Shape4, pad_c: impl Fn(usize) -> usize) -> ExecPlan {
+    /// [`Module::plan`] over padded element counts: node `i` of one-image
+    /// shape `s` contributes `elems(i, s)` elements, a concat its inputs'
+    /// (each input padded on its own in its slot). This is the single padding
+    /// hook shared by the FP32 arena (`s.len()`), the INT8 arena (channels
+    /// padded to quads of the kernel, plus a one-pixel border:
+    /// [`seneca_tensor::quad`]) and the DPU compiler's DDR accounting
+    /// (channels padded to the array's 16, no border), so they can never
+    /// drift.
+    pub fn plan_padded(&self, input: Shape4, elems: impl Fn(usize, Shape4) -> usize) -> ExecPlan {
         let shapes = self.shapes(input.with_n(1));
         let concat: Vec<bool> =
             self.nodes.iter().map(|n| matches!(n.op, IrOp::Concat { .. })).collect();
-        let mut elems: Vec<usize> = Vec::with_capacity(shapes.len());
-        for ((node, s), &cat) in self.nodes.iter().zip(&shapes).zip(&concat) {
-            let e =
-                if cat { node.inputs.iter().map(|&j| elems[j]).sum() } else { s.hw() * pad_c(s.c) };
-            elems.push(e);
+        let mut counts: Vec<usize> = Vec::with_capacity(shapes.len());
+        for (i, ((node, &s), &cat)) in self.nodes.iter().zip(&shapes).zip(&concat).enumerate() {
+            let e = if cat { node.inputs.iter().map(|&j| counts[j]).sum() } else { elems(i, s) };
+            counts.push(e);
         }
+        let elems = counts;
         let inputs: Vec<&[usize]> = self.nodes.iter().map(|n| n.inputs.as_slice()).collect();
         ExecPlan::build(&inputs, &elems, &concat, self.output)
     }

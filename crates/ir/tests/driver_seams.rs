@@ -1,11 +1,12 @@
 //! The executor against the naive oracle at geometries where the GEMM driver
 //! under it really cuts strips and forks: batch of two, non-square,
-//! non-power-of-two widths (a transpose-conv or row-band column part must
-//! cover whole input or output rows whatever `w` is), W8 and two W4 masks,
-//! both dtypes. The INT8 program runs every conv kind: at an even width its
-//! two convs read row bands (whose 16-column halves straddle output rows at
-//! 144 = 4.5 x 32, and are read in 2-column pieces at 150), at an odd width
-//! they gather panels, and a transpose conv. The unit tests in `exec.rs` cover every op on 8x8 frames,
+//! non-power-of-two widths (a transpose-conv, row-band or map column part
+//! must cover whole input or output rows whatever `w` is), W8 and two W4
+//! masks, both dtypes. The INT8 program runs every conv kind: at an even
+//! width its two convs and its transpose conv read their quad maps in place
+//! (whose 16-column halves straddle output rows at 144 = 4.5 x 32, and are
+//! read in 2-column pieces at 150), at an odd width they gather panels from
+//! them. The unit tests in `exec.rs` cover every op on 8x8 frames,
 //! which the driver runs inline under one strip; this file covers what they
 //! cannot reach.
 
@@ -16,17 +17,17 @@ use seneca_ir::{
     lower, Bitwidth, ConvAttrs, ConvKernel, DType, IrNode, IrOp, LowerOptions, Lowered, Module,
     PackedKernel,
 };
+use seneca_tensor::gemm::KOrder;
 use seneca_tensor::gemm::{FORK_MIN_MACS, NR, QUAD, STRIP_BYTES};
-use seneca_tensor::igemm::quad_band;
-use seneca_tensor::im2col::ConvGeom;
+use seneca_tensor::igemm::reads_map;
 use seneca_tensor::quantized::choose_fix_pos_bits;
 use seneca_tensor::{QTensor, Shape4, Tensor};
 
 /// Input geometry: 38 x 149 = 5662 columns per image; INT8 convs gather.
 const INPUT: Shape4 = Shape4 { n: 2, c: 6, h: 38, w: 149 };
-/// 38 x 144 = 5472 columns per image; INT8 convs read row bands.
+/// 38 x 144 = 5472 columns per image; INT8 convs read their maps in place.
 const BAND_INPUT: Shape4 = Shape4 { w: 144, ..INPUT };
-/// 38 x 150 = 5700 columns per image; INT8 convs read row bands in pieces of
+/// 38 x 150 = 5700 columns per image; INT8 convs read in place in pieces of
 /// `gcd(150, 16) = 2` columns.
 const PIECE_INPUT: Shape4 = Shape4 { w: 150, ..INPUT };
 /// conv 6 -> 32, conv 32 -> 64, tconv 64 -> 8.
@@ -56,10 +57,10 @@ fn weight_shape(i: usize) -> Shape4 {
 
 /// The sizes above are chosen so that every layer forks at both widths and
 /// cuts at least two strips in INT8 (hence more in FP32), `k` padded to
-/// whole quads, and that the convs read row bands at [`BAND_INPUT`]'s width,
+/// whole quads, and that the convs read in place at [`BAND_INPUT`]'s width,
 /// whose 16-column halves straddle output rows, and at [`PIECE_INPUT`]'s, in
 /// 2-column pieces, and gather at [`INPUT`]'s;
-/// if the driver's constants or the band rule move, this says so instead of
+/// if the driver's constants or the in-place rule move, this says so instead of
 /// silently testing another path.
 #[test]
 fn the_geometry_reaches_the_seams() {
@@ -84,22 +85,22 @@ fn the_geometry_reaches_the_seams() {
     }
 }
 
-/// The route each node of `lowered` runs: `"band"` or `"gather"` for an
-/// INT8 conv, `"i8"` for an INT8 tconv, `"f32"` or `"none"` otherwise.
+/// The route each node of `lowered` runs: `"in place"` or `"gather"` for an
+/// INT8 conv or tconv (it reads its input's quad map where it lies, or
+/// gathers panels from it), `"f32"` or `"none"` otherwise.
 fn routes(lowered: &Lowered) -> Vec<&'static str> {
     let (nodes, shapes) = (&lowered.module().nodes, lowered.shapes());
-    let route = |(node, pack): (&IrNode, &Option<PackedKernel>)| match pack {
-        None => "none",
-        Some(PackedKernel::ConvI8(pa)) => {
-            let geom = ConvGeom::same_3x3(shapes[node.inputs[0]]);
-            if quad_band(pa, &geom).is_some() {
-                "band"
-            } else {
-                "gather"
+    let route = |(node, pack): (&IrNode, &Option<PackedKernel>)| {
+        let in_place = || reads_map(shapes[node.inputs[0]].w);
+        match pack {
+            None => "none",
+            Some(PackedKernel::ConvI8(pa)) if pa.order() != (KOrder::Conv { taps: 9 }) => "rows",
+            Some(PackedKernel::ConvI8(_) | PackedKernel::TConvI8 { .. }) if in_place() => {
+                "in place"
             }
+            Some(PackedKernel::ConvI8(_) | PackedKernel::TConvI8 { .. }) => "gather",
+            Some(_) => "f32",
         }
-        Some(PackedKernel::TConvI8 { .. }) => "i8",
-        Some(_) => "f32",
     };
     nodes.iter().zip(lowered.packs()).map(route).collect()
 }
@@ -144,11 +145,11 @@ fn int8_layers_match_the_oracle_across_strips_and_parts_w8_and_w4() {
             };
             m.output = m.push(op(i, kernel), vec![i]);
         }
-        // Both convs read row bands or both gather, whatever their bitwidth:
-        // W4 and W8 run the same INT8 panels.
-        for (input, conv) in [(INPUT, "gather"), (BAND_INPUT, "band"), (PIECE_INPUT, "band")] {
+        // The three layers read in place or all gather, whatever their
+        // bitwidth: W4 and W8 run the same INT8 panels.
+        for (input, r) in [(INPUT, "gather"), (BAND_INPUT, "in place"), (PIECE_INPUT, "in place")] {
             let lowered = lower(m.clone(), input, &LowerOptions::reference());
-            assert_eq!(routes(&lowered), ["none", conv, conv, "i8"], "mask {case}");
+            assert_eq!(routes(&lowered), ["none", r, r, r], "mask {case}");
             let mut scratch = lowered.make_scratch_i8();
             let x = QTensor::quantize(&rand_tensor(input, &mut rng), fps[0]);
             oracle::check_i8(&lowered, &mut scratch, &x);

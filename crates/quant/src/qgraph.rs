@@ -186,7 +186,7 @@ mod tests {
             );
             seneca_ir::oracle::check_i8(&lowered, &mut scratch, &g.quantize_input(&x));
             let m = g.module();
-            let out_fp = lowered.node_output_i8(m.output, &scratch).fix_pos();
+            let out_fp = lowered.node_output_i8(m.output, &mut scratch).fix_pos();
             assert_eq!((out_fp, m.fix_positions()[m.output]), (5, 5));
         }
     }

@@ -67,7 +67,7 @@ impl<'g> QRunner<'g> {
         for id in 1..=upto {
             self.lowered.execute_node_i8(id, &mut self.scratch);
         }
-        self.lowered.node_output_i8(upto, &self.scratch)
+        self.lowered.node_output_i8(upto, &mut self.scratch)
     }
 
     /// INT8 logits of one image.

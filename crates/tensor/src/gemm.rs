@@ -29,8 +29,8 @@
 //!    are zero padded to the tile width: the micro-kernels see no remainder,
 //!    padded lanes hold exact zeros and are clipped at store time.
 //!
-//!    **Bands.** A 3x3 pad-1 stride-1 conv whose width `W` is a multiple of
-//!    `NR` (FP32) or even (INT8) packs no strip: the 9x im2col copy
+//!    **Bands.** A 3x3 pad-1 stride-1 FP32 conv whose width `W` is a
+//!    multiple of `NR` packs no strip: the 9x im2col copy
 //!    would be read by only `c_out / MR` row tiles. A strip is `r` whole
 //!    output rows instead, and its buffer a zero-bordered copy of the `r + 2`
 //!    input rows they read, `r` chosen within [`STRIP_BYTES`]
@@ -52,14 +52,14 @@
 //!    The zero border is the `+0.0` the strip pack writes for padding, and
 //!    the tile walks the same ascending `k`, so both layouts give the same
 //!    bits. Parts and strips are cut on whole output rows, as the tconv
-//!    parts are. The INT8 band is the same with a channel quad per pixel
-//!    (`[C/4][r+2][W+2][4]`, below), its k-steps `(quad, ky, kx)`, and each
-//!    16-column half of a panel read in pieces of `P = gcd(W, 16)` columns,
-//!    each from its own base, so that no piece straddles two output rows: at
-//!    `W = 16` a panel's two halves are two output rows, at `W = 8` each
-//!    half is two, at `W = 2` eight. Every other GEMM (odd INT8 widths, FP32
-//!    widths off the `NR` grid, the tconv, stride 2, the weight gradient,
-//!    plain GEMMs) packs strips.
+//!    parts are.
+//!
+//!    **Maps.** An INT8 value already is such a band of its whole height,
+//!    a channel quad per pixel ([`crate::quad`]), so an INT8 3x3 conv or 2x2
+//!    tconv on an even `W` reads it in place (`Strip::Map`), k-steps
+//!    `(quad, ky, kx)`, each 16-column half of a panel in pieces of `P =
+//!    gcd(W, 16)` columns from their own bases, so that no piece straddles
+//!    two rows. Every other GEMM packs strips.
 //! 2. **Parts.** One fork-join per GEMM. With at least as many strips as
 //!    threads the parts split the *columns* — so layers with few output rows
 //!    (`c_out <= 32`, every full-resolution layer of the 1M model) use every
@@ -78,9 +78,9 @@
 //!    panel through offsets too: it has one walk); constant trip counts let
 //!    LLVM keep the tile in vector registers.
 //! 4. **Fused epilogues.** Bias, ReLU, an inference BatchNorm, the DPU
-//!    requantise-clamp and the transpose-conv scatter are applied to the
-//!    finished tile as it is stored; there is no pass over `C` after the
-//!    GEMM.
+//!    requantise-clamp (into an NCHW image or the next quad map) and the
+//!    transpose-conv scatter are applied to the finished tile as it is
+//!    stored; there is no pass over `C` after the GEMM.
 //!
 //! Each output element is accumulated in ascending-`k` order over the full
 //! extent whatever the strip or part split, so `f32` results do not depend on
@@ -109,11 +109,11 @@
 //! four times a one-product-per-lane `vpdpwssd`. So INT8 operands are packed
 //! in *quads* of `k` rows ([`QUAD`]): a conv's in the order (channel quad,
 //! tap, channel within quad), `C` zero padded ([`KOrder::Conv`]), so that a
-//! step's four activations are one pixel's side by side in a row band; any
+//! step's four activations are one pixel's side by side in a quad map; any
 //! other GEMM's four consecutive rows ([`KOrder::Rows`]).
 //!
 //! ```text
-//!   A panel  [s][MR][4]  i8        B  [s][NR][4] u8, or the band [C/4][r+2][W+2][4]
+//!   A panel  [s][MR][4]  i8        B  [s][NR][4] u8, or the map [C/4][H+2][W+2][4]
 //!   per step s, row i, half h:  acc[i][h] = vpdpbusd(acc[i][h], B[h], bcast(A[s][i]))
 //! ```
 //!
@@ -132,10 +132,10 @@
 //! read by `_mm512_set_epi64` over `i64::from_le_bytes` (with the eight words
 //! in one `from_fn` array: eight separate calls left a half as a `vpermt2q`
 //! shuffle); its store goes through 64-bit extracts, one `vmovdqu64` per
-//! register. A packed panel is read through k-step offsets as a band is (`s ·
+//! register. A packed panel is read through k-step offsets as a map is (`s ·
 //! NR · 4`). The kernel is generic over the `N = 16 / P` pieces a half is
-//! read in (see the bands above), one instance per piece width. At `N = 1`
-//! (packed panels, and bands on multiples of 16) a half is one `vmovdqu64`,
+//! read in (see the maps above), one instance per piece width. At `N = 1`
+//! (packed panels, and maps on multiples of 16) a half is one `vmovdqu64`,
 //! and a step is 2 loads, 8 broadcasts and 16 `vpdpbusd`. At `N = 2` (`W =
 //! 8`) a half is two 32-byte loads and a `vinserti64x4`; at `N = 4` and `8`
 //! (the 4² and 2² maps) 16- and 8-byte loads and inserts. The loads sit in
@@ -240,7 +240,7 @@ impl<T: PackElem> Default for Work<T> {
 impl<T: PackElem> Work<T> {
     /// Work memory of `strips` zeroed strip elements and room for `offsets`
     /// k-step offsets ([`crate::igemm::sgemm_conv_scratch`],
-    /// [`crate::igemm::igemm_conv_scratch`] and [`strip_scratch_len`] give
+    /// [`crate::igemm::igemm_map_scratch`] and [`strip_scratch_len`] give
     /// the sizes of a call).
     pub fn new(strips: usize, offsets: usize) -> Self {
         Self { strips: vec![T::Strip::ZERO; strips], offsets: Vec::with_capacity(offsets) }
@@ -287,8 +287,9 @@ pub trait PackElem: Zero + Send + Sync + std::fmt::Debug + 'static {
     /// `k` rows per micro-kernel step (`1`, or [`QUAD`] for `i8`).
     const GROUP: usize;
 
-    /// What the packed `B` strips and row bands hold: the value itself, or
-    /// for `i8` the activation read as unsigned, `x ^ 0x80 = x + 128`.
+    /// What the packed `B` strips, bands and maps hold: the value itself, or
+    /// for `i8` the byte of the activation read as unsigned, `x ^ 0x80 = x +
+    /// 128` (the kernel reads it as a `u8`).
     type Strip: Zero + Send + Sync + std::fmt::Debug;
 
     /// The accumulator start of each row `i < m` of an `m x k` `A` operand
@@ -320,7 +321,7 @@ impl PackElem for i8 {
     /// `2^15`: see the module docs' bound `k · 49 024 < 2^31`.
     const MAX_K: usize = 1 << 15;
     const GROUP: usize = QUAD;
-    type Strip = u8;
+    type Strip = i8;
 
     fn row_starts(m: usize, k: usize, get: impl Fn(usize, usize) -> i8) -> Vec<i32> {
         let mut starts = vec![0; m.div_ceil(MR) * MR];
@@ -354,8 +355,8 @@ pub enum KOrder {
     /// The `[C * taps]` rows of a conv weight (`kk = c * taps + tap`) in the
     /// order (channel group, tap, channel within group): step `s` holds tap
     /// `s % taps` of the `GROUP` channels of group `s / taps`, `C` zero
-    /// padded to a whole group. A row band holds a channel group of one
-    /// pixel side by side, so one step is one place in the band.
+    /// padded to a whole group. A quad map holds a channel group of one
+    /// pixel side by side, so one step is one place in the map.
     Conv {
         /// Kernel taps (`K * K`).
         taps: usize,
@@ -467,9 +468,9 @@ impl<T: PackElem> PackedA<T> {
 
 impl PackedA<i8> {
     /// Packs the `[c_out, c_in * taps]` weights of a conv in the order
-    /// [`KOrder::Conv`]: what a conv that reads its activations from a row
-    /// band needs ([`crate::igemm::igemm_conv_with`]); every other INT8 conv
-    /// runs these panels too. Panics as [`PackedA::pack`] does.
+    /// [`KOrder::Conv`]: what a conv that reads a quad map needs
+    /// ([`crate::igemm::igemm_conv_quads`]); the NCHW conv runs these panels
+    /// too. Panics as [`PackedA::pack`] does.
     pub fn pack_conv(c_out: usize, c_in: usize, taps: usize, w: &[i8]) -> Self {
         let k = c_in * taps;
         assert_eq!(w.len(), c_out * k, "weight size");
@@ -536,11 +537,11 @@ pub(crate) fn pack_b<T: Zero>(
 /// 0x80`. `row(kk, j0, dst)` writes columns `j0 .. j0 + dst.len()` of `B`'s
 /// row `kk` into `dst` and leaves the zeros it finds there where `B` is zero
 /// (a padded pixel); padding rows and the tail panel's missing columns are
-/// zero too. Every INT8 GEMM that reads no row band packs through here.
+/// zero too. Every INT8 GEMM that reads no quad map packs through here.
 pub(crate) fn pack_quads(
     pa: &PackedA<i8>,
     cols: Range<usize>,
-    buf: &mut [u8],
+    buf: &mut [i8],
     row: impl Fn(usize, usize, &mut [i8]),
 ) {
     let depth = pa.dims().1;
@@ -557,7 +558,7 @@ pub(crate) fn pack_quads(
                 }
             }
             for (j, d) in step.as_chunks_mut::<QUAD>().0.iter_mut().enumerate() {
-                *d = [0, 1, 2, 3].map(|q| rows[q][j] as u8 ^ 0x80);
+                *d = [0, 1, 2, 3].map(|q| rows[q][j] ^ i8::MIN);
             }
         }
     }
@@ -614,8 +615,10 @@ impl Panels for PackedA<f32> {
 
     fn steps(&self, strip: Strip, strip_len: usize, offs: &mut Vec<u32>) {
         offs.clear();
-        if let Strip::Band { c, w } = strip {
-            band_offsets(c, 1, w, strip_len / c, offs);
+        match strip {
+            Strip::Panels => {}
+            Strip::Band { c, w } => band_offsets(c, 1, (w, 3), strip_len / c, offs),
+            Strip::Map { c, h, w, k } => band_offsets(c, 1, (w, k), (h + 2) * (w + 2), offs),
         }
     }
 
@@ -626,7 +629,7 @@ impl Panels for PackedA<f32> {
                 let bp = &p.strip[p.j * self.k..][..NR * self.k];
                 tile_f32(ap, bp.as_chunks::<NR>().0.iter(), out)
             }
-            Strip::Band { w, .. } => {
+            Strip::Band { w, .. } | Strip::Map { w, .. } => {
                 let bp = &p.strip[p.j / w * (w + 2) + p.j % w..];
                 let step = |&off: &u32| -> &[f32; NR] {
                     bp[off as usize..][..NR].try_into().expect("NR elements")
@@ -652,16 +655,21 @@ impl Panels for PackedA<i8> {
                 let steps = self.dims().1 / QUAD;
                 offs.extend((0..steps).map(|s| u32::try_from(s * QUAD * NR).expect("fits u32")));
             }
-            Strip::Band { c, w } => band_offsets(c / QUAD, QUAD, w, strip_len / (c / QUAD), offs),
+            Strip::Band { c, w } => {
+                band_offsets(c / QUAD, QUAD, (w, 3), strip_len / (c / QUAD), offs)
+            }
+            Strip::Map { c, h, w, k } => {
+                band_offsets(c / QUAD, QUAD, (w, k), (h + 2) * (w + 2) * QUAD, offs)
+            }
         }
     }
 
-    fn tile(&self, ip: usize, p: Panel<'_, u8>, _rows: usize, out: &mut Acc<i32>) {
+    fn tile(&self, ip: usize, p: Panel<'_, i8>, _rows: usize, out: &mut Acc<i32>) {
         match p.kind {
             Strip::Panels => self.tile_pieces::<1>(ip, p, out),
             // Pieces of `gcd(w, NR / 2)` pixels, so that none straddles two
-            // output rows (`quad_band` admits even widths only).
-            Strip::Band { w, .. } => match 1 << w.trailing_zeros().min(4) {
+            // output rows (`igemm::reads_map` admits even widths only).
+            Strip::Band { w, .. } | Strip::Map { w, .. } => match 1 << w.trailing_zeros().min(4) {
                 16 => self.tile_pieces::<1>(ip, p, out),
                 8 => self.tile_pieces::<2>(ip, p, out),
                 4 => self.tile_pieces::<4>(ip, p, out),
@@ -673,19 +681,19 @@ impl Panels for PackedA<i8> {
 
 impl PackedA<i8> {
     /// [`Panels::tile`] reading each 16-column half of the `B` panel as `N`
-    /// pieces of `P = 16 / N` columns, each from its own base: on a band of
+    /// pieces of `P = 16 / N` columns, each from its own base: on a map of
     /// width `W`, `P = gcd(W, 16)` columns share an output row, so a half
     /// may span rows (at `W = 16` a panel's two halves are two rows; at `W =
     /// 8` each half is). A tail panel's missing pieces repeat its first.
     #[inline(always)]
-    fn tile_pieces<const N: usize>(&self, ip: usize, p: Panel<'_, u8>, out: &mut Acc<i32>) {
+    fn tile_pieces<const N: usize>(&self, ip: usize, p: Panel<'_, i8>, out: &mut Acc<i32>) {
         let depth = self.dims().1;
         let ap = &self.panels[ip * MR * depth..][..MR * depth];
         let starts = self.starts[ip * MR..][..MR].try_into().expect("MR row starts");
         // Where column `j` of the strip sits.
         let at = |j: usize| match p.kind {
             Strip::Panels => j / NR * depth * NR + j % NR * QUAD,
-            Strip::Band { w, .. } => (j / w * (w + 2) + j % w) * QUAD,
+            Strip::Band { w, .. } | Strip::Map { w, .. } => (j / w * (w + 2) + j % w) * QUAD,
         };
         let b = std::array::from_fn(|h| {
             std::array::from_fn(|piece| {
@@ -733,7 +741,7 @@ fn tile_f32<'b>(ap: &[f32], steps: impl Iterator<Item = &'b [f32; NR]>, out: &mu
 fn tile_i8<const N: usize>(
     ap: &[i8],
     starts: &[i32; MR],
-    b: [[&[u8]; N]; 2],
+    b: [[&[i8]; N]; 2],
     offs: &[u32],
     out: &mut Acc<i32>,
 ) {
@@ -745,17 +753,17 @@ fn tile_i8<const N: usize>(
     // Every piece is read at every offset, so all of them can be cut to the
     // shortest: one bounds check then covers a step's loads.
     let len = b.iter().flatten().map(|s| s.len()).min().unwrap_or(0);
-    let b: [[&[u8]; N]; 2] = std::array::from_fn(|h| std::array::from_fn(|p| &b[h][p][..len]));
+    let b: [[&[i8]; N]; 2] = std::array::from_fn(|h| std::array::from_fn(|p| &b[h][p][..len]));
     let mut acc: [[__m512i; 2]; MR] = starts.map(|s| [_mm512_set1_epi32(s); 2]);
     for (a, &off) in ap.as_chunks::<{ QUAD * MR }>().0.iter().zip(offs) {
         let off = off as usize;
         // A half is eight `i64` words, `8 / N` of them from each piece.
         let mut bv = [_mm512_set1_epi32(0); 2];
         for (v, pieces) in bv.iter_mut().zip(&b) {
-            let pieces: [&[u8]; N] = std::array::from_fn(|p| &pieces[p][off..off + 8 * words]);
+            let pieces: [&[i8]; N] = std::array::from_fn(|p| &pieces[p][off..off + 8 * words]);
             let q: [i64; 8] = std::array::from_fn(|i| {
-                let s = &pieces[i / words][8 * (i % words)..];
-                i64::from_le_bytes(s[..8].try_into().expect("8 bytes"))
+                let s: [i8; 8] = pieces[i / words][8 * (i % words)..][..8].try_into().expect("8");
+                i64::from_le_bytes(s.map(|v| v as u8))
             });
             *v = _mm512_set_epi64(q[7], q[6], q[5], q[4], q[3], q[2], q[1], q[0]);
         }
@@ -793,7 +801,7 @@ fn tile_i8<const N: usize>(
 fn call_tile_i8<const N: usize>(
     ap: &[i8],
     starts: &[i32; MR],
-    b: [[&[u8]; N]; 2],
+    b: [[&[i8]; N]; 2],
     offs: &[u32],
     out: &mut Acc<i32>,
 ) {
@@ -816,7 +824,7 @@ fn call_tile_i8<const N: usize>(
 fn tile_i8<const N: usize>(
     ap: &[i8],
     starts: &[i32; MR],
-    b: [[&[u8]; N]; 2],
+    b: [[&[i8]; N]; 2],
     offs: &[u32],
     out: &mut Acc<i32>,
 ) {
@@ -829,7 +837,7 @@ fn tile_i8<const N: usize>(
 fn tile_i8_portable<const N: usize>(
     ap: &[i8],
     starts: &[i32; MR],
-    b: [[&[u8]; N]; 2],
+    b: [[&[i8]; N]; 2],
     offs: &[u32],
     out: &mut Acc<i32>,
 ) {
@@ -843,7 +851,7 @@ fn tile_i8_portable<const N: usize>(
                 for (i, acc_i) in acc.iter_mut().enumerate() {
                     let w = [0, 1, 2, 3].map(|q| i32::from(a[QUAD * i + q]));
                     for (acc_ij, lane) in acc_i[h * NR / 2 + p * px..][..px].iter_mut().zip(lanes) {
-                        let x = u32::from_le_bytes(*lane);
+                        let x = u32::from_le_bytes(lane.map(|v| v as u8));
                         let x = [0, 1, 2, 3].map(|q| ((x >> (8 * q)) & 0xFF) as i32);
                         *acc_ij += x[0] * w[0] + x[1] * w[1] + x[2] * w[2] + x[3] * w[3];
                     }
@@ -861,7 +869,7 @@ fn tile_i8_portable<const N: usize>(
 pub fn int8_tile<const N: usize>(
     ap: &[i8],
     starts: &[i32; MR],
-    b: [[&[u8]; N]; 2],
+    b: [[&[i8]; N]; 2],
     offs: &[u32],
     portable: bool,
 ) -> Acc<i32> {
@@ -885,14 +893,19 @@ pub fn strip_cols(k: usize, elem_bytes: usize) -> usize {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Strip {
     /// Columns of `B` packed into `NR`-wide k-major panels, a strip of
-    /// [`strip_cols`] at a time: every GEMM but the FP32 band conv.
+    /// [`strip_cols`] at a time: every GEMM that reads no band or map.
     Panels,
     /// Whole output rows of a 3x3 pad-1 stride-1 conv over `c` input
-    /// channels of width `w`, read in place from a zero-bordered band of the
-    /// input, `[c][r + 2][w + 2]` (`f32`, `w` a multiple of `NR`) or `[c /
-    /// 4][r + 2][w + 2][4]` (`i8`, `c` padded to whole quads, `w` even), `r`
-    /// rows within [`STRIP_BYTES`] (at least one).
+    /// channels of width `w` (a multiple of `NR`), read in place from a
+    /// zero-bordered `[c][r + 2][w + 2]` copy of the input rows they read
+    /// (`f32`), `r` rows within [`STRIP_BYTES`] (at least one).
     Band { c: usize, w: usize },
+    /// Whole output rows of a `k x k` conv (`k = 3`: the 3x3 same conv;
+    /// `k = 1`: one tap, the 2x2 transpose conv's GEMM) read in place from
+    /// the whole bordered input map, `[c / g][h + 2][w + 2][g]` with `g`
+    /// channels per pixel (`g = 4`: [`crate::quad`]; `w` even). A strip is
+    /// as many rows as a band within [`STRIP_BYTES`]; nothing is packed.
+    Map { c: usize, h: usize, w: usize, k: usize },
 }
 
 /// How one GEMM is cut into strips and parallel parts — shared by the driver
@@ -912,38 +925,57 @@ struct Split {
 }
 
 impl Split {
-    /// `quantum` is the granularity of column-part boundaries: `NR` for a
-    /// row-major `C`, one input row for the tconv scatter, one output row for
-    /// a band.
-    fn new(m: usize, k: usize, n: usize, quantum: usize, elem_bytes: usize, strip: Strip) -> Self {
+    /// `layout` cuts `C`: its quantum is the granularity of column-part
+    /// boundaries (`NR` for a row-major `C`, one input row for the tconv
+    /// scatter, one output row for a band or a map), and a row part covers
+    /// whole chunks of its rows.
+    fn new(
+        (m, k, n): (usize, usize, usize),
+        layout: &OutLayout,
+        elem_bytes: usize,
+        strip: Strip,
+    ) -> Self {
+        let quantum = layout.quantum;
+        // Rows of one band of `c` channels `w` wide, two of them halo.
+        let band_rows = |c: usize, w: usize| {
+            assert!(w > 0 && quantum == w, "a band or map strip is whole rows");
+            (STRIP_BYTES / (c * (w + 2) * elem_bytes)).saturating_sub(2).max(1) * w
+        };
         let nc = match strip {
             Strip::Panels => strip_cols(k, elem_bytes),
             Strip::Band { c, w } => {
-                assert!(k == 9 * c && w > 0 && quantum == w, "band of a 3x3 conv, whole rows");
-                (STRIP_BYTES / (c * (w + 2) * elem_bytes)).saturating_sub(2).max(1) * w
+                assert_eq!(k, 9 * c, "band of a 3x3 conv");
+                band_rows(c, w)
+            }
+            Strip::Map { c, w, k: taps, .. } => {
+                assert_eq!(k, taps * taps * c, "map of a {taps}x{taps} conv");
+                band_rows(c, w)
             }
         };
-        let (tiles, quanta) = (m.div_ceil(MR), n.div_ceil(quantum));
+        // Row parts are cut on whole tiles and whole chunks.
+        let unit = layout.rows.max(MR) / MR;
+        let (tiles, quanta) = (m.div_ceil(MR).div_ceil(unit), n.div_ceil(quantum));
         let threads = if m * k * n < FORK_MIN_MACS { 1 } else { rayon::current_num_threads() };
         // Columns when every thread gets at least one strip of its own, the
         // row tiles (each part packing the strips itself) with what is left.
         let col_parts = threads.min(n.div_ceil(nc)).min(quanta).max(1);
         let row_parts = (threads / col_parts).min(tiles).max(1);
         let cols_per = quanta.div_ceil(col_parts) * quantum;
+        // A part's rows in equal bands (each band re-reads two halo rows).
+        let bands = |w: usize| {
+            let rows = cols_per.min(n) / w;
+            rows.div_ceil(rows.div_ceil(nc / w).max(1))
+        };
         let (nc, strip_len) = match strip {
             Strip::Panels => (nc, packed_b_len(k, nc.min(cols_per).min(n))),
-            // A part's rows in equal bands (each band re-reads two halo rows).
-            Strip::Band { c, w } => {
-                let rows = cols_per.min(n) / w;
-                let r = rows.div_ceil(rows.div_ceil(nc / w).max(1));
-                (r * w, c * (r + 2) * (w + 2))
-            }
+            Strip::Band { c, w } => (bands(w) * w, c * (bands(w) + 2) * (w + 2)),
+            Strip::Map { w, .. } => (bands(w) * w, 0),
         };
         Self {
             nc,
             row_parts,
             col_parts,
-            rows_per: tiles.div_ceil(row_parts) * MR,
+            rows_per: tiles.div_ceil(row_parts) * unit * MR,
             cols_per,
             strip_len,
         }
@@ -962,7 +994,8 @@ impl Split {
 /// a convolution, the input width for a 2x2 transpose convolution. An FP32
 /// conv that reads row bands is [`crate::igemm::sgemm_conv_scratch`].
 pub fn strip_scratch_len(m: usize, k: usize, n: usize, quantum: usize, elem_bytes: usize) -> usize {
-    Split::new(m, k, n, quantum, elem_bytes, Strip::Panels).scratch_len()
+    let layout = OutLayout { quantum, ..OutLayout::rows(n) };
+    Split::new((m, k, n), &layout, elem_bytes, Strip::Panels).scratch_len()
 }
 
 /// Elements of the row-band strip buffers of an `[m x 9c x h*w]` band conv
@@ -974,16 +1007,27 @@ pub(crate) fn band_scratch_len(
     (h, w): (usize, usize),
     elem_bytes: usize,
 ) -> usize {
-    Split::new(m, 9 * c, h * w, w, elem_bytes, Strip::Band { c, w }).scratch_len()
+    let layout = OutLayout::of(h * w, Strip::Band { c, w });
+    Split::new((m, 9 * c, h * w), &layout, elem_bytes, Strip::Band { c, w }).scratch_len()
 }
 
-/// Appends the band's k-step offsets to `offs`: step `(group, ky, kx)` at
-/// `group * plane + (ky * (w + 2) + kx) * g`, `plane` being one group's `(r
-/// + 2) * (w + 2) * g` elements, `g` channels side by side per pixel.
-fn band_offsets(groups: usize, g: usize, w: usize, plane: usize, offs: &mut Vec<u32>) {
-    let at = |gi: usize, tap: usize| gi * plane + (tap / 3 * (w + 2) + tap % 3) * g;
+/// Appends the k-step offsets of a band or map of a `k x k` conv to `offs`:
+/// step `(group, ky, kx)` at `group * plane + ((ky + d) * (w + 2) + kx + d)
+/// * g`, `plane` being one group's elements, `g` channels side by side per
+/// pixel, and `d = 1 - k / 2` the tap origin in the bordered rows a strip
+/// starts at (`0` for a 3x3 conv, the pixel itself for one tap).
+fn band_offsets(
+    groups: usize,
+    g: usize,
+    (w, k): (usize, usize),
+    plane: usize,
+    offs: &mut Vec<u32>,
+) {
+    let d = 1 - k / 2;
+    let at = |gi: usize, tap: usize| gi * plane + ((tap / k + d) * (w + 2) + tap % k + d) * g;
     for gi in 0..groups {
-        offs.extend((0..9).map(|tap| u32::try_from(at(gi, tap)).expect("band offsets fit u32")));
+        let taps = (0..k * k).map(|tap| u32::try_from(at(gi, tap)).expect("offsets fit u32"));
+        offs.extend(taps);
     }
 }
 
@@ -1004,39 +1048,55 @@ pub(crate) struct Tile {
     pub(crate) col0: usize,
 }
 
-/// How the driver cuts `C`: `m / rows` contiguous chunks of `len` elements,
-/// GEMM rows `rows * i ..` storing into chunk `i`; a column part starting on a
+/// How the driver cuts `C`: `⌈m / rows⌉` contiguous chunks of `len`
+/// elements, GEMM rows `rows * i ..` storing into chunk `i` (a tile covers
+/// whole chunks, or a chunk whole tiles); a column part starting on a
 /// `quantum` boundary owns `quantum_elems` elements of every chunk per
-/// quantum of columns, the last part clipped at `len`.
+/// quantum of columns, from `origin` on, the last part clipped at `len`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct OutLayout {
     pub(crate) rows: usize,
     pub(crate) len: usize,
     pub(crate) quantum: usize,
     pub(crate) quantum_elems: usize,
+    pub(crate) origin: usize,
 }
 
 impl OutLayout {
     /// A row-major `[m, n]` `C`: chunk = row, column `j` = element `j`.
     pub(crate) fn rows(n: usize) -> Self {
-        Self { rows: 1, len: n, quantum: NR, quantum_elems: NR }
+        Self { rows: 1, len: n, quantum: NR, quantum_elems: NR, origin: 0 }
     }
 
     /// A row-major `[m, n]` `C` whose column parts are cut as `strip`
-    /// needs: a band's own whole output rows.
-    fn of(n: usize, strip: Strip) -> Self {
+    /// needs: a band's or a map's own whole output rows.
+    pub(crate) fn of(n: usize, strip: Strip) -> Self {
         match strip {
             Strip::Panels => Self::rows(n),
-            Strip::Band { w, .. } => Self { rows: 1, len: n, quantum: w, quantum_elems: w },
+            Strip::Band { w, .. } | Strip::Map { w, .. } => {
+                Self { quantum: w, quantum_elems: w, ..Self::rows(n) }
+            }
         }
     }
 
     /// The elements of each chunk that columns `cols` own.
     fn span(&self, cols: &Range<usize>) -> Range<usize> {
-        let at = |j: usize| (j.div_ceil(self.quantum) * self.quantum_elems).min(self.len);
+        let at =
+            |j: usize| (self.origin + j.div_ceil(self.quantum) * self.quantum_elems).min(self.len);
         at(cols.start)..at(cols.end)
     }
 }
+
+/// Where the driver's `B` strips come from.
+pub(crate) enum Source<'a, B, P> {
+    /// Each strip packed into its part's buffer by `pack(cols, buf)`.
+    Pack(P),
+    /// Read in place from a whole map ([`Strip::Map`]).
+    Map(&'a [B]),
+}
+
+/// The type of a [`Source::Map`]: its pack type is never called.
+pub(crate) type InPlace<'a, B> = Source<'a, B, fn(Range<usize>, &mut [B])>;
 
 /// One parallel part: a block of row tiles times a range of columns, with its
 /// strip buffer and its piece of every output chunk its rows touch.
@@ -1054,21 +1114,22 @@ pub(crate) fn run<A: Panels, C: Send>(
     n: usize,
     (layout, strip): (OutLayout, Strip),
     c: &mut [C],
-    pack: impl Fn(Range<usize>, &mut [B<A>]) + Sync,
+    src: Source<'_, B<A>, impl Fn(Range<usize>, &mut [B<A>]) + Sync>,
     store: impl Fn(&Acc<A::S>, Tile, &mut [&mut [C]]) + Sync,
 ) {
-    with_thread_work(|work| run_with(a, n, (layout, strip), c, work, pack, store));
+    with_thread_work(|work| run_with(a, n, (layout, strip), c, work, src, store));
 }
 
 /// The element of the strip buffers `A`'s driver packs `B` into.
 pub(crate) type B<A> = <<A as Panels>::E as PackElem>::Strip;
 
 /// The driver itself. `c` is laid out as `layout` says — the rows of a
-/// row-major `C`, or the `[2H, 2W]` output planes of a 2x2 transpose conv (4
+/// row-major `C`, the `[2H, 2W]` output planes of a 2x2 transpose conv (4
 /// GEMM rows scatter into one plane, a quantum of one input row owns 2 output
-/// rows). The parts' strip buffers are slices of `work`'s, grown to
-/// [`strip_scratch_len`] when shorter. `pack(cols, buf)` fills a strip
-/// buffer with columns `cols` of `B` as `strip` says; `store(acc, tile,
+/// rows), or the planes of a quad map ([`crate::igemm`]). The parts' strip
+/// buffers are slices of `work`'s, grown to [`strip_scratch_len`] when
+/// shorter. `src` packs a strip buffer with columns `cols` of `B` as
+/// `strip` says, or is the map the tiles read in place; `store(acc, tile,
 /// chunks)` writes one finished tile into the part's chunk pieces.
 pub(crate) fn run_with<A: Panels, C: Send>(
     a: &A,
@@ -1076,17 +1137,17 @@ pub(crate) fn run_with<A: Panels, C: Send>(
     (layout, strip): (OutLayout, Strip),
     c: &mut [C],
     work: &mut Work<A::E>,
-    pack: impl Fn(Range<usize>, &mut [B<A>]) + Sync,
+    src: Source<'_, B<A>, impl Fn(Range<usize>, &mut [B<A>]) + Sync>,
     store: impl Fn(&Acc<A::S>, Tile, &mut [&mut [C]]) + Sync,
 ) {
     let (m, k) = a.dims();
     let rpc = layout.rows;
-    assert!(m.is_multiple_of(rpc) && MR.is_multiple_of(rpc), "row tiles cover whole chunks");
-    assert_eq!(c.len(), m / rpc * layout.len, "C size");
+    assert!(MR.is_multiple_of(rpc) || rpc.is_multiple_of(MR), "tiles and chunks nest");
+    assert_eq!(c.len(), m.div_ceil(rpc) * layout.len, "C size");
     if m == 0 || n == 0 {
         return;
     }
-    let split = Split::new(m, k, n, layout.quantum, size_of::<B<A>>(), strip);
+    let split = Split::new((m, k, n), &layout, size_of::<B<A>>(), strip);
     let (n_parts, strip_len) = (split.row_parts * split.col_parts, split.strip_len);
     let Work { strips, offsets: offs } = work;
     if strips.len() < n_parts * strip_len {
@@ -1109,10 +1170,12 @@ pub(crate) fn run_with<A: Panels, C: Send>(
         })
         .collect();
     for (ci, mut chunk) in c.chunks_mut(layout.len).enumerate() {
-        let rp = ci * rpc / split.rows_per;
+        let (rp, mut at) = (ci * rpc / split.rows_per, 0);
         for part in &mut parts[rp * split.col_parts..(rp + 1) * split.col_parts] {
+            let (span, rest) = (layout.span(&part.cols), std::mem::take(&mut chunk));
             let piece;
-            (piece, chunk) = std::mem::take(&mut chunk).split_at_mut(layout.span(&part.cols).len());
+            (piece, chunk) = rest[span.start - at..].split_at_mut(span.len());
+            at = span.end;
             part.chunks.push(piece);
         }
     }
@@ -1126,7 +1189,18 @@ pub(crate) fn run_with<A: Panels, C: Send>(
             let strip_cols = s0..(s0 + split.nc).min(part.cols.end);
             #[cfg(feature = "trace-gemm")]
             let t0 = seneca_trace::now_ns();
-            pack(strip_cols.clone(), part.strip);
+            let b: &[B<A>] = match (&src, strip) {
+                (Source::Pack(pack), _) => {
+                    pack(strip_cols.clone(), part.strip);
+                    part.strip
+                }
+                // The strip's first row, read from the map's bordered row of
+                // that index on.
+                (Source::Map(map), Strip::Map { w, .. }) => {
+                    &map[strip_cols.start / w * (w + 2) * A::E::GROUP..]
+                }
+                (Source::Map(_), _) => panic!("a map is read as Strip::Map"),
+            };
             #[cfg(feature = "trace-gemm")]
             let t1 = seneca_trace::now_ns();
             for row in part.rows.clone().step_by(MR) {
@@ -1134,7 +1208,7 @@ pub(crate) fn run_with<A: Panels, C: Send>(
                 for col in strip_cols.clone().step_by(NR) {
                     let cols = NR.min(strip_cols.end - col);
                     let j = col - strip_cols.start;
-                    let p = Panel { strip: part.strip, j, cols, kind: strip, offs };
+                    let p = Panel { strip: b, j, cols, kind: strip, offs };
                     a.tile(row / MR, p, rows, &mut acc);
                     let tile =
                         Tile { row, col, rows, cols, row0: part.rows.start, col0: part.cols.start };
@@ -1158,6 +1232,7 @@ pub(crate) fn run_with<A: Panels, C: Send>(
             Strip::Panels => packed_b_len(k, n),
             // Every band copies its rows plus two halo rows.
             Strip::Band { c, w } => c * (w + 2) * (n / w + 2 * n.div_ceil(split.nc)),
+            Strip::Map { .. } => 0,
         };
         let packed = (elems * size_of::<B<A>>()) as u64;
         seneca_trace::record_ns("gemm", "pack", spent[0].load(Relaxed), packed);
@@ -1208,7 +1283,8 @@ pub(crate) fn run_f32(
     work: &mut Work<f32>,
     pack: impl Fn(Range<usize>, &mut [f32]) + Sync,
 ) {
-    run_with(pa, n, (OutLayout::of(n, strip), strip), c, work, pack, |acc, t, chunks| match epi {
+    let src = Source::Pack(pack);
+    run_with(pa, n, (OutLayout::of(n, strip), strip), c, work, src, |acc, t, chunks| match epi {
         GemmEpilogue::None => store_rows(acc, t, chunks, |_| (), |v, ()| v),
         GemmEpilogue::Bias(b) => store_rows(acc, t, chunks, |i| bias_at(b, i), |v, b| v + b),
         GemmEpilogue::BiasRelu(b) => {
@@ -1226,19 +1302,28 @@ pub(crate) fn run_f32(
     });
 }
 
-/// Runs the INT8 driver into a row-major `i8` `C` with the requantise
-/// epilogue fused into the store, on `work`; `pack` fills strip buffers as
-/// `strip` says.
+/// The requantise epilogue as the store of a row-major `i8` `C`.
+pub(crate) fn requant_rows(
+    (bias, shift, relu): (&[i32], i32, bool),
+) -> impl Fn(&Acc<i32>, Tile, &mut [&mut [i8]]) + Sync + '_ {
+    move |acc, t, chunks| {
+        store_rows(acc, t, chunks, |i| bias_at(bias, i), |v, b| requant(v, b, shift, relu))
+    }
+}
+
+/// Runs the INT8 driver into a row-major `i8` `C` of `n` columns with the
+/// requantise epilogue fused into the store, on the calling thread's work
+/// memory; `pack` fills the strip buffers.
 pub(crate) fn run_requant(
     pa: &PackedA<i8>,
-    (n, strip): (usize, Strip),
+    n: usize,
     out: &mut [i8],
-    (bias, shift, relu): (&[i32], i32, bool),
-    work: &mut Work<i8>,
-    pack: impl Fn(Range<usize>, &mut [u8]) + Sync,
+    epi: (&[i32], i32, bool),
+    pack: impl Fn(Range<usize>, &mut [i8]) + Sync,
 ) {
-    run_with(pa, n, (OutLayout::of(n, strip), strip), out, work, pack, |acc, t, chunks| {
-        store_rows(acc, t, chunks, |i| bias_at(bias, i), |v, b| requant(v, b, shift, relu))
+    let shape = (OutLayout::rows(n), Strip::Panels);
+    with_thread_work(|work| {
+        run_with(pa, n, shape, out, work, Source::Pack(pack), requant_rows(epi))
     });
 }
 
@@ -1292,10 +1377,8 @@ pub fn igemm_fused_packed(
     out: &mut [i8],
 ) {
     assert_eq!(b.len(), pa.k * n, "B size");
-    let pack = |cols, buf: &mut [u8]| pack_quads(pa, cols, buf, matrix_row(b, n));
-    with_thread_work(|work| {
-        run_requant(pa, (n, Strip::Panels), out, (bias, shift, relu), work, pack)
-    });
+    let pack = |cols, buf: &mut [i8]| pack_quads(pa, cols, buf, matrix_row(b, n));
+    run_requant(pa, n, out, (bias, shift, relu), pack);
 }
 
 /// The row source of [`pack_quads`] for a row-major `[k, n]` `B`.
@@ -1317,8 +1400,9 @@ pub fn igemm(m: usize, k: usize, n: usize, a: &[i8], b: &[i8], c: &mut [i32]) {
         k,
         |i, kk| a[i * k + kk],
         |pa| {
-            let pack = |cols, buf: &mut [u8]| pack_quads(pa, cols, buf, matrix_row(b, n));
-            run(pa, n, (OutLayout::rows(n), Strip::Panels), c, pack, |acc, t, chunks| {
+            let src =
+                Source::Pack(|cols, buf: &mut [i8]| pack_quads(pa, cols, buf, matrix_row(b, n)));
+            run(pa, n, (OutLayout::rows(n), Strip::Panels), c, src, |acc, t, chunks| {
                 store_rows(acc, t, chunks, |_| (), |v, ()| v)
             });
         },

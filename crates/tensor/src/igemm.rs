@@ -13,49 +13,48 @@
 //! L2, so neither the column matrix nor its packed form ever exists in full.
 //! The panels hold byte-for-byte what `im2col` + `pack_b` would have
 //! produced and the micro-kernels are the same — the implicit route is
-//! bit-identical to the materialized one by construction. The INT8 entry
-//! points serve W8 and W4 layers alike: a W4 weight is an `i8` in `[-8, 7]`.
-//! Their strips are quad panels (`[s][NR][4]` unsigned bytes, see
-//! [`crate::gemm`]), gathered by one generic pack, `pack_quads`, from a row
-//! source: `im2col_row` for a conv that reads no row band (an odd width,
-//! stride 2, other kernels, weights packed in row order), the input plane's
-//! rows for the tconv, the matrix rows for a plain GEMM.
+//! bit-identical to the materialized one by construction.
 //!
-//! A 3x3 pad-1 stride-1 conv on a map whose width `W` is a multiple of `NR`
-//! (FP32: every level from 256² down to 32² of the U-Net) or even (INT8 on
-//! weights packed by [`PackedA::pack_conv`]: every level, down to 2²) goes
-//! one step further and packs nothing 9x: a strip is `r` whole output rows,
-//! `pack_band` copies the `r + 2` input rows they read into a zero-bordered
-//! `[C][r + 2][W + 2]` band, and the f32 micro-kernel reads k-step `kk = (c,
-//! ky, kx)` of a panel in place, at `base + off[kk]` with
-//! `off[kk] = c(r + 2)(W + 2) + ky(W + 2) + kx`
-//! (the layout is drawn in [`crate::gemm`]). At 256² with
-//! 16–64 output channels the strip pack's 9x copy was read by only 2–8 row
-//! tiles; the band is 1.x times the rows it covers. Its zero border is the
-//! strip pack's zero fill and the FMA order is the same ascending `k`, so
-//! the band route is bit-identical to the strip route. The INT8 band,
-//! `pack_quad_band`, is `[C/4][r + 2][W + 2][4]`: a pixel's four channels of
-//! one quad side by side, one micro-kernel step (`(quad, ky, kx)`) each, a
-//! zero border of `0x80`; the micro-kernel reads each 16-column half of a
-//! panel in pieces of `gcd(W, 16)` columns, so a half may span output rows.
-//! At 256² the INT8 band conv runs at 1.9–4.5x the FP32 conv's MAC rate
-//! (`kernel_stats int8`; the `C_in = 1` first layers, three quarters
-//! padding, at 0.8–1.1x). FP32 maps off the `NR` grid, odd INT8 widths,
-//! stride 2, the tconv and the weight gradient gather strips.
+//! A 3x3 pad-1 stride-1 FP32 conv on a width `W` that is a multiple of `NR`
+//! (every level from 256² down to 32² of the U-Net) goes one step further
+//! and packs nothing 9x: a strip is `r` whole output rows, `pack_band`
+//! copies the `r + 2` input rows they read into a zero-bordered
+//! `[C][r + 2][W + 2]` band, and the f32 micro-kernel reads k-step
+//! `kk = (c, ky, kx)` of a panel in place, at `base + off[kk]` with
+//! `off[kk] = c(r + 2)(W + 2) + ky(W + 2) + kx` (the layout is drawn in
+//! [`crate::gemm`]). Its zero border is the strip pack's zero fill and the
+//! FMA order is the same ascending `k`, so the band route is bit-identical
+//! to the strip route.
 //!
-//! The `*_with` entry points run on the caller's [`crate::gemm::Work`]; the
-//! others on the calling thread's work memory.
+//! The INT8 convs copy nothing at all: their input already is a bordered
+//! quad map ([`crate::quad`], the executor's INT8 layout), `[C/4][H + 2][W +
+//! 2][4]` bytes `x ^ 0x80` with a `0x80` border, so [`igemm_conv_quads`]
+//! reads it where it lies (`Strip::Map`: k-step `(quad, ky, kx)` at `quad ·
+//! plane + 4((ky)(W + 2) + kx)` past the strip's first bordered row), the
+//! micro-kernel taking each 16-column half of a panel in pieces of `gcd(W,
+//! 16)` columns, and its requantising store writes the next map, border
+//! included. The 2x2 transpose conv's `B` is the map itself (`k` = quads,
+//! one tap at the pixel): [`igemm_tconv2x2_quads`] reads it in place too.
+//! An odd width gathers quad panels from the map ([`reads_map`]). The NCHW
+//! [`igemm_conv_packed`] (the benchmark's probe) gathers quad panels through
+//! `gemm::pack_quads` and `im2col_row`. W8 and W4 layers run alike: a W4
+//! weight is an `i8` in `[-8, 7]`.
+//!
+//! The `*_with` and map entry points run on the caller's
+//! [`crate::gemm::Work`]; the others on the calling thread's work memory.
 //!
 //! The 2x2 stride-2 transpose convolution gets the dual treatment on the
 //! *store* side: its input plane already is the column matrix (no gather
 //! needed), but the classic lowering materializes a `[4*C_out, H*W]`
 //! pre-scatter buffer and then re-reads it to scatter into the `[C_out,
-//! 2H, 2W]` output. With the repacked weights ordered co-major (row
+//! 2H, 2W]` output. With the repacked f32 weights ordered co-major (row
 //! `co*4 + kidx`, see `repack_tconv_weights`), an `MR = 8`-row tile covers
 //! exactly 2 whole output planes, so the scatter folds into the tile store
-//! and the pre-scatter buffer disappears. Column `iy*w + ix` lands in output
-//! rows `2iy, 2iy+1`, so the driver's column parts are cut on whole input
-//! rows (`quantum = w`): each part owns a band of every output plane.
+//! and the pre-scatter buffer disappears; the INT8 rows are ordered so that
+//! a tile is one output row of pixel pairs of one quad. Column `iy*w + ix`
+//! lands in output rows `2iy, 2iy+1`, so the driver's column parts are cut
+//! on whole input rows (`quantum = w`): each part owns a band of every
+//! output plane.
 //!
 //! The training backward pass runs on the same GEMM driver, with no column
 //! matrix either. `dX` of a conv is the implicit conv of `dY` ([`sgemm_conv`]
@@ -66,11 +65,13 @@
 //! *transposed* virtual im2col matrix of a band of output rows.
 
 use crate::gemm::{
-    band_scratch_len, bias_at, matrix_row, pack_quads, packed_b_len, requant, run, run_f32,
-    run_requant, run_with, strip_scratch_len, with_thread_work, GemmEpilogue, KOrder, OutLayout,
-    PackedA, Panels, Strip, Tile, Work, B, NR, QUAD,
+    band_scratch_len, bias_at, pack_quads, packed_b_len, requant_rows, run, run_f32, run_requant,
+    run_with, strip_scratch_len, with_thread_work, Acc, GemmEpilogue, InPlace, KOrder, OutLayout,
+    PackedA, Source, Strip, Tile, Work, MR, NR, QUAD,
 };
 use crate::im2col::ConvGeom;
+use crate::quad::{write_border, QuadMap, ZERO};
+use crate::quantized::requantize_wide;
 use crate::zero::Zero;
 use std::ops::Range;
 
@@ -330,8 +331,10 @@ pub fn sgemm_conv_wgrad(m: usize, a: &[f32], geom: &ConvGeom, x: &[f32], c: &mut
             k,
             |i, kk| a[i * pixels + p0 + kk],
             |pa| {
-                let pack = |cols, buf: &mut [f32]| pack_b_im2col_t(geom, x, &rows, cols, buf);
-                run(pa, n, (OutLayout::rows(n), Strip::Panels), c, pack, |acc, t, chunks| {
+                let src = Source::Pack(|cols, buf: &mut [f32]| {
+                    pack_b_im2col_t(geom, x, &rows, cols, buf)
+                });
+                run(pa, n, (OutLayout::rows(n), Strip::Panels), c, src, |acc, t, chunks| {
                     for (ii, acc_i) in acc.iter().enumerate().take(t.rows) {
                         let dst = &mut chunks[t.row - t.row0 + ii][t.col - t.col0..][..t.cols];
                         for (d, &v) in dst.iter_mut().zip(acc_i) {
@@ -344,10 +347,11 @@ pub fn sgemm_conv_wgrad(m: usize, a: &[f32], geom: &ConvGeom, x: &[f32], c: &mut
     }
 }
 
-/// Implicit-GEMM INT8 convolution of one `[C, H, W]` image against a
-/// pre-packed weight operand (INT8 weights are immutable, so they are always
-/// packed once), with the fused requantise-clamp epilogue. Bit-identical to
-/// `im2col_t::<i8>` + `igemm_fused`.
+/// Implicit-GEMM INT8 convolution of one NCHW `[C, H, W]` image against a
+/// pre-packed weight operand, with the fused requantise-clamp epilogue: the
+/// benchmark's kernel probe. Its strips are gathered from the map (the
+/// executor's convs read quad maps instead, [`igemm_conv_quads`]).
+/// Bit-identical to `im2col_t::<i8>` + `igemm_fused`.
 pub fn igemm_conv_packed(
     pa: &PackedA<i8>,
     geom: &ConvGeom,
@@ -357,55 +361,17 @@ pub fn igemm_conv_packed(
     relu: bool,
     out: &mut [i8],
 ) {
-    with_thread_work(|work| igemm_conv_with(pa, geom, x, bias, shift, relu, out, work));
+    assert_eq!(pa.k(), geom.col_rows(), "packed A k extent vs conv geometry");
+    assert_eq!(x.len(), geom.c_in * geom.h * geom.w, "input size");
+    let pack = |cols, buf: &mut [i8]| {
+        pack_quads(pa, cols, buf, |kk, j0, dst| im2col_row(geom, x, kk, j0, dst))
+    };
+    run_requant(pa, geom.col_cols(), out, (bias, shift, relu), pack);
 }
 
 /// Kept for the benchmark's `tensor` probe until ROADMAP 3(a): a W4 conv is
 /// the INT8 conv on `[-8, 7]` weights.
 pub use crate::igemm::igemm_conv_packed as igemm4_conv_packed;
-
-/// [`igemm_conv_packed`] on caller-owned work memory. A 3x3 same conv on an
-/// even width whose weights were packed by [`PackedA::pack_conv`] reads a
-/// quad row band ([`quad_band`]); any other conv gathers quad panels.
-#[allow(clippy::too_many_arguments)]
-pub fn igemm_conv_with(
-    pa: &PackedA<i8>,
-    geom: &ConvGeom,
-    x: &[i8],
-    bias: &[i32],
-    shift: i32,
-    relu: bool,
-    out: &mut [i8],
-    work: &mut Work<i8>,
-) {
-    assert_eq!(pa.k(), geom.col_rows(), "packed A k extent vs conv geometry");
-    assert_eq!(x.len(), geom.c_in * geom.h * geom.w, "input size");
-    let (n, epi) = (geom.col_cols(), (bias, shift, relu));
-    if let Some(c) = quad_band(pa, geom) {
-        let strip = Strip::Band { c, w: geom.w };
-        run_requant(pa, (n, strip), out, epi, work, |cols, buf| pack_quad_band(geom, x, cols, buf));
-    } else {
-        let pack = |cols, buf: &mut [u8]| {
-            pack_quads(pa, cols, buf, |kk, j0, dst| im2col_row(geom, x, kk, j0, dst))
-        };
-        run_requant(pa, (n, Strip::Panels), out, epi, work, pack);
-    }
-}
-
-/// The channels, padded to whole quads, of the row band the INT8 conv of
-/// `pa` over `geom` reads in place, or `None` when it gathers panels: a band
-/// needs a 3x3 pad-1 stride-1 conv packed in [`KOrder::Conv`] on an even
-/// width. The micro-kernel reads each 16-column half of a panel in pieces of
-/// `gcd(W, 16)` columns, one base each, so that no piece straddles two
-/// output rows; an odd width would leave one-column pieces.
-pub fn quad_band(pa: &PackedA<i8>, geom: &ConvGeom) -> Option<usize> {
-    let band = pa.order() == (KOrder::Conv { taps: 9 })
-        && (geom.k, geom.pad, geom.stride) == (3, 1, 1)
-        && geom.c_in > 0
-        && geom.w > 0
-        && geom.w.is_multiple_of(2);
-    band.then(|| geom.c_in.next_multiple_of(QUAD))
-}
 
 /// Writes columns `j0 .. j0 + dst.len()` of row `kk` of the virtual im2col
 /// matrix of `geom` over `input` into `dst` (as [`pack_b_im2col`] maps them),
@@ -443,74 +409,201 @@ fn im2col_row(geom: &ConvGeom, input: &[i8], kk: usize, j0: usize, dst: &mut [i8
     }
 }
 
-/// [`pack_band`] for INT8: `buf` holds `C / 4` planes (`C` padded to whole
-/// quads) of `(r + 2) x (W + 2)` pixels, each the four channels of its quad
-/// side by side as `x ^ 0x80`, and `0x80` (zero) where `pack_band` writes
-/// `0.0`. A quad's channels past `C` repeat its first: their weights are
-/// zero, so any byte adds nothing.
-fn pack_quad_band(geom: &ConvGeom, input: &[i8], cols: Range<usize>, buf: &mut [u8]) {
-    let (c, h, w) = (geom.c_in, geom.h, geom.w);
-    let (oy0, rows) = (cols.start / w, cols.len() / w);
-    let quads = c.div_ceil(QUAD);
-    for (cq, plane) in buf.chunks_exact_mut(buf.len() / quads).enumerate() {
-        for (i, row) in plane.chunks_exact_mut((w + 2) * QUAD).take(rows + 2).enumerate() {
-            let row = row.as_chunks_mut::<QUAD>().0;
-            let Some(iy) = (oy0 + i).checked_sub(1).filter(|&iy| iy < h) else {
-                row.fill([0x80; QUAD]);
-                continue;
-            };
-            let src = [0, 1, 2, 3].map(|q| {
-                let ci = if QUAD * cq + q < c { QUAD * cq + q } else { QUAD * cq };
-                &input[(ci * h + iy) * w..][..w]
-            });
-            let pixels = src[0].iter().zip(src[1]).zip(src[2]).zip(src[3]);
-            for (d, (((&a, &b), &c), &e)) in row[1..=w].iter_mut().zip(pixels) {
-                *d = [a, b, c, e].map(|v| v as u8 ^ 0x80);
+/// Where [`igemm_conv_quads`] stores its output.
+#[derive(Debug)]
+pub enum QuadOut<'a> {
+    /// A quad map of the output channels, border included: every value a
+    /// later node reads.
+    Quads(&'a mut [i8]),
+    /// An NCHW `i8` image: the graph's output.
+    Nchw(&'a mut [i8]),
+}
+
+/// Whether an INT8 conv or 2x2 transpose conv over a quad map `w` pixels
+/// wide reads it in place: on an even width the micro-kernel reads each
+/// 16-column half of a panel in pieces of `gcd(w, 16)` columns, one base
+/// each, so that no piece straddles two rows; an odd width would leave
+/// one-column pieces, so there the strips are gathered from the map.
+pub fn reads_map(w: usize) -> bool {
+    w > 0 && w.is_multiple_of(2)
+}
+
+/// Runs the INT8 driver for a `k x k` conv over the quad map `x` (`k = 3`:
+/// the 3x3 same conv; `k = 1`: the transpose conv's one tap) into `c`, cut
+/// as `layout` says (its quantum one row of the map): the map read in place
+/// ([`reads_map`]), or quad panels gathered from it.
+fn run_map<C: Send>(
+    pa: &PackedA<i8>,
+    (g, k, x): (QuadMap, usize, &[i8]),
+    (layout, c): (OutLayout, &mut [C]),
+    work: &mut Work<i8>,
+    store: impl Fn(&Acc<i32>, Tile, &mut [&mut [C]]) + Sync,
+) {
+    let n = g.h * g.w;
+    if reads_map(g.w) {
+        let src: InPlace<'_, i8> = Source::Map(x);
+        run_with(pa, n, (layout, Strip::Map { c: g.c, h: g.h, w: g.w, k }), c, work, src, store)
+    } else {
+        let src = Source::Pack(|cols, buf: &mut [i8]| pack_map(g, k, x, cols, buf));
+        run_with(pa, n, (layout, Strip::Panels), c, work, src, store)
+    }
+}
+
+/// Gathers columns `cols` of the `B` operand of a `k x k` conv over the quad
+/// map `x` into `NR`-wide quad panels (`[s][NR][4]`): step `s = (quad, tap)`
+/// of column `(oy, ox)` is the pixel the tap reads, `(oy + ky, ox + kx)` of
+/// the bordered plane for a 3x3 conv (the border is the padding) and the
+/// pixel itself for one tap. A tail panel's missing columns are `0x80`.
+fn pack_map(g: QuadMap, k: usize, x: &[i8], cols: Range<usize>, buf: &mut [i8]) {
+    let (taps, d, w) = (k * k, 1 - k / 2, g.w);
+    let depth = g.quads() * taps * QUAD;
+    for (jp, panel) in
+        buf[..packed_b_len(depth, cols.len())].chunks_exact_mut(NR * depth.max(1)).enumerate()
+    {
+        let j0 = cols.start + jp * NR;
+        let valid = NR.min(cols.end - j0);
+        for (s, step) in panel.chunks_exact_mut(NR * QUAD).enumerate() {
+            let (q, tap) = (s / taps, s % taps);
+            let at = q * g.plane() + ((tap / k + d) * (w + 2) + tap % k + d) * QUAD;
+            let mut jj = 0;
+            while jj < valid {
+                let (oy, ox) = ((j0 + jj) / w, (j0 + jj) % w);
+                let seg = (w - ox).min(valid - jj);
+                let src = &x[at + (oy * (w + 2) + ox) * QUAD..][..seg * QUAD];
+                step[jj * QUAD..][..seg * QUAD].copy_from_slice(src);
+                jj += seg;
             }
-            (row[0], row[w + 1]) = ([0x80; QUAD], [0x80; QUAD]);
+            step[valid * QUAD..].fill(ZERO);
         }
     }
 }
 
-/// Per-call GEMM work memory of [`igemm_conv_with`] for `pa` over `geom`:
-/// `(strip bytes, offsets)`, the bytes of the parts' quad row bands or
-/// gathered strips, and the `u32` k-step offsets the micro-kernel reads them
+/// Copies one tile's columns, `B` bytes each, into a part's piece of a quad
+/// plane: column `(iy, ix)` (`iy` counted from the part's first row) lands
+/// at `first + iy * row_step + ix * B`. A tile's columns are walked in runs
+/// that share a row, each one copy, a whole tile's one fixed-size move.
+#[inline(always)]
+fn store_runs<const B: usize>(
+    t: Tile,
+    w: usize,
+    (first, row_step): (usize, usize),
+    src: &[[i8; B]; NR],
+    dst: &mut [i8],
+) {
+    let (mut iy, mut ix, mut done) = (t.col / w - t.col0 / w, t.col % w, 0);
+    while done < t.cols {
+        let run = (w - ix).min(t.cols - done);
+        let to = &mut dst[first + iy * row_step + ix * B..][..run * B];
+        match <&mut [[i8; B]; NR]>::try_from(to.as_chunks_mut::<B>().0) {
+            Ok(to) => *to = *src,
+            Err(_) => to.copy_from_slice(src[done..][..run].as_flattened()),
+        }
+        (done, ix, iy) = (done + run, 0, iy + 1);
+    }
+}
+
+/// The requantised bytes `x ^ 0x80 = x + 128` of the 4 accumulator rows
+/// from GEMM row `row`, one pixel per column (row `i` in byte `i`): each
+/// row requantised in `i32` lanes and or-ed into the pixels, which
+/// vectorises (a byte-wise interleave measured 1.5-3x slower).
+#[inline(always)]
+fn requant_quad(
+    acc: &[[i32; NR]],
+    row: usize,
+    (bias, shift, relu): (&[i32], i32, bool),
+) -> [u32; NR] {
+    let floor = if relu { 0 } else { i8::MIN.into() };
+    let mut px = [0u32; NR];
+    for (i, acc_i) in acc[..QUAD].iter().enumerate() {
+        let b = bias_at(bias, row + i);
+        for (p, &v) in px.iter_mut().zip(acc_i) {
+            *p |= ((requantize_wide(v + b, shift).max(floor) + 128) as u32) << (8 * i);
+        }
+    }
+    px
+}
+
+/// The bytes of a word of pixel lanes, as the arena holds them.
+#[inline(always)]
+fn bytes<const B: usize>(word: impl Into<u64>) -> [i8; B] {
+    let w = word.into().to_le_bytes();
+    std::array::from_fn(|i| w[i] as i8)
+}
+
+/// INT8 3x3 same conv of one quad map ([`crate::quad`]) `x` of geometry `g`
+/// against weights packed by [`PackedA::pack_conv`] over the map's `g.c`
+/// channels (zero rows where a lane is unused), with the fused
+/// requantise-clamp epilogue, on caller-owned work memory. The map is read
+/// in place on an even width, its border standing in for the padding (panels
+/// are gathered from it on an odd one, [`reads_map`]). The output is a quad
+/// map of `pa.m()` channels over the same `h x w`, border and unused lanes
+/// written (as the value `0`), or an NCHW image.
+#[allow(clippy::too_many_arguments)]
+pub fn igemm_conv_quads(
+    pa: &PackedA<i8>,
+    g: QuadMap,
+    x: &[i8],
+    bias: &[i32],
+    shift: i32,
+    relu: bool,
+    out: QuadOut<'_>,
+    work: &mut Work<i8>,
+) {
+    assert_eq!(pa.order(), KOrder::Conv { taps: 9 }, "weights packed for a conv");
+    assert_eq!(pa.k(), 9 * g.c, "packed A k extent vs map channels");
+    assert_eq!(x.len(), g.len(), "input map size");
+    let (n, epi) = (g.h * g.w, (bias, shift, relu));
+    let nchw = OutLayout { quantum: g.w.max(1), quantum_elems: g.w.max(1), ..OutLayout::rows(n) };
+    match out {
+        QuadOut::Nchw(y) => run_map(pa, (g, 3, x), (nchw, y), work, requant_rows(epi)),
+        QuadOut::Quads(y) => {
+            let og = QuadMap::new(pa.m(), g.h, g.w);
+            write_border(og, y);
+            // A chunk is an output quad's plane, 4 GEMM rows; a part's rows
+            // start at its first row's first pixel.
+            let origin = og.row() + QUAD;
+            let layout =
+                OutLayout { rows: QUAD, len: og.plane(), quantum_elems: og.row(), origin, ..nchw };
+            run_map(pa, (g, 3, x), (layout, y), work, |acc: &Acc<i32>, t, chunks| {
+                for (qi, lanes) in acc.chunks_exact(QUAD).take(t.rows.div_ceil(QUAD)).enumerate() {
+                    let px = requant_quad(lanes, t.row + QUAD * qi, epi).map(bytes::<QUAD>);
+                    let piece = &mut chunks[(t.row - t.row0) / QUAD + qi];
+                    store_runs(t, g.w, (0, og.row()), &px, piece);
+                }
+            });
+        }
+    }
+}
+
+/// Per-call GEMM work memory of [`igemm_conv_quads`] or
+/// [`igemm_tconv2x2_quads`] for `pa` over the map `g`: `(strip bytes,
+/// offsets)`, the bytes of the parts' gathered strips (none when the map is
+/// read in place) and the `u32` k-step offsets the micro-kernel reads
 /// through.
-pub fn igemm_conv_scratch(pa: &PackedA<i8>, geom: &ConvGeom) -> (usize, usize) {
+pub fn igemm_map_scratch(pa: &PackedA<i8>, g: QuadMap) -> (usize, usize) {
     let (m, depth) = pa.dims();
-    let strips = match quad_band(pa, geom) {
-        Some(c) => band_scratch_len(m, c, (geom.h, geom.w), 1),
-        None => strip_scratch_len(m, depth, geom.col_cols(), NR, 1),
-    };
+    let n = g.h * g.w;
+    let strips = if reads_map(g.w) { 0 } else { strip_scratch_len(m, depth, n, g.w.max(1), 1) };
     (strips, depth / QUAD)
 }
 
-/// Per-call GEMM work memory of [`igemm_tconv2x2_packed`] for `pa` on an
-/// `h x w` input, as [`igemm_conv_scratch`] gives it.
-pub fn igemm_tconv_scratch(pa: &PackedA<i8>, h: usize, w: usize) -> (usize, usize) {
-    let (m, depth) = pa.dims();
-    (strip_scratch_len(m, depth, h * w, w, 1), depth / QUAD)
-}
-
-/// The scatter-fused transpose-conv GEMM of one `[C_in, H, W]` image against
-/// co-major `[4*C_out, C_in]` panels: GEMM row `co*4 + kidx`, column
-/// `iy*w + ix` lands at `(2iy+ky, 2ix+kx)` of output plane `co` as
-/// `f(acc, bias4[row])`. `out` is `[C_out, 2H, 2W]`; the driver hands each
-/// part the band of every plane its (whole) input rows scatter into. The
-/// input plane already is the GEMM's `B` (`[C_in, H*W]`): `pack` packs its
-/// strips.
-#[allow(clippy::too_many_arguments)]
-fn run_tconv2x2<A: Panels<S = S>, S: Copy + Zero + Sync, C: Copy + Zero + Send>(
-    pa: &A,
+/// The scatter-fused f32 transpose-conv GEMM of one `[C_in, H, W]` image
+/// against co-major `[4*C_out, C_in]` panels: GEMM row `co*4 + kidx`, column
+/// `iy*w + ix` lands at `(2iy+ky, 2ix+kx)` of output plane `co` as `acc +
+/// bias4[row]`. `out` is `[C_out, 2H, 2W]`; the driver hands each part the
+/// band of every plane its (whole) input rows scatter into. The input plane
+/// already is the GEMM's `B` (`[C_in, H*W]`): `pack` packs its strips.
+fn run_tconv2x2(
+    pa: &PackedA<f32>,
     (h, w): (usize, usize),
-    bias4: &[S],
-    out: &mut [C],
-    work: &mut Work<A::E>,
-    pack: impl Fn(Range<usize>, &mut [B<A>]) + Sync,
-    f: impl Fn(S, S) -> C + Sync,
+    bias4: &[f32],
+    out: &mut [f32],
+    work: &mut Work<f32>,
+    pack: impl Fn(Range<usize>, &mut [f32]) + Sync,
 ) {
-    let layout = OutLayout { rows: 4, len: 4 * h * w, quantum: w, quantum_elems: 4 * w };
-    run_with(pa, h * w, (layout, Strip::Panels), out, work, pack, |acc, t: Tile, chunks| {
+    let layout = OutLayout { rows: 4, len: 4 * h * w, quantum: w, quantum_elems: 4 * w, origin: 0 };
+    let src = Source::Pack(pack);
+    run_with(pa, h * w, (layout, Strip::Panels), out, work, src, |acc, t: Tile, chunks| {
         // GEMM rows come in `(kx = 0, kx = 1)` pairs that interleave into one
         // output row. Each pair is stored in three vectorisable passes over
         // fixed-size arrays: `f` down each row, the interleave, then the
@@ -519,13 +612,13 @@ fn run_tconv2x2<A: Panels<S = S>, S: Copy + Zero + Sync, C: Copy + Zero + Send>(
         for (pi, pair) in acc[..t.rows].chunks_exact(2).enumerate() {
             let row = t.row + 2 * pi;
             let (b0, b1) = (bias_at(bias4, row), bias_at(bias4, row + 1));
-            let (mut q0, mut q1) = ([C::ZERO; NR], [C::ZERO; NR]);
+            let (mut q0, mut q1) = ([0.0; NR], [0.0; NR]);
             for ((d0, d1), (&v0, &v1)) in
                 q0.iter_mut().zip(&mut q1).zip(pair[0].iter().zip(&pair[1]))
             {
-                (*d0, *d1) = (f(v0, b0), f(v1, b1));
+                (*d0, *d1) = (v0 + b0, v1 + b1);
             }
-            let mut q = [C::ZERO; 2 * NR];
+            let mut q = [0.0; 2 * NR];
             for ((d, &v0), &v1) in q.as_chunks_mut::<2>().0.iter_mut().zip(&q0).zip(&q1) {
                 *d = [v0, v1];
             }
@@ -583,27 +676,55 @@ pub fn sgemm_tconv2x2_packed(
     // strip pack is the same row-segment copy as the 3x3 gather's.
     let plane = ConvGeom { c_in: pa.k(), h, w, k: 1, pad: 0, stride: 1 };
     let pack = |cols, buf: &mut [f32]| pack_b_im2col(&plane, x, cols, buf);
-    run_tconv2x2(pa, (h, w), bias4, out, work, pack, |v, b| v + b);
+    run_tconv2x2(pa, (h, w), bias4, out, work, pack);
 }
 
-/// Scatter-fused INT8 transpose conv of one `[C_in, H, W]` image against
-/// pre-packed co-major `[4*C_out, C_in]` weights, with the fused
-/// requantise-clamp epilogue, on caller-owned work memory. `out` is
-/// `[C_out, 2H, 2W]`.
+/// Scatter-fused INT8 2x2 stride-2 transpose conv of one quad map `x` of
+/// geometry `g` into the quad map `out` (`pa.m() / 4` channels over `2h x
+/// 2w`, border written), with the fused requantise-clamp epilogue, on
+/// caller-owned work memory. The weights are those of
+/// [`crate::tconv::repack_tconv_quads`], `bias4` in their row order: GEMM
+/// row `16q + 8ky + 4kx + l` is tap `(ky, kx)` of output channel `4q + l`.
+/// The map is the GEMM's `B` (`k` = its quads, one tap), read in place on an
+/// even width. An `MR = 8`-row tile is then one `ky` of one output quad, and
+/// its column `(iy, ix)` the 8 bytes of output pixels `(2iy + ky, 2ix)` and
+/// `(2iy + ky, 2ix + 1)` side by side: the scatter is the tile store.
 #[allow(clippy::too_many_arguments)]
-pub fn igemm_tconv2x2_packed(
+pub fn igemm_tconv2x2_quads(
     pa: &PackedA<i8>,
+    g: QuadMap,
     x: &[i8],
-    h: usize,
-    w: usize,
     bias4: &[i32],
     shift: i32,
     relu: bool,
     out: &mut [i8],
     work: &mut Work<i8>,
 ) {
-    let pack = |cols, buf: &mut [u8]| pack_quads(pa, cols, buf, matrix_row(x, h * w));
-    run_tconv2x2(pa, (h, w), bias4, out, work, pack, |v, b| requant(v, b, shift, relu));
+    const { assert!(MR == 2 * QUAD, "a tile is one row of pixel pairs") };
+    assert_eq!(pa.k(), g.c, "packed A k extent vs map channels");
+    assert!(pa.m().is_multiple_of(4 * QUAD), "whole output quads");
+    assert_eq!(x.len(), g.len(), "input map size");
+    let og = QuadMap::new(pa.m() / 4, 2 * g.h, 2 * g.w);
+    write_border(og, out);
+    // A chunk is an output quad's plane (16 GEMM rows); an input row owns two
+    // output rows, a part's from its first row's first pixel.
+    let (origin, w) = (og.row() + QUAD, g.w.max(1));
+    let layout = OutLayout {
+        rows: 4 * QUAD,
+        len: og.plane(),
+        quantum: w,
+        quantum_elems: 2 * og.row(),
+        origin,
+    };
+    run_map(pa, (g, 1, x), (layout, out), work, |acc: &Acc<i32>, t, chunks| {
+        let epi = (bias4, shift, relu);
+        let (lo, hi) =
+            (requant_quad(&acc[..QUAD], t.row, epi), requant_quad(&acc[QUAD..], t.row + QUAD, epi));
+        let px: [[i8; MR]; NR] =
+            std::array::from_fn(|j| bytes(u64::from(lo[j]) | u64::from(hi[j]) << 32));
+        let piece = &mut chunks[(t.row - t.row0) / (4 * QUAD)];
+        store_runs(t, g.w, (t.row / MR % 2 * og.row(), 2 * og.row()), &px, piece);
+    });
 }
 
 #[cfg(test)]

@@ -35,6 +35,7 @@ pub mod igemm;
 pub mod im2col;
 pub mod norm;
 pub mod pool;
+pub mod quad;
 pub mod quantized;
 pub mod shape;
 pub mod tconv;

@@ -194,6 +194,14 @@ pub fn choose_fix_pos_bits(abs_max: f32, bits: Bitwidth) -> i32 {
 /// non-zero value shifted 8 places saturates either way).
 #[inline(always)]
 pub fn requantize_i32(acc: i32, shift: i32) -> i8 {
+    requantize_wide(acc, shift) as i8
+}
+
+/// [`requantize_i32`] left in its `i32` lane (in the `i8` range), for a
+/// store that widens the byte again: the quad-map store packs four of them
+/// into one `u32` pixel without a narrowing round trip.
+#[inline(always)]
+pub(crate) fn requantize_wide(acc: i32, shift: i32) -> i32 {
     let v = if shift > 0 {
         let r = acc.unsigned_abs().checked_shr(shift as u32 - 1).unwrap_or(0);
         let q = ((r >> 1) + (r & 1)) as i32;
@@ -205,7 +213,7 @@ pub fn requantize_i32(acc: i32, shift: i32) -> i8 {
     } else {
         acc.clamp(i8::MIN.into(), i8::MAX.into()) << shift.max(-8).unsigned_abs()
     };
-    v.clamp(i8::MIN.into(), i8::MAX.into()) as i8
+    v.clamp(i8::MIN.into(), i8::MAX.into())
 }
 
 #[cfg(test)]

@@ -14,6 +14,7 @@ use crate::igemm::{sgemm_conv, sgemm_conv_wgrad, sgemm_tconv2x2};
 use crate::im2col::ConvGeom;
 use crate::shape::Shape4;
 use crate::tensor::Tensor;
+use crate::zero::Zero;
 
 /// Repacks `[C_in, C_out, 2, 2]` transpose-conv weights into the
 /// `[4*C_out, C_in]` GEMM operand: row `co*4 + kidx` holds the `(ky, kx)`
@@ -34,6 +35,27 @@ pub fn repack_tconv_weights<T: Copy>(c_in: usize, c_out: usize, w: &[T], wk: &mu
             }
         }
     }
+}
+
+/// Repacks `[C_in, C_out, 2, 2]` transpose-conv weights into the operand of
+/// [`crate::igemm::igemm_tconv2x2_quads`]: `16 ⌈C_out / 4⌉` rows over the
+/// `c_map` channels of its input quad map. Row `16q + 8ky + 4kx + l` holds
+/// the `(ky, kx)` tap of output channel `4q + l` (zero past `C_out`), input
+/// channel `ci` at column `slots[ci]` and zero in every other column (the
+/// map's unused lanes).
+pub fn repack_tconv_quads<T: Zero>(c_out: usize, slots: &[usize], c_map: usize, w: &[T]) -> Vec<T> {
+    assert_eq!(w.len(), slots.len() * c_out * 4, "weight size");
+    let rows = 4 * c_out.next_multiple_of(4);
+    let mut wk = vec![T::ZERO; rows * c_map];
+    for (r, row) in wk.chunks_exact_mut(c_map.max(1)).enumerate().take(rows) {
+        let (co, kidx) = (r / 16 * 4 + r % 4, r % 16 / 4);
+        if co < c_out {
+            for (ci, &s) in slots.iter().enumerate() {
+                row[s] = w[(ci * c_out + co) * 4 + kidx];
+            }
+        }
+    }
+    wk
 }
 
 /// Stride-2 scatter of a materialized `[4*C_out, H*W]` pre-scatter GEMM

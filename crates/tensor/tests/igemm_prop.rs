@@ -12,12 +12,15 @@
 //! the NR-wide panel tails.
 //!
 //! The INT8 conv has two routes onto its one micro-kernel: a 3x3 same conv
-//! packed by `PackedA::pack_conv` on an even width reads a quad row band in
-//! place, every other conv gathers quad panels. Both must equal `im2col_t` +
-//! the naive `igemm_reference` bit for bit: over channel counts that leave
-//! quads part empty, every width up to 34, stride 2 and pad 0, at the
-//! driver's seams, and at the `i32` bound. The portable tile body must equal
-//! the VNNI one on random panels, at every piece width.
+//! or a 2x2 transpose conv over a bordered quad map (`seneca_tensor::quad`,
+//! the executor's INT8 layout) reads the map in place on an even width and
+//! gathers quad panels from it on an odd one; the NCHW conv (the benchmark
+//! probe's) gathers quad panels. Each must equal `im2col_t` + the naive
+//! `igemm_reference` (or the transpose conv's definition) bit for bit: over
+//! channel counts that leave quads part empty, every width up to 34, stride
+//! 2 and pad 0, at the driver's seams, and at the `i32` bound, into a quad
+//! map and into an NCHW image. The portable tile body must equal the VNNI
+//! one on random panels, at every piece width.
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -26,12 +29,13 @@ use seneca_tensor::gemm::{
     GemmEpilogue, PackElem, PackedA, Work, FORK_MIN_MACS, MR, NR, QUAD, STRIP_BYTES,
 };
 use seneca_tensor::igemm::{
-    igemm_conv_packed, igemm_conv_scratch, igemm_conv_with, igemm_tconv2x2_packed, quad_band,
-    sgemm_conv, sgemm_conv_packed, sgemm_tconv2x2,
+    igemm_conv_packed, igemm_conv_quads, igemm_map_scratch, igemm_tconv2x2_quads, reads_map,
+    sgemm_conv, sgemm_conv_packed, sgemm_tconv2x2, QuadOut,
 };
 use seneca_tensor::im2col::{im2col_t, ConvGeom};
+use seneca_tensor::quad::{pack_nchw, unpack_nchw, QuadMap};
 use seneca_tensor::quantized::requantize_i32;
-use seneca_tensor::tconv::{repack_tconv_weights, scatter_tconv2x2};
+use seneca_tensor::tconv::{repack_tconv_quads, repack_tconv_weights, scatter_tconv2x2};
 
 fn rand_f32(len: usize, seed: u64) -> Vec<f32> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -47,6 +51,84 @@ fn rand_i8(len: usize, seed: u64) -> Vec<i8> {
 fn rand_i4(len: usize, seed: u64) -> Vec<i8> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     (0..len).map(|_| rng.gen_range(-8i32..8) as i8).collect()
+}
+
+/// The quad map of one NCHW image of `c` channels, border included.
+fn to_map(x: &[i8], c: usize, h: usize, w: usize) -> (QuadMap, Vec<i8>) {
+    let g = QuadMap::new(c, h, w);
+    let mut map = vec![0x55; g.len()];
+    pack_nchw(x, &(0..c).collect::<Vec<_>>(), g, &mut map);
+    (g, map)
+}
+
+/// The first `c` channels of a quad map as an NCHW image, after checking
+/// that its border and unused lanes read `0x80`.
+fn from_map(map: &[i8], g: QuadMap, c: usize) -> Vec<i8> {
+    let mut again = vec![0i8; g.len()];
+    let mut y = vec![0i8; c * g.h * g.w];
+    unpack_nchw(map, g, &(0..c).collect::<Vec<_>>(), &mut y);
+    pack_nchw(&y, &(0..c).collect::<Vec<_>>(), g, &mut again);
+    assert!(map == again, "border or unused lanes of a {g:?} map not 0x80");
+    y
+}
+
+/// The INT8 3x3 same conv of an NCHW image through a quad map, as the
+/// executor runs it: into a quad map (`nchw` false) or an NCHW image, on
+/// work memory sized by `igemm_map_scratch`, which the call must not grow.
+fn conv_quads(
+    m: usize,
+    (c_in, h, w): (usize, usize, usize),
+    wt: &[i8],
+    x: &[i8],
+    bias: &[i32],
+    (shift, relu): (i32, bool),
+    nchw: bool,
+) -> Vec<i8> {
+    let (g, map) = to_map(x, c_in, h, w);
+    // The weights over the map's channels: zero rows for the unused lanes.
+    let mut wq = vec![0i8; m * g.c * 9];
+    for (src, dst) in wt.chunks_exact(c_in * 9).zip(wq.chunks_exact_mut(g.c * 9)) {
+        dst[..c_in * 9].copy_from_slice(src);
+    }
+    let pa = PackedA::pack_conv(m, g.c, 9, &wq);
+    let (strips, offs) = igemm_map_scratch(&pa, g);
+    let mut work = Work::new(strips, offs);
+    let og = QuadMap::new(m, h, w);
+    let y = if nchw {
+        let mut y = vec![0i8; m * h * w];
+        igemm_conv_quads(&pa, g, &map, bias, shift, relu, QuadOut::Nchw(&mut y), &mut work);
+        y
+    } else {
+        let mut y = vec![0x55i8; og.len()];
+        igemm_conv_quads(&pa, g, &map, bias, shift, relu, QuadOut::Quads(&mut y), &mut work);
+        from_map(&y, og, m)
+    };
+    assert_eq!(work.strip_len(), strips, "{g:?} grew its work memory");
+    y
+}
+
+/// The INT8 2x2 transpose conv of an NCHW image through quad maps, as the
+/// executor runs it: `[C_in, C_out, 2, 2]` weights `wt`, per-channel `bias`.
+fn tconv_quads(
+    (c_in, c_out, h, w): (usize, usize, usize, usize),
+    wt: &[i8],
+    x: &[i8],
+    bias: &[i32],
+    (shift, relu): (i32, bool),
+) -> Vec<i8> {
+    let (g, map) = to_map(x, c_in, h, w);
+    let wk = repack_tconv_quads(c_out, &(0..c_in).collect::<Vec<_>>(), g.c, wt);
+    let rows = wk.len() / g.c;
+    let bias4: Vec<i32> =
+        (0..rows).map(|r| bias.get(r / 16 * 4 + r % 4).copied().unwrap_or(0)).collect();
+    let pa = PackedA::pack(rows, g.c, &wk);
+    let (strips, offs) = igemm_map_scratch(&pa, g);
+    let mut work = Work::new(strips, offs);
+    let og = QuadMap::new(c_out, 2 * h, 2 * w);
+    let mut y = vec![0x55i8; og.len()];
+    igemm_tconv2x2_quads(&pa, g, &map, &bias4, shift, relu, &mut y, &mut work);
+    assert_eq!(work.strip_len(), strips, "{g:?} grew its work memory");
+    from_map(&y, og, c_out)
 }
 
 /// Prime spatial extents: never multiples of the NR panel width, so the
@@ -191,24 +273,24 @@ proptest! {
         );
     }
 
-    /// i8 tconv: scatter-fused requantising store == fused GEMM + explicit
-    /// scatter.
+    /// i8 tconv over quad maps: the scatter-fused requantising store (the
+    /// map read in place at even widths, gathered at odd ones) == fused GEMM
+    /// + explicit scatter.
     #[test]
     fn tconv_i8_scatter_fused_matches_materialized(
-        hi in 0usize..6, wi in 0usize..6, ci in 0usize..5, coi in 0usize..5,
+        hi in 0usize..6, wi in 0usize..7, ci in 0usize..5, coi in 0usize..5,
         shift in -2i32..10, relu_bit in 0u32..2, seed in 0u64..1000
     ) {
-        let (h, w, c_in, c_out) = (DIMS[hi], DIMS[wi], CHANS[ci], CHANS[coi]);
+        let (h, w, c_in, c_out) = (DIMS[hi], [1, 2, 3, 6, 8, 11, 16][wi], CHANS[ci], CHANS[coi]);
         let relu = relu_bit == 1;
         let (m, n) = (4 * c_out, h * w);
         let wt = rand_i8(c_in * c_out * 4, seed);
         let mut wk = vec![0i8; m * c_in];
         repack_tconv_weights(c_in, c_out, &wt, &mut wk);
         let x = rand_i8(c_in * n, seed + 1);
-        let bias4: Vec<i32> = (0..m as i32).map(|i| (i / 4) * 37 - 111).collect();
-        let mut y = vec![0i8; c_out * 4 * n];
-        let pa = PackedA::pack(m, c_in, &wk);
-        igemm_tconv2x2_packed(&pa, &x, h, w, &bias4, shift, relu, &mut y, &mut Work::default());
+        let bias: Vec<i32> = (0..c_out as i32).map(|i| i * 37 - 111).collect();
+        let bias4: Vec<i32> = (0..m).map(|i| bias[i / 4]).collect();
+        let y = tconv_quads((c_in, c_out, h, w), &wt, &x, &bias, (shift, relu));
         let mut ytmp = vec![0i8; m * n];
         igemm_fused(m, c_in, n, &wk, &x, &bias4, shift, relu, &mut ytmp);
         let mut y_ref = vec![0i8; c_out * 4 * n];
@@ -216,14 +298,16 @@ proptest! {
         prop_assert_eq!(y, y_ref, "cin{} cout{} {}x{} shift {}", c_in, c_out, h, w, shift);
     }
 
-    /// INT8 conv on weights packed for a conv: the band route (3x3 same conv
-    /// on an even width, halves read whole or in pieces of 8 or 2 columns)
-    /// and the gather route (an odd width, stride 2, pad 0, `k` 1..3) ==
-    /// `im2col_t` + the naive GEMM, bit for bit. `C_in` leaves the last quad
-    /// 1–3 channels short or full, `m` is on and off the `MR` grid, W8 and
-    /// W4-range weights, ReLU on and off, positive and negative shifts.
+    /// INT8 conv on weights packed for a conv: a 3x3 same conv over a quad
+    /// map (read in place on an even width, halves whole or in pieces of 8
+    /// or 2 columns; gathered from on an odd one) into a quad map or an
+    /// NCHW image, and the NCHW gather (any width, stride 2, pad 0, `k`
+    /// 1..3) == `im2col_t` + the naive GEMM, bit for bit. `C_in` leaves the
+    /// last quad 1–3 channels short or full, `m` is on and off the `MR`
+    /// grid, W8 and W4-range weights, ReLU on and off, positive and negative
+    /// shifts.
     #[test]
-    fn conv_i8_band_and_gather_match_the_reference(
+    fn conv_i8_map_and_gather_match_the_reference(
         hi in 0usize..6, wi in 0usize..6, ci in 0usize..6, mi in 0usize..5,
         k in 1usize..4, pad in 0usize..2, stride in 1usize..3, same in any::<bool>(),
         shift in -2i32..16, relu_bit in 0u32..2, w4_bit in 0u32..2, seed in 0u64..1000
@@ -241,7 +325,12 @@ proptest! {
         let mut y = vec![0i8; m * n];
         let pa = PackedA::pack_conv(m, c_in, k * k, &wt);
         igemm_conv_packed(&pa, &geom, &x, &bias, shift, relu_bit == 1, &mut y);
-        prop_assert_eq!(y, want, "c{}->{} {}x{} k{} p{} s{}", c_in, m, h, w, k, pad, stride);
+        prop_assert_eq!(&y, &want, "c{}->{} {}x{} k{} p{} s{}", c_in, m, h, w, k, pad, stride);
+        if same {
+            let nchw = seed.is_multiple_of(2);
+            let y = conv_quads(m, (c_in, h, w), &wt, &x, &bias, (shift, relu_bit == 1), nchw);
+            prop_assert_eq!(y, want, "map c{}->{} {}x{} nchw {}", c_in, m, h, w, nchw);
+        }
     }
 
     /// The portable tile body == the VNNI one (on a build without VNNI, the
@@ -263,9 +352,9 @@ fn check_int8_tile<const N: usize>(steps: usize, seed: u64) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let ap = rand_i8(steps * QUAD * MR, seed + 1);
     let starts: [i32; MR] = std::array::from_fn(|_| rng.gen_range(-1 << 20..1 << 20));
-    let b: Vec<u8> = rand_i8(5120, seed + 2).iter().map(|&v| v as u8).collect();
+    let b = rand_i8(5120, seed + 2);
     let offs: Vec<u32> = (0..steps).map(|_| rng.gen_range(0..2048 - 64)).collect();
-    let pieces: [[&[u8]; N]; 2] =
+    let pieces: [[&[i8]; N]; 2] =
         std::array::from_fn(|_| std::array::from_fn(|_| &b[rng.gen_range(0..3072)..][..2048]));
     let portable = int8_tile(&ap, &starts, pieces, &offs, true);
     let native = int8_tile(&ap, &starts, pieces, &offs, false);
@@ -279,7 +368,7 @@ fn check_int8_tile<const N: usize>(steps: usize, seed: u64) {
                 + (0..steps * QUAD)
                     .map(|t| {
                         let (s, q) = (t / QUAD, t % QUAD);
-                        let x = piece[offs[s] as usize + QUAD * (lane % px) + q];
+                        let x = piece[offs[s] as usize + QUAD * (lane % px) + q] as u8;
                         i32::from(ap[(s * MR + i) * QUAD + q]) * i32::from(x)
                     })
                     .sum::<i32>();
@@ -402,15 +491,15 @@ fn band_conv_seams_match_materialized() {
     }
 }
 
-/// Every width from 1 to 34 at heights 2, 4, 6 and 8: a 3x3 same conv packed
-/// for a conv reads a quad row band at every even width (each 16-column half
-/// in pieces of `gcd(W, 16)` columns, tail panels repeating a piece) and
-/// gathers at every odd one, bit for bit the conv by its definition. `C_in`
-/// off the quad grid, `m` off the `MR` grid, ReLU on and off, and both entry
-/// points: the thread's work memory, and work memory sized by
-/// `igemm_conv_scratch`, which the call must not grow.
+/// Every width from 1 to 34 at heights 2, 4, 6 and 8: a 3x3 same conv over a
+/// quad map reads it in place at every even width (each 16-column half in
+/// pieces of `gcd(W, 16)` columns, tail panels repeating a piece) and gathers
+/// from it at every odd one, bit for bit the conv by its definition. `C_in`
+/// off the quad grid, `m` off the `MR` grid, ReLU on and off, into a quad
+/// map (its border and unused lanes `0x80`) and into an NCHW image, on work
+/// memory sized by `igemm_map_scratch`, which the call must not grow.
 #[test]
-fn int8_conv_reads_bands_at_every_even_width() {
+fn int8_conv_reads_maps_at_every_even_width() {
     let mut case = 0;
     for w in 1..=34 {
         for h in [2, 4, 6, 8] {
@@ -423,34 +512,26 @@ fn int8_conv_reads_bands_at_every_even_width() {
             let (wt, x) = (rand_i8(m * k, case as u64), rand_i8(c_in * h * w, case as u64 + 1));
             let bias: Vec<i32> = (0..m as i32).map(|i| i * 91 - 777).collect();
             let epi = (6 + k.ilog2() as i32, relu);
-            let pa = PackedA::pack_conv(m, c_in, 9, &wt);
-            assert_eq!(quad_band(&pa, &geom).is_some(), w % 2 == 0, "{geom:?} route");
-            let mut y = vec![0i8; m * n];
-            if case % 3 == 0 {
-                igemm_conv_packed(&pa, &geom, &x, &bias, epi.0, epi.1, &mut y);
-            } else {
-                let (strips, offs) = igemm_conv_scratch(&pa, &geom);
-                let mut work = Work::new(strips, offs);
-                igemm_conv_with(&pa, &geom, &x, &bias, epi.0, epi.1, &mut y, &mut work);
-                assert_eq!(work.strip_len(), strips, "{geom:?} grew its work memory");
-            }
+            assert_eq!(reads_map(w), w % 2 == 0, "{geom:?} route");
+            let y = conv_quads(m, (c_in, h, w), &wt, &x, &bias, epi, case % 3 == 0);
+            assert_eq!(y.len(), m * n);
             let want = conv_i8_reference(m, &geom, &wt, &x, &bias, epi);
             assert_eq!(y, want, "c{c_in}->{m} {h}x{w} relu {relu}");
         }
     }
 }
 
-/// The INT8 band route at the driver's seams, against the reference: a
-/// channel count whose single padded row is larger than the band budget,
-/// [`STRIP_BYTES`] (one-row bands); a map that forks into column parts whose
-/// row counts are not a multiple of the band's, on a width of three halves
+/// The INT8 in-place route at the driver's seams, against the reference: a
+/// channel count whose single padded row is larger than the strip budget,
+/// [`STRIP_BYTES`] (one-row strips); a map that forks into column parts whose
+/// row counts are not a multiple of the strip's, on a width of three halves
 /// (panels straddle output rows); a width of one half with an odd row
 /// count (a part ends on a half panel); and two narrow maps of 1024
-/// channels, widths 8 and 6, whose rows fill several bands (23 and 30 rows
+/// channels, widths 8 and 6, whose rows fill several strips (23 and 30 rows
 /// each, so strips end on a tail panel with missing pieces), split across
-/// column parts. All but the third fork.
+/// column parts. All but the third fork. Into quad maps and NCHW images.
 #[test]
-fn int8_band_seams_match_the_reference() {
+fn int8_map_seams_match_the_reference() {
     let w = 6 * NR / 2;
     let wide_c = STRIP_BYTES / (w + 2) + 1;
     let cases = [
@@ -460,24 +541,23 @@ fn int8_band_seams_match_the_reference() {
         (1024, 70, 8, 13, true),
         (1024, 37, 6, 13, true),
     ];
-    for (c_in, h, w, m, forks) in cases {
+    for (i, (c_in, h, w, m, forks)) in cases.into_iter().enumerate() {
         let geom = ConvGeom { c_in, h, w, k: 3, pad: 1, stride: 1 };
         let (k, n) = (geom.col_rows(), geom.col_cols());
         assert_eq!(m * k * n >= FORK_MIN_MACS, forks, "{geom:?} forks");
         let (wt, x) = (rand_i8(m * k, 11), rand_i8(c_in * h * w, 12));
         let bias: Vec<i32> = (0..m as i32).map(|i| i * 91 - 777).collect();
         let epi = (8 + k.ilog2() as i32, false);
-        let mut y = vec![0i8; m * n];
-        let pa = PackedA::pack_conv(m, c_in, 9, &wt);
-        igemm_conv_packed(&pa, &geom, &x, &bias, epi.0, epi.1, &mut y);
+        let y = conv_quads(m, (c_in, h, w), &wt, &x, &bias, epi, i % 2 == 1);
         assert_eq!(y, conv_i8_reference(m, &geom, &wt, &x, &bias, epi), "{geom:?} m{m}");
     }
 }
 
 /// The INT8 `i32` bound at the largest Table II `k` (1024 channels, 9216):
 /// all `-128` activations against all `127` weights (and the reverse, and
-/// both `-128`) on both routes stay exact — in a debug build the portable
-/// body would panic on an `i32` overflow.
+/// both `-128`) on every route (a map read in place and gathered from, and
+/// the NCHW gather) stay exact — in a debug build the portable body would
+/// panic on an `i32` overflow.
 #[test]
 fn int8_is_exact_at_the_largest_table_ii_k() {
     let (m, c_in, h) = (3, 1024, 4);
@@ -487,10 +567,13 @@ fn int8_is_exact_at_the_largest_table_ii_k() {
         for (wv, xv) in [(127i8, -128i8), (-128, 127), (-128, -128)] {
             let (wt, x) = (vec![wv; m * c_in * 9], vec![xv; c_in * h * w]);
             let epi = (22, false);
+            let want = conv_i8_reference(m, &geom, &wt, &x, &bias, epi);
             let mut y = vec![0i8; m * h * w];
             let pa = PackedA::pack_conv(m, c_in, 9, &wt);
             igemm_conv_packed(&pa, &geom, &x, &bias, epi.0, epi.1, &mut y);
-            assert_eq!(y, conv_i8_reference(m, &geom, &wt, &x, &bias, epi), "w {wv} x {xv}");
+            assert_eq!(y, want, "NCHW w {wv} x {xv}");
+            let y = conv_quads(m, (c_in, h, w), &wt, &x, &bias, epi, false);
+            assert_eq!(y, want, "map w {wv} x {xv}");
             assert!(y.iter().any(|&v| v != 0 && v.abs() < 127), "outputs dead or saturated");
         }
     }
@@ -534,8 +617,11 @@ fn tconv_driver_seams_match_the_definition() {
     // Non-square, non-power-of-two widths: a column part must cover whole
     // input rows whatever `w` is. (c_in, c_out, h, w): the first splits
     // columns in both dtypes (several strips), the second is one INT8 strip
-    // and splits row tiles (m = 36 leaves a half tile), the third is tiny.
-    for dims in [(64, 9, 70, 61), (256, 9, 31, 33), (3, 1, 3, 5)] {
+    // and splits row tiles (m = 36 leaves a half tile), the third is tiny;
+    // the INT8 map is gathered from at those odd widths and read in place at
+    // the last two, which split columns (70 rows of 62) and row tiles.
+    for dims in [(64, 9, 70, 61), (256, 9, 31, 33), (3, 1, 3, 5), (64, 9, 70, 62), (256, 9, 31, 34)]
+    {
         let (c_in, c_out, h, w) = dims;
         let (m, n) = (4 * c_out, h * w);
         let wt = rand_i4(c_in * c_out * 4, 7);
@@ -552,18 +638,7 @@ fn tconv_driver_seams_match_the_definition() {
             |a: i32, x, w| a + x as i32 * w as i32,
             |a, co| requantize_i32(a + bias[co], shift),
         );
-        let mut y = vec![0i8; 4 * c_out * n];
-        igemm_tconv2x2_packed(
-            &PackedA::pack(m, c_in, &wk),
-            &x,
-            h,
-            w,
-            &bias4,
-            shift,
-            false,
-            &mut y,
-            &mut Work::default(),
-        );
+        let y = tconv_quads(dims, &wt, &x, &bias, (shift, false));
         assert_eq!(y, want, "INT8 {dims:?}");
 
         let to_f32 = |v: &[i8]| v.iter().map(|&v| v as f32 / 4.0).collect::<Vec<f32>>();

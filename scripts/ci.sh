@@ -39,6 +39,13 @@ if grep -rn 'execute_node_i8' --include='*.rs' crates/*/src crates/*/examples |
     exit 1
 fi
 
+echo "== no INT8 activation pack (pack_quad_band nowhere in crates/*/src) =="
+echo "INT8 values live in the arena as the bordered quad maps the VNNI kernel reads (crates/tensor/src/quad.rs): a conv reads its input map in place, so no conv copies its activations into a band."
+if grep -rn 'pack_quad_band' --include='*.rs' crates/*/src; then
+    echo "pack_quad_band in crates/*/src (lines above): read the quad map in place" >&2
+    exit 1
+fi
+
 echo "== one unsafe block (the AVX-512 VNNI tile call in crates/tensor/src/gemm.rs is the only unsafe in crates/*/src) =="
 echo "Every crate root denies unsafe_code; the call of the #[target_feature] INT8 micro-kernel alone allows it, with a SAFETY note: the cfg it sits under guarantees the CPU feature."
 unsafe_lines="$(grep -rnwE 'unsafe' --include='*.rs' crates/*/src | grep -vE '^[^:]+:[0-9]+:\s*//' || true)"
@@ -85,7 +92,7 @@ time cargo run --release -q -p seneca-bench --bin reproduce -- fig3 --scale fast
 echo "== ir smoke (seneca_quant::fuse folds every BN, fuses every ReLU, strips every identity; lowering packs one kernel per conv/tconv and none for any other node; every concat's inputs placed at their channel offsets, copying nothing, in both dtypes; arena = pinned 256² arena = peak-live footprint < total activations; implicit-GEMM peak < materialized route) =="
 cargo run --release -q -p seneca-bench --example ir_stats
 
-echo "== kernel smoke (igemm bit-exact; packed GEMM beats reference; implicit conv == materialized; on 16M 64->32 @256: implicit >= materialized in both dtypes, the INT8 row-band conv bit-exact against the naive reference and >= 1.5x the FP32 conv's MAC rate; on 1M 16->16 @128: INT8 tconv == GEMM + scatter and >= 0.6x the MAC rate of the same GEMM with a row store) =="
+echo "== kernel smoke (igemm bit-exact; packed GEMM beats reference; implicit conv == materialized; on 16M 64->32 @256: implicit >= materialized in both dtypes, the INT8 conv reading its quad map in place bit-exact against the naive reference and >= 1.5x the FP32 conv's MAC rate; on 1M 16->16 @128: the INT8 quad-map tconv == GEMM + scatter and >= 0.6x the MAC rate of the same GEMM with a row store) =="
 cargo run --release -q -p seneca-bench --example kernel_stats -- smoke
 
 echo "== kernel asm (INT8 tile: no vpmulld, and vpdpbusd on a %zmm operand where /proc/cpuinfo lists avx512_vnni; f32 tile: vfmadd231ps, no vmulps/vaddps) =="

@@ -19,8 +19,8 @@ use seneca_quant::{
     calibrate, fuse, mixed::quantizable_nodes, quantize_from_calibration, quantize_post_training,
     Bitwidth, PtqConfig, QuantizedGraph,
 };
-use seneca_tensor::igemm::quad_band;
-use seneca_tensor::im2col::ConvGeom;
+use seneca_tensor::gemm::KOrder;
+use seneca_tensor::igemm::reads_map;
 use seneca_tensor::{QTensor, Shape4, Tensor};
 
 /// Checks every node of `lowered` against the oracle over two frames through
@@ -43,14 +43,16 @@ fn assert_i8_matches_oracle(qg: &QuantizedGraph, shape: Shape4, seed: u64) {
 }
 
 /// The route the INT8 conv `id` of `lowered` runs at its lowered input,
-/// from its packed panels and its input width: `"band"` or `"gather"`.
+/// from its packed panels and its input width: `"in place"` (it reads its
+/// input's quad map where it lies) or `"gather"`.
 fn route(lowered: &Lowered, id: usize) -> &'static str {
     let Some(PackedKernel::ConvI8(pa)) = &lowered.packs()[id] else {
         panic!("node {id} is not packed as an INT8 conv")
     };
+    assert_eq!(pa.order(), KOrder::Conv { taps: 9 }, "node {id} packed for a conv");
     let input = lowered.shapes()[lowered.module().nodes[id].inputs[0]];
-    if quad_band(pa, &ConvGeom::same_3x3(input)).is_some() {
-        "band"
+    if reads_map(input.w) {
+        "in place"
     } else {
         "gather"
     }
@@ -72,14 +74,14 @@ fn every_table_ii_model_fp32_matches_the_oracle() {
     }
 }
 
-/// Every INT8 3x3 conv of the Table II models reads a row band, the `C_in =
-/// 1` first layers included, at the geometries the benchmark runs: the 16M
-/// and 1M at paper geometry (256x256, where the 16M's 8x8 bottleneck convs
-/// read each 16-column half as two 8-column rows), and the 1M, 4M and 8M at
-/// the fleet's 64x64 ROI (maps down to 4x4 and 2x2, read in 4- and 2-column
-/// pieces). No conv gathers.
+/// Every INT8 3x3 conv of the Table II models reads its input map in place,
+/// the `C_in = 1` first layers included, at the geometries the benchmark
+/// runs: the 16M and 1M at paper geometry (256x256, where the 16M's 8x8
+/// bottleneck convs read each 16-column half as two 8-column rows), and the
+/// 1M, 4M and 8M at the fleet's 64x64 ROI (maps down to 4x4 and 2x2, read in
+/// 4- and 2-column pieces). No conv gathers.
 #[test]
-fn int8_convs_read_row_bands_where_expected_at_256() {
+fn int8_convs_read_their_maps_in_place_where_expected_at_256() {
     use ModelSize::{M1, M16, M4, M8};
     for (size, side) in [(M16, 256), (M1, 256), (M1, 64), (M4, 64), (M8, 64)] {
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
@@ -92,14 +94,36 @@ fn int8_convs_read_row_bands_where_expected_at_256() {
         for (id, (n, s)) in m.nodes.iter().zip(shapes).enumerate() {
             let IrOp::Conv(a) = &n.op else { continue };
             match route(&lowered, id) {
-                "band" => (band, narrowest) = (band + 1, narrowest.min(s.w)),
+                "in place" => (band, narrowest) = (band + 1, narrowest.min(s.w)),
                 _ => gather.push((a.kernel.c_in(false), a.kernel.c_out(false), s.h)),
             }
         }
         let what = format!("{} at {side}x{side}", size.label());
         assert_eq!(gather, [], "{what}");
         assert_eq!(band, m.op_histogram()["qconv"], "{what}");
-        assert_eq!(narrowest, side >> size.config().depth, "{what}: the bottleneck reads a band");
+        assert_eq!(narrowest, side >> size.config().depth, "{what}: the bottleneck reads in place");
+    }
+}
+
+/// Every Table II model's INT8 program matches the oracle bit for bit on
+/// every node at 64² and 256² (the quad arena, the 2M's and 8M's concat
+/// halves off the quad grid included). Ignored: the naive oracle takes
+/// minutes at 256²; `cargo test --release --test ir_equivalence --
+/// --ignored` runs it.
+#[test]
+#[ignore]
+fn every_table_ii_model_int8_matches_the_oracle_at_64_and_256() {
+    for (seed, size) in ModelSize::ALL.into_iter().enumerate() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed as u64);
+        let fg = fuse(&Graph::from_unet(&UNet::from_size(size, &mut rng), "t2"));
+        let calib = vec![random_frame(Shape4::new(1, 1, 32, 32), 11)];
+        let (qg, _) = quantize_post_training(&fg, &calib, &PtqConfig::default());
+        for side in [64, 256] {
+            let shape = Shape4::new(1, 1, side, side);
+            let lowered = lower(qg.to_ir(), shape, &LowerOptions::reference());
+            let q = qg.quantize_input(&random_frame(shape, seed as u64));
+            oracle::check_i8(&lowered, &mut lowered.make_scratch_i8(), &q);
+        }
     }
 }
 
@@ -152,10 +176,11 @@ fn placed_inputs(lowered: &Lowered, id: usize) -> Vec<bool> {
 }
 
 /// The differential test of concat placement, batch of two: a conv over a
-/// placed concat gathers one contiguous map in every gather — the FP32 row
-/// band (`W % 32 == 0`) and strips (`W` = 16, 8, 6, odd), the INT8 row band
-/// (even `W`, read in whole halves or in pieces) and gathered strips (odd
-/// `W`), W8 and W4 on each (both on the INT8 panels) — INT8 bit for bit and
+/// placed concat reads one contiguous map in every route — the FP32 row
+/// band (`W % 32 == 0`) and strips (`W` = 16, 8, 6, odd), the INT8 map read
+/// in place (even `W`, in whole halves or in pieces; halves off the quad
+/// grid leave lanes unused) and gathered strips (odd `W`), W8 and W4 on each
+/// (both on the INT8 panels) — INT8 bit for bit and
 /// FP32 within tolerance of the oracle. `x3` places both inputs and
 /// copies nothing; `x5` places `x4` and copies `x2`, which `x3` holds; the
 /// output concat `x8` places both.
@@ -164,10 +189,10 @@ fn placed_concats_match_the_oracle_in_every_gather() {
     let (cat, twice, output) = (3, 5, 8);
     // (channels, h, w, the conv over `x3`: its bitwidth and INT8 route)
     let cases = [
-        ([2, 4, 6, 5], 6, 64, Bitwidth::W8, "band"),
-        ([1, 3, 2, 4], 5, 32, Bitwidth::W4, "band"),
-        ([2, 5, 4, 3], 16, 16, Bitwidth::W8, "band"),
-        ([3, 4, 5, 4], 4, 6, Bitwidth::W4, "band"),
+        ([2, 4, 6, 5], 6, 64, Bitwidth::W8, "in place"),
+        ([1, 3, 2, 4], 5, 32, Bitwidth::W4, "in place"),
+        ([2, 5, 4, 3], 16, 16, Bitwidth::W8, "in place"),
+        ([3, 4, 5, 4], 4, 6, Bitwidth::W4, "in place"),
         ([3, 4, 5, 4], 8, 7, Bitwidth::W4, "gather"),
         ([1, 6, 3, 2], 9, 13, Bitwidth::W8, "gather"),
     ];
@@ -204,9 +229,9 @@ fn placed_concats_match_the_oracle_in_every_gather() {
 
 /// The same on random U-Nets, batch of two: every decoder concat places
 /// both inputs and copies nothing, at levels whose widths take the FP32 band
-/// (64) and strips (40, 20, 16, 10, 8), and the INT8 band at every level,
-/// W8 and W4. A U-Net's decoder levels are even (each is twice the level
-/// below), so a conv over a decoder concat never gathers in INT8.
+/// (64) and strips (40, 20, 16, 10, 8), and the INT8 in-place read at every
+/// level, W8 and W4. A U-Net's decoder levels are even (each is twice the
+/// level below), so a conv over a decoder concat never gathers in INT8.
 #[test]
 fn placed_decoder_concats_match_the_oracle_on_random_unets() {
     let mut routes = Vec::new();
@@ -250,15 +275,17 @@ fn placed_decoder_concats_match_the_oracle_on_random_unets() {
         }
     }
     for bits in [Bitwidth::W8, Bitwidth::W4] {
-        assert!(routes.contains(&("band", bits)), "no placed concat feeds a {bits:?} band conv");
+        let feeds = routes.contains(&("in place", bits));
+        assert!(feeds, "no placed concat feeds a {bits:?} conv that reads in place");
     }
-    assert!(routes.iter().all(|&(r, _)| r == "band"), "a decoder conv gathers: {routes:?}");
+    assert!(routes.iter().all(|&(r, _)| r == "in place"), "a decoder conv gathers: {routes:?}");
 }
 
 /// `ExecPlan::assert_valid` holds on every Table II model's FP32 and INT8
 /// plans at 256² and 64², and on the DPU's channel-padded plan; and the
-/// 256² activation arenas of 1M and 16M are pinned to the byte, so that a
-/// materialized concat or a fragmenting placement fails here.
+/// 256² activation arenas of 1M and 16M (INT8: bordered quad maps, the
+/// output conv's NCHW image held beside them) are pinned to the byte, so
+/// that a materialized concat or a fragmenting placement fails here.
 #[test]
 fn table_ii_plans_are_valid_and_the_arenas_pinned() {
     let arch = seneca_dpu::arch::DpuArch::b4096_zcu104();
@@ -275,13 +302,14 @@ fn table_ii_plans_are_valid_and_the_arenas_pinned() {
                 m.plan(side(s)).assert_valid();
             }
         }
+        q.make_scratch_i8_for(side(64)).plan().assert_valid();
         for s in [256, 64] {
-            qg.module().plan_padded(side(s), |c| arch.pad_channels(c)).assert_valid();
+            qg.module().plan_padded(side(s), |_, s| s.hw() * arch.pad_channels(s.c)).assert_valid();
         }
         let arenas = (fp.plan().peak_arena_elems() * 4, q.plan().peak_arena_elems());
         let pinned = match size {
-            ModelSize::M1 => (12_582_912, 3_145_728),
-            ModelSize::M16 => (25_165_824, 6_291_456),
+            ModelSize::M1 => (12_582_912, 3_195_072),
+            ModelSize::M16 => (25_165_824, 6_390_144),
             _ => continue,
         };
         assert_eq!(arenas, pinned, "{} arena bytes (FP32, INT8) at 256²", size.label());
